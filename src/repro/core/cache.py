@@ -20,8 +20,8 @@ Policies:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, KeysView, List, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Dict, KeysView, List, Optional, Sequence, Set, Tuple
 
 from repro.core.subplan import SubplanTracker
 from repro.exceptions import CacheError
@@ -130,7 +130,8 @@ class ObjectCache:
         self.capacity = capacity
         self.policy = policy or MaxProgressEviction()
         self._contents: Dict[str, CachedObject] = {}
-        self._clock = itertools.count()
+        #: Recency clock: one tick per insertion and per hit.
+        self._clock = 0
         #: Counters for diagnostics and the cache-size experiments.
         self.num_insertions = 0
         self.num_evictions = 0
@@ -176,28 +177,37 @@ class ObjectCache:
             entry = self._contents[segment_id]
         except KeyError:
             raise CacheError(f"object {segment_id!r} is not cached") from None
-        entry.last_used = next(self._clock)
+        entry.last_used = self._clock
+        self._clock += 1
         self.num_hits += 1
         return entry
 
-    def payloads(self, segment_ids: Iterable[str]) -> List[Any]:
-        """Payloads for ``segment_ids``, touching entries exactly like
-        :meth:`get` — same recency ticks in the same order, same hit count —
-        but in one call for a whole subplan's segment list.
+    def get_batch(self, combinations: Sequence[Tuple[str, ...]]) -> Dict[str, Any]:
+        """Payloads, by segment id, of every object in ``combinations``.
+
+        Accounts for the whole batch at once exactly what one :meth:`get`
+        per segment of each combination, in order, would: as many hits and
+        clock ticks as there are segment occurrences, and each entry's
+        ``last_used`` is the tick of its last occurrence.  A non-cached
+        segment anywhere in the batch raises before anything is changed.
         """
         contents = self._contents
-        clock = self._clock
-        result: List[Any] = []
-        append = result.append
-        for segment_id in segment_ids:
-            try:
-                entry = contents[segment_id]
-            except KeyError:
-                raise CacheError(f"object {segment_id!r} is not cached") from None
-            entry.last_used = next(clock)
-            append(entry.payload)
-        self.num_hits += len(result)
-        return result
+        # Later occurrences overwrite earlier ones, leaving the last tick.
+        last_tick = dict(
+            zip(itertools.chain.from_iterable(combinations), itertools.count(self._clock))
+        )
+        for segment_id in last_tick:
+            if segment_id not in contents:
+                raise CacheError(f"object {segment_id!r} is not cached")
+        payloads: Dict[str, Any] = {}
+        for segment_id, tick in last_tick.items():
+            entry = contents[segment_id]
+            entry.last_used = tick
+            payloads[segment_id] = entry.payload
+        occurrences = sum(map(len, combinations))
+        self._clock += occurrences
+        self.num_hits += occurrences
+        return payloads
 
     def peek(self, segment_id: str) -> Optional[CachedObject]:
         """Return the cached entry without touching it, or ``None``."""
@@ -212,7 +222,8 @@ class ObjectCache:
             raise CacheError(f"object {segment_id!r} is already cached")
         if self.is_full:
             raise CacheError("cache is full; evict before adding")
-        tick = next(self._clock)
+        tick = self._clock
+        self._clock += 1
         self._contents[segment_id] = CachedObject(
             segment_id=segment_id,
             payload=payload,

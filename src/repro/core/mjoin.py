@@ -12,18 +12,18 @@ cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.core.cache import ObjectCache
-from repro.core.njoin import NAryJoin, PreparedSegment, prepare_segment
-from repro.core.subplan import SubplanTracker, make_tracker
+from repro.core.njoin import NAryJoin, prepare_segment
+from repro.core.subplan import SubplanTracker
 from repro.engine.catalog import Catalog
 from repro.engine.operators.aggregate import AggregateState
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Segment
-from repro.exceptions import CacheError, ExecutionError
+from repro.exceptions import CacheError
 
 
 @dataclass
@@ -62,7 +62,7 @@ class MJoinStateManager:
                 f"cache capacity {cache.capacity} is smaller than the number of joined "
                 f"relations ({len(query.tables)}); no subplan could ever run"
             )
-        self.tracker = make_tracker(query, catalog, table_order=self.plan.join_order)
+        self.tracker = SubplanTracker(query, catalog, table_order=self.plan.join_order)
         self.njoin = NAryJoin(query, self.plan)
         self.aggregate = AggregateState(query.group_by, query.aggregates)
         #: Objects found to contribute nothing (empty after filtering).
@@ -123,8 +123,9 @@ class MJoinStateManager:
             self.stats.merge(outcome.stats)
             return outcome
 
-        table_name = self.catalog.table_of_segment(segment_id)
-        prepared = prepare_segment(segment, self.query.filter_for(table_name), segment_id=segment_id)
+        prepared = prepare_segment(
+            segment, self.query.filter_for(segment.table_name), segment_id=segment_id
+        )
 
         if self.enable_pruning and prepared.num_rows == 0:
             outcome.pruned_subplans = len(self.tracker.prune_object_ids(segment_id))
@@ -140,60 +141,42 @@ class MJoinStateManager:
             if outcome.evicted_still_needed:
                 self.reissue_queue.append(evicted)
 
-        runnable = self.tracker.runnable_items(self.cache.ids_view(), segment_id)
+        ids, combinations = self.tracker.runnable_batch(self.cache.ids_view(), segment_id)
         self.cache.add(segment_id, prepared, num_rows=prepared.num_rows)
         outcome.cached = True
         outcome.stats.tuples_built += prepared.num_rows
 
-        # Execute every newly runnable subplan.  The per-subplan join below
-        # recomputes intermediate results combination by combination, which
-        # is convenient for correctness (the union over subplans is exactly
-        # the query answer, with no duplicates) but would overcount CPU work:
-        # the real MJoin uses symmetric hashing, where an arriving tuple
-        # probes the hash tables of the other relations once, regardless of
-        # how many segment combinations it completes.  The work counters in
-        # ``outcome.stats`` therefore charge the incremental symmetric-hash
-        # cost — one probe per buffered tuple of the new object per other
-        # relation, plus the emitted result tuples — while the per-subplan
-        # execution results are discarded from the cost accounting.
-        subplan_stats = OperatorStats()
-        if runnable:
-            cache_payloads = self.cache.payloads
-            execute = self.njoin.execute_ordered
+        # Execute every newly runnable subplan.  The union over subplans is
+        # exactly the query answer, with no duplicates, but joining them one
+        # by one would overcount CPU work: the real MJoin uses symmetric
+        # hashing, where an arriving tuple probes the hash tables of the
+        # other relations once, regardless of how many segment combinations
+        # it completes.  The work counters in ``outcome.stats`` therefore
+        # charge the incremental symmetric-hash cost — one probe per buffered
+        # tuple of the new object per other relation, plus the emitted result
+        # tuples — and the batch walk's own probes are not counted.
+        if ids:
+            # ``combinations`` are ordered by the plan's join order (the
+            # tracker was built with it) and sorted, which is what the
+            # prefix-shared walk needs.  Rows are folded combination by
+            # combination, in id order: float sums depend on that order.
             aggregate_add = self.aggregate.add_all
             result_rows = 0
-            for _, combination in runnable:
-                # ``combination`` is ordered by the plan's join order (the
-                # tracker was built with it), so the prepared segments are
-                # handed to the join positionally.  ``payloads`` touches the
-                # cache entries exactly like one ``get`` per segment, so hit
-                # counts and recency ticks are unchanged.
-                rows = execute(cache_payloads(combination), subplan_stats)
+            for rows in self.njoin.execute_batch(
+                combinations, self.cache.get_batch(combinations)
+            ):
                 if rows:
                     aggregate_add(rows)
                     result_rows += len(rows)
-            self.tracker.mark_executed_ids(
-                [subplan_id for subplan_id, _ in runnable]
-            )
+            self.tracker.mark_batch_executed(ids, combinations)
+            outcome.executed_subplans = len(ids)
             outcome.result_rows = result_rows
             self.total_result_rows += result_rows
-        outcome.executed_subplans = len(runnable)
-        if runnable:
             other_tables = len(self.plan.steps) - 1
             outcome.stats.tuples_probed += prepared.num_rows * max(1, other_tables)
-            outcome.stats.tuples_output += outcome.result_rows
+            outcome.stats.tuples_output += result_rows
         self.stats.merge(outcome.stats)
         return outcome
-
-    def _segments_for(self, segment_ids: Sequence[str]) -> Dict[str, PreparedSegment]:
-        segments: Dict[str, PreparedSegment] = {}
-        for segment_id in segment_ids:
-            entry = self.cache.get(segment_id)
-            prepared = entry.payload
-            if not isinstance(prepared, PreparedSegment):  # pragma: no cover - defensive
-                raise ExecutionError(f"cache holds unexpected payload for {segment_id!r}")
-            segments[prepared.table_name] = prepared
-        return segments
 
     # ------------------------------------------------------------------ #
     # Results

@@ -1,6 +1,6 @@
-"""Stateless n-ary join over the cached segments of one subplan.
+"""Stateless n-ary join over the cached segments of one subplan or a batch.
 
-The MJoin state manager decides *when* a subplan is runnable; this module
+The MJoin state manager decides *when* subplans are runnable; this module
 does the actual joining.  Hash tables are built lazily per (segment, join
 key) and memoised on the cached entry, mirroring the paper's design where the
 state manager builds hash tables as objects arrive and the join operator
@@ -9,7 +9,7 @@ merely probes them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.operators.hash_join import merge_rows
@@ -137,39 +137,93 @@ class NAryJoin:
     ) -> List[Row]:
         """Join ``segments`` given one prepared segment per plan step, in order.
 
-        The subplan tracker orders each subplan's segments by the plan's
-        join order, so the MJoin arrival loop can hand them over positionally
-        — no table-name dict per subplan.
+        The single-subplan reference: :meth:`execute_batch` returns exactly
+        these rows, in this order, for each of its combinations.
         """
+        if len(segments) != len(self._step_tables):
+            raise ExecutionError(
+                f"expected one segment per plan step ({len(self._step_tables)}), "
+                f"got {len(segments)}"
+            )
         stats = stats if stats is not None else OperatorStats()
-        # The first table's row list is only read (each step rebinds
-        # ``current`` to a fresh list), so no defensive copy is needed.
+        # The first table's row list is only read (each step returns a fresh
+        # list), so no defensive copy is needed.
         current: List[Row] = segments[0].rows
-        if not current:
-            return []
-
-        for prepared, (probe_columns, build_columns) in zip(segments[1:], self._step_keys):
-            table_get = prepared.hash_table(build_columns).get
-            # Every probe row increments the counter exactly once, so the
-            # per-row increment can be hoisted out of the loop.
-            stats.tuples_probed += len(current)
-            next_rows: List[Row] = []
-            append = next_rows.append
-            if len(probe_columns) == 1:
-                probe_column = probe_columns[0]
-                for row in current:
-                    matches = table_get(row[probe_column])
-                    if matches:
-                        for match in matches:
-                            append(merge_rows(match, row))
-            else:
-                for row in current:
-                    matches = table_get(tuple([row[column] for column in probe_columns]))
-                    if matches:
-                        for match in matches:
-                            append(merge_rows(match, row))
-            current = next_rows
+        for depth in range(1, len(segments)):
             if not current:
                 return []
+            # Every probe row increments the counter exactly once.
+            stats.tuples_probed += len(current)
+            current = self._probe(current, segments[depth], depth)
         stats.tuples_output += len(current)
         return current
+
+    def execute_batch(
+        self,
+        combinations: Sequence[Tuple[str, ...]],
+        prepared: Mapping[str, PreparedSegment],
+    ) -> List[List[Row]]:
+        """Join every combination of a lexicographically sorted batch.
+
+        ``combinations`` are segment-id tuples in plan order, sorted the way
+        the subplan tracker emits them, and ``prepared`` maps each id to its
+        segment.  The batch is walked as a trie: ``stack[d]`` holds the rows
+        after joining positions ``0..d`` of the previous combination, a
+        combination sharing its first ``d`` segments with it resumes from
+        ``stack[d - 1]`` instead of the first table, and every combination
+        under a prefix whose intermediate is empty yields no rows without a
+        probe.  Returns one row list per combination, in batch order, each
+        equal to what :meth:`execute_ordered` returns for it — same rows,
+        same order, because a level is the same function of (prefix rows,
+        segment) however the prefix rows were come by.
+        """
+        depth_count = len(self._step_tables)
+        results: List[List[Row]] = []
+        stack: List[List[Row]] = [[] for _ in range(depth_count)]
+        previous: Tuple[str, ...] = ()
+        # ``stack[:computed]`` belongs to ``previous``.  The walk stops
+        # descending at an empty intermediate, so ``computed < depth_count``
+        # means ``stack[computed - 1]`` is empty: a dead prefix.
+        computed = 0
+        for combination in combinations:
+            shared = 0
+            while shared < computed and combination[shared] == previous[shared]:
+                shared += 1
+            if computed and shared == computed < depth_count:
+                results.append([])
+                continue
+            rows = stack[shared - 1] if shared else []
+            depth = shared
+            while depth < depth_count:
+                segment = prepared[combination[depth]]
+                rows = self._probe(rows, segment, depth) if depth else segment.rows
+                stack[depth] = rows
+                depth += 1
+                if not rows:
+                    break
+            previous = combination
+            computed = depth
+            results.append(rows if depth == depth_count else [])
+        return results
+
+    def _probe(self, current: List[Row], segment: PreparedSegment, depth: int) -> List[Row]:
+        """One left-deep step: probe ``segment``'s hash table (the table at
+        plan position ``depth``) with the rows joined so far."""
+        probe_columns, build_columns = self._step_keys[depth - 1]
+        table_get = segment.hash_table(build_columns).get
+        next_rows: List[Row] = []
+        append = next_rows.append
+        if len(probe_columns) == 1:
+            probe_column = probe_columns[0]
+            for row in current:
+                matches = table_get(row[probe_column])
+                if matches:
+                    for match in matches:
+                        append(merge_rows(match, row))
+        else:
+            for row in current:
+                matches = table_get(tuple([row[column] for column in probe_columns]))
+                if matches:
+                    for match in matches:
+                        append(merge_rows(match, row))
+        return next_rows

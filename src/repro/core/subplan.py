@@ -17,52 +17,45 @@ questions the cache-eviction policies need:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.query import Query
 from repro.exceptions import QueryError
 
+#: Subplan ids and their segment tuples (ordered by the tracker's table
+#: order), as parallel lists ascending by id.
+Batch = Tuple[List[int], List[Tuple[str, ...]]]
+
 
 class Subplan:
     """One segment per joined relation, identified by its segment ids."""
 
-    __slots__ = ("subplan_id", "segments", "_segment_set")
+    __slots__ = ("subplan_id", "segments")
 
     def __init__(self, subplan_id: int, segments: Tuple[str, ...]) -> None:
         self.subplan_id = subplan_id
-        #: Segment ids ordered by the query's table order.
+        #: Segment ids ordered by the tracker's table order.
         self.segments = segments
-        self._segment_set: Optional[FrozenSet[str]] = None
-
-    @property
-    def segment_set(self) -> FrozenSet[str]:
-        """The segments as a frozenset, built on first use.
-
-        Most subplans of large single-table queries never need set
-        semantics, so the frozenset (one allocation per subplan, across
-        potentially millions of subplans) is deferred until something
-        actually asks for it.
-        """
-        segment_set = self._segment_set
-        if segment_set is None:
-            segment_set = self._segment_set = frozenset(self.segments)
-        return segment_set
-
-    def involves(self, segment_id: str) -> bool:
-        """Whether the subplan touches ``segment_id``."""
-        return segment_id in self.segment_set
-
-    def is_covered_by(self, available: Set[str]) -> bool:
-        """Whether every segment of the subplan is in ``available``."""
-        return self.segment_set <= available
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Subplan #{self.subplan_id} {self.segments}>"
 
 
 class SubplanTracker:
-    """Tracks the execution state of every subplan of one query."""
+    """Tracks the execution state of every subplan of one query.
+
+    The subplan space is ``itertools.product`` of the per-table segment lists
+    in ``table_order``, so a subplan id is a mixed-radix number: the segment
+    at index ``k`` of the table at position ``p`` adds ``k * stride[p]`` to
+    the id of every subplan it takes part in.  Nothing is stored per
+    (subplan, segment) pair — one pending flag per id and one pending count
+    per object — and the ids and segment tuples of any sub-product are
+    generated together, ascending by id, by ``itertools`` at C speed.  A
+    single-table query has no other tables to multiply with, so every
+    per-object operation on it is O(1).
+    """
 
     def __init__(self, query: Query, catalog: Catalog, table_order: Optional[Sequence[str]] = None) -> None:
         self.query = query
@@ -71,42 +64,45 @@ class SubplanTracker:
         if set(self.table_order) != set(query.tables):
             raise QueryError("table_order must be a permutation of the query's tables")
 
-        per_table_segments: List[List[str]] = [
-            catalog.segment_ids(table) for table in self.table_order
+        #: Per table position: its segment ids, in catalog (index) order.
+        self._segments: List[List[str]] = [
+            list(catalog.segment_ids(table)) for table in self.table_order
         ]
-        # ``product`` already yields fresh tuples, so they are stored as-is.
-        # :class:`Subplan` wrappers are materialised lazily (see
-        # :meth:`subplan`): large single-table queries prune the vast
-        # majority of their subplans without ever needing the objects.
-        self._combos: List[Tuple[str, ...]] = list(
-            itertools.product(*per_table_segments)
-        )
-        total = len(self._combos)
-        self._subplans: List[Optional[Subplan]] = [None] * total
-
-        self._pending: Set[int] = set(range(total))
-        self._executed: Set[int] = set()
-        self._pruned: Set[int] = set()
-        #: object (segment id) -> ids of *pending* subplans containing it.
-        #
-        # Built directly from the regular structure of ``itertools.product``
-        # instead of iterating every (subplan, segment) pair: the ids whose
-        # combination holds segment ``j`` of the table at position ``p`` form
-        # ``stride_p``-long runs repeating every ``stride_p * width_p`` ids,
-        # so each set is filled with ``set.update(range(...))`` at C speed.
-        self._by_object: Dict[str, Set[int]] = {}
-        if total:
-            stride = total
-            for segments in per_table_segments:
-                width = len(segments)
-                stride //= width
-                period = stride * width
-                for j, segment_id in enumerate(segments):
-                    ids = self._by_object.get(segment_id)
-                    if ids is None:
-                        ids = self._by_object[segment_id] = set()
-                    for start in range(j * stride, total, period):
-                        ids.update(range(start, start + stride))
+        total = 1
+        for segments in self._segments:
+            total *= len(segments)
+        self._total = total
+        #: Per table position: the id contribution of one index step and of
+        #: each segment (``index * stride``).  Per segment id: its table's
+        #: position and its own contribution — two flat int dicts rather than
+        #: one dict of tuples, so the cycle collector never has to visit them.
+        self._strides: List[int] = []
+        self._offsets: List[List[int]] = []
+        self._position: Dict[str, int] = {}
+        self._offset: Dict[str, int] = {}
+        stride = total
+        for position, segments in enumerate(self._segments):
+            stride = stride // len(segments) if segments else 0
+            offsets = [index * stride for index in range(len(segments))]
+            self._strides.append(stride)
+            self._offsets.append(offsets)
+            self._position.update(dict.fromkeys(segments, position))
+            self._offset.update(zip(segments, offsets))
+        #: One flag per subplan id: 1 while pending, 0 once executed or pruned.
+        self._pending = bytearray(b"\x01") * total
+        #: object (segment id) -> number of *pending* subplans containing it.
+        self._pending_count: Dict[str, int] = {
+            segment_id: total // len(segments)
+            for segments in self._segments
+            for segment_id in segments
+        }
+        self._num_executed = 0
+        self._num_pruned = 0
+        #: ``(new_object, cached, batch)`` of the last :meth:`executable_counts`
+        #: call: the arrival that follows an eviction drops the victim's
+        #: combinations from that batch instead of enumerating the product a
+        #: second time.  Every state transition clears it.
+        self._enumerated: Optional[Tuple[str, FrozenSet[str], Batch]] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -114,54 +110,63 @@ class SubplanTracker:
     @property
     def total_subplans(self) -> int:
         """Total number of subplans generated for the query."""
-        return len(self._combos)
+        return self._total
 
     @property
     def num_pending(self) -> int:
         """Number of subplans still waiting to be executed."""
-        return len(self._pending)
+        return self._total - self._num_executed - self._num_pruned
 
     @property
     def num_executed(self) -> int:
         """Number of subplans whose join has been executed."""
-        return len(self._executed)
+        return self._num_executed
 
     @property
     def num_pruned(self) -> int:
         """Number of subplans discarded by empty-object pruning."""
-        return len(self._pruned)
+        return self._num_pruned
 
     def has_pending(self) -> bool:
         """Whether any subplan is still pending."""
-        return bool(self._pending)
+        return self._num_executed + self._num_pruned < self._total
 
     def subplan(self, subplan_id: int) -> Subplan:
-        """Return the subplan with the given id (materialised on first use)."""
-        subplan = self._subplans[subplan_id]
-        if subplan is None:
-            subplan = self._subplans[subplan_id] = Subplan(
-                subplan_id, self._combos[subplan_id]
+        """Return the subplan with the given id."""
+        if not 0 <= subplan_id < self._total:
+            raise QueryError(
+                f"subplan #{subplan_id} does not exist; the query has {self._total} subplans"
             )
-        return subplan
+        return Subplan(
+            subplan_id,
+            tuple(
+                segments[subplan_id // stride % len(segments)]
+                for segments, stride in zip(self._segments, self._strides)
+            ),
+        )
 
     def pending_subplans(self) -> List[Subplan]:
         """All pending subplans (ascending id order)."""
-        return [self.subplan(subplan_id) for subplan_id in sorted(self._pending)]
+        every = zip(range(self._total), itertools.product(*self._segments))
+        return [
+            Subplan(subplan_id, segments)
+            for subplan_id, segments in itertools.compress(every, self._pending)
+        ]
 
     def is_pending(self, subplan: Subplan) -> bool:
         """Whether ``subplan`` is still pending."""
-        return subplan.subplan_id in self._pending
+        return 0 <= subplan.subplan_id < self._total and bool(self._pending[subplan.subplan_id])
 
     # ------------------------------------------------------------------ #
     # Object-centric queries used by the cache policies
     # ------------------------------------------------------------------ #
     def objects(self) -> List[str]:
         """All objects that appear in at least one subplan (pending or not)."""
-        return sorted(self._by_object)
+        return sorted(self._position) if self._total else []
 
     def pending_count_for(self, segment_id: str) -> int:
         """Number of pending subplans that involve ``segment_id``."""
-        return len(self._by_object.get(segment_id, ()))
+        return self._pending_count.get(segment_id, 0)
 
     def pending_counts(self, segment_ids: Iterable[str]) -> Dict[str, int]:
         """Pending-subplan count for each of ``segment_ids`` in one call.
@@ -170,19 +175,16 @@ class SubplanTracker:
         answering in bulk keeps that a single dict comprehension instead of
         a method call per cached object.
         """
-        by_object = self._by_object
-        return {
-            segment_id: len(by_object.get(segment_id, ()))
-            for segment_id in segment_ids
-        }
+        count = self._pending_count.get
+        return {segment_id: count(segment_id, 0) for segment_id in segment_ids}
 
     def object_in_pending(self, segment_id: str) -> bool:
         """Whether ``segment_id`` is needed by at least one pending subplan."""
-        return bool(self._by_object.get(segment_id))
+        return self._pending_count.get(segment_id, 0) > 0
 
     def objects_needed(self) -> Set[str]:
         """Objects required by at least one pending subplan."""
-        return {segment_id for segment_id, ids in self._by_object.items() if ids}
+        return {segment_id for segment_id, count in self._pending_count.items() if count}
 
     def newly_runnable(self, cached: AbstractSet[str], new_object: str) -> List[Subplan]:
         """Pending subplans covered by ``cached ∪ {new_object}``.
@@ -191,45 +193,37 @@ class SubplanTracker:
         runnable, any still-pending subplan covered by the cache must involve
         the newly arrived object, so only those are inspected.
         """
-        return [self.subplan(subplan_id) for subplan_id in self._runnable_ids(cached, new_object)]
+        return list(map(Subplan, *self.runnable_batch(cached, new_object)))
 
-    def runnable_items(
-        self, cached: AbstractSet[str], new_object: str
-    ) -> List[Tuple[int, Tuple[str, ...]]]:
-        """Like :meth:`newly_runnable` but as ``(id, segments)`` pairs.
+    def runnable_batch(self, cached: AbstractSet[str], new_object: str) -> Batch:
+        """Like :meth:`newly_runnable` but as parallel id and segment-tuple lists.
 
-        The MJoin arrival loop only needs each runnable subplan's id (to
-        mark it executed) and its segment tuple (to fetch cache entries), so
-        this variant skips the :class:`Subplan` wrapper allocation entirely.
+        The candidates are the product of the *cached* segments of every
+        other table with ``new_object`` fixed at its own position; the
+        pending ones among them are the answer, ascending by id, which is
+        lexicographic by segment tuple — the order the prefix-shared join
+        walk relies on.
         """
-        combos = self._combos
-        return [
-            (subplan_id, combos[subplan_id])
-            for subplan_id in self._runnable_ids(cached, new_object)
-        ]
-
-    def _runnable_ids(self, cached: AbstractSet[str], new_object: str) -> List[int]:
-        """Ids of pending subplans covered by ``cached ∪ {new_object}``.
-
-        Coverage is a single C-level ``set.issuperset`` test per candidate
-        against one augmented copy of the cache contents — no per-segment
-        Python loop, and no :class:`Subplan` is materialised for the
-        (common) subplans that are not yet runnable.
-        """
-        candidates = self._by_object.get(new_object)
-        if not candidates:
-            return []
-        available = set(cached)
-        available.add(new_object)
-        issuperset = available.issuperset
-        combos = self._combos
-        result = [
-            subplan_id
-            for subplan_id in candidates  # repro: noqa[RPR001] reason=candidate order never observed; the id list is sorted before being returned
-            if issuperset(combos[subplan_id])
-        ]
-        result.sort()
-        return result
+        if not self._pending_count.get(new_object):
+            self._locate(new_object)
+            return [], []
+        enumerated = self._enumerated
+        if (
+            enumerated is not None
+            and enumerated[0] == new_object
+            and enumerated[1].issuperset(cached)
+        ):
+            # Same arrival, same tracker state, a cache that only lost
+            # objects (the eviction victim) since: the batch is the earlier
+            # one minus the combinations holding a lost object.
+            ids, combinations = enumerated[2]
+            gone = enumerated[1].difference(cached, (new_object,))
+            if gone:
+                keep = list(map(gone.isdisjoint, combinations))
+                ids = list(itertools.compress(ids, keep))
+                combinations = list(itertools.compress(combinations, keep))
+            return ids, combinations
+        return self._subplans_of(new_object, cached)
 
     def executable_counts(self, cached: AbstractSet[str], new_object: str) -> Dict[str, int]:
         """For every cached object, the number of pending subplans that would
@@ -238,42 +232,85 @@ class SubplanTracker:
         This is exactly the quantity the paper's *maximal progress* eviction
         policy minimises when choosing a victim.
         """
-        runnable = self._runnable_ids(cached, new_object)
-        counts = {segment_id: 0 for segment_id in cached}  # repro: noqa[RPR001] reason=dict is only read associatively via .get; its order is never observed
-        combos = self._combos
-        for subplan_id in runnable:
-            for segment_id in combos[subplan_id]:
-                if segment_id in counts:
-                    counts[segment_id] += 1
+        self._locate(new_object)
+        counts = dict.fromkeys(cached, 0)
+        if len(self._segments) == 1:
+            # Objects of one table never share a subplan: nothing to count,
+            # and nothing worth remembering for the arrival.
+            return counts
+        batch = self.runnable_batch(cached, new_object)
+        self._enumerated = (new_object, frozenset(cached), batch)
+        for segment_id, occurrences in Counter(itertools.chain.from_iterable(batch[1])).items():
+            if segment_id in counts:
+                counts[segment_id] = occurrences
         return counts
+
+    def _locate(self, segment_id: str) -> int:
+        """Table position of a segment of this query."""
+        try:
+            return self._position[segment_id]
+        except KeyError:
+            raise QueryError(
+                f"segment {segment_id!r} belongs to no table of query {self.query.name!r}"
+            ) from None
+
+    def _subplans_of(self, segment_id: str, cached: Optional[AbstractSet[str]] = None) -> Batch:
+        """Pending subplans that hold ``segment_id`` and, at every other
+        table position, one of the ``cached`` segments (any segment when
+        ``cached`` is ``None``)."""
+        position = self._locate(segment_id)
+        base = self._offset[segment_id]
+        if len(self._segments) == 1:
+            # No other table to combine with: the segment is the subplan.
+            return ([base], [(segment_id,)]) if self._pending[base] else ([], [])
+        if cached is None:
+            offset_lists = list(self._offsets)
+            segment_lists = list(self._segments)
+        else:
+            segment_lists = [[] for _ in self._segments]
+            position_of = self._position.get
+            for cached_id in cached:
+                # Objects of other queries cover nothing here.
+                at = position_of(cached_id)
+                if at is not None and at != position:
+                    segment_lists[at].append(cached_id)
+            offset_of = self._offset.__getitem__
+            offset_lists = []
+            for segments in segment_lists:
+                segments.sort(key=offset_of)
+                offset_lists.append(list(map(offset_of, segments)))
+        offset_lists[position] = [base]
+        segment_lists[position] = [segment_id]
+        # Both products run over the same index lists, each ascending, so
+        # ids and segment tuples pair up and come out in ascending id order.
+        ids = list(map(sum, itertools.product(*offset_lists)))
+        flags = list(map(self._pending.__getitem__, ids))
+        return (
+            list(itertools.compress(ids, flags)),
+            list(itertools.compress(itertools.product(*segment_lists), flags)),
+        )
 
     # ------------------------------------------------------------------ #
     # State transitions
     # ------------------------------------------------------------------ #
     def mark_executed(self, subplan: Subplan) -> None:
         """Move a pending subplan to the executed state."""
-        if subplan.subplan_id not in self._pending:
-            raise QueryError(f"subplan #{subplan.subplan_id} is not pending")
-        self._pending.discard(subplan.subplan_id)
-        self._executed.add(subplan.subplan_id)
-        self._unindex(subplan.subplan_id)
+        self.mark_batch_executed(
+            [subplan.subplan_id], [self.subplan(subplan.subplan_id).segments]
+        )
 
-    def mark_executed_ids(self, subplan_ids: Iterable[int]) -> None:
-        """Move a batch of pending subplans to the executed state.
-
-        Equivalent to calling :meth:`mark_executed` per subplan; the MJoin
-        arrival loop uses it to retire a whole runnable batch without a
-        :class:`Subplan` wrapper or a method call per subplan.
-        """
-        pending_discard = self._pending.discard
-        executed_add = self._executed.add
-        unindex = self._unindex
-        for subplan_id in subplan_ids:
-            if subplan_id not in self._pending:
-                raise QueryError(f"subplan #{subplan_id} is not pending")
-            pending_discard(subplan_id)
-            executed_add(subplan_id)
-            unindex(subplan_id)
+    def mark_batch_executed(self, ids: List[int], combinations: List[Tuple[str, ...]]) -> None:
+        """Move a batch of pending subplans — one :meth:`runnable_batch`
+        returned — to the executed state."""
+        if len(ids) != len(combinations):
+            raise QueryError("a batch needs one segment tuple per subplan id")
+        if ids and not 0 <= min(ids) <= max(ids) < self._total:
+            raise QueryError(f"a subplan id is outside the query's {self._total} subplans")
+        if not all(map(self._pending.__getitem__, ids)):
+            not_pending = [subplan_id for subplan_id in ids if not self._pending[subplan_id]]
+            raise QueryError(f"subplan #{not_pending[0]} is not pending")
+        self._retire(ids, combinations)
+        self._num_executed += len(ids)
 
     def prune_object(self, segment_id: str) -> List[Subplan]:
         """Discard every pending subplan involving ``segment_id``.
@@ -292,130 +329,43 @@ class SubplanTracker:
         majority of a large single-table query's subplans this way) only
         need the count, so no :class:`Subplan` objects are materialised.
         """
-        pruned_ids = sorted(self._by_object.get(segment_id, ()))
-        pending_discard = self._pending.discard
-        pruned_add = self._pruned.add
-        for subplan_id in pruned_ids:
-            pending_discard(subplan_id)
-            pruned_add(subplan_id)
-            self._unindex(subplan_id)
-        return pruned_ids
-
-    def _unindex(self, subplan_id: int) -> None:
-        # Every segment of every combination is an index key (the index is
-        # built from the same per-table lists the combinations are), so no
-        # existence check is needed.
-        by_object = self._by_object
-        for segment_id in self._combos[subplan_id]:
-            by_object[segment_id].discard(subplan_id)
-
-
-class SingleTableSubplanTracker(SubplanTracker):
-    """Tracker specialised for single-table queries.
-
-    With one joined relation every subplan is a single segment, so the
-    generic per-object index — one set of subplan ids per segment — would be
-    a million singleton sets for the largest catalogs, dominating tracker
-    construction.  This specialisation stores the only thing that index can
-    express: a segment → subplan-id mapping whose keys are removed as
-    subplans leave the pending state.  All public queries answer from that
-    mapping with the exact same results as the generic tracker.
-    """
-
-    def __init__(self, query: Query, catalog: Catalog, table_order: Optional[Sequence[str]] = None) -> None:
-        self.query = query
-        self.catalog = catalog
-        self.table_order = tuple(table_order or query.tables)
-        if set(self.table_order) != set(query.tables):
-            raise QueryError("table_order must be a permutation of the query's tables")
-        if len(self.table_order) != 1:
-            raise QueryError("SingleTableSubplanTracker requires a single-table query")
-
-        self._segments: List[str] = list(catalog.segment_ids(self.table_order[0]))
-        total = len(self._segments)
-        self._subplans: List[Optional[Subplan]] = [None] * total
-        self._pending: Set[int] = set(range(total))
-        self._executed: Set[int] = set()
-        self._pruned: Set[int] = set()
-        #: segment id -> its subplan id, for *pending* subplans only.
-        self._pending_id_by_object: Dict[str, int] = {
-            segment_id: subplan_id
-            for subplan_id, segment_id in enumerate(self._segments)
-        }
-
-    @property
-    def total_subplans(self) -> int:
-        return len(self._segments)
-
-    def subplan(self, subplan_id: int) -> Subplan:
-        subplan = self._subplans[subplan_id]
-        if subplan is None:
-            subplan = self._subplans[subplan_id] = Subplan(
-                subplan_id, (self._segments[subplan_id],)
-            )
-        return subplan
-
-    def objects(self) -> List[str]:
-        return sorted(self._segments)
-
-    def pending_count_for(self, segment_id: str) -> int:
-        return 1 if segment_id in self._pending_id_by_object else 0
-
-    def pending_counts(self, segment_ids: Iterable[str]) -> Dict[str, int]:
-        pending = self._pending_id_by_object
-        return {
-            segment_id: (1 if segment_id in pending else 0)
-            for segment_id in segment_ids
-        }
-
-    def object_in_pending(self, segment_id: str) -> bool:
-        return segment_id in self._pending_id_by_object
-
-    def objects_needed(self) -> Set[str]:
-        return set(self._pending_id_by_object)
-
-    def runnable_items(
-        self, cached: AbstractSet[str], new_object: str
-    ) -> List[Tuple[int, Tuple[str, ...]]]:
-        subplan_id = self._pending_id_by_object.get(new_object)
-        return [] if subplan_id is None else [(subplan_id, (new_object,))]
-
-    def _runnable_ids(self, cached: AbstractSet[str], new_object: str) -> List[int]:
-        # A single-segment subplan is covered by its own arrival.
-        subplan_id = self._pending_id_by_object.get(new_object)
-        return [] if subplan_id is None else [subplan_id]
-
-    def executable_counts(self, cached: AbstractSet[str], new_object: str) -> Dict[str, int]:
-        counts = {segment_id: 0 for segment_id in cached}  # repro: noqa[RPR001] reason=dict is only read associatively via .get; its order is never observed
-        if new_object in counts and new_object in self._pending_id_by_object:
-            counts[new_object] = 1
-        return counts
-
-    def prune_object_ids(self, segment_id: str) -> List[int]:
-        subplan_id = self._pending_id_by_object.pop(segment_id, None)
-        if subplan_id is None:
+        if not self._pending_count.get(segment_id):
+            self._locate(segment_id)
             return []
-        self._pending.discard(subplan_id)
-        self._pruned.add(subplan_id)
-        return [subplan_id]
+        if len(self._segments) == 1:
+            # The segment is its own, only subplan.  Spelled out because a
+            # million-key single-table query prunes nine objects in ten, and
+            # the batch machinery below costs several times this per call.
+            subplan_id = self._offset[segment_id]
+            self._pending[subplan_id] = 0
+            self._pending_count[segment_id] = 0
+            self._num_pruned += 1
+            self._enumerated = None
+            return [subplan_id]
+        ids, combinations = self._subplans_of(segment_id)
+        self._retire(ids, combinations)
+        self._num_pruned += len(ids)
+        return ids
 
-    def _unindex(self, subplan_id: int) -> None:
-        self._pending_id_by_object.pop(self._segments[subplan_id], None)
-
-
-def make_tracker(
-    query: Query, catalog: Catalog, table_order: Optional[Sequence[str]] = None
-) -> SubplanTracker:
-    """Build the cheapest tracker able to serve ``query``.
-
-    Single-table queries get :class:`SingleTableSubplanTracker`; everything
-    else the generic :class:`SubplanTracker`.  Both expose identical
-    behaviour, so callers never need to know which one they hold.
-    """
-    order = tuple(table_order or query.tables)
-    if len(order) == 1:
-        return SingleTableSubplanTracker(query, catalog, order)
-    return SubplanTracker(query, catalog, order)
+    def _retire(self, ids: List[int], combinations: List[Tuple[str, ...]]) -> None:
+        """Clear the pending flag of ``ids`` and take their segments'
+        occurrences off the pending counts."""
+        pending = self._pending
+        for subplan_id in ids:
+            pending[subplan_id] = 0
+        pending_count = self._pending_count
+        if len(ids) == 1:
+            # Every batch of a single-table query: setting up a Counter
+            # would cost more than the rest of the arrival put together.
+            for segment_id in combinations[0]:
+                pending_count[segment_id] -= 1
+        else:
+            # Counted once for the whole batch, at C speed.
+            for segment_id, occurrences in Counter(
+                itertools.chain.from_iterable(combinations)
+            ).items():
+                pending_count[segment_id] -= occurrences
+        self._enumerated = None
 
 
 def enumerate_subplans(

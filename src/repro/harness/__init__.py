@@ -4,7 +4,7 @@ Every experiment function in :mod:`repro.harness.experiments` builds the
 relevant workload, wires up a batch run through the service façade
 (:class:`~repro.service.service.StorageService`: tenants + layout +
 scheduler + CSD), runs it over simulated time and returns a plain-data
-summary that the benchmarks print and EXPERIMENTS.md records.
+summary that the benchmarks print.
 :mod:`repro.harness.tables` renders those summaries as fixed-width text
 tables.
 """

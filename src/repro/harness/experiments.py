@@ -3,9 +3,8 @@
 Each ``figureNN_*`` / ``tableNN_*`` function builds the corresponding
 experiment, runs it over simulated time and returns a dictionary of the
 series the paper plots.  Absolute values depend on the cost-model calibration
-(see DESIGN.md); what is expected to match the paper is the *shape*: who
-wins, by roughly what factor, and where the crossovers are.  EXPERIMENTS.md
-records paper-vs-measured values produced by these functions.
+(:mod:`repro.engine.cost`); what is expected to match the paper is the
+*shape*: who wins, by roughly what factor, and where the crossovers are.
 """
 
 from __future__ import annotations

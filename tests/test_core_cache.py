@@ -51,6 +51,27 @@ class TestObjectCache:
         with pytest.raises(CacheError):
             ObjectCache(1).get("nope")
 
+    def test_get_batch_accounts_like_one_get_per_occurrence(self):
+        cache = ObjectCache(3)
+        for segment_id in ("a.0", "b.0", "b.1"):
+            cache.add(segment_id, segment_id.upper())
+        payloads = cache.get_batch([("a.0", "b.0"), ("a.0", "b.1")])
+        assert payloads == {"a.0": "A.0", "b.0": "B.0", "b.1": "B.1"}
+        assert cache.num_hits == 4
+        # Three insertions took ticks 0-2; the four hits took 3-6.
+        assert [cache.peek(s).last_used for s in ("a.0", "b.0", "b.1")] == [5, 4, 6]
+        assert cache.get("b.0").last_used == 7
+
+    def test_get_batch_with_a_missing_object_changes_nothing(self):
+        cache = ObjectCache(2)
+        cache.add("a.0", 1)
+        cache.add("b.0", 2)
+        with pytest.raises(CacheError):
+            cache.get_batch([("a.0", "b.0"), ("a.0", "b.1")])
+        assert cache.num_hits == 0
+        assert [cache.peek(s).last_used for s in ("a.0", "b.0")] == [0, 1]
+        assert cache.get("a.0").last_used == 2
+
     def test_evict_empty_cache_raises(self, tracker):
         with pytest.raises(CacheError):
             ObjectCache(1).evict("x.0", tracker)

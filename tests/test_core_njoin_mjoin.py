@@ -98,6 +98,8 @@ class TestNAryJoin:
         njoin = NAryJoin(query, plan)
         with pytest.raises(ExecutionError):
             njoin.execute({})
+        with pytest.raises(ExecutionError):
+            njoin.execute_ordered([])
 
 
 class TestMJoinStateManager:

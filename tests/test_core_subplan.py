@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.subplan import SubplanTracker, enumerate_subplans
+from repro.core.subplan import Subplan, SubplanTracker, enumerate_subplans
 from repro.exceptions import QueryError
 from repro.workloads import tpch
 
@@ -77,6 +77,57 @@ class TestTrackerTransitions:
             tracker.prune_object(segment_id)
         assert not tracker.has_pending()
         assert tracker.num_pending == 0
+
+
+class TestTrackerRejectsWhatIsNotItsOwn:
+    """Ids and segments from outside the query raise ``QueryError`` — never
+    an ``IndexError``/``KeyError``, and never a silent wrap-around."""
+
+    @pytest.mark.parametrize("subplan_id", [-1, 10**9])
+    def test_id_outside_the_subplan_space(self, q12_tracker, subplan_id):
+        before = q12_tracker.num_pending
+        with pytest.raises(QueryError):
+            q12_tracker.subplan(subplan_id)
+        with pytest.raises(QueryError):
+            q12_tracker.mark_executed(Subplan(subplan_id, ("orders.0", "lineitem.0")))
+        with pytest.raises(QueryError):
+            q12_tracker.mark_batch_executed([0, subplan_id], [("orders.0", "lineitem.0")] * 2)
+        assert not q12_tracker.is_pending(Subplan(subplan_id, ()))
+        assert q12_tracker.num_pending == before
+
+    def test_one_past_the_last_id(self, q12_tracker):
+        with pytest.raises(QueryError):
+            q12_tracker.subplan(q12_tracker.total_subplans)
+        last = q12_tracker.subplan(q12_tracker.total_subplans - 1)
+        assert last.segments == q12_tracker.pending_subplans()[-1].segments
+
+    def test_segment_unknown_to_the_query(self, q12_tracker):
+        for call in (
+            lambda: q12_tracker.prune_object("customer.0"),
+            lambda: q12_tracker.prune_object_ids("nope"),
+            lambda: q12_tracker.runnable_batch({"orders.0"}, "customer.0"),
+            lambda: q12_tracker.newly_runnable({"orders.0"}, "customer.0"),
+            lambda: q12_tracker.executable_counts({"orders.0"}, "customer.0"),
+        ):
+            with pytest.raises(QueryError):
+                call()
+        # Counting questions about a foreign object have an answer: none.
+        assert not q12_tracker.object_in_pending("customer.0")
+        assert q12_tracker.pending_counts(["customer.0"]) == {"customer.0": 0}
+        # Foreign objects in the cache cover nothing and hide nothing.
+        assert len(q12_tracker.newly_runnable({"customer.0", "orders.0"}, "lineitem.0")) == 1
+
+    def test_batch_with_a_non_pending_id_changes_nothing(self, q12_tracker):
+        first, second = q12_tracker.pending_subplans()[:2]
+        q12_tracker.mark_executed(first)
+        before = q12_tracker.pending_counts(q12_tracker.objects())
+        with pytest.raises(QueryError):
+            q12_tracker.mark_batch_executed(
+                [first.subplan_id, second.subplan_id], [first.segments, second.segments]
+            )
+        assert q12_tracker.is_pending(second)
+        assert q12_tracker.pending_counts(q12_tracker.objects()) == before
+        assert q12_tracker.num_executed == 1
 
 
 class TestRunnableComputation:

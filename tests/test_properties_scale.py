@@ -1,23 +1,17 @@
 """Property tests for the scale-up fast paths.
 
-Three equivalences the million-key/SF-1000 acceleration rests on:
+Two equivalences the million-key/SF-1000 acceleration rests on (the
+subplan tracker's oracle test is in ``test_core_arrival_properties.py``):
 
 * bulk arc-sweep ``place()`` returns byte-identical placements to per-key
   ``replicas_for()`` for any roster, replication factor, vnode count and
   key population;
 * the columnar segment layout answers every registered TPC-H/SSB query
-  with exactly the rows the row-dict layout produces;
-* the single-table subplan tracker specialisation tracks state identically
-  to the generic tracker under any interleaving of prunes and executions.
+  with exactly the rows the row-dict layout produces.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.subplan import (
-    SingleTableSubplanTracker,
-    SubplanTracker,
-    make_tracker,
-)
 from repro.engine import InMemoryExecutor
 from repro.engine.catalog import Catalog
 from repro.engine.executor import canonical_rows
@@ -110,68 +104,3 @@ class TestColumnarRowEquality:
             self._assert_equal_results(
                 lambda: ssb.build_catalog("tiny", seed=7), ssb.query(name)
             )
-
-
-# --------------------------------------------------------------------- #
-# Single-table tracker specialisation == generic tracker
-# --------------------------------------------------------------------- #
-_Q6 = tpch.q6()
-_TINY = tpch.build_catalog("tiny", seed=42)
-_LINEITEM_SEGMENTS = _TINY.segment_ids("lineitem")
-
-
-class TestSingleTableTrackerEquivalence:
-    def test_factory_picks_specialisation(self):
-        assert isinstance(make_tracker(_Q6, _TINY), SingleTableSubplanTracker)
-        assert not isinstance(
-            make_tracker(tpch.q12(), _TINY), SingleTableSubplanTracker
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        actions=st.lists(
-            st.tuples(
-                st.sampled_from(["prune", "execute", "query"]),
-                st.integers(min_value=0, max_value=len(_LINEITEM_SEGMENTS) - 1),
-            ),
-            max_size=30,
-        )
-    )
-    def test_matches_generic_tracker(self, actions):
-        generic = SubplanTracker(_Q6, _TINY)
-        special = SingleTableSubplanTracker(_Q6, _TINY)
-        cached = set(_LINEITEM_SEGMENTS[:2])
-        for action, index in actions:
-            segment_id = _LINEITEM_SEGMENTS[index]
-            if action == "prune":
-                assert special.prune_object_ids(segment_id) == (
-                    generic.prune_object_ids(segment_id)
-                )
-            elif action == "execute":
-                runnable_g = generic.newly_runnable(cached, segment_id)
-                runnable_s = special.newly_runnable(cached, segment_id)
-                assert [s.segments for s in runnable_s] == [
-                    s.segments for s in runnable_g
-                ]
-                for subplan_g, subplan_s in zip(runnable_g, runnable_s):
-                    generic.mark_executed(subplan_g)
-                    special.mark_executed(subplan_s)
-            else:
-                assert special.pending_count_for(segment_id) == (
-                    generic.pending_count_for(segment_id)
-                )
-                assert special.object_in_pending(segment_id) == (
-                    generic.object_in_pending(segment_id)
-                )
-                assert special.executable_counts(cached, segment_id) == (
-                    generic.executable_counts(cached, segment_id)
-                )
-            assert special.pending_counts(cached) == generic.pending_counts(cached)
-            assert special.num_pending == generic.num_pending
-            assert special.num_executed == generic.num_executed
-            assert special.num_pruned == generic.num_pruned
-            assert special.objects_needed() == generic.objects_needed()
-        assert special.objects() == generic.objects()
-        assert [s.segments for s in special.pending_subplans()] == [
-            s.segments for s in generic.pending_subplans()
-        ]
