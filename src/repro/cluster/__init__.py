@@ -1,16 +1,17 @@
-"""Multi-client experiment harness.
+"""Multi-client experiment descriptions, results and metrics.
 
 The paper's testbed runs one database VM per compute server, all sharing a
-single emulated CSD.  This package wires the same topology together over the
-simulator: a set of :class:`~repro.cluster.client.DatabaseClient` processes
-(each running either the Skipper executor or the vanilla pull-based executor
-over its own tenant dataset), one shared
-:class:`~repro.csd.device.ColdStorageDevice`, and the metrics needed to
-reproduce the figures: average/cumulative execution time, the
+single emulated CSD.  This package holds the types that describe that
+topology and what was measured on it: :class:`ClientSpec` (one tenant running
+either the Skipper executor or the vanilla pull-based executor over its own
+dataset), :class:`ClusterConfig` / :class:`ClusterResult`, and the metrics
+needed to reproduce the figures — average/cumulative execution time, the
 switch/transfer/processing breakdown, stretch and the L2 norm of stretch.
+Running an experiment is the service façade's job
+(:class:`repro.service.service.StorageService`).
 """
 
-from repro.cluster.client import ClientSpec, DatabaseClient
+from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import (
     ExecutionBreakdown,
@@ -28,7 +29,6 @@ __all__ = [
     "ClientSpec",
     "ClusterConfig",
     "ClusterResult",
-    "DatabaseClient",
     "ExecutionBreakdown",
     "attribute_waiting",
     "imbalance_coefficient",

@@ -1,20 +1,16 @@
-"""Database client processes for multi-tenant experiments."""
+"""Static per-tenant client descriptions for multi-tenant experiments."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
-from repro.core.cache import EvictionPolicy, MaxProgressEviction
-from repro.core.executor import SkipperExecutor, SkipperQueryResult
-from repro.csd.backend import StorageBackend
-from repro.engine.catalog import Catalog
-from repro.engine.cost import CostModel
+from repro.core.cache import EvictionPolicy
+from repro.core.executor import SkipperQueryResult
 from repro.engine.query import Query
 from repro.exceptions import ConfigurationError
-from repro.sim import Environment
-from repro.vanilla.executor import VanillaExecutor, VanillaQueryResult
+from repro.vanilla.executor import VanillaQueryResult
 
 QueryResult = Union[SkipperQueryResult, VanillaQueryResult]
 
@@ -50,80 +46,3 @@ class ClientSpec:
             )
         if not math.isfinite(self.start_delay) or self.start_delay < 0:
             raise ConfigurationError("start_delay must be finite and non-negative")
-
-
-class DatabaseClient:
-    """A simulated database instance running a sequence of queries."""
-
-    def __init__(
-        self,
-        env: Environment,
-        spec: ClientSpec,
-        catalog: Catalog,
-        device: StorageBackend,
-        cost_model: Optional[CostModel] = None,
-    ) -> None:
-        self.env = env
-        self.spec = spec
-        self.catalog = catalog
-        self.device = device
-        self.cost_model = cost_model or CostModel()
-        self.results: List[QueryResult] = []
-        self.process = env.process(self._run(), name=f"client:{spec.client_id}")
-
-    @property
-    def client_id(self) -> str:
-        """Identifier of this client (also its tenant name on the CSD)."""
-        return self.spec.client_id
-
-    def _make_executor(self):
-        if self.spec.mode == MODE_SKIPPER:
-            return SkipperExecutor(
-                env=self.env,
-                client_id=self.spec.client_id,
-                catalog=self.catalog,
-                device=self.device,
-                cache_capacity=self.spec.cache_capacity,
-                eviction_policy=self.spec.eviction_policy or MaxProgressEviction(),
-                cost_model=self.cost_model,
-                enable_pruning=self.spec.enable_pruning,
-            )
-        return VanillaExecutor(
-            env=self.env,
-            client_id=self.spec.client_id,
-            catalog=self.catalog,
-            device=self.device,
-            cost_model=self.cost_model,
-        )
-
-    def _run(self):
-        if self.spec.start_delay > 0:
-            yield self.env.timeout(self.spec.start_delay)
-        for _repetition in range(self.spec.repetitions):
-            for query in self.spec.queries:
-                executor = self._make_executor()
-                result = yield from executor.execute(query)
-                self.results.append(result)
-        return self.results
-
-    # ------------------------------------------------------------------ #
-    # Convenience accessors used by the metrics / harness layers
-    # ------------------------------------------------------------------ #
-    def execution_times(self) -> List[float]:
-        """Execution time of every query run by this client."""
-        return [result.execution_time for result in self.results]
-
-    def total_execution_time(self) -> float:
-        """Sum of all query execution times of this client."""
-        return sum(self.execution_times())
-
-    def average_execution_time(self) -> float:
-        """Mean query execution time of this client (0.0 if none ran)."""
-        times = self.execution_times()
-        if not times:
-            return 0.0
-        return sum(times) / len(times)
-
-    def total_requests(self) -> int:
-        """Total number of GET requests issued by this client."""
-        return sum(result.num_requests for result in self.results)

@@ -12,9 +12,9 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.csd.device import BusyInterval
 from repro.exceptions import ConfigurationError
@@ -70,7 +70,7 @@ def merge_intervals(intervals: Sequence[Tuple[float, float]]) -> List[Tuple[floa
 
 
 class MergedSpans:
-    """Union of intervals supporting windowed overlap queries.
+    """Union of intervals, indexed for windowed overlap sweeps.
 
     The merged spans are disjoint and sorted, so both their starts and their
     ends are monotonically increasing; a query window ``[start, end]`` can
@@ -80,36 +80,18 @@ class MergedSpans:
     the windowed sum is bit-identical to the full scan.
     """
 
-    __slots__ = ("spans", "_starts", "_ends")
+    __slots__ = ("spans", "starts", "ends")
 
     def __init__(self, intervals: Sequence[Tuple[float, float]]) -> None:
         self.spans = merge_intervals(intervals)
-        self._starts = [span[0] for span in self.spans]
-        self._ends = [span[1] for span in self.spans]
-
-    def overlap(self, start: float, end: float) -> float:
-        """Total length of the union's intersection with ``[start, end]``."""
-        low = bisect_right(self._ends, start)
-        high = bisect_left(self._starts, end, low)
-        total = 0.0
-        spans = self.spans
-        for index in range(low, high):
-            span_start, span_end = spans[index]
-            total += (span_end if span_end < end else end) - (
-                span_start if span_start > start else start
-            )
-        return total
+        self.starts = [span[0] for span in self.spans]
+        self.ends = [span[1] for span in self.spans]
 
 
 def busy_span_index(
     busy_intervals: Sequence[BusyInterval],
 ) -> Tuple[MergedSpans, MergedSpans]:
-    """Precompute the (all-busy, transfer-only) span unions for a run.
-
-    ``attribute_waiting`` re-derives both unions from the raw busy intervals
-    on every call; a service reporting hundreds of query results against the
-    same interval log should build this index once and pass it in.
-    """
+    """The (all-busy, transfer-only) span unions of a run's interval log."""
     relevant = [
         interval for interval in busy_intervals if interval.end > 0 and interval.duration > 0
     ]
@@ -124,8 +106,6 @@ def attribute_waiting(
     blocked_intervals: Sequence[Tuple[float, float]],
     busy_intervals: Sequence[BusyInterval],
     processing_time: float = 0.0,
-    *,
-    span_index: Optional[Tuple[MergedSpans, MergedSpans]] = None,
 ) -> ExecutionBreakdown:
     """Attribute a client's blocked time to device switches vs. transfers.
 
@@ -141,52 +121,28 @@ def attribute_waiting(
     bucket and the components always sum to the total blocked time.  For a
     serial single device, whose busy intervals never overlap, this is
     exactly the per-interval attribution the paper's Figure 9 uses.
+
+    This is the one-query case of :func:`attribute_waiting_batch`.
     """
-    switch_wait = 0.0
-    transfer_wait = 0.0
-    total_blocked = 0.0
-    if span_index is None:
-        span_index = busy_span_index(busy_intervals)
-    busy_spans, transfer_spans = span_index
-    for start, end in merge_intervals(blocked_intervals):
-        total_blocked += end - start
-        covered = busy_spans.overlap(start, end)
-        transferring = transfer_spans.overlap(start, end)
-        transfer_wait += transferring
-        # Seconds covered by busy time but not by any transfer: a switch was
-        # the only thing happening (switch-while-transferring counts as
-        # transfer wait, the bucket closest to the client's experience).
-        switch_wait += covered - transferring
-    other = max(0.0, total_blocked - switch_wait - transfer_wait)
-    return ExecutionBreakdown(
-        processing=processing_time,
-        switch_wait=switch_wait,
-        transfer_wait=transfer_wait,
-        other_wait=other,
-    )
+    return attribute_waiting_batch([blocked_intervals], busy_intervals, [processing_time])[0]
 
 
 def attribute_waiting_batch(
     blocked_interval_lists: Sequence[Sequence[Tuple[float, float]]],
     busy_intervals: Sequence[BusyInterval],
     processing_times: Sequence[float],
-    *,
-    span_index: Optional[Tuple[MergedSpans, MergedSpans]] = None,
 ) -> List[ExecutionBreakdown]:
-    """:func:`attribute_waiting` for many queries in one sorted sweep.
+    """Attribute many queries' blocked time in one sorted sweep.
 
-    All queries' merged blocked intervals are sorted by start once and walked
-    against the span index with a single forward-only pointer per span union,
-    instead of one bisect window per query call.  The result is bit-identical
-    to calling :func:`attribute_waiting` per query: each query's intervals
-    keep their relative order under the stable sort (they are disjoint and
-    ascending), so every per-query float accumulates in exactly the same
-    sequence, and the forward pointer lands where ``bisect_right`` would
-    because the sweep's window starts are non-decreasing.
+    The busy-span unions depend only on the interval log, so they are built
+    once; all queries' merged blocked intervals are then sorted by start and
+    walked against them with a single forward-only pointer per span union.
+    Each query's intervals keep their relative order under the stable sort
+    (they are disjoint and ascending), so every per-query float accumulates
+    in the same sequence whatever other queries share the sweep — a batch of
+    N is bit-identical to N one-query calls.
     """
-    if span_index is None:
-        span_index = busy_span_index(busy_intervals)
-    busy_spans, transfer_spans = span_index
+    busy_spans, transfer_spans = busy_span_index(busy_intervals)
     merged_per_query = [
         merge_intervals(blocked) for blocked in blocked_interval_lists
     ]
@@ -201,11 +157,11 @@ def attribute_waiting_batch(
     totals = [0.0] * count
     switches = [0.0] * count
     transfers = [0.0] * count
-    b_spans, b_starts, b_ends = busy_spans.spans, busy_spans._starts, busy_spans._ends
+    b_spans, b_starts, b_ends = busy_spans.spans, busy_spans.starts, busy_spans.ends
     t_spans, t_starts, t_ends = (
         transfer_spans.spans,
-        transfer_spans._starts,
-        transfer_spans._ends,
+        transfer_spans.starts,
+        transfer_spans.ends,
     )
     b_size, t_size = len(b_spans), len(t_spans)
     b_low = 0
@@ -229,6 +185,9 @@ def attribute_waiting_batch(
             )
         totals[query] += end - start
         transfers[query] += transferring
+        # Seconds covered by busy time but not by any transfer: a switch was
+        # the only thing happening (switch-while-transferring counts as
+        # transfer wait, the bucket closest to the client's experience).
         switches[query] += covered - transferring
     return [
         ExecutionBreakdown(

@@ -74,17 +74,16 @@ def prepare_segment(
 ) -> PreparedSegment:
     """Filter a raw segment into a :class:`PreparedSegment`.
 
-    Columnar segments are filtered over their column arrays when the
-    predicate supports bulk selection (only the matching rows are ever
-    materialised into dicts); everything else falls back to per-row
-    evaluation.  The prepared row list is never mutated downstream, so the
-    unfiltered path shares the segment's row list instead of copying it.
+    The segment is filtered over its column arrays when the predicate
+    supports bulk selection (only the matching rows are ever materialised
+    into dicts); other predicate shapes fall back to per-row evaluation.
+    The prepared row list is never mutated downstream, so the unfiltered
+    path shares the segment's row list instead of copying it.
     """
     if predicate is None:
         rows = segment.rows
     else:
-        filtered = getattr(segment, "filtered_rows", None)
-        rows = filtered(predicate) if filtered is not None else None
+        rows = segment.filtered_rows(predicate)
         if rows is None:
             rows = [row for row in segment.rows if predicate.evaluate(row)]
     return PreparedSegment(

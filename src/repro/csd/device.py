@@ -26,7 +26,7 @@ from repro.csd.object_store import ObjectStore, split_object_key
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import ConfigurationError, StorageError
-from repro.obs import NULL_TRACER, MetricsRegistry
+from repro.obs import NULL_TRACER, CounterView, MetricsRegistry
 from repro.sim import Environment, Store
 
 
@@ -221,10 +221,17 @@ class DeviceStats:
     Each counter is a :class:`~repro.obs.metrics.Counter` in the (shared or
     private) :class:`~repro.obs.metrics.MetricsRegistry`, so the same values
     the device maintains on its hot path are what registry snapshots export.
-    The legacy attribute names remain as read/write properties: reads return
-    the counter value, writes set it (used when aggregating fleet-wide stats
-    and by tests that perturb counters deliberately).
+    Each is also readable and writable as a plain number through a
+    :class:`~repro.obs.metrics.CounterView` of the same name.
     """
+
+    objects_served = CounterView()
+    group_switches = CounterView()
+    requests_received = CounterView()
+    migration_jobs = CounterView()
+    migration_seconds = CounterView()
+    migration_interference_seconds = CounterView()
+    migration_deferrals = CounterView()
 
     __slots__ = (
         "metrics",
@@ -258,63 +265,6 @@ class DeviceStats:
         #: because the throttle's token bucket was empty.
         self._migration_deferrals = registry.counter(f"{prefix}.migration_deferrals")
         self.objects_per_client: Dict[str, int] = {}
-
-    # -- legacy attribute views over the registry counters ------------- #
-    @property
-    def objects_served(self) -> int:
-        return self._objects_served.value
-
-    @objects_served.setter
-    def objects_served(self, value: int) -> None:
-        self._objects_served.value = value
-
-    @property
-    def group_switches(self) -> int:
-        return self._group_switches.value
-
-    @group_switches.setter
-    def group_switches(self, value: int) -> None:
-        self._group_switches.value = value
-
-    @property
-    def requests_received(self) -> int:
-        return self._requests_received.value
-
-    @requests_received.setter
-    def requests_received(self, value: int) -> None:
-        self._requests_received.value = value
-
-    @property
-    def migration_jobs(self) -> int:
-        return self._migration_jobs.value
-
-    @migration_jobs.setter
-    def migration_jobs(self, value: int) -> None:
-        self._migration_jobs.value = value
-
-    @property
-    def migration_seconds(self) -> float:
-        return self._migration_seconds.value
-
-    @migration_seconds.setter
-    def migration_seconds(self, value: float) -> None:
-        self._migration_seconds.value = value
-
-    @property
-    def migration_interference_seconds(self) -> float:
-        return self._migration_interference_seconds.value
-
-    @migration_interference_seconds.setter
-    def migration_interference_seconds(self, value: float) -> None:
-        self._migration_interference_seconds.value = value
-
-    @property
-    def migration_deferrals(self) -> int:
-        return self._migration_deferrals.value
-
-    @migration_deferrals.setter
-    def migration_deferrals(self, value: int) -> None:
-        self._migration_deferrals.value = value
 
     # -- hot-path recording (counters bumped directly: these run once per
     # request and ``Counter.inc``'s negative-amount guard is dead weight for

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
 
@@ -35,20 +35,6 @@ class OperatorStats:
         return (
             self.tuples_scanned + self.tuples_built + self.tuples_probed + self.tuples_output
         )
-
-
-@dataclass
-class PlanStats:
-    """Aggregated statistics for a whole plan execution."""
-
-    operators: List[OperatorStats] = field(default_factory=list)
-
-    def combined(self) -> OperatorStats:
-        """Sum of all collected per-operator statistics."""
-        result = OperatorStats()
-        for stats in self.operators:
-            result.merge(stats)
-        return result
 
 
 class Operator:

@@ -12,9 +12,9 @@ from repro.engine.relation import Relation, Segment
 def _scan_segment(
     segment: Segment, predicate: Optional[Predicate], stats: OperatorStats
 ) -> Iterator[Row]:
-    """Yield a segment's (filtered) rows, columnar fast path included.
+    """Yield a segment's (filtered) rows.
 
-    When the segment is columnar and the predicate supports bulk
+    When the predicate supports bulk
     :meth:`~repro.engine.predicate.Predicate.selection`, the filter runs
     over the column arrays and only matching rows are materialised.  The
     stats stay call-for-call identical to the per-row path, including under
@@ -27,11 +27,8 @@ def _scan_segment(
             stats.tuples_output += 1
             yield row
         return
-    selection: Optional[List[int]] = None
-    columns = segment.columns
     total = len(segment)
-    if columns is not None and total > 0:
-        selection = predicate.selection(columns, total)
+    selection = predicate.selection(segment.columns, total) if total else []
     if selection is None:
         for row in segment.rows:
             stats.tuples_scanned += 1

@@ -38,11 +38,6 @@ class JoinStep:
     table: str
     conditions: List[JoinCondition] = field(default_factory=list)
 
-    @property
-    def is_first(self) -> bool:
-        """Whether this step introduces the leftmost (streamed) table."""
-        return not self.conditions
-
 
 @dataclass
 class QueryPlan:

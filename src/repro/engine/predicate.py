@@ -147,31 +147,7 @@ class Comparison(Predicate):
         self.op = op
         self.left = left
         self.right = right
-        self._compare = compare = _COMPARISON_OPS[op]
-        # Column-vs-literal is the overwhelmingly common shape on the segment
-        # filter path; compile it to a single closure so each row costs one
-        # call instead of a tree walk.  Semantics are identical, including
-        # the missing-column error and None-compares-false behaviour.
-        if type(left) is ColumnRef and type(right) is Literal:
-            name = left.name
-            constant = right.value
-            if constant is None:
-
-                def _evaluate(row: Row) -> bool:
-                    return False
-
-            else:
-
-                def _evaluate(row: Row) -> bool:
-                    try:
-                        value = row[name]
-                    except KeyError:
-                        raise ExecutionError(f"row has no column {name!r}") from None
-                    if value is None:
-                        return False
-                    return bool(compare(value, constant))
-
-            self.evaluate = _evaluate  # type: ignore[method-assign]
+        self._compare = _COMPARISON_OPS[op]
 
     def evaluate(self, row: Row) -> bool:
         left = self.left.evaluate(row)
@@ -186,14 +162,14 @@ class Comparison(Predicate):
         left, right = self.left, self.right
         compare = self._compare
         if type(left) is ColumnRef and type(right) is Literal:
-            constant = right.value
-            if constant is None:
-                # Mirrors the compiled closure: a None literal rejects every
-                # row without ever touching the column.
-                return []
             if count == 0 or (indices is not None and not indices):
                 return []
             values = _column_values(columns, left.name)
+            constant = right.value
+            if constant is None:
+                # A None literal rejects every row, but only after the column
+                # lookup — a missing column raises exactly as ``evaluate`` does.
+                return []
             if indices is None:
                 return [
                     i
@@ -240,32 +216,6 @@ class Between(Predicate):
         self.low = low
         self.high = high
         self.inclusive = inclusive
-        if type(expr) is ColumnRef:
-            name = expr.name
-
-            if inclusive:
-
-                def _evaluate(row: Row) -> bool:
-                    try:
-                        value = row[name]
-                    except KeyError:
-                        raise ExecutionError(f"row has no column {name!r}") from None
-                    if value is None:
-                        return False
-                    return bool(low <= value <= high)  # type: ignore[operator]
-
-            else:
-
-                def _evaluate(row: Row) -> bool:
-                    try:
-                        value = row[name]
-                    except KeyError:
-                        raise ExecutionError(f"row has no column {name!r}") from None
-                    if value is None:
-                        return False
-                    return bool(low <= value < high)  # type: ignore[operator]
-
-            self.evaluate = _evaluate  # type: ignore[method-assign]
 
     def evaluate(self, row: Row) -> bool:
         value = self.expr.evaluate(row)
@@ -309,18 +259,6 @@ class InList(Predicate):
         self.values = frozenset(values)
         if not self.values:
             raise QueryError("IN list must not be empty")
-        if type(expr) is ColumnRef:
-            name = expr.name
-            members = self.values
-
-            def _evaluate(row: Row) -> bool:
-                try:
-                    value = row[name]
-                except KeyError:
-                    raise ExecutionError(f"row has no column {name!r}") from None
-                return value in members
-
-            self.evaluate = _evaluate  # type: ignore[method-assign]
 
     def evaluate(self, row: Row) -> bool:
         return self.expr.evaluate(row) in self.values
@@ -349,11 +287,10 @@ class And(Predicate):
         if not predicates:
             raise QueryError("And requires at least one predicate")
         self.predicates: Sequence[Predicate] = tuple(predicates)
-        self._evaluators = tuple(predicate.evaluate for predicate in predicates)
 
     def evaluate(self, row: Row) -> bool:
-        for evaluate in self._evaluators:
-            if not evaluate(row):
+        for predicate in self.predicates:
+            if not predicate.evaluate(row):
                 return False
         return True
 
@@ -386,11 +323,10 @@ class Or(Predicate):
         if not predicates:
             raise QueryError("Or requires at least one predicate")
         self.predicates: Sequence[Predicate] = tuple(predicates)
-        self._evaluators = tuple(predicate.evaluate for predicate in predicates)
 
     def evaluate(self, row: Row) -> bool:
-        for evaluate in self._evaluators:
-            if evaluate(row):
+        for predicate in self.predicates:
+            if predicate.evaluate(row):
                 return True
         return False
 

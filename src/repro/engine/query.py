@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
-from repro.engine.predicate import ColumnRef, Expression, Predicate
+from repro.engine.predicate import Expression, Predicate
 from repro.exceptions import QueryError
 
 _AGGREGATE_FUNCTIONS = ("sum", "count", "avg", "min", "max")
@@ -216,10 +216,6 @@ class Query:
     def filter_for(self, table: str) -> Optional[Predicate]:
         """The single-table filter attached to ``table``, if any."""
         return self.filters.get(table)
-
-    def group_by_refs(self) -> List[ColumnRef]:
-        """Column references for the group-by columns."""
-        return [ColumnRef(name) for name in self.group_by]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Query {self.name} tables={list(self.tables)}>"

@@ -6,11 +6,10 @@ slice of a relation — per-column value arrays with row dictionaries
 materialised lazily at result boundaries — and a :class:`Relation` is an
 ordered list of segments plus a schema.
 
-The columnar layout is behaviour-transparent: ``segment.rows`` still yields
-the same row dicts (same values, same key order) the old row-major storage
-held, but predicates with a bulk :meth:`~repro.engine.predicate.Predicate.
-selection` path can filter a segment over its column arrays and only
-materialise the matching rows.
+``segment.rows`` yields the row dicts the segment was built from (same
+values, same key order); predicates with a bulk
+:meth:`~repro.engine.predicate.Predicate.selection` path filter a segment over
+its column arrays and only materialise the matching rows.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from repro.exceptions import SchemaError
 class Segment:
     """A horizontal slice of a relation stored as one CSD object.
 
-    Rows with a uniform column layout (every row has the same keys in the
-    same order — all generated catalogs do) are shredded into per-column
-    arrays at construction; ``rows`` materialises (and caches) the row-dict
-    view on first access.  Heterogeneous rows fall back to row-major storage
-    so arbitrary hand-built segments keep working unchanged.
+    Rows are shredded into per-column arrays at construction, so every row
+    must have the same keys in the same order (all generated catalogs do;
+    anything else raises :class:`SchemaError`).  ``rows`` materialises (and
+    caches) the row-dict view on first access.
     """
 
     __slots__ = (
@@ -53,19 +51,24 @@ class Segment:
         materialised = rows if isinstance(rows, list) else list(rows)
         self._num_rows = len(materialised)
         self._rows: Optional[List[Dict[str, object]]] = None
-        self._columns: Optional[Dict[str, List[object]]] = None
-        self._column_names: Tuple[str, ...] = ()
-        if materialised:
-            names = tuple(materialised[0])
-            if all(tuple(row) == names for row in materialised):
-                self._columns = {
-                    name: [row[name] for row in materialised] for name in names
-                }
-                self._column_names = names
-            else:
-                self._rows = list(materialised)
-        else:
-            self._columns = {}
+        names: Tuple[str, ...] = tuple(materialised[0]) if materialised else ()
+        if not all(tuple(row) == names for row in materialised):
+            # Located only on failure: the check above runs once per segment
+            # build (per query on the pull-based path) and must stay cheap.
+            offender = next(
+                position
+                for position, row in enumerate(materialised)
+                if tuple(row) != names
+            )
+            raise SchemaError(
+                f"segment {self.segment_id}: row {offender} has columns "
+                f"{tuple(materialised[offender])!r}, expected {names!r} "
+                "(every row of a segment must have the same keys in the same order)"
+            )
+        self._column_names = names
+        self._columns: Dict[str, List[object]] = {
+            name: [row[name] for row in materialised] for name in names
+        }
 
     @property
     def num_rows(self) -> int:
@@ -73,13 +76,13 @@ class Segment:
         return self._num_rows
 
     @property
-    def columns(self) -> Optional[Dict[str, List[object]]]:
-        """Column-name → value-array view, or ``None`` for row-major fallback."""
+    def columns(self) -> Dict[str, List[object]]:
+        """Column-name → value-array view."""
         return self._columns
 
     @property
     def column_names(self) -> Tuple[str, ...]:
-        """Column names in row key order (empty for row-major fallback)."""
+        """Column names in row key order."""
         return self._column_names
 
     @property
@@ -87,13 +90,9 @@ class Segment:
         """Row-dict view of the segment (materialised once, then cached)."""
         rows = self._rows
         if rows is None:
-            columns = self._columns
             names = self._column_names
-            if columns and names:
-                rows = [
-                    dict(zip(names, values))
-                    for values in zip(*(columns[name] for name in names))
-                ]
+            if names:
+                rows = [dict(zip(names, values)) for values in zip(*self._columns.values())]
             else:
                 rows = [{} for _ in range(self._num_rows)]
             self._rows = rows
@@ -102,33 +101,25 @@ class Segment:
     def filtered_rows(self, predicate: Predicate) -> Optional[List[Dict[str, object]]]:
         """Rows passing ``predicate``, evaluated over the column arrays.
 
-        Returns ``None`` when the bulk path does not apply (row-major
-        fallback storage, or a predicate shape without a ``selection``
-        implementation) — the caller then falls back to per-row
+        Returns ``None`` when the predicate shape has no bulk ``selection``
+        implementation — the caller then falls back to per-row
         ``predicate.evaluate``, which this path matches exactly, including
         missing-column errors and None-compares-false semantics.  Only the
         matching rows are ever materialised into dicts.
         """
         if self._num_rows == 0:
             return []
-        columns = self._columns
-        if columns is None:
-            return None
-        selection = predicate.selection(columns, self._num_rows)
+        selection = predicate.selection(self._columns, self._num_rows)
         if selection is None:
             return None
         return self.rows_at(selection)
 
     def rows_at(self, indices: Sequence[int]) -> List[Dict[str, object]]:
         """Materialise only the rows at ``indices`` (ascending positions)."""
-        rows = self._rows
-        if rows is not None:
-            return [rows[i] for i in indices]
         names = self._column_names
-        columns = self._columns
-        if not names or not columns:
+        if not names:
             return [{} for _ in indices]
-        cols = [columns[name] for name in names]
+        cols = list(self._columns.values())
         return [dict(zip(names, [col[i] for col in cols])) for i in indices]
 
     def __iter__(self) -> Iterator[Dict[str, object]]:

@@ -16,8 +16,10 @@ addressable storage service:
 * :mod:`repro.fleet.migration` — minimal :class:`MigrationPlan` diffs
   between placement epochs, including replica :class:`KeyTrim` bookkeeping.
 * :mod:`repro.fleet.router` — :class:`FleetRouter`, the device-compatible
-  facade performing replica choice, failover, live rebalancing and metric
-  aggregation.
+  facade performing replica choice, failover and live rebalancing.
+* :mod:`repro.fleet.report` — the scenario-report sections (``fleet``,
+  ``rebalance``, ``replication``, ``routing``) as plain functions over a
+  finished router's public state.
 """
 
 from repro.fleet.membership import (

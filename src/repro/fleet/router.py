@@ -32,7 +32,8 @@ Responsibilities:
   keys.  Nothing is lost in either case.
 * **Aggregation** — per-device busy-interval streams are merged (ordered by
   completion) for the metrics layer, and per-device counters are combined
-  into fleet-level statistics, including a per-epoch imbalance series.
+  into fleet-level statistics.  The scenario-report sections built from that
+  state live in :mod:`repro.fleet.report`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.cluster.metrics import imbalance_coefficient
 from repro.csd.device import (
     BusyInterval,
     ColdStorageDevice,
@@ -55,7 +57,7 @@ from repro.csd.scheduler import IOScheduler
 from repro.exceptions import ConfigurationError, FleetError
 from repro.fleet.membership import FleetMembership, MemberRecord
 from repro.fleet.migration import MigrationPlan, plan_migration
-from repro.obs import NULL_TRACER, Ewma, MetricsRegistry
+from repro.obs import NULL_TRACER, CounterView, Ewma, MetricsRegistry
 from repro.fleet.placement import (
     ConsistentHashPlacement,
     build_placement,
@@ -85,6 +87,9 @@ class FleetMember:
     #: spins idle for the whole run but still appears in fleet metrics).
     device: Optional[ColdStorageDevice]
     object_keys: Tuple[str, ...]
+    #: Per-device EWMA of request latency (routed → completed), in simulated
+    #: seconds; feeds the ``ewma-latency`` policy and the rebalancer.
+    ewma: Ewma
     alive: bool = True
     failed_at: Optional[float] = None
     joined_at: float = 0.0
@@ -96,9 +101,6 @@ class FleetMember:
     #: Normalised capacity weight (1.0 on a uniform ring); sizes the device's
     #: vnode share and divides its queue under the ``weighted`` policy.
     weight: float = 1.0
-    #: Per-device EWMA of request latency (routed → completed), in simulated
-    #: seconds; feeds the ``ewma-latency`` policy and the rebalancer.
-    ewma: Optional[Ewma] = None
     #: Sum of completed-request latencies (mean = sum / ewma.count).
     latency_sum: float = 0.0
 
@@ -106,6 +108,12 @@ class FleetMember:
         if self.device is None:
             return 0.0
         return self.device.busy_intervals.total_duration()
+
+    def window_busy(self, start: float, end: float) -> float:
+        """Busy seconds inside the window ``[start, end]``."""
+        if self.device is None:
+            return 0.0
+        return self.device.busy_intervals.window_overlap(start, end)
 
     def objects_served(self) -> int:
         return self.device.stats.objects_served if self.device else 0
@@ -117,11 +125,18 @@ class FleetMember:
 class FleetRouterStats:
     """Fleet-wide counters, registered as ``router.*`` metrics.
 
-    The attribute names remain read/write properties over the registry
-    counters, so report code and tests keep their existing shape while the
-    values live in the (shared or private)
-    :class:`~repro.obs.metrics.MetricsRegistry`.
+    The values live in the (shared or private)
+    :class:`~repro.obs.metrics.MetricsRegistry`; report code and tests read
+    and write them as plain numbers through the
+    :class:`~repro.obs.metrics.CounterView` attributes.
     """
+
+    requests_routed = CounterView()
+    failed_over = CounterView()
+    handed_off = CounterView()
+    dropped_migration_jobs = CounterView()
+    choice_primary = CounterView()
+    choice_diverted = CounterView()
 
     __slots__ = (
         "metrics",
@@ -156,46 +171,6 @@ class FleetRouterStats:
         #: samples back the p50/p95/p99 figures in the routing report section.
         self.request_latency = registry.histogram("router.request_latency_seconds")
         self.per_tenant_device_served: Dict[str, Dict[str, int]] = {}
-
-    @property
-    def requests_routed(self) -> int:
-        return self._requests_routed.value
-
-    @requests_routed.setter
-    def requests_routed(self, value: int) -> None:
-        self._requests_routed.value = value
-
-    @property
-    def failed_over(self) -> int:
-        return self._failed_over.value
-
-    @failed_over.setter
-    def failed_over(self, value: int) -> None:
-        self._failed_over.value = value
-
-    @property
-    def handed_off(self) -> int:
-        return self._handed_off.value
-
-    @handed_off.setter
-    def handed_off(self, value: int) -> None:
-        self._handed_off.value = value
-
-    @property
-    def dropped_migration_jobs(self) -> int:
-        return self._dropped_migration_jobs.value
-
-    @dropped_migration_jobs.setter
-    def dropped_migration_jobs(self, value: int) -> None:
-        self._dropped_migration_jobs.value = value
-
-    @property
-    def choice_primary(self) -> int:
-        return self._choice_primary.value
-
-    @property
-    def choice_diverted(self) -> int:
-        return self._choice_diverted.value
 
     def record_served(self, tenant: str, device_id: str) -> None:
         per_device = self.per_tenant_device_served.setdefault(tenant, {})
@@ -286,9 +261,9 @@ class FleetRouter:
                 sorted_key_hashes=self._sorted_key_hashes,
             )
             #: Per-device vnode counts the current placement's ring used,
-            #: aligned with ``_placement_roster``; epoch diffs pass the old
+            #: aligned with ``placement_roster``; epoch diffs pass the old
             #: and new counts so weighted rings diff correctly.
-            self._placement_vnode_counts: Tuple[int, ...] = (
+            self.placement_vnode_counts: Tuple[int, ...] = (
                 self._policy.vnode_counts(list(fleet_spec.device_ids))
             )
         else:
@@ -296,11 +271,11 @@ class FleetRouter:
             self.placement = self._policy.place(
                 self._key_order, list(fleet_spec.device_ids)
             )
-            self._placement_vnode_counts = ()
+            self.placement_vnode_counts = ()
         #: Roster the current placement was computed over; paired with
         #: ``placement_replication`` it identifies the old epoch's ring for
         #: incremental placement diffs.
-        self._placement_roster: Tuple[str, ...] = tuple(fleet_spec.device_ids)
+        self.placement_roster: Tuple[str, ...] = tuple(fleet_spec.device_ids)
         #: (first canonical rank, client) per client with keys, ascending —
         #: binary-searching a key's rank recovers its owning client without a
         #: per-key map (canonical order is client-major).
@@ -397,22 +372,12 @@ class FleetRouter:
             and member.device.layout.has_object(object_key)
         )
 
-    def _subset_for(self, device_id: str) -> Dict[str, List[str]]:
-        """Current-placement keys of ``device_id``, grouped by client."""
-        subset = {
-            client: [key for key in keys if device_id in self.placement[key]]
-            for client, keys in self.client_objects.items()
-        }
-        return {client: keys for client, keys in subset.items() if keys}
-
     def _invert_placement(self) -> Dict[str, Dict[str, List[str]]]:
-        """Every device's :meth:`_subset_for` computed in one placement pass.
+        """Current-placement keys of every device, grouped by client.
 
-        Walking the canonical key order once and appending each key to its
-        replicas' per-client lists produces, for every device, exactly the
-        dict :meth:`_subset_for` would build — same clients in the same
-        first-seen order, same keys in client order — in O(K·R) total
-        instead of O(devices · K) repeated scans.
+        One walk of the canonical key order, appending each key to its
+        replicas' per-client lists: clients land in first-seen order with
+        keys in client order, in O(K·R) total.
         """
         subsets: Dict[str, Dict[str, List[str]]] = {}
         placement = self.placement
@@ -440,30 +405,30 @@ class FleetRouter:
             return None
         return MigrationTokenBucket(throttle.objects_per_second, throttle.burst)
 
+    def _build_device(
+        self, record: MemberRecord, subset: Mapping[str, Sequence[str]]
+    ) -> ColdStorageDevice:
+        """The device of ``record``, laid out over its per-client ``subset``."""
+        return ColdStorageDevice(
+            env=self.env,
+            object_store=self.object_store,
+            layout=self.layout_policy.build(subset),
+            scheduler=self.scheduler_factory(),
+            config=record.config,
+            migration_throttle=self._make_throttle(),
+            name=record.device_id,
+            metrics=self._metrics,
+            tracer=self.tracer,
+        )
+
     def _create_member(
         self, record: MemberRecord, subset: Mapping[str, Sequence[str]]
     ) -> FleetMember:
-        device: Optional[ColdStorageDevice] = None
-        member_keys: Tuple[str, ...] = tuple(
-            key for keys in subset.values() for key in keys
-        )
-        if subset:
-            device = ColdStorageDevice(
-                env=self.env,
-                object_store=self.object_store,
-                layout=self.layout_policy.build(subset),
-                scheduler=self.scheduler_factory(),
-                config=record.config,
-                migration_throttle=self._make_throttle(),
-                name=record.device_id,
-                metrics=self._metrics,
-                tracer=self.tracer,
-            )
         member = FleetMember(
             device_id=record.device_id,
             index=record.index,
-            device=device,
-            object_keys=member_keys,
+            device=self._build_device(record, subset) if subset else None,
+            object_keys=tuple(key for keys in subset.values() for key in keys),
             joined_at=record.joined_at,
             weight=self._member_weights.get(record.device_id, 1.0),
             ewma=Ewma(self.spec.ewma_alpha),
@@ -525,7 +490,7 @@ class FleetRouter:
                     f"device {member.device_id!r} completed more requests "
                     "than were routed to it (outstanding went negative)"
                 )
-            if request.routed_at is not None and member.ewma is not None:
+            if request.routed_at is not None:
                 # Routed→completed latency on the *final* owner (failover
                 # re-stamps routed_at, so a re-routed request charges only
                 # its last leg — the one this device actually served).
@@ -572,10 +537,7 @@ class FleetRouter:
             # before the EWMA starts steering traffic.
             chosen = min(
                 live,
-                key=lambda member: (
-                    member.ewma.value_or(0.0) if member.ewma is not None else 0.0
-                )
-                * (member.outstanding + 1),
+                key=lambda member: member.ewma.value_or(0.0) * (member.outstanding + 1),
             )
         elif policy == "weighted":
             # Queue depth discounted by capacity: a device weighing 2.0
@@ -609,8 +571,8 @@ class FleetRouter:
         if device is not None:
             drained = device.drain_pending()
             member.outstanding -= len(drained)
-            self.stats.failed_over += len(drained)
-            self.stats.dropped_migration_jobs += len(device.drain_migration_jobs())
+            self.stats._failed_over.inc(len(drained))
+            self.stats._dropped_migration_jobs.inc(len(device.drain_migration_jobs()))
         if self.spec.repair and self.membership.replication >= 2:
             # Read-repair: re-place over the survivors and re-create the dead
             # device's replicas from live sources, so the fleet returns to R
@@ -660,7 +622,7 @@ class FleetRouter:
         if member.device is not None:
             drained = member.device.drain_pending()
             member.outstanding -= len(drained)
-            self.stats.handed_off += len(drained)
+            self.stats._handed_off.inc(len(drained))
         self._rebalance("leave", device_id)
         for request in drained:
             self.submit(request)
@@ -700,13 +662,11 @@ class FleetRouter:
         the ordinary throttled-migration machinery.  Every tick appends a
         log entry stating what it saw and why it did (or did not) act.
         """
-        from repro.cluster.metrics import imbalance_coefficient
-
         serving = [
             self._member_by_id[device_id]
             for device_id in self.membership.serving_ids()
         ]
-        busy = [self._window_busy(member, window_start, now) for member in serving]
+        busy = [member.window_busy(window_start, now) for member in serving]
         imbalance = imbalance_coefficient(busy)
         entry: Dict[str, object] = {
             "at_seconds": now,
@@ -718,9 +678,7 @@ class FleetRouter:
         }
         if imbalance > policy.imbalance_threshold:
             if any(
-                member.ewma is None
-                or member.ewma.count == 0
-                or member.ewma.value <= 0
+                member.ewma.count == 0 or member.ewma.value <= 0
                 for member in serving
             ):
                 # A device nobody has completed a request on yet has no
@@ -729,8 +687,7 @@ class FleetRouter:
                 entry["outcome"] = "insufficient-samples"
             else:
                 raw = {
-                    member.device_id: 1.0 / member.ewma.value  # type: ignore[union-attr]
-                    for member in serving
+                    member.device_id: 1.0 / member.ewma.value for member in serving
                 }
                 target = normalize_weights(raw)
                 current = {
@@ -755,7 +712,7 @@ class FleetRouter:
                     }
         self.rebalance_log.append(entry)
 
-    def _under_replicated_count(self, placement: Mapping[str, Sequence[str]]) -> int:
+    def under_replicated_count(self, placement: Mapping[str, Sequence[str]]) -> int:
         """Keys with fewer live replicas than the current target."""
         target = self.effective_replication
         return sum(
@@ -775,7 +732,7 @@ class FleetRouter:
         ``under_replicated_after_plan`` is what remained once the epoch's
         plan ran (unchanged when no plan ran, e.g. repair disabled).
         """
-        after = self._under_replicated_count(self.placement)
+        after = self.under_replicated_count(self.placement)
         self.replication_log.append(
             {
                 "epoch": self.membership.epoch,
@@ -791,7 +748,7 @@ class FleetRouter:
         """Advance placement to the new epoch and execute the minimal plan."""
         epoch_record = self.membership.epoch_log[-1]
         old_placement = self.placement
-        under_replicated_before = self._under_replicated_count(old_placement)
+        under_replicated_before = self.under_replicated_count(old_placement)
         # The effective factor adapts to the roster: a repair pass after a
         # loss can only restore min(R, serving) replicas per key.
         replication = self.effective_replication
@@ -804,14 +761,14 @@ class FleetRouter:
             # The old ring's vnode counts are snapshotted; re-normalising
             # the weights over the new roster (and any reweight that led
             # here) yields the new counts, and the diff walks both rings.
-            old_vnode_counts = self._placement_vnode_counts
+            old_vnode_counts = self.placement_vnode_counts
             self._install_weights(serving)
             new_vnode_counts = self._policy.vnode_counts(serving)
             # Only the keys in ring arcs whose replica tuple changed need
             # re-placing; everything else keeps its entry from the old epoch.
             changed = self._policy.diff_keys(
                 self._sorted_key_hashes,
-                self._placement_roster,
+                self.placement_roster,
                 serving,
                 old_replication,
                 replication,
@@ -846,8 +803,8 @@ class FleetRouter:
         )
         self.placement = new_placement
         self.placement_replication = replication
-        self._placement_roster = tuple(serving)
-        self._placement_vnode_counts = new_vnode_counts
+        self.placement_roster = tuple(serving)
+        self.placement_vnode_counts = new_vnode_counts
         self._execute_plan(plan, reason=reason)
         self.migration_plans.append(plan)
         self._record_replication_health(kind, at_open=under_replicated_before)
@@ -881,17 +838,8 @@ class FleetRouter:
                         subset[client] = [key]
                     else:
                         bucket.append(key)
-                record = self.membership.record(member.device_id)
-                member.device = ColdStorageDevice(
-                    env=self.env,
-                    object_store=self.object_store,
-                    layout=self.layout_policy.build(subset),
-                    scheduler=self.scheduler_factory(),
-                    config=record.config,
-                    migration_throttle=self._make_throttle(),
-                    name=member.device_id,
-                    metrics=self._metrics,
-                    tracer=self.tracer,
+                member.device = self._build_device(
+                    self.membership.record(member.device_id), subset
                 )
             else:
                 extend_layout_with_keys(member.device.layout, ordered)
@@ -984,267 +932,3 @@ class FleetRouter:
     def pending_total(self) -> int:
         """Requests still queued anywhere in the fleet (0 after a clean run)."""
         return sum(member.pending_requests() for member in self.members)
-
-    def _window_busy(self, member: FleetMember, start: float, end: float) -> float:
-        """Busy seconds of ``member`` inside the window ``[start, end]``."""
-        if member.device is None:
-            return 0.0
-        return member.device.busy_intervals.window_overlap(start, end)
-
-    def per_epoch_imbalance(self, total_simulated_time: float) -> List[Dict[str, object]]:
-        """Imbalance coefficient of each epoch's membership window.
-
-        Every membership change opens a new epoch, so the member set is
-        constant inside each window; a member belongs to a window when it had
-        joined by the window's start and neither left nor failed before its
-        end.
-        """
-        from repro.cluster.metrics import imbalance_coefficient
-
-        series: List[Dict[str, object]] = []
-        for epoch, start, end in self.membership.epoch_windows(total_simulated_time):
-            present = [
-                member
-                for member in self.members
-                if member.joined_at <= start
-                and (member.left_at is None or member.left_at >= end)
-                and (member.failed_at is None or member.failed_at >= end)
-            ]
-            busy = [self._window_busy(member, start, end) for member in present]
-            series.append(
-                {
-                    "epoch": epoch,
-                    "start": start,
-                    "end": end,
-                    "devices": len(present),
-                    "imbalance_coefficient": imbalance_coefficient(busy),
-                }
-            )
-        return series
-
-    def rebalance_metrics(self, total_simulated_time: float) -> Dict[str, object]:
-        """The ``rebalance`` section of the scenario report."""
-        stats = self.device_stats
-        return {
-            "epoch": self.membership.epoch,
-            "events": [record.to_dict() for record in self.membership.epoch_log],
-            "plans": [plan.to_dict() for plan in self.migration_plans],
-            "keys_moved_total": sum(plan.keys_moved for plan in self.migration_plans),
-            "objects_migrated_total": sum(
-                plan.objects_migrated for plan in self.migration_plans
-            ),
-            "bytes_migrated_total": sum(
-                plan.bytes_migrated for plan in self.migration_plans
-            ),
-            "naive_reshuffle_keys": sum(
-                plan.total_keys for plan in self.migration_plans
-            ),
-            "migration_seconds_total": stats.migration_seconds,
-            "interference_seconds_total": stats.migration_interference_seconds,
-            "handed_off_requests": self.stats.handed_off,
-            "per_epoch_imbalance": self.per_epoch_imbalance(total_simulated_time),
-        }
-
-    def replication_metrics(self) -> Dict[str, object]:
-        """The ``replication`` health section of the scenario report."""
-        repair_plans = [plan for plan in self.migration_plans if plan.kind == "repair"]
-        replicate_plans = [
-            plan for plan in self.migration_plans if plan.kind == "set-replication"
-        ]
-        throttle = self.spec.throttle
-        throttle_metrics: Optional[Dict[str, object]] = None
-        if throttle is not None:
-            observed: Dict[str, float] = {}
-            for member in self.members:
-                if member.device is None:
-                    continue
-                migration_intervals = [
-                    interval
-                    for interval in member.device.busy_intervals
-                    if interval.kind == "migration"
-                ]
-                if len(migration_intervals) <= throttle.burst:
-                    continue
-                # Sustained rate between token consumptions (job starts).
-                # The first `burst` jobs ride pre-accrued tokens and are
-                # spaced only by transfer time, so they are excluded from
-                # the numerator: the figure is never above the configured
-                # cap, which auditors compare it against.
-                window = migration_intervals[-1].start - migration_intervals[0].start
-                observed[member.device_id] = (
-                    (len(migration_intervals) - throttle.burst) / window
-                    if window > 0
-                    else 0.0
-                )
-            throttle_metrics = {
-                "objects_per_second": throttle.objects_per_second,
-                "burst": throttle.burst,
-                "deferrals": self.device_stats.migration_deferrals,
-                "observed_objects_per_second": observed,
-            }
-        return {
-            "initial_replication": self.spec.replication,
-            "replication": self.membership.replication,
-            "effective_replication": self.effective_replication,
-            "repair_enabled": self.spec.repair,
-            "changes": [
-                record.to_dict()
-                for record in self.membership.epoch_log
-                if record.kind == "set-replication"
-            ],
-            "per_epoch": list(self.replication_log),
-            "under_replicated_keys": self._under_replicated_count(self.placement),
-            "repair_objects": sum(plan.objects_migrated for plan in repair_plans),
-            "repair_seconds": sum(plan.migration_seconds for plan in repair_plans),
-            "replicate_objects": sum(
-                plan.objects_migrated for plan in replicate_plans
-            ),
-            "replicate_seconds": sum(
-                plan.migration_seconds for plan in replicate_plans
-            ),
-            "replicas_trimmed_total": sum(
-                plan.replicas_trimmed for plan in self.migration_plans
-            ),
-            "dropped_migration_jobs": self.stats.dropped_migration_jobs,
-            # Migration I/O still queued when the run ended.  The copies
-            # already landed at plan time, so nothing is lost — but their
-            # charge is missing from migration/interference seconds, and a
-            # throttle paced slower than the workload makes this non-zero.
-            "unfinished_migration_jobs": sum(
-                member.device.pending_migration_jobs()
-                for member in self.members
-                if member.device is not None
-            ),
-            "throttle": throttle_metrics,
-        }
-
-    def routing_metrics(self) -> Dict[str, object]:
-        """The ``routing`` section of the scenario report: replica-choice
-        split, per-device weights/EWMAs, the fleet-wide latency distribution
-        and (when configured) the feedback rebalancer's tick log."""
-        from repro.cluster.metrics import mean, percentile
-
-        vnode_counts: Dict[str, int] = dict(
-            zip(self._placement_roster, self._placement_vnode_counts)
-        )
-        per_device: Dict[str, Dict[str, object]] = {}
-        for member in self.members:
-            completed = member.ewma.count if member.ewma is not None else 0
-            per_device[member.device_id] = {
-                "weight": self._member_weights.get(member.device_id, 1.0),
-                # ``None`` for non-ring placements and devices outside the
-                # current roster (left / failed members keep no arc share).
-                "vnode_count": vnode_counts.get(member.device_id),
-                "completed_requests": completed,
-                "ewma_latency_seconds": (
-                    member.ewma.value
-                    if member.ewma is not None and completed
-                    else None
-                ),
-                "mean_latency_seconds": (
-                    member.latency_sum / completed if completed else None
-                ),
-            }
-        samples = self.stats.request_latency.samples
-        request_latency: Dict[str, object] = {
-            "count": len(samples),
-            "mean": mean(samples),
-            "p50": percentile(samples, 0.50) if samples else 0.0,
-            "p95": percentile(samples, 0.95) if samples else 0.0,
-            "p99": percentile(samples, 0.99) if samples else 0.0,
-            "max": max(samples) if samples else 0.0,
-        }
-        policy = self.spec.rebalance
-        rebalancer: Optional[Dict[str, object]] = None
-        if policy is not None:
-            rebalancer = {
-                "interval_seconds": policy.interval_seconds,
-                "imbalance_threshold": policy.imbalance_threshold,
-                "min_weight_delta": policy.min_weight_delta,
-                "ticks": len(self.rebalance_log),
-                "reweight_epochs": sum(
-                    1 for entry in self.rebalance_log if entry["triggered"]
-                ),
-                "log": list(self.rebalance_log),
-            }
-        return {
-            "replica_policy": self.spec.replica_policy,
-            "weighting": self.spec.weighting,
-            "ewma_alpha": self.spec.ewma_alpha,
-            "replica_choices": {
-                "primary": self.stats.choice_primary,
-                "diverted": self.stats.choice_diverted,
-            },
-            "per_device": per_device,
-            "request_latency": request_latency,
-            "rebalancer": rebalancer,
-        }
-
-    def metrics(self, total_simulated_time: float) -> Dict[str, object]:
-        """Fleet-level metrics section of the scenario report."""
-        # Imported here, not at module level: repro.cluster composes the
-        # fleet router, so a top-level import would be circular.
-        from repro.cluster.metrics import imbalance_coefficient, jain_fairness
-
-        per_device: Dict[str, Dict[str, object]] = {}
-        busy_values: List[float] = []
-        for member in self.members:
-            busy = member.busy_seconds()
-            busy_values.append(busy)
-            per_device[member.device_id] = {
-                "alive": member.alive,
-                "failed_at": member.failed_at,
-                "objects_placed": len(member.object_keys),
-                "objects_served": member.objects_served(),
-                "group_switches": (
-                    member.device.stats.group_switches if member.device else 0
-                ),
-                "requests_routed": member.requests_routed,
-                "busy_seconds": busy,
-                "utilization": (
-                    busy / total_simulated_time if total_simulated_time > 0 else 0.0
-                ),
-            }
-
-        served_by_tenant = {
-            tenant: sum(per_device_counts.values())
-            for tenant, per_device_counts in sorted(
-                self.stats.per_tenant_device_served.items()
-            )
-        }
-        # Per-tenant spread: how evenly each tenant's objects were served
-        # across the devices holding at least one replica of its data.
-        tenant_spread = {
-            tenant: jain_fairness(
-                [
-                    per_device_counts.get(member.device_id, 0)
-                    for member in self.members
-                    if any(key.startswith(f"{tenant}/") for key in member.object_keys)
-                ]
-            )
-            for tenant, per_device_counts in sorted(
-                self.stats.per_tenant_device_served.items()
-            )
-        }
-
-        total_served = sum(member.objects_served() for member in self.members)
-        return {
-            "devices": len(self.members),
-            "replication": self.membership.replication,
-            "placement": self.spec.placement,
-            "replica_policy": self.spec.replica_policy,
-            "per_device": per_device,
-            "imbalance_coefficient": imbalance_coefficient(busy_values),
-            "aggregate_throughput": (
-                total_served / total_simulated_time if total_simulated_time > 0 else 0.0
-            ),
-            "tenant_fairness": (
-                jain_fairness(list(served_by_tenant.values()))
-                if served_by_tenant
-                else 1.0
-            ),
-            "per_tenant_spread": tenant_spread,
-            "requests_routed": self.stats.requests_routed,
-            "failed_over_requests": self.stats.failed_over,
-            "lost_objects": self.pending_total(),
-        }

@@ -26,11 +26,12 @@ CLI.
 """
 
 from repro.obs.ewma import Ewma
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, CounterView, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "Counter",
+    "CounterView",
     "Ewma",
     "Gauge",
     "Histogram",

@@ -69,6 +69,30 @@ class Counter:
         return {"type": "counter", "value": self.value}
 
 
+class CounterView:
+    """Class attribute exposing an instance's registry counter as a plain number.
+
+    ``x = CounterView()`` on a stats class reads and writes the value of the
+    :class:`Counter` the instance holds as ``_x``: report code and tests see
+    ordinary numeric attributes while the value lives in the registry.
+    Writes bypass ``Counter.inc``'s monotonicity guard on purpose —
+    aggregation and tests that perturb a counter set it outright.
+    """
+
+    __slots__ = ("_attribute",)
+
+    def __set_name__(self, owner: Type[Any], name: str) -> None:
+        self._attribute = "_" + name
+
+    def __get__(self, instance: Any, owner: Optional[Type[Any]] = None) -> Any:
+        if instance is None:
+            return self
+        return getattr(instance, self._attribute).value
+
+    def __set__(self, instance: Any, value: Number) -> None:
+        getattr(instance, self._attribute).value = value
+
+
 class Gauge:
     """A point-in-time value that also remembers its peak."""
 

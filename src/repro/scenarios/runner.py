@@ -40,6 +40,7 @@ from repro.csd.scheduler import (
 from repro.engine.catalog import Catalog
 from repro.engine.query import Query
 from repro.exceptions import ScenarioError
+from repro.fleet.report import report_sections
 from repro.scenarios.invariants import check_invariants
 from repro.scenarios.report import ClientReport, ScenarioReport
 from repro.scenarios.spec import KNOWN_WORKLOADS, ScenarioSpec, split_query_ref
@@ -231,19 +232,11 @@ class ScenarioRunner:
         if service.fleet is not None:
             scheduler_switches = service.fleet.scheduler_switches()
             max_waiting = service.fleet.max_waiting_seen()
-            fleet_metrics = service.fleet.metrics(result.total_simulated_time)
-            rebalance_metrics = service.fleet.rebalance_metrics(
-                result.total_simulated_time
-            )
-            replication_metrics = service.fleet.replication_metrics()
-            routing_metrics = service.fleet.routing_metrics()
+            fleet_sections = report_sections(service.fleet, result.total_simulated_time)
         else:
             scheduler_switches = service.scheduler.num_switches
             max_waiting = service.scheduler.max_waiting_seen
-            fleet_metrics = None
-            rebalance_metrics = None
-            replication_metrics = None
-            routing_metrics = None
+            fleet_sections = {}
         admission_metrics = (
             service.admission.summary() if service.admission is not None else None
         )
@@ -268,11 +261,8 @@ class ScenarioRunner:
             },
             cache=self._cache_stats(result),
             invariants_checked=list(checked),
-            fleet=fleet_metrics,
             admission=admission_metrics,
-            rebalance=rebalance_metrics,
-            replication=replication_metrics,
-            routing=routing_metrics,
+            **fleet_sections,
         )
 
     @staticmethod

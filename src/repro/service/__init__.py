@@ -35,7 +35,7 @@ renderer and the workload generators, so examples and notebooks need a
 single import.
 """
 
-from repro.cluster.client import ClientSpec, DatabaseClient, QueryResult
+from repro.cluster.client import ClientSpec, QueryResult
 from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.engine.executor import canonical_rows
 from repro.exceptions import AdmissionError, ServiceError, SessionClosedError
@@ -68,7 +68,6 @@ __all__ = [
     "ClientSpec",
     "ClusterConfig",
     "ClusterResult",
-    "DatabaseClient",
     "QueryHandle",
     "QueryResult",
     "STATUS_FINISHED",

@@ -26,11 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
-from repro.cluster.metrics import (
-    ExecutionBreakdown,
-    attribute_waiting_batch,
-    busy_span_index,
-)
+from repro.cluster.metrics import ExecutionBreakdown, attribute_waiting_batch
 from repro.csd.device import ColdStorageDevice
 from repro.csd.object_store import ObjectStore
 from repro.csd.request import GetRequest
@@ -290,10 +286,6 @@ class StorageService:
         if self.fleet is not None:
             self.fleet.raise_admin_failure()
 
-        busy_intervals = self.busy_intervals()
-        # The busy-span unions depend only on the backend's interval log, so
-        # build them once instead of per query result.
-        span_index = busy_span_index(busy_intervals)
         # A tenant may have held several sessions over the service's lifetime
         # (close, then reopen); its measurements are concatenated in session
         # order.
@@ -304,14 +296,10 @@ class StorageService:
             ordered_results.extend(
                 (session.tenant_id, result) for result in session.results
             )
-        # All queries attributed in one sorted sweep over the span index —
-        # bit-identical to per-query attribute_waiting calls, without the
-        # per-call bisect windows.
         breakdowns = attribute_waiting_batch(
             [result.blocked_intervals for _tenant, result in ordered_results],
-            busy_intervals,
+            self.busy_intervals(),
             [result.processing_time for _tenant, result in ordered_results],
-            span_index=span_index,
         )
         breakdowns_by_client: Dict[str, List[ExecutionBreakdown]] = {}
         for (tenant, _result), breakdown in zip(ordered_results, breakdowns):

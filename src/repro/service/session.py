@@ -10,9 +10,9 @@ executor is created for it.
 
 Determinism note: with admission disabled, a session that has all its queries
 submitted before the simulation runs performs exactly the same sequence of
-simulation events as the legacy
-:class:`~repro.cluster.client.DatabaseClient` process it replaces — this is
-what keeps the pre-façade golden metrics byte-identical.
+simulation events as a plain per-tenant batch loop (optional start delay,
+then one fresh executor per query, back to back) — this is what keeps the
+pre-façade golden metrics byte-identical.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Session:
         self._notify()
 
     def _make_executor(self):
-        """Fresh executor per query, mirroring the legacy DatabaseClient."""
+        """Fresh executor per query (no state carries over between queries)."""
         if self.mode == MODE_SKIPPER:
             return SkipperExecutor(
                 env=self.env,

@@ -39,11 +39,6 @@ class Process(Event):
         bootstrap._callbacks.append(self._resume_callback)
         bootstrap.succeed(None)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the underlying generator has not finished yet."""
-        return not self.triggered
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
         self._waiting_on = None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.tiering.devices import DeviceClass, DeviceSpec, STANDARD_DEVICES, csd_spec
@@ -35,10 +35,6 @@ class TieringConfiguration:
     def fraction(self, device_class: DeviceClass) -> float:
         """Fraction of the database stored on ``device_class`` (0 if absent)."""
         return self.fractions.get(device_class, 0.0)
-
-    def device_classes(self) -> List[DeviceClass]:
-        """Device classes with a non-zero fraction."""
-        return [cls for cls, fraction in self.fractions.items() if fraction > 0]
 
 
 #: CSD $/GB price points examined in Figure 3.

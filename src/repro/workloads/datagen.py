@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
-from repro.engine.relation import Relation
-from repro.engine.schema import TableSchema
 from repro.engine.types import date_to_ordinal
 from repro.exceptions import ConfigurationError
 
@@ -94,26 +92,3 @@ class DataGenerator:
         if high < low:
             raise ConfigurationError(f"date range is inverted: {start} .. {end}")
         return self._random.randint(low, high)
-
-    def string_from(self, prefix: str, cardinality: int) -> str:
-        """A string of the form ``prefix#k`` with ``k`` uniform in [0, cardinality)."""
-        return f"{prefix}#{self._random.randrange(cardinality)}"
-
-    # ------------------------------------------------------------------ #
-    # Table building
-    # ------------------------------------------------------------------ #
-    def build_relation(
-        self,
-        schema: TableSchema,
-        profile: TableProfile,
-        row_factory: Callable[[int], Dict[str, object]],
-        validate: bool = False,
-    ) -> Relation:
-        """Create a relation of ``profile.total_rows`` rows using ``row_factory``.
-
-        ``row_factory`` receives the global row index and returns a row dict.
-        """
-        rows: List[Dict[str, object]] = [row_factory(index) for index in range(profile.total_rows)]
-        return Relation.from_rows(
-            schema, rows, rows_per_segment=profile.rows_per_segment, validate=validate
-        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import SkipperExecutor
 from repro.csd import (
@@ -16,6 +17,14 @@ from repro.csd import (
 from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
 from repro.sim import Environment
 from repro.workloads import tpch
+
+# Two hypothesis profiles.  ``gate`` (the default) makes the tier-1 run a
+# deterministic gate: the same examples on every machine, and no example
+# database written into the checkout.  ``search`` keeps hypothesis's random
+# exploration for the non-gating CI job: ``--hypothesis-profile=search``.
+settings.register_profile("gate", derandomize=True, database=None, deadline=None)
+settings.register_profile("search", deadline=None)
+settings.load_profile("gate")
 
 
 @pytest.fixture(scope="session")

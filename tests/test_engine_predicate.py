@@ -21,6 +21,7 @@ from repro.engine.predicate import (
     lit,
     lt,
 )
+from repro.engine.relation import Segment
 from repro.exceptions import ExecutionError, QueryError
 
 
@@ -148,3 +149,70 @@ def test_not_is_involution(value, modulus):
     predicate = eq("x", value % modulus)
     row = {"x": value % modulus}
     assert Not(Not(predicate)).evaluate(row) == predicate.evaluate(row)
+
+
+# --------------------------------------------------------------------------- #
+# Bulk ``selection`` against the generic ``evaluate`` reference
+# --------------------------------------------------------------------------- #
+def _columns(rows):
+    return Segment("t", 0, rows).columns
+
+
+class TestBulkSelection:
+    ROWS = [{"a": 1, "d": None}, {"a": 5, "d": None}, {"a": None, "d": 3}]
+
+    def test_none_literal_rejects_every_row_on_both_paths(self):
+        predicate = Comparison("=", col("a"), lit(None))
+        assert [predicate.evaluate(row) for row in self.ROWS] == [False, False, False]
+        assert predicate.selection(_columns(self.ROWS), len(self.ROWS)) == []
+
+    def test_none_literal_missing_column_raises_on_both_paths(self):
+        predicate = Comparison("=", col("missing"), lit(None))
+        with pytest.raises(ExecutionError, match="missing"):
+            predicate.evaluate(self.ROWS[0])
+        with pytest.raises(ExecutionError, match="missing"):
+            predicate.selection(_columns(self.ROWS), len(self.ROWS))
+
+    def test_empty_input_never_looks_the_column_up(self):
+        # No row reaches the predicate, so the row path would not raise either.
+        for constant in (None, 1):
+            predicate = Comparison("=", col("missing"), lit(constant))
+            assert predicate.selection({}, 0) == []
+            assert predicate.selection(_columns(self.ROWS), len(self.ROWS), []) == []
+
+    def test_shapes_without_a_bulk_path_return_none(self):
+        arithmetic = Comparison(">", Arithmetic("+", col("a"), lit(1)), lit(2))
+        columns = _columns([{"a": 1}, {"a": 5}])
+        assert arithmetic.selection(columns, 2) is None
+        assert And(eq("a", 5), arithmetic).selection(columns, 2) is None
+
+    @given(
+        values=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.integers(-5, 5)),
+                st.one_of(st.none(), st.integers(-5, 5)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        constant=st.integers(-5, 5),
+    )
+    def test_selection_matches_evaluate(self, values, constant):
+        rows = [{"x": x, "y": y} for x, y in values]
+        columns = _columns(rows)
+        predicates = [
+            Comparison("<", col("x"), lit(constant)),
+            Comparison(">=", col("x"), col("y")),
+            Between(col("x"), constant, constant + 3),
+            Between(col("y"), constant - 2, constant, inclusive=True),
+            InList(col("x"), [constant, None]),
+            TruePredicate(),
+        ]
+        predicates += [
+            And(predicates[0], predicates[3]),
+            Or(predicates[1], predicates[2]),
+            Not(Or(predicates[4], predicates[0])),
+        ]
+        for predicate in predicates:
+            expected = [i for i, row in enumerate(rows) if predicate.evaluate(row)]
+            assert predicate.selection(columns, len(rows)) == expected

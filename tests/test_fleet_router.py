@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
 from repro.exceptions import FleetError, ScenarioError
+from repro.fleet.report import fleet_metrics
 from repro.fleet.spec import DeviceFailure, FleetSpec
 from repro.service import StorageService
 from repro.workloads import tpch
@@ -264,7 +265,7 @@ class TestMetrics:
         # some devices empty, and they must still show up with zero load.
         service = build_fleet_service(FleetSpec(devices=24, replication=1), num_clients=1)
         result = service.run()
-        metrics = service.fleet.metrics(result.total_simulated_time)
+        metrics = fleet_metrics(service.fleet, result.total_simulated_time)
         assert len(metrics["per_device"]) == 24
         idle = [
             entry
@@ -277,7 +278,7 @@ class TestMetrics:
     def test_utilization_and_throughput_are_consistent(self):
         service = build_fleet_service(FleetSpec(devices=3, replication=2))
         result = service.run()
-        metrics = service.fleet.metrics(result.total_simulated_time)
+        metrics = fleet_metrics(service.fleet, result.total_simulated_time)
         total_served = sum(
             entry["objects_served"] for entry in metrics["per_device"].values()
         )

@@ -10,12 +10,14 @@ intersected with device busy time.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import (
     ExecutionBreakdown,
     attribute_waiting,
+    attribute_waiting_batch,
     imbalance_coefficient,
     jain_fairness,
     max_stretch,
@@ -36,6 +38,49 @@ def switch(start, end, group=0):
 def transfer(start, end, group=0):
     return BusyInterval(
         start=start, end=end, kind="transfer", group_id=group, client_id="c", query_id="q"
+    )
+
+
+#: (start, end) with end >= start on a tenth-of-a-second grid: intervals
+#: touch, nest and coincide often, and tenths are inexact in binary, so a
+#: sum accumulated in a different order would differ in the last bits.
+_INTERVAL = st.tuples(st.integers(0, 200), st.integers(0, 100)).map(
+    lambda pair: (pair[0] / 10.0, (pair[0] + pair[1]) / 10.0)
+)
+_INTERVALS = st.lists(_INTERVAL, max_size=8)
+
+
+def _full_scan_attribution(blocked, busy_intervals, processing_time):
+    """Reference attribution: every blocked span against every busy span."""
+
+    def overlap(spans, start, end):
+        total = 0.0
+        for span_start, span_end in spans:
+            if span_end > start and span_start < end:
+                total += min(span_end, end) - max(span_start, start)
+        return total
+
+    busy_spans = merge_intervals(
+        [(b.start, b.end) for b in busy_intervals if b.end > 0 and b.duration > 0]
+    )
+    transfer_spans = merge_intervals(
+        [
+            (b.start, b.end)
+            for b in busy_intervals
+            if b.end > 0 and b.duration > 0 and b.kind != "switch"
+        ]
+    )
+    blocked_total = switch_wait = transfer_wait = 0.0
+    for start, end in merge_intervals(blocked):
+        blocked_total += end - start
+        transferring = overlap(transfer_spans, start, end)
+        transfer_wait += transferring
+        switch_wait += overlap(busy_spans, start, end) - transferring
+    return ExecutionBreakdown(
+        processing=processing_time,
+        switch_wait=switch_wait,
+        transfer_wait=transfer_wait,
+        other_wait=max(0.0, blocked_total - switch_wait - transfer_wait),
     )
 
 
@@ -94,6 +139,39 @@ class TestAttributeWaiting:
     def test_inverted_blocked_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             attribute_waiting([(5.0, 1.0)], [])
+
+    @given(
+        blocked_lists=st.lists(_INTERVALS, min_size=0, max_size=6),
+        busy=st.lists(
+            st.tuples(_INTERVAL, st.sampled_from(["switch", "transfer", "migration"])),
+            max_size=12,
+        ),
+        duplicate=st.booleans(),
+    )
+    def test_batch_is_bit_identical_to_one_query_calls(self, blocked_lists, busy, duplicate):
+        """One sweep over N queries == N one-query sweeps == a full scan.
+
+        Blocked intervals overlap and repeat freely, and the busy log is
+        fleet-shaped (several devices busy at once, unordered), so both
+        unions are exercised.  Equality is exact: every float must be
+        accumulated in the same order whatever else shares the sweep.
+        """
+        if duplicate:
+            blocked_lists = [blocked + blocked[:1] for blocked in blocked_lists] * 2
+        busy_intervals = [
+            BusyInterval(start=start, end=end, kind=kind, group_id=0)
+            for (start, end), kind in busy
+        ]
+        processing = [float(index) for index in range(len(blocked_lists))]
+        batch = attribute_waiting_batch(blocked_lists, busy_intervals, processing)
+        assert batch == [
+            attribute_waiting(blocked, busy_intervals, processing_time=seconds)
+            for blocked, seconds in zip(blocked_lists, processing)
+        ]
+        assert batch == [
+            _full_scan_attribution(blocked, busy_intervals, seconds)
+            for blocked, seconds in zip(blocked_lists, processing)
+        ]
 
     def test_fractions_of_zero_total_are_zero(self):
         breakdown = ExecutionBreakdown(0.0, 0.0, 0.0, 0.0)

@@ -1,9 +1,8 @@
 """Tests for the metrics registry (counters, gauges, histograms).
 
-Also pins the registry-backed rewrite of the component stats objects: the
-legacy attribute names (``stats.objects_served`` and friends) must keep
-working — including direct ``+=`` mutation, which some tests and the fleet
-aggregation path rely on — while the values live in named registry metrics.
+Also pins :class:`~repro.obs.CounterView`, the one descriptor through which
+the component stats objects (``DeviceStats``, ``FleetRouterStats``) expose
+their registry counters as plain readable/writable numbers.
 """
 
 import json
@@ -11,7 +10,7 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, CounterView, Gauge, Histogram, MetricsRegistry
 from repro.scenarios.report import canonical
 
 
@@ -125,8 +124,45 @@ class TestMetricsRegistry:
         json.dumps(snapshot)  # must not raise
 
 
+class TestCounterView:
+    class Stats:
+        hits = CounterView()
+        seconds = CounterView()
+
+        def __init__(self, registry):
+            self._hits = registry.counter("t.hits")
+            self._seconds = registry.counter("t.seconds", 0.0)
+
+    def test_reads_the_instance_counter(self):
+        registry = MetricsRegistry()
+        stats = self.Stats(registry)
+        stats._hits.inc(3)
+        stats._seconds.inc(1.5)
+        assert stats.hits == 3
+        assert stats.seconds == 1.5
+        assert isinstance(stats.hits, int) and isinstance(stats.seconds, float)
+
+    def test_writes_land_in_the_registry(self):
+        registry = MetricsRegistry()
+        stats = self.Stats(registry)
+        stats.hits = 7
+        stats.hits += 2
+        stats.hits -= 4  # a view write sets the value; only inc() is monotonic
+        assert registry.get("t.hits").value == 5
+        assert registry.to_dict()["t.hits"] == {"type": "counter", "value": 5}
+
+    def test_instances_do_not_share_values(self):
+        first, second = self.Stats(MetricsRegistry()), self.Stats(MetricsRegistry())
+        first.hits = 1
+        assert second.hits == 0
+
+    def test_class_access_returns_the_descriptor(self):
+        assert isinstance(self.Stats.hits, CounterView)
+        assert self.Stats.hits is not self.Stats.seconds
+
+
 class TestComponentStatsCompatibility:
-    """The legacy stats attribute names survive the registry rewrite."""
+    """The component stats classes expose their counters via CounterView."""
 
     def test_device_stats_registers_namespaced_metrics(self):
         from repro.csd.device import DeviceStats
@@ -135,12 +171,15 @@ class TestComponentStatsCompatibility:
         stats = DeviceStats(name="csd7", metrics=registry)
         stats.record_served("tenant0")
         stats.record_switch()
+        stats.record_migration(2.5, interfered=True)
         assert registry.get("device.csd7.objects_served").value == 1
         assert stats.objects_served == 1
         assert stats.group_switches == 1
-        # Direct `+=` (used by tests and fleet aggregation) still works.
+        assert stats.migration_jobs == 1
+        assert stats.migration_seconds == stats.migration_interference_seconds == 2.5
         stats.objects_served += 2
         assert registry.get("device.csd7.objects_served").value == 3
+        assert isinstance(DeviceStats.objects_served, CounterView)
 
     def test_router_stats_registers_metrics(self):
         from repro.fleet.router import FleetRouterStats
@@ -149,8 +188,10 @@ class TestComponentStatsCompatibility:
         stats = FleetRouterStats(registry)
         stats.requests_routed += 4
         stats.failed_over += 1
+        stats._choice_diverted.inc()
         assert registry.get("router.requests_routed").value == 4
         assert registry.get("router.failed_over_requests").value == 1
+        assert (stats.choice_primary, stats.choice_diverted) == (0, 1)
 
     def test_service_registry_is_populated_by_a_run(self):
         from repro.scenarios.registry import get_scenario

@@ -6,17 +6,21 @@ subplan tracker's oracle test is in ``test_core_arrival_properties.py``):
 * bulk arc-sweep ``place()`` returns byte-identical placements to per-key
   ``replicas_for()`` for any roster, replication factor, vnode count and
   key population;
-* the columnar segment layout answers every registered TPC-H/SSB query
-  with exactly the rows the row-dict layout produces.
+* bulk ``selection`` over a segment's column arrays keeps exactly the rows
+  the generic per-row ``evaluate`` keeps, for every filter of every
+  registered TPC-H / SSB / MR-bench / NREF query.
+
+Segments have one (columnar) layout; ragged rows are rejected up front.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import InMemoryExecutor
-from repro.engine.catalog import Catalog
-from repro.engine.executor import canonical_rows
+from repro.engine import Column, DataType, Relation, TableSchema
+from repro.engine.relation import Segment
+from repro.exceptions import SchemaError
 from repro.fleet.placement import ConsistentHashPlacement
-from repro.workloads import ssb, tpch
+from repro.workloads import mrbench, nref, ssb, tpch
 
 
 # --------------------------------------------------------------------- #
@@ -70,37 +74,69 @@ class TestBulkPlacementEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Columnar == row-dict query results
+# Bulk selection == per-row evaluate, for every registered filter
 # --------------------------------------------------------------------- #
-def _row_major_catalog(catalog: Catalog) -> Catalog:
-    """A copy of ``catalog`` with every segment forced onto the row-dict
-    fallback path (columns discarded after materialising the row view), so
-    the engine exercises per-row predicate evaluation end to end."""
-    for table in catalog.table_names():
-        for segment in catalog.relation(table).segments:
-            rows = segment.rows  # materialise from columns first
-            segment._rows = rows
-            segment._columns = None
-            segment._column_names = ()
-    return catalog
-
-
 class TestColumnarRowEquality:
-    def _assert_equal_results(self, build_catalog, query):
-        columnar = build_catalog()
-        row_major = _row_major_catalog(build_catalog())
-        expected = canonical_rows(InMemoryExecutor(row_major).execute(query).rows)
-        actual = canonical_rows(InMemoryExecutor(columnar).execute(query).rows)
-        assert actual == expected
+    """``Segment.filtered_rows`` (bulk ``selection`` over the column arrays)
+    against the generic per-row ``evaluate`` reference: same rows, same
+    order, for every filter of every registered query on every segment."""
+
+    def _assert_filters_match(self, workload):
+        catalog = workload.build_catalog("tiny", seed=7)
+        checked = 0
+        for name in sorted(workload.QUERIES):
+            query = workload.query(name)
+            for table in query.tables:
+                predicate = query.filter_for(table)
+                if predicate is None:
+                    continue
+                for segment in catalog.relation(table).segments:
+                    expected = [row for row in segment.rows if predicate.evaluate(row)]
+                    assert segment.filtered_rows(predicate) == expected, (
+                        name,
+                        segment.segment_id,
+                    )
+                    checked += 1
+        assert checked > 0
 
     def test_every_tpch_query(self):
-        for name in sorted(tpch.QUERIES):
-            self._assert_equal_results(
-                lambda: tpch.build_catalog("tiny", seed=7), tpch.query(name)
-            )
+        self._assert_filters_match(tpch)
 
     def test_every_ssb_query(self):
-        for name in sorted(ssb.QUERIES):
-            self._assert_equal_results(
-                lambda: ssb.build_catalog("tiny", seed=7), ssb.query(name)
-            )
+        self._assert_filters_match(ssb)
+
+    def test_every_mrbench_query(self):
+        self._assert_filters_match(mrbench)
+
+    def test_every_nref_query(self):
+        self._assert_filters_match(nref)
+
+
+class TestRaggedRowsRejected:
+    """A segment has one layout: rows that do not share the first row's keys
+    (or their order) are a schema error, not a second storage format."""
+
+    def test_missing_key_names_segment_and_first_offending_row(self):
+        rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"a": 5}, {"b": 6}]
+        with pytest.raises(SchemaError) as excinfo:
+            Segment("t", 4, rows)
+        message = str(excinfo.value)
+        assert "t.4" in message
+        assert "row 2" in message
+
+    def test_reordered_keys_rejected(self):
+        with pytest.raises(SchemaError, match=r"t\.0.*row 1"):
+            Segment("t", 0, [{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+
+    def test_relation_from_rows_propagates(self):
+        schema = TableSchema("t", [Column("a", DataType.INTEGER), Column("b", DataType.INTEGER)])
+        rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"a": 5, "b": 6}, {"a": 7, "b": 8, "c": 9}]
+        with pytest.raises(SchemaError, match=r"t\.1.*row 1"):
+            Relation.from_rows(schema, rows, rows_per_segment=2)
+
+    def test_uniform_and_empty_segments_still_build(self):
+        assert Segment("t", 0, []).rows == []
+        assert Segment("t", 0, [{}, {}]).rows == [{}, {}]
+        segment = Segment("t", 0, [{"a": 1}, {"a": None}])
+        assert segment.columns == {"a": [1, None]}
+        assert segment.rows == [{"a": 1}, {"a": None}]
