@@ -1,10 +1,12 @@
 """Stateless n-ary join over the cached segments of one subplan or a batch.
 
 The MJoin state manager decides *when* subplans are runnable; this module
-does the actual joining.  Hash tables are built lazily per (segment, join
-key) and memoised on the cached entry, mirroring the paper's design where the
-state manager builds hash tables as objects arrive and the join operator
-merely probes them.
+decides which hash table each left-deep step probes and how a batch shares
+its prefixes.  The build and probe loops are the pull-based engine's
+(:mod:`repro.engine.operators.hash_join`), so both executors order,
+NULL-handle and fail identically.  Tables are built lazily per (segment,
+join key) and memoised on the cached entry, mirroring the paper's design:
+hash tables are built as objects arrive and the join merely probes them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.operators.base import OperatorStats, Row
-from repro.engine.operators.hash_join import merge_rows
+from repro.engine.operators.hash_join import HashTable, build_hash_table, probe_hash_table
+from repro.engine.operators.scan import select_rows
 from repro.engine.planner import QueryPlan
 from repro.engine.predicate import Predicate
 from repro.engine.query import Query
@@ -23,11 +26,10 @@ from repro.exceptions import ExecutionError
 class PreparedSegment:
     """A fetched segment after filtering, ready to be joined.
 
-    ``hash_tables`` maps a tuple of key column names to a hash table from key
-    values to row lists; tables are built on first use and reused across all
-    subplans that touch the segment.  Single-column tables are keyed by the
-    bare column value (no 1-tuple wrapper), so neither the build nor the
-    probe loop allocates a tuple per row.
+    ``hash_tables`` maps a tuple of key column names to the segment's
+    :func:`~repro.engine.operators.hash_join.build_hash_table` table on
+    them; tables are built on first use and reused across all subplans that
+    touch the segment.
     """
 
     __slots__ = ("segment_id", "table_name", "rows", "hash_tables")
@@ -36,36 +38,18 @@ class PreparedSegment:
         self.segment_id = segment_id
         self.table_name = table_name
         self.rows = rows
-        self.hash_tables: Dict[Tuple[str, ...], Dict[object, List[Row]]] = {}
+        self.hash_tables: Dict[Tuple[str, ...], HashTable] = {}
 
     @property
     def num_rows(self) -> int:
         """Number of (filtered) rows buffered for the segment."""
         return len(self.rows)
 
-    def hash_table(self, key_columns: Tuple[str, ...]) -> Dict[object, List[Row]]:
+    def hash_table(self, key_columns: Tuple[str, ...]) -> HashTable:
         """Return (building if necessary) the hash table on ``key_columns``."""
         table = self.hash_tables.get(key_columns)
         if table is None:
-            table = {}
-            if len(key_columns) == 1:
-                column = key_columns[0]
-                for row in self.rows:
-                    key: object = row[column]
-                    bucket = table.get(key)
-                    if bucket is None:
-                        table[key] = [row]
-                    else:
-                        bucket.append(row)
-            else:
-                for row in self.rows:
-                    key = tuple([row[column] for column in key_columns])
-                    bucket = table.get(key)
-                    if bucket is None:
-                        table[key] = [row]
-                    else:
-                        bucket.append(row)
-            self.hash_tables[key_columns] = table
+            table = self.hash_tables[key_columns] = build_hash_table(self.rows, key_columns)
         return table
 
 
@@ -74,22 +58,15 @@ def prepare_segment(
 ) -> PreparedSegment:
     """Filter a raw segment into a :class:`PreparedSegment`.
 
-    The segment is filtered over its column arrays when the predicate
-    supports bulk selection (only the matching rows are ever materialised
-    into dicts); other predicate shapes fall back to per-row evaluation.
-    The prepared row list is never mutated downstream, so the unfiltered
-    path shares the segment's row list instead of copying it.
+    The rows are selected exactly as the pull-based scans select them
+    (:func:`~repro.engine.operators.scan.select_rows`).  The prepared row
+    list is never mutated downstream, so the unfiltered path shares the
+    segment's row list instead of copying it.
     """
-    if predicate is None:
-        rows = segment.rows
-    else:
-        rows = segment.filtered_rows(predicate)
-        if rows is None:
-            rows = [row for row in segment.rows if predicate.evaluate(row)]
     return PreparedSegment(
         segment_id=segment_id or segment.segment_id,
         table_name=segment.table_name,
-        rows=rows,
+        rows=select_rows(segment, predicate),
     )
 
 
@@ -99,10 +76,10 @@ class NAryJoin:
     def __init__(self, query: Query, plan: QueryPlan) -> None:
         self.query = query
         self.plan = plan
-        if [step.table for step in plan.steps] and set(step.table for step in plan.steps) != set(
-            query.tables
-        ):
+        if plan.steps and {step.table for step in plan.steps} != set(query.tables):
             raise ExecutionError("plan does not cover the query's tables")
+        if not all(step.conditions for step in plan.steps[1:]):
+            raise ExecutionError("every plan step after the first needs a join condition")
         #: Table names in plan order, and per-probe-step (probe, build) key
         #: columns — both depend only on the plan, so deriving them once here
         #: keeps them out of the per-subplan execute loop.
@@ -209,20 +186,4 @@ class NAryJoin:
         """One left-deep step: probe ``segment``'s hash table (the table at
         plan position ``depth``) with the rows joined so far."""
         probe_columns, build_columns = self._step_keys[depth - 1]
-        table_get = segment.hash_table(build_columns).get
-        next_rows: List[Row] = []
-        append = next_rows.append
-        if len(probe_columns) == 1:
-            probe_column = probe_columns[0]
-            for row in current:
-                matches = table_get(row[probe_column])
-                if matches:
-                    for match in matches:
-                        append(merge_rows(match, row))
-        else:
-            for row in current:
-                matches = table_get(tuple([row[column] for column in probe_columns]))
-                if matches:
-                    for match in matches:
-                        append(merge_rows(match, row))
-        return next_rows
+        return probe_hash_table(segment.hash_table(build_columns), current, probe_columns)

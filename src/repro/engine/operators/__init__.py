@@ -1,10 +1,10 @@
 """Physical operators of the mini relational engine.
 
-All operators follow the classic iterator model: they are Python iterables
-yielding row dictionaries.  They are deliberately simple — the experiments
-care about access order and relative cost, not about squeezing tuples per
-second — but they compute real answers so that Skipper's out-of-order results
-can be verified against the vanilla plans.
+All operators are batch-at-a-time: ``rows()`` pulls the children's batches
+and returns the whole output as a list of row dictionaries.  They are
+deliberately simple — the experiments care about access order and relative
+cost, not about squeezing tuples per second — but they compute real answers so
+that Skipper's out-of-order results can be verified against the vanilla plans.
 """
 
 from repro.engine.operators.base import Operator, OperatorStats

@@ -8,7 +8,7 @@ aggregation — an invariant the test-suite checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.operators.base import Operator, Row
 from repro.engine.query import AggregateSpec
@@ -58,7 +58,7 @@ class AggregateState:
     """Incremental GROUP BY accumulator.
 
     Rows can be added in any order and in any number of batches; calling
-    :meth:`results` at any point yields the aggregate values over everything
+    :meth:`results` at any point gives the aggregate values over everything
     added so far.
     """
 
@@ -118,11 +118,11 @@ class HashAggregate(Operator):
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def __iter__(self) -> Iterator[Row]:
+    def rows(self) -> List[Row]:
+        rows = self.child.rows()
         state = AggregateState(self.group_by, self.aggregates)
-        for row in self.child:
-            self.stats.tuples_scanned += 1
-            state.add(row)
-        for row in state.results():
-            self.stats.tuples_output += 1
-            yield row
+        state.add_all(rows)
+        output = state.results()
+        self.stats.tuples_scanned += len(rows)
+        self.stats.tuples_output += len(output)
+        return output

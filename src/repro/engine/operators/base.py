@@ -38,17 +38,21 @@ class OperatorStats:
 
 
 class Operator:
-    """A physical operator producing rows via iteration."""
+    """A physical operator producing its whole output as one batch.
+
+    :meth:`rows` is the primitive every operator implements: pull the
+    children's batches, loop once, add the counters in bulk.
+    """
 
     def __init__(self) -> None:
         self.stats = OperatorStats()
 
-    def __iter__(self) -> Iterator[Row]:
+    def rows(self) -> List[Row]:
+        """Run the operator and return its full output as a fresh list."""
         raise NotImplementedError
 
-    def rows(self) -> List[Row]:
-        """Materialise the operator's full output."""
-        return list(iter(self))
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.rows())
 
     def collect_stats(self) -> OperatorStats:
         """Statistics for this operator and all of its children."""

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from repro.engine.operators.base import Operator, Row
 from repro.engine.predicate import Predicate
 
 
 class Filter(Operator):
-    """Yield only the child rows satisfying a predicate."""
+    """Keep only the child rows satisfying a predicate."""
 
     def __init__(self, child: Operator, predicate: Predicate) -> None:
         super().__init__()
@@ -19,9 +19,9 @@ class Filter(Operator):
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def __iter__(self) -> Iterator[Row]:
-        for row in self.child:
-            self.stats.tuples_scanned += 1
-            if self.predicate.evaluate(row):
-                self.stats.tuples_output += 1
-                yield row
+    def rows(self) -> List[Row]:
+        rows = self.child.rows()
+        output = [row for row in rows if self.predicate.evaluate(row)]
+        self.stats.tuples_scanned += len(rows)
+        self.stats.tuples_output += len(output)
+        return output

@@ -1,31 +1,78 @@
-"""In-memory equi hash join."""
+"""In-memory equi hash join: the one build/probe kernel and its operator.
+
+:func:`build_hash_table` and :func:`probe_hash_table` are the repo's only
+join loops: :class:`HashJoin` here and ``PreparedSegment.hash_table`` /
+``NAryJoin`` in :mod:`repro.core.njoin` both call them, so the two
+executors cannot drift apart on
+
+* **order** — output rows come in probe order, the matches of one probe row
+  in build order (the goldens' float ``sum`` digests depend on it);
+* **NULL keys** — a key with a ``None`` component matches nothing, the
+  None-compares-false rule of ``Comparison("=", ...)``;
+* **a missing key column** — :class:`~repro.exceptions.ExecutionError`.
+"""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Sequence
 
 from repro.engine.operators.base import Operator, Row
 from repro.exceptions import ExecutionError
 
+#: Join key (bare value for one column, tuple for several) → build rows
+#: with that key, in insertion order.
+HashTable = Dict[object, List[Row]]
 
-def join_key(row: Row, columns: Sequence[str]) -> Tuple[object, ...]:
-    """Extract the join-key tuple for ``columns`` from ``row``."""
+
+def build_hash_table(rows: Sequence[Row], key_columns: Sequence[str]) -> HashTable:
+    """Hash ``rows`` on ``key_columns``, leaving out rows with a ``None`` in the key."""
+    table: HashTable = defaultdict(list)
+    key_of = itemgetter(*key_columns)
+    multi_column = len(key_columns) > 1
     try:
-        return tuple(row[column] for column in columns)
+        for row in rows:
+            key = key_of(row)
+            if key is not None and not (multi_column and None in key):
+                table[key].append(row)
     except KeyError as exc:
         raise ExecutionError(f"join key column missing from row: {exc}") from None
+    return table
+
+
+def probe_hash_table(
+    table: HashTable, probe_rows: Sequence[Row], key_columns: Sequence[str]
+) -> List[Row]:
+    """Merge each probe row with its matches in a :func:`build_hash_table` table.
+
+    ``key_columns`` are the probe-side names of the columns the table was
+    built on.  A probe key containing ``None`` needs no check of its own:
+    the table holds no such key.
+    """
+    table_get = table.get
+    key_of = itemgetter(*key_columns)
+    output: List[Row] = []
+    append = output.append
+    try:
+        for row in probe_rows:
+            matches = table_get(key_of(row))
+            if matches:
+                for match in matches:
+                    append(merge_rows(match, row))
+    except KeyError as exc:
+        raise ExecutionError(f"join key column missing from row: {exc}") from None
+    return output
 
 
 class HashJoin(Operator):
-    """Classic build/probe equi-join.
+    """Classic build/probe equi-join over the shared kernel.
 
-    The build side is materialised into a hash table keyed on
-    ``build_keys``; the probe side streams and emits merged rows for every
-    match.  Column names are assumed globally unique (TPC-H style prefixes),
-    so merging two row dictionaries never silently drops data; an
-    :class:`ExecutionError` is raised if a collision with differing values is
-    detected.
+    The build side's batch is hashed on ``build_keys`` and the probe side's
+    probed against it (order and NULL rule: module docstring; a row with a
+    ``None`` key still counts as built / probed).  Column names are assumed
+    globally unique (TPC-H style prefixes), so merging two rows never drops
+    data; a collision with differing values raises :class:`ExecutionError`.
     """
 
     def __init__(
@@ -46,21 +93,15 @@ class HashJoin(Operator):
     def children(self) -> List[Operator]:
         return [self.build, self.probe]
 
-    def __iter__(self) -> Iterator[Row]:
-        table: Dict[Tuple[object, ...], List[Row]] = defaultdict(list)
-        for row in self.build:
-            self.stats.tuples_built += 1
-            table[join_key(row, self.build_keys)].append(row)
-
-        for probe_row in self.probe:
-            self.stats.tuples_probed += 1
-            matches = table.get(join_key(probe_row, self.probe_keys))
-            if not matches:
-                continue
-            for build_row in matches:
-                merged = merge_rows(build_row, probe_row)
-                self.stats.tuples_output += 1
-                yield merged
+    def rows(self) -> List[Row]:
+        build_rows = self.build.rows()
+        table = build_hash_table(build_rows, self.build_keys)
+        probe_rows = self.probe.rows()
+        output = probe_hash_table(table, probe_rows, self.probe_keys)
+        self.stats.tuples_built += len(build_rows)
+        self.stats.tuples_probed += len(probe_rows)
+        self.stats.tuples_output += len(output)
+        return output
 
 
 def merge_rows(left: Row, right: Row) -> Row:

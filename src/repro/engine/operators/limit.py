@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from repro.engine.operators.base import Operator, Row
 from repro.exceptions import QueryError
 
 
 class Limit(Operator):
-    """Yield at most the first ``count`` rows of the child."""
+    """Keep at most the first ``count`` rows of the child.
+
+    The child's batch is materialised, then truncated: a non-blocking child
+    (a scan, filter or join in a hand-built tree) counts its whole input,
+    not only the rows that survive.  Planner-built trees always have a
+    blocking ``HashAggregate`` under any ``Limit``.
+    """
 
     def __init__(self, child: Operator, count: int) -> None:
         super().__init__()
@@ -21,11 +27,7 @@ class Limit(Operator):
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def __iter__(self) -> Iterator[Row]:
-        emitted = 0
-        for row in self.child:
-            if emitted >= self.count:
-                break
-            emitted += 1
-            self.stats.tuples_output += 1
-            yield row
+    def rows(self) -> List[Row]:
+        output = self.child.rows()[: self.count]
+        self.stats.tuples_output += len(output)
+        return output

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.engine.operators.base import Operator, Row
 from repro.engine.predicate import Expression
@@ -28,10 +28,12 @@ class Project(Operator):
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def __iter__(self) -> Iterator[Row]:
-        for row in self.child:
-            output: Dict[str, object] = {name: row[name] for name in self.columns}
+    def rows(self) -> List[Row]:
+        output: List[Row] = []
+        for row in self.child.rows():
+            projected: Dict[str, object] = {name: row[name] for name in self.columns}
             for alias, expression in self.expressions.items():
-                output[alias] = expression.evaluate(row)
-            self.stats.tuples_output += 1
-            yield output
+                projected[alias] = expression.evaluate(row)
+            output.append(projected)
+        self.stats.tuples_output += len(output)
+        return output

@@ -1,48 +1,45 @@
-"""Scan operators over segments and whole relations."""
+"""Scan operators over segments and whole relations.
+
+Scans materialise: every row of every segment counts as scanned and every
+selected row as output, whatever a downstream
+:class:`~repro.engine.operators.limit.Limit` goes on to keep.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.engine.operators.base import Operator, OperatorStats, Row
 from repro.engine.predicate import Predicate
 from repro.engine.relation import Relation, Segment
 
 
-def _scan_segment(
-    segment: Segment, predicate: Optional[Predicate], stats: OperatorStats
-) -> Iterator[Row]:
-    """Yield a segment's (filtered) rows.
+def select_rows(segment: Segment, predicate: Optional[Predicate]) -> List[Row]:
+    """The rows of ``segment`` passing ``predicate``, in segment order.
 
-    When the predicate supports bulk
-    :meth:`~repro.engine.predicate.Predicate.selection`, the filter runs
-    over the column arrays and only matching rows are materialised.  The
-    stats stay call-for-call identical to the per-row path, including under
-    early termination (e.g. a downstream Limit): ``tuples_scanned`` counts
-    exactly the rows the per-row scan would have touched by that point.
+    A predicate with a bulk ``selection`` filters the column arrays and
+    materialises only the matching rows; other shapes fall back to per-row
+    ``evaluate``.  Without a predicate the result *is* the segment's cached
+    row list: callers must not mutate it.
     """
     if predicate is None:
-        for row in segment.rows:
-            stats.tuples_scanned += 1
-            stats.tuples_output += 1
-            yield row
-        return
-    total = len(segment)
-    selection = predicate.selection(segment.columns, total) if total else []
-    if selection is None:
-        for row in segment.rows:
-            stats.tuples_scanned += 1
-            if predicate.evaluate(row):
-                stats.tuples_output += 1
-                yield row
-        return
-    scanned = 0
-    for position, row in zip(selection, segment.rows_at(selection)):
-        stats.tuples_scanned += position + 1 - scanned
-        scanned = position + 1
-        stats.tuples_output += 1
-        yield row
-    stats.tuples_scanned += total - scanned
+        return segment.rows
+    rows = segment.filtered_rows(predicate)
+    if rows is None:
+        rows = [row for row in segment.rows if predicate.evaluate(row)]
+    return rows
+
+
+def _scan(
+    segments: Sequence[Segment], predicate: Optional[Predicate], stats: OperatorStats
+) -> List[Row]:
+    """Concatenate the selected rows of ``segments`` into one fresh list."""
+    output: List[Row] = []
+    for segment in segments:
+        output.extend(select_rows(segment, predicate))
+    stats.tuples_scanned += sum(len(segment) for segment in segments)
+    stats.tuples_output += len(output)
+    return output
 
 
 class SegmentScan(Operator):
@@ -53,8 +50,8 @@ class SegmentScan(Operator):
         self.segment = segment
         self.predicate = predicate
 
-    def __iter__(self) -> Iterator[Row]:
-        return _scan_segment(self.segment, self.predicate, self.stats)
+    def rows(self) -> List[Row]:
+        return _scan([self.segment], self.predicate, self.stats)
 
 
 class SequentialScan(Operator):
@@ -74,6 +71,5 @@ class SequentialScan(Operator):
         else:
             self._segments = [relation.segment(index) for index in segments]
 
-    def __iter__(self) -> Iterator[Row]:
-        for segment in self._segments:
-            yield from _scan_segment(segment, self.predicate, self.stats)
+    def rows(self) -> List[Row]:
+        return _scan(self._segments, self.predicate, self.stats)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.engine.operators.base import Operator, Row
 
@@ -19,10 +19,9 @@ class Sort(Operator):
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def __iter__(self) -> Iterator[Row]:
-        rows = list(self.child)
-        self.stats.tuples_scanned += len(rows)
-        rows.sort(key=lambda row: tuple(row[key] for key in self.keys), reverse=self.descending)
-        for row in rows:
-            self.stats.tuples_output += 1
-            yield row
+    def rows(self) -> List[Row]:
+        output = self.child.rows()  # a fresh list: ours to sort in place
+        output.sort(key=lambda row: tuple(row[key] for key in self.keys), reverse=self.descending)
+        self.stats.tuples_scanned += len(output)
+        self.stats.tuples_output += len(output)
+        return output

@@ -112,15 +112,11 @@ class Segment:
         selection = predicate.selection(self._columns, self._num_rows)
         if selection is None:
             return None
-        return self.rows_at(selection)
-
-    def rows_at(self, indices: Sequence[int]) -> List[Dict[str, object]]:
-        """Materialise only the rows at ``indices`` (ascending positions)."""
         names = self._column_names
         if not names:
-            return [{} for _ in indices]
+            return [{} for _ in selection]
         cols = list(self._columns.values())
-        return [dict(zip(names, [col[i] for col in cols])) for i in indices]
+        return [dict(zip(names, [col[i] for col in cols])) for i in selection]
 
     def __iter__(self) -> Iterator[Dict[str, object]]:
         return iter(self.rows)
@@ -146,7 +142,7 @@ class Relation:
             if segment.index != position:
                 raise SchemaError(
                     f"segment indices of {schema.name!r} must be consecutive from 0; "
-                    f"found {segment.index} at position {position}"
+                    f"found {segment.segment_id} at position {position}"
                 )
 
     @classmethod

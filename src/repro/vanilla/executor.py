@@ -192,14 +192,13 @@ class VanillaExecutor:
     def _process_locally(
         self, query: Query, plan, fetched: Dict[str, List[Segment]]
     ) -> Tuple[List[Row], OperatorStats, object]:
-        relations: Dict[str, Relation] = {}
-        for table, segments in fetched.items():
-            schema = self.catalog.schema(table)
-            ordered = sorted(segments, key=lambda segment: segment.index)
-            rebuilt = [
-                Segment(table, position, segment.rows) for position, segment in enumerate(ordered)
-            ]
-            relations[table] = Relation(schema, rebuilt)
+        # Scanned as delivered: ``Relation`` rejects an incomplete or foreign fetch.
+        relations: Dict[str, Relation] = {
+            table: Relation(
+                self.catalog.schema(table), sorted(segments, key=lambda segment: segment.index)
+            )
+            for table, segments in fetched.items()
+        }
         root = self.planner.build_operator_tree(plan, relation_provider=relations.__getitem__)
         rows = root.rows()
         return rows, root.collect_stats(), root

@@ -8,13 +8,17 @@ in-memory executor — the core correctness property of out-of-order execution.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import MaxProgressEviction, ObjectCache
 from repro.core.mjoin import MJoinStateManager
-from repro.core.njoin import NAryJoin, prepare_segment
-from repro.engine import InMemoryExecutor, Planner
+from repro.core.njoin import NAryJoin, PreparedSegment, prepare_segment
+from repro.engine import Column, DataType, InMemoryExecutor, Planner, Relation, TableSchema
 from repro.engine.executor import canonical_rows
+from repro.engine.operators import HashJoin, SequentialScan
 from repro.engine.operators.base import OperatorStats
+from repro.engine.planner import JoinStep, QueryPlan
+from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.exceptions import CacheError, ExecutionError
 from repro.workloads import tpch
 
@@ -100,6 +104,125 @@ class TestNAryJoin:
             njoin.execute({})
         with pytest.raises(ExecutionError):
             njoin.execute_ordered([])
+
+
+def _pair_njoin(build_keys, probe_keys):
+    """An ``NAryJoin`` streaming table ``p`` against a hash table on ``b``."""
+    query = Query(
+        name="pair",
+        tables=["p", "b"],
+        joins=[JoinCondition("p", pk, "b", bk) for pk, bk in zip(probe_keys, build_keys)],
+        aggregates=[AggregateSpec("count", None, "cnt")],
+    )
+    return NAryJoin(query, QueryPlan(query, [JoinStep("p"), JoinStep("b", list(query.joins))]))
+
+
+def _pair_rows(build_rows, probe_rows, build_keys, probe_keys, stats=None):
+    return _pair_njoin(build_keys, probe_keys).execute_ordered(
+        [PreparedSegment("p.0", "p", probe_rows), PreparedSegment("b.0", "b", build_rows)], stats
+    )
+
+
+class TestSharedKernel:
+    """``NAryJoin`` joins through the pull-based engine's build/probe kernel."""
+
+    def test_null_keys_never_match(self):
+        build = [{"bk": None, "bv": 1}, {"bk": 7, "bv": 2}]
+        probe = [{"pk": None, "pv": 3}, {"pk": 7, "pv": 4}]
+        stats = OperatorStats()
+        assert _pair_rows(build, probe, ["bk"], ["pk"], stats) == [
+            {"bk": 7, "bv": 2, "pk": 7, "pv": 4}
+        ]
+        assert (stats.tuples_probed, stats.tuples_output) == (2, 1)
+
+    def test_null_component_of_a_multi_column_key_never_matches(self):
+        build = [{"b1": 1, "b2": None}, {"b1": None, "b2": 2}, {"b1": 1, "b2": 2}]
+        probe = [{"p1": 1, "p2": None}, {"p1": None, "p2": 2}, {"p1": 1, "p2": 2}]
+        assert _pair_rows(build, probe, ["b1", "b2"], ["p1", "p2"]) == [
+            {"b1": 1, "b2": 2, "p1": 1, "p2": 2}
+        ]
+
+    @pytest.mark.parametrize(
+        "build_keys, probe_keys",
+        [(["nope"], ["pk"]), (["bk"], ["nope"]), (["bk", "nope"], ["pk", "pv"])],
+    )
+    def test_missing_key_column_is_an_execution_error(self, build_keys, probe_keys):
+        with pytest.raises(ExecutionError, match="join key column missing.*nope"):
+            _pair_rows([{"bk": 1, "bv": 1}], [{"pk": 1, "pv": 1}], build_keys, probe_keys)
+
+
+    def test_plan_step_without_a_join_condition_is_rejected(self):
+        """The kernel joins on at least one column; a cross-product step is
+        refused when the join is built, not deep inside a probe."""
+        query = Query(
+            name="pair",
+            tables=["p", "b"],
+            joins=[JoinCondition("p", "pk", "b", "bk")],
+            aggregates=[AggregateSpec("count", None, "cnt")],
+        )
+        with pytest.raises(ExecutionError, match="needs a join condition"):
+            NAryJoin(query, QueryPlan(query, [JoinStep("p"), JoinStep("b")]))
+
+
+def _nested_loop_join(build_rows, probe_rows, build_keys, probe_keys):
+    """The reference: probe order, then build order, NULL equal to nothing."""
+    return [
+        {**build_row, **probe_row}
+        for probe_row in probe_rows
+        for build_row in build_rows
+        if all(
+            build_row[bk] is not None and build_row[bk] == probe_row[pk]
+            for bk, pk in zip(build_keys, probe_keys)
+        )
+    ]
+
+
+_KEYS = st.one_of(st.none(), st.integers(min_value=0, max_value=2))
+# Multiples of 2**-10: sums over any join output are exact (see
+# test_core_arrival_properties), so a downstream float ``sum`` cannot mask a
+# reordering as rounding noise.
+_VALUES = st.integers(min_value=-(2**20), max_value=2**20).map(lambda n: n / 1024.0)
+
+
+def _side(prefix):
+    return st.lists(
+        st.tuples(_KEYS, _KEYS, _VALUES).map(
+            lambda row: {f"{prefix}1": row[0], f"{prefix}2": row[1], f"{prefix}v": row[2]}
+        ),
+        max_size=8,
+    )
+
+
+class TestJoinKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        build_rows=_side("b"),
+        probe_rows=_side("p"),
+        width=st.integers(min_value=1, max_value=2),
+        rows_per_segment=st.integers(min_value=1, max_value=3),
+    )
+    def test_hash_join_and_nary_join_equal_the_nested_loop(
+        self, build_rows, probe_rows, width, rows_per_segment
+    ):
+        build_keys, probe_keys = ["b1", "b2"][:width], ["p1", "p2"][:width]
+        expected = _nested_loop_join(build_rows, probe_rows, build_keys, probe_keys)
+
+        def scan(prefix, rows):
+            schema = TableSchema(
+                prefix,
+                [Column(f"{prefix}{suffix}", DataType.FLOAT) for suffix in ("1", "2", "v")],
+            )
+            return SequentialScan(Relation.from_rows(schema, rows, rows_per_segment))
+
+        join = HashJoin(scan("b", build_rows), scan("p", probe_rows), build_keys, probe_keys)
+        assert join.rows() == expected  # same rows, same order
+        assert join.stats == OperatorStats(
+            tuples_built=len(build_rows),
+            tuples_probed=len(probe_rows),
+            tuples_output=len(expected),
+        )
+        # One kernel, two callers.
+        assert _pair_rows(build_rows, probe_rows, build_keys, probe_keys) == expected
 
 
 class TestMJoinStateManager:

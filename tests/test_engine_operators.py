@@ -9,6 +9,8 @@ from repro.engine.operators import (
     HashAggregate,
     HashJoin,
     Limit,
+    Operator,
+    OperatorStats,
     Project,
     SegmentScan,
     SequentialScan,
@@ -126,6 +128,54 @@ class TestHashJoin:
         with pytest.raises(ExecutionError):
             HashJoin(SequentialScan(right), SequentialScan(left), ["rk"], [])
 
+    @staticmethod
+    def _rows_join(build_rows, probe_rows, build_keys, probe_keys):
+        build_schema = TableSchema("b", [Column(name, DataType.INTEGER) for name in build_rows[0]])
+        probe_schema = TableSchema("p", [Column(name, DataType.INTEGER) for name in probe_rows[0]])
+        return HashJoin(
+            build=SequentialScan(Relation.from_rows(build_schema, build_rows, 2)),
+            probe=SequentialScan(Relation.from_rows(probe_schema, probe_rows, 2)),
+            build_keys=build_keys,
+            probe_keys=probe_keys,
+        )
+
+    def test_null_keys_never_match(self):
+        """``NULL = NULL`` is not true: same rule as ``Comparison("=", ...)``."""
+        join = self._rows_join(
+            [{"rk": None, "rv": 1}, {"rk": 7, "rv": 2}],
+            [{"lk": None, "lv": 3}, {"lk": 7, "lv": 4}],
+            ["rk"],
+            ["lk"],
+        )
+        assert join.rows() == [{"rk": 7, "rv": 2, "lk": 7, "lv": 4}]
+        # NULL-keyed rows are still built and probed (and cost CPU time).
+        assert (join.stats.tuples_built, join.stats.tuples_probed, join.stats.tuples_output) == (
+            2,
+            2,
+            1,
+        )
+
+    def test_null_component_of_a_multi_column_key_never_matches(self):
+        join = self._rows_join(
+            [{"r1": 1, "r2": None}, {"r1": None, "r2": 2}, {"r1": 1, "r2": 2}],
+            [{"l1": 1, "l2": None}, {"l1": None, "l2": 2}, {"l1": 1, "l2": 2}],
+            ["r1", "r2"],
+            ["l1", "l2"],
+        )
+        assert join.rows() == [{"r1": 1, "r2": 2, "l1": 1, "l2": 2}]
+        assert join.stats.tuples_built == join.stats.tuples_probed == 3
+
+    @pytest.mark.parametrize(
+        "build_keys, probe_keys",
+        [(["nope"], ["lk"]), (["rk"], ["nope"]), (["rk", "nope"], ["lk", "lv"])],
+    )
+    def test_missing_key_column_is_an_execution_error(self, build_keys, probe_keys):
+        join = self._rows_join(
+            [{"rk": 1, "rv": 1}], [{"lk": 1, "lv": 1}], build_keys, probe_keys
+        )
+        with pytest.raises(ExecutionError, match="join key column missing.*nope"):
+            join.rows()
+
     def test_merge_rows_detects_conflicts(self):
         assert merge_rows({"a": 1}, {"b": 2}) == {"a": 1, "b": 2}
         assert merge_rows({"a": 1}, {"a": 1, "b": 2}) == {"a": 1, "b": 2}
@@ -192,9 +242,64 @@ class TestAggregation:
 
 class TestStatsCollection:
     def test_collect_stats_aggregates_children(self, numbers_relation):
+        """``Limit`` truncates a materialised child: the non-blocking
+        operators below it count their whole input, not the first 5 rows."""
         scan = SequentialScan(numbers_relation)
-        operator = Limit(Filter(scan, ge("n", 0)), 5)
-        operator.rows()
-        combined = operator.collect_stats()
-        assert combined.tuples_scanned >= 10
-        assert combined.total() > 0
+        selection = Filter(scan, ge("n", 2))
+        operator = Limit(selection, 5)
+        assert [row["n"] for row in operator.rows()] == [2, 3, 4, 5, 6]
+        assert scan.stats == OperatorStats(tuples_scanned=10, tuples_output=10)
+        assert selection.stats == OperatorStats(tuples_scanned=10, tuples_output=8)
+        assert operator.stats == OperatorStats(tuples_output=5)
+        assert operator.collect_stats() == OperatorStats(tuples_scanned=20, tuples_output=23)
+        assert operator.collect_stats().total() == 43
+
+
+class TestRowsProtocol:
+    """``rows()`` is the primitive; iterating an operator iterates its batch."""
+
+    @staticmethod
+    def _trees(relation):
+        def scan():
+            return SequentialScan(relation, predicate=ge("n", 1))
+
+        return [
+            scan(),
+            SegmentScan(relation.segment(1), predicate=ge("n", 5)),
+            Filter(scan(), eq("parity", "odd")),
+            Project(scan(), columns=["n"], expressions={"same": col("n")}),
+            HashJoin(
+                build=Project(scan(), expressions={"m": col("n")}),
+                probe=scan(),
+                build_keys=["m"],
+                probe_keys=["n"],
+            ),
+            HashAggregate(scan(), ["parity"], [AggregateSpec("sum", col("n"), "total")]),
+            Sort(scan(), ["parity", "n"], descending=True),
+            Limit(scan(), 4),
+        ]
+
+    def test_every_operator_class_is_covered(self, numbers_relation):
+        covered = {type(tree) for tree in self._trees(numbers_relation)}
+        assert covered == set(Operator.__subclasses__())
+
+    def test_iteration_is_the_batch(self, numbers_relation):
+        for first, second in zip(self._trees(numbers_relation), self._trees(numbers_relation)):
+            rows = first.rows()
+            assert rows, type(first).__name__
+            assert list(second) == rows
+            assert second.collect_stats() == first.collect_stats()
+
+    def test_rows_returns_a_list_the_caller_owns(self, numbers_relation):
+        """Unfiltered scans read the segments' cached row lists; handing one
+        out would let a caller's ``sort()``/``clear()`` corrupt the relation."""
+        for scan, expected in (
+            (SequentialScan(numbers_relation), 10),
+            (SegmentScan(numbers_relation.segment(0)), 4),
+        ):
+            scan.rows().clear()
+            assert len(scan.rows()) == expected
+
+    def test_base_operator_has_no_rows(self):
+        with pytest.raises(NotImplementedError):
+            Operator().rows()

@@ -1,12 +1,42 @@
 """Unit tests for the planner, the in-memory executor and the cost model."""
 
+from dataclasses import astuple
+from functools import lru_cache
+
 import pytest
 
 from repro.engine import CostModel, InMemoryExecutor, Planner
 from repro.exceptions import ConfigurationError, QueryError
 from repro.engine.executor import canonical_rows
 from repro.engine.query import AggregateSpec, JoinCondition, Query
-from repro.workloads import tpch
+from repro.workloads import ssb, tpch
+
+
+# (scanned, built, probed, output) of every registered TPC-H and SSB query at
+# seed 42, as measured on the per-row iterator engine the batch engine replaced.
+_PINNED_STATS = [
+    (tpch, "tiny", "q1", (321, 0, 0, 167)),
+    (tpch, "tiny", "q3", (224, 37, 58, 95)),
+    (tpch, "tiny", "q5", (268, 81, 380, 469)),
+    (tpch, "tiny", "q6", (183, 0, 0, 24)),
+    (tpch, "tiny", "q12", (214, 48, 4, 60)),
+    (tpch, "small", "q1", (1432, 0, 0, 718)),
+    (tpch, "small", "q3", (941, 106, 350, 472)),
+    (tpch, "small", "q5", (993, 175, 1648, 1849)),
+    (tpch, "small", "q6", (819, 0, 0, 100)),
+    (tpch, "small", "q12", (905, 160, 23, 210)),
+    (ssb, "tiny", "q1_1", (193, 4, 49, 63)),
+    (ssb, "tiny", "q2_1", (204, 27, 366, 393)),
+    (ssb, "tiny", "q3_1", (216, 25, 304, 341)),
+    (ssb, "small", "q1_1", (671, 7, 166, 197)),
+    (ssb, "small", "q2_1", (758, 57, 1347, 1504)),
+    (ssb, "small", "q3_1", (727, 50, 1217, 1316)),
+]
+
+
+@lru_cache(maxsize=None)
+def _catalog(workload, scale):
+    return workload.build_catalog(scale, seed=42)
 
 
 class TestPlanner:
@@ -73,6 +103,16 @@ class TestInMemoryExecutor:
         result = executor.execute(tpch.query(query_name))
         assert result.num_rows > 0
         assert result.stats.tuples_scanned > 0
+
+    @pytest.mark.parametrize("workload, scale, query_name, counters", _PINNED_STATS)
+    def test_operator_stats_are_pinned(self, workload, scale, query_name, counters):
+        """The counters feed ``CostModel``, hence every simulated time."""
+        result = InMemoryExecutor(_catalog(workload, scale)).execute(workload.query(query_name))
+        assert astuple(result.stats) == counters
+
+    def test_every_registered_query_is_pinned(self):
+        pinned = {(workload, name) for workload, _scale, name, _counters in _PINNED_STATS}
+        assert pinned == {(w, name) for w in (tpch, ssb) for name in w.QUERIES}
 
     def test_q12_counts_match_manual_computation(self, tiny_tpch_catalog):
         executor = InMemoryExecutor(tiny_tpch_catalog)

@@ -14,6 +14,7 @@ from repro.csd import (
 )
 from repro.engine import CostModel, InMemoryExecutor
 from repro.engine.executor import canonical_rows
+from repro.exceptions import SchemaError
 from repro.sim import Environment
 from repro.vanilla import VanillaExecutor
 from repro.workloads import tpch
@@ -68,7 +69,7 @@ class TestSkipperExecutorOnCSD:
 
 
 class TestVanillaExecutorOnCSD:
-    def _run_vanilla(self, catalog, query, scheduler=None, config=None):
+    def _vanilla_executor(self, catalog, query, scheduler=None, config=None):
         env = Environment()
         store = ObjectStore()
         keys = []
@@ -85,10 +86,48 @@ class TestVanillaExecutorOnCSD:
             scheduler or ObjectFCFSScheduler(),
             config or DeviceConfig(group_switch_seconds=5.0, transfer_seconds_per_object=1.0),
         )
-        executor = VanillaExecutor(env, "tenant", catalog, device, cost_model=CostModel())
+        return env, VanillaExecutor(env, "tenant", catalog, device, cost_model=CostModel()), device
+
+    def _run_vanilla(self, catalog, query, scheduler=None, config=None):
+        env, executor, device = self._vanilla_executor(catalog, query, scheduler, config)
         process = env.process(executor.execute(query))
         env.run(until=process)
         return process.value, device
+
+    def _process_locally(self, catalog, query, fetched):
+        _env, executor, _device = self._vanilla_executor(catalog, query)
+        rows, _stats, _root = executor._process_locally(
+            query, executor.planner.plan(query), fetched
+        )
+        return rows
+
+    def test_out_of_order_fetch_is_put_back_in_segment_order(self, tiny_tpch_catalog):
+        query = tpch.q12()
+        fetched = {
+            table: list(reversed(tiny_tpch_catalog.relation(table).segments))
+            for table in query.tables
+        }
+        assert len(fetched["lineitem"]) > 2
+        # Same rows in the same order, not merely the same set.
+        assert (
+            self._process_locally(tiny_tpch_catalog, query, fetched)
+            == InMemoryExecutor(tiny_tpch_catalog).execute(query).rows
+        )
+
+    def test_incomplete_fetch_is_a_typed_error(self, tiny_tpch_catalog):
+        """A missing middle segment is not renumbered into a smaller relation."""
+        query = tpch.q12()
+        fetched = {table: list(tiny_tpch_catalog.relation(table).segments) for table in query.tables}
+        del fetched["lineitem"][1]
+        with pytest.raises(SchemaError, match=r"found lineitem\.2 at position 1"):
+            self._process_locally(tiny_tpch_catalog, query, fetched)
+
+    def test_payload_of_another_table_is_a_typed_error(self, tiny_tpch_catalog):
+        query = tpch.q12()
+        fetched = {table: list(tiny_tpch_catalog.relation(table).segments) for table in query.tables}
+        fetched["lineitem"][1] = tiny_tpch_catalog.segment("orders", 1)
+        with pytest.raises(SchemaError, match=r"orders\.1 does not belong to table 'lineitem'"):
+            self._process_locally(tiny_tpch_catalog, query, fetched)
 
     @pytest.mark.parametrize("query_name", ["q1", "q12", "q5"])
     def test_results_match_in_memory(self, tiny_tpch_catalog, query_name):
