@@ -3,7 +3,8 @@
 Run the pinned macro scenarios and write ``BENCH_10.json``::
 
     python -m repro.bench                 # full suite (minutes)
-    python -m repro.bench --smoke         # CI-sized (seconds)
+    python -m repro.bench --smoke         # CI-sized (seconds); prints, writes
+                                          # only where --output says
     python -m repro.bench --baseline old.json   # embed speedup ratios
     python -m repro.bench --profile prof/       # per-scenario .pstats dumps
     python -m repro.bench --smoke --check       # diff vs committed document
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         type=Path,
         default=None,
-        help=f"output path (default: {DEFAULT_OUTPUT_NAME} at the repository root)",
+        help=f"output path (default: {DEFAULT_OUTPUT_NAME} at the repository root "
+        "for a full run; a --smoke run writes nothing without it)",
     )
     parser.add_argument(
         "--baseline",
@@ -87,6 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     arguments = build_parser().parse_args(argv)
+    committed = committed_path = None
+    if arguments.check is not None:
+        committed_path = (
+            repo_root() / DEFAULT_OUTPUT_NAME
+            if arguments.check is True
+            else arguments.check
+        )
+        # Read before anything is written: a full run's default output is
+        # this very file.
+        committed = json.loads(Path(committed_path).read_text())
     document = run_benchmarks(
         smoke=arguments.smoke,
         trace=arguments.trace,
@@ -95,9 +107,11 @@ def main(argv=None) -> int:
     if arguments.baseline is not None:
         baseline = json.loads(arguments.baseline.read_text())
         attach_baseline(document, baseline)
-    path = write_document(document, arguments.output)
+    # A smoke document is for drift checks, not for committing: it is only
+    # written where --output says, never over the committed full document.
+    if arguments.output is not None or not arguments.smoke:
+        print(f"wrote {write_document(document, arguments.output)}")
     totals = document["totals"]
-    print(f"wrote {path}")
     print(
         f"mode={document['mode']} run={totals['run_seconds']:.2f}s "
         f"events={totals['events_dispatched']} "
@@ -116,13 +130,7 @@ def main(argv=None) -> int:
     build_run = document.get("baseline", {}).get("speedup_build_run_seconds", {})
     for name, ratio in build_run.items():
         print(f"  speedup {name}: {ratio:.2f}x build+run wall time vs baseline")
-    if arguments.check is not None:
-        committed_path = (
-            repo_root() / DEFAULT_OUTPUT_NAME
-            if arguments.check is True
-            else arguments.check
-        )
-        committed = json.loads(Path(committed_path).read_text())
+    if committed is not None:
         problems = check_determinism(document, committed)
         if problems:
             for problem in problems:

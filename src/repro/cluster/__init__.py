@@ -4,9 +4,12 @@ The paper's testbed runs one database VM per compute server, all sharing a
 single emulated CSD.  This package holds the types that describe that
 topology and what was measured on it: :class:`ClientSpec` (one tenant running
 either the Skipper executor or the vanilla pull-based executor over its own
-dataset), :class:`ClusterConfig` / :class:`ClusterResult`, and the metrics
-needed to reproduce the figures — average/cumulative execution time, the
-switch/transfer/processing breakdown, stretch and the L2 norm of stretch.
+dataset — the one validated description a session is configured from),
+:class:`ClusterConfig` / :class:`ClusterResult` (per-tenant lists of
+:class:`~repro.core.execution.QueryResult`, the same type in both modes), and
+the metrics needed to reproduce the figures — average/cumulative execution
+time, the switch/transfer/processing breakdown, stretch and the L2 norm of
+stretch.
 Running an experiment is the service façade's job
 (:class:`repro.service.service.StorageService`).
 """

@@ -1,22 +1,20 @@
-"""Static per-tenant client descriptions for multi-tenant experiments."""
+"""Static per-tenant client descriptions for multi-tenant experiments.
+
+A :class:`ClientSpec` is the one description of a tenant the service layer
+works from: it is validated here, at construction, and a session holds it
+as-is (``session.spec``) for its whole connection.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.cache import EvictionPolicy
-from repro.core.executor import SkipperQueryResult
+from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
 from repro.engine.query import Query
 from repro.exceptions import ConfigurationError
-from repro.vanilla.executor import VanillaQueryResult
-
-QueryResult = Union[SkipperQueryResult, VanillaQueryResult]
-
-#: Execution modes a client can run in.
-MODE_SKIPPER = "skipper"
-MODE_VANILLA = "vanilla"
 
 
 @dataclass

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cluster.client import ClientSpec, QueryResult
+from repro.cluster.client import ClientSpec
 from repro.cluster.metrics import ExecutionBreakdown, mean
+from repro.core.execution import QueryResult
 from repro.csd.device import DeviceConfig
 from repro.csd.layout import ClientsPerGroupLayout, LayoutPolicy
 from repro.engine.cost import CostModel

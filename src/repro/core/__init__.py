@@ -16,10 +16,13 @@ This package contains the paper's primary contribution:
   evictions and re-issues, executes runnable subplans and folds their output
   into an incremental aggregate.
 * :mod:`repro.core.client_proxy` — the daemon that mediates between MJoin and
-  the CSD, batching object requests and tagging them with query identifiers.
-* :mod:`repro.core.executor` — the simulation-facing Skipper executor that
-  drives the state manager over simulated time and produces per-query
-  metrics.
+  the CSD, batching object requests and tagging them with query identifiers
+  (one per session, as the paper runs one per database instance).
+* :mod:`repro.core.execution` — :class:`QueryRun`, the per-query measurement
+  loop (query id, processing time, blocked intervals, spans) both executors
+  run inside, and :class:`QueryResult`, the one result type they return.
+* :mod:`repro.core.executor` — the Skipper strategy on top of it: request
+  everything, react to arrivals, re-issue evicted objects cycle by cycle.
 """
 
 from repro.core.subplan import Subplan, SubplanTracker
@@ -35,7 +38,8 @@ from repro.core.cache import (
 from repro.core.njoin import NAryJoin
 from repro.core.mjoin import ArrivalOutcome, MJoinStateManager
 from repro.core.client_proxy import ClientProxy
-from repro.core.executor import SkipperExecutor, SkipperQueryResult
+from repro.core.execution import QueryResult, QueryRun
+from repro.core.executor import SkipperExecutor
 
 __all__ = [
     "ArrivalOutcome",
@@ -49,8 +53,9 @@ __all__ = [
     "MaxProgressEviction",
     "NAryJoin",
     "ObjectCache",
+    "QueryResult",
+    "QueryRun",
     "SkipperExecutor",
-    "SkipperQueryResult",
     "Subplan",
     "SubplanTracker",
 ]

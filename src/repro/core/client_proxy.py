@@ -5,7 +5,10 @@ hands it the list of objects it needs, the proxy issues tagged HTTP GET
 requests against Swift and notifies MJoin as objects arrive.  Here the proxy
 translates segment ids into namespaced object keys, tags every request with a
 query identifier (so the CSD scheduler can be query-aware) and funnels
-completions into a FIFO the executor consumes in arrival order.
+completions into a FIFO the executor consumes in arrival order.  Like the
+paper's daemon there is one proxy per database instance: a session owns one
+for its whole connection, so the query ids it mints (``tenant:query:0, 1,
+2, …``) are unique across everything the tenant runs.
 
 The proxy is backend-agnostic: ``device`` may be a single
 :class:`~repro.csd.device.ColdStorageDevice` or a sharded
@@ -16,7 +19,7 @@ The proxy is backend-agnostic: ``device`` may be a single
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.csd.backend import StorageBackend
 from repro.csd.request import GetRequest
@@ -37,7 +40,6 @@ class ClientProxy:
         self.requests_issued = 0
         self.requests_completed = 0
         self._query_counter = itertools.count()
-        self._outstanding: List[GetRequest] = []
         #: Length of the ``tenant/`` prefix of this client's object keys.
         self._prefix_length = len(client_id) + 1
 
@@ -45,14 +47,13 @@ class ClientProxy:
         """Mint a query identifier used to tag all requests of one query."""
         return f"{self.client_id}:{query_name}:{next(self._query_counter)}"
 
-    def request_objects(self, segment_ids: Sequence[str], query_id: str) -> List[GetRequest]:
+    def request_objects(self, segment_ids: Sequence[str], query_id: str) -> None:
         """Issue one GET per segment id, tagged with ``query_id``.
 
         Completions are pushed into :attr:`arrivals` in the order the device
         delivers them, which is generally different from the request order —
         that is the whole point of CSD-driven execution.
         """
-        issued: List[GetRequest] = []
         # Hoisted locals and inlined helpers: this loop issues every object
         # of a query in one burst (a million iterations at the largest
         # scales), so attribute lookups, wrapper calls and per-request
@@ -64,17 +65,12 @@ class ClientProxy:
         env = self.env
         on_complete = self._on_complete
         submit = self.device.submit
-        issued_append = issued.append
         for segment_id in segment_ids:
             object_key = f"{client_id}/{segment_id}"
             completion = Event(env, object_key)
             completion._callbacks.append(on_complete)
-            request = GetRequest(object_key, client_id, query_id, completion)
-            submit(request)
-            issued_append(request)
-        self._outstanding.extend(issued)
-        self.requests_issued += len(issued)
-        return issued
+            submit(GetRequest(object_key, client_id, query_id, completion))
+        self.requests_issued += len(segment_ids)
 
     def _on_complete(self, event: Event) -> None:
         """Deliver a completed GET: the segment id is the key minus the
@@ -83,11 +79,6 @@ class ClientProxy:
         self.requests_completed += 1
         self.arrivals.put((event.name[self._prefix_length :], event.value))
 
-    def receive(self):
+    def receive(self) -> Event:
         """Event firing with the next ``(segment_id, payload)`` delivery."""
         return self.arrivals.get()
-
-    @property
-    def outstanding(self) -> Tuple[GetRequest, ...]:
-        """Requests issued so far (completed ones included, for diagnostics)."""
-        return tuple(self._outstanding)

@@ -9,54 +9,19 @@ until every subplan has been executed or pruned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Generator, Optional, Union
 
 from repro.core.cache import EvictionPolicy, MaxProgressEviction, ObjectCache
 from repro.core.client_proxy import ClientProxy
+from repro.core.execution import MODE_SKIPPER, QueryResult, QueryRun
 from repro.core.mjoin import MJoinStateManager
 from repro.csd.backend import StorageBackend
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
-from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.query import Query
 from repro.exceptions import CacheError
-from repro.obs import NULL_TRACER
-from repro.sim import Environment
-
-
-@dataclass
-class SkipperQueryResult:
-    """Outcome and metrics of one Skipper query execution."""
-
-    query_name: str
-    client_id: str
-    rows: List[Row]
-    start_time: float
-    end_time: float
-    processing_time: float
-    num_requests: int
-    num_cycles: int
-    num_evictions: int
-    subplans_total: int
-    subplans_executed: int
-    subplans_pruned: int
-    stats: OperatorStats
-    blocked_intervals: List[Tuple[float, float]] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_insertions: int = 0
-    cache_peak_occupancy: int = 0
-    cache_capacity: int = 0
-
-    @property
-    def execution_time(self) -> float:
-        """End-to-end simulated execution time of the query."""
-        return self.end_time - self.start_time
-
-    @property
-    def waiting_time(self) -> float:
-        """Total simulated time spent blocked on the CSD."""
-        return sum(end - start for start, end in self.blocked_intervals)
+from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
+from repro.sim import Environment, Event
 
 
 class SkipperExecutor:
@@ -90,10 +55,10 @@ class SkipperExecutor:
         self.enable_pruning = enable_pruning
         self.proxy = proxy or ClientProxy(env, device, client_id)
         #: Installed by the session when the service traces (NULL otherwise).
-        self.tracer = NULL_TRACER
-        self.trace_parent = None
+        self.tracer: Union[Tracer, NullTracer] = NULL_TRACER
+        self.trace_parent: Optional[Span] = None
 
-    def execute(self, query: Query):
+    def execute(self, query: Query) -> Generator[Event, Any, QueryResult]:
         """Simulation-process generator executing ``query`` to completion.
 
         Use as ``result = yield from executor.execute(query)`` inside another
@@ -107,79 +72,23 @@ class SkipperExecutor:
             cache,
             enable_pruning=self.enable_pruning,
         )
-        query_id = self.proxy.new_query_id(query.name)
-        start_time = self.env.now
-        processing_time = 0.0
-        blocked: List[Tuple[float, float]] = []
-        num_requests = 0
+        run = QueryRun(self.proxy, query, MODE_SKIPPER, self.tracer, self.trace_parent)
+        cost_model = self.cost_model
         handled_after_last_cycle = 0
         stalled_cycles = 0
 
-        tracer = self.tracer
-        traced = tracer.enabled
-        exec_span = None
-        if traced:
-            exec_span = tracer.start_span(
-                "execute",
-                kind="executor",
-                track=self.client_id,
-                parent=self.trace_parent,
-                query_id=query_id,
-                mode="skipper",
-            )
-            tracer.bind_query(query_id, exec_span)
-
         requests = state.initial_requests()
         while requests:
-            self.proxy.request_objects(requests, query_id)
-            num_requests += len(requests)
-            overhead = self.cost_model.request_overhead(len(requests))
-            if overhead > 0:
-                processing_time += overhead
-                overhead_start = self.env.now
-                yield self.env.timeout(overhead)
-                if traced:
-                    tracer.record_span(
-                        "request-overhead",
-                        kind="compute",
-                        track=self.client_id,
-                        start=overhead_start,
-                        end=self.env.now,
-                        parent=exec_span,
-                        requests=len(requests),
-                    )
-
+            run.request(requests)
+            yield from run.charge(
+                cost_model.request_overhead(len(requests)),
+                "request-overhead",
+                requests=len(requests),
+            )
             for _ in range(len(requests)):
-                wait_start = self.env.now
-                segment_id, payload = yield self.proxy.receive()
-                if self.env.now > wait_start:
-                    blocked.append((wait_start, self.env.now))
-                    if traced:
-                        tracer.record_span(
-                            "wait",
-                            kind="wait",
-                            track=self.client_id,
-                            start=wait_start,
-                            end=self.env.now,
-                            parent=exec_span,
-                            object_key=segment_id,
-                        )
+                segment_id, payload = yield from run.receive()
                 outcome = state.on_arrival(segment_id, payload)
-                cpu_seconds = self._cpu_time(outcome.stats)
-                if cpu_seconds > 0:
-                    processing_time += cpu_seconds
-                    cpu_start = self.env.now
-                    yield self.env.timeout(cpu_seconds)
-                    if traced:
-                        tracer.record_span(
-                            "compute",
-                            kind="compute",
-                            track=self.client_id,
-                            start=cpu_start,
-                            end=self.env.now,
-                            parent=exec_span,
-                            object_key=segment_id,
-                        )
+                yield from run.charge(cost_model.cpu_time(outcome.stats), object_key=segment_id)
 
             handled = state.tracker.num_executed + state.tracker.num_pruned
             if handled == handled_after_last_cycle:
@@ -197,15 +106,14 @@ class SkipperExecutor:
                 )
             requests = state.next_cycle_requests()
 
-        end_time = self.env.now
-        if traced:
-            tracer.record_span(
+        if run.span is not None:
+            run.tracer.record_span(
                 "operators",
                 kind="operator",
                 track=self.client_id,
-                start=end_time,
-                end=end_time,
-                parent=exec_span,
+                start=self.env.now,
+                end=self.env.now,
+                parent=run.span,
                 tuples_scanned=state.stats.tuples_scanned,
                 tuples_built=state.stats.tuples_built,
                 tuples_probed=state.stats.tuples_probed,
@@ -213,35 +121,16 @@ class SkipperExecutor:
                 subplans_executed=state.tracker.num_executed,
                 subplans_pruned=state.tracker.num_pruned,
             )
-            exec_span.attrs["num_requests"] = num_requests
-            exec_span.attrs["num_cycles"] = state.cycles_completed
-            tracer.end_span(exec_span, end_time)
-        return SkipperQueryResult(
-            query_name=query.name,
-            client_id=self.client_id,
-            rows=state.results(),
-            start_time=start_time,
-            end_time=end_time,
-            processing_time=processing_time,
-            num_requests=num_requests,
+        return run.finish(
+            state.results(),
+            state.stats,
             num_cycles=state.cycles_completed,
             num_evictions=cache.num_evictions,
             subplans_total=state.tracker.total_subplans,
             subplans_executed=state.tracker.num_executed,
             subplans_pruned=state.tracker.num_pruned,
-            stats=state.stats,
-            blocked_intervals=blocked,
             cache_hits=cache.num_hits,
             cache_insertions=cache.num_insertions,
             cache_peak_occupancy=cache.peak_occupancy,
             cache_capacity=cache.capacity,
-        )
-
-    def _cpu_time(self, stats: OperatorStats) -> float:
-        """Convert work counters into simulated CPU seconds."""
-        return (
-            self.cost_model.scan_time(stats.tuples_scanned)
-            + self.cost_model.build_time(stats.tuples_built)
-            + self.cost_model.probe_time(stats.tuples_probed)
-            + self.cost_model.output_time(stats.tuples_output)
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.engine.operators.base import OperatorStats
 from repro.exceptions import ConfigurationError
 
 
@@ -85,6 +86,15 @@ class CostModel:
     def output_time(self, num_tuples: int) -> float:
         """CPU time to emit ``num_tuples`` result tuples."""
         return self.output_seconds_per_tuple * num_tuples * self.tuple_scale
+
+    def cpu_time(self, stats: OperatorStats) -> float:
+        """CPU time for all the work counted in ``stats``."""
+        return (
+            self.scan_time(stats.tuples_scanned)
+            + self.build_time(stats.tuples_built)
+            + self.probe_time(stats.tuples_probed)
+            + self.output_time(stats.tuples_output)
+        )
 
     def request_overhead(self, num_requests: int = 1) -> float:
         """Client-side overhead for issuing ``num_requests`` object requests."""

@@ -35,12 +35,7 @@ class ExecutionResult:
 
     def processing_time(self, cost_model: CostModel) -> float:
         """Simulated CPU seconds for this execution under ``cost_model``."""
-        return (
-            cost_model.scan_time(self.stats.tuples_scanned)
-            + cost_model.build_time(self.stats.tuples_built)
-            + cost_model.probe_time(self.stats.tuples_probed)
-            + cost_model.output_time(self.stats.tuples_output)
-        )
+        return cost_model.cpu_time(self.stats)
 
 
 def canonical_rows(rows: List[Row]) -> List[Dict[str, object]]:

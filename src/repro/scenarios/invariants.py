@@ -44,7 +44,7 @@ import math
 from typing import List
 
 from repro.cluster.cluster import ClusterResult
-from repro.core.executor import SkipperQueryResult
+from repro.core.execution import MODE_SKIPPER
 from repro.csd.scheduler import RankBasedScheduler
 from repro.exceptions import InvariantViolation
 from repro.service.service import StorageService
@@ -257,7 +257,7 @@ def check_cache_bounds(result: ClusterResult) -> bool:
     saw_skipper = False
     for client_id, query_results in result.results_by_client.items():
         for query_result in query_results:
-            if not isinstance(query_result, SkipperQueryResult):
+            if query_result.mode != MODE_SKIPPER:
                 continue
             saw_skipper = True
             if query_result.cache_peak_occupancy > query_result.cache_capacity:

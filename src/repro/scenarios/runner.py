@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import jain_fairness, mean, percentile
-from repro.core.executor import SkipperQueryResult
 from repro.csd.device import DeviceConfig
 from repro.csd.layout import (
     AllInOneLayout,
@@ -165,12 +164,7 @@ class ScenarioRunner:
 
     def run(self, spec: ScenarioSpec) -> ScenarioReport:
         """Run ``spec`` to completion, validate it and report the metrics."""
-        service = self.build_service(spec)
-        result = service.run()
-        checked: List[str] = []
-        if self.check:
-            checked = check_invariants(service, result)
-        return self._build_report(spec, service, result, checked)
+        return self._run(spec)[1]
 
     def run_traced(self, spec: ScenarioSpec) -> Tuple[ScenarioReport, str]:
         """Run ``spec`` with tracing on; returns the report + trace JSON.
@@ -180,16 +174,16 @@ class ScenarioRunner:
         """
         from repro.obs.export import build_trace, trace_to_json
 
-        if not spec.trace:
-            spec = replace(spec, trace=True)
+        service, report = self._run(replace(spec, trace=True))
+        return report, trace_to_json(build_trace(service, scenario=spec.name))
+
+    def _run(self, spec: ScenarioSpec) -> Tuple[StorageService, ScenarioReport]:
         service = self.build_service(spec)
         result = service.run()
         checked: List[str] = []
         if self.check:
             checked = check_invariants(service, result)
-        report = self._build_report(spec, service, result, checked)
-        document = build_trace(service, scenario=spec.name)
-        return report, trace_to_json(document)
+        return service, self._build_report(spec, service, result, checked)
 
     # ------------------------------------------------------------------ #
     # Report assembly
@@ -202,21 +196,16 @@ class ScenarioRunner:
         checked: Sequence[str],
     ) -> ScenarioReport:
         clients: Dict[str, ClientReport] = {}
-        delay_by_client = {
-            client_spec.client_id: client_spec.start_delay
-            for client_spec in result.config.client_specs
-        }
-        mode_by_client = {
-            client_spec.client_id: client_spec.mode
-            for client_spec in result.config.client_specs
+        spec_by_client = {
+            client_spec.client_id: client_spec for client_spec in result.config.client_specs
         }
         for client_id, query_results in result.results_by_client.items():
             times = [query_result.execution_time for query_result in query_results]
             # A tenant whose every query was shed by admission control ran
             # nothing; its latency distribution degenerates to zeros.
             clients[client_id] = ClientReport(
-                mode=mode_by_client[client_id],
-                start_delay=delay_by_client[client_id],
+                mode=spec_by_client[client_id].mode,
+                start_delay=spec_by_client[client_id].start_delay,
                 queries_run=len(query_results),
                 requests=sum(query_result.num_requests for query_result in query_results),
                 total_time=sum(times),
@@ -272,8 +261,6 @@ class ScenarioRunner:
         peak = 0
         for query_results in result.results_by_client.values():
             for query_result in query_results:
-                if not isinstance(query_result, SkipperQueryResult):
-                    continue
                 hits += query_result.cache_hits
                 insertions += query_result.cache_insertions
                 peak = max(peak, query_result.cache_peak_occupancy)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.client import MODE_SKIPPER, MODE_VANILLA
+from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
 from repro.exceptions import ScenarioError
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.arrivals import ArrivalPattern, SimultaneousArrival

@@ -35,8 +35,9 @@ renderer and the workload generators, so examples and notebooks need a
 single import.
 """
 
-from repro.cluster.client import ClientSpec, QueryResult
+from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
+from repro.core.execution import QueryResult
 from repro.engine.executor import canonical_rows
 from repro.exceptions import AdmissionError, ServiceError, SessionClosedError
 from repro.service.admission import (

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.exceptions import AdmissionError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.client import QueryResult
+    from repro.core.execution import QueryResult
     from repro.engine.query import Query
 
 #: Lifecycle states of a submitted query.

@@ -40,8 +40,6 @@ from repro.service.handles import QueryHandle
 from repro.service.session import Session
 from repro.sim import Environment
 
-_UNSET = object()
-
 
 class StorageService:
     """A long-lived query service over the simulated storage substrate.
@@ -193,22 +191,14 @@ class StorageService:
         """Every session opened on this service, in creation order."""
         return list(self._sessions)
 
-    def open_session(
-        self,
-        tenant_id: str,
-        *,
-        mode=_UNSET,
-        cache_capacity=_UNSET,
-        eviction_policy=_UNSET,
-        enable_pruning=_UNSET,
-        start_delay=_UNSET,
-    ) -> Session:
+    def open_session(self, tenant_id: str) -> Session:
         """Open a session for ``tenant_id``.
 
         The tenant must be declared in the cluster config / scenario spec
-        (that is what loads its segments onto the backend); unset knobs
-        default to the tenant's declared :class:`ClientSpec`.  A tenant can
-        hold at most one open session at a time.
+        (that is what loads its segments onto the backend); the session runs
+        in the mode and with the cache, eviction policy, pruning switch and
+        start delay of the tenant's declared :class:`ClientSpec`.  A tenant
+        can hold at most one open session at a time.
         """
         if self._ran:
             raise ServiceError("the service has already run; no further sessions")
@@ -225,17 +215,7 @@ class StorageService:
                 f"tenant {tenant_id!r} already has an open session; close it "
                 "before opening another"
             )
-        session = Session(
-            service=self,
-            tenant_id=tenant_id,
-            mode=spec.mode if mode is _UNSET else mode,
-            cache_capacity=spec.cache_capacity if cache_capacity is _UNSET else cache_capacity,
-            eviction_policy=(
-                spec.eviction_policy if eviction_policy is _UNSET else eviction_policy
-            ),
-            enable_pruning=spec.enable_pruning if enable_pruning is _UNSET else enable_pruning,
-            start_delay=spec.start_delay if start_delay is _UNSET else start_delay,
-        )
+        session = Session(self, spec)
         self._active_sessions[tenant_id] = session
         self._sessions.append(session)
         return session

@@ -6,12 +6,16 @@ session run **sequentially in submission order** (one in flight per session,
 like a database connection); each :meth:`Session.submit` returns a
 :class:`~repro.service.handles.QueryHandle` immediately.  Every query passes
 through the service's admission controller (when one is configured) before an
-executor is created for it.
+executor is created for it.  The session is configured by the tenant's
+:class:`~repro.cluster.client.ClientSpec` (``session.spec``) and owns the
+connection's one :class:`~repro.core.client_proxy.ClientProxy`: executors
+carry no state from query to query, the proxy does, so every execution gets
+its own query id.
 
 Determinism note: with admission disabled, a session that has all its queries
 submitted before the simulation runs performs exactly the same sequence of
 simulation events as a plain per-tenant batch loop (optional start delay,
-then one fresh executor per query, back to back) — this is what keeps the
+then one executor per query, back to back) — this is what keeps the
 pre-façade golden metrics byte-identical.
 """
 
@@ -21,14 +25,15 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-from repro.cluster.client import MODE_SKIPPER, MODE_VANILLA, QueryResult
-from repro.core.cache import EvictionPolicy, MaxProgressEviction
+from repro.core.client_proxy import ClientProxy
+from repro.core.execution import MODE_SKIPPER, QueryResult
 from repro.core.executor import SkipperExecutor
 from repro.exceptions import ConfigurationError, SessionClosedError
 from repro.service.handles import QueryHandle
 from repro.vanilla.executor import VanillaExecutor
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.client import ClientSpec
     from repro.engine.query import Query
     from repro.service.service import StorageService
 
@@ -36,33 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class Session:
     """One tenant's open connection to the storage service."""
 
-    def __init__(
-        self,
-        service: StorageService,
-        tenant_id: str,
-        mode: str = MODE_SKIPPER,
-        cache_capacity: int = 30,
-        eviction_policy: Optional[EvictionPolicy] = None,
-        enable_pruning: bool = True,
-        start_delay: float = 0.0,
-    ) -> None:
-        if mode not in (MODE_SKIPPER, MODE_VANILLA):
-            raise ConfigurationError(f"unknown session mode: {mode!r}")
-        if mode == MODE_SKIPPER and cache_capacity <= 0:
-            raise ConfigurationError(
-                f"session {tenant_id!r}: cache_capacity must be positive, "
-                f"got {cache_capacity}"
-            )
-        if not math.isfinite(start_delay) or start_delay < 0:
-            raise ConfigurationError("start_delay must be finite and non-negative")
+    def __init__(self, service: StorageService, spec: ClientSpec) -> None:
         self.service = service
         self.env = service.env
-        self.tenant_id = tenant_id
-        self.mode = mode
-        self.cache_capacity = cache_capacity
-        self.eviction_policy = eviction_policy
-        self.enable_pruning = enable_pruning
-        self.start_delay = start_delay
+        #: The tenant's description (validated when it was constructed).
+        self.spec = spec
+        self.tenant_id = spec.client_id
+        self.proxy = ClientProxy(self.env, service.backend, self.tenant_id)
         #: Every handle ever issued by this session, in submission order.
         self.handles: List[QueryHandle] = []
         #: Results of the queries that ran to completion, in execution order.
@@ -71,7 +56,7 @@ class Session:
         self._outstanding = 0
         self._closed = False
         self._wakeup = None
-        self.process = self.env.process(self._run(), name=f"session:{tenant_id}")
+        self.process = self.env.process(self._run(), name=f"session:{self.tenant_id}")
 
     # ------------------------------------------------------------------ #
     # Client-facing API
@@ -134,29 +119,27 @@ class Session:
         self._notify()
 
     def _make_executor(self):
-        """Fresh executor per query (no state carries over between queries)."""
-        if self.mode == MODE_SKIPPER:
-            return SkipperExecutor(
-                env=self.env,
-                client_id=self.tenant_id,
-                catalog=self.service.catalog,
-                device=self.service.backend,
-                cache_capacity=self.cache_capacity,
-                eviction_policy=self.eviction_policy or MaxProgressEviction(),
-                cost_model=self.service.cost_model,
-                enable_pruning=self.enable_pruning,
-            )
-        return VanillaExecutor(
+        """Executor for one query: fresh cache and MJoin state, shared proxy."""
+        connection = dict(
             env=self.env,
             client_id=self.tenant_id,
             catalog=self.service.catalog,
             device=self.service.backend,
             cost_model=self.service.cost_model,
+            proxy=self.proxy,
         )
+        if self.spec.mode == MODE_SKIPPER:
+            return SkipperExecutor(
+                cache_capacity=self.spec.cache_capacity,
+                eviction_policy=self.spec.eviction_policy,
+                enable_pruning=self.spec.enable_pruning,
+                **connection,
+            )
+        return VanillaExecutor(**connection)
 
     def _run(self):
-        if self.start_delay > 0:
-            yield self.env.timeout(self.start_delay)
+        if self.spec.start_delay > 0:
+            yield self.env.timeout(self.spec.start_delay)
         while True:
             while self._pending:
                 handle = self._pending.popleft()
@@ -201,9 +184,8 @@ class Session:
                 tracer.add_event(root, "admission.granted")
         handle._mark_running(self.env.now)
         executor = self._make_executor()
-        if root is not None:
-            executor.tracer = tracer
-            executor.trace_parent = root
+        executor.tracer = tracer
+        executor.trace_parent = root
         try:
             result = yield from executor.execute(handle.query)
         finally:

@@ -5,9 +5,11 @@ fixes a join order and execution *pulls* base-table segments one at a time in
 exactly that order, blocking on each request.  On a shared CSD this is the
 pathological access pattern — two consecutive requests of a client are
 separated by every other tenant's request, so nearly every object access pays
-a group switch.
+a group switch.  The executor is only that access pattern: it runs inside the
+same :class:`~repro.core.execution.QueryRun` as Skipper and returns the same
+:class:`~repro.core.execution.QueryResult` (``mode == "vanilla"``).
 """
 
-from repro.vanilla.executor import VanillaExecutor, VanillaQueryResult
+from repro.vanilla.executor import VanillaExecutor
 
-__all__ = ["VanillaExecutor", "VanillaQueryResult"]
+__all__ = ["VanillaExecutor"]

@@ -2,45 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.core.client_proxy import ClientProxy
+from repro.core.execution import MODE_VANILLA, QueryResult, QueryRun
 from repro.csd.backend import StorageBackend
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
-from repro.engine.operators.base import OperatorStats, Row
-from repro.engine.planner import Planner
+from repro.engine.operators.base import Operator, OperatorStats, Row
+from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Relation, Segment
 from repro.exceptions import ExecutionError
-from repro.obs import NULL_TRACER
-from repro.sim import Environment
-
-
-@dataclass
-class VanillaQueryResult:
-    """Outcome and metrics of one pull-based query execution."""
-
-    query_name: str
-    client_id: str
-    rows: List[Row]
-    start_time: float
-    end_time: float
-    processing_time: float
-    num_requests: int
-    stats: OperatorStats
-    blocked_intervals: List[Tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def execution_time(self) -> float:
-        """End-to-end simulated execution time of the query."""
-        return self.end_time - self.start_time
-
-    @property
-    def waiting_time(self) -> float:
-        """Total simulated time spent blocked on the CSD."""
-        return sum(end - start for start, end in self.blocked_intervals)
+from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
+from repro.sim import Environment, Event
 
 
 class VanillaExecutor:
@@ -71,127 +46,46 @@ class VanillaExecutor:
         self.proxy = proxy or ClientProxy(env, device, client_id)
         self.planner = Planner(catalog)
         #: Installed by the session when the service traces (NULL otherwise).
-        self.tracer = NULL_TRACER
-        self.trace_parent = None
+        self.tracer: Union[Tracer, NullTracer] = NULL_TRACER
+        self.trace_parent: Optional[Span] = None
 
-    def execute(self, query: Query):
+    def execute(self, query: Query) -> Generator[Event, Any, QueryResult]:
         """Simulation-process generator executing ``query`` to completion."""
         plan = self.planner.plan(query)
-        access_order = plan.segment_access_order(self.catalog)
-        query_id = self.proxy.new_query_id(query.name)
-
-        start_time = self.env.now
-        processing_time = 0.0
-        blocked: List[Tuple[float, float]] = []
+        run = QueryRun(self.proxy, query, MODE_VANILLA, self.tracer, self.trace_parent)
+        cost_model = self.cost_model
         fetched: Dict[str, List[Segment]] = {table: [] for table in query.tables}
 
-        tracer = self.tracer
-        traced = tracer.enabled
-        exec_span = None
-        if traced:
-            exec_span = tracer.start_span(
-                "execute",
-                kind="executor",
-                track=self.client_id,
-                parent=self.trace_parent,
-                query_id=query_id,
-                mode="vanilla",
-            )
-            tracer.bind_query(query_id, exec_span)
-
-        for segment_id in access_order:
-            overhead = self.cost_model.request_overhead(1)
-            if overhead > 0:
-                processing_time += overhead
-                overhead_start = self.env.now
-                yield self.env.timeout(overhead)
-                if traced:
-                    tracer.record_span(
-                        "request-overhead",
-                        kind="compute",
-                        track=self.client_id,
-                        start=overhead_start,
-                        end=self.env.now,
-                        parent=exec_span,
-                        requests=1,
-                    )
-            self.proxy.request_objects([segment_id], query_id)
-            wait_start = self.env.now
-            arrived_id, payload = yield self.proxy.receive()
-            if self.env.now > wait_start:
-                blocked.append((wait_start, self.env.now))
-                if traced:
-                    tracer.record_span(
-                        "wait",
-                        kind="wait",
-                        track=self.client_id,
-                        start=wait_start,
-                        end=self.env.now,
-                        parent=exec_span,
-                        object_key=segment_id,
-                    )
+        for segment_id in plan.segment_access_order(self.catalog):
+            yield from run.charge(cost_model.request_overhead(1), "request-overhead", requests=1)
+            run.request([segment_id])
+            arrived_id, payload = yield from run.receive()
             if arrived_id != segment_id:
                 raise ExecutionError(
                     f"pull-based executor expected {segment_id!r} but received {arrived_id!r}"
                 )
-            table = self.catalog.table_of_segment(segment_id)
-            fetched[table].append(payload)
-            scan_seconds = self.cost_model.scan_time(payload.num_rows)
-            if scan_seconds > 0:
-                processing_time += scan_seconds
-                scan_start = self.env.now
-                yield self.env.timeout(scan_seconds)
-                if traced:
-                    tracer.record_span(
-                        "compute",
-                        kind="compute",
-                        track=self.client_id,
-                        start=scan_start,
-                        end=self.env.now,
-                        parent=exec_span,
-                        object_key=segment_id,
-                    )
+            fetched[self.catalog.table_of_segment(segment_id)].append(payload)
+            yield from run.charge(cost_model.scan_time(payload.num_rows), object_key=segment_id)
 
         rows, stats, root = self._process_locally(query, plan, fetched)
-        remaining_cpu = self._remaining_cpu_time(stats)
-        if remaining_cpu > 0:
-            processing_time += remaining_cpu
-            cpu_start = self.env.now
-            yield self.env.timeout(remaining_cpu)
-            if traced:
-                tracer.record_span(
-                    "compute",
-                    kind="compute",
-                    track=self.client_id,
-                    start=cpu_start,
-                    end=self.env.now,
-                    parent=exec_span,
-                    phase="join-aggregate",
-                )
-
-        end_time = self.env.now
-        if traced:
-            self._record_operator_spans(tracer, root, exec_span, end_time)
-            exec_span.attrs["num_requests"] = len(access_order)
-            tracer.end_span(exec_span, end_time)
-        return VanillaQueryResult(
-            query_name=query.name,
-            client_id=self.client_id,
-            rows=rows,
-            start_time=start_time,
-            end_time=end_time,
-            processing_time=processing_time,
-            num_requests=len(access_order),
-            stats=stats,
-            blocked_intervals=blocked,
+        # Scans were charged segment by segment as data arrived, so only the
+        # build/probe/output components of the final plan are charged here.
+        yield from run.charge(
+            cost_model.build_time(stats.tuples_built)
+            + cost_model.probe_time(stats.tuples_probed)
+            + cost_model.output_time(stats.tuples_output),
+            phase="join-aggregate",
         )
+        if run.span is not None:
+            self._record_operator_spans(run.tracer, root, run.span, self.env.now)
+        return run.finish(rows, stats)
 
     # ------------------------------------------------------------------ #
     # Local processing over the fetched segments
     # ------------------------------------------------------------------ #
     def _process_locally(
-        self, query: Query, plan, fetched: Dict[str, List[Segment]]
-    ) -> Tuple[List[Row], OperatorStats, object]:
+        self, query: Query, plan: QueryPlan, fetched: Dict[str, List[Segment]]
+    ) -> Tuple[List[Row], OperatorStats, Operator]:
         # Scanned as delivered: ``Relation`` rejects an incomplete or foreign fetch.
         relations: Dict[str, Relation] = {
             table: Relation(
@@ -203,7 +97,9 @@ class VanillaExecutor:
         rows = root.rows()
         return rows, root.collect_stats(), root
 
-    def _record_operator_spans(self, tracer, operator, parent, at: float) -> None:
+    def _record_operator_spans(
+        self, tracer: Union[Tracer, NullTracer], operator: Operator, parent: Span, at: float
+    ) -> None:
         """Instant span per physical operator, preserving the tree shape."""
         span = tracer.record_span(
             f"operator:{type(operator).__name__}",
@@ -219,15 +115,3 @@ class VanillaExecutor:
         )
         for child in operator.children():
             self._record_operator_spans(tracer, child, span, at)
-
-    def _remaining_cpu_time(self, stats: OperatorStats) -> float:
-        """Join/aggregation CPU not already charged during the fetch phase.
-
-        Scans were charged segment by segment as data arrived, so only the
-        build/probe/output components of the final plan are charged here.
-        """
-        return (
-            self.cost_model.build_time(stats.tuples_built)
-            + self.cost_model.probe_time(stats.tuples_probed)
-            + self.cost_model.output_time(stats.tuples_output)
-        )

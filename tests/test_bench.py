@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import repro.bench
+import repro.bench.__main__
 from repro.bench import (
+    DEFAULT_OUTPUT_NAME,
     _event_count,
     attach_baseline,
     check_determinism,
     macro_specs,
     peak_rss_kb,
+    repo_root,
     run_benchmarks,
     run_one,
     write_document,
 )
-from repro.bench.__main__ import build_parser
+from repro.bench.__main__ import build_parser, main
 
 _MACRO_NAMES = {
     "macro-sf-heavy",
@@ -200,6 +206,23 @@ class TestDocument:
 
 
 class TestCli:
+    @pytest.mark.parametrize("explicit_path", [False, True])
+    def test_smoke_check_leaves_the_committed_document_alone(
+        self, explicit_path, tmp_path, monkeypatch, capsys
+    ):
+        committed_bytes = (repo_root() / DEFAULT_OUTPUT_NAME).read_bytes()
+        copy = tmp_path / DEFAULT_OUTPUT_NAME
+        copy.write_bytes(committed_bytes)
+        # Both the default --check target and the default output resolve
+        # against the repository root: point it at the copy's directory.
+        monkeypatch.setattr(repro.bench, "repo_root", lambda: tmp_path)
+        monkeypatch.setattr(repro.bench.__main__, "repo_root", lambda: tmp_path)
+        arguments = ["--smoke", "--check"] + ([str(copy)] if explicit_path else [])
+        assert main(arguments) == 0
+        assert "determinism check ok" in capsys.readouterr().out
+        assert copy.read_bytes() == committed_bytes
+        assert sorted(tmp_path.iterdir()) == [copy]
+
     def test_parser_flags(self):
         arguments = build_parser().parse_args(["--smoke", "--check"])
         assert arguments.smoke is True

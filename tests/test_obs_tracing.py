@@ -28,6 +28,9 @@ from repro.obs.tracer import NULL_TRACER
 from repro.scenarios.parallel import run_scenarios
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec, uniform_tenants
+from repro.service import StorageService
+from repro.workloads import tpch
 
 FLEET_SCENARIO = "fleet-throttled-rebalance"
 ADMISSION_SCENARIO = "admission-burst"
@@ -113,6 +116,54 @@ class TestSpanTree:
         assert "admission.granted" in event_names
 
 
+def _transfers_per_execution(document):
+    """query id -> number of device ``transfer`` spans its ``execute`` span
+    parents, after checking that every parented device span lies inside its
+    parent's window."""
+    by_id = {span["id"]: span for span in document["spans"]}
+    counts = {
+        span["attrs"]["query_id"]: 0
+        for span in document["spans"]
+        if span["name"] == "execute"
+    }
+    for span in document["spans"]:
+        if span["name"] not in ("transfer", "inbox-wait") or span["parent"] is None:
+            continue
+        parent = by_id[span["parent"]]
+        assert parent["start"] <= span["start"] <= span["end"] <= parent["end"], (
+            f"{span['name']} span {span['id']} lies outside execute span {parent['id']}"
+        )
+        if span["name"] == "transfer":
+            counts[parent["attrs"]["query_id"]] += 1
+    return counts
+
+
+class TestOneQueryIdPerExecution:
+    """A session's proxy mints a fresh id for every execution, so device time
+    joins back to the execution that caused it — also when a query repeats."""
+
+    SPEC = ScenarioSpec(
+        name="q12-three-times",
+        description="one tenant repeats tpch:q12",
+        tenants=uniform_tenants(1, "tpch:q12", repetitions=3),
+        trace=True,
+    )
+
+    def test_repetitions_get_distinct_ids_and_their_own_transfers(self):
+        _report, trace_json = ScenarioRunner().run_traced(self.SPEC)
+        counts = _transfers_per_execution(json.loads(trace_json))
+        assert counts == {f"tenant0:tpch_q12:{index}": 6 for index in range(3)}
+
+    def test_same_query_submitted_twice_through_a_session(self):
+        service = StorageService(self.SPEC)
+        session = service.open_session("tenant0")
+        session.submit(tpch.q12())
+        session.submit(tpch.q12())
+        service.run()
+        counts = _transfers_per_execution(build_trace(service))
+        assert counts == {"tenant0:tpch_q12:0": 6, "tenant0:tpch_q12:1": 6}
+
+
 class TestDeterminism:
     def test_same_spec_same_seed_byte_identical(self, fleet_trace):
         _report, _document, raw = fleet_trace
@@ -140,8 +191,6 @@ class TestDeterminism:
 
 class TestZeroOverheadOff:
     def test_untraced_service_uses_null_tracer(self):
-        from repro.service import StorageService
-
         service = StorageService(get_scenario("uniform"))
         assert service.tracer is NULL_TRACER
         assert not service.tracer.enabled
@@ -150,8 +199,6 @@ class TestZeroOverheadOff:
         assert service.tracer.io_submissions == []
 
     def test_build_trace_rejects_untraced_service(self):
-        from repro.service import StorageService
-
         service = StorageService(get_scenario("uniform"))
         service.run()
         with pytest.raises(ConfigurationError):

@@ -121,7 +121,8 @@ class TestClientProxy:
         assert all(segment_id == payload_id for segment_id, payload_id in received)
         assert proxy.requests_issued == len(segment_ids)
         assert proxy.requests_completed == len(segment_ids)
-        assert len(proxy.outstanding) == len(segment_ids)
+        # Everything delivered was consumed: the proxy retains no request.
+        assert len(proxy.arrivals) == 0
 
 
 class TestRunner:

@@ -189,8 +189,29 @@ class TestSessionLifecycle:
         )
         service = StorageService(config, catalog=tiny_tpch_catalog)
         session = service.open_session("vanilla-tenant")
-        assert session.mode == "vanilla"
-        assert session.start_delay == 7.0
+        assert session.spec is config.client_specs[0]
+        assert session.spec.mode == "vanilla"
+        assert session.spec.start_delay == 7.0
+
+    def test_sessions_are_configured_by_the_client_spec_only(self, tiny_tpch_catalog):
+        service = StorageService(make_config(1), catalog=tiny_tpch_catalog)
+        with pytest.raises(TypeError):
+            service.open_session("tenant0", mode="vanilla")
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"mode": "push"},
+            {"cache_capacity": 0},
+            {"cache_capacity": -3},
+            {"start_delay": -1.0},
+            {"start_delay": float("inf")},
+            {"start_delay": float("nan")},
+        ],
+    )
+    def test_client_spec_rejects_bad_knobs_at_construction(self, knobs):
+        with pytest.raises(ConfigurationError):
+            ClientSpec(client_id="tenant0", queries=[tpch.q12()], **knobs)
 
 
 class TestAdmissionControl:
