@@ -54,30 +54,30 @@ class ClientProxy:
         delivers them, which is generally different from the request order —
         that is the whole point of CSD-driven execution.
         """
-        # Hoisted locals and inlined helpers: this loop issues every object
-        # of a query in one burst (a million iterations at the largest
-        # scales), so attribute lookups, wrapper calls and per-request
-        # closures are paid once instead of per request.  The key prefix is
-        # validated once here, matching ``make_object_key`` exactly.
+        # The whole burst (a million objects at the largest scales) goes to
+        # the backend as one batch; the key prefix is validated once here,
+        # matching ``make_object_key`` exactly, and every completion shares
+        # one callback instead of a closure per request.
         client_id = self.client_id
         if not client_id or "/" in client_id:
             raise StorageError(f"invalid tenant name: {client_id!r}")
         env = self.env
         on_complete = self._on_complete
-        submit = self.device.submit
+        requests = []
         for segment_id in segment_ids:
             object_key = f"{client_id}/{segment_id}"
             completion = Event(env, object_key)
             completion._callbacks.append(on_complete)
-            submit(GetRequest(object_key, client_id, query_id, completion))
-        self.requests_issued += len(segment_ids)
+            requests.append(GetRequest(object_key, client_id, query_id, completion))
+        self.device.submit_many(requests)
+        self.requests_issued += len(requests)
 
     def _on_complete(self, event: Event) -> None:
         """Deliver a completed GET: the segment id is the key minus the
         ``tenant/`` prefix (one shared callback instead of a closure per
         request)."""
         self.requests_completed += 1
-        self.arrivals.put((event.name[self._prefix_length :], event.value))
+        self.arrivals.put((event.name[self._prefix_length :], event._value))
 
     def receive(self) -> Event:
         """Event firing with the next ``(segment_id, payload)`` delivery."""

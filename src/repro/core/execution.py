@@ -11,20 +11,22 @@ each arrival costs) and both return a :class:`QueryResult`.
 
 By construction ``execution_time == processing_time + waiting_time``: a run
 advances simulated time only through :meth:`QueryRun.charge` (processing)
-and :meth:`QueryRun.receive` (blocked on the backend).
+and :meth:`QueryRun.receive` (blocked on the backend) — or through
+:meth:`QueryRun.consume`, the two fused for an executor that takes arrivals
+as they come.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.client_proxy import ClientProxy
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.query import Query
 from repro.engine.relation import Segment
 from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
-from repro.sim import Event
+from repro.sim import Event, Timeout
 
 #: Execution modes a client can run in.
 MODE_SKIPPER = "skipper"
@@ -146,6 +148,52 @@ class QueryRun:
                 parent=self.span,
                 **attrs,
             )
+
+    def consume(
+        self, count: int, on_arrival: Callable[[str, Segment], float]
+    ) -> Generator[Event, Any, None]:
+        """Take the next ``count`` deliveries, whatever order they come in.
+
+        Each is :meth:`receive`-d, handed to ``on_arrival(segment_id,
+        payload)`` and the CPU seconds that returns are :meth:`charge`-d
+        against the arrival — the same waits, ``wait``/``compute`` spans and
+        events as calling the two verbs per object, in one generator for the
+        whole burst instead of two per object.
+        """
+        env = self.env
+        next_arrival = self.proxy.arrivals.get
+        blocked = self.blocked
+        client_id = self.proxy.client_id
+        for _ in range(count):
+            wait_start = env._now
+            segment_id, payload = yield next_arrival()
+            now = env._now
+            if now > wait_start:
+                blocked.append((wait_start, now))
+                if self.span is not None:
+                    self.tracer.record_span(
+                        "wait",
+                        kind="wait",
+                        track=client_id,
+                        start=wait_start,
+                        end=now,
+                        parent=self.span,
+                        object_key=segment_id,
+                    )
+            seconds = on_arrival(segment_id, payload)
+            if seconds > 0:
+                self.processing_time += seconds
+                yield Timeout(env, seconds)
+                if self.span is not None:
+                    self.tracer.record_span(
+                        "compute",
+                        kind="compute",
+                        track=client_id,
+                        start=now,
+                        end=env._now,
+                        parent=self.span,
+                        object_key=segment_id,
+                    )
 
     def finish(self, rows: List[Row], stats: OperatorStats, **mjoin_counters: int) -> QueryResult:
         """Close the run at the current simulated time and build its result."""

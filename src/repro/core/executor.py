@@ -19,6 +19,7 @@ from repro.csd.backend import StorageBackend
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
 from repro.engine.query import Query
+from repro.engine.relation import Segment
 from repro.exceptions import CacheError
 from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
 from repro.sim import Environment, Event
@@ -74,6 +75,11 @@ class SkipperExecutor:
         )
         run = QueryRun(self.proxy, query, MODE_SKIPPER, self.tracer, self.trace_parent)
         cost_model = self.cost_model
+
+        def on_arrival(segment_id: str, payload: Segment) -> float:
+            """Feed one delivery to MJoin; the CPU seconds it cost."""
+            return cost_model.cpu_time(state.on_arrival(segment_id, payload).stats)
+
         handled_after_last_cycle = 0
         stalled_cycles = 0
 
@@ -85,10 +91,7 @@ class SkipperExecutor:
                 "request-overhead",
                 requests=len(requests),
             )
-            for _ in range(len(requests)):
-                segment_id, payload = yield from run.receive()
-                outcome = state.on_arrival(segment_id, payload)
-                yield from run.charge(cost_model.cpu_time(outcome.stats), object_key=segment_id)
+            yield from run.consume(len(requests), on_arrival)
 
             handled = state.tracker.num_executed + state.tracker.num_pruned
             if handled == handled_after_last_cycle:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from collections import deque
 
@@ -27,7 +27,7 @@ from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import ConfigurationError, StorageError
 from repro.obs import NULL_TRACER, CounterView, MetricsRegistry
-from repro.sim import Environment, Store
+from repro.sim import Environment, Store, Timeout
 
 
 @dataclass
@@ -273,9 +273,6 @@ class DeviceStats:
         self._objects_served.value += 1
         self.objects_per_client[client_id] = self.objects_per_client.get(client_id, 0) + 1
 
-    def record_request(self) -> None:
-        self._requests_received.value += 1
-
     def record_switch(self) -> None:
         self._group_switches.inc()
 
@@ -344,22 +341,53 @@ class ColdStorageDevice:
     # ------------------------------------------------------------------ #
     # Client-facing API
     # ------------------------------------------------------------------ #
+    def submit_many(self, requests: Sequence[GetRequest]) -> None:
+        """Accept a batch of GETs in order; each ``completion`` fires with its payload.
+
+        All or nothing: the whole batch is validated before anything is
+        enqueued, so a :class:`StorageError` leaves the inbox as it was.
+        """
+        self.validate(requests)
+        self.enqueue(requests)
+
     def submit(self, request: GetRequest) -> GetRequest:
-        """Submit a GET request; its ``completion`` event fires with the payload."""
-        if not self.object_store.exists(request.object_key):
-            raise StorageError(f"request for unknown object {request.object_key!r}")
-        # Resolve the disk group once: the same lookup validates placement
-        # (the layout is append-only, so the group cannot change between
-        # here and ``_register``).
-        group = self.layout.group_if_placed(request.object_key)
-        if group is None:
-            raise StorageError(f"object {request.object_key!r} is not placed on any disk group")
-        request.disk_group = group
-        request.issue_time = self.env._now
-        if self.tracer.enabled:
-            self.tracer.io_submit(request.query_id, request.object_key, self.name)
-        self.inbox.put(request)
+        """Submit one GET request (a batch of one)."""
+        self.submit_many((request,))
         return request
+
+    def validate(self, requests: Sequence[GetRequest]) -> None:
+        """Resolve every request's disk group, or raise; nothing is enqueued.
+
+        A request is valid when its object exists and this device's layout
+        places it.  The group is resolved here once: the same lookup
+        validates placement, and the layout is append-only, so it cannot
+        change before ``_drain_inbox`` registers the request.
+        """
+        exists = self.object_store.exists
+        group_if_placed = self.layout.group_if_placed
+        for request in requests:
+            object_key = request.object_key
+            if not exists(object_key):
+                raise StorageError(f"request for unknown object {object_key!r}")
+            group = group_if_placed(object_key)
+            if group is None:
+                raise StorageError(f"object {object_key!r} is not placed on any disk group")
+            request.disk_group = group
+
+    def enqueue(self, requests: Sequence[GetRequest]) -> None:
+        """Hand validated requests to the inbox in one put.
+
+        The second half of :meth:`submit_many`, separate so that a router
+        can validate every device's slice of a batch before any of them is
+        enqueued.
+        """
+        now = self.env._now
+        for request in requests:
+            request.issue_time = now
+        if self.tracer.enabled:
+            for request in requests:
+                self.tracer.io_submit(request.query_id, request.object_key, self.name)
+        self.inbox.put_many(requests)
 
     def get(self, object_key: str, client_id: str, query_id: str) -> GetRequest:
         """Convenience wrapper building and submitting a request."""
@@ -406,7 +434,7 @@ class ColdStorageDevice:
         silently look fully executed.
         """
         return len(self._admin_jobs) + sum(
-            1 for item in self.inbox.items if isinstance(item, MigrationJob)
+            1 for item in self.inbox.queued if isinstance(item, MigrationJob)
         )
 
     def drain_migration_jobs(self) -> List[MigrationJob]:
@@ -425,83 +453,105 @@ class ColdStorageDevice:
     # ------------------------------------------------------------------ #
     # Device main loop
     # ------------------------------------------------------------------ #
-    def _register(self, item) -> None:
-        if isinstance(item, MigrationJob):
-            self._admin_jobs.append(item)
-            return
-        # ``disk_group`` was resolved by ``submit``; requests injected into
-        # the inbox by other paths (tests, handoffs) fall back to the layout.
-        group = item.disk_group
-        if group is None:
-            group = self.layout.group_of(item.object_key)
-        self.scheduler.add_request(item, group)
-        self.stats.record_request()
+    def _register(self, items) -> None:
+        """File inbox items in order: migration work aside, GETs with the scheduler."""
+        add_request = self.scheduler.add_request
+        received = 0
+        for item in items:
+            if isinstance(item, MigrationJob):
+                self._admin_jobs.append(item)
+                continue
+            # ``disk_group`` was resolved by ``validate``; requests injected
+            # into the inbox by other paths (tests) fall back to the layout.
+            group = item.disk_group
+            if group is None:
+                group = self.layout.group_of(item.object_key)
+            add_request(item, group)
+            received += 1
+        self.stats._requests_received.value += received
 
     def _drain_inbox(self) -> None:
-        while True:
-            request = self.inbox.try_get()
-            if request is None:
-                break
-            self._register(request)
+        """Register everything queued in the inbox (a query's whole up-front
+        batch lands here at once), in arrival order."""
+        if self.inbox.queued:
+            self._register(self.inbox.drain())
 
     def _run(self):
+        env = self.env
+        inbox = self.inbox
+        queued = inbox.queued
+        scheduler = self.scheduler
         while True:
             self._drain_inbox()
             if self._admin_jobs:
                 throttle = self.migration_throttle
-                if throttle is None or throttle.try_consume(self.env.now):
+                if throttle is None or throttle.try_consume(env.now):
                     yield from self._perform_migration(self._admin_jobs.popleft())
                     continue
-                if not self.scheduler.has_pending():
+                if not scheduler.has_pending():
                     # Idle apart from throttled migration work: wait for the
                     # bucket to refill OR for a foreground arrival, whichever
                     # comes first — a query arriving mid-wait wakes the
                     # device and (the bucket still being empty) is served
                     # before the migration, as the throttle contract says.
-                    refill = self.env.timeout(
-                        throttle.seconds_until_token(self.env.now)
-                    )
-                    arrival = self.inbox.get()
-                    yield self.env.any_of([refill, arrival])
+                    refill = env.timeout(throttle.seconds_until_token(env.now))
+                    arrival = inbox.get()
+                    yield env.any_of([refill, arrival])
                     if arrival.triggered:
-                        self._register(arrival.value)
+                        self._register((arrival.value,))
                     else:
                         # The refill won: withdraw the getter so the next
                         # put is not handed to an event nobody consumes.
-                        self.inbox.cancel(arrival)
+                        inbox.cancel(arrival)
                     continue
                 # No tokens and queries are waiting: defer the migration I/O
                 # and serve foreground work first — the interleaving a
                 # strict-priority rebalance denies.
                 self.stats.record_deferral()
-            if not self.scheduler.has_pending():
-                request = yield self.inbox.get()
-                self._register(request)
+            if not scheduler.has_pending():
+                request = yield inbox.get()
+                self._register((request,))
                 continue
 
             # Decide which group to serve next.  The decision is re-evaluated
             # only after the *service set* — the requests pending on the
             # chosen group at decision time — has been fully served
             # (non-preemptive), or after every object for the FCFS policies.
-            group = self.scheduler.choose_next_group(self.current_group)
+            group = scheduler.choose_next_group(self.current_group)
             if group != self.current_group:
                 # Never abandon a group while deliveries to clients are still
                 # in flight (only relevant with concurrent transfers).
                 while self._inflight > 0:
-                    self._drained_event = self.env.event(name="csd-drained")
+                    self._drained_event = env.event(name="csd-drained")
                     yield self._drained_event
                     self._drain_inbox()
                 yield from self._switch_to(group)
                 self._drain_inbox()
 
-            quota = self.scheduler.service_quota(group)
+            quota = scheduler.service_quota(group)
+            next_request = scheduler.next_request
+            concurrent = self.config.concurrent_transfers
+            transfer_seconds = self.config.transfer_seconds_per_object
             while quota > 0:
-                request = self.scheduler.next_request(group)
+                request = next_request(group)
                 if request is None:
                     break
-                yield from self._serve(request, group)
+                if concurrent:
+                    self._serve(request, group)
+                else:
+                    # Serialized middleware (the paper's CSD), served inline:
+                    # one timeout and one completion per object, no
+                    # per-object generator.
+                    start = env._now
+                    if transfer_seconds > 0:
+                        yield Timeout(env, transfer_seconds)
+                    self._complete(request, group, start, env._now)
+                # An idle device must not pin the last request it served
+                # (nor, through its completion, the payload).
+                request = None
                 quota -= 1
-                self._drain_inbox()
+                if queued:
+                    self._drain_inbox()
 
     def _perform_migration(self, job: MigrationJob):
         """Perform one rebalancing read/write, tracking interference.
@@ -519,10 +569,12 @@ class ColdStorageDevice:
         end = self.env.now
         # Only *foreground* arrivals count: the inbox may also hold further
         # MigrationJobs (a later epoch's burst), which are not query traffic.
+        # (The live queue is walked in place: a snapshot per job would copy
+        # the whole burst once per job.)
         interfered = (
             interfered
             or self.scheduler.has_pending()
-            or any(isinstance(item, GetRequest) for item in self.inbox.items)
+            or any(isinstance(item, GetRequest) for item in self.inbox.queued)
         )
         group = (
             self.layout.group_of(job.object_key)
@@ -552,25 +604,21 @@ class ColdStorageDevice:
         self.stats.record_switch()
         self.scheduler.notify_switch(group)
 
-    def _serve(self, request: GetRequest, group: int):
-        if self.config.concurrent_transfers:
-            # The device only dispatches the transfer; the delivery occupies
-            # the client's (per-tenant) channel, so different clients receive
-            # data in parallel while the same client still gets objects
-            # serially.
-            start = max(self.env.now, self._client_busy_until.get(request.client_id, 0.0))
-            end = start + self.config.transfer_seconds_per_object
-            self._client_busy_until[request.client_id] = end
-            self._inflight += 1
-            self.env.process(
-                self._deliver_at(request, group, start, end),
-                name=f"deliver:{request.object_key}",
-            )
-            return
-        start = self.env.now
-        if self.config.transfer_seconds_per_object > 0:
-            yield self.env.timeout(self.config.transfer_seconds_per_object)
-        self._complete(request, group, start, self.env.now)
+    def _serve(self, request: GetRequest, group: int) -> None:
+        """Dispatch one concurrent transfer (``concurrent_transfers`` only).
+
+        The device only dispatches the transfer; the delivery occupies the
+        client's (per-tenant) channel, so different clients receive data in
+        parallel while the same client still gets objects serially.
+        """
+        start = max(self.env.now, self._client_busy_until.get(request.client_id, 0.0))
+        end = start + self.config.transfer_seconds_per_object
+        self._client_busy_until[request.client_id] = end
+        self._inflight += 1
+        self.env.process(
+            self._deliver_at(request, group, start, end),
+            name=f"deliver:{request.object_key}",
+        )
 
     def _deliver_at(self, request: GetRequest, group: int, start: float, end: float):
         if end > self.env.now:
@@ -582,14 +630,11 @@ class ColdStorageDevice:
             drained.succeed(None)
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
-        self.busy_intervals.record(
-            start,
-            end,
-            "transfer",
-            group,
-            client_id=request.client_id,
-            query_id=request.query_id,
-            object_key=request.object_key,
+        # ``IntervalLog.record`` unrolled: once per served object.
+        log = self.busy_intervals
+        log._cache = None
+        log._rows.append(
+            (start, end, "transfer", group, request.client_id, request.query_id, request.object_key)
         )
         request.group_id = group
         request.complete_time = end

@@ -10,6 +10,7 @@ re-issues than returning one table at a time.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
+from operator import attrgetter
 from typing import Dict, List, Sequence
 
 from repro.csd.request import GetRequest
@@ -27,7 +28,7 @@ class ArrivalOrdering(IntraGroupOrdering):
     """Serve requests in the order they arrived (FCFS within the group)."""
 
     def order(self, requests: Sequence[GetRequest]) -> List[GetRequest]:
-        return sorted(requests, key=lambda request: request.request_id)
+        return sorted(requests, key=attrgetter("request_id"))
 
 
 class TableMajorOrdering(IntraGroupOrdering):

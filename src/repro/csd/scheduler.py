@@ -59,6 +59,9 @@ class IOScheduler:
         self._waiting: Dict[str, int] = {}
         #: Request id of the first request ever seen per query (arrival order).
         self._query_arrival: Dict[str, int] = {}
+        #: Min-heap of ``(request_id, group_id)`` in arrival order, kept only
+        #: by the FCFS family (see :class:`_ArrivalIndexedScheduler`).
+        self._arrival_heap: Optional[List[Tuple[int, int]]] = None
         self.num_switches = 0
         #: Largest waiting counter any query ever reached (starvation gauge:
         #: the invariant checker bounds this for the rank-based policy).
@@ -74,9 +77,18 @@ class IOScheduler:
         self._dirty.add(group_id)
         group_queries = self._group_queries[group_id]
         group_queries[query_id] = group_queries.get(query_id, 0) + 1
-        self._query_pending[query_id] = self._query_pending.get(query_id, 0) + 1
-        self._waiting.setdefault(query_id, 0)
-        self._query_arrival.setdefault(query_id, request.request_id)
+        query_pending = self._query_pending
+        total = query_pending.get(query_id)
+        if total is None:
+            # The query's first pending request: only now can its waiting
+            # counter or arrival rank be missing (neither is ever deleted).
+            query_pending[query_id] = 1
+            self._waiting.setdefault(query_id, 0)
+            self._query_arrival.setdefault(query_id, request.request_id)
+        else:
+            query_pending[query_id] = total + 1
+        if self._arrival_heap is not None:
+            heappush(self._arrival_heap, (request.request_id, group_id))
 
     def _note_removed(self, request: GetRequest, group_id: int) -> None:
         """Maintain the query-count indexes after a request leaves the pool."""
@@ -195,11 +207,7 @@ class _ArrivalIndexedScheduler(IOScheduler):
 
     def __init__(self, ordering: Optional[IntraGroupOrdering] = None) -> None:
         super().__init__(ordering=ordering or ArrivalOrdering())
-        self._arrival_heap: List[Tuple[int, int]] = []
-
-    def add_request(self, request: GetRequest, group_id: int) -> None:
-        super().add_request(request, group_id)
-        heappush(self._arrival_heap, (request.request_id, group_id))
+        self._arrival_heap = []
 
     def _oldest_group(self) -> int:
         """Group of the oldest pending request (lazy-validated heap top)."""
@@ -255,7 +263,7 @@ class SlackFCFSScheduler(_ArrivalIndexedScheduler):
         self.slack = slack
 
     def service_quota(self, group_id: int) -> int:
-        return min(self.slack, max(1, self.pending_count(group_id)))
+        return min(self.slack, max(1, len(self._pending.get(group_id, ()))))
 
     def choose_next_group(self, current_group: Optional[int]) -> int:
         return self._oldest_group()

@@ -231,13 +231,18 @@ def fleet_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[str,
         for tenant, per_device_counts in served_per_tenant
     }
     # Per-tenant spread: how evenly each tenant's objects were served
-    # across the devices holding at least one replica of its data.
+    # across the devices holding at least one replica of its data.  Each
+    # member's tenant set is derived once, not once per tenant.
+    member_tenants = [
+        (member.device_id, {key.partition("/")[0] for key in member.object_keys})
+        for member in router.members
+    ]
     tenant_spread = {
         tenant: jain_fairness(
             [
-                per_device_counts.get(member.device_id, 0)
-                for member in router.members
-                if any(key.startswith(f"{tenant}/") for key in member.object_keys)
+                per_device_counts.get(device_id, 0)
+                for device_id, tenants in member_tenants
+                if tenant in tenants
             ]
         )
         for tenant, per_device_counts in served_per_tenant

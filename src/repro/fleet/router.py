@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.metrics import imbalance_coefficient
@@ -54,7 +55,7 @@ from repro.csd.layout import LayoutPolicy, extend_layout_with_keys
 from repro.csd.object_store import ObjectStore, split_object_key
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
-from repro.exceptions import ConfigurationError, FleetError
+from repro.exceptions import ConfigurationError, FleetError, StorageError
 from repro.fleet.membership import FleetMembership, MemberRecord
 from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.obs import NULL_TRACER, CounterView, Ewma, MetricsRegistry
@@ -72,9 +73,14 @@ from repro.fleet.spec import (
     SetReplication,
     device_name,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 SchedulerFactory = Callable[[], IOScheduler]
+
+#: ``least-loaded``'s score, read without a Python frame per replica.
+_OUTSTANDING = attrgetter("outstanding")
+#: Completion order of merged busy intervals (one key per served object).
+_END_THEN_START = attrgetter("end", "start")
 
 
 @dataclass
@@ -172,10 +178,6 @@ class FleetRouterStats:
         self.request_latency = registry.histogram("router.request_latency_seconds")
         self.per_tenant_device_served: Dict[str, Dict[str, int]] = {}
 
-    def record_served(self, tenant: str, device_id: str) -> None:
-        per_device = self.per_tenant_device_served.setdefault(tenant, {})
-        per_device[device_id] = per_device.get(device_id, 0) + 1
-
 
 class FleetRouter:
     """Dispatches GET requests across a sharded, replicated, elastic fleet."""
@@ -205,6 +207,10 @@ class FleetRouter:
         self.membership = FleetMembership(
             fleet_spec, device_config or DeviceConfig()
         )
+        #: Routed, not yet completed requests by their completion event —
+        #: how the one shared completion handler finds its request without a
+        #: closure per request or a completion → request reference cycle.
+        self._in_flight: Dict[Event, GetRequest] = {}
         #: Migration plans executed so far, one per join/leave epoch.
         self.migration_plans: List[MigrationPlan] = []
 
@@ -440,30 +446,77 @@ class FleetRouter:
     # ------------------------------------------------------------------ #
     # Client-facing API (same shape as ColdStorageDevice)
     # ------------------------------------------------------------------ #
-    def submit(self, request: GetRequest) -> GetRequest:
-        """Route ``request`` to a live replica of its object."""
-        member = self._choose_replica(request.object_key)
-        member.requests_routed += 1
-        member.outstanding += 1
-        request.routed_at = self.env.now
-        self.stats._requests_routed.value += 1
+    def submit_many(self, requests: Sequence[GetRequest]) -> None:
+        """Route a batch of GETs, each to a live replica of its object.
+
+        Replicas are resolved in request order — ``outstanding`` moves with
+        every choice, so the load-aware policies decide exactly as they
+        would one request at a time — and each device then receives its
+        slice of the batch in one inbox put, devices in first-seen order.
+        All or nothing: every slice is validated by its device before any
+        counter or inbox moves, so a rejected batch leaves no trace (in
+        particular no ``outstanding`` for ``least-loaded`` to read forever).
+        """
+        choose = self._choose_replica
+        placement = self.placement
+        members = self._member_by_id
+        primary_first = self.spec.replica_policy == "primary-first"
+        slices: Dict[str, List[GetRequest]] = {}
+        primary = 0
+        try:
+            for request in requests:
+                replicas = placement.get(request.object_key)
+                if replicas is None:
+                    raise FleetError(
+                        f"object {request.object_key!r} is not placed on any device"
+                    )
+                member = members[replicas[0]]
+                # A healthy primary under primary-first needs no decision.
+                if not (primary_first and member.alive):
+                    member = choose(replicas, request.object_key)
+                member.outstanding += 1
+                device_id = member.device_id
+                batch = slices.get(device_id)
+                if batch is None:
+                    slices[device_id] = [request]
+                else:
+                    batch.append(request)
+                if device_id == replicas[0]:
+                    primary += 1
+            routed = [(members[device_id], batch) for device_id, batch in slices.items()]
+            for member, batch in routed:
+                member.device.validate(batch)
+        except (FleetError, StorageError):
+            for device_id, batch in slices.items():
+                members[device_id].outstanding -= len(batch)
+            raise
+        now = self.env._now
+        in_flight = self._in_flight
+        on_complete = self._on_complete
+        for member, batch in routed:
+            member.requests_routed += len(batch)
+            for request in batch:
+                request.routed_at = now
+                # One callback per request, however often it is re-routed;
+                # ``request.owner`` points at whichever member is actually
+                # serving it now.
+                if request.owner is None:
+                    completion = request.completion
+                    in_flight[completion] = request
+                    completion._callbacks.append(on_complete)
+                request.owner = member
+        stats = self.stats
+        stats._requests_routed.value += len(requests)
+        stats._choice_primary.value += primary
+        stats._choice_diverted.value += len(requests) - primary
         if self.tracer.enabled:
-            self.tracer.route(
-                request.query_id,
-                request.object_key,
-                member.device_id,
-                self.membership.epoch,
-                self.spec.replica_policy,
-                member.outstanding,
-            )
-        # One callback per request, however often it is re-routed;
-        # ``request.owner`` points at whichever member is actually serving
-        # it now (a slot on the request instead of a router-side dict that
-        # would grow one entry per in-flight key).
-        if request.owner is None:
-            request.completion.add_callback(self._make_completion_callback(request))
-        request.owner = member
-        member.device.submit(request)
+            self._trace_routes(requests, routed)
+        for member, batch in routed:
+            member.device.enqueue(batch)
+
+    def submit(self, request: GetRequest) -> GetRequest:
+        """Route one request (a batch of one)."""
+        self.submit_many((request,))
         return request
 
     def get(self, object_key: str, client_id: str, query_id: str) -> GetRequest:
@@ -476,47 +529,60 @@ class FleetRouter:
         )
         return self.submit(request)
 
-    def _make_completion_callback(self, request: GetRequest):
-        def _on_complete(_event) -> None:
-            member = request.owner
-            request.owner = None
-            if not isinstance(member, FleetMember):  # pragma: no cover - defensive
-                raise FleetError(
-                    f"request #{request.request_id} completed without a routed owner"
-                )
-            member.outstanding -= 1
-            if member.outstanding < 0:
-                raise FleetError(
-                    f"device {member.device_id!r} completed more requests "
-                    "than were routed to it (outstanding went negative)"
-                )
-            if request.routed_at is not None:
-                # Routed→completed latency on the *final* owner (failover
-                # re-stamps routed_at, so a re-routed request charges only
-                # its last leg — the one this device actually served).
-                latency = self.env.now - request.routed_at
-                member.ewma.observe(latency)
-                member.latency_sum += latency
-                self.stats.request_latency.observe(latency)
-            tenant = request.object_key.partition("/")[0]
-            self.stats.record_served(tenant, member.device_id)
+    def _trace_routes(
+        self,
+        requests: Sequence[GetRequest],
+        routed: Sequence[Tuple[FleetMember, Sequence[GetRequest]]],
+    ) -> None:
+        """One ``route`` event per request, in request order, each with the
+        queue depth its choice left behind."""
+        depth = {member.device_id: member.outstanding - len(batch) for member, batch in routed}
+        epoch = self.membership.epoch
+        policy = self.spec.replica_policy
+        for request in requests:
+            device_id = request.owner.device_id
+            depth[device_id] += 1
+            self.tracer.route(
+                request.query_id, request.object_key, device_id, epoch, policy, depth[device_id]
+            )
 
-        return _on_complete
+    def _on_complete(self, completion: Event) -> None:
+        """Account one completed GET (the one handler every routed request's
+        completion shares; the request is looked up from the completion)."""
+        in_flight = self._in_flight
+        request = in_flight.pop(completion)
+        if not in_flight:
+            # Drained: give back the table a burst grew (a dict never shrinks
+            # on its own, and an up-front batch sizes it for a whole query).
+            in_flight.clear()
+        member = request.owner
+        request.owner = None
+        if not isinstance(member, FleetMember):  # pragma: no cover - defensive
+            raise FleetError(
+                f"request #{request.request_id} completed without a routed owner"
+            )
+        member.outstanding -= 1
+        if member.outstanding < 0:
+            raise FleetError(
+                f"device {member.device_id!r} completed more requests "
+                "than were routed to it (outstanding went negative)"
+            )
+        if request.routed_at is not None:
+            # Routed→completed latency on the *final* owner (failover
+            # re-stamps routed_at, so a re-routed request charges only
+            # its last leg — the one this device actually served).
+            latency = self.env._now - request.routed_at
+            member.ewma.observe(latency)
+            member.latency_sum += latency
+            self.stats.request_latency.observe(latency)
+        tenant = request.object_key.partition("/")[0]
+        per_device = self.stats.per_tenant_device_served.setdefault(tenant, {})
+        per_device[member.device_id] = per_device.get(member.device_id, 0) + 1
 
-    def _choose_replica(self, object_key: str) -> FleetMember:
-        try:
-            replicas = self.placement[object_key]
-        except KeyError:
-            raise FleetError(f"object {object_key!r} is not placed on any device") from None
+    def _choose_replica(self, replicas: Sequence[str], object_key: str) -> FleetMember:
+        """The live member of ``replicas`` the replica policy picks right now."""
         members = self._member_by_id
         policy = self.spec.replica_policy
-        if policy == "primary-first":
-            # Primary-first fast path: the answer is the first live replica,
-            # so a healthy primary skips building the live-member list.
-            primary = members[replicas[0]]
-            if primary.alive:
-                self.stats._choice_primary.value += 1
-                return primary
         live = [
             members[device_id]
             for device_id in replicas
@@ -530,26 +596,20 @@ class FleetRouter:
         # in replica order, so every policy degrades to primary-first on
         # ties (deterministic either way).
         if policy == "least-loaded":
-            chosen = min(live, key=lambda member: member.outstanding)
-        elif policy == "ewma-latency":
+            return min(live, key=_OUTSTANDING)
+        if policy == "ewma-latency":
             # Expected wait: smoothed service time × queue depth.  An
             # unsampled device scores 0.0, so cold replicas get probed
             # before the EWMA starts steering traffic.
-            chosen = min(
+            return min(
                 live,
                 key=lambda member: member.ewma.value_or(0.0) * (member.outstanding + 1),
             )
-        elif policy == "weighted":
+        if policy == "weighted":
             # Queue depth discounted by capacity: a device weighing 2.0
             # absorbs twice the outstanding work before being passed over.
-            chosen = min(live, key=lambda member: member.outstanding / member.weight)
-        else:
-            chosen = live[0]
-        if chosen.device_id == replicas[0]:
-            self.stats._choice_primary.value += 1
-        else:
-            self.stats._choice_diverted.value += 1
-        return chosen
+            return min(live, key=lambda member: member.outstanding / member.weight)
+        return live[0]
 
     # ------------------------------------------------------------------ #
     # Failure handling (fail-stop: epoch advances; with ``repair`` the lost
@@ -580,8 +640,7 @@ class FleetRouter:
             self._rebalance("repair", member.device_id, reason="repair")
         else:
             self._record_replication_health("failure")
-        for request in drained:
-            self.submit(request)
+        self.submit_many(drained)
 
     # ------------------------------------------------------------------ #
     # Membership events (joins / graceful leaves → epoch + migration)
@@ -624,8 +683,7 @@ class FleetRouter:
             member.outstanding -= len(drained)
             self.stats._handed_off.inc(len(drained))
         self._rebalance("leave", device_id)
-        for request in drained:
-            self.submit(request)
+        self.submit_many(drained)
 
     def _apply_set_replication(self, event: SetReplication) -> None:
         """Raise or lower R: re-replicate (R up) or trim (R down) the
@@ -715,24 +773,28 @@ class FleetRouter:
     def under_replicated_count(self, placement: Mapping[str, Sequence[str]]) -> int:
         """Keys with fewer live replicas than the current target."""
         target = self.effective_replication
-        return sum(
-            1
-            for replicas in placement.values()
-            if sum(1 for device_id in replicas if self._member_by_id[device_id].alive)
-            < target
-        )
+        alive = {member.device_id for member in self.members if member.alive}
+        count = 0
+        for replicas in placement.values():
+            # A key's replicas are distinct devices, so the live ones are
+            # the intersection — counted without a frame per key or replica.
+            if len(alive.intersection(replicas)) < target:
+                count += 1
+        return count
 
     def _record_replication_health(
-        self, kind: str, at_open: Optional[int] = None
+        self, kind: str, at_open: Optional[int] = None, after: Optional[int] = None
     ) -> None:
         """Append one per-epoch replication-health sample.
 
         ``under_replicated_at_open`` is the count the instant the epoch
         opened — for a failure, the degradation the loss itself caused;
         ``under_replicated_after_plan`` is what remained once the epoch's
-        plan ran (unchanged when no plan ran, e.g. repair disabled).
+        plan ran (unchanged when no plan ran, e.g. repair disabled).  A
+        caller that already counted ``after`` passes it in.
         """
-        after = self.under_replicated_count(self.placement)
+        if after is None:
+            after = self.under_replicated_count(self.placement)
         self.replication_log.append(
             {
                 "epoch": self.membership.epoch,
@@ -777,11 +839,18 @@ class FleetRouter:
             )
             new_placement = dict(old_placement)
             new_placement.update(changed)
+            # Only changed keys can change health: no second full scan.
+            under_replicated_after: Optional[int] = (
+                under_replicated_before
+                - self.under_replicated_count({key: old_placement[key] for key in changed})
+                + self.under_replicated_count(changed)
+            )
             # The plan must see changed keys in canonical key order (what a
             # full placement scan iterates), not hash order.
             changed_keys = sorted(changed, key=self._key_rank.__getitem__)
         else:
             new_placement = self._policy.place(self._key_order, serving)
+            under_replicated_after = None
         alive = {member.device_id: member.alive for member in self.members}
         plan = plan_migration(
             epoch=epoch_record.epoch,
@@ -807,7 +876,9 @@ class FleetRouter:
         self.placement_vnode_counts = new_vnode_counts
         self._execute_plan(plan, reason=reason)
         self.migration_plans.append(plan)
-        self._record_replication_health(kind, at_open=under_replicated_before)
+        self._record_replication_health(
+            kind, at_open=under_replicated_before, after=under_replicated_after
+        )
 
     def _execute_plan(self, plan: MigrationPlan, reason: str = "rebalance") -> None:
         """Extend destination layouts and charge the migration I/O."""
@@ -900,7 +971,7 @@ class FleetRouter:
         for member in self.members:
             if member.device is not None:
                 merged.extend(member.device.busy_intervals)
-        merged.sort(key=lambda interval: (interval.end, interval.start))
+        merged.sort(key=_END_THEN_START)
         return merged
 
     @property

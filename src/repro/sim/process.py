@@ -43,10 +43,12 @@ class Process(Event):
         """Advance the generator with the value (or exception) of ``event``."""
         self._waiting_on = None
         try:
-            if event.exception is not None:
-                target = self._generator.throw(event.exception)
+            # Slots read directly (``exception``/``value`` are properties):
+            # this runs once per dispatched event.
+            if event._exception is not None:
+                target = self._generator.throw(event._exception)
             else:
-                target = self._generator.send(event.value)
+                target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return

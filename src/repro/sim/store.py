@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Iterable, List
 
 from repro.sim.events import Event
 
@@ -24,16 +24,14 @@ class Store:
     def __init__(self, env: Environment, name: str = "store") -> None:
         self.env = env
         self.name = name
-        self._items: Deque[Any] = deque()
+        #: The live queue, oldest first: read it in place (truthiness,
+        #: length, iteration — no snapshot to pay for); it changes only
+        #: through the methods below.
+        self.queued: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> Tuple[Any, ...]:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
+        return len(self.queued)
 
     def put(self, item: Any) -> None:
         """Enqueue ``item``, waking the oldest waiting getter if any."""
@@ -41,24 +39,41 @@ class Store:
             getter = self._getters.popleft()
             getter.succeed(item)
         else:
-            self._items.append(item)
+            self.queued.append(item)
+
+    def put_many(self, items: Iterable[Any]) -> None:
+        """Enqueue ``items`` in order: exactly ``put`` once per item.
+
+        Waiting getters are woken oldest first, one item each, and whatever
+        is left over joins the queue in a single extend.
+        """
+        getters = self._getters
+        if getters:
+            remaining = iter(items)
+            for item in remaining:
+                getters.popleft().succeed(item)
+                if not getters:
+                    break
+            items = remaining
+        self.queued.extend(items)
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
         # The store's own name is reused verbatim: a per-get f-string is
         # measurable at million-request scale and the name is cosmetic.
         event = Event(self.env, name=self.name)
-        if self._items:
-            event.succeed(self._items.popleft())
+        if self.queued:
+            event.succeed(self.queued.popleft())
         else:
             self._getters.append(event)
         return event
 
-    def try_get(self) -> Any:
-        """Pop and return the next item immediately, or ``None`` if empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
+    def drain(self) -> List[Any]:
+        """Pop and return everything queued, oldest first (``[]`` if empty)."""
+        queued = self.queued
+        items = list(queued)
+        queued.clear()
+        return items
 
     def cancel(self, event: Event) -> None:
         """Withdraw a pending ``get`` event.

@@ -110,18 +110,18 @@ class TestReplicaChoice:
         replicas = fleet.placement[object_key]
         members = [fleet._member_by_id[device_id] for device_id in replicas]
         # All idle: the primary (first replica) wins the 0-0-0 tie.
-        assert fleet._choose_replica(object_key) is members[0]
+        assert fleet._choose_replica(replicas, object_key) is members[0]
         # Equal non-zero load: still the primary.
         for member in members:
             member.outstanding = 2
-        assert fleet._choose_replica(object_key) is members[0]
+        assert fleet._choose_replica(replicas, object_key) is members[0]
         # Primary busier: the second replica in walk order wins the tie
         # between the remaining two.
         members[0].outstanding = 3
-        assert fleet._choose_replica(object_key) is members[1]
+        assert fleet._choose_replica(replicas, object_key) is members[1]
         # Unique minimum anywhere in the tuple wins outright.
         members[2].outstanding = 1
-        assert fleet._choose_replica(object_key) is members[2]
+        assert fleet._choose_replica(replicas, object_key) is members[2]
         for member in members:
             member.outstanding = 0
 

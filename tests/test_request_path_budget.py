@@ -1,0 +1,131 @@
+"""Deterministic budgets for the per-object GET path.
+
+Two counts that repeat exactly on one interpreter, so they can gate in
+tier-1 where a wall-clock number cannot: Python frames entered per delivered
+object (``sys.setprofile``) and GC-tracked objects left in flight per GET
+(``len(gc.get_objects())`` around one ``request_objects`` call).  They are
+the tripwire for helper layers creeping back onto the path between
+``QueryRun.request`` and the device inbox — a microsecond per object that the
+ledger only shows after ten alternating pairs shows here as a count.
+
+The scenario is a small ``keys-fanout``: two Skipper tenants running Q6 over
+a 150-segment single-row ``lineitem`` (300 delivered objects) on a 4-device
+R = 2 fleet of slack-FCFS devices.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+from typing import Tuple
+
+from repro.core.client_proxy import ClientProxy
+from repro.fleet.spec import FleetSpec
+from repro.scenarios.spec import ScenarioSpec, uniform_tenants
+from repro.service import StorageService
+from repro.workloads import tpch
+from repro.workloads.datagen import ScaleProfile, TableProfile
+
+TENANTS = 2
+SEGMENTS = 150
+
+#: Frames per delivered object.  The commit before vector issuance measured
+#: 114.3 on this scenario (CPython 3.9–3.11; 111.6 on 3.12–3.13, which inline
+#: comprehensions), this one 77.7 (75.0).  The ceiling is 30 % under the old
+#: count, so three more frames per object trip it on any of those interpreters.
+#: When it trips: ``sys.setprofile`` the run and diff the per-function counts
+#: against the parent commit — the new frames are a layer someone added.
+FRAMES_PER_OBJECT_CEILING = 80.0
+#: GC-tracked objects one in-flight GET may keep alive: the request, its
+#: completion event and that event's callback list (the commit before had 7:
+#: plus a closure, its two cells and the cells' tuple).
+TRACKED_PER_GET_CEILING = 3
+#: Tracked objects one ``request_objects`` *call* may leave behind whatever
+#: its size (bound methods held by the callback lists, a resized dict).
+TRACKED_PER_CALL_ALLOWANCE = 8
+
+
+def _service() -> StorageService:
+    tables = dict(tpch.SCALES["mkeys"].tables)
+    tables["orders"] = TableProfile(1, 512)
+    tables["lineitem"] = TableProfile(SEGMENTS, 1)
+    profile = ScaleProfile("mkeys", tables)
+    spec = ScenarioSpec(
+        name="request-path-budget",
+        description="Q6 tenants over a single-row-segment lineitem on a small R=2 fleet.",
+        tenants=uniform_tenants(TENANTS, "tpch:q6", cache_capacity=64),
+        scale=profile.name,
+        scheduler="slack-fcfs",
+        scheduler_param=4.0,
+        fleet=FleetSpec(devices=4, replication=2),
+        seed=7,
+    )
+    return StorageService(spec, catalog=tpch.build_catalog(profile, 7))
+
+
+def frames_per_delivered_object() -> Tuple[float, int]:
+    """(Python frames entered during ``service.run()`` / objects delivered, objects)."""
+    service = _service()
+    frames = 0
+
+    def count(_frame: object, event: str, _arg: object) -> None:
+        nonlocal frames
+        if event == "call":
+            frames += 1
+
+    # The collector is held off while counting: ``gc.callbacks`` hooks (the
+    # test runner installs one) are Python frames too, two per collection,
+    # and when collections fall depends on what ran before this test.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = service.run()
+    finally:
+        sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
+    return frames / result.device_objects_served, result.device_objects_served
+
+
+def tracked_objects_left_by_one_call(requests: int) -> int:
+    """GC-tracked objects one ``request_objects`` call of ``requests`` GETs adds."""
+    service = _service()
+    proxy = ClientProxy(service.env, service.backend, "tenant0")
+    segment_ids = [f"lineitem.{index}" for index in range(requests)]
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        proxy.request_objects(segment_ids, "tenant0:budget:0")
+        return len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_frames_per_delivered_object_stay_under_the_ceiling():
+    frames, delivered = frames_per_delivered_object()
+    assert delivered == TENANTS * SEGMENTS
+    assert frames <= FRAMES_PER_OBJECT_CEILING, (
+        f"{frames:.1f} Python frames per delivered object, ceiling "
+        f"{FRAMES_PER_OBJECT_CEILING}: something added a layer to the GET path"
+    )
+
+
+def test_frame_count_repeats_exactly():
+    assert frames_per_delivered_object() == frames_per_delivered_object()
+
+
+def test_an_in_flight_get_keeps_three_tracked_objects():
+    added = tracked_objects_left_by_one_call(SEGMENTS)
+    assert added <= TRACKED_PER_GET_CEILING * SEGMENTS + TRACKED_PER_CALL_ALLOWANCE, (
+        f"{added / SEGMENTS:.2f} GC-tracked objects per in-flight GET, "
+        f"ceiling {TRACKED_PER_GET_CEILING}"
+    )
+    # The allowance is per call, not per request: half the batch, same slack.
+    assert tracked_objects_left_by_one_call(SEGMENTS // 2) <= (
+        TRACKED_PER_GET_CEILING * (SEGMENTS // 2) + TRACKED_PER_CALL_ALLOWANCE
+    )

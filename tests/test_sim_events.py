@@ -200,7 +200,7 @@ def test_store_cancel_withdraws_pending_getter():
     store.put("x")
     # The canceled getter did not swallow the item: it is still queued.
     assert not abandoned.triggered
-    assert store.try_get() == "x"
+    assert store.drain() == ["x"]
     # Cancelling a non-getter / already-fired event is a harmless no-op.
     store.cancel(abandoned)
 
@@ -226,13 +226,15 @@ def test_store_fifo_ordering():
     assert received == [0, 1, 2]
 
 
-def test_store_try_get_returns_none_when_empty():
+def test_store_drain_returns_everything_queued_oldest_first():
     env = Environment()
     store = Store(env)
-    assert store.try_get() is None
+    assert store.drain() == []
     store.put("x")
-    assert store.try_get() == "x"
-    assert store.try_get() is None
+    store.put("y")
+    assert list(store.queued) == ["x", "y"]
+    assert store.drain() == ["x", "y"]
+    assert store.drain() == [] and len(store) == 0
 
 
 def test_store_get_before_put_resolves_on_put():
