@@ -405,8 +405,8 @@ class ColdStorageDevice:
         Anything still sitting in the inbox is registered first so the
         scheduler's counters see it, then all queued requests are popped in
         scheduling order.  The request being transferred at this instant (if
-        any) has already left the queues and completes normally.  Used by the
-        fleet router to fail a dead device's queue over to its replicas.
+        any) has already left the queues and completes normally.  The fleet
+        router's drain verb (failover, hand-off, admin hatch) is built on it.
         """
         self._drain_inbox()
         drained: List[GetRequest] = []

@@ -9,7 +9,7 @@ re-issues than returning one table at a time.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from operator import attrgetter
 from typing import Dict, List, Sequence
 

@@ -4,7 +4,7 @@ Each GET request is tagged with the issuing client and a query identifier —
 the "semantic information" the Skipper client proxy attaches so the CSD
 scheduler can reason about whole queries instead of isolated objects.
 :class:`MigrationJob` is the other kind of work a device performs: bulk
-object copies charged by the fleet router while it rebalances after a
+object copies charged by the fleet controller while it rebalances after a
 membership change.
 """
 

@@ -15,7 +15,7 @@ pipeline the experiments depend on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Set
 
 from repro.engine.catalog import Catalog
 from repro.engine.operators import (

@@ -53,7 +53,8 @@ class PlacementError(StorageError):
 
 
 class FleetError(StorageError):
-    """Raised by the fleet router (dead replicas, unroutable requests)."""
+    """Raised by the fleet layer (dead replicas, unroutable requests,
+    impossible membership changes)."""
 
 
 class CacheError(ReproError):

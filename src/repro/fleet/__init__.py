@@ -11,21 +11,27 @@ addressable storage service:
   :class:`DeviceProfile` overrides, read-repair and
   :class:`MigrationThrottle` knobs, embedded in scenario specs.
 * :mod:`repro.fleet.membership` — :class:`FleetMembership`, the
-  epoch-versioned device roster (and replication factor) advanced by every
-  join/leave/failure/R-change.
+  epoch-versioned roster of :class:`FleetMember` objects (and replication
+  factor) advanced by every join/leave/failure/R-change; the one place
+  life-cycle state is assigned.
 * :mod:`repro.fleet.migration` — minimal :class:`MigrationPlan` diffs
   between placement epochs, including replica :class:`KeyTrim` bookkeeping.
 * :mod:`repro.fleet.router` — :class:`FleetRouter`, the device-compatible
-  facade performing replica choice, failover and live rebalancing.
+  GET path: replica choice, completion accounting, queue draining and the
+  aggregated views over the devices.
+* :mod:`repro.fleet.controller` — :class:`FleetController`, the per-epoch
+  control plane over a router: failures, membership events, the feedback
+  rebalancer, placement recomputes and migration-plan execution.
 * :mod:`repro.fleet.report` — the scenario-report sections (``fleet``,
   ``rebalance``, ``replication``, ``routing``) as plain functions over a
-  finished router's public state.
+  finished router's and controller's public state.
 """
 
+from repro.fleet.controller import FleetController
 from repro.fleet.membership import (
     EpochRecord,
+    FleetMember,
     FleetMembership,
-    MemberRecord,
     resolve_device_config,
 )
 from repro.fleet.migration import (
@@ -44,7 +50,7 @@ from repro.fleet.placement import (
     build_placement,
     stable_hash,
 )
-from repro.fleet.router import FleetMember, FleetRouter, FleetRouterStats
+from repro.fleet.router import FleetRouter, FleetRouterStats
 from repro.fleet.spec import (
     KNOWN_REPLICA_POLICIES,
     DeviceFailure,
@@ -68,6 +74,7 @@ __all__ = [
     "DeviceLeave",
     "DeviceProfile",
     "EpochRecord",
+    "FleetController",
     "FleetMember",
     "FleetMembership",
     "FleetRouter",
@@ -75,7 +82,6 @@ __all__ = [
     "FleetSpec",
     "KeyMove",
     "KeyTrim",
-    "MemberRecord",
     "MigrationPlan",
     "MigrationThrottle",
     "PlacementPolicy",

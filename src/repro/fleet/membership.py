@@ -1,11 +1,14 @@
 """Epoch-versioned fleet membership.
 
 :class:`FleetMembership` is the single source of truth for *who is in the
-fleet right now*: the ordered device roster, each device's (possibly
-heterogeneous) :class:`~repro.csd.device.DeviceConfig`, and the membership
-**epoch** — a counter advanced by every join, leave and failure.  The router
-consults it for placement device sets and exposes its epoch log so reports
-can attribute per-epoch metrics (imbalance, migration volume) to the exact
+fleet right now*: the one roster of :class:`FleetMember` objects — each
+device's (possibly heterogeneous) :class:`~repro.csd.device.DeviceConfig`,
+its life-cycle state and the runtime book-keeping the router keeps on it —
+and the membership **epoch**, a counter advanced by every join, leave and
+failure.  Life-cycle state (``alive``, ``joined_at``, ``left_at``,
+``failed_at``) is assigned here and nowhere else; the router reads it per
+request, the controller asks for the changes, and the epoch log lets reports
+attribute per-epoch metrics (imbalance, migration volume) to the exact
 membership window they were measured in.
 
 The membership itself performs no simulation events; advancing an epoch is
@@ -18,26 +21,59 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.csd.device import DeviceConfig
-from repro.exceptions import FleetError
+from repro.csd.device import ColdStorageDevice, DeviceConfig
+from repro.exceptions import ConfigurationError, FleetError
 from repro.fleet.spec import DeviceJoin, DeviceProfile, FleetSpec, device_name
+from repro.obs import Ewma
 
 
 @dataclass
-class MemberRecord:
-    """One device's membership state (runtime objects live in the router)."""
+class FleetMember:
+    """One device of the fleet: roster entry, life-cycle state and the
+    router's book-keeping about it."""
 
     device_id: str
     index: int
     config: DeviceConfig
+    #: Per-device EWMA of request latency (routed → completed), in simulated
+    #: seconds; feeds the ``ewma-latency`` policy and the rebalancer.
+    ewma: Ewma
     joined_at: float = 0.0
     left_at: Optional[float] = None
     failed_at: Optional[float] = None
+    #: Whether the device is a live placement and routing target (joined,
+    #: not left, not failed).  A plain attribute: routing reads it per request.
+    alive: bool = True
+    #: ``None`` while the placement puts no objects on this device (it then
+    #: spins idle but still appears in fleet metrics).
+    device: Optional[ColdStorageDevice] = None
+    object_keys: Tuple[str, ...] = ()
+    #: Requests routed to this device (including later failed-over ones).
+    requests_routed: int = 0
+    #: Routed but not yet completed (drives the least-loaded policy).
+    outstanding: int = 0
+    #: The capacity weight the ring holds for this device (1.0 on a uniform
+    #: ring); sizes its vnode share and divides its queue under ``weighted``.
+    weight: float = 1.0
+    #: Sum of completed-request latencies (mean = sum / ewma.count).
+    latency_sum: float = 0.0
 
-    @property
-    def serving(self) -> bool:
-        """Whether the device is a live placement target."""
-        return self.left_at is None and self.failed_at is None
+    def busy_seconds(self) -> float:
+        if self.device is None:
+            return 0.0
+        return self.device.busy_intervals.total_duration()
+
+    def window_busy(self, start: float, end: float) -> float:
+        """Busy seconds inside the window ``[start, end]``."""
+        if self.device is None:
+            return 0.0
+        return self.device.busy_intervals.window_overlap(start, end)
+
+    def objects_served(self) -> int:
+        return self.device.stats.objects_served if self.device else 0
+
+    def pending_requests(self) -> int:
+        return self.device.scheduler.pending_count() if self.device else 0
 
 
 @dataclass(frozen=True)
@@ -87,7 +123,7 @@ def resolve_device_config(
 
 
 class FleetMembership:
-    """The live device roster plus the epoch counter over its history."""
+    """The device roster plus the epoch counter over its history."""
 
     def __init__(self, spec: FleetSpec, base_config: DeviceConfig) -> None:
         self.spec = spec
@@ -102,8 +138,9 @@ class FleetMembership:
         self._profile_by_index: Dict[int, DeviceProfile] = {
             profile.device: profile for profile in spec.profiles
         }
-        self._records: Dict[str, MemberRecord] = {}
-        self._order: List[str] = []
+        #: Every device ever part of the fleet, in join order.
+        self.members: List[FleetMember] = []
+        self.by_id: Dict[str, FleetMember] = {}
         for index in range(spec.devices):
             profile = self._profile_by_index.get(index)
             config = resolve_device_config(
@@ -111,42 +148,53 @@ class FleetMembership:
                 switch_seconds=profile.switch_seconds if profile else None,
                 transfer_seconds=profile.transfer_seconds if profile else None,
             )
-            self._add_record(MemberRecord(device_name(index), index, config))
+            self._add_member(index, config, joined_at=0.0)
 
-    def _add_record(self, record: MemberRecord) -> None:
-        self._records[record.device_id] = record
-        self._order.append(record.device_id)
+    def _add_member(self, index: int, config: DeviceConfig, joined_at: float) -> FleetMember:
+        member = FleetMember(
+            device_id=device_name(index),
+            index=index,
+            config=config,
+            ewma=Ewma(self.spec.ewma_alpha),
+            joined_at=joined_at,
+        )
+        self.members.append(member)
+        self.by_id[member.device_id] = member
+        return member
 
     # ------------------------------------------------------------------ #
     # Roster queries
     # ------------------------------------------------------------------ #
-    def record(self, device_id: str) -> MemberRecord:
+    def member(self, device_id: str) -> FleetMember:
         try:
-            return self._records[device_id]
+            return self.by_id[device_id]
         except KeyError:
             raise FleetError(f"unknown fleet member {device_id!r}") from None
 
-    @property
-    def records(self) -> List[MemberRecord]:
-        """Every device ever part of the fleet, in join order."""
-        return [self._records[device_id] for device_id in self._order]
-
     def serving_ids(self) -> Tuple[str, ...]:
         """Live placement targets (joined, not left, not failed), in order."""
-        return tuple(
-            device_id
-            for device_id in self._order
-            if self._records[device_id].serving
-        )
+        return tuple(member.device_id for member in self.members if member.alive)
 
     def device_config(self, device_id: str) -> DeviceConfig:
         """The (possibly heterogeneous) config of one member."""
-        return self.record(device_id).config
+        return self.member(device_id).config
+
+    def profile_weight(self, member: FleetMember) -> float:
+        """Static capacity weight of a device: its speed-up over the base
+        config's transfer rate (a device twice as fast weighs 2.0)."""
+        base = self.base_config.transfer_seconds_per_object
+        own = member.config.transfer_seconds_per_object
+        if base <= 0 or own <= 0:
+            raise ConfigurationError(
+                "profile weighting requires positive transfer_seconds_per_object "
+                f"(base={base!r}, device={own!r})"
+            )
+        return base / own
 
     @property
     def heterogeneous(self) -> bool:
         """Whether any member's config differs from the base config."""
-        return any(record.config != self.base_config for record in self.records)
+        return any(member.config != self.base_config for member in self.members)
 
     # ------------------------------------------------------------------ #
     # Membership changes — each advances the epoch
@@ -189,43 +237,38 @@ class FleetMembership:
             ),
         )
 
-    def join(self, event: DeviceJoin, at_seconds: float) -> MemberRecord:
+    def join(self, event: DeviceJoin, at_seconds: float) -> FleetMember:
         """Add the joining device to the roster and open a new epoch."""
         device_id = device_name(event.device)
-        if device_id in self._records:
+        if device_id in self.by_id:
             raise FleetError(f"device {device_id!r} is already a fleet member")
         epoch = self._advance("join", device_id, at_seconds)
-        config = self._join_config(event)
-        member = MemberRecord(
-            device_id=device_id,
-            index=event.device,
-            config=config,
-            joined_at=at_seconds,
-        )
-        self._add_record(member)
+        member = self._add_member(event.device, self._join_config(event), at_seconds)
         self.epoch_log.append(
             replace(epoch, devices_after=len(self.serving_ids()))
         )
         return member
 
-    def leave(self, device_id: str, at_seconds: float) -> MemberRecord:
+    def leave(self, device_id: str, at_seconds: float) -> FleetMember:
         """Gracefully retire a member and open a new epoch."""
-        member = self.record(device_id)
-        if not member.serving:
+        member = self.member(device_id)
+        if not member.alive:
             raise FleetError(f"device {device_id!r} is not serving; cannot leave")
         epoch = self._advance("leave", device_id, at_seconds)
+        member.alive = False
         member.left_at = at_seconds
         self.epoch_log.append(
             replace(epoch, devices_after=len(self.serving_ids()))
         )
         return member
 
-    def fail(self, device_id: str, at_seconds: float) -> MemberRecord:
+    def fail(self, device_id: str, at_seconds: float) -> FleetMember:
         """Mark a member fail-stopped and open a new epoch (no migration)."""
-        member = self.record(device_id)
-        if not member.serving:
+        member = self.member(device_id)
+        if not member.alive:
             raise FleetError(f"device {device_id!r} is not serving; cannot fail")
         epoch = self._advance("failure", device_id, at_seconds)
+        member.alive = False
         member.failed_at = at_seconds
         self.epoch_log.append(
             replace(epoch, devices_after=len(self.serving_ids()))
@@ -235,7 +278,7 @@ class FleetMembership:
     def set_replication(self, replication: int, at_seconds: float) -> EpochRecord:
         """Change the replication factor in effect and open a new epoch.
 
-        The roster is untouched; the caller (the router) diffs the placement
+        The roster is untouched; the caller (the controller) diffs the placement
         at the old vs new R and re-replicates or trims accordingly.
         """
         if replication < 1:

@@ -68,7 +68,7 @@ class MigrationPlan:
     #: replica set shifting away from a device on a join/leave).
     trims: List[KeyTrim] = field(default_factory=list)
     #: Simulated seconds of migration I/O actually charged (filled in by the
-    #: router as source reads and destination writes execute).
+    #: controller as source reads and destination writes execute).
     migration_seconds: float = 0.0
     _moved_keys: Tuple[str, ...] = field(default=(), repr=False)
 

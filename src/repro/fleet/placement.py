@@ -165,7 +165,6 @@ class ConsistentHashPlacement(PlacementPolicy):
             Tuple[Tuple[str, ...], Tuple[int, ...], int],
             Tuple[List[int], List[Tuple[str, ...]]],
         ] = {}
-        self._key_hash_cache: Dict[str, int] = {}
 
     def set_weights(self, weights: Optional[Mapping[str, float]]) -> None:
         """Install capacity weights driving per-device vnode counts.
@@ -202,29 +201,16 @@ class ConsistentHashPlacement(PlacementPolicy):
         )
 
     def key_hash(self, object_key: str) -> int:
-        """Memoised :func:`stable_hash` of an object key."""
-        cached = self._key_hash_cache.get(object_key)
-        if cached is None:
-            cached = stable_hash(object_key)
-            self._key_hash_cache[object_key] = cached
-        return cached
+        """:func:`stable_hash` of an object key (its position on the ring)."""
+        return stable_hash(object_key)
 
     def bulk_key_hashes(self, object_keys: Sequence[str]) -> List[int]:
-        """Memoised :func:`stable_hash` of many keys with the per-call overhead
-        (method dispatch, attribute lookups) hoisted out of the loop."""
-        cache = self._key_hash_cache
-        cache_get = cache.get
+        """:func:`stable_hash` of many keys with the per-call overhead
+        (function call, attribute lookups) hoisted out of the loop.  Nothing
+        is memoised: a caller that needs the hashes again keeps the list."""
         sha256 = hashlib.sha256
         from_bytes = int.from_bytes
-        hashes: List[int] = []
-        append = hashes.append
-        for key in object_keys:
-            value = cache_get(key)
-            if value is None:
-                value = from_bytes(sha256(key.encode()).digest()[:8], "big")
-                cache[key] = value
-            append(value)
-        return hashes
+        return [from_bytes(sha256(key.encode()).digest()[:8], "big") for key in object_keys]
 
     def _ring(
         self, device_ids: Sequence[str], vnode_counts: Optional[Sequence[int]] = None
@@ -308,7 +294,7 @@ class ConsistentHashPlacement(PlacementPolicy):
         once and walk keys and ring arcs together with two pointers, assigning
         whole runs of keys per arc — O(K log K + V), and O(K + V) when the
         caller supplies a pre-sorted ``(hash, key)`` list (the fleet router
-        keeps one for epoch diffs and passes it back in here).
+        builds one here; the controller's epoch diffs walk the same list).
         """
         self._validate(object_keys, device_ids)
         hashes, replicas_by_arc = self._segments(device_ids, self.replication)

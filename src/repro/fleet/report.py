@@ -1,9 +1,11 @@
 """Scenario-report sections of a fleet run.
 
-Plain functions over a finished :class:`~repro.fleet.router.FleetRouter`'s
-public state — its members, membership log, migration plans, counters and
-health/controller logs.  The router routes and rebalances; what a run looked
-like afterwards is assembled here.
+Plain functions over the public state of a finished fleet: the
+:class:`~repro.fleet.router.FleetRouter`'s members, counters and membership
+log, and the :class:`~repro.fleet.controller.FleetController`'s migration
+plans, placement-epoch identity and health/rebalancer logs.  The router
+routes, the controller rebalances; what a run looked like afterwards is
+assembled here, each figure derived from the one place that recorded it.
 """
 
 from __future__ import annotations
@@ -13,18 +15,19 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.cluster.metrics import imbalance_coefficient, jain_fairness, mean, percentile
 
 if TYPE_CHECKING:
+    from repro.fleet.controller import FleetController
     from repro.fleet.router import FleetRouter
 
 
 def report_sections(
-    router: FleetRouter, total_simulated_time: float
+    controller: FleetController, total_simulated_time: float
 ) -> Dict[str, Dict[str, object]]:
     """Every fleet section of the scenario report, keyed by section name."""
     return {
-        "fleet": fleet_metrics(router, total_simulated_time),
-        "rebalance": rebalance_metrics(router, total_simulated_time),
-        "replication": replication_metrics(router),
-        "routing": routing_metrics(router),
+        "fleet": fleet_metrics(controller.router, total_simulated_time),
+        "rebalance": rebalance_metrics(controller, total_simulated_time),
+        "replication": replication_metrics(controller),
+        "routing": routing_metrics(controller),
     }
 
 
@@ -60,10 +63,13 @@ def per_epoch_imbalance(
     return series
 
 
-def rebalance_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[str, object]:
+def rebalance_metrics(
+    controller: FleetController, total_simulated_time: float
+) -> Dict[str, object]:
     """The ``rebalance`` section of the scenario report."""
+    router = controller.router
     stats = router.device_stats
-    plans = router.migration_plans
+    plans = controller.migration_plans
     return {
         "epoch": router.membership.epoch,
         "events": [record.to_dict() for record in router.membership.epoch_log],
@@ -79,9 +85,10 @@ def rebalance_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[
     }
 
 
-def replication_metrics(router: FleetRouter) -> Dict[str, object]:
+def replication_metrics(controller: FleetController) -> Dict[str, object]:
     """The ``replication`` health section of the scenario report."""
-    plans = router.migration_plans
+    router = controller.router
+    plans = controller.migration_plans
     repair_plans = [plan for plan in plans if plan.kind == "repair"]
     replicate_plans = [plan for plan in plans if plan.kind == "set-replication"]
     throttle = router.spec.throttle
@@ -118,15 +125,15 @@ def replication_metrics(router: FleetRouter) -> Dict[str, object]:
     return {
         "initial_replication": router.spec.replication,
         "replication": router.membership.replication,
-        "effective_replication": router.effective_replication,
+        "effective_replication": controller.effective_replication,
         "repair_enabled": router.spec.repair,
         "changes": [
             record.to_dict()
             for record in router.membership.epoch_log
             if record.kind == "set-replication"
         ],
-        "per_epoch": list(router.replication_log),
-        "under_replicated_keys": router.under_replicated_count(router.placement),
+        "per_epoch": list(controller.replication_log),
+        "under_replicated_keys": controller.under_replicated_count(router.placement),
         "repair_objects": sum(plan.objects_migrated for plan in repair_plans),
         "repair_seconds": sum(plan.migration_seconds for plan in repair_plans),
         "replicate_objects": sum(plan.objects_migrated for plan in replicate_plans),
@@ -146,12 +153,13 @@ def replication_metrics(router: FleetRouter) -> Dict[str, object]:
     }
 
 
-def routing_metrics(router: FleetRouter) -> Dict[str, object]:
+def routing_metrics(controller: FleetController) -> Dict[str, object]:
     """The ``routing`` section of the scenario report: replica-choice
     split, per-device weights/EWMAs, the fleet-wide latency distribution
     and (when configured) the feedback rebalancer's tick log."""
+    router = controller.router
     vnode_counts: Dict[str, int] = dict(
-        zip(router.placement_roster, router.placement_vnode_counts)
+        zip(controller.placement_roster, controller.placement_vnode_counts)
     )
     per_device: Dict[str, Dict[str, object]] = {}
     for member in router.members:
@@ -183,11 +191,11 @@ def routing_metrics(router: FleetRouter) -> Dict[str, object]:
             "interval_seconds": policy.interval_seconds,
             "imbalance_threshold": policy.imbalance_threshold,
             "min_weight_delta": policy.min_weight_delta,
-            "ticks": len(router.rebalance_log),
+            "ticks": len(controller.rebalance_log),
             "reweight_epochs": sum(
-                1 for entry in router.rebalance_log if entry["triggered"]
+                1 for entry in controller.rebalance_log if entry["triggered"]
             ),
-            "log": list(router.rebalance_log),
+            "log": list(controller.rebalance_log),
         }
     return {
         "replica_policy": router.spec.replica_policy,
@@ -225,27 +233,32 @@ def fleet_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[str,
             ),
         }
 
-    served_per_tenant = sorted(router.stats.per_tenant_device_served.items())
+    # Objects served per tenant per device, read from each device's own
+    # per-client counters (a tenant's GETs carry its id and fetch its keys).
+    served_per_device = [
+        member.device.stats.objects_per_client if member.device else {}
+        for member in router.members
+    ]
+    tenants = sorted({tenant for served in served_per_device for tenant in served})
     served_by_tenant = {
-        tenant: sum(per_device_counts.values())
-        for tenant, per_device_counts in served_per_tenant
+        tenant: sum(served.get(tenant, 0) for served in served_per_device)
+        for tenant in tenants
     }
     # Per-tenant spread: how evenly each tenant's objects were served
     # across the devices holding at least one replica of its data.  Each
     # member's tenant set is derived once, not once per tenant.
-    member_tenants = [
-        (member.device_id, {key.partition("/")[0] for key in member.object_keys})
-        for member in router.members
+    placed_per_device = [
+        {key.partition("/")[0] for key in member.object_keys} for member in router.members
     ]
     tenant_spread = {
         tenant: jain_fairness(
             [
-                per_device_counts.get(device_id, 0)
-                for device_id, tenants in member_tenants
-                if tenant in tenants
+                served.get(tenant, 0)
+                for served, placed in zip(served_per_device, placed_per_device)
+                if tenant in placed
             ]
         )
-        for tenant, per_device_counts in served_per_tenant
+        for tenant in tenants
     }
 
     total_served = sum(member.objects_served() for member in router.members)

@@ -253,7 +253,7 @@ class RebalancePolicy:
     """Feedback-driven reweighting: watch observed load, re-place past a
     threshold.
 
-    Every ``interval_seconds`` of simulated time the router computes the
+    Every ``interval_seconds`` of simulated time the controller computes the
     imbalance coefficient of per-device busy time over the elapsed window.
     When it exceeds ``imbalance_threshold`` — and every serving device has
     at least one latency sample — the controller derives fresh capacity

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Any, Callable, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.harness import experiments

@@ -19,7 +19,7 @@ span, the five phases sum to the query's reported latency *by construction*
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 Interval = Tuple[float, float]
 

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from repro.exceptions import ReproError
 from repro.scenarios.budgets import (
     check_budget,
-    check_wall_time,
     load_budgets,
     write_budgets,
 )
@@ -89,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="with --run: record an end-to-end trace of the run and write it "
         "to FILE (analyse with python -m repro.trace FILE)",
-    )
-    parser.add_argument(
-        "--enforce-wall-time",
-        action="store_true",
-        help="with --check: fail scenarios exceeding their committed "
-        "wall_time_budget (default off; wall time is machine-dependent)",
     )
     return parser
 
@@ -272,10 +265,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 if budgets is not None:
                     check_budget(outcome.name, outcome.simulated_time, budgets)
-                    if arguments.enforce_wall_time:
-                        check_wall_time(
-                            outcome.name, outcome.wall_seconds or 0.0, budgets
-                        )
             except ReproError as error:
                 failures += 1
                 print(f"FAIL {outcome.name}\n{error}", file=sys.stderr)
@@ -291,16 +280,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if arguments.regen_budgets:
         simulated_times = {}
-        wall_times = {}
         for outcome in run_scenarios(scenario_names(), jobs=arguments.jobs):
             if not outcome.ok:
                 _print_failure(outcome)
                 return 1
             simulated_times[outcome.name] = outcome.simulated_time
-            wall_times[outcome.name] = outcome.wall_seconds or 0.0
-        path = write_budgets(
-            simulated_times, golden_dir=arguments.golden_dir, wall_times=wall_times
-        )
+        path = write_budgets(simulated_times, golden_dir=arguments.golden_dir)
         print(f"wrote {path}")
         return 0
 

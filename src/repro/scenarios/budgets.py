@@ -22,11 +22,9 @@ A run fails its budget when ``simulated_time > budget * (1 + tolerance)``.
 Budgets are an upper bound only: getting faster never fails (regenerate to
 ratchet the budget down when an optimisation lands).
 
-Entries may also carry a ``wall_time_budget`` (real seconds, written by
-``--regen-budgets`` with generous headroom because wall time is
-machine-dependent).  Unlike simulated-time budgets it is only enforced when
-``--check`` runs with ``--enforce-wall-time`` — default off, wired into CI
-as a non-blocking step until its timing proves stable.
+Host wall time is not budgeted here: ``--check`` prints it per scenario, and
+the performance ledger (``ledger/``, ``BENCHMARK.json``) is the one gate on
+it.
 """
 
 from __future__ import annotations
@@ -44,13 +42,6 @@ BUDGETS_SCHEMA_VERSION = 1
 #: deterministic, so any growth is a real behaviour change; the tolerance
 #: only leaves room for small intentional drifts between re-baselines.
 DEFAULT_TOLERANCE = 0.1
-
-#: Multiplier applied to a measured wall time when re-basing
-#: ``wall_time_budget``, plus a floor in seconds: wall time varies with the
-#: machine and interpreter, so the committed ceiling is deliberately loose —
-#: it exists to catch order-of-magnitude blowups, not percent-level drift.
-WALL_TIME_HEADROOM = 5.0
-WALL_TIME_FLOOR_SECONDS = 2.0
 
 
 def budgets_path(golden_dir: Optional[Path] = None) -> Path:
@@ -85,30 +76,12 @@ def write_budgets(
     simulated_times: Mapping[str, float],
     golden_dir: Optional[Path] = None,
     default_tolerance: float = DEFAULT_TOLERANCE,
-    wall_times: Optional[Mapping[str, float]] = None,
 ) -> Path:
-    """Serialize budgets for ``simulated_times`` (scenario -> seconds).
-
-    ``wall_times`` (scenario -> measured real seconds) additionally writes a
-    ``wall_time_budget`` per entry, padded by :data:`WALL_TIME_HEADROOM`.
-    Every wall-time name must also appear in ``simulated_times``: a
-    wall-time-only entry would be missing its mandatory ``simulated_time``
-    and poison the file for ``check_budget``.
-    """
-    orphans = sorted(set(wall_times or {}) - set(simulated_times))
-    if orphans:
-        raise BudgetExceededError(
-            f"wall_times contains scenarios without a simulated time: {orphans}; "
-            "every budget entry needs a simulated_time to be checkable"
-        )
+    """Serialize budgets for ``simulated_times`` (scenario -> seconds)."""
     budgets: Dict[str, Dict[str, float]] = {
         name: {"simulated_time": round(seconds, 9)}
         for name, seconds in sorted(simulated_times.items())
     }
-    for name, wall in sorted((wall_times or {}).items()):
-        budgets[name]["wall_time_budget"] = round(
-            max(WALL_TIME_FLOOR_SECONDS, wall * WALL_TIME_HEADROOM), 2
-        )
     document = {
         "schema_version": BUDGETS_SCHEMA_VERSION,
         "default_tolerance": default_tolerance,
@@ -155,31 +128,3 @@ def check_budget(
             f"'python -m repro.scenarios --regen-budgets'"
         )
 
-
-def check_wall_time(
-    name: str, wall_seconds: float, document: Mapping[str, Any]
-) -> None:
-    """Enforce the (optional) wall-time ceiling for scenario ``name``.
-
-    Scenarios without a committed ``wall_time_budget`` pass silently — the
-    ceiling is opt-in per entry, and the check itself only runs under
-    ``--check --enforce-wall-time``.
-    """
-    entry = document.get("budgets", {}).get(name)
-    if entry is None or "wall_time_budget" not in entry:
-        return
-    try:
-        budget = float(entry["wall_time_budget"])
-    except (TypeError, ValueError) as error:
-        raise BudgetExceededError(
-            f"wall_time_budget for scenario {name!r} is malformed ({error!r}); "
-            "re-base with 'python -m repro.scenarios --regen-budgets'"
-        ) from None
-    if wall_seconds > budget:
-        raise BudgetExceededError(
-            f"scenario {name!r} took {wall_seconds:.2f}s of wall time, above "
-            f"its ceiling of {budget:.2f}s. If the slowdown is real and "
-            "intentional, re-base with 'python -m repro.scenarios "
-            "--regen-budgets'; if this machine is just slow, rerun without "
-            "--enforce-wall-time"
-        )

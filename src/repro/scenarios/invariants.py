@@ -50,7 +50,7 @@ from repro.exceptions import InvariantViolation
 from repro.service.service import StorageService
 
 #: The invariant checks only touch the service's backend surface
-#: (``fleet`` / ``device`` / ``scheduler`` / ``layout``).
+#: (``fleet`` + ``controller`` / ``device`` / ``scheduler`` / ``layout``).
 ClusterLike = StorageService
 
 
@@ -277,8 +277,8 @@ def check_fleet_placement(cluster: ClusterLike) -> None:
     a repair pass after device loss can only sustain ``min(R, serving)``.
     """
     fleet = cluster.fleet
-    replication = fleet.placement_replication
-    members_by_id = {member.device_id: member for member in fleet.members}
+    replication = cluster.controller.placement_replication
+    members_by_id = fleet.membership.by_id
     for object_key, replicas in fleet.placement.items():
         if len(replicas) != replication or len(set(replicas)) != len(replicas):
             raise InvariantViolation(
@@ -341,7 +341,8 @@ def check_fleet_rebalance(cluster: ClusterLike) -> bool:
     """
     fleet = cluster.fleet
     membership = fleet.membership
-    if not fleet.spec.events and not fleet.migration_plans:
+    plans = cluster.controller.migration_plans
+    if not fleet.spec.events and not plans:
         # Static membership (possibly with fail-stop losses and repair
         # disabled): nothing was rebalanced, so the epoch/migration
         # invariants would be vacuous.
@@ -364,8 +365,8 @@ def check_fleet_rebalance(cluster: ClusterLike) -> bool:
             f"membership epoch {membership.epoch} does not match the "
             f"{len(membership.epoch_log)} recorded changes"
         )
-    members_by_id = {member.device_id: member for member in fleet.members}
-    for plan in fleet.migration_plans:
+    members_by_id = membership.by_id
+    for plan in plans:
         bound = plan.migration_bound()
         if plan.keys_moved > bound:
             raise InvariantViolation(
@@ -427,7 +428,7 @@ def check_replication_repair(cluster: ClusterLike) -> bool:
       one ever goes negative).
     """
     fleet = cluster.fleet
-    plans = fleet.migration_plans
+    plans = cluster.controller.migration_plans
     trims = [trim for plan in plans for trim in plan.trims]
     healed = any(
         plan.kind in ("repair", "set-replication") for plan in plans
@@ -452,7 +453,7 @@ def check_replication_repair(cluster: ClusterLike) -> bool:
                 f"trim of {trim.object_key!r} off {trim.device!r} dropped "
                 "the key's last replica"
             )
-    members_by_id = {member.device_id: member for member in fleet.members}
+    members_by_id = fleet.membership.by_id
     for member in fleet.members:
         if member.outstanding != 0:
             raise InvariantViolation(
@@ -460,7 +461,7 @@ def check_replication_repair(cluster: ClusterLike) -> bool:
                 f"{member.outstanding} outstanding request(s)"
             )
     if healed:
-        target = fleet.effective_replication
+        target = cluster.controller.effective_replication
         for object_key, replicas in fleet.placement.items():
             live = [
                 device_id

@@ -221,7 +221,9 @@ class ScenarioRunner:
         if service.fleet is not None:
             scheduler_switches = service.fleet.scheduler_switches()
             max_waiting = service.fleet.max_waiting_seen()
-            fleet_sections = report_sections(service.fleet, result.total_simulated_time)
+            fleet_sections = report_sections(
+                service.controller, result.total_simulated_time
+            )
         else:
             scheduler_switches = service.scheduler.num_switches
             max_waiting = service.scheduler.max_waiting_seen

@@ -33,6 +33,7 @@ from repro.csd.request import GetRequest
 from repro.csd.scheduler import IOScheduler, RankBasedScheduler
 from repro.engine.catalog import Catalog
 from repro.exceptions import ConfigurationError, ServiceError
+from repro.fleet.controller import FleetController
 from repro.fleet.router import FleetRouter
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.service.admission import AdmissionConfig, AdmissionController
@@ -140,12 +141,16 @@ class StorageService:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
+            #: The fleet's control plane (failures, membership events,
+            #: rebalancer), built over the finished router before any session.
+            self.controller: Optional[FleetController] = FleetController(self.fleet)
             self.device = None
             self.layout = None
             self.scheduler = None
             backend = self.fleet
         else:
             self.fleet = None
+            self.controller = None
             self.scheduler = scheduler or factory()
             self.layout = config.layout_policy.build(client_objects)
             self.device = ColdStorageDevice(
@@ -260,11 +265,11 @@ class StorageService:
             # A crashed fleet failure/membership process starves the sessions
             # and surfaces as an unrelated "ran out of events" error; prefer
             # re-raising the root cause.
-            if self.fleet is not None:
-                self.fleet.raise_admin_failure()
+            if self.controller is not None:
+                self.controller.raise_admin_failure()
             raise
-        if self.fleet is not None:
-            self.fleet.raise_admin_failure()
+        if self.controller is not None:
+            self.controller.raise_admin_failure()
 
         # A tenant may have held several sessions over the service's lifetime
         # (close, then reopen); its measurements are concatenated in session
@@ -312,7 +317,7 @@ class StorageService:
 
     def fleet_epoch(self) -> int:
         """Current fleet membership epoch (0 for single-device services)."""
-        return self.fleet.epoch if self.fleet is not None else 0
+        return self.fleet.membership.epoch if self.fleet is not None else 0
 
     def device_stats(self):
         """Aggregate device counters (single device or whole fleet)."""
@@ -327,14 +332,7 @@ class StorageService:
     def drain_pending(self) -> List[GetRequest]:
         """Pull every not-yet-served GET out of the backend (admin escape hatch).
 
-        On an idle backend this is a no-op returning ``[]``.  In fleet mode
-        every live device is drained; dead devices were already drained by
-        the failover path.
+        On an idle backend this is a no-op returning ``[]``.  The requests
+        stay live: ``backend.submit_many(drained)`` puts them back in line.
         """
-        if self.fleet is not None:
-            drained: List[GetRequest] = []
-            for member in self.fleet.members:
-                if member.device is not None and member.alive:
-                    drained.extend(member.device.drain_pending())
-            return drained
-        return self.device.drain_pending()
+        return self.backend.drain_pending()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Union
 
 from repro.engine.catalog import Catalog
-from repro.engine.predicate import Comparison, Literal, col, conjunction, eq, in_list
+from repro.engine.predicate import Comparison, Literal, col, conjunction, in_list
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, TableSchema

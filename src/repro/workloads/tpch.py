@@ -19,7 +19,6 @@ from repro.engine.catalog import Catalog
 from repro.engine.predicate import (
     Arithmetic,
     Between,
-    ColumnRef,
     Comparison,
     Literal,
     between,

@@ -8,7 +8,6 @@ from hypothesis import settings
 from repro.core import SkipperExecutor
 from repro.csd import (
     AllInOneLayout,
-    ClientsPerGroupLayout,
     ColdStorageDevice,
     DeviceConfig,
     ObjectStore,

@@ -5,7 +5,6 @@ import pytest
 from repro.csd import ObjectStore
 from repro.csd.object_store import make_object_key, split_object_key
 from repro.exceptions import StorageError
-from repro.workloads import tpch
 
 
 def test_key_roundtrip():

@@ -17,7 +17,7 @@ from repro.engine.operators import (
     Sort,
 )
 from repro.engine.operators.hash_join import merge_rows
-from repro.engine.predicate import col, eq, ge, lit
+from repro.engine.predicate import col, eq, ge
 from repro.engine.query import AggregateSpec
 from repro.exceptions import ExecutionError, QueryError
 

@@ -8,7 +8,7 @@ import pytest
 from repro.engine import CostModel, InMemoryExecutor, Planner
 from repro.exceptions import ConfigurationError, QueryError
 from repro.engine.executor import canonical_rows
-from repro.engine.query import AggregateSpec, JoinCondition, Query
+from repro.engine.query import AggregateSpec, Query
 from repro.workloads import ssb, tpch
 
 

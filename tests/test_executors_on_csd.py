@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import SkipperExecutor
 from repro.core.cache import LRUEviction
 from repro.csd import (
     ClientsPerGroupLayout,

@@ -265,7 +265,7 @@ class TestElasticDrain:
         for object_key, replicas in fleet.placement.items():
             assert "csd0" not in replicas
             for device_id in replicas:
-                member = fleet._member_by_id[device_id]
+                member = fleet.membership.by_id[device_id]
                 assert member.device.layout.has_object(object_key)
         assert service.fleet_epoch() == 1
 
@@ -372,7 +372,7 @@ class TestMultiEpochSequences:
         def explode(_event):
             raise RuntimeError("injected membership crash")
 
-        service.fleet._apply_join = explode
+        service.controller._apply_join = explode
         # Without propagation this starves the sessions and dies with an
         # unrelated "ran out of events" SimulationError.
         with pytest.raises(RuntimeError, match="injected membership crash"):

@@ -108,7 +108,7 @@ class TestReplicaChoice:
         fleet = service.fleet
         object_key = next(iter(fleet.placement))
         replicas = fleet.placement[object_key]
-        members = [fleet._member_by_id[device_id] for device_id in replicas]
+        members = [fleet.membership.by_id[device_id] for device_id in replicas]
         # All idle: the primary (first replica) wins the 0-0-0 tie.
         assert fleet._choose_replica(replicas, object_key) is members[0]
         # Equal non-zero load: still the primary.

@@ -20,7 +20,7 @@ from repro.scenarios import (
     unified_diff_summary,
     write_budgets,
 )
-from repro.scenarios.budgets import budgets_path, check_wall_time
+from repro.scenarios.budgets import budgets_path
 from repro.scenarios.parallel import reports_by_name
 from repro.scenarios.report import SCHEMA_VERSION
 
@@ -110,61 +110,9 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="missing its 'simulated_time'"):
             check_budget("x", 1.0, {"budgets": {"x": {}}})
         with pytest.raises(BudgetExceededError, match="missing its 'simulated_time'"):
-            check_budget("x", 1.0, {"budgets": {"x": {"wall_time_budget": 5.0}}})
+            check_budget("x", 1.0, {"budgets": {"x": {"tolerance": 0.5}}})
         with pytest.raises(BudgetExceededError, match="malformed"):
             check_budget("x", 1.0, {"budgets": {"x": {"simulated_time": "fast"}}})
-
-    def test_wall_time_only_entries_are_rejected_at_write_time(self, tmp_path):
-        # A wall time for a scenario absent from simulated_times would write
-        # an entry with no simulated_time, which check_budget must reject;
-        # refuse to write the poisoned file in the first place.
-        with pytest.raises(BudgetExceededError, match="ghost"):
-            write_budgets(
-                {"a": 100.0}, golden_dir=tmp_path, wall_times={"a": 1.0, "ghost": 1.0}
-            )
-        assert not budgets_path(tmp_path).exists()
-
-
-class TestWallTimeBudgets:
-    def test_regen_writes_padded_wall_ceilings(self, tmp_path):
-        write_budgets({"a": 100.0}, golden_dir=tmp_path, wall_times={"a": 1.0})
-        document = load_budgets(golden_dir=tmp_path)
-        entry = document["budgets"]["a"]
-        assert entry["simulated_time"] == 100.0
-        # Wall time is machine-dependent: the committed ceiling carries
-        # generous headroom (x5, floored at 2s) to catch blowups, not drift.
-        assert entry["wall_time_budget"] == 5.0
-        write_budgets({"a": 100.0}, golden_dir=tmp_path, wall_times={"a": 0.01})
-        document = load_budgets(golden_dir=tmp_path)
-        assert document["budgets"]["a"]["wall_time_budget"] == 2.0
-
-    def test_committed_budgets_carry_wall_ceilings(self):
-        document = load_budgets()
-        for name in scenario_names():
-            assert document["budgets"][name]["wall_time_budget"] >= 2.0
-
-    def test_enforcement_is_per_entry_opt_in(self):
-        # No entry / no wall_time_budget key: the check passes silently —
-        # that is what makes --enforce-wall-time safe to wire into CI as a
-        # non-blocking step before every machine has a committed ceiling.
-        check_wall_time("x", 1e9, {"budgets": {}})
-        check_wall_time("x", 1e9, {"budgets": {"x": {"simulated_time": 1.0}}})
-
-    def test_blown_wall_ceiling_raises_with_hints(self):
-        document = {"budgets": {"x": {"wall_time_budget": 2.0}}}
-        check_wall_time("x", 1.99, document)
-        with pytest.raises(BudgetExceededError, match="enforce-wall-time"):
-            check_wall_time("x", 2.01, document)
-        with pytest.raises(BudgetExceededError, match="malformed"):
-            check_wall_time("x", 1.0, {"budgets": {"x": {"wall_time_budget": "slow"}}})
-
-    def test_check_cli_exposes_the_flag_defaulting_off(self):
-        from repro.scenarios.__main__ import build_parser
-
-        arguments = build_parser().parse_args(["--check"])
-        assert arguments.enforce_wall_time is False
-        arguments = build_parser().parse_args(["--check", "--enforce-wall-time"])
-        assert arguments.enforce_wall_time is True
 
 
 class TestReportSchema:

@@ -169,11 +169,11 @@ class TestReplicationUpgrade:
         service = StorageService(get_scenario("fleet-replication-upgrade"))
         service.run()
         fleet = service.fleet
-        assert fleet.effective_replication == 2
+        assert service.controller.effective_replication == 2
         for object_key, replicas in fleet.placement.items():
             assert len(set(replicas)) == 2
             for device_id in replicas:
-                member = fleet._member_by_id[device_id]
+                member = fleet.membership.by_id[device_id]
                 assert member.alive
                 assert member.device.layout.has_object(object_key)
 
@@ -211,12 +211,11 @@ class TestReplicationDowngrade:
         )
         service = StorageService(spec)
         service.run()
-        fleet = service.fleet
-        for plan in fleet.migration_plans:
+        for plan in service.controller.migration_plans:
             for trim in plan.trims:
                 assert trim.survivors >= 1
-        assert fleet.effective_replication == 2
-        assert fleet.membership.epoch == 2
+        assert service.controller.effective_replication == 2
+        assert service.membership.epoch == 2
 
 
 class TestReadRepair:
@@ -244,7 +243,7 @@ class TestReadRepair:
         # charged to the surviving replica holders.
         for interval in dead.device.busy_intervals:
             assert interval.start <= dead.failed_at
-        plan = fleet.migration_plans[0]
+        plan = service.controller.migration_plans[0]
         assert plan.kind == "repair"
         for move in plan.moves:
             assert move.source != dead.device_id
@@ -527,6 +526,7 @@ class TestReplicationChurnProperty:
         data=st.data(),
         initial_devices=st.integers(min_value=2, max_value=3),
         initial_replication=st.integers(min_value=1, max_value=2),
+        drain_at=st.none() | st.sampled_from([0.0, 10.0, 20.0, 45.0, 90.0]),
     )
     @settings(
         max_examples=20,
@@ -534,7 +534,7 @@ class TestReplicationChurnProperty:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
     )
     def test_live_replicas_match_placement_after_any_sequence(
-        self, data, initial_devices, initial_replication
+        self, data, initial_devices, initial_replication, drain_at
     ):
         operations = data.draw(
             st.lists(
@@ -581,22 +581,28 @@ class TestReplicationChurnProperty:
             # validator's job; the property quantifies over the valid ones.
             return
         service = StorageService(spec)
+        if drain_at is not None:
+            # The admin hatch, anywhere in the timeline: pull every queued
+            # GET out of the fleet and hand the lot straight back.
+            service.submit_workload()
+            service.env.run(until=drain_at)
+            service.backend.submit_many(service.drain_pending())
         result = service.run()
         fleet_router = service.fleet
         # Live-replica counts per key match the placement the current epoch
         # computed, every listed replica is physically present, and repair /
         # rebalancing kept the fleet at the effective factor.
-        target = fleet_router.effective_replication
+        target = service.controller.effective_replication
         for object_key, replicas in fleet_router.placement.items():
             assert len(set(replicas)) == len(replicas)
             live = [
                 device_id
                 for device_id in replicas
-                if fleet_router._member_by_id[device_id].alive
+                if fleet_router.membership.by_id[device_id].alive
             ]
             assert len(live) == target
             for device_id in live:
-                member = fleet_router._member_by_id[device_id]
+                member = fleet_router.membership.by_id[device_id]
                 assert member.device.layout.has_object(object_key)
         # No member's outstanding counter ever went negative (the router
         # raises mid-run) and none ends the run non-zero.

@@ -15,7 +15,6 @@ from repro.csd.request import GetRequest
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.harness import runner
 from repro.sim import Environment
-from repro.workloads import tpch
 
 
 class TestSlackFCFSScheduler:

@@ -352,6 +352,29 @@ class TestDrainPending:
         service = StorageService(get_scenario("fleet-uniform"))
         assert service.drain_pending() == []
 
+    def test_fleet_drain_takes_the_requests_off_outstanding(self):
+        """Regression: the admin drain emptied every device queue but left
+        the router's ``outstanding`` counters untouched, so the load-aware
+        policies read phantom queues for the rest of the run."""
+        service = StorageService(get_scenario("fleet-uniform"))
+        fleet = service.fleet
+        service.submit_workload()
+        service.env.run(until=50.0)
+        before = sum(member.outstanding for member in fleet.members)
+        drained = service.drain_pending()
+        assert drained and fleet.pending_total() == 0
+        assert sum(member.outstanding for member in fleet.members) == before - len(drained)
+        completed = []
+        for request in drained:
+            request.completion.add_callback(completed.append)
+        fleet.submit_many(drained)
+        result = service.run()
+        # Every drained request completed exactly once, and nothing leaked.
+        assert sorted(map(id, completed)) == sorted(id(r.completion) for r in drained)
+        assert [member.outstanding for member in fleet.members] == [0] * len(fleet.members)
+        assert fleet.device_stats.objects_served == result.total_get_requests()
+        assert fleet.pending_total() == 0 and not fleet._in_flight
+
 
 class TestErrorTaxonomy:
     def test_every_exception_derives_from_repro_error(self):

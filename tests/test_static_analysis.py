@@ -5,7 +5,9 @@ not, and a suppressed variant; the CLI's JSON document is schema-checked;
 and a self-clean test asserts the analyzer passes over the repo at HEAD.
 """
 
+import ast
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -591,3 +593,44 @@ class TestSelfClean:
         assert suppressed, "expected the documented deliberate suppressions"
         for finding in suppressed:
             assert finding.suppression_reason
+
+
+def _unused_imports(path):
+    """Names a module imports and never mentions again (pyflakes F401, for
+    the container that has no ruff).  A use is the bound name as an
+    identifier anywhere else, or inside a string that is not a docstring —
+    an ``__all__`` entry or a quoted annotation."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            docstrings.add(id(node.value))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return [f"{path}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    """CI's ``ruff check src tests`` (rule F401) as a tier-1 test."""
+    unused = [
+        finding
+        for root in ("src", "tests")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        if path.name != "__init__.py"
+        for finding in _unused_imports(path)
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
