@@ -12,7 +12,7 @@ Run with::
     python examples/cache_pressure.py
 """
 
-from repro.service import experiments, format_table
+from repro.harness import experiments, format_table
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ Run with::
 
 import sys
 
-from repro.service import experiments, format_table
+from repro.harness import experiments, format_table
 
 
 def main(max_clients: int = 4) -> None:

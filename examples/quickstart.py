@@ -13,12 +13,12 @@ Run with::
     python examples/quickstart.py
 """
 
+from repro.harness import format_table
 from repro.service import (
     ClientSpec,
     ClusterConfig,
     StorageService,
     canonical_rows,
-    format_table,
     workloads,
 )
 

@@ -18,7 +18,7 @@ Run with::
     python examples/scheduler_fairness.py
 """
 
-from repro.service import experiments, format_table
+from repro.harness import experiments, format_table
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ Run with::
 
 import sys
 
-from repro.service import experiments, format_table
+from repro.harness import experiments, format_table
 
 
 def main(database_terabytes: float = 100.0) -> None:

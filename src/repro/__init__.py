@@ -26,7 +26,7 @@ The package is organised as follows:
 
 Quickstart (see :mod:`repro.service` for the session API)::
 
-    from repro.service import experiments
+    from repro.harness import experiments
 
     results = experiments.figure7_skipper_scaling(client_counts=(1, 3, 5), scale="small")
     print(results)

@@ -2,7 +2,12 @@
 
 import sys
 
+from repro.exceptions import ReproError
 from repro.harness.runner import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        sys.exit(2)

@@ -14,7 +14,7 @@ behaviour of both systems:
 
 :mod:`repro.analysis.model` implements these formulas so that the simulator
 can be validated against them (see ``tests/test_analysis.py`` and
-``benchmarks/bench_analysis_validation.py``).
+``tests/figures/test_analysis_validation.py``).
 
 The package also houses the repo's *static*-analysis suite — an AST-based
 rule engine (:mod:`repro.analysis.engine`) with determinism and

@@ -9,7 +9,7 @@ matches arbitrarily deep files under that package.
 :data:`DEFAULT_CONFIG` encodes the repo policy:
 
 * wall-clock reads (RPR002) are the *job* of the bench harness and of the
-  wall-time budget measurement in the parallel scenario runner, so those
+  per-scenario wall seconds the parallel scenario runner reports, so those
   files are excluded rather than littered with suppressions;
 * the builtin-``hash()`` guard (RPR004) only bites where ``PYTHONHASHSEED``
   could bend goldens — placement, routing and device-layout code;
@@ -86,11 +86,10 @@ DEFAULT_CONFIG = AnalysisConfig(
             exclude=(
                 "src/repro/bench/*",
                 "src/repro/scenarios/parallel.py",
-                "benchmarks/*",
             ),
             reason="measuring wall-clock time is these modules' purpose "
-            "(bench harness, wall-time budgets); simulated logic must "
-            "never read the host clock",
+            "(bench harness, the wall seconds --check prints); simulated "
+            "logic must never read the host clock",
         ),
         "RPR004": RuleScope(
             include=(

@@ -1,10 +1,10 @@
 """Determinism rules: nondeterminism hazards that would corrupt goldens.
 
 The regression net of this reproduction is byte-equality — 26 golden
-scenario reports, serial == ``--jobs N`` trace equality, committed perf
-budgets.  Each rule here targets one way Python lets nondeterminism leak
-into an otherwise deterministic simulation: unordered collection iteration,
-the host wall clock, the process-seeded ``random`` module, the
+scenario reports, serial == ``--jobs N`` trace equality.  Each rule here
+targets one way Python lets nondeterminism leak into an otherwise
+deterministic simulation: unordered collection iteration, the host wall
+clock, the process-seeded ``random`` module, the
 ``PYTHONHASHSEED``-randomised builtin ``hash()`` and unsorted directory
 listings.
 """
@@ -162,7 +162,8 @@ class WallClockCall(Rule):
     Every timestamp in the simulation comes from ``env.now``; a wall-clock
     read woven into scheduling or reporting varies run to run and breaks
     byte-identical goldens.  Scoped out (config.py) for the bench harness
-    and wall-time budget measurement, whose entire purpose is real time.
+    and the scenario runner's wall-seconds report, whose entire purpose is
+    real time.
     """
 
     code = "RPR002"

@@ -309,20 +309,6 @@ def peak_rss_kb() -> int:
     return int(peak)
 
 
-def _event_count(env: Any) -> int:
-    """Events delivered by the core, tolerating the pre-counter core.
-
-    The batched environment counts deliveries in ``dispatched``; the old
-    heap core only carried ``_sequence`` (events *scheduled*, all of which
-    are delivered by the time a run drains) — close enough for a
-    before/after ratio measured by the same harness.
-    """
-    dispatched = getattr(env, "dispatched", None)
-    if dispatched is not None:
-        return int(dispatched)
-    return int(getattr(env, "_sequence", 0))
-
-
 def run_one(
     spec: ScenarioSpec, trace: bool = False, profile_dir: Optional[Path] = None
 ) -> Dict[str, Any]:
@@ -364,7 +350,7 @@ def run_one(
     end = time.perf_counter()
     if profiler is not None:
         profiler.disable()
-    events = _event_count(service.env)
+    events = service.env.dispatched
     run_seconds = report_start - run_start
     entry = {
         "description": spec.description,

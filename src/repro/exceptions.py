@@ -87,7 +87,3 @@ class InvariantViolation(ReproError):
 
 class GoldenMismatchError(ReproError):
     """Raised when a scenario report diverges from its committed golden file."""
-
-
-class BudgetExceededError(ReproError):
-    """Raised when a scenario run exceeds its committed perf budget."""

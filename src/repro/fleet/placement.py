@@ -82,11 +82,6 @@ class PlacementPolicy:
         self, object_keys: Sequence[str], device_ids: Sequence[str]
     ) -> Dict[str, Tuple[str, ...]]:
         """Map each key to its replica devices (primary first)."""
-        self._validate(object_keys, device_ids)
-        return {key: self.replicas_for(key, device_ids) for key in object_keys}
-
-    def replicas_for(self, object_key: str, device_ids: Sequence[str]) -> Tuple[str, ...]:
-        """Replica devices for one key (primary first)."""
         raise NotImplementedError
 
     def _validate(self, object_keys: Sequence[str], device_ids: Sequence[str]) -> None:
@@ -127,11 +122,6 @@ class RoundRobinPlacement(PlacementPolicy):
             )
             for index, key in enumerate(object_keys)
         }
-
-    def replicas_for(self, object_key: str, device_ids: Sequence[str]) -> Tuple[str, ...]:
-        raise PlacementError(
-            "round-robin placement is positional; use place() over the full key list"
-        )
 
 
 class ConsistentHashPlacement(PlacementPolicy):
@@ -199,10 +189,6 @@ class ConsistentHashPlacement(PlacementPolicy):
             max(1, round(self.virtual_nodes * self._weights.get(device_id, 1.0)))
             for device_id in device_ids
         )
-
-    def key_hash(self, object_key: str) -> int:
-        """:func:`stable_hash` of an object key (its position on the ring)."""
-        return stable_hash(object_key)
 
     def bulk_key_hashes(self, object_keys: Sequence[str]) -> List[int]:
         """:func:`stable_hash` of many keys with the per-call overhead
@@ -313,11 +299,6 @@ class ConsistentHashPlacement(PlacementPolicy):
         # build, migration plans, golden metrics) iterate the placement dict
         # and rely on its insertion order matching the key population order.
         return {key: owners[key] for key in object_keys}
-
-    def replicas_for(self, object_key: str, device_ids: Sequence[str]) -> Tuple[str, ...]:
-        hashes, replicas_by_arc = self._segments(device_ids, self.replication)
-        position = bisect.bisect_right(hashes, self.key_hash(object_key))
-        return replicas_by_arc[position % len(hashes)]
 
     def diff_keys(
         self,

@@ -9,10 +9,7 @@ series the paper plots.  Absolute values depend on the cost-model calibration
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - deferred to avoid a service<->harness cycle
-    from repro.service.admission import AdmissionConfig
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster import ClientSpec, ClusterConfig, ClusterResult
 from repro.cluster.metrics import l2_norm, max_stretch, mean, stretches
@@ -43,8 +40,10 @@ from repro.csd.scheduler import (
 )
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
+from repro.engine.predicate import Comparison, Literal, col
 from repro.engine.query import Query
 from repro.exceptions import CacheError
+from repro.service.service import StorageService
 from repro.tiering import TieringCostModel
 from repro.workloads import mrbench, nref, ssb, tpch
 
@@ -73,15 +72,11 @@ def run_uniform_cluster(
     eviction_policy: Optional[EvictionPolicy] = None,
     cost_model: Optional[CostModel] = None,
     enable_pruning: bool = True,
-    admission: Optional[AdmissionConfig] = None,
 ) -> ClusterResult:
     """Run ``num_clients`` identical clients, all executing ``query``.
 
     This is the shape of most experiments in the paper: every tenant runs the
-    same query over its own copy of the dataset while sharing the CSD.  When
-    an ``admission`` config is passed the run goes through the service
-    façade's admission controller and the returned result carries the
-    admission summary (``result.admission``).
+    same query over its own copy of the dataset while sharing the CSD.
     """
     specs = [
         ClientSpec(
@@ -106,22 +101,16 @@ def run_uniform_cluster(
         cost_model=cost_model or CostModel(),
     )
     scheduler = scheduler if scheduler is not None else _default_scheduler(mode)
-    return _run_service(catalog, config, scheduler, admission=admission)
+    return _run_service(catalog, config, scheduler)
 
 
 def _run_service(
     catalog: Catalog,
     config: ClusterConfig,
     scheduler: IOScheduler,
-    admission: Optional[AdmissionConfig] = None,
 ) -> ClusterResult:
     """Run one batch experiment through the service façade."""
-    # Deferred import: the façade package re-exports this harness.
-    from repro.service.service import StorageService
-
-    return StorageService(
-        config, catalog=catalog, scheduler=scheduler, admission=admission
-    ).run()
+    return StorageService(config, catalog=catalog, scheduler=scheduler).run()
 
 
 def _default_scheduler(mode: str) -> IOScheduler:
@@ -618,48 +607,6 @@ def table2_subplan_example() -> Dict[str, List]:
 
 
 # --------------------------------------------------------------------------- #
-# Admission control under overload (service façade)
-# --------------------------------------------------------------------------- #
-def experiment_admission_overload(
-    num_clients: int = 6,
-    max_in_flight: int = 2,
-    max_queue_depth: int = 2,
-    scale: str = "tiny",
-    cache_capacity: int = 8,
-    switch_seconds: float = DEFAULT_SWITCH_SECONDS,
-    seed: int = 42,
-) -> Dict[str, object]:
-    """Drive more tenants at the service than admission control lets run.
-
-    Every tenant submits the same TPC-H Q12; the admission controller caps
-    concurrent execution at ``max_in_flight`` with a ``max_queue_depth``-deep
-    wait queue, so the overflow is queued and — past the queue — shed with
-    typed rejections.  Returns the controller's summary (global and
-    per-tenant), the same metrics scenario reports carry, now surfaced for
-    harness/notebook consumers; render it with
-    :func:`repro.harness.tables.format_admission_table`.
-    """
-    from repro.service.admission import AdmissionConfig
-
-    catalog = tpch.build_catalog(scale, seed=seed)
-    result = run_uniform_cluster(
-        catalog,
-        tpch.q12(),
-        num_clients,
-        mode="skipper",
-        switch_seconds=switch_seconds,
-        cache_capacity=cache_capacity,
-        admission=AdmissionConfig(
-            max_in_flight=max_in_flight, max_queue_depth=max_queue_depth
-        ),
-    )
-    summary = dict(result.admission)
-    summary["queries_completed"] = len(result.execution_times())
-    summary["mean_execution_time"] = result.average_execution_time()
-    return summary
-
-
-# --------------------------------------------------------------------------- #
 # Ablations beyond the paper's headline figures
 # --------------------------------------------------------------------------- #
 def ablation_eviction_policies(
@@ -862,8 +809,6 @@ def ablation_subplan_pruning(
     """
     catalog = tpch.build_catalog(scale, seed=seed)
     base = tpch.q12()
-    from repro.engine.predicate import Comparison, Literal, col
-
     selective = Query(
         name="tpch_q12_selective",
         tables=base.tables,

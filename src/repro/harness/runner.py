@@ -8,6 +8,7 @@ runs one of them with keyword overrides and prints the result.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 from typing import Any, Dict, List, Mapping, Sequence
 
@@ -68,6 +69,17 @@ def run_experiment(name: str, **overrides: Any):
         raise ConfigurationError(
             f"unknown experiment {name!r}; available: {', '.join(list_experiments())}"
         ) from None
+    parameters = inspect.signature(function).parameters
+    for key, value in overrides.items():
+        if key not in parameters:
+            raise ConfigurationError(
+                f"experiment {name!r} has no option {key!r}; it accepts: "
+                f"{', '.join(parameters) or '(none)'}"
+            )
+        # `-o client_counts=3` parses to a scalar; a sequence option takes it
+        # as a sequence of one.
+        if isinstance(parameters[key].default, tuple) and not isinstance(value, (tuple, list)):
+            overrides[key] = (value,)
     return function(**overrides)
 
 

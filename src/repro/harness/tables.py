@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 
 def _format_cell(value: object) -> str:
@@ -31,47 +31,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title
     lines.append("-+-".join("-" * width for width in widths))
     lines.extend(render_line(row) for row in rendered_rows)
     return "\n".join(lines)
-
-
-def render_mapping(mapping: Mapping[str, object], title: str = "") -> str:
-    """Render a flat mapping as a two-column table."""
-    return format_table(["key", "value"], list(mapping.items()), title=title)
-
-
-def format_admission_table(summary: Mapping[str, object], title: str = "") -> str:
-    """Render an admission-controller summary as per-tenant rows plus totals.
-
-    ``summary`` is the dict produced by
-    :meth:`repro.service.admission.AdmissionController.summary` (also carried
-    on ``ClusterResult.admission`` and scenario reports).
-    """
-    headers = ["tenant", "submitted", "admitted", "queued", "rejected", "mean queue delay (s)"]
-    rows = [
-        [
-            tenant,
-            counters["submitted"],
-            counters["admitted"],
-            counters["queued"],
-            counters["rejected"],
-            counters["mean_queue_delay"],
-        ]
-        for tenant, counters in summary.get("per_tenant", {}).items()
-    ]
-    rows.append(
-        [
-            "TOTAL",
-            summary["submitted"],
-            summary["admitted"],
-            summary["queued"],
-            summary["rejected"],
-            summary["queue_delay"]["mean"],
-        ]
-    )
-    if not title:
-        config = summary.get("config", {})
-        title = (
-            f"admission: in-flight cap {config.get('max_in_flight')} "
-            f"(per-tenant {config.get('max_in_flight_per_tenant')}), "
-            f"queue depth {config.get('max_queue_depth')}"
-        )
-    return format_table(headers, rows, title=title)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.harness.tables import format_table
+
 Interval = Tuple[float, float]
 
 #: Phase keys of one query breakdown, in presentation order.
@@ -132,8 +134,6 @@ def tenant_totals(
 
 def render_breakdown(document: Dict[str, Any], top: int = 10) -> str:
     """Human-readable critical-path report for one trace document."""
-    from repro.harness.tables import format_table
-
     breakdowns = query_breakdowns(document)
     lines: List[str] = []
     scenario = document.get("scenario") or "-"

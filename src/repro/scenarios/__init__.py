@@ -13,7 +13,6 @@ suite:
 * :mod:`repro.scenarios.invariants` — cross-cutting checks every run must
   pass (conservation, bounded starvation, monotone clock, cache bounds).
 * :mod:`repro.scenarios.golden` — golden-metrics serialization and diffing.
-* :mod:`repro.scenarios.budgets` — committed per-scenario perf budgets.
 * :mod:`repro.scenarios.parallel` — deterministic multi-process execution.
 
 Fleet scenarios declare a :class:`~repro.fleet.spec.FleetSpec` on their spec
@@ -26,7 +25,6 @@ Command line::
     python -m repro.scenarios --run-all --jobs 4
     python -m repro.scenarios --check --jobs 4
     python -m repro.scenarios --regen-golden
-    python -m repro.scenarios --regen-budgets
 """
 
 from repro.scenarios.arrivals import (
@@ -36,7 +34,6 @@ from repro.scenarios.arrivals import (
     SimultaneousArrival,
     UniformArrival,
 )
-from repro.scenarios.budgets import check_budget, load_budgets, write_budgets
 from repro.scenarios.golden import (
     assert_dict_matches_golden,
     assert_matches_golden,
@@ -73,12 +70,10 @@ __all__ = [
     "all_scenarios",
     "assert_dict_matches_golden",
     "assert_matches_golden",
-    "check_budget",
     "check_invariants",
     "diff_values",
     "get_scenario",
     "golden_path",
-    "load_budgets",
     "load_golden",
     "register",
     "run_scenarios",
@@ -86,6 +81,5 @@ __all__ = [
     "starvation_bound",
     "unified_diff_summary",
     "uniform_tenants",
-    "write_budgets",
     "write_golden",
 ]

@@ -8,7 +8,6 @@ Examples::
     python -m repro.scenarios --check --jobs 4
     python -m repro.scenarios --regen-golden
     python -m repro.scenarios --regen-golden uniform mixed-fleet
-    python -m repro.scenarios --regen-budgets
 """
 
 from __future__ import annotations
@@ -21,11 +20,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.exceptions import ReproError
-from repro.scenarios.budgets import (
-    check_budget,
-    load_budgets,
-    write_budgets,
-)
+from repro.fleet.spec import DeviceJoin, SetReplication
+from repro.harness.tables import format_table
 from repro.scenarios.golden import assert_dict_matches_golden, write_golden
 from repro.scenarios.parallel import ScenarioOutcome, run_scenarios
 from repro.scenarios.registry import get_scenario, scenario_names
@@ -36,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.scenarios",
         description="Run declarative multi-tenant scenarios and manage their "
-        "golden-metrics files and perf budgets.",
+        "golden-metrics files.",
     )
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true", help="list registered scenarios")
@@ -52,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--check",
         action="store_true",
-        help="run every scenario, diff it against its committed golden and "
-        "enforce its perf budget",
+        help="run every scenario and diff it against its committed golden",
     )
     group.add_argument(
         "--regen-golden",
@@ -62,18 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="regenerate golden files (all scenarios when no names are given)",
     )
-    group.add_argument(
-        "--regen-budgets",
-        action="store_true",
-        help="run every scenario and re-base tests/golden/budgets.json",
-    )
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for --run-all / --check / --regen-budgets "
-        "(default: 1, serial)",
+        help="worker processes for --run-all / --check (default: 1, serial)",
     )
     parser.add_argument(
         "--golden-dir",
@@ -92,18 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_scenario_table(golden_dir: Optional[Path] = None) -> str:
-    """The ``--list`` view: one row per scenario with its headline shape.
-
-    Budgets come from the committed ``tests/golden/budgets.json``; scenarios
-    without a committed budget yet (freshly registered) show ``-``.
-    """
-    from repro.harness.tables import format_table
-
-    try:
-        budgets = load_budgets(golden_dir=golden_dir)["budgets"]
-    except ReproError:
-        budgets = {}
+def _render_scenario_table() -> str:
+    """The ``--list`` view: one row per scenario with its headline shape."""
     rows = []
     for name in scenario_names():
         spec = get_scenario(name)
@@ -127,7 +106,6 @@ def _render_scenario_table(golden_dir: Optional[Path] = None) -> str:
             admission += f" q{spec.admission.max_queue_depth}"
         else:
             admission = "off"
-        budget = budgets.get(name, {}).get("simulated_time")
         rows.append(
             [
                 name,
@@ -139,7 +117,6 @@ def _render_scenario_table(golden_dir: Optional[Path] = None) -> str:
                 hetero,
                 routing,
                 admission,
-                f"{budget:.1f}" if budget is not None else "-",
             ]
         )
     return format_table(
@@ -153,7 +130,6 @@ def _render_scenario_table(golden_dir: Optional[Path] = None) -> str:
             "hetero",
             "routing",
             "admission",
-            "sim budget (s)",
         ],
         rows,
         title=f"{len(rows)} registered scenarios",
@@ -167,8 +143,6 @@ def _render_membership(fleet) -> str:
     fail-stop losses as ``xcsdN@Ts`` and replication changes as ``R=r@Ts``;
     a static fleet shows ``-``.
     """
-    from repro.fleet.spec import DeviceJoin, SetReplication
-
     parts = []
     for event in fleet.events:
         if isinstance(event, SetReplication):
@@ -210,7 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runner = ScenarioRunner()
 
     if arguments.list:
-        print(_render_scenario_table(golden_dir=arguments.golden_dir))
+        print(_render_scenario_table())
         return 0
 
     if arguments.run is not None:
@@ -241,16 +215,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if failures else 0
 
     if arguments.check:
-        try:
-            budgets = load_budgets(golden_dir=arguments.golden_dir)
-        except ReproError as error:
-            print(f"FAIL budgets\n{error}", file=sys.stderr)
-            budgets = None
-        failures = 1 if budgets is None else 0
+        failures = 0
         total_wall = 0.0
         for outcome in run_scenarios(scenario_names(), jobs=arguments.jobs):
             # Keep checking the remaining scenarios whatever one of them
-            # raises (invariant violation, golden drift, blown budget, ...),
+            # raises (invariant violation, golden drift, ...),
             # so CI shows the full per-scenario picture, not the first error.
             total_wall += outcome.wall_seconds or 0.0
             if not outcome.ok:
@@ -263,31 +232,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     json.loads(outcome.report_json),
                     golden_dir=arguments.golden_dir,
                 )
-                if budgets is not None:
-                    check_budget(outcome.name, outcome.simulated_time, budgets)
             except ReproError as error:
                 failures += 1
                 print(f"FAIL {outcome.name}\n{error}", file=sys.stderr)
             else:
-                # Wall time is reported (not budgeted): simulated-time budgets
-                # are deterministic, wall time is the machine-dependent cost.
+                # Wall time is reported, not gated: the performance ledger
+                # (ledger/, BENCHMARK.json) is the one gate on host time.
                 print(
                     f"ok   {outcome.name:28s} sim={outcome.simulated_time:10.3f}s  "
                     f"wall={outcome.wall_seconds:6.2f}s"
                 )
         print(f"checked {len(scenario_names())} scenarios in {total_wall:.2f}s wall time")
         return 1 if failures else 0
-
-    if arguments.regen_budgets:
-        simulated_times = {}
-        for outcome in run_scenarios(scenario_names(), jobs=arguments.jobs):
-            if not outcome.ok:
-                _print_failure(outcome)
-                return 1
-            simulated_times[outcome.name] = outcome.simulated_time
-        path = write_budgets(simulated_times, golden_dir=arguments.golden_dir)
-        print(f"wrote {path}")
-        return 0
 
     names = arguments.regen_golden or scenario_names()
     for name in names:

@@ -28,11 +28,9 @@ Quickstart::
     print(handle.result().execution_time)
 
 The legacy batch entry point (``repro.cluster.Cluster``) has been retired;
-the experiment harness runs through the façade.  For
-convenience the façade also re-exports the experiment harness
-(:mod:`repro.harness.experiments` as :data:`experiments`), the table
-renderer and the workload generators, so examples and notebooks need a
-single import.
+the experiment harness (:mod:`repro.harness`, the layer above this one) runs
+through the façade.  For convenience the façade also re-exports the workload
+generators.
 """
 
 from repro.cluster.client import ClientSpec
@@ -56,10 +54,7 @@ from repro.service.handles import (
 from repro.service.service import StorageService
 from repro.service.session import Session
 
-# Imported last: the harness itself consumes the service layer above.
 from repro import workloads
-from repro.harness import experiments
-from repro.harness.tables import format_admission_table, format_table
 
 __all__ = [
     "AdmissionConfig",
@@ -81,8 +76,5 @@ __all__ = [
     "SessionClosedError",
     "StorageService",
     "canonical_rows",
-    "experiments",
-    "format_admission_table",
-    "format_table",
     "workloads",
 ]

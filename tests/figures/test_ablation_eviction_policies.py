@@ -9,16 +9,11 @@ objects TPC-H Q5 touches.  Naive policies may fail to make progress at all
 
 import math
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="ablation-eviction")
-def test_ablation_eviction_policies(benchmark, bench_once):
-    result = bench_once(
-        benchmark, experiments.ablation_eviction_policies, cache_capacity=8, num_clients=2
-    )
+def test_ablation_eviction_policies():
+    result = experiments.ablation_eviction_policies(cache_capacity=8, num_clients=2)
     rows = [
         [
             policy,

@@ -10,15 +10,11 @@
 
 import math
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.smoke
-@pytest.mark.benchmark(group="ablation-ordering")
-def test_ablation_intra_group_ordering(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.ablation_intra_group_ordering)
+def test_ablation_intra_group_ordering():
+    result = experiments.ablation_intra_group_ordering()
     rows = [
         [
             ordering,
@@ -42,10 +38,8 @@ def test_ablation_intra_group_ordering(benchmark, bench_once):
     assert math.isfinite(result["semantic-round-robin"]["avg_time"])
 
 
-@pytest.mark.smoke
-@pytest.mark.benchmark(group="ablation-pruning")
-def test_ablation_subplan_pruning(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.ablation_subplan_pruning)
+def test_ablation_subplan_pruning():
+    result = experiments.ablation_subplan_pruning()
     rows = [
         [
             label,

@@ -11,14 +11,11 @@ paper:
   with only a marginal efficiency cost.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="ablation-schedulers")
-def test_ablation_csd_schedulers(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.ablation_csd_schedulers, num_clients=4)
+def test_ablation_csd_schedulers():
+    result = experiments.ablation_csd_schedulers(num_clients=4)
     rows = [
         [policy, round(values["avg_time"], 1), int(values["group_switches"])]
         for policy, values in result.items()
@@ -42,9 +39,8 @@ def test_ablation_csd_schedulers(benchmark, bench_once):
     assert result["rank-based"]["avg_time"] <= result["object-fcfs"]["avg_time"] * 1.05
 
 
-@pytest.mark.benchmark(group="ablation-fairness-k")
-def test_ablation_fairness_constant(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.ablation_fairness_constant)
+def test_ablation_fairness_constant():
+    result = experiments.ablation_fairness_constant()
     rows = [
         [
             constant,

@@ -15,8 +15,7 @@ from repro.harness import experiments, format_table
 from repro.workloads import tpch
 
 
-@pytest.mark.benchmark(group="analysis")
-def test_analytical_model_matches_simulation(benchmark, bench_once):
+def test_analytical_model_matches_simulation():
     catalog = tpch.build_catalog("sf50", seed=42)
     query = tpch.q12()
     segments = catalog.num_segments("orders") + catalog.num_segments("lineitem")
@@ -33,7 +32,7 @@ def test_analytical_model_matches_simulation(benchmark, bench_once):
             measured[clients] = {"vanilla": vanilla, "skipper": skipper}
         return measured
 
-    measured = bench_once(benchmark, run)
+    measured = run()
     rows = []
     for clients, values in measured.items():
         model = AnalyticalModel(num_clients=clients, num_segments=segments)

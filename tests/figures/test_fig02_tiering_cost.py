@@ -11,10 +11,8 @@ import pytest
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.smoke
-@pytest.mark.benchmark(group="fig02")
-def test_figure2_tiering_cost(benchmark, bench_once):
-    rows = bench_once(benchmark, experiments.table1_figure2_tiering_cost)
+def test_figure2_tiering_cost():
+    rows = experiments.table1_figure2_tiering_cost()
     print()
     print(
         format_table(

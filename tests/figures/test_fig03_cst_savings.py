@@ -10,10 +10,8 @@ import pytest
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.smoke
-@pytest.mark.benchmark(group="fig03")
-def test_figure3_cst_savings(benchmark, bench_once):
-    rows = bench_once(benchmark, experiments.figure3_cst_savings)
+def test_figure3_cst_savings():
+    rows = experiments.figure3_cst_savings()
     table_rows = []
     for base, per_price in rows.items():
         for price, values in per_price.items():

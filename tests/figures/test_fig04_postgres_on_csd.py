@@ -11,11 +11,8 @@ import pytest
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig04")
-def test_figure4_postgres_on_csd(benchmark, bench_once):
-    result = bench_once(
-        benchmark, experiments.figure4_postgres_on_csd, client_counts=(1, 2, 3, 4, 5)
-    )
+def test_figure4_postgres_on_csd():
+    result = experiments.figure4_postgres_on_csd(client_counts=(1, 2, 3, 4, 5))
     rows = [
         [clients, round(on_csd, 1), round(on_hdd, 1), round(on_csd / on_hdd, 2)]
         for clients, on_csd, on_hdd in zip(

@@ -4,16 +4,11 @@ Paper reference: with five clients running TPC-H Q12, increasing the group
 switch latency from 0 to 20 seconds increases execution time ~6x.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig05")
-def test_figure5_latency_sensitivity(benchmark, bench_once):
-    result = bench_once(
-        benchmark,
-        experiments.figure5_latency_sensitivity,
+def test_figure5_latency_sensitivity():
+    result = experiments.figure5_latency_sensitivity(
         switch_latencies=(0.0, 5.0, 10.0, 15.0, 20.0),
         num_clients=5,
     )

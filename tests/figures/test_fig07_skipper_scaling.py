@@ -5,16 +5,11 @@ Skipper outperforms vanilla PostgreSQL-on-CSD by ~3x and stays within ~35 %
 of the ideal HDD-based configuration; vanilla degrades linearly.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig07")
-def test_figure7_skipper_scaling(benchmark, bench_once):
-    result = bench_once(
-        benchmark, experiments.figure7_skipper_scaling, client_counts=(1, 2, 3, 4, 5)
-    )
+def test_figure7_skipper_scaling():
+    result = experiments.figure7_skipper_scaling(client_counts=(1, 2, 3, 4, 5))
     rows = []
     for index, clients in enumerate(result["clients"]):
         vanilla = result["postgresql"][index]

@@ -6,14 +6,11 @@ each against the shared CSD; Skipper reduces cumulative execution time by
 2-3x for every workload.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig08")
-def test_figure8_mixed_workload(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.figure8_mixed_workload, repetitions=5)
+def test_figure8_mixed_workload():
+    result = experiments.figure8_mixed_workload(repetitions=5)
     rows = []
     for workload in result["postgresql"]:
         vanilla = result["postgresql"][workload]

@@ -5,15 +5,11 @@ waiting (65 % of the total on group switches); Skipper reduces the switch
 share to ~2 % and spends a substantial fraction on useful work.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.smoke
-@pytest.mark.benchmark(group="fig09")
-def test_figure9_breakdown(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.figure9_breakdown, num_clients=5)
+def test_figure9_breakdown():
+    result = experiments.figure9_breakdown(num_clients=5)
     rows = [
         [
             system,

@@ -5,16 +5,11 @@ latency grows from 10 s to 40 s, while Skipper stays essentially flat (its
 scheduler needs only one switch per group per query cycle).
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig10")
-def test_figure10_switch_latency(benchmark, bench_once):
-    result = bench_once(
-        benchmark,
-        experiments.figure10_switch_latency,
+def test_figure10_switch_latency():
+    result = experiments.figure10_switch_latency(
         switch_latencies=(10.0, 20.0, 30.0, 40.0),
         num_clients=5,
     )

@@ -11,9 +11,8 @@ import pytest
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig11a")
-def test_figure11a_layout_sensitivity(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.figure11a_layout_sensitivity, num_clients=4)
+def test_figure11a_layout_sensitivity():
+    result = experiments.figure11a_layout_sensitivity(num_clients=4)
     layouts = list(result["postgresql"])
     rows = [
         [

@@ -6,16 +6,11 @@ faster at larger caches; the number of GET requests per client falls from
 ~388 to ~64 as the cache grows from 10 to 30 objects.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig11b")
-def test_figure11b_cache_size(benchmark, bench_once):
-    result = bench_once(
-        benchmark, experiments.figure11b_cache_size, cache_sizes=(10, 15, 20, 25, 30)
-    )
+def test_figure11b_cache_size():
+    result = experiments.figure11b_cache_size(cache_sizes=(10, 15, 20, 25, 30))
     rows = [
         [size, round(seconds, 1), round(gets, 1)]
         for size, seconds, gets in zip(

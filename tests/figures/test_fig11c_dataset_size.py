@@ -6,16 +6,11 @@ grows ~4.8x and the GET count grows from ~212 to ~1787 requests per client
 as the cache shrinks from 42 to 14 objects.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig11c")
-def test_figure11c_dataset_size(benchmark, bench_once):
-    result = bench_once(
-        benchmark, experiments.figure11c_dataset_size, cache_sizes=(14, 21, 28, 35, 42)
-    )
+def test_figure11c_dataset_size():
+    result = experiments.figure11c_dataset_size(cache_sizes=(14, 21, 28, 35, 42))
     rows = [
         [size, round(seconds, 1), round(gets, 1)]
         for size, seconds, gets in zip(

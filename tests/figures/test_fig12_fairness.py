@@ -5,14 +5,11 @@ cumulative workload time but starves the lone client (largest max stretch);
 FCFS trades efficiency for fairness; the rank-based policy balances both.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_figure12_fairness(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.figure12_fairness, repetitions=10)
+def test_figure12_fairness():
+    result = experiments.figure12_fairness(repetitions=10)
     rows = [
         [
             policy,

@@ -4,15 +4,11 @@ Paper reference: three relations A, B, C with two segments each, spread over
 three disk groups, yield eight execution subplans.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.smoke
-@pytest.mark.benchmark(group="tab02")
-def test_table2_subplan_example(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.table2_subplan_example)
+def test_table2_subplan_example():
+    result = experiments.table2_subplan_example()
     print()
     print(
         format_table(

@@ -7,15 +7,11 @@ MJoin-enabled engine — i.e. out-of-order execution adds only marginal CPU
 overhead, and remote storage roughly doubles execution time.
 """
 
-import pytest
-
 from repro.harness import experiments, format_table
 
 
-@pytest.mark.smoke
-@pytest.mark.benchmark(group="tab03")
-def test_table3_component_breakdown(benchmark, bench_once):
-    result = bench_once(benchmark, experiments.table3_component_breakdown)
+def test_table3_component_breakdown():
+    result = experiments.table3_component_breakdown()
     rows = [
         [
             system,

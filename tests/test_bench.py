@@ -10,7 +10,6 @@ import repro.bench
 import repro.bench.__main__
 from repro.bench import (
     DEFAULT_OUTPUT_NAME,
-    _event_count,
     attach_baseline,
     check_determinism,
     macro_specs,
@@ -86,17 +85,6 @@ class TestMeasurement:
             assert entry[phase] >= 0.0
         assert entry["wall_seconds"] >= entry["run_seconds"]
         assert entry["peak_rss_kb_delta"] >= 0
-
-    def test_event_count_falls_back_to_sequence_counter(self):
-        class OldEnvironment:
-            _sequence = 17
-
-        class NewEnvironment:
-            dispatched = 23
-            _sequence = 99  # must be ignored when the real counter exists
-
-        assert _event_count(OldEnvironment()) == 17
-        assert _event_count(NewEnvironment()) == 23
 
     def test_peak_rss_is_positive(self):
         assert peak_rss_kb() > 0
@@ -180,19 +168,6 @@ class TestDocument:
         assert any(
             "pinned" in problem for problem in check_determinism(missing, committed)
         )
-
-    def test_committed_document_shows_the_core_speedup(self):
-        from repro.bench import repo_root
-
-        # BENCH_9 is retained history: it pins the scale-up PR's speedup
-        # floors, measured back-to-back against its pre-PR core on the
-        # events/sec rate (the wall-time ratios are also recorded but
-        # depend on suite ordering).
-        committed = json.loads((repo_root() / "BENCH_9.json").read_text())
-        assert committed["mode"] == "full"
-        ratios = committed["baseline"]["speedup_events_per_second"]
-        assert ratios["macro-million-keys"] >= 3.0
-        assert ratios["macro-sf-1000"] >= 1.5
 
     def test_committed_bench_10_covers_the_current_suite(self):
         from repro.bench import DEFAULT_OUTPUT_NAME, repo_root

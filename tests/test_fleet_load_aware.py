@@ -15,6 +15,7 @@ from typing import Dict
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from placement_oracle import brute_force_place
 
 from repro.exceptions import ConfigurationError, ScenarioError
 from repro.fleet.placement import ConsistentHashPlacement, normalize_weights
@@ -181,8 +182,8 @@ class TestWeightedRingProperties:
             zip(policy.bulk_key_hashes(population), population)
         )
         bulk = policy.place(population, roster, sorted_key_hashes=sorted_hashes)
-        for key in population[::7]:
-            assert bulk[key] == policy.replicas_for(key, roster)
+        for key, replicas in brute_force_place(policy, population[::7], roster).items():
+            assert bulk[key] == replicas
 
 
 class TestLoadAwareScenarios:

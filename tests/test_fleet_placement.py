@@ -210,7 +210,7 @@ class TestDiffKeysEquivalence:
         policy.replication = new_replication
         after = policy.place(keys, device_ids(new_devices))
         expected = {key: after[key] for key in keys if after[key] != before[key]}
-        sorted_key_hashes = sorted((policy.key_hash(key), key) for key in keys)
+        sorted_key_hashes = sorted((stable_hash(key), key) for key in keys)
         changed = policy.diff_keys(
             sorted_key_hashes,
             device_ids(old_devices),
@@ -227,14 +227,14 @@ class TestDiffKeysEquivalence:
         remaining = [d for d in roster if d != "csd2"]
         before = policy.place(keys, roster)
         after = policy.place(keys, remaining)
-        sorted_key_hashes = sorted((policy.key_hash(key), key) for key in keys)
+        sorted_key_hashes = sorted((stable_hash(key), key) for key in keys)
         changed = policy.diff_keys(sorted_key_hashes, roster, remaining, 2, 2)
         assert changed == {key: after[key] for key in keys if after[key] != before[key]}
         assert 0 < len(changed) < len(keys)
 
     def test_diff_validates_new_roster(self):
         policy = ConsistentHashPlacement(1)
-        pairs = sorted((policy.key_hash(key), key) for key in ["a", "b"])
+        pairs = sorted((stable_hash(key), key) for key in ["a", "b"])
         with pytest.raises(PlacementError):
             policy.diff_keys(pairs, device_ids(2), [], 1, 1)
         with pytest.raises(PlacementError):

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from repro.harness import experiments, format_table, render_mapping
+from repro.harness import experiments, format_table
 
 
 class TestTables:
@@ -17,10 +17,6 @@ class TestTables:
         text = format_table(["a", "b"], [[1, 2.5], ["x", "y"]], title="T")
         assert "T" in text and "a" in text and "2.5" in text and "x" in text
         assert len(text.splitlines()) == 5
-
-    def test_render_mapping(self):
-        text = render_mapping({"k": 1})
-        assert "k" in text and "1" in text
 
 
 class TestTieringExperiments:

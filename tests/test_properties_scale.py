@@ -3,9 +3,9 @@
 Two equivalences the million-key/SF-1000 acceleration rests on (the
 subplan tracker's oracle test is in ``test_core_arrival_properties.py``):
 
-* bulk arc-sweep ``place()`` returns byte-identical placements to per-key
-  ``replicas_for()`` for any roster, replication factor, vnode count and
-  key population;
+* bulk arc-sweep ``place()`` returns byte-identical placements to the
+  brute-force per-key ring walk in ``placement_oracle.py`` for any roster,
+  replication factor, vnode count and key population;
 * bulk ``selection`` over a segment's column arrays keeps exactly the rows
   the generic per-row ``evaluate`` keeps, for every filter of every
   registered TPC-H / SSB / MR-bench / NREF query.
@@ -15,6 +15,7 @@ Segments have one (columnar) layout; ragged rows are rejected up front.
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from placement_oracle import brute_force_place
 
 from repro.engine import Column, DataType, Relation, TableSchema
 from repro.engine.relation import Segment
@@ -52,9 +53,7 @@ class TestBulkPlacementEquivalence:
             replication=min(replication, num_devices), virtual_nodes=vnodes
         )
         placed = placement.place(keys, devices)
-        assert placed == {
-            key: placement.replicas_for(key, devices) for key in keys
-        }
+        assert placed == brute_force_place(placement, keys, devices)
         # Downstream consumers rely on insertion order following key order.
         assert list(placed) == list(keys)
 

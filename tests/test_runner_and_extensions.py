@@ -1,5 +1,8 @@
 """Tests for the CLI runner, the slack-FCFS scheduler and the client proxy."""
 
+import runpy
+import sys
+
 import pytest
 
 from repro.core.client_proxy import ClientProxy
@@ -152,6 +155,23 @@ class TestRunner:
     def test_run_unknown_experiment_raises(self):
         with pytest.raises(ConfigurationError):
             runner.run_experiment("figure99")
+
+    def test_unknown_option_names_the_accepted_ones(self):
+        with pytest.raises(ConfigurationError, match="client_counts, scale"):
+            runner.run_experiment("figure4", nope=1)
+
+    def test_scalar_for_a_sequence_option_is_a_sequence_of_one(self):
+        result = runner.run_experiment("figure4", client_counts=3, scale="tiny")
+        assert result["clients"] == [3]
+        result = runner.run_experiment("figure4", client_counts=[1, 2], scale="tiny")
+        assert result["clients"] == [1, 2]
+
+    def test_module_entry_point_prints_repro_errors_and_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["repro", "run", "figure4", "-o", "nope=1"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("repro", run_name="__main__")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: experiment 'figure4' has no option")
 
     def test_option_parsing(self):
         assert runner._parse_option("scale=small") == ("scale", "small")

@@ -634,3 +634,43 @@ def test_no_unused_imports():
         for finding in _unused_imports(path)
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _imports_package(node, package):
+    """Whether ``node`` is an import of ``package`` or of something inside it
+    (``from repro import harness`` counts as ``repro.harness``)."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(name == package or name.startswith(package + ".") for name in names)
+
+
+def test_service_never_imports_the_harness_and_nothing_defers_around_it():
+    """The harness is the top layer and its table renderer a leaf: no module
+    of the façade imports ``repro.harness``, so the modules that once dodged
+    the ``service -> harness -> service`` cycle with function-level imports
+    import at module level."""
+    package = REPO_ROOT / "src" / "repro"
+    upward = [
+        f"{path}:{node.lineno}"
+        for path in sorted((package / "service").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _imports_package(node, "repro.harness")
+    ]
+    assert not upward, "repro.service imports repro.harness:\n" + "\n".join(upward)
+    deferred = [
+        f"{path}:{node.lineno}"
+        for path in (
+            package / "harness" / "experiments.py",
+            package / "obs" / "analysis.py",
+            package / "scenarios" / "__main__.py",
+        )
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if _imports_package(node, "repro")
+    ]
+    assert not deferred, "function-level repro imports:\n" + "\n".join(deferred)
