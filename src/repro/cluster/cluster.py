@@ -57,8 +57,8 @@ class ClusterResult:
     device_objects_served: int
     total_simulated_time: float
     #: Admission-controller summary of the run (``None`` with admission
-    #: disabled), so batch consumers — the experiment harness, notebooks —
-    #: see shed/queued traffic without reaching into the service.
+    #: disabled), so whoever holds only the result sees shed/queued traffic
+    #: without reaching into the service.
     admission: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #

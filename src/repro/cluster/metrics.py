@@ -3,6 +3,9 @@
 * :func:`attribute_waiting` splits a client's blocked time into group-switch
   wait and data-transfer wait by intersecting the client's blocked intervals
   with the device's busy intervals (Figure 9 / Table 3).
+* :func:`merge_intervals`, :class:`MergedSpans` and :func:`sweep_blocked` are
+  the interval algebra behind it — the only one in the tree:
+  :mod:`repro.obs.analysis` runs the same sweep over a trace document.
 * :func:`stretches`, :func:`l2_norm` and :func:`max_stretch` implement the
   scheduling-theory metrics of Section 5.2.5 (Figure 12): the stretch of a
   query is its observed execution time divided by its ideal (single-client)
@@ -88,20 +91,6 @@ class MergedSpans:
         self.ends = [span[1] for span in self.spans]
 
 
-def busy_span_index(
-    busy_intervals: Sequence[BusyInterval],
-) -> Tuple[MergedSpans, MergedSpans]:
-    """The (all-busy, transfer-only) span unions of a run's interval log."""
-    relevant = [
-        interval for interval in busy_intervals if interval.end > 0 and interval.duration > 0
-    ]
-    transfer_spans = MergedSpans(
-        [(busy.start, busy.end) for busy in relevant if busy.kind != "switch"]
-    )
-    busy_spans = MergedSpans([(busy.start, busy.end) for busy in relevant])
-    return busy_spans, transfer_spans
-
-
 def attribute_waiting(
     blocked_intervals: Sequence[Tuple[float, float]],
     busy_intervals: Sequence[BusyInterval],
@@ -135,14 +124,51 @@ def attribute_waiting_batch(
     """Attribute many queries' blocked time in one sorted sweep.
 
     The busy-span unions depend only on the interval log, so they are built
-    once; all queries' merged blocked intervals are then sorted by start and
-    walked against them with a single forward-only pointer per span union.
-    Each query's intervals keep their relative order under the stable sort
-    (they are disjoint and ascending), so every per-query float accumulates
-    in the same sequence whatever other queries share the sweep — a batch of
-    N is bit-identical to N one-query calls.
+    once and every query's blocked intervals are walked against them by
+    :func:`sweep_blocked` (inner = every kind but ``switch``) — a batch of N
+    is bit-identical to N one-query calls.
     """
-    busy_spans, transfer_spans = busy_span_index(busy_intervals)
+    relevant = [
+        interval for interval in busy_intervals if interval.end > 0 and interval.duration > 0
+    ]
+    transfer_spans = MergedSpans(
+        [(busy.start, busy.end) for busy in relevant if busy.kind != "switch"]
+    )
+    busy_spans = MergedSpans([(busy.start, busy.end) for busy in relevant])
+    totals, transfers, switches = sweep_blocked(
+        blocked_interval_lists, transfer_spans, busy_spans
+    )
+    return [
+        ExecutionBreakdown(
+            processing=processing_times[query],
+            switch_wait=switches[query],
+            transfer_wait=transfers[query],
+            other_wait=max(0.0, totals[query] - switches[query] - transfers[query]),
+        )
+        for query in range(len(totals))
+    ]
+
+
+def sweep_blocked(
+    blocked_interval_lists: Sequence[Sequence[Tuple[float, float]]],
+    inner_spans: MergedSpans,
+    busy_spans: MergedSpans,
+) -> Tuple[List[float], List[float], List[float]]:
+    """Split every query's blocked seconds by what the devices were doing.
+
+    Returns three lists aligned with ``blocked_interval_lists``: the blocked
+    seconds in total, the part covered by ``inner_spans``, and the part
+    covered by ``busy_spans`` but not by ``inner_spans`` (which must lie
+    inside ``busy_spans``).  Figure 9's attribution (inner = transfers and
+    migration I/O, the rest of busy = switches) and the trace's critical
+    path (inner = migration I/O, the rest = foreground work) are this sweep.
+
+    All queries' merged blocked intervals are sorted by start and walked
+    against the two unions with a single forward-only pointer each.  Each
+    query's intervals keep their relative order under the stable sort (they
+    are disjoint and ascending), so every per-query float accumulates in the
+    same sequence whatever other queries share the sweep.
+    """
     merged_per_query = [
         merge_intervals(blocked) for blocked in blocked_interval_lists
     ]
@@ -155,17 +181,15 @@ def attribute_waiting_batch(
 
     count = len(merged_per_query)
     totals = [0.0] * count
-    switches = [0.0] * count
-    transfers = [0.0] * count
+    inners = [0.0] * count
+    outers = [0.0] * count
     b_spans, b_starts, b_ends = busy_spans.spans, busy_spans.starts, busy_spans.ends
-    t_spans, t_starts, t_ends = (
-        transfer_spans.spans,
-        transfer_spans.starts,
-        transfer_spans.ends,
-    )
-    b_size, t_size = len(b_spans), len(t_spans)
+    i_spans, i_starts, i_ends = inner_spans.spans, inner_spans.starts, inner_spans.ends
+    b_size, i_size = len(b_spans), len(i_spans)
     b_low = 0
-    t_low = 0
+    i_low = 0
+    # Unrolled over the two unions on purpose: written as a generic loop
+    # over a list of unions this read 0.88x on the ledger's attribution probe.
     for start, end, query in tagged:
         while b_low < b_size and b_ends[b_low] <= start:
             b_low += 1
@@ -175,29 +199,23 @@ def attribute_waiting_batch(
             covered += (span_end if span_end < end else end) - (
                 span_start if span_start > start else start
             )
-        while t_low < t_size and t_ends[t_low] <= start:
-            t_low += 1
-        transferring = 0.0
-        for index in range(t_low, bisect_left(t_starts, end, t_low)):
-            span_start, span_end = t_spans[index]
-            transferring += (span_end if span_end < end else end) - (
+        while i_low < i_size and i_ends[i_low] <= start:
+            i_low += 1
+        inside = 0.0
+        for index in range(i_low, bisect_left(i_starts, end, i_low)):
+            span_start, span_end = i_spans[index]
+            inside += (span_end if span_end < end else end) - (
                 span_start if span_start > start else start
             )
         totals[query] += end - start
-        transfers[query] += transferring
-        # Seconds covered by busy time but not by any transfer: a switch was
-        # the only thing happening (switch-while-transferring counts as
-        # transfer wait, the bucket closest to the client's experience).
-        switches[query] += covered - transferring
-    return [
-        ExecutionBreakdown(
-            processing=processing_times[query],
-            switch_wait=switches[query],
-            transfer_wait=transfers[query],
-            other_wait=max(0.0, totals[query] - switches[query] - transfers[query]),
-        )
-        for query in range(count)
-    ]
+        inners[query] += inside
+        # Seconds covered by busy time but not by any inner span: for the
+        # Figure 9 split a switch was the only thing happening (switch-while-
+        # transferring counts as transfer wait, the bucket closest to the
+        # client's experience).  Subtracted per blocked interval, not once at
+        # the end, so the floats accumulate as they always have.
+        outers[query] += covered - inside
+    return totals, inners, outers
 
 
 def stretches(observed_times: Iterable[float], ideal_time: float) -> List[float]:

@@ -14,7 +14,7 @@ Policies:
 * :class:`MaxPendingSubplansEviction` — the paper's first attempt: evict the
   object participating in the fewest *pending* subplans.
 * :class:`LRUEviction`, :class:`FIFOEviction` — classic baselines used in the
-  ablation benchmarks.
+  eviction-policy ablation (``tests/figures/test_ablation_eviction_policies.py``).
 """
 
 from __future__ import annotations

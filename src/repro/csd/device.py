@@ -7,17 +7,20 @@ load, charges the group-switch latency when the loaded group changes, and
 then streams objects back to clients one at a time, charging a per-object
 transfer time.
 
-For every unit of busy time the device records a :class:`BusyInterval`
-(switch or transfer) so the metrics layer can attribute each client's waiting
-time to switching vs. data transfer — the breakdown shown in Figure 9 and
-Table 3 of the paper.
+For every unit of busy time the device appends one :class:`BusyInterval`
+(switch, transfer or migration I/O) to its ``busy_intervals`` list — the one
+record every after-the-run reader works from: the metrics layer attributes
+each client's waiting time to switching vs. data transfer from it (the
+breakdown shown in Figure 9 and Table 3 of the paper), and the invariant
+checker, the scenario report and the trace exporter read the same list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from collections import deque
 
@@ -104,8 +107,7 @@ class MigrationTokenBucket:
         return (1.0 - self.tokens) / self.rate
 
 
-@dataclass(frozen=True)
-class BusyInterval:
+class BusyInterval(NamedTuple):
     """One stretch of device activity: a switch, a transfer or migration I/O."""
 
     start: float
@@ -122,97 +124,9 @@ class BusyInterval:
         return self.end - self.start
 
 
-class IntervalLog:
-    """Append-optimised log of :class:`BusyInterval` records.
-
-    The device appends one record per switch/transfer/migration on the hot
-    path, but consumers (metrics, invariants, the fleet router) only read
-    the intervals after the run.  Records are therefore kept as plain
-    column tuples — far cheaper to append than a frozen dataclass — and
-    materialised into :class:`BusyInterval` objects lazily, once, on first
-    read.  The log behaves like a list of ``BusyInterval`` for iteration,
-    indexing and mutation.
-    """
-
-    __slots__ = ("_rows", "_cache")
-
-    def __init__(self) -> None:
-        self._rows: List[tuple] = []
-        self._cache: Optional[List[BusyInterval]] = None
-
-    def record(
-        self,
-        start: float,
-        end: float,
-        kind: str,
-        group_id: int,
-        client_id: Optional[str] = None,
-        query_id: Optional[str] = None,
-        object_key: Optional[str] = None,
-    ) -> None:
-        """Append one interval without building a ``BusyInterval`` object."""
-        self._cache = None
-        self._rows.append((start, end, kind, group_id, client_id, query_id, object_key))
-
-    def append(self, interval: BusyInterval) -> None:
-        """List-style append of an already-built interval."""
-        self.record(
-            interval.start,
-            interval.end,
-            interval.kind,
-            interval.group_id,
-            interval.client_id,
-            interval.query_id,
-            interval.object_key,
-        )
-
-    def _materialise(self) -> List[BusyInterval]:
-        cache = self._cache
-        if cache is None:
-            cache = [BusyInterval(*row) for row in self._rows]
-            self._cache = cache
-        return cache
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __bool__(self) -> bool:
-        return bool(self._rows)
-
-    def __iter__(self):
-        return iter(self._materialise())
-
-    def __getitem__(self, index):
-        return self._materialise()[index]
-
-    def __setitem__(self, index: int, interval: BusyInterval) -> None:
-        self._cache = None
-        self._rows[index] = (
-            interval.start,
-            interval.end,
-            interval.kind,
-            interval.group_id,
-            interval.client_id,
-            interval.query_id,
-            interval.object_key,
-        )
-
-    def total_duration(self) -> float:
-        """Sum of interval durations, in log order (no materialisation)."""
-        total = 0.0
-        for row in self._rows:
-            total += row[1] - row[0]
-        return total
-
-    def window_overlap(self, start: float, end: float) -> float:
-        """Summed overlap of every interval with ``[start, end]``, log order."""
-        total = 0.0
-        for row in self._rows:
-            total += max(
-                0.0,
-                (row[1] if row[1] < end else end) - (row[0] if row[0] > start else start),
-            )
-        return total
+#: ``BusyInterval(*fields)`` for all seven fields, without the Python frame
+#: of the generated ``__new__``: ``_complete`` builds one per served object.
+_new_interval = partial(tuple.__new__, BusyInterval)
 
 
 class DeviceStats:
@@ -331,7 +245,8 @@ class ColdStorageDevice:
         #: over foreground GETs, in arrival order.
         self._admin_jobs = deque()
         self.current_group: Optional[int] = None
-        self.busy_intervals: IntervalLog = IntervalLog()
+        #: Every switch, transfer and migration I/O, in completion order.
+        self.busy_intervals: List[BusyInterval] = []
         self.stats = DeviceStats(name=name, metrics=metrics)
         self._client_busy_until: Dict[str, float] = {}
         self._inflight = 0
@@ -582,14 +497,16 @@ class ColdStorageDevice:
             else -1
         )
         tenant, _segment = split_object_key(job.object_key)
-        self.busy_intervals.record(
-            start,
-            end,
-            "migration",
-            group,
-            client_id=tenant,
-            query_id=f"{job.reason}:{job.direction}:epoch{job.epoch}",
-            object_key=job.object_key,
+        self.busy_intervals.append(
+            BusyInterval(
+                start,
+                end,
+                "migration",
+                group,
+                client_id=tenant,
+                query_id=f"{job.reason}:{job.direction}:epoch{job.epoch}",
+                object_key=job.object_key,
+            )
         )
         self.stats.record_migration(end - start, interfered)
         if job.notify is not None:
@@ -599,7 +516,7 @@ class ColdStorageDevice:
         start = self.env.now
         if self.config.group_switch_seconds > 0:
             yield self.env.timeout(self.config.group_switch_seconds)
-        self.busy_intervals.record(start, self.env.now, "switch", group)
+        self.busy_intervals.append(BusyInterval(start, self.env.now, "switch", group))
         self.current_group = group
         self.stats.record_switch()
         self.scheduler.notify_switch(group)
@@ -630,11 +547,10 @@ class ColdStorageDevice:
             drained.succeed(None)
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
-        # ``IntervalLog.record`` unrolled: once per served object.
-        log = self.busy_intervals
-        log._cache = None
-        log._rows.append(
-            (start, end, "transfer", group, request.client_id, request.query_id, request.object_key)
+        self.busy_intervals.append(
+            _new_interval(
+                (start, end, "transfer", group, request.client_id, request.query_id, request.object_key)
+            )
         )
         request.group_id = group
         request.complete_time = end

@@ -7,8 +7,10 @@ This reproduction replays the same *structure* of costs over simulated time.
 The defaults below are calibrated so that a single-client Q12 run lands in
 the paper's ballpark:
 
-* ``transfer_seconds_per_object`` ≈ 9.6 s — the paper's serialized Swift
-  middleware pushes roughly one 1 GB object every ten seconds (550 s / 57).
+* The transfer side (≈ 9.6 s per object: the paper's serialized Swift
+  middleware pushes roughly one 1 GB object every ten seconds, 550 s / 57)
+  is the device's to charge — :class:`~repro.csd.device.DeviceConfig` holds
+  it, not this model.
 * CPU costs are expressed per tuple and scaled by
   ``rows_per_gigabyte_equivalent`` so that experiments can use small
   synthetic segments (hundreds of rows) while still charging the simulated
@@ -25,15 +27,13 @@ from repro.exceptions import ConfigurationError
 
 @dataclass
 class CostModel:
-    """Simulated-time costs for transfers and query processing.
+    """Simulated-time costs of query processing on the client.
 
     The CPU-side constants are deliberately simple: the experiments depend on
     the *ratio* between waiting time (group switches + transfers) and useful
     work, not on faithfully modelling PostgreSQL's CPU profile.
     """
 
-    #: Seconds to push one object (segment) from the CSD to a client.
-    transfer_seconds_per_object: float = 9.6
     #: Seconds of CPU per tuple scanned (predicate evaluation, deserialisation).
     scan_seconds_per_tuple: float = 0.9e-3
     #: Seconds of CPU per tuple inserted into a hash table.
@@ -53,7 +53,6 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in (
-            "transfer_seconds_per_object",
             "scan_seconds_per_tuple",
             "build_seconds_per_tuple",
             "probe_seconds_per_tuple",
@@ -67,10 +66,6 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # Individual cost components
     # ------------------------------------------------------------------ #
-    def transfer_time(self, num_objects: int = 1) -> float:
-        """Time to transfer ``num_objects`` segments over the network."""
-        return self.transfer_seconds_per_object * num_objects
-
     def scan_time(self, num_tuples: int) -> float:
         """CPU time to scan and filter ``num_tuples`` tuples."""
         return self.scan_seconds_per_tuple * num_tuples * self.tuple_scale
@@ -103,7 +98,6 @@ class CostModel:
     def scaled(self, factor: float) -> CostModel:
         """Return a copy with every CPU cost multiplied by ``factor``."""
         return CostModel(
-            transfer_seconds_per_object=self.transfer_seconds_per_object,
             scan_seconds_per_tuple=self.scan_seconds_per_tuple * factor,
             build_seconds_per_tuple=self.build_seconds_per_tuple * factor,
             probe_seconds_per_tuple=self.probe_seconds_per_tuple * factor,

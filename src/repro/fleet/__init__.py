@@ -3,8 +3,9 @@
 The fleet layer composes N simulated Cold Storage Devices into one
 addressable storage service:
 
-* :mod:`repro.fleet.placement` — :class:`PlacementPolicy` with
-  consistent-hashing and round-robin implementations plus R-way replication.
+* :mod:`repro.fleet.placement` — :class:`ConsistentHashPlacement`: a
+  (capacity-weighted) consistent-hash ring with R-way replication, placed in
+  bulk and diffed arc by arc between epochs.
 * :mod:`repro.fleet.spec` — declarative :class:`FleetSpec` with
   :class:`DeviceFailure`, membership events (:class:`DeviceJoin`,
   :class:`DeviceLeave`, :class:`SetReplication`), heterogeneous
@@ -43,11 +44,7 @@ from repro.fleet.migration import (
 )
 from repro.fleet.placement import (
     DEFAULT_VIRTUAL_NODES,
-    KNOWN_PLACEMENTS,
     ConsistentHashPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    build_placement,
     stable_hash,
 )
 from repro.fleet.router import FleetRouter, FleetRouterStats
@@ -65,7 +62,6 @@ from repro.fleet.spec import (
 
 __all__ = [
     "DEFAULT_VIRTUAL_NODES",
-    "KNOWN_PLACEMENTS",
     "KNOWN_REPLICA_POLICIES",
     "MIGRATION_OBJECT_BYTES",
     "ConsistentHashPlacement",
@@ -84,10 +80,7 @@ __all__ = [
     "KeyTrim",
     "MigrationPlan",
     "MigrationThrottle",
-    "PlacementPolicy",
-    "RoundRobinPlacement",
     "SetReplication",
-    "build_placement",
     "device_name",
     "plan_migration",
     "resolve_device_config",

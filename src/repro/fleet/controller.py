@@ -40,7 +40,7 @@ from repro.csd.object_store import split_object_key
 from repro.csd.request import MigrationJob
 from repro.exceptions import FleetError
 from repro.fleet.migration import MigrationPlan, plan_migration
-from repro.fleet.placement import ConsistentHashPlacement, normalize_weights
+from repro.fleet.placement import normalize_weights
 from repro.fleet.router import FleetRouter
 from repro.fleet.spec import (
     DeviceFailure,
@@ -80,14 +80,12 @@ class FleetController:
         #: Roster the current placement was computed over; with
         #: ``placement_replication`` (tracks ``SetReplication`` events and
         #: repair under device loss) and ``placement_vnode_counts`` (aligned
-        #: with the roster; empty off the ring) it identifies the old epoch's
-        #: ring for incremental placement diffs, weighted or not.
+        #: with the roster) it identifies the old epoch's ring for
+        #: incremental placement diffs, weighted or not.
         self.placement_roster: Tuple[str, ...] = tuple(self.spec.device_ids)
         self.placement_replication = self.spec.replication
-        self.placement_vnode_counts: Tuple[int, ...] = (
-            self._policy.vnode_counts(self.placement_roster)
-            if isinstance(self._policy, ConsistentHashPlacement)
-            else ()
+        self.placement_vnode_counts: Tuple[int, ...] = self._policy.vnode_counts(
+            self.placement_roster
         )
         #: Migration plans executed so far, one per placement recompute.
         self.migration_plans: List[MigrationPlan] = []
@@ -321,11 +319,9 @@ class FleetController:
         a join or leave re-centres everyone's weight around mean 1.0 — the
         property that keeps an all-equal fleet byte-identical to an
         unweighted one.  Every member's ``weight`` is then the number the
-        ring holds for it.  A no-op on uniform fleets and non-ring placements.
+        ring holds for it.  A no-op on uniform fleets.
         """
-        if not self._raw_weights or not isinstance(
-            self._policy, ConsistentHashPlacement
-        ):
+        if not self._raw_weights:
             return
         self._policy.set_weights(
             {
@@ -358,40 +354,34 @@ class FleetController:
         old_replication = self.placement_replication
         self._policy.replication = replication
         serving = list(self.membership.serving_ids())
-        changed_keys: Optional[List[str]] = None
-        new_vnode_counts: Tuple[int, ...] = ()
-        if isinstance(self._policy, ConsistentHashPlacement):
-            # The old ring's vnode counts are snapshotted; re-normalising
-            # the weights over the new roster (and any reweight that led
-            # here) yields the new counts, and the diff walks both rings.
-            old_vnode_counts = self.placement_vnode_counts
-            self._install_weights(serving)
-            new_vnode_counts = self._policy.vnode_counts(serving)
-            # Only the keys in ring arcs whose replica tuple changed need
-            # re-placing; everything else keeps its entry from the old epoch.
-            changed = self._policy.diff_keys(
-                self.router.sorted_key_hashes,
-                self.placement_roster,
-                serving,
-                old_replication,
-                replication,
-                old_vnode_counts=old_vnode_counts,
-                new_vnode_counts=new_vnode_counts,
-            )
-            new_placement = dict(old_placement)
-            new_placement.update(changed)
-            # Only changed keys can change health: no second full scan.
-            under_replicated_after: Optional[int] = (
-                under_replicated_before
-                - self.under_replicated_count({key: old_placement[key] for key in changed})
-                + self.under_replicated_count(changed)
-            )
-            # The plan must see changed keys in canonical key order (what a
-            # full placement scan iterates), not hash order.
-            changed_keys = sorted(changed, key=self._key_rank.__getitem__)
-        else:
-            new_placement = self._policy.place(self.router.key_order, serving)
-            under_replicated_after = None
+        # The old ring's vnode counts are snapshotted; re-normalising the
+        # weights over the new roster (and any reweight that led here)
+        # yields the new counts, and the diff walks both rings.
+        old_vnode_counts = self.placement_vnode_counts
+        self._install_weights(serving)
+        new_vnode_counts = self._policy.vnode_counts(serving)
+        # Only the keys in ring arcs whose replica tuple changed need
+        # re-placing; everything else keeps its entry from the old epoch.
+        changed = self._policy.diff_keys(
+            self.router.sorted_key_hashes,
+            self.placement_roster,
+            serving,
+            old_replication,
+            replication,
+            old_vnode_counts=old_vnode_counts,
+            new_vnode_counts=new_vnode_counts,
+        )
+        new_placement = dict(old_placement)
+        new_placement.update(changed)
+        # Only changed keys can change health: no second full scan.
+        under_replicated_after = (
+            under_replicated_before
+            - self.under_replicated_count({key: old_placement[key] for key in changed})
+            + self.under_replicated_count(changed)
+        )
+        # The plan must see changed keys in canonical key order (what a
+        # full placement scan iterates), not hash order.
+        changed_keys = sorted(changed, key=self._key_rank.__getitem__)
         alive = {member.device_id: member.alive for member in self.membership.members}
         plan = plan_migration(
             epoch=epoch_record.epoch,
@@ -404,7 +394,6 @@ class FleetController:
             devices_before=epoch_record.devices_before,
             devices_after=epoch_record.devices_after,
             replication=replication,
-            hash_minimal=self.spec.placement == "consistent-hash",
             # Layouts are append-only, so a device that held a key in an
             # earlier epoch still physically has it: re-adopting such a
             # replica costs no migration I/O.

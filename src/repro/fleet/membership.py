@@ -53,21 +53,34 @@ class FleetMember:
     #: Routed but not yet completed (drives the least-loaded policy).
     outstanding: int = 0
     #: The capacity weight the ring holds for this device (1.0 on a uniform
-    #: ring); sizes its vnode share and divides its queue under ``weighted``.
+    #: ring); sizes its vnode share.
     weight: float = 1.0
     #: Sum of completed-request latencies (mean = sum / ewma.count).
     latency_sum: float = 0.0
 
     def busy_seconds(self) -> float:
+        """Busy seconds over the whole run, summed in log order."""
         if self.device is None:
             return 0.0
-        return self.device.busy_intervals.total_duration()
+        # Not ``sum()``: it is compensated on CPython >= 3.12, and the report
+        # must not depend on the interpreter.
+        total = 0.0
+        for interval in self.device.busy_intervals:
+            total += interval.end - interval.start
+        return total
 
     def window_busy(self, start: float, end: float) -> float:
-        """Busy seconds inside the window ``[start, end]``."""
+        """Busy seconds inside ``[start, end]``, in log order (runs per epoch
+        window per device over the whole log: no ``min``/``max`` calls)."""
         if self.device is None:
             return 0.0
-        return self.device.busy_intervals.window_overlap(start, end)
+        total = 0.0
+        for interval in self.device.busy_intervals:
+            low, high = interval.start, interval.end
+            overlap = (high if high < end else end) - (low if low > start else start)
+            if overlap > 0.0:
+                total += overlap
+        return total
 
     def objects_served(self) -> int:
         return self.device.stats.objects_served if self.device else 0

@@ -60,10 +60,6 @@ class MigrationPlan:
     devices_before: int
     devices_after: int
     replication: int = 1
-    #: Whether the placement policy carries consistent hashing's minimality
-    #: guarantee.  A repair on a round-robin fleet legitimately re-places
-    #: nearly every key, so its bound is the full reshuffle, not ~2·R·K/N.
-    hash_minimal: bool = True
     #: Replicas dropped from the placement by this epoch (R down, or a key's
     #: replica set shifting away from a device on a join/leave).
     trims: List[KeyTrim] = field(default_factory=list)
@@ -99,17 +95,14 @@ class MigrationPlan:
         ``R·K/N`` of K keys (N the smaller fleet size); doubling that absorbs
         hash variance at realistic vnode counts.  The same bound covers a
         read-repair pass (the dead device held ~R·K/N keys).  The naive
-        comparator — a full reshuffle, e.g. round-robin placement — moves
-        all K keys, so the bound is also capped there.  A replication-factor
-        change is the one legitimate full sweep: raising R gives *every* key
-        a new replica, so its bound is all K keys — as is any plan over a
-        placement without the hash-minimality guarantee (a repair on a
-        round-robin fleet re-places nearly everything by design).  A
-        ``reweight`` epoch shares the full-sweep bound: shifting capacity
-        weights resizes every device's arc share at once, so the fraction
-        moved is set by the weight delta, not by 1/N.
+        comparator — a full reshuffle — moves all K keys, so the bound is
+        also capped there.  A replication-factor change is the one
+        legitimate full sweep: raising R gives *every* key a new replica, so
+        its bound is all K keys.  A ``reweight`` epoch shares the full-sweep
+        bound: shifting capacity weights resizes every device's arc share at
+        once, so the fraction moved is set by the weight delta, not by 1/N.
         """
-        if self.kind in ("set-replication", "reweight") or not self.hash_minimal:
+        if self.kind in ("set-replication", "reweight"):
             return self.total_keys
         smaller_fleet = max(1, min(self.devices_before, self.devices_after))
         return min(
@@ -155,7 +148,6 @@ def plan_migration(
     devices_before: int = 0,
     devices_after: int = 0,
     replication: int = 1,
-    hash_minimal: bool = True,
     resident: Optional[Callable[[str, str], bool]] = None,
     changed_keys: Optional[Sequence[str]] = None,
 ) -> MigrationPlan:
@@ -237,5 +229,4 @@ def plan_migration(
         devices_before=devices_before,
         devices_after=devices_after,
         replication=replication,
-        hash_minimal=hash_minimal,
     )

@@ -1,9 +1,11 @@
 """Object placement across a fleet of cold storage devices.
 
-A placement policy decides, for every object key, which R devices of the
-fleet hold a replica.  The first device of each replica tuple is the
-*primary*; the router prefers it unless the replica-choice policy or a
-device failure says otherwise.
+The placement decides, for every object key, which R devices of the fleet
+hold a replica.  The first device of each replica tuple is the *primary*;
+the router prefers it unless the replica-choice policy or a device failure
+says otherwise.  There is one policy, :class:`ConsistentHashPlacement`:
+membership changes, weighting and the rebalancer all need a ring whose
+diffs are minimal.
 
 Placement is pure and deterministic: the same keys and device ids always
 produce the same mapping, on every platform and Python version, which is
@@ -20,9 +22,6 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, PlacementError
-
-#: Placement policy names resolvable by :func:`build_placement`.
-KNOWN_PLACEMENTS = ("consistent-hash", "round-robin")
 
 #: Vnodes per device on the consistent-hash ring.  More vnodes smooth the
 #: per-device share of the key space at the cost of a larger ring.
@@ -68,63 +67,7 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class PlacementPolicy:
-    """Base class: maps every object key onto R distinct devices."""
-
-    name = "base"
-
-    def __init__(self, replication: int = 1) -> None:
-        if replication < 1:
-            raise PlacementError(f"replication must be >= 1, got {replication}")
-        self.replication = replication
-
-    def place(
-        self, object_keys: Sequence[str], device_ids: Sequence[str]
-    ) -> Dict[str, Tuple[str, ...]]:
-        """Map each key to its replica devices (primary first)."""
-        raise NotImplementedError
-
-    def _validate(self, object_keys: Sequence[str], device_ids: Sequence[str]) -> None:
-        if not object_keys:
-            raise PlacementError("placement requires at least one object key")
-        if not device_ids:
-            raise PlacementError("placement requires at least one device")
-        if len(set(device_ids)) != len(device_ids):
-            raise PlacementError("device ids must be unique")
-        if self.replication > len(device_ids):
-            raise PlacementError(
-                f"replication factor {self.replication} exceeds fleet size "
-                f"{len(device_ids)}"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "replication": self.replication}
-
-
-class RoundRobinPlacement(PlacementPolicy):
-    """Deal keys onto devices in order: key *i* → devices ``i, i+1, …, i+R-1``.
-
-    Perfectly balanced for uniform key populations, but adding a device
-    relocates almost every key — the weakness consistent hashing fixes.
-    """
-
-    name = "round-robin"
-
-    def place(
-        self, object_keys: Sequence[str], device_ids: Sequence[str]
-    ) -> Dict[str, Tuple[str, ...]]:
-        self._validate(object_keys, device_ids)
-        count = len(device_ids)
-        return {
-            key: tuple(
-                device_ids[(index + replica) % count]
-                for replica in range(self.replication)
-            )
-            for index, key in enumerate(object_keys)
-        }
-
-
-class ConsistentHashPlacement(PlacementPolicy):
+class ConsistentHashPlacement:
     """Consistent hashing with (optionally weighted) virtual nodes and R-way
     replication.
 
@@ -139,7 +82,9 @@ class ConsistentHashPlacement(PlacementPolicy):
     name = "consistent-hash"
 
     def __init__(self, replication: int = 1, virtual_nodes: int = DEFAULT_VIRTUAL_NODES) -> None:
-        super().__init__(replication)
+        if replication < 1:
+            raise PlacementError(f"replication must be >= 1, got {replication}")
+        self.replication = replication
         if virtual_nodes < 1:
             raise PlacementError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.virtual_nodes = virtual_nodes
@@ -189,6 +134,19 @@ class ConsistentHashPlacement(PlacementPolicy):
             max(1, round(self.virtual_nodes * self._weights.get(device_id, 1.0)))
             for device_id in device_ids
         )
+
+    def _validate(self, object_keys: Sequence[str], device_ids: Sequence[str]) -> None:
+        if not object_keys:
+            raise PlacementError("placement requires at least one object key")
+        if not device_ids:
+            raise PlacementError("placement requires at least one device")
+        if len(set(device_ids)) != len(device_ids):
+            raise PlacementError("device ids must be unique")
+        if self.replication > len(device_ids):
+            raise PlacementError(
+                f"replication factor {self.replication} exceeds fleet size "
+                f"{len(device_ids)}"
+            )
 
     def bulk_key_hashes(self, object_keys: Sequence[str]) -> List[int]:
         """:func:`stable_hash` of many keys with the per-call overhead
@@ -381,21 +339,3 @@ class ConsistentHashPlacement(PlacementPolicy):
                     changed[sorted_key_hashes[position][1]] = new_replicas
             index = limit
         return changed
-
-    def to_dict(self) -> Dict[str, object]:
-        description = super().to_dict()
-        description["virtual_nodes"] = self.virtual_nodes
-        return description
-
-
-def build_placement(
-    name: str, replication: int, virtual_nodes: int = DEFAULT_VIRTUAL_NODES
-) -> PlacementPolicy:
-    """Resolve a placement policy name into a policy object."""
-    if name == "consistent-hash":
-        return ConsistentHashPlacement(replication, virtual_nodes=virtual_nodes)
-    if name == "round-robin":
-        return RoundRobinPlacement(replication)
-    raise PlacementError(
-        f"unknown placement policy {name!r}; expected one of {sorted(KNOWN_PLACEMENTS)}"
-    )

@@ -265,7 +265,7 @@ def fleet_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[str,
     return {
         "devices": len(router.members),
         "replication": router.membership.replication,
-        "placement": router.spec.placement,
+        "placement": router.policy.name,
         "replica_policy": router.spec.replica_policy,
         "per_device": per_device,
         "imbalance_coefficient": imbalance_coefficient(busy_values),

@@ -17,19 +17,20 @@ Responsibilities:
   to an unweighted one), the placement over it, and one device per roster
   member laid out over its placement subset.
 * **Routing** — every GET is dispatched to one live replica of its object,
-  chosen by the replica policy: primary-first, least-loaded (queue length),
-  ewma-latency (smoothed service time × queue depth) or weighted (queue
-  depth discounted by capacity weight).  Completions feed a per-device
-  latency EWMA in simulated time, so adaptive policies stay deterministic.
+  chosen by the replica policy: primary-first, least-loaded (queue length)
+  or ewma-latency (smoothed service time × queue depth).  Completions feed
+  a per-device latency EWMA in simulated time, so adaptive policies stay
+  deterministic.
 * **Draining** — :meth:`FleetRouter.drain_pending` pulls queued GETs back
   out of one device or all of them and takes them off ``outstanding``;
   failover, hand-off and the service's admin hatch re-submit what it
   returns through :meth:`FleetRouter.submit_many`, so nothing is lost and
   there is one routing body.
-* **Aggregation** — per-device busy-interval streams are merged (ordered by
-  completion) for the metrics layer, and per-device counters are combined
-  into fleet-level statistics.  The scenario-report sections built from that
-  state live in :mod:`repro.fleet.report`.
+* **Aggregation** — the devices' ``busy_intervals`` lists are merged
+  (ordered by completion) for the metrics layer, and per-device counters are
+  combined into fleet-level statistics.  The scenario-report sections built
+  from that state live in :mod:`repro.fleet.report`; readers that want the
+  devices themselves iterate ``StorageService.devices``.
 
 Once built, the router *reads* ``placement``, ``members`` and each member's
 ``alive`` flag; it never rewrites placement or life-cycle state.
@@ -53,7 +54,7 @@ from repro.csd.request import GetRequest
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import FleetError, StorageError
 from repro.fleet.membership import FleetMember, FleetMembership
-from repro.fleet.placement import ConsistentHashPlacement, build_placement
+from repro.fleet.placement import ConsistentHashPlacement
 from repro.fleet.spec import FleetSpec
 from repro.obs import NULL_TRACER, CounterView, MetricsRegistry
 from repro.sim import Environment, Event
@@ -160,40 +161,34 @@ class FleetRouter:
         self.key_order: List[str] = [
             key for keys in self.client_objects.values() for key in keys
         ]
-        self.policy = build_placement(
-            fleet_spec.placement,
-            fleet_spec.replication,
-            virtual_nodes=fleet_spec.virtual_nodes,
+        self.policy = ConsistentHashPlacement(
+            fleet_spec.replication, virtual_nodes=fleet_spec.virtual_nodes
         )
-        roster = list(fleet_spec.device_ids)
+        if fleet_spec.weighting == "profile":
+            # Static speed factors size the epoch-0 ring; each member's
+            # weight is the number the ring holds for it.
+            self.policy.set_weights(
+                {
+                    member.device_id: self.membership.profile_weight(member)
+                    for member in self.members
+                }
+            )
+            weights = self.policy.weights
+            for member in self.members:
+                member.weight = weights[member.device_id]
         #: Key population as (hash, key) pairs sorted by hash — computed
         #: once (key hashes never change): the initial bulk placement sweeps
         #: this sorted list and every epoch change walks changed ring arcs
-        #: instead of re-placing all keys.  Empty off the ring.
-        self.sorted_key_hashes: List[Tuple[int, str]] = []
+        #: instead of re-placing all keys.
+        self.sorted_key_hashes: List[Tuple[int, str]] = sorted(
+            zip(self.policy.bulk_key_hashes(self.key_order), self.key_order)
+        )
         #: object key -> replica device ids, primary first (current epoch).
-        self.placement: Dict[str, Tuple[str, ...]]
-        if isinstance(self.policy, ConsistentHashPlacement):
-            if fleet_spec.weighting == "profile":
-                # Static speed factors size the epoch-0 ring; each member's
-                # weight is the number the ring holds for it.
-                self.policy.set_weights(
-                    {
-                        member.device_id: self.membership.profile_weight(member)
-                        for member in self.members
-                    }
-                )
-                weights = self.policy.weights
-                for member in self.members:
-                    member.weight = weights[member.device_id]
-            self.sorted_key_hashes = sorted(
-                zip(self.policy.bulk_key_hashes(self.key_order), self.key_order)
-            )
-            self.placement = self.policy.place(
-                self.key_order, roster, sorted_key_hashes=self.sorted_key_hashes
-            )
-        else:
-            self.placement = self.policy.place(self.key_order, roster)
+        self.placement: Dict[str, Tuple[str, ...]] = self.policy.place(
+            self.key_order,
+            list(fleet_spec.device_ids),
+            sorted_key_hashes=self.sorted_key_hashes,
+        )
 
         subsets = self._invert_placement()
         for member in self.members:
@@ -407,10 +402,6 @@ class FleetRouter:
                 live,
                 key=lambda member: member.ewma.value_or(0.0) * (member.outstanding + 1),
             )
-        if policy == "weighted":
-            # Queue depth discounted by capacity: a device weighing 2.0
-            # absorbs twice the outstanding work before being passed over.
-            return min(live, key=lambda member: member.outstanding / member.weight)
         return live[0]
 
     # ------------------------------------------------------------------ #
@@ -455,23 +446,6 @@ class FleetRouter:
             if member.device is not None:
                 combined.absorb(member.device.stats)
         return combined
-
-    def scheduler_switches(self) -> int:
-        """Total scheduler-reported group switches across the fleet."""
-        return sum(
-            member.device.scheduler.num_switches
-            for member in self.members
-            if member.device is not None
-        )
-
-    def max_waiting_seen(self) -> int:
-        """Worst per-query waiting counter reached on any device."""
-        waits = [
-            member.device.scheduler.max_waiting_seen
-            for member in self.members
-            if member.device is not None
-        ]
-        return max(waits) if waits else 0
 
     def pending_total(self) -> int:
         """Requests still queued anywhere in the fleet (0 after a clean run)."""

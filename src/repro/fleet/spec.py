@@ -7,7 +7,7 @@ knobs are: the scenario runner resolves it into a live
 the degenerate single-CSD setup the original paper reproduces; anything
 larger turns the run into a sharded multi-device experiment.
 
-Beyond the static shape (size, replication, placement) a fleet can be
+Beyond the static shape (size, replication) a fleet can be
 *elastic*: ``events`` lists membership changes — :class:`DeviceJoin`,
 :class:`DeviceLeave` and :class:`SetReplication` — that fire at fixed
 simulated times and advance the fleet's placement epoch, and ``profiles``
@@ -30,13 +30,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ScenarioError
-from repro.fleet.placement import DEFAULT_VIRTUAL_NODES, KNOWN_PLACEMENTS
+from repro.fleet.placement import DEFAULT_VIRTUAL_NODES, ConsistentHashPlacement
 
 #: Replica-choice policy names resolvable by the router.  ``least-loaded``
 #: is the queue-length policy; ``ewma-latency`` scores replicas by expected
-#: wait (EWMA of observed latency times queue depth); ``weighted`` divides
-#: queue length by the device's capacity weight.
-KNOWN_REPLICA_POLICIES = ("primary-first", "least-loaded", "ewma-latency", "weighted")
+#: wait (EWMA of observed latency times queue depth).
+KNOWN_REPLICA_POLICIES = ("primary-first", "least-loaded", "ewma-latency")
 
 #: Placement-weighting modes: ``uniform`` keeps the classic hash-uniform
 #: ring; ``profile`` sizes each device's vnode count by its transfer-speed
@@ -304,11 +303,10 @@ FleetEvent = Union[DeviceJoin, DeviceLeave, SetReplication]
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """Sharded multi-device fleet: size, replication, placement, elasticity."""
+    """Sharded multi-device fleet: size, replication, routing, elasticity."""
 
     devices: int = 2
     replication: int = 1
-    placement: str = "consistent-hash"
     replica_policy: str = "primary-first"
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES
     failures: Tuple[DeviceFailure, ...] = ()
@@ -342,11 +340,6 @@ class FleetSpec:
                 f"replication must be between 1 and the fleet size "
                 f"({self.devices}), got {self.replication}"
             )
-        if self.placement not in KNOWN_PLACEMENTS:
-            raise ScenarioError(
-                f"unknown placement {self.placement!r}; "
-                f"expected one of {sorted(KNOWN_PLACEMENTS)}"
-            )
         if self.replica_policy not in KNOWN_REPLICA_POLICIES:
             raise ScenarioError(
                 f"unknown replica policy {self.replica_policy!r}; "
@@ -363,27 +356,14 @@ class FleetSpec:
                 f"unknown weighting {self.weighting!r}; "
                 f"expected one of {sorted(KNOWN_WEIGHTINGS)}"
             )
-        if self.weighting != "uniform" and self.placement != "consistent-hash":
-            raise ScenarioError(
-                f"weighting {self.weighting!r} requires consistent-hash "
-                f"placement; {self.placement!r} has no ring to weight"
-            )
         if not math.isfinite(self.ewma_alpha) or not 0 < self.ewma_alpha <= 1:
             raise ScenarioError(
                 f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
             )
-        if self.rebalance is not None:
-            if not isinstance(self.rebalance, RebalancePolicy):
-                raise ScenarioError(
-                    f"rebalance must be a RebalancePolicy or None, "
-                    f"got {self.rebalance!r}"
-                )
-            if self.placement != "consistent-hash":
-                raise ScenarioError(
-                    "the feedback rebalancer requires consistent-hash "
-                    f"placement; {self.placement!r} would reshuffle nearly "
-                    "every key on each reweight"
-                )
+        if self.rebalance is not None and not isinstance(self.rebalance, RebalancePolicy):
+            raise ScenarioError(
+                f"rebalance must be a RebalancePolicy or None, got {self.rebalance!r}"
+            )
         self._validate_failures()
         self._validate_events()
         self._validate_timeline()
@@ -401,12 +381,6 @@ class FleetSpec:
     def _validate_events(self) -> None:
         if not self.events:
             return
-        if self.placement != "consistent-hash":
-            raise ScenarioError(
-                "membership events require consistent-hash placement; "
-                f"{self.placement!r} would reshuffle nearly every key on a "
-                "membership change"
-            )
         joins = list(self.joins)
         leaves = list(self.leaves)
         r_changes = [event for event in self.events if isinstance(event, SetReplication)]
@@ -579,7 +553,9 @@ class FleetSpec:
         return {
             "devices": self.devices,
             "replication": self.replication,
-            "placement": self.placement,
+            # The one placement there is; the key stays until the next
+            # report-schema bump so every golden is byte-identical.
+            "placement": ConsistentHashPlacement.name,
             "replica_policy": self.replica_policy,
             "virtual_nodes": self.virtual_nodes,
             "failures": [failure.to_dict() for failure in self.failures],

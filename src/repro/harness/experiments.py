@@ -110,7 +110,7 @@ def _run_service(
     scheduler: IOScheduler,
 ) -> ClusterResult:
     """Run one batch experiment through the service façade."""
-    return StorageService(config, catalog=catalog, scheduler=scheduler).run()
+    return StorageService(config, catalog=catalog, scheduler_factory=lambda: scheduler).run()
 
 
 def _default_scheduler(mode: str) -> IOScheduler:

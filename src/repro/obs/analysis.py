@@ -19,38 +19,13 @@ span, the five phases sum to the query's reported latency *by construction*
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
+from repro.cluster.metrics import MergedSpans, sweep_blocked
 from repro.harness.tables import format_table
-
-Interval = Tuple[float, float]
 
 #: Phase keys of one query breakdown, in presentation order.
 PHASES = ("queue", "compute", "migration_interference", "device_busy", "other")
-
-
-def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
-    """Union of possibly overlapping intervals, sorted and disjoint."""
-    merged: List[Interval] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            previous_start, previous_end = merged[-1]
-            merged[-1] = (previous_start, max(previous_end, end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def overlap_seconds(start: float, end: float, union: Sequence[Interval]) -> float:
-    """Summed overlap of ``[start, end]`` with a disjoint sorted union."""
-    total = 0.0
-    for interval_start, interval_end in union:
-        if interval_start >= end:
-            break
-        if interval_end <= start:
-            continue
-        total += min(end, interval_end) - max(start, interval_start)
-    return total
 
 
 def query_breakdowns(document: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -64,39 +39,39 @@ def query_breakdowns(document: Dict[str, Any]) -> List[Dict[str, Any]]:
             children.setdefault(parent, []).append(span)
 
     device_spans = [span for span in spans if span["kind"] == "device"]
-    migration_union = merge_intervals(
+    migration_spans = MergedSpans(
         [(span["start"], span["end"]) for span in device_spans
          if span["name"] == "migration"]
     )
-    busy_union = merge_intervals(
+    busy_spans = MergedSpans(
         [(span["start"], span["end"]) for span in device_spans
          if span["name"] in ("switch", "transfer", "migration")]
     )
+    executes = [span for span in spans if span["kind"] == "executor"]
+    # One sweep for every query: waiting inside migration I/O, and waiting
+    # inside other device activity (busy_spans contains the migration
+    # intervals, so the rest of it is foreground switches/transfers).
+    _waited, in_migration, in_foreground = sweep_blocked(
+        [
+            [
+                (child["start"], child["end"])
+                for child in children.get(span["id"], ())
+                if child["kind"] == "wait"
+            ]
+            for span in executes
+        ],
+        migration_spans,
+        busy_spans,
+    )
 
     breakdowns: List[Dict[str, Any]] = []
-    for span in spans:
-        if span["kind"] != "executor":
-            continue
+    for span, migration, busy in zip(executes, in_migration, in_foreground):
         root = by_id.get(span["parent"]) if span["parent"] is not None else None
         queue = float(root["attrs"].get("queue_delay", 0.0)) if root else 0.0
         compute = 0.0
-        migration = 0.0
-        busy = 0.0
         for child in children.get(span["id"], ()):
-            duration = child["end"] - child["start"]
             if child["kind"] == "compute":
-                compute += duration
-            elif child["kind"] == "wait":
-                in_migration = overlap_seconds(
-                    child["start"], child["end"], migration_union
-                )
-                migration += in_migration
-                # busy_union contains the migration intervals, so subtracting
-                # the migration share leaves foreground switches/transfers.
-                busy += (
-                    overlap_seconds(child["start"], child["end"], busy_union)
-                    - in_migration
-                )
+                compute += child["end"] - child["start"]
         execute_seconds = span["end"] - span["start"]
         total = queue + execute_seconds
         breakdowns.append(
@@ -203,8 +178,6 @@ def top_slowest(
 
 __all__ = [
     "PHASES",
-    "merge_intervals",
-    "overlap_seconds",
     "query_breakdowns",
     "render_breakdown",
     "tenant_totals",

@@ -3,12 +3,12 @@
 :func:`build_trace` turns a traced, completed
 :class:`~repro.service.service.StorageService` into a plain-dict trace
 document.  Besides the spans the tracer recorded live, it *derives* the
-device-side spans from each device's :class:`~repro.csd.device.IntervalLog`
-— transfers, group switches and migration I/O — and inbox-wait spans pairing
-each GET's inbox entry (``Tracer.io_submit``) with the transfer that served
-it.  Device spans are parented onto the owning query's ``execute`` span via
-the query id, which is how the admission → routing → device → operator tree
-closes end to end.
+device-side spans from the ``busy_intervals`` list of every device in
+``service.devices`` (one entry for the single CSD) — transfers, group
+switches and migration I/O — and inbox-wait spans pairing each GET's inbox
+entry (``Tracer.io_submit``) with the transfer that served it.  Device spans
+are parented onto the owning query's ``execute`` span via the query id, which
+is how the admission → routing → device → operator tree closes end to end.
 
 Everything in the document is driven by the simulated clock and emitted in
 deterministic order (live spans in creation order, derived spans in roster ×
@@ -37,21 +37,10 @@ TRACE_VERSION = 1
 TENANT_KINDS = ("query", "executor", "compute", "wait", "operator")
 
 
-def _device_roster(service: StorageService) -> List[Tuple[str, Any]]:
-    """``(device_id, device)`` pairs in deterministic roster order."""
-    if service.fleet is not None:
-        return [
-            (member.device_id, member.device)
-            for member in service.fleet.members
-            if member.device is not None
-        ]
-    return [(service.device.name, service.device)]
-
-
 def _derive_device_spans(
     service: StorageService, next_id: int
 ) -> List[Dict[str, Any]]:
-    """Device service + inbox-wait spans, derived from the interval logs."""
+    """Device service + inbox-wait spans, derived from the devices' interval lists."""
     tracer = service.tracer
     spans: List[Dict[str, Any]] = []
 
@@ -60,7 +49,8 @@ def _derive_device_spans(
     for at, query_id, object_key, device_id in tracer.io_submissions:
         submissions.setdefault((device_id, query_id, object_key), deque()).append(at)
 
-    for device_id, device in _device_roster(service):
+    for device in service.devices:
+        device_id = device.name
         for interval in device.busy_intervals:
             parent = tracer.query_span(interval.query_id)
             attrs: Dict[str, Any] = {"group": interval.group_id}

@@ -12,8 +12,9 @@ objects through every layer: the executor minting a query id binds it to the
 query's ``execute`` span (:meth:`Tracer.bind_query`), and lower layers (the
 fleet router choosing a replica, a device accepting a GET into its inbox)
 attach their observations by query id.  Device *service* spans are not
-recorded live at all — the exporter derives them from the device
-:class:`~repro.csd.device.IntervalLog`, which exists anyway.
+recorded live at all — the exporter derives them from each device's
+``busy_intervals`` list of :class:`~repro.csd.device.BusyInterval` records,
+which exists anyway.
 
 When tracing is off the service installs :data:`NULL_TRACER`, whose
 ``enabled`` flag is ``False``; every instrumentation site is guarded by that

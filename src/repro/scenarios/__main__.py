@@ -158,12 +158,11 @@ def _render_membership(fleet) -> str:
 def _render_routing(fleet) -> str:
     """Placement/routing-policy summary for the ``--list`` table.
 
-    Shows ``<placement>/<replica policy>``, with ``+w`` appended when the
-    ring is capacity-weighted (profile weighting) and ``+rb`` when the
-    feedback rebalancer is configured.
+    Shows ``hash/<replica policy>`` (placement is always the consistent-hash
+    ring), with ``+w`` appended when the ring is capacity-weighted (profile
+    weighting) and ``+rb`` when the feedback rebalancer is configured.
     """
-    placement = "hash" if fleet.placement == "consistent-hash" else fleet.placement
-    summary = f"{placement}/{fleet.replica_policy}"
+    summary = f"hash/{fleet.replica_policy}"
     if fleet.weighting != "uniform":
         summary += "+w"
     if fleet.rebalance is not None:
@@ -183,6 +182,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = build_parser().parse_args(argv)
     runner = ScenarioRunner()
 
+    if arguments.trace is not None and arguments.run is None:
+        print("error: --trace requires --run", file=sys.stderr)
+        return 2
+
     if arguments.list:
         print(_render_scenario_table())
         return 0
@@ -196,10 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = runner.run(get_scenario(arguments.run))
         print(report.to_json(), end="")
         return 0
-
-    if arguments.trace is not None:
-        print("error: --trace requires --run", file=sys.stderr)
-        return 2
 
     if arguments.run_all:
         failures = 0

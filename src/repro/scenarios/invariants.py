@@ -5,8 +5,13 @@ run — regardless of which scenario — is validated against properties that
 must hold for *any* configuration:
 
 * **Conservation** — every GET issued by a client is served exactly once:
-  the device's served-object counter, its per-client counters, its transfer
-  busy-intervals and the clients' request counters all agree.
+  the devices' served-object counters, their per-client counters, their
+  transfer busy-intervals and the clients' request counters all agree, the
+  received (and, on a fleet, routed) counters exceed them by exactly the
+  failed-over plus handed-off requests, no scheduler is left with pending
+  work and every transfer was served from the group its device's layout
+  names.  One body over ``service.devices`` — one entry for the paper's
+  single CSD — so the fleet has no second copy of the check.
 * **Bounded starvation** — under the rank-based policy with fairness
   constant K > 0, no query's waiting counter (group switches since it was
   last serviced) ever exceeds a bound derived from the group/query counts;
@@ -49,8 +54,9 @@ from repro.csd.scheduler import RankBasedScheduler
 from repro.exceptions import InvariantViolation
 from repro.service.service import StorageService
 
-#: The invariant checks only touch the service's backend surface
-#: (``fleet`` + ``controller`` / ``device`` / ``scheduler`` / ``layout``).
+#: The invariant checks only touch the service's backend surface: the
+#: ``devices`` roster and ``device_stats()`` for the checks every run gets,
+#: ``fleet`` + ``controller`` for the fleet-only ones.
 ClusterLike = StorageService
 
 
@@ -78,90 +84,74 @@ def _issued_requests(result: ClusterResult) -> int:
 
 
 def check_conservation(cluster: ClusterLike, result: ClusterResult) -> None:
-    """Objects-served conservation across device(s), scheduler(s) and clients."""
-    issued = _issued_requests(result)
-    if cluster.fleet is not None:
-        _check_fleet_conservation(cluster, issued)
-        return
-    served = cluster.device.stats.objects_served
-    received = cluster.device.stats.requests_received
-    transfers = sum(
-        1 for interval in cluster.device.busy_intervals if interval.kind == "transfer"
-    )
-    per_client_total = sum(cluster.device.stats.objects_per_client.values())
-    if len({issued, served, received, transfers, per_client_total}) != 1:
-        raise InvariantViolation(
-            "objects-served conservation broken: "
-            f"issued={issued} served={served} received={received} "
-            f"transfers={transfers} per_client_total={per_client_total}"
-        )
-    if cluster.scheduler.has_pending():
-        raise InvariantViolation("scheduler still has pending requests after the run")
-    for interval in cluster.device.busy_intervals:
-        if interval.kind != "transfer":
-            continue
-        expected_group = cluster.layout.group_of(interval.object_key)
-        if interval.group_id != expected_group:
-            raise InvariantViolation(
-                f"object {interval.object_key!r} was served from group "
-                f"{interval.group_id} but the layout places it on {expected_group}"
-            )
+    """Objects-served conservation across device(s), scheduler(s) and clients.
 
-
-def _check_fleet_conservation(cluster: ClusterLike, issued: int) -> None:
-    """Fleet variant: conservation must hold across all devices combined.
-
-    Failed-over and handed-off requests are registered by two devices (the
-    one that lost them and the replica that eventually serves them), so the
-    received counter exceeds the issued counter by exactly the router's
-    failed-over plus handed-off counts.
+    Must hold across all devices combined.  Failed-over and handed-off
+    requests are registered by two devices (the one that lost them and the
+    replica that eventually serves them), so the received counter exceeds
+    the issued counter by exactly the router's failed-over plus handed-off
+    counts — both zero without a router, where every request is also
+    "routed" straight to the one device.
     """
-    fleet = cluster.fleet
-    stats = fleet.device_stats
+    issued = _issued_requests(result)
+    devices = cluster.devices
+    stats = cluster.device_stats()
     served = stats.objects_served
     transfers = sum(
-        1 for interval in fleet.busy_intervals if interval.kind == "transfer"
+        1
+        for device in devices
+        for interval in device.busy_intervals
+        if interval.kind == "transfer"
     )
     per_client_total = sum(stats.objects_per_client.values())
     if len({issued, served, transfers, per_client_total}) != 1:
         raise InvariantViolation(
-            "fleet objects-served conservation broken: "
+            "objects-served conservation broken: "
             f"issued={issued} served={served} transfers={transfers} "
             f"per_client_total={per_client_total}"
         )
-    expected_received = issued + fleet.stats.failed_over + fleet.stats.handed_off
+    if cluster.fleet is not None:
+        router = cluster.fleet.stats
+        rerouted = router.failed_over + router.handed_off
+        routed = router.requests_routed
+    else:
+        rerouted = 0
+        routed = issued
+    expected_received = issued + rerouted
     if stats.requests_received != expected_received:
         raise InvariantViolation(
-            f"fleet received {stats.requests_received} requests, expected "
+            f"devices received {stats.requests_received} requests, expected "
             f"issued + failed_over + handed_off = {expected_received}"
         )
-    if fleet.stats.requests_routed != expected_received:
+    if routed != expected_received:
         raise InvariantViolation(
-            f"router routed {fleet.stats.requests_routed} requests, expected "
+            f"router routed {routed} requests, expected "
             f"issued + failed_over + handed_off = {expected_received}"
         )
-    for member in fleet.members:
-        if member.device is None:
-            continue
-        if member.device.scheduler.has_pending():
+    for device in devices:
+        if device.scheduler.has_pending():
             raise InvariantViolation(
-                f"device {member.device_id!r} still has pending requests "
-                "after the run"
+                f"device {device.name!r} still has pending requests after the run"
             )
-        for interval in member.device.busy_intervals:
+        for interval in device.busy_intervals:
             if interval.kind != "transfer":
                 continue
-            expected_group = member.device.layout.group_of(interval.object_key)
+            expected_group = device.layout.group_of(interval.object_key)
             if interval.group_id != expected_group:
                 raise InvariantViolation(
-                    f"device {member.device_id!r}: object "
-                    f"{interval.object_key!r} served from group "
-                    f"{interval.group_id}, layout places it on {expected_group}"
+                    f"device {device.name!r}: object {interval.object_key!r} "
+                    f"served from group {interval.group_id}, layout places it "
+                    f"on {expected_group}"
                 )
 
 
 def check_no_starvation(cluster: ClusterLike, result: ClusterResult) -> bool:
-    """Bounded waiting under the rank-based policy (skipped otherwise)."""
+    """Bounded waiting under the rank-based policy (skipped otherwise).
+
+    Each device schedules independently; the bound is checked per device
+    with that device's group count (every query could in principle have
+    data on every device, so the query count is shared).
+    """
     num_queries = max(
         1,
         sum(
@@ -169,30 +159,20 @@ def check_no_starvation(cluster: ClusterLike, result: ClusterResult) -> bool:
             for spec in result.config.client_specs
         ),
     )
-    if cluster.fleet is not None:
-        # Each device schedules independently; the bound is checked per
-        # device with that device's group count (every query could in
-        # principle have data on every device, so the query count is shared).
-        schedulers = [
-            (f"device {member.device_id!r}: ", member.device.scheduler, member.device.layout)
-            for member in cluster.fleet.members
-            if member.device is not None
-        ]
-    else:
-        schedulers = [("", cluster.scheduler, cluster.layout)]
     checked_any = False
-    for label, scheduler, layout in schedulers:
+    for device in cluster.devices:
+        scheduler = device.scheduler
         if not isinstance(scheduler, RankBasedScheduler) or scheduler.fairness_constant <= 0:
             continue
         checked_any = True
-        num_groups = max(1, layout.num_groups)
+        num_groups = max(1, device.layout.num_groups)
         bound = starvation_bound(num_groups, num_queries, scheduler.fairness_constant)
         if scheduler.max_waiting_seen > bound:
             raise InvariantViolation(
-                f"{label}rank-based scheduler (K={scheduler.fairness_constant}) "
-                f"let a query wait {scheduler.max_waiting_seen} switches, above "
-                f"the starvation bound {bound} for {num_groups} groups / "
-                f"{num_queries} queries"
+                f"device {device.name!r}: rank-based scheduler "
+                f"(K={scheduler.fairness_constant}) let a query wait "
+                f"{scheduler.max_waiting_seen} switches, above the starvation "
+                f"bound {bound} for {num_groups} groups / {num_queries} queries"
             )
     return checked_any
 
@@ -200,21 +180,13 @@ def check_no_starvation(cluster: ClusterLike, result: ClusterResult) -> bool:
 def check_monotone_clock(cluster: ClusterLike, result: ClusterResult) -> None:
     """Busy intervals and query timestamps respect the simulated clock.
 
-    In fleet mode every device's own interval stream must be monotone (the
-    merged stream is sorted by construction, so checking it would be
-    vacuous).
+    Every device's own interval list must be monotone (a fleet's merged
+    stream is sorted by construction, so checking it would be vacuous).
     """
-    if cluster.fleet is not None:
-        streams = [
-            (member.device_id, member.device.busy_intervals)
-            for member in cluster.fleet.members
-            if member.device is not None
-        ]
-    else:
-        streams = [("device", cluster.device.busy_intervals)]
-    for label, intervals in streams:
+    for device in cluster.devices:
+        label = device.name
         previous_end = 0.0
-        for interval in intervals:
+        for interval in device.busy_intervals:
             if interval.end < interval.start:
                 raise InvariantViolation(
                     f"{label}: busy interval ends before it starts: {interval!r}"

@@ -217,7 +217,7 @@ def fleet_uniform() -> ScenarioSpec:
         "with consistent hashing and 2-way replication; the baseline "
         "scale-out shape.",
         tenants=uniform_tenants(4, "tpch:q12", cache_capacity=8),
-        fleet=FleetSpec(devices=4, replication=2, placement="consistent-hash"),
+        fleet=FleetSpec(devices=4, replication=2),
         seed=42,
     )
 
@@ -240,7 +240,6 @@ def fleet_hot_shard() -> ScenarioSpec:
         fleet=FleetSpec(
             devices=3,
             replication=2,
-            placement="consistent-hash",
             replica_policy="primary-first",
         ),
         seed=42,
@@ -258,7 +257,6 @@ def fleet_device_loss() -> ScenarioSpec:
         fleet=FleetSpec(
             devices=3,
             replication=2,
-            placement="consistent-hash",
             replica_policy="least-loaded",
             failures=(DeviceFailure(device=0, at_seconds=40.0),),
             # Pins the pure failover path: no read-repair, the fleet stays

@@ -218,16 +218,12 @@ class ScenarioRunner:
 
         breakdown = result.average_breakdown()
         per_client_means = [report.mean_time for report in clients.values()]
-        if service.fleet is not None:
-            scheduler_switches = service.fleet.scheduler_switches()
-            max_waiting = service.fleet.max_waiting_seen()
-            fleet_sections = report_sections(
-                service.controller, result.total_simulated_time
-            )
-        else:
-            scheduler_switches = service.scheduler.num_switches
-            max_waiting = service.scheduler.max_waiting_seen
-            fleet_sections = {}
+        schedulers = [device.scheduler for device in service.devices]
+        fleet_sections = (
+            report_sections(service.controller, result.total_simulated_time)
+            if service.controller is not None
+            else {}
+        )
         admission_metrics = (
             service.admission.summary() if service.admission is not None else None
         )
@@ -237,8 +233,8 @@ class ScenarioRunner:
             spec=spec.to_dict(),
             clients=clients,
             device_switches=result.device_switches,
-            scheduler_switches=scheduler_switches,
-            max_waiting_seen=max_waiting,
+            scheduler_switches=sum(scheduler.num_switches for scheduler in schedulers),
+            max_waiting_seen=max(scheduler.max_waiting_seen for scheduler in schedulers),
             objects_served=result.device_objects_served,
             total_simulated_time=result.total_simulated_time,
             cumulative_time=result.cumulative_execution_time(),

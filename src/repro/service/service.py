@@ -49,7 +49,8 @@ class StorageService:
     :class:`~repro.scenarios.spec.ScenarioSpec` (the catalog, layout,
     scheduler, arrival delays and admission knobs are materialised from it)
     or a :class:`~repro.cluster.cluster.ClusterConfig` plus an explicit
-    ``catalog``.
+    ``catalog``.  ``scheduler_factory`` is called once per device (once for
+    the single CSD) and overrides the spec's scheduler.
     """
 
     def __init__(
@@ -57,14 +58,10 @@ class StorageService:
         spec_or_config: Union[ClusterConfig, object],
         *,
         catalog: Optional[Catalog] = None,
-        scheduler: Optional[IOScheduler] = None,
         scheduler_factory: Optional[Callable[[], IOScheduler]] = None,
         admission: Optional[AdmissionConfig] = None,
         trace: Optional[bool] = None,
     ) -> None:
-        if scheduler is not None and scheduler_factory is not None:
-            raise ConfigurationError("pass either scheduler or scheduler_factory, not both")
-
         if isinstance(spec_or_config, ClusterConfig):
             if catalog is None:
                 raise ConfigurationError(
@@ -90,7 +87,7 @@ class StorageService:
             if catalog is None:
                 catalog = build_catalog(spec)
             config = build_cluster_config(spec)
-            if scheduler is None and scheduler_factory is None:
+            if scheduler_factory is None:
                 # Every device of a fleet gets its own scheduler instance, so
                 # the scheduler is resolved as a factory.
                 scheduler_factory = lambda: build_scheduler(spec)  # noqa: E731
@@ -123,11 +120,6 @@ class StorageService:
 
         factory = scheduler_factory or RankBasedScheduler
         if config.fleet_spec is not None:
-            if scheduler is not None:
-                raise ConfigurationError(
-                    "fleet mode needs one scheduler per device; pass "
-                    "scheduler_factory instead of a shared scheduler instance"
-                )
             # Sharded mode: N devices behind a router, each with its own
             # layout (built over its placement subset) and scheduler.
             self.fleet: Optional[FleetRouter] = FleetRouter(
@@ -151,7 +143,7 @@ class StorageService:
         else:
             self.fleet = None
             self.controller = None
-            self.scheduler = scheduler or factory()
+            self.scheduler = factory()
             self.layout = config.layout_policy.build(client_objects)
             self.device = ColdStorageDevice(
                 env=self.env,
@@ -318,6 +310,20 @@ class StorageService:
     def fleet_epoch(self) -> int:
         """Current fleet membership epoch (0 for single-device services)."""
         return self.fleet.membership.epoch if self.fleet is not None else 0
+
+    @property
+    def devices(self) -> List[ColdStorageDevice]:
+        """Every device that holds data, in roster order: one entry for the
+        paper's single CSD, every member the placement ever put objects on
+        (dead and departed ones included) for a fleet.  What the invariant
+        checker, the scenario report and the trace exporter iterate, so none
+        of them forks on the backend; a device's ``name`` is its fleet id.
+        """
+        if self.fleet is None:
+            return [self.device]
+        return [
+            member.device for member in self.fleet.members if member.device is not None
+        ]
 
     def device_stats(self):
         """Aggregate device counters (single device or whole fleet)."""

@@ -16,9 +16,13 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.obs.analysis import render_breakdown
-from repro.obs.export import TRACE_FORMAT, to_chrome
+from repro.obs.export import TRACE_FORMAT, TRACE_VERSION, to_chrome
+
+#: What the analysis and the Chrome conversion index without asking.
+DOCUMENT_KEYS = ("spans", "tracks", "total_simulated_time")
+SPAN_KEYS = ("id", "parent", "kind", "name", "track", "start", "end", "attrs", "events")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,6 +61,24 @@ def load_trace(path: Path) -> dict:
             f"{path} is not a {TRACE_FORMAT} document; export one with "
             "python -m repro.scenarios --run <name> --trace <file>"
         )
+    if document.get("version") != TRACE_VERSION:
+        raise ConfigurationError(
+            f"{path} is a version {document.get('version')!r} trace; this "
+            f"build reads version {TRACE_VERSION}"
+        )
+    missing = [key for key in DOCUMENT_KEYS if key not in document]
+    if missing:
+        raise ConfigurationError(f"{path} has no {', '.join(missing)}")
+    if not isinstance(document["spans"], list):
+        raise ConfigurationError(f"{path}: spans is not a list")
+    for position, span in enumerate(document["spans"]):
+        if not isinstance(span, dict):
+            raise ConfigurationError(f"{path}: span #{position} is not an object")
+        missing = [key for key in SPAN_KEYS if key not in span]
+        if missing:
+            raise ConfigurationError(
+                f"{path}: span #{position} has no {', '.join(missing)}"
+            )
     return document
 
 
@@ -77,7 +99,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except ConfigurationError as error:
+    except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         sys.exit(2)
     except BrokenPipeError:

@@ -104,7 +104,7 @@ class TestClusterRuns:
 
     def test_every_client_gets_correct_answers(self, tiny_tpch_catalog):
         expected = canonical_rows(InMemoryExecutor(tiny_tpch_catalog).execute(tpch.q12()).rows)
-        service = StorageService(self._config(3, "skipper"), catalog=tiny_tpch_catalog, scheduler=RankBasedScheduler())
+        service = StorageService(self._config(3, "skipper"), catalog=tiny_tpch_catalog, scheduler_factory=RankBasedScheduler)
         result = service.run()
         assert set(result.client_ids()) == {"client0", "client1", "client2"}
         for client_results in result.results_by_client.values():
@@ -122,15 +122,15 @@ class TestClusterRuns:
     def test_vanilla_scaling_is_roughly_linear_in_clients(self, tiny_tpch_catalog):
         times = []
         for count in (1, 2, 4):
-            service = StorageService(self._config(count, "vanilla"), catalog=tiny_tpch_catalog, scheduler=ObjectFCFSScheduler())
+            service = StorageService(self._config(count, "vanilla"), catalog=tiny_tpch_catalog, scheduler_factory=ObjectFCFSScheduler)
             times.append(service.run().average_execution_time())
         assert times[0] < times[1] < times[2]
         # Quadrupling the clients should cost at least 2.5x (paper: ~linear).
         assert times[2] / times[0] > 2.5
 
     def test_skipper_scales_better_than_vanilla(self, tiny_tpch_catalog):
-        vanilla = StorageService(self._config(4, "vanilla"), catalog=tiny_tpch_catalog, scheduler=ObjectFCFSScheduler()).run()
-        skipper = StorageService(self._config(4, "skipper"), catalog=tiny_tpch_catalog, scheduler=RankBasedScheduler()).run()
+        vanilla = StorageService(self._config(4, "vanilla"), catalog=tiny_tpch_catalog, scheduler_factory=ObjectFCFSScheduler).run()
+        skipper = StorageService(self._config(4, "skipper"), catalog=tiny_tpch_catalog, scheduler_factory=RankBasedScheduler).run()
         assert skipper.average_execution_time() < vanilla.average_execution_time()
         assert skipper.device_switches < vanilla.device_switches
 

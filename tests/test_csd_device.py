@@ -11,6 +11,7 @@ from repro.csd import (
     ObjectFCFSScheduler,
     RankBasedScheduler,
 )
+from repro.csd.device import BusyInterval
 from repro.exceptions import ConfigurationError, StorageError
 from repro.sim import Environment
 
@@ -156,6 +157,34 @@ class TestDeviceConfigurations:
         transfer_time = sum(i.duration for i in device.busy_intervals if i.kind == "transfer")
         assert switch_time == pytest.approx(10.0 * device.stats.group_switches)
         assert transfer_time == pytest.approx(1.0 * device.stats.objects_served)
+
+    def test_busy_interval_record_contract(self):
+        """What the ledger's probes, the exporter and the tests lean on: one
+        immutable record, built positionally or by keyword, in a plain list
+        the device appends to — the transfer written on the hot path through
+        ``tuple.__new__`` included."""
+        positional = BusyInterval(1.0, 3.5, "switch", 2)
+        assert positional == BusyInterval(start=1.0, end=3.5, kind="switch", group_id=2)
+        assert (positional.client_id, positional.query_id, positional.object_key) == (
+            None,
+            None,
+            None,
+        )
+        assert positional.duration == 2.5
+        with pytest.raises(AttributeError):
+            positional.end = 4.0
+
+        env, device, objects = _setup(num_clients=1)
+        _batch_client(env, device, "c0", objects["c0"], {})
+        env.run()
+        log = device.busy_intervals
+        assert type(log) is list
+        assert all(type(interval) is BusyInterval for interval in log)
+        assert log[1] == BusyInterval(
+            10.0, 11.0, "transfer", 0, client_id="c0", query_id="c0:q:0", object_key=objects["c0"][0]
+        )
+        log[0] = positional
+        assert device.busy_intervals[0] is positional
 
     def test_unknown_object_rejected_on_submit(self):
         env, device, _objects = _setup(num_clients=1)

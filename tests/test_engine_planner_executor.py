@@ -144,7 +144,6 @@ class TestCostModel:
     def test_costs_scale_linearly(self):
         model = CostModel()
         assert model.scan_time(200) == pytest.approx(2 * model.scan_time(100))
-        assert model.transfer_time(3) == pytest.approx(3 * model.transfer_seconds_per_object)
         assert model.request_overhead(10) == pytest.approx(10 * model.request_overhead_seconds)
 
     def test_negative_costs_rejected(self):
@@ -155,7 +154,7 @@ class TestCostModel:
         model = CostModel()
         doubled = model.scaled(2.0)
         assert doubled.scan_seconds_per_tuple == pytest.approx(2 * model.scan_seconds_per_tuple)
-        assert doubled.transfer_seconds_per_object == model.transfer_seconds_per_object
+        assert doubled.request_overhead_seconds == model.request_overhead_seconds
 
     def test_processing_time_uses_stats(self, tiny_tpch_catalog):
         result = InMemoryExecutor(tiny_tpch_catalog).execute(tpch.q12())

@@ -173,9 +173,11 @@ class TestVanillaExecutorOnCSD:
                 layout_policy=ClientsPerGroupLayout(1),
                 device_config=device_config,
             )
-            return StorageService(config, catalog=tiny_tpch_catalog, scheduler=scheduler).run()
+            return StorageService(
+                config, catalog=tiny_tpch_catalog, scheduler_factory=scheduler
+            ).run()
 
-        vanilla = run("vanilla", ObjectFCFSScheduler())
-        skipper = run("skipper", RankBasedScheduler())
+        vanilla = run("vanilla", ObjectFCFSScheduler)
+        skipper = run("skipper", RankBasedScheduler)
         assert skipper.average_execution_time() < vanilla.average_execution_time()
         assert skipper.device_switches < vanilla.device_switches

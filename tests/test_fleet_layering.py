@@ -66,6 +66,6 @@ def test_one_roster_one_weight_after_every_fleet_scenario(spec):
     fleet = service.fleet
     alive = [member for member in fleet.members if member.alive]
     assert {member.device_id for member in alive} == set(fleet.membership.serving_ids())
-    ring_weights = getattr(fleet.policy, "weights", {})  # round-robin has no ring
+    ring_weights = fleet.policy.weights
     for member in alive:
         assert member.weight == ring_weights.get(member.device_id, 1.0)

@@ -87,10 +87,6 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError):
             FleetSpec(devices=3, weighting="guess")
 
-    def test_profile_weighting_requires_consistent_hash(self):
-        with pytest.raises(ScenarioError):
-            FleetSpec(devices=3, placement="round-robin", weighting="profile")
-
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_ewma_alpha_out_of_range_rejected(self, alpha):
         with pytest.raises(ScenarioError):
@@ -100,14 +96,6 @@ class TestSpecValidation:
     def test_rebalance_interval_must_be_positive_and_finite(self, interval):
         with pytest.raises(ScenarioError):
             RebalancePolicy(interval_seconds=interval)
-
-    def test_rebalance_requires_consistent_hash(self):
-        with pytest.raises(ScenarioError):
-            FleetSpec(
-                devices=3,
-                placement="round-robin",
-                rebalance=RebalancePolicy(interval_seconds=100.0),
-            )
 
 
 class TestWeightedRingProperties:

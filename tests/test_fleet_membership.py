@@ -146,12 +146,6 @@ class TestSpecValidation:
                 events=(DeviceJoin(2, 20.0), DeviceLeave(2, 10.0)),
             )
 
-    def test_events_require_consistent_hash(self):
-        with pytest.raises(ScenarioError, match="consistent-hash"):
-            FleetSpec(
-                devices=3, placement="round-robin", events=(DeviceJoin(3, 10.0),)
-            )
-
     def test_fleet_cannot_shrink_below_replication(self):
         with pytest.raises(ScenarioError, match="below the replication factor"):
             FleetSpec(devices=2, replication=2, events=(DeviceLeave(0, 10.0),))

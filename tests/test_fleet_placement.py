@@ -1,11 +1,10 @@
-"""Property-based tests for fleet placement policies.
+"""Property-based tests for the fleet's consistent-hash placement.
 
 The three properties the fleet layer leans on:
 
 * every object maps to exactly R distinct live devices,
 * lookup is a pure function of the key and the device list (deterministic),
-* adding a device to a consistent-hash ring relocates only ~K/N of K keys
-  (round-robin, by contrast, relocates nearly everything).
+* adding a device to a consistent-hash ring relocates only ~K/N of K keys.
 """
 
 from __future__ import annotations
@@ -15,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import PlacementError
-from repro.fleet.placement import (
-    ConsistentHashPlacement,
-    RoundRobinPlacement,
-    build_placement,
-    stable_hash,
-)
+from repro.fleet.placement import ConsistentHashPlacement, stable_hash
 
 #: Unique printable object keys.
 keys_strategy = st.lists(
@@ -43,13 +37,9 @@ def device_ids(count: int):
 class TestReplicationProperty:
     @settings(max_examples=60, derandomize=True)
     @given(keys=keys_strategy, devices=devices_strategy, replication=replication_strategy)
-    @pytest.mark.parametrize("policy_name", ["consistent-hash", "round-robin"])
-    def test_every_object_on_exactly_r_distinct_devices(
-        self, policy_name, keys, devices, replication
-    ):
+    def test_every_object_on_exactly_r_distinct_devices(self, keys, devices, replication):
         replication = min(replication, devices)
-        policy = build_placement(policy_name, replication)
-        placement = policy.place(keys, device_ids(devices))
+        placement = ConsistentHashPlacement(replication).place(keys, device_ids(devices))
         assert set(placement) == set(keys)
         for replicas in placement.values():
             assert len(replicas) == replication
@@ -59,18 +49,15 @@ class TestReplicationProperty:
     def test_replication_above_fleet_size_rejected(self):
         with pytest.raises(PlacementError):
             ConsistentHashPlacement(3).place(["a"], device_ids(2))
-        with pytest.raises(PlacementError):
-            RoundRobinPlacement(4).place(["a"], device_ids(3))
 
 
 class TestDeterminismProperty:
     @settings(max_examples=60, derandomize=True)
     @given(keys=keys_strategy, devices=devices_strategy, replication=replication_strategy)
-    @pytest.mark.parametrize("policy_name", ["consistent-hash", "round-robin"])
-    def test_placement_is_pure(self, policy_name, keys, devices, replication):
+    def test_placement_is_pure(self, keys, devices, replication):
         replication = min(replication, devices)
-        first = build_placement(policy_name, replication).place(keys, device_ids(devices))
-        second = build_placement(policy_name, replication).place(keys, device_ids(devices))
+        first = ConsistentHashPlacement(replication).place(keys, device_ids(devices))
+        second = ConsistentHashPlacement(replication).place(keys, device_ids(devices))
         assert first == second
 
     def test_stable_hash_is_platform_pinned(self):
@@ -163,7 +150,7 @@ class TestRelocationProperty:
 
         The exact fraction fluctuates with the ring layout, so the assertion
         uses a generous multiple of the ideal share; the point is the
-        asymptotic behaviour, which round-robin placement fails below.
+        asymptotic behaviour.
         """
         policy = ConsistentHashPlacement(1, virtual_nodes=128)
         before = policy.place(keys, device_ids(devices))
@@ -177,14 +164,6 @@ class TestRelocationProperty:
         for key in keys:
             if before[key] != after[key]:
                 assert after[key] == (new_device,)
-
-    def test_round_robin_relocates_nearly_everything(self):
-        keys = [f"k{index}" for index in range(100)]
-        policy = RoundRobinPlacement(1)
-        before = policy.place(keys, device_ids(4))
-        after = policy.place(keys, device_ids(5))
-        moved = sum(1 for key in keys if before[key] != after[key])
-        assert moved >= len(keys) * 0.5
 
 
 class TestDiffKeysEquivalence:
@@ -244,10 +223,6 @@ class TestDiffKeysEquivalence:
 
 
 class TestValidation:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(PlacementError):
-            build_placement("rendezvous", 1)
-
     def test_empty_inputs_rejected(self):
         with pytest.raises(PlacementError):
             ConsistentHashPlacement(1).place([], device_ids(2))

@@ -250,7 +250,6 @@ class TestSpecValidation:
         spec = FleetSpec(
             devices=4,
             replication=2,
-            placement="round-robin",
             replica_policy="least-loaded",
             failures=(DeviceFailure(1, 12.5),),
         )

@@ -16,6 +16,7 @@ from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import (
     ExecutionBreakdown,
+    MergedSpans,
     attribute_waiting,
     attribute_waiting_batch,
     imbalance_coefficient,
@@ -25,6 +26,7 @@ from repro.cluster.metrics import (
     merge_intervals,
     percentile,
     stretches,
+    sweep_blocked,
 )
 from repro.csd.device import BusyInterval
 from repro.exceptions import ConfigurationError
@@ -50,8 +52,15 @@ _INTERVAL = st.tuples(st.integers(0, 200), st.integers(0, 100)).map(
 _INTERVALS = st.lists(_INTERVAL, max_size=8)
 
 
-def _full_scan_attribution(blocked, busy_intervals, processing_time):
-    """Reference attribution: every blocked span against every busy span."""
+_KINDS = ("switch", "transfer", "migration")
+
+
+def _full_scan(blocked, busy_intervals, inner_kinds):
+    """Reference sweep: every blocked span against every busy span.
+
+    Returns the blocked seconds in total, those inside busy intervals of
+    ``inner_kinds``, and those inside any other busy interval only.
+    """
 
     def overlap(spans, start, end):
         total = 0.0
@@ -63,19 +72,27 @@ def _full_scan_attribution(blocked, busy_intervals, processing_time):
     busy_spans = merge_intervals(
         [(b.start, b.end) for b in busy_intervals if b.end > 0 and b.duration > 0]
     )
-    transfer_spans = merge_intervals(
+    inner_spans = merge_intervals(
         [
             (b.start, b.end)
             for b in busy_intervals
-            if b.end > 0 and b.duration > 0 and b.kind != "switch"
+            if b.end > 0 and b.duration > 0 and b.kind in inner_kinds
         ]
     )
-    blocked_total = switch_wait = transfer_wait = 0.0
+    blocked_total = inner = outer = 0.0
     for start, end in merge_intervals(blocked):
         blocked_total += end - start
-        transferring = overlap(transfer_spans, start, end)
-        transfer_wait += transferring
-        switch_wait += overlap(busy_spans, start, end) - transferring
+        inside = overlap(inner_spans, start, end)
+        inner += inside
+        outer += overlap(busy_spans, start, end) - inside
+    return blocked_total, inner, outer
+
+
+def _full_scan_attribution(blocked, busy_intervals, processing_time):
+    """Reference attribution: inner = every kind but ``switch``."""
+    blocked_total, transfer_wait, switch_wait = _full_scan(
+        blocked, busy_intervals, ("transfer", "migration")
+    )
     return ExecutionBreakdown(
         processing=processing_time,
         switch_wait=switch_wait,
@@ -143,7 +160,7 @@ class TestAttributeWaiting:
     @given(
         blocked_lists=st.lists(_INTERVALS, min_size=0, max_size=6),
         busy=st.lists(
-            st.tuples(_INTERVAL, st.sampled_from(["switch", "transfer", "migration"])),
+            st.tuples(_INTERVAL, st.sampled_from(_KINDS)),
             max_size=12,
         ),
         duplicate=st.booleans(),
@@ -171,6 +188,31 @@ class TestAttributeWaiting:
         assert batch == [
             _full_scan_attribution(blocked, busy_intervals, seconds)
             for blocked, seconds in zip(blocked_lists, processing)
+        ]
+
+    @given(
+        blocked_lists=st.lists(_INTERVALS, min_size=0, max_size=6),
+        busy=st.lists(st.tuples(_INTERVAL, st.sampled_from(_KINDS)), max_size=12),
+        inner_kinds=st.sets(st.sampled_from(_KINDS)),
+    )
+    def test_sweep_is_bit_identical_to_a_full_scan_for_any_inner_kinds(
+        self, blocked_lists, busy, inner_kinds
+    ):
+        """The one sweep serves two readers with different *inner* unions —
+        everything but switches (Figure 9), migration only (the trace's
+        critical path) — so the oracle picks the inner kinds freely, the
+        empty and the full set included."""
+        busy_intervals = [
+            BusyInterval(start=start, end=end, kind=kind, group_id=0)
+            for (start, end), kind in busy
+        ]
+        totals, inners, outers = sweep_blocked(
+            blocked_lists,
+            MergedSpans([(b.start, b.end) for b in busy_intervals if b.kind in inner_kinds]),
+            MergedSpans([(b.start, b.end) for b in busy_intervals]),
+        )
+        assert list(zip(totals, inners, outers)) == [
+            _full_scan(blocked, busy_intervals, inner_kinds) for blocked in blocked_lists
         ]
 
     def test_fractions_of_zero_total_are_zero(self):

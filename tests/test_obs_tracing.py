@@ -10,14 +10,14 @@ The two hard guarantees pinned here:
 """
 
 import json
+import runpy
+import sys
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.obs.analysis import (
     PHASES,
-    merge_intervals,
-    overlap_seconds,
     query_breakdowns,
     render_breakdown,
     tenant_totals,
@@ -213,12 +213,6 @@ class TestZeroOverheadOff:
 
 
 class TestAnalysis:
-    def test_merge_and_overlap(self):
-        union = merge_intervals([(0.0, 2.0), (1.0, 3.0), (5.0, 6.0)])
-        assert union == [(0.0, 3.0), (5.0, 6.0)]
-        assert overlap_seconds(2.0, 5.5, union) == 1.5
-        assert overlap_seconds(10.0, 11.0, union) == 0.0
-
     def test_breakdown_phases_sum_to_total(self, fleet_trace):
         _report, document, _raw = fleet_trace
         breakdowns = query_breakdowns(document)
@@ -316,6 +310,57 @@ class TestTraceCLI:
 
         with pytest.raises(ConfigurationError):
             load_trace(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        [
+            (lambda document: document.update(version=99), "version 99"),
+            (lambda document: document.pop("spans"), "no spans"),
+            (lambda document: document.pop("tracks"), "no tracks"),
+            (
+                lambda document: document.pop("total_simulated_time"),
+                "no total_simulated_time",
+            ),
+            (lambda document: document.update(spans={"id": 1}), "not a list"),
+            (lambda document: document["spans"].append(7), "not an object"),
+            *[
+                (
+                    lambda document, key=key: document["spans"][2].pop(key),
+                    f"span #2 has no {key}",
+                )
+                for key in (
+                    "id", "parent", "kind", "name", "track",
+                    "start", "end", "attrs", "events",
+                )
+            ],
+        ],
+    )
+    def test_damaged_document_is_a_typed_error_not_a_key_error(
+        self, tmp_path, fleet_trace, damage, complaint
+    ):
+        from repro.trace import load_trace
+
+        _report, _document, raw = fleet_trace
+        document = json.loads(raw)
+        damage(document)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError, match=complaint):
+            load_trace(path)
+
+    def test_module_entry_point_prints_repro_errors_and_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A wrong-version document is ``error: …`` and exit 2, never the
+        ``KeyError: 'spans'`` traceback it used to be."""
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps({"format": TRACE_FORMAT, "version": 99}))
+        monkeypatch.setattr(sys, "argv", ["repro.trace", str(path)])
+        monkeypatch.delitem(sys.modules, "repro.trace", raising=False)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("repro.trace", run_name="__main__")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_main_renders_and_converts(self, tmp_path, capsys, fleet_trace):
         from repro.trace import main

@@ -308,28 +308,6 @@ class TestReadRepair:
             report.invariants_checked
         )
 
-    def test_repair_on_round_robin_fleet_is_a_legitimate_reshuffle(self):
-        """Regression: repair re-places over the survivors with whatever
-        placement the fleet uses; round-robin has no minimality guarantee,
-        so its near-full reshuffle must not trip the bounded-migration
-        invariant (which pins the consistent-hash envelope)."""
-        spec = tiny_fleet_spec(
-            "round-robin-repair",
-            FleetSpec(
-                devices=4,
-                replication=2,
-                placement="round-robin",
-                failures=(DeviceFailure(device=0, at_seconds=40.0),),
-            ),
-        )
-        report = RUNNER.run(spec)  # pre-fix: InvariantViolation (bounded-migration)
-        assert report.replication["under_replicated_keys"] == 0
-        plan = report.rebalance["plans"][0]
-        assert plan["kind"] == "repair"
-        # Round-robin over a shrunken roster legitimately moves most keys.
-        assert plan["keys_moved"] > 0
-        assert report.fleet["lost_objects"] == 0
-
     def test_repair_degrades_gracefully_when_survivors_below_r(self):
         # Two devices at R=2 losing one: repair can only sustain a single
         # replica, so the plan is empty (the survivor already holds all keys)

@@ -9,7 +9,9 @@ import pytest
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
 from repro.csd.device import BusyInterval
+from repro.csd.request import GetRequest
 from repro.exceptions import GoldenMismatchError, InvariantViolation, ScenarioError
+from repro.fleet.spec import FleetSpec
 from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
@@ -154,61 +156,89 @@ class TestGoldenDiff:
         assert any("intruder" in mismatch for mismatch in mismatches)
 
 
-def _run_service(num_clients=2):
+def _run_service(fleet=None, num_clients=2):
     catalog = tpch.build_catalog("tiny", seed=42)
     config = ClusterConfig(
         client_specs=[
             ClientSpec(client_id=f"c{index}", queries=[tpch.q12()], cache_capacity=8)
             for index in range(num_clients)
-        ]
+        ],
+        fleet_spec=fleet,
     )
     service = StorageService(config, catalog=catalog)
     return service, service.run()
 
 
+def _first_transfer(service):
+    """(device, log index, interval) of the first transfer any device served."""
+    return next(
+        (device, index, interval)
+        for device in service.devices
+        for index, interval in enumerate(device.busy_intervals)
+        if interval.kind == "transfer"
+    )
+
+
+#: One checker body for both back ends: every perturbation must make it fire
+#: on the paper's single CSD and on a sharded, replicated fleet alike.
+BACKENDS = pytest.mark.parametrize(
+    "fleet", [None, FleetSpec(devices=3, replication=2)], ids=["single-device", "fleet"]
+)
+
+
 class TestInvariantChecker:
-    def test_clean_run_passes_all_checks(self):
-        service, result = _run_service()
+    @BACKENDS
+    def test_clean_run_passes_all_checks(self, fleet):
+        service, result = _run_service(fleet)
         checked = check_invariants(service, result)
         assert set(checked) >= {"conservation", "monotone-clock", "no-starvation"}
 
-    def test_conservation_detects_lost_objects(self):
-        service, result = _run_service()
-        service.device.stats.objects_served += 1
-        with pytest.raises(InvariantViolation, match="conservation"):
+    @BACKENDS
+    def test_conservation_detects_lost_objects(self, fleet):
+        service, result = _run_service(fleet)
+        service.devices[0].stats.objects_served += 1
+        with pytest.raises(InvariantViolation, match="objects-served conservation"):
             check_conservation(service, result)
 
-    def test_conservation_detects_misplaced_transfer(self):
-        service, result = _run_service()
-        index, interval = next(
-            (index, interval)
-            for index, interval in enumerate(service.device.busy_intervals)
-            if interval.kind == "transfer"
-        )
-        service.device.busy_intervals[index] = BusyInterval(
-            start=interval.start,
-            end=interval.end,
-            kind="transfer",
-            group_id=interval.group_id + 1,
-            client_id=interval.client_id,
-            query_id=interval.query_id,
-            object_key=interval.object_key,
-        )
+    @BACKENDS
+    def test_conservation_detects_misplaced_transfer(self, fleet):
+        service, result = _run_service(fleet)
+        device, index, interval = _first_transfer(service)
+        device.busy_intervals[index] = interval._replace(group_id=interval.group_id + 1)
         with pytest.raises(InvariantViolation, match="layout places"):
             check_conservation(service, result)
 
-    def test_monotone_clock_detects_time_travel(self):
-        service, result = _run_service()
-        first = service.device.busy_intervals[0]
-        service.device.busy_intervals.append(
-            BusyInterval(start=0.0, end=first.end / 2, kind="switch", group_id=0)
+    @BACKENDS
+    def test_conservation_detects_a_request_left_queued(self, fleet):
+        service, result = _run_service(fleet)
+        device, _index, interval = _first_transfer(service)
+        stranded = GetRequest(
+            interval.object_key, interval.client_id, "stranded", service.env.event()
+        )
+        device.scheduler.add_request(stranded, interval.group_id)
+        with pytest.raises(InvariantViolation, match="still has pending requests"):
+            check_conservation(service, result)
+
+    def test_conservation_detects_a_request_routed_twice(self):
+        service, result = _run_service(FleetSpec(devices=3, replication=2))
+        service.fleet.stats.requests_routed += 1
+        with pytest.raises(InvariantViolation, match="router routed"):
+            check_conservation(service, result)
+
+    @BACKENDS
+    def test_monotone_clock_detects_time_travel(self, fleet):
+        service, result = _run_service(fleet)
+        device, _index, interval = _first_transfer(service)
+        device.busy_intervals.append(
+            BusyInterval(start=0.0, end=interval.end / 2, kind="switch", group_id=0)
         )
         with pytest.raises(InvariantViolation, match="out of order"):
             check_monotone_clock(service, result)
 
-    def test_monotone_clock_detects_inverted_interval(self):
-        service, result = _run_service()
-        service.device.busy_intervals[0] = BusyInterval(
+    @BACKENDS
+    def test_monotone_clock_detects_inverted_interval(self, fleet):
+        service, result = _run_service(fleet)
+        service.devices[-1].busy_intervals[0] = BusyInterval(
             start=5.0, end=1.0, kind="switch", group_id=0
         )
         with pytest.raises(InvariantViolation, match="ends before"):
@@ -227,3 +257,17 @@ class TestSpecSerialization:
             tenant_id="t", queries=("tpch:q1", "tpch:q12", "ssb:q1_1"), cache_capacity=8
         )
         assert tenant.workloads() == ["tpch", "ssb"]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("mode", ["--list", "--check", "--run-all"])
+    def test_trace_without_run_is_a_usage_error(self, mode, tmp_path, capsys):
+        """``--list --trace f.json`` used to list and silently drop ``--trace``."""
+        from repro.scenarios.__main__ import main
+
+        target = tmp_path / "trace.json"
+        assert main([mode, "--trace", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --trace requires --run\n"
+        assert captured.out == ""
+        assert not target.exists()

@@ -674,3 +674,17 @@ def test_service_never_imports_the_harness_and_nothing_defers_around_it():
         if _imports_package(node, "repro")
     ]
     assert not deferred, "function-level repro imports:\n" + "\n".join(deferred)
+
+
+def test_one_interval_record_one_interval_algebra_one_roster():
+    """A finished run is read one way: no module under ``src/repro`` brings
+    back the tuple-row ``IntervalLog``, a second ``merge_intervals`` /
+    ``overlap_seconds`` pair or a per-reader ``_device_roster``."""
+    defined = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(str(path.relative_to(REPO_ROOT)))
+    assert defined.get("merge_intervals") == ["src/repro/cluster/metrics.py"]
+    for name in ("IntervalLog", "overlap_seconds", "_device_roster"):
+        assert name not in defined, f"{name} is back, in {defined[name]}"

@@ -171,7 +171,6 @@ def _after_run(router: FleetRouter) -> dict:
     dead=st.sets(st.integers(0, 4), max_size=2),
     loads=st.lists(st.integers(0, 3), min_size=5, max_size=5),
     latencies=st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=5, max_size=5),
-    weights=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=5, max_size=5),
     batches=st.lists(
         st.lists(st.integers(0, len(ALL_KEYS) - 1), max_size=12), min_size=1, max_size=3
     ),
@@ -179,7 +178,7 @@ def _after_run(router: FleetRouter) -> dict:
     run_between=st.sampled_from([0.0, 2.0, 7.5]),
 )
 def test_submit_many_is_submit_once_per_request(
-    policy, devices, replication, dead, loads, latencies, weights, batches, warm, run_between
+    policy, devices, replication, dead, loads, latencies, batches, warm, run_between
 ):
     replication = min(replication, devices)
     # Never kill every replica of a key: at most R - 1 devices die.
@@ -193,7 +192,6 @@ def test_submit_many_is_submit_once_per_request(
         for member in router.members:
             member.alive = member.index not in dead
             member.outstanding = loads[member.index]
-            member.weight = weights[member.index]
             if latencies[member.index]:
                 member.ewma.observe(latencies[member.index])
         completions: List[tuple] = []
