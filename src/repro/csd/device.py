@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from collections import deque
@@ -124,9 +123,10 @@ class BusyInterval(NamedTuple):
         return self.end - self.start
 
 
-#: ``BusyInterval(*fields)`` for all seven fields, without the Python frame
-#: of the generated ``__new__``: ``_complete`` builds one per served object.
-_new_interval = partial(tuple.__new__, BusyInterval)
+#: ``_tuple_new(BusyInterval, fields)`` is ``BusyInterval(*fields)`` for all
+#: seven fields without the Python frame of the generated ``__new__``:
+#: ``_complete`` builds one per served object.
+_tuple_new = tuple.__new__
 
 
 class DeviceStats:
@@ -548,8 +548,9 @@ class ColdStorageDevice:
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
         self.busy_intervals.append(
-            _new_interval(
-                (start, end, "transfer", group, request.client_id, request.query_id, request.object_key)
+            _tuple_new(
+                BusyInterval,
+                (start, end, "transfer", group, request.client_id, request.query_id, request.object_key),
             )
         )
         request.group_id = group
