@@ -311,38 +311,29 @@ class TestTraceCLI:
         with pytest.raises(ConfigurationError):
             load_trace(tmp_path / "missing.json")
 
-    @pytest.mark.parametrize(
-        "damage, complaint",
-        [
-            (lambda document: document.update(version=99), "version 99"),
-            (lambda document: document.pop("spans"), "no spans"),
-            (lambda document: document.pop("tracks"), "no tracks"),
-            (
-                lambda document: document.pop("total_simulated_time"),
-                "no total_simulated_time",
-            ),
-            (lambda document: document.update(spans={"id": 1}), "not a list"),
-            (lambda document: document["spans"].append(7), "not an object"),
-            *[
-                (
-                    lambda document, key=key: document["spans"][2].pop(key),
-                    f"span #2 has no {key}",
-                )
-                for key in (
-                    "id", "parent", "kind", "name", "track",
-                    "start", "end", "attrs", "events",
-                )
-            ],
-        ],
-    )
+    #: What ``load_trace`` must say about a document damaged this way.
+    DAMAGE = {
+        "version 99": lambda document: document.update(version=99),
+        "no spans": lambda document: document.pop("spans"),
+        "no tracks": lambda document: document.pop("tracks"),
+        "no total_simulated_time": lambda document: document.pop("total_simulated_time"),
+        "not a list": lambda document: document.update(spans={"id": 1}),
+        "not an object": lambda document: document["spans"].append(7),
+        **{
+            f"span #2 has no {key}": lambda document, key=key: document["spans"][2].pop(key)
+            for key in ("id", "parent", "kind", "name", "track", "start", "end", "attrs", "events")
+        },
+    }
+
+    @pytest.mark.parametrize("complaint", list(DAMAGE))
     def test_damaged_document_is_a_typed_error_not_a_key_error(
-        self, tmp_path, fleet_trace, damage, complaint
+        self, tmp_path, fleet_trace, complaint
     ):
         from repro.trace import load_trace
 
         _report, _document, raw = fleet_trace
         document = json.loads(raw)
-        damage(document)
+        self.DAMAGE[complaint](document)
         path = tmp_path / "damaged.json"
         path.write_text(json.dumps(document))
         with pytest.raises(ConfigurationError, match=complaint):
