@@ -1,12 +1,15 @@
 """Stateless n-ary join over the cached segments of one subplan or a batch.
 
 The MJoin state manager decides *when* subplans are runnable; this module
-decides which hash table each left-deep step probes and how a batch shares
-its prefixes.  The build and probe loops are the pull-based engine's
-(:mod:`repro.engine.operators.hash_join`), so both executors order,
-NULL-handle and fail identically.  Tables are built lazily per (segment,
-join key) and memoised on the cached entry, mirroring the paper's design:
-hash tables are built as objects arrive and the join merely probes them.
+decides which hash table each left-deep step probes, in which slot of the
+joined row each probe column lives, and how a batch shares its prefixes.  The
+build and probe loops and the joined-row representation are the pull-based
+engine's (:mod:`repro.engine.operators.hash_join`), so both executors order,
+NULL-handle and fail identically; intermediates are tuples of base rows and
+only a full-depth result is materialised into row dicts.  Tables are built
+lazily per (segment, join key) and memoised on the cached entry, mirroring
+the paper's design: hash tables are built as objects arrive and the join
+merely probes them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.operators.base import OperatorStats, Row
-from repro.engine.operators.hash_join import HashTable, build_hash_table, probe_hash_table
+from repro.engine.operators.hash_join import (
+    HashTable,
+    JoinedRow,
+    build_hash_table,
+    materialise_rows,
+    probe_hash_table,
+)
 from repro.engine.operators.scan import select_rows
 from repro.engine.planner import QueryPlan
 from repro.engine.predicate import Predicate
@@ -80,20 +89,26 @@ class NAryJoin:
             raise ExecutionError("plan does not cover the query's tables")
         if not all(step.conditions for step in plan.steps[1:]):
             raise ExecutionError("every plan step after the first needs a join condition")
-        #: Table names in plan order, and per-probe-step (probe, build) key
-        #: columns — both depend only on the plan, so deriving them once here
-        #: keeps them out of the per-subplan execute loop.
+        #: Table names in plan order, and per-probe-step the probe side's
+        #: (slot, column) keys and the build side's key columns — both depend
+        #: only on the plan, so deriving them once here keeps them out of the
+        #: per-subplan execute loop.  A table's slot is its plan position.
         self._step_tables: Tuple[str, ...] = tuple(step.table for step in plan.steps)
-        self._step_keys: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = [
-            (
-                tuple(
-                    condition.column_for(condition.other(step.table))
-                    for condition in step.conditions
-                ),
-                tuple(condition.column_for(step.table) for condition in step.conditions),
+        slot_of = {table: slot for slot, table in enumerate(self._step_tables)}
+        self._step_keys: List[Tuple[Tuple[Tuple[int, str], ...], Tuple[str, ...]]] = []
+        for depth, step in enumerate(plan.steps[1:], start=1):
+            others = [condition.other(step.table) for condition in step.conditions]
+            if not all(slot_of.get(other, depth) < depth for other in others):
+                raise ExecutionError(f"plan joins {step.table!r} to a table not yet joined")
+            self._step_keys.append(
+                (
+                    tuple(
+                        (slot_of[other], condition.column_for(other))
+                        for other, condition in zip(others, step.conditions)
+                    ),
+                    tuple(condition.column_for(step.table) for condition in step.conditions),
+                )
             )
-            for step in plan.steps[1:]
-        ]
 
     def execute(
         self, segments: Dict[str, PreparedSegment], stats: Optional[OperatorStats] = None
@@ -122,9 +137,7 @@ class NAryJoin:
                 f"got {len(segments)}"
             )
         stats = stats if stats is not None else OperatorStats()
-        # The first table's row list is only read (each step returns a fresh
-        # list), so no defensive copy is needed.
-        current: List[Row] = segments[0].rows
+        current: List[JoinedRow] = list(zip(segments[0].rows))
         for depth in range(1, len(segments)):
             if not current:
                 return []
@@ -132,7 +145,7 @@ class NAryJoin:
             stats.tuples_probed += len(current)
             current = self._probe(current, segments[depth], depth)
         stats.tuples_output += len(current)
-        return current
+        return materialise_rows(current)
 
     def execute_batch(
         self,
@@ -143,8 +156,8 @@ class NAryJoin:
 
         ``combinations`` are segment-id tuples in plan order, sorted the way
         the subplan tracker emits them, and ``prepared`` maps each id to its
-        segment.  The batch is walked as a trie: ``stack[d]`` holds the rows
-        after joining positions ``0..d`` of the previous combination, a
+        segment.  The batch is walked as a trie: ``stack[d]`` holds the joined
+        rows after joining positions ``0..d`` of the previous combination, a
         combination sharing its first ``d`` segments with it resumes from
         ``stack[d - 1]`` instead of the first table, and every combination
         under a prefix whose intermediate is empty yields no rows without a
@@ -154,8 +167,11 @@ class NAryJoin:
         segment) however the prefix rows were come by.
         """
         depth_count = len(self._step_tables)
+        if depth_count == 1:
+            # Nothing to join: a single-table plan's rows are the segment's own.
+            return [prepared[combination[0]].rows for combination in combinations]
         results: List[List[Row]] = []
-        stack: List[List[Row]] = [[] for _ in range(depth_count)]
+        stack: List[List[JoinedRow]] = [[] for _ in range(depth_count)]
         previous: Tuple[str, ...] = ()
         # ``stack[:computed]`` belongs to ``previous``.  The walk stops
         # descending at an empty intermediate, so ``computed < depth_count``
@@ -172,18 +188,20 @@ class NAryJoin:
             depth = shared
             while depth < depth_count:
                 segment = prepared[combination[depth]]
-                rows = self._probe(rows, segment, depth) if depth else segment.rows
+                rows = self._probe(rows, segment, depth) if depth else list(zip(segment.rows))
                 stack[depth] = rows
                 depth += 1
                 if not rows:
                     break
             previous = combination
             computed = depth
-            results.append(rows if depth == depth_count else [])
+            results.append(materialise_rows(rows) if depth == depth_count else [])
         return results
 
-    def _probe(self, current: List[Row], segment: PreparedSegment, depth: int) -> List[Row]:
+    def _probe(
+        self, current: List[JoinedRow], segment: PreparedSegment, depth: int
+    ) -> List[JoinedRow]:
         """One left-deep step: probe ``segment``'s hash table (the table at
         plan position ``depth``) with the rows joined so far."""
-        probe_columns, build_columns = self._step_keys[depth - 1]
-        return probe_hash_table(segment.hash_table(build_columns), current, probe_columns)
+        slot_keys, build_columns = self._step_keys[depth - 1]
+        return probe_hash_table(segment.hash_table(build_columns), current, slot_keys)

@@ -143,7 +143,11 @@ class IOScheduler:
         if not pending:
             return None
         if group_id in self._dirty or not self._queues.get(group_id):
-            self._queues[group_id] = deque(self.ordering.order(list(pending.values())))
+            requests = list(pending.values())
+            # A list of one is its own ordering (a pull-based client's every GET).
+            if len(requests) > 1:
+                requests = self.ordering.order(requests)
+            self._queues[group_id] = deque(requests)
             self._dirty.discard(group_id)
         request = self._queues[group_id].popleft()
         del pending[request.request_id]

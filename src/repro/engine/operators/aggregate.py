@@ -29,9 +29,12 @@ class _Accumulator:
 
     def update(self, value: object) -> None:
         self.count += 1
+        if self.function == "count":
+            return
+        if value is None:
+            # In every arrival order: MJoin delivers rows as the CSD schedules them.
+            raise ExecutionError(f"cannot {self.function} NULL values")
         if self.function in ("sum", "avg"):
-            if value is None:
-                raise ExecutionError("cannot sum NULL values")
             self.total += value  # type: ignore[operator]
         elif self.function == "min":
             if self.minimum is None or value < self.minimum:  # type: ignore[operator]
@@ -69,7 +72,10 @@ class AggregateState:
 
     def add(self, row: Row) -> None:
         """Fold one input row into the aggregation state."""
-        key = tuple(row[column] for column in self.group_by)
+        try:
+            key = tuple(row[column] for column in self.group_by)
+        except KeyError as exc:
+            raise ExecutionError(f"row has no column {exc}") from None
         accumulators = self._groups.get(key)
         if accumulators is None:
             accumulators = [_Accumulator(spec.function) for spec in self.aggregates]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.core import SkipperExecutor
+from repro.core import SkipperExecutor, njoin
 from repro.csd import (
     AllInOneLayout,
     ColdStorageDevice,
@@ -14,6 +14,7 @@ from repro.csd import (
     RankBasedScheduler,
 )
 from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
+from repro.engine.operators import hash_join
 from repro.sim import Environment
 from repro.workloads import tpch
 
@@ -117,3 +118,22 @@ def make_rig():
 def in_memory_executor(tiny_tpch_catalog) -> InMemoryExecutor:
     """Ground-truth executor over the tiny TPC-H catalog."""
     return InMemoryExecutor(tiny_tpch_catalog)
+
+
+@pytest.fixture()
+def materialised(monkeypatch):
+    """Every joined row handed to the one materialiser, in call order.
+
+    ``materialise_rows`` is the only place a join builds row dicts; both
+    modules that call it (the operator and the n-ary join) are wrapped.
+    """
+    seen = []
+    real = hash_join.materialise_rows
+
+    def spy(joined_rows):
+        seen.extend(joined_rows)
+        return real(joined_rows)
+
+    monkeypatch.setattr(hash_join, "materialise_rows", spy)
+    monkeypatch.setattr(njoin, "materialise_rows", spy)
+    return seen

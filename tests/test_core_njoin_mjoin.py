@@ -5,7 +5,9 @@ fed directly in scripted orders and the outcome is compared against the
 in-memory executor — the core correctness property of out-of-order execution.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from repro.engine.operators.base import OperatorStats
 from repro.engine.planner import JoinStep, QueryPlan
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.exceptions import CacheError, ExecutionError
-from repro.workloads import tpch
+from repro.workloads import ssb, tpch
 
 
 def _expected_rows(catalog, query):
@@ -144,7 +146,12 @@ class TestSharedKernel:
 
     @pytest.mark.parametrize(
         "build_keys, probe_keys",
-        [(["nope"], ["pk"]), (["bk"], ["nope"]), (["bk", "nope"], ["pk", "pv"])],
+        [
+            (["nope"], ["pk"]),
+            (["bk"], ["nope"]),
+            (["bk", "nope"], ["pk", "pv"]),
+            (["bk", "bv"], ["pk", "nope"]),
+        ],
     )
     def test_missing_key_column_is_an_execution_error(self, build_keys, probe_keys):
         with pytest.raises(ExecutionError, match="join key column missing.*nope"):
@@ -164,10 +171,21 @@ class TestSharedKernel:
             NAryJoin(query, QueryPlan(query, [JoinStep("p"), JoinStep("b")]))
 
 
+def _merge_rows(build_row, probe_row):
+    """The pairwise merge the kernel did before a joined row became a tuple of
+    base rows: the reference for column order, precedence and the conflict error."""
+    merged = {**build_row, **probe_row}
+    if len(merged) != len(build_row) + len(probe_row):
+        for key, value in probe_row.items():
+            if key in build_row and build_row[key] != value:
+                raise ExecutionError(f"column {key!r} differs between the join sides")
+    return merged
+
+
 def _nested_loop_join(build_rows, probe_rows, build_keys, probe_keys):
     """The reference: probe order, then build order, NULL equal to nothing."""
     return [
-        {**build_row, **probe_row}
+        _merge_rows(build_row, probe_row)
         for probe_row in probe_rows
         for build_row in build_rows
         if all(
@@ -193,6 +211,97 @@ def _side(prefix):
     )
 
 
+def _scan(name, rows, rows_per_segment, *extra_columns):
+    schema = TableSchema(
+        name,
+        [Column(column, DataType.FLOAT) for column in (f"{name}1", f"{name}2", f"{name}v")]
+        + [Column(column, DataType.FLOAT) for column in extra_columns],
+    )
+    return SequentialScan(Relation.from_rows(schema, rows, rows_per_segment))
+
+
+@st.composite
+def _chains(draw):
+    """Tables ``t0`` (streamed) .. ``tn`` for a left-deep chain of n = 2-4 joins.
+
+    Every table carries a column ``same`` whose values are equal but of
+    alternating type (``7`` / ``7.0``), so which slot's value survived a merge
+    shows in ``repr``.  Step ``i`` joins ``ti`` on one or two columns, each
+    matched against a column of *any* earlier table: the probe side of a
+    two-column key may live in two different slots.  Returns ``(tables,
+    steps)``, a step being ``[(other table, other column, own column), ...]``.
+    """
+    joins = draw(st.integers(min_value=2, max_value=4))
+    # Few distinct keys and mostly non-empty tables, or five joins rarely
+    # leave a row; about one table in ten is an empty side.
+    keys = st.sampled_from([0, 0, 0, 1, 1, None])
+    tables = [
+        [
+            {f"t{position}1": key1, f"t{position}2": key2, f"t{position}v": value, "same": same}
+            for key1, key2, value in draw(
+                st.lists(
+                    st.tuples(keys, keys, _VALUES),
+                    min_size=min(1, draw(st.integers(min_value=0, max_value=9))),
+                    max_size=5,
+                )
+            )
+        ]
+        for position, same in zip(range(joins + 1), itertools.cycle([7, 7.0]))
+    ]
+    steps = [
+        [
+            (
+                f"t{draw(st.integers(min_value=0, max_value=position - 1))}",
+                draw(st.sampled_from("12")),
+                own,
+            )
+            for own in "12"[: draw(st.integers(min_value=1, max_value=2))]
+        ]
+        for position in range(1, joins + 1)
+    ]
+    return tables, steps
+
+
+def _chain_keys(position, step):
+    """(build key columns, probe key columns) of chain step ``position``."""
+    return (
+        [f"t{position}{own}" for _, _, own in step],
+        [f"{other}{column}" for other, column, _ in step],
+    )
+
+
+def _chain_fold(tables, steps):
+    """Every intermediate of the chain, by folding the nested-loop reference:
+    ``[t0 rows, after step 1, ..., the answer]``."""
+    intermediates = [tables[0]]
+    for position, step in enumerate(steps, start=1):
+        build_keys, probe_keys = _chain_keys(position, step)
+        intermediates.append(
+            _nested_loop_join(tables[position], intermediates[-1], build_keys, probe_keys)
+        )
+    return intermediates
+
+
+def _chain_njoin(steps):
+    conditions = [
+        [
+            JoinCondition(other, f"{other}{column}", f"t{position}", f"t{position}{own}")
+            for other, column, own in step
+        ]
+        for position, step in enumerate(steps, start=1)
+    ]
+    query = Query(
+        name="chain",
+        tables=[f"t{position}" for position in range(len(steps) + 1)],
+        joins=[condition for step in conditions for condition in step],
+        aggregates=[AggregateSpec("count", None, "cnt")],
+    )
+    plan_steps = [JoinStep("t0")] + [
+        JoinStep(f"t{position}", step) for position, step in enumerate(conditions, start=1)
+    ]
+    return NAryJoin(query, QueryPlan(query, plan_steps))
+
+
 class TestJoinKernelProperties:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -207,14 +316,12 @@ class TestJoinKernelProperties:
         build_keys, probe_keys = ["b1", "b2"][:width], ["p1", "p2"][:width]
         expected = _nested_loop_join(build_rows, probe_rows, build_keys, probe_keys)
 
-        def scan(prefix, rows):
-            schema = TableSchema(
-                prefix,
-                [Column(f"{prefix}{suffix}", DataType.FLOAT) for suffix in ("1", "2", "v")],
-            )
-            return SequentialScan(Relation.from_rows(schema, rows, rows_per_segment))
-
-        join = HashJoin(scan("b", build_rows), scan("p", probe_rows), build_keys, probe_keys)
+        join = HashJoin(
+            _scan("b", build_rows, rows_per_segment),
+            _scan("p", probe_rows, rows_per_segment),
+            build_keys,
+            probe_keys,
+        )
         assert join.rows() == expected  # same rows, same order
         assert join.stats == OperatorStats(
             tuples_built=len(build_rows),
@@ -223,6 +330,167 @@ class TestJoinKernelProperties:
         )
         # One kernel, two callers.
         assert _pair_rows(build_rows, probe_rows, build_keys, probe_keys) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain=_chains(), rows_per_segment=st.integers(min_value=1, max_value=3))
+    def test_a_chain_of_hash_joins_equals_the_fold_of_nested_loops(self, chain, rows_per_segment):
+        """Same rows, row order, column order and surviving values (``repr``
+        tells ``7`` from ``7.0``) as merging pairwise at every join, and every
+        join of the chain counts exactly what it did then."""
+        tables, steps = chain
+        intermediates = _chain_fold(tables, steps)
+        root = _scan("t0", tables[0], rows_per_segment, "same")
+        joins = []
+        for position, step in enumerate(steps, start=1):
+            build = _scan(f"t{position}", tables[position], rows_per_segment, "same")
+            root = HashJoin(build, root, *_chain_keys(position, step))
+            joins.append(root)
+        assert repr(root.rows()) == repr(intermediates[-1])
+        for position, join in enumerate(joins, start=1):
+            assert join.stats == OperatorStats(
+                tuples_built=len(tables[position]),
+                tuples_probed=len(intermediates[position - 1]),
+                tuples_output=len(intermediates[position]),
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chain=_chains(),
+        rows_per_segment=st.integers(min_value=1, max_value=4),
+        stride=st.integers(min_value=1, max_value=3),
+    )
+    def test_the_nary_join_equals_the_fold_of_nested_loops(self, chain, rows_per_segment, stride):
+        tables, steps = chain
+        njoin = _chain_njoin(steps)
+        intermediates = _chain_fold(tables, steps)
+        stats = OperatorStats()
+        whole = [
+            PreparedSegment(f"t{position}.0", f"t{position}", rows)
+            for position, rows in enumerate(tables)
+        ]
+        assert repr(njoin.execute_ordered(whole, stats)) == repr(intermediates[-1])
+        # The walk stops probing at the first empty intermediate.
+        probed = list(itertools.takewhile(bool, map(len, intermediates[:-1])))
+        assert stats == OperatorStats(
+            tuples_probed=sum(probed), tuples_output=len(intermediates[-1])
+        )
+
+        # The same tables cut into segments (an empty table is one empty
+        # segment), and a sorted batch that skips combinations.
+        segments = [
+            [
+                PreparedSegment(f"t{position}.{index}", f"t{position}", rows[start:stop])
+                for index, (start, stop) in enumerate(
+                    (start, start + rows_per_segment)
+                    for start in range(0, max(len(rows), 1), rows_per_segment)
+                )
+            ]
+            for position, rows in enumerate(tables)
+        ]
+        prepared = {segment.segment_id: segment for table in segments for segment in table}
+        combinations = list(
+            itertools.product(*[[segment.segment_id for segment in table] for table in segments])
+        )[::stride]
+        results = njoin.execute_batch(combinations, prepared)
+        assert len(results) == len(combinations)
+        for combination, rows in zip(combinations, results):
+            expected = _chain_fold([prepared[segment_id].rows for segment_id in combination], steps)
+            assert repr(rows) == repr(expected[-1])
+
+    @pytest.mark.parametrize("surviving", [True, False])
+    def test_conflicting_duplicate_columns_fail_where_rows_are_materialised(self, surviving):
+        """The check lives in the one materialiser: a row that reaches the top
+        of the chain with two slots disagreeing is an ``ExecutionError`` from
+        ``rows()``; one that a later join drops is never merged, so never checked.
+
+        ``t0 ⋈ t1 ⋈ t2`` where ``t1`` and ``t2`` — neither the leftmost slot —
+        disagree on ``dup``; the row reaches the top only if ``t2``'s key matches."""
+        tables = [
+            [{"t01": 1, "t02": 1, "t0v": 0.5}],
+            [{"t11": 1, "t12": 1, "t1v": 1.5, "dup": 1}],
+            [{"t21": 1 if surviving else 2, "t22": 1, "t2v": 2.5, "dup": 2}],
+        ]
+        steps = [[("t0", "1", "1")], [("t1", "1", "1")]]
+        top = _scan("t0", tables[0], 1)
+        for position, step in enumerate(steps, start=1):
+            build = _scan(f"t{position}", tables[position], 1, "dup")
+            top = HashJoin(build, top, *_chain_keys(position, step))
+        whole = [
+            PreparedSegment(f"t{position}.0", f"t{position}", rows)
+            for position, rows in enumerate(tables)
+        ]
+        ids = tuple(segment.segment_id for segment in whole)
+        prepared = {segment.segment_id: segment for segment in whole}
+        njoin = _chain_njoin(steps)
+        calls = [
+            top.rows,
+            lambda: njoin.execute_ordered(whole),
+            lambda: njoin.execute_batch([ids], prepared)[0],
+        ]
+        for call in calls:
+            if surviving:
+                with pytest.raises(ExecutionError, match="column 'dup' appears on both join sides"):
+                    call()
+            else:
+                assert call() == []
+
+    def test_a_plan_step_joined_to_a_later_table_is_rejected(self):
+        """A step's probe columns are read from the slots already joined."""
+        query = Query(
+            name="forward",
+            tables=["a", "b", "c"],
+            joins=[JoinCondition("a", "ak", "c", "ck"), JoinCondition("b", "bk", "c", "ck2")],
+            aggregates=[AggregateSpec("count", None, "cnt")],
+        )
+        plan = QueryPlan(
+            query,
+            [JoinStep("a"), JoinStep("b", [query.joins[1]]), JoinStep("c", [query.joins[0]])],
+        )
+        with pytest.raises(ExecutionError, match="'b' to a table not yet joined"):
+            NAryJoin(query, plan)
+
+
+def _witnesses(joined_rows):
+    return Counter(tuple(frozenset(base.items()) for base in joined) for joined in joined_rows)
+
+
+class TestWitnesses:
+    """A joined row is the tuple of base rows that produced it — its witness —
+    so "MJoin returns exactly the pull-based answer" can be checked one level
+    below the aggregates: the witnesses the pull-based tree materialises are
+    the union over the subplans MJoin executes, whatever order the objects
+    arrive in and with the smallest cache that can make progress (one object
+    per table).  None is lost to an eviction, none produced by two subplans."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    @pytest.mark.parametrize(
+        "workload, name",
+        [
+            pytest.param(workload, name, id=f"{workload.__name__.rsplit('.', 1)[-1]}-{name}")
+            for workload in (tpch, ssb)
+            for name in sorted(workload.QUERIES)
+        ],
+    )
+    def test_mjoin_witnesses_equal_the_pull_based_trees(self, workload, name, scale, materialised):
+        catalog = workload.build_catalog(scale, seed=42)
+        query = workload.query(name)
+        InMemoryExecutor(catalog).execute(query)
+        expected = _witnesses(materialised)
+        # A single-table query joins nothing: no witnesses on either side.  At
+        # ``tiny`` the filters of TPC-H Q3 and SSB Q2.1 leave no joined row either.
+        if scale == "small":
+            assert bool(expected) == (len(query.tables) > 1)
+
+        scan_order = _all_segment_ids(catalog, query)
+        shuffled = list(scan_order)
+        random.Random(20).shuffle(shuffled)
+        for arrival_order in (scan_order, scan_order[::-1], shuffled):
+            materialised.clear()
+            manager = _run_state_manager(catalog, query, len(query.tables), arrival_order)
+            assert manager.is_complete()
+            assert _witnesses(materialised) == expected
+            if expected:  # one row dict per result row, none for an intermediate
+                assert len(materialised) == manager.total_result_rows
 
 
 class TestMJoinStateManager:

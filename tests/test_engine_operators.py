@@ -1,5 +1,7 @@
 """Unit tests for the physical operators."""
 
+import itertools
+
 import pytest
 
 from repro.engine import Column, DataType, Relation, TableSchema
@@ -16,7 +18,7 @@ from repro.engine.operators import (
     SequentialScan,
     Sort,
 )
-from repro.engine.operators.hash_join import merge_rows
+from repro.engine.operators.hash_join import materialise_rows
 from repro.engine.predicate import col, eq, ge
 from repro.engine.query import AggregateSpec
 from repro.exceptions import ExecutionError, QueryError
@@ -167,7 +169,12 @@ class TestHashJoin:
 
     @pytest.mark.parametrize(
         "build_keys, probe_keys",
-        [(["nope"], ["lk"]), (["rk"], ["nope"]), (["rk", "nope"], ["lk", "lv"])],
+        [
+            (["nope"], ["lk"]),
+            (["rk"], ["nope"]),
+            (["rk", "nope"], ["lk", "lv"]),
+            (["rk", "rv"], ["lk", "nope"]),
+        ],
     )
     def test_missing_key_column_is_an_execution_error(self, build_keys, probe_keys):
         join = self._rows_join(
@@ -176,11 +183,20 @@ class TestHashJoin:
         with pytest.raises(ExecutionError, match="join key column missing.*nope"):
             join.rows()
 
-    def test_merge_rows_detects_conflicts(self):
-        assert merge_rows({"a": 1}, {"b": 2}) == {"a": 1, "b": 2}
-        assert merge_rows({"a": 1}, {"a": 1, "b": 2}) == {"a": 1, "b": 2}
-        with pytest.raises(ExecutionError):
-            merge_rows({"a": 1}, {"a": 2})
+    def test_materialise_rows_merges_and_detects_conflicts(self):
+        """A joined row is (probe, build, ...): columns come rightmost slot
+        first, as ``{**build, **probe}`` nests, and the leftmost value wins."""
+        assert materialise_rows([]) == []
+        assert materialise_rows([({"b": 2},), ({"b": 2}, {"a": 1})]) == [
+            {"b": 2},
+            {"a": 1, "b": 2},
+        ]
+        (merged,) = materialise_rows([({"a": 1, "b": 2}, {"a": 1.0, "c": 3}, {"d": 4, "c": 3})])
+        assert list(merged.items()) == [("d", 4), ("c", 3), ("a", 1), ("b", 2)]
+        assert type(merged["a"]) is int  # equal values merge; the leftmost slot's is kept
+        for conflicting in [({"b": 2, "a": 2}, {"a": 1}), ({"x": 0}, {"a": 1}, {"a": 2})]:
+            with pytest.raises(ExecutionError, match="column 'a' appears on both join sides"):
+                materialise_rows([({"ok": 1},), conflicting])
 
 
 class TestAggregation:
@@ -234,6 +250,30 @@ class TestAggregation:
         state = AggregateState([], [AggregateSpec("sum", col("x"), "s")])
         with pytest.raises(ExecutionError):
             state.add({"x": None})
+
+    @pytest.mark.parametrize("function", ["sum", "avg", "min", "max"])
+    def test_null_is_an_execution_error_in_every_arrival_order(self, function):
+        """MJoin folds rows in the CSD's delivery order: a NULL must not be
+        ignored when it comes first and a bare ``TypeError`` when it comes later."""
+        for order in itertools.permutations([{"x": None}, {"x": 1.5}, {"x": -2.0}]):
+            state = AggregateState([], [AggregateSpec(function, col("x"), "a")])
+            with pytest.raises(ExecutionError, match=f"cannot {function} NULL"):
+                state.add_all(order)
+
+    @pytest.mark.parametrize(
+        "function, expected",
+        [("count", 3), ("sum", 2.5), ("avg", 2.5 / 3), ("min", -2.0), ("max", 3.0)],
+    )
+    def test_answer_is_the_same_in_every_arrival_order(self, function, expected):
+        for order in itertools.permutations([{"x": 1.5}, {"x": -2.0}, {"x": 3.0}]):
+            state = AggregateState([], [AggregateSpec(function, col("x"), "a")])
+            state.add_all(order)
+            assert state.results() == [{"a": expected}]
+
+    def test_missing_group_by_column_is_an_execution_error(self):
+        state = AggregateState(["g"], [AggregateSpec("count", None, "cnt")])
+        with pytest.raises(ExecutionError, match="row has no column 'g'"):
+            state.add({"x": 1})
 
     def test_avg_of_empty_group_is_none(self):
         state = AggregateState([], [AggregateSpec("avg", col("x"), "a")])
