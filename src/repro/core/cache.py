@@ -3,7 +3,9 @@
 The MJoin state manager buffers fetched objects (relation segments) in a
 cache whose capacity is expressed in objects — the paper's cache sizes in GB
 map one-to-one because each object is a 1 GB segment.  When the cache is full
-and a new object arrives, an :class:`EvictionPolicy` picks the victim.
+and a new object arrives, an :class:`EvictionPolicy` picks the victim.  The
+subplans an arrival completes are read in one :meth:`ObjectCache.get_batch`
+over their :class:`~repro.core.subplan.Batch`, one pass per cached object.
 
 Policies:
 
@@ -19,11 +21,10 @@ Policies:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, KeysView, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, KeysView, List, Optional, Set
 
-from repro.core.subplan import SubplanTracker
+from repro.core.subplan import Batch, SubplanTracker
 from repro.exceptions import CacheError
 
 
@@ -60,27 +61,13 @@ class MaxProgressEviction(EvictionPolicy):
     name = "max-progress"
 
     def choose_victim(self, cache: ObjectCache, new_object: str, tracker: SubplanTracker) -> str:
-        # The key ends with the (unique) segment id, so ``min`` over any
-        # iteration order returns the same victim a pre-sorted scan would.
+        # Both count dicts are keyed in ``cached_ids`` order.  The rank ends
+        # with the (unique) segment id, so ``min`` over any iteration order
+        # returns the same victim a pre-sorted scan would.
         cached_ids = cache.ids_view()
         executable = tracker.executable_counts(cached_ids, new_object)
         pending = tracker.pending_counts(cached_ids)
-        if any(executable.values()):
-            return min(
-                cached_ids,
-                key=lambda segment_id: (
-                    executable[segment_id],
-                    pending[segment_id],
-                    segment_id,
-                ),
-            )
-        # Nothing becomes runnable whichever way we evict (the common case
-        # while a large key population streams in): the first key component
-        # is uniformly zero, so drop it.
-        return min(
-            cached_ids,
-            key=lambda segment_id: (pending[segment_id], segment_id),
-        )
+        return min(zip(executable.values(), pending.values(), cached_ids))[-1]
 
 
 class MaxPendingSubplansEviction(EvictionPolicy):
@@ -90,11 +77,7 @@ class MaxPendingSubplansEviction(EvictionPolicy):
 
     def choose_victim(self, cache: ObjectCache, new_object: str, tracker: SubplanTracker) -> str:
         cached_ids = cache.ids_view()
-        pending = tracker.pending_counts(cached_ids)
-        return min(
-            cached_ids,
-            key=lambda segment_id: (pending[segment_id], segment_id),
-        )
+        return min(zip(tracker.pending_counts(cached_ids).values(), cached_ids))[-1]
 
 
 class LRUEviction(EvictionPolicy):
@@ -182,20 +165,34 @@ class ObjectCache:
         self.num_hits += 1
         return entry
 
-    def get_batch(self, combinations: Sequence[Tuple[str, ...]]) -> Dict[str, Any]:
-        """Payloads, by segment id, of every object in ``combinations``.
+    def get_batch(self, batch: Batch) -> Dict[str, Any]:
+        """Payloads, by segment id, of every object in a pending combination.
 
         Accounts for the whole batch at once exactly what one :meth:`get`
-        per segment of each combination, in order, would: as many hits and
-        clock ticks as there are segment occurrences, and each entry's
-        ``last_used`` is the tick of its last occurrence.  A non-cached
-        segment anywhere in the batch raises before anything is changed.
+        per segment of each pending combination, in order, would: as many
+        hits and clock ticks as there are segment occurrences, and each
+        entry's ``last_used`` is the tick of its last occurrence.  A
+        non-cached segment in any of them raises before anything is changed.
         """
+        flags = batch.flags
+        width = len(batch.lists)
+        last_tick: Dict[str, int] = {}
+        stride = len(flags)
+        for tick, segments in enumerate(batch.lists, self._clock):
+            # Back from the end, one pending combination per run of ``stride``
+            # that has any, until every segment was met or none is left: its
+            # rank among the pending times the ticks each takes, from the
+            # position's first tick, is the tick a ``get`` would have left.
+            stride //= len(segments) or 1
+            unseen = len(segments)
+            end = len(flags)
+            while unseen and (last := flags.rfind(1, 0, end)) >= 0:
+                segment_id = segments[last // stride % len(segments)]
+                if segment_id not in last_tick:
+                    last_tick[segment_id] = tick + flags.count(1, 0, last) * width
+                    unseen -= 1
+                end = last - last % stride
         contents = self._contents
-        # Later occurrences overwrite earlier ones, leaving the last tick.
-        last_tick = dict(
-            zip(itertools.chain.from_iterable(combinations), itertools.count(self._clock))
-        )
         for segment_id in last_tick:
             if segment_id not in contents:
                 raise CacheError(f"object {segment_id!r} is not cached")
@@ -204,7 +201,7 @@ class ObjectCache:
             entry = contents[segment_id]
             entry.last_used = tick
             payloads[segment_id] = entry.payload
-        occurrences = sum(map(len, combinations))
+        occurrences = width * batch.num_pending
         self._clock += occurrences
         self.num_hits += occurrences
         return payloads

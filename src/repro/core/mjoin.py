@@ -6,7 +6,8 @@ simulated time: the Skipper executor (or a unit test) feeds it object
 arrivals one by one and receives back an :class:`ArrivalOutcome` describing
 what happened — what was cached, what was evicted, which subplans ran and how
 much work that took — so callers can charge simulated CPU seconds through the
-cost model.
+cost model.  The subplans an arrival completes travel as one
+:class:`~repro.core.subplan.Batch`: tracker → cache → join walk → tracker.
 """
 
 from __future__ import annotations
@@ -95,14 +96,8 @@ class MJoinStateManager:
         self.reissue_queue = []
         if not self.tracker.has_pending():
             return []
-        cached = self.cache.segment_ids()
         needed = self.tracker.objects_needed()
-        requests = sorted(
-            segment_id
-            for segment_id in needed
-            if segment_id not in cached and segment_id not in self.empty_objects
-        )
-        return requests
+        return sorted(needed.difference(self.cache.ids_view(), self.empty_objects))
 
     def is_complete(self) -> bool:
         """Whether every subplan has been executed or pruned."""
@@ -127,7 +122,8 @@ class MJoinStateManager:
             segment, self.query.filter_for(segment.table_name), segment_id=segment_id
         )
 
-        if self.enable_pruning and prepared.num_rows == 0:
+        num_rows = prepared.num_rows
+        if self.enable_pruning and num_rows == 0:
             outcome.pruned_subplans = len(self.tracker.prune_object_ids(segment_id))
             self.empty_objects.add(segment_id)
             self.stats.merge(outcome.stats)
@@ -141,10 +137,10 @@ class MJoinStateManager:
             if outcome.evicted_still_needed:
                 self.reissue_queue.append(evicted)
 
-        ids, combinations = self.tracker.runnable_batch(self.cache.ids_view(), segment_id)
-        self.cache.add(segment_id, prepared, num_rows=prepared.num_rows)
+        batch = self.tracker.runnable_batch(self.cache.ids_view(), segment_id)
+        self.cache.add(segment_id, prepared, num_rows=num_rows)
         outcome.cached = True
-        outcome.stats.tuples_built += prepared.num_rows
+        outcome.stats.tuples_built += num_rows
 
         # Execute every newly runnable subplan.  The union over subplans is
         # exactly the query answer, with no duplicates, but joining them one
@@ -155,25 +151,20 @@ class MJoinStateManager:
         # charge the incremental symmetric-hash cost — one probe per buffered
         # tuple of the new object per other relation, plus the emitted result
         # tuples — and the batch walk's own probes are not counted.
-        if ids:
-            # ``combinations`` are ordered by the plan's join order (the
-            # tracker was built with it) and sorted, which is what the
-            # prefix-shared walk needs.  Rows are folded combination by
-            # combination, in id order: float sums depend on that order.
+        if batch.num_pending:
+            # The batch's lists follow the plan's join order, as the tracker
+            # does.  Rows are folded in id order: float sums depend on it.
             aggregate_add = self.aggregate.add_all
             result_rows = 0
-            for rows in self.njoin.execute_batch(
-                combinations, self.cache.get_batch(combinations)
-            ):
-                if rows:
-                    aggregate_add(rows)
-                    result_rows += len(rows)
-            self.tracker.mark_batch_executed(ids, combinations)
-            outcome.executed_subplans = len(ids)
+            for rows in self.njoin.execute_batch(batch, self.cache.get_batch(batch)):
+                aggregate_add(rows)
+                result_rows += len(rows)
+            self.tracker.mark_batch_executed(batch)
+            outcome.executed_subplans = batch.num_pending
             outcome.result_rows = result_rows
             self.total_result_rows += result_rows
             other_tables = len(self.plan.steps) - 1
-            outcome.stats.tuples_probed += prepared.num_rows * max(1, other_tables)
+            outcome.stats.tuples_probed += num_rows * max(1, other_tables)
             outcome.stats.tuples_output += result_rows
         self.stats.merge(outcome.stats)
         return outcome

@@ -2,7 +2,9 @@
 
 The MJoin state manager decides *when* subplans are runnable; this module
 decides which hash table each left-deep step probes, in which slot of the
-joined row each probe column lives, and how a batch shares its prefixes.  The
+joined row each probe column lives, and how a batch shares its prefixes (a
+:class:`~repro.core.subplan.Batch` is a product, so its prefixes are a trie
+read straight off its lists — no combination is spelled out to find them).  The
 build and probe loops and the joined-row representation are the pull-based
 engine's (:mod:`repro.engine.operators.hash_join`), so both executors order,
 NULL-handle and fail identically; intermediates are tuples of base rows and
@@ -14,8 +16,10 @@ merely probes them.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.subplan import Batch
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.operators.hash_join import (
     HashTable,
@@ -143,65 +147,62 @@ class NAryJoin:
                 return []
             # Every probe row increments the counter exactly once.
             stats.tuples_probed += len(current)
-            current = self._probe(current, segments[depth], depth)
+            slot_keys, build_columns = self._step_keys[depth - 1]
+            current = probe_hash_table(
+                segments[depth].hash_table(build_columns), current, slot_keys
+            )
         stats.tuples_output += len(current)
         return materialise_rows(current)
 
     def execute_batch(
-        self,
-        combinations: Sequence[Tuple[str, ...]],
-        prepared: Mapping[str, PreparedSegment],
+        self, batch: Batch, prepared: Mapping[str, PreparedSegment]
     ) -> List[List[Row]]:
-        """Join every combination of a lexicographically sorted batch.
+        """Join every pending combination of ``batch``, whose lists are in
+        plan order; ``prepared`` maps each segment id to its segment.
 
-        ``combinations`` are segment-id tuples in plan order, sorted the way
-        the subplan tracker emits them, and ``prepared`` maps each id to its
-        segment.  The batch is walked as a trie: ``stack[d]`` holds the joined
-        rows after joining positions ``0..d`` of the previous combination, a
-        combination sharing its first ``d`` segments with it resumes from
-        ``stack[d - 1]`` instead of the first table, and every combination
-        under a prefix whose intermediate is empty yields no rows without a
-        probe.  Returns one row list per combination, in batch order, each
-        equal to what :meth:`execute_ordered` returns for it — same rows,
-        same order, because a level is the same function of (prefix rows,
-        segment) however the prefix rows were come by.
+        The product is walked as the trie it is, a level at a time: the rows
+        joined over positions ``0..d`` are computed once for every
+        combination below them, a subtree with nothing pending is skipped on
+        one ``find`` over its flags, and one whose intermediate is empty
+        without visiting a combination.  Returns the non-empty row lists in
+        id order, each exactly :meth:`execute_ordered`'s rows for its
+        combination (a level is the same function of prefix rows and segment
+        however many combinations share the prefix); a combination left out
+        has no rows there either.
         """
-        depth_count = len(self._step_tables)
-        if depth_count == 1:
+        lists = batch.lists
+        if len(lists) != len(self._step_tables):
+            raise ExecutionError(
+                f"expected {len(self._step_tables)} segment lists, got {len(lists)}"
+            )
+        if len(lists) == 1:
             # Nothing to join: a single-table plan's rows are the segment's own.
-            return [prepared[combination[0]].rows for combination in combinations]
-        results: List[List[Row]] = []
-        stack: List[List[JoinedRow]] = [[] for _ in range(depth_count)]
-        previous: Tuple[str, ...] = ()
-        # ``stack[:computed]`` belongs to ``previous``.  The walk stops
-        # descending at an empty intermediate, so ``computed < depth_count``
-        # means ``stack[computed - 1]`` is empty: a dead prefix.
-        computed = 0
-        for combination in combinations:
-            shared = 0
-            while shared < computed and combination[shared] == previous[shared]:
-                shared += 1
-            if computed and shared == computed < depth_count:
-                results.append([])
-                continue
-            rows = stack[shared - 1] if shared else []
-            depth = shared
-            while depth < depth_count:
-                segment = prepared[combination[depth]]
-                rows = self._probe(rows, segment, depth) if depth else list(zip(segment.rows))
-                stack[depth] = rows
-                depth += 1
-                if not rows:
-                    break
-            previous = combination
-            computed = depth
-            results.append(materialise_rows(rows) if depth == depth_count else [])
-        return results
-
-    def _probe(
-        self, current: List[JoinedRow], segment: PreparedSegment, depth: int
-    ) -> List[JoinedRow]:
-        """One left-deep step: probe ``segment``'s hash table (the table at
-        plan position ``depth``) with the rows joined so far."""
-        slot_keys, build_columns = self._step_keys[depth - 1]
-        return probe_hash_table(segment.hash_table(build_columns), current, slot_keys)
+            pending = compress(lists[0], batch.flags)
+            return [rows for segment_id in pending if (rows := prepared[segment_id].rows)]
+        pending_at = batch.flags.find
+        #: Per live node of the level above, in id order: where its subtree's
+        #: flags start, and its joined rows.
+        live: List[Tuple[int, List[JoinedRow]]] = [(0, [])]
+        stride = len(batch.flags)
+        for depth, segments in enumerate(lists):
+            stride //= len(segments) or 1
+            # The first position has no rows to probe with, and no keys.
+            slot_keys, build_columns = self._step_keys[depth - 1] if depth else ((), ())
+            below: List[Tuple[int, List[JoinedRow]]] = []
+            for start, rows in live:
+                for segment_id in segments:
+                    if pending_at(1, start, start + stride) >= 0:
+                        segment = prepared[segment_id]
+                        if depth:
+                            # A built, non-empty table costs a lookup, not a frame.
+                            table = segment.hash_tables.get(build_columns)
+                            joined = probe_hash_table(
+                                table or segment.hash_table(build_columns), rows, slot_keys
+                            )
+                        else:
+                            joined = list(zip(segment.rows))
+                        if joined:
+                            below.append((start, joined))
+                    start += stride
+            live = below
+        return [materialise_rows(joined) for _, joined in live]

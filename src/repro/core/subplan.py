@@ -5,9 +5,13 @@ relation is a *subplan* (Table 2 in the paper).  Executing every subplan and
 unioning the results is equivalent to executing the whole join, which is what
 allows Skipper to make progress in whatever order the CSD returns objects.
 
-:class:`SubplanTracker` keeps the pending / executed / pruned state of every
-subplan, indexes subplans by the objects they touch, and answers the two
-questions the cache-eviction policies need:
+The subplan space is ``itertools.product`` of the per-table segment lists,
+and so is every set of subplans the arrival path handles.  :class:`Batch`
+keeps such a set *as* that product and is the one value that travels from the
+tracker through the cache and the join walk to the retire: no segment tuple
+is built for a subplan on the way.  :class:`SubplanTracker` keeps the pending
+/ executed / pruned state of every subplan and answers the two questions the
+cache-eviction policies need:
 
 * how many *pending* subplans does an object participate in, and
 * which pending subplans become *executable* given the cache contents plus a
@@ -17,16 +21,88 @@ questions the cache-eviction policies need:
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from operator import add, not_
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.query import Query
 from repro.exceptions import QueryError
 
-#: Subplan ids and their segment tuples (ordered by the tracker's table
-#: order), as parallel lists ascending by id.
-Batch = Tuple[List[int], List[Tuple[str, ...]]]
+
+class Batch:
+    """Candidate subplans in product layout: ``itertools.product(*lists)``.
+
+    ``lists`` holds, per table position, segment ids in id order; ``ids`` the
+    subplan id and ``flags`` the pending flag (1 or 0) of every combination,
+    both in product order, which is ascending id order.  The pending
+    combinations are the batch's subplans, the others are *holes*.  A segment
+    of position ``p`` holds runs of *stride* combinations, the product of the
+    lengths of the lists after ``p``.  Nothing is mutated after construction.
+    """
+
+    __slots__ = ("lists", "ids", "flags", "num_pending", "_tallies")
+
+    def __init__(self, lists: List[List[str]], ids: List[int], flags: bytes) -> None:
+        total = 1
+        for segments in lists:
+            total *= len(segments)
+        if not len(ids) == len(flags) == total:
+            raise QueryError(
+                f"a batch of {total} combinations got {len(ids)} ids and {len(flags)} flags"
+            )
+        self.lists = lists
+        self.ids = ids
+        self.flags = flags
+        self.num_pending = flags.count(1)
+        self._tallies: Optional[Dict[str, int]] = None
+
+    def combinations(self) -> List[Tuple[str, ...]]:
+        """Segment tuples of the pending combinations, in id order: a derived
+        view for tests and the :class:`Subplan`-returning API."""
+        return list(itertools.compress(itertools.product(*self.lists), self.flags))
+
+    def tallies(self) -> Dict[str, int]:
+        """Per segment of ``lists``, the pending combinations holding it: its
+        ``total // len(its list)`` combinations of the product minus the holes
+        among them — only holes are enumerated, so a batch with nothing
+        executed yet counts nothing."""
+        if self._tallies is None:
+            total = len(self.flags)
+            tallies = self._tallies = {}
+            for segments in self.lists:
+                for segment_id in segments:
+                    tallies[segment_id] = total // len(segments)
+            if self.num_pending < total:
+                holes = itertools.compress(itertools.product(*self.lists), map(not_, self.flags))
+                for segment_id, missing in Counter(itertools.chain.from_iterable(holes)).items():
+                    tallies[segment_id] -= missing
+        return self._tallies
+
+    def without(self, position: int, segment_id: str) -> Batch:
+        """The batch a fresh enumeration would give with ``segment_id`` gone
+        from ``lists[position]`` (``self`` when it is not there)."""
+        segments = self.lists[position]
+        if segment_id not in segments:
+            return self
+        index = segments.index(segment_id)
+        stride = math.prod(map(len, self.lists[position + 1 :]))
+        # Its combinations are one run of ``stride`` per period.
+        keep = bytes([1]) * (index * stride) + bytes(stride)
+        keep += bytes([1]) * (len(segments) * stride - len(keep))
+        lists = list(self.lists)
+        lists[position] = segments[:index] + segments[index + 1 :]
+        batch = Batch(
+            lists,
+            list(itertools.compress(self.ids, itertools.cycle(keep))),
+            bytes(itertools.compress(self.flags, itertools.cycle(keep))),
+        )
+        if self._tallies is not None and not self._tallies[segment_id]:
+            # It held holes only: every other segment keeps its count.
+            batch._tallies = dict(self._tallies)
+            del batch._tallies[segment_id]
+        return batch
 
 
 class Subplan:
@@ -51,10 +127,9 @@ class SubplanTracker:
     at index ``k`` of the table at position ``p`` adds ``k * stride[p]`` to
     the id of every subplan it takes part in.  Nothing is stored per
     (subplan, segment) pair — one pending flag per id and one pending count
-    per object — and the ids and segment tuples of any sub-product are
-    generated together, ascending by id, by ``itertools`` at C speed.  A
-    single-table query has no other tables to multiply with, so every
-    per-object operation on it is O(1).
+    per object — and any sub-product is handed out as a :class:`Batch`,
+    ascending by id.  A single-table query has no other tables to multiply
+    with, so every per-object operation on it is O(1).
     """
 
     def __init__(self, query: Query, catalog: Catalog, table_order: Optional[Sequence[str]] = None) -> None:
@@ -72,21 +147,19 @@ class SubplanTracker:
         for segments in self._segments:
             total *= len(segments)
         self._total = total
-        #: Per table position: the id contribution of one index step and of
-        #: each segment (``index * stride``).  Per segment id: its table's
-        #: position and its own contribution — two flat int dicts rather than
-        #: one dict of tuples, so the cycle collector never has to visit them.
+        #: Per table position: the id contribution of one index step.  Per
+        #: segment id: its table's position and its own contribution (``index
+        #: * stride``) — two flat int dicts rather than one dict of tuples, so
+        #: the cycle collector never has to visit them.
         self._strides: List[int] = []
-        self._offsets: List[List[int]] = []
         self._position: Dict[str, int] = {}
         self._offset: Dict[str, int] = {}
         stride = total
         for position, segments in enumerate(self._segments):
             stride = stride // len(segments) if segments else 0
-            offsets = [index * stride for index in range(len(segments))]
             self._strides.append(stride)
-            self._offsets.append(offsets)
             self._position.update(dict.fromkeys(segments, position))
+            offsets = [index * stride for index in range(len(segments))]
             self._offset.update(zip(segments, offsets))
         #: One flag per subplan id: 1 while pending, 0 once executed or pruned.
         self._pending = bytearray(b"\x01") * total
@@ -99,9 +172,8 @@ class SubplanTracker:
         self._num_executed = 0
         self._num_pruned = 0
         #: ``(new_object, cached, batch)`` of the last :meth:`executable_counts`
-        #: call: the arrival that follows an eviction drops the victim's
-        #: combinations from that batch instead of enumerating the product a
-        #: second time.  Every state transition clears it.
+        #: call: the arrival that follows the eviction takes the victim out of
+        #: that batch instead of enumerating again.  Any transition clears it.
         self._enumerated: Optional[Tuple[str, FrozenSet[str], Batch]] = None
 
     # ------------------------------------------------------------------ #
@@ -169,12 +241,8 @@ class SubplanTracker:
         return self._pending_count.get(segment_id, 0)
 
     def pending_counts(self, segment_ids: Iterable[str]) -> Dict[str, int]:
-        """Pending-subplan count for each of ``segment_ids`` in one call.
-
-        The eviction policies rank every cached object on each eviction;
-        answering in bulk keeps that a single dict comprehension instead of
-        a method call per cached object.
-        """
+        """Pending-subplan count for each of ``segment_ids``, in their order:
+        one call per eviction, not one per cached object."""
         count = self._pending_count.get
         return {segment_id: count(segment_id, 0) for segment_id in segment_ids}
 
@@ -193,20 +261,19 @@ class SubplanTracker:
         runnable, any still-pending subplan covered by the cache must involve
         the newly arrived object, so only those are inspected.
         """
-        return list(map(Subplan, *self.runnable_batch(cached, new_object)))
+        batch = self.runnable_batch(cached, new_object)
+        return list(map(Subplan, itertools.compress(batch.ids, batch.flags), batch.combinations()))
 
     def runnable_batch(self, cached: AbstractSet[str], new_object: str) -> Batch:
-        """Like :meth:`newly_runnable` but as parallel id and segment-tuple lists.
-
-        The candidates are the product of the *cached* segments of every
-        other table with ``new_object`` fixed at its own position; the
-        pending ones among them are the answer, ascending by id, which is
-        lexicographic by segment tuple — the order the prefix-shared join
-        walk relies on.
-        """
+        """Like :meth:`newly_runnable` but as a :class:`Batch`: the product of
+        the *cached* segments of every other table with ``new_object`` alone
+        at its own position, the pending ones among them being the answer."""
         if not self._pending_count.get(new_object):
             self._locate(new_object)
-            return [], []
+            return Batch([[] for _ in self._segments], [], b"")
+        if len(self._segments) == 1:
+            # No other table to combine with: the segment is the subplan.
+            return Batch([[new_object]], [self._offset[new_object]], b"\x01")
         enumerated = self._enumerated
         if (
             enumerated is not None
@@ -214,15 +281,13 @@ class SubplanTracker:
             and enumerated[1].issuperset(cached)
         ):
             # Same arrival, same tracker state, a cache that only lost
-            # objects (the eviction victim) since: the batch is the earlier
-            # one minus the combinations holding a lost object.
-            ids, combinations = enumerated[2]
-            gone = enumerated[1].difference(cached, (new_object,))
-            if gone:
-                keep = list(map(gone.isdisjoint, combinations))
-                ids = list(itertools.compress(ids, keep))
-                combinations = list(itertools.compress(combinations, keep))
-            return ids, combinations
+            # objects (the eviction victim) since.
+            batch = enumerated[2]
+            for gone in enumerated[1].difference(cached, (new_object,)):
+                position = self._position.get(gone)
+                if position is not None:
+                    batch = batch.without(position, gone)
+            return batch
         return self._subplans_of(new_object, cached)
 
     def executable_counts(self, cached: AbstractSet[str], new_object: str) -> Dict[str, int]:
@@ -230,19 +295,20 @@ class SubplanTracker:
         be executable (given ``cached ∪ {new_object}``) in which it takes part.
 
         This is exactly the quantity the paper's *maximal progress* eviction
-        policy minimises when choosing a victim.
+        policy minimises when choosing a victim.  Keyed in ``cached``'s
+        iteration order.
         """
-        self._locate(new_object)
         counts = dict.fromkeys(cached, 0)
-        if len(self._segments) == 1:
-            # Objects of one table never share a subplan: nothing to count,
-            # and nothing worth remembering for the arrival.
+        if len(self._segments) == 1 or not self._pending_count.get(new_object):
+            # Objects of one table never share a subplan, and one with nothing
+            # pending completes none: nothing to count or to remember.
+            self._locate(new_object)
             return counts
-        batch = self.runnable_batch(cached, new_object)
+        batch = self._subplans_of(new_object, cached)
         self._enumerated = (new_object, frozenset(cached), batch)
-        for segment_id, occurrences in Counter(itertools.chain.from_iterable(batch[1])).items():
+        for segment_id, tally in batch.tallies().items():
             if segment_id in counts:
-                counts[segment_id] = occurrences
+                counts[segment_id] = tally
         return counts
 
     def _locate(self, segment_id: str) -> int:
@@ -255,62 +321,58 @@ class SubplanTracker:
             ) from None
 
     def _subplans_of(self, segment_id: str, cached: Optional[AbstractSet[str]] = None) -> Batch:
-        """Pending subplans that hold ``segment_id`` and, at every other
-        table position, one of the ``cached`` segments (any segment when
-        ``cached`` is ``None``)."""
-        position = self._locate(segment_id)
-        base = self._offset[segment_id]
-        if len(self._segments) == 1:
-            # No other table to combine with: the segment is the subplan.
-            return ([base], [(segment_id,)]) if self._pending[base] else ([], [])
+        """The subplans that hold ``segment_id`` and, at every other table
+        position, one of the ``cached`` segments (any segment when ``cached``
+        is ``None``), pending or not."""
+        position = self._position[segment_id]
+        offset_of = self._offset.__getitem__
         if cached is None:
-            offset_lists = list(self._offsets)
-            segment_lists = list(self._segments)
+            lists = list(self._segments)
         else:
-            segment_lists = [[] for _ in self._segments]
+            lists = [[] for _ in self._segments]
             position_of = self._position.get
             for cached_id in cached:
                 # Objects of other queries cover nothing here.
                 at = position_of(cached_id)
                 if at is not None and at != position:
-                    segment_lists[at].append(cached_id)
-            offset_of = self._offset.__getitem__
-            offset_lists = []
-            for segments in segment_lists:
+                    lists[at].append(cached_id)
+            for segments in lists:
                 segments.sort(key=offset_of)
-                offset_lists.append(list(map(offset_of, segments)))
-        offset_lists[position] = [base]
-        segment_lists[position] = [segment_id]
-        # Both products run over the same index lists, each ascending, so
-        # ids and segment tuples pair up and come out in ascending id order.
-        ids = list(map(sum, itertools.product(*offset_lists)))
-        flags = list(map(self._pending.__getitem__, ids))
-        return (
-            list(itertools.compress(ids, flags)),
-            list(itertools.compress(itertools.product(*segment_lists), flags)),
-        )
+        lists[position] = [segment_id]
+        # The ids of the product, grown a position at a time: every list is
+        # ascending, so they come out ascending, paired with
+        # ``product(*lists)``.  A list of one only shifts them all.
+        ids = [0]
+        for segments in lists:
+            if len(segments) == 1:
+                ids[0] += offset_of(segments[0])
+        for segments in lists:
+            if len(segments) != 1:
+                ids = list(itertools.starmap(add, itertools.product(ids, map(offset_of, segments))))
+        return Batch(lists, ids, bytes(map(self._pending.__getitem__, ids)))
 
     # ------------------------------------------------------------------ #
     # State transitions
     # ------------------------------------------------------------------ #
     def mark_executed(self, subplan: Subplan) -> None:
         """Move a pending subplan to the executed state."""
-        self.mark_batch_executed(
-            [subplan.subplan_id], [self.subplan(subplan.subplan_id).segments]
-        )
+        lists = [[segment_id] for segment_id in self.subplan(subplan.subplan_id).segments]
+        self.mark_batch_executed(Batch(lists, [subplan.subplan_id], b"\x01"))
 
-    def mark_batch_executed(self, ids: List[int], combinations: List[Tuple[str, ...]]) -> None:
-        """Move a batch of pending subplans — one :meth:`runnable_batch`
-        returned — to the executed state."""
-        if len(ids) != len(combinations):
-            raise QueryError("a batch needs one segment tuple per subplan id")
-        if ids and not 0 <= min(ids) <= max(ids) < self._total:
+    def mark_batch_executed(self, batch: Batch) -> None:
+        """Move the pending subplans of a batch — one :meth:`runnable_batch`
+        returned — to the executed state.  A batch that is stale (one of its
+        subplans is no longer pending) or not this query's changes nothing."""
+        if batch.ids and not 0 <= min(batch.ids) <= max(batch.ids) < self._total:
             raise QueryError(f"a subplan id is outside the query's {self._total} subplans")
-        if not all(map(self._pending.__getitem__, ids)):
-            not_pending = [subplan_id for subplan_id in ids if not self._pending[subplan_id]]
-            raise QueryError(f"subplan #{not_pending[0]} is not pending")
-        self._retire(ids, combinations)
-        self._num_executed += len(ids)
+        ids = itertools.compress(batch.ids, batch.flags)
+        for subplan_id in itertools.filterfalse(self._pending.__getitem__, ids):
+            raise QueryError(f"subplan #{subplan_id} is not pending")
+        if not batch.tallies().keys() <= self._pending_count.keys():
+            for segment_id in batch.tallies():
+                self._locate(segment_id)
+        self._retire(batch)
+        self._num_executed += batch.num_pending
 
     def prune_object(self, segment_id: str) -> List[Subplan]:
         """Discard every pending subplan involving ``segment_id``.
@@ -323,12 +385,8 @@ class SubplanTracker:
         return [self.subplan(subplan_id) for subplan_id in self.prune_object_ids(segment_id)]
 
     def prune_object_ids(self, segment_id: str) -> List[int]:
-        """Like :meth:`prune_object` but returns subplan *ids*.
-
-        The hot callers (the MJoin state manager prunes the overwhelming
-        majority of a large single-table query's subplans this way) only
-        need the count, so no :class:`Subplan` objects are materialised.
-        """
+        """Like :meth:`prune_object` but returns subplan *ids*: the state
+        manager, its hot caller, only needs their count."""
         if not self._pending_count.get(segment_id):
             self._locate(segment_id)
             return []
@@ -342,29 +400,20 @@ class SubplanTracker:
             self._num_pruned += 1
             self._enumerated = None
             return [subplan_id]
-        ids, combinations = self._subplans_of(segment_id)
-        self._retire(ids, combinations)
-        self._num_pruned += len(ids)
-        return ids
+        batch = self._subplans_of(segment_id)
+        self._retire(batch)
+        self._num_pruned += batch.num_pending
+        return list(itertools.compress(batch.ids, batch.flags))
 
-    def _retire(self, ids: List[int], combinations: List[Tuple[str, ...]]) -> None:
-        """Clear the pending flag of ``ids`` and take their segments'
-        occurrences off the pending counts."""
+    def _retire(self, batch: Batch) -> None:
+        """Clear the pending flag of a batch's subplans and take its tallies
+        off the pending counts."""
         pending = self._pending
-        for subplan_id in ids:
+        for subplan_id in itertools.compress(batch.ids, batch.flags):
             pending[subplan_id] = 0
         pending_count = self._pending_count
-        if len(ids) == 1:
-            # Every batch of a single-table query: setting up a Counter
-            # would cost more than the rest of the arrival put together.
-            for segment_id in combinations[0]:
-                pending_count[segment_id] -= 1
-        else:
-            # Counted once for the whole batch, at C speed.
-            for segment_id, occurrences in Counter(
-                itertools.chain.from_iterable(combinations)
-            ).items():
-                pending_count[segment_id] -= occurrences
+        for segment_id, occurrences in batch.tallies().items():
+            pending_count[segment_id] -= occurrences
         self._enumerated = None
 
 

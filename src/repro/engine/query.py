@@ -212,6 +212,15 @@ class Query:
                     f"query {self.name!r}: order-by column {column!r} is not produced "
                     "by the query"
                 )
+        unordered = [column for column in self.group_by if column not in self.order_by]
+        if self.limit is not None and unordered:
+            # Groups come out in first-arrival order, which is the device's
+            # schedule under MJoin: only a total order makes "the first n" one
+            # answer for both executors.  (A global aggregate has one row.)
+            raise QueryError(
+                f"query {self.name!r}: LIMIT needs a total order, but order_by leaves "
+                f"group-by column(s) {unordered} unordered"
+            )
 
     def filter_for(self, table: str) -> Optional[Predicate]:
         """The single-table filter attached to ``table``, if any."""

@@ -1,21 +1,27 @@
 """Property tests for the product-structured MJoin arrival path.
 
-Two equivalences the arrival path rests on:
+Three equivalences the arrival path rests on:
 
-* the prefix-shared batch walk returns, for every runnable combination,
+* the batch walk returns, for the subplans of a batch that produce rows,
   exactly the rows the single-subplan reference ``execute_ordered`` returns
-  (same rows, same order — Skipper sums floats in arrival order), and the
-  batch's cache accounting equals one ``get`` per segment of each
-  combination;
+  (same rows, same order — Skipper sums floats in arrival order) and leaves
+  out only subplans whose reference is empty, and the batch's cache
+  accounting equals one ``get`` per segment of each pending combination;
 * the arithmetic subplan tracker answers every question exactly like a
   brute-force oracle over ``enumerate_subplans``, through arbitrary
   arrive / evict / prune / re-issue sequences, including one-table,
-  width-one-table and zero-segment-table queries.
+  width-one-table and zero-segment-table queries;
+* a ``Batch`` — lists, ids and flags in product layout — is the set of
+  segment tuples it stands for: its tallies are their occurrence counts and
+  taking a segment out equals enumerating again without it.
 """
 
 import copy
+import itertools
+from collections import Counter
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import (
@@ -26,11 +32,12 @@ from repro.core.cache import (
     ObjectCache,
 )
 from repro.core.mjoin import MJoinStateManager
-from repro.core.subplan import SubplanTracker, enumerate_subplans
+from repro.core.subplan import Batch, SubplanTracker, enumerate_subplans
 from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
 from repro.engine.executor import canonical_rows
 from repro.engine.predicate import col, lt
 from repro.engine.query import AggregateSpec, JoinCondition, Query
+from repro.exceptions import QueryError
 
 _POLICIES = [MaxProgressEviction, MaxPendingSubplansEviction, LRUEviction, FIFOEviction]
 
@@ -107,13 +114,15 @@ class TestBatchWalkEquivalence:
         real_get_batch, real_execute_batch = cache.get_batch, njoin.execute_batch
         batches = []
 
-        def checked_get_batch(combinations):
+        def checked_get_batch(batch):
             # What one ``get`` per segment of each combination would leave.
+            combinations = batch.combinations()
             twin = copy.deepcopy(cache)
             for combination in combinations:
                 for segment_id in combination:
                     twin.get(segment_id)
-            payloads = real_get_batch(combinations)
+            payloads = real_get_batch(batch)
+            assert set(payloads) == set(itertools.chain.from_iterable(combinations))
             assert cache.num_hits == twin.num_hits
             assert {entry.segment_id: entry.last_used for entry in cache.objects()} == {
                 entry.segment_id: entry.last_used for entry in twin.objects()
@@ -126,15 +135,15 @@ class TestBatchWalkEquivalence:
             )
             return payloads
 
-        def checked_execute_batch(combinations, prepared):
-            results = real_execute_batch(combinations, prepared)
-            assert len(results) == len(combinations)
-            for combination, rows in zip(combinations, results):
-                reference = njoin.execute_ordered(
-                    [prepared[segment_id] for segment_id in combination]
-                )
-                assert rows == reference
-            batches.append(len(combinations))
+        def checked_execute_batch(batch, prepared):
+            results = real_execute_batch(batch, prepared)
+            references = [
+                njoin.execute_ordered([prepared[segment_id] for segment_id in combination])
+                for combination in batch.combinations()
+            ]
+            # In id order, and whatever was left out has no rows.
+            assert results == [rows for rows in references if rows]
+            batches.append(batch.num_pending)
             return results
 
         cache.get_batch = checked_get_batch
@@ -220,8 +229,15 @@ class _OracleTracker:
 
 
 def _as_pairs(batch):
-    ids, combinations = batch
-    return list(zip(ids, combinations))
+    return list(zip(itertools.compress(batch.ids, batch.flags), batch.combinations()))
+
+
+def _assert_product_layout(batch, oracle):
+    """Ids and flags line up with ``product(*lists)``, holes included."""
+    candidates = list(itertools.product(*batch.lists))
+    assert batch.ids == [oracle.combinations.index(combination) for combination in candidates]
+    assert batch.flags == bytes(oracle.state[subplan_id] == "pending" for subplan_id in batch.ids)
+    assert batch.num_pending == sum(batch.flags)
 
 
 def _subplan_pairs(subplans):
@@ -279,14 +295,16 @@ class TestTrackerMatchesOracle:
                     # The eviction policy's question first, then the arrival's
                     # — the second is answered from the first's enumeration.
                     view = cached.keys()
-                    assert tracker.executable_counts(view, segment_id) == (
-                        oracle.executable_counts(view, segment_id)
-                    )
+                    counts = tracker.executable_counts(view, segment_id)
+                    assert counts == oracle.executable_counts(view, segment_id)
+                    # The eviction policies zip the values with the view.
+                    assert list(counts) == list(tracker.pending_counts(view)) == list(view)
                     del cached[list(cached)[other % len(cached)]]
                 runnable = tracker.runnable_batch(cached.keys(), segment_id)
                 expected = oracle.runnable(cached, segment_id)
                 assert _as_pairs(runnable) == expected
-                tracker.mark_batch_executed(*runnable)
+                _assert_product_layout(runnable, oracle)
+                tracker.mark_batch_executed(runnable)
                 oracle.retire([subplan_id for subplan_id, _ in expected], "executed")
                 cached[segment_id] = True
             elif action == "evict":
@@ -321,8 +339,121 @@ class TestTrackerMatchesOracle:
         lists = _SegmentLists([5])
         tracker = SubplanTracker(SimpleNamespace(name="one", tables=("t0",)), lists)
         cached = Unwalkable({"t0.0", "t0.1"})
-        assert tracker.runnable_batch(cached, "t0.3") == ([3], [("t0.3",)])
-        tracker.mark_batch_executed([3], [("t0.3",)])
-        assert tracker.runnable_batch(cached, "t0.3") == ([], [])
+        batch = tracker.runnable_batch(cached, "t0.3")
+        assert _as_pairs(batch) == [(3, ("t0.3",))]
+        tracker.mark_batch_executed(batch)
+        assert _as_pairs(tracker.runnable_batch(cached, "t0.3")) == []
         assert tracker.prune_object_ids("t0.4") == [4]
         assert tracker.num_pending == 3
+
+
+# --------------------------------------------------------------------- #
+# (c) A Batch == the segment tuples it stands for
+# --------------------------------------------------------------------- #
+@st.composite
+def batches(draw):
+    """Lists of zero to four segments at one to four positions, arbitrary
+    distinct ids and a flag string: all pending, hole-heavy or anything."""
+    widths = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4))
+    lists = [[f"t{position}.{index}" for index in range(width)] for position, width in enumerate(widths)]
+    total = len(list(itertools.product(*lists)))
+    ids = draw(st.permutations(range(100, 100 + total)))
+    flag = draw(st.sampled_from([st.just(1), st.sampled_from([0, 0, 0, 1]), st.integers(0, 1)]))
+    flags = bytes(draw(st.lists(flag, min_size=total, max_size=total)))
+    return lists, list(ids), flags
+
+
+def _enumerated(lists, ids, flags, absent=None):
+    """The batch a fresh enumeration over ``lists`` minus ``absent`` gives."""
+    kept = [
+        (subplan_id, flag)
+        for combination, subplan_id, flag in zip(itertools.product(*lists), ids, flags)
+        if absent not in combination
+    ]
+    return Batch(
+        [[segment_id for segment_id in segments if segment_id != absent] for segments in lists],
+        [subplan_id for subplan_id, _ in kept],
+        bytes(flag for _, flag in kept),
+    )
+
+
+def _spelled_out(batch):
+    return (batch.lists, batch.ids, batch.flags, batch.num_pending, batch.tallies())
+
+
+class TestBatchIsItsCombinations:
+    @settings(max_examples=300, deadline=None)
+    @given(case=batches())
+    def test_views_and_tallies(self, case):
+        lists, ids, flags = case
+        batch = Batch(lists, ids, flags)
+        pending = [
+            (subplan_id, combination)
+            for combination, subplan_id, flag in zip(itertools.product(*lists), ids, flags)
+            if flag
+        ]
+        assert _as_pairs(batch) == pending
+        assert batch.num_pending == len(pending)
+        occurrences = Counter(itertools.chain.from_iterable(batch.combinations()))
+        # Every segment of the lists has a tally, zero when it is all holes.
+        assert batch.tallies() == {
+            segment_id: occurrences[segment_id] for segments in lists for segment_id in segments
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=batches(),
+        position=st.integers(min_value=0, max_value=3),
+        index=st.integers(min_value=0, max_value=4),
+        tallied_first=st.booleans(),
+    )
+    def test_without_equals_enumerating_again(self, case, position, index, tallied_first):
+        lists, ids, flags = case
+        position %= len(lists)
+        # One past the end: a segment the list does not hold.
+        victim = f"t{position}.{index}"
+        batch = Batch(lists, ids, flags)
+        if tallied_first:  # the tallies are carried over when the victim had none
+            batch.tallies()
+        smaller = batch.without(position, victim)
+        assert _spelled_out(smaller) == _spelled_out(_enumerated(lists, ids, flags, absent=victim))
+        assert _spelled_out(batch) == _spelled_out(Batch(lists, ids, flags))
+        # Twice in a row, as after two evictions.
+        again = smaller.without(0, "t0.0")
+        assert _spelled_out(again) == _spelled_out(
+            _enumerated(smaller.lists, smaller.ids, smaller.flags, absent="t0.0")
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=batches(), clock=st.integers(min_value=0, max_value=5))
+    def test_cache_accounting_of_any_batch_equals_one_get_per_occurrence(self, case, clock):
+        lists, ids, flags = case
+        batch = Batch(lists, ids, flags)
+        cache = ObjectCache(16)
+        for segments in lists:
+            for segment_id in segments:
+                cache.add(segment_id, segment_id.upper())
+        for _ in range(clock if lists[0] else 0):
+            cache.get(lists[0][0])
+        twin = copy.deepcopy(cache)
+        for combination in batch.combinations():
+            for segment_id in combination:
+                twin.get(segment_id)
+        payloads = cache.get_batch(batch)
+        assert payloads == {
+            segment_id: segment_id.upper()
+            for segment_id in itertools.chain.from_iterable(batch.combinations())
+        }
+        assert cache.num_hits == twin.num_hits
+        assert [entry.last_used for entry in cache.objects()] == [
+            entry.last_used for entry in twin.objects()
+        ]
+        cache.add("next", None)
+        twin.add("next", None)
+        assert cache.peek("next").inserted_at == twin.peek("next").inserted_at
+
+    def test_a_misaligned_batch_cannot_be_built(self):
+        with pytest.raises(QueryError):
+            Batch([["t0.0", "t0.1"], ["t1.0"]], [0, 1, 2], b"\x01\x01\x01")
+        with pytest.raises(QueryError):
+            Batch([["t0.0", "t0.1"], ["t1.0"]], [0, 1], b"\x01")

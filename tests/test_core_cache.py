@@ -9,7 +9,7 @@ from repro.core.cache import (
     MaxProgressEviction,
     ObjectCache,
 )
-from repro.core.subplan import SubplanTracker
+from repro.core.subplan import Batch, SubplanTracker
 from repro.exceptions import CacheError
 from repro.workloads import tpch
 
@@ -55,19 +55,33 @@ class TestObjectCache:
         cache = ObjectCache(3)
         for segment_id in ("a.0", "b.0", "b.1"):
             cache.add(segment_id, segment_id.upper())
-        payloads = cache.get_batch([("a.0", "b.0"), ("a.0", "b.1")])
+        payloads = cache.get_batch(Batch([["a.0"], ["b.0", "b.1"]], [0, 1], b"\x01\x01"))
         assert payloads == {"a.0": "A.0", "b.0": "B.0", "b.1": "B.1"}
         assert cache.num_hits == 4
         # Three insertions took ticks 0-2; the four hits took 3-6.
         assert [cache.peek(s).last_used for s in ("a.0", "b.0", "b.1")] == [5, 4, 6]
         assert cache.get("b.0").last_used == 7
 
+    def test_get_batch_touches_nothing_for_a_hole(self):
+        cache = ObjectCache(4)
+        for segment_id in ("a.0", "a.1", "b.0", "b.1"):
+            cache.add(segment_id, segment_id.upper())
+        # Pending: (a.0, b.1) and (a.1, b.0); b.1's last tick is the earlier one.
+        holes = Batch([["a.0", "a.1"], ["b.0", "b.1"]], [0, 1, 2, 3], b"\x00\x01\x01\x00")
+        assert sorted(cache.get_batch(holes)) == ["a.0", "a.1", "b.0", "b.1"]
+        assert cache.num_hits == 4
+        assert [cache.peek(s).last_used for s in ("a.0", "b.1", "a.1", "b.0")] == [4, 5, 6, 7]
+        # A segment with no pending combination is neither touched nor returned.
+        only = Batch([["a.0", "a.1"], ["b.0", "b.1"]], [0, 1, 2, 3], b"\x00\x00\x01\x00")
+        assert cache.get_batch(only) == {"a.1": "A.1", "b.0": "B.0"}
+        assert [cache.peek(s).last_used for s in ("a.0", "b.1", "a.1", "b.0")] == [4, 5, 8, 9]
+
     def test_get_batch_with_a_missing_object_changes_nothing(self):
         cache = ObjectCache(2)
         cache.add("a.0", 1)
         cache.add("b.0", 2)
-        with pytest.raises(CacheError):
-            cache.get_batch([("a.0", "b.0"), ("a.0", "b.1")])
+        with pytest.raises(CacheError, match="'b.1' is not cached"):
+            cache.get_batch(Batch([["a.0"], ["b.0", "b.1"]], [0, 1], b"\x01\x01"))
         assert cache.num_hits == 0
         assert [cache.peek(s).last_used for s in ("a.0", "b.0")] == [0, 1]
         assert cache.get("a.0").last_used == 2

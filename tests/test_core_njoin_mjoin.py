@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cache import MaxProgressEviction, ObjectCache
 from repro.core.mjoin import MJoinStateManager
 from repro.core.njoin import NAryJoin, PreparedSegment, prepare_segment
+from repro.core.subplan import Batch
 from repro.engine import Column, DataType, InMemoryExecutor, Planner, Relation, TableSchema
 from repro.engine.executor import canonical_rows
 from repro.engine.operators import HashJoin, SequentialScan
@@ -388,14 +389,17 @@ class TestJoinKernelProperties:
             for position, rows in enumerate(tables)
         ]
         prepared = {segment.segment_id: segment for table in segments for segment in table}
-        combinations = list(
-            itertools.product(*[[segment.segment_id for segment in table] for table in segments])
-        )[::stride]
-        results = njoin.execute_batch(combinations, prepared)
-        assert len(results) == len(combinations)
-        for combination, rows in zip(combinations, results):
-            expected = _chain_fold([prepared[segment_id].rows for segment_id in combination], steps)
-            assert repr(rows) == repr(expected[-1])
+        lists = [[segment.segment_id for segment in table] for table in segments]
+        total = len(list(itertools.product(*lists)))
+        flags = bytes(index % stride == 0 for index in range(total))
+        batch = Batch(lists, list(range(total)), flags)
+        assert batch.combinations() == list(itertools.product(*lists))[::stride]
+        expected = [
+            _chain_fold([prepared[segment_id].rows for segment_id in combination], steps)[-1]
+            for combination in batch.combinations()
+        ]
+        # Only the subplans with rows come back, in id order.
+        assert repr(njoin.execute_batch(batch, prepared)) == repr(list(filter(None, expected)))
 
     @pytest.mark.parametrize("surviving", [True, False])
     def test_conflicting_duplicate_columns_fail_where_rows_are_materialised(self, surviving):
@@ -425,7 +429,7 @@ class TestJoinKernelProperties:
         calls = [
             top.rows,
             lambda: njoin.execute_ordered(whole),
-            lambda: njoin.execute_batch([ids], prepared)[0],
+            lambda: sum(njoin.execute_batch(Batch([[i] for i in ids], [0], b"\x01"), prepared), []),
         ]
         for call in calls:
             if surviving:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.subplan import Subplan, SubplanTracker, enumerate_subplans
+from repro.core.subplan import Batch, Subplan, SubplanTracker, enumerate_subplans
 from repro.exceptions import QueryError
 from repro.workloads import tpch
 
@@ -91,7 +91,9 @@ class TestTrackerRejectsWhatIsNotItsOwn:
         with pytest.raises(QueryError):
             q12_tracker.mark_executed(Subplan(subplan_id, ("orders.0", "lineitem.0")))
         with pytest.raises(QueryError):
-            q12_tracker.mark_batch_executed([0, subplan_id], [("orders.0", "lineitem.0")] * 2)
+            q12_tracker.mark_batch_executed(
+                Batch([["orders.0"], ["lineitem.0", "lineitem.1"]], [0, subplan_id], b"\x01\x01")
+            )
         assert not q12_tracker.is_pending(Subplan(subplan_id, ()))
         assert q12_tracker.num_pending == before
 
@@ -121,13 +123,37 @@ class TestTrackerRejectsWhatIsNotItsOwn:
         first, second = q12_tracker.pending_subplans()[:2]
         q12_tracker.mark_executed(first)
         before = q12_tracker.pending_counts(q12_tracker.objects())
-        with pytest.raises(QueryError):
-            q12_tracker.mark_batch_executed(
-                [first.subplan_id, second.subplan_id], [first.segments, second.segments]
-            )
+        assert first.segments[0] == second.segments[0]
+        lists = [[first.segments[0]], [first.segments[1], second.segments[1]]]
+        stale = Batch(lists, [first.subplan_id, second.subplan_id], b"\x01\x01")
+        with pytest.raises(QueryError, match=f"#{first.subplan_id} is not pending"):
+            q12_tracker.mark_batch_executed(stale)
         assert q12_tracker.is_pending(second)
         assert q12_tracker.pending_counts(q12_tracker.objects()) == before
         assert q12_tracker.num_executed == 1
+        # The same batch with the executed subplan flagged as the hole it is.
+        q12_tracker.mark_batch_executed(Batch(lists, stale.ids, b"\x00\x01"))
+        assert not q12_tracker.is_pending(second)
+        assert q12_tracker.num_executed == 2
+
+    def test_batch_holding_a_foreign_segment_changes_nothing(self, q12_tracker):
+        before = q12_tracker.pending_counts(q12_tracker.objects())
+        with pytest.raises(QueryError, match="'customer.0' belongs to no table"):
+            q12_tracker.mark_batch_executed(Batch([["customer.0"], ["lineitem.0"]], [0], b"\x01"))
+        assert q12_tracker.num_pending == q12_tracker.total_subplans
+        assert q12_tracker.pending_counts(q12_tracker.objects()) == before
+
+    @pytest.mark.parametrize(
+        "lists, ids, flags",
+        [
+            ([["orders.0"], ["lineitem.0", "lineitem.1"]], [0], b"\x01"),
+            ([["orders.0"], ["lineitem.0"]], [0, 1], b"\x01"),
+            ([["orders.0"], []], [0], b"\x01"),
+        ],
+    )
+    def test_a_batch_is_one_id_and_one_flag_per_combination(self, lists, ids, flags):
+        with pytest.raises(QueryError, match="a batch of . combinations got . ids and . flags"):
+            Batch(lists, ids, flags)
 
 
 class TestRunnableComputation:

@@ -70,6 +70,20 @@ class TestQueryConstruction:
         with pytest.raises(QueryError):
             _simple_query(limit=0)
 
+    def test_limit_needs_every_group_by_column_ordered(self, tiny_tpch_catalog):
+        """Which groups are "the first n" must not depend on the order the
+        executor met them in — under MJoin that is the device's schedule."""
+        grouped = dict(group_by=["l_shipmode", "o_orderpriority"], limit=3)
+        for order_by in ([], ["l_shipmode"], ["cnt"]):
+            with pytest.raises(QueryError, match="LIMIT needs a total order"):
+                _simple_query(order_by=order_by, **grouped).validate(tiny_tpch_catalog)
+        _simple_query(
+            order_by=["cnt", "o_orderpriority", "l_shipmode"], **grouped
+        ).validate(tiny_tpch_catalog)
+        # Without a LIMIT any order will do, and a global aggregate is one row.
+        _simple_query(group_by=grouped["group_by"]).validate(tiny_tpch_catalog)
+        _simple_query(group_by=[], limit=1).validate(tiny_tpch_catalog)
+
     def test_join_graph_and_connectivity(self):
         query = _simple_query()
         graph = query.join_graph()

@@ -1,8 +1,12 @@
 """Integration tests: Skipper and vanilla executors running against the CSD."""
 
+import dataclasses
+import random
+
 import pytest
 
-from repro.core.cache import LRUEviction
+from repro.core.cache import LRUEviction, ObjectCache
+from repro.core.mjoin import MJoinStateManager
 from repro.csd import (
     ClientsPerGroupLayout,
     ColdStorageDevice,
@@ -13,7 +17,7 @@ from repro.csd import (
 )
 from repro.engine import CostModel, InMemoryExecutor
 from repro.engine.executor import canonical_rows
-from repro.exceptions import SchemaError
+from repro.exceptions import QueryError, SchemaError
 from repro.sim import Environment
 from repro.vanilla import VanillaExecutor
 from repro.workloads import tpch
@@ -181,3 +185,61 @@ class TestVanillaExecutorOnCSD:
         skipper = run("skipper", RankBasedScheduler)
         assert skipper.average_execution_time() < vanilla.average_execution_time()
         assert skipper.device_switches < vanilla.device_switches
+
+
+class TestLimitIsOneAnswer:
+    """``LIMIT`` truncates a total order, so every executor keeps the same
+    groups whatever order it met them in — for MJoin, the device's schedule."""
+
+    def _mjoin_rows(self, catalog, query, arrival_order):
+        manager = MJoinStateManager(query, catalog, ObjectCache(len(query.tables) + 2))
+        requests = list(arrival_order)
+        while requests:
+            for segment_id in requests:
+                manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
+            requests = manager.next_cycle_requests()
+        assert manager.is_complete() and manager.cache.num_evictions > 0
+        return manager.results()
+
+    @pytest.mark.parametrize("order_by", [["n_name"], ["revenue", "n_name"]])
+    def test_limit_query_agrees_across_executors_and_arrival_orders(self, make_rig, order_by):
+        catalog = tpch.build_catalog("small", seed=42)
+        unlimited = dataclasses.replace(tpch.q5(), order_by=order_by)
+        query = dataclasses.replace(unlimited, limit=2)
+        expected = InMemoryExecutor(catalog).execute(query).rows
+        everything = InMemoryExecutor(catalog).execute(unlimited).rows
+        assert len(everything) > len(expected) == 2
+        assert expected == everything[:2]
+
+        def same_answer(rows):
+            # Float sums differ in the last digits with the order of summation.
+            assert [row["n_name"] for row in rows] == [row["n_name"] for row in expected]
+            assert [row["revenue"] for row in rows] == pytest.approx(
+                [row["revenue"] for row in expected]
+            )
+
+        vanilla_rig = make_rig(catalog, query.tables, scheduler=ObjectFCFSScheduler())
+        vanilla = VanillaExecutor(
+            vanilla_rig.env, "tenant", catalog, vanilla_rig.device, cost_model=CostModel()
+        )
+        process = vanilla_rig.env.process(vanilla.execute(query))
+        vanilla_rig.env.run(until=process)
+        same_answer(process.value.rows)
+        same_answer(make_rig(catalog, query.tables).run_skipper(query, cache_capacity=8).rows)
+
+        scan_order = [
+            segment_id for table in query.tables for segment_id in catalog.segment_ids(table)
+        ]
+        shuffled = list(scan_order)
+        random.Random(5).shuffle(shuffled)
+        for arrival_order in (scan_order, scan_order[::-1], shuffled):
+            same_answer(self._mjoin_rows(catalog, query, arrival_order))
+
+    def test_limit_without_a_total_order_is_rejected_by_both_executors(self, make_rig):
+        """What the schedule used to decide: Q5's first group in arrival order."""
+        catalog = tpch.build_catalog("small", seed=42)
+        query = dataclasses.replace(tpch.q5(), order_by=[], limit=1)
+        with pytest.raises(QueryError, match="LIMIT needs a total order"):
+            InMemoryExecutor(catalog).execute(query)
+        with pytest.raises(QueryError, match="LIMIT needs a total order"):
+            MJoinStateManager(query, catalog, ObjectCache(8))

@@ -688,3 +688,37 @@ def test_one_interval_record_one_interval_algebra_one_roster():
     assert defined.get("merge_intervals") == ["src/repro/cluster/metrics.py"]
     for name in ("IntervalLog", "overlap_seconds", "_device_roster"):
         assert name not in defined, f"{name} is back, in {defined[name]}"
+
+
+def test_one_batch_representation_on_the_arrival_path():
+    """A runnable batch stays the product it is (``core/subplan.py``'s
+    ``Batch``) from the tracker to the retire: the cache, the join walk and
+    the state manager never flatten it into segment tuples to chain or count
+    them, the one count of segment occurrences is ``Batch.tallies``, and the
+    ``(ids, combinations)`` pair it replaced has no alias left."""
+    core = REPO_ROOT / "src" / "repro" / "core"
+    for name in ("cache.py", "njoin.py", "mjoin.py"):
+        for node in ast.walk(ast.parse((core / name).read_text())):
+            if isinstance(node, ast.Name):
+                assert node.id not in ("chain", "Counter"), f"{name}:{node.lineno} {node.id}"
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ("chain", "Counter"), f"{name}:{node.lineno} {node.attr}"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+                assert not imported & {"chain", "Counter"}, f"{name}:{node.lineno} {imported}"
+
+    subplan = ast.parse((core / "subplan.py").read_text())
+    counter_calls = [
+        (owner.name, node.lineno)
+        for owner in subplan.body
+        for node in ast.walk(owner)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Counter"
+    ]
+    assert [owner for owner, _ in counter_calls] == ["Batch"], counter_calls
+    pair = ast.dump(ast.parse("Tuple[List[int], List[Tuple[str, ...]]]", mode="eval").body)
+    for path in sorted(core.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript):
+                assert ast.dump(node) != pair, f"{path.name}:{node.lineno} the tuple-list batch"
