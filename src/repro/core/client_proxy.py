@@ -78,7 +78,3 @@ class ClientProxy:
         request)."""
         self.requests_completed += 1
         self.arrivals.put((event.name[self._prefix_length :], event._value))
-
-    def receive(self) -> Event:
-        """Event firing with the next ``(segment_id, payload)`` delivery."""
-        return self.arrivals.get()

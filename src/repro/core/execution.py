@@ -10,21 +10,23 @@ executors keep their strategy (which segments to request, when, and what
 each arrival costs) and both return a :class:`QueryResult`.
 
 By construction ``execution_time == processing_time + waiting_time``: a run
-advances simulated time only through :meth:`QueryRun.charge` (processing)
-and :meth:`QueryRun.receive` (blocked on the backend) — or through
-:meth:`QueryRun.consume`, the two fused for an executor that takes arrivals
-as they come.
+advances simulated time only by charging CPU seconds (processing) and by
+waiting on the backend (blocked).  The two per-object loops do both in one
+generator per burst — :meth:`QueryRun.consume` takes arrivals as they come,
+:meth:`QueryRun.pull_each` blocks on one GET at a time — and
+:meth:`QueryRun.charge` is the verb for the charges that are not per object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.client_proxy import ClientProxy
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.query import Query
 from repro.engine.relation import Segment
+from repro.exceptions import ExecutionError
 from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
 from repro.sim import Event, Timeout
 
@@ -110,24 +112,11 @@ class QueryRun:
         self.proxy.request_objects(segment_ids, self.query_id)
         self.num_requests += len(segment_ids)
 
-    def receive(self) -> Generator[Event, Any, Tuple[str, Segment]]:
-        """Wait for the next delivery; time spent waiting counts as blocked."""
-        wait_start = self.env.now
-        segment_id, payload = yield self.proxy.receive()
-        now = self.env.now
-        if now > wait_start:
-            self.blocked.append((wait_start, now))
-            if self.span is not None:
-                self.tracer.record_span(
-                    "wait",
-                    kind="wait",
-                    track=self.proxy.client_id,
-                    start=wait_start,
-                    end=now,
-                    parent=self.span,
-                    object_key=segment_id,
-                )
-        return segment_id, payload
+    def _record(self, name: str, kind: str, start: float, **attrs: Any) -> None:
+        """One finished span on this client's track (traced runs only)."""
+        self.tracer.record_span(
+            name, kind, self.proxy.client_id, start, self.env._now, self.span, **attrs
+        )
 
     def charge(
         self, seconds: float, name: str = "compute", **attrs: Any
@@ -136,34 +125,24 @@ class QueryRun:
         if seconds <= 0:
             return
         self.processing_time += seconds
-        start = self.env.now
-        yield self.env.timeout(seconds)
+        start = self.env._now
+        yield Timeout(self.env, seconds)
         if self.span is not None:
-            self.tracer.record_span(
-                name,
-                kind="compute",
-                track=self.proxy.client_id,
-                start=start,
-                end=self.env.now,
-                parent=self.span,
-                **attrs,
-            )
+            self._record(name, "compute", start, **attrs)
 
     def consume(
         self, count: int, on_arrival: Callable[[str, Segment], float]
     ) -> Generator[Event, Any, None]:
         """Take the next ``count`` deliveries, whatever order they come in.
 
-        Each is :meth:`receive`-d, handed to ``on_arrival(segment_id,
-        payload)`` and the CPU seconds that returns are :meth:`charge`-d
-        against the arrival — the same waits, ``wait``/``compute`` spans and
-        events as calling the two verbs per object, in one generator for the
-        whole burst instead of two per object.
+        Each wait on the backend counts as blocked (a ``wait`` span when it
+        took time), the delivery is handed to ``on_arrival(segment_id,
+        payload)`` and the CPU seconds that returns are charged against it (a
+        ``compute`` span) — one generator for the whole burst.
         """
         env = self.env
         next_arrival = self.proxy.arrivals.get
         blocked = self.blocked
-        client_id = self.proxy.client_id
         for _ in range(count):
             wait_start = env._now
             segment_id, payload = yield next_arrival()
@@ -171,29 +150,57 @@ class QueryRun:
             if now > wait_start:
                 blocked.append((wait_start, now))
                 if self.span is not None:
-                    self.tracer.record_span(
-                        "wait",
-                        kind="wait",
-                        track=client_id,
-                        start=wait_start,
-                        end=now,
-                        parent=self.span,
-                        object_key=segment_id,
-                    )
+                    self._record("wait", "wait", wait_start, object_key=segment_id)
             seconds = on_arrival(segment_id, payload)
             if seconds > 0:
                 self.processing_time += seconds
                 yield Timeout(env, seconds)
                 if self.span is not None:
-                    self.tracer.record_span(
-                        "compute",
-                        kind="compute",
-                        track=client_id,
-                        start=now,
-                        end=env._now,
-                        parent=self.span,
-                        object_key=segment_id,
-                    )
+                    self._record("compute", "compute", now, object_key=segment_id)
+
+    def pull_each(
+        self,
+        segment_ids: Iterable[str],
+        overhead_seconds: float,
+        on_arrival: Callable[[str, Segment], float],
+    ) -> Generator[Event, Any, None]:
+        """Fetch ``segment_ids`` one blocking GET at a time, in order.
+
+        The pull-based mirror of :meth:`consume`: per id, charge the request
+        overhead (a ``request-overhead`` span), issue the one GET, wait for
+        it, hand it to ``on_arrival`` and charge what that returns.  Any other
+        object arriving in its place is an :class:`~repro.exceptions.ExecutionError`.
+        """
+        env = self.env
+        request_objects = self.proxy.request_objects
+        next_arrival = self.proxy.arrivals.get
+        blocked = self.blocked
+        for segment_id in segment_ids:
+            if overhead_seconds > 0:
+                self.processing_time += overhead_seconds
+                start = env._now
+                yield Timeout(env, overhead_seconds)
+                if self.span is not None:
+                    self._record("request-overhead", "compute", start, requests=1)
+            request_objects((segment_id,), self.query_id)
+            self.num_requests += 1
+            wait_start = env._now
+            arrived_id, payload = yield next_arrival()
+            now = env._now
+            if now > wait_start:
+                blocked.append((wait_start, now))
+                if self.span is not None:
+                    self._record("wait", "wait", wait_start, object_key=arrived_id)
+            if arrived_id != segment_id:
+                raise ExecutionError(
+                    f"pull-based executor expected {segment_id!r} but received {arrived_id!r}"
+                )
+            seconds = on_arrival(segment_id, payload)
+            if seconds > 0:
+                self.processing_time += seconds
+                yield Timeout(env, seconds)
+                if self.span is not None:
+                    self._record("compute", "compute", now, object_key=segment_id)
 
     def finish(self, rows: List[Row], stats: OperatorStats, **mjoin_counters: int) -> QueryResult:
         """Close the run at the current simulated time and build its result."""

@@ -5,7 +5,8 @@ middleware: it receives tagged GET requests, consults the layout to find the
 disk group of each object, asks the configured I/O scheduler which group to
 load, charges the group-switch latency when the loaded group changes, and
 then streams objects back to clients one at a time, charging a per-object
-transfer time.
+transfer time.  Switches, serialized transfers and migration jobs are each one
+timeout inside that process's loop — no sub-generator per switch, object or job.
 
 For every unit of busy time the device appends one :class:`BusyInterval`
 (switch, transfer or migration I/O) to its ``busy_intervals`` list — the one
@@ -188,7 +189,7 @@ class DeviceStats:
         self.objects_per_client[client_id] = self.objects_per_client.get(client_id, 0) + 1
 
     def record_switch(self) -> None:
-        self._group_switches.inc()
+        self._group_switches.value += 1
 
     def record_migration(self, seconds: float, interfered: bool) -> None:
         self._migration_jobs.inc()
@@ -401,7 +402,13 @@ class ColdStorageDevice:
             if self._admin_jobs:
                 throttle = self.migration_throttle
                 if throttle is None or throttle.try_consume(env.now):
-                    yield from self._perform_migration(self._admin_jobs.popleft())
+                    # One rebalancing read/write: one timeout, no per-job generator.
+                    job = self._admin_jobs.popleft()
+                    interfered = scheduler.has_pending()
+                    start = env._now
+                    if job.seconds > 0:
+                        yield Timeout(env, job.seconds)
+                    self._finish_migration(job, start, env._now, interfered)
                     continue
                 if not scheduler.has_pending():
                     # Idle apart from throttled migration work: wait for the
@@ -440,7 +447,15 @@ class ColdStorageDevice:
                     self._drained_event = env.event(name="csd-drained")
                     yield self._drained_event
                     self._drain_inbox()
-                yield from self._switch_to(group)
+                start = env._now
+                if self.config.group_switch_seconds > 0:
+                    yield Timeout(env, self.config.group_switch_seconds)
+                self.busy_intervals.append(
+                    _tuple_new(BusyInterval, (start, env._now, "switch", group, None, None, None))
+                )
+                self.current_group = group
+                self.stats.record_switch()
+                scheduler.notify_switch(group)
                 self._drain_inbox()
 
             quota = scheduler.service_quota(group)
@@ -468,20 +483,17 @@ class ColdStorageDevice:
                 if queued:
                     self._drain_inbox()
 
-    def _perform_migration(self, job: MigrationJob):
-        """Perform one rebalancing read/write, tracking interference.
+    def _finish_migration(
+        self, job: MigrationJob, start: float, end: float, interfered: bool
+    ) -> None:
+        """Book one rebalancing read/write that ran over ``[start, end]``.
 
         The job counts as *interfering* when foreground work waited at the
         device at any point while the migration I/O ran — the seconds the
-        rebalance stole from query traffic.  Sampled before *and* after the
-        I/O: requests arriving mid-job sit in the inbox (the device is busy
-        migrating) and must count too.
+        rebalance stole from query traffic.  Sampled before (``interfered``)
+        *and* after the I/O: requests arriving mid-job sit in the inbox (the
+        device is busy migrating) and must count too.
         """
-        interfered = self.scheduler.has_pending()
-        start = self.env.now
-        if job.seconds > 0:
-            yield self.env.timeout(job.seconds)
-        end = self.env.now
         # Only *foreground* arrivals count: the inbox may also hold further
         # MigrationJobs (a later epoch's burst), which are not query traffic.
         # (The live queue is walked in place: a snapshot per job would copy
@@ -491,35 +503,19 @@ class ColdStorageDevice:
             or self.scheduler.has_pending()
             or any(isinstance(item, GetRequest) for item in self.inbox.queued)
         )
-        group = (
-            self.layout.group_of(job.object_key)
-            if self.layout.has_object(job.object_key)
-            else -1
-        )
-        tenant, _segment = split_object_key(job.object_key)
+        key = job.object_key
+        group = self.layout.group_if_placed(key)
+        tenant, _segment = split_object_key(key)
+        query_id = f"{job.reason}:{job.direction}:epoch{job.epoch}"
         self.busy_intervals.append(
-            BusyInterval(
-                start,
-                end,
-                "migration",
-                group,
-                client_id=tenant,
-                query_id=f"{job.reason}:{job.direction}:epoch{job.epoch}",
-                object_key=job.object_key,
+            _tuple_new(
+                BusyInterval,
+                (start, end, "migration", -1 if group is None else group, tenant, query_id, key),
             )
         )
         self.stats.record_migration(end - start, interfered)
         if job.notify is not None:
             job.notify(job, start, end, interfered)
-
-    def _switch_to(self, group: int):
-        start = self.env.now
-        if self.config.group_switch_seconds > 0:
-            yield self.env.timeout(self.config.group_switch_seconds)
-        self.busy_intervals.append(BusyInterval(start, self.env.now, "switch", group))
-        self.current_group = group
-        self.stats.record_switch()
-        self.scheduler.notify_switch(group)
 
     def _serve(self, request: GetRequest, group: int) -> None:
         """Dispatch one concurrent transfer (``concurrent_transfers`` only).

@@ -18,6 +18,11 @@ Implemented policies:
 * :class:`RankBasedScheduler` — the paper's contribution: rank
   ``R(g) = N_g + K * Σ W_q(g)`` balances efficiency and fairness
   ("ranking", K = 1).
+
+A pull-based client has one GET outstanding, so for it a decision and a
+switch happen per object: both are one pass over the per-group query index
+(no sorted list, key tuple or set copy), with :meth:`RankBasedScheduler.rank`
+the readable definition ``tests/scheduler_oracle.py`` holds the pass to.
 """
 
 from __future__ import annotations
@@ -47,11 +52,9 @@ class IOScheduler:
         self._pending: Dict[int, Dict[int, GetRequest]] = defaultdict(dict)
         self._queues: Dict[int, Deque[GetRequest]] = {}
         self._dirty: Set[int] = set()
-        #: group -> query id -> number of pending requests.  Maintained
-        #: incrementally so queries_on_group / pending_queries are O(distinct
-        #: queries) instead of a scan over every pending request — the
-        #: difference between constant- and linear-cost group switches when a
-        #: million requests are queued.
+        #: group -> query id -> number of pending requests, maintained
+        #: incrementally: what every decision and every switch walks, O(distinct
+        #: queries) however many requests are queued.
         self._group_queries: Dict[int, Dict[str, int]] = defaultdict(dict)
         #: query id -> total pending requests across all groups.
         self._query_pending: Dict[str, int] = {}
@@ -107,7 +110,7 @@ class IOScheduler:
 
     def has_pending(self) -> bool:
         """Whether any request is waiting to be served."""
-        return any(self._pending.values())
+        return bool(self._query_pending)
 
     def pending_groups(self) -> List[int]:
         """Groups that currently have pending requests (sorted)."""
@@ -162,13 +165,13 @@ class IOScheduler:
         query has waited one more switch.
         """
         self.num_switches += 1
-        serviced = self.queries_on_group(new_group)
-        for query_id in self.pending_queries():
+        waiting = self._waiting
+        serviced = self._group_queries.get(new_group, ())
+        for query_id in self._query_pending:
             if query_id in serviced:
-                self._waiting[query_id] = 0
+                waiting[query_id] = 0
             else:
-                waited = self._waiting.get(query_id, 0) + 1
-                self._waiting[query_id] = waited
+                waiting[query_id] = waited = waiting[query_id] + 1
                 if waited > self.max_waiting_seen:
                     self.max_waiting_seen = waited
 
@@ -340,10 +343,15 @@ class MaxQueriesScheduler(IOScheduler):
     name = "max-queries"
 
     def choose_next_group(self, current_group: Optional[int]) -> int:
-        groups = self.pending_groups()
-        if not groups:
+        best_group: Optional[int] = None
+        best_queries = 0
+        for group, counts in self._group_queries.items():
+            queries = len(counts)
+            if queries > best_queries or (queries == best_queries > 0 and group < best_group):
+                best_group, best_queries = group, queries
+        if best_group is None:
             raise SchedulingError("choose_next_group called with no pending requests")
-        return max(groups, key=lambda group: (len(self.queries_on_group(group)), -group))
+        return best_group
 
 
 class RankBasedScheduler(IOScheduler):
@@ -361,8 +369,8 @@ class RankBasedScheduler(IOScheduler):
     def __init__(self, fairness_constant: float = 1.0,
                  ordering: Optional[IntraGroupOrdering] = None) -> None:
         super().__init__(ordering=ordering)
-        if fairness_constant < 0:
-            raise SchedulingError("fairness constant K must be non-negative")
+        if not 0 <= fairness_constant < float("inf"):  # NaN fails both comparisons
+            raise SchedulingError("fairness constant K must be finite and non-negative")
         self.fairness_constant = fairness_constant
 
     def rank(self, group_id: int) -> float:
@@ -375,15 +383,27 @@ class RankBasedScheduler(IOScheduler):
         return len(counts) + self.fairness_constant * waiting_sum
 
     def choose_next_group(self, current_group: Optional[int]) -> int:
-        groups = self.pending_groups()
-        if not groups:
+        """The pending group maximising ``(rank, N_g, -group)``, in one pass:
+        :meth:`rank`'s arithmetic inline (integer waiting sum, one product,
+        one sum), so the floats compared are the floats ``rank`` returns."""
+        waiting = self._waiting
+        fairness = self.fairness_constant
+        best_group: Optional[int] = None
+        best_rank = 0.0  # a group with pending data ranks at least N_g >= 1
+        best_queries = 0
+        for group, counts in self._group_queries.items():
+            if not counts:
+                continue
+            queries = len(counts)
+            waited = 0
+            for query_id in counts:
+                waited += waiting[query_id]
+            rank = queries + fairness * waited
+            if rank > best_rank or (
+                rank == best_rank
+                and (queries > best_queries or (queries == best_queries and group < best_group))
+            ):
+                best_group, best_rank, best_queries = group, rank, queries
+        if best_group is None:
             raise SchedulingError("choose_next_group called with no pending requests")
-        group_queries = self._group_queries
-        return max(
-            groups,
-            key=lambda group: (
-                self.rank(group),
-                len(group_queries.get(group) or ()),
-                -group,
-            ),
-        )
+        return best_group

@@ -1,4 +1,9 @@
-"""Pull-based query execution over the CSD (vanilla PostgreSQL model)."""
+"""Pull-based query execution over the CSD (vanilla PostgreSQL model).
+
+The executor owns the strategy (the plan's access order, the scan cost, the
+local join); the per-object loop — overhead, one blocking GET, wait, scan
+charge — is :meth:`~repro.core.execution.QueryRun.pull_each`.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ from repro.engine.operators.base import Operator, OperatorStats, Row
 from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Relation, Segment
-from repro.exceptions import ExecutionError
 from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
 from repro.sim import Environment, Event
 
@@ -56,16 +60,13 @@ class VanillaExecutor:
         cost_model = self.cost_model
         fetched: Dict[str, List[Segment]] = {table: [] for table in query.tables}
 
-        for segment_id in plan.segment_access_order(self.catalog):
-            yield from run.charge(cost_model.request_overhead(1), "request-overhead", requests=1)
-            run.request([segment_id])
-            arrived_id, payload = yield from run.receive()
-            if arrived_id != segment_id:
-                raise ExecutionError(
-                    f"pull-based executor expected {segment_id!r} but received {arrived_id!r}"
-                )
+        def scan(segment_id: str, payload: Segment) -> float:
             fetched[self.catalog.table_of_segment(segment_id)].append(payload)
-            yield from run.charge(cost_model.scan_time(payload.num_rows), object_key=segment_id)
+            return cost_model.scan_time(payload.num_rows)
+
+        yield from run.pull_each(
+            plan.segment_access_order(self.catalog), cost_model.request_overhead(1), scan
+        )
 
         rows, stats, root = self._process_locally(query, plan, fetched)
         # Scans were charged segment by segment as data arrived, so only the

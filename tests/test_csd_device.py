@@ -145,6 +145,55 @@ class TestDeviceConfigurations:
         # across clients, so everyone finishes at ~4s instead of ~8s.
         assert max(finish.values()) == pytest.approx(4.0)
 
+    def test_switch_waits_for_concurrent_deliveries_in_flight(self):
+        """The guard in ``_run``: with concurrent transfers the service set is
+        dispatched in no simulated time, so the next decision (group 1) is
+        made at t = 10 while c0's three deliveries are still in flight until
+        t = 13 — the switch must wait for them, and a GET arriving during
+        that wait is registered when it ends, not after the switch."""
+        env, device, objects = _setup(
+            num_clients=2,
+            config=DeviceConfig(
+                group_switch_seconds=10.0,
+                transfer_seconds_per_object=1.0,
+                concurrent_transfers=True,
+            ),
+        )
+        finish = {}
+        _batch_client(env, device, "c0", objects["c0"][:3], finish)
+        _batch_client(env, device, "c1", objects["c1"], finish)
+        seen_mid_switch = {}
+
+        def late_request(env):
+            yield env.timeout(11.5)  # group 0 still loaded, two deliveries to go
+            device.get(objects["c0"][3], "c0", "c0:q:1")
+            assert device.stats.requests_received == 7  # waiting in the inbox
+            yield env.timeout(2.5)  # t = 14: the switch to group 1 is under way
+            seen_mid_switch["received"] = device.stats.requests_received
+            seen_mid_switch["pending_on_0"] = device.scheduler.pending_count(0)
+
+        env.process(late_request(env))
+        env.run()
+
+        switches = [i for i in device.busy_intervals if i.kind == "switch"]
+        transfers = [i for i in device.busy_intervals if i.kind == "transfer"]
+        assert [(s.start, s.end, s.group_id) for s in switches] == [
+            (0.0, 10.0, 0),
+            (13.0, 23.0, 1),  # decided at t = 10, held until the last delivery
+            (27.0, 37.0, 0),
+        ]
+        assert [(t.start, t.end) for t in transfers if t.group_id == 0][:3] == [
+            (10.0, 11.0),
+            (11.0, 12.0),
+            (12.0, 13.0),
+        ]
+        for switch, left in zip(switches[1:], switches):
+            leaving = [t.end for t in transfers if t.group_id == left.group_id and t.start < switch.start]
+            assert leaving and max(leaving) <= switch.start
+        assert seen_mid_switch == {"received": 8, "pending_on_0": 1}
+        assert device.stats.objects_served == 8
+        assert (device._inflight, device._drained_event) == (0, None)
+
     def test_busy_intervals_cover_switches_and_transfers(self):
         env, device, objects = _setup(num_clients=2)
         finish = {}

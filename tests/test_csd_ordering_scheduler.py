@@ -7,12 +7,14 @@ from repro.csd.ordering import (
     SemanticRoundRobinOrdering,
     TableMajorOrdering,
 )
+from repro.csd import AllInOneLayout, ColdStorageDevice, ObjectStore
 from repro.csd.request import GetRequest
 from repro.csd.scheduler import (
     MaxQueriesScheduler,
     ObjectFCFSScheduler,
     QueryFCFSScheduler,
     RankBasedScheduler,
+    SlackFCFSScheduler,
 )
 from repro.exceptions import SchedulingError
 from repro.sim import Environment
@@ -181,3 +183,71 @@ class TestRankBased:
     def test_negative_fairness_constant_rejected(self):
         with pytest.raises(SchedulingError):
             RankBasedScheduler(fairness_constant=-1.0)
+
+
+POLICIES = [
+    ObjectFCFSScheduler,
+    SlackFCFSScheduler,
+    QueryFCFSScheduler,
+    MaxQueriesScheduler,
+    RankBasedScheduler,
+]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.name)
+class TestEmptyPoolIsATypedError:
+    """``choose_next_group`` with nothing pending is a ``SchedulingError`` for
+    every policy — never ``max()``'s ``ValueError``, never a group — whether
+    the pool was never filled or was emptied again, by serving or by a drain
+    (which leaves empty per-group dicts behind in every index)."""
+
+    def _fill(self, env, scheduler):
+        for index, group in enumerate((2, 0, 2, 1)):
+            client = f"c{index % 2}"
+            scheduler.add_request(
+                _request(env, f"{client}/a.{index}", client, f"{client}:q:0"), group_id=group
+            )
+
+    def test_never_filled(self, policy):
+        with pytest.raises(SchedulingError):
+            policy().choose_next_group(None)
+
+    def test_emptied_through_next_request(self, env, policy):
+        scheduler = policy()
+        self._fill(env, scheduler)
+        current = None
+        served = 0
+        while scheduler.has_pending():
+            current = scheduler.choose_next_group(current)
+            scheduler.notify_switch(current)
+            for _ in range(scheduler.service_quota(current)):
+                served += scheduler.next_request(current) is not None
+        assert served == 4
+        for current_group in (None, current):
+            with pytest.raises(SchedulingError):
+                scheduler.choose_next_group(current_group)
+
+    def test_emptied_through_drain_pending(self, env, policy):
+        store = ObjectStore()
+        keys = {"c0": [store.put_segment("c0", f"a.{index}", index) for index in range(3)]}
+        device = ColdStorageDevice(env, store, AllInOneLayout().build(keys), policy())
+        for key in keys["c0"]:
+            device.get(key, "c0", "c0:q:0")
+        assert len(device.drain_pending()) == 3
+        assert not device.scheduler.has_pending()
+        with pytest.raises(SchedulingError):
+            device.scheduler.choose_next_group(None)
+
+
+@pytest.mark.parametrize("fairness_constant", [-1.0, -1e-9, float("nan"), float("inf")])
+def test_rank_based_rejects_a_fairness_constant_it_cannot_rank_with(fairness_constant):
+    # inf * 0 waited switches and NaN would make every rank NaN, which
+    # compares false against everything: no group would ever be chosen.
+    with pytest.raises(SchedulingError):
+        RankBasedScheduler(fairness_constant=fairness_constant)
+
+
+@pytest.mark.parametrize("slack", [0, -3])
+def test_slack_fcfs_rejects_a_slack_below_one(slack):
+    with pytest.raises(SchedulingError):
+        SlackFCFSScheduler(slack)

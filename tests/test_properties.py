@@ -20,14 +20,16 @@ from repro.core.subplan import SubplanTracker
 from repro.csd.layout import ClientsPerGroupLayout, IncrementalLayout
 from repro.csd.ordering import SemanticRoundRobinOrdering
 from repro.csd.request import GetRequest
-from repro.csd.scheduler import RankBasedScheduler
+from repro.csd.scheduler import MaxQueriesScheduler, RankBasedScheduler
 from repro.engine import InMemoryExecutor
 from repro.engine.executor import canonical_rows
 from repro.engine.operators.aggregate import AggregateState
 from repro.engine.predicate import col
 from repro.engine.query import AggregateSpec
+from repro.exceptions import SchedulingError
 from repro.sim import Environment
 from repro.workloads import tpch
+from scheduler_oracle import SchedulerOracle
 
 # A single module-level catalog keeps data generation out of the hypothesis
 # hot loop (the catalog is never mutated by the tests).
@@ -151,6 +153,100 @@ class TestSchedulerInvariants:
         assert chosen in scheduler.pending_groups()
         best_rank = max(scheduler.rank(group) for group in scheduler.pending_groups())
         assert scheduler.rank(chosen) == pytest.approx(best_rank)
+
+    @pytest.mark.parametrize("fairness_constant", [None, 0, 0.5, 1, 3])  # None: max-queries
+    @settings(max_examples=60, deadline=None)
+    @given(
+        operations=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.integers(0, 4), st.integers(0, 3)),
+                st.tuples(st.just("add"), st.integers(0, 4), st.integers(0, 3)),
+                st.tuples(st.just("switch"), st.integers(0, 5)),
+                st.tuples(st.just("next"), st.integers(0, 5)),
+                st.tuples(st.just("choose")),
+                st.tuples(st.just("serve")),
+                st.tuples(st.just("drain")),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_decisions_and_waiting_agree_with_the_oracle(self, fairness_constant, operations):
+        """Any interleaving of arrivals, decisions, switches, served requests
+        and drains: the scheduler's one-pass decision and in-place indexes
+        answer exactly as ``scheduler_oracle`` recomputing from the pool.
+
+        Mutations driven by hand against this property, each caught: the
+        tie-break on ``+group`` instead of ``-group``; ``>=`` for ``>`` on the
+        running maximum's rank; ``has_pending`` left true after the last
+        removal (``_query_pending`` entry kept at zero).
+        """
+        env = Environment()
+        oracle = SchedulerOracle(fairness_constant)
+        scheduler = (
+            MaxQueriesScheduler()
+            if fairness_constant is None
+            else RankBasedScheduler(fairness_constant=fairness_constant)
+        )
+        current = None
+
+        def choose():
+            if not oracle.has_pending():
+                with pytest.raises(SchedulingError):
+                    scheduler.choose_next_group(current)
+                return None
+            chosen = scheduler.choose_next_group(current)
+            assert chosen == oracle.choose_next_group()
+            return chosen
+
+        def switch(group):
+            scheduler.notify_switch(group)
+            oracle.notify_switch(group)
+            return group
+
+        def serve_one(group):
+            request = scheduler.next_request(group)
+            assert (request is None) == (group not in oracle.pending_groups())
+            if request is not None:
+                oracle.remove_request(request.request_id, group)
+
+        for operation in operations:
+            if operation[0] == "add":
+                _, group, query = operation
+                request = GetRequest(f"c{query}/t.0", f"c{query}", f"q{query}", env.event())
+                scheduler.add_request(request, group)
+                oracle.add_request(request.request_id, request.query_id, group)
+            elif operation[0] == "switch":
+                current = switch(operation[1])
+            elif operation[0] == "next":
+                serve_one(operation[1])
+            elif operation[0] == "choose":
+                choose()
+            elif operation[0] == "serve":  # what the device loop does per decision
+                chosen = choose()
+                if chosen is not None:
+                    if chosen != current:
+                        current = switch(chosen)
+                    for _ in range(scheduler.service_quota(chosen)):
+                        serve_one(chosen)
+            else:  # a fail-stop drain: every group emptied in turn
+                for group in oracle.pending_groups():
+                    while oracle.queries_on_group(group):
+                        serve_one(group)
+
+            assert scheduler.has_pending() == oracle.has_pending()
+            assert scheduler.pending_groups() == oracle.pending_groups()
+            assert scheduler.pending_queries() == oracle.pending_queries()
+            assert scheduler.num_switches == oracle.num_switches
+            assert scheduler.max_waiting_seen == oracle.max_waiting_seen
+            for query in range(4):
+                assert scheduler.waiting_time(f"q{query}") == oracle.waiting_time(f"q{query}")
+            for group in range(6):
+                assert scheduler.queries_on_group(group) == oracle.queries_on_group(group)
+                assert bool(scheduler._group_queries.get(group)) == bool(
+                    scheduler._pending.get(group)
+                )
+                if fairness_constant is not None:
+                    assert scheduler.rank(group) == oracle.rank(group)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -12,7 +12,9 @@ import pytest
 
 from repro.core import ClientProxy, QueryRun, SkipperExecutor
 from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
+from repro.csd import DeviceConfig
 from repro.engine.operators.base import OperatorStats
+from repro.exceptions import ExecutionError
 from repro.obs import Tracer
 from repro.scenarios import all_scenarios
 from repro.service import StorageService
@@ -50,6 +52,40 @@ def _drive(rig, generator):
     return process.value
 
 
+def _hand_to(handed, seconds_per_row):
+    """An ``on_arrival`` that logs ``(requested id, delivered id)`` and costs per row."""
+
+    def on_arrival(segment_id, payload):
+        handed.append((segment_id, payload.segment_id))
+        return seconds_per_row * payload.num_rows
+
+    return on_arrival
+
+
+def _one_verb_at_a_time(run, segment_ids, overhead_seconds, on_arrival):
+    """The pull loop as the executor wrote it before ``pull_each``: charge,
+    request, wait on the proxy, charge — three generators per object."""
+    for segment_id in segment_ids:
+        yield from run.charge(overhead_seconds, "request-overhead", requests=1)
+        run.request([segment_id])
+        wait_start = run.env.now
+        arrived_id, payload = yield run.proxy.arrivals.get()
+        if run.env.now > wait_start:
+            run.blocked.append((wait_start, run.env.now))
+            run.tracer.record_span(
+                "wait",
+                kind="wait",
+                track=run.proxy.client_id,
+                start=wait_start,
+                end=run.env.now,
+                parent=run.span,
+                object_key=arrived_id,
+            )
+        if arrived_id != segment_id:
+            raise ExecutionError(f"expected {segment_id!r} but received {arrived_id!r}")
+        yield from run.charge(on_arrival(segment_id, payload), object_key=segment_id)
+
+
 def _span_shapes(tracer):
     """``(name, kind, attr names)`` of every non-operator span."""
     return {
@@ -75,25 +111,65 @@ class TestQueryRun:
         assert (span.start, span.end) == (0.0, 2.5)
         assert span.attrs == {"requests": 4}
 
-    def test_receive_without_waiting_records_nothing(self, rig, tiny_tpch_catalog):
+    def test_pull_without_waiting_records_nothing(self, tiny_tpch_catalog, make_rig):
+        instant = DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=0.0)
+        rig = make_rig(tiny_tpch_catalog, QUERY.tables, device_config=instant)
         run, tracer = _traced_run(rig)
         segment_id = tiny_tpch_catalog.segment_ids("orders")[0]
-        run.request([segment_id])
-        rig.env.run()  # the delivery is already in the proxy's FIFO
-        arrived_id, payload = _drive(rig, run.receive())
-        assert (arrived_id, payload.segment_id) == (segment_id, segment_id)
-        assert run.blocked == []
+        handed = []
+        _drive(rig, run.pull_each([segment_id], 0.0, _hand_to(handed, 0.0)))
+        assert handed == [(segment_id, segment_id)]
+        assert rig.env.now == 0.0 and run.num_requests == 1
+        assert run.blocked == [] and run.processing_time == 0.0
         assert [span.name for span in tracer.spans] == ["execute"]
 
-    def test_receive_records_the_blocked_interval_and_a_wait_span(self, rig, tiny_tpch_catalog):
+    def test_pull_records_the_blocked_interval_and_a_wait_span(self, rig, tiny_tpch_catalog):
         run, tracer = _traced_run(rig)
         segment_id = tiny_tpch_catalog.segment_ids("orders")[0]
-        run.request([segment_id])
-        _drive(rig, run.receive())
+        _drive(rig, run.pull_each([segment_id], 0.0, _hand_to([], 0.0)))
         assert run.blocked == [(0.0, rig.env.now)] and rig.env.now > 0
         span = tracer.spans[-1]
         assert (span.name, span.kind, span.attrs) == ("wait", "wait", {"object_key": segment_id})
         assert (span.start, span.end) == run.blocked[0]
+
+    @pytest.mark.parametrize("overhead_seconds, seconds_per_row", [(0.25, 0.125), (0.0, 0.0)])
+    def test_pull_each_equals_the_verbs_it_replaced(
+        self, tiny_tpch_catalog, make_rig, overhead_seconds, seconds_per_row
+    ):
+        segment_ids = tiny_tpch_catalog.segment_ids("orders") + tiny_tpch_catalog.segment_ids(
+            "lineitem"
+        )
+
+        def observe(drive):
+            rig = make_rig(tiny_tpch_catalog, QUERY.tables)
+            run, tracer = _traced_run(rig, MODE_VANILLA)
+            handed = []
+            _drive(rig, drive(run, segment_ids, overhead_seconds, _hand_to(handed, seconds_per_row)))
+            return {
+                "spans": [span.to_dict() for span in tracer.spans],
+                "blocked": run.blocked,
+                "processing_time": run.processing_time,
+                "num_requests": run.num_requests,
+                "dispatched": rig.env.dispatched,
+                "now": rig.env.now,
+                "handed": handed,
+            }
+
+        fused = observe(QueryRun.pull_each)
+        assert fused == observe(_one_verb_at_a_time)
+        assert fused["num_requests"] == len(segment_ids) == len(fused["blocked"])
+        names = [span["name"] for span in fused["spans"]]
+        if overhead_seconds:
+            assert names[1:5] == ["request-overhead", "wait", "compute", "request-overhead"]
+        else:  # zero charges: no event, no span
+            assert set(names) == {"execute", "wait"}
+
+    def test_a_foreign_delivery_is_an_execution_error(self, rig, tiny_tpch_catalog):
+        run, _tracer = _traced_run(rig, MODE_VANILLA)
+        first, second = tiny_tpch_catalog.segment_ids("orders")[:2]
+        run.proxy.arrivals.put((second, tiny_tpch_catalog.resolve_segment_id(second)))
+        with pytest.raises(ExecutionError, match=f"expected '{first}' but received '{second}'"):
+            _drive(rig, run.pull_each([first], 0.0, _hand_to([], 0.0)))
 
     def test_finish_closes_the_execute_span_and_fills_the_result(self, rig):
         run, tracer = _traced_run(rig, MODE_VANILLA)

@@ -114,7 +114,7 @@ class TestClientProxy:
         def consumer(env):
             proxy.request_objects(segment_ids, proxy.new_query_id("scan"))
             for _ in segment_ids:
-                segment_id, payload = yield proxy.receive()
+                segment_id, payload = yield proxy.arrivals.get()
                 received.append((segment_id, payload.segment_id))
 
         env.process(consumer(env))

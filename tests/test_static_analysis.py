@@ -722,3 +722,55 @@ def test_one_batch_representation_on_the_arrival_path():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Subscript):
                 assert ast.dump(node) != pair, f"{path.name}:{node.lineno} the tuple-list batch"
+
+
+def _method(tree, class_name, method_name):
+    (owner,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name]
+    (method,) = [n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == method_name]
+    return method
+
+
+def test_device_loop_has_no_per_item_generator():
+    """The pull path stays flat: the device's only generators are its main
+    loop and the concurrent delivery (a switch or a migration job is a
+    timeout inside ``_run``, not a sub-generator per item); the per-object
+    scheduler decisions build no lambda, generator expression or set copy;
+    and the pull-based executor drives a query from two ``QueryRun``
+    generators (``pull_each``, then ``charge`` for the join), not three per
+    segment."""
+    src = REPO_ROOT / "src" / "repro"
+    device = ast.parse((src / "csd" / "device.py").read_text())
+    (owner,) = [
+        n for n in device.body if isinstance(n, ast.ClassDef) and n.name == "ColdStorageDevice"
+    ]
+    generators = {
+        method.name
+        for method in owner.body
+        if isinstance(method, ast.FunctionDef)
+        and any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(method))
+    }
+    assert generators == {"_run", "_deliver_at"}
+
+    scheduler = ast.parse((src / "csd" / "scheduler.py").read_text())
+    for class_name, method_name in (
+        ("RankBasedScheduler", "choose_next_group"),
+        ("MaxQueriesScheduler", "choose_next_group"),
+        ("IOScheduler", "notify_switch"),
+    ):
+        for node in ast.walk(_method(scheduler, class_name, method_name)):
+            where = f"{class_name}.{method_name}:{getattr(node, 'lineno', 0)}"
+            assert not isinstance(node, (ast.Lambda, ast.GeneratorExp)), where
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "set", f"{where} copies a set per decision"
+
+    executor = ast.parse((src / "vanilla" / "executor.py").read_text())
+    run_generators = [
+        node.value.func.attr
+        for node in ast.walk(executor)
+        if isinstance(node, ast.YieldFrom)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and isinstance(node.value.func.value, ast.Name)
+        and node.value.func.value.id == "run"
+    ]
+    assert sorted(run_generators) == ["charge", "pull_each"]
