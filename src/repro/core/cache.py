@@ -231,18 +231,13 @@ class ObjectCache:
         self.num_insertions += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._contents))
 
-    def evict(self, new_object: str, tracker: SubplanTracker) -> str:
-        """Choose and remove a victim to make room for ``new_object``."""
+    def evict(self, new_object: str, tracker: SubplanTracker) -> CachedObject:
+        """Choose and remove a victim to make room for ``new_object``; the
+        removed entry is returned, for whoever keeps state derived from it."""
         if not self._contents:
             raise CacheError("cannot evict from an empty cache")
         victim = self.policy.choose_victim(self, new_object, tracker)
         if victim not in self._contents:
             raise CacheError(f"policy {self.policy.name!r} chose a non-cached victim {victim!r}")
-        del self._contents[victim]
         self.num_evictions += 1
-        return victim
-
-    def remove(self, segment_id: str) -> None:
-        """Drop ``segment_id`` from the cache (e.g. after pruning)."""
-        if segment_id in self._contents:
-            del self._contents[segment_id]
+        return self._contents.pop(victim)

@@ -7,7 +7,7 @@ arrivals one by one and receives back an :class:`ArrivalOutcome` describing
 what happened — what was cached, what was evicted, which subplans ran and how
 much work that took — so callers can charge simulated CPU seconds through the
 cost model.  The subplans an arrival completes travel as one
-:class:`~repro.core.subplan.Batch`: tracker → cache → join walk → tracker.
+:class:`~repro.core.subplan.Batch`: tracker → cache → join → tracker.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ class MJoinStateManager:
             )
         self.tracker = SubplanTracker(query, catalog, table_order=self.plan.join_order)
         self.njoin = NAryJoin(query, self.plan)
+        #: The symmetric hash join's state: by name, for every table after the
+        #: plan's first, one hash table over the *cached* segments of that
+        #: relation.  An arrival merges its segment in, an eviction takes the
+        #: victim's out.
+        self.relation_tables = self.njoin.relation_tables()
         self.aggregate = AggregateState(query.group_by, query.aggregates)
         #: Objects found to contribute nothing (empty after filtering).
         self.empty_objects: Set[str] = set()
@@ -129,10 +134,16 @@ class MJoinStateManager:
             self.stats.merge(outcome.stats)
             return outcome
 
+        # Not before the object is known to stay: nine in ten objects of a
+        # selective single-table query are pruned above.
+        prepared.offset = self.tracker.offset_of(segment_id)
         evicted: Optional[str] = None
         if self.cache.is_full:
-            evicted = self.cache.evict(segment_id, self.tracker)
-            outcome.evicted = evicted
+            victim = self.cache.evict(segment_id, self.tracker)
+            relation_table = self.relation_tables.get(victim.payload.table_name)
+            if relation_table is not None:
+                self.njoin.unmerge(relation_table, victim.payload)
+            outcome.evicted = evicted = victim.segment_id
             outcome.evicted_still_needed = self.tracker.object_in_pending(evicted)
             if outcome.evicted_still_needed:
                 self.reissue_queue.append(evicted)
@@ -143,20 +154,23 @@ class MJoinStateManager:
         outcome.stats.tuples_built += num_rows
 
         # Execute every newly runnable subplan.  The union over subplans is
-        # exactly the query answer, with no duplicates, but joining them one
-        # by one would overcount CPU work: the real MJoin uses symmetric
-        # hashing, where an arriving tuple probes the hash tables of the
-        # other relations once, regardless of how many segment combinations
-        # it completes.  The work counters in ``outcome.stats`` therefore
-        # charge the incremental symmetric-hash cost — one probe per buffered
-        # tuple of the new object per other relation, plus the emitted result
-        # tuples — and the batch walk's own probes are not counted.
+        # exactly the query answer, with no duplicates, and the join is the
+        # MJoin's symmetric hashing: the batch's rows probe one hash table per
+        # other relation once, regardless of how many segment combinations
+        # they complete.  The arriving object stands alone at its position, so
+        # it is probed (or probes, at the first position) through its own
+        # table and merged into its relation's only afterwards.  The work
+        # counters in ``outcome.stats`` charge the incremental cost of the
+        # arrival — one probe per buffered tuple of the new object per other
+        # relation, plus the emitted result tuples — not the rows of cached
+        # segments that flow through the levels again.
         if batch.num_pending:
             # The batch's lists follow the plan's join order, as the tracker
             # does.  Rows are folded in id order: float sums depend on it.
             aggregate_add = self.aggregate.add_all
             result_rows = 0
-            for rows in self.njoin.execute_batch(batch, self.cache.get_batch(batch)):
+            payloads = self.cache.get_batch(batch)
+            for rows in self.njoin.execute_batch(batch, payloads, self.relation_tables):
                 aggregate_add(rows)
                 result_rows += len(rows)
             self.tracker.mark_batch_executed(batch)
@@ -166,6 +180,9 @@ class MJoinStateManager:
             other_tables = len(self.plan.steps) - 1
             outcome.stats.tuples_probed += num_rows * max(1, other_tables)
             outcome.stats.tuples_output += result_rows
+        relation_table = self.relation_tables.get(segment.table_name)
+        if relation_table is not None:
+            self.njoin.merge(relation_table, prepared)
         self.stats.merge(outcome.stats)
         return outcome
 

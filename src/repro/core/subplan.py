@@ -8,7 +8,7 @@ allows Skipper to make progress in whatever order the CSD returns objects.
 The subplan space is ``itertools.product`` of the per-table segment lists,
 and so is every set of subplans the arrival path handles.  :class:`Batch`
 keeps such a set *as* that product and is the one value that travels from the
-tracker through the cache and the join walk to the retire: no segment tuple
+tracker through the cache and the join to the retire: no segment tuple
 is built for a subplan on the way.  :class:`SubplanTracker` keeps the pending
 / executed / pruned state of every subplan and answers the two questions the
 cache-eviction policies need:
@@ -161,6 +161,10 @@ class SubplanTracker:
             self._position.update(dict.fromkeys(segments, position))
             offsets = [index * stride for index in range(len(segments))]
             self._offset.update(zip(segments, offsets))
+        #: What a segment id adds to the id of every subplan it takes part in
+        #: (one segment per table: the offsets add up to the subplan id); a
+        #: ``KeyError`` for a segment of no table of the query.
+        self.offset_of = self._offset.__getitem__
         #: One flag per subplan id: 1 while pending, 0 once executed or pruned.
         self._pending = bytearray(b"\x01") * total
         #: object (segment id) -> number of *pending* subplans containing it.

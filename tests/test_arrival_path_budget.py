@@ -3,10 +3,11 @@
 Two counts that repeat exactly, so they can gate in tier-1 where a wall-clock
 number cannot (compare ``tests/test_request_path_budget.py``): Python frames
 entered per executed subplan, and ``probe_hash_table`` calls per batch against
-the batch's live trie nodes.  They are the tripwire for per-subplan work
-creeping back between ``SubplanTracker.runnable_batch`` and
-``mark_batch_executed`` — a batch is a product and nothing on the path may
-spell its combinations out.
+the plan's positions.  They are the tripwire for per-subplan — or per-segment
+— work creeping back between ``SubplanTracker.runnable_batch`` and
+``mark_batch_executed``: a batch is a product and nothing on the path may
+spell its combinations out, and a relation has one hash table however many of
+its segments are cached.
 
 The scenario is TPC-H Q5 at ``small`` (12 × 4 × 2 × 1 × 1 × 1 segments in plan
 order, 96 subplans), the state manager fed directly in scan order with a
@@ -19,10 +20,9 @@ When the frame count trips: ``sys.setprofile`` the feed and diff the
 per-function counts against the parent commit (``frames_by_function`` below
 prints them).  What the budget was cut from: one ``min`` key lambda per cached
 object per eviction, a ``_probe`` and a ``hash_table`` frame per probe, three
-``Counter`` passes per arrival.  When the probe count trips: the walk in
-``NAryJoin.execute_batch`` probed under a prefix whose intermediate was empty
-or whose subtree had nothing pending — diff its two skips (``find`` on the
-flags, ``if joined``).
+``Counter`` passes per arrival, one probe per cached segment of every position.
+When the probe count trips: ``NAryJoin.execute_batch`` probed a segment's own
+table where the relation's would do, or went on after a level left no row.
 """
 
 from __future__ import annotations
@@ -38,14 +38,15 @@ import pytest
 from repro.core import njoin
 from repro.core.cache import ObjectCache
 from repro.core.mjoin import MJoinStateManager
+from repro.core.subplan import Batch
 from repro.workloads import tpch
 
 #: Frames per executed subplan, comprehension frames left out (CPython 3.12
-#: inlines them, PEP 709; the count was the same on 3.11 and 3.13).  The
-#: parent commit measured 36.29 on this scenario (3 484 frames / 96 subplans),
-#: this one 24.38 (2 340); the ceiling is 30 % under the parent, so one more
-#: frame per probe, or two per arrival, trips it.
-FRAMES_PER_SUBPLAN_CEILING = 25.4
+#: inlines them, PEP 709; 3.13 enters 12 fewer, all in ``abc``'s checks).  With
+#: one hash table per cached segment this scenario measured 24.38 (2 340
+#: frames / 96 subplans), with one per relation 23.69 (2 274); the ceiling is
+#: that plus one, so one more frame per probe, or two per arrival, trips it.
+FRAMES_PER_SUBPLAN_CEILING = 24.7
 _COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>")
 
 
@@ -115,48 +116,37 @@ def test_frame_count_repeats_exactly():
 
 
 @pytest.mark.parametrize("shuffle_seed, batches_with_holes", [(None, 0), (0, 22)])
-def test_no_probe_under_a_dead_or_nothing_pending_prefix(
+def test_one_probe_per_level_and_none_with_nothing_pending(
     monkeypatch, shuffle_seed, batches_with_holes
 ):
-    """Per batch, at most one probe per live trie node: a prefix of two or
-    more segments that some pending combination starts with and whose parent
-    prefix joined to at least one row."""
+    """Per batch, at most one probe per plan position after the first, each
+    fed no more rows than the level above put out; a batch with nothing
+    pending is answered without a probe."""
     real_probe, real_execute = njoin.probe_hash_table, njoin.NAryJoin.execute_batch
-    probes: List[int] = []
+    probes: List[Tuple[int, int]] = []  # (rows in, rows out) per call
     checked = []
 
-    def counted_probe(*args):
-        probes.append(1)
-        return real_probe(*args)
+    def counted_probe(table, joined_rows, slot_keys):
+        output = real_probe(table, joined_rows, slot_keys)
+        probes.append((len(joined_rows), len(output)))
+        return output
 
-    def checked_execute(self, batch, prepared):
-        live_nodes = 0
-        joined_rows = {(): None}  # prefix -> its joined rows (None: nothing joined yet)
-        for combination in batch.combinations():
-            for depth in range(len(combination)):
-                prefix = combination[: depth + 1]
-                if prefix in joined_rows:
-                    continue
-                above = joined_rows[prefix[:-1]]
-                if depth == 0:
-                    joined_rows[prefix] = list(zip(prepared[prefix[0]].rows))
-                elif above:
-                    live_nodes += 1
-                    slot_keys, build_columns = self._step_keys[depth - 1]
-                    table = prepared[prefix[-1]].hash_table(build_columns)
-                    joined_rows[prefix] = real_probe(table, above, slot_keys)
-                else:
-                    joined_rows[prefix] = []
-        before = len(probes)
-        results = real_execute(self, batch, prepared)
-        checked.append((len(probes) - before, live_nodes, batch.num_pending, len(batch.flags)))
+    def checked_execute(self, batch, prepared, tables):
+        nothing_pending = Batch(batch.lists, batch.ids, bytes(len(batch.ids)))
+        assert real_execute(self, nothing_pending, prepared, tables) == [] and not probes
+        results = real_execute(self, batch, prepared, tables)
+        assert len(probes) <= len(self.plan.steps) - 1
+        # ``prepared`` holds the segments of pending combinations only.
+        first = sum(len(prepared[s].rows) for s in batch.lists[0] if s in prepared)
+        rows_out = [first] + [rows for _, rows in probes]
+        assert all(rows_in <= above for (rows_in, _), above in zip(probes, rows_out))
+        checked.append((len(probes), batch.num_pending, len(batch.flags)))
+        probes.clear()
         return results
 
     monkeypatch.setattr(njoin, "probe_hash_table", counted_probe)
     monkeypatch.setattr(njoin.NAryJoin, "execute_batch", checked_execute)
     manager = _feed(lambda _filename, _name: None, shuffle_seed)
-    assert sum(pending for _, _, pending, _ in checked) == manager.tracker.num_executed == 96
-    assert sum(pending < total for _, _, pending, total in checked) == batches_with_holes
-    assert sum(probed for probed, _, _, _ in checked) > 0
-    for probed, live_nodes, _pending, _total in checked:
-        assert probed <= live_nodes
+    assert sum(pending for _, pending, _ in checked) == manager.tracker.num_executed == 96
+    assert sum(pending < total for _, pending, total in checked) == batches_with_holes
+    assert sum(probed for probed, _, _ in checked) > 0

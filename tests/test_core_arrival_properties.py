@@ -2,11 +2,13 @@
 
 Three equivalences the arrival path rests on:
 
-* the batch walk returns, for the subplans of a batch that produce rows,
-  exactly the rows the single-subplan reference ``execute_ordered`` returns
-  (same rows, same order — Skipper sums floats in arrival order) and leaves
-  out only subplans whose reference is empty, and the batch's cache
-  accounting equals one ``get`` per segment of each pending combination;
+* the one-probe-per-level batch join returns, for the subplans of a batch
+  that produce rows, exactly the rows the single-subplan reference
+  ``execute_ordered`` returns (same rows, same order — Skipper sums floats in
+  arrival order) and leaves out only subplans whose reference is empty; the
+  per-relation hash tables it probes hold, after every arrival, exactly the
+  segments then cached; and the batch's cache accounting equals one ``get``
+  per segment of each pending combination;
 * the arithmetic subplan tracker answers every question exactly like a
   brute-force oracle over ``enumerate_subplans``, through arbitrary
   arrive / evict / prune / re-issue sequences, including one-table,
@@ -35,6 +37,7 @@ from repro.core.mjoin import MJoinStateManager
 from repro.core.subplan import Batch, SubplanTracker, enumerate_subplans
 from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
 from repro.engine.executor import canonical_rows
+from repro.engine.operators.hash_join import build_hash_table
 from repro.engine.predicate import col, lt
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.exceptions import QueryError
@@ -43,7 +46,7 @@ _POLICIES = [MaxProgressEviction, MaxPendingSubplansEviction, LRUEviction, FIFOE
 
 
 # --------------------------------------------------------------------- #
-# (a) Batch walk == per-subplan reference, cache accounting == per-get
+# (a) Batch join == per-subplan reference, cache accounting == per-get
 # --------------------------------------------------------------------- #
 @st.composite
 def chain_joins(draw):
@@ -60,7 +63,9 @@ def chain_joins(draw):
                 Column(f"{name}_v", DataType.FLOAT),
             ],
         )
-        keys = st.integers(min_value=0, max_value=2)
+        # Few distinct keys, so they repeat within and across segments, and
+        # NULLs, which join nothing and sit in no hash table.
+        keys = st.sampled_from([0, 1, 2, None])
         # Multiples of 2**-10 below 2**10: every partial sum is exact, so the
         # float ``sum`` is the same in arrival order (Skipper) and scan order
         # (the in-memory reference) and the oracle can stay strict equality.
@@ -94,6 +99,35 @@ def chain_joins(draw):
     )
     objects = [segment_id for name in names for segment_id in catalog.segment_ids(name)]
     return catalog, query, draw(st.permutations(objects))
+
+
+def _per_segment(table):
+    """A hash table's matches grouped per segment: key → offset → the
+    ``(row identity, offset)`` of its matches, in bucket order."""
+    grouped = {}
+    for key, matches in table.items():
+        assert matches, f"an empty bucket was left behind under key {key!r}"
+        for row, offset in matches:
+            grouped.setdefault(key, {}).setdefault(offset, []).append((id(row), offset))
+    return grouped
+
+
+def _assert_relation_tables_hold_the_cached_segments(manager):
+    """Every relation table equals ``build_hash_table`` over the rows of the
+    currently cached segments of its position, segment by segment."""
+    steps = manager.plan.steps[1:]
+    assert list(manager.relation_tables) == [step.table for step in steps]
+    cached = [entry.payload for entry in manager.cache.objects()]
+    for step in steps:
+        key_columns = [condition.column_for(step.table) for condition in step.conditions]
+        rebuilt = {}
+        for segment in cached:
+            if segment.table_name == step.table:
+                for key, matches in build_hash_table(segment.rows, key_columns).items():
+                    rebuilt.setdefault(key, {})[segment.offset] = [
+                        (id(row), segment.offset) for (row,) in matches
+                    ]
+        assert _per_segment(manager.relation_tables[step.table]) == rebuilt
 
 
 class TestBatchWalkEquivalence:
@@ -135,8 +169,8 @@ class TestBatchWalkEquivalence:
             )
             return payloads
 
-        def checked_execute_batch(batch, prepared):
-            results = real_execute_batch(batch, prepared)
+        def checked_execute_batch(batch, prepared, tables):
+            results = real_execute_batch(batch, prepared, tables)
             references = [
                 njoin.execute_ordered([prepared[segment_id] for segment_id in combination])
                 for combination in batch.combinations()
@@ -155,6 +189,7 @@ class TestBatchWalkEquivalence:
                 break
             for segment_id in requests:
                 manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
+                _assert_relation_tables_hold_the_cached_segments(manager)
             requests = manager.next_cycle_requests()
         if manager.is_complete():
             assert manager.tracker.num_executed == sum(batches)

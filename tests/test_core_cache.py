@@ -90,21 +90,15 @@ class TestObjectCache:
         with pytest.raises(CacheError):
             ObjectCache(1).evict("x.0", tracker)
 
-    def test_remove_is_idempotent(self):
-        cache = ObjectCache(2)
-        cache.add("x.0", 1)
-        cache.remove("x.0")
-        cache.remove("x.0")
-        assert "x.0" not in cache
-
     def test_eviction_updates_counters(self, tracker):
         cache = ObjectCache(2, policy=FIFOEviction())
         cache.add("lineitem.0", 1)
         cache.add("lineitem.1", 2)
         victim = cache.evict("lineitem.2", tracker)
-        assert victim == "lineitem.0"
+        # The removed entry comes back, payload and all.
+        assert (victim.segment_id, victim.payload) == ("lineitem.0", 1)
         assert cache.num_evictions == 1
-        assert len(cache) == 1
+        assert len(cache) == 1 and "lineitem.0" not in cache
 
 
 class TestEvictionPolicies:
@@ -113,7 +107,7 @@ class TestEvictionPolicies:
         for segment_id in ("orders.0", "lineitem.0", "lineitem.1"):
             cache.add(segment_id, segment_id)
         cache.get("orders.0")  # touching must not matter for FIFO
-        assert cache.evict("lineitem.2", tracker) == "orders.0"
+        assert cache.evict("lineitem.2", tracker).segment_id == "orders.0"
 
     def test_lru_evicts_least_recently_used(self, tracker):
         cache = ObjectCache(3, policy=LRUEviction())
@@ -121,7 +115,7 @@ class TestEvictionPolicies:
             cache.add(segment_id, segment_id)
         cache.get("orders.0")
         cache.get("lineitem.1")
-        assert cache.evict("lineitem.2", tracker) == "lineitem.0"
+        assert cache.evict("lineitem.2", tracker).segment_id == "lineitem.0"
 
     def test_max_pending_evicts_least_popular_object(self, tracker, tiny_tpch_catalog):
         # orders.* objects participate in more pending subplans than
@@ -131,7 +125,7 @@ class TestEvictionPolicies:
         cache.add("orders.0", 1)
         cache.add("orders.1", 1)
         cache.add("lineitem.0", 1)
-        assert cache.evict("lineitem.1", tracker) == "lineitem.0"
+        assert cache.evict("lineitem.1", tracker).segment_id == "lineitem.0"
 
     def test_max_progress_prefers_objects_enabling_no_progress(self, tracker):
         cache = ObjectCache(3, policy=MaxProgressEviction())
@@ -141,7 +135,7 @@ class TestEvictionPolicies:
         # Execute every subplan touching lineitem.0 so it can enable nothing.
         for subplan in tracker.newly_runnable({"orders.0", "orders.1"}, "lineitem.0"):
             tracker.mark_executed(subplan)
-        assert cache.evict("lineitem.1", tracker) == "lineitem.0"
+        assert cache.evict("lineitem.1", tracker).segment_id == "lineitem.0"
 
     def test_max_progress_paper_example(self):
         """The Section 4.2 example: C.3 is the right victim, never B.1."""
@@ -173,7 +167,7 @@ class TestEvictionPolicies:
         cache = ObjectCache(4, policy=MaxProgressEviction())
         for segment_id in ("a.0", "b.0", "a.1", "c.1"):
             cache.add(segment_id, segment_id)
-        assert cache.evict("c.0", tracker) == "c.1"
+        assert cache.evict("c.0", tracker).segment_id == "c.1"
 
     def test_policies_only_return_cached_victims(self, tracker):
         for policy in (
@@ -186,4 +180,4 @@ class TestEvictionPolicies:
             cache.add("orders.0", 1)
             cache.add("lineitem.0", 1)
             victim = cache.evict("lineitem.1", tracker)
-            assert victim in {"orders.0", "lineitem.0"}
+            assert victim.segment_id in {"orders.0", "lineitem.0"}

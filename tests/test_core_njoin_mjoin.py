@@ -6,13 +6,20 @@ in-memory executor — the core correctness property of out-of-order execution.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import MaxProgressEviction, ObjectCache
+from repro.core.cache import (
+    FIFOEviction,
+    LRUEviction,
+    MaxPendingSubplansEviction,
+    MaxProgressEviction,
+    ObjectCache,
+)
 from repro.core.mjoin import MJoinStateManager
 from repro.core.njoin import NAryJoin, PreparedSegment, prepare_segment
 from repro.core.subplan import Batch
@@ -26,6 +33,9 @@ from repro.exceptions import CacheError, ExecutionError
 from repro.workloads import ssb, tpch
 
 
+_POLICIES = [MaxProgressEviction, MaxPendingSubplansEviction, LRUEviction, FIFOEviction]
+
+
 def _expected_rows(catalog, query):
     return canonical_rows(InMemoryExecutor(catalog).execute(query).rows)
 
@@ -37,13 +47,23 @@ def _all_segment_ids(catalog, query):
     return ids
 
 
-def _run_state_manager(catalog, query, cache_capacity, arrival_order=None, enable_pruning=True):
-    cache = ObjectCache(cache_capacity, policy=MaxProgressEviction())
+def _run_state_manager(
+    catalog,
+    query,
+    cache_capacity,
+    arrival_order=None,
+    enable_pruning=True,
+    policy=MaxProgressEviction,
+    max_cycles=None,
+):
+    """Feed the state manager until it asks for nothing more (or, for a policy
+    that may thrash at this capacity, for ``max_cycles`` request cycles)."""
+    cache = ObjectCache(cache_capacity, policy=policy())
     manager = MJoinStateManager(query, catalog, cache, enable_pruning=enable_pruning)
     requests = manager.initial_requests()
     if arrival_order is not None:
         requests = list(arrival_order)
-    while requests:
+    while requests and manager.cycles_completed != max_cycles:
         for segment_id in requests:
             manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
         requests = manager.next_cycle_requests()
@@ -370,21 +390,26 @@ class TestJoinKernelProperties:
             for position, rows in enumerate(tables)
         ]
         assert repr(njoin.execute_ordered(whole, stats)) == repr(intermediates[-1])
-        # The walk stops probing at the first empty intermediate.
+        # The chain stops probing at the first empty intermediate.
         probed = list(itertools.takewhile(bool, map(len, intermediates[:-1])))
         assert stats == OperatorStats(
             tuples_probed=sum(probed), tuples_output=len(intermediates[-1])
         )
 
         # The same tables cut into segments (an empty table is one empty
-        # segment), and a sorted batch that skips combinations.
+        # segment), and a sorted batch that skips combinations.  A subplan id
+        # is the combination's rank in the product, so a segment's offset is
+        # its index times the product of the widths after its table.
+        cuts = [range(0, max(len(rows), 1), rows_per_segment) for rows in tables]
         segments = [
             [
-                PreparedSegment(f"t{position}.{index}", f"t{position}", rows[start:stop])
-                for index, (start, stop) in enumerate(
-                    (start, start + rows_per_segment)
-                    for start in range(0, max(len(rows), 1), rows_per_segment)
+                PreparedSegment(
+                    f"t{position}.{index}",
+                    f"t{position}",
+                    rows[start : start + rows_per_segment],
+                    offset=index * math.prod(map(len, cuts[position + 1 :])),
                 )
+                for index, start in enumerate(cuts[position])
             ]
             for position, rows in enumerate(tables)
         ]
@@ -398,8 +423,15 @@ class TestJoinKernelProperties:
             _chain_fold([prepared[segment_id].rows for segment_id in combination], steps)[-1]
             for combination in batch.combinations()
         ]
+        # Merged in reverse: a relation table may hold its segments in any order.
+        relation_tables = njoin.relation_tables()
+        for segment in reversed(list(prepared.values())):
+            if segment.table_name != "t0":
+                njoin.merge(relation_tables[segment.table_name], segment)
         # Only the subplans with rows come back, in id order.
-        assert repr(njoin.execute_batch(batch, prepared)) == repr(list(filter(None, expected)))
+        assert repr(njoin.execute_batch(batch, prepared, relation_tables)) == repr(
+            list(filter(None, expected))
+        )
 
     @pytest.mark.parametrize("surviving", [True, False])
     def test_conflicting_duplicate_columns_fail_where_rows_are_materialised(self, surviving):
@@ -429,7 +461,12 @@ class TestJoinKernelProperties:
         calls = [
             top.rows,
             lambda: njoin.execute_ordered(whole),
-            lambda: sum(njoin.execute_batch(Batch([[i] for i in ids], [0], b"\x01"), prepared), []),
+            lambda: sum(
+                njoin.execute_batch(
+                    Batch([[i] for i in ids], [0], b"\x01"), prepared, njoin.relation_tables()
+                ),
+                [],
+            ),
         ]
         for call in calls:
             if surviving:
@@ -463,8 +500,11 @@ class TestWitnesses:
     so "MJoin returns exactly the pull-based answer" can be checked one level
     below the aggregates: the witnesses the pull-based tree materialises are
     the union over the subplans MJoin executes, whatever order the objects
-    arrive in and with the smallest cache that can make progress (one object
-    per table).  None is lost to an eviction, none produced by two subplans."""
+    arrive in, whichever policy picks the victims and from the smallest cache
+    that can make progress (one object per table) to one that never evicts.
+    None is lost to an eviction — which takes the victim's matches out of its
+    relation's hash table — and none produced twice, by two subplans or by a
+    re-fetched object merged in beside its former self."""
 
     @pytest.mark.parametrize("scale", ["tiny", "small"])
     @pytest.mark.parametrize(
@@ -480,6 +520,8 @@ class TestWitnesses:
         query = workload.query(name)
         InMemoryExecutor(catalog).execute(query)
         expected = _witnesses(materialised)
+        # Base rows are distinct, so "the same multiset" is "each exactly once".
+        assert set(expected.values()) <= {1}
         # A single-table query joins nothing: no witnesses on either side.  At
         # ``tiny`` the filters of TPC-H Q3 and SSB Q2.1 leave no joined row either.
         if scale == "small":
@@ -488,13 +530,34 @@ class TestWitnesses:
         scan_order = _all_segment_ids(catalog, query)
         shuffled = list(scan_order)
         random.Random(20).shuffle(shuffled)
-        for arrival_order in (scan_order, scan_order[::-1], shuffled):
+        capacities = (len(query.tables), len(query.tables) + 2, len(scan_order))
+        evictions = 0
+        for policy, capacity, arrival_order in itertools.product(
+            _POLICIES, capacities, (scan_order, scan_order[::-1], shuffled)
+        ):
             materialised.clear()
-            manager = _run_state_manager(catalog, query, len(query.tables), arrival_order)
-            assert manager.is_complete()
-            assert _witnesses(materialised) == expected
+            # Only max-progress is sure to finish from a cache it has to evict
+            # from; the others may thrash, and are held to "no witness twice,
+            # none made up" over the progress ten request cycles bring them.
+            max_cycles = None if policy is MaxProgressEviction else 10
+            manager = _run_state_manager(
+                catalog, query, capacity, arrival_order, policy=policy, max_cycles=max_cycles
+            )
+            case = (policy.name, capacity)
+            unbounded = capacity == len(scan_order)
+            evictions += manager.cache.num_evictions
+            assert not (unbounded and manager.cache.num_evictions)
+            if unbounded or policy is MaxProgressEviction:
+                assert manager.is_complete(), case
+            witnesses = _witnesses(materialised)
+            if manager.is_complete():
+                assert witnesses == expected, case
+            else:
+                assert witnesses <= expected, case
             if expected:  # one row dict per result row, none for an intermediate
                 assert len(materialised) == manager.total_result_rows
+        if scale == "small" and expected:
+            assert evictions  # or no relation table ever lost a segment
 
 
 class TestMJoinStateManager:

@@ -14,7 +14,7 @@ When it trips: a join materialises below the top of its chain.  Diff
 against the parent commit — something calls ``rows()`` on a probe-side join
 or wraps one in an operator that is not a ``HashJoin`` (the planner puts the
 aggregate *above* the chain).  MJoin's side of the same count (one dict per
-result row, none for an intermediate of the batch walk) is asserted by
+result row, none for an intermediate of the batch join) is asserted by
 ``tests/test_core_njoin_mjoin.py::TestWitnesses``.
 """
 

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -81,3 +87,49 @@ class TestGoldenDiffUX:
     def test_matching_report_raises_nothing(self):
         report = ScenarioRunner().run(get_scenario("uniform"))
         assert_matches_golden(report)
+
+
+def _second_interpreter() -> Optional[str]:
+    """A CPython of another minor version than the one running the tests
+    that starts here (a version manager's shim may exist and run nothing)."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(9, 16)]
+    candidates.append("/root/miniconda/bin/python3.13")
+    for candidate in candidates:
+        if candidate is None or not os.path.exists(candidate):
+            continue
+        try:
+            probe = subprocess.run(  # repro: noqa[RPR105] reason=asks a host interpreter for its version, outside any simulation
+                [candidate, "-c", "import sys; print(*sys.version_info[:2])"],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except OSError:
+            continue
+        if probe.returncode == 0 and probe.stdout.split() != [
+            str(sys.version_info[0]),
+            str(sys.version_info[1]),
+        ]:
+            return candidate
+    return None
+
+
+class TestSecondInterpreter:
+    def test_goldens_hold_under_another_cpython(self):
+        """The goldens are byte-exact, float digests included, so they hold
+        only if nothing on the way leans on one CPython's dict, sort or
+        hashing behaviour; the standard library is all the check needs."""
+        interpreter = _second_interpreter()
+        if interpreter is None:
+            pytest.skip("no second Python interpreter on this machine")
+        root = Path(__file__).resolve().parent.parent
+        check = subprocess.run(  # repro: noqa[RPR105] reason=the golden check must run in another interpreter's process
+            [interpreter, "-m", "repro.scenarios", "--check", "--jobs", "2"],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert check.returncode == 0, check.stdout + check.stderr
+        assert f"checked {len(scenario_names())} scenarios" in check.stdout

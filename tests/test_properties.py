@@ -96,7 +96,7 @@ class TestCacheInvariants:
                 continue
             if cache.is_full:
                 victim = cache.evict(segment_id, tracker)
-                assert victim not in cache
+                assert victim.segment_id not in cache
             cache.add(segment_id, segment_id)
             assert len(cache) <= capacity
         assert cache.num_insertions == len({a for a in arrivals})

@@ -250,3 +250,60 @@ def test_store_get_before_put_resolves_on_put():
     store.put("ready")
     env.run()
     assert results == [(0.0, "ready")]
+
+
+def test_all_of_nothing_succeeds_with_an_empty_list():
+    env = Environment()
+
+    def waiter(env):
+        values = yield env.all_of([])
+        return (env.now, values)
+
+    waiter_proc = env.process(waiter(env))
+    env.run()
+    assert waiter_proc.value == (0.0, [])
+
+
+def test_any_of_nothing_is_an_error():
+    with pytest.raises(SimulationError, match="at least one event"):
+        Environment().any_of([])
+
+
+def test_any_of_fails_with_the_exception_of_a_failed_child():
+    env = Environment()
+    broken = env.event()
+    error = ValueError("boom")
+
+    def waiter(env):
+        try:
+            yield env.any_of([env.timeout(5.0, "slow"), broken])
+        except ValueError as exc:
+            return (env.now, exc)
+
+    waiter_proc = env.process(waiter(env))
+    env.timeout(1.0).add_callback(lambda _event: broken.fail(error))
+    env.run()
+    assert waiter_proc.value == (1.0, error)
+
+
+def test_yielding_a_dispatched_event_resumes_through_the_queue():
+    """An event whose waiters were already woken is delivered to a late
+    waiter by scheduling it again, never by calling the waiter back on the
+    spot: what else is queued for that instant keeps its turn."""
+    env = Environment()
+    done = env.event().succeed("payload")
+    env.run()
+    assert env.dispatched == 1  # ``done`` went out with nobody waiting
+    order = []
+
+    def late_waiter(env):
+        order.append("yielding")
+        value = yield done
+        order.append(("resumed", value))
+
+    env.process(late_waiter(env))
+    env.event().succeed().add_callback(lambda _event: order.append("queued first"))
+    env.step()  # the bootstrap: the generator runs up to its yield
+    assert order == ["yielding"]
+    env.run()
+    assert order == ["yielding", "queued first", ("resumed", "payload")]

@@ -692,7 +692,7 @@ def test_one_interval_record_one_interval_algebra_one_roster():
 
 def test_one_batch_representation_on_the_arrival_path():
     """A runnable batch stays the product it is (``core/subplan.py``'s
-    ``Batch``) from the tracker to the retire: the cache, the join walk and
+    ``Batch``) from the tracker to the retire: the cache, the batch join and
     the state manager never flatten it into segment tuples to chain or count
     them, the one count of segment occurrences is ``Batch.tallies``, and the
     ``(ids, combinations)`` pair it replaced has no alias left."""
