@@ -67,7 +67,7 @@ class ClientProxy:
         for segment_id in segment_ids:
             object_key = f"{client_id}/{segment_id}"
             completion = Event(env, object_key)
-            completion._callbacks.append(on_complete)
+            completion.callbacks.append(on_complete)
             requests.append(GetRequest(object_key, client_id, query_id, completion))
         self.device.submit_many(requests)
         self.requests_issued += len(requests)
@@ -77,4 +77,4 @@ class ClientProxy:
         ``tenant/`` prefix (one shared callback instead of a closure per
         request)."""
         self.requests_completed += 1
-        self.arrivals.put((event.name[self._prefix_length :], event._value))
+        self.arrivals.put((event.name[self._prefix_length :], event.value))

@@ -115,7 +115,7 @@ class QueryRun:
     def _record(self, name: str, kind: str, start: float, **attrs: Any) -> None:
         """One finished span on this client's track (traced runs only)."""
         self.tracer.record_span(
-            name, kind, self.proxy.client_id, start, self.env._now, self.span, **attrs
+            name, kind, self.proxy.client_id, start, self.env.now, self.span, **attrs
         )
 
     def charge(
@@ -125,7 +125,7 @@ class QueryRun:
         if seconds <= 0:
             return
         self.processing_time += seconds
-        start = self.env._now
+        start = self.env.now
         yield Timeout(self.env, seconds)
         if self.span is not None:
             self._record(name, "compute", start, **attrs)
@@ -144,9 +144,9 @@ class QueryRun:
         next_arrival = self.proxy.arrivals.get
         blocked = self.blocked
         for _ in range(count):
-            wait_start = env._now
+            wait_start = env.now
             segment_id, payload = yield next_arrival()
-            now = env._now
+            now = env.now
             if now > wait_start:
                 blocked.append((wait_start, now))
                 if self.span is not None:
@@ -178,15 +178,15 @@ class QueryRun:
         for segment_id in segment_ids:
             if overhead_seconds > 0:
                 self.processing_time += overhead_seconds
-                start = env._now
+                start = env.now
                 yield Timeout(env, overhead_seconds)
                 if self.span is not None:
                     self._record("request-overhead", "compute", start, requests=1)
             request_objects((segment_id,), self.query_id)
             self.num_requests += 1
-            wait_start = env._now
+            wait_start = env.now
             arrived_id, payload = yield next_arrival()
-            now = env._now
+            now = env.now
             if now > wait_start:
                 blocked.append((wait_start, now))
                 if self.span is not None:

@@ -29,7 +29,7 @@ from repro.csd.object_store import ObjectStore, split_object_key
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import ConfigurationError, StorageError
-from repro.obs import NULL_TRACER, CounterView, MetricsRegistry
+from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sim import Environment, Store, Timeout
 
 
@@ -131,84 +131,44 @@ _tuple_new = tuple.__new__
 
 
 class DeviceStats:
-    """Aggregate device counters, registered as ``device.<name>.*`` metrics.
+    """Aggregate device counters: plain numbers, bumped in place by the device.
 
-    Each counter is a :class:`~repro.obs.metrics.Counter` in the (shared or
-    private) :class:`~repro.obs.metrics.MetricsRegistry`, so the same values
-    the device maintains on its hot path are what registry snapshots export.
-    Each is also readable and writable as a plain number through a
-    :class:`~repro.obs.metrics.CounterView` of the same name.
+    A device built with a :class:`~repro.obs.metrics.MetricsRegistry`
+    publishes :data:`COUNTERS` as ``device.<name>.*``; reports, the invariant
+    checker and the registry all read these same attributes.
     """
 
-    objects_served = CounterView()
-    group_switches = CounterView()
-    requests_received = CounterView()
-    migration_jobs = CounterView()
-    migration_seconds = CounterView()
-    migration_interference_seconds = CounterView()
-    migration_deferrals = CounterView()
-
-    __slots__ = (
-        "metrics",
-        "objects_per_client",
-        "_objects_served",
-        "_group_switches",
-        "_requests_received",
-        "_migration_jobs",
-        "_migration_seconds",
-        "_migration_interference_seconds",
-        "_migration_deferrals",
+    #: The numeric fields, in the order :meth:`absorb` sums them.
+    COUNTERS = (
+        "objects_served",
+        "group_switches",
+        "requests_received",
+        "migration_jobs",
+        "migration_seconds",
+        "migration_interference_seconds",
+        "migration_deferrals",
     )
 
-    def __init__(
-        self, name: str = "csd0", metrics: Optional[MetricsRegistry] = None
-    ) -> None:
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = registry
-        prefix = f"device.{name}"
-        self._objects_served = registry.counter(f"{prefix}.objects_served")
-        self._group_switches = registry.counter(f"{prefix}.group_switches")
-        self._requests_received = registry.counter(f"{prefix}.requests_received")
+    __slots__ = COUNTERS + ("objects_per_client",)
+
+    def __init__(self) -> None:
+        self.objects_served = 0
+        self.group_switches = 0
+        self.requests_received = 0
         #: Rebalancing I/O performed by this device (reads + writes of
         #: migrating objects), and the share done while foreground waited.
-        self._migration_jobs = registry.counter(f"{prefix}.migration_jobs")
-        self._migration_seconds = registry.counter(f"{prefix}.migration_seconds", 0.0)
-        self._migration_interference_seconds = registry.counter(
-            f"{prefix}.migration_interference_seconds", 0.0
-        )
+        self.migration_jobs = 0
+        self.migration_seconds = 0.0
+        self.migration_interference_seconds = 0.0
         #: Times a queued migration job was set aside for foreground queries
         #: because the throttle's token bucket was empty.
-        self._migration_deferrals = registry.counter(f"{prefix}.migration_deferrals")
+        self.migration_deferrals = 0
         self.objects_per_client: Dict[str, int] = {}
-
-    # -- hot-path recording (counters bumped directly: these run once per
-    # request and ``Counter.inc``'s negative-amount guard is dead weight for
-    # a constant +1) ---------------------------------------------------- #
-    def record_served(self, client_id: str) -> None:
-        self._objects_served.value += 1
-        self.objects_per_client[client_id] = self.objects_per_client.get(client_id, 0) + 1
-
-    def record_switch(self) -> None:
-        self._group_switches.value += 1
-
-    def record_migration(self, seconds: float, interfered: bool) -> None:
-        self._migration_jobs.inc()
-        self._migration_seconds.inc(seconds)
-        if interfered:
-            self._migration_interference_seconds.inc(seconds)
-
-    def record_deferral(self) -> None:
-        self._migration_deferrals.inc()
 
     def absorb(self, other: DeviceStats) -> None:
         """Add another device's counters into this aggregate."""
-        self._objects_served.inc(other.objects_served)
-        self._group_switches.inc(other.group_switches)
-        self._requests_received.inc(other.requests_received)
-        self._migration_jobs.inc(other.migration_jobs)
-        self._migration_seconds.inc(other.migration_seconds)
-        self._migration_interference_seconds.inc(other.migration_interference_seconds)
-        self._migration_deferrals.inc(other.migration_deferrals)
+        for field in self.COUNTERS:
+            setattr(self, field, getattr(self, field) + getattr(other, field))
         for client_id, count in other.objects_per_client.items():
             self.objects_per_client[client_id] = (
                 self.objects_per_client.get(client_id, 0) + count
@@ -248,7 +208,12 @@ class ColdStorageDevice:
         self.current_group: Optional[int] = None
         #: Every switch, transfer and migration I/O, in completion order.
         self.busy_intervals: List[BusyInterval] = []
-        self.stats = DeviceStats(name=name, metrics=metrics)
+        self.stats = DeviceStats()
+        if metrics is not None:
+            metrics.publish(f"device.{name}", self.stats, DeviceStats.COUNTERS)
+            metrics.publish(
+                f"device.{name}.scheduler", scheduler, ("num_switches", "max_waiting_seen")
+            )
         self._client_busy_until: Dict[str, float] = {}
         self._inflight = 0
         self._drained_event = None
@@ -297,7 +262,7 @@ class ColdStorageDevice:
         can validate every device's slice of a batch before any of them is
         enqueued.
         """
-        now = self.env._now
+        now = self.env.now
         for request in requests:
             request.issue_time = now
         if self.tracer.enabled:
@@ -384,7 +349,7 @@ class ColdStorageDevice:
                 group = self.layout.group_of(item.object_key)
             add_request(item, group)
             received += 1
-        self.stats._requests_received.value += received
+        self.stats.requests_received += received
 
     def _drain_inbox(self) -> None:
         """Register everything queued in the inbox (a query's whole up-front
@@ -405,10 +370,10 @@ class ColdStorageDevice:
                     # One rebalancing read/write: one timeout, no per-job generator.
                     job = self._admin_jobs.popleft()
                     interfered = scheduler.has_pending()
-                    start = env._now
+                    start = env.now
                     if job.seconds > 0:
                         yield Timeout(env, job.seconds)
-                    self._finish_migration(job, start, env._now, interfered)
+                    self._finish_migration(job, start, env.now, interfered)
                     continue
                 if not scheduler.has_pending():
                     # Idle apart from throttled migration work: wait for the
@@ -429,7 +394,7 @@ class ColdStorageDevice:
                 # No tokens and queries are waiting: defer the migration I/O
                 # and serve foreground work first — the interleaving a
                 # strict-priority rebalance denies.
-                self.stats.record_deferral()
+                self.stats.migration_deferrals += 1
             if not scheduler.has_pending():
                 request = yield inbox.get()
                 self._register((request,))
@@ -447,14 +412,14 @@ class ColdStorageDevice:
                     self._drained_event = env.event(name="csd-drained")
                     yield self._drained_event
                     self._drain_inbox()
-                start = env._now
+                start = env.now
                 if self.config.group_switch_seconds > 0:
                     yield Timeout(env, self.config.group_switch_seconds)
                 self.busy_intervals.append(
-                    _tuple_new(BusyInterval, (start, env._now, "switch", group, None, None, None))
+                    _tuple_new(BusyInterval, (start, env.now, "switch", group, None, None, None))
                 )
                 self.current_group = group
-                self.stats.record_switch()
+                self.stats.group_switches += 1
                 scheduler.notify_switch(group)
                 self._drain_inbox()
 
@@ -472,10 +437,10 @@ class ColdStorageDevice:
                     # Serialized middleware (the paper's CSD), served inline:
                     # one timeout and one completion per object, no
                     # per-object generator.
-                    start = env._now
+                    start = env.now
                     if transfer_seconds > 0:
                         yield Timeout(env, transfer_seconds)
-                    self._complete(request, group, start, env._now)
+                    self._complete(request, group, start, env.now)
                 # An idle device must not pin the last request it served
                 # (nor, through its completion, the payload).
                 request = None
@@ -513,7 +478,12 @@ class ColdStorageDevice:
                 (start, end, "migration", -1 if group is None else group, tenant, query_id, key),
             )
         )
-        self.stats.record_migration(end - start, interfered)
+        stats = self.stats
+        seconds = end - start
+        stats.migration_jobs += 1
+        stats.migration_seconds += seconds
+        if interfered:
+            stats.migration_interference_seconds += seconds
         if job.notify is not None:
             job.notify(job, start, end, interfered)
 
@@ -543,14 +513,18 @@ class ColdStorageDevice:
             drained.succeed(None)
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
+        client_id = request.client_id
         self.busy_intervals.append(
             _tuple_new(
                 BusyInterval,
-                (start, end, "transfer", group, request.client_id, request.query_id, request.object_key),
+                (start, end, "transfer", group, client_id, request.query_id, request.object_key),
             )
         )
         request.group_id = group
         request.complete_time = end
-        self.stats.record_served(request.client_id)
+        stats = self.stats
+        stats.objects_served += 1
+        per_client = stats.objects_per_client
+        per_client[client_id] = per_client.get(client_id, 0) + 1
         payload = self.object_store.get(request.object_key)
         request.completion.succeed(payload)

@@ -143,9 +143,9 @@ class FleetController:
         # dead device performs no further reads or writes, ever).
         stats = self.router.stats
         drained = self.router.drain_pending(member)
-        stats._failed_over.inc(len(drained))
+        stats.failed_over += len(drained)
         if member.device is not None:
-            stats._dropped_migration_jobs.inc(len(member.device.drain_migration_jobs()))
+            stats.dropped_migration_jobs += len(member.device.drain_migration_jobs())
         if self.spec.repair and self.membership.replication >= 2:
             # Read-repair: re-place over the survivors and re-create the dead
             # device's replicas from live sources, so the fleet returns to R
@@ -184,7 +184,7 @@ class FleetController:
         # drained requests land on their new owners; the in-flight transfer
         # (if any) completes on the leaver, exactly like fail-stop drains.
         drained = self.router.drain_pending(member)
-        self.router.stats._handed_off.inc(len(drained))
+        self.router.stats.handed_off += len(drained)
         self._rebalance("leave", member.device_id)
         self.router.submit_many(drained)
 

@@ -175,7 +175,7 @@ def routing_metrics(controller: FleetController) -> Dict[str, object]:
                 member.latency_sum / completed if completed else None
             ),
         }
-    samples = router.stats.request_latency.samples
+    samples = router.stats.request_latency
     request_latency: Dict[str, object] = {
         "count": len(samples),
         "mean": mean(samples),

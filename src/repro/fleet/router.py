@@ -56,7 +56,7 @@ from repro.exceptions import FleetError, StorageError
 from repro.fleet.membership import FleetMember, FleetMembership
 from repro.fleet.placement import ConsistentHashPlacement
 from repro.fleet.spec import FleetSpec
-from repro.obs import NULL_TRACER, CounterView, MetricsRegistry
+from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sim import Environment, Event
 
 SchedulerFactory = Callable[[], IOScheduler]
@@ -69,52 +69,38 @@ _END_THEN_START = attrgetter("end", "start")
 
 
 class FleetRouterStats:
-    """Fleet-wide counters, registered as ``router.*`` metrics.
-
-    The values live in the (shared or private)
-    :class:`~repro.obs.metrics.MetricsRegistry`; report code and tests read
-    and write them as plain numbers through the
-    :class:`~repro.obs.metrics.CounterView` attributes.
+    """Fleet-wide counters: plain numbers, bumped in place by the router and
+    the controller.  A router built with a
+    :class:`~repro.obs.metrics.MetricsRegistry` publishes them as ``router.*``.
     """
 
-    requests_routed = CounterView()
-    failed_over = CounterView()
-    handed_off = CounterView()
-    dropped_migration_jobs = CounterView()
-    choice_primary = CounterView()
-    choice_diverted = CounterView()
-
     __slots__ = (
-        "metrics",
-        "_requests_routed",
-        "_failed_over",
-        "_handed_off",
-        "_dropped_migration_jobs",
-        "_choice_primary",
-        "_choice_diverted",
+        "requests_routed",
+        "failed_over",
+        "handed_off",
+        "dropped_migration_jobs",
+        "choice_primary",
+        "choice_diverted",
         "request_latency",
     )
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = registry
-        self._requests_routed = registry.counter("router.requests_routed")
-        self._failed_over = registry.counter("router.failed_over_requests")
+    def __init__(self) -> None:
+        self.requests_routed = 0
+        self.failed_over = 0
         #: Requests handed off from a gracefully leaving device's queue.
-        self._handed_off = registry.counter("router.handed_off_requests")
+        self.handed_off = 0
         #: Migration jobs withdrawn from a fail-stopped device's queue (a
         #: dead device performs no further I/O, so its pending rebalance
         #: work is dropped uncharged).
-        self._dropped_migration_jobs = registry.counter(
-            "router.dropped_migration_jobs"
-        )
+        self.dropped_migration_jobs = 0
         #: Replica-choice split: requests served by their placement primary
         #: vs diverted to another replica by the replica policy.
-        self._choice_primary = registry.counter("router.replica_choice.primary")
-        self._choice_diverted = registry.counter("router.replica_choice.diverted")
-        #: Fleet-wide routed→completed latency (simulated seconds); its raw
-        #: samples back the p50/p95/p99 figures in the routing report section.
-        self.request_latency = registry.histogram("router.request_latency_seconds")
+        self.choice_primary = 0
+        self.choice_diverted = 0
+        #: Fleet-wide routed→completed latencies (simulated seconds), in
+        #: completion order; they back the p50/p95/p99 figures in the
+        #: routing report section.
+        self.request_latency: List[float] = []
 
 
 class FleetRouter:
@@ -135,10 +121,12 @@ class FleetRouter:
         self.env = env
         self.object_store = object_store
         self.spec = fleet_spec
-        #: Registry shared with the devices (``None`` = each its own).
+        #: Catalogue the router and its devices publish into (``None`` = none).
         self._metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.stats = FleetRouterStats(metrics)
+        self.stats = FleetRouterStats()
+        if metrics is not None:
+            metrics.publish("router", self.stats, FleetRouterStats.__slots__)
         self.layout_policy = layout_policy
         self.scheduler_factory = scheduler_factory
         #: Epoch-versioned roster: who is in the fleet, with which config.
@@ -290,7 +278,7 @@ class FleetRouter:
             for device_id, batch in slices.items():
                 members[device_id].outstanding -= len(batch)
             raise
-        now = self.env._now
+        now = self.env.now
         in_flight = self._in_flight
         on_complete = self._on_complete
         for member, batch in routed:
@@ -303,12 +291,12 @@ class FleetRouter:
                 if request.owner is None:
                     completion = request.completion
                     in_flight[completion] = request
-                    completion._callbacks.append(on_complete)
+                    completion.callbacks.append(on_complete)
                 request.owner = member
         stats = self.stats
-        stats._requests_routed.value += len(requests)
-        stats._choice_primary.value += primary
-        stats._choice_diverted.value += len(requests) - primary
+        stats.requests_routed += len(requests)
+        stats.choice_primary += primary
+        stats.choice_diverted += len(requests) - primary
         if self.tracer.enabled:
             self._trace_routes(requests, routed)
         for member, batch in routed:
@@ -371,10 +359,10 @@ class FleetRouter:
             # Routed→completed latency on the *final* owner (failover
             # re-stamps routed_at, so a re-routed request charges only
             # its last leg — the one this device actually served).
-            latency = self.env._now - request.routed_at
+            latency = self.env.now - request.routed_at
             member.ewma.observe(latency)
             member.latency_sum += latency
-            self.stats.request_latency.observe(latency)
+            self.stats.request_latency.append(latency)
 
     def _choose_replica(self, replicas: Sequence[str], object_key: str) -> FleetMember:
         """The live member of ``replicas`` the replica policy picks right now."""
@@ -441,7 +429,7 @@ class FleetRouter:
     @property
     def device_stats(self) -> DeviceStats:
         """Fleet-wide counters in the single-device stats shape."""
-        combined = DeviceStats(name="fleet")
+        combined = DeviceStats()
         for member in self.members:
             if member.device is not None:
                 combined.absorb(member.device.stats)

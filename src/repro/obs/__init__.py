@@ -1,13 +1,13 @@
-"""Observability: simulated-time tracing and a typed metrics registry.
+"""Observability: simulated-time tracing and the metrics catalogue.
 
-Two independent pieces live here:
+Three independent pieces live here:
 
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of named counters,
-  gauges and fixed-bucket histograms.  Every service component (admission
-  controller, fleet router, devices, migration throttle) registers its
-  counters here instead of keeping ad-hoc integer attributes; the scenario
-  report sections read the same registry values, so the registry is always
-  on and costs exactly what the old attribute counters cost.
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, a catalogue of names
+  over the plain attributes the components bump in place.  A component
+  (admission controller, fleet router, device, scheduler, the kernel)
+  publishes its counters once at construction; reports read the attributes
+  directly and ``service.metrics.to_dict()`` reads the same attributes by
+  name, so the catalogue is always on and costs nothing per event.
 * :mod:`repro.obs.ewma` — a deterministic :class:`Ewma` over simulated-time
   samples; the fleet router keeps one per device for its ``ewma-latency``
   replica policy and the feedback rebalancer.
@@ -26,15 +26,11 @@ CLI.
 """
 
 from repro.obs.ewma import Ewma
-from repro.obs.metrics import Counter, CounterView, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
-    "Counter",
-    "CounterView",
     "Ewma",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",

@@ -1,207 +1,87 @@
-"""A typed metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics catalogue: names over counters that live where they are bumped.
 
-The registry replaces the ad-hoc integer attributes the service components
-used to keep (``stats.objects_served += 1`` and friends) with named metric
-objects.  Components hold direct references to their metric objects, so the
-hot-path cost of an increment is one bound-method call — the registry dict is
-only consulted at construction and snapshot time.
+A counter in this code base is a plain attribute — an ``int``, a ``float``
+or a list of samples — on the component that maintains it
+(``device.stats.objects_served += 1``).  Nothing on a hot path knows about
+this module.  A component that wants its numbers exported *publishes* them
+once, at construction: ``metrics.publish("device.csd0", stats, ("objects_served",
+...))`` files one name per field, and the registry reads
+``getattr(source, field)`` when — and only when — somebody asks for a
+snapshot.  Registering a layer costs one line and nothing per event.
 
 Naming convention (documented in the README): dotted lowercase paths,
-``<component>.<metric>`` with optional entity segments, e.g.
-``admission.tenant.tenant0.rejected``, ``device.csd2.objects_served``,
-``router.requests_routed``.  Identity segments (tenant ids, device ids) are
-used verbatim.
+``<prefix>.<attribute>``, the prefix naming the component and, where there
+are several, the entity: ``device.csd2.objects_served``,
+``admission.tenant.tenant0.rejected``, ``router.requests_routed``.  Identity
+segments (tenant ids, device ids) are used verbatim.
 
-Determinism: every metric value is driven by the simulated run, snapshots
-sort by name, and histograms record samples in observation order — so a
-registry snapshot is byte-identical across reruns of the same spec + seed.
+Determinism: every catalogued value is driven by the simulated run and
+snapshots sort by name, so a snapshot is byte-identical across reruns of
+the same spec + seed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar, Union, cast
+from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 
-Number = Union[int, float]
 
-#: The concrete metric kinds `MetricsRegistry._get` can vend.
-_MetricT = TypeVar("_MetricT", "Counter", "Gauge", "Histogram")
-
-#: Default histogram bucket upper bounds, in simulated seconds.  Chosen to
-#: resolve both sub-second admission waits and multi-minute cold-storage
-#: stalls; an implicit +inf bucket catches everything above the last bound.
-DEFAULT_SECONDS_BOUNDS: Tuple[float, ...] = (
-    0.5,
-    1.0,
-    2.0,
-    5.0,
-    10.0,
-    30.0,
-    60.0,
-    120.0,
-    300.0,
-    600.0,
-    1800.0,
-    3600.0,
-)
-
-
-class Counter:
-    """A monotonically increasing value (int or float, set by ``initial``)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, initial: Number = 0) -> None:
-        self.name = name
-        self.value = initial
-
-    def inc(self, amount: Number = 1) -> None:
-        """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name!r} cannot decrease (inc by {amount!r})"
-            )
-        self.value += amount
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": "counter", "value": self.value}
-
-
-class CounterView:
-    """Class attribute exposing an instance's registry counter as a plain number.
-
-    ``x = CounterView()`` on a stats class reads and writes the value of the
-    :class:`Counter` the instance holds as ``_x``: report code and tests see
-    ordinary numeric attributes while the value lives in the registry.
-    Writes bypass ``Counter.inc``'s monotonicity guard on purpose —
-    aggregation and tests that perturb a counter set it outright.
-    """
-
-    __slots__ = ("_attribute",)
-
-    def __set_name__(self, owner: Type[Any], name: str) -> None:
-        self._attribute = "_" + name
-
-    def __get__(self, instance: Any, owner: Optional[Type[Any]] = None) -> Any:
-        if instance is None:
-            return self
-        return getattr(instance, self._attribute).value
-
-    def __set__(self, instance: Any, value: Number) -> None:
-        getattr(instance, self._attribute).value = value
-
-
-class Gauge:
-    """A point-in-time value that also remembers its peak."""
-
-    __slots__ = ("name", "value", "peak")
-
-    def __init__(self, name: str, initial: Number = 0) -> None:
-        self.name = name
-        self.value = initial
-        self.peak = initial
-
-    def set(self, value: Number) -> None:
-        self.value = value
-        if value > self.peak:
-            self.peak = value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.value, "peak": self.peak}
-
-
-class Histogram:
-    """Fixed-bound bucket counts plus the raw samples, in observation order.
-
-    The fixed bounds make snapshots comparable across runs and exportable;
-    the raw samples let report code compute the exact means/percentiles the
-    golden metrics pin (a bucketed histogram alone could only approximate
-    them).  Sample count is bounded by the number of observations in one
-    scenario run, which is small by construction.
-    """
-
-    __slots__ = ("name", "bounds", "bucket_counts", "samples", "sum")
-
-    def __init__(self, name: str, bounds: Optional[Sequence[float]] = None) -> None:
-        chosen = tuple(bounds) if bounds is not None else DEFAULT_SECONDS_BOUNDS
-        if not chosen or list(chosen) != sorted(chosen):
-            raise ConfigurationError(
-                f"histogram {self.__class__.__name__} {name!r}: bounds must be "
-                f"a non-empty ascending sequence, got {chosen!r}"
-            )
-        self.name = name
-        self.bounds = chosen
-        #: One count per bound plus the implicit +inf overflow bucket.
-        self.bucket_counts = [0] * (len(chosen) + 1)
-        self.samples: List[float] = []
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.samples.append(value)
-        self.sum += value
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    def to_dict(self) -> Dict[str, Any]:
+def _render(value: Any) -> Any:
+    """A number as itself; a sample list as its count / sum / min / max."""
+    if isinstance(value, list):
         return {
-            "type": "histogram",
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.sum,
-            "min": min(self.samples) if self.samples else 0.0,
-            "max": max(self.samples) if self.samples else 0.0,
+            "count": len(value),
+            "sum": sum(value),
+            "min": min(value, default=0.0),
+            "max": max(value, default=0.0),
         }
+    return value
 
 
 class MetricsRegistry:
-    """Named metric objects, one namespace per service instance."""
+    """Metric name -> the attribute it reads, one namespace per service."""
 
-    __slots__ = ("_metrics",)
+    __slots__ = ("_sources",)
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
+        self._sources: Dict[str, Tuple[object, str]] = {}
 
-    def _get(self, name: str, kind: Type[_MetricT], factory: Callable[[], _MetricT]) -> _MetricT:
-        if not name or not isinstance(name, str):
-            raise ConfigurationError(f"metric names must be non-empty strings, got {name!r}")
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = factory()
-            return metric
-        if not isinstance(metric, kind):
-            raise ConfigurationError(
-                f"metric {name!r} is already registered as "
-                f"{type(metric).__name__}, not {kind.__name__}"
-            )
-        return cast(_MetricT, metric)
+    def publish(
+        self, prefix: str, source: object, fields: Union[Iterable[str], Mapping[str, str]]
+    ) -> None:
+        """Catalogue ``source.<field>`` as ``<prefix>.<field>`` for every field.
 
-    def counter(self, name: str, initial: Number = 0) -> Counter:
-        """Get or create the counter ``name`` (``initial`` fixes int/float)."""
-        return self._get(name, Counter, lambda: Counter(name, initial))
+        ``fields`` may be a mapping ``metric name -> attribute`` where the
+        two differ.  A name that is empty or already taken, or an attribute
+        ``source`` does not have, is a :class:`ConfigurationError`: two
+        components never share a metric silently.
+        """
+        pairs = fields.items() if isinstance(fields, Mapping) else ((f, f) for f in fields)
+        for label, attribute in pairs:
+            name = f"{prefix}.{label}"
+            if not prefix or not label:
+                raise ConfigurationError(f"metric names must be non-empty, got {name!r}")
+            if name in self._sources:
+                raise ConfigurationError(f"metric {name!r} is already published")
+            if not hasattr(source, attribute):
+                raise ConfigurationError(
+                    f"metric {name!r}: {type(source).__name__} has no attribute {attribute!r}"
+                )
+            self._sources[name] = (source, attribute)
 
-    def gauge(self, name: str, initial: Number = 0) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name, initial))
-
-    def histogram(self, name: str, bounds: Optional[Sequence[float]] = None) -> Histogram:
-        return self._get(name, Histogram, lambda: Histogram(name, bounds))
-
-    def get(self, name: str) -> Optional[Union[Counter, Gauge, Histogram]]:
-        """The registered metric, or ``None``."""
-        return self._metrics.get(name)
+    def get(self, name: str) -> Any:
+        """The current value of metric ``name``, or ``None`` if unpublished."""
+        entry = self._sources.get(name)
+        return None if entry is None else _render(getattr(*entry))
 
     def names(self) -> List[str]:
-        """All registered metric names, sorted."""
-        return sorted(self._metrics)
+        """All published metric names, sorted."""
+        return sorted(self._sources)
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._sources)
 
-    def to_dict(self) -> Dict[str, Dict[str, Any]]:
+    def to_dict(self) -> Dict[str, Any]:
         """Deterministic snapshot of every metric, keyed and sorted by name."""
-        return {name: self._metrics[name].to_dict() for name in sorted(self._metrics)}
+        return {name: self.get(name) for name in self.names()}

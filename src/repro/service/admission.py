@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.metrics import jain_fairness, mean, percentile
 from repro.exceptions import AdmissionError, ConfigurationError
-from repro.obs import Histogram, MetricsRegistry
+from repro.obs import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Environment
@@ -98,16 +98,14 @@ class AdmissionTicket:
 
 
 class _TenantCounters:
-    """Per-tenant admission counters, registered as ``admission.tenant.*``."""
+    """Per-tenant admission counters, published as ``admission.tenant.<id>.*``."""
 
-    __slots__ = ("submitted", "admitted", "queued", "rejected")
+    __slots__ = ("submitted", "admitted", "queued", "rejected", "queue_delay")
 
-    def __init__(self, metrics: MetricsRegistry, tenant_id: str) -> None:
-        prefix = f"admission.tenant.{tenant_id}"
-        self.submitted = metrics.counter(f"{prefix}.submitted")
-        self.admitted = metrics.counter(f"{prefix}.admitted")
-        self.queued = metrics.counter(f"{prefix}.queued")
-        self.rejected = metrics.counter(f"{prefix}.rejected")
+    def __init__(self) -> None:
+        self.submitted = self.admitted = self.queued = self.rejected = 0
+        #: Simulated seconds each queued query waited for its grant.
+        self.queue_delay: List[float] = []
 
 
 class AdmissionController:
@@ -121,17 +119,24 @@ class AdmissionController:
     ) -> None:
         self.env = env
         self.config = config
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._in_flight_total = 0
+        #: Catalogue the counters are published into (``None`` = none).
+        self.metrics = metrics
+        #: Queries currently executing under this controller, and the most
+        #: that ever were; the deepest the admission queue ever got.
+        self.in_flight = 0
+        self.peak_in_flight = 0
+        self.peak_queue_depth = 0
         self._in_flight_by_tenant: Dict[str, int] = {}
         #: FIFO of (tenant, grant event, enqueue time).
         self._waiting: Deque[Tuple[str, Event, float]] = deque()
         self._counters: Dict[str, _TenantCounters] = {}
-        #: Queue-delay samples per tenant, keyed in first-grant order — the
+        #: The tenants' ``queue_delay`` lists in first-grant order — the
         #: flattening order the report's aggregate percentiles depend on.
-        self._delay_hists: Dict[str, Histogram] = {}
-        self._in_flight_gauge = self.metrics.gauge("admission.in_flight")
-        self._queue_depth_gauge = self.metrics.gauge("admission.queue_depth")
+        self._delayed: List[List[float]] = []
+        if metrics is not None:
+            metrics.publish(
+                "admission", self, ("in_flight", "peak_in_flight", "waiting", "peak_queue_depth")
+            )
 
     # ------------------------------------------------------------------ #
     # Slot accounting
@@ -139,23 +144,17 @@ class AdmissionController:
     def _tenant(self, tenant_id: str) -> _TenantCounters:
         counters = self._counters.get(tenant_id)
         if counters is None:
-            counters = self._counters[tenant_id] = _TenantCounters(
-                self.metrics, tenant_id
-            )
+            counters = self._counters[tenant_id] = _TenantCounters()
+            if self.metrics is not None:
+                self.metrics.publish(
+                    f"admission.tenant.{tenant_id}", counters, _TenantCounters.__slots__
+                )
         return counters
-
-    def _delays(self, tenant_id: str) -> Histogram:
-        hist = self._delay_hists.get(tenant_id)
-        if hist is None:
-            hist = self._delay_hists[tenant_id] = self.metrics.histogram(
-                f"admission.tenant.{tenant_id}.queue_delay"
-            )
-        return hist
 
     def _has_capacity(self, tenant_id: str) -> bool:
         if (
             self.config.max_in_flight is not None
-            and self._in_flight_total >= self.config.max_in_flight
+            and self.in_flight >= self.config.max_in_flight
         ):
             return False
         if self.config.max_in_flight_per_tenant is not None:
@@ -165,10 +164,10 @@ class AdmissionController:
         return True
 
     def _occupy(self, tenant_id: str) -> None:
-        self._in_flight_total += 1
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         self._in_flight_by_tenant[tenant_id] = self._in_flight_by_tenant.get(tenant_id, 0) + 1
-        self._in_flight_gauge.set(self._in_flight_total)
-        self._tenant(tenant_id).admitted.inc()
+        self._tenant(tenant_id).admitted += 1
 
     # ------------------------------------------------------------------ #
     # Session-facing API
@@ -176,9 +175,9 @@ class AdmissionController:
     def request(self, tenant_id: str) -> AdmissionTicket:
         """Ask for an execution slot; never blocks, the ticket says how."""
         counters = self._tenant(tenant_id)
-        counters.submitted.inc()
+        counters.submitted += 1
         if self.config.zero_capacity:
-            counters.rejected.inc()
+            counters.rejected += 1
             return AdmissionTicket(error=self._rejection(tenant_id, "capacity is zero"))
         if self._has_capacity(tenant_id):
             self._occupy(tenant_id)
@@ -186,22 +185,22 @@ class AdmissionController:
             grant.succeed(None)
             return AdmissionTicket(event=grant)
         if len(self._waiting) >= self.config.max_queue_depth:
-            counters.rejected.inc()
+            counters.rejected += 1
             return AdmissionTicket(
                 error=self._rejection(
                     tenant_id,
                     f"admission queue is full ({self.config.max_queue_depth} waiting)",
                 )
             )
-        counters.queued.inc()
+        counters.queued += 1
         grant = self.env.event(name=f"admission-wait:{tenant_id}")
         self._waiting.append((tenant_id, grant, self.env.now))
-        self._queue_depth_gauge.set(len(self._waiting))
+        self.peak_queue_depth = max(self.peak_queue_depth, len(self._waiting))
         return AdmissionTicket(event=grant, queued=True)
 
     def release(self, tenant_id: str) -> None:
         """Return a slot after a query finished; grants eligible waiters FIFO."""
-        if self._in_flight_total <= 0:
+        if self.in_flight <= 0:
             raise ConfigurationError("admission release without a matching grant")
         # The global counter alone cannot catch a mismatched release: other
         # tenants' in-flight queries keep it positive while this tenant's
@@ -212,9 +211,8 @@ class AdmissionController:
             raise ConfigurationError(
                 f"admission release without a matching grant for tenant {tenant_id!r}"
             )
-        self._in_flight_total -= 1
+        self.in_flight -= 1
         self._in_flight_by_tenant[tenant_id] = in_flight - 1
-        self._in_flight_gauge.set(self._in_flight_total)
         self._grant_waiters()
 
     def _grant_waiters(self) -> None:
@@ -224,12 +222,14 @@ class AdmissionController:
             tenant_id, grant, enqueued_at = self._waiting.popleft()
             if self._has_capacity(tenant_id):
                 self._occupy(tenant_id)
-                self._delays(tenant_id).observe(self.env.now - enqueued_at)
+                delays = self._tenant(tenant_id).queue_delay
+                if not delays:
+                    self._delayed.append(delays)
+                delays.append(self.env.now - enqueued_at)
                 grant.succeed(None)
             else:
                 still_waiting.append((tenant_id, grant, enqueued_at))
         self._waiting = still_waiting
-        self._queue_depth_gauge.set(len(self._waiting))
 
     def _rejection(self, tenant_id: str, reason: str) -> AdmissionError:
         return AdmissionError(
@@ -244,40 +244,21 @@ class AdmissionController:
         """Queries currently held in the admission queue."""
         return len(self._waiting)
 
-    @property
-    def in_flight(self) -> int:
-        """Queries currently executing under this controller."""
-        return self._in_flight_total
-
-    @property
-    def peak_in_flight(self) -> int:
-        return self._in_flight_gauge.peak
-
-    @property
-    def peak_queue_depth(self) -> int:
-        return self._queue_depth_gauge.peak
-
-    def _tenant_delays(self, tenant_id: str) -> Tuple[float, ...]:
-        hist = self._delay_hists.get(tenant_id)
-        return tuple(hist.samples) if hist is not None else ()
-
     def summary(self) -> Dict[str, object]:
         """Canonical metrics dict for the scenario report's admission section.
 
         The aggregate delay statistics flatten the per-tenant samples in the
-        tenants' first-grant order (``_delay_hists`` insertion order), which
+        tenants' first-grant order (``_delayed``), which
         reproduces the historical float-summation order byte for byte.
         """
-        delays = [
-            delay for hist in self._delay_hists.values() for delay in hist.samples
-        ]
+        delays = [delay for samples in self._delayed for delay in samples]
         per_tenant = {
             tenant_id: {
-                "submitted": counters.submitted.value,
-                "admitted": counters.admitted.value,
-                "queued": counters.queued.value,
-                "rejected": counters.rejected.value,
-                "mean_queue_delay": mean(self._tenant_delays(tenant_id)),
+                "submitted": counters.submitted,
+                "admitted": counters.admitted,
+                "queued": counters.queued,
+                "rejected": counters.rejected,
+                "mean_queue_delay": mean(counters.queue_delay),
             }
             for tenant_id, counters in sorted(self._counters.items())
         }
@@ -288,14 +269,14 @@ class AdmissionController:
         delay_means = [
             entry["mean_queue_delay"]
             for tenant_id, entry in per_tenant.items()
-            if self._tenant_delays(tenant_id)
+            if self._counters[tenant_id].queue_delay
         ]
         return {
             "config": self.config.to_dict(),
-            "submitted": sum(c.submitted.value for c in self._counters.values()),
-            "admitted": sum(c.admitted.value for c in self._counters.values()),
-            "queued": sum(c.queued.value for c in self._counters.values()),
-            "rejected": sum(c.rejected.value for c in self._counters.values()),
+            "submitted": sum(c.submitted for c in self._counters.values()),
+            "admitted": sum(c.admitted for c in self._counters.values()),
+            "queued": sum(c.queued for c in self._counters.values()),
+            "rejected": sum(c.rejected for c in self._counters.values()),
             "peak_in_flight": self.peak_in_flight,
             "peak_queue_depth": self.peak_queue_depth,
             "queue_delay": {

@@ -101,8 +101,10 @@ class StorageService:
         self.cost_model = config.cost_model
         self.env = Environment()
         self.object_store = ObjectStore()
-        #: Service-wide metrics registry every component registers into.
+        #: Service-wide catalogue every component publishes its counters
+        #: into; ``metrics.to_dict()`` is the snapshot.
         self.metrics = MetricsRegistry()
+        self.metrics.publish("sim", self.env, {"events_dispatched": "dispatched"})
         #: Simulated-time tracer; the shared no-op singleton when disabled,
         #: so the off path costs one (false) attribute check per hook.
         self.tracer = Tracer(self.env) if trace else NULL_TRACER

@@ -37,7 +37,8 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time (advanced by the dispatch loop only).
+        self.now = float(initial_time)
         # Heap of distinct pending timestamps; one entry per bucket.
         self._times: List[float] = []
         # Timestamp -> events scheduled at it, in scheduling order.
@@ -50,11 +51,6 @@ class Environment:
         self._batch_index = 0
         #: Number of events delivered (dispatched) so far.
         self.dispatched = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     # ------------------------------------------------------------------ #
     # Factory helpers
@@ -84,9 +80,9 @@ class Environment:
     # ------------------------------------------------------------------ #
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue ``event`` for dispatch ``delay`` units in the future."""
-        if delay < 0:
-            raise SimulationError("cannot schedule an event in the past")
-        time = self._now + delay
+        if not delay >= 0:  # also rejects NaN, which would corrupt the time heap
+            raise SimulationError(f"cannot schedule an event in the past (delay {delay})")
+        time = self.now + delay
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
@@ -107,9 +103,9 @@ class Environment:
             self._batch = None
             raise SimulationError("no scheduled events to step through")
         time = heapq.heappop(self._times)
-        if time < self._now:  # pragma: no cover - defensive, cannot happen
+        if time < self.now:  # pragma: no cover - defensive, cannot happen
             raise SimulationError("event queue went backwards in time")
-        self._now = time
+        self.now = time
         batch = self._buckets.pop(time)
         self._batch = batch
         self._batch_index = 1
@@ -120,7 +116,7 @@ class Environment:
         """Timestamp of the next scheduled event, or ``None`` if idle."""
         batch = self._batch
         if batch is not None and self._batch_index < len(batch):
-            return self._now
+            return self.now
         if not self._times:
             return None
         return self._times[0]
@@ -141,55 +137,27 @@ class Environment:
         ``env.run(until=env.timeout(5))`` must advance the clock to 5.0,
         not return immediately at the current time.
         """
-        if isinstance(until, Event):
-            # The dispatch loop below is ``step()`` inlined: this is the
-            # innermost loop of every simulation run and the per-event
-            # ``peek()``/``step()`` call pair is measurable at million-event
-            # scale.  Semantics are identical, including the dispatch order
-            # and the ``dispatched`` count.
-            target_event = until
-            times = self._times
-            buckets = self._buckets
-            while not target_event._dispatched:
-                batch = self._batch
-                if batch is not None and self._batch_index < len(batch):
-                    event = batch[self._batch_index]
-                    self._batch_index += 1
-                    self.dispatched += 1
-                    event._dispatch()
-                    continue
-                if not times:
-                    self._batch = None
-                    raise SimulationError(
-                        f"simulation ran out of events before {target_event.name!r} fired"
-                    )
-                time = heapq.heappop(times)
-                self._now = time
-                batch = buckets.pop(time)
-                self._batch = batch
-                self._batch_index = 1
-                self.dispatched += 1
-                batch[0]._dispatch()
-            if target_event.exception is not None:
-                raise target_event.exception
-            return target_event.value
-
-        if until is not None:
+        if until is not None and not isinstance(until, Event):
             deadline = float(until)
-            if deadline < self._now:
+            if deadline < self.now:
                 raise SimulationError("cannot run until a time in the past")
             while True:
                 next_time = self.peek()
                 if next_time is None or next_time > deadline:
                     break
                 self.step()
-            self._now = deadline
+            self.now = deadline
             return None
 
-        # Same inlined dispatch loop as the until-event case above.
+        # The dispatch loop below is ``step()`` inlined: this is the
+        # innermost loop of every simulation run and the per-event
+        # ``peek()``/``step()`` call pair is measurable at million-event
+        # scale.  Semantics are identical, including the dispatch order
+        # and the ``dispatched`` count.
+        target = until
         times = self._times
         buckets = self._buckets
-        while True:
+        while target is None or not target.dispatched:
             batch = self._batch
             if batch is not None and self._batch_index < len(batch):
                 event = batch[self._batch_index]
@@ -199,11 +167,18 @@ class Environment:
                 continue
             if not times:
                 self._batch = None
-                return None
+                if target is None:
+                    return None
+                raise SimulationError(
+                    f"simulation ran out of events before {target.name!r} fired"
+                )
             time = heapq.heappop(times)
-            self._now = time
+            self.now = time
             batch = buckets.pop(time)
             self._batch = batch
             self._batch_index = 1
             self.dispatched += 1
             batch[0]._dispatch()
+        if target.exception is not None:
+            raise target.exception
+        return target.value

@@ -22,52 +22,43 @@ class Event:
     __slots__ = (
         "env",
         "name",
-        "_triggered",
-        "_dispatched",
-        "_value",
-        "_exception",
-        "_callbacks",
+        "triggered",
+        "dispatched",
+        "value",
+        "exception",
+        "callbacks",
     )
 
     def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
         self.name = name
-        self._triggered = False
-        self._dispatched = False
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-        self._callbacks: List[Callable[[Event], None]] = []
-
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has already been succeeded or failed."""
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        """Value the event was succeeded with (``None`` until triggered)."""
-        return self._value
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        """Exception the event was failed with, if any."""
-        return self._exception
+        #: Whether the event has already been succeeded or failed.
+        self.triggered = False
+        #: Whether the event queue has delivered it (callbacks have run).
+        self.dispatched = False
+        #: Value the event was succeeded with (``None`` until triggered).
+        self.value: Any = None
+        #: Exception the event was failed with, if any.
+        self.exception: Optional[BaseException] = None
+        #: Run once, in order, when the event is dispatched; register through
+        #: :meth:`add_callback` unless the event is known not to have fired.
+        self.callbacks: List[Callable[[Event], None]] = []
 
     def succeed(self, value: Any = None) -> Event:
         """Trigger the event with ``value`` and schedule waiter wake-ups."""
-        if self._triggered:
+        if self.triggered:
             raise SimulationError(f"event {self.name!r} has already been triggered")
-        self._triggered = True
-        self._value = value
+        self.triggered = True
+        self.value = value
         self.env._schedule_event(self)
         return self
 
     def fail(self, exception: BaseException) -> Event:
         """Trigger the event with an exception to be raised in waiters."""
-        if self._triggered:
+        if self.triggered:
             raise SimulationError(f"event {self.name!r} has already been triggered")
-        self._triggered = True
-        self._exception = exception
+        self.triggered = True
+        self.exception = exception
         self.env._schedule_event(self)
         return self
 
@@ -80,18 +71,18 @@ class Event:
         already been dispatched the callback is re-scheduled so late waiters
         are still woken.
         """
-        self._callbacks.append(callback)
-        if self._dispatched:
+        self.callbacks.append(callback)
+        if self.dispatched:
             self.env._schedule_event(self)
 
     def _dispatch(self) -> None:
-        self._dispatched = True
-        callbacks, self._callbacks = self._callbacks, []
+        self.dispatched = True
+        callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
             callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
+        state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name!r} {state} at t={self.env.now:.3f}>"
 
 
@@ -101,18 +92,18 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: Environment, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt the time heap
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         # Fields are assigned directly rather than via ``Event.__init__``:
         # timeouts are created millions of times per run and both the
         # ``super()`` call and a per-instance f-string name are measurable.
         self.env = env
         self.name = "timeout"
-        self._triggered = True
-        self._dispatched = False
-        self._value = value
-        self._exception = None
-        self._callbacks = []
+        self.triggered = True
+        self.dispatched = False
+        self.value = value
+        self.exception = None
+        self.callbacks = []
         self.delay = delay
         env._schedule_event(self, delay=delay)
 

@@ -36,19 +36,17 @@ class Process(Event):
         self._resume_callback = self._resume
         # Kick the process off at the current simulated time.
         bootstrap = Event(env, name="bootstrap")
-        bootstrap._callbacks.append(self._resume_callback)
+        bootstrap.callbacks.append(self._resume_callback)
         bootstrap.succeed(None)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
         self._waiting_on = None
         try:
-            # Slots read directly (``exception``/``value`` are properties):
-            # this runs once per dispatched event.
-            if event._exception is not None:
-                target = self._generator.throw(event._exception)
+            if event.exception is not None:
+                target = self._generator.throw(event.exception)
             else:
-                target = self._generator.send(event._value)
+                target = self._generator.send(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -67,8 +65,8 @@ class Process(Event):
         # Equivalent to ``target.add_callback`` with the call overhead
         # shaved off — this runs once per dispatched event.
         self._waiting_on = target
-        target._callbacks.append(self._resume_callback)
-        if target._dispatched:
+        target.callbacks.append(self._resume_callback)
+        if target.dispatched:
             self.env._schedule_event(target)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

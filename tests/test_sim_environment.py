@@ -118,6 +118,44 @@ def test_dispatched_counter_counts_deliveries():
     assert env.dispatched == 4
 
 
+def test_every_run_mode_dispatches_in_the_same_order():
+    """``run()``, ``run(event)``, ``run(deadline)`` and ``step()`` are one
+    dispatch order and one ``dispatched`` count."""
+
+    def trace(drive):
+        env = Environment()
+        log = []
+
+        def proc(env, name, delay):
+            for _ in range(3):
+                yield env.timeout(delay)
+                log.append((env.now, name))
+
+        processes = [
+            env.process(proc(env, name, delay))
+            for name, delay in (("a", 1.0), ("b", 1.5), ("c", 1.0))
+        ]
+        drive(env, processes)
+        return log, env.dispatched, env.now
+
+    def by_steps(env, _processes):
+        while env.peek() is not None:
+            env.step()
+
+    until_empty = trace(lambda env, _processes: env.run())
+    assert trace(lambda env, processes: env.run(env.all_of(processes)))[0] == until_empty[0]
+    assert trace(by_steps) == until_empty
+    assert trace(lambda env, _processes: env.run(until=4.5)) == until_empty
+
+
+def test_run_until_event_that_never_fires_raises():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(SimulationError, match="ran out of events before 'never'"):
+        env.run(env.event("never"))
+    assert env.now == 1.0
+
+
 def test_run_until_past_time_raises():
     env = Environment(initial_time=5.0)
     with pytest.raises(SimulationError):

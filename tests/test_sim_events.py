@@ -30,6 +30,42 @@ def test_timeout_rejects_negative_delay():
         env.timeout(-1)
 
 
+def test_timeout_rejects_nan_delay():
+    """``nan < 0`` is false: a NaN delay used to enter the time heap, where it
+    compares false against everything and silently corrupts dispatch order."""
+    env = Environment()
+    env.timeout(2.0)
+    with pytest.raises(SimulationError, match="nan"):
+        env.timeout(float("nan"))
+    with pytest.raises(SimulationError, match="nan"):
+        env._schedule_event(env.event("e"), delay=float("nan"))
+    assert env.peek() == 2.0
+    env.run()
+    assert (env.now, env.dispatched) == (2.0, 1)
+
+
+def test_event_state_is_plain_attributes():
+    """``now`` and the event state are public slots, not property twins of
+    private ones: hot paths read them at attribute cost."""
+    env = Environment()
+    event = env.event("e")
+    assert (event.triggered, event.dispatched, event.value, event.exception) == (
+        False,
+        False,
+        None,
+        None,
+    )
+    seen = []
+    event.callbacks.append(seen.append)
+    event.succeed(7)
+    env.run()
+    assert (event.triggered, event.dispatched, event.value) == (True, True, 7)
+    assert seen == [event] and event.callbacks == []
+    for owner, name in ((Environment, "now"), (type(event), "value"), (type(event), "triggered")):
+        assert not isinstance(vars(owner).get(name), property)
+    assert not hasattr(event, "__dict__")
+
+
 def test_timeout_advances_clock():
     env = Environment()
 

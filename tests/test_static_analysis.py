@@ -774,3 +774,53 @@ def test_device_loop_has_no_per_item_generator():
         and node.value.func.value.id == "run"
     ]
     assert sorted(run_generators) == ["charge", "pull_each"]
+
+
+#: Every ``x._private`` access under ``src/repro`` whose ``x`` is not
+#: ``self`` / ``cls``, as ``file -> expressions``.  It was 54 (26 of them
+#: cross-package: ``env._now``, ``completion._callbacks``, ``stats._x.value``)
+#: while the kernel and the stats classes had accessor twins.  What is left
+#: is module- or package-internal, apart from ``runner._build_report``; none
+#: reaches into ``sim/`` or a stats object from another package.  The list
+#: may only shrink: make the attribute public or move the code to its owner.
+PRIVATE_ACCESS_ALLOW_LIST = {
+    "bench/__init__.py": ["runner._build_report"],
+    "core/subplan.py": ["batch._tallies"] * 2,
+    "engine/operators/hash_join.py": ["probe._joined_rows"],
+    "service/session.py": [
+        "handle._mark_finished",
+        "handle._mark_queued",
+        "handle._mark_rejected",
+        "handle._mark_running",
+        "handle._mark_submitted",
+        "handle._mark_submitted",
+    ],
+    "sim/environment.py": ["batch[0]._dispatch"] * 2 + ["event._dispatch"] * 2,
+    "sim/events.py": ["env._schedule_event"] + ["self.env._schedule_event"] * 3,
+    "sim/process.py": ["self.env._schedule_event"],
+}
+
+
+def test_private_attribute_accesses_only_shrink():
+    package = REPO_ROOT / "src" / "repro"
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                found.setdefault(str(path.relative_to(package)), []).append(ast.unparse(node))
+    for name, accesses in found.items():
+        allowed = list(PRIVATE_ACCESS_ALLOW_LIST.get(name, ()))
+        for access in accesses:
+            assert access in allowed, f"{name}: new private reach-in {access}"
+            allowed.remove(access)
+    total = sum(len(accesses) for accesses in PRIVATE_ACCESS_ALLOW_LIST.values())
+    assert total == 19
+    # Nothing outside ``sim/`` touches kernel internals or a stats slot.
+    for name, accesses in PRIVATE_ACCESS_ALLOW_LIST.items():
+        if not name.startswith("sim/"):
+            assert not [a for a in accesses if "env." in a or "stats." in a or "event" in a], name

@@ -274,7 +274,7 @@ def test_rejected_batch_leaves_every_counter_untouched(policy):
         router.submit_many(requests)
     assert _counters(router) == before
     assert all(request.owner is None and request.routed_at is None for request in requests)
-    assert all(not request.completion._callbacks[1:] for request in requests)
+    assert all(not request.completion.callbacks[1:] for request in requests)
     with pytest.raises(StorageError):
         router.submit(requests[2])
     with pytest.raises(FleetError, match="not placed on any device"):
