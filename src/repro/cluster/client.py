@@ -7,14 +7,13 @@ as-is (``session.spec``) for its whole connection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.cache import EvictionPolicy
 from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
 from repro.engine.query import Query
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, is_time
 
 
 @dataclass
@@ -42,5 +41,7 @@ class ClientSpec:
                 f"client {self.client_id!r}: cache_capacity must be positive, "
                 f"got {self.cache_capacity}"
             )
-        if not math.isfinite(self.start_delay) or self.start_delay < 0:
-            raise ConfigurationError("start_delay must be finite and non-negative")
+        if not is_time(self.start_delay):
+            raise ConfigurationError(
+                f"start_delay must be finite and non-negative, got {self.start_delay!r}"
+            )

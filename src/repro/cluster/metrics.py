@@ -105,11 +105,11 @@ def attribute_waiting(
 
     Both the blocked intervals and the busy time of each kind are unioned
     first, so duplicated blocked intervals and *concurrently* busy devices
-    (a fleet's merged interval stream, or overlapping concurrent transfers)
-    are each counted once — every blocked second lands in exactly one
-    bucket and the components always sum to the total blocked time.  For a
-    serial single device, whose busy intervals never overlap, this is
-    exactly the per-interval attribution the paper's Figure 9 uses.
+    (a fleet's merged interval stream) are each counted once — every
+    blocked second lands in exactly one bucket and the components always
+    sum to the total blocked time.  For a single device, whose busy
+    intervals never overlap, this is exactly the per-interval attribution
+    the paper's Figure 9 uses.
 
     This is the one-query case of :func:`attribute_waiting_batch`.
     """

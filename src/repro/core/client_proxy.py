@@ -37,8 +37,6 @@ class ClientProxy:
         self.client_id = client_id
         #: Arrived objects as ``(segment_id, payload)`` pairs in delivery order.
         self.arrivals: Store = Store(env, name=f"{client_id}-arrivals")
-        self.requests_issued = 0
-        self.requests_completed = 0
         self._query_counter = itertools.count()
         #: Length of the ``tenant/`` prefix of this client's object keys.
         self._prefix_length = len(client_id) + 1
@@ -70,11 +68,9 @@ class ClientProxy:
             completion.callbacks.append(on_complete)
             requests.append(GetRequest(object_key, client_id, query_id, completion))
         self.device.submit_many(requests)
-        self.requests_issued += len(requests)
 
     def _on_complete(self, event: Event) -> None:
         """Deliver a completed GET: the segment id is the key minus the
         ``tenant/`` prefix (one shared callback instead of a closure per
         request)."""
-        self.requests_completed += 1
         self.arrivals.put((event.name[self._prefix_length :], event.value))

@@ -9,9 +9,8 @@ concrete device class.
 
 ``submit_many`` is the verb: Skipper's proxy hands the backend every GET of
 a query up front (paper §4), so a batch is what crosses this boundary, in
-one call, and what a backend routes, validates and enqueues as a unit.
-``submit`` (a batch of one) and ``get`` (build a request, then ``submit``)
-are conveniences over it.
+one call, and what a backend routes, validates and enqueues as a unit — a
+single GET is a batch of one.
 """
 
 from __future__ import annotations
@@ -33,12 +32,4 @@ class StorageBackend(Protocol):
         """Accept ``requests`` in order, all or nothing (an invalid request
         raises before anything moves); each ``completion`` event fires with
         its payload."""
-        ...
-
-    def submit(self, request: GetRequest) -> GetRequest:
-        """Accept one request: ``submit_many((request,))``."""
-        ...
-
-    def get(self, object_key: str, client_id: str, query_id: str) -> GetRequest:
-        """Build and submit a request for ``object_key``."""
         ...

@@ -28,34 +28,29 @@ from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.object_store import ObjectStore, split_object_key
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
-from repro.exceptions import ConfigurationError, StorageError
+from repro.exceptions import ConfigurationError, StorageError, is_time
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sim import Environment, Store, Timeout
 
 
 @dataclass
 class DeviceConfig:
-    """Tunable parameters of the emulated CSD."""
+    """Tunable parameters of the emulated CSD.
+
+    Transfers are always serialized, as in the paper's middleware: one
+    object at a time, whichever client it is for.
+    """
 
     #: Latency of spinning down the loaded group and spinning up another.
     group_switch_seconds: float = 10.0
-    #: Time to push one object to a client (serialized middleware, as in the paper).
+    #: Time to push one object to a client.
     transfer_seconds_per_object: float = 9.6
-    #: When True, transfers to *different* clients overlap (each client still
-    #: receives its own objects serially).  This models the paper's
-    #: HDD-based capacity tier served by plain Swift, where per-client network
-    #: streams proceed in parallel; the CSD emulation keeps the paper's
-    #: serialized middleware behaviour (False).
-    concurrent_transfers: bool = False
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.group_switch_seconds) or self.group_switch_seconds < 0:
-            raise ConfigurationError("group_switch_seconds must be finite and non-negative")
-        if (
-            not math.isfinite(self.transfer_seconds_per_object)
-            or self.transfer_seconds_per_object < 0
-        ):
-            raise ConfigurationError("transfer_seconds_per_object must be finite and non-negative")
+        for label in ("group_switch_seconds", "transfer_seconds_per_object"):
+            value = getattr(self, label)
+            if not is_time(value):
+                raise ConfigurationError(f"{label} must be finite and non-negative, got {value!r}")
 
 
 class MigrationTokenBucket:
@@ -214,9 +209,6 @@ class ColdStorageDevice:
             metrics.publish(
                 f"device.{name}.scheduler", scheduler, ("num_switches", "max_waiting_seen")
             )
-        self._client_busy_until: Dict[str, float] = {}
-        self._inflight = 0
-        self._drained_event = None
         self.process = env.process(self._run(), name="cold-storage-device")
 
     # ------------------------------------------------------------------ #
@@ -230,11 +222,6 @@ class ColdStorageDevice:
         """
         self.validate(requests)
         self.enqueue(requests)
-
-    def submit(self, request: GetRequest) -> GetRequest:
-        """Submit one GET request (a batch of one)."""
-        self.submit_many((request,))
-        return request
 
     def validate(self, requests: Sequence[GetRequest]) -> None:
         """Resolve every request's disk group, or raise; nothing is enqueued.
@@ -262,23 +249,10 @@ class ColdStorageDevice:
         can validate every device's slice of a batch before any of them is
         enqueued.
         """
-        now = self.env.now
-        for request in requests:
-            request.issue_time = now
         if self.tracer.enabled:
             for request in requests:
                 self.tracer.io_submit(request.query_id, request.object_key, self.name)
         self.inbox.put_many(requests)
-
-    def get(self, object_key: str, client_id: str, query_id: str) -> GetRequest:
-        """Convenience wrapper building and submitting a request."""
-        request = GetRequest(
-            object_key=object_key,
-            client_id=client_id,
-            query_id=query_id,
-            completion=self.env.event(name=object_key),
-        )
-        return self.submit(request)
 
     def drain_pending(self) -> List[GetRequest]:
         """Pull every not-yet-served request out of the device (fail-stop).
@@ -342,12 +316,8 @@ class ColdStorageDevice:
             if isinstance(item, MigrationJob):
                 self._admin_jobs.append(item)
                 continue
-            # ``disk_group`` was resolved by ``validate``; requests injected
-            # into the inbox by other paths (tests) fall back to the layout.
-            group = item.disk_group
-            if group is None:
-                group = self.layout.group_of(item.object_key)
-            add_request(item, group)
+            # ``disk_group`` was resolved by ``validate``.
+            add_request(item, item.disk_group)
             received += 1
         self.stats.requests_received += received
 
@@ -406,12 +376,6 @@ class ColdStorageDevice:
             # (non-preemptive), or after every object for the FCFS policies.
             group = scheduler.choose_next_group(self.current_group)
             if group != self.current_group:
-                # Never abandon a group while deliveries to clients are still
-                # in flight (only relevant with concurrent transfers).
-                while self._inflight > 0:
-                    self._drained_event = env.event(name="csd-drained")
-                    yield self._drained_event
-                    self._drain_inbox()
                 start = env.now
                 if self.config.group_switch_seconds > 0:
                     yield Timeout(env, self.config.group_switch_seconds)
@@ -425,22 +389,17 @@ class ColdStorageDevice:
 
             quota = scheduler.service_quota(group)
             next_request = scheduler.next_request
-            concurrent = self.config.concurrent_transfers
             transfer_seconds = self.config.transfer_seconds_per_object
             while quota > 0:
                 request = next_request(group)
                 if request is None:
                     break
-                if concurrent:
-                    self._serve(request, group)
-                else:
-                    # Serialized middleware (the paper's CSD), served inline:
-                    # one timeout and one completion per object, no
-                    # per-object generator.
-                    start = env.now
-                    if transfer_seconds > 0:
-                        yield Timeout(env, transfer_seconds)
-                    self._complete(request, group, start, env.now)
+                # Serialized middleware, served inline: one timeout and one
+                # completion per object, no per-object generator.
+                start = env.now
+                if transfer_seconds > 0:
+                    yield Timeout(env, transfer_seconds)
+                self._complete(request, group, start, env.now)
                 # An idle device must not pin the last request it served
                 # (nor, through its completion, the payload).
                 request = None
@@ -487,31 +446,6 @@ class ColdStorageDevice:
         if job.notify is not None:
             job.notify(job, start, end, interfered)
 
-    def _serve(self, request: GetRequest, group: int) -> None:
-        """Dispatch one concurrent transfer (``concurrent_transfers`` only).
-
-        The device only dispatches the transfer; the delivery occupies the
-        client's (per-tenant) channel, so different clients receive data in
-        parallel while the same client still gets objects serially.
-        """
-        start = max(self.env.now, self._client_busy_until.get(request.client_id, 0.0))
-        end = start + self.config.transfer_seconds_per_object
-        self._client_busy_until[request.client_id] = end
-        self._inflight += 1
-        self.env.process(
-            self._deliver_at(request, group, start, end),
-            name=f"deliver:{request.object_key}",
-        )
-
-    def _deliver_at(self, request: GetRequest, group: int, start: float, end: float):
-        if end > self.env.now:
-            yield self.env.timeout(end - self.env.now)
-        self._complete(request, group, start, end)
-        self._inflight -= 1
-        if self._inflight == 0 and self._drained_event is not None:
-            drained, self._drained_event = self._drained_event, None
-            drained.succeed(None)
-
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
         client_id = request.client_id
         self.busy_intervals.append(
@@ -520,8 +454,6 @@ class ColdStorageDevice:
                 (start, end, "transfer", group, client_id, request.query_id, request.object_key),
             )
         )
-        request.group_id = group
-        request.complete_time = end
         stats = self.stats
         stats.objects_served += 1
         per_client = stats.objects_per_client

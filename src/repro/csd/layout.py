@@ -39,8 +39,8 @@ class LayoutPolicy:
 class AllInOneLayout(LayoutPolicy):
     """Every object of every client in a single disk group ("Allin1").
 
-    This is also how the HDD-based capacity tier is emulated: with one group
-    there are never any group switches.
+    With a 0 s switch this is also the HDD-based capacity tier of the
+    paper's "Ideal": one group, so never a group switch.
     """
 
     def build(self, client_objects: ClientObjects) -> DiskGroupLayout:

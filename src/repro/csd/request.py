@@ -78,9 +78,6 @@ class GetRequest:
         "client_id",
         "query_id",
         "completion",
-        "issue_time",
-        "group_id",
-        "complete_time",
         "disk_group",
         "owner",
         "routed_at",
@@ -92,19 +89,15 @@ class GetRequest:
         client_id: str,
         query_id: str,
         completion: Event,
-        issue_time: float = 0.0,
     ) -> None:
         self.request_id = next(_request_counter)
         self.object_key = object_key
         self.client_id = client_id
         self.query_id = query_id
         self.completion = completion
-        self.issue_time = issue_time
-        #: Filled in by the device when the request is served.
-        self.group_id: Optional[int] = None
-        self.complete_time: Optional[float] = None
-        #: Disk group resolved at submit time (device-internal; the layout
-        #: is append-only, so a placed key's group never changes).
+        #: Disk group resolved at submit time, and the group the request is
+        #: served from (device-internal; the layout is append-only, so a
+        #: placed key's group never changes).
         self.disk_group: Optional[int] = None
         #: Fleet member currently serving the request (router-internal);
         #: storing it here avoids a million-entry owner dict in the router.

@@ -77,6 +77,16 @@ class ConfigurationError(ReproError):
     """Raised for invalid experiment or cost-model configuration."""
 
 
+def is_time(value: object) -> bool:
+    """True when ``value`` is a finite non-negative real (a duration or a
+    delay); a bool is an int but not a time, and NaN fails every comparison."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value < float("inf")
+    )
+
+
 class ScenarioError(ConfigurationError):
     """Raised for unknown or malformed scenario specifications."""
 

@@ -3,7 +3,7 @@
 The router composes N independent :class:`~repro.csd.device.ColdStorageDevice`
 instances — each with its own disk-group layout, its own I/O scheduler and
 its own (possibly heterogeneous) :class:`~repro.csd.device.DeviceConfig` —
-behind the exact ``submit()`` interface clients already speak, so executors
+behind the exact ``submit_many()`` interface clients already speak, so executors
 and client proxies are oblivious to whether they talk to one device or to a
 sharded fleet.  This module is the per-*object* half of the fleet layer
 (paper §4: tagged GET → scheduler → transfer); everything that runs per
@@ -301,21 +301,6 @@ class FleetRouter:
             self._trace_routes(requests, routed)
         for member, batch in routed:
             member.device.enqueue(batch)
-
-    def submit(self, request: GetRequest) -> GetRequest:
-        """Route one request (a batch of one)."""
-        self.submit_many((request,))
-        return request
-
-    def get(self, object_key: str, client_id: str, query_id: str) -> GetRequest:
-        """Convenience wrapper building and submitting a request."""
-        request = GetRequest(
-            object_key=object_key,
-            client_id=client_id,
-            query_id=query_id,
-            completion=self.env.event(name=object_key),
-        )
-        return self.submit(request)
 
     def _trace_routes(
         self,

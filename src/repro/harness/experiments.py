@@ -39,7 +39,6 @@ from repro.csd.scheduler import (
     SlackFCFSScheduler,
 )
 from repro.engine.catalog import Catalog
-from repro.engine.cost import CostModel
 from repro.engine.predicate import Comparison, Literal, col
 from repro.engine.query import Query
 from repro.exceptions import CacheError
@@ -65,12 +64,9 @@ def run_uniform_cluster(
     scheduler: Optional[IOScheduler] = None,
     layout: Optional[LayoutPolicy] = None,
     switch_seconds: float = DEFAULT_SWITCH_SECONDS,
-    transfer_seconds: float = 9.6,
-    concurrent_transfers: bool = False,
     cache_capacity: int = DEFAULT_CACHE_OBJECTS,
     repetitions: int = 1,
     eviction_policy: Optional[EvictionPolicy] = None,
-    cost_model: Optional[CostModel] = None,
     enable_pruning: bool = True,
 ) -> ClusterResult:
     """Run ``num_clients`` identical clients, all executing ``query``.
@@ -93,12 +89,7 @@ def run_uniform_cluster(
     config = ClusterConfig(
         client_specs=specs,
         layout_policy=layout or ClientsPerGroupLayout(1),
-        device_config=DeviceConfig(
-            group_switch_seconds=switch_seconds,
-            transfer_seconds_per_object=transfer_seconds,
-            concurrent_transfers=concurrent_transfers,
-        ),
-        cost_model=cost_model or CostModel(),
+        device_config=DeviceConfig(group_switch_seconds=switch_seconds),
     )
     scheduler = scheduler if scheduler is not None else _default_scheduler(mode)
     return _run_service(catalog, config, scheduler)
@@ -120,30 +111,22 @@ def _default_scheduler(mode: str) -> IOScheduler:
     return RankBasedScheduler()
 
 
-def run_ideal_cluster(
-    catalog: Catalog,
-    query: Query,
-    num_clients: int,
-    transfer_seconds: float = 9.6,
-    cost_model: Optional[CostModel] = None,
-) -> ClusterResult:
+def run_ideal_cluster(catalog: Catalog, query: Query) -> ClusterResult:
     """The paper's "Ideal" configuration: the HDD-based capacity tier.
 
-    All data maps to a single always-spinning group (no group switches) and
-    per-tenant network streams proceed in parallel, which is how the paper's
-    plain-Swift/HDD baseline behaves.
+    All data sits in one always-spinning group (no group switches) and each
+    tenant has its own network stream, so tenants share nothing and every
+    one of them sees exactly what a vanilla tenant alone on a switch-free
+    device sees — the ideal is that one-tenant run, whatever the client count.
     """
     return run_uniform_cluster(
         catalog,
         query,
-        num_clients,
+        1,
         mode="vanilla",
         scheduler=ObjectFCFSScheduler(),
         layout=AllInOneLayout(),
         switch_seconds=0.0,
-        transfer_seconds=transfer_seconds,
-        concurrent_transfers=True,
-        cost_model=cost_model,
     )
 
 
@@ -172,19 +155,17 @@ def figure4_postgres_on_csd(
     """Average TPC-H Q12 time of vanilla clients on CSD vs. the HDD ideal."""
     catalog = tpch.build_catalog(scale, seed=seed)
     query = tpch.q12()
-    on_csd: List[float] = []
-    on_hdd: List[float] = []
-    for count in client_counts:
-        csd_result = run_uniform_cluster(
+    on_csd = [
+        run_uniform_cluster(
             catalog, query, count, mode="vanilla", switch_seconds=switch_seconds
-        )
-        ideal_result = run_ideal_cluster(catalog, query, count)
-        on_csd.append(csd_result.average_execution_time())
-        on_hdd.append(ideal_result.average_execution_time())
+        ).average_execution_time()
+        for count in client_counts
+    ]
+    ideal = run_ideal_cluster(catalog, query).average_execution_time()
     return {
         "clients": list(client_counts),
         "postgresql_on_csd": on_csd,
-        "postgresql_on_hdd": on_hdd,
+        "postgresql_on_hdd": [ideal] * len(client_counts),
     }
 
 
@@ -221,7 +202,6 @@ def figure7_skipper_scaling(
     query = tpch.q12()
     vanilla_times: List[float] = []
     skipper_times: List[float] = []
-    ideal_times: List[float] = []
     for count in client_counts:
         vanilla_times.append(
             run_uniform_cluster(
@@ -238,12 +218,12 @@ def figure7_skipper_scaling(
                 cache_capacity=cache_capacity,
             ).average_execution_time()
         )
-        ideal_times.append(run_ideal_cluster(catalog, query, count).average_execution_time())
+    ideal = run_ideal_cluster(catalog, query).average_execution_time()
     return {
         "clients": list(client_counts),
         "postgresql": vanilla_times,
         "skipper": skipper_times,
-        "ideal": ideal_times,
+        "ideal": [ideal] * len(client_counts),
     }
 
 

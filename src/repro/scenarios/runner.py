@@ -142,7 +142,6 @@ def build_cluster_config(spec: ScenarioSpec) -> ClusterConfig:
         device_config=DeviceConfig(
             group_switch_seconds=spec.switch_seconds,
             transfer_seconds_per_object=spec.transfer_seconds,
-            concurrent_transfers=spec.concurrent_transfers,
         ),
         fleet_spec=spec.fleet,
     )

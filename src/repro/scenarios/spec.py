@@ -11,12 +11,11 @@ metrics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
-from repro.exceptions import ScenarioError
+from repro.exceptions import ScenarioError, is_time
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.arrivals import ArrivalPattern, SimultaneousArrival
 from repro.service.admission import AdmissionConfig
@@ -130,7 +129,6 @@ class ScenarioSpec:
     scheduler_param: Optional[float] = None
     switch_seconds: float = 10.0
     transfer_seconds: float = 9.6
-    concurrent_transfers: bool = False
     #: When set, the scenario runs against a sharded multi-device fleet
     #: (placement, replication lifecycle — R changes, read-repair, throttled
     #: rebalance I/O — and optional mid-run device failures) instead of the
@@ -171,8 +169,9 @@ class ScenarioSpec:
         for label, value in (
             ("switch_seconds", self.switch_seconds),
             ("transfer_seconds", self.transfer_seconds),
+            ("scheduler_param", 0 if self.scheduler_param is None else self.scheduler_param),
         ):
-            if not math.isfinite(value) or value < 0:
+            if not is_time(value):
                 raise ScenarioError(
                     f"scenario {self.name!r}: {label} must be finite and "
                     f"non-negative, got {value!r}"
@@ -198,13 +197,6 @@ class ScenarioSpec:
         if not isinstance(self.trace, bool):
             raise ScenarioError(
                 f"scenario {self.name!r}: trace must be a bool, got {self.trace!r}"
-            )
-        if self.scheduler_param is not None and (
-            not math.isfinite(self.scheduler_param) or self.scheduler_param < 0
-        ):
-            raise ScenarioError(
-                f"scenario {self.name!r}: scheduler_param must be finite and "
-                f"non-negative, got {self.scheduler_param!r}"
             )
         if (
             self.scheduler == "slack-fcfs"
@@ -244,7 +236,8 @@ class ScenarioSpec:
             "scheduler_param": self.scheduler_param,
             "switch_seconds": self.switch_seconds,
             "transfer_seconds": self.transfer_seconds,
-            "concurrent_transfers": self.concurrent_transfers,
+            # Transfers are always serialized; the key keeps the report schema.
+            "concurrent_transfers": False,
             "fleet": self.fleet.to_dict() if self.fleet is not None else None,
             "admission": self.admission.to_dict() if self.admission is not None else None,
         }

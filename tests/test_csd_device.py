@@ -12,6 +12,7 @@ from repro.csd import (
     RankBasedScheduler,
 )
 from repro.csd.device import BusyInterval
+from repro.csd.request import GetRequest
 from repro.exceptions import ConfigurationError, StorageError
 from repro.sim import Environment
 
@@ -35,9 +36,16 @@ def _setup(num_clients=2, objects_per_client=4, layout_policy=None, scheduler=No
     return env, device, client_objects
 
 
+def _get(device, key, client, query_id):
+    """Submit one GET (a batch of one) and return it."""
+    request = GetRequest(key, client, query_id, device.env.event(name=key))
+    device.submit_many((request,))
+    return request
+
+
 def _batch_client(env, device, client, keys, finish_times):
     def process(env):
-        requests = [device.get(key, client, f"{client}:q:0") for key in keys]
+        requests = [_get(device, key, client, f"{client}:q:0") for key in keys]
         yield env.all_of([request.completion for request in requests])
         finish_times[client] = env.now
 
@@ -47,7 +55,7 @@ def _batch_client(env, device, client, keys, finish_times):
 def _serial_client(env, device, client, keys, finish_times, think_time=0.0):
     def process(env):
         for key in keys:
-            request = device.get(key, client, f"{client}:q:0")
+            request = _get(device, key, client, f"{client}:q:0")
             yield request.completion
             if think_time:
                 yield env.timeout(think_time)
@@ -84,7 +92,7 @@ class TestBatchedAccess:
         results = {}
 
         def process(env):
-            request = device.get(objects["c0"][2], "c0", "q")
+            request = _get(device, objects["c0"][2], "c0", "q")
             payload = yield request.completion
             results["payload"] = payload
 
@@ -126,73 +134,6 @@ class TestDeviceConfigurations:
         env.run()
         # A single group and no switch latency: total time = serialized transfers.
         assert max(finish.values()) == pytest.approx(8.0)
-
-    def test_concurrent_transfers_overlap_across_clients(self):
-        env, device, objects = _setup(
-            num_clients=2,
-            layout_policy=AllInOneLayout(),
-            config=DeviceConfig(
-                group_switch_seconds=0.0,
-                transfer_seconds_per_object=1.0,
-                concurrent_transfers=True,
-            ),
-        )
-        finish = {}
-        for client, keys in objects.items():
-            _batch_client(env, device, client, keys, finish)
-        env.run()
-        # Each client's four transfers are serialized per client but overlap
-        # across clients, so everyone finishes at ~4s instead of ~8s.
-        assert max(finish.values()) == pytest.approx(4.0)
-
-    def test_switch_waits_for_concurrent_deliveries_in_flight(self):
-        """The guard in ``_run``: with concurrent transfers the service set is
-        dispatched in no simulated time, so the next decision (group 1) is
-        made at t = 10 while c0's three deliveries are still in flight until
-        t = 13 — the switch must wait for them, and a GET arriving during
-        that wait is registered when it ends, not after the switch."""
-        env, device, objects = _setup(
-            num_clients=2,
-            config=DeviceConfig(
-                group_switch_seconds=10.0,
-                transfer_seconds_per_object=1.0,
-                concurrent_transfers=True,
-            ),
-        )
-        finish = {}
-        _batch_client(env, device, "c0", objects["c0"][:3], finish)
-        _batch_client(env, device, "c1", objects["c1"], finish)
-        seen_mid_switch = {}
-
-        def late_request(env):
-            yield env.timeout(11.5)  # group 0 still loaded, two deliveries to go
-            device.get(objects["c0"][3], "c0", "c0:q:1")
-            assert device.stats.requests_received == 7  # waiting in the inbox
-            yield env.timeout(2.5)  # t = 14: the switch to group 1 is under way
-            seen_mid_switch["received"] = device.stats.requests_received
-            seen_mid_switch["pending_on_0"] = device.scheduler.pending_count(0)
-
-        env.process(late_request(env))
-        env.run()
-
-        switches = [i for i in device.busy_intervals if i.kind == "switch"]
-        transfers = [i for i in device.busy_intervals if i.kind == "transfer"]
-        assert [(s.start, s.end, s.group_id) for s in switches] == [
-            (0.0, 10.0, 0),
-            (13.0, 23.0, 1),  # decided at t = 10, held until the last delivery
-            (27.0, 37.0, 0),
-        ]
-        assert [(t.start, t.end) for t in transfers if t.group_id == 0][:3] == [
-            (10.0, 11.0),
-            (11.0, 12.0),
-            (12.0, 13.0),
-        ]
-        for switch, left in zip(switches[1:], switches):
-            leaving = [t.end for t in transfers if t.group_id == left.group_id and t.start < switch.start]
-            assert leaving and max(leaving) <= switch.start
-        assert seen_mid_switch == {"received": 8, "pending_on_0": 1}
-        assert device.stats.objects_served == 8
-        assert (device._inflight, device._drained_event) == (0, None)
 
     def test_busy_intervals_cover_switches_and_transfers(self):
         env, device, objects = _setup(num_clients=2)
@@ -238,7 +179,7 @@ class TestDeviceConfigurations:
     def test_unknown_object_rejected_on_submit(self):
         env, device, _objects = _setup(num_clients=1)
         with pytest.raises(StorageError):
-            device.get("c0/unknown.0", "c0", "q")
+            _get(device, "c0/unknown.0", "c0", "q")
 
     def test_negative_config_rejected(self):
         with pytest.raises(ConfigurationError):

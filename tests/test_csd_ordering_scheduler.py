@@ -231,8 +231,7 @@ class TestEmptyPoolIsATypedError:
         store = ObjectStore()
         keys = {"c0": [store.put_segment("c0", f"a.{index}", index) for index in range(3)]}
         device = ColdStorageDevice(env, store, AllInOneLayout().build(keys), policy())
-        for key in keys["c0"]:
-            device.get(key, "c0", "c0:q:0")
+        device.submit_many([_request(env, key) for key in keys["c0"]])
         assert len(device.drain_pending()) == 3
         assert not device.scheduler.has_pending()
         with pytest.raises(SchedulingError):

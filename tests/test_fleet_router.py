@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
+from repro.csd.request import GetRequest
 from repro.exceptions import FleetError, ScenarioError
 from repro.fleet.report import fleet_metrics
 from repro.fleet.spec import DeviceFailure, FleetSpec
@@ -60,7 +61,9 @@ class TestRouting:
     def test_unplaced_object_rejected(self):
         service = build_fleet_service(FleetSpec(devices=2, replication=1))
         with pytest.raises(FleetError):
-            service.fleet.get("nobody/nothing.0", "c0", "q")
+            service.fleet.submit_many(
+                [GetRequest("nobody/nothing.0", "c0", "q", service.env.event())]
+            )
 
     def test_merged_busy_intervals_ordered_by_completion(self):
         service = build_fleet_service(FleetSpec(devices=3, replication=2))

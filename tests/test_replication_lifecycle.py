@@ -366,7 +366,7 @@ class TestMigrationThrottle:
         from repro.csd.device import ColdStorageDevice
         from repro.csd.disk_group import DiskGroupLayout
         from repro.csd.object_store import ObjectStore
-        from repro.csd.request import MigrationJob
+        from repro.csd.request import GetRequest, MigrationJob
         from repro.csd.scheduler import RankBasedScheduler
         from repro.sim import Environment
 
@@ -386,7 +386,8 @@ class TestMigrationThrottle:
 
         def client(env):
             yield env.timeout(4.0)  # mid token interval; the device is idle-waiting
-            request = device.get(key, "a", "q1")
+            request = GetRequest(key, "a", "q1", env.event())
+            device.submit_many((request,))
             yield request.completion
 
         env.process(client(env))

@@ -70,8 +70,9 @@ class TestSlackFCFSScheduler:
                 # c0.1, c1.1, ... so strict FCFS must ping-pong between groups.
                 requests = []
                 for first, second in zip(client_objects["c0"], client_objects["c1"]):
-                    requests.append(device.get(first, "c0", "c0:q"))
-                    requests.append(device.get(second, "c1", "c1:q"))
+                    requests.append(GetRequest(first, "c0", "c0:q", env.event()))
+                    requests.append(GetRequest(second, "c1", "c1:q", env.event()))
+                device.submit_many(requests)
                 yield env.all_of([request.completion for request in requests])
 
             env.process(driver(env))
@@ -121,8 +122,6 @@ class TestClientProxy:
         env.run()
         assert sorted(segment_id for segment_id, _ in received) == sorted(segment_ids)
         assert all(segment_id == payload_id for segment_id, payload_id in received)
-        assert proxy.requests_issued == len(segment_ids)
-        assert proxy.requests_completed == len(segment_ids)
         # Everything delivered was consumed: the proxy retains no request.
         assert len(proxy.arrivals) == 0
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from functools import partial
 
 import pytest
 
@@ -26,7 +28,17 @@ from repro.scenarios import (
     uniform_tenants,
 )
 from repro.scenarios.golden import diff_values
-from repro.scenarios.invariants import check_conservation, check_monotone_clock
+from repro.scenarios.invariants import (
+    check_cache_bounds,
+    check_conservation,
+    check_fleet_failover,
+    check_fleet_placement,
+    check_fleet_rebalance,
+    check_monotone_clock,
+    check_no_starvation,
+    check_replication_repair,
+    starvation_bound,
+)
 from repro.scenarios.runner import build_layout, build_scheduler
 from repro.service import StorageService
 from repro.workloads import tpch
@@ -156,11 +168,16 @@ class TestGoldenDiff:
         assert any("intruder" in mismatch for mismatch in mismatches)
 
 
-def _run_service(fleet=None, num_clients=2):
+def _run_service(fleet=None, num_clients=2, repetitions=1):
     catalog = tpch.build_catalog("tiny", seed=42)
     config = ClusterConfig(
         client_specs=[
-            ClientSpec(client_id=f"c{index}", queries=[tpch.q12()], cache_capacity=8)
+            ClientSpec(
+                client_id=f"c{index}",
+                queries=[tpch.q12()],
+                cache_capacity=8,
+                repetitions=repetitions,
+            )
             for index in range(num_clients)
         ],
         fleet_spec=fleet,
@@ -184,6 +201,38 @@ def _first_transfer(service):
 BACKENDS = pytest.mark.parametrize(
     "fleet", [None, FleetSpec(devices=3, replication=2)], ids=["single-device", "fleet"]
 )
+
+
+def _violations(service, result):
+    """The message of every invariant check that fires on ``result``."""
+    checks = [
+        partial(check, service, result)
+        for check in (check_conservation, check_monotone_clock, check_no_starvation)
+    ]
+    checks.append(partial(check_cache_bounds, result))
+    if service.fleet is not None:
+        checks += [
+            partial(check, service)
+            for check in (
+                check_fleet_placement,
+                check_fleet_failover,
+                check_fleet_rebalance,
+                check_replication_repair,
+            )
+        ]
+    fired = []
+    for check in checks:
+        try:
+            check()
+        except InvariantViolation as violation:
+            fired.append(str(violation))
+    return fired
+
+
+def _assert_only_violation(service, result, pattern):
+    """Exactly one check fires, and with the violation ``pattern`` names."""
+    fired = _violations(service, result)
+    assert len(fired) == 1 and re.search(pattern, fired[0]), fired
 
 
 class TestInvariantChecker:
@@ -243,6 +292,60 @@ class TestInvariantChecker:
         )
         with pytest.raises(InvariantViolation, match="ends before"):
             check_monotone_clock(service, result)
+
+
+    @BACKENDS
+    def test_conservation_detects_an_extra_received_request(self, fleet):
+        service, result = _run_service(fleet)
+        assert _violations(service, result) == []
+        service.devices[0].stats.requests_received += 1
+        _assert_only_violation(service, result, "devices received")
+
+    @BACKENDS
+    def test_monotone_clock_detects_work_after_the_end(self, fleet):
+        service, result = _run_service(fleet)
+        end = result.total_simulated_time
+        service.devices[-1].busy_intervals.append(BusyInterval(end, end + 1.0, "switch", 0))
+        _assert_only_violation(service, result, "after the simulation ended")
+
+    @BACKENDS
+    def test_monotone_clock_detects_a_query_ending_before_it_starts(self, fleet):
+        service, result = _run_service(fleet)
+        query = result.results_by_client["c0"][0]
+        query.start_time, query.end_time = query.end_time, query.start_time
+        _assert_only_violation(service, result, "ended before it started")
+
+    @BACKENDS
+    def test_monotone_clock_detects_overlapping_queries(self, fleet):
+        service, result = _run_service(fleet, repetitions=2)
+        first, second = result.results_by_client["c1"]
+        second.start_time = first.end_time - 1.0
+        _assert_only_violation(service, result, "queries overlap")
+
+    @BACKENDS
+    def test_monotone_clock_detects_a_blocked_interval_outside_its_query(self, fleet):
+        service, result = _run_service(fleet)
+        query = result.results_by_client["c0"][0]
+        query.blocked_intervals.append((query.end_time, query.end_time + 1.0))
+        _assert_only_violation(service, result, "outside the query's execution window")
+
+    @BACKENDS
+    def test_cache_bounds_detects_an_overfull_cache(self, fleet):
+        service, result = _run_service(fleet)
+        query = result.results_by_client["c1"][0]
+        query.cache_peak_occupancy = query.cache_capacity + 1
+        _assert_only_violation(service, result, "above its capacity of 8")
+
+    @BACKENDS
+    def test_no_starvation_fires_one_switch_past_the_bound(self, fleet):
+        service, result = _run_service(fleet)
+        device = service.devices[0]
+        scheduler = device.scheduler
+        bound = starvation_bound(device.layout.num_groups, 2, scheduler.fairness_constant)
+        scheduler.max_waiting_seen = bound
+        assert _violations(service, result) == []
+        scheduler.max_waiting_seen = bound + 1
+        _assert_only_violation(service, result, f"above the starvation bound {bound} ")
 
 
 class TestSpecSerialization:

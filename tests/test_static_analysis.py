@@ -731,9 +731,9 @@ def _method(tree, class_name, method_name):
 
 
 def test_device_loop_has_no_per_item_generator():
-    """The pull path stays flat: the device's only generators are its main
-    loop and the concurrent delivery (a switch or a migration job is a
-    timeout inside ``_run``, not a sub-generator per item); the per-object
+    """The pull path stays flat: the device's only generator is its main
+    loop (a switch, a transfer or a migration job is a timeout inside
+    ``_run``, not a sub-generator per item); the per-object
     scheduler decisions build no lambda, generator expression or set copy;
     and the pull-based executor drives a query from two ``QueryRun``
     generators (``pull_each``, then ``charge`` for the join), not three per
@@ -749,7 +749,7 @@ def test_device_loop_has_no_per_item_generator():
         if isinstance(method, ast.FunctionDef)
         and any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(method))
     }
-    assert generators == {"_run", "_deliver_at"}
+    assert generators == {"_run"}
 
     scheduler = ast.parse((src / "csd" / "scheduler.py").read_text())
     for class_name, method_name in (

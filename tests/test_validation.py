@@ -168,6 +168,45 @@ class TestScenarioSpecValidation:
         assert issubclass(ScenarioError, ConfigurationError)
 
 
+def _scenario(**knobs):
+    return ScenarioSpec(name="s", description="x", tenants=uniform_tenants(1, "tpch:q12"), **knobs)
+
+
+#: Every time-valued knob: how to build it, and the typed error it raises.
+TIME_KNOBS = {
+    "device-switch": (lambda value: DeviceConfig(group_switch_seconds=value), ConfigurationError),
+    "device-transfer": (
+        lambda value: DeviceConfig(transfer_seconds_per_object=value),
+        ConfigurationError,
+    ),
+    "scenario-switch": (lambda value: _scenario(switch_seconds=value), ScenarioError),
+    "scenario-transfer": (lambda value: _scenario(transfer_seconds=value), ScenarioError),
+    "scenario-scheduler-param": (lambda value: _scenario(scheduler_param=value), ScenarioError),
+    "client-start-delay": (
+        lambda value: ClientSpec(client_id="c", queries=[Q12], start_delay=value),
+        ConfigurationError,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        (knob, value)
+        for knob in TIME_KNOBS
+        for value in ("10", None, True, False, [1.0], 1j)
+        # ``scheduler_param=None`` is the policy's own default.
+        if not (knob == "scenario-scheduler-param" and value is None)
+    ],
+)
+def test_non_real_times_are_typed_errors(knob, value):
+    """A string, ``None``, a list or a complex used to escape as a bare
+    ``TypeError`` from ``math.isfinite``, and a bool passed as 0 or 1."""
+    build, error = TIME_KNOBS[knob]
+    with pytest.raises(error, match="finite and non-negative"):
+        build(value)
+
+
 class TestArrivalValidation:
     def test_nonpositive_rates_rejected(self):
         with pytest.raises(ScenarioError):
