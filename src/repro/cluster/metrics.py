@@ -2,7 +2,9 @@
 
 * :func:`attribute_waiting` splits a client's blocked time into group-switch
   wait and data-transfer wait by intersecting the client's blocked intervals
-  with the device's busy intervals (Figure 9 / Table 3).
+  with the device's busy intervals (Figure 9 / Table 3).  The busy log is
+  read once, in the order given — for a fleet, each device's own log
+  chained in roster order, never a merged and sorted copy.
 * :func:`merge_intervals`, :class:`MergedSpans` and :func:`sweep_blocked` are
   the interval algebra behind it — the only one in the tree:
   :mod:`repro.obs.analysis` runs the same sweep over a trace document.
@@ -93,7 +95,7 @@ class MergedSpans:
 
 def attribute_waiting(
     blocked_intervals: Sequence[Tuple[float, float]],
-    busy_intervals: Sequence[BusyInterval],
+    busy_intervals: Iterable[BusyInterval],
     processing_time: float = 0.0,
 ) -> ExecutionBreakdown:
     """Attribute a client's blocked time to device switches vs. transfers.
@@ -105,7 +107,7 @@ def attribute_waiting(
 
     Both the blocked intervals and the busy time of each kind are unioned
     first, so duplicated blocked intervals and *concurrently* busy devices
-    (a fleet's merged interval stream) are each counted once — every
+    (a fleet's devices' logs, chained) are each counted once — every
     blocked second lands in exactly one bucket and the components always
     sum to the total blocked time.  For a single device, whose busy
     intervals never overlap, this is exactly the per-interval attribution
@@ -118,23 +120,60 @@ def attribute_waiting(
 
 def attribute_waiting_batch(
     blocked_interval_lists: Sequence[Sequence[Tuple[float, float]]],
-    busy_intervals: Sequence[BusyInterval],
+    busy_intervals: Iterable[BusyInterval],
     processing_times: Sequence[float],
 ) -> List[ExecutionBreakdown]:
     """Attribute many queries' blocked time in one sorted sweep.
 
     The busy-span unions depend only on the interval log, so they are built
-    once and every query's blocked intervals are walked against them by
-    :func:`sweep_blocked` (inner = every kind but ``switch``) — a batch of N
-    is bit-identical to N one-query calls.
+    once, in one pass over ``busy_intervals``: the non-switch busy time and
+    all busy time (entries of no length or ending by time 0 are skipped).
+    An entry that overlaps or touches the run before it joins that run as
+    it is read — a device's own log is back to back, so it collapses to a
+    few runs — and only the runs go through :func:`merge_intervals`.  A run
+    is the union of its entries and its ends are input floats, so any input
+    order (several devices' logs chained, say) gives the same unions, bit
+    for bit.  Every query's blocked intervals are then walked against them
+    by :func:`sweep_blocked` (inner = every kind but ``switch``) — a batch
+    of N is bit-identical to N one-query calls.
     """
-    relevant = [
-        interval for interval in busy_intervals if interval.end > 0 and interval.duration > 0
-    ]
-    transfer_spans = MergedSpans(
-        [(busy.start, busy.end) for busy in relevant if busy.kind != "switch"]
-    )
-    busy_spans = MergedSpans([(busy.start, busy.end) for busy in relevant])
+    transfer_runs: List[Tuple[float, float]] = []
+    busy_runs: List[Tuple[float, float]] = []
+    # The open run of each union; (inf, -inf) is the empty run nothing
+    # touches.  Unrolled over the two unions, like ``sweep_blocked``.
+    t_low = b_low = math.inf
+    t_high = b_high = -math.inf
+    for interval in busy_intervals:
+        start = interval.start
+        end = interval.end
+        if not (end > start and end > 0):
+            continue
+        if start <= b_high and end >= b_low:
+            if start < b_low:
+                b_low = start
+            if end > b_high:
+                b_high = end
+        else:
+            if b_low < b_high:
+                busy_runs.append((b_low, b_high))
+            b_low, b_high = start, end
+        if interval.kind == "switch":
+            continue
+        if start <= t_high and end >= t_low:
+            if start < t_low:
+                t_low = start
+            if end > t_high:
+                t_high = end
+        else:
+            if t_low < t_high:
+                transfer_runs.append((t_low, t_high))
+            t_low, t_high = start, end
+    if b_low < b_high:
+        busy_runs.append((b_low, b_high))
+    if t_low < t_high:
+        transfer_runs.append((t_low, t_high))
+    transfer_spans = MergedSpans(transfer_runs)
+    busy_spans = MergedSpans(busy_runs)
     totals, transfers, switches = sweep_blocked(
         blocked_interval_lists, transfer_spans, busy_spans
     )

@@ -14,6 +14,10 @@ record every after-the-run reader works from: the metrics layer attributes
 each client's waiting time to switching vs. data transfer from it (the
 breakdown shown in Figure 9 and Table 3 of the paper), and the invariant
 checker, the scenario report and the trace exporter read the same list.
+The device does one thing at a time, so the log is in time order and
+mostly back to back; readers take it in that order, in one pass each, and
+a fleet's logs are read device by device, never merged into one sorted
+copy.
 """
 
 from __future__ import annotations
@@ -201,7 +205,8 @@ class ColdStorageDevice:
         #: over foreground GETs, in arrival order.
         self._admin_jobs = deque()
         self.current_group: Optional[int] = None
-        #: Every switch, transfer and migration I/O, in completion order.
+        #: Every switch, transfer and migration I/O, in completion order
+        #: (which is also start order: one at a time).
         self.busy_intervals: List[BusyInterval] = []
         self.stats = DeviceStats()
         if metrics is not None:

@@ -112,6 +112,8 @@ class Segment:
         selection = predicate.selection(self._columns, self._num_rows)
         if selection is None:
             return None
+        if not selection:
+            return []
         names = self._column_names
         if not names:
             return [{} for _ in selection]

@@ -87,6 +87,13 @@ def is_time(value: object) -> bool:
     )
 
 
+def is_count(value: object, minimum: int = 1) -> bool:
+    """True when ``value`` is an int of at least ``minimum`` (a positive
+    count by default; ``minimum=0`` for an index); a bool is an int but not
+    a count, and a float is not one even when whole."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 class ScenarioError(ConfigurationError):
     """Raised for unknown or malformed scenario specifications."""
 

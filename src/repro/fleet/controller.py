@@ -224,7 +224,8 @@ class FleetController:
         log entry stating what it saw and why it did (or did not) act.
         """
         serving = [member for member in self.membership.members if member.alive]
-        busy = [member.window_busy(window_start, now) for member in serving]
+        window = ((window_start, now),)
+        busy = [member.busy_per_window(window)[0] for member in serving]
         imbalance = imbalance_coefficient(busy)
         entry: Dict[str, object] = {
             "at_seconds": now,

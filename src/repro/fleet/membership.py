@@ -18,8 +18,9 @@ the pre-elastic fleet layer.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.csd.device import ColdStorageDevice, DeviceConfig
 from repro.exceptions import ConfigurationError, FleetError
@@ -69,18 +70,35 @@ class FleetMember:
             total += interval.end - interval.start
         return total
 
-    def window_busy(self, start: float, end: float) -> float:
-        """Busy seconds inside ``[start, end]``, in log order (runs per epoch
-        window per device over the whole log: no ``min``/``max`` calls)."""
+    def busy_per_window(self, windows: Sequence[Tuple[float, float]]) -> List[float]:
+        """Busy seconds inside each ``(start, end)`` window, in one pass over
+        the log — every epoch window of the report at once, or the rebalance
+        tick's one window.
+
+        The windows are contiguous and sorted (each starts where the one
+        before it ends; zero-length ones allowed), so their ends ascend and
+        ``bisect`` finds the first window an interval can reach.  Every
+        window still adds its positive overlaps in log order, and the
+        windows skipped would have added nothing, so each total is the
+        whole-log scan's, bit for bit.
+        """
+        count = len(windows)
+        totals = [0.0] * count
         if self.device is None:
-            return 0.0
-        total = 0.0
+            return totals
+        ends = [end for _start, end in windows]
         for interval in self.device.busy_intervals:
             low, high = interval.start, interval.end
-            overlap = (high if high < end else end) - (low if low > start else start)
-            if overlap > 0.0:
-                total += overlap
-        return total
+            index = bisect_right(ends, low)
+            while index < count:
+                start, end = windows[index]
+                if start >= high:
+                    break
+                overlap = (high if high < end else end) - (low if low > start else start)
+                if overlap > 0.0:
+                    totals[index] += overlap
+                index += 1
+        return totals
 
     def objects_served(self) -> int:
         return self.device.stats.objects_served if self.device else 0

@@ -39,24 +39,26 @@ def per_epoch_imbalance(
     Every membership change opens a new epoch, so the member set is
     constant inside each window; a member belongs to a window when it had
     joined by the window's start and neither left nor failed before its
-    end.
+    end.  Each member's log is read once, for every window at a time.
     """
+    windows = router.membership.epoch_windows(total_simulated_time)
+    spans = [(start, end) for _epoch, start, end in windows]
+    busy_by_member = [member.busy_per_window(spans) for member in router.members]
     series: List[Dict[str, object]] = []
-    for epoch, start, end in router.membership.epoch_windows(total_simulated_time):
-        present = [
-            member
-            for member in router.members
+    for index, (epoch, start, end) in enumerate(windows):
+        busy = [
+            member_busy[index]
+            for member, member_busy in zip(router.members, busy_by_member)
             if member.joined_at <= start
             and (member.left_at is None or member.left_at >= end)
             and (member.failed_at is None or member.failed_at >= end)
         ]
-        busy = [member.window_busy(start, end) for member in present]
         series.append(
             {
                 "epoch": epoch,
                 "start": start,
                 "end": end,
-                "devices": len(present),
+                "devices": len(busy),
                 "imbalance_coefficient": imbalance_coefficient(busy),
             }
         )

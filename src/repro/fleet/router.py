@@ -26,11 +26,13 @@ Responsibilities:
   failover, hand-off and the service's admin hatch re-submit what it
   returns through :meth:`FleetRouter.submit_many`, so nothing is lost and
   there is one routing body.
-* **Aggregation** — the devices' ``busy_intervals`` lists are merged
-  (ordered by completion) for the metrics layer, and per-device counters are
-  combined into fleet-level statistics.  The scenario-report sections built
-  from that state live in :mod:`repro.fleet.report`; readers that want the
-  devices themselves iterate ``StorageService.devices``.
+* **Aggregation** — per-device counters are combined into fleet-level
+  statistics.  Busy time is not aggregated: each device's
+  ``busy_intervals`` log stays the one record, and after-the-run readers
+  (the Figure 9 attribution, the invariant checker, the trace exporter)
+  iterate ``StorageService.devices`` and read each log in place.  The
+  scenario-report sections built from this state live in
+  :mod:`repro.fleet.report`.
 
 Once built, the router *reads* ``placement``, ``members`` and each member's
 ``alive`` flag; it never rewrites placement or life-cycle state.
@@ -42,7 +44,6 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.csd.device import (
-    BusyInterval,
     ColdStorageDevice,
     DeviceConfig,
     DeviceStats,
@@ -63,9 +64,6 @@ SchedulerFactory = Callable[[], IOScheduler]
 
 #: ``least-loaded``'s score, read without a Python frame per replica.
 _OUTSTANDING = attrgetter("outstanding")
-#: Completion order of merged busy intervals (one key per served object).
-_END_THEN_START = attrgetter("end", "start")
-
 
 
 class FleetRouterStats:
@@ -401,16 +399,6 @@ class FleetRouter:
     # ------------------------------------------------------------------ #
     # Aggregated views for the metrics / invariants layers
     # ------------------------------------------------------------------ #
-    @property
-    def busy_intervals(self) -> List[BusyInterval]:
-        """All devices' busy intervals merged in completion order."""
-        merged: List[BusyInterval] = []
-        for member in self.members:
-            if member.device is not None:
-                merged.extend(member.device.busy_intervals)
-        merged.sort(key=_END_THEN_START)
-        return merged
-
     @property
     def device_stats(self) -> DeviceStats:
         """Fleet-wide counters in the single-device stats shape."""

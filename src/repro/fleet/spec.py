@@ -25,11 +25,10 @@ of starving them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.exceptions import ScenarioError
+from repro.exceptions import ScenarioError, is_count, is_time
 from repro.fleet.placement import DEFAULT_VIRTUAL_NODES, ConsistentHashPlacement
 
 #: Replica-choice policy names resolvable by the router.  ``least-loaded``
@@ -52,10 +51,21 @@ def device_name(index: int) -> str:
 
 
 def _validate_event_time(label: str, at_seconds: float) -> None:
-    if not math.isfinite(at_seconds) or at_seconds < 0:
+    if not is_time(at_seconds):
         raise ScenarioError(
             f"{label} time must be finite and non-negative, got {at_seconds!r}"
         )
+
+
+def _validate_device_index(label: str, device: int) -> None:
+    if not is_count(device, minimum=0):
+        raise ScenarioError(f"{label} device index must be an integer >= 0, got {device!r}")
+
+
+def _validate_override(label: str, name: str, value: Optional[float]) -> None:
+    """A per-device latency override: ``None`` (inherit) or a time."""
+    if value is not None and not is_time(value):
+        raise ScenarioError(f"{label} {name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +83,7 @@ class DeviceFailure:
     at_seconds: float
 
     def __post_init__(self) -> None:
-        if self.device < 0:
-            raise ScenarioError(f"failure device index must be >= 0, got {self.device}")
+        _validate_device_index("failure", self.device)
         _validate_event_time("failure", self.at_seconds)
 
     def to_dict(self) -> Dict[str, object]:
@@ -98,19 +107,10 @@ class DeviceJoin:
     transfer_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.device < 0:
-            raise ScenarioError(f"join device index must be >= 0, got {self.device}")
+        _validate_device_index("join", self.device)
         _validate_event_time("join", self.at_seconds)
-        for label, value in (
-            ("switch_seconds", self.switch_seconds),
-            ("transfer_seconds", self.transfer_seconds),
-        ):
-            if value is None:
-                continue
-            if not math.isfinite(value) or value < 0:
-                raise ScenarioError(
-                    f"join {label} must be finite and non-negative, got {value!r}"
-                )
+        _validate_override("join", "switch_seconds", self.switch_seconds)
+        _validate_override("join", "transfer_seconds", self.transfer_seconds)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -137,8 +137,7 @@ class DeviceLeave:
     at_seconds: float
 
     def __post_init__(self) -> None:
-        if self.device < 0:
-            raise ScenarioError(f"leave device index must be >= 0, got {self.device}")
+        _validate_device_index("leave", self.device)
         _validate_event_time("leave", self.at_seconds)
 
     def to_dict(self) -> Dict[str, object]:
@@ -159,22 +158,13 @@ class DeviceProfile:
     transfer_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.device < 0:
-            raise ScenarioError(f"profile device index must be >= 0, got {self.device}")
+        _validate_device_index("profile", self.device)
         if self.switch_seconds is None and self.transfer_seconds is None:
             raise ScenarioError(
                 f"profile for device {self.device} overrides nothing; drop it"
             )
-        for label, value in (
-            ("switch_seconds", self.switch_seconds),
-            ("transfer_seconds", self.transfer_seconds),
-        ):
-            if value is None:
-                continue
-            if not math.isfinite(value) or value < 0:
-                raise ScenarioError(
-                    f"profile {label} must be finite and non-negative, got {value!r}"
-                )
+        _validate_override("profile", "switch_seconds", self.switch_seconds)
+        _validate_override("profile", "transfer_seconds", self.transfer_seconds)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -200,9 +190,9 @@ class SetReplication:
     at_seconds: float
 
     def __post_init__(self) -> None:
-        if self.replication < 1:
+        if not is_count(self.replication):
             raise ScenarioError(
-                f"replication factor must be >= 1, got {self.replication}"
+                f"replication factor must be an integer >= 1, got {self.replication!r}"
             )
         _validate_event_time("set-replication", self.at_seconds)
 
@@ -230,12 +220,12 @@ class MigrationThrottle:
     burst: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.objects_per_second) or self.objects_per_second <= 0:
+        if not is_time(self.objects_per_second) or self.objects_per_second <= 0:
             raise ScenarioError(
                 "throttle objects_per_second must be finite and positive, "
                 f"got {self.objects_per_second!r}"
             )
-        if not isinstance(self.burst, int) or isinstance(self.burst, bool) or self.burst < 1:
+        if not is_count(self.burst):
             raise ScenarioError(
                 f"throttle burst must be an integer >= 1, got {self.burst!r}"
             )
@@ -269,17 +259,17 @@ class RebalancePolicy:
     min_weight_delta: float = 0.05
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.interval_seconds) or self.interval_seconds <= 0:
+        if not is_time(self.interval_seconds) or self.interval_seconds <= 0:
             raise ScenarioError(
                 "rebalance interval_seconds must be finite and positive, "
                 f"got {self.interval_seconds!r}"
             )
-        if not math.isfinite(self.imbalance_threshold) or self.imbalance_threshold < 0:
+        if not is_time(self.imbalance_threshold):
             raise ScenarioError(
                 "rebalance imbalance_threshold must be finite and "
                 f"non-negative, got {self.imbalance_threshold!r}"
             )
-        if not math.isfinite(self.min_weight_delta) or self.min_weight_delta < 0:
+        if not is_time(self.min_weight_delta):
             raise ScenarioError(
                 "rebalance min_weight_delta must be finite and non-negative, "
                 f"got {self.min_weight_delta!r}"
@@ -333,9 +323,11 @@ class FleetSpec:
     rebalance: Optional[RebalancePolicy] = None
 
     def __post_init__(self) -> None:
-        if self.devices < 1:
-            raise ScenarioError(f"fleet needs at least one device, got {self.devices}")
-        if not 1 <= self.replication <= self.devices:
+        if not is_count(self.devices):
+            raise ScenarioError(
+                f"fleet needs an integer number of devices >= 1, got {self.devices!r}"
+            )
+        if not is_count(self.replication) or self.replication > self.devices:
             raise ScenarioError(
                 f"replication must be between 1 and the fleet size "
                 f"({self.devices}), got {self.replication}"
@@ -345,8 +337,10 @@ class FleetSpec:
                 f"unknown replica policy {self.replica_policy!r}; "
                 f"expected one of {sorted(KNOWN_REPLICA_POLICIES)}"
             )
-        if self.virtual_nodes < 1:
-            raise ScenarioError(f"virtual_nodes must be >= 1, got {self.virtual_nodes}")
+        if not is_count(self.virtual_nodes):
+            raise ScenarioError(
+                f"virtual_nodes must be an integer >= 1, got {self.virtual_nodes!r}"
+            )
         if self.throttle is not None and not isinstance(self.throttle, MigrationThrottle):
             raise ScenarioError(
                 f"throttle must be a MigrationThrottle or None, got {self.throttle!r}"
@@ -356,7 +350,7 @@ class FleetSpec:
                 f"unknown weighting {self.weighting!r}; "
                 f"expected one of {sorted(KNOWN_WEIGHTINGS)}"
             )
-        if not math.isfinite(self.ewma_alpha) or not 0 < self.ewma_alpha <= 1:
+        if not is_time(self.ewma_alpha) or not 0 < self.ewma_alpha <= 1:
             raise ScenarioError(
                 f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
             )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
-from repro.exceptions import ScenarioError, is_time
+from repro.exceptions import ScenarioError, is_count, is_time
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.arrivals import ArrivalPattern, SimultaneousArrival
 from repro.service.admission import AdmissionConfig
@@ -152,7 +152,7 @@ class ScenarioSpec:
         tenant_ids = [tenant.tenant_id for tenant in self.tenants]
         if len(set(tenant_ids)) != len(tenant_ids):
             raise ScenarioError(f"scenario {self.name!r}: tenant ids must be unique")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed <= 0:
+        if not is_count(self.seed):
             raise ScenarioError(
                 f"scenario {self.name!r}: seed must be a positive integer, got {self.seed!r}"
             )
@@ -177,9 +177,7 @@ class ScenarioSpec:
                     f"non-negative, got {value!r}"
                 )
         if self.layout_param is not None:
-            if not self.layout_param or any(
-                not isinstance(part, int) or part <= 0 for part in self.layout_param
-            ):
+            if not self.layout_param or not all(map(is_count, self.layout_param)):
                 raise ScenarioError(
                     f"scenario {self.name!r}: layout_param must be a tuple of "
                     f"positive integers, got {self.layout_param!r}"

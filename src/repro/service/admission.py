@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.metrics import jain_fairness, mean, percentile
-from repro.exceptions import AdmissionError, ConfigurationError
+from repro.exceptions import AdmissionError, ConfigurationError, is_count
 from repro.obs import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,14 +49,12 @@ class AdmissionConfig:
             ("max_in_flight", self.max_in_flight),
             ("max_in_flight_per_tenant", self.max_in_flight_per_tenant),
         ):
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if value is not None and not is_count(value, minimum=0):
                 raise ConfigurationError(
                     f"{label} must be a non-negative integer or None, got {value!r}"
                 )
         depth = self.max_queue_depth
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        if not is_count(depth, minimum=0):
             raise ConfigurationError(
                 f"max_queue_depth must be a non-negative integer, got {depth!r}"
             )

@@ -22,6 +22,7 @@ the legacy harness, which the golden-metrics suite pins.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cluster.client import ClientSpec
@@ -277,7 +278,7 @@ class StorageService:
             )
         breakdowns = attribute_waiting_batch(
             [result.blocked_intervals for _tenant, result in ordered_results],
-            self.busy_intervals(),
+            chain.from_iterable(device.busy_intervals for device in self.devices),
             [result.processing_time for _tenant, result in ordered_results],
         )
         breakdowns_by_client: Dict[str, List[ExecutionBreakdown]] = {}
@@ -332,10 +333,6 @@ class StorageService:
         if self.fleet is not None:
             return self.fleet.device_stats
         return self.device.stats
-
-    def busy_intervals(self):
-        """Busy intervals of the backend (merged across a fleet)."""
-        return self.backend.busy_intervals
 
     def drain_pending(self) -> List[GetRequest]:
         """Pull every not-yet-served GET out of the backend (admin escape hatch).

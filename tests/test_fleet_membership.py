@@ -9,13 +9,16 @@ sessions survive membership changes without noticing them.
 
 from __future__ import annotations
 
-import pytest
+from types import SimpleNamespace
 
-from repro.csd.device import DeviceConfig
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.csd.device import BusyInterval, DeviceConfig
 from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.layout import TenantColocatedLayout, extend_layout_with_keys
 from repro.exceptions import FleetError, LayoutError, ScenarioError
-from repro.fleet.membership import FleetMembership, resolve_device_config
+from repro.fleet.membership import FleetMember, FleetMembership, resolve_device_config
 from repro.fleet.migration import plan_migration
 from repro.fleet.spec import (
     DeviceFailure,
@@ -23,14 +26,32 @@ from repro.fleet.spec import (
     DeviceLeave,
     DeviceProfile,
     FleetSpec,
+    MigrationThrottle,
+    RebalancePolicy,
+    SetReplication,
 )
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.scenarios.runner import ScenarioRunner
+from repro.obs import Ewma
 from repro.service import StorageService
 from repro.workloads import tpch
 
 RUNNER = ScenarioRunner()
+
+_KINDS = ("switch", "transfer", "migration")
+
+
+def _window_scan(log, start, end):
+    """Reference: busy seconds inside ``[start, end]`` from a scan of the
+    whole log, positive overlaps added in log order."""
+    total = 0.0
+    for interval in log:
+        low, high = interval.start, interval.end
+        overlap = (high if high < end else end) - (low if low > start else start)
+        if overlap > 0.0:
+            total += overlap
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +113,39 @@ class TestMembershipModel:
         joined = membership.join(DeviceJoin(2, 30.0, transfer_seconds=4.8), 30.0)
         assert joined.config.transfer_seconds_per_object == 4.8
         assert membership.heterogeneous
+
+    @given(
+        intervals=st.lists(
+            st.tuples(st.integers(-20, 120), st.integers(0, 30), st.sampled_from(_KINDS)),
+            max_size=40,
+        ),
+        serialized=st.booleans(),
+        boundaries=st.lists(st.integers(0, 400), min_size=1, max_size=8),
+    )
+    def test_busy_per_window_is_the_per_window_scan(self, intervals, serialized, boundaries):
+        """One pass over the log fills every epoch window with the same
+        floats as one whole-log scan per window.  Windows are contiguous
+        (repeated boundaries make zero-length ones) and the log is either
+        serialized, like a device's, or any overlapping, unordered list;
+        on a tenths grid intervals straddle boundaries and touch them."""
+        log = []
+        clock = -20
+        for offset, length, kind in intervals:
+            # Serialized: each entry starts 0-7 tenths after the last ends.
+            start = clock + max(offset, 0) % 8 if serialized else offset
+            log.append(BusyInterval(start / 10.0, (start + length) / 10.0, kind, 0))
+            clock = start + length
+        edges = sorted(edge / 10.0 for edge in boundaries)
+        windows = list(zip([0.0] + edges, edges))
+        member = FleetMember(
+            "csd0", 0, DeviceConfig(), Ewma(0.3), device=SimpleNamespace(busy_intervals=log)
+        )
+        assert member.busy_per_window(windows) == [
+            _window_scan(log, start, end) for start, end in windows
+        ]
+        assert FleetMember("csd1", 1, DeviceConfig(), Ewma(0.3)).busy_per_window(windows) == [
+            0.0
+        ] * len(windows)
 
     def test_resolve_device_config_keeps_base_when_no_overrides(self):
         base = DeviceConfig()
@@ -164,6 +218,41 @@ class TestSpecValidation:
             FleetSpec(devices=2, profiles=(DeviceProfile(device=7, switch_seconds=1.0),))
         with pytest.raises(ScenarioError, match="overrides nothing"):
             DeviceProfile(device=0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DeviceJoin(device=3, at_seconds="5"),
+            lambda: FleetSpec(devices="2"),
+            lambda: FleetSpec(devices=2, replication="2"),
+            lambda: DeviceFailure(device=1, at_seconds=None),
+            lambda: DeviceLeave(device="x", at_seconds=1.0),
+            lambda: MigrationThrottle(objects_per_second="2"),
+            lambda: FleetSpec(devices=True),
+            lambda: DeviceProfile(device=1.0, switch_seconds=2.0),
+            lambda: DeviceJoin(device=3, at_seconds=5.0, transfer_seconds=[1.0]),
+            lambda: SetReplication(replication=2.0, at_seconds=1.0),
+            lambda: RebalancePolicy(interval_seconds="60"),
+        ],
+        ids=[
+            "join-time-str",
+            "devices-str",
+            "replication-str",
+            "failure-time-none",
+            "leave-device-str",
+            "throttle-rate-str",
+            "devices-bool",
+            "profile-device-float",
+            "join-transfer-list",
+            "replication-float",
+            "rebalance-interval-str",
+        ],
+    )
+    def test_wrongly_typed_fields_are_scenario_errors(self, build):
+        """Each of these used to escape as a bare ``TypeError`` (or, for a
+        bool or a whole float, pass as a number)."""
+        with pytest.raises(ScenarioError):
+            build()
 
     def test_spec_dict_roundtrips_events_and_profiles(self):
         spec = FleetSpec(

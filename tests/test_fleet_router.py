@@ -65,22 +65,6 @@ class TestRouting:
                 [GetRequest("nobody/nothing.0", "c0", "q", service.env.event())]
             )
 
-    def test_merged_busy_intervals_ordered_by_completion(self):
-        service = build_fleet_service(FleetSpec(devices=3, replication=2))
-        service.run()
-        merged = service.fleet.busy_intervals
-        assert merged
-        assert all(
-            merged[index].end <= merged[index + 1].end
-            for index in range(len(merged) - 1)
-        )
-        per_device_total = sum(
-            len(member.device.busy_intervals)
-            for member in service.fleet.members
-            if member.device is not None
-        )
-        assert len(merged) == per_device_total
-
 
 class TestReplicaChoice:
     def test_primary_first_uses_primary_while_alive(self):

@@ -9,6 +9,9 @@ intersected with device busy time.
 
 from __future__ import annotations
 
+import random
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +56,41 @@ _INTERVALS = st.lists(_INTERVAL, max_size=8)
 
 
 _KINDS = ("switch", "transfer", "migration")
+
+#: Blocked intervals over the whole span of the device logs below.
+_WIDE_INTERVALS = st.lists(
+    st.tuples(st.integers(-500, 20000), st.integers(0, 3000)).map(
+        lambda pair: (pair[0] / 10.0, (pair[0] + pair[1]) / 10.0)
+    ),
+    max_size=8,
+)
+
+
+def _serialized_log(first, entries, seed):
+    """One device's log of ``entries`` entries from ``first`` tenths on:
+    each starts a gap after the one before it ends (mostly none: back to
+    back) and lasts a few tenths or none at all."""
+    rng = random.Random(seed)
+    log = []
+    clock = first
+    for _ in range(entries):
+        clock += rng.choice((0, 0, 0, 4, 25))
+        length = rng.choice((0, 3, 47, 96, 100))
+        log.append(BusyInterval(clock / 10.0, (clock + length) / 10.0, rng.choice(_KINDS), 0))
+        clock += length
+    return log
+
+
+#: A device's serialized log of 100-150 entries, starting early enough
+#: that some entries end at or before time 0.  The entries come from a
+#: seeded ``random.Random``: drawn one by one through hypothesis, the logs
+#: take ~7 s to generate.
+_DEVICE_LOG = st.builds(
+    _serialized_log,
+    st.integers(-400, 100),
+    st.integers(100, 150),
+    st.integers(0, 2**32),
+)
 
 
 def _full_scan(blocked, busy_intervals, inner_kinds):
@@ -186,6 +224,27 @@ class TestAttributeWaiting:
             for blocked, seconds in zip(blocked_lists, processing)
         ]
         assert batch == [
+            _full_scan_attribution(blocked, busy_intervals, seconds)
+            for blocked, seconds in zip(blocked_lists, processing)
+        ]
+
+    @given(
+        blocked_lists=st.lists(_WIDE_INTERVALS, min_size=1, max_size=5),
+        logs=st.lists(_DEVICE_LOG, min_size=2, max_size=4),
+    )
+    def test_chained_device_logs_are_bit_identical_to_a_full_scan(self, blocked_lists, logs):
+        """The shape ``StorageService.run`` passes: every device's own
+        serialized log, chained in device order — back-to-back runs, gaps,
+        zero-length entries and entries ending at or before 0.  The unions
+        built while reading it, the old caller's merged copy sorted by
+        completion, and the full scan agree on every float."""
+        busy_intervals = [interval for log in logs for interval in log]
+        assert len(busy_intervals) >= 200
+        processing = [float(index) for index in range(len(blocked_lists))]
+        chained = attribute_waiting_batch(blocked_lists, chain.from_iterable(logs), processing)
+        merged_copy = sorted(busy_intervals, key=lambda interval: (interval.end, interval.start))
+        assert chained == attribute_waiting_batch(blocked_lists, merged_copy, processing)
+        assert chained == [
             _full_scan_attribution(blocked, busy_intervals, seconds)
             for blocked, seconds in zip(blocked_lists, processing)
         ]
