@@ -9,12 +9,14 @@ This package contains the paper's primary contribution:
   policies, including the paper's *maximal progress* policy and the
   *maximal pending subplans* policy it improves upon, plus LRU/FIFO
   baselines used for ablations.
-* :mod:`repro.core.njoin` — the stateless n-ary join operator that probes the
-  cached segments of one subplan and emits result tuples.
+* :mod:`repro.core.njoin` — the n-ary join: one hash table per relation over
+  its cached segments, probed once per level for a whole batch of runnable
+  subplans.
 * :mod:`repro.core.mjoin` — the cache-aware MJoin *state manager*
-  (Algorithm 1): it reacts to out-of-order object arrivals, triggers
-  evictions and re-issues, executes runnable subplans and folds their output
-  into an incremental aggregate.
+  (Algorithm 1): it reacts to out-of-order object arrivals, evicts, executes
+  the subplans an arrival makes runnable, folds their output into an
+  incremental aggregate and, once a request cycle is delivered, names the
+  still-needed objects that are not cached for the next one.
 * :mod:`repro.core.client_proxy` — the daemon that mediates between MJoin and
   the CSD, batching object requests and tagging them with query identifiers
   (one per session, as the paper runs one per database instance).
@@ -25,7 +27,7 @@ This package contains the paper's primary contribution:
   everything, react to arrivals, re-issue evicted objects cycle by cycle.
 """
 
-from repro.core.subplan import Subplan, SubplanTracker
+from repro.core.subplan import SubplanTracker
 from repro.core.cache import (
     CachedObject,
     EvictionPolicy,
@@ -36,13 +38,12 @@ from repro.core.cache import (
     ObjectCache,
 )
 from repro.core.njoin import NAryJoin
-from repro.core.mjoin import ArrivalOutcome, MJoinStateManager
+from repro.core.mjoin import MJoinStateManager
 from repro.core.client_proxy import ClientProxy
 from repro.core.execution import QueryResult, QueryRun
 from repro.core.executor import SkipperExecutor
 
 __all__ = [
-    "ArrivalOutcome",
     "CachedObject",
     "ClientProxy",
     "EvictionPolicy",
@@ -56,6 +57,5 @@ __all__ = [
     "QueryResult",
     "QueryRun",
     "SkipperExecutor",
-    "Subplan",
     "SubplanTracker",
 ]

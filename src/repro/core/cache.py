@@ -22,7 +22,7 @@ Policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, KeysView, List, Optional, Set
+from typing import Any, Dict, KeysView, List, Optional
 
 from repro.core.subplan import Batch, SubplanTracker
 from repro.exceptions import CacheError
@@ -36,8 +36,6 @@ class CachedObject:
     payload: object
     inserted_at: int
     last_used: int
-    #: Number of filtered rows buffered for this object (for diagnostics).
-    num_rows: int = 0
 
 
 class EvictionPolicy:
@@ -137,16 +135,12 @@ class ObjectCache:
         """Whether adding another object requires an eviction."""
         return len(self._contents) >= self.capacity
 
-    def segment_ids(self) -> Set[str]:
-        """Segment ids currently cached (a fresh, independent set)."""
-        return set(self._contents)
-
     def ids_view(self) -> KeysView[str]:
         """Live view of the cached segment ids (no copy).
 
-        Supports ``in`` and iteration like :meth:`segment_ids` but without
-        materialising a set per call — the hot arrival/eviction paths ask
-        for the cache contents two or three times per arriving object.
+        Supports ``in``, iteration and set algebra without materialising a
+        set per call — the hot arrival/eviction paths ask for the cache
+        contents two or three times per arriving object.
         """
         return self._contents.keys()
 
@@ -207,13 +201,14 @@ class ObjectCache:
         return payloads
 
     def peek(self, segment_id: str) -> Optional[CachedObject]:
-        """Return the cached entry without touching it, or ``None``."""
+        """Return the cached entry without touching it, or ``None``: how the
+        tests read what :meth:`get_batch` left."""
         return self._contents.get(segment_id)
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def add(self, segment_id: str, payload: object, num_rows: int = 0) -> None:
+    def add(self, segment_id: str, payload: object) -> None:
         """Insert ``payload`` under ``segment_id`` (caller must ensure space)."""
         if segment_id in self._contents:
             raise CacheError(f"object {segment_id!r} is already cached")
@@ -226,7 +221,6 @@ class ObjectCache:
             payload=payload,
             inserted_at=tick,
             last_used=tick,
-            num_rows=num_rows,
         )
         self.num_insertions += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._contents))

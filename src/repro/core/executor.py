@@ -78,7 +78,7 @@ class SkipperExecutor:
 
         def on_arrival(segment_id: str, payload: Segment) -> float:
             """Feed one delivery to MJoin; the CPU seconds it cost."""
-            return cost_model.cpu_time(state.on_arrival(segment_id, payload).stats)
+            return cost_model.cpu_time(state.on_arrival(segment_id, payload))
 
         handled_after_last_cycle = 0
         stalled_cycles = 0

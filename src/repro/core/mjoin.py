@@ -3,17 +3,18 @@
 The state manager owns the query's subplan tracker, the bounded object cache
 and the incremental aggregate.  It is deliberately free of any notion of
 simulated time: the Skipper executor (or a unit test) feeds it object
-arrivals one by one and receives back an :class:`ArrivalOutcome` describing
-what happened — what was cached, what was evicted, which subplans ran and how
-much work that took — so callers can charge simulated CPU seconds through the
-cost model.  The subplans an arrival completes travel as one
-:class:`~repro.core.subplan.Batch`: tracker → cache → join → tracker.
+arrivals one by one and receives back the :class:`OperatorStats` of the work
+each one took, so callers can charge simulated CPU seconds through the cost
+model.  The subplans an arrival completes travel as one
+:class:`~repro.core.subplan.Batch`: tracker → cache → join → tracker.  What
+else happened — subplans executed or pruned, evictions, result rows — is
+read off the tracker's, the cache's and :attr:`MJoinStateManager.stats`'s
+counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.core.cache import ObjectCache
 from repro.core.njoin import NAryJoin, prepare_segment
@@ -25,20 +26,6 @@ from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Segment
 from repro.exceptions import CacheError
-
-
-@dataclass
-class ArrivalOutcome:
-    """What happened when one object arrived at the state manager."""
-
-    segment_id: str
-    cached: bool
-    evicted: Optional[str] = None
-    evicted_still_needed: bool = False
-    executed_subplans: int = 0
-    pruned_subplans: int = 0
-    result_rows: int = 0
-    stats: OperatorStats = field(default_factory=OperatorStats)
 
 
 class MJoinStateManager:
@@ -71,13 +58,9 @@ class MJoinStateManager:
         #: victim's out.
         self.relation_tables = self.njoin.relation_tables()
         self.aggregate = AggregateState(query.group_by, query.aggregates)
-        #: Objects found to contribute nothing (empty after filtering).
-        self.empty_objects: Set[str] = set()
-        #: Objects evicted while still needed; re-requested next cycle.
-        self.reissue_queue: List[str] = []
         self.cycles_completed = 0
-        self.total_arrivals = 0
-        self.total_result_rows = 0
+        #: The work of every arrival so far; ``tuples_output`` counts the
+        #: result rows.
         self.stats = OperatorStats()
 
     # ------------------------------------------------------------------ #
@@ -95,63 +78,48 @@ class MJoinStateManager:
 
         Called once all previously issued requests have been received; the
         returned objects form the next request cycle (the paper's re-issue
-        queue).  Objects known to be empty are never re-requested.
+        queue).  Objects pruned as empty are never re-requested: pruning left
+        them in no pending subplan.
         """
         self.cycles_completed += 1
-        self.reissue_queue = []
         if not self.tracker.has_pending():
             return []
-        needed = self.tracker.objects_needed()
-        return sorted(needed.difference(self.cache.ids_view(), self.empty_objects))
-
-    def is_complete(self) -> bool:
-        """Whether every subplan has been executed or pruned."""
-        return not self.tracker.has_pending()
+        return sorted(self.tracker.objects_needed().difference(self.cache.ids_view()))
 
     # ------------------------------------------------------------------ #
     # Arrival processing
     # ------------------------------------------------------------------ #
-    def on_arrival(self, segment_id: str, segment: Segment) -> ArrivalOutcome:
-        """Process one object pushed by the CSD."""
-        self.total_arrivals += 1
-        outcome = ArrivalOutcome(segment_id=segment_id, cached=False)
-        outcome.stats.tuples_scanned += segment.num_rows
+    def on_arrival(self, segment_id: str, segment: Segment) -> OperatorStats:
+        """Process one object pushed by the CSD; returns the work it took.
 
+        A segment of no table of the query raises :class:`QueryError`.
+        """
+        stats = OperatorStats(tuples_scanned=segment.num_rows)
         if segment_id in self.cache or not self.tracker.object_in_pending(segment_id):
             # Either a duplicate delivery or every subplan involving the
             # object has already been executed/pruned while it was in flight.
-            self.stats.merge(outcome.stats)
-            return outcome
+            self.stats.merge(stats)
+            return stats
 
-        prepared = prepare_segment(
-            segment, self.query.filter_for(segment.table_name), segment_id=segment_id
-        )
-
-        num_rows = prepared.num_rows
+        prepared = prepare_segment(segment, self.query.filter_for(segment.table_name))
+        num_rows = len(prepared.rows)
         if self.enable_pruning and num_rows == 0:
-            outcome.pruned_subplans = len(self.tracker.prune_object_ids(segment_id))
-            self.empty_objects.add(segment_id)
-            self.stats.merge(outcome.stats)
-            return outcome
+            self.tracker.prune_object(segment_id)
+            self.stats.merge(stats)
+            return stats
 
         # Not before the object is known to stay: nine in ten objects of a
         # selective single-table query are pruned above.
         prepared.offset = self.tracker.offset_of(segment_id)
-        evicted: Optional[str] = None
         if self.cache.is_full:
-            victim = self.cache.evict(segment_id, self.tracker)
-            relation_table = self.relation_tables.get(victim.payload.table_name)
+            victim = self.cache.evict(segment_id, self.tracker).payload
+            relation_table = self.relation_tables.get(victim.table_name)
             if relation_table is not None:
-                self.njoin.unmerge(relation_table, victim.payload)
-            outcome.evicted = evicted = victim.segment_id
-            outcome.evicted_still_needed = self.tracker.object_in_pending(evicted)
-            if outcome.evicted_still_needed:
-                self.reissue_queue.append(evicted)
+                self.njoin.unmerge(relation_table, victim)
 
         batch = self.tracker.runnable_batch(self.cache.ids_view(), segment_id)
-        self.cache.add(segment_id, prepared, num_rows=num_rows)
-        outcome.cached = True
-        outcome.stats.tuples_built += num_rows
+        self.cache.add(segment_id, prepared)
+        stats.tuples_built += num_rows
 
         # Execute every newly runnable subplan.  The union over subplans is
         # exactly the query answer, with no duplicates, and the join is the
@@ -160,10 +128,10 @@ class MJoinStateManager:
         # they complete.  The arriving object stands alone at its position, so
         # it is probed (or probes, at the first position) through its own
         # table and merged into its relation's only afterwards.  The work
-        # counters in ``outcome.stats`` charge the incremental cost of the
-        # arrival — one probe per buffered tuple of the new object per other
-        # relation, plus the emitted result tuples — not the rows of cached
-        # segments that flow through the levels again.
+        # counters charge the incremental cost of the arrival — one probe per
+        # buffered tuple of the new object per other relation, plus the
+        # emitted result tuples — not the rows of cached segments that flow
+        # through the levels again.
         if batch.num_pending:
             # The batch's lists follow the plan's join order, as the tracker
             # does.  Rows are folded in id order: float sums depend on it.
@@ -174,17 +142,14 @@ class MJoinStateManager:
                 aggregate_add(rows)
                 result_rows += len(rows)
             self.tracker.mark_batch_executed(batch)
-            outcome.executed_subplans = batch.num_pending
-            outcome.result_rows = result_rows
-            self.total_result_rows += result_rows
             other_tables = len(self.plan.steps) - 1
-            outcome.stats.tuples_probed += num_rows * max(1, other_tables)
-            outcome.stats.tuples_output += result_rows
+            stats.tuples_probed += num_rows * max(1, other_tables)
+            stats.tuples_output += result_rows
         relation_table = self.relation_tables.get(segment.table_name)
         if relation_table is not None:
             self.njoin.merge(relation_table, prepared)
-        self.stats.merge(outcome.stats)
-        return outcome
+        self.stats.merge(stats)
+        return stats
 
     # ------------------------------------------------------------------ #
     # Results

@@ -1,4 +1,4 @@
-"""N-ary join over the cached segments of one subplan or a batch.
+"""N-ary join over the cached segments of a batch of subplans.
 
 The MJoin state manager decides *when* subplans are runnable; this module
 decides which hash table each left-deep step probes and in which slot of the
@@ -69,11 +69,6 @@ class PreparedSegment:
         self.offset = offset
         self.hash_tables: Dict[Tuple[str, ...], TaggedTable] = {}
 
-    @property
-    def num_rows(self) -> int:
-        """Number of (filtered) rows buffered for the segment."""
-        return len(self.rows)
-
     def hash_table(self, key_columns: Tuple[str, ...]) -> TaggedTable:
         """Return (building if necessary) the hash table on ``key_columns``."""
         table = self.hash_tables.get(key_columns)
@@ -86,9 +81,7 @@ class PreparedSegment:
         return table
 
 
-def prepare_segment(
-    segment: Segment, predicate: Optional[Predicate], segment_id: Optional[str] = None
-) -> PreparedSegment:
+def prepare_segment(segment: Segment, predicate: Optional[Predicate]) -> PreparedSegment:
     """Filter a raw segment into a :class:`PreparedSegment`.
 
     The rows are selected exactly as the pull-based scans select them
@@ -97,7 +90,7 @@ def prepare_segment(
     segment's row list instead of copying it.
     """
     return PreparedSegment(
-        segment_id=segment_id or segment.segment_id,
+        segment_id=segment.segment_id,
         table_name=segment.table_name,
         rows=select_rows(segment, predicate),
     )
@@ -140,17 +133,6 @@ class NAryJoin:
             for table, (_, build_columns) in zip(self._step_tables[1:], self._step_keys)
         }
 
-    def execute(
-        self, segments: Dict[str, PreparedSegment], stats: Optional[OperatorStats] = None
-    ) -> List[Row]:
-        """Join ``segments`` (table name → prepared segment) and return rows."""
-        missing = [table for table in self._step_tables if table not in segments]
-        if missing:
-            raise ExecutionError(f"missing segments for tables: {missing}")
-        return self.execute_ordered(
-            [segments[table] for table in self._step_tables], stats
-        )
-
     def execute_ordered(
         self,
         segments: Sequence[PreparedSegment],
@@ -158,8 +140,9 @@ class NAryJoin:
     ) -> List[Row]:
         """Join ``segments`` given one prepared segment per plan step, in order.
 
-        The single-subplan reference: :meth:`execute_batch` returns exactly
-        these rows, in this order, for each of its combinations.
+        The single-subplan reference the tests hold :meth:`execute_batch` to:
+        it returns exactly these rows, in this order, for each of its
+        combinations.
         """
         if len(segments) != len(self._step_tables):
             raise ExecutionError(

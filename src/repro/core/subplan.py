@@ -9,9 +9,12 @@ The subplan space is ``itertools.product`` of the per-table segment lists,
 and so is every set of subplans the arrival path handles.  :class:`Batch`
 keeps such a set *as* that product and is the one value that travels from the
 tracker through the cache and the join to the retire: no segment tuple
-is built for a subplan on the way.  :class:`SubplanTracker` keeps the pending
-/ executed / pruned state of every subplan and answers the two questions the
-cache-eviction policies need:
+is built for a subplan on the way, and a subplan is known only by its id.
+:class:`SubplanTracker` keeps the pending / executed / pruned state of every
+subplan and is driven one way: :meth:`~SubplanTracker.runnable_batch` then
+:meth:`~SubplanTracker.mark_batch_executed` per arrival, and
+:meth:`~SubplanTracker.prune_object` for an object that joins nothing.  It
+answers the two questions the cache-eviction policies need:
 
 * how many *pending* subplans does an object participate in, and
 * which pending subplans become *executable* given the cache contents plus a
@@ -60,7 +63,7 @@ class Batch:
 
     def combinations(self) -> List[Tuple[str, ...]]:
         """Segment tuples of the pending combinations, in id order: a derived
-        view for tests and the :class:`Subplan`-returning API."""
+        view for tests, which nothing on the arrival path builds."""
         return list(itertools.compress(itertools.product(*self.lists), self.flags))
 
     def tallies(self) -> Dict[str, int]:
@@ -105,20 +108,6 @@ class Batch:
         return batch
 
 
-class Subplan:
-    """One segment per joined relation, identified by its segment ids."""
-
-    __slots__ = ("subplan_id", "segments")
-
-    def __init__(self, subplan_id: int, segments: Tuple[str, ...]) -> None:
-        self.subplan_id = subplan_id
-        #: Segment ids ordered by the tracker's table order.
-        self.segments = segments
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Subplan #{self.subplan_id} {self.segments}>"
-
-
 class SubplanTracker:
     """Tracks the execution state of every subplan of one query.
 
@@ -147,17 +136,15 @@ class SubplanTracker:
         for segments in self._segments:
             total *= len(segments)
         self._total = total
-        #: Per table position: the id contribution of one index step.  Per
-        #: segment id: its table's position and its own contribution (``index
-        #: * stride``) — two flat int dicts rather than one dict of tuples, so
-        #: the cycle collector never has to visit them.
-        self._strides: List[int] = []
+        #: Per segment id: its table's position and its own contribution to
+        #: a subplan id (``index * stride``, the stride being the product of
+        #: the widths after its table) — two flat int dicts rather than one
+        #: dict of tuples, so the cycle collector never has to visit them.
         self._position: Dict[str, int] = {}
         self._offset: Dict[str, int] = {}
         stride = total
         for position, segments in enumerate(self._segments):
             stride = stride // len(segments) if segments else 0
-            self._strides.append(stride)
             self._position.update(dict.fromkeys(segments, position))
             offsets = [index * stride for index in range(len(segments))]
             self._offset.update(zip(segments, offsets))
@@ -207,43 +194,9 @@ class SubplanTracker:
         """Whether any subplan is still pending."""
         return self._num_executed + self._num_pruned < self._total
 
-    def subplan(self, subplan_id: int) -> Subplan:
-        """Return the subplan with the given id."""
-        if not 0 <= subplan_id < self._total:
-            raise QueryError(
-                f"subplan #{subplan_id} does not exist; the query has {self._total} subplans"
-            )
-        return Subplan(
-            subplan_id,
-            tuple(
-                segments[subplan_id // stride % len(segments)]
-                for segments, stride in zip(self._segments, self._strides)
-            ),
-        )
-
-    def pending_subplans(self) -> List[Subplan]:
-        """All pending subplans (ascending id order)."""
-        every = zip(range(self._total), itertools.product(*self._segments))
-        return [
-            Subplan(subplan_id, segments)
-            for subplan_id, segments in itertools.compress(every, self._pending)
-        ]
-
-    def is_pending(self, subplan: Subplan) -> bool:
-        """Whether ``subplan`` is still pending."""
-        return 0 <= subplan.subplan_id < self._total and bool(self._pending[subplan.subplan_id])
-
     # ------------------------------------------------------------------ #
     # Object-centric queries used by the cache policies
     # ------------------------------------------------------------------ #
-    def objects(self) -> List[str]:
-        """All objects that appear in at least one subplan (pending or not)."""
-        return sorted(self._position) if self._total else []
-
-    def pending_count_for(self, segment_id: str) -> int:
-        """Number of pending subplans that involve ``segment_id``."""
-        return self._pending_count.get(segment_id, 0)
-
     def pending_counts(self, segment_ids: Iterable[str]) -> Dict[str, int]:
         """Pending-subplan count for each of ``segment_ids``, in their order:
         one call per eviction, not one per cached object."""
@@ -251,27 +204,24 @@ class SubplanTracker:
         return {segment_id: count(segment_id, 0) for segment_id in segment_ids}
 
     def object_in_pending(self, segment_id: str) -> bool:
-        """Whether ``segment_id`` is needed by at least one pending subplan."""
-        return self._pending_count.get(segment_id, 0) > 0
+        """Whether ``segment_id`` is needed by at least one pending subplan;
+        a segment of no table of the query raises :class:`QueryError`."""
+        if self._pending_count.get(segment_id):
+            return True
+        self._locate(segment_id)
+        return False
 
     def objects_needed(self) -> Set[str]:
         """Objects required by at least one pending subplan."""
         return {segment_id for segment_id, count in self._pending_count.items() if count}
 
-    def newly_runnable(self, cached: AbstractSet[str], new_object: str) -> List[Subplan]:
-        """Pending subplans covered by ``cached ∪ {new_object}``.
-
-        Because runnable subplans are executed as soon as they become
-        runnable, any still-pending subplan covered by the cache must involve
-        the newly arrived object, so only those are inspected.
-        """
-        batch = self.runnable_batch(cached, new_object)
-        return list(map(Subplan, itertools.compress(batch.ids, batch.flags), batch.combinations()))
-
     def runnable_batch(self, cached: AbstractSet[str], new_object: str) -> Batch:
-        """Like :meth:`newly_runnable` but as a :class:`Batch`: the product of
-        the *cached* segments of every other table with ``new_object`` alone
-        at its own position, the pending ones among them being the answer."""
+        """The pending subplans covered by ``cached ∪ {new_object}``, as a
+        :class:`Batch`: the product of the *cached* segments of every other
+        table with ``new_object`` alone at its own position, the pending ones
+        among them being the answer.  Runnable subplans are executed as soon
+        as they become runnable, so any still-pending subplan the cache covers
+        must involve the newly arrived object.  Reads tracker state only."""
         if not self._pending_count.get(new_object):
             self._locate(new_object)
             return Batch([[] for _ in self._segments], [], b"")
@@ -358,15 +308,11 @@ class SubplanTracker:
     # ------------------------------------------------------------------ #
     # State transitions
     # ------------------------------------------------------------------ #
-    def mark_executed(self, subplan: Subplan) -> None:
-        """Move a pending subplan to the executed state."""
-        lists = [[segment_id] for segment_id in self.subplan(subplan.subplan_id).segments]
-        self.mark_batch_executed(Batch(lists, [subplan.subplan_id], b"\x01"))
-
     def mark_batch_executed(self, batch: Batch) -> None:
         """Move the pending subplans of a batch — one :meth:`runnable_batch`
         returned — to the executed state.  A batch that is stale (one of its
-        subplans is no longer pending) or not this query's changes nothing."""
+        subplans is no longer pending) or not this query's raises
+        :class:`QueryError` before anything is changed."""
         if batch.ids and not 0 <= min(batch.ids) <= max(batch.ids) < self._total:
             raise QueryError(f"a subplan id is outside the query's {self._total} subplans")
         ids = itertools.compress(batch.ids, batch.flags)
@@ -378,19 +324,14 @@ class SubplanTracker:
         self._retire(batch)
         self._num_executed += batch.num_pending
 
-    def prune_object(self, segment_id: str) -> List[Subplan]:
-        """Discard every pending subplan involving ``segment_id``.
+    def prune_object(self, segment_id: str) -> List[int]:
+        """Discard every pending subplan involving ``segment_id``; returns
+        their ids.
 
         Used when an object is known to contribute no result tuples (e.g. its
         filtered row set is empty): none of its subplans can produce output,
-        so they are dropped without being executed.  Returns the pruned
-        subplans.
+        so they are dropped without being executed.
         """
-        return [self.subplan(subplan_id) for subplan_id in self.prune_object_ids(segment_id)]
-
-    def prune_object_ids(self, segment_id: str) -> List[int]:
-        """Like :meth:`prune_object` but returns subplan *ids*: the state
-        manager, its hot caller, only needs their count."""
         if not self._pending_count.get(segment_id):
             self._locate(segment_id)
             return []

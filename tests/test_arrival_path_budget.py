@@ -20,7 +20,8 @@ When the frame count trips: ``sys.setprofile`` the feed and diff the
 per-function counts against the parent commit (``frames_by_function`` below
 prints them).  What the budget was cut from: one ``min`` key lambda per cached
 object per eviction, a ``_probe`` and a ``hash_table`` frame per probe, three
-``Counter`` passes per arrival, one probe per cached segment of every position.
+``Counter`` passes per arrival, one probe per cached segment of every position,
+an outcome dataclass and its default-factory stats per arrival.
 When the probe count trips: ``NAryJoin.execute_batch`` probed a segment's own
 table where the relation's would do, or went on after a level left no row.
 """
@@ -44,9 +45,11 @@ from repro.workloads import tpch
 #: Frames per executed subplan, comprehension frames left out (CPython 3.12
 #: inlines them, PEP 709; 3.13 enters 12 fewer, all in ``abc``'s checks).  With
 #: one hash table per cached segment this scenario measured 24.38 (2 340
-#: frames / 96 subplans), with one per relation 23.69 (2 274); the ceiling is
-#: that plus one, so one more frame per probe, or two per arrival, trips it.
-FRAMES_PER_SUBPLAN_CEILING = 24.7
+#: frames / 96 subplans), with one per relation 23.69 (2 274), with the
+#: arrival returning its ``OperatorStats`` rather than an outcome record
+#: 22.02 (2 114); the ceiling is that plus one, so one more frame per probe,
+#: or two per arrival, trips it.
+FRAMES_PER_SUBPLAN_CEILING = 23.0
 _COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>")
 
 
@@ -84,7 +87,7 @@ def _feed(
         sys.setprofile(previous)
         if was_enabled:
             gc.enable()
-    assert manager.is_complete()
+    assert not manager.tracker.has_pending()
     return manager
 
 

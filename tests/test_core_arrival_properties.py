@@ -191,7 +191,7 @@ class TestBatchWalkEquivalence:
                 manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
                 _assert_relation_tables_hold_the_cached_segments(manager)
             requests = manager.next_cycle_requests()
-        if manager.is_complete():
+        if not manager.tracker.has_pending():
             assert manager.tracker.num_executed == sum(batches)
             assert canonical_rows(manager.results()) == canonical_rows(
                 InMemoryExecutor(catalog).execute(query).rows
@@ -246,9 +246,6 @@ class _OracleTracker:
     def pending_count(self, segment_id):
         return sum(segment_id in combination for _, combination in self._pending())
 
-    def objects(self):
-        return sorted({segment_id for combination in self.combinations for segment_id in combination})
-
     def objects_needed(self):
         return {segment_id for _, combination in self._pending() for segment_id in combination}
 
@@ -275,8 +272,14 @@ def _assert_product_layout(batch, oracle):
     assert batch.num_pending == sum(batch.flags)
 
 
-def _subplan_pairs(subplans):
-    return [(subplan.subplan_id, subplan.segments) for subplan in subplans]
+def _pending_pairs(tracker, everything):
+    """Every pending subplan as ``(id, segments)``, in id order: per segment of
+    the first table, the pending combinations of the batch it would complete
+    with every object cached — a question that changes no tracker state."""
+    pairs = []
+    for segment_id in tracker.catalog.segment_ids(tracker.table_order[0]):
+        pairs += _as_pairs(tracker.runnable_batch(everything, segment_id))
+    return pairs
 
 
 class TestTrackerMatchesOracle:
@@ -286,7 +289,7 @@ class TestTrackerMatchesOracle:
         capacity=st.integers(min_value=1, max_value=6),
         actions=st.lists(
             st.tuples(
-                st.sampled_from(["arrive", "arrive", "arrive", "evict", "prune", "subplan-api"]),
+                st.sampled_from(["arrive", "arrive", "arrive", "evict", "prune", "one-subplan"]),
                 st.integers(min_value=0, max_value=8),
                 st.integers(min_value=0, max_value=8),
             ),
@@ -307,12 +310,11 @@ class TestTrackerMatchesOracle:
             assert tracker.num_executed == oracle.state.count("executed")
             assert tracker.num_pruned == oracle.state.count("pruned")
             assert tracker.has_pending() == ("pending" in oracle.state)
-            assert tracker.objects() == oracle.objects()
             assert tracker.objects_needed() == oracle.objects_needed()
             assert tracker.pending_counts(everything) == {
                 segment_id: oracle.pending_count(segment_id) for segment_id in everything
             }
-            assert _subplan_pairs(tracker.pending_subplans()) == oracle._pending()
+            assert _pending_pairs(tracker, everything) == oracle._pending()
 
         check_agreement()
         for action, pick, other in actions:
@@ -347,19 +349,18 @@ class TestTrackerMatchesOracle:
             elif action == "prune":
                 expected = oracle.prune(segment_id)
                 pruned = tracker.prune_object(segment_id)
-                assert _subplan_pairs(pruned) == expected
+                assert pruned == [subplan_id for subplan_id, _ in expected]
                 cached.pop(segment_id, None)
             else:
-                # The Subplan-returning API, one subplan at a time.
-                runnable = tracker.newly_runnable(set(cached), segment_id)
+                # One runnable subplan alone, as a one-combination batch.
                 expected = oracle.runnable(cached, segment_id)
-                assert _subplan_pairs(runnable) == expected
-                if runnable:
-                    chosen = runnable[other % len(runnable)]
-                    assert tracker.is_pending(chosen)
-                    tracker.mark_executed(chosen)
-                    assert not tracker.is_pending(chosen)
-                    oracle.retire([chosen.subplan_id], "executed")
+                if expected:
+                    subplan_id, combination = expected[other % len(expected)]
+                    chosen = Batch([[s] for s in combination], [subplan_id], b"\x01")
+                    tracker.mark_batch_executed(chosen)
+                    oracle.retire([subplan_id], "executed")
+                    with pytest.raises(QueryError, match=f"#{subplan_id} is not pending"):
+                        tracker.mark_batch_executed(chosen)
             check_agreement()
 
     def test_single_table_arrival_never_walks_the_cache(self):
@@ -378,7 +379,7 @@ class TestTrackerMatchesOracle:
         assert _as_pairs(batch) == [(3, ("t0.3",))]
         tracker.mark_batch_executed(batch)
         assert _as_pairs(tracker.runnable_batch(cached, "t0.3")) == []
-        assert tracker.prune_object_ids("t0.4") == [4]
+        assert tracker.prune_object("t0.4") == [4]
         assert tracker.num_pending == 3
 
 

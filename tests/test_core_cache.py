@@ -26,7 +26,7 @@ class TestObjectCache:
 
     def test_add_and_get(self):
         cache = ObjectCache(2)
-        cache.add("x.0", "payload", num_rows=5)
+        cache.add("x.0", "payload")
         assert "x.0" in cache
         assert len(cache) == 1
         assert cache.get("x.0").payload == "payload"
@@ -133,8 +133,7 @@ class TestEvictionPolicies:
         cache.add("orders.1", 1)
         cache.add("lineitem.0", 1)
         # Execute every subplan touching lineitem.0 so it can enable nothing.
-        for subplan in tracker.newly_runnable({"orders.0", "orders.1"}, "lineitem.0"):
-            tracker.mark_executed(subplan)
+        tracker.mark_batch_executed(tracker.runnable_batch({"orders.0", "orders.1"}, "lineitem.0"))
         assert cache.evict("lineitem.1", tracker).segment_id == "lineitem.0"
 
     def test_max_progress_paper_example(self):
@@ -160,10 +159,10 @@ class TestEvictionPolicies:
         )
         tracker = SubplanTracker(query, catalog)
         for combination in [("a.0", "b.0", "c.1"), ("a.1", "b.0", "c.1")]:
-            for subplan in tracker.pending_subplans():
-                if set(subplan.segments) == set(combination):
-                    tracker.mark_executed(subplan)
-                    break
+            subplan_id = sum(map(tracker.offset_of, combination))
+            tracker.mark_batch_executed(
+                Batch([[segment_id] for segment_id in combination], [subplan_id], b"\x01")
+            )
         cache = ObjectCache(4, policy=MaxProgressEviction())
         for segment_id in ("a.0", "b.0", "a.1", "c.1"):
             cache.add(segment_id, segment_id)

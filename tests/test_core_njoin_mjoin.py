@@ -47,6 +47,19 @@ def _all_segment_ids(catalog, query):
     return ids
 
 
+def _feed(manager, catalog, requests, max_cycles=None):
+    """Feed the state manager until it asks for nothing more (or, for a policy
+    that may thrash at this capacity, for ``max_cycles`` request cycles);
+    returns the number of arrivals fed."""
+    arrivals = 0
+    while requests and manager.cycles_completed != max_cycles:
+        for segment_id in requests:
+            manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
+        arrivals += len(requests)
+        requests = manager.next_cycle_requests()
+    return arrivals
+
+
 def _run_state_manager(
     catalog,
     query,
@@ -56,17 +69,13 @@ def _run_state_manager(
     policy=MaxProgressEviction,
     max_cycles=None,
 ):
-    """Feed the state manager until it asks for nothing more (or, for a policy
-    that may thrash at this capacity, for ``max_cycles`` request cycles)."""
+    """A state manager fed by :func:`_feed`, in ``arrival_order`` first."""
     cache = ObjectCache(cache_capacity, policy=policy())
     manager = MJoinStateManager(query, catalog, cache, enable_pruning=enable_pruning)
     requests = manager.initial_requests()
     if arrival_order is not None:
         requests = list(arrival_order)
-    while requests and manager.cycles_completed != max_cycles:
-        for segment_id in requests:
-            manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
-        requests = manager.next_cycle_requests()
+    _feed(manager, catalog, requests, max_cycles)
     return manager
 
 
@@ -75,9 +84,9 @@ class TestPreparedSegment:
         query = tpch.q12()
         segment = tiny_tpch_catalog.segment("lineitem", 0)
         prepared = prepare_segment(segment, query.filter_for("lineitem"))
-        assert prepared.num_rows <= segment.num_rows
+        assert len(prepared.rows) <= segment.num_rows
         table = prepared.hash_table(("l_orderkey",))
-        assert sum(len(rows) for rows in table.values()) == prepared.num_rows
+        assert sum(len(rows) for rows in table.values()) == len(prepared.rows)
         # The hash table is memoised.
         assert prepared.hash_table(("l_orderkey",)) is table
 
@@ -96,13 +105,13 @@ class TestNAryJoin:
             ),
         }
         stats = OperatorStats()
-        rows = njoin.execute(segments, stats)
+        rows = njoin.execute_ordered([segments[step.table] for step in plan.steps], stats)
         order_keys = {row["o_orderkey"] for row in segments["orders"].rows}
         expected = [
             row for row in segments["lineitem"].rows if row["l_orderkey"] in order_keys
         ]
         assert len(rows) == len(expected)
-        assert stats.tuples_probed == segments["lineitem"].num_rows
+        assert stats.tuples_probed == len(segments[plan.steps[0].table].rows)
 
     def test_union_over_all_subplans_equals_full_join(self, tiny_tpch_catalog):
         query = tpch.q12()
@@ -115,7 +124,7 @@ class TestNAryJoin:
                     "orders": prepare_segment(orders_segment, query.filter_for("orders")),
                     "lineitem": prepare_segment(lineitem_segment, query.filter_for("lineitem")),
                 }
-                total += len(njoin.execute(segments))
+                total += len(njoin.execute_ordered([segments[step.table] for step in plan.steps]))
         in_memory = InMemoryExecutor(tiny_tpch_catalog).execute(query)
         assert total == sum(row["line_count"] for row in in_memory.rows)
 
@@ -123,9 +132,7 @@ class TestNAryJoin:
         query = tpch.q12()
         plan = Planner(tiny_tpch_catalog).plan(query)
         njoin = NAryJoin(query, plan)
-        with pytest.raises(ExecutionError):
-            njoin.execute({})
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="one segment per plan step"):
             njoin.execute_ordered([])
 
 
@@ -548,14 +555,14 @@ class TestWitnesses:
             evictions += manager.cache.num_evictions
             assert not (unbounded and manager.cache.num_evictions)
             if unbounded or policy is MaxProgressEviction:
-                assert manager.is_complete(), case
+                assert not manager.tracker.has_pending(), case
             witnesses = _witnesses(materialised)
-            if manager.is_complete():
+            if not manager.tracker.has_pending():
                 assert witnesses == expected, case
             else:
                 assert witnesses <= expected, case
             if expected:  # one row dict per result row, none for an intermediate
-                assert len(materialised) == manager.total_result_rows
+                assert len(materialised) == manager.stats.tuples_output
         if scale == "small" and expected:
             assert evictions  # or no relation table ever lost a segment
 
@@ -576,7 +583,7 @@ class TestMJoinStateManager:
         query = tpch.q12()
         manager = _run_state_manager(tiny_tpch_catalog, query, cache_capacity)
         assert canonical_rows(manager.results()) == _expected_rows(tiny_tpch_catalog, query)
-        assert manager.is_complete()
+        assert not manager.tracker.has_pending()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_arrival_order_matches_in_memory(self, tiny_tpch_catalog, seed):
@@ -593,16 +600,21 @@ class TestMJoinStateManager:
 
     def test_reissues_happen_at_small_cache(self, tiny_tpch_catalog):
         query = tpch.q12()
-        manager = _run_state_manager(tiny_tpch_catalog, query, cache_capacity=2)
+        manager = MJoinStateManager(query, tiny_tpch_catalog, ObjectCache(2))
+        arrivals = _feed(manager, tiny_tpch_catalog, manager.initial_requests())
         total_segments = len(_all_segment_ids(tiny_tpch_catalog, query))
-        assert manager.total_arrivals > total_segments
+        assert not manager.tracker.has_pending()
+        assert arrivals > total_segments
         assert manager.cycles_completed >= 2
 
     def test_large_cache_needs_single_cycle(self, tiny_tpch_catalog):
         query = tpch.q12()
-        manager = _run_state_manager(tiny_tpch_catalog, query, cache_capacity=100)
+        manager = MJoinStateManager(query, tiny_tpch_catalog, ObjectCache(100))
+        arrivals = _feed(manager, tiny_tpch_catalog, manager.initial_requests())
         total_segments = len(_all_segment_ids(tiny_tpch_catalog, query))
-        assert manager.total_arrivals == total_segments
+        assert not manager.tracker.has_pending()
+        assert arrivals == total_segments
+        assert manager.cycles_completed == 1
         assert manager.cache.num_evictions == 0
 
     def test_duplicate_arrival_is_ignored(self, tiny_tpch_catalog):
@@ -611,9 +623,14 @@ class TestMJoinStateManager:
         manager = MJoinStateManager(query, tiny_tpch_catalog, cache)
         segment = tiny_tpch_catalog.resolve_segment_id("orders.0")
         first = manager.on_arrival("orders.0", segment)
+        assert "orders.0" in cache and first.tuples_built > 0
         second = manager.on_arrival("orders.0", segment)
-        assert first.cached
-        assert not second.cached
+        # Scanned again, and nothing more: no second insertion, no build.
+        assert second == OperatorStats(tuples_scanned=segment.num_rows)
+        assert cache.num_insertions == 1
+        assert manager.stats == OperatorStats(
+            tuples_scanned=2 * segment.num_rows, tuples_built=first.tuples_built
+        )
 
     def test_pruning_discards_empty_objects(self, tiny_tpch_catalog):
         from repro.engine.predicate import Comparison, Literal, col

@@ -198,7 +198,7 @@ class TestLimitIsOneAnswer:
             for segment_id in requests:
                 manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
             requests = manager.next_cycle_requests()
-        assert manager.is_complete() and manager.cache.num_evictions > 0
+        assert not manager.tracker.has_pending() and manager.cache.num_evictions > 0
         return manager.results()
 
     @pytest.mark.parametrize("order_by", [["n_name"], ["revenue", "n_name"]])

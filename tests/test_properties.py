@@ -57,21 +57,29 @@ class TestMJoinInvariants:
                 manager.on_arrival(segment_id, _CATALOG.resolve_segment_id(segment_id))
             pending_requests = manager.next_cycle_requests()
         assert canonical_rows(manager.results()) == _EXPECTED_Q12
-        assert manager.is_complete()
+        assert not manager.tracker.has_pending()
 
     @settings(max_examples=15, deadline=None)
     @given(order=arrival_orders())
     def test_every_subplan_is_executed_or_pruned_exactly_once(self, order):
         cache = ObjectCache(4, policy=MaxProgressEviction())
         manager = MJoinStateManager(_Q12, _CATALOG, cache)
+        tracker = manager.tracker
         executed_total = 0
         pruned_total = 0
         pending_requests = list(order)
         while pending_requests:
             for segment_id in pending_requests:
-                outcome = manager.on_arrival(segment_id, _CATALOG.resolve_segment_id(segment_id))
-                executed_total += outcome.executed_subplans
-                pruned_total += outcome.pruned_subplans
+                executed, pruned = tracker.num_executed, tracker.num_pruned
+                manager.on_arrival(segment_id, _CATALOG.resolve_segment_id(segment_id))
+                # An arrival executes or prunes, never both, and never
+                # hands a subplan back.
+                executed_delta = tracker.num_executed - executed
+                pruned_delta = tracker.num_pruned - pruned
+                assert executed_delta >= 0 and pruned_delta >= 0
+                assert not (executed_delta and pruned_delta)
+                executed_total += executed_delta
+                pruned_total += pruned_delta
             pending_requests = manager.next_cycle_requests()
         assert executed_total + pruned_total == manager.tracker.total_subplans
         assert executed_total == manager.tracker.num_executed

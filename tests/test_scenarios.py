@@ -347,6 +347,38 @@ class TestInvariantChecker:
         scheduler.max_waiting_seen = bound + 1
         _assert_only_violation(service, result, f"above the starvation bound {bound} ")
 
+    @pytest.mark.parametrize(
+        "damage, pattern",
+        [
+            (lambda replicas, spare: replicas[:1], "expected exactly 2 distinct devices"),
+            (lambda replicas, spare: (replicas[0],) * 2, "expected exactly 2 distinct devices"),
+            (lambda replicas, spare: (replicas[0], "csd-ghost"), "unknown or empty device 'csd-ghost'"),
+            (lambda replicas, spare: (replicas[0], spare), "does not hold a replica"),
+        ],
+        ids=["replica-count", "duplicate-replica", "unknown-member", "not-in-layout"],
+    )
+    def test_fleet_placement_detects_a_damaged_replica_set(self, damage, pattern):
+        service, result = _run_service(FleetSpec(devices=3, replication=2))
+        placement = service.fleet.placement
+        assert _violations(service, result) == []
+        key, replicas = next(iter(placement.items()))
+        (spare,) = [m.device_id for m in service.fleet.members if m.device_id not in replicas]
+        assert not service.fleet.membership.by_id[spare].device.layout.has_object(key)
+        placement[key] = damage(replicas, spare)
+        _assert_only_violation(service, result, pattern)
+
+    def test_fleet_placement_detects_a_member_without_a_device(self):
+        service, _result = _run_service(FleetSpec(devices=3, replication=2))
+        replicas = next(iter(service.fleet.placement.values()))
+        service.fleet.membership.by_id[replicas[-1]].device = None
+        with pytest.raises(InvariantViolation, match=f"unknown or empty device {replicas[-1]!r}"):
+            check_fleet_placement(service)
+
+    @pytest.mark.parametrize("fairness_constant", [0, 0.0, -1.0])
+    def test_starvation_bound_is_undefined_without_a_positive_k(self, fairness_constant):
+        with pytest.raises(InvariantViolation, match="undefined for K <= 0"):
+            starvation_bound(4, 2, fairness_constant)
+
 
 class TestSpecSerialization:
     @pytest.mark.parametrize("name", [*scenario_names()])

@@ -824,3 +824,73 @@ def test_private_attribute_accesses_only_shrink():
     for name, accesses in PRIVATE_ACCESS_ALLOW_LIST.items():
         if not name.startswith("sim/"):
             assert not [a for a in accesses if "env." in a or "stats." in a or "event" in a], name
+
+
+#: Public functions under ``src/repro/core`` that nothing in ``src/repro`` or
+#: ``ledger/`` calls, with why they stay: the references the tests hold the
+#: arrival path to, and one documented property of the result type.  The
+#: list may only shrink: anything else only tests reach is a twin of the
+#: arrival path's API and goes.
+CORE_TEST_REFERENCES = {
+    "Batch.combinations": "the segment tuples a batch stands for",
+    "NAryJoin.execute_ordered": "the single-subplan join execute_batch is checked against",
+    "ObjectCache.peek": "reads an entry without a tick, to check get_batch's accounting",
+    "QueryResult.waiting_time": "documented result field (README, Simulated service)",
+}
+
+
+def _public_core_functions():
+    """``(file, qualified name, name)`` of every public module-level function
+    and method defined under ``src/repro/core``."""
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found.append((path.name, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                found += [
+                    (path.name, f"{node.name}.{method.name}", method.name)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                ]
+    return found
+
+
+def _referenced_names(paths):
+    """Every name read as an identifier or attribute in ``paths``, a function
+    calling itself left out."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+def test_core_surface_is_reached_from_src_or_ledger():
+    """The MJoin core has one API, the one the arrival path uses: a public
+    function or method under ``src/repro/core`` is referenced by name from
+    ``src/repro`` or ``ledger/`` outside its own body, or is one of the
+    :data:`CORE_TEST_REFERENCES`."""
+    referenced = _referenced_names(
+        sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        + sorted((REPO_ROOT / "ledger").rglob("*.py"))
+    )
+    unreached = [
+        f"{filename}: {qualified}"
+        for filename, qualified, name in _public_core_functions()
+        if name not in referenced and qualified not in CORE_TEST_REFERENCES
+    ]
+    assert not unreached, "public core functions only tests reach:\n" + "\n".join(unreached)
+    # Every allow-listed function still exists: a deleted one leaves the list.
+    defined = {qualified for _, qualified, _ in _public_core_functions()}
+    assert set(CORE_TEST_REFERENCES) <= defined
+    assert len(CORE_TEST_REFERENCES) <= 4
