@@ -279,10 +279,10 @@ class ColdStorageDevice:
                     drained.append(request)
         return drained
 
-    def submit_migration(self, job: MigrationJob) -> MigrationJob:
-        """Queue rebalancing I/O; served before foreground GETs."""
-        self.inbox.put(job)
-        return job
+    def submit_migrations(self, jobs: Sequence[MigrationJob]) -> None:
+        """Queue a batch of rebalancing I/O in order, in one put; it is
+        served before foreground GETs."""
+        self.inbox.put_many(jobs)
 
     def pending_migration_jobs(self) -> int:
         """Rebalancing I/O accepted but not yet performed.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, KeysView, List, Mapping, Optional, Set
 
 from repro.exceptions import LayoutError
 
@@ -26,6 +26,10 @@ class DiskGroupLayout:
         self._groups: Dict[int, Set[str]] = {}
         for key, group in self._assignment.items():
             self._groups.setdefault(group, set()).add(key)
+        #: Lowest group per tenant prefix; built by the first
+        #: :meth:`tenant_group_map` call (most layouts never need it) and
+        #: kept current by :meth:`add_object` from then on.
+        self._lowest_by_tenant: Optional[Dict[str, int]] = None
 
     @property
     def num_groups(self) -> int:
@@ -54,18 +58,32 @@ class DiskGroupLayout:
             raise LayoutError(f"object {object_key!r} is already placed by this layout")
         self._assignment[object_key] = group_id
         self._groups.setdefault(group_id, set()).add(object_key)
+        lowest = self._lowest_by_tenant
+        if lowest is not None:
+            tenant, separator, _rest = object_key.partition("/")
+            if separator and group_id < lowest.get(tenant, group_id + 1):
+                lowest[tenant] = group_id
 
     def tenant_group_map(self) -> Dict[str, int]:
-        """Lowest group id per tenant prefix, in one scan of the layout."""
-        lowest: Dict[str, int] = {}
-        for key, group in self._assignment.items():
-            tenant, separator, _rest = key.partition("/")
-            if not separator:
-                continue
-            current = lowest.get(tenant)
-            if current is None or group < current:
-                lowest[tenant] = group
-        return lowest
+        """Lowest group id per tenant prefix (keys without one are skipped).
+
+        The first call scans the layout once; from then on
+        :meth:`add_object` keeps the map current, so rebalancing a device
+        epoch after epoch never rescans it.  Returns a fresh dict.
+        """
+        lowest = self._lowest_by_tenant
+        if lowest is None:
+            lowest = self._lowest_by_tenant = {}
+            for key, group in self._assignment.items():
+                tenant, separator, _rest = key.partition("/")
+                if separator and group < lowest.get(tenant, group + 1):
+                    lowest[tenant] = group
+        return dict(lowest)
+
+    @property
+    def placed_keys(self) -> KeysView[str]:
+        """Every placed key: a live, read-only view (``in`` is one dict probe)."""
+        return self._assignment.keys()
 
     def group_of(self, object_key: str) -> int:
         """Group holding ``object_key``."""

@@ -183,8 +183,9 @@ def extend_layout_with_keys(layout: DiskGroupLayout, keys: Iterable[str]) -> Lis
     one call stay together).  Returns the group chosen for each key.
     """
     groups: List[int] = []
-    # One scan up front instead of re-scanning the layout per key, so a
-    # rebalance of M keys onto a K-key device costs O(M + K), not O(M·K).
+    # The layout keeps its tenant map current once asked for it, so only a
+    # device's first extension scans its K keys: later rebalances of M keys
+    # cost O(M + tenants), not O(M + K).
     group_by_tenant = layout.tenant_group_map()
     next_fresh = layout.max_group_id + 1
     for key in keys:

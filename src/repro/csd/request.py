@@ -19,6 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 _request_counter = itertools.count()
+_INFINITY = float("inf")
 
 
 class MigrationJob:
@@ -53,6 +54,18 @@ class MigrationJob:
         if reason not in self.KNOWN_REASONS:
             raise ConfigurationError(
                 f"migration reason must be one of {self.KNOWN_REASONS}, got {reason!r}"
+            )
+        # ``is_time(seconds)`` and ``is_count(epoch, minimum=0)`` inlined: a
+        # rebalance builds one job per replica read or write it charges.
+        if isinstance(seconds, bool) or not (
+            isinstance(seconds, (int, float)) and 0 <= seconds < _INFINITY
+        ):
+            raise ConfigurationError(
+                f"migration seconds must be finite and non-negative, got {seconds!r}"
+            )
+        if isinstance(epoch, bool) or not (isinstance(epoch, int) and epoch >= 0):
+            raise ConfigurationError(
+                f"migration epoch must be an int of at least 0, got {epoch!r}"
             )
         self.object_key = object_key
         self.direction = direction

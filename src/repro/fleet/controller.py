@@ -32,6 +32,7 @@ of every member's life-cycle state:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.metrics import imbalance_coefficient
@@ -67,6 +68,9 @@ class FleetController:
         self._key_rank: Dict[str, int] = {
             key: rank for rank, key in enumerate(router.key_order)
         }
+        #: The hash column of ``router.sorted_key_hashes`` that every epoch
+        #: diff walks; built by the first epoch change, not at set-up.
+        self._key_hashes: Optional[List[int]] = None
         #: Raw (un-normalised) capacity weights the weighted ring is built
         #: from: static speed factors under ``weighting="profile"``, observed
         #: 1/EWMA-latency rates once the feedback rebalancer triggers.
@@ -275,16 +279,20 @@ class FleetController:
         return min(self.membership.replication, len(self.membership.serving_ids()))
 
     def under_replicated_count(self, placement: Mapping[str, Sequence[str]]) -> int:
-        """Keys with fewer live replicas than the current target."""
+        """Keys with fewer live replicas than the current target.
+
+        Counted once per distinct replica tuple, not per key: placement
+        values are the ring's shared per-arc tuples, so there are at most
+        ring-size of them.  A key's replicas are distinct devices, so the
+        live ones are the intersection with the serving roster.
+        """
         target = self.effective_replication
         alive = set(self.membership.serving_ids())
-        count = 0
-        for replicas in placement.values():
-            # A key's replicas are distinct devices, so the live ones are
-            # the intersection — counted without a frame per key or replica.
-            if len(alive.intersection(replicas)) < target:
-                count += 1
-        return count
+        return sum(
+            keys
+            for replicas, keys in Counter(placement.values()).items()
+            if len(alive.intersection(replicas)) < target
+        )
 
     def _record_replication_health(
         self, kind: str, at_open: Optional[int] = None, after: Optional[int] = None
@@ -335,15 +343,6 @@ class FleetController:
         for member in self.membership.members:
             member.weight = weights.get(member.device_id, 1.0)
 
-    def _holds_object(self, device_id: str, object_key: str) -> bool:
-        """Whether ``device_id`` already physically stores ``object_key``."""
-        member = self.membership.by_id.get(device_id)
-        return (
-            member is not None
-            and member.device is not None
-            and member.device.layout.has_object(object_key)
-        )
-
     def _rebalance(self, kind: str, device_id: str, reason: str = "rebalance") -> None:
         """Advance placement to the new epoch and execute the minimal plan."""
         epoch_record = self.membership.epoch_log[-1]
@@ -363,6 +362,11 @@ class FleetController:
         new_vnode_counts = self._policy.vnode_counts(serving)
         # Only the keys in ring arcs whose replica tuple changed need
         # re-placing; everything else keeps its entry from the old epoch.
+        key_hashes = self._key_hashes
+        if key_hashes is None:
+            key_hashes = self._key_hashes = [
+                pair[0] for pair in self.router.sorted_key_hashes
+            ]
         changed = self._policy.diff_keys(
             self.router.sorted_key_hashes,
             self.placement_roster,
@@ -371,6 +375,7 @@ class FleetController:
             replication,
             old_vnode_counts=old_vnode_counts,
             new_vnode_counts=new_vnode_counts,
+            key_hashes=key_hashes,
         )
         new_placement = dict(old_placement)
         new_placement.update(changed)
@@ -383,7 +388,8 @@ class FleetController:
         # The plan must see changed keys in canonical key order (what a
         # full placement scan iterates), not hash order.
         changed_keys = sorted(changed, key=self._key_rank.__getitem__)
-        alive = {member.device_id: member.alive for member in self.membership.members}
+        members = self.membership.members
+        alive = {member.device_id: member.alive for member in members}
         plan = plan_migration(
             epoch=epoch_record.epoch,
             at_seconds=self.env.now,
@@ -398,7 +404,11 @@ class FleetController:
             # Layouts are append-only, so a device that held a key in an
             # earlier epoch still physically has it: re-adopting such a
             # replica costs no migration I/O.
-            resident=self._holds_object,
+            resident={
+                member.device_id: member.device.layout.placed_keys
+                for member in members
+                if member.device is not None
+            },
             changed_keys=changed_keys,
         )
         self.router.placement = new_placement
@@ -412,7 +422,17 @@ class FleetController:
         )
 
     def _execute_plan(self, plan: MigrationPlan, reason: str = "rebalance") -> None:
-        """Extend destination layouts and charge the migration I/O."""
+        """Extend destination layouts and charge the migration I/O.
+
+        Each destination's layout is extended once, with its gained keys in
+        canonical order, destinations in roster order.  Then every move is a
+        read job at its source and a write job at its destination: each
+        device's jobs are built into one list (its transfer time read once)
+        and handed over in one :meth:`~repro.csd.device.ColdStorageDevice.submit_migrations`
+        call.  Devices get their batches in the order they first appear in
+        the move list — the order in which one ``put`` per job used to wake
+        their idle loops — so the events dispatched are the same.
+        """
         gained: Dict[str, List[str]] = {}
         for move in plan.moves:
             gained.setdefault(move.dest, []).append(move.object_key)
@@ -444,28 +464,22 @@ class FleetController:
                      plan: MigrationPlan = plan) -> None:
             plan.migration_seconds += end - start
 
-        members = self.membership.by_id
-        for move in plan.moves:
-            source = members.get(move.source)
-            dest = members[move.dest]
-            if source is not None and source.device is not None:
-                source.device.submit_migration(
-                    MigrationJob(
-                        object_key=move.object_key,
-                        direction="read",
-                        seconds=source.device.config.transfer_seconds_per_object,
-                        epoch=plan.epoch,
-                        reason=reason,
-                        notify=_account,
-                    )
+        seconds = {
+            member.device_id: member.device.config.transfer_seconds_per_object
+            for member in self.membership.members
+            if member.device is not None
+        }
+        epoch = plan.epoch
+        batches: Dict[str, List[MigrationJob]] = {}
+        for object_key, source, dest in plan.moves:
+            # A source without a device performs no read.
+            if source in seconds:
+                batches.setdefault(source, []).append(
+                    MigrationJob(object_key, "read", seconds[source], epoch, reason, _account)
                 )
-            dest.device.submit_migration(
-                MigrationJob(
-                    object_key=move.object_key,
-                    direction="write",
-                    seconds=dest.device.config.transfer_seconds_per_object,
-                    epoch=plan.epoch,
-                    reason=reason,
-                    notify=_account,
-                )
+            batches.setdefault(dest, []).append(
+                MigrationJob(object_key, "write", seconds[dest], epoch, reason, _account)
             )
+        members = self.membership.by_id
+        for device_id, jobs in batches.items():
+            members[device_id].device.submit_migrations(jobs)

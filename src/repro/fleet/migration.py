@@ -7,21 +7,34 @@ set actually changed move, each as one :class:`KeyMove` per gained replica
 Consistent hashing guarantees the plan stays near the information-theoretic
 minimum — ~R·K/(N+1) of K keys for a join into an N-device fleet — which
 the ``bounded-migration`` invariant pins against the naive full reshuffle.
+
+Planning costs per replica-set *shape*, not per key.  Placement values are
+the ring's shared per-arc tuples, so an epoch's changed keys carry at most
+ring-size distinct ``(old replicas, new replicas)`` pairs; everything a pair
+decides — the dropped devices and their live survivors, the candidate
+destinations, the read source — is worked out once per pair.  Per key only
+the residency probe and the appends of the plan's tuple records remain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 #: Nominal object size used to report migration volume in bytes.  Objects in
 #: the paper's setup are ~1 GB Swift blobs; the simulator does not model
 #: payload sizes, so migration volume scales with the object count.
 MIGRATION_OBJECT_BYTES = 1 << 30
 
+#: ``_tuple_new(KeyMove, fields)`` is ``KeyMove(*fields)`` without the Python
+#: frame of the generated ``__new__`` (likewise for ``KeyTrim``): the planner
+#: builds one record per move and per trim.
+_tuple_new = tuple.__new__
+_object_key = attrgetter("object_key")
 
-@dataclass(frozen=True)
-class KeyMove:
+
+class KeyMove(NamedTuple):
     """One replica copy: ``object_key`` streamed from ``source`` to ``dest``."""
 
     object_key: str
@@ -29,8 +42,7 @@ class KeyMove:
     dest: str
 
 
-@dataclass(frozen=True)
-class KeyTrim:
+class KeyTrim(NamedTuple):
     """One replica dropped from the placement (no I/O; layouts are
     append-only, so the object physically stays where it was).
 
@@ -69,9 +81,7 @@ class MigrationPlan:
     _moved_keys: Tuple[str, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        self._moved_keys = tuple(
-            dict.fromkeys(move.object_key for move in self.moves)
-        )
+        self._moved_keys = tuple(dict.fromkeys(map(_object_key, self.moves)))
 
     @property
     def keys_moved(self) -> int:
@@ -113,7 +123,7 @@ class MigrationPlan:
     @property
     def keys_trimmed(self) -> int:
         """Distinct keys that lost at least one placement replica."""
-        return len(set(trim.object_key for trim in self.trims))
+        return len(set(map(_object_key, self.trims)))
 
     @property
     def replicas_trimmed(self) -> int:
@@ -148,7 +158,7 @@ def plan_migration(
     devices_before: int = 0,
     devices_after: int = 0,
     replication: int = 1,
-    resident: Optional[Callable[[str, str], bool]] = None,
+    resident: Optional[Mapping[str, Container[str]]] = None,
     changed_keys: Optional[Sequence[str]] = None,
 ) -> MigrationPlan:
     """Diff two placements into the minimal set of replica copies.
@@ -159,10 +169,12 @@ def plan_migration(
     a leaver legitimately performs its decommissioning reads — and only
     then the primary, whatever its state).  Keys whose replica set is
     unchanged never appear — the "minimal plan" property the hypothesis
-    suite checks.  ``resident(device_id, object_key)`` lets the caller skip
-    copies whose destination still physically holds the object from an
-    earlier epoch (replica sets can return to a former owner after several
-    membership changes); such re-adoptions cost no I/O.
+    suite checks.  ``resident`` maps a device id to the keys the device
+    still physically holds (its layout's placed keys): a copy whose
+    destination already holds the object from an earlier epoch is skipped
+    (replica sets can return to a former owner after several membership
+    changes); such re-adoptions cost no I/O.  A device missing from the
+    mapping holds nothing.
 
     Replicas *dropped* from a key's set (lowering R trims every key;
     joins/leaves shift sets away from devices) are recorded as
@@ -174,50 +186,31 @@ def plan_migration(
     order; the diff then skips the (typically vast) unchanged majority.
     Keys with identical replica sets contribute neither moves nor trims, so
     the resulting plan is identical to a full scan.
+
+    Each distinct ``(old, new)`` replica-tuple pair is resolved once (see
+    the module docstring); moves and trims come out in key order, a key's
+    trims and moves in replica order.
     """
     moves: List[KeyMove] = []
     trims: List[KeyTrim] = []
-    if changed_keys is None:
-        items = old_placement.items()
-    else:
-        items = [(key, old_placement[key]) for key in changed_keys]
-    for object_key, old_replicas in items:
+    append_move = moves.append
+    append_trim = trims.append
+    shapes: Dict[Tuple[Sequence[str], Sequence[str]], _Shape] = {}
+    for object_key in old_placement if changed_keys is None else changed_keys:
+        old_replicas = old_placement[object_key]
         new_replicas = new_placement[object_key]
-        for device in old_replicas:
-            if device not in new_replicas:
-                trims.append(
-                    KeyTrim(
-                        object_key=object_key,
-                        device=device,
-                        survivors=sum(
-                            1
-                            for survivor in new_replicas
-                            if alive is None or alive.get(survivor, True)
-                        ),
-                    )
-                )
-        gained = [
-            device
-            for device in new_replicas
-            if device not in old_replicas
-            and not (resident is not None and resident(device, object_key))
-        ]
-        if not gained:
-            continue
-        source = next(
-            (
-                device
-                for device in old_replicas
-                if alive is None or alive.get(device, True)
-            ),
-            # No live replica left (e.g. the key sat on exactly the leaver
-            # plus an earlier fail-stopped device): read from the leaver,
-            # which still physically holds the data; a *failed* device must
-            # never perform I/O again.
-            device_id if device_id in old_replicas else old_replicas[0],
-        )
-        for dest in gained:
-            moves.append(KeyMove(object_key=object_key, source=source, dest=dest))
+        pair = (old_replicas, new_replicas)
+        shape = shapes.get(pair)
+        if shape is None:
+            shape = shapes[pair] = _shape(
+                old_replicas, new_replicas, alive, device_id, resident
+            )
+        dropped, survivors, candidates, source = shape
+        for device in dropped:
+            append_trim(_tuple_new(KeyTrim, (object_key, device, survivors)))
+        for dest, held in candidates:
+            if object_key not in held:
+                append_move(_tuple_new(KeyMove, (object_key, source, dest)))
     return MigrationPlan(
         epoch=epoch,
         at_seconds=at_seconds,
@@ -230,3 +223,43 @@ def plan_migration(
         devices_after=devices_after,
         replication=replication,
     )
+
+
+#: What one ``(old, new)`` replica-tuple pair decides for every key it
+#: covers: the dropped devices, the live survivor count, the candidate
+#: destinations (each with the keys it already holds) and the read source
+#: (``""`` when there is no candidate).
+_Shape = Tuple[Tuple[str, ...], int, Tuple[Tuple[str, Container[str]], ...], str]
+
+
+def _shape(
+    old_replicas: Sequence[str],
+    new_replicas: Sequence[str],
+    alive: Optional[Mapping[str, bool]],
+    device_id: str,
+    resident: Optional[Mapping[str, Container[str]]],
+) -> _Shape:
+    """Resolve one replica-tuple pair for :func:`plan_migration`."""
+    dropped = tuple([device for device in old_replicas if device not in new_replicas])
+    survivors = len(
+        [device for device in new_replicas if alive is None or alive.get(device, True)]
+    )
+    candidates = tuple(
+        [
+            (device, () if resident is None else resident.get(device, ()))
+            for device in new_replicas
+            if device not in old_replicas
+        ]
+    )
+    if not candidates:
+        return dropped, survivors, candidates, ""
+    live = [device for device in old_replicas if alive is None or alive.get(device, True)]
+    if live:
+        source = live[0]
+    else:
+        # No live replica left (e.g. the key sat on exactly the leaver plus
+        # an earlier fail-stopped device): read from the leaver, which still
+        # physically holds the data; a *failed* device must never perform
+        # I/O again.
+        source = device_id if device_id in old_replicas else old_replicas[0]
+    return dropped, survivors, candidates, source

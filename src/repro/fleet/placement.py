@@ -171,14 +171,16 @@ class ConsistentHashPlacement:
         cached = self._ring_cache.get(cache_key)
         if cached is not None:
             return cached
-        points: List[Tuple[int, str]] = []
+        labels: List[str] = []
+        devices: List[str] = []
         for device_id, count in zip(device_ids, counts):
             if count < 1:
                 raise PlacementError(
                     f"device {device_id!r} needs at least one vnode, got {count}"
                 )
-            for vnode in range(count):
-                points.append((stable_hash(f"{device_id}#{vnode}"), device_id))
+            labels += [f"{device_id}#{vnode}" for vnode in range(count)]
+            devices.extend([device_id] * count)
+        points = list(zip(self.bulk_key_hashes(labels), devices))
         # Ties between devices at the same ring point are broken by device id
         # so the ring is independent of the listing order of the fleet.
         points.sort()
@@ -267,6 +269,7 @@ class ConsistentHashPlacement:
         new_replication: int,
         old_vnode_counts: Optional[Sequence[int]] = None,
         new_vnode_counts: Optional[Sequence[int]] = None,
+        key_hashes: Optional[Sequence[int]] = None,
     ) -> Dict[str, Tuple[str, ...]]:
         """Keys whose replica tuple differs between two (roster, counts, R)
         epochs.
@@ -281,9 +284,11 @@ class ConsistentHashPlacement:
         ``new_vnode_counts`` identify each epoch's (possibly weighted) ring;
         ``None`` means the uniform ring (``virtual_nodes`` points per
         device), *not* the currently installed weights — callers diffing a
-        reweight pass both explicitly.  Returns ``{key: new_replicas}`` for
-        exactly the keys a full old-vs-new placement diff would report as
-        changed.
+        reweight pass both explicitly.  ``key_hashes`` is the hash column
+        of ``sorted_key_hashes``; a caller diffing the same population epoch
+        after epoch keeps it and passes it in, otherwise it is derived here.
+        Returns ``{key: new_replicas}`` for exactly the keys a full
+        old-vs-new placement diff would report as changed.
         """
         if not new_device_ids:
             raise PlacementError("placement requires at least one device")
@@ -306,7 +311,8 @@ class ConsistentHashPlacement:
         )
         old_size = len(old_hashes)
         new_size = len(new_hashes)
-        key_hashes = [pair[0] for pair in sorted_key_hashes]
+        if key_hashes is None:
+            key_hashes = [pair[0] for pair in sorted_key_hashes]
         total = len(sorted_key_hashes)
         changed: Dict[str, Tuple[str, ...]] = {}
         bisect_left = bisect.bisect_left

@@ -381,8 +381,7 @@ class TestMigrationThrottle:
             DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=1.0),
             migration_throttle=MigrationTokenBucket(0.1, burst=1),
         )
-        for _ in range(3):
-            device.submit_migration(MigrationJob(key, "read", 1.0, epoch=1))
+        device.submit_migrations([MigrationJob(key, "read", 1.0, epoch=1) for _ in range(3)])
 
         def client(env):
             yield env.timeout(4.0)  # mid token interval; the device is idle-waiting

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -11,9 +12,10 @@ import pytest
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
 from repro.csd.device import BusyInterval
+from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.request import GetRequest
 from repro.exceptions import GoldenMismatchError, InvariantViolation, ScenarioError
-from repro.fleet.spec import FleetSpec
+from repro.fleet.spec import DeviceJoin, DeviceLeave, FleetSpec, SetReplication
 from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
@@ -202,6 +204,18 @@ BACKENDS = pytest.mark.parametrize(
     "fleet", [None, FleetSpec(devices=3, replication=2)], ids=["single-device", "fleet"]
 )
 
+#: A join at 20 s and a graceful leave at 60 s at R = 1: the leaver is the
+#: last holder of its keys, so it reads for the plan after leaving.
+ELASTIC = FleetSpec(
+    devices=3, replication=1, events=(DeviceJoin(3, 20.0), DeviceLeave(0, 60.0))
+)
+#: The same at R = 2, then an R = 3 upgrade: trims, and a healed end state.
+REPLICATED = FleetSpec(
+    devices=4,
+    replication=2,
+    events=(DeviceJoin(4, 20.0), DeviceLeave(0, 60.0), SetReplication(3, 100.0)),
+)
+
 
 def _violations(service, result):
     """The message of every invariant check that fires on ``result``."""
@@ -378,6 +392,125 @@ class TestInvariantChecker:
     def test_starvation_bound_is_undefined_without_a_positive_k(self, fairness_constant):
         with pytest.raises(InvariantViolation, match="undefined for K <= 0"):
             starvation_bound(4, 2, fairness_constant)
+
+    def test_fleet_rebalance_detects_an_epoch_out_of_order(self):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        log = service.fleet.membership.epoch_log
+        log[0] = replace(log[0], epoch=2)
+        _assert_only_violation(service, result, "epoch log out of order: change #1 opened epoch 2")
+
+    def test_fleet_rebalance_detects_an_epoch_opened_before_the_last(self):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        log = service.fleet.membership.epoch_log
+        log[1] = replace(log[1], at_seconds=log[0].at_seconds)
+        assert _violations(service, result) == []
+        log[1] = replace(log[1], at_seconds=log[0].at_seconds - 1.0)
+        _assert_only_violation(service, result, "epoch 2 opened at 19.0, before epoch 1's")
+
+    def test_fleet_rebalance_detects_an_epoch_count_mismatch(self):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        service.fleet.membership.epoch += 1
+        _assert_only_violation(service, result, "membership epoch 3 does not match the 2")
+
+    def test_fleet_rebalance_detects_a_plan_past_the_migration_bound(self):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        plan = service.controller.migration_plans[0]
+        assert (plan.kind, plan.replication, plan.devices_before, plan.keys_moved) == (
+            "join", 1, 3, 3
+        )
+        # bound = min(K, ceil(2·R·K/N)) with N = 3: K = 4 allows 3 keys, K = 3 only 2.
+        plan.total_keys = 4
+        assert _violations(service, result) == []
+        plan.total_keys = 3
+        _assert_only_violation(service, result, "moved 3 keys, above the bounded-migration")
+
+    @pytest.mark.parametrize("dest", ["csd-ghost", "spare"])
+    def test_fleet_rebalance_detects_a_key_that_never_landed(self, dest):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        plan = service.controller.migration_plans[0]
+        move = plan.moves[0]
+        if dest == "spare":
+            dest = next(
+                member.device_id
+                for member in service.fleet.members
+                if not member.device.layout.has_object(move.object_key)
+            )
+        plan.moves[0] = move._replace(dest=dest)
+        _assert_only_violation(
+            service, result, f"key {move.object_key!r} never landed in destination {dest!r}"
+        )
+
+    def test_fleet_rebalance_detects_foreground_work_after_a_leave(self):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        leaver = service.fleet.membership.by_id["csd0"]
+        log = leaver.device.busy_intervals
+        # The leaver still reads for the plan after leaving (R = 1: it is the
+        # last holder of its keys), which is allowed.
+        assert any(i.kind == "migration" and i.start > leaver.left_at for i in log)
+        last_foreground = max(i.start for i in log if i.kind != "migration")
+        leaver.left_at = last_foreground
+        assert _violations(service, result) == []
+        leaver.left_at = last_foreground - 1.0
+        _assert_only_violation(service, result, "departed device 'csd0' performed transfer work")
+
+    def test_fleet_rebalance_detects_work_before_a_join(self):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        joiner = service.fleet.membership.by_id["csd3"]
+        assert joiner.device.busy_intervals[0].start == joiner.joined_at == 20.0
+        assert _violations(service, result) == []
+        joiner.joined_at = 21.0
+        _assert_only_violation(
+            service, result, "device 'csd3' performed work at 20.0, before joining at 21.0"
+        )
+
+    def test_fleet_rebalance_detects_a_request_left_queued(self):
+        service, result = _run_service(ELASTIC, repetitions=2)
+        assert check_fleet_rebalance(service)
+        device, _index, interval = _first_transfer(service)
+        stranded = GetRequest(
+            interval.object_key, interval.client_id, "stranded", service.env.event()
+        )
+        device.scheduler.add_request(stranded, interval.group_id)
+        with pytest.raises(InvariantViolation, match=r"1 request\(s\) .*across the rebalance"):
+            check_fleet_rebalance(service)
+
+    def test_replication_repair_detects_a_trim_of_the_last_replica(self):
+        service, result = _run_service(REPLICATED, repetitions=2)
+        plan = service.controller.migration_plans[0]
+        trim = plan.trims[0]
+        plan.trims[0] = trim._replace(survivors=1)
+        assert _violations(service, result) == []
+        plan.trims[0] = trim._replace(survivors=0)
+        _assert_only_violation(
+            service, result, f"trim of {trim.object_key!r} off {trim.device!r} dropped"
+        )
+
+    @pytest.mark.parametrize("outstanding", [1, -1])
+    def test_replication_repair_detects_a_nonzero_outstanding_count(self, outstanding):
+        service, result = _run_service(REPLICATED, repetitions=2)
+        service.fleet.membership.by_id["csd2"].outstanding = outstanding
+        _assert_only_violation(
+            service, result, f"'csd2' ended the run with {outstanding} outstanding"
+        )
+
+    def test_replication_repair_detects_a_key_below_its_live_replica_target(self):
+        service, result = _run_service(REPLICATED, repetitions=2)
+        assert service.controller.effective_replication == 3
+        service.fleet.membership.by_id["csd1"].alive = False
+        _assert_only_violation(service, result, "holds 2 live replica.* expected 3")
+
+    def test_replication_repair_detects_a_live_replica_missing_from_its_layout(self):
+        service, result = _run_service(REPLICATED, repetitions=2)
+        assert check_replication_repair(service)
+        key, replicas = next(iter(service.fleet.placement.items()))
+        device = service.fleet.membership.by_id[replicas[0]].device
+        device.layout = DiskGroupLayout(
+            {other: group for other, group in device.layout.as_dict().items() if other != key}
+        )
+        with pytest.raises(
+            InvariantViolation, match=f"replica of {key!r} on {replicas[0]!r} is not physically"
+        ):
+            check_replication_repair(service)
 
 
 class TestSpecSerialization:

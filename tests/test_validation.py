@@ -11,7 +11,11 @@ import pytest
 
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
-from repro.csd.device import DeviceConfig
+from repro.csd.device import ColdStorageDevice, DeviceConfig
+from repro.csd.disk_group import DiskGroupLayout
+from repro.csd.object_store import ObjectStore
+from repro.csd.request import MigrationJob
+from repro.csd.scheduler import RankBasedScheduler
 from repro.exceptions import ConfigurationError, ScenarioError
 from repro.scenarios import (
     BurstyArrival,
@@ -21,6 +25,7 @@ from repro.scenarios import (
     UniformArrival,
     uniform_tenants,
 )
+from repro.sim import Environment
 from repro.workloads import tpch
 
 Q12 = tpch.q12()
@@ -40,6 +45,38 @@ class TestDeviceConfigValidation:
     def test_zero_latencies_allowed_for_ideal_device(self):
         config = DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=0.0)
         assert config.group_switch_seconds == 0.0
+
+
+class TestMigrationJobValidation:
+    @pytest.mark.parametrize(
+        "seconds, epoch, pattern",
+        [
+            ("1", 1, "seconds must be finite and non-negative, got '1'"),
+            (-1.0, 1, "seconds must be finite and non-negative, got -1.0"),
+            (float("nan"), 1, "seconds must be finite and non-negative, got nan"),
+            (float("inf"), 1, "seconds must be finite and non-negative, got inf"),
+            (1.0, True, "epoch must be an int of at least 0, got True"),
+        ],
+        ids=["str-seconds", "negative-seconds", "nan-seconds", "inf-seconds", "bool-epoch"],
+    )
+    def test_bad_seconds_or_epoch_rejected(self, seconds, epoch, pattern):
+        """A string used to kill the device loop silently when the job ran
+        (no busy interval, nothing booked, ``env.run()`` returning normally);
+        -1 and NaN were booked as zero-second migrations and inf accepted."""
+        with pytest.raises(ConfigurationError, match=f"migration {pattern}"):
+            MigrationJob("a/t.0", "read", seconds, epoch=epoch)
+
+    def test_a_valid_job_is_booked_on_a_bare_device(self):
+        env = Environment()
+        store = ObjectStore()
+        key = store.put_segment("a", "t.0", object())
+        device = ColdStorageDevice(env, store, DiskGroupLayout({key: 0}), RankBasedScheduler())
+        device.submit_migrations([MigrationJob(key, "write", 2, epoch=0)])
+        env.run()
+        assert device.stats.migration_seconds == 2.0
+        assert [(i.kind, i.start, i.end) for i in device.busy_intervals] == [
+            ("migration", 0.0, 2.0)
+        ]
 
 
 class TestClientSpecValidation:
