@@ -10,6 +10,14 @@ model.  The subplans an arrival completes travel as one
 else happened — subplans executed or pruned, evictions, result rows — is
 read off the tracker's, the cache's and :attr:`MJoinStateManager.stats`'s
 counters.
+
+An arrival is filtered first, by the pull-based scans'
+:func:`~repro.engine.operators.scan.select_rows`, which the segment answers
+from its last selection when the predicate object is the same: one
+selection per object per predicate per service, however many tenants read
+it.  An object that filters to nothing is pruned before any
+:class:`~repro.core.njoin.PreparedSegment` is built, and the rows a
+prepared segment holds are that shared selection, read and never mutated.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.cache import ObjectCache
-from repro.core.njoin import NAryJoin, prepare_segment
+from repro.core.njoin import NAryJoin, PreparedSegment
 from repro.core.subplan import SubplanTracker
 from repro.engine.catalog import Catalog
 from repro.engine.operators.aggregate import AggregateState
 from repro.engine.operators.base import OperatorStats, Row
+from repro.engine.operators.scan import select_rows
 from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Segment
@@ -101,8 +110,11 @@ class MJoinStateManager:
             self.stats.merge(stats)
             return stats
 
-        prepared = prepare_segment(segment, self.query.filter_for(segment.table_name))
-        num_rows = len(prepared.rows)
+        # The selection the pull-based scans make, and shared with them: a
+        # segment keeps its last one, so every tenant of this ``Query`` (and
+        # every re-fetch) after the first gets the same row list back.
+        rows = select_rows(segment, self.query.filter_for(segment.table_name))
+        num_rows = len(rows)
         if self.enable_pruning and num_rows == 0:
             self.tracker.prune_object(segment_id)
             self.stats.merge(stats)
@@ -110,7 +122,9 @@ class MJoinStateManager:
 
         # Not before the object is known to stay: nine in ten objects of a
         # selective single-table query are pruned above.
-        prepared.offset = self.tracker.offset_of(segment_id)
+        prepared = PreparedSegment(
+            segment_id, segment.table_name, rows, self.tracker.offset_of(segment_id)
+        )
         if self.cache.is_full:
             victim = self.cache.evict(segment_id, self.tracker).payload
             relation_table = self.relation_tables.get(victim.table_name)

@@ -31,11 +31,8 @@ from repro.engine.operators.hash_join import (
     materialise_rows,
     probe_hash_table,
 )
-from repro.engine.operators.scan import select_rows
 from repro.engine.planner import QueryPlan
-from repro.engine.predicate import Predicate
 from repro.engine.query import Query
-from repro.engine.relation import Segment
 from repro.exceptions import ExecutionError
 
 #: One ``row, offset`` pair per joined input, probe side first: the base row
@@ -50,9 +47,12 @@ TaggedTable = Dict[object, List[TaggedRow]]
 class PreparedSegment:
     """A fetched segment after filtering, ready to be joined.
 
-    ``offset`` is what the segment adds to the id of every subplan it takes
-    part in (``SubplanTracker.offset_of``), to be set before the first table
-    is built.  ``hash_tables`` maps a tuple of key column names to the
+    ``rows`` is the segment's selection as
+    :func:`~repro.engine.operators.scan.select_rows` returns it — the list the
+    segment itself keeps and every other reader of the object shares — so it
+    is read, never mutated.  ``offset`` is what the segment adds to the id
+    of every subplan it takes part in (``SubplanTracker.offset_of``), fixed
+    before the first table is built.  ``hash_tables`` maps a tuple of key column names to the
     segment's :func:`~repro.engine.operators.hash_join.build_hash_table`
     table on them, every match tagged with ``offset``; tables are built on
     first use and reused across all subplans that touch the segment.
@@ -79,21 +79,6 @@ class PreparedSegment:
                 for key, matches in build_hash_table(self.rows, key_columns).items()
             }
         return table
-
-
-def prepare_segment(segment: Segment, predicate: Optional[Predicate]) -> PreparedSegment:
-    """Filter a raw segment into a :class:`PreparedSegment`.
-
-    The rows are selected exactly as the pull-based scans select them
-    (:func:`~repro.engine.operators.scan.select_rows`).  The prepared row
-    list is never mutated downstream, so the unfiltered path shares the
-    segment's row list instead of copying it.
-    """
-    return PreparedSegment(
-        segment_id=segment.segment_id,
-        table_name=segment.table_name,
-        rows=select_rows(segment, predicate),
-    )
 
 
 class NAryJoin:

@@ -83,12 +83,18 @@ class CostModel:
         return self.output_seconds_per_tuple * num_tuples * self.tuple_scale
 
     def cpu_time(self, stats: OperatorStats) -> float:
-        """CPU time for all the work counted in ``stats``."""
+        """CPU time for all the work counted in ``stats``.
+
+        The sum of the four component times, spelled out: it runs once per
+        arrival.  Each term keeps its method's float order (``rate * n *
+        tuple_scale``), so the result is bit-identical to adding them up.
+        """
+        scale = self.tuple_scale
         return (
-            self.scan_time(stats.tuples_scanned)
-            + self.build_time(stats.tuples_built)
-            + self.probe_time(stats.tuples_probed)
-            + self.output_time(stats.tuples_output)
+            self.scan_seconds_per_tuple * stats.tuples_scanned * scale
+            + self.build_seconds_per_tuple * stats.tuples_built * scale
+            + self.probe_seconds_per_tuple * stats.tuples_probed * scale
+            + self.output_seconds_per_tuple * stats.tuples_output * scale
         )
 
     def request_overhead(self, num_requests: int = 1) -> float:

@@ -2,7 +2,9 @@
 
 Scans materialise: every row of every segment counts as scanned and every
 selected row as output, whatever a downstream
-:class:`~repro.engine.operators.limit.Limit` goes on to keep.
+:class:`~repro.engine.operators.limit.Limit` goes on to keep.  The counters
+count the rows, not the work: a selection :func:`select_rows` answers from
+the segment's memo is charged the same simulated CPU as the first one.
 """
 
 from __future__ import annotations
@@ -19,14 +21,23 @@ def select_rows(segment: Segment, predicate: Optional[Predicate]) -> List[Row]:
 
     A predicate with a bulk ``selection`` filters the column arrays and
     materialises only the matching rows; other shapes fall back to per-row
-    ``evaluate``.  Without a predicate the result *is* the segment's cached
-    row list: callers must not mutate it.
+    ``evaluate``.  Either way the result is kept on the segment
+    (``selected_by`` / ``selected_rows``), so the next call with the same
+    predicate object — another tenant of the same ``Query``, a re-fetch
+    after an eviction, the next repetition — costs one ``is`` check.  A
+    selection that raises is not kept.  Without a predicate the result *is*
+    the segment's cached row list.  In both cases the list and its row
+    dicts are shared: callers must not mutate them.
     """
     if predicate is None:
         return segment.rows
+    if segment.selected_by is predicate:
+        return segment.selected_rows
     rows = segment.filtered_rows(predicate)
     if rows is None:
         rows = [row for row in segment.rows if predicate.evaluate(row)]
+    segment.selected_rows = rows
+    segment.selected_by = predicate
     return rows
 
 

@@ -10,6 +10,13 @@ ordered list of segments plus a schema.
 values, same key order); predicates with a bulk
 :meth:`~repro.engine.predicate.Predicate.selection` path filter a segment over
 its column arrays and only materialise the matching rows.
+
+A segment is one stored object that every tenant of a service reads, so it
+remembers its last selection — the predicate object and the rows it kept —
+for :func:`~repro.engine.operators.scan.select_rows`: tenants sharing one
+``Query`` filter each object once, not once per delivery.  Segments and
+predicates are immutable, so a selection made once stays right; the rows
+are shared between every reader and must never be mutated.
 """
 
 from __future__ import annotations
@@ -28,17 +35,29 @@ class Segment:
     must have the same keys in the same order (all generated catalogs do;
     anything else raises :class:`SchemaError`).  ``rows`` materialises (and
     caches) the row-dict view on first access.
+
+    ``selected_by`` / ``selected_rows`` are the segment's last selection,
+    written only by :func:`~repro.engine.operators.scan.select_rows`: the
+    predicate (compared by identity) and the rows it kept.  One entry, so
+    alternating between two filters on one table re-filters every time.
+    ``selected_rows`` is unset until the first selection: read it only
+    after ``selected_by`` matched (a million-object catalog would otherwise
+    hold a million empty lists).
     """
 
     __slots__ = (
         "table_name",
         "index",
         "segment_id",
+        "selected_by",
+        "selected_rows",
         "_columns",
         "_column_names",
         "_num_rows",
         "_rows",
     )
+
+    selected_rows: List[Dict[str, object]]
 
     def __init__(self, table_name: str, index: int, rows: Sequence[Dict[str, object]]) -> None:
         if index < 0:
@@ -48,6 +67,7 @@ class Segment:
         #: Stable identifier, e.g. ``lineitem.3``.  Precomputed: it is read
         #: on every request/arrival, millions of times per large run.
         self.segment_id = f"{table_name}.{index}"
+        self.selected_by: Optional[Predicate] = None
         materialised = rows if isinstance(rows, list) else list(rows)
         self._num_rows = len(materialised)
         self._rows: Optional[List[Dict[str, object]]] = None
@@ -105,7 +125,9 @@ class Segment:
         implementation — the caller then falls back to per-row
         ``predicate.evaluate``, which this path matches exactly, including
         missing-column errors and None-compares-false semantics.  Only the
-        matching rows are ever materialised into dicts.
+        matching rows are ever materialised into dicts.  Every call filters
+        afresh; :func:`~repro.engine.operators.scan.select_rows` is the
+        caller that keeps the result.
         """
         if self._num_rows == 0:
             return []

@@ -121,13 +121,26 @@ def resolve_query(reference: str) -> Query:
 
 
 def build_cluster_config(spec: ScenarioSpec) -> ClusterConfig:
-    """Materialise the spec's tenants, arrivals and device knobs into a config."""
+    """Materialise the spec's tenants, arrivals and device knobs into a config.
+
+    Each distinct query reference is resolved once, so every tenant naming
+    it runs the same :class:`~repro.engine.query.Query` — the same predicate
+    object per table — and a stored object is filtered once per predicate
+    for the whole service, not once per delivery (the segment keeps its
+    last selection, :func:`~repro.engine.operators.scan.select_rows`).
+    """
     rng = random.Random(spec.seed)
     delays = spec.arrival.delays(len(spec.tenants), rng)
+    queries = {
+        reference: resolve_query(reference)
+        for reference in dict.fromkeys(
+            reference for tenant in spec.tenants for reference in tenant.queries
+        )
+    }
     client_specs = [
         ClientSpec(
             client_id=tenant.tenant_id,
-            queries=[resolve_query(reference) for reference in tenant.queries],
+            queries=[queries[reference] for reference in tenant.queries],
             mode=tenant.mode,
             repetitions=tenant.repetitions,
             cache_capacity=tenant.cache_capacity,

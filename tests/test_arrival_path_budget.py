@@ -24,6 +24,14 @@ object per eviction, a ``_probe`` and a ``hash_table`` frame per probe, three
 an outcome dataclass and its default-factory stats per arrival.
 When the probe count trips: ``NAryJoin.execute_batch`` probed a segment's own
 table where the relation's would do, or went on after a level left no row.
+
+A third count is per service, not per subplan: bulk selections against the
+objects filtered.  Tenants of one ``Query`` share its predicates and a
+segment keeps its last selection, so a multi-tenant Q6 run filters each
+``lineitem`` object once, however many tenants — Skipper or pull-based —
+read it.  When it trips: ``build_cluster_config`` resolves a query per
+tenant again, or something on the arrival or scan path filters without
+``select_rows``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ from repro.core import njoin
 from repro.core.cache import ObjectCache
 from repro.core.mjoin import MJoinStateManager
 from repro.core.subplan import Batch
+from repro.engine.relation import Segment
+from repro.scenarios.spec import ScenarioSpec, uniform_tenants
+from repro.service import StorageService
 from repro.workloads import tpch
 
 #: Frames per executed subplan, comprehension frames left out (CPython 3.12
@@ -47,9 +58,10 @@ from repro.workloads import tpch
 #: one hash table per cached segment this scenario measured 24.38 (2 340
 #: frames / 96 subplans), with one per relation 23.69 (2 274), with the
 #: arrival returning its ``OperatorStats`` rather than an outcome record
-#: 22.02 (2 114); the ceiling is that plus one, so one more frame per probe,
-#: or two per arrival, trips it.
-FRAMES_PER_SUBPLAN_CEILING = 23.0
+#: 22.02 (2 114), with each re-fetched object's selection kept on the
+#: segment and no ``prepare_segment`` frame 21.38 (2 052); the ceiling is
+#: that plus one, so one more frame per probe, or two per arrival, trips it.
+FRAMES_PER_SUBPLAN_CEILING = 22.4
 _COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>")
 
 
@@ -153,3 +165,34 @@ def test_one_probe_per_level_and_none_with_nothing_pending(
     assert sum(pending for _, pending, _ in checked) == manager.tracker.num_executed == 96
     assert sum(pending < total for _, pending, total in checked) == batches_with_holes
     assert sum(probed for probed, _, _ in checked) > 0
+
+
+# --------------------------------------------------------------------------- #
+# Selections per service: one per filtered object, not one per delivery
+# --------------------------------------------------------------------------- #
+def test_a_shared_query_filters_each_object_once(monkeypatch):
+    """Three Skipper tenants running Q6 twice each and two pull-based ones
+    make 8 × as many deliveries as there are ``lineitem`` objects, and one
+    bulk selection per object."""
+    selections: Counter = Counter()
+    real_filtered_rows = Segment.filtered_rows
+
+    def counted(segment, predicate):
+        selections[segment.segment_id] += 1
+        return real_filtered_rows(segment, predicate)
+
+    monkeypatch.setattr(Segment, "filtered_rows", counted)
+    spec = ScenarioSpec(
+        name="selection-budget",
+        description="Q6 tenants of both modes sharing one CSD.",
+        tenants=uniform_tenants(3, "tpch:q6", repetitions=2)
+        + uniform_tenants(2, "tpch:q6", mode="vanilla", prefix="puller"),
+        scale="small",
+        seed=7,
+    )
+    service = StorageService(spec)
+    result = service.run()
+    segments = service.catalog.num_segments("lineitem")
+    assert result.device_objects_served == (3 * 2 + 2) * segments
+    assert sorted(selections) == sorted(service.catalog.segment_ids("lineitem"))
+    assert sum(selections.values()) == segments

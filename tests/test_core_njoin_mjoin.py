@@ -21,12 +21,13 @@ from repro.core.cache import (
     ObjectCache,
 )
 from repro.core.mjoin import MJoinStateManager
-from repro.core.njoin import NAryJoin, PreparedSegment, prepare_segment
+from repro.core.njoin import NAryJoin, PreparedSegment
 from repro.core.subplan import Batch
 from repro.engine import Column, DataType, InMemoryExecutor, Planner, Relation, TableSchema
 from repro.engine.executor import canonical_rows
 from repro.engine.operators import HashJoin, SequentialScan
 from repro.engine.operators.base import OperatorStats
+from repro.engine.operators.scan import select_rows
 from repro.engine.planner import JoinStep, QueryPlan
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.exceptions import CacheError, ExecutionError
@@ -60,6 +61,13 @@ def _feed(manager, catalog, requests, max_cycles=None):
     return arrivals
 
 
+def _prepared(segment, query):
+    """``segment`` filtered as an arrival is: ``select_rows`` with the query's
+    filter for its table, wrapped at offset 0."""
+    rows = select_rows(segment, query.filter_for(segment.table_name))
+    return PreparedSegment(segment.segment_id, segment.table_name, rows)
+
+
 def _run_state_manager(
     catalog,
     query,
@@ -83,7 +91,7 @@ class TestPreparedSegment:
     def test_filtering_and_hash_tables(self, tiny_tpch_catalog):
         query = tpch.q12()
         segment = tiny_tpch_catalog.segment("lineitem", 0)
-        prepared = prepare_segment(segment, query.filter_for("lineitem"))
+        prepared = _prepared(segment, query)
         assert len(prepared.rows) <= segment.num_rows
         table = prepared.hash_table(("l_orderkey",))
         assert sum(len(rows) for rows in table.values()) == len(prepared.rows)
@@ -97,12 +105,8 @@ class TestNAryJoin:
         plan = Planner(tiny_tpch_catalog).plan(query)
         njoin = NAryJoin(query, plan)
         segments = {
-            "lineitem": prepare_segment(
-                tiny_tpch_catalog.segment("lineitem", 0), query.filter_for("lineitem")
-            ),
-            "orders": prepare_segment(
-                tiny_tpch_catalog.segment("orders", 0), query.filter_for("orders")
-            ),
+            table: _prepared(tiny_tpch_catalog.segment(table, 0), query)
+            for table in ("lineitem", "orders")
         }
         stats = OperatorStats()
         rows = njoin.execute_ordered([segments[step.table] for step in plan.steps], stats)
@@ -121,8 +125,8 @@ class TestNAryJoin:
         for orders_segment in tiny_tpch_catalog.relation("orders").segments:
             for lineitem_segment in tiny_tpch_catalog.relation("lineitem").segments:
                 segments = {
-                    "orders": prepare_segment(orders_segment, query.filter_for("orders")),
-                    "lineitem": prepare_segment(lineitem_segment, query.filter_for("lineitem")),
+                    "orders": _prepared(orders_segment, query),
+                    "lineitem": _prepared(lineitem_segment, query),
                 }
                 total += len(njoin.execute_ordered([segments[step.table] for step in plan.steps]))
         in_memory = InMemoryExecutor(tiny_tpch_catalog).execute(query)

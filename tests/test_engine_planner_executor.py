@@ -4,10 +4,12 @@ from dataclasses import astuple
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine import CostModel, InMemoryExecutor, Planner
 from repro.exceptions import ConfigurationError, QueryError
 from repro.engine.executor import canonical_rows
+from repro.engine.operators.base import OperatorStats
 from repro.engine.query import AggregateSpec, Query
 from repro.workloads import ssb, tpch
 
@@ -159,3 +161,20 @@ class TestCostModel:
     def test_processing_time_uses_stats(self, tiny_tpch_catalog):
         result = InMemoryExecutor(tiny_tpch_catalog).execute(tpch.q12())
         assert result.processing_time(CostModel()) > 0.0
+
+    @given(
+        rates=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        scale=st.floats(0.0, 1000.0),
+        counts=st.lists(st.integers(0, 10**7), min_size=4, max_size=4),
+    )
+    def test_cpu_time_is_the_sum_of_its_components_bit_for_bit(self, rates, scale, counts):
+        """``cpu_time`` spells the four component methods out inline; the
+        simulated clock (and every golden) needs the very same float."""
+        model = CostModel(*rates, tuple_scale=scale)
+        stats = OperatorStats(*counts)
+        assert model.cpu_time(stats) == (
+            model.scan_time(stats.tuples_scanned)
+            + model.build_time(stats.tuples_built)
+            + model.probe_time(stats.tuples_probed)
+            + model.output_time(stats.tuples_output)
+        )
