@@ -18,7 +18,6 @@ from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import (
     ExecutionBreakdown,
-    attribute_waiting,
     imbalance_coefficient,
     jain_fairness,
     l2_norm,
@@ -33,7 +32,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterResult",
     "ExecutionBreakdown",
-    "attribute_waiting",
     "imbalance_coefficient",
     "jain_fairness",
     "l2_norm",

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from repro.core.cache import EvictionPolicy
 from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
 from repro.engine.query import Query
-from repro.exceptions import ConfigurationError, is_time
+from repro.exceptions import ConfigurationError, is_count, is_time
 
 
 @dataclass
@@ -32,14 +32,16 @@ class ClientSpec:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_SKIPPER, MODE_VANILLA):
             raise ConfigurationError(f"unknown client mode: {self.mode!r}")
-        if self.repetitions <= 0:
-            raise ConfigurationError("repetitions must be positive")
+        if not is_count(self.repetitions):
+            raise ConfigurationError(
+                f"repetitions must be a positive integer, got {self.repetitions!r}"
+            )
         if not self.queries:
             raise ConfigurationError(f"client {self.client_id!r} has no queries to run")
-        if self.mode == MODE_SKIPPER and self.cache_capacity <= 0:
+        if self.mode == MODE_SKIPPER and not is_count(self.cache_capacity):
             raise ConfigurationError(
-                f"client {self.client_id!r}: cache_capacity must be positive, "
-                f"got {self.cache_capacity}"
+                f"client {self.client_id!r}: cache_capacity must be a positive integer, "
+                f"got {self.cache_capacity!r}"
             )
         if not is_time(self.start_delay):
             raise ConfigurationError(

@@ -64,10 +64,6 @@ class ClusterResult:
     # ------------------------------------------------------------------ #
     # Aggregates used by the figures
     # ------------------------------------------------------------------ #
-    def client_ids(self) -> List[str]:
-        """Identifiers of all clients in the experiment."""
-        return list(self.results_by_client)
-
     def execution_times(self, client_id: Optional[str] = None) -> List[float]:
         """Per-query execution times for one client or for all clients."""
         if client_id is not None:

@@ -1,7 +1,7 @@
 """Metrics used across the paper's evaluation.
 
-* :func:`attribute_waiting` splits a client's blocked time into group-switch
-  wait and data-transfer wait by intersecting the client's blocked intervals
+* :func:`attribute_waiting_batch` splits each query's blocked time into
+  group-switch wait and data-transfer wait by intersecting the client's blocked intervals
   with the device's busy intervals (Figure 9 / Table 3).  The busy log is
   read once, in the order given — for a fleet, each device's own log
   chained in roster order, never a merged and sorted copy.
@@ -93,12 +93,12 @@ class MergedSpans:
         self.ends = [span[1] for span in self.spans]
 
 
-def attribute_waiting(
-    blocked_intervals: Sequence[Tuple[float, float]],
+def attribute_waiting_batch(
+    blocked_interval_lists: Sequence[Sequence[Tuple[float, float]]],
     busy_intervals: Iterable[BusyInterval],
-    processing_time: float = 0.0,
-) -> ExecutionBreakdown:
-    """Attribute a client's blocked time to device switches vs. transfers.
+    processing_times: Sequence[float],
+) -> List[ExecutionBreakdown]:
+    """Attribute each query's blocked time to device switches vs. transfers.
 
     Any part of a blocked interval during which some device was transferring
     an object (for any tenant) counts as transfer wait; any part covered
@@ -113,22 +113,11 @@ def attribute_waiting(
     intervals never overlap, this is exactly the per-interval attribution
     the paper's Figure 9 uses.
 
-    This is the one-query case of :func:`attribute_waiting_batch`.
-    """
-    return attribute_waiting_batch([blocked_intervals], busy_intervals, [processing_time])[0]
-
-
-def attribute_waiting_batch(
-    blocked_interval_lists: Sequence[Sequence[Tuple[float, float]]],
-    busy_intervals: Iterable[BusyInterval],
-    processing_times: Sequence[float],
-) -> List[ExecutionBreakdown]:
-    """Attribute many queries' blocked time in one sorted sweep.
-
-    The busy-span unions depend only on the interval log, so they are built
-    once, in one pass over ``busy_intervals``: the non-switch busy time and
-    all busy time (entries of no length or ending by time 0 are skipped).
-    An entry that overlaps or touches the run before it joins that run as
+    All queries go through one sorted sweep.  The busy-span unions depend
+    only on the interval log, so they are built once, in one pass over
+    ``busy_intervals``: the non-switch busy time and all busy time
+    (entries of no length or ending by time 0 are skipped).  An entry that
+    overlaps or touches the run before it joins that run as
     it is read — a device's own log is back to back, so it collapses to a
     few runs — and only the runs go through :func:`merge_intervals`.  A run
     is the union of its entries and its ends are input floats, so any input

@@ -20,14 +20,14 @@ generator per burst — :meth:`QueryRun.consume` takes arrivals as they come,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.client_proxy import ClientProxy
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.query import Query
 from repro.engine.relation import Segment
 from repro.exceptions import ExecutionError
-from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs import Span, Tracer
 from repro.sim import Event, Timeout
 
 #: Execution modes a client can run in.
@@ -81,7 +81,7 @@ class QueryRun:
         proxy: ClientProxy,
         query: Query,
         mode: str,
-        tracer: Union[Tracer, NullTracer] = NULL_TRACER,
+        tracer: Optional[Tracer] = None,
         trace_parent: Optional[Span] = None,
     ) -> None:
         self.env = proxy.env
@@ -96,7 +96,7 @@ class QueryRun:
         self.tracer = tracer
         #: The ``execute`` span, or ``None`` when the run is not traced.
         self.span: Optional[Span] = None
-        if tracer.enabled:
+        if tracer is not None:
             self.span = tracer.start_span(
                 "execute",
                 kind="executor",
@@ -114,6 +114,7 @@ class QueryRun:
 
     def _record(self, name: str, kind: str, start: float, **attrs: Any) -> None:
         """One finished span on this client's track (traced runs only)."""
+        assert self.tracer is not None
         self.tracer.record_span(
             name, kind, self.proxy.client_id, start, self.env.now, self.span, **attrs
         )
@@ -205,7 +206,7 @@ class QueryRun:
     def finish(self, rows: List[Row], stats: OperatorStats, **mjoin_counters: int) -> QueryResult:
         """Close the run at the current simulated time and build its result."""
         end_time = self.env.now
-        if self.span is not None:
+        if self.tracer is not None and self.span is not None:
             self.span.attrs["num_requests"] = self.num_requests
             if "num_cycles" in mjoin_counters:
                 self.span.attrs["num_cycles"] = mjoin_counters["num_cycles"]

@@ -9,7 +9,7 @@ until every subplan has been executed or pruned.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Union
+from typing import Any, Generator, Optional
 
 from repro.core.cache import EvictionPolicy, MaxProgressEviction, ObjectCache
 from repro.core.client_proxy import ClientProxy
@@ -21,7 +21,7 @@ from repro.engine.cost import CostModel
 from repro.engine.query import Query
 from repro.engine.relation import Segment
 from repro.exceptions import CacheError
-from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs import Span, Tracer
 from repro.sim import Environment, Event
 
 
@@ -55,8 +55,8 @@ class SkipperExecutor:
         self.cost_model = cost_model or CostModel()
         self.enable_pruning = enable_pruning
         self.proxy = proxy or ClientProxy(env, device, client_id)
-        #: Installed by the session when the service traces (NULL otherwise).
-        self.tracer: Union[Tracer, NullTracer] = NULL_TRACER
+        #: Installed by the session when the service traces (``None`` otherwise).
+        self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None
 
     def execute(self, query: Query) -> Generator[Event, Any, QueryResult]:
@@ -109,7 +109,7 @@ class SkipperExecutor:
                 )
             requests = state.next_cycle_requests()
 
-        if run.span is not None:
+        if run.tracer is not None:
             run.tracer.record_span(
                 "operators",
                 kind="operator",

@@ -33,7 +33,6 @@ from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.layout import (
     AllInOneLayout,
     ClientsPerGroupLayout,
-    CustomLayout,
     IncrementalLayout,
     LayoutPolicy,
     RoundRobinObjectLayout,
@@ -60,7 +59,6 @@ __all__ = [
     "ArrivalOrdering",
     "ClientsPerGroupLayout",
     "ColdStorageDevice",
-    "CustomLayout",
     "DeviceConfig",
     "DiskGroupLayout",
     "GetRequest",

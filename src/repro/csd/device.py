@@ -33,7 +33,7 @@ from repro.csd.object_store import ObjectStore, split_object_key
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import ConfigurationError, StorageError, is_time
-from repro.obs import NULL_TRACER, MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Environment, Store, Timeout
 
 
@@ -117,11 +117,6 @@ class BusyInterval(NamedTuple):
     query_id: Optional[str] = None
     object_key: Optional[str] = None
 
-    @property
-    def duration(self) -> float:
-        """Length of the interval in simulated seconds."""
-        return self.end - self.start
-
 
 #: ``_tuple_new(BusyInterval, fields)`` is ``BusyInterval(*fields)`` for all
 #: seven fields without the Python frame of the generated ``__new__``:
@@ -187,7 +182,7 @@ class ColdStorageDevice:
         migration_throttle: Optional[MigrationTokenBucket] = None,
         name: str = "csd0",
         metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
         self.object_store = object_store
@@ -196,8 +191,8 @@ class ColdStorageDevice:
         self.config = config or DeviceConfig()
         #: Identity used for metric names and trace tracks.
         self.name = name
-        #: Tracer for inbox-entry events; :data:`~repro.obs.NULL_TRACER` off.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Tracer for inbox-entry events; ``None`` when tracing is off.
+        self.tracer = tracer
         #: Token bucket pacing migration I/O; ``None`` = strict priority.
         self.migration_throttle = migration_throttle
         self.inbox: Store = Store(env, name="csd-inbox")
@@ -254,7 +249,7 @@ class ColdStorageDevice:
         can validate every device's slice of a batch before any of them is
         enqueued.
         """
-        if self.tracer.enabled:
+        if self.tracer is not None:
             for request in requests:
                 self.tracer.io_submit(request.query_id, request.object_key, self.name)
         self.inbox.put_many(requests)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, KeysView, List, Mapping, Optional, Set
+from typing import Dict, KeysView, Mapping, Optional
 
 from repro.exceptions import LayoutError
 
@@ -23,9 +23,8 @@ class DiskGroupLayout:
             if group < 0:
                 raise LayoutError(f"object {key!r} assigned to negative group {group}")
         self._assignment: Dict[str, int] = dict(assignment)
-        self._groups: Dict[int, Set[str]] = {}
-        for key, group in self._assignment.items():
-            self._groups.setdefault(group, set()).add(key)
+        #: Largest group identifier in use; :meth:`add_object` keeps it current.
+        self.max_group_id = max(self._assignment.values())
         #: Lowest group per tenant prefix; built by the first
         #: :meth:`tenant_group_map` call (most layouts never need it) and
         #: kept current by :meth:`add_object` from then on.
@@ -34,17 +33,7 @@ class DiskGroupLayout:
     @property
     def num_groups(self) -> int:
         """Number of distinct disk groups used by the layout."""
-        return len(self._groups)
-
-    @property
-    def group_ids(self) -> List[int]:
-        """Sorted list of group identifiers."""
-        return sorted(self._groups)
-
-    @property
-    def max_group_id(self) -> int:
-        """Largest group identifier in use."""
-        return max(self._groups)
+        return len(set(self._assignment.values()))
 
     def add_object(self, object_key: str, group_id: int) -> None:
         """Place a new object into ``group_id`` (used by fleet rebalancing).
@@ -57,7 +46,8 @@ class DiskGroupLayout:
         if object_key in self._assignment:
             raise LayoutError(f"object {object_key!r} is already placed by this layout")
         self._assignment[object_key] = group_id
-        self._groups.setdefault(group_id, set()).add(object_key)
+        if group_id > self.max_group_id:
+            self.max_group_id = group_id
         lowest = self._lowest_by_tenant
         if lowest is not None:
             tenant, separator, _rest = object_key.partition("/")
@@ -100,23 +90,9 @@ class DiskGroupLayout:
         """
         return self._assignment.get(object_key)
 
-    def objects_in_group(self, group_id: int) -> Set[str]:
-        """All object keys stored in ``group_id``."""
-        if group_id not in self._groups:
-            raise LayoutError(f"unknown disk group: {group_id}")
-        return set(self._groups[group_id])
-
     def has_object(self, object_key: str) -> bool:
         """Whether the layout places ``object_key``."""
         return object_key in self._assignment
-
-    def groups_of(self, object_keys: Iterable[str]) -> Set[int]:
-        """Set of groups covering ``object_keys``."""
-        return {self.group_of(key) for key in object_keys}
-
-    def as_dict(self) -> Dict[str, int]:
-        """Copy of the underlying object → group mapping."""
-        return dict(self._assignment)
 
     def __len__(self) -> int:
         return len(self._assignment)

@@ -3,7 +3,8 @@
 In a shared, virtualised CSD the database has no control over where its
 objects land; the layout policy models the placement decisions the storage
 service makes.  The policies below are the four layouts of the paper's
-sensitivity study (Section 5.2.3) plus two extras used for ablations.
+sensitivity study (Section 5.2.3), the skewed layout of its fairness
+experiment (Section 5.2.5) and a round-robin stripe used for ablations.
 
 Every policy turns a mapping ``client -> [object keys]`` into a
 :class:`~repro.csd.disk_group.DiskGroupLayout`.
@@ -153,27 +154,6 @@ class SkewedLayout(LayoutPolicy):
         return DiskGroupLayout(assignment)
 
 
-class TenantColocatedLayout(LayoutPolicy):
-    """Placement-aware layout: each tenant's shard lives in one disk group.
-
-    In fleet mode the router builds one layout *per device* over that
-    device's placement subset; this policy co-locates everything a tenant
-    stores on a device inside a single disk group, so a tenant's shard never
-    pays intra-device group switches against itself.  When rebalancing later
-    migrates more of the tenant's keys onto the device they join the
-    tenant's existing group (see :func:`extend_layout_with_keys`), keeping
-    the co-location guarantee across epochs.
-    """
-
-    def build(self, client_objects: ClientObjects) -> DiskGroupLayout:
-        self._validate(client_objects)
-        assignment: Dict[str, int] = {}
-        for position, (client, objects) in enumerate(client_objects.items()):
-            for key in objects:
-                assignment[key] = position
-        return DiskGroupLayout(assignment)
-
-
 def extend_layout_with_keys(layout: DiskGroupLayout, keys: Iterable[str]) -> List[int]:
     """Home migrated ``keys`` on a device's existing layout (in given order).
 
@@ -198,23 +178,3 @@ def extend_layout_with_keys(layout: DiskGroupLayout, keys: Iterable[str]) -> Lis
         layout.add_object(key, group)
         groups.append(group)
     return groups
-
-
-class CustomLayout(LayoutPolicy):
-    """Explicit object-to-group mapping, e.g. the paper's Table 2 example."""
-
-    def __init__(self, assignment: Mapping[str, int]) -> None:
-        if not assignment:
-            raise LayoutError("custom layout requires an explicit assignment")
-        self.assignment = dict(assignment)
-
-    def build(self, client_objects: ClientObjects) -> DiskGroupLayout:
-        self._validate(client_objects)
-        missing: List[str] = []
-        for objects in client_objects.values():
-            for key in objects:
-                if key not in self.assignment:
-                    missing.append(key)
-        if missing:
-            raise LayoutError(f"custom layout does not place objects: {sorted(missing)[:5]}")
-        return DiskGroupLayout(self.assignment)

@@ -8,7 +8,7 @@ the object name).  Payloads are arbitrary Python objects — in practice
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.exceptions import StorageError
 
@@ -58,12 +58,6 @@ class ObjectStore:
         """Whether an object is stored under ``object_key``."""
         return object_key in self._objects
 
-    def delete(self, object_key: str) -> None:
-        """Remove the object stored under ``object_key``."""
-        if object_key not in self._objects:
-            raise StorageError(f"object not found: {object_key!r}")
-        del self._objects[object_key]
-
     def keys(self, tenant: Optional[str] = None) -> List[str]:
         """All object keys, optionally restricted to one tenant."""
         if tenant is None:
@@ -79,13 +73,6 @@ class ObjectStore:
             if tenant not in seen:
                 seen.append(tenant)
         return seen
-
-    def load_tenant(self, tenant: str, segments: Iterable) -> List[str]:
-        """Store every segment of an iterable of segments for ``tenant``."""
-        keys = []
-        for segment in segments:
-            keys.append(self.put_segment(tenant, segment.segment_id, segment))
-        return keys
 
     def __len__(self) -> int:
         return len(self._objects)

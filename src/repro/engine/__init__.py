@@ -21,7 +21,7 @@ prefixed column names (``l_orderkey``, ``o_orderkey`` …) so joining relations
 never collide, mirroring TPC-H conventions.
 """
 
-from repro.engine.types import DataType, date_to_ordinal, ordinal_to_date
+from repro.engine.types import DataType, date_to_ordinal
 from repro.engine.schema import Column, TableSchema
 from repro.engine.relation import Relation, Segment
 from repro.engine.catalog import Catalog
@@ -44,5 +44,4 @@ __all__ = [
     "Segment",
     "TableSchema",
     "date_to_ordinal",
-    "ordinal_to_date",
 ]

@@ -8,7 +8,7 @@ issue object requests without touching the data itself.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.engine.relation import Relation, Segment
 from repro.engine.schema import TableSchema
@@ -30,11 +30,6 @@ class Catalog:
             raise CatalogError(f"relation {relation.name!r} is already registered")
         self._relations[relation.name] = relation
 
-    def register_all(self, relations: Iterable[Relation]) -> None:
-        """Register every relation in ``relations``."""
-        for relation in relations:
-            self.register(relation)
-
     def has_relation(self, name: str) -> bool:
         """Whether a relation called ``name`` is registered."""
         return name in self._relations
@@ -49,10 +44,6 @@ class Catalog:
     def schema(self, name: str) -> TableSchema:
         """Return the schema of relation ``name``."""
         return self.relation(name).schema
-
-    def table_names(self) -> List[str]:
-        """Names of all registered relations (registration order)."""
-        return list(self._relations)
 
     # ------------------------------------------------------------------ #
     # Segment / object metadata
@@ -69,13 +60,6 @@ class Catalog:
         """Object identifiers (``table.index``) for all segments of a table."""
         return [segment.segment_id for segment in self.relation(name).segments]
 
-    def segment_ids_for_tables(self, tables: Iterable[str]) -> List[str]:
-        """Object identifiers for all segments of every table in ``tables``."""
-        identifiers: List[str] = []
-        for table in tables:
-            identifiers.extend(self.segment_ids(table))
-        return identifiers
-
     def resolve_segment_id(self, segment_id: str) -> Segment:
         """Map an object identifier back to the segment it names."""
         table, _, index_text = segment_id.rpartition(".")
@@ -91,24 +75,6 @@ class Catalog:
         if table not in self._relations:
             raise CatalogError(f"unknown relation in segment id: {segment_id!r}")
         return table
-
-    def find_column(self, column: str, tables: Optional[Iterable[str]] = None) -> str:
-        """Return the (unique) table among ``tables`` that defines ``column``."""
-        candidates = []
-        search_space = list(tables) if tables is not None else self.table_names()
-        for table in search_space:
-            if self.schema(table).has_column(column):
-                candidates.append(table)
-        if not candidates:
-            raise CatalogError(f"no table defines column {column!r}")
-        if len(candidates) > 1:
-            raise CatalogError(f"column {column!r} is ambiguous across tables {candidates}")
-        return candidates[0]
-
-    def total_segments(self, tables: Optional[Iterable[str]] = None) -> int:
-        """Total number of segments across ``tables`` (default: all tables)."""
-        names = list(tables) if tables is not None else self.table_names()
-        return sum(self.num_segments(name) for name in names)
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name in self._relations

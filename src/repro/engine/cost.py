@@ -100,14 +100,3 @@ class CostModel:
     def request_overhead(self, num_requests: int = 1) -> float:
         """Client-side overhead for issuing ``num_requests`` object requests."""
         return self.request_overhead_seconds * num_requests
-
-    def scaled(self, factor: float) -> CostModel:
-        """Return a copy with every CPU cost multiplied by ``factor``."""
-        return CostModel(
-            scan_seconds_per_tuple=self.scan_seconds_per_tuple * factor,
-            build_seconds_per_tuple=self.build_seconds_per_tuple * factor,
-            probe_seconds_per_tuple=self.probe_seconds_per_tuple * factor,
-            output_seconds_per_tuple=self.output_seconds_per_tuple * factor,
-            request_overhead_seconds=self.request_overhead_seconds,
-            tuple_scale=self.tuple_scale,
-        )

@@ -413,16 +413,6 @@ def eq(column: str, value: object) -> Comparison:
     return Comparison("=", ColumnRef(column), Literal(value))
 
 
-def ge(column: str, value: object) -> Comparison:
-    """``column >= value`` against a literal."""
-    return Comparison(">=", ColumnRef(column), Literal(value))
-
-
-def lt(column: str, value: object) -> Comparison:
-    """``column < value`` against a literal."""
-    return Comparison("<", ColumnRef(column), Literal(value))
-
-
 def between(column: str, low: object, high: object, inclusive: bool = False) -> Between:
     """``low <= column < high`` (or inclusive on both ends)."""
     return Between(ColumnRef(column), low, high, inclusive=inclusive)

@@ -134,14 +134,6 @@ class Query:
                     frontier.append(neighbour)
         return len(seen) == len(self.tables)
 
-    def joins_between(self, left: str, right: str) -> List[JoinCondition]:
-        """All join conditions connecting ``left`` and ``right``."""
-        return [
-            join
-            for join in self.joins
-            if {join.left_table, join.right_table} == {left, right}
-        ]
-
     def joins_with_any(self, table: str, others: Set[str]) -> List[Tuple[JoinCondition, str]]:
         """Join conditions connecting ``table`` to any table in ``others``.
 

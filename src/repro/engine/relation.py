@@ -215,13 +215,6 @@ class Relation:
             raise SchemaError(f"table {self.name!r} has no segment {index}")
         return self.segments[index]
 
-    def all_rows(self) -> List[Dict[str, object]]:
-        """Materialise all rows of the relation (segment order)."""
-        rows: List[Dict[str, object]] = []
-        for segment in self.segments:
-            rows.extend(segment.rows)
-        return rows
-
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
 

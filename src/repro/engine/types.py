@@ -13,8 +13,8 @@ class DataType(Enum):
     """Supported column data types.
 
     Dates are stored as proleptic-Gregorian ordinals (integers) so that range
-    predicates reduce to integer comparisons; :func:`date_to_ordinal` and
-    :func:`ordinal_to_date` convert at the workload boundary.
+    predicates reduce to integer comparisons; :func:`date_to_ordinal`
+    converts at the workload boundary.
     """
 
     INTEGER = "integer"
@@ -59,8 +59,3 @@ def date_to_ordinal(value: str | datetime.date) -> int:
         return datetime.date.fromisoformat(value).toordinal()
     except ValueError as exc:
         raise SchemaError(f"invalid ISO date: {value!r}") from exc
-
-
-def ordinal_to_date(ordinal: int) -> datetime.date:
-    """Convert a stored date ordinal back to a :class:`datetime.date`."""
-    return datetime.date.fromordinal(ordinal)

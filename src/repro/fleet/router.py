@@ -57,7 +57,7 @@ from repro.exceptions import FleetError, StorageError
 from repro.fleet.membership import FleetMember, FleetMembership
 from repro.fleet.placement import ConsistentHashPlacement
 from repro.fleet.spec import FleetSpec
-from repro.obs import NULL_TRACER, MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Environment, Event
 
 SchedulerFactory = Callable[[], IOScheduler]
@@ -114,14 +114,14 @@ class FleetRouter:
         scheduler_factory: SchedulerFactory,
         device_config: Optional[DeviceConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
         self.object_store = object_store
         self.spec = fleet_spec
         #: Catalogue the router and its devices publish into (``None`` = none).
         self._metrics = metrics
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.stats = FleetRouterStats()
         if metrics is not None:
             metrics.publish("router", self.stats, FleetRouterStats.__slots__)
@@ -295,7 +295,7 @@ class FleetRouter:
         stats.requests_routed += len(requests)
         stats.choice_primary += primary
         stats.choice_diverted += len(requests) - primary
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._trace_routes(requests, routed)
         for member, batch in routed:
             member.device.enqueue(batch)

@@ -529,13 +529,6 @@ class FleetSpec:
         return tuple(event for event in self.events if isinstance(event, DeviceLeave))
 
     @property
-    def replication_changes(self) -> Tuple[SetReplication, ...]:
-        """The replication-factor changes, in listed order."""
-        return tuple(
-            event for event in self.events if isinstance(event, SetReplication)
-        )
-
-    @property
     def heterogeneous(self) -> bool:
         """Whether any device deviates from the scenario-wide config."""
         return bool(self.profiles) or any(

@@ -14,9 +14,9 @@ Three independent pieces live here:
 * :mod:`repro.obs.tracer` — a :class:`Tracer` producing :class:`Span` trees
   stamped with **simulated** time, so traces are byte-deterministic for a
   given spec + seed.  Tracing is opt-in (``ScenarioSpec.trace=True`` or
-  ``--trace`` on the CLIs); when off, a shared :data:`NULL_TRACER` with the
-  same interface is installed and every instrumentation site is guarded by
-  ``tracer.enabled``, so the off path adds only dead branches.
+  ``--trace`` on the CLIs); when off, ``service.tracer`` is ``None`` and
+  every instrumentation site is guarded by ``tracer is not None``, so the
+  off path adds only dead branches.
 
 Exporters (:mod:`repro.obs.export`) emit a canonical JSON trace document and
 a Chrome trace-event conversion (one track per tenant, one per device —
@@ -27,13 +27,11 @@ CLI.
 
 from repro.obs.ewma import Ewma
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "Ewma",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
 ]

@@ -167,19 +167,9 @@ def render_breakdown(document: Dict[str, Any], top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def top_slowest(
-    document: Dict[str, Any], count: int = 10
-) -> List[Dict[str, Any]]:
-    """The ``count`` slowest queries by total latency (stable on ties)."""
-    return sorted(query_breakdowns(document), key=lambda entry: -entry["total"])[
-        :count
-    ]
-
-
 __all__ = [
     "PHASES",
     "query_breakdowns",
     "render_breakdown",
     "tenant_totals",
-    "top_slowest",
 ]

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.tracer import Tracer
     from repro.service.service import StorageService
 
 #: Format tag + version embedded in every exported document.
@@ -38,10 +39,9 @@ TENANT_KINDS = ("query", "executor", "compute", "wait", "operator")
 
 
 def _derive_device_spans(
-    service: StorageService, next_id: int
+    service: StorageService, tracer: Tracer, next_id: int
 ) -> List[Dict[str, Any]]:
     """Device service + inbox-wait spans, derived from the devices' interval lists."""
-    tracer = service.tracer
     spans: List[Dict[str, Any]] = []
 
     # GET inbox entries grouped by (device, query, key), in submission order.
@@ -114,13 +114,13 @@ def build_trace(
 ) -> Dict[str, Any]:
     """Assemble the canonical trace document for a completed traced run."""
     tracer = service.tracer
-    if not tracer.enabled:
+    if tracer is None:
         raise ConfigurationError(
             "tracing was not enabled on this service; construct it from a "
             "spec with trace=True (or pass --trace on the CLI)"
         )
     spans = [span.to_dict() for span in tracer.spans]
-    spans.extend(_derive_device_spans(service, next_id=len(spans) + 1))
+    spans.extend(_derive_device_spans(service, tracer, next_id=len(spans) + 1))
 
     tenant_tracks: List[str] = []
     device_tracks: List[str] = []

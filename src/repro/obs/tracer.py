@@ -16,9 +16,9 @@ recorded live at all — the exporter derives them from each device's
 ``busy_intervals`` list of :class:`~repro.csd.device.BusyInterval` records,
 which exists anyway.
 
-When tracing is off the service installs :data:`NULL_TRACER`, whose
-``enabled`` flag is ``False``; every instrumentation site is guarded by that
-flag, so the off path performs no tracing work beyond the guard itself.
+When tracing is off the service's ``tracer`` is ``None``; every
+instrumentation site is guarded by ``tracer is not None``, so the off path
+performs no tracing work beyond the guard itself.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class Span:
         #: ``(at, name, attrs)`` in recording order.
         self.events: List[Tuple[float, str, Dict[str, Any]]] = []
 
-    @property
-    def duration(self) -> float:
-        return (self.end if self.end is not None else self.start) - self.start
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "id": self.span_id,
@@ -83,8 +79,6 @@ class Span:
 
 class Tracer:
     """Collects spans stamped with the simulated clock."""
-
-    enabled = True
 
     def __init__(self, env: Environment) -> None:
         self.env = env
@@ -186,45 +180,3 @@ class Tracer:
     def io_submit(self, query_id: str, object_key: str, device_id: str) -> None:
         """Record a GET entering ``device_id``'s inbox."""
         self.io_submissions.append((self.env.now, query_id, object_key, device_id))
-
-
-class NullTracer:
-    """Drop-in no-op tracer installed when tracing is off.
-
-    Instrumentation sites guard on :attr:`enabled`, so these methods are
-    normally never reached; they exist so unguarded calls stay harmless.
-    """
-
-    enabled = False
-    _SPAN = Span(span_id=0, name="", kind="", track="", start=0.0)
-
-    spans: List[Span] = []
-    io_submissions: List[Tuple[float, str, str, str]] = []
-
-    def start_span(self, *args: Any, **kwargs: Any) -> Span:
-        return self._SPAN
-
-    def end_span(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def record_span(self, *args: Any, **kwargs: Any) -> Span:
-        return self._SPAN
-
-    def add_event(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def bind_query(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def query_span(self, *args: Any, **kwargs: Any) -> Optional[Span]:
-        return None
-
-    def route(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def io_submit(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-
-#: Shared no-op tracer (stateless, so one instance serves every service).
-NULL_TRACER = NullTracer()

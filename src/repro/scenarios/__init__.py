@@ -36,7 +36,6 @@ from repro.scenarios.arrivals import (
 )
 from repro.scenarios.golden import (
     assert_dict_matches_golden,
-    assert_matches_golden,
     diff_values,
     golden_path,
     load_golden,
@@ -46,7 +45,6 @@ from repro.scenarios.golden import (
 from repro.scenarios.parallel import ScenarioOutcome, run_scenarios
 from repro.scenarios.invariants import check_invariants, starvation_bound
 from repro.scenarios.registry import (
-    all_scenarios,
     get_scenario,
     register,
     scenario_names,
@@ -67,9 +65,7 @@ __all__ = [
     "SimultaneousArrival",
     "TenantSpec",
     "UniformArrival",
-    "all_scenarios",
     "assert_dict_matches_golden",
-    "assert_matches_golden",
     "check_invariants",
     "diff_values",
     "get_scenario",

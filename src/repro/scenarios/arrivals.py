@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Type
+from typing import Dict, List
 
 from repro.exceptions import ScenarioError
 
@@ -117,23 +117,3 @@ class PoissonArrival(ArrivalPattern):
             result.append(clock)
             clock += rng.expovariate(1.0 / self.mean_gap_seconds)
         return result
-
-
-#: Pattern registry used when (de)serializing scenario specs.
-ARRIVAL_KINDS: Dict[str, Type[ArrivalPattern]] = {
-    pattern.kind: pattern
-    for pattern in (SimultaneousArrival, UniformArrival, BurstyArrival, PoissonArrival)
-}
-
-
-def arrival_from_dict(payload: Dict[str, object]) -> ArrivalPattern:
-    """Rebuild an arrival pattern from its :meth:`ArrivalPattern.to_dict`."""
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    try:
-        factory = ARRIVAL_KINDS[kind]  # type: ignore[index]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown arrival pattern {kind!r}; expected one of {sorted(ARRIVAL_KINDS)}"
-        ) from None
-    return factory(**data)  # type: ignore[arg-type]

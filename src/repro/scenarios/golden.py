@@ -129,18 +129,6 @@ def unified_diff_summary(
     return "".join(diff).rstrip("\n")
 
 
-def assert_matches_golden(
-    report: ScenarioReport,
-    golden_dir: Optional[Path] = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> None:
-    """Raise :class:`GoldenMismatchError` if ``report`` diverges from its golden."""
-    assert_dict_matches_golden(
-        report.scenario, report.to_dict(), golden_dir=golden_dir, rtol=rtol, atol=atol
-    )
-
-
 def assert_dict_matches_golden(
     name: str,
     live: Dict[str, Any],
@@ -148,10 +136,11 @@ def assert_dict_matches_golden(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> None:
-    """Dict-level variant of :func:`assert_matches_golden`.
+    """Raise :class:`GoldenMismatchError` if the report dict ``live`` of
+    scenario ``name`` diverges from its golden.
 
-    Used by the parallel runner, which ships reports across process
-    boundaries as JSON rather than as live :class:`ScenarioReport` objects.
+    Takes the dict, not a live :class:`ScenarioReport`: the parallel runner
+    ships reports across process boundaries as JSON.
     """
     golden = load_golden(name, golden_dir)
     mismatches = diff_values(live, golden, rtol=rtol, atol=atol)

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.exceptions import ReproError, ScenarioError
 
@@ -92,12 +92,3 @@ def run_scenarios(
         return [run_one(name, trace=trace) for name in names]
     with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
         return list(pool.map(partial(run_one, trace=trace), names))
-
-
-def reports_by_name(outcomes: Sequence[ScenarioOutcome]) -> Dict[str, str]:
-    """Map scenario name to report JSON for the successful outcomes."""
-    return {
-        outcome.name: outcome.report_json
-        for outcome in outcomes
-        if outcome.report_json is not None
-    }

@@ -60,11 +60,6 @@ def get_scenario(name: str) -> ScenarioSpec:
     return builder()
 
 
-def all_scenarios() -> List[ScenarioSpec]:
-    """Fresh specs for every registered scenario, in name order."""
-    return [get_scenario(name) for name in scenario_names()]
-
-
 # --------------------------------------------------------------------------- #
 # Built-in scenarios
 # --------------------------------------------------------------------------- #

@@ -26,7 +26,6 @@ from repro.csd.layout import (
     LayoutPolicy,
     RoundRobinObjectLayout,
     SkewedLayout,
-    TenantColocatedLayout,
 )
 from repro.csd.scheduler import (
     IOScheduler,
@@ -52,14 +51,17 @@ WORKLOAD_MODULES = {"tpch": tpch, "ssb": ssb, "mrbench": mrbench, "nref": nref}
 
 
 def build_layout(spec: ScenarioSpec) -> LayoutPolicy:
-    """Resolve the spec's layout name + parameter into a policy object."""
+    """Resolve the spec's layout name + parameter into a policy object
+    (the spec admits only :data:`~repro.scenarios.spec.KNOWN_LAYOUTS`)."""
     param = spec.layout_param
     if spec.layout == "all-in-one":
         return AllInOneLayout()
     if spec.layout == "incremental":
         return IncrementalLayout()
     if spec.layout == "tenant-colocated":
-        return TenantColocatedLayout()
+        # One group per tenant in each device's layout over its placement
+        # subset; migrated keys join it (``extend_layout_with_keys``).
+        return ClientsPerGroupLayout(1)
     if spec.layout == "clients-per-group":
         return ClientsPerGroupLayout(param[0] if param else 1)
     if spec.layout == "round-robin":
@@ -69,18 +71,18 @@ def build_layout(spec: ScenarioSpec) -> LayoutPolicy:
                 "(number of groups)"
             )
         return RoundRobinObjectLayout(param[0])
-    if spec.layout == "skewed":
-        if not param:
-            raise ScenarioError(
-                f"scenario {spec.name!r}: skewed layout needs layout_param "
-                "(clients per group)"
-            )
-        return SkewedLayout(list(param))
-    raise ScenarioError(f"scenario {spec.name!r}: unknown layout {spec.layout!r}")
+    # The last known name: "skewed".
+    if not param:
+        raise ScenarioError(
+            f"scenario {spec.name!r}: skewed layout needs layout_param "
+            "(clients per group)"
+        )
+    return SkewedLayout(list(param))
 
 
 def build_scheduler(spec: ScenarioSpec) -> IOScheduler:
-    """Resolve the spec's scheduler name + parameter into a policy object."""
+    """Resolve the spec's scheduler name + parameter into a policy object
+    (the spec admits only :data:`~repro.scenarios.spec.KNOWN_SCHEDULERS`)."""
     param = spec.scheduler_param
     if spec.scheduler == "object-fcfs":
         return ObjectFCFSScheduler()
@@ -90,11 +92,10 @@ def build_scheduler(spec: ScenarioSpec) -> IOScheduler:
         return MaxQueriesScheduler()
     if spec.scheduler == "slack-fcfs":
         return SlackFCFSScheduler(int(param)) if param is not None else SlackFCFSScheduler()
-    if spec.scheduler == "rank-based":
-        if param is not None:
-            return RankBasedScheduler(fairness_constant=param)
-        return RankBasedScheduler()
-    raise ScenarioError(f"scenario {spec.name!r}: unknown scheduler {spec.scheduler!r}")
+    # The last known name: "rank-based".
+    if param is not None:
+        return RankBasedScheduler(fairness_constant=param)
+    return RankBasedScheduler()
 
 
 def build_catalog(spec: ScenarioSpec) -> Catalog:

@@ -78,15 +78,15 @@ class TenantSpec:
             raise ScenarioError(f"tenant {self.tenant_id!r} has no queries")
         for reference in self.queries:
             split_query_ref(reference)
-        if self.repetitions <= 0:
+        if not is_count(self.repetitions):
             raise ScenarioError(
-                f"tenant {self.tenant_id!r}: repetitions must be positive, "
-                f"got {self.repetitions}"
+                f"tenant {self.tenant_id!r}: repetitions must be a positive integer, "
+                f"got {self.repetitions!r}"
             )
-        if self.cache_capacity <= 0:
+        if not is_count(self.cache_capacity):
             raise ScenarioError(
-                f"tenant {self.tenant_id!r}: cache_capacity must be positive, "
-                f"got {self.cache_capacity}"
+                f"tenant {self.tenant_id!r}: cache_capacity must be a positive integer, "
+                f"got {self.cache_capacity!r}"
             )
 
     def workloads(self) -> List[str]:
@@ -253,8 +253,8 @@ def uniform_tenants(
     prefix: str = "tenant",
 ) -> Tuple[TenantSpec, ...]:
     """Convenience builder: ``count`` identical tenants running ``query``."""
-    if count <= 0:
-        raise ScenarioError(f"tenant count must be positive, got {count!r}")
+    if not is_count(count):
+        raise ScenarioError(f"tenant count must be a positive integer, got {count!r}")
     return tuple(
         TenantSpec(
             tenant_id=f"{prefix}{index}",

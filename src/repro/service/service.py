@@ -36,7 +36,7 @@ from repro.engine.catalog import Catalog
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.fleet.controller import FleetController
 from repro.fleet.router import FleetRouter
-from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.handles import QueryHandle
 from repro.service.session import Session
@@ -106,9 +106,9 @@ class StorageService:
         #: into; ``metrics.to_dict()`` is the snapshot.
         self.metrics = MetricsRegistry()
         self.metrics.publish("sim", self.env, {"events_dispatched": "dispatched"})
-        #: Simulated-time tracer; the shared no-op singleton when disabled,
-        #: so the off path costs one (false) attribute check per hook.
-        self.tracer = Tracer(self.env) if trace else NULL_TRACER
+        #: Simulated-time tracer; ``None`` when disabled, so the off path
+        #: costs one ``is not None`` check per hook.
+        self.tracer: Optional[Tracer] = Tracer(self.env) if trace else None
 
         client_objects: Dict[str, List[str]] = {}
         for spec_ in config.client_specs:

@@ -21,14 +21,13 @@ pre-façade golden metrics byte-identical.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
 from repro.core.client_proxy import ClientProxy
 from repro.core.execution import MODE_SKIPPER, QueryResult
 from repro.core.executor import SkipperExecutor
-from repro.exceptions import ConfigurationError, SessionClosedError
+from repro.exceptions import ConfigurationError, SessionClosedError, is_time
 from repro.service.handles import QueryHandle
 from repro.vanilla.executor import VanillaExecutor
 
@@ -79,7 +78,7 @@ class Session:
                 "submit more queries"
             )
         if at is not None:
-            if not math.isfinite(at) or at < self.env.now:
+            if not is_time(at) or at < self.env.now:
                 raise ConfigurationError(
                     f"submit time {at!r} must be finite and not in the past "
                     f"(now: {self.env.now})"
@@ -156,7 +155,7 @@ class Session:
     def _execute(self, handle: QueryHandle):
         tracer = self.service.tracer
         root = None
-        if tracer.enabled:
+        if tracer is not None:
             root = tracer.start_span(
                 f"query:{handle.query.name}",
                 kind="query",

@@ -7,7 +7,7 @@ charge — is :meth:`~repro.core.execution.QueryRun.pull_each`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.client_proxy import ClientProxy
 from repro.core.execution import MODE_VANILLA, QueryResult, QueryRun
@@ -18,7 +18,7 @@ from repro.engine.operators.base import Operator, OperatorStats, Row
 from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Relation, Segment
-from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs import Span, Tracer
 from repro.sim import Environment, Event
 
 
@@ -49,8 +49,8 @@ class VanillaExecutor:
         self.cost_model = cost_model or CostModel()
         self.proxy = proxy or ClientProxy(env, device, client_id)
         self.planner = Planner(catalog)
-        #: Installed by the session when the service traces (NULL otherwise).
-        self.tracer: Union[Tracer, NullTracer] = NULL_TRACER
+        #: Installed by the session when the service traces (``None`` otherwise).
+        self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None
 
     def execute(self, query: Query) -> Generator[Event, Any, QueryResult]:
@@ -77,7 +77,7 @@ class VanillaExecutor:
             + cost_model.output_time(stats.tuples_output),
             phase="join-aggregate",
         )
-        if run.span is not None:
+        if run.tracer is not None:
             self._record_operator_spans(run.tracer, root, run.span, self.env.now)
         return run.finish(rows, stats)
 
@@ -99,7 +99,7 @@ class VanillaExecutor:
         return rows, root.collect_stats(), root
 
     def _record_operator_spans(
-        self, tracer: Union[Tracer, NullTracer], operator: Operator, parent: Span, at: float
+        self, tracer: Tracer, operator: Operator, parent: Optional[Span], at: float
     ) -> None:
         """Instant span per physical operator, preserving the tree shape."""
         span = tracer.record_span(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.engine.types import date_to_ordinal
 from repro.exceptions import ConfigurationError
@@ -45,11 +45,6 @@ class ScaleProfile:
                 f"scale profile {self.name!r} does not define table {table!r}"
             ) from None
 
-    def total_segments(self, tables: Optional[Sequence[str]] = None) -> int:
-        """Total number of segments across ``tables`` (default: all)."""
-        names = tables if tables is not None else list(self.tables)
-        return sum(self.profile(name).num_segments for name in names)
-
 
 class DataGenerator:
     """Seeded random helper producing repeatable synthetic rows."""
@@ -57,10 +52,6 @@ class DataGenerator:
     def __init__(self, seed: int = 42) -> None:
         self.seed = seed
         self._random = random.Random(seed)
-
-    def reset(self) -> None:
-        """Restart the generator from its seed (fresh deterministic stream)."""
-        self._random = random.Random(self.seed)
 
     # ------------------------------------------------------------------ #
     # Primitive draws

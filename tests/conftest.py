@@ -68,7 +68,8 @@ def two_table_catalog() -> Catalog:
         rows_per_segment=8,
     )
     catalog = Catalog()
-    catalog.register_all([orders, items])
+    catalog.register(orders)
+    catalog.register(items)
     return catalog
 
 

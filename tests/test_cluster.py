@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ClientSpec, ClusterConfig
 from repro.cluster.metrics import (
     ExecutionBreakdown,
-    attribute_waiting,
+    attribute_waiting_batch,
     l2_norm,
     max_stretch,
     mean,
@@ -21,13 +21,18 @@ from repro.exceptions import ConfigurationError
 from repro.workloads import tpch
 
 
+def _one_query(blocked, busy, processing_time=0.0):
+    """One query's attribution: the one-element batch."""
+    return attribute_waiting_batch([blocked], busy, [processing_time])[0]
+
+
 class TestMetrics:
     def test_attribute_waiting_splits_by_device_activity(self):
         busy = [
             BusyInterval(start=0.0, end=10.0, kind="switch", group_id=0),
             BusyInterval(start=10.0, end=20.0, kind="transfer", group_id=0, client_id="c0"),
         ]
-        breakdown = attribute_waiting([(0.0, 15.0)], busy, processing_time=5.0)
+        breakdown = _one_query([(0.0, 15.0)], busy, processing_time=5.0)
         assert breakdown.switch_wait == pytest.approx(10.0)
         assert breakdown.transfer_wait == pytest.approx(5.0)
         assert breakdown.other_wait == pytest.approx(0.0)
@@ -37,12 +42,12 @@ class TestMetrics:
         assert fractions["switch"] == pytest.approx(0.5)
 
     def test_attribute_waiting_unaccounted_time_is_other(self):
-        breakdown = attribute_waiting([(0.0, 5.0)], [], processing_time=0.0)
+        breakdown = _one_query([(0.0, 5.0)], [], processing_time=0.0)
         assert breakdown.other_wait == pytest.approx(5.0)
 
     def test_attribute_waiting_rejects_inverted_interval(self):
         with pytest.raises(ConfigurationError):
-            attribute_waiting([(5.0, 1.0)], [])
+            _one_query([(5.0, 1.0)], [])
 
     def test_empty_breakdown_fractions(self):
         assert ExecutionBreakdown(0, 0, 0, 0).fractions()["processing"] == 0.0
@@ -106,7 +111,7 @@ class TestClusterRuns:
         expected = canonical_rows(InMemoryExecutor(tiny_tpch_catalog).execute(tpch.q12()).rows)
         service = StorageService(self._config(3, "skipper"), catalog=tiny_tpch_catalog, scheduler_factory=RankBasedScheduler)
         result = service.run()
-        assert set(result.client_ids()) == {"client0", "client1", "client2"}
+        assert set(result.results_by_client) == {"client0", "client1", "client2"}
         for client_results in result.results_by_client.values():
             assert len(client_results) == 1
             assert canonical_rows(client_results[0].rows) == expected
@@ -161,4 +166,4 @@ class TestClusterRuns:
             device_config=DeviceConfig(group_switch_seconds=10.0, transfer_seconds_per_object=1.0),
         )
         result = StorageService(config, catalog=tiny_tpch_catalog).run()
-        assert set(result.client_ids()) == {"fast", "slow"}
+        assert set(result.results_by_client) == {"fast", "slow"}

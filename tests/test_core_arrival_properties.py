@@ -38,7 +38,7 @@ from repro.core.subplan import Batch, SubplanTracker, enumerate_subplans
 from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
 from repro.engine.executor import canonical_rows
 from repro.engine.operators.hash_join import build_hash_table
-from repro.engine.predicate import col, lt
+from repro.engine.predicate import Comparison, col, lit
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.exceptions import QueryError
 
@@ -90,7 +90,11 @@ def chain_joins(draw):
             JoinCondition(left, f"{left}_next", right, f"{right}_prev")
             for left, right in zip(names, names[1:])
         ],
-        filters={"ta": lt("ta_v", draw(st.floats(min_value=-1e6, max_value=1e6, width=32)))},
+        filters={
+            "ta": Comparison(
+                "<", col("ta_v"), lit(draw(st.floats(min_value=-1e6, max_value=1e6, width=32)))
+            )
+        },
         group_by=["ta_prev"],
         aggregates=[
             AggregateSpec("count", None, "cnt"),

@@ -143,8 +143,8 @@ class TestDeviceConfigurations:
         env.run()
         kinds = {interval.kind for interval in device.busy_intervals}
         assert kinds == {"switch", "transfer"}
-        switch_time = sum(i.duration for i in device.busy_intervals if i.kind == "switch")
-        transfer_time = sum(i.duration for i in device.busy_intervals if i.kind == "transfer")
+        switch_time = sum(i.end - i.start for i in device.busy_intervals if i.kind == "switch")
+        transfer_time = sum(i.end - i.start for i in device.busy_intervals if i.kind == "transfer")
         assert switch_time == pytest.approx(10.0 * device.stats.group_switches)
         assert transfer_time == pytest.approx(1.0 * device.stats.objects_served)
 
@@ -160,7 +160,7 @@ class TestDeviceConfigurations:
             None,
             None,
         )
-        assert positional.duration == 2.5
+        assert positional.end - positional.start == 2.5
         with pytest.raises(AttributeError):
             positional.end = 4.0
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.csd import (
     AllInOneLayout,
     ClientsPerGroupLayout,
-    CustomLayout,
     IncrementalLayout,
     RoundRobinObjectLayout,
     SkewedLayout,
@@ -22,17 +21,24 @@ def _client_objects(num_clients=4, objects_per_client=6):
     }
 
 
+def _groups_of(layout, keys):
+    return {layout.group_of(key) for key in keys}
+
+
 class TestDiskGroupLayout:
     def test_basic_queries(self):
         layout = DiskGroupLayout({"a": 0, "b": 0, "c": 1})
         assert layout.num_groups == 2
-        assert layout.group_ids == [0, 1]
+        assert layout.max_group_id == 1
         assert layout.group_of("c") == 1
-        assert layout.objects_in_group(0) == {"a", "b"}
         assert layout.has_object("a") and not layout.has_object("z")
-        assert layout.groups_of(["a", "c"]) == {0, 1}
+        assert layout.group_if_placed("b") == 0 and layout.group_if_placed("z") is None
         assert len(layout) == 3
-        assert layout.as_dict() == {"a": 0, "b": 0, "c": 1}
+        assert sorted(layout.placed_keys) == ["a", "b", "c"]
+        layout.add_object("d", 4)
+        assert (layout.num_groups, layout.max_group_id) == (3, 4)
+        layout.add_object("e", 2)
+        assert (layout.num_groups, layout.max_group_id) == (4, 4)
 
     def test_errors(self):
         with pytest.raises(LayoutError):
@@ -42,8 +48,6 @@ class TestDiskGroupLayout:
         layout = DiskGroupLayout({"a": 0})
         with pytest.raises(LayoutError):
             layout.group_of("missing")
-        with pytest.raises(LayoutError):
-            layout.objects_in_group(9)
 
 
 class TestPolicies:
@@ -56,7 +60,7 @@ class TestPolicies:
         layout = ClientsPerGroupLayout(1).build(clients)
         assert layout.num_groups == 3
         for client, objects in clients.items():
-            assert len(layout.groups_of(objects)) == 1
+            assert len(_groups_of(layout, objects)) == 1
 
     def test_two_clients_per_group(self):
         clients = _client_objects(num_clients=4)
@@ -68,7 +72,7 @@ class TestPolicies:
         layout = IncrementalLayout().build(clients)
         assert layout.num_groups == 4
         for client, objects in clients.items():
-            assert len(layout.groups_of(objects)) == 2
+            assert len(_groups_of(layout, objects)) == 2
 
     def test_round_robin(self):
         clients = _client_objects(num_clients=1, objects_per_client=7)
@@ -80,18 +84,11 @@ class TestPolicies:
         layout = SkewedLayout([2, 2, 1]).build(clients)
         assert layout.num_groups == 3
         last_client_objects = clients["client4"]
-        assert layout.groups_of(last_client_objects) == {2}
+        assert _groups_of(layout, last_client_objects) == {2}
 
     def test_skewed_layout_must_cover_all_clients(self):
         with pytest.raises(LayoutError):
             SkewedLayout([2, 2]).build(_client_objects(num_clients=5))
-
-    def test_custom_layout_requires_every_object(self):
-        clients = _client_objects(num_clients=1, objects_per_client=2)
-        with pytest.raises(LayoutError):
-            CustomLayout({"client0/t.0": 0}).build(clients)
-        layout = CustomLayout({"client0/t.0": 0, "client0/t.1": 5}).build(clients)
-        assert layout.group_of("client0/t.1") == 5
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(LayoutError):
@@ -122,10 +119,10 @@ def test_every_policy_places_every_object_exactly_once(
     ]
     for policy in policies:
         layout = policy.build(clients)
-        assert set(layout.as_dict()) == all_objects
-        # every object maps to exactly one existing group
-        for key in sorted(all_objects):
-            assert layout.group_of(key) in layout.group_ids
+        assert set(layout.placed_keys) == all_objects
+        # every object maps to exactly one group, all of them counted
+        groups = _groups_of(layout, all_objects)
+        assert len(groups) == layout.num_groups and max(groups) == layout.max_group_id
 
 
 @given(num_clients=st.integers(min_value=1, max_value=6))
@@ -134,7 +131,7 @@ def test_one_client_per_group_isolates_clients(num_clients):
     layout = ClientsPerGroupLayout(1).build(clients)
     groups_seen = set()
     for objects in clients.values():
-        groups = layout.groups_of(objects)
+        groups = _groups_of(layout, objects)
         assert len(groups) == 1
         groups_seen |= groups
     assert len(groups_seen) == num_clients

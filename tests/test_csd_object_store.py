@@ -22,19 +22,16 @@ def test_invalid_keys_rejected():
         split_object_key("no-separator")
 
 
-def test_put_get_delete_cycle():
+def test_put_get_cycle():
     store = ObjectStore()
+    assert not store.exists("t/a.0") and "t/a.0" not in store
+    with pytest.raises(StorageError):
+        store.get("t/a.0")
     store.put("t/a.0", "payload")
     assert store.exists("t/a.0")
     assert store.get("t/a.0") == "payload"
     assert "t/a.0" in store
     assert len(store) == 1
-    store.delete("t/a.0")
-    assert not store.exists("t/a.0")
-    with pytest.raises(StorageError):
-        store.get("t/a.0")
-    with pytest.raises(StorageError):
-        store.delete("t/a.0")
 
 
 def test_duplicate_put_rejected():
@@ -55,10 +52,10 @@ def test_tenant_namespacing():
     assert len(store.keys()) == 3
 
 
-def test_load_tenant_from_relation_segments(tiny_tpch_catalog):
+def test_put_segment_from_relation_segments(tiny_tpch_catalog):
     store = ObjectStore()
     segments = tiny_tpch_catalog.relation("orders").segments
-    keys = store.load_tenant("tenant", segments)
+    keys = [store.put_segment("tenant", segment.segment_id, segment) for segment in segments]
     assert len(keys) == tiny_tpch_catalog.num_segments("orders")
     for key, segment in zip(keys, segments):
         assert store.get(key) is segment

@@ -15,14 +15,14 @@ def _relation(name: str, num_rows: int = 6, rows_per_segment: int = 3) -> Relati
 @pytest.fixture()
 def catalog() -> Catalog:
     catalog = Catalog()
-    catalog.register_all([_relation("alpha"), _relation("beta", num_rows=9)])
+    for relation in (_relation("alpha"), _relation("beta", num_rows=9)):
+        catalog.register(relation)
     return catalog
 
 
 def test_register_and_lookup(catalog):
     assert catalog.has_relation("alpha")
     assert not catalog.has_relation("gamma")
-    assert catalog.table_names() == ["alpha", "beta"]
     assert catalog.relation("beta").num_rows == 9
     assert len(catalog) == 2
     assert "alpha" in catalog
@@ -41,15 +41,7 @@ def test_unknown_relation_raises(catalog):
 def test_segment_metadata(catalog):
     assert catalog.num_segments("alpha") == 2
     assert catalog.segment_ids("beta") == ["beta.0", "beta.1", "beta.2"]
-    assert catalog.segment_ids_for_tables(["alpha", "beta"]) == [
-        "alpha.0",
-        "alpha.1",
-        "beta.0",
-        "beta.1",
-        "beta.2",
-    ]
-    assert catalog.total_segments() == 5
-    assert catalog.total_segments(["alpha"]) == 2
+    assert catalog.segment_ids("alpha") == ["alpha.0", "alpha.1"]
 
 
 def test_resolve_segment_id(catalog):
@@ -64,19 +56,3 @@ def test_resolve_malformed_segment_id(catalog):
         catalog.resolve_segment_id("no-dot-here")
     with pytest.raises(CatalogError):
         catalog.table_of_segment("gamma.0")
-
-
-def test_find_column(catalog):
-    assert catalog.find_column("alpha_id") == "alpha"
-    with pytest.raises(CatalogError):
-        catalog.find_column("missing_column")
-
-
-def test_find_column_ambiguous():
-    schema_a = TableSchema("a", [Column("shared", DataType.INTEGER)])
-    schema_b = TableSchema("b", [Column("shared", DataType.INTEGER)])
-    catalog = Catalog()
-    catalog.register(Relation.from_rows(schema_a, [{"shared": 1}], 1))
-    catalog.register(Relation.from_rows(schema_b, [{"shared": 1}], 1))
-    with pytest.raises(CatalogError):
-        catalog.find_column("shared")

@@ -19,7 +19,7 @@ from repro.engine.operators import (
     Sort,
 )
 from repro.engine.operators.hash_join import materialise_rows
-from repro.engine.predicate import col, eq, ge
+from repro.engine.predicate import Comparison, col, eq, lit
 from repro.engine.query import AggregateSpec
 from repro.exceptions import ExecutionError, QueryError
 
@@ -51,13 +51,13 @@ class TestScans:
         assert [row["n"] for row in scan.rows()] == [4, 5, 6, 7]
 
     def test_segment_scan(self, numbers_relation):
-        scan = SegmentScan(numbers_relation.segment(0), predicate=ge("n", 2))
+        scan = SegmentScan(numbers_relation.segment(0), predicate=Comparison(">=", col("n"), lit(2)))
         assert [row["n"] for row in scan.rows()] == [2, 3]
 
 
 class TestFilterProjectLimitSort:
     def test_filter(self, numbers_relation):
-        operator = Filter(SequentialScan(numbers_relation), ge("n", 7))
+        operator = Filter(SequentialScan(numbers_relation), Comparison(">=", col("n"), lit(7)))
         assert [row["n"] for row in operator.rows()] == [7, 8, 9]
 
     def test_project_columns_and_expressions(self, numbers_relation):
@@ -285,7 +285,7 @@ class TestStatsCollection:
         """``Limit`` truncates a materialised child: the non-blocking
         operators below it count their whole input, not the first 5 rows."""
         scan = SequentialScan(numbers_relation)
-        selection = Filter(scan, ge("n", 2))
+        selection = Filter(scan, Comparison(">=", col("n"), lit(2)))
         operator = Limit(selection, 5)
         assert [row["n"] for row in operator.rows()] == [2, 3, 4, 5, 6]
         assert scan.stats == OperatorStats(tuples_scanned=10, tuples_output=10)
@@ -301,11 +301,11 @@ class TestRowsProtocol:
     @staticmethod
     def _trees(relation):
         def scan():
-            return SequentialScan(relation, predicate=ge("n", 1))
+            return SequentialScan(relation, predicate=Comparison(">=", col("n"), lit(1)))
 
         return [
             scan(),
-            SegmentScan(relation.segment(1), predicate=ge("n", 5)),
+            SegmentScan(relation.segment(1), predicate=Comparison(">=", col("n"), lit(5))),
             Filter(scan(), eq("parity", "odd")),
             Project(scan(), columns=["n"], expressions={"same": col("n")}),
             HashJoin(

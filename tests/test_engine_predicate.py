@@ -16,10 +16,8 @@ from repro.engine.predicate import (
     col,
     conjunction,
     eq,
-    ge,
     in_list,
     lit,
-    lt,
 )
 from repro.engine.relation import Segment
 from repro.exceptions import ExecutionError, QueryError
@@ -106,12 +104,13 @@ class TestPredicates:
         assert isinstance(conjunction([]), TruePredicate)
         single = eq("a", 5)
         assert conjunction([single]) is single
-        combined = conjunction([eq("a", 5), lt("b", 10)])
+        combined = conjunction([eq("a", 5), Comparison("<", col("b"), lit(10))])
         assert combined.evaluate(ROW)
 
     def test_shorthand_helpers(self):
-        assert ge("a", 5).evaluate(ROW)
-        assert lt("b", 3).evaluate(ROW)
+        assert eq("a", 5).evaluate(ROW)
+        assert between("b", 2, 3).evaluate(ROW)
+        assert in_list("c", ["hello"]).evaluate(ROW)
         assert TruePredicate().evaluate({}) is True
         assert TruePredicate().columns() == frozenset()
 

@@ -154,4 +154,4 @@ class TestQueryValidation:
         pairs = query.joins_with_any("supplier", {"lineitem", "customer"})
         other_tables = {other for _cond, other in pairs}
         assert other_tables == {"lineitem", "customer"}
-        assert query.joins_between("nation", "region")
+        assert query.joins_with_any("nation", {"region"})

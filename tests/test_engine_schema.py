@@ -63,7 +63,7 @@ class TestRelation:
         assert relation.num_segments == 3
         assert [segment.num_rows for segment in relation.segments] == [4, 4, 2]
         assert relation.num_rows == 10
-        assert relation.all_rows() == rows
+        assert [row for segment in relation for row in segment.rows] == rows
 
     def test_from_rows_empty_produces_single_empty_segment(self, schema):
         relation = Relation.from_rows(schema, [], rows_per_segment=4)

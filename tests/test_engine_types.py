@@ -4,7 +4,7 @@ import datetime
 
 import pytest
 
-from repro.engine import DataType, date_to_ordinal, ordinal_to_date
+from repro.engine import DataType, date_to_ordinal
 from repro.exceptions import SchemaError
 
 
@@ -40,7 +40,7 @@ def test_none_is_always_valid():
 
 def test_date_roundtrip():
     ordinal = date_to_ordinal("1994-06-15")
-    assert ordinal_to_date(ordinal) == datetime.date(1994, 6, 15)
+    assert datetime.date.fromordinal(ordinal) == datetime.date(1994, 6, 15)
 
 
 def test_date_from_date_object():

@@ -170,7 +170,8 @@ def test_the_named_cases_plan_what_they_say():
 
 def _lowest_by_scan(layout: DiskGroupLayout) -> Dict[str, int]:
     lowest: Dict[str, int] = {}
-    for key, group in layout.as_dict().items():
+    for key in layout.placed_keys:
+        group = layout.group_of(key)
         tenant, separator, _rest = key.partition("/")
         if separator:
             lowest[tenant] = min(group, lowest.get(tenant, group))

@@ -20,11 +20,11 @@ import pytest
 
 import repro.fleet
 from repro.fleet.router import FleetRouter
-from repro.scenarios.registry import all_scenarios
+from repro.scenarios.registry import get_scenario, scenario_names
 from repro.service import StorageService
 
 FLEET_DIR = Path(repro.fleet.__file__).parent
-FLEET_SCENARIOS = [spec for spec in all_scenarios() if spec.fleet is not None]
+FLEET_SCENARIOS = [spec for spec in map(get_scenario, scenario_names()) if spec.fleet is not None]
 
 
 def test_router_module_imports_no_control_plane():

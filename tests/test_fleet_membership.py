@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from repro.csd.device import BusyInterval, DeviceConfig
 from repro.csd.disk_group import DiskGroupLayout
-from repro.csd.layout import TenantColocatedLayout, extend_layout_with_keys
+from repro.csd.layout import ClientsPerGroupLayout, extend_layout_with_keys
 from repro.exceptions import FleetError, LayoutError, ScenarioError
 from repro.fleet.membership import FleetMember, FleetMembership, resolve_device_config
 from repro.fleet.migration import plan_migration
@@ -32,7 +32,7 @@ from repro.fleet.spec import (
 )
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.runner import ScenarioRunner, build_layout
 from repro.obs import Ewma
 from repro.service import StorageService
 from repro.workloads import tpch
@@ -482,14 +482,16 @@ class TestSessionsSurviveMembershipChanges:
 
 class TestLayoutExtension:
     def test_tenant_colocated_layout_packs_one_group_per_tenant(self):
-        layout = TenantColocatedLayout().build(
-            {"a": ["a/t.0", "a/t.1"], "b": ["b/t.0"]}
-        )
+        spec = get_scenario("fleet-elastic-drain")
+        assert spec.layout == "tenant-colocated"
+        policy = build_layout(spec)
+        assert isinstance(policy, ClientsPerGroupLayout) and policy.clients_per_group == 1
+        layout = policy.build({"a": ["a/t.0", "a/t.1"], "b": ["b/t.0"]})
         assert layout.group_of("a/t.0") == layout.group_of("a/t.1") == 0
         assert layout.group_of("b/t.0") == 1
 
     def test_extend_layout_coalesces_with_existing_tenant_group(self):
-        layout = TenantColocatedLayout().build({"a": ["a/t.0"], "b": ["b/t.0"]})
+        layout = ClientsPerGroupLayout(1).build({"a": ["a/t.0"], "b": ["b/t.0"]})
         groups = extend_layout_with_keys(layout, ["a/t.1", "c/t.0", "c/t.1"])
         assert groups == [0, 2, 2]
         assert layout.group_of("a/t.1") == layout.group_of("a/t.0")

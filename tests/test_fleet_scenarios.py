@@ -14,7 +14,7 @@ import pytest
 
 from repro.scenarios import (
     ScenarioRunner,
-    assert_matches_golden,
+    assert_dict_matches_golden,
     get_scenario,
     golden_path,
     scenario_names,
@@ -76,7 +76,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", FLEET_PARAMS)
     def test_fleet_scenarios_match_goldens(self, name):
-        assert_matches_golden(report_for(name))
+        assert_dict_matches_golden(name, report_for(name).to_dict())
 
 
 class TestInvariants:

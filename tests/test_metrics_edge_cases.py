@@ -20,7 +20,6 @@ from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import (
     ExecutionBreakdown,
     MergedSpans,
-    attribute_waiting,
     attribute_waiting_batch,
     imbalance_coefficient,
     jain_fairness,
@@ -108,13 +107,13 @@ def _full_scan(blocked, busy_intervals, inner_kinds):
         return total
 
     busy_spans = merge_intervals(
-        [(b.start, b.end) for b in busy_intervals if b.end > 0 and b.duration > 0]
+        [(b.start, b.end) for b in busy_intervals if b.end > 0 and b.end > b.start]
     )
     inner_spans = merge_intervals(
         [
             (b.start, b.end)
             for b in busy_intervals
-            if b.end > 0 and b.duration > 0 and b.kind in inner_kinds
+            if b.end > 0 and b.end > b.start and b.kind in inner_kinds
         ]
     )
     blocked_total = inner = outer = 0.0
@@ -161,24 +160,29 @@ class TestMergeIntervals:
             merge_intervals([(2.0, 1.0)])
 
 
+def _one_query(blocked, busy, processing_time=0.0):
+    """One query's attribution: the one-element batch."""
+    return attribute_waiting_batch([blocked], busy, [processing_time])[0]
+
+
 class TestAttributeWaiting:
     def test_empty_blocked_intervals(self):
-        breakdown = attribute_waiting([], [switch(0.0, 10.0)], processing_time=2.0)
+        breakdown = _one_query([], [switch(0.0, 10.0)], processing_time=2.0)
         assert breakdown.switch_wait == 0.0
         assert breakdown.transfer_wait == 0.0
         assert breakdown.other_wait == 0.0
         assert breakdown.total == 2.0
 
     def test_no_busy_intervals_all_other_wait(self):
-        breakdown = attribute_waiting([(0.0, 4.0)], [])
+        breakdown = _one_query([(0.0, 4.0)], [])
         assert breakdown.other_wait == 4.0
 
     def test_overlapping_blocked_intervals_counted_once(self):
         """Duplicated/overlapping blocked intervals must not double-count."""
         busy = [switch(0.0, 10.0)]
-        exact = attribute_waiting([(0.0, 10.0)], busy)
-        duplicated = attribute_waiting([(0.0, 10.0), (0.0, 10.0)], busy)
-        overlapping = attribute_waiting([(0.0, 6.0), (4.0, 10.0)], busy)
+        exact = _one_query([(0.0, 10.0)], busy)
+        duplicated = _one_query([(0.0, 10.0), (0.0, 10.0)], busy)
+        overlapping = _one_query([(0.0, 6.0), (4.0, 10.0)], busy)
         assert exact.switch_wait == 10.0
         assert duplicated.switch_wait == exact.switch_wait
         assert overlapping.switch_wait == exact.switch_wait
@@ -186,14 +190,14 @@ class TestAttributeWaiting:
 
     def test_split_attribution(self):
         busy = [switch(0.0, 5.0), transfer(5.0, 8.0)]
-        breakdown = attribute_waiting([(2.0, 9.0)], busy)
+        breakdown = _one_query([(2.0, 9.0)], busy)
         assert breakdown.switch_wait == pytest.approx(3.0)
         assert breakdown.transfer_wait == pytest.approx(3.0)
         assert breakdown.other_wait == pytest.approx(1.0)
 
     def test_inverted_blocked_interval_rejected(self):
         with pytest.raises(ConfigurationError):
-            attribute_waiting([(5.0, 1.0)], [])
+            _one_query([(5.0, 1.0)], [])
 
     @given(
         blocked_lists=st.lists(_INTERVALS, min_size=0, max_size=6),
@@ -220,7 +224,7 @@ class TestAttributeWaiting:
         processing = [float(index) for index in range(len(blocked_lists))]
         batch = attribute_waiting_batch(blocked_lists, busy_intervals, processing)
         assert batch == [
-            attribute_waiting(blocked, busy_intervals, processing_time=seconds)
+            _one_query(blocked, busy_intervals, processing_time=seconds)
             for blocked, seconds in zip(blocked_lists, processing)
         ]
         assert batch == [

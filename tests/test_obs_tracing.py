@@ -21,10 +21,8 @@ from repro.obs.analysis import (
     query_breakdowns,
     render_breakdown,
     tenant_totals,
-    top_slowest,
 )
 from repro.obs.export import TRACE_FORMAT, build_trace, to_chrome, trace_to_json
-from repro.obs.tracer import NULL_TRACER
 from repro.scenarios.parallel import run_scenarios
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner
@@ -190,13 +188,12 @@ class TestDeterminism:
 
 
 class TestZeroOverheadOff:
-    def test_untraced_service_uses_null_tracer(self):
+    def test_untraced_service_has_no_tracer(self):
         service = StorageService(get_scenario("uniform"))
-        assert service.tracer is NULL_TRACER
-        assert not service.tracer.enabled
+        assert service.tracer is None
+        assert all(device.tracer is None for device in service.devices)
         service.run()
-        assert service.tracer.spans == []
-        assert service.tracer.io_submissions == []
+        assert service.tracer is None
 
     def test_build_trace_rejects_untraced_service(self):
         service = StorageService(get_scenario("uniform"))
@@ -253,11 +250,14 @@ class TestAnalysis:
         assert list(totals) == sorted(totals)
         assert sum(entry["queries"] for entry in totals.values()) == len(breakdowns)
 
-    def test_top_slowest_sorted(self, fleet_trace):
+    def test_render_breakdown_lists_slowest_first(self, fleet_trace):
         _report, document, _raw = fleet_trace
-        slowest = top_slowest(document, count=3)
-        assert len(slowest) == 3
-        assert slowest[0]["total"] >= slowest[1]["total"] >= slowest[2]["total"]
+        by_total = sorted(query_breakdowns(document), key=lambda entry: -entry["total"])
+        assert by_total[0]["total"] > by_total[3]["total"]
+        table = render_breakdown(document, top=3).split("per-tenant")[0]
+        assert "top 3 slowest queries" in table
+        rows = [line.split("|")[0].strip() for line in table.splitlines() if "|" in line]
+        assert rows[1:] == [entry["query_id"] for entry in by_total[:3]]
 
     def test_render_breakdown_mentions_scenario(self, fleet_trace):
         _report, document, _raw = fleet_trace

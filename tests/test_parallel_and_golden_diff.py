@@ -16,14 +16,12 @@ from repro.exceptions import GoldenMismatchError
 from repro.scenarios import (
     ScenarioRunner,
     assert_dict_matches_golden,
-    assert_matches_golden,
     get_scenario,
     load_golden,
     run_scenarios,
     scenario_names,
     unified_diff_summary,
 )
-from repro.scenarios.parallel import reports_by_name
 from repro.scenarios.report import SCHEMA_VERSION
 
 #: A cheap but diverse subset for the byte-identity comparison (the full
@@ -31,10 +29,14 @@ from repro.scenarios.report import SCHEMA_VERSION
 SUBSET = ["uniform", "bursty", "fleet-uniform", "fleet-device-loss", "multi-workload-mix"]
 
 
+def _reports_by_name(outcomes):
+    return {o.name: o.report_json for o in outcomes if o.report_json is not None}
+
+
 class TestParallelExecution:
     def test_parallel_reports_are_byte_identical_to_serial(self):
-        serial = reports_by_name(run_scenarios(SUBSET, jobs=1))
-        parallel = reports_by_name(run_scenarios(SUBSET, jobs=3))
+        serial = _reports_by_name(run_scenarios(SUBSET, jobs=1))
+        parallel = _reports_by_name(run_scenarios(SUBSET, jobs=3))
         assert serial.keys() == parallel.keys() == set(SUBSET)
         for name in SUBSET:
             assert serial[name] == parallel[name], f"{name} diverged across processes"
@@ -86,7 +88,7 @@ class TestGoldenDiffUX:
 
     def test_matching_report_raises_nothing(self):
         report = ScenarioRunner().run(get_scenario("uniform"))
-        assert_matches_golden(report)
+        assert_dict_matches_golden(report.scenario, report.to_dict())
 
 
 def _second_interpreter() -> Optional[str]:

@@ -16,7 +16,7 @@ from repro.csd import DeviceConfig
 from repro.engine.operators.base import OperatorStats
 from repro.exceptions import ExecutionError
 from repro.obs import Tracer
-from repro.scenarios import all_scenarios
+from repro.scenarios import get_scenario, scenario_names
 from repro.service import StorageService
 from repro.vanilla import VanillaExecutor
 from repro.workloads import tpch
@@ -222,9 +222,10 @@ class TestExecutorSpans:
         assert operators and all(span.name.startswith("operator:") for span in operators)
 
 
-@pytest.mark.parametrize("spec", all_scenarios(), ids=lambda spec: spec.name)
-def test_time_and_requests_are_conserved(spec):
+@pytest.mark.parametrize("name", scenario_names())
+def test_time_and_requests_are_conserved(name):
     """Both modes, fleet and single device, admission on and off."""
+    spec = get_scenario(name)
     service = StorageService(spec)
     result = service.run()
     served = service.device_stats().objects_per_client

@@ -103,7 +103,7 @@ class TestSetReplicationValidation:
         assert spec.to_dict()["events"] == [
             {"kind": "set-replication", "replication": 2, "at_seconds": 80.0}
         ]
-        assert spec.replication_changes == (SetReplication(2, 80.0),)
+        assert spec.events == (SetReplication(2, 80.0),)
         assert spec.to_dict()["repair"] is True
         assert spec.to_dict()["throttle"] is None
 

@@ -15,13 +15,12 @@ from repro.csd.device import BusyInterval
 from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.request import GetRequest
 from repro.exceptions import GoldenMismatchError, InvariantViolation, ScenarioError
-from repro.fleet.spec import DeviceJoin, DeviceLeave, FleetSpec, SetReplication
+from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, FleetSpec, SetReplication
 from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
     TenantSpec,
-    all_scenarios,
-    assert_matches_golden,
+    assert_dict_matches_golden,
     check_invariants,
     get_scenario,
     golden_path,
@@ -84,8 +83,8 @@ class TestRegistry:
     def test_builders_return_fresh_specs(self):
         assert get_scenario("uniform") is not get_scenario("uniform")
 
-    def test_all_scenarios_lists_every_name(self):
-        assert [spec.name for spec in all_scenarios()] == scenario_names()
+    def test_every_name_builds_its_spec(self):
+        assert [get_scenario(name).name for name in scenario_names()] == scenario_names()
 
 
 class TestRunner:
@@ -93,7 +92,7 @@ class TestRunner:
     def test_scenario_matches_committed_golden(self, name):
         """The regression net: live runs must match the committed goldens."""
         report = RUNNER.run(get_scenario(name))
-        assert_matches_golden(report)
+        assert_dict_matches_golden(report.scenario, report.to_dict())
 
     @pytest.mark.parametrize("name", [*scenario_names()])
     def test_every_scenario_has_a_committed_golden(self, name):
@@ -158,7 +157,7 @@ class TestGoldenDiff:
         )
         report = RUNNER.run(spec)
         with pytest.raises(GoldenMismatchError, match="regen-golden"):
-            assert_matches_golden(report)
+            assert_dict_matches_golden(report.scenario, report.to_dict())
 
     def test_structural_divergence_reported(self):
         golden = load_golden("uniform")
@@ -216,6 +215,8 @@ REPLICATED = FleetSpec(
     events=(DeviceJoin(4, 20.0), DeviceLeave(0, 60.0), SetReplication(3, 100.0)),
 )
 
+#: Device csd0 fails at 20 s, in the middle of a transfer it started at 19.6 s.
+LOSS = FleetSpec(devices=3, replication=2, failures=(DeviceFailure(0, 20.0),))
 
 def _violations(service, result):
     """The message of every invariant check that fires on ``result``."""
@@ -393,6 +394,29 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation, match="undefined for K <= 0"):
             starvation_bound(4, 2, fairness_constant)
 
+    def test_fleet_failover_detects_work_after_a_failure(self):
+        service, result = _run_service(LOSS)
+        dead = service.fleet.membership.by_id["csd0"]
+        last_start = dead.device.busy_intervals[-1].start
+        assert last_start < dead.failed_at == 20.0
+        dead.failed_at = last_start
+        assert _violations(service, result) == []
+        dead.failed_at = last_start - 0.1
+        _assert_only_violation(
+            service, result, f"dead device 'csd0' started work at {last_start}, after failing"
+        )
+
+    def test_fleet_failover_detects_a_request_left_queued(self):
+        service, result = _run_service(LOSS)
+        assert check_fleet_failover(service)
+        device, _index, interval = _first_transfer(service)
+        stranded = GetRequest(
+            interval.object_key, interval.client_id, "stranded", service.env.event()
+        )
+        device.scheduler.add_request(stranded, interval.group_id)
+        with pytest.raises(InvariantViolation, match=r"1 request\(s\) left queued in the fleet"):
+            check_fleet_failover(service)
+
     def test_fleet_rebalance_detects_an_epoch_out_of_order(self):
         service, result = _run_service(ELASTIC, repetitions=2)
         log = service.fleet.membership.epoch_log
@@ -504,8 +528,9 @@ class TestInvariantChecker:
         assert check_replication_repair(service)
         key, replicas = next(iter(service.fleet.placement.items()))
         device = service.fleet.membership.by_id[replicas[0]].device
+        layout = device.layout
         device.layout = DiskGroupLayout(
-            {other: group for other, group in device.layout.as_dict().items() if other != key}
+            {other: layout.group_of(other) for other in layout.placed_keys if other != key}
         )
         with pytest.raises(
             InvariantViolation, match=f"replica of {key!r} on {replicas[0]!r} is not physically"
@@ -539,3 +564,51 @@ class TestCommandLine:
         assert captured.err == "error: --trace requires --run\n"
         assert captured.out == ""
         assert not target.exists()
+
+    def test_list_prints_one_row_per_scenario(self, capsys):
+        from repro.scenarios.__main__ import main
+
+        assert main(["--list"]) == 0
+        out = capsys.readouterr().out
+        assert "29 registered scenarios" in out
+        rows = [line.split("|")[0].strip() for line in out.splitlines() if "|" in line]
+        assert rows[1:] == scenario_names()
+
+    def test_run_prints_the_committed_golden(self, capsys):
+        from repro.scenarios.__main__ import main
+
+        assert main(["--run", "uniform"]) == 0
+        assert capsys.readouterr().out == golden_path("uniform").read_text()
+
+    def test_regen_check_and_run_all_over_two_scenarios(self, tmp_path, capsys, monkeypatch):
+        """The whole-registry modes, driven in-process over two small scenarios."""
+        from repro.scenarios import __main__ as cli
+
+        names = ["fleet-uniform", "uniform"]
+        monkeypatch.setattr(cli, "scenario_names", lambda: names)
+        golden_dir = str(tmp_path)
+
+        assert cli.main(["--regen-golden", "--golden-dir", golden_dir]) == 0
+        assert [path.name for path in sorted(tmp_path.iterdir())] == [f"{n}.json" for n in names]
+        for name in names:
+            assert (tmp_path / f"{name}.json").read_text() == golden_path(name).read_text()
+        capsys.readouterr()
+
+        assert cli.main(["--check", "--golden-dir", golden_dir]) == 0
+        out = capsys.readouterr().out
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("ok")] == names
+        assert "checked 2 scenarios" in out
+
+        tampered = tmp_path / "uniform.json"
+        document = json.loads(tampered.read_text())
+        document["cluster"]["objects_served"] += 1
+        tampered.write_text(json.dumps(document))
+        assert cli.main(["--check", "--golden-dir", golden_dir]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL uniform" in captured.err and "FAIL fleet-uniform" not in captured.err
+        assert "cluster.objects_served" in captured.err
+
+        assert cli.main(["--run-all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == names
+        assert all(line.startswith("ok") and re.search(r"sha256=[0-9a-f]{64}$", line) for line in lines)

@@ -20,7 +20,6 @@ from repro.scenarios import (
     UniformArrival,
     get_scenario,
 )
-from repro.scenarios.arrivals import arrival_from_dict
 
 RUNNER = ScenarioRunner()
 
@@ -101,18 +100,3 @@ class TestArrivalDeterminism:
         assert delays == sorted(delays)
         poisson = PoissonArrival(mean_gap_seconds=10.0).delays(5, random.Random(1))
         assert poisson == sorted(poisson)
-
-    @pytest.mark.parametrize(
-        "pattern",
-        [
-            SimultaneousArrival(),
-            UniformArrival(gap_seconds=5.0),
-            BurstyArrival(burst_size=2, burst_gap_seconds=60.0, jitter_seconds=2.0),
-            PoissonArrival(mean_gap_seconds=10.0),
-        ],
-        ids=lambda pattern: pattern.kind,
-    )
-    def test_to_dict_roundtrip_preserves_behaviour(self, pattern):
-        rebuilt = arrival_from_dict(pattern.to_dict())
-        assert rebuilt.to_dict() == pattern.to_dict()
-        assert rebuilt.delays(5, random.Random(3)) == pattern.delays(5, random.Random(3))

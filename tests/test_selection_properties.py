@@ -254,7 +254,7 @@ def test_no_executor_mutates_the_rows_it_shares(monkeypatch):
 
     predicates = {id(p) for query in skipper.queries for p in query.filters.values()}
     kept = 0
-    for table in catalog.table_names():
+    for table in tpch.SCALES["tiny"].tables:
         for segment, pristine in zip(
             catalog.relation(table).segments, twin.relation(table).segments
         ):

@@ -826,32 +826,50 @@ def test_private_attribute_accesses_only_shrink():
             assert not [a for a in accesses if "env." in a or "stats." in a or "event" in a], name
 
 
-#: Public functions under ``src/repro/core`` that nothing in ``src/repro`` or
-#: ``ledger/`` calls, with why they stay: the references the tests hold the
-#: arrival path to, and one documented property of the result type.  The
-#: list may only shrink: anything else only tests reach is a twin of the
-#: arrival path's API and goes.
-CORE_TEST_REFERENCES = {
+#: Public functions and methods under ``src/repro`` that nothing in
+#: ``src/repro``, ``ledger/``, ``examples/`` or ``tools/`` names, with why
+#: they stay: the references the tests hold the arrival path to, the
+#: paper's closed forms, the scheduler views its oracle compares through
+#: and documented properties of the result types.  The list may only
+#: shrink: anything else only tests reach is a twin of an API the program
+#: uses, and goes.
+TEST_REFERENCES = {
     "Batch.combinations": "the segment tuples a batch stands for",
     "NAryJoin.execute_ordered": "the single-subplan join execute_batch is checked against",
     "ObjectCache.peek": "reads an entry without a tick, to check get_batch's accounting",
     "QueryResult.waiting_time": "documented result field (README, Simulated service)",
+    "mjoin_expected_requests": "the paper's closed form for MJoin's request count",
+    "rank_fairness_bound": "the paper's closed form for the rank-based scheduler's bound",
+    "AnalyticalModel.speedup": "the paper's analytical speedup, checked against runs",
+    "AnalyticalModel.latency_sensitivity": "the paper's latency sensitivity, checked against runs",
+    "IOScheduler.queries_on_group": "the view tests/scheduler_oracle.py is compared through",
+    "IOScheduler.waiting_time": "the view tests/scheduler_oracle.py is compared through",
+    "QueryHandle.done": "documented handle property (README, Sessions)",
+    "QueryHandle.service_seconds": "documented handle property (README, Sessions)",
+    "QueryHandle.total_seconds": "documented handle property (README, Sessions)",
+    "stable_hash": "the hash the placement oracle shares with the placement",
 }
 
 
-def _public_core_functions():
+def _public_functions():
     """``(file, qualified name, name)`` of every public module-level function
-    and method defined under ``src/repro/core``."""
+    and method defined under ``src/repro``, less the two kinds reached by
+    something other than their name: decorated module-level functions (the
+    ``@register`` scenario builders) and ``visit_*`` methods (AST dispatch)."""
+    package = REPO_ROOT / "src" / "repro"
     found = []
-    for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
+        filename = str(path.relative_to(package))
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                found.append((path.name, node.name, node.name))
+                if not node.decorator_list:
+                    found.append((filename, node.name, node.name))
             elif isinstance(node, ast.ClassDef):
                 found += [
-                    (path.name, f"{node.name}.{method.name}", method.name)
+                    (filename, f"{node.name}.{method.name}", method.name)
                     for method in node.body
-                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                    if isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith(("_", "visit_"))
                 ]
     return found
 
@@ -875,22 +893,24 @@ def _referenced_names(paths):
     return found
 
 
-def test_core_surface_is_reached_from_src_or_ledger():
-    """The MJoin core has one API, the one the arrival path uses: a public
-    function or method under ``src/repro/core`` is referenced by name from
-    ``src/repro`` or ``ledger/`` outside its own body, or is one of the
-    :data:`CORE_TEST_REFERENCES`."""
+def test_surface_is_reached_from_the_program():
+    """``src/repro`` has one API, the one the program uses: a public
+    function or method is referenced by name from ``src/repro``,
+    ``ledger/``, ``examples/`` or ``tools/`` outside its own body, or is one
+    of the :data:`TEST_REFERENCES`."""
     referenced = _referenced_names(
-        sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-        + sorted((REPO_ROOT / "ledger").rglob("*.py"))
+        path
+        for directory in ("src/repro", "ledger", "examples", "tools")
+        for path in sorted((REPO_ROOT / directory).rglob("*.py"))
     )
     unreached = [
         f"{filename}: {qualified}"
-        for filename, qualified, name in _public_core_functions()
-        if name not in referenced and qualified not in CORE_TEST_REFERENCES
+        for filename, qualified, name in _public_functions()
+        if name not in referenced and qualified not in TEST_REFERENCES
     ]
-    assert not unreached, "public core functions only tests reach:\n" + "\n".join(unreached)
+    assert not unreached, "public functions only tests reach:\n" + "\n".join(unreached)
     # Every allow-listed function still exists: a deleted one leaves the list.
-    defined = {qualified for _, qualified, _ in _public_core_functions()}
-    assert set(CORE_TEST_REFERENCES) <= defined
-    assert len(CORE_TEST_REFERENCES) <= 4
+    defined = {qualified for _, qualified, _ in _public_functions()}
+    assert set(TEST_REFERENCES) <= defined
+    assert len(TEST_REFERENCES) <= 14
+    assert all(reason for reason in TEST_REFERENCES.values())

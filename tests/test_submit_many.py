@@ -44,11 +44,13 @@ def _client_objects() -> Dict[str, List[str]]:
 ALL_KEYS: Tuple[str, ...] = tuple(key for keys in _client_objects().values() for key in keys)
 
 
-def build_router(fleet_spec: FleetSpec) -> FleetRouter:
-    """A bare fleet over 24 one-byte objects: no service, no clients."""
+def build_router(fleet_spec: FleetSpec, missing: Sequence[str] = ()) -> FleetRouter:
+    """A bare fleet over 24 one-byte objects (the ``missing`` ones placed but
+    never stored): no service, no clients."""
     store = ObjectStore()
     for key in ALL_KEYS:
-        store.put(key, key.upper())
+        if key not in missing:
+            store.put(key, key.upper())
     return FleetRouter(
         env=Environment(),
         object_store=store,
@@ -264,11 +266,11 @@ def _counters(router: FleetRouter) -> tuple:
 
 @pytest.mark.parametrize("policy", sorted(KNOWN_REPLICA_POLICIES))
 def test_rejected_batch_leaves_every_counter_untouched(policy):
-    router = build_router(FleetSpec(devices=3, replication=2, replica_policy=policy))
-    before = _counters(router)
     # Placed by the fleet, missing from the object store: only the owning
     # device's validation can tell — after the replica was already chosen.
-    router.object_store.delete("t1/obj.3")
+    spec = FleetSpec(devices=3, replication=2, replica_policy=policy)
+    router = build_router(spec, missing=["t1/obj.3"])
+    before = _counters(router)
     requests = build_requests(router, ["t0/obj.0", "t1/obj.1", "t1/obj.3", "t2/obj.5"], [])
     with pytest.raises(StorageError, match="unknown object 't1/obj.3'"):
         router.submit_many(requests)

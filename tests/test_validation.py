@@ -25,6 +25,7 @@ from repro.scenarios import (
     UniformArrival,
     uniform_tenants,
 )
+from repro.service import StorageService
 from repro.sim import Environment
 from repro.workloads import tpch
 
@@ -242,6 +243,42 @@ def test_non_real_times_are_typed_errors(knob, value):
     build, error = TIME_KNOBS[knob]
     with pytest.raises(error, match="finite and non-negative"):
         build(value)
+
+
+def _tenant(**knobs):
+    return TenantSpec("t", ("tpch:q12",), **knobs)
+
+
+def _client(**knobs):
+    return ClientSpec("c", [Q12], **knobs)
+
+
+def _submit_at(at):
+    service = StorageService(_scenario())
+    service.open_session("tenant0").submit(Q12, at=at)
+
+
+#: Hostile tenant and session input: each used to escape as a bare
+#: ``TypeError`` (a string compared with ``<=`` or passed to
+#: ``math.isfinite``) or, for a fractional count, to be accepted and crash
+#: later in ``range``.
+HOSTILE_INPUTS = {
+    "tenant-repetitions-str": (lambda: _tenant(repetitions="2"), ScenarioError),
+    "tenant-repetitions-float": (lambda: _tenant(repetitions=1.5), ScenarioError),
+    "tenant-cache-str": (lambda: _tenant(cache_capacity="3"), ScenarioError),
+    "client-repetitions-str": (lambda: _client(repetitions="2"), ConfigurationError),
+    "client-repetitions-float": (lambda: _client(repetitions=1.5), ConfigurationError),
+    "client-cache-str": (lambda: _client(cache_capacity="3"), ConfigurationError),
+    "uniform-tenants-count-str": (lambda: uniform_tenants("2", "tpch:q12"), ScenarioError),
+    "session-submit-at-str": (lambda: _submit_at("5"), ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_hostile_tenant_and_session_input_is_a_typed_error(case):
+    build, error = HOSTILE_INPUTS[case]
+    with pytest.raises(error, match="positive integer|finite and not in the past"):
+        build()
 
 
 class TestArrivalValidation:

@@ -8,8 +8,8 @@ counted separately as exempt: ``__repr__`` bodies, imports under ``if
 TYPE_CHECKING:`` and ``raise NotImplementedError``.
 
 Only the test process is traced: code that runs solely in a subprocess the
-tests start (the ``python -m repro.scenarios`` CLI, the second-interpreter
-check, the ledger's workers) is counted as never run.  A module no test
+tests start (a ``python -m`` entry point run as a script, the
+second-interpreter check, the ledger's workers) is counted as never run.  A module no test
 imports in-process has no ``.cover`` file; every executable line of it is
 counted, and the report names it.
 
@@ -164,7 +164,7 @@ def report(results: Dict[str, Tuple[List[Line], List[Line]]], untraced: List[str
         f"never-run lines: {total} (exempt: {exempt_total} in __repr__ bodies, "
         "TYPE_CHECKING imports and raise NotImplementedError)"
     )
-    out.append("code run only in subprocesses (the repro.scenarios CLI) is not seen")
+    out.append("code run only in subprocesses (python -m scripts, workers) is not seen")
     return "\n".join(out)
 
 
