@@ -20,7 +20,7 @@ generator per burst — :meth:`QueryRun.consume` takes arrivals as they come,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Literal, Optional, Sequence, Tuple
 
 from repro.core.client_proxy import ClientProxy
 from repro.engine.operators.base import OperatorStats, Row
@@ -33,6 +33,7 @@ from repro.sim import Event, Timeout
 #: Execution modes a client can run in.
 MODE_SKIPPER = "skipper"
 MODE_VANILLA = "vanilla"
+Mode = Literal["skipper", "vanilla"]
 
 
 @dataclass

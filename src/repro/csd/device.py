@@ -22,7 +22,6 @@ copy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -32,13 +31,14 @@ from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.object_store import ObjectStore, split_object_key
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
-from repro.exceptions import ConfigurationError, StorageError, is_time
+from repro.exceptions import StorageError
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Environment, Store, Timeout
+from repro.spec_fields import Seconds, Spec
 
 
 @dataclass
-class DeviceConfig:
+class DeviceConfig(Spec):
     """Tunable parameters of the emulated CSD.
 
     Transfers are always serialized, as in the paper's middleware: one
@@ -46,15 +46,9 @@ class DeviceConfig:
     """
 
     #: Latency of spinning down the loaded group and spinning up another.
-    group_switch_seconds: float = 10.0
+    group_switch_seconds: Seconds = 10.0
     #: Time to push one object to a client.
-    transfer_seconds_per_object: float = 9.6
-
-    def __post_init__(self) -> None:
-        for label in ("group_switch_seconds", "transfer_seconds_per_object"):
-            value = getattr(self, label)
-            if not is_time(value):
-                raise ConfigurationError(f"{label} must be finite and non-negative, got {value!r}")
+    transfer_seconds_per_object: Seconds = 9.6
 
 
 class MigrationTokenBucket:
@@ -62,7 +56,9 @@ class MigrationTokenBucket:
 
     Tokens accrue continuously on the simulated clock up to ``burst``; each
     migration read/write consumes one.  All arithmetic is plain float math on
-    simulated timestamps, so throttled runs stay exactly deterministic.
+    simulated timestamps, so throttled runs stay exactly deterministic.  The
+    rate and burst are a :class:`~repro.fleet.spec.MigrationThrottle`'s,
+    whose declared fields already hold them to positive values.
     """
 
     __slots__ = ("rate", "burst", "tokens", "last_refill")
@@ -74,12 +70,6 @@ class MigrationTokenBucket:
     EPSILON = 1e-9
 
     def __init__(self, objects_per_second: float, burst: int = 1) -> None:
-        if not math.isfinite(objects_per_second) or objects_per_second <= 0:
-            raise ConfigurationError(
-                "throttle objects_per_second must be finite and positive"
-            )
-        if burst < 1:
-            raise ConfigurationError("throttle burst must be >= 1")
         self.rate = objects_per_second
         self.burst = float(burst)
         self.tokens = float(burst)

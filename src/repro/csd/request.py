@@ -11,6 +11,7 @@ membership change.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.exceptions import ConfigurationError
@@ -19,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 _request_counter = itertools.count()
-_INFINITY = float("inf")
+_FLOAT_MAX = sys.float_info.max
 
 
 class MigrationJob:
@@ -58,7 +59,7 @@ class MigrationJob:
         # ``is_time(seconds)`` and ``is_count(epoch, minimum=0)`` inlined: a
         # rebalance builds one job per replica read or write it charges.
         if isinstance(seconds, bool) or not (
-            isinstance(seconds, (int, float)) and 0 <= seconds < _INFINITY
+            isinstance(seconds, (int, float)) and 0 <= seconds <= _FLOAT_MAX
         ):
             raise ConfigurationError(
                 f"migration seconds must be finite and non-negative, got {seconds!r}"

@@ -7,6 +7,8 @@ still distinguishing configuration problems from runtime ones.
 
 from __future__ import annotations
 
+import sys
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -79,11 +81,13 @@ class ConfigurationError(ReproError):
 
 def is_time(value: object) -> bool:
     """True when ``value`` is a finite non-negative real (a duration or a
-    delay); a bool is an int but not a time, and NaN fails every comparison."""
+    delay); a bool is an int but not a time, NaN fails every comparison, and
+    an int too large for a float is not finite once the simulator adds it to
+    a float clock."""
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and 0 <= value < float("inf")
+        and 0 <= value <= sys.float_info.max
     )
 
 

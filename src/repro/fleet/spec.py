@@ -21,25 +21,31 @@ read-repair pass that restores the lost replicas on surviving owners, and
 :class:`MigrationThrottle` rate-limits all of that rebalance I/O with a
 per-device token bucket so it interleaves with foreground queries instead
 of starving them.
+
+Every field's kind is declared in its annotation (:mod:`repro.spec_fields`);
+the ``__post_init__`` methods here hold only the rules that span fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Annotated, Any, Dict, Iterable, List, Literal, Optional, Tuple, Union, get_args
 
-from repro.exceptions import ScenarioError, is_count, is_time
+from repro.exceptions import ScenarioError
 from repro.fleet.placement import DEFAULT_VIRTUAL_NODES, ConsistentHashPlacement
+from repro.spec_fields import NonNegativeInt, PositiveInt, PositiveSeconds, Seconds, Spec, Time
 
 #: Replica-choice policy names resolvable by the router.  ``least-loaded``
 #: is the queue-length policy; ``ewma-latency`` scores replicas by expected
 #: wait (EWMA of observed latency times queue depth).
-KNOWN_REPLICA_POLICIES = ("primary-first", "least-loaded", "ewma-latency")
+ReplicaPolicy = Literal["primary-first", "least-loaded", "ewma-latency"]
+KNOWN_REPLICA_POLICIES = get_args(ReplicaPolicy)
 
 #: Placement-weighting modes: ``uniform`` keeps the classic hash-uniform
 #: ring; ``profile`` sizes each device's vnode count by its transfer-speed
 #: factor relative to the scenario-wide base device.
-KNOWN_WEIGHTINGS = ("uniform", "profile")
+Weighting = Literal["uniform", "profile"]
+KNOWN_WEIGHTINGS = get_args(Weighting)
 
 #: Default smoothing factor for the router's per-device latency EWMA.
 DEFAULT_EWMA_ALPHA = 0.3
@@ -50,26 +56,14 @@ def device_name(index: int) -> str:
     return f"csd{index}"
 
 
-def _validate_event_time(label: str, at_seconds: float) -> None:
-    if not is_time(at_seconds):
-        raise ScenarioError(
-            f"{label} time must be finite and non-negative, got {at_seconds!r}"
-        )
-
-
-def _validate_device_index(label: str, device: int) -> None:
-    if not is_count(device, minimum=0):
-        raise ScenarioError(f"{label} device index must be an integer >= 0, got {device!r}")
-
-
-def _validate_override(label: str, name: str, value: Optional[float]) -> None:
-    """A per-device latency override: ``None`` (inherit) or a time."""
-    if value is not None and not is_time(value):
-        raise ScenarioError(f"{label} {name} must be finite and non-negative, got {value!r}")
+def _at_most_once(devices: Iterable[int], what: str) -> None:
+    listed = list(devices)
+    if len(set(listed)) != len(listed):
+        raise ScenarioError(f"each device may {what} at most once")
 
 
 @dataclass(frozen=True)
-class DeviceFailure:
+class DeviceFailure(Spec, error=ScenarioError):
     """A device going dark (fail-stop) at a fixed simulated time.
 
     The device finishes the transfer it is performing at that instant, then
@@ -79,19 +73,12 @@ class DeviceFailure:
     the dead device's data is simply re-served from surviving replicas.
     """
 
-    device: int
-    at_seconds: float
-
-    def __post_init__(self) -> None:
-        _validate_device_index("failure", self.device)
-        _validate_event_time("failure", self.at_seconds)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"device": self.device, "at_seconds": self.at_seconds}
+    device: NonNegativeInt
+    at_seconds: Seconds
 
 
 @dataclass(frozen=True)
-class DeviceJoin:
+class DeviceJoin(Spec, error=ScenarioError):
     """A new device joining the fleet at a fixed simulated time.
 
     The join advances the membership epoch: placement is recomputed over the
@@ -101,29 +88,16 @@ class DeviceJoin:
     own device profile (e.g. a faster generation of hardware).
     """
 
-    device: int
-    at_seconds: float
-    switch_seconds: Optional[float] = None
-    transfer_seconds: Optional[float] = None
+    kind = "join"
 
-    def __post_init__(self) -> None:
-        _validate_device_index("join", self.device)
-        _validate_event_time("join", self.at_seconds)
-        _validate_override("join", "switch_seconds", self.switch_seconds)
-        _validate_override("join", "transfer_seconds", self.transfer_seconds)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": "join",
-            "device": self.device,
-            "at_seconds": self.at_seconds,
-            "switch_seconds": self.switch_seconds,
-            "transfer_seconds": self.transfer_seconds,
-        }
+    device: NonNegativeInt
+    at_seconds: Seconds
+    switch_seconds: Optional[Seconds] = None
+    transfer_seconds: Optional[Seconds] = None
 
 
 @dataclass(frozen=True)
-class DeviceLeave:
+class DeviceLeave(Spec, error=ScenarioError):
     """A device leaving the fleet gracefully at a fixed simulated time.
 
     The leave advances the membership epoch: placement is recomputed over
@@ -133,19 +107,14 @@ class DeviceLeave:
     the device is decommissioned.
     """
 
-    device: int
-    at_seconds: float
+    kind = "leave"
 
-    def __post_init__(self) -> None:
-        _validate_device_index("leave", self.device)
-        _validate_event_time("leave", self.at_seconds)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": "leave", "device": self.device, "at_seconds": self.at_seconds}
+    device: NonNegativeInt
+    at_seconds: Seconds
 
 
 @dataclass(frozen=True)
-class DeviceProfile:
+class DeviceProfile(Spec, error=ScenarioError):
     """Per-device latency overrides making the fleet heterogeneous.
 
     ``None`` fields inherit the scenario-wide device config, so a profile
@@ -153,29 +122,20 @@ class DeviceProfile:
     both.
     """
 
-    device: int
-    switch_seconds: Optional[float] = None
-    transfer_seconds: Optional[float] = None
+    device: NonNegativeInt
+    switch_seconds: Optional[Seconds] = None
+    transfer_seconds: Optional[Seconds] = None
 
     def __post_init__(self) -> None:
-        _validate_device_index("profile", self.device)
+        super().__post_init__()
         if self.switch_seconds is None and self.transfer_seconds is None:
             raise ScenarioError(
                 f"profile for device {self.device} overrides nothing; drop it"
             )
-        _validate_override("profile", "switch_seconds", self.switch_seconds)
-        _validate_override("profile", "transfer_seconds", self.transfer_seconds)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "device": self.device,
-            "switch_seconds": self.switch_seconds,
-            "transfer_seconds": self.transfer_seconds,
-        }
 
 
 @dataclass(frozen=True)
-class SetReplication:
+class SetReplication(Spec, error=ScenarioError):
     """A replication-factor change fired at a fixed simulated time.
 
     The change advances the membership epoch and diffs the placement at the
@@ -186,26 +146,14 @@ class SetReplication:
     key's last live replica, which the ``replication-repair`` invariant pins.
     """
 
-    replication: int
-    at_seconds: float
+    kind = "set-replication"
 
-    def __post_init__(self) -> None:
-        if not is_count(self.replication):
-            raise ScenarioError(
-                f"replication factor must be an integer >= 1, got {self.replication!r}"
-            )
-        _validate_event_time("set-replication", self.at_seconds)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": "set-replication",
-            "replication": self.replication,
-            "at_seconds": self.at_seconds,
-        }
+    replication: PositiveInt
+    at_seconds: Seconds
 
 
 @dataclass(frozen=True)
-class MigrationThrottle:
+class MigrationThrottle(Spec, error=ScenarioError):
     """Token-bucket rate limit on rebalance I/O, per device.
 
     Each device accrues ``objects_per_second`` migration tokens (up to
@@ -216,29 +164,12 @@ class MigrationThrottle:
     pre-throttle behaviour).
     """
 
-    objects_per_second: float
-    burst: int = 1
-
-    def __post_init__(self) -> None:
-        if not is_time(self.objects_per_second) or self.objects_per_second <= 0:
-            raise ScenarioError(
-                "throttle objects_per_second must be finite and positive, "
-                f"got {self.objects_per_second!r}"
-            )
-        if not is_count(self.burst):
-            raise ScenarioError(
-                f"throttle burst must be an integer >= 1, got {self.burst!r}"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "objects_per_second": self.objects_per_second,
-            "burst": self.burst,
-        }
+    objects_per_second: Annotated[float, Time(positive=True)]
+    burst: PositiveInt = 1
 
 
 @dataclass(frozen=True)
-class RebalancePolicy:
+class RebalancePolicy(Spec, error=ScenarioError):
     """Feedback-driven reweighting: watch observed load, re-place past a
     threshold.
 
@@ -252,53 +183,25 @@ class RebalancePolicy:
     normal throttled-migration machinery.
     """
 
-    interval_seconds: float
-    imbalance_threshold: float = 0.2
+    interval_seconds: PositiveSeconds
+    imbalance_threshold: Annotated[float, Time()] = 0.2
     #: Minimum max-abs change in any normalised weight for a tick to emit a
     #: reweight epoch; damps oscillation between near-identical placements.
-    min_weight_delta: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not is_time(self.interval_seconds) or self.interval_seconds <= 0:
-            raise ScenarioError(
-                "rebalance interval_seconds must be finite and positive, "
-                f"got {self.interval_seconds!r}"
-            )
-        if not is_time(self.imbalance_threshold):
-            raise ScenarioError(
-                "rebalance imbalance_threshold must be finite and "
-                f"non-negative, got {self.imbalance_threshold!r}"
-            )
-        if not is_time(self.min_weight_delta):
-            raise ScenarioError(
-                "rebalance min_weight_delta must be finite and non-negative, "
-                f"got {self.min_weight_delta!r}"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "interval_seconds": self.interval_seconds,
-            "imbalance_threshold": self.imbalance_threshold,
-            "min_weight_delta": self.min_weight_delta,
-        }
+    min_weight_delta: Annotated[float, Time()] = 0.05
 
 
-#: Membership events accepted by ``FleetSpec.events``.
-MembershipEvent = (DeviceJoin, DeviceLeave, SetReplication)
-
-#: Static type of one ``FleetSpec.events`` entry (``_validate_events``
-#: still enforces membership at runtime, with a pointed error message).
+#: One ``FleetSpec.events`` entry (device failures go in ``failures``).
 FleetEvent = Union[DeviceJoin, DeviceLeave, SetReplication]
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(Spec, error=ScenarioError):
     """Sharded multi-device fleet: size, replication, routing, elasticity."""
 
-    devices: int = 2
-    replication: int = 1
-    replica_policy: str = "primary-first"
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
+    devices: PositiveInt = 2
+    replication: PositiveInt = 1
+    replica_policy: ReplicaPolicy = "primary-first"
+    virtual_nodes: PositiveInt = DEFAULT_VIRTUAL_NODES
     failures: Tuple[DeviceFailure, ...] = ()
     #: Membership changes (joins / graceful leaves / replication-factor
     #: changes) fired at simulated times.
@@ -315,92 +218,44 @@ class FleetSpec:
     #: How the consistent-hash ring sizes per-device vnode counts:
     #: ``uniform`` (hash-uniform key shares, the classic ring) or
     #: ``profile`` (vnode count ∝ the device's transfer-speed factor).
-    weighting: str = "uniform"
+    weighting: Weighting = "uniform"
     #: Smoothing factor of the per-device latency EWMA feeding the
     #: ``ewma-latency`` policy and the rebalancer (0 < alpha <= 1).
-    ewma_alpha: float = DEFAULT_EWMA_ALPHA
+    ewma_alpha: Annotated[float, Time(positive=True)] = DEFAULT_EWMA_ALPHA
     #: Feedback-driven reweighting controller; ``None`` disables it.
     rebalance: Optional[RebalancePolicy] = None
 
     def __post_init__(self) -> None:
-        if not is_count(self.devices):
-            raise ScenarioError(
-                f"fleet needs an integer number of devices >= 1, got {self.devices!r}"
-            )
-        if not is_count(self.replication) or self.replication > self.devices:
+        super().__post_init__()
+        if self.replication > self.devices:
             raise ScenarioError(
                 f"replication must be between 1 and the fleet size "
                 f"({self.devices}), got {self.replication}"
             )
-        if self.replica_policy not in KNOWN_REPLICA_POLICIES:
-            raise ScenarioError(
-                f"unknown replica policy {self.replica_policy!r}; "
-                f"expected one of {sorted(KNOWN_REPLICA_POLICIES)}"
-            )
-        if not is_count(self.virtual_nodes):
-            raise ScenarioError(
-                f"virtual_nodes must be an integer >= 1, got {self.virtual_nodes!r}"
-            )
-        if self.throttle is not None and not isinstance(self.throttle, MigrationThrottle):
-            raise ScenarioError(
-                f"throttle must be a MigrationThrottle or None, got {self.throttle!r}"
-            )
-        if self.weighting not in KNOWN_WEIGHTINGS:
-            raise ScenarioError(
-                f"unknown weighting {self.weighting!r}; "
-                f"expected one of {sorted(KNOWN_WEIGHTINGS)}"
-            )
-        if not is_time(self.ewma_alpha) or not 0 < self.ewma_alpha <= 1:
-            raise ScenarioError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
-            )
-        if self.rebalance is not None and not isinstance(self.rebalance, RebalancePolicy):
-            raise ScenarioError(
-                f"rebalance must be a RebalancePolicy or None, got {self.rebalance!r}"
-            )
+        if self.ewma_alpha > 1:
+            raise ScenarioError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}")
         self._validate_failures()
         self._validate_events()
         self._validate_timeline()
         self._validate_profiles()
 
     def _validate_failures(self) -> None:
-        failed = [failure.device for failure in self.failures]
-        if any(index >= self.devices for index in failed):
+        if any(failure.device >= self.devices for failure in self.failures):
             raise ScenarioError(
                 f"failure device index out of range for a {self.devices}-device fleet"
             )
-        if len(set(failed)) != len(failed):
-            raise ScenarioError("each device may fail at most once")
+        _at_most_once((failure.device for failure in self.failures), "fail")
 
     def _validate_events(self) -> None:
-        if not self.events:
-            return
-        joins = list(self.joins)
-        leaves = list(self.leaves)
-        r_changes = [event for event in self.events if isinstance(event, SetReplication)]
-        if len(joins) + len(leaves) + len(r_changes) != len(self.events):
-            bad = next(
-                event
-                for event in self.events
-                if not isinstance(event, MembershipEvent)
-            )
-            raise ScenarioError(
-                f"fleet events must be DeviceJoin, DeviceLeave or "
-                f"SetReplication, got {bad!r} (device failures go in "
-                "FleetSpec.failures)"
-            )
-        join_indexes = [event.device for event in joins]
-        if any(index < self.devices for index in join_indexes):
+        joins, leaves = self.joins, self.leaves
+        if any(event.device < self.devices for event in joins):
             raise ScenarioError(
                 f"joining devices must use fresh indexes >= {self.devices} "
                 f"(the initial fleet is csd0..csd{self.devices - 1})"
             )
-        if len(set(join_indexes)) != len(join_indexes):
-            raise ScenarioError("each device may join at most once")
+        _at_most_once((event.device for event in joins), "join")
+        _at_most_once((event.device for event in leaves), "leave")
         join_time_by_index = {event.device: event.at_seconds for event in joins}
-        leave_indexes = [event.device for event in leaves]
-        if len(set(leave_indexes)) != len(leave_indexes):
-            raise ScenarioError("each device may leave at most once")
         failed_indexes = {failure.device for failure in self.failures}
         for leave in leaves:
             if leave.device in failed_indexes:
@@ -434,14 +289,7 @@ class FleetSpec:
         for index, failure in enumerate(self.failures):
             changes.append((failure.at_seconds, index, "failure", failure))
         for index, event in enumerate(self.events):
-            changes.append(
-                (
-                    event.at_seconds,
-                    len(self.failures) + index,
-                    event.to_dict()["kind"],
-                    event,
-                )
-            )
+            changes.append((event.at_seconds, len(self.failures) + index, event.kind, event))
         serving = self.devices
         replication = self.replication
         failures_seen = 0
@@ -500,12 +348,8 @@ class FleetSpec:
                 )
 
     def _validate_profiles(self) -> None:
-        known = set(range(self.devices)) | {
-            event.device for event in self.events if isinstance(event, DeviceJoin)
-        }
-        profiled = [profile.device for profile in self.profiles]
-        if len(set(profiled)) != len(profiled):
-            raise ScenarioError("each device may carry at most one profile")
+        known = set(range(self.devices)) | {event.device for event in self.joins}
+        _at_most_once((profile.device for profile in self.profiles), "carry a profile")
         for profile in self.profiles:
             if profile.device not in known:
                 raise ScenarioError(
@@ -537,22 +381,6 @@ class FleetSpec:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "devices": self.devices,
-            "replication": self.replication,
-            # The one placement there is; the key stays until the next
-            # report-schema bump so every golden is byte-identical.
-            "placement": ConsistentHashPlacement.name,
-            "replica_policy": self.replica_policy,
-            "virtual_nodes": self.virtual_nodes,
-            "failures": [failure.to_dict() for failure in self.failures],
-            "events": [event.to_dict() for event in self.events],
-            "profiles": [profile.to_dict() for profile in self.profiles],
-            "repair": self.repair,
-            "throttle": self.throttle.to_dict() if self.throttle is not None else None,
-            "weighting": self.weighting,
-            "ewma_alpha": self.ewma_alpha,
-            "rebalance": (
-                self.rebalance.to_dict() if self.rebalance is not None else None
-            ),
-        }
+        # The one placement there is; the key stays until the next
+        # report-schema bump so every golden is byte-identical.
+        return {**super().to_dict(), "placement": ConsistentHashPlacement.name}

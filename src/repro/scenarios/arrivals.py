@@ -9,15 +9,18 @@ reports reproducible byte for byte.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List, Union
 
 from repro.exceptions import ScenarioError
+from repro.spec_fields import PositiveInt, PositiveSeconds, Seconds, Spec
 
 
-class ArrivalPattern:
-    """Base class: map ``num_tenants`` to a list of start delays (seconds)."""
+class ArrivalPattern(Spec, error=ScenarioError):
+    """Base class: map ``num_tenants`` to a list of start delays (seconds).
+
+    A pattern serialises as its ``kind`` plus its fields."""
 
     #: Registry key used in serialized scenario specs.
     kind = "base"
@@ -26,25 +29,8 @@ class ArrivalPattern:
         """Start delay of each tenant, in tenant order."""
         raise NotImplementedError
 
-    def to_dict(self) -> Dict[str, object]:
-        """Serializable description of this pattern (kind + parameters)."""
-        payload: Dict[str, object] = {"kind": self.kind}
-        payload.update(
-            {key: value for key, value in vars(self).items() if not key.startswith("_")}
-        )
-        return payload
 
-    @staticmethod
-    def _check_positive(name: str, value: float) -> None:
-        if not math.isfinite(value) or value <= 0:
-            raise ScenarioError(f"{name} must be finite and positive, got {value!r}")
-
-    @staticmethod
-    def _check_non_negative(name: str, value: float) -> None:
-        if not math.isfinite(value) or value < 0:
-            raise ScenarioError(f"{name} must be finite and non-negative, got {value!r}")
-
-
+@dataclass(frozen=True)
 class SimultaneousArrival(ArrivalPattern):
     """Every tenant starts at time zero (the shape of the paper's figures)."""
 
@@ -54,19 +40,19 @@ class SimultaneousArrival(ArrivalPattern):
         return [0.0] * num_tenants
 
 
+@dataclass(frozen=True)
 class UniformArrival(ArrivalPattern):
     """Tenants start at fixed intervals: 0, gap, 2*gap, ..."""
 
     kind = "uniform"
 
-    def __init__(self, gap_seconds: float) -> None:
-        self._check_non_negative("gap_seconds", gap_seconds)
-        self.gap_seconds = gap_seconds
+    gap_seconds: Seconds
 
     def delays(self, num_tenants: int, rng: random.Random) -> List[float]:
         return [index * self.gap_seconds for index in range(num_tenants)]
 
 
+@dataclass(frozen=True)
 class BurstyArrival(ArrivalPattern):
     """Tenants arrive in bursts: ``burst_size`` tenants near-simultaneously,
     then a long quiet gap before the next burst.
@@ -77,19 +63,9 @@ class BurstyArrival(ArrivalPattern):
 
     kind = "bursty"
 
-    def __init__(
-        self,
-        burst_size: int,
-        burst_gap_seconds: float,
-        jitter_seconds: float = 1.0,
-    ) -> None:
-        if burst_size <= 0:
-            raise ScenarioError(f"burst_size must be positive, got {burst_size!r}")
-        self._check_positive("burst_gap_seconds", burst_gap_seconds)
-        self._check_non_negative("jitter_seconds", jitter_seconds)
-        self.burst_size = burst_size
-        self.burst_gap_seconds = burst_gap_seconds
-        self.jitter_seconds = jitter_seconds
+    burst_size: PositiveInt
+    burst_gap_seconds: PositiveSeconds
+    jitter_seconds: Seconds = 1.0
 
     def delays(self, num_tenants: int, rng: random.Random) -> List[float]:
         result: List[float] = []
@@ -100,15 +76,14 @@ class BurstyArrival(ArrivalPattern):
         return result
 
 
+@dataclass(frozen=True)
 class PoissonArrival(ArrivalPattern):
     """Tenants arrive as a Poisson process with the given mean inter-arrival
     gap (exponential gaps, cumulative start times)."""
 
     kind = "poisson"
 
-    def __init__(self, mean_gap_seconds: float) -> None:
-        self._check_positive("mean_gap_seconds", mean_gap_seconds)
-        self.mean_gap_seconds = mean_gap_seconds
+    mean_gap_seconds: PositiveSeconds
 
     def delays(self, num_tenants: int, rng: random.Random) -> List[float]:
         result: List[float] = []
@@ -117,3 +92,7 @@ class PoissonArrival(ArrivalPattern):
             result.append(clock)
             clock += rng.expovariate(1.0 / self.mean_gap_seconds)
         return result
+
+
+#: The one ``ScenarioSpec.arrival``: a pattern of one of the four kinds.
+Arrival = Union[SimultaneousArrival, UniformArrival, BurstyArrival, PoissonArrival]

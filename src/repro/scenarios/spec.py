@@ -12,35 +12,38 @@ metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Literal, Optional, Tuple, get_args
 
-from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
-from repro.exceptions import ScenarioError, is_count, is_time
+from repro.core.execution import MODE_SKIPPER, Mode
+from repro.exceptions import ScenarioError
 from repro.fleet.spec import FleetSpec
-from repro.scenarios.arrivals import ArrivalPattern, SimultaneousArrival
+from repro.scenarios.arrivals import Arrival, SimultaneousArrival
 from repro.service.admission import AdmissionConfig
+from repro.spec_fields import Count, PositiveInt, Seconds, Spec
 
 #: Workload-qualified query names look like ``"tpch:q12"`` or ``"ssb:q1_1"``.
 KNOWN_WORKLOADS = ("tpch", "ssb", "mrbench", "nref")
 
 #: Layout policy names resolvable by the runner.
-KNOWN_LAYOUTS = (
+Layout = Literal[
     "all-in-one",
     "clients-per-group",
     "incremental",
     "round-robin",
     "skewed",
     "tenant-colocated",
-)
+]
+KNOWN_LAYOUTS = get_args(Layout)
 
 #: Scheduler policy names resolvable by the runner.
-KNOWN_SCHEDULERS = (
+Scheduler = Literal[
     "object-fcfs",
     "slack-fcfs",
     "query-fcfs",
     "max-queries",
     "rank-based",
-)
+]
+KNOWN_SCHEDULERS = get_args(Scheduler)
 
 
 def split_query_ref(reference: str) -> Tuple[str, str]:
@@ -59,35 +62,24 @@ def split_query_ref(reference: str) -> Tuple[str, str]:
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Spec, error=ScenarioError):
     """One tenant in a scenario: identity, queries and executor knobs."""
 
     tenant_id: str
     queries: Tuple[str, ...]
-    mode: str = MODE_SKIPPER
-    repetitions: int = 1
-    cache_capacity: int = 30
+    mode: Mode = MODE_SKIPPER
+    repetitions: PositiveInt = 1
+    cache_capacity: PositiveInt = 30
     enable_pruning: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.tenant_id:
             raise ScenarioError("tenant_id must be non-empty")
-        if self.mode not in (MODE_SKIPPER, MODE_VANILLA):
-            raise ScenarioError(f"tenant {self.tenant_id!r}: unknown mode {self.mode!r}")
         if not self.queries:
             raise ScenarioError(f"tenant {self.tenant_id!r} has no queries")
         for reference in self.queries:
             split_query_ref(reference)
-        if not is_count(self.repetitions):
-            raise ScenarioError(
-                f"tenant {self.tenant_id!r}: repetitions must be a positive integer, "
-                f"got {self.repetitions!r}"
-            )
-        if not is_count(self.cache_capacity):
-            raise ScenarioError(
-                f"tenant {self.tenant_id!r}: cache_capacity must be a positive integer, "
-                f"got {self.cache_capacity!r}"
-            )
 
     def workloads(self) -> List[str]:
         """Distinct workloads referenced by this tenant (stable order)."""
@@ -98,37 +90,27 @@ class TenantSpec:
                 seen.append(workload)
         return seen
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tenant_id": self.tenant_id,
-            "queries": list(self.queries),
-            "mode": self.mode,
-            "repetitions": self.repetitions,
-            "cache_capacity": self.cache_capacity,
-            "enable_pruning": self.enable_pruning,
-        }
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec, error=ScenarioError):
     """A fully declarative multi-tenant experiment."""
 
     name: str
     description: str
     tenants: Tuple[TenantSpec, ...]
-    arrival: ArrivalPattern = field(default_factory=SimultaneousArrival)
+    arrival: Arrival = field(default_factory=SimultaneousArrival)
     scale: str = "tiny"
-    seed: int = 42
-    layout: str = "clients-per-group"
+    seed: PositiveInt = 42
+    layout: Layout = "clients-per-group"
     #: Meaning depends on the layout: clients per group ("clients-per-group"),
     #: number of groups ("round-robin"), or the per-group client counts
     #: ("skewed").  Ignored by "all-in-one" and "incremental".
-    layout_param: Optional[Tuple[int, ...]] = None
-    scheduler: str = "rank-based"
+    layout_param: Optional[Tuple[PositiveInt, ...]] = None
+    scheduler: Scheduler = "rank-based"
     #: Fairness constant K of the rank-based policy / slack of slack-FCFS.
-    scheduler_param: Optional[float] = None
-    switch_seconds: float = 10.0
-    transfer_seconds: float = 9.6
+    scheduler_param: Optional[Seconds] = None
+    switch_seconds: Seconds = 10.0
+    transfer_seconds: Seconds = 9.6
     #: When set, the scenario runs against a sharded multi-device fleet
     #: (placement, replication lifecycle — R changes, read-repair, throttled
     #: rebalance I/O — and optional mid-run device failures) instead of the
@@ -145,6 +127,7 @@ class ScenarioSpec:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
             raise ScenarioError("scenario name must be non-empty")
         if not self.tenants:
@@ -152,50 +135,8 @@ class ScenarioSpec:
         tenant_ids = [tenant.tenant_id for tenant in self.tenants]
         if len(set(tenant_ids)) != len(tenant_ids):
             raise ScenarioError(f"scenario {self.name!r}: tenant ids must be unique")
-        if not is_count(self.seed):
-            raise ScenarioError(
-                f"scenario {self.name!r}: seed must be a positive integer, got {self.seed!r}"
-            )
-        if self.layout not in KNOWN_LAYOUTS:
-            raise ScenarioError(
-                f"scenario {self.name!r}: unknown layout {self.layout!r}; "
-                f"expected one of {sorted(KNOWN_LAYOUTS)}"
-            )
-        if self.scheduler not in KNOWN_SCHEDULERS:
-            raise ScenarioError(
-                f"scenario {self.name!r}: unknown scheduler {self.scheduler!r}; "
-                f"expected one of {sorted(KNOWN_SCHEDULERS)}"
-            )
-        for label, value in (
-            ("switch_seconds", self.switch_seconds),
-            ("transfer_seconds", self.transfer_seconds),
-            ("scheduler_param", 0 if self.scheduler_param is None else self.scheduler_param),
-        ):
-            if not is_time(value):
-                raise ScenarioError(
-                    f"scenario {self.name!r}: {label} must be finite and "
-                    f"non-negative, got {value!r}"
-                )
-        if self.layout_param is not None:
-            if not self.layout_param or not all(map(is_count, self.layout_param)):
-                raise ScenarioError(
-                    f"scenario {self.name!r}: layout_param must be a tuple of "
-                    f"positive integers, got {self.layout_param!r}"
-                )
-        if self.fleet is not None and not isinstance(self.fleet, FleetSpec):
-            raise ScenarioError(
-                f"scenario {self.name!r}: fleet must be a FleetSpec or None, "
-                f"got {self.fleet!r}"
-            )
-        if self.admission is not None and not isinstance(self.admission, AdmissionConfig):
-            raise ScenarioError(
-                f"scenario {self.name!r}: admission must be an AdmissionConfig "
-                f"or None, got {self.admission!r}"
-            )
-        if not isinstance(self.trace, bool):
-            raise ScenarioError(
-                f"scenario {self.name!r}: trace must be a bool, got {self.trace!r}"
-            )
+        if self.layout_param == ():
+            raise ScenarioError(f"scenario {self.name!r}: layout_param must not be empty")
         if (
             self.scheduler == "slack-fcfs"
             and self.scheduler_param is not None
@@ -221,26 +162,11 @@ class ScenarioSpec:
         ``trace`` is only emitted when enabled, so the reports (and goldens)
         of untraced runs are byte-identical to the pre-tracing schema.
         """
-        document: Dict[str, object] = {
-            "name": self.name,
-            "description": self.description,
-            "tenants": [tenant.to_dict() for tenant in self.tenants],
-            "arrival": self.arrival.to_dict(),
-            "scale": self.scale,
-            "seed": self.seed,
-            "layout": self.layout,
-            "layout_param": list(self.layout_param) if self.layout_param else None,
-            "scheduler": self.scheduler,
-            "scheduler_param": self.scheduler_param,
-            "switch_seconds": self.switch_seconds,
-            "transfer_seconds": self.transfer_seconds,
-            # Transfers are always serialized; the key keeps the report schema.
-            "concurrent_transfers": False,
-            "fleet": self.fleet.to_dict() if self.fleet is not None else None,
-            "admission": self.admission.to_dict() if self.admission is not None else None,
-        }
-        if self.trace:
-            document["trace"] = True
+        document = super().to_dict()
+        # Transfers are always serialized; the key keeps the report schema.
+        document["concurrent_transfers"] = False
+        if not self.trace:
+            del document["trace"]
         return document
 
 
@@ -253,8 +179,8 @@ def uniform_tenants(
     prefix: str = "tenant",
 ) -> Tuple[TenantSpec, ...]:
     """Convenience builder: ``count`` identical tenants running ``query``."""
-    if not is_count(count):
-        raise ScenarioError(f"tenant count must be a positive integer, got {count!r}")
+    if not Count().accepts(count):
+        raise ScenarioError(f"tenant count must be {Count().expected}, got {count!r}")
     return tuple(
         TenantSpec(
             tenant_id=f"{prefix}{index}",

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.metrics import jain_fairness, mean, percentile
-from repro.exceptions import AdmissionError, ConfigurationError, is_count
+from repro.exceptions import AdmissionError, ConfigurationError
 from repro.obs import MetricsRegistry
+from repro.spec_fields import NonNegativeInt, Spec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Environment
@@ -30,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass(frozen=True)
-class AdmissionConfig:
+class AdmissionConfig(Spec):
     """Capacity knobs of the admission controller.
 
     ``None`` caps are unlimited; a cap of 0 means no query can ever run and
@@ -38,38 +39,16 @@ class AdmissionConfig:
     """
 
     #: Maximum queries executing concurrently across the whole service.
-    max_in_flight: Optional[int] = None
+    max_in_flight: Optional[NonNegativeInt] = None
     #: Maximum queries executing concurrently per tenant.
-    max_in_flight_per_tenant: Optional[int] = None
+    max_in_flight_per_tenant: Optional[NonNegativeInt] = None
     #: Maximum queries waiting for a slot before new arrivals are rejected.
-    max_queue_depth: int = 64
-
-    def __post_init__(self) -> None:
-        for label, value in (
-            ("max_in_flight", self.max_in_flight),
-            ("max_in_flight_per_tenant", self.max_in_flight_per_tenant),
-        ):
-            if value is not None and not is_count(value, minimum=0):
-                raise ConfigurationError(
-                    f"{label} must be a non-negative integer or None, got {value!r}"
-                )
-        depth = self.max_queue_depth
-        if not is_count(depth, minimum=0):
-            raise ConfigurationError(
-                f"max_queue_depth must be a non-negative integer, got {depth!r}"
-            )
+    max_queue_depth: NonNegativeInt = 64
 
     @property
     def zero_capacity(self) -> bool:
         """True when no query can ever be granted a slot."""
         return self.max_in_flight == 0 or self.max_in_flight_per_tenant == 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "max_in_flight": self.max_in_flight,
-            "max_in_flight_per_tenant": self.max_in_flight_per_tenant,
-            "max_queue_depth": self.max_queue_depth,
-        }
 
 
 class AdmissionTicket:

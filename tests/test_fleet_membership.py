@@ -213,6 +213,27 @@ class TestSpecValidation:
                 events=(DeviceLeave(0, 10.0),),
             )
 
+    @pytest.mark.parametrize(
+        "what, fleet",
+        [
+            ("fail", {"failures": (DeviceFailure(0, 5.0), DeviceFailure(0, 9.0))}),
+            ("join", {"events": (DeviceJoin(3, 5.0), DeviceJoin(3, 9.0))}),
+            ("leave", {"events": (DeviceLeave(0, 5.0), DeviceLeave(0, 9.0))}),
+            (
+                "carry a profile",
+                {
+                    "profiles": (
+                        DeviceProfile(0, switch_seconds=1.0),
+                        DeviceProfile(0, transfer_seconds=1.0),
+                    )
+                },
+            ),
+        ],
+    )
+    def test_each_device_changes_at_most_once(self, what, fleet):
+        with pytest.raises(ScenarioError, match=f"each device may {what} at most once"):
+            FleetSpec(devices=3, replication=2, **fleet)
+
     def test_profiles_checked_against_roster(self):
         with pytest.raises(ScenarioError, match="unknown device"):
             FleetSpec(devices=2, profiles=(DeviceProfile(device=7, switch_seconds=1.0),))

@@ -541,9 +541,13 @@ class TestInvariantChecker:
 class TestSpecSerialization:
     @pytest.mark.parametrize("name", [*scenario_names()])
     def test_spec_dict_matches_golden_spec(self, name):
+        """Compared as JSON text, not with ``==``, under which ``1 == 1.0 ==
+        True`` would hide a serialisation that changed a value's type."""
         spec = get_scenario(name)
         golden = load_golden(name)
-        assert spec.to_dict() == golden["spec"]
+        assert json.dumps(spec.to_dict(), sort_keys=True) == json.dumps(
+            golden["spec"], sort_keys=True
+        )
 
     def test_tenant_workloads_are_deduplicated(self):
         tenant = TenantSpec(

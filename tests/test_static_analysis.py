@@ -6,10 +6,14 @@ and a self-clean test asserts the analyzer passes over the repo at HEAD.
 """
 
 import ast
+import dataclasses
 import json
 import re
 import textwrap
+import typing
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.cli import analyze_paths, main
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig, RuleScope
@@ -914,3 +918,23 @@ def test_surface_is_reached_from_the_program():
     assert set(TEST_REFERENCES) <= defined
     assert len(TEST_REFERENCES) <= 14
     assert all(reason for reason in TEST_REFERENCES.values())
+
+
+def test_every_spec_field_has_a_declared_rule():
+    """The spec-module share of what mypy is trusted for, run here: every
+    class the hostile-input fuzzer walks resolves its annotations, and the
+    validator has a rule for each field's hint — a hint it cannot read
+    (a bare ``float``, a ``List``) raises instead of going unchecked."""
+    from test_spec_fuzz import SPEC_CLASSES
+
+    from repro.exceptions import ConfigurationError
+    from repro.spec_fields import rule_for
+
+    for cls in SPEC_CLASSES:
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for item in dataclasses.fields(cls):
+            accepts, expected = rule_for(hints[item.name])
+            assert callable(accepts) and expected, f"{cls.__name__}.{item.name}"
+    for unreadable in (float, typing.List[int], typing.Tuple[int, int], typing.Any):
+        with pytest.raises(ConfigurationError, match="no validation rule"):
+            rule_for(unreadable)
