@@ -41,6 +41,7 @@ from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.handles import QueryHandle
 from repro.service.session import Session
 from repro.sim import Environment
+from repro.vanilla.executor import LocalJoins
 
 
 class StorageService:
@@ -109,6 +110,9 @@ class StorageService:
         #: Simulated-time tracer; ``None`` when disabled, so the off path
         #: costs one ``is not None`` check per hook.
         self.tracer: Optional[Tracer] = Tracer(self.env) if trace else None
+        #: Every pull-based join this service computed, one per query: later
+        #: executions over the same segment objects copy its rows.
+        self.local_joins: LocalJoins = {}
 
         client_objects: Dict[str, List[str]] = {}
         for spec_ in config.client_specs:

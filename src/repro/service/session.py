@@ -118,7 +118,8 @@ class Session:
         self._notify()
 
     def _make_executor(self):
-        """Executor for one query: fresh cache and MJoin state, shared proxy."""
+        """Executor for one query: fresh cache and MJoin state, shared proxy
+        and, for a pull-based tenant, the service's local joins."""
         connection = dict(
             env=self.env,
             client_id=self.tenant_id,
@@ -134,7 +135,7 @@ class Session:
                 enable_pruning=self.spec.enable_pruning,
                 **connection,
             )
-        return VanillaExecutor(**connection)
+        return VanillaExecutor(local_joins=self.service.local_joins, **connection)
 
     def _run(self):
         if self.spec.start_delay > 0:

@@ -3,11 +3,20 @@
 The executor owns the strategy (the plan's access order, the scan cost, the
 local join); the per-object loop — overhead, one blocking GET, wait, scan
 charge — is :meth:`~repro.core.execution.QueryRun.pull_each`.
+
+The local join is a pure function of the ``Query`` object and the fetched
+``Segment`` objects, so a service computes it once per query
+(:class:`LocalJoin`, kept in the service's :data:`LocalJoins`) and charges
+it to every execution: the simulated join CPU is derived from the counters
+per execution, as before.  Each execution gets its own copy of the rows and
+of the counters, and only reads the shared operator tree (to trace it).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import replace
+from operator import attrgetter, is_
+from typing import Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.core.client_proxy import ClientProxy
 from repro.core.execution import MODE_VANILLA, QueryResult, QueryRun
@@ -20,6 +29,24 @@ from repro.engine.query import Query
 from repro.engine.relation import Relation, Segment
 from repro.obs import Span, Tracer
 from repro.sim import Environment, Event
+
+_BY_INDEX = attrgetter("index")
+
+
+class LocalJoin(NamedTuple):
+    """One computed local join: its inputs, its rows, counters and tree."""
+
+    query: Query
+    #: The fetched segments, table by table, each table's in index order.
+    segments: List[Segment]
+    rows: List[Row]
+    stats: OperatorStats
+    root: Operator
+
+
+#: A service's local joins by ``id(query)``.  An entry holds its query, so
+#: the id cannot be reused by another query while the entry lives.
+LocalJoins = Dict[int, LocalJoin]
 
 
 class VanillaExecutor:
@@ -41,6 +68,7 @@ class VanillaExecutor:
         device: StorageBackend,
         cost_model: Optional[CostModel] = None,
         proxy: Optional[ClientProxy] = None,
+        local_joins: Optional[LocalJoins] = None,
     ) -> None:
         self.env = env
         self.client_id = client_id
@@ -49,6 +77,8 @@ class VanillaExecutor:
         self.cost_model = cost_model or CostModel()
         self.proxy = proxy or ClientProxy(env, device, client_id)
         self.planner = Planner(catalog)
+        #: The joins already computed, shared by every executor of a service.
+        self.local_joins: LocalJoins = {} if local_joins is None else local_joins
         #: Installed by the session when the service traces (``None`` otherwise).
         self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None
@@ -68,7 +98,7 @@ class VanillaExecutor:
             plan.segment_access_order(self.catalog), cost_model.request_overhead(1), scan
         )
 
-        rows, stats, root = self._process_locally(query, plan, fetched)
+        rows, stats, root = self._local_join(query, plan, fetched)
         # Scans were charged segment by segment as data arrived, so only the
         # build/probe/output components of the final plan are charged here.
         yield from run.charge(
@@ -84,6 +114,28 @@ class VanillaExecutor:
     # ------------------------------------------------------------------ #
     # Local processing over the fetched segments
     # ------------------------------------------------------------------ #
+    def _local_join(
+        self, query: Query, plan: QueryPlan, fetched: Dict[str, List[Segment]]
+    ) -> Tuple[List[Row], OperatorStats, Operator]:
+        """Rows and counters of this execution, and the tree to trace.
+
+        Joins only when this service has not joined ``query`` over these very
+        segment objects yet.  A join that raises is not kept, so a hit is a
+        fetch ``Relation`` already accepted, and any other fetch is checked.
+        """
+        segments = [
+            segment for listed in fetched.values() for segment in sorted(listed, key=_BY_INDEX)
+        ]
+        kept = self.local_joins.get(id(query))
+        if (
+            kept is None
+            or len(kept.segments) != len(segments)
+            or not all(map(is_, kept.segments, segments))
+        ):
+            kept = LocalJoin(query, segments, *self._process_locally(query, plan, fetched))
+            self.local_joins[id(query)] = kept
+        return list(map(dict, kept.rows)), replace(kept.stats), kept.root
+
     def _process_locally(
         self, query: Query, plan: QueryPlan, fetched: Dict[str, List[Segment]]
     ) -> Tuple[List[Row], OperatorStats, Operator]:

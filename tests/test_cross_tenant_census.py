@@ -1,0 +1,114 @@
+"""Cross-tenant work census: each pure piece of per-object work runs once per
+query per service, however many tenants and repetitions read the object.
+
+Tenants of one ``Query`` share its object (``build_cluster_config`` resolves
+each query reference once) and its predicates, and the work done over an
+immutable ``Segment`` with them is the same for every reader.  Two such units
+are counted over one service run, exactly, so the counts gate in tier-1:
+
+* ``Segment.filtered_rows``, a bulk selection: at most once per (segment,
+  predicate object) — the segment keeps its last selection;
+* ``VanillaExecutor._process_locally``, the pull-based local join over every
+  fetched segment: once per distinct pull-based ``Query`` — the service keeps
+  the join and every later execution over the same segment objects copies it.
+
+When one trips: ``build_cluster_config`` resolves a query per tenant again,
+something on the arrival or scan path filters without ``select_rows``, or the
+pull-based executor joins without going through ``_local_join`` (or its key
+no longer matches: a fetch that sorts or copies segments differently).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from repro.engine.relation import Segment
+from repro.scenarios.spec import ScenarioSpec, TenantSpec, uniform_tenants
+from repro.service import StorageService
+from repro.vanilla import VanillaExecutor
+
+REPETITIONS = 2
+
+
+def _tenants(prefix: str, mode: str):
+    return tuple(
+        TenantSpec(
+            tenant_id=f"{prefix}{index}",
+            queries=("tpch:q5", "tpch:q6"),
+            mode=mode,
+            repetitions=REPETITIONS,
+        )
+        for index in range(2)
+    )
+
+
+def test_each_unit_runs_once_per_query_per_service(monkeypatch):
+    """Two Skipper and two pull-based tenants run Q5 and Q6 twice each: eight
+    pull-based executions and two local joins."""
+    joins: Counter = Counter()
+    selections: Counter = Counter()
+    real_process_locally = VanillaExecutor._process_locally
+    real_filtered_rows = Segment.filtered_rows
+
+    def counted_join(executor, query, plan, fetched):
+        joins[id(query)] += 1
+        return real_process_locally(executor, query, plan, fetched)
+
+    def counted_selection(segment, predicate):
+        selections[segment.segment_id, id(predicate)] += 1
+        return real_filtered_rows(segment, predicate)
+
+    monkeypatch.setattr(VanillaExecutor, "_process_locally", counted_join)
+    monkeypatch.setattr(Segment, "filtered_rows", counted_selection)
+    spec = ScenarioSpec(
+        name="cross-tenant-census",
+        description="Q5 and Q6 tenants of both modes sharing one CSD.",
+        tenants=_tenants("skipper", "skipper") + _tenants("puller", "vanilla"),
+        scale="tiny",
+        seed=7,
+    )
+    service = StorageService(spec)
+    result = service.run()
+
+    pulled = [
+        query
+        for client in service.config.client_specs
+        if client.mode == "vanilla"
+        for query in client.queries
+    ]
+    executions = sum(
+        len(results) for client, results in result.results_by_client.items()
+        if client.startswith("puller")
+    )
+    assert executions == len(pulled) * REPETITIONS == 8
+    assert len({id(query) for query in pulled}) == 2
+    assert joins == Counter({id(query): 1 for query in pulled})
+    assert selections and max(selections.values()) == 1
+
+
+def test_a_shared_query_filters_each_object_once(monkeypatch):
+    """Three Skipper tenants running Q6 twice each and two pull-based ones
+    make 8 × as many deliveries as there are ``lineitem`` objects, and one
+    bulk selection per object."""
+    selections: Counter = Counter()
+    real_filtered_rows = Segment.filtered_rows
+
+    def counted(segment, predicate):
+        selections[segment.segment_id] += 1
+        return real_filtered_rows(segment, predicate)
+
+    monkeypatch.setattr(Segment, "filtered_rows", counted)
+    spec = ScenarioSpec(
+        name="selection-budget",
+        description="Q6 tenants of both modes sharing one CSD.",
+        tenants=uniform_tenants(3, "tpch:q6", repetitions=2)
+        + uniform_tenants(2, "tpch:q6", mode="vanilla", prefix="puller"),
+        scale="small",
+        seed=7,
+    )
+    service = StorageService(spec)
+    result = service.run()
+    segments = service.catalog.num_segments("lineitem")
+    assert result.device_objects_served == (3 * 2 + 2) * segments
+    assert sorted(selections) == sorted(service.catalog.segment_ids("lineitem"))
+    assert sum(selections.values()) == segments

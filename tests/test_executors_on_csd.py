@@ -17,6 +17,7 @@ from repro.csd import (
 )
 from repro.engine import CostModel, InMemoryExecutor
 from repro.engine.executor import canonical_rows
+from repro.engine.relation import Segment
 from repro.exceptions import QueryError, SchemaError
 from repro.sim import Environment
 from repro.vanilla import VanillaExecutor
@@ -185,6 +186,85 @@ class TestVanillaExecutorOnCSD:
         skipper = run("skipper", RankBasedScheduler)
         assert skipper.average_execution_time() < vanilla.average_execution_time()
         assert skipper.device_switches < vanilla.device_switches
+
+
+class TestLocalJoinPerService:
+    """The pull-based join is computed once per query per service and copied
+    to every execution: shared inputs, private outputs."""
+
+    @staticmethod
+    def _count_joins(monkeypatch):
+        calls = []
+        real = VanillaExecutor._process_locally
+
+        def counted(executor, query, plan, fetched):
+            calls.append(query)
+            return real(executor, query, plan, fetched)
+
+        monkeypatch.setattr(VanillaExecutor, "_process_locally", counted)
+        return calls
+
+    @staticmethod
+    def _service(catalog, query):
+        from repro.cluster import ClientSpec, ClusterConfig
+        from repro.service import StorageService
+
+        specs = [ClientSpec(client_id=f"c{i}", queries=[query], mode="vanilla") for i in range(2)]
+        return StorageService(
+            ClusterConfig(client_specs=specs, layout_policy=ClientsPerGroupLayout(1)),
+            catalog=catalog,
+        )
+
+    def test_handles_get_equal_but_private_rows_and_stats(self, tiny_tpch_catalog, monkeypatch):
+        calls = self._count_joins(monkeypatch)
+        service = self._service(tiny_tpch_catalog, tpch.q12())
+        handles = service.submit_workload()
+        service.run()
+        first, second = (handles[tenant][0].result() for tenant in ("c0", "c1"))
+        assert len(calls) == 1
+        assert first.rows == second.rows and first.stats == second.stats
+        assert first.rows is not second.rows and first.stats is not second.stats
+        expected_rows = [dict(row) for row in second.rows]
+        expected_stats = dataclasses.replace(second.stats)
+        first.rows[0][next(iter(first.rows[0]))] = "mutated"
+        first.rows.append({"extra": 1})
+        first.stats.tuples_built += 1
+        assert second.rows == expected_rows and second.stats == expected_stats
+
+    def test_each_service_joins_for_itself(self, tiny_tpch_catalog, monkeypatch):
+        calls = self._count_joins(monkeypatch)
+        query = tpch.q12()
+        services = [self._service(tiny_tpch_catalog, query) for _ in range(2)]
+        for service in services:
+            service.run()
+        assert calls == [query, query]
+        assert services[0].local_joins is not services[1].local_joins
+
+    def test_other_segment_objects_are_a_miss(self, tiny_tpch_catalog, monkeypatch):
+        calls = self._count_joins(monkeypatch)
+        query = tpch.q12()
+        executor = VanillaExecutor(Environment(), "tenant", tiny_tpch_catalog, device=None)
+        plan = executor.planner.plan(query)
+
+        def fetch():
+            return {table: list(tiny_tpch_catalog.relation(table).segments) for table in query.tables}
+
+        executor._local_join(query, plan, fetch())
+        executor._local_join(query, plan, fetch())
+        assert len(calls) == 1
+        copies = {
+            table: [Segment(s.table_name, s.index, s.rows) for s in segments]
+            for table, segments in fetch().items()
+        }
+        executor._local_join(query, plan, copies)
+        assert len(calls) == 2
+        foreign = fetch()
+        foreign["lineitem"][1] = tiny_tpch_catalog.segment("orders", 1)
+        with pytest.raises(SchemaError, match=r"orders\.1 does not belong to table 'lineitem'"):
+            executor._local_join(query, plan, foreign)
+        # The failed join was not kept: the copies' join still is.
+        executor._local_join(query, plan, copies)
+        assert len(calls) == 3
 
 
 class TestLimitIsOneAnswer:

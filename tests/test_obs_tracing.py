@@ -186,6 +186,36 @@ class TestDeterminism:
         assert "trace" not in untraced["spec"]
         assert traced == untraced
 
+    def test_shared_local_join_traces_every_execution(self):
+        """Pull-based tenants share one local join per query; the report is
+        the untraced one and every execution records its own operator tree."""
+        spec = ScenarioSpec(
+            name="vanilla-shared-join",
+            description="three pull-based Q5 tenants, two repetitions each",
+            tenants=uniform_tenants(3, "tpch:q5", mode="vanilla", repetitions=2),
+            scale="tiny",
+        )
+        untraced = json.loads(ScenarioRunner().run(spec).to_json())
+        traced_report, trace_json = ScenarioRunner().run_traced(spec)
+        traced = json.loads(traced_report.to_json())
+        assert traced["spec"].pop("trace") is True
+        assert traced == untraced
+
+        spans = json.loads(trace_json)["spans"]
+        by_id = {span["id"]: span for span in spans}
+        trees = {span["id"]: [] for span in spans if span["name"] == "execute"}
+        for span in spans:
+            if span["kind"] != "operator":
+                continue
+            root = span
+            while by_id[root["parent"]]["kind"] == "operator":
+                root = by_id[root["parent"]]
+            trees[root["parent"]].append((span["name"], span["attrs"]))
+        assert len(trees) == 6
+        first = next(iter(trees.values()))
+        assert len(first) > 1 and first[0][0] == "operator:Sort"
+        assert all(tree == first for tree in trees.values())
+
 
 class TestZeroOverheadOff:
     def test_untraced_service_has_no_tracer(self):
