@@ -15,12 +15,16 @@ waiting on the backend (blocked).  The two per-object loops do both in one
 generator per burst — :meth:`QueryRun.consume` takes arrivals as they come,
 :meth:`QueryRun.pull_each` blocks on one GET at a time — and
 :meth:`QueryRun.charge` is the verb for the charges that are not per object.
+What both compute from the deliveries is shared too: a :class:`SharedRun`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, Generic, Hashable, Iterable, List, Literal, Optional,
+    Sequence, Tuple, Type, TypeVar, cast,
+)
 
 from repro.core.client_proxy import ClientProxy
 from repro.engine.operators.base import OperatorStats, Row
@@ -225,3 +229,133 @@ class QueryRun:
             blocked_intervals=self.blocked,
             **mjoin_counters,
         )
+
+
+S = TypeVar("S")
+E = TypeVar("E")
+R = TypeVar("R", bound="SharedRun[Any, Any]")
+#: A service's shared runs, both modes in one, by :meth:`SharedRun.shared`'s key.
+SharedRuns = Dict[Tuple[Hashable, ...], "SharedRun[Any, Any]"]
+
+
+class SharedRun(Generic[S, E]):
+    """One execution's work, done once for every execution that matches it.
+
+    In either mode what an execution computes is a pure function of the
+    query, the executor's settings and the deliveries it is fed, so a service
+    keeps one run per key (:meth:`shared`) and each execution walks it with
+    its own :class:`RunCursor`.  The first execution to reach a step takes it
+    on the one shared state ``S`` and logs what it returned; every execution
+    whose deliveries match the log so far takes the logged outcome; one whose
+    delivery differs *forks* — it replays its own prefix into a private
+    state, uncharged, and goes on alone.  Every charge and outcome an
+    execution sees is the one a private state would have given, so sharing
+    moves no simulation event.  A subclass supplies the three hooks.
+
+    ``steps`` is the log: ``(segment_id, payload, seconds)`` for a delivery
+    and the CPU seconds :meth:`arrive` charged for it, ``(None, None,
+    outcome)`` for what :meth:`end` returned.  ``state`` is the state after
+    the whole log, or ``None`` once a step raised in it: a step that raises
+    is not logged, and whoever reaches it next forks and raises itself.
+    """
+
+    #: The mode of the executions that follow this kind of run.
+    mode: str
+
+    def __init__(self) -> None:
+        self.state: Optional[S] = self.new_state()
+        self.steps: List[Tuple[Optional[str], Optional[Segment], Any]] = []
+
+    @classmethod
+    def shared(cls: Type[R], runs: SharedRuns, *settings: object) -> R:
+        """The run of ``settings`` in ``runs``, started on first use.
+
+        Its key is the mode, then each setting: by value when it is hashable,
+        by ``id`` otherwise — the run holds it, so no id is reused while the
+        run lives.  A run whose first state cannot be built is not kept, so
+        every execution raises that error itself.
+        """
+        key = (cls.mode, *[s if isinstance(s, Hashable) else id(s) for s in settings])
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = cls(*settings)
+        return cast(R, run)
+
+    def new_state(self) -> S:
+        """A state before any step."""
+        raise NotImplementedError
+
+    def arrive(self, state: S, segment_id: str, payload: Segment) -> float:
+        """Feed one delivery to ``state``; the CPU seconds it cost."""
+        raise NotImplementedError
+
+    def end(self, state: S) -> E:
+        """What ``state`` yields once a round of deliveries is in."""
+        raise NotImplementedError
+
+    def step(self, position: int, segment_id: Optional[str], payload: Optional[Segment]) -> Any:
+        """What step ``position`` returns — a delivery's seconds, or the end's
+        outcome when ``segment_id`` is ``None`` — if it is the logged one or
+        extends the log; ``None`` if the caller must fork."""
+        steps = self.steps
+        if position < len(steps):
+            logged_id, logged, kept = steps[position]
+            return kept if logged is payload and logged_id == segment_id else None
+        state = self.state
+        if state is None:
+            return None
+        self.state = None
+        outcome = self._take(state, segment_id, payload)
+        self.state = state
+        steps.append((segment_id, payload, outcome))
+        return outcome
+
+    def fork(self, position: int) -> S:
+        """A private state after the first ``position`` logged steps."""
+        state = self.new_state()
+        for segment_id, payload, _outcome in self.steps[:position]:
+            self._take(state, segment_id, payload)
+        return state
+
+    def _take(self, state: S, segment_id: Optional[str], payload: Optional[Segment]) -> Any:
+        if segment_id is None:
+            return self.end(state)
+        assert payload is not None
+        return self.arrive(state, segment_id, payload)
+
+
+class RunCursor(Generic[S, E]):
+    """One execution's walk through a :class:`SharedRun`; private once forked."""
+
+    def __init__(self, run: SharedRun[S, E]) -> None:
+        self.run = run
+        #: Steps taken on the shared run (frozen once forked).
+        self.position = 0
+        self.private: Optional[S] = None
+
+    @property
+    def state(self) -> S:
+        """The state after every step this execution took."""
+        state = self.run.state if self.private is None else self.private
+        assert state is not None, "a cursor on the shared run is never past a step that raised"
+        return state
+
+    def arrive(self, segment_id: str, payload: Segment) -> float:
+        """Feed one delivery; the CPU seconds it cost."""
+        if self.private is None:
+            seconds: Optional[float] = self.run.step(self.position, segment_id, payload)
+            if seconds is not None:
+                self.position += 1
+                return seconds
+            self.private = self.run.fork(self.position)
+        return self.run.arrive(self.private, segment_id, payload)
+
+    def end(self) -> E:
+        """What the state yields once this round of deliveries is in."""
+        if self.private is None:
+            outcome: Optional[E] = self.run.step(self.position, None, None)
+            if outcome is not None:
+                self.position += 1
+                return outcome
+            self.private = self.run.fork(self.position)
+        return self.run.end(self.private)

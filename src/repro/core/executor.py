@@ -4,31 +4,22 @@ Drives the MJoin state manager over simulated time: it issues all object
 requests for a query up front through the client proxy, processes objects in
 whatever order the CSD pushes them back, charges CPU time for the work each
 arrival triggers, and re-issues requests for evicted objects cycle by cycle
-until every subplan has been executed or pruned.
-
-An MJoin execution is a pure function of its query, catalog, cache capacity,
-eviction policy, pruning switch and cost model, and of the deliveries it is
-fed.  So a service runs it once per such key (:class:`SharedMJoin`, kept in
-the service's :data:`SharedMJoins`), and each execution walks that run with
-its own :class:`MJoinCursor`.  The first execution to reach a step advances
-the one shared state manager and logs what the step returned.  Every
-execution whose deliveries match the log so far takes the logged charges
-and requests.  One whose delivery differs *forks*: it replays its own prefix
-into a private manager, uncharged, and goes on alone, so it does no more
-MJoin work than it would have without the run.  Every charge, request list
-and counter an execution sees is the one a private manager would have given,
-so sharing moves no simulation event; each result gets its own rows and
+until every subplan has been executed or pruned.  The manager is a
+:class:`SharedMJoin`'s state, so executions whose deliveries match share one
+(:class:`~repro.core.execution.SharedRun`); each result gets its own rows and
 counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
-from repro.core.cache import EvictionPolicy, MaxProgressEviction, ObjectCache
+from repro.core.cache import EvictionPolicy, ObjectCache
 from repro.core.client_proxy import ClientProxy
-from repro.core.execution import MODE_SKIPPER, QueryResult, QueryRun
+from repro.core.execution import (
+    MODE_SKIPPER, QueryResult, QueryRun, RunCursor, SharedRun, SharedRuns,
+)
 from repro.core.mjoin import MJoinStateManager
 from repro.csd.backend import StorageBackend
 from repro.engine.catalog import Catalog
@@ -40,24 +31,19 @@ from repro.obs import Span, Tracer
 from repro.sim import Environment, Event
 
 
-class SharedMJoin:
-    """One MJoin run, followed by every execution whose deliveries match it.
+class SharedMJoin(SharedRun[MJoinStateManager, Tuple[int, List[str]]]):
+    """One MJoin run: a delivery costs what the manager's work on it does,
+    and a cycle end yields the subplans executed or pruned so far and the
+    next cycle's requests."""
 
-    ``steps`` is the log, one entry per step in the order the run took them:
-    ``(segment_id, payload, seconds)`` for a delivery and the CPU seconds it
-    cost, ``(None, None, (handled, requests))`` for a cycle end — the
-    subplans executed or pruned so far and the next cycle's requests.
-    ``state`` is the manager after the whole log, or ``None`` once a step
-    raised in it: a step that raises is not logged, and whoever reaches it
-    next forks and takes it (and raises) itself.
-    """
+    mode = MODE_SKIPPER
 
     def __init__(
         self,
         query: Query,
         catalog: Catalog,
         cache_capacity: int,
-        eviction_policy: EvictionPolicy,
+        eviction_policy: Optional[EvictionPolicy],
         enable_pruning: bool,
         cost_model: CostModel,
     ) -> None:
@@ -67,9 +53,9 @@ class SharedMJoin:
         self.eviction_policy = eviction_policy
         self.enable_pruning = enable_pruning
         self.cost_model = cost_model
-        self.state: Optional[MJoinStateManager] = self.new_state()
+        super().__init__()
+        assert self.state is not None
         self.initial_requests = self.state.initial_requests()
-        self.steps: List[Tuple[Optional[str], Optional[Segment], Any]] = []
 
     def new_state(self) -> MJoinStateManager:
         """A fresh manager over a fresh cache (raises :class:`CacheError` for
@@ -81,83 +67,11 @@ class SharedMJoin:
             enable_pruning=self.enable_pruning,
         )
 
-    def step(self, position: int, segment_id: Optional[str], payload: Optional[Segment]) -> Any:
-        """What step ``position`` returns — a delivery's seconds, or a cycle
-        end's ``(handled, requests)`` when ``segment_id`` is ``None`` — if it
-        is the logged one or extends the log; ``None`` if the caller must fork."""
-        steps = self.steps
-        if position < len(steps):
-            logged_id, logged, kept = steps[position]
-            return kept if logged is payload and logged_id == segment_id else None
-        state = self.state
-        if state is None:
-            return None
-        self.state = None
-        outcome: Any
-        if segment_id is None:
-            outcome = (state.subplans_handled, state.next_cycle_requests())
-        else:
-            assert payload is not None
-            outcome = self.cost_model.cpu_time(state.on_arrival(segment_id, payload))
-        self.state = state
-        steps.append((segment_id, payload, outcome))
-        return outcome
+    def arrive(self, state: MJoinStateManager, segment_id: str, payload: Segment) -> float:
+        return self.cost_model.cpu_time(state.on_arrival(segment_id, payload))
 
-    def fork(self, position: int) -> MJoinStateManager:
-        """A private manager after the first ``position`` logged steps."""
-        state = self.new_state()
-        for segment_id, payload, _outcome in self.steps[:position]:
-            if segment_id is None:
-                state.next_cycle_requests()
-            else:
-                assert payload is not None
-                state.on_arrival(segment_id, payload)
-        return state
-
-
-#: A service's shared MJoin runs by (``id`` of the query, ``id`` of the
-#: catalog, cache capacity, eviction policy — the instance a tenant supplied,
-#: or the default's class —, pruning switch, ``id`` of the cost model).  A run
-#: holds its query, catalog and cost model, so no id is reused while it lives.
-SharedMJoins = Dict[Tuple[int, int, int, object, bool, int], SharedMJoin]
-
-
-class MJoinCursor:
-    """One execution's walk through a :class:`SharedMJoin`; private once forked."""
-
-    def __init__(self, run: SharedMJoin) -> None:
-        self.run = run
-        #: Steps taken on the shared run (frozen once forked).
-        self.position = 0
-        self.private: Optional[MJoinStateManager] = None
-
-    @property
-    def state(self) -> MJoinStateManager:
-        """The manager after every step this execution took."""
-        state = self.run.state if self.private is None else self.private
-        assert state is not None, "a cursor on the shared run is never past a step that raised"
-        return state
-
-    def on_arrival(self, segment_id: str, payload: Segment) -> float:
-        """Feed one delivery; the CPU seconds it cost."""
-        if self.private is None:
-            seconds: Optional[float] = self.run.step(self.position, segment_id, payload)
-            if seconds is not None:
-                self.position += 1
-                return seconds
-            self.private = self.run.fork(self.position)
-        return self.run.cost_model.cpu_time(self.private.on_arrival(segment_id, payload))
-
-    def end_cycle(self) -> Tuple[int, List[str]]:
-        """Subplans executed or pruned so far, and the next cycle's requests."""
-        if self.private is None:
-            outcome: Optional[Tuple[int, List[str]]] = self.run.step(self.position, None, None)
-            if outcome is not None:
-                self.position += 1
-                handled, requests = outcome
-                return handled, list(requests)
-            self.private = self.run.fork(self.position)
-        return self.private.subplans_handled, self.private.next_cycle_requests()
+    def end(self, state: MJoinStateManager) -> Tuple[int, List[str]]:
+        return state.subplans_handled, state.next_cycle_requests()
 
 
 class SkipperExecutor:
@@ -180,51 +94,23 @@ class SkipperExecutor:
         cost_model: Optional[CostModel] = None,
         enable_pruning: bool = True,
         proxy: Optional[ClientProxy] = None,
-        mjoin_runs: Optional[SharedMJoins] = None,
+        shared_runs: Optional[SharedRuns] = None,
     ) -> None:
         self.env = env
         self.client_id = client_id
         self.catalog = catalog
         self.device = device
         self.cache_capacity = cache_capacity
-        self.eviction_policy = eviction_policy or MaxProgressEviction()
-        #: The policy's part of a run's key: every default policy is one.
-        self._policy_key: object = eviction_policy or MaxProgressEviction
+        #: As supplied: ``None`` stands for a fresh :class:`MaxProgressEviction`.
+        self.eviction_policy = eviction_policy
         self.cost_model = cost_model or CostModel()
         self.enable_pruning = enable_pruning
         self.proxy = proxy or ClientProxy(env, device, client_id)
-        #: The MJoin runs so far, shared by every executor of a service.
-        self.mjoin_runs: SharedMJoins = {} if mjoin_runs is None else mjoin_runs
+        #: The runs so far, shared by every executor of a service.
+        self.shared_runs: SharedRuns = {} if shared_runs is None else shared_runs
         #: Installed by the session when the service traces (``None`` otherwise).
         self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None
-
-    def _shared_run(self, query: Query) -> SharedMJoin:
-        """The service's run of ``query`` under this executor's settings.
-
-        A run whose first manager cannot be built is not kept, so every
-        execution raises that :class:`CacheError` itself, before its first GET.
-        """
-        key = (
-            id(query),
-            id(self.catalog),
-            self.cache_capacity,
-            self._policy_key,
-            self.enable_pruning,
-            id(self.cost_model),
-        )
-        shared = self.mjoin_runs.get(key)
-        if shared is None:
-            shared = SharedMJoin(
-                query,
-                self.catalog,
-                self.cache_capacity,
-                self.eviction_policy,
-                self.enable_pruning,
-                self.cost_model,
-            )
-            self.mjoin_runs[key] = shared
-        return shared
 
     def execute(self, query: Query) -> Generator[Event, Any, QueryResult]:
         """Simulation-process generator executing ``query`` to completion.
@@ -233,15 +119,23 @@ class SkipperExecutor:
         process, or wrap with ``env.process(executor.execute(query))`` and
         read the process value after ``env.run()``.
         """
-        shared = self._shared_run(query)
-        cursor = MJoinCursor(shared)
+        shared = SharedMJoin.shared(
+            self.shared_runs,
+            query,
+            self.catalog,
+            self.cache_capacity,
+            self.eviction_policy,
+            self.enable_pruning,
+            self.cost_model,
+        )
+        cursor = RunCursor(shared)
         run = QueryRun(self.proxy, query, MODE_SKIPPER, self.tracer, self.trace_parent)
         cost_model = self.cost_model
 
         handled_after_last_cycle = 0
         stalled_cycles = 0
 
-        requests = list(shared.initial_requests)
+        requests = shared.initial_requests
         while requests:
             run.request(requests)
             yield from run.charge(
@@ -249,9 +143,9 @@ class SkipperExecutor:
                 "request-overhead",
                 requests=len(requests),
             )
-            yield from run.consume(len(requests), cursor.on_arrival)
+            yield from run.consume(len(requests), cursor.arrive)
 
-            handled, requests = cursor.end_cycle()
+            handled, requests = cursor.end()
             if handled == handled_after_last_cycle:
                 stalled_cycles += 1
             else:
@@ -260,7 +154,7 @@ class SkipperExecutor:
             if stalled_cycles >= self.max_stalled_cycles:
                 raise CacheError(
                     f"client {self.client_id!r}: eviction policy "
-                    f"{self.eviction_policy.name!r} made no progress for "
+                    f"{cursor.state.cache.policy.name!r} made no progress for "
                     f"{stalled_cycles} consecutive request cycles with a cache of "
                     f"{self.cache_capacity} objects; use a larger cache or the "
                     "maximal-progress policy"

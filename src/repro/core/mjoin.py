@@ -22,7 +22,7 @@ prepared segment holds are that shared selection, read and never mutated.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.cache import ObjectCache
 from repro.core.njoin import NAryJoin, PreparedSegment
@@ -46,14 +46,12 @@ class MJoinStateManager:
         catalog: Catalog,
         cache: ObjectCache,
         enable_pruning: bool = True,
-        planner: Optional[Planner] = None,
     ) -> None:
         self.query = query
         self.catalog = catalog
         self.cache = cache
         self.enable_pruning = enable_pruning
-        planner = planner or Planner(catalog)
-        self.plan: QueryPlan = planner.plan(query)
+        self.plan: QueryPlan = Planner(catalog).plan(query)
         if cache.capacity < len(query.tables):
             raise CacheError(
                 f"cache capacity {cache.capacity} is smaller than the number of joined "

@@ -10,7 +10,7 @@ uses it as ground truth for verifying the out-of-order Skipper results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
@@ -50,9 +50,9 @@ def canonical_rows(rows: List[Row]) -> List[Dict[str, object]]:
 class InMemoryExecutor:
     """Execute queries directly over the relations registered in a catalog."""
 
-    def __init__(self, catalog: Catalog, planner: Optional[Planner] = None) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.planner = planner or Planner(catalog)
+        self.planner = Planner(catalog)
 
     def execute(self, query: Query) -> ExecutionResult:
         """Plan and run ``query``, returning rows and work counters."""

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import ExecutionBreakdown, attribute_waiting_batch
-from repro.core.executor import SharedMJoins
+from repro.core.execution import SharedRuns
 from repro.csd.device import ColdStorageDevice
 from repro.csd.object_store import ObjectStore
 from repro.csd.request import GetRequest
@@ -42,7 +42,6 @@ from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.handles import QueryHandle
 from repro.service.session import Session
 from repro.sim import Environment
-from repro.vanilla.executor import LocalJoins
 
 
 class StorageService:
@@ -111,12 +110,9 @@ class StorageService:
         #: Simulated-time tracer; ``None`` when disabled, so the off path
         #: costs one ``is not None`` check per hook.
         self.tracer: Optional[Tracer] = Tracer(self.env) if trace else None
-        #: Every pull-based join this service computed, one per query: later
-        #: executions over the same segment objects copy its rows.
-        self.local_joins: LocalJoins = {}
-        #: Every MJoin run this service started, one per query and Skipper
-        #: settings: later executions whose deliveries match follow its log.
-        self.mjoin_runs: SharedMJoins = {}
+        #: Every run this service started, one per query, mode and settings:
+        #: later executions whose deliveries match follow its log.
+        self.shared_runs: SharedRuns = {}
 
         client_objects: Dict[str, List[str]] = {}
         for spec_ in config.client_specs:

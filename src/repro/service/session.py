@@ -118,8 +118,7 @@ class Session:
         self._notify()
 
     def _make_executor(self):
-        """Executor for one query: shared proxy and the service's MJoin runs
-        or, for a pull-based tenant, its local joins."""
+        """Executor for one query: shared proxy and the service's runs."""
         connection = dict(
             env=self.env,
             client_id=self.tenant_id,
@@ -127,16 +126,16 @@ class Session:
             device=self.service.backend,
             cost_model=self.service.cost_model,
             proxy=self.proxy,
+            shared_runs=self.service.shared_runs,
         )
         if self.spec.mode == MODE_SKIPPER:
             return SkipperExecutor(
                 cache_capacity=self.spec.cache_capacity,
                 eviction_policy=self.spec.eviction_policy,
                 enable_pruning=self.spec.enable_pruning,
-                mjoin_runs=self.service.mjoin_runs,
                 **connection,
             )
-        return VanillaExecutor(local_joins=self.service.local_joins, **connection)
+        return VanillaExecutor(**connection)
 
     def _run(self):
         if self.spec.start_delay > 0:

@@ -43,7 +43,8 @@ import pytest
 
 from repro.core import njoin
 from repro.core.cache import MaxProgressEviction, ObjectCache
-from repro.core.executor import MJoinCursor, SharedMJoin
+from repro.core.execution import RunCursor
+from repro.core.executor import SharedMJoin
 from repro.core.mjoin import MJoinStateManager
 from repro.core.subplan import Batch
 from repro.engine.cost import CostModel
@@ -59,8 +60,8 @@ from repro.workloads import tpch
 #: that plus one, so one more frame per probe, or two per arrival, trips it.
 FRAMES_PER_SUBPLAN_CEILING = 22.4
 #: Frames per *followed* arrival — one that takes a shared MJoin run's logged
-#: step — over the same scenario: ``MJoinCursor.on_arrival`` and
-#: ``SharedMJoin.step``, plus two per cycle end and the walk's own two, 2.18
+#: step — over the same scenario: ``RunCursor.arrive`` and
+#: ``SharedRun.step``, plus two per cycle end and the walk's own two, 2.18
 #: (122 frames / 56 arrivals); the ceiling is that plus one.  A follower that
 #: feeds a state manager again enters about 37 per arrival (2 052 / 56 above).
 FRAMES_PER_FOLLOWED_ARRIVAL_CEILING = 3.2
@@ -152,17 +153,17 @@ def test_a_followed_arrival_takes_the_logged_step():
     segments = {segment_id: catalog.resolve_segment_id(segment_id) for segment_id in run.initial_requests}
     delivered = []
 
-    def walk(cursor: MJoinCursor) -> None:
+    def walk(cursor: RunCursor) -> None:
         requests = list(run.initial_requests)
         while requests:
             for segment_id in requests:
-                cursor.on_arrival(segment_id, segments[segment_id])
+                cursor.arrive(segment_id, segments[segment_id])
                 delivered.append(segment_id)
-            requests = cursor.end_cycle()[1]
+            requests = cursor.end()[1]
 
-    walk(MJoinCursor(run))
+    walk(RunCursor(run))
     first = len(delivered)
-    follower = MJoinCursor(run)
+    follower = RunCursor(run)
     frames: Counter = Counter()
 
     def count(filename: str, name: str) -> None:

@@ -8,19 +8,17 @@ are counted over one service run, exactly, so the counts gate in tier-1:
 
 * ``Segment.filtered_rows``, a bulk selection: at most once per (segment,
   predicate object) — the segment keeps its last selection;
-* ``VanillaExecutor._process_locally``, the pull-based local join over every
-  fetched segment: once per distinct pull-based ``Query`` — the service keeps
-  the join and every later execution over the same segment objects copies it;
+* ``SharedPullJoin.end``, the pull-based local join over every fetched
+  segment: once per distinct pull-based ``Query`` — every later execution
+  over the same segment objects follows the service's run and copies it;
 * ``MJoinStateManager.on_arrival``, Skipper's arrival path: once per step of
   one run per (``Query``, cache size, policy, pruning) — executions whose
   deliveries match the run's log take its charges and requests instead.
 
 When one trips: ``build_cluster_config`` resolves a query per tenant again,
-something on the arrival or scan path filters without ``select_rows``, the
-pull-based executor joins without going through ``_local_join`` (or its key
-no longer matches: a fetch that sorts or copies segments differently), or
-the Skipper executor feeds a manager of its own where the service's run
-would do (or the run's key or its match on a delivery is off).
+something on the arrival or scan path filters without ``select_rows``, or
+an executor works on a state of its own where the service's run would do
+(or the run's key or its match on a delivery is off).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from repro.core.mjoin import MJoinStateManager
 from repro.engine.relation import Segment
 from repro.scenarios.spec import ScenarioSpec, TenantSpec, uniform_tenants
 from repro.service import StorageService
-from repro.vanilla import VanillaExecutor
+from repro.vanilla.executor import SharedPullJoin
 
 REPETITIONS = 2
 
@@ -53,18 +51,18 @@ def test_each_unit_runs_once_per_query_per_service(monkeypatch):
     pull-based executions and two local joins."""
     joins: Counter = Counter()
     selections: Counter = Counter()
-    real_process_locally = VanillaExecutor._process_locally
+    real_join = SharedPullJoin.end
     real_filtered_rows = Segment.filtered_rows
 
-    def counted_join(executor, query, plan, fetched):
-        joins[id(query)] += 1
-        return real_process_locally(executor, query, plan, fetched)
+    def counted_join(run, fetched):
+        joins[id(run.query)] += 1
+        return real_join(run, fetched)
 
     def counted_selection(segment, predicate):
         selections[segment.segment_id, id(predicate)] += 1
         return real_filtered_rows(segment, predicate)
 
-    monkeypatch.setattr(VanillaExecutor, "_process_locally", counted_join)
+    monkeypatch.setattr(SharedPullJoin, "end", counted_join)
     monkeypatch.setattr(Segment, "filtered_rows", counted_selection)
     spec = ScenarioSpec(
         name="cross-tenant-census",
@@ -153,4 +151,4 @@ def test_matching_skipper_tenants_feed_one_state_manager(monkeypatch):
     one_tenant = {capacity: counts.pop() for capacity, counts in deliveries.items() if len(counts) == 1}
     assert arrivals == Counter(one_tenant) == Counter({12: 26, 7: 104})
     assert result.device_objects_served == 26 * 6 + 104 * 2
-    assert len(service.mjoin_runs) == 2
+    assert len(service.shared_runs) == 2

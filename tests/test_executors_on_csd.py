@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.cache import LRUEviction, ObjectCache
+from repro.core.execution import RunCursor
 from repro.core.mjoin import MJoinStateManager
 from repro.csd import (
     ClientsPerGroupLayout,
@@ -21,6 +22,7 @@ from repro.engine.relation import Segment
 from repro.exceptions import QueryError, SchemaError
 from repro.sim import Environment
 from repro.vanilla import VanillaExecutor
+from repro.vanilla.executor import SharedPullJoin
 from repro.workloads import tpch
 
 
@@ -98,11 +100,9 @@ class TestVanillaExecutorOnCSD:
         env.run(until=process)
         return process.value, device
 
-    def _process_locally(self, catalog, query, fetched):
-        _env, executor, _device = self._vanilla_executor(catalog, query)
-        rows, _stats, _root = executor._process_locally(
-            query, executor.planner.plan(query), fetched
-        )
+    @staticmethod
+    def _join(catalog, query, fetched):
+        rows, _stats, _root = SharedPullJoin(query, catalog, CostModel()).end(fetched)
         return rows
 
     def test_out_of_order_fetch_is_put_back_in_segment_order(self, tiny_tpch_catalog):
@@ -114,7 +114,7 @@ class TestVanillaExecutorOnCSD:
         assert len(fetched["lineitem"]) > 2
         # Same rows in the same order, not merely the same set.
         assert (
-            self._process_locally(tiny_tpch_catalog, query, fetched)
+            self._join(tiny_tpch_catalog, query, fetched)
             == InMemoryExecutor(tiny_tpch_catalog).execute(query).rows
         )
 
@@ -124,14 +124,14 @@ class TestVanillaExecutorOnCSD:
         fetched = {table: list(tiny_tpch_catalog.relation(table).segments) for table in query.tables}
         del fetched["lineitem"][1]
         with pytest.raises(SchemaError, match=r"found lineitem\.2 at position 1"):
-            self._process_locally(tiny_tpch_catalog, query, fetched)
+            self._join(tiny_tpch_catalog, query, fetched)
 
     def test_payload_of_another_table_is_a_typed_error(self, tiny_tpch_catalog):
         query = tpch.q12()
         fetched = {table: list(tiny_tpch_catalog.relation(table).segments) for table in query.tables}
         fetched["lineitem"][1] = tiny_tpch_catalog.segment("orders", 1)
         with pytest.raises(SchemaError, match=r"orders\.1 does not belong to table 'lineitem'"):
-            self._process_locally(tiny_tpch_catalog, query, fetched)
+            self._join(tiny_tpch_catalog, query, fetched)
 
     @pytest.mark.parametrize("query_name", ["q1", "q12", "q5"])
     def test_results_match_in_memory(self, tiny_tpch_catalog, query_name):
@@ -195,13 +195,13 @@ class TestLocalJoinPerService:
     @staticmethod
     def _count_joins(monkeypatch):
         calls = []
-        real = VanillaExecutor._process_locally
+        real = SharedPullJoin.end
 
-        def counted(executor, query, plan, fetched):
-            calls.append(query)
-            return real(executor, query, plan, fetched)
+        def counted(run, fetched):
+            calls.append(run.query)
+            return real(run, fetched)
 
-        monkeypatch.setattr(VanillaExecutor, "_process_locally", counted)
+        monkeypatch.setattr(SharedPullJoin, "end", counted)
         return calls
 
     @staticmethod
@@ -238,33 +238,37 @@ class TestLocalJoinPerService:
         for service in services:
             service.run()
         assert calls == [query, query]
-        assert services[0].local_joins is not services[1].local_joins
+        assert services[0].shared_runs is not services[1].shared_runs
 
-    def test_other_segment_objects_are_a_miss(self, tiny_tpch_catalog, monkeypatch):
+    def test_other_segment_objects_fork(self, tiny_tpch_catalog, monkeypatch):
+        """A fetch of other segment objects forks and joins privately, a
+        failed private join leaves the run alone, and the catalog's segments
+        still follow the one logged join."""
         calls = self._count_joins(monkeypatch)
         query = tpch.q12()
-        executor = VanillaExecutor(Environment(), "tenant", tiny_tpch_catalog, device=None)
-        plan = executor.planner.plan(query)
+        run = SharedPullJoin(query, tiny_tpch_catalog, CostModel())
+        segments = [tiny_tpch_catalog.resolve_segment_id(s) for s in run.access_order]
 
-        def fetch():
-            return {table: list(tiny_tpch_catalog.relation(table).segments) for table in query.tables}
+        def fetch(payloads):
+            cursor = RunCursor(run)
+            for segment_id, segment in zip(run.access_order, payloads):
+                cursor.arrive(segment_id, segment)
+            return cursor, cursor.end()
 
-        executor._local_join(query, plan, fetch())
-        executor._local_join(query, plan, fetch())
-        assert len(calls) == 1
-        copies = {
-            table: [Segment(s.table_name, s.index, s.rows) for s in segments]
-            for table, segments in fetch().items()
-        }
-        executor._local_join(query, plan, copies)
-        assert len(calls) == 2
-        foreign = fetch()
-        foreign["lineitem"][1] = tiny_tpch_catalog.segment("orders", 1)
+        fetch(segments)
+        follower, _ = fetch(segments)
+        assert len(calls) == 1 and follower.private is None
+        copies = [Segment(s.table_name, s.index, s.rows) for s in segments]
+        forked, _ = fetch(copies)
+        assert len(calls) == 2 and forked.private is not None and forked.position == 0
+        foreign = list(segments)
+        foreign[run.access_order.index("lineitem.1")] = tiny_tpch_catalog.segment("orders", 1)
         with pytest.raises(SchemaError, match=r"orders\.1 does not belong to table 'lineitem'"):
-            executor._local_join(query, plan, foreign)
-        # The failed join was not kept: the copies' join still is.
-        executor._local_join(query, plan, copies)
+            fetch(foreign)
         assert len(calls) == 3
+        # The failed join was not kept: the catalog's segments still follow.
+        follower, _ = fetch(segments)
+        assert len(calls) == 3 and follower.private is None
 
 
 class TestLimitIsOneAnswer:

@@ -152,7 +152,7 @@ def test_an_in_flight_get_keeps_three_tracked_objects():
 # --------------------------------------------------------------------------- #
 PULL_TENANTS = 3
 
-#: Frames per pulled object outside ``_process_locally`` (the join is the
+#: Frames per pulled object outside ``SharedPullJoin.end`` (the join is the
 #: engine's, not the path's).  The commit before the flat pull path measured
 #: 144.2 at ``tiny`` (30 objects) and 124.7 at ``small`` (63), that one 112.2
 #: and 92.7, plain-attribute counters 109.3 and 90.3 (CPython 3.11); ten more
@@ -170,8 +170,8 @@ def frames_per_pulled_object(scale: str) -> Tuple[float, int, int, int]:
     """(frames per pulled object, generators started on the path, objects, queries).
 
     Frames are Python calls (generator resumes included) between
-    ``service.run()`` entry and exit, except ``_process_locally`` and all it
-    calls; generators are the distinct generator frames of
+    ``service.run()`` entry and exit, except ``SharedPullJoin.end`` and all
+    it calls; generators are the distinct generator frames of
     :data:`PULL_PATH_MODULES` that were ever started.
     """
     spec = ScenarioSpec(
@@ -190,7 +190,9 @@ def frames_per_pulled_object(scale: str) -> Tuple[float, int, int, int]:
         nonlocal frames, inside_join
         if event == "call":
             code = frame.f_code
-            if inside_join or code.co_name == "_process_locally":
+            if inside_join or (
+                code.co_name == "end" and code.co_filename.endswith("vanilla/executor.py")
+            ):
                 inside_join += 1
                 return
             frames += 1

@@ -13,7 +13,21 @@ from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
 from repro.csd.device import BusyInterval
 from repro.csd.disk_group import DiskGroupLayout
+from repro.csd.layout import (
+    AllInOneLayout,
+    ClientsPerGroupLayout,
+    IncrementalLayout,
+    RoundRobinObjectLayout,
+    SkewedLayout,
+)
 from repro.csd.request import GetRequest
+from repro.csd.scheduler import (
+    MaxQueriesScheduler,
+    ObjectFCFSScheduler,
+    QueryFCFSScheduler,
+    RankBasedScheduler,
+    SlackFCFSScheduler,
+)
 from repro.exceptions import GoldenMismatchError, InvariantViolation, ScenarioError
 from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, FleetSpec, SetReplication
 from repro.scenarios import (
@@ -41,10 +55,28 @@ from repro.scenarios.invariants import (
     starvation_bound,
 )
 from repro.scenarios.runner import build_layout, build_scheduler
+from repro.scenarios.spec import KNOWN_LAYOUTS, KNOWN_SCHEDULERS
 from repro.service import StorageService
 from repro.workloads import tpch
 
 RUNNER = ScenarioRunner()
+#: The policy class each spec name resolves to.
+LAYOUT_CLASSES = {
+    "all-in-one": AllInOneLayout,
+    "incremental": IncrementalLayout,
+    "tenant-colocated": ClientsPerGroupLayout,
+    "clients-per-group": ClientsPerGroupLayout,
+    "round-robin": RoundRobinObjectLayout,
+    "skewed": SkewedLayout,
+}
+SCHEDULER_CLASSES = {
+    "object-fcfs": ObjectFCFSScheduler,
+    "query-fcfs": QueryFCFSScheduler,
+    "max-queries": MaxQueriesScheduler,
+    "slack-fcfs": SlackFCFSScheduler,
+    "rank-based": RankBasedScheduler,
+}
+RESOLUTION_BASE = dict(description="x", tenants=uniform_tenants(2, "tpch:q12", cache_capacity=8))
 
 
 def scenario_params():
@@ -132,6 +164,24 @@ class TestRunner:
             build_layout(ScenarioSpec(name="bad", layout="skewed", **base))
         spec = ScenarioSpec(name="ok", scheduler="slack-fcfs", scheduler_param=4, **base)
         assert build_scheduler(spec).slack == 4
+
+    @pytest.mark.parametrize("name", KNOWN_LAYOUTS)
+    def test_every_layout_name_resolves_to_its_policy(self, name):
+        """A new layout name needs a row in :data:`LAYOUT_CLASSES` too."""
+        assert set(LAYOUT_CLASSES) == set(KNOWN_LAYOUTS)
+        param = (2,) if name in ("round-robin", "skewed") else None
+        spec = ScenarioSpec(
+            name="layout", layout=name, layout_param=param, **RESOLUTION_BASE
+        )
+        assert type(build_layout(spec)) is LAYOUT_CLASSES[name]
+
+    @pytest.mark.parametrize("name", KNOWN_SCHEDULERS)
+    def test_every_scheduler_name_resolves_to_its_policy(self, name):
+        """A new scheduler name needs a row in :data:`SCHEDULER_CLASSES` too."""
+        assert set(SCHEDULER_CLASSES) == set(KNOWN_SCHEDULERS)
+        policy = build_scheduler(ScenarioSpec(name="scheduler", scheduler=name, **RESOLUTION_BASE))
+        assert type(policy) is SCHEDULER_CLASSES[name]
+        assert policy.name == name
 
 
 class TestGoldenDiff:

@@ -1,17 +1,16 @@
-"""The shared MJoin run against private state managers.
+"""Shared runs against private state, for both kinds of run.
 
-A service runs each Skipper MJoin once per (``Query``, catalog, cache size,
-eviction policy, pruning switch, cost model): an execution whose deliveries
-match the run's log
-takes the logged charges and requests, the first to reach a step takes it
-on the one shared manager, and one whose delivery differs forks into a
-private manager.  The oracle: drive several executions of one query through
-one :class:`SharedMJoin`, each with its own delivery order — a prefix every
-execution shares, then its own shuffle — interleaved in a drawn order, and
-check every charge, cycle, row and counter each one saw against a private
-:class:`MJoinStateManager` fed the same deliveries.  The executions also feed
-managers no more deliveries than they received between them, and exactly
-one execution's worth when their orders all match.
+A service runs each execution's work once per (mode, ``Query``, settings):
+an execution whose deliveries match the run's log takes the logged outcomes,
+the first to reach a step takes it on the one shared state, and one whose
+delivery differs forks into a private state.  The oracles: drive several
+executions of one query through one run, each with its own delivery order —
+a prefix every execution shares, then its own shuffle — interleaved in a
+drawn order, and check every charge and outcome each one saw against private
+work fed the same deliveries: a private :class:`MJoinStateManager` for a
+:class:`SharedMJoin`, the in-memory executor for a :class:`SharedPullJoin`.
+The executions also do no more work between them than they would alone, and
+exactly one execution's worth when their orders all match.
 """
 
 from __future__ import annotations
@@ -24,13 +23,16 @@ from hypothesis import example, given, settings, strategies as st
 from test_core_arrival_properties import _POLICIES, chain_joins
 
 from repro.core.cache import MaxProgressEviction, ObjectCache
-from repro.core.executor import MJoinCursor, SharedMJoin, SkipperExecutor
+from repro.core.execution import RunCursor
+from repro.core.executor import SharedMJoin, SkipperExecutor
 from repro.core.mjoin import MJoinStateManager
 from repro.engine.cost import CostModel
-from repro.engine.executor import canonical_rows
-from repro.exceptions import CacheError, QueryError
+from repro.engine.executor import InMemoryExecutor, canonical_rows
+from repro.engine.relation import Segment
+from repro.exceptions import CacheError, ExecutionError, QueryError, SchemaError
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.service import StorageService
+from repro.vanilla.executor import SharedPullJoin
 from repro.workloads import tpch
 
 #: A prefix no run reaches: the execution never leaves the shared order.
@@ -69,14 +71,48 @@ def _drive(cursor, catalog, first_cycle, prefix, seed, seen):
     delivered = stalled = handled_before = 0
     while requests and stalled < STALLED_CYCLES:
         for segment_id in _order(requests, delivered, first_cycle, prefix, rng):
-            seconds = cursor.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
+            seconds = cursor.arrive(segment_id, catalog.resolve_segment_id(segment_id))
             seen.append(("arrival", segment_id, seconds))
             delivered += 1
             yield
-        handled, requests = cursor.end_cycle()
+        handled, requests = cursor.end()
         seen.append(("cycle", handled, requests))
         stalled = stalled + 1 if handled == handled_before else 0
         handled_before = handled
+
+
+def _pull(cursor, catalog, prefix, seed, seen):
+    """One pull-based execution, yielding after each delivery; ``seen`` gets
+    every ``("arrival", segment_id, seconds)`` and the ``("end", rows, stats)``."""
+    for segment_id in _order([], 0, cursor.run.access_order, prefix, random.Random(seed)):
+        seconds = cursor.arrive(segment_id, catalog.resolve_segment_id(segment_id))
+        seen.append(("arrival", segment_id, seconds))
+        yield
+    rows, stats, _root = cursor.end()
+    seen.append(("end", rows, stats))
+
+
+def _interleave(walks, schedule):
+    """Advance ``walks`` in the drawn order, then each to its end."""
+    live = list(range(len(walks)))
+    for pick in schedule:
+        if not live:
+            break
+        index = live[pick % len(live)]
+        if next(walks[index], StopIteration) is StopIteration:
+            live.remove(index)
+    for index in live:
+        for _ in walks[index]:
+            pass
+
+
+def _executions():
+    """2–4 executions: each one's shared prefix and shuffle seed."""
+    return st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), st.integers(0, 2**16)),
+        min_size=2,
+        max_size=4,
+    )
 
 
 def _counters(manager):
@@ -100,11 +136,7 @@ class TestForkOracle:
         spare_capacity=st.integers(min_value=0, max_value=3),
         policy=st.sampled_from(_POLICIES),
         enable_pruning=st.booleans(),
-        executions=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=30), st.integers(0, 2**16)),
-            min_size=2,
-            max_size=4,
-        ),
+        executions=_executions(),
         schedule=st.lists(st.integers(min_value=0, max_value=3), max_size=120),
     )
     # Tiny Q5, cycles of 10, 4 and 3 deliveries: the second execution leaves
@@ -134,22 +166,15 @@ class TestForkOracle:
             run = SharedMJoin(
                 query, catalog, len(query.tables) + spare_capacity, policy(), enable_pruning, cost_model
             )
-            cursors = [MJoinCursor(run) for _ in executions]
+            cursors = [RunCursor(run) for _ in executions]
             seen = [[] for _ in executions]
-            walks = [
-                _drive(cursor, catalog, first_cycle, prefix, seed, log)
-                for cursor, (prefix, seed), log in zip(cursors, executions, seen)
-            ]
-            live = list(range(len(walks)))
-            for pick in schedule:
-                if not live:
-                    break
-                index = live[pick % len(live)]
-                if next(walks[index], StopIteration) is StopIteration:
-                    live.remove(index)
-            for index in live:
-                for _ in walks[index]:
-                    pass
+            _interleave(
+                [
+                    _drive(cursor, catalog, first_cycle, prefix, seed, log)
+                    for cursor, (prefix, seed), log in zip(cursors, executions, seen)
+                ],
+                schedule,
+            )
         finally:
             MJoinStateManager.on_arrival = real_on_arrival
 
@@ -178,6 +203,57 @@ class TestForkOracle:
             assert _counters(state) == _counters(private)
             assert canonical_rows(state.results()) == canonical_rows(private.results())
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=chain_joins(),
+        executions=_executions(),
+        schedule=st.lists(st.integers(min_value=0, max_value=3), max_size=40),
+    )
+    # Tiny Q5, 30 objects: the second execution leaves the access order at
+    # its first delivery, in the middle and never; the last example runs the
+    # executions one after the other.
+    @example(_Q5_CASE, [(NEVER, 0), (0, 1)], [1, 0] * 20)
+    @example(_Q5_CASE, [(NEVER, 0), (14, 1)], [0, 1] * 20)
+    @example(_Q5_CASE, [(NEVER, 0), (NEVER, 1), (NEVER, 2)], [2, 1, 0] * 9)
+    @example(_Q5_CASE, [(NEVER, 0), (NEVER, 1), (12, 2)], [])
+    def test_every_pull_based_execution_sees_what_the_in_memory_join_gives(
+        self, case, executions, schedule
+    ):
+        catalog, query, _first_cycle = case
+        cost_model = CostModel()
+        joins = []
+        real_end = SharedPullJoin.end
+
+        def counted(run, fetched):
+            joins.append(run)
+            return real_end(run, fetched)
+
+        SharedPullJoin.end = counted
+        try:
+            run = SharedPullJoin(query, catalog, cost_model)
+            seen = [[] for _ in executions]
+            _interleave(
+                [
+                    _pull(RunCursor(run), catalog, prefix, seed, log)
+                    for (prefix, seed), log in zip(executions, seen)
+                ],
+                schedule,
+            )
+        finally:
+            SharedPullJoin.end = real_end
+
+        expected = InMemoryExecutor(catalog).execute(query)
+        assert 1 <= len(joins) <= len(executions)
+        if all(log == seen[0] for log in seen):
+            assert len(joins) == 1
+        for log in seen:
+            *arrivals, (kind, rows, stats) = log
+            assert sorted(segment_id for _, segment_id, _ in arrivals) == sorted(run.access_order)
+            for _, segment_id, seconds in arrivals:
+                segment = catalog.resolve_segment_id(segment_id)
+                assert seconds == cost_model.scan_time(segment.num_rows)
+            assert kind == "end" and rows == expected.rows and stats == expected.stats
+
 
 def test_executions_that_follow_get_their_own_rows_and_counters():
     """Two Skipper tenants of one query share a run; their results are equal
@@ -190,7 +266,7 @@ def test_executions_that_follow_get_their_own_rows_and_counters():
     )
     service = StorageService(spec)
     first, second = [results[0] for results in service.run().results_by_client.values()]
-    assert len(service.mjoin_runs) == 1
+    assert len(service.shared_runs) == 1
     assert first.rows == second.rows and first.stats == second.stats
     assert first.rows is not second.rows and first.stats is not second.stats
     expected_rows = [dict(row) for row in second.rows]
@@ -199,6 +275,44 @@ def test_executions_that_follow_get_their_own_rows_and_counters():
     first.stats.tuples_output += 1
     assert second.rows == expected_rows
     assert second.stats.tuples_output == first.stats.tuples_output - 1
+
+
+def _walk_mjoin(cursor, deliveries):
+    """Drive an MJoin cursor to completion: the first cycle's ``deliveries``
+    as given, every later cycle's requests as issued; the outcomes it saw."""
+    seen = []
+    requests = deliveries
+    while requests:
+        for segment_id, segment in requests:
+            seen.append(cursor.arrive(segment_id, segment))
+        handled, ids = cursor.end()
+        seen.append((handled, ids))
+        requests = _resolved(ids)
+    return seen
+
+
+def _resolved(segment_ids):
+    return [(segment_id, _TINY.resolve_segment_id(segment_id)) for segment_id in segment_ids]
+
+
+_FIRST = _TINY.resolve_segment_id(_Q5_CASE[2][0])
+#: A copy of tiny Q5's first requested object: equal rows, another object.
+POISON = Segment(_FIRST.table_name, _FIRST.index, _FIRST.rows)
+
+
+class _PoisonedMJoin(SharedMJoin):
+    """An MJoin run whose cycle end refuses a state that was fed ``POISON``:
+    a failure of the end step itself."""
+
+    def arrive(self, state, segment_id, payload):
+        if payload is POISON:
+            state.poisoned = True
+        return super().arrive(state, segment_id, payload)
+
+    def end(self, state):
+        if getattr(state, "poisoned", False):
+            raise ExecutionError("poisoned cycle end")
+        return super().end(state)
 
 
 class TestErrorsStayPerExecution:
@@ -210,32 +324,80 @@ class TestErrorsStayPerExecution:
         run = SharedMJoin(_Q5, _TINY, 8, MaxProgressEviction(), True, CostModel())
         order = list(run.initial_requests)
         foreign = _TINY.segment_ids("part")[0]
-        first, second, third = MJoinCursor(run), MJoinCursor(run), MJoinCursor(run)
+        first, second, third = RunCursor(run), RunCursor(run), RunCursor(run)
         for segment_id in order[:4]:
-            first.on_arrival(segment_id, _TINY.resolve_segment_id(segment_id))
+            first.arrive(segment_id, _TINY.resolve_segment_id(segment_id))
         with pytest.raises(QueryError, match="belongs to no table"):
-            first.on_arrival(foreign, _TINY.resolve_segment_id(foreign))
+            first.arrive(foreign, _TINY.resolve_segment_id(foreign))
         assert len(run.steps) == 4 and run.state is None
 
         for segment_id in order[:4]:
-            second.on_arrival(segment_id, _TINY.resolve_segment_id(segment_id))
+            second.arrive(segment_id, _TINY.resolve_segment_id(segment_id))
         assert second.private is None and second.position == 4
         with pytest.raises(QueryError, match="belongs to no table"):
-            second.on_arrival(foreign, _TINY.resolve_segment_id(foreign))
+            second.arrive(foreign, _TINY.resolve_segment_id(foreign))
         assert second.private is not None and len(run.steps) == 4
 
-        private = MJoinStateManager(_Q5, _TINY, ObjectCache(8))
-        requests = order
-        while requests:
-            for segment_id in requests:
-                segment = _TINY.resolve_segment_id(segment_id)
-                assert third.on_arrival(segment_id, segment) == CostModel().cpu_time(
-                    private.on_arrival(segment_id, segment)
-                )
-            handled, requests = third.end_cycle()
-            assert (handled, requests) == (private.subplans_handled, private.next_cycle_requests())
+        private = RunCursor(SharedMJoin(_Q5, _TINY, 8, None, True, CostModel()))
+        assert _walk_mjoin(third, _resolved(order)) == _walk_mjoin(private, _resolved(order))
         assert third.private is not None and len(run.steps) == 4
-        assert _counters(third.state) == _counters(private)
+        assert _counters(third.state) == _counters(private.state)
+
+    def test_a_raising_cycle_end_is_not_logged_and_the_next_forks_there_and_raises(self):
+        """The first execution is fed ``POISON`` first, so its first cycle end
+        raises: the end is not logged and the run's manager is dropped.  The
+        second delivers the same objects, follows the whole cycle, forks at
+        the end and raises the same error itself; a third that delivers the
+        catalog's object in ``POISON``'s place forks there and matches a
+        private run."""
+        run = _PoisonedMJoin(_Q5, _TINY, 8, None, True, CostModel())
+        order = list(run.initial_requests)
+        poisoned = [(order[0], POISON)] + _resolved(order[1:])
+        first, second, third = RunCursor(run), RunCursor(run), RunCursor(run)
+        with pytest.raises(ExecutionError, match="poisoned cycle end"):
+            _walk_mjoin(first, poisoned)
+        assert len(run.steps) == len(order) and run.state is None
+
+        with pytest.raises(ExecutionError, match="poisoned cycle end"):
+            _walk_mjoin(second, poisoned)
+        assert second.private is not None and second.position == len(order)
+        assert len(run.steps) == len(order)
+
+        private = RunCursor(SharedMJoin(_Q5, _TINY, 8, None, True, CostModel()))
+        assert _walk_mjoin(third, _resolved(order)) == _walk_mjoin(private, _resolved(order))
+        assert third.private is not None and third.position == 0
+        assert _counters(third.state) == _counters(private.state)
+
+    def test_a_raising_join_is_not_logged_and_the_next_forks_there_and_raises(self):
+        """The pull-based kind: the first execution fetches ``orders.1`` in
+        ``lineitem.1``'s place, so its join raises and is not logged.  The
+        second fetches the same objects, forks at the join and raises the
+        same error itself; a third with the right fetch forks at
+        ``lineitem.1`` and matches a private run."""
+        query = tpch.q12()
+        run = SharedPullJoin(query, _TINY, CostModel())
+        order = run.access_order
+        foreign = [
+            (segment_id, _TINY.segment("orders", 1) if segment_id == "lineitem.1" else segment)
+            for segment_id, segment in _resolved(order)
+        ]
+        first, second, third = RunCursor(run), RunCursor(run), RunCursor(run)
+        for cursor in (first, second):
+            for segment_id, segment in foreign:
+                cursor.arrive(segment_id, segment)
+            with pytest.raises(SchemaError, match=r"orders\.1 does not belong to table 'lineitem'"):
+                cursor.end()
+            assert len(run.steps) == len(order) and run.state is None
+        assert first.private is None and second.private is not None
+        assert second.position == len(order)
+
+        private = RunCursor(SharedPullJoin(query, _TINY, CostModel()))
+        for cursor in (third, private):
+            for segment_id, segment in _resolved(order):
+                cursor.arrive(segment_id, segment)
+        (rows, stats, _), (private_rows, private_stats, _) = third.end(), private.end()
+        assert rows == private_rows and stats == private_stats
+        assert third.private is not None and third.position == order.index("lineitem.1")
 
     def test_a_cache_below_the_table_count_fails_every_execution_before_any_get(
         self, make_rig
@@ -244,7 +406,7 @@ class TestErrorsStayPerExecution:
         runs = {}
         for tenant in ("tenant", "tenant"):
             executor = SkipperExecutor(
-                rig.env, tenant, _TINY, rig.device, cache_capacity=3, mjoin_runs=runs
+                rig.env, tenant, _TINY, rig.device, cache_capacity=3, shared_runs=runs
             )
             with pytest.raises(CacheError, match="smaller than the number of joined"):
                 next(executor.execute(_Q5))

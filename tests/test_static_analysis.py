@@ -694,6 +694,43 @@ def test_one_interval_record_one_interval_algebra_one_roster():
         assert name not in defined, f"{name} is back, in {defined[name]}"
 
 
+def test_one_sharing_mechanism_for_both_executors():
+    """Both executors share their work one way: ``step`` and ``fork`` are
+    defined once, on ``SharedRun`` in ``core/execution.py``, a service keeps
+    one ``shared_runs`` dict, and neither the pull-based join memo nor the
+    MJoin-only cursor and dict it replaced is back."""
+    defined = {}
+    assigned = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        where = str(path.relative_to(REPO_ROOT))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(where)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, []).append(where)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.attr)
+    for name in ("SharedRun", "RunCursor", "SharedRuns"):
+        assert defined.get(name) == ["src/repro/core/execution.py"], (name, defined.get(name))
+    executors = ("src/repro/core/", "src/repro/vanilla/", "src/repro/service/")
+    for name in ("step", "fork"):
+        found = [where for where in defined[name] if where.startswith(executors)]
+        assert found == ["src/repro/core/execution.py"], (name, found)
+    for name in (
+        "LocalJoin",
+        "LocalJoins",
+        "MJoinCursor",
+        "SharedMJoins",
+        "_local_join",
+        "_process_locally",
+        "_shared_run",
+    ):
+        assert name not in defined, f"{name} is back, in {defined[name]}"
+    assert not assigned & {"local_joins", "mjoin_runs"}, assigned & {"local_joins", "mjoin_runs"}
+
+
 def test_one_batch_representation_on_the_arrival_path():
     """A runnable batch stays the product it is (``core/subplan.py``'s
     ``Batch``) from the tracker to the retire: the cache, the batch join and
@@ -938,3 +975,90 @@ def test_every_spec_field_has_a_declared_rule():
     for unreadable in (float, typing.List[int], typing.Tuple[int, int], typing.Any):
         with pytest.raises(ConfigurationError, match="no validation rule"):
             rule_for(unreadable)
+
+
+#: The ``typing`` generics ``disallow_any_generics`` refuses bare, and the
+#: builtins that stand for them.
+_GENERICS = {
+    "Callable", "Counter", "DefaultDict", "Deque", "Dict", "FrozenSet", "Generator",
+    "Iterable", "Iterator", "List", "Mapping", "MutableMapping", "Sequence", "Set",
+    "Tuple", "Type", "dict", "frozenset", "list", "set", "tuple",
+}
+
+
+def _strict_modules():
+    """The files of the strict section of ``mypy.ini`` (the one that sets
+    ``disallow_untyped_defs``): a ``pkg.*`` pattern is the package and all
+    below it."""
+    import configparser
+
+    config = configparser.ConfigParser()
+    config.read(REPO_ROOT / "mypy.ini")
+    (section,) = [
+        name for name in config.sections() if config[name].getboolean("disallow_untyped_defs")
+    ]
+    files = []
+    for pattern in section[len("mypy-"):].split(","):
+        base = REPO_ROOT / "src" / Path(*pattern.rstrip(".*").split("."))
+        if pattern.endswith(".*"):
+            files += sorted(base.rglob("*.py"))
+        else:
+            files.append(base.with_suffix(".py"))
+    assert files and all(path.exists() for path in files), files
+    return files
+
+
+def _bare_generics(annotation, generics):
+    """Generic names in ``annotation`` (a string one parsed) with no subscript."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    subscripted = {id(node.value) for node in ast.walk(annotation) if isinstance(node, ast.Subscript)}
+    return [
+        ast.unparse(node)
+        for node in ast.walk(annotation)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and (node.id if isinstance(node, ast.Name) else node.attr) in generics
+        and id(node) not in subscripted
+    ]
+
+
+def test_strict_profile_modules_are_fully_annotated():
+    """What mypy's strict section asks of its modules, checked without mypy:
+    every ``def`` (nested ones too) annotates each parameter but ``self`` /
+    ``cls`` and its return, and no annotation names a generic bare — a
+    ``typing`` one or a ``Generic`` class of the repo's."""
+    modules = _strict_modules()
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    generics = set(_GENERICS)
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(trees.get(path) or ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Subscript) and ast.unparse(base.value) == "Generic"
+                for base in node.bases
+            ):
+                generics.add(node.name)
+    incomplete, bare = [], []
+    for path, tree in trees.items():
+        where = path.relative_to(REPO_ROOT)
+        for node in ast.walk(tree):
+            annotations = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = node.args
+                parameters = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                parameters += [arg for arg in (arguments.vararg, arguments.kwarg) if arg]
+                for arg in parameters:
+                    if arg.annotation is None and arg.arg not in ("self", "cls"):
+                        incomplete.append(f"{where}:{node.lineno} {node.name}({arg.arg})")
+                    annotations.append(arg.annotation)
+                if node.returns is None:
+                    incomplete.append(f"{where}:{node.lineno} {node.name} -> ?")
+                annotations.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+            for annotation in annotations:
+                if annotation is not None:
+                    bare += [f"{where}:{node.lineno} {name}" for name in _bare_generics(annotation, generics)]
+    package = REPO_ROOT / "src" / "repro"
+    assert {package / "core/execution.py", package / "vanilla/executor.py"} <= set(modules)
+    assert not incomplete, "unannotated:\n" + "\n".join(incomplete)
+    assert not bare, "bare generics:\n" + "\n".join(bare)
