@@ -64,10 +64,8 @@ class ClusterResult:
     # ------------------------------------------------------------------ #
     # Aggregates used by the figures
     # ------------------------------------------------------------------ #
-    def execution_times(self, client_id: Optional[str] = None) -> List[float]:
-        """Per-query execution times for one client or for all clients."""
-        if client_id is not None:
-            return [result.execution_time for result in self.results_by_client[client_id]]
+    def execution_times(self) -> List[float]:
+        """Per-query execution times of every client."""
         times: List[float] = []
         for results in self.results_by_client.values():
             times.extend(result.execution_time for result in results)

@@ -124,9 +124,6 @@ class ObjectCache:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._contents)
-
     def __contains__(self, segment_id: object) -> bool:
         return isinstance(segment_id, str) and segment_id in self._contents
 

@@ -176,11 +176,6 @@ class SubplanTracker:
         return self._total
 
     @property
-    def num_pending(self) -> int:
-        """Number of subplans still waiting to be executed."""
-        return self._total - self._num_executed - self._num_pruned
-
-    @property
     def num_executed(self) -> int:
         """Number of subplans whose join has been executed."""
         return self._num_executed

@@ -94,8 +94,5 @@ class DiskGroupLayout:
         """Whether the layout places ``object_key``."""
         return object_key in self._assignment
 
-    def __len__(self) -> int:
-        return len(self._assignment)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DiskGroupLayout objects={len(self._assignment)} groups={self.num_groups}>"

@@ -8,7 +8,7 @@ the object name).  Payloads are arbitrary Python objects — in practice
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.exceptions import StorageError
 
@@ -57,25 +57,3 @@ class ObjectStore:
     def exists(self, object_key: str) -> bool:
         """Whether an object is stored under ``object_key``."""
         return object_key in self._objects
-
-    def keys(self, tenant: Optional[str] = None) -> List[str]:
-        """All object keys, optionally restricted to one tenant."""
-        if tenant is None:
-            return list(self._objects)
-        prefix = f"{tenant}/"
-        return [key for key in self._objects if key.startswith(prefix)]
-
-    def tenants(self) -> List[str]:
-        """Distinct tenant prefixes present in the store."""
-        seen: List[str] = []
-        for key in self._objects:
-            tenant, _ = split_object_key(key)
-            if tenant not in seen:
-                seen.append(tenant)
-        return seen
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def __contains__(self, object_key: object) -> bool:
-        return isinstance(object_key, str) and object_key in self._objects

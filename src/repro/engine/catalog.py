@@ -75,9 +75,3 @@ class Catalog:
         if table not in self._relations:
             raise CatalogError(f"unknown relation in segment id: {segment_id!r}")
         return table
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and name in self._relations
-
-    def __len__(self) -> int:
-        return len(self._relations)

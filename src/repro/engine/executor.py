@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.engine.catalog import Catalog
-from repro.engine.cost import CostModel
 from repro.engine.operators.base import OperatorStats, Row
 from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
@@ -27,15 +26,6 @@ class ExecutionResult:
     rows: List[Row]
     stats: OperatorStats
     plan: QueryPlan
-
-    @property
-    def num_rows(self) -> int:
-        """Number of result rows."""
-        return len(self.rows)
-
-    def processing_time(self, cost_model: CostModel) -> float:
-        """Simulated CPU seconds for this execution under ``cost_model``."""
-        return cost_model.cpu_time(self.stats)
 
 
 def canonical_rows(rows: List[Row]) -> List[Dict[str, object]]:

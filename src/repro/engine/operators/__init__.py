@@ -8,9 +8,7 @@ that Skipper's out-of-order results can be verified against the vanilla plans.
 """
 
 from repro.engine.operators.base import Operator, OperatorStats
-from repro.engine.operators.scan import SegmentScan, SequentialScan
-from repro.engine.operators.filter import Filter
-from repro.engine.operators.project import Project
+from repro.engine.operators.scan import SequentialScan
 from repro.engine.operators.hash_join import HashJoin
 from repro.engine.operators.aggregate import AggregateState, HashAggregate
 from repro.engine.operators.sort import Sort
@@ -18,14 +16,11 @@ from repro.engine.operators.limit import Limit
 
 __all__ = [
     "AggregateState",
-    "Filter",
     "HashAggregate",
     "HashJoin",
     "Limit",
     "Operator",
     "OperatorStats",
-    "Project",
-    "SegmentScan",
     "SequentialScan",
     "Sort",
 ]

@@ -91,11 +91,6 @@ class AggregateState:
         for row in rows:
             self.add(row)
 
-    @property
-    def num_groups(self) -> int:
-        """Number of distinct group keys observed so far."""
-        return len(self._groups)
-
     def results(self) -> List[Row]:
         """Materialise one output row per group."""
         output: List[Row] = []

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 
 Row = Dict[str, object]
@@ -30,12 +30,6 @@ class OperatorStats:
         self.tuples_probed += other.tuples_probed
         self.tuples_output += other.tuples_output
 
-    def total(self) -> int:
-        """Total number of counted tuple operations."""
-        return (
-            self.tuples_scanned + self.tuples_built + self.tuples_probed + self.tuples_output
-        )
-
 
 class Operator:
     """A physical operator producing its whole output as one batch.
@@ -50,9 +44,6 @@ class Operator:
     def rows(self) -> List[Row]:
         """Run the operator and return its full output as a fresh list."""
         raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows())
 
     def collect_stats(self) -> OperatorStats:
         """Statistics for this operator and all of its children."""

@@ -12,7 +12,7 @@ class Limit(Operator):
     """Keep at most the first ``count`` rows of the child.
 
     The child's batch is materialised, then truncated: a non-blocking child
-    (a scan, filter or join in a hand-built tree) counts its whole input,
+    (a scan or join in a hand-built tree) counts its whole input,
     not only the rows that survive.  Planner-built trees always have a
     blocking ``HashAggregate`` under any ``Limit``.
     """

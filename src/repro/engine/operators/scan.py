@@ -1,4 +1,4 @@
-"""Scan operators over segments and whole relations.
+"""The scan operator over a whole relation, and the selection it shares.
 
 Scans materialise: every row of every segment counts as scanned and every
 selected row as output, whatever a downstream
@@ -9,9 +9,9 @@ the segment's memo is charged the same simulated CPU as the first one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.engine.operators.base import Operator, OperatorStats, Row
+from repro.engine.operators.base import Operator, Row
 from repro.engine.predicate import Predicate
 from repro.engine.relation import Relation, Segment
 
@@ -41,46 +41,20 @@ def select_rows(segment: Segment, predicate: Optional[Predicate]) -> List[Row]:
     return rows
 
 
-def _scan(
-    segments: Sequence[Segment], predicate: Optional[Predicate], stats: OperatorStats
-) -> List[Row]:
-    """Concatenate the selected rows of ``segments`` into one fresh list."""
-    output: List[Row] = []
-    for segment in segments:
-        output.extend(select_rows(segment, predicate))
-    stats.tuples_scanned += sum(len(segment) for segment in segments)
-    stats.tuples_output += len(output)
-    return output
-
-
-class SegmentScan(Operator):
-    """Scan a single segment, optionally applying a filter predicate."""
-
-    def __init__(self, segment: Segment, predicate: Optional[Predicate] = None) -> None:
-        super().__init__()
-        self.segment = segment
-        self.predicate = predicate
-
-    def rows(self) -> List[Row]:
-        return _scan([self.segment], self.predicate, self.stats)
-
-
 class SequentialScan(Operator):
     """Scan every segment of a relation in order (PostgreSQL seq-scan)."""
 
-    def __init__(
-        self,
-        relation: Relation,
-        predicate: Optional[Predicate] = None,
-        segments: Optional[Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, relation: Relation, predicate: Optional[Predicate] = None) -> None:
         super().__init__()
         self.relation = relation
         self.predicate = predicate
-        if segments is None:
-            self._segments: List[Segment] = list(relation.segments)
-        else:
-            self._segments = [relation.segment(index) for index in segments]
 
     def rows(self) -> List[Row]:
-        return _scan(self._segments, self.predicate, self.stats)
+        """The selected rows of every segment, concatenated into one fresh list."""
+        output: List[Row] = []
+        segments = self.relation.segments
+        for segment in segments:
+            output.extend(select_rows(segment, self.predicate))
+        self.stats.tuples_scanned += sum(len(segment) for segment in segments)
+        self.stats.tuples_output += len(output)
+        return output

@@ -413,9 +413,9 @@ def eq(column: str, value: object) -> Comparison:
     return Comparison("=", ColumnRef(column), Literal(value))
 
 
-def between(column: str, low: object, high: object, inclusive: bool = False) -> Between:
-    """``low <= column < high`` (or inclusive on both ends)."""
-    return Between(ColumnRef(column), low, high, inclusive=inclusive)
+def between(column: str, low: object, high: object) -> Between:
+    """``low <= column < high``."""
+    return Between(ColumnRef(column), low, high)
 
 
 def in_list(column: str, values: Iterable[object]) -> InList:

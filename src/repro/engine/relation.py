@@ -21,7 +21,7 @@ are shared between every reader and must never be mutated.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.predicate import Predicate
 from repro.engine.schema import TableSchema
@@ -96,16 +96,6 @@ class Segment:
         return self._num_rows
 
     @property
-    def columns(self) -> Dict[str, List[object]]:
-        """Column-name → value-array view."""
-        return self._columns
-
-    @property
-    def column_names(self) -> Tuple[str, ...]:
-        """Column names in row key order."""
-        return self._column_names
-
-    @property
     def rows(self) -> List[Dict[str, object]]:
         """Row-dict view of the segment (materialised once, then cached)."""
         rows = self._rows
@@ -141,9 +131,6 @@ class Segment:
             return [{} for _ in selection]
         cols = list(self._columns.values())
         return [dict(zip(names, [col[i] for col in cols])) for i in selection]
-
-    def __iter__(self) -> Iterator[Dict[str, object]]:
-        return iter(self.rows)
 
     def __len__(self) -> int:
         return self._num_rows
@@ -214,9 +201,6 @@ class Relation:
         if not 0 <= index < len(self.segments):
             raise SchemaError(f"table {self.name!r} has no segment {index}")
         return self.segments[index]
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Relation {self.name} segments={self.num_segments} rows={self.num_rows}>"

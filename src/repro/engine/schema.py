@@ -48,13 +48,6 @@ class TableSchema:
         """Whether the schema defines a column called ``name``."""
         return name in self._by_name
 
-    def column(self, name: str) -> Column:
-        """Return the column called ``name`` or raise :class:`SchemaError`."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
-
     def validate_row(self, row: Mapping[str, object]) -> None:
         """Check that ``row`` provides a valid value for every column."""
         for column in self.columns:
@@ -64,20 +57,6 @@ class TableSchema:
         extra = set(row) - set(self._by_name)
         if extra:
             raise SchemaError(f"row for {self.name!r} has unknown columns: {sorted(extra)}")
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TableSchema):
-            return NotImplemented
-        return self.name == other.name and self.columns == other.columns
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.columns))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name}:{c.dtype.value}" for c in self.columns)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import datetime
 from enum import Enum
-from typing import Any
+from typing import Any, Union
 
 from repro.exceptions import SchemaError
 
@@ -51,7 +51,7 @@ class DataType(Enum):
             )
 
 
-def date_to_ordinal(value: str | datetime.date) -> int:
+def date_to_ordinal(value: Union[str, datetime.date]) -> int:
     """Convert an ISO date string or :class:`datetime.date` to an ordinal."""
     if isinstance(value, datetime.date):
         return value.toordinal()

@@ -206,10 +206,6 @@ class FleetMembership:
         """Live placement targets (joined, not left, not failed), in order."""
         return tuple(member.device_id for member in self.members if member.alive)
 
-    def device_config(self, device_id: str) -> DeviceConfig:
-        """The (possibly heterogeneous) config of one member."""
-        return self.member(device_id).config
-
     def profile_weight(self, member: FleetMember) -> float:
         """Static capacity weight of a device: its speed-up over the base
         config's transfer rate (a device twice as fast weighs 2.0)."""
@@ -221,11 +217,6 @@ class FleetMembership:
                 f"(base={base!r}, device={own!r})"
             )
         return base / own
-
-    @property
-    def heterogeneous(self) -> bool:
-        """Whether any member's config differs from the base config."""
-        return any(member.config != self.base_config for member in self.members)
 
     # ------------------------------------------------------------------ #
     # Membership changes — each advances the epoch

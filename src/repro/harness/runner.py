@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.harness import experiments
@@ -90,7 +90,7 @@ def render_result(name: str, result: Any) -> str:
     return "\n".join(lines)
 
 
-def _render_value(value: Any, indent: str = "") -> str:
+def _render_value(value: Any) -> str:
     if isinstance(value, Mapping):
         # Mapping of parallel lists -> one table with a column per key.
         if value and all(isinstance(item, (list, tuple)) for item in value.values()):
@@ -113,7 +113,7 @@ def _render_value(value: Any, indent: str = "") -> str:
             ]
             return format_table(headers, rows)
         return format_table(["key", "value"], [[key, _compact(item)] for key, item in value.items()])
-    return indent + _compact(value)
+    return _compact(value)
 
 
 def _compact(value: Any) -> str:
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro``."""
     parser = build_parser()
     arguments = parser.parse_args(argv)

@@ -134,8 +134,8 @@ class Tracer:
         span.end = end
         return span
 
-    def add_event(self, span: Span, name: str, at: Optional[float] = None, **attrs: Any) -> None:
-        span.events.append((self.env.now if at is None else at, name, attrs))
+    def add_event(self, span: Span, name: str, **attrs: Any) -> None:
+        span.events.append((self.env.now, name, attrs))
 
     # ------------------------------------------------------------------ #
     # Cross-layer context (keyed by query id)

@@ -63,13 +63,7 @@ def load_golden(name: str, golden_dir: Optional[Path] = None) -> Dict[str, Any]:
     return json.loads(path.read_text())
 
 
-def diff_values(
-    live: Any,
-    golden: Any,
-    path: str = "$",
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> List[str]:
+def diff_values(live: Any, golden: Any, path: str = "$") -> List[str]:
     """Recursively diff two report trees; return human-readable mismatches.
 
     Numbers are compared with relative/absolute tolerance, everything else
@@ -82,7 +76,9 @@ def diff_values(
         if live != golden:
             mismatches.append(f"{path}: live={live!r} golden={golden!r}")
     elif isinstance(live, numeric) and isinstance(golden, numeric):
-        if not math.isclose(float(live), float(golden), rel_tol=rtol, abs_tol=atol):
+        if not math.isclose(
+            float(live), float(golden), rel_tol=DEFAULT_RTOL, abs_tol=DEFAULT_ATOL
+        ):
             mismatches.append(f"{path}: live={live!r} golden={golden!r}")
     elif isinstance(live, dict) and isinstance(golden, dict):
         for key in sorted(set(live) | set(golden)):
@@ -91,22 +87,18 @@ def diff_values(
             elif key not in golden:
                 mismatches.append(f"{path}.{key}: not present in golden")
             else:
-                mismatches.extend(diff_values(live[key], golden[key], f"{path}.{key}", rtol, atol))
+                mismatches.extend(diff_values(live[key], golden[key], f"{path}.{key}"))
     elif isinstance(live, list) and isinstance(golden, list):
         if len(live) != len(golden):
             mismatches.append(f"{path}: length {len(live)} != golden {len(golden)}")
         for index, (live_item, golden_item) in enumerate(zip(live, golden)):
-            mismatches.extend(
-                diff_values(live_item, golden_item, f"{path}[{index}]", rtol, atol)
-            )
+            mismatches.extend(diff_values(live_item, golden_item, f"{path}[{index}]"))
     elif live != golden:
         mismatches.append(f"{path}: live={live!r} golden={golden!r}")
     return mismatches
 
 
-def unified_diff_summary(
-    live: Dict[str, Any], golden: Dict[str, Any], name: str, max_lines: int = MAX_DIFF_LINES
-) -> str:
+def unified_diff_summary(live: Dict[str, Any], golden: Dict[str, Any], name: str) -> str:
     """Canonical-JSON unified diff between a live report and its golden.
 
     Both sides are re-serialized with the canonical formatting, so the diff
@@ -123,18 +115,14 @@ def unified_diff_summary(
             lineterm="\n",
         )
     )
-    if len(diff) > max_lines:
-        omitted = len(diff) - max_lines
-        diff = diff[:max_lines] + [f"... ({omitted} more diff line(s) omitted)\n"]
+    if len(diff) > MAX_DIFF_LINES:
+        omitted = len(diff) - MAX_DIFF_LINES
+        diff = diff[:MAX_DIFF_LINES] + [f"... ({omitted} more diff line(s) omitted)\n"]
     return "".join(diff).rstrip("\n")
 
 
 def assert_dict_matches_golden(
-    name: str,
-    live: Dict[str, Any],
-    golden_dir: Optional[Path] = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    name: str, live: Dict[str, Any], golden_dir: Optional[Path] = None
 ) -> None:
     """Raise :class:`GoldenMismatchError` if the report dict ``live`` of
     scenario ``name`` diverges from its golden.
@@ -143,7 +131,7 @@ def assert_dict_matches_golden(
     ships reports across process boundaries as JSON.
     """
     golden = load_golden(name, golden_dir)
-    mismatches = diff_values(live, golden, rtol=rtol, atol=atol)
+    mismatches = diff_values(live, golden)
     if mismatches:
         details = "\n  ".join(mismatches[:20])
         diff_text = unified_diff_summary(live, golden, name)

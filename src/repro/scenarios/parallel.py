@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.exceptions import ReproError, ScenarioError
@@ -38,15 +37,13 @@ class ScenarioOutcome:
     error: Optional[str]
     simulated_time: Optional[float]
     wall_seconds: Optional[float] = None
-    #: Canonical trace JSON, when the run was traced (``trace=True``).
-    trace_json: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-def run_one(name: str, trace: bool = False) -> ScenarioOutcome:
+def run_one(name: str) -> ScenarioOutcome:
     """Run a single named scenario (top level, so worker processes can pickle it)."""
     # Imported lazily so spawned workers pay the import cost once, not the
     # parent at module-import time.
@@ -54,12 +51,8 @@ def run_one(name: str, trace: bool = False) -> ScenarioOutcome:
     from repro.scenarios.runner import ScenarioRunner
 
     started = time.perf_counter()
-    trace_json: Optional[str] = None
     try:
-        if trace:
-            report, trace_json = ScenarioRunner().run_traced(get_scenario(name))
-        else:
-            report = ScenarioRunner().run(get_scenario(name))
+        report = ScenarioRunner().run(get_scenario(name))
     except ReproError as error:
         return ScenarioOutcome(
             name=name,
@@ -74,13 +67,10 @@ def run_one(name: str, trace: bool = False) -> ScenarioOutcome:
         error=None,
         simulated_time=report.total_simulated_time,
         wall_seconds=time.perf_counter() - started,
-        trace_json=trace_json,
     )
 
 
-def run_scenarios(
-    names: Sequence[str], jobs: int = 1, trace: bool = False
-) -> List[ScenarioOutcome]:
+def run_scenarios(names: Sequence[str], jobs: int = 1) -> List[ScenarioOutcome]:
     """Run ``names`` serially (``jobs<=1``) or in worker processes.
 
     Outcomes are returned in the order of ``names`` regardless of which
@@ -89,6 +79,6 @@ def run_scenarios(
     if jobs < 1:
         raise ScenarioError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(names) <= 1:
-        return [run_one(name, trace=trace) for name in names]
+        return [run_one(name) for name in names]
     with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-        return list(pool.map(partial(run_one, trace=trace), names))
+        return list(pool.map(run_one, names))

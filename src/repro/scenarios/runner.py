@@ -237,9 +237,6 @@ class ScenarioRunner:
             if service.controller is not None
             else {}
         )
-        admission_metrics = (
-            service.admission.summary() if service.admission is not None else None
-        )
         return ScenarioReport(
             scenario=spec.name,
             seed=spec.seed,
@@ -261,7 +258,7 @@ class ScenarioRunner:
             },
             cache=self._cache_stats(result),
             invariants_checked=list(checked),
-            admission=admission_metrics,
+            admission=result.admission,
             **fleet_sections,
         )
 

@@ -305,15 +305,6 @@ class StorageService:
     # ------------------------------------------------------------------ #
     # Backend introspection / administration
     # ------------------------------------------------------------------ #
-    @property
-    def membership(self):
-        """The fleet's epoch-versioned membership (``None`` single-device).
-
-        Sessions are oblivious to membership changes: they keep talking to
-        the router while devices join, leave or fail underneath them.
-        """
-        return self.fleet.membership if self.fleet is not None else None
-
     def fleet_epoch(self) -> int:
         """Current fleet membership epoch (0 for single-device services)."""
         return self.fleet.membership.epoch if self.fleet is not None else 0

@@ -36,9 +36,9 @@ class Environment:
         assert env.now == 5.0 and proc.value == "done"
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: Current simulated time (advanced by the dispatch loop only).
-        self.now = float(initial_time)
+        self.now = 0.0
         # Heap of distinct pending timestamps; one entry per bucket.
         self._times: List[float] = []
         # Timestamp -> events scheduled at it, in scheduling order.
@@ -59,9 +59,9 @@ class Environment:
         """Create an untriggered one-shot event."""
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value=value)
+        return Timeout(self, delay)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Register a generator as a simulation process."""
@@ -90,70 +90,18 @@ class Environment:
         else:
             bucket.append(event)
 
-    def step(self) -> None:
-        """Dispatch the next scheduled event, advancing the clock."""
-        batch = self._batch
-        if batch is not None and self._batch_index < len(batch):
-            event = batch[self._batch_index]
-            self._batch_index += 1
-            self.dispatched += 1
-            event._dispatch()
-            return
-        if not self._times:
-            self._batch = None
-            raise SimulationError("no scheduled events to step through")
-        time = heapq.heappop(self._times)
-        if time < self.now:  # pragma: no cover - defensive, cannot happen
-            raise SimulationError("event queue went backwards in time")
-        self.now = time
-        batch = self._buckets.pop(time)
-        self._batch = batch
-        self._batch_index = 1
-        self.dispatched += 1
-        batch[0]._dispatch()
-
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next scheduled event, or ``None`` if idle."""
-        batch = self._batch
-        if batch is not None and self._batch_index < len(batch):
-            return self.now
-        if not self._times:
-            return None
-        return self._times[0]
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run the simulation.
-
-        ``until`` may be:
-
-        * ``None`` — run until no events remain,
-        * a number — run until the clock reaches that time,
-        * an :class:`Event` — run until that event is *dispatched* and
-          return its value (or raise the exception it failed with).
+    def run(self, until: Optional[Event] = None) -> Any:
+        """Run the simulation until no events remain or, given an
+        :class:`Event`, until that event is *dispatched*; then return its
+        value (or raise the exception it failed with).
 
         Waiting for dispatch rather than for ``triggered`` matters: a
         :class:`Timeout` is triggered the moment it is created (its value
         is already known) but only dispatches when the clock reaches it, so
-        ``env.run(until=env.timeout(5))`` must advance the clock to 5.0,
-        not return immediately at the current time.
+        ``env.run(env.timeout(5))`` advances the clock to 5.0, not 0.0.
         """
-        if until is not None and not isinstance(until, Event):
-            deadline = float(until)
-            if deadline < self.now:
-                raise SimulationError("cannot run until a time in the past")
-            while True:
-                next_time = self.peek()
-                if next_time is None or next_time > deadline:
-                    break
-                self.step()
-            self.now = deadline
-            return None
-
-        # The dispatch loop below is ``step()`` inlined: this is the
-        # innermost loop of every simulation run and the per-event
-        # ``peek()``/``step()`` call pair is measurable at million-event
-        # scale.  Semantics are identical, including the dispatch order
-        # and the ``dispatched`` count.
+        # The innermost loop of every simulation run: one heap pop per
+        # distinct timestamp, one list walk per event at it.
         target = until
         times = self._times
         buckets = self._buckets

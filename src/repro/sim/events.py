@@ -91,7 +91,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: Environment, delay: float, value: Any = None) -> None:
+    def __init__(self, env: Environment, delay: float) -> None:
         if not delay >= 0:  # also rejects NaN, which would corrupt the time heap
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         # Fields are assigned directly rather than via ``Event.__init__``:
@@ -101,7 +101,7 @@ class Timeout(Event):
         self.name = "timeout"
         self.triggered = True
         self.dispatched = False
-        self.value = value
+        self.value = None
         self.exception = None
         self.callbacks = []
         self.delay = delay

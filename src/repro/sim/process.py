@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.events import Event
@@ -30,7 +30,7 @@ class Process(Event):
             )
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Event | None = None
+        self._waiting_on: Optional[Event] = None
         # The bound method is created once: it is registered as a callback
         # on every event the generator yields, once per dispatched event.
         self._resume_callback = self._resume

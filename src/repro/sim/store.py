@@ -30,9 +30,6 @@ class Store:
         self.queued: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    def __len__(self) -> int:
-        return len(self.queued)
-
     def put(self, item: Any) -> None:
         """Enqueue ``item``, waking the oldest waiting getter if any."""
         if self._getters:

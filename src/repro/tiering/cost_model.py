@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 from repro.exceptions import ConfigurationError
 from repro.tiering.configurations import (
@@ -46,10 +46,6 @@ class TieringCostModel:
             total += prices[device_class].cost_for(self.database_gb * fraction)
         return total
 
-    def cost_per_gb(self, configuration: TieringConfiguration) -> float:
-        """Blended $/GB of one configuration."""
-        return self.configuration_cost(configuration) / self.database_gb
-
     def standard_costs(self) -> Dict[str, float]:
         """Costs of the Table 1 / Figure 2 strategies (name → dollars)."""
         return {
@@ -82,20 +78,17 @@ class TieringCostModel:
 
     @classmethod
     def figure3_rows(
-        cls,
-        database_gb: float = PAPER_DATABASE_GB,
-        price_points: Optional[Mapping[float, None] | tuple] = None,
+        cls, database_gb: float = PAPER_DATABASE_GB
     ) -> Dict[str, Dict[float, Dict[str, float]]]:
         """Figure 3: savings of the CSD tier at each price point.
 
         Returns ``{base: {csd_price: {traditional_cost, csd_cost, savings_factor}}}``
         with costs in thousands of dollars.
         """
-        points = tuple(price_points) if price_points is not None else CSD_PRICE_POINTS
         result: Dict[str, Dict[float, Dict[str, float]]] = {}
         for base in ("3-tier", "4-tier"):
             per_price: Dict[float, Dict[str, float]] = {}
-            for price in points:
+            for price in CSD_PRICE_POINTS:
                 model = cls(database_gb=database_gb, csd_cost_per_gb=price)
                 savings = model.csd_savings(base)
                 per_price[price] = {

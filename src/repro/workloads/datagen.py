@@ -60,9 +60,9 @@ class DataGenerator:
         """Uniform integer in ``[low, high]``."""
         return self._random.randint(low, high)
 
-    def decimal(self, low: float, high: float, digits: int = 2) -> float:
-        """Uniform float in ``[low, high)`` rounded to ``digits`` decimals."""
-        return round(self._random.uniform(low, high), digits)
+    def decimal(self, low: float, high: float) -> float:
+        """Uniform float in ``[low, high)`` rounded to two decimals."""
+        return round(self._random.uniform(low, high), 2)
 
     def choice(self, values: Sequence):
         """Uniform choice from ``values``."""

@@ -9,7 +9,7 @@ a visit-date range, reporting revenue and page-rank statistics per source IP.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.engine.catalog import Catalog
 from repro.engine.predicate import between, col
@@ -80,7 +80,7 @@ def resolve_scale(scale: Union[str, ScaleProfile]) -> ScaleProfile:
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 11,
-    catalog: Catalog | None = None,
+    catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate the rankings/uservisits dataset, optionally into an existing catalog."""
     profile = resolve_scale(scale)

@@ -9,7 +9,7 @@ join.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.engine.catalog import Catalog
 from repro.engine.predicate import Comparison, Literal, col, conjunction, in_list
@@ -111,7 +111,7 @@ def resolve_scale(scale: Union[str, ScaleProfile]) -> ScaleProfile:
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 23,
-    catalog: Catalog | None = None,
+    catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate the protein reference database, optionally into an existing catalog."""
     profile = resolve_scale(scale)

@@ -9,7 +9,7 @@ the workload can coexist with the TPC-H tables inside a single catalog.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.engine.catalog import Catalog
 from repro.engine.predicate import (
@@ -139,7 +139,7 @@ def resolve_scale(scale: Union[str, ScaleProfile]) -> ScaleProfile:
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 7,
-    catalog: Catalog | None = None,
+    catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate the SSB-like dataset, optionally into an existing catalog."""
     profile = resolve_scale(scale)

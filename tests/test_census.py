@@ -1,4 +1,5 @@
-"""The dead-line census's ``.cover`` parser (``tools/census.py``), on a synthetic file."""
+"""The dead-line census's exemptions and line tables (``tools/census.py``),
+on a synthetic module: no tracing, so any Python runs them."""
 
 from __future__ import annotations
 
@@ -10,81 +11,97 @@ _spec = importlib.util.spec_from_file_location("census", TOOL)
 census = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(census)
 
-#: What ``python -m trace --count --missing`` writes for a small module: a
-#: count (wider than five digits past 99 999), ``>>>>>>`` for a never-run
-#: executable line, blanks for everything else — including a continuation
-#: line whose source starts like a count (``2: "b"}``).
-COVER = '''\
-       """A synthetic module."""
-    1: from typing import TYPE_CHECKING
+MODULE = '''\
+"""A synthetic module."""
+from typing import TYPE_CHECKING
 
-    1: if TYPE_CHECKING:
->>>>>>     from os import PathLike
+if TYPE_CHECKING:
+    from os import PathLike
 
 
-    1: class Thing:
-    1:     def __repr__(self):
->>>>>>         return (
->>>>>>             "<Thing>"
-               )
+class Thing:
+    def __repr__(self):
+        return "<Thing>"
 
-    1:     def run(self, flag):
-123456:         if flag:
->>>>>>             raise NotImplementedError("later")
-123456:         if flag is None:
->>>>>>             raise ValueError("no flag")
-123456:         return 1
+    def run(self, flag):
+        if flag:
+            raise NotImplementedError("later")
+        if flag is None:
+            message = "no flag"
+            raise ValueError(message)
+        try:
+            return int(flag)
+        except TypeError:
+            raise ValueError("not a number")
 
-
->>>>>> def dead():
->>>>>>     return 0
-    1: NAMES = {1: "a",
-               2: "b"}
-'''
-
-#: A module no test imports: it has no ``.cover`` file.
-UNUSED = '''\
-"""Never imported."""
-
-import os
+    def check(self, values):
+        for value in values:
+            if value < 0:
+                return value
+        raise KeyError(values)
 
 
-def f():
-    if os.sep:
-        raise NotImplementedError
-    return os.sep
+def dead():
+    return 0
 '''
 
 
-def test_never_run_lines_split_into_counted_and_exempt():
-    counted, exempt = census.never_run(COVER)
-    assert counted == [(18, 'raise ValueError("no flag")'), (22, "def dead():"), (23, "return 0")]
+def test_exempt_lines_are_repr_type_checking_and_not_implemented():
+    assert census.exempt_lines(MODULE) == {5, 10, 14}
+
+
+def test_error_paths_are_raises_and_the_lines_that_only_reach_them():
+    """The assignment before a raise and an ``except`` that only re-raises
+    are error paths; a loop before a raise is not."""
+    assert census.error_path_lines(MODULE) == {14, 16, 17, 20, 21, 27}
+
+
+def _package(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "synthetic.py").write_text(MODULE, encoding="utf-8")
+    return tmp_path / "src", str(package / "synthetic.py")
+
+
+def test_tests_table_lists_the_executable_lines_tests_never_run(tmp_path):
+    src, path = _package(tmp_path)
+    ran = {2, 4, 8, 9, 12, 13, 15, 16, 17, 23, 30}
+    table = census.tests_table({path: ran}, src)
+    counted, exempt = table["repro.synthetic"]
+    assert counted == [
+        (18, "try:"),
+        (19, "return int(flag)"),
+        (20, "except TypeError:"),
+        (21, 'raise ValueError("not a number")'),
+        (24, "for value in values:"),
+        (25, "if value < 0:"),
+        (26, "return value"),
+        (27, "raise KeyError(values)"),
+        (31, "return 0"),
+    ]
     assert exempt == [
         (5, "from os import PathLike"),
-        (10, "return ("),
-        (11, '"<Thing>"'),
-        (16, 'raise NotImplementedError("later")'),
+        (10, 'return "<Thing>"'),
+        (14, 'raise NotImplementedError("later")'),
     ]
 
 
-def test_report_counts_every_line_of_an_untraced_module(tmp_path):
-    covers, package = tmp_path / "covers", tmp_path / "src" / "repro"
-    covers.mkdir()
-    package.mkdir(parents=True)
-    (covers / "repro.synthetic.cover").write_text(COVER, encoding="utf-8")
-    (covers / "os.cover").write_text(COVER, encoding="utf-8")
-    (package / "synthetic.py").write_text("", encoding="utf-8")
-    (package / "unused.py").write_text(UNUSED, encoding="utf-8")
-    results, untraced = census.census(covers, tmp_path / "src")
-    assert list(results) == ["repro.synthetic", "repro.unused"]
-    assert untraced == ["repro.unused"]
-    assert results["repro.unused"] == (
-        [(3, "import os"), (6, "def f():"), (7, "if os.sep:"), (9, "return os.sep")],
-        [(8, "raise NotImplementedError")],
-    )
-    text = census.report(results, untraced)
-    assert "repro.synthetic: 3\n" in text
-    assert "repro.unused: 4\n" in text
-    assert "not imported in the test process (every line counted): repro.unused\n" in text
-    assert "never-run lines: 7 (exempt: 5 " in text
-    assert "subprocesses" in text.splitlines()[-1]
+def test_program_table_lists_what_only_the_tests_run(tmp_path):
+    src, path = _package(tmp_path)
+    tests = {2, 4, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 23, 24, 25, 26, 27, 30, 31}
+    program = {2, 4, 8, 9, 12, 13, 15, 18, 19, 23, 30}
+    table, functions = census.program_table({path: tests}, {path: program}, src)
+    counted, exempt = table["repro.synthetic"]
+    assert counted == [
+        (24, "for value in values:"),
+        (25, "if value < 0:"),
+        (26, "return value"),
+        (31, "return 0"),
+    ]
+    assert [lineno for lineno, _text in exempt] == [14, 16, 17, 20, 21, 27]
+    assert functions == {"repro.synthetic": ["Thing.check", "dead"]}
+    text = census.report(census.tests_table({path: tests}, src), table, functions)
+    assert "repro.synthetic: 4\n" in text
+    assert "functions only tier-1 enters: 2\n  repro.synthetic.Thing.check\n" in text
+    assert "tests-only lines: 4 (exempt: 6 " in text
+    assert "never-run lines: 0 (exempt: 2 " in text

@@ -12,6 +12,11 @@ from repro.exceptions import QueryError
 from repro.workloads import tpch
 
 
+def _num_pending(tracker):
+    """Subplans neither executed nor pruned yet."""
+    return tracker.total_subplans - tracker.num_executed - tracker.num_pruned
+
+
 @pytest.fixture()
 def q12_tracker(tiny_tpch_catalog):
     return SubplanTracker(tpch.q12(), tiny_tpch_catalog)
@@ -58,7 +63,7 @@ class TestEnumeration:
             "lineitem"
         )
         assert q12_tracker.total_subplans == expected
-        assert q12_tracker.num_pending == expected
+        assert _num_pending(q12_tracker) == expected
 
     def test_q5_subplans_product(self, tiny_tpch_catalog):
         tracker = SubplanTracker(tpch.q5(), tiny_tpch_catalog)
@@ -81,14 +86,14 @@ class TestTrackerTransitions:
         assert q12_tracker.runnable_batch({"orders.0"}, "lineitem.0").num_pending == 0
         # Executing it again raises before anything is changed.
         before = (
-            q12_tracker.num_pending,
+            _num_pending(q12_tracker),
             q12_tracker.num_executed,
             q12_tracker.pending_counts(q12_objects),
         )
         with pytest.raises(QueryError, match=f"#{batch.ids[0]} is not pending"):
             q12_tracker.mark_batch_executed(batch)
         assert (
-            q12_tracker.num_pending,
+            _num_pending(q12_tracker),
             q12_tracker.num_executed,
             q12_tracker.pending_counts(q12_objects),
         ) == before
@@ -103,11 +108,11 @@ class TestTrackerTransitions:
         }
 
     def test_prune_object_discards_its_subplans(self, tiny_tpch_catalog, q12_tracker):
-        before = q12_tracker.num_pending
+        before = _num_pending(q12_tracker)
         pruned = q12_tracker.prune_object("lineitem.0")
         assert len(pruned) == tiny_tpch_catalog.num_segments("orders")
         assert pruned == sorted(pruned)
-        assert q12_tracker.num_pending == before - len(pruned)
+        assert _num_pending(q12_tracker) == before - len(pruned)
         assert q12_tracker.num_pruned == len(pruned)
         assert q12_tracker.pending_counts(["lineitem.0"]) == {"lineitem.0": 0}
         assert not q12_tracker.object_in_pending("lineitem.0")
@@ -123,7 +128,7 @@ class TestTrackerTransitions:
         for segment_id in tiny_tpch_catalog.segment_ids("lineitem"):
             tracker.prune_object(segment_id)
         assert not tracker.has_pending()
-        assert tracker.num_pending == 0
+        assert _num_pending(tracker) == 0
 
 
 class TestTrackerRejectsWhatIsNotItsOwn:
@@ -132,7 +137,7 @@ class TestTrackerRejectsWhatIsNotItsOwn:
 
     @pytest.mark.parametrize("subplan_id", [-1, 10**9])
     def test_id_outside_the_subplan_space(self, q12_tracker, subplan_id):
-        before = q12_tracker.num_pending
+        before = _num_pending(q12_tracker)
         with pytest.raises(QueryError):
             q12_tracker.mark_batch_executed(
                 Batch([["orders.0"], ["lineitem.0"]], [subplan_id], b"\x01")
@@ -141,7 +146,7 @@ class TestTrackerRejectsWhatIsNotItsOwn:
             q12_tracker.mark_batch_executed(
                 Batch([["orders.0"], ["lineitem.0", "lineitem.1"]], [0, subplan_id], b"\x01\x01")
             )
-        assert q12_tracker.num_pending == before
+        assert _num_pending(q12_tracker) == before
 
     def test_one_past_the_last_id(self, tiny_tpch_catalog, q12_tracker, q12_objects):
         last = (
@@ -182,8 +187,8 @@ class TestTrackerRejectsWhatIsNotItsOwn:
         with pytest.raises(QueryError, match=f"{segment_id!r} belongs to no table"):
             manager.on_arrival(segment_id, segment)
         assert manager.stats == OperatorStats()
-        assert len(manager.cache) == 0
-        assert manager.tracker.num_pending == manager.tracker.total_subplans
+        assert not manager.cache.ids_view()
+        assert _num_pending(manager.tracker) == manager.tracker.total_subplans
 
     def test_batch_with_a_non_pending_id_changes_nothing(self, q12_tracker, q12_objects):
         first, second = ("orders.0", "lineitem.0"), ("orders.0", "lineitem.1")
@@ -206,7 +211,7 @@ class TestTrackerRejectsWhatIsNotItsOwn:
         before = q12_tracker.pending_counts(q12_objects)
         with pytest.raises(QueryError, match="'customer.0' belongs to no table"):
             q12_tracker.mark_batch_executed(Batch([["customer.0"], ["lineitem.0"]], [0], b"\x01"))
-        assert q12_tracker.num_pending == q12_tracker.total_subplans
+        assert _num_pending(q12_tracker) == q12_tracker.total_subplans
         assert q12_tracker.pending_counts(q12_objects) == before
 
     @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ class TestDiskGroupLayout:
         assert layout.group_of("c") == 1
         assert layout.has_object("a") and not layout.has_object("z")
         assert layout.group_if_placed("b") == 0 and layout.group_if_placed("z") is None
-        assert len(layout) == 3
+        assert len(layout.placed_keys) == 3
         assert sorted(layout.placed_keys) == ["a", "b", "c"]
         layout.add_object("d", 4)
         assert (layout.num_groups, layout.max_group_id) == (3, 4)

@@ -24,14 +24,12 @@ def test_invalid_keys_rejected():
 
 def test_put_get_cycle():
     store = ObjectStore()
-    assert not store.exists("t/a.0") and "t/a.0" not in store
+    assert not store.exists("t/a.0")
     with pytest.raises(StorageError):
         store.get("t/a.0")
     store.put("t/a.0", "payload")
     assert store.exists("t/a.0")
     assert store.get("t/a.0") == "payload"
-    assert "t/a.0" in store
-    assert len(store) == 1
 
 
 def test_duplicate_put_rejected():
@@ -43,13 +41,10 @@ def test_duplicate_put_rejected():
 
 def test_tenant_namespacing():
     store = ObjectStore()
-    store.put_segment("alice", "a.0", 1)
-    store.put_segment("alice", "a.1", 2)
-    store.put_segment("bob", "a.0", 3)
-    assert sorted(store.keys("alice")) == ["alice/a.0", "alice/a.1"]
-    assert store.keys("bob") == ["bob/a.0"]
-    assert set(store.tenants()) == {"alice", "bob"}
-    assert len(store.keys()) == 3
+    assert store.put_segment("alice", "a.0", 1) == "alice/a.0"
+    assert store.put_segment("alice", "a.1", 2) == "alice/a.1"
+    assert store.put_segment("bob", "a.0", 3) == "bob/a.0"
+    assert [store.get(key) for key in ("alice/a.0", "alice/a.1", "bob/a.0")] == [1, 2, 3]
 
 
 def test_put_segment_from_relation_segments(tiny_tpch_catalog):

@@ -7,14 +7,11 @@ import pytest
 from repro.engine import Column, DataType, Relation, TableSchema
 from repro.engine.operators import (
     AggregateState,
-    Filter,
     HashAggregate,
     HashJoin,
     Limit,
     Operator,
     OperatorStats,
-    Project,
-    SegmentScan,
     SequentialScan,
     Sort,
 )
@@ -46,33 +43,16 @@ class TestScans:
         assert scan.stats.tuples_scanned == 10
         assert scan.stats.tuples_output == 5
 
-    def test_sequential_scan_subset_of_segments(self, numbers_relation):
-        scan = SequentialScan(numbers_relation, segments=[1])
-        assert [row["n"] for row in scan.rows()] == [4, 5, 6, 7]
+    def test_filtered_scan_returns_a_list_the_caller_owns(self, numbers_relation):
+        """The segments memoise the selection; clearing one scan's output
+        must not empty the next scan with the same predicate."""
+        predicate = eq("parity", "even")
+        SequentialScan(numbers_relation, predicate=predicate).rows().clear()
+        rows = SequentialScan(numbers_relation, predicate=predicate).rows()
+        assert [row["n"] for row in rows] == [0, 2, 4, 6, 8]
 
-    def test_segment_scan(self, numbers_relation):
-        scan = SegmentScan(numbers_relation.segment(0), predicate=Comparison(">=", col("n"), lit(2)))
-        assert [row["n"] for row in scan.rows()] == [2, 3]
 
-
-class TestFilterProjectLimitSort:
-    def test_filter(self, numbers_relation):
-        operator = Filter(SequentialScan(numbers_relation), Comparison(">=", col("n"), lit(7)))
-        assert [row["n"] for row in operator.rows()] == [7, 8, 9]
-
-    def test_project_columns_and_expressions(self, numbers_relation):
-        operator = Project(
-            SequentialScan(numbers_relation),
-            columns=["parity"],
-            expressions={"n_squared": col("n")},
-        )
-        first = operator.rows()[0]
-        assert set(first) == {"parity", "n_squared"}
-
-    def test_project_requires_output(self, numbers_relation):
-        with pytest.raises(QueryError):
-            Project(SequentialScan(numbers_relation))
-
+class TestLimitSort:
     def test_limit(self, numbers_relation):
         operator = Limit(SequentialScan(numbers_relation), 3)
         assert len(operator.rows()) == 3
@@ -80,8 +60,17 @@ class TestFilterProjectLimitSort:
             Limit(SequentialScan(numbers_relation), 0)
 
     def test_sort(self, numbers_relation):
-        operator = Sort(SequentialScan(numbers_relation), ["n"], descending=True)
-        assert [row["n"] for row in operator.rows()][:3] == [9, 8, 7]
+        operator = Sort(SequentialScan(numbers_relation), ["parity", "n"])
+        assert [row["n"] for row in operator.rows()][:6] == [0, 2, 4, 6, 8, 1]
+
+    def test_limit_longer_than_input_keeps_every_row(self, numbers_relation):
+        operator = Limit(SequentialScan(numbers_relation), 50)
+        assert [row["n"] for row in operator.rows()] == list(range(10))
+        assert operator.stats == OperatorStats(tuples_output=10)
+
+    def test_sort_keeps_input_order_within_equal_keys(self, numbers_relation):
+        operator = Sort(SequentialScan(numbers_relation), ["parity"])
+        assert [row["n"] for row in operator.rows()] == [0, 2, 4, 6, 8, 1, 3, 5, 7, 9]
 
 
 class TestHashJoin:
@@ -118,7 +107,7 @@ class TestHashJoin:
     def test_join_with_no_matches(self):
         left, right = self._relations()
         join = HashJoin(
-            build=Filter(SequentialScan(right), eq("rk", 999)),
+            build=SequentialScan(right, predicate=eq("rk", 999)),
             probe=SequentialScan(left),
             build_keys=["rk"],
             probe_keys=["lk"],
@@ -243,8 +232,7 @@ class TestAggregation:
         state = AggregateState([], [AggregateSpec("count", None, "cnt")])
         state.add_all(rows[:3])
         state.add_all(rows[3:])
-        assert state.results()[0]["cnt"] == 10
-        assert state.num_groups == 1
+        assert state.results() == [{"cnt": 10}]
 
     def test_sum_of_null_raises(self):
         state = AggregateState([], [AggregateSpec("sum", col("x"), "s")])
@@ -284,19 +272,18 @@ class TestStatsCollection:
     def test_collect_stats_aggregates_children(self, numbers_relation):
         """``Limit`` truncates a materialised child: the non-blocking
         operators below it count their whole input, not the first 5 rows."""
-        scan = SequentialScan(numbers_relation)
-        selection = Filter(scan, Comparison(">=", col("n"), lit(2)))
-        operator = Limit(selection, 5)
+        scan = SequentialScan(numbers_relation, predicate=Comparison(">=", col("n"), lit(2)))
+        ordered = Sort(scan, ["n"])
+        operator = Limit(ordered, 5)
         assert [row["n"] for row in operator.rows()] == [2, 3, 4, 5, 6]
-        assert scan.stats == OperatorStats(tuples_scanned=10, tuples_output=10)
-        assert selection.stats == OperatorStats(tuples_scanned=10, tuples_output=8)
+        assert scan.stats == OperatorStats(tuples_scanned=10, tuples_output=8)
+        assert ordered.stats == OperatorStats(tuples_scanned=8, tuples_output=8)
         assert operator.stats == OperatorStats(tuples_output=5)
-        assert operator.collect_stats() == OperatorStats(tuples_scanned=20, tuples_output=23)
-        assert operator.collect_stats().total() == 43
+        assert operator.collect_stats() == OperatorStats(tuples_scanned=18, tuples_output=21)
 
 
 class TestRowsProtocol:
-    """``rows()`` is the primitive; iterating an operator iterates its batch."""
+    """``rows()`` is the primitive every operator implements."""
 
     @staticmethod
     def _trees(relation):
@@ -305,17 +292,14 @@ class TestRowsProtocol:
 
         return [
             scan(),
-            SegmentScan(relation.segment(1), predicate=Comparison(">=", col("n"), lit(5))),
-            Filter(scan(), eq("parity", "odd")),
-            Project(scan(), columns=["n"], expressions={"same": col("n")}),
             HashJoin(
-                build=Project(scan(), expressions={"m": col("n")}),
+                build=HashAggregate(scan(), ["parity"], [AggregateSpec("max", col("n"), "m")]),
                 probe=scan(),
                 build_keys=["m"],
                 probe_keys=["n"],
             ),
             HashAggregate(scan(), ["parity"], [AggregateSpec("sum", col("n"), "total")]),
-            Sort(scan(), ["parity", "n"], descending=True),
+            Sort(scan(), ["parity", "n"]),
             Limit(scan(), 4),
         ]
 
@@ -323,22 +307,19 @@ class TestRowsProtocol:
         covered = {type(tree) for tree in self._trees(numbers_relation)}
         assert covered == set(Operator.__subclasses__())
 
-    def test_iteration_is_the_batch(self, numbers_relation):
+    def test_rows_are_the_same_on_a_second_tree(self, numbers_relation):
         for first, second in zip(self._trees(numbers_relation), self._trees(numbers_relation)):
             rows = first.rows()
             assert rows, type(first).__name__
-            assert list(second) == rows
+            assert second.rows() == rows
             assert second.collect_stats() == first.collect_stats()
 
     def test_rows_returns_a_list_the_caller_owns(self, numbers_relation):
         """Unfiltered scans read the segments' cached row lists; handing one
         out would let a caller's ``sort()``/``clear()`` corrupt the relation."""
-        for scan, expected in (
-            (SequentialScan(numbers_relation), 10),
-            (SegmentScan(numbers_relation.segment(0)), 4),
-        ):
-            scan.rows().clear()
-            assert len(scan.rows()) == expected
+        scan = SequentialScan(numbers_relation)
+        scan.rows().clear()
+        assert len(scan.rows()) == 10
 
     def test_base_operator_has_no_rows(self):
         with pytest.raises(NotImplementedError):

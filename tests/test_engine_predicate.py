@@ -19,7 +19,6 @@ from repro.engine.predicate import (
     in_list,
     lit,
 )
-from repro.engine.relation import Segment
 from repro.exceptions import ExecutionError, QueryError
 
 
@@ -154,7 +153,8 @@ def test_not_is_involution(value, modulus):
 # Bulk ``selection`` against the generic ``evaluate`` reference
 # --------------------------------------------------------------------------- #
 def _columns(rows):
-    return Segment("t", 0, rows).columns
+    """The column arrays a segment of ``rows`` filters over."""
+    return {name: [row[name] for row in rows] for name in (rows[0] if rows else ())}
 
 
 class TestBulkSelection:

@@ -107,12 +107,11 @@ class TestMembershipModel:
             profiles=(DeviceProfile(device=1, switch_seconds=40.0),),
         )
         membership = FleetMembership(spec, base)
-        assert membership.device_config("csd0") == base
-        assert membership.device_config("csd1").group_switch_seconds == 40.0
-        assert membership.device_config("csd1").transfer_seconds_per_object == 9.6
+        assert membership.member("csd0").config == base
+        assert membership.member("csd1").config.group_switch_seconds == 40.0
+        assert membership.member("csd1").config.transfer_seconds_per_object == 9.6
         joined = membership.join(DeviceJoin(2, 30.0, transfer_seconds=4.8), 30.0)
         assert joined.config.transfer_seconds_per_object == 4.8
-        assert membership.heterogeneous
 
     @given(
         intervals=st.lists(
@@ -182,6 +181,19 @@ class TestMigrationPlanner:
         plan.devices_before = 2
         plan.devices_after = 3
         assert plan.migration_bound() == 10  # min(K, ceil(2*3*10/2)) == K
+
+    @pytest.mark.parametrize(
+        "kind, bound", [("join", 25), ("set-replication", 100), ("reweight", 100)]
+    )
+    def test_full_sweep_kinds_are_bounded_by_every_key(self, kind, bound):
+        """A join moves ~R·K/N keys; raising R or reweighting moves them all:
+        8 devices, R = 1, K = 100 bound a join by ceil(2·1·100/8) = 25 and
+        the two full sweeps by K."""
+        plan = plan_migration(1, 0.0, kind, "csd8", {}, {}, replication=1)
+        plan.total_keys = 100
+        plan.devices_before = 8
+        plan.devices_after = 9 if kind == "join" else 8
+        assert plan.migration_bound() == bound
 
 
 class TestSpecValidation:
@@ -384,7 +396,6 @@ class TestHeterogeneousFleet:
         assert configs["csd1"].transfer_seconds_per_object == 19.2
         assert configs["csd2"].group_switch_seconds == 5.0
         assert configs["csd0"].group_switch_seconds == 10.0
-        assert service.membership.heterogeneous
 
     def test_least_loaded_routing_steers_around_the_straggler(self):
         report = RUNNER.run(get_scenario("fleet-heterogeneous"))

@@ -23,7 +23,6 @@ from repro.obs.analysis import (
     tenant_totals,
 )
 from repro.obs.export import TRACE_FORMAT, build_trace, to_chrome, trace_to_json
-from repro.scenarios.parallel import run_scenarios
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
@@ -167,15 +166,6 @@ class TestDeterminism:
         _report, _document, raw = fleet_trace
         _again, raw_again = ScenarioRunner().run_traced(get_scenario(FLEET_SCENARIO))
         assert raw == raw_again
-
-    def test_parallel_traces_match_serial(self):
-        names = ["uniform", ADMISSION_SCENARIO]
-        serial = run_scenarios(names, jobs=1, trace=True)
-        parallel = run_scenarios(names, jobs=4, trace=True)
-        for left, right in zip(serial, parallel):
-            assert left.trace_json is not None
-            assert left.trace_json == right.trace_json
-            assert left.report_json == right.report_json
 
     def test_traced_report_matches_untraced_modulo_trace_flag(self):
         spec = get_scenario(ADMISSION_SCENARIO)

@@ -83,7 +83,7 @@ class TestGoldenDiffUX:
     def test_unified_diff_summary_truncates(self):
         live = {f"key{index}": index for index in range(200)}
         golden = {f"key{index}": index + 1 for index in range(200)}
-        summary = unified_diff_summary(live, golden, "x", max_lines=10)
+        summary = unified_diff_summary(live, golden, "x")
         assert "omitted" in summary
 
     def test_matching_report_raises_nothing(self):

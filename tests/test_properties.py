@@ -84,7 +84,7 @@ class TestMJoinInvariants:
         assert executed_total + pruned_total == manager.tracker.total_subplans
         assert executed_total == manager.tracker.num_executed
         assert pruned_total == manager.tracker.num_pruned
-        assert manager.tracker.num_pending == 0
+        assert not manager.tracker.has_pending()
 
 
 class TestCacheInvariants:
@@ -106,7 +106,7 @@ class TestCacheInvariants:
                 victim = cache.evict(segment_id, tracker)
                 assert victim.segment_id not in cache
             cache.add(segment_id, segment_id)
-            assert len(cache) <= capacity
+            assert len(cache.ids_view()) <= capacity
         assert cache.num_insertions == len({a for a in arrivals})
 
 

@@ -137,5 +137,4 @@ class TestRaggedRowsRejected:
         assert Segment("t", 0, []).rows == []
         assert Segment("t", 0, [{}, {}]).rows == [{}, {}]
         segment = Segment("t", 0, [{"a": 1}, {"a": None}])
-        assert segment.columns == {"a": [1, None]}
         assert segment.rows == [{"a": 1}, {"a": None}]

@@ -215,7 +215,7 @@ class TestReplicationDowngrade:
             for trim in plan.trims:
                 assert trim.survivors >= 1
         assert service.controller.effective_replication == 2
-        assert service.membership.epoch == 2
+        assert service.fleet_epoch() == 2
 
 
 class TestReadRepair:
@@ -390,7 +390,7 @@ class TestMigrationThrottle:
             yield request.completion
 
         env.process(client(env))
-        env.run(until=60.0)
+        env.run(env.timeout(60.0))
         migrations = [
             interval for interval in device.busy_intervals if interval.kind == "migration"
         ]
@@ -563,7 +563,7 @@ class TestReplicationChurnProperty:
             # The admin hatch, anywhere in the timeline: pull every queued
             # GET out of the fleet and hand the lot straight back.
             service.submit_workload()
-            service.env.run(until=drain_at)
+            service.env.run(service.env.timeout(drain_at))
             service.backend.submit_many(service.drain_pending())
         result = service.run()
         fleet_router = service.fleet

@@ -123,7 +123,7 @@ class TestClientProxy:
         assert sorted(segment_id for segment_id, _ in received) == sorted(segment_ids)
         assert all(segment_id == payload_id for segment_id, payload_id in received)
         # Everything delivered was consumed: the proxy retains no request.
-        assert len(proxy.arrivals) == 0
+        assert not proxy.arrivals.queued
 
 
 class TestRunner:

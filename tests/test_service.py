@@ -302,7 +302,7 @@ class TestAdmissionControl:
         controller.request("instant")  # admitted, never queues
         waiting = controller.request("patient")  # queues behind it
         assert waiting.queued
-        env.run(until=5.0)
+        env.run(env.timeout(5.0))
         controller.release("instant")  # grants the waiter after 5s of delay
         summary = controller.summary()
         assert summary["per_tenant"]["instant"]["queued"] == 0
@@ -359,7 +359,7 @@ class TestDrainPending:
         service = StorageService(get_scenario("fleet-uniform"))
         fleet = service.fleet
         service.submit_workload()
-        service.env.run(until=50.0)
+        service.env.run(service.env.timeout(50.0))
         before = sum(member.outstanding for member in fleet.members)
         drained = service.drain_pending()
         assert drained and fleet.pending_total() == 0

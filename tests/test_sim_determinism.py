@@ -41,8 +41,8 @@ class LegacyEnvironment:
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value=value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator, name: str = "") -> Process:
         return Process(self, generator, name=name)

@@ -6,9 +6,8 @@ from repro.exceptions import SimulationError
 from repro.sim import Environment
 
 
-def test_clock_starts_at_initial_time():
+def test_clock_starts_at_zero():
     assert Environment().now == 0.0
-    assert Environment(initial_time=7.5).now == 7.5
 
 
 def test_run_until_time_stops_clock_at_deadline():
@@ -20,7 +19,7 @@ def test_run_until_time_stops_clock_at_deadline():
         fired.append(env.now)
 
     env.process(proc(env))
-    env.run(until=4.0)
+    env.run(env.timeout(4.0))
     assert env.now == 4.0
     assert fired == []
     env.run()
@@ -54,11 +53,6 @@ class TestRunUntilWaitsForDispatch:
         env.run(until=env.timeout(5.0))
         assert env.now == pytest.approx(5.0)
 
-    def test_run_until_timeout_returns_its_value(self):
-        env = Environment()
-        assert env.run(until=env.timeout(2.5, value="payload")) == "payload"
-        assert env.now == pytest.approx(2.5)
-
     def test_run_until_timeout_dispatches_earlier_events_first(self):
         env = Environment()
         fired = []
@@ -72,7 +66,8 @@ class TestRunUntilWaitsForDispatch:
         assert fired == [3.0]
 
     def test_run_until_pre_succeeded_event_dispatches_at_current_time(self):
-        env = Environment(initial_time=4.0)
+        env = Environment()
+        env.run(env.timeout(4.0))
         event = env.event("ready")
         event.succeed("value")
         assert env.run(until=event) == "value"
@@ -92,16 +87,16 @@ class TestRunUntilWaitsForDispatch:
 
     def test_run_until_already_dispatched_event_returns_immediately(self):
         env = Environment()
-        timeout = env.timeout(1.0, value="done")
+        timeout = env.timeout(1.0)
         env.run()
         assert env.now == pytest.approx(1.0)
-        assert env.run(until=timeout) == "done"
+        assert env.run(until=timeout) is None
         assert env.now == pytest.approx(1.0)
 
     def test_run_until_composite_of_timeouts_waits_for_the_last(self):
         env = Environment()
-        composite = env.all_of([env.timeout(2.0, value="a"), env.timeout(6.0, value="b")])
-        assert env.run(until=composite) == ["a", "b"]
+        composite = env.all_of([env.timeout(2.0), env.timeout(6.0)])
+        assert env.run(until=composite) == [None, None]
         assert env.now == pytest.approx(6.0)
 
 
@@ -119,8 +114,7 @@ def test_dispatched_counter_counts_deliveries():
 
 
 def test_every_run_mode_dispatches_in_the_same_order():
-    """``run()``, ``run(event)``, ``run(deadline)`` and ``step()`` are one
-    dispatch order and one ``dispatched`` count."""
+    """``run()`` and ``run(event)`` are one dispatch order."""
 
     def trace(drive):
         env = Environment()
@@ -138,17 +132,11 @@ def test_every_run_mode_dispatches_in_the_same_order():
         drive(env, processes)
         return log, env.dispatched, env.now
 
-    def by_steps(env, _processes):
-        while env.peek() is not None:
-            env.step()
-
     until_empty = trace(lambda env, _processes: env.run())
     assert trace(lambda env, processes: env.run(env.all_of(processes)))[0] == until_empty[0]
-    assert trace(by_steps) == until_empty
-    assert trace(lambda env, _processes: env.run(until=4.5)) == until_empty
 
 
-def test_run_until_event_that_never_fires_raises():
+def test_run_until_event_that_never_fires_raises_after_the_last_event():
     env = Environment()
     env.timeout(1.0)
     with pytest.raises(SimulationError, match="ran out of events before 'never'"):
@@ -156,23 +144,11 @@ def test_run_until_event_that_never_fires_raises():
     assert env.now == 1.0
 
 
-def test_run_until_past_time_raises():
-    env = Environment(initial_time=5.0)
-    with pytest.raises(SimulationError):
-        env.run(until=1.0)
-
-
-def test_step_without_events_raises():
+def test_run_without_events_returns_at_once():
     env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() is None
-    env.timeout(3.0)
-    assert env.peek() == pytest.approx(3.0)
+    assert env.run() is None
+    assert env.now == 0.0
+    assert env.dispatched == 0
 
 
 def test_same_time_events_fire_in_scheduling_order():

@@ -1062,3 +1062,132 @@ def test_strict_profile_modules_are_fully_annotated():
     assert {package / "core/execution.py", package / "vanilla/executor.py"} <= set(modules)
     assert not incomplete, "unannotated:\n" + "\n".join(incomplete)
     assert not bare, "bare generics:\n" + "\n".join(bare)
+
+
+def _annotations(tree):
+    """Every annotation node in ``tree``: parameters, returns, ``x: T``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            parameters = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            parameters += [arg for arg in (arguments.vararg, arguments.kwarg) if arg]
+            yield from (arg.annotation for arg in parameters if arg.annotation is not None)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def test_no_pep_604_unions_in_annotations():
+    """CI's oldest Python is 3.9: ``typing.get_type_hints`` raises on an
+    ``X | Y`` annotation there, so ``src/repro`` spells them ``Optional`` /
+    ``Union``."""
+    unions = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for annotation in _annotations(ast.parse(path.read_text())):
+            where = f"{path.relative_to(REPO_ROOT)}:{annotation.lineno}"
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                annotation = ast.parse(annotation.value, mode="eval").body
+            if any(
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+                for node in ast.walk(annotation)
+            ):
+                unions.append(where)
+    assert not unions, unions
+
+
+def _definitions():
+    """``module:Qualified.name`` -> its ``def`` / ``class`` node, for ``src/repro``."""
+    package = REPO_ROOT / "src"
+    found = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                found[f"{module}:{name}"] = child
+                visit(child, module, f"{name}.")
+
+    for path in sorted((package / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        visit(ast.parse(path.read_text()), module, "")
+    return found
+
+
+def test_test_only_code_stays_deleted():
+    """What only the tests ran is gone (``tools/census.py``'s program
+    section finds it): the kernel's ``step``/``peek`` twin, the operators no
+    plan builds, introspection only tests read, and 14 parameters no program
+    caller sets.  ``Environment.run`` waits for an event or for nothing."""
+    definitions = _definitions()
+    by_name = {}
+    for qualified in definitions:
+        by_name.setdefault(qualified.split(":")[1], []).append(qualified)
+    deleted = [
+        "Environment.step",
+        "Environment.peek",
+        "Filter",
+        "Project",
+        "SegmentScan",
+        "ObjectStore.keys",
+        "ObjectStore.tenants",
+        "ObjectStore.__len__",
+        "ObjectStore.__contains__",
+        "TableSchema.column",
+        "TableSchema.__contains__",
+        "TableSchema.__len__",
+        "TableSchema.__eq__",
+        "TableSchema.__hash__",
+        "Catalog.__contains__",
+        "Catalog.__len__",
+        "Segment.columns",
+        "Segment.column_names",
+        "Segment.__iter__",
+        "Relation.__iter__",
+        "Operator.__iter__",
+        "OperatorStats.total",
+        "SubplanTracker.num_pending",
+        "AggregateState.num_groups",
+        "ExecutionResult.num_rows",
+        "ExecutionResult.processing_time",
+        "DiskGroupLayout.__len__",
+        "Store.__len__",
+        "ObjectCache.__len__",
+        "FleetMembership.device_config",
+        "FleetMembership.heterogeneous",
+        "StorageService.membership",
+        "TieringCostModel.cost_per_gb",
+    ]
+    back = {name: by_name[name] for name in deleted if name in by_name}
+    assert not back, back
+    parameters = {
+        "repro.engine.operators.sort:Sort.__init__": "descending",
+        "repro.engine.operators.scan:SequentialScan.__init__": "segments",
+        "repro.engine.predicate:between": "inclusive",
+        "repro.sim.environment:Environment.__init__": "initial_time",
+        "repro.sim.environment:Environment.timeout": "value",
+        "repro.sim.events:Timeout.__init__": "value",
+        "repro.cluster.cluster:ClusterResult.execution_times": "client_id",
+        "repro.workloads.datagen:DataGenerator.decimal": "digits",
+        "repro.obs.tracer:Tracer.add_event": "at",
+        "repro.tiering.cost_model:TieringCostModel.figure3_rows": "price_points",
+        "repro.scenarios.golden:unified_diff_summary": "max_lines",
+        "repro.scenarios.golden:assert_dict_matches_golden": "rtol atol",
+        "repro.scenarios.golden:diff_values": "rtol atol",
+        "repro.scenarios.parallel:run_scenarios": "trace",
+        "repro.scenarios.parallel:run_one": "trace",
+        "repro.harness.runner:_render_value": "indent",
+    }
+    for qualified, names in parameters.items():
+        arguments = definitions[qualified].args
+        present = {arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs}
+        assert not present & set(names.split()), (qualified, present & set(names.split()))
+    outcome_fields = {
+        node.target.id
+        for node in definitions["repro.scenarios.parallel:ScenarioOutcome"].body
+        if isinstance(node, ast.AnnAssign)
+    }
+    assert "trace_json" not in outcome_fields
+    run = definitions["repro.sim.environment:Environment.run"].args
+    assert [arg.arg for arg in run.args] == ["self", "until"]
+    assert ast.unparse(run.args[1].annotation) == "Optional[Event]"

@@ -111,7 +111,7 @@ def test_put_many_accepts_a_one_shot_iterator():
     store.get()
     store.put_many(iter([1, 2, 3]))
     assert list(store.queued) == [2, 3]
-    assert store.drain() == [2, 3] and store.drain() == [] and len(store) == 0
+    assert store.drain() == [2, 3] and store.drain() == [] and not store.queued
 
 
 # --------------------------------------------------------------------------- #
@@ -207,7 +207,7 @@ def test_submit_many_is_submit_once_per_request(
                     router.submit_many((request,))
             history.append(_fleet_snapshot(router, requests))
             if run_between:
-                router.env.run(until=router.env.now + run_between)
+                router.env.run(router.env.timeout(run_between))
         # Baseline loads were invented, not routed: take them back so the
         # completions can drain ``outstanding`` to zero.
         for member in router.members:
@@ -228,7 +228,7 @@ def test_empty_batch_is_a_no_op():
     router = build_router(FleetSpec(devices=3, replication=2))
     router.submit_many([])
     assert router.stats.requests_routed == 0 and not router._in_flight
-    assert all(len(member.device.inbox) == 0 for member in router.members)
+    assert all(len(member.device.inbox.queued) == 0 for member in router.members)
     before = router.env.dispatched
     router.env.run()
     # Only the device bootstraps ran: an empty batch scheduled nothing.
@@ -241,7 +241,7 @@ def test_a_batch_can_span_every_device_and_slices_keep_request_order():
     router = build_router(FleetSpec(devices=4, replication=1))
     requests = build_requests(router, ALL_KEYS, [])
     router.submit_many(requests)
-    touched = [member for member in router.members if len(member.device.inbox)]
+    touched = [member for member in router.members if len(member.device.inbox.queued)]
     assert len(touched) == 4
     for member in touched:
         inbox = [item.request_id for item in member.device.inbox.queued]
@@ -259,7 +259,7 @@ def _counters(router: FleetRouter) -> tuple:
         router.stats.choice_diverted,
         len(router._in_flight),
         [(member.outstanding, member.requests_routed) for member in router.members],
-        [len(member.device.inbox) for member in router.members],
+        [len(member.device.inbox.queued) for member in router.members],
         [member.device.stats.requests_received for member in router.members],
     )
 
@@ -296,11 +296,11 @@ def test_device_rejects_a_batch_before_anything_moves():
     bad.object_key = "t0/elsewhere.9"
     with pytest.raises(StorageError):
         device.submit_many([good, bad])
-    assert len(device.inbox) == 0
+    assert len(device.inbox.queued) == 0
     router.object_store.put("t0/elsewhere.9", b"stored but placed on no disk group")
     with pytest.raises(StorageError, match="not placed on any disk group"):
         device.submit_many([good, bad])
-    assert len(device.inbox) == 0
+    assert len(device.inbox.queued) == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -82,9 +82,10 @@ class TestCostModel:
         large = TieringCostModel(database_gb=10 * 1024).standard_costs()["3-tier"]
         assert large == pytest.approx(10 * small)
 
-    def test_cost_per_gb_blend(self):
+    def test_single_class_configuration_costs_its_price_per_gb(self):
         model = TieringCostModel()
-        assert model.cost_per_gb(standard_configurations()["all-sata"]) == pytest.approx(4.5)
+        cost = model.configuration_cost(standard_configurations()["all-sata"])
+        assert cost == pytest.approx(4.5 * model.database_gb)
 
     def test_invalid_model_parameters(self):
         with pytest.raises(ConfigurationError):

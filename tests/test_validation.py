@@ -59,6 +59,18 @@ class TestMigrationJobValidation:
         with pytest.raises(ConfigurationError, match=f"migration {pattern}"):
             MigrationJob("a/t.0", "read", seconds, epoch=epoch)
 
+    @pytest.mark.parametrize(
+        "direction, reason, pattern",
+        [
+            ("copy", "rebalance", "migration direction must be read/write, got 'copy'"),
+            ("read", "balance", "migration reason must be one of .*, got 'balance'"),
+        ],
+        ids=["unknown-direction", "unknown-reason"],
+    )
+    def test_bad_direction_or_reason_rejected(self, direction, reason, pattern):
+        with pytest.raises(ConfigurationError, match=pattern):
+            MigrationJob("a/t.0", direction, 1.0, epoch=1, reason=reason)
+
     def test_a_valid_job_is_booked_on_a_bare_device(self):
         env = Environment()
         store = ObjectStore()

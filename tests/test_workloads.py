@@ -9,7 +9,7 @@ from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile
 
 
 def _rows(catalog, table):
-    return [row for segment in catalog.relation(table) for row in segment.rows]
+    return [row for segment in catalog.relation(table).segments for row in segment.rows]
 
 
 class TestDataGenerator:
@@ -94,7 +94,7 @@ class TestTpch:
         query = tpch.query(query_name)
         query.validate(small_tpch_catalog)
         result = InMemoryExecutor(small_tpch_catalog).execute(query)
-        assert result.num_rows > 0
+        assert result.rows
 
     def test_unknown_scale_and_query_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -109,29 +109,29 @@ class TestOtherWorkloads:
         executor = InMemoryExecutor(catalog)
         for name in ssb.QUERIES:
             result = executor.execute(ssb.query(name))
-            assert result.num_rows > 0
+            assert result.rows
 
     def test_mrbench_join_task_aggregates_by_source_ip(self):
         catalog = mrbench.build_catalog("tiny", seed=2)
         result = InMemoryExecutor(catalog).execute(mrbench.join_task())
-        assert result.num_rows > 0
+        assert result.rows
         assert all("total_revenue" in row and "avg_pagerank" in row for row in result.rows)
 
     def test_mrbench_aggregation_task(self):
         catalog = mrbench.build_catalog("tiny", seed=2)
         result = InMemoryExecutor(catalog).execute(mrbench.aggregation_task())
-        assert result.num_rows > 0
+        assert result.rows
 
     def test_nref_counting_join(self):
         catalog = nref.build_catalog("tiny", seed=2)
         result = InMemoryExecutor(catalog).execute(nref.sequence_count())
-        assert result.num_rows > 0
+        assert result.rows
         assert all(row["matching_sequences"] > 0 for row in result.rows)
 
     def test_nref_secondary_query(self):
         catalog = nref.build_catalog("tiny", seed=2)
         result = InMemoryExecutor(catalog).execute(nref.long_protein_report())
-        assert result.num_rows > 0
+        assert result.rows
 
     def test_workloads_share_one_catalog_without_collisions(self):
         catalog = tpch.build_catalog("tiny", seed=1)
@@ -140,10 +140,10 @@ class TestOtherWorkloads:
         nref.build_catalog("tiny", seed=4, catalog=catalog)
         assert isinstance(catalog, Catalog)
         executor = InMemoryExecutor(catalog)
-        assert executor.execute(tpch.q12()).num_rows > 0
-        assert executor.execute(ssb.q1_1()).num_rows > 0
-        assert executor.execute(mrbench.join_task()).num_rows > 0
-        assert executor.execute(nref.sequence_count()).num_rows > 0
+        assert executor.execute(tpch.q12()).rows
+        assert executor.execute(ssb.q1_1()).rows
+        assert executor.execute(mrbench.join_task()).rows
+        assert executor.execute(nref.sequence_count()).rows
 
     def test_unknown_scales_rejected(self):
         for module in (ssb, mrbench, nref):

@@ -1,19 +1,28 @@
-"""Dead-line census: the lines of ``src/repro`` that the tier-1 tests never run.
+"""Dead-line census: the lines of ``src/repro`` that the tests run and the
+program does not.
 
-Runs the tier-1 suite once under the standard library's line tracer
-(``python -m trace --count --missing``, a few minutes), reads the ``.cover``
-files it writes into a temporary directory and prints, per module, every
-executable line that never ran, then the total.  Three kinds of line are
-counted separately as exempt: ``__repr__`` bodies, imports under ``if
-TYPE_CHECKING:`` and ``raise NotImplementedError``.
+Two sections, each traced in its own fresh interpreter with
+``sys.monitoring`` (Python 3.12+; every line is disabled after its first
+hit, so tracing costs little):
 
-Only the test process is traced: code that runs solely in a subprocess the
-tests start (a ``python -m`` entry point run as a script, the
-second-interpreter check, the ledger's workers) is counted as never run.  A module no test
-imports in-process has no ``.cover`` file; every executable line of it is
-counted, and the report names it.
+* **tests** — tier-1 (``pytest -q``) runs in-process; printed per module is
+  every executable line of ``src/repro`` it never runs, then the total.
+* **program** — the entry points in :data:`PROGRAM` run in-process: what CI
+  and the paper's figures run.  Printed per module is every line tier-1
+  runs and the program never does, the functions only tier-1 enters, then
+  the total: code that exists for its tests alone.
 
-Usage (stdlib only, from the repository root)::
+Both sections exempt ``__repr__`` bodies, imports under ``if
+TYPE_CHECKING:`` and ``raise NotImplementedError``.  The program section
+also exempts error paths: a ``raise``, and a straight-line statement whose
+only job is to reach one (the statements before it in the same block,
+the ``except`` line of a handler that only re-raises).
+
+Only the traced processes are seen: code that runs solely in a subprocess
+(the ``--jobs 4`` workers, the second-interpreter check) counts as never
+run.  A module neither process imports has every executable line counted.
+
+Usage (stdlib plus tier-1's own ``pytest``, from the repository root)::
 
     python tools/census.py
 """
@@ -21,158 +30,337 @@ Usage (stdlib only, from the repository root)::
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import itertools
+import json
+import multiprocessing
 import os
-import re
-import subprocess
+import runpy
 import sys
 import tempfile
 import trace
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-#: What ``trace`` puts before a line it counted: ``"%5d: "`` (wider past 99 999).
-#: At most four blanks, so a never-run line's seven-blank prefix followed by
-#: source that starts with ``2: `` is not taken for a count.
-_HIT = re.compile(r" {0,4}\d+: ")
-_MISSED = ">>>>>> "
-_PREFIX = 7  # width of ``_MISSED`` and of the blank prefix of a non-executable line
-
 Line = Tuple[int, str]
+#: Per module name: (counted lines, exempt lines).
+Table = Dict[str, Tuple[List[Line], List[Line]]]
+
+#: ``{tmp}`` is replaced by a scratch directory.
+_SCENARIOS = (
+    ["--list"],
+    ["--run-all", "--jobs", "1"],
+    ["--check", "--jobs", "1"],
+    ["--run", "fleet-throttled-rebalance", "--trace", "{tmp}/fleet.json"],
+    ["--run", "uniform", "--trace", "{tmp}/uniform.json"],
+)
+_EXAMPLES = (
+    ["quickstart.py"],
+    ["multi_tenant_analytics.py", "3"],
+    ["cache_pressure.py"],
+    ["scheduler_fairness.py"],
+    ["tiering_cost_analysis.py", "50"],
+)
+_LEDGER_WORKLOADS = ("skipper-shared-csd", "vanilla-pull", "keys-fanout", "fleet-churn")
+
+#: The program: ``(module or script, argv)``.  A name ending in ``.py`` is a
+#: script under the repository root, anything else a ``python -m`` module.
+#: The ``repro run`` experiments are added from the registry (_experiments).
+PROGRAM: List[Tuple[str, List[str]]] = (
+    [("repro.scenarios", argv) for argv in _SCENARIOS]
+    + [
+        ("repro.trace", [f"{{tmp}}/{name}.json", *option])
+        for name in ("fleet", "uniform")
+        for option in (["--top", "5"], ["--chrome", f"{{tmp}}/{name}-chrome.json"])
+    ]
+    + [(f"examples/{argv[0]}", argv[1:]) for argv in _EXAMPLES]
+    + [
+        ("ledger/run.py", ["--workload", name, "--quick", "--seconds", "0", "--trace", mode])
+        for name in _LEDGER_WORKLOADS
+        for mode in ("0", "1")
+    ]
+    + [
+        ("repro", ["list"]),
+        ("repro.bench", ["--smoke", "--check"]),
+        ("repro.bench", ["--smoke", "--trace", "--output", "{tmp}/bench.json", "--check"]),
+        ("repro.analysis", ["src", "tests", "--strict"]),
+    ]
+)
 
 
-def _exempt_lines(source: str) -> Set[int]:
+def _experiments() -> List[Tuple[str, List[str]]]:
+    """Every ``python -m repro run`` experiment, each ``*scale`` option ``tiny``."""
+    import inspect
+
+    from repro.harness.runner import EXPERIMENTS
+
+    runs = []
+    for name, (function, _description) in sorted(EXPERIMENTS.items()):
+        argv = ["run", name]
+        for parameter in inspect.signature(function).parameters:
+            if parameter.endswith("scale"):
+                argv += ["-o", f"{parameter}=tiny"]
+        runs.append(("repro", argv))
+    return runs
+
+
+# --------------------------------------------------------------------------- #
+# Tracing (runs in a child interpreter)
+# --------------------------------------------------------------------------- #
+def _traced(run: Callable[[], List[str]], prefix: str) -> Tuple[Set[Tuple[str, int]], List[str]]:
+    """``(file, line)`` of every line under ``prefix`` that ``run`` reaches,
+    and the notes ``run`` returns."""
+    monitoring = sys.monitoring  # type: ignore[attr-defined]
+    tool = monitoring.COVERAGE_ID
+    hits: Set[Tuple[str, int]] = set()
+
+    def on_line(code, line):
+        if code.co_filename.startswith(prefix):
+            hits.add((code.co_filename, line))
+        return monitoring.DISABLE
+
+    monitoring.use_tool_id(tool, "census")
+    monitoring.register_callback(tool, monitoring.events.LINE, on_line)
+    monitoring.set_events(tool, monitoring.events.LINE)
+    try:
+        notes = run()
+    finally:
+        monitoring.set_events(tool, 0)
+        monitoring.free_tool_id(tool)
+    return hits, notes
+
+
+def _run_tests() -> List[str]:
+    import pytest
+
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output):
+        status = pytest.main(["-q", "-p", "no:cacheprovider"])
+    lines = output.getvalue().strip().splitlines()
+    return [f"tier-1: {lines[-1] if lines else '(no output)'} (exit {int(status)})"]
+
+
+def _run_program() -> List[str]:
+    notes: List[str] = []
+    with tempfile.TemporaryDirectory(prefix="census-program-") as tmp:
+        entry_points = PROGRAM + _experiments()
+        for target, argv in entry_points:
+            argv = [arg.replace("{tmp}", tmp) for arg in argv]
+            status = _run_entry_point(target, argv)
+            if status:
+                notes.append(f"program: {target} {' '.join(argv)} exited {status}")
+    return notes + [f"program: {len(entry_points)} entry points run"]
+
+
+def _run_entry_point(target: str, argv: Sequence[str]) -> int:
+    """Run one entry point as ``python -m target argv`` (or ``python target
+    argv``) would, output discarded; its exit status."""
+    saved_argv, saved_path = sys.argv[:], sys.path[:]
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            if target.endswith(".py"):
+                script = REPO_ROOT / target
+                sys.argv = [str(script), *argv]
+                sys.path.insert(0, str(script.parent))
+                runpy.run_path(str(script), run_name="__main__")
+            else:
+                sys.argv = [target, *argv]
+                runpy.run_module(target, run_name="__main__", alter_sys=True)
+    except SystemExit as exit_:
+        code = exit_.code
+        return code if isinstance(code, int) else (0 if code is None else 1)
+    finally:
+        sys.argv, sys.path = saved_argv, saved_path
+    return 0
+
+
+def _child(half: str, output: str) -> None:
+    os.chdir(REPO_ROOT)
+    sys.path.insert(0, str(SRC))
+    run = _run_tests if half == "tests" else _run_program
+    hits, notes = _traced(run, str(SRC / "repro"))
+    Path(output).write_text(json.dumps({"hits": sorted(hits), "notes": notes}))
+
+
+def trace_half(half: str) -> Tuple[Dict[str, Set[int]], List[str]]:
+    """Lines of each ``src/repro`` file that ``half`` (``"tests"`` or
+    ``"program"``) runs, traced in a fresh interpreter, and its notes."""
+    with tempfile.TemporaryDirectory(prefix="census-") as directory:
+        output = str(Path(directory) / f"{half}.json")
+        child = multiprocessing.get_context("spawn").Process(target=_child, args=(half, output))
+        child.start()
+        child.join()
+        if child.exitcode != 0:
+            raise SystemExit(f"error: the {half} half exited {child.exitcode}")
+        document = json.loads(Path(output).read_text())
+    hits: Dict[str, Set[int]] = {}
+    for filename, line in document["hits"]:
+        hits.setdefault(filename, set()).add(line)
+    return hits, document["notes"]
+
+
+# --------------------------------------------------------------------------- #
+# Exemptions and line tables (version-independent)
+# --------------------------------------------------------------------------- #
+def _span(node: ast.AST) -> Iterable[int]:
+    return range(node.lineno, (node.end_lineno or node.lineno) + 1)
+
+
+def exempt_lines(source: str) -> Set[int]:
     """Line numbers of ``__repr__`` bodies, ``TYPE_CHECKING`` blocks and
     ``raise NotImplementedError`` statements in ``source``."""
     exempt: Set[int] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__repr__":
-            first, last = node.body[0].lineno, node.end_lineno
+            exempt.update(range(node.body[0].lineno, (node.end_lineno or 0) + 1))
         elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
-            first, last = node.body[0].lineno, node.body[-1].end_lineno
+            exempt.update(range(node.body[0].lineno, (node.body[-1].end_lineno or 0) + 1))
         elif isinstance(node, ast.Raise) and node.exc is not None:
             raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if not (isinstance(raised, ast.Name) and raised.id == "NotImplementedError"):
-                continue
-            first, last = node.lineno, node.end_lineno
-        else:
-            continue
-        exempt.update(range(first, (last or first) + 1))
+            if isinstance(raised, ast.Name) and raised.id == "NotImplementedError":
+                exempt.update(_span(node))
     return exempt
 
 
-def never_run(cover_text: str) -> Tuple[List[Line], List[Line]]:
-    """Parse one ``.cover`` file: its never-run lines as ``(lineno, source)``,
-    split into (counted, exempt)."""
-    source: List[str] = []
-    missed: List[int] = []
-    for lineno, line in enumerate(cover_text.splitlines(), 1):
-        if line.startswith(_MISSED):
-            missed.append(lineno)
-            source.append(line[_PREFIX:])
-            continue
-        hit = _HIT.match(line)
-        source.append(line[hit.end() :] if hit else line[_PREFIX:])
-    return _split(missed, source)
+#: Statements with a block of their own: an error path is straight-line code.
+_COMPOUND = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith, ast.Try)
+_COMPOUND += (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def never_imported(path: Path) -> Tuple[List[Line], List[Line]]:
-    """Every executable line of a module the tracer never saw, split like
-    :func:`never_run`.  "Executable" is the tracer's own definition (the
-    line table less docstrings), so the count is what a ``.cover`` file
-    would have marked."""
-    lines = [n for n in trace._find_executable_linenos(str(path)) if n > 0]
-    return _split(sorted(lines), path.read_text(encoding="utf-8").splitlines())
+def _straight_line(statement: ast.stmt) -> bool:
+    return not isinstance(statement, _COMPOUND)
 
 
-def _split(missed: Iterable[int], source: List[str]) -> Tuple[List[Line], List[Line]]:
-    exempt = _exempt_lines("\n".join(source) + "\n")
+def error_path_lines(source: str) -> Set[int]:
+    """Line numbers of error paths in ``source``: every ``raise`` (each ends
+    its block), the straight-line statements before it, and the ``except``
+    line of a handler whose whole body is such a path."""
+    lines: Set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list) or not block or not isinstance(block[-1], ast.Raise):
+                continue
+            tail = list(itertools.takewhile(_straight_line, reversed(block)))
+            for statement in tail:
+                lines.update(_span(statement))
+            if isinstance(node, ast.ExceptHandler) and len(tail) == len(block):
+                lines.add(node.lineno)
+    return lines
+
+
+def executable_lines(path: Path) -> Set[int]:
+    """The executable lines of one file: its line table less docstrings."""
+    return {n for n in trace._find_executable_linenos(str(path)) if n}
+
+
+def split_lines(
+    lines: Iterable[int], source: str, exempt: Set[int]
+) -> Tuple[List[Line], List[Line]]:
+    """``lines`` as ``(lineno, text)``, sorted and split into (counted, exempt)."""
+    text = source.splitlines()
     counted: List[Line] = []
     exempted: List[Line] = []
-    for lineno in missed:
-        (exempted if lineno in exempt else counted).append((lineno, source[lineno - 1].strip()))
+    for lineno in sorted(lines):
+        (exempted if lineno in exempt else counted).append((lineno, text[lineno - 1].strip()))
     return counted, exempted
 
 
-def census(
-    cover_dir: Path, src: Path = SRC
-) -> Tuple[Dict[str, Tuple[List[Line], List[Line]]], List[str]]:
-    """Never-run lines of every ``repro`` module under ``src``, by module
-    name, and the names of the modules that have no ``.cover`` file."""
-    results: Dict[str, Tuple[List[Line], List[Line]]] = {}
-    untraced: List[str] = []
+def module_name(path: Path, src: Path = SRC) -> str:
+    return ".".join(path.relative_to(src).with_suffix("").parts)
+
+
+def tests_table(tests: Dict[str, Set[int]], src: Path = SRC) -> Table:
+    """Per module: the executable lines tier-1 never runs."""
+    table: Table = {}
     for path in sorted((src / "repro").rglob("*.py")):
-        module = ".".join(path.relative_to(src).with_suffix("").parts)
-        cover = cover_dir / f"{module}.cover"
-        if cover.exists():
-            results[module] = never_run(cover.read_text(encoding="utf-8"))
-        else:
-            results[module] = never_imported(path)
-            untraced.append(module)
-    return results, untraced
+        source = path.read_text(encoding="utf-8")
+        missed = executable_lines(path) - tests.get(str(path), set())
+        table[module_name(path, src)] = split_lines(missed, source, exempt_lines(source))
+    return table
 
 
-def run_tier1(cover_dir: Path) -> str:
-    """Run tier-1 under the tracer, ``.cover`` files into ``cover_dir``; the
-    pytest summary line (the tracer swallows pytest's exit status).
-
-    Nothing is passed to ``--ignore-dir``: the tracer caches that verdict by
-    a module's base name, so ignoring the stdlib would also drop
-    ``repro/csd/request.py`` (after ``urllib/request.py``) and every package
-    ``__init__``.
-    """
-    command = [
-        sys.executable,
-        "-m",
-        "trace",
-        "--count",
-        "--missing",
-        "--coverdir",
-        str(cover_dir),
-        "--module",
-        "pytest",
-        "-q",
-        "-p",
-        "no:cacheprovider",
-    ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        command, cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=False
-    )
-    lines = completed.stdout.strip().splitlines()
-    return lines[-1] if lines else completed.stderr.strip()
+def program_table(
+    tests: Dict[str, Set[int]], program: Dict[str, Set[int]], src: Path = SRC
+) -> Tuple[Table, Dict[str, List[str]]]:
+    """Per module: the lines tier-1 runs and the program never does, and the
+    functions with a body line tier-1 runs and none the program runs."""
+    table: Table = {}
+    functions: Dict[str, List[str]] = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        ran_tests, ran_program = tests.get(str(path), set()), program.get(str(path), set())
+        exempt = exempt_lines(source) | error_path_lines(source)
+        name = module_name(path, src)
+        table[name] = split_lines(ran_tests - ran_program, source, exempt)
+        functions[name] = [
+            qualname
+            for qualname, body in _function_bodies(ast.parse(source))
+            if body & ran_tests and not body & ran_program and not body <= exempt
+        ]
+    return table, functions
 
 
-def report(results: Dict[str, Tuple[List[Line], List[Line]]], untraced: List[str]) -> str:
-    """The census as text: per module its never-run lines, then the totals."""
+def _function_bodies(tree: ast.AST, prefix: str = "") -> Iterable[Tuple[str, Set[int]]]:
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{prefix}{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield qualname, set(range(node.body[0].lineno, (node.end_lineno or 0) + 1))
+            yield from _function_bodies(node, f"{qualname}.")
+
+
+def _lines(table: Table) -> Tuple[List[str], int, int]:
     out: List[str] = []
     total = exempt_total = 0
-    for module, (counted, exempted) in results.items():
+    for module, (counted, exempted) in table.items():
         total += len(counted)
         exempt_total += len(exempted)
         if counted:
             out.append(f"{module}: {len(counted)}")
             out.extend(f"  {lineno:5d}  {text}" for lineno, text in counted)
-    if untraced:
-        out.append(
-            f"not imported in the test process (every line counted): {', '.join(untraced)}"
-        )
+    return out, total, exempt_total
+
+
+def report(tests: Table, program: Table, functions: Dict[str, List[str]]) -> str:
+    """Both sections as text: per module the lines, then the totals."""
+    out = ["== tests: lines of src/repro tier-1 never runs =="]
+    lines, total, exempt = _lines(tests)
+    out += lines
     out.append(
-        f"never-run lines: {total} (exempt: {exempt_total} in __repr__ bodies, "
+        f"never-run lines: {total} (exempt: {exempt} in __repr__ bodies, "
         "TYPE_CHECKING imports and raise NotImplementedError)"
     )
-    out.append("code run only in subprocesses (python -m scripts, workers) is not seen")
+    out.append("")
+    out.append("== program: lines tier-1 runs that the program never runs ==")
+    lines, total, exempt = _lines(program)
+    out += lines
+    only = [f"{module}.{name}" for module, names in functions.items() for name in names]
+    out.append(f"functions only tier-1 enters: {len(only)}")
+    out.extend(f"  {name}" for name in only)
+    out.append(
+        f"tests-only lines: {total} (exempt: {exempt} in __repr__ bodies, TYPE_CHECKING "
+        "imports, raise NotImplementedError and error paths)"
+    )
+    out.append("code run only in subprocesses (--jobs 4 workers, second interpreter) is not seen")
     return "\n".join(out)
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="census-") as directory:
-        summary = run_tier1(Path(directory))
-        print(f"tier-1 under trace: {summary}")
-        print(report(*census(Path(directory))))
+    if sys.version_info < (3, 12):
+        print("error: the census needs sys.monitoring (Python 3.12+)", file=sys.stderr)
+        return 2
+    tests, tests_notes = trace_half("tests")
+    program, program_notes = trace_half("program")
+    for note in tests_notes + program_notes:
+        print(note)
+    table, functions = program_table(tests, program)
+    print(report(tests_table(tests), table, functions))
     return 0
 
 
