@@ -22,6 +22,7 @@ The package is organised as follows:
 * :mod:`repro.workloads` -- TPC-H, SSB, analytics-benchmark and NREF-like
   synthetic workloads.
 * :mod:`repro.tiering` -- the storage-tiering cost analysis.
+* :mod:`repro.model` -- the paper's closed-form performance models.
 * :mod:`repro.harness` -- one function per table/figure of the paper.
 
 Quickstart (see :mod:`repro.service` for the session API)::

@@ -78,9 +78,11 @@ class SkipperExecutor:
     """Cache-aware, CSD-driven executor for one database client."""
 
     #: Consecutive request cycles without a single executed or pruned subplan
-    #: after which execution is aborted.  The paper's maximal-progress policy
-    #: never hits this; naive policies (LRU/FIFO) can livelock at very small
-    #: cache sizes because the same objects are evicted cycle after cycle.
+    #: after which execution is aborted.  No registered query stalls at the
+    #: cache sizes the goldens and figures use, but maximal progress can
+    #: still stall on dense joins, and naive policies (LRU/FIFO) can livelock
+    #: at very small cache sizes because the same objects are evicted cycle
+    #: after cycle; the abort stays until a progress rule makes it unreachable.
     max_stalled_cycles = 3
 
     def __init__(

@@ -1,4 +1,21 @@
-"""Closed-form performance models from the paper."""
+"""Closed-form performance models from the paper.
+
+Alongside measurements, the paper derives closed-form expressions for the
+behaviour of both systems:
+
+* vanilla pull-based execution on a shared CSD costs roughly
+  ``S × C × D`` (switch latency × clients × data segments) — Section 3.2;
+* a Skipper client's waiting time is roughly ``(C − 1) × (D/B + S)`` because
+  the CSD serves tenants group by group — Section 5.2.1;
+* MJoin under a cache of ``C_objects`` needs about ``(R × S / C_objects)^(R−1)``
+  request cycles for ``R`` relations of ``S`` segments each — Section 5.2.4;
+* the rank-based scheduler's fairness constant must satisfy ``K ≤ 1/s`` to
+  favour efficiency and ``K = 1`` to maximise fairness — Section 4.4.
+
+This module implements these formulas so that the simulator can be
+validated against them (see ``tests/test_analysis.py`` and
+``tests/figures/test_analysis_validation.py``).
+"""
 
 from __future__ import annotations
 

@@ -50,7 +50,7 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except BaseException as exc:  # repro: noqa[RPR103] reason=a crashing process must fail its event so waiters see the error instead of hanging the run
+        except BaseException as exc:
             self.fail(exc)
             return
 

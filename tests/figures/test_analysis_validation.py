@@ -10,8 +10,8 @@ assumes.
 
 import pytest
 
-from repro.analysis import AnalyticalModel
 from repro.harness import experiments, format_table
+from repro.model import AnalyticalModel
 from repro.workloads import tpch
 
 

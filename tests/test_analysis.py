@@ -3,16 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import (
+from repro.exceptions import ConfigurationError
+from repro.harness import experiments
+from repro.model import (
     AnalyticalModel,
     mjoin_expected_cycles,
+    mjoin_expected_requests,
     rank_fairness_bound,
+    skipper_average_execution_time,
     skipper_waiting_time,
     vanilla_execution_time,
 )
-from repro.analysis.model import mjoin_expected_requests, skipper_average_execution_time
-from repro.exceptions import ConfigurationError
-from repro.harness import experiments
 from repro.workloads import tpch
 
 

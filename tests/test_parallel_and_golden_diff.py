@@ -100,7 +100,7 @@ def _second_interpreter() -> Optional[str]:
         if candidate is None or not os.path.exists(candidate):
             continue
         try:
-            probe = subprocess.run(  # repro: noqa[RPR105] reason=asks a host interpreter for its version, outside any simulation
+            probe = subprocess.run(
                 [candidate, "-c", "import sys; print(*sys.version_info[:2])"],
                 capture_output=True,
                 text=True,
@@ -125,7 +125,7 @@ class TestSecondInterpreter:
         if interpreter is None:
             pytest.skip("no second Python interpreter on this machine")
         root = Path(__file__).resolve().parent.parent
-        check = subprocess.run(  # repro: noqa[RPR105] reason=the golden check must run in another interpreter's process
+        check = subprocess.run(
             [interpreter, "-m", "repro.scenarios", "--check", "--jobs", "2"],
             cwd=root,
             env={**os.environ, "PYTHONPATH": str(root / "src")},

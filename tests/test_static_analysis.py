@@ -1,380 +1,473 @@
-"""Tests for the determinism & safety static-analysis suite.
+"""Static gates over the source tree, run as plain tests.
 
-Every shipped rule gets fixture snippets that fire it, snippets that must
-not, and a suppressed variant; the CLI's JSON document is schema-checked;
-and a self-clean test asserts the analyzer passes over the repo at HEAD.
+The first part is one AST checker for the hazards that would bend the
+byte-equality regression net (goldens, serial == ``--jobs N``, the ledger
+pins) or let an error escape the ``ReproError`` taxonomy, with a snippet
+table per rule and one gate over ``src`` and ``tests`` whose only
+exemptions are the :data:`ALLOWED` sites.  The rest are structural gates:
+unused imports, layering, one mechanism per job, the reach of the public
+surface, annotations and deleted code.
 """
 
 import ast
 import dataclasses
-import json
+import importlib
+import inspect
+import io
+import pkgutil
 import re
+import sys
 import textwrap
+import tokenize
 import typing
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import analyze_paths, main
-from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig, RuleScope
-from repro.analysis.engine import analyze_source, parse_suppressions
-from repro.analysis.reporting import DOCUMENT_SCHEMA_VERSION, build_document
-from repro.analysis.rules import ALL_RULES, build_rules, rules_by_code
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-SIM_PATH = "src/repro/sim/snippet.py"
-FLEET_PATH = "src/repro/fleet/snippet.py"
-TEST_PATH = "tests/snippet.py"
+#: "What time is it now" reads; constructing or parsing a date is fine.
+_WALL_CLOCK = frozenset(
+    [f"time.{name}{ns}" for name in ("time", "monotonic", "perf_counter", "process_time") for ns in ("", "_ns")]
+    + ["datetime.datetime.now", "datetime.datetime.utcnow", "datetime.datetime.today", "datetime.date.today"]
+)
+_LISTINGS = frozenset(["os.listdir", "os.scandir", "os.walk", "glob.glob", "glob.iglob"])
+_BLOCKING = frozenset(
+    ["time.sleep", "socket.create_connection", "socket.socket", "os.system", "os.popen"]
+    + [f"subprocess.{name}" for name in ("run", "Popen", "call", "check_call", "check_output")]
+    + ["urllib.request.urlopen", "requests.get", "requests.post", "requests.request"]
+)
+#: Builtin exceptions library code may not raise, since callers catch
+#: ``ReproError``; ``NotImplementedError`` and control-flow exceptions stay legal.
+_BUILTIN_RAISES = frozenset(
+    """ArithmeticError AssertionError AttributeError BaseException BufferError EOFError
+    Exception IOError ImportError IndexError KeyError LookupError MemoryError NameError
+    OSError OverflowError RuntimeError TypeError ValueError ZeroDivisionError""".split()
+)
+_TIME_NAME = re.compile(r"^now$|^deadline$|_deadline$|_seconds$|_time$|^elapsed$|^simulated_time$")
+_SET_TYPES = ("set", "frozenset", "Set", "FrozenSet", "MutableSet")
+_SET_METHODS = ("difference", "intersection", "symmetric_difference", "union")
+#: Names CPython 3.9, CI's oldest interpreter, does not have.
+_NOT_IN_39 = frozenset(
+    ["itertools.pairwise"]
+    + [f"typing.{name}" for name in ("TypeAlias", "ParamSpec", "Concatenate", "TypeGuard", "Self")]
+)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def analyze(source, rel_path=SIM_PATH, config=DEFAULT_CONFIG):
-    rules = [
-        rule for rule in build_rules() if config.rule_active(rule.code, rel_path)
+def _import_aliases(tree):
+    """Local name -> the dotted name it was imported as (relative imports stay
+    unresolved): ``import time as t`` gives ``{"t": "time"}``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                aliases[alias.asname or root] = alias.name if alias.asname else root
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                if alias.name != "*":
+                    aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _is_generator(function):
+    """Whether ``function``'s own body, not a nested ``def``'s, yields."""
+    pending = list(ast.iter_child_nodes(function))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, _DEFS):
+            pending.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def check(source):
+    """``(line, rule)`` for every site of the determinism and safety rules in
+    ``source``, found in one walk of its tree.  Names are resolved through
+    the module's imports, and a name holds a set if its scope last assigned
+    it one (or annotated it as one)."""
+    tree = ast.parse(source)
+    aliases = _import_aliases(tree)
+    found = []
+    scopes = [{}]  # one per enclosing ``def``: name -> whether it holds a set
+
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        return ".".join([aliases.get(node.id, node.id)] + parts[::-1])
+
+    def builtin(node, *names):
+        return isinstance(node, ast.Name) and node.id in names and node.id not in aliases
+
+    def set_typed(annotation):
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        return isinstance(annotation, ast.Name) and annotation.id in _SET_TYPES
+
+    def is_set(node):
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Call):
+            return builtin(node.func, "set", "frozenset") or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in _SET_METHODS
+                and is_set(node.func.value)
+            )
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)):
+            return is_set(node.left) or is_set(node.right)
+        if isinstance(node, ast.Name):
+            for scope in reversed(scopes):
+                if node.id in scope:
+                    return scope[node.id]
+        return False
+
+    def call(node, parent, function):
+        target = dotted(node.func)
+        for name in ("list", "tuple", "enumerate", "iter"):
+            if builtin(node.func, name) and node.args and is_set(node.args[0]):
+                yield node.args[0].lineno, "unordered-set-iteration"
+        if target in _WALL_CLOCK:
+            yield node.lineno, "wall-clock-call"
+        if target and target.startswith("random.") and target != "random.Random":
+            yield node.lineno, "unseeded-random-call"
+        if builtin(node.func, "hash") and getattr(function, "name", "") != "__hash__":
+            yield node.lineno, "builtin-hash-in-placement"
+        listing = target in _LISTINGS or (
+            isinstance(node.func, ast.Attribute) and node.func.attr in ("iterdir", "rglob")
+        )
+        sorted_ = isinstance(parent, ast.Call) and builtin(parent.func, "sorted") and node in parent.args
+        if listing and not sorted_:
+            yield node.lineno, "unsorted-directory-listing"
+        if target in _BLOCKING or (
+            builtin(node.func, "open", "input") and function is not None and _is_generator(function)
+        ):
+            yield node.lineno, "blocking-call-in-simulation"
+        keywords = {keyword.arg for keyword in node.keywords}
+        if (builtin(node.func, "zip") and "strict" in keywords) or (
+            target == "dataclasses.dataclass" and keywords & {"slots", "kw_only"}
+        ):
+            yield node.lineno, "py39-floor"
+
+    def visit(node, parent, function):
+        if isinstance(node, _DEFS + (ast.Lambda,)):
+            arguments = node.args
+            for default in arguments.defaults + [d for d in arguments.kw_defaults if d is not None]:
+                if isinstance(default, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)) or (
+                    isinstance(default, ast.Call) and builtin(default.func, "list", "dict", "set", "bytearray")
+                ):
+                    found.append((default.lineno, "mutable-default-argument"))
+        if isinstance(node, _DEFS):
+            function = node
+            arguments = node.args.args + node.args.kwonlyargs
+            scopes.append({arg.arg: True for arg in arguments if set_typed(arg.annotation)})
+        elif isinstance(node, ast.Assign):
+            value = is_set(node.value)
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    scopes[-1][target.id] = value
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            scopes[-1][node.target.id] = set_typed(node.annotation) or (
+                node.value is not None and is_set(node.value)
+            )
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and is_set(node.iter):
+            found.append((node.iter.lineno, "unordered-set-iteration"))
+        elif isinstance(node, ast.Call):
+            found.extend(call(node, parent, function))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            if (
+                any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and not any(isinstance(o, ast.Constant) and isinstance(o.value, str) for o in operands)
+                and any(
+                    _TIME_NAME.search(o.id if isinstance(o, ast.Name) else o.attr)
+                    for o in operands
+                    if isinstance(o, (ast.Name, ast.Attribute))
+                )
+            ):
+                found.append((node.lineno, "float-time-equality"))
+        elif isinstance(node, ast.ExceptHandler):
+            if node.type is None or (isinstance(node.type, ast.Name) and node.type.id == "BaseException"):
+                found.append((node.lineno, "bare-or-broad-except"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            name = dotted(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            if name and name.split(".")[-1] in _BUILTIN_RAISES:
+                found.append((node.lineno, "non-taxonomy-raise"))
+        elif (
+            isinstance(node, getattr(ast, "Match", ()))  # 3.9's ``ast`` has no ``Match``
+            or (isinstance(node, ast.Attribute) and dotted(node) in _NOT_IN_39)
+            or (
+                isinstance(node, ast.ImportFrom)
+                and any(f"{node.module}.{alias.name}" in _NOT_IN_39 for alias in node.names)
+            )
+        ):
+            found.append((node.lineno, "py39-floor"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, node, function)
+        if isinstance(node, _DEFS):
+            scopes.pop()
+
+    visit(tree, None, None)
+    return found
+
+
+#: Rules that bind library code only: the tests assert exact golden floats
+#: and raise builtin exceptions in fixtures on purpose.
+LIBRARY_ONLY = ("float-time-equality", "non-taxonomy-raise")
+
+#: The sites the gate lets stand, ``(file, rule) -> (sites, why)``.  A new
+#: site, or an entry whose count no longer matches, fails the gate.
+ALLOWED = {
+    ("src/repro/bench/__init__.py", "wall-clock-call"): (
+        4,
+        "the macro-benchmark harness exists to measure wall seconds",
+    ),
+    ("src/repro/scenarios/parallel.py", "wall-clock-call"): (
+        3,
+        "the per-scenario wall seconds --check prints; no report reads them",
+    ),
+    ("src/repro/sim/process.py", "bare-or-broad-except"): (
+        1,
+        "a crashing process must fail its event so waiters see the error "
+        "instead of hanging the run",
+    ),
+    ("tests/test_parallel_and_golden_diff.py", "blocking-call-in-simulation"): (
+        2,
+        "asks another interpreter for its version and runs the golden check "
+        "in it, outside any simulation",
+    ),
+}
+
+
+def _gated(rel_path, source):
+    """The checker's sites in one file of ``src`` or ``tests``."""
+    library = rel_path.startswith("src/")
+    return [(line, rule) for line, rule in check(source) if library or rule not in LIBRARY_ONLY]
+
+
+def _mismatches(found, allowed):
+    """One line per ``(file, rule)`` whose sites ``found`` (``key -> lines``)
+    differ in number from the ``allowed`` count (``key -> (sites, why)``)."""
+    keys = sorted(set(found) | set(allowed))
+    return [
+        f"{path} {rule}: lines {found.get((path, rule), [])}, allowed {allowed.get((path, rule), (0,))[0]}"
+        for path, rule in keys
+        if len(found.get((path, rule), [])) != allowed.get((path, rule), (0,))[0]
     ]
-    known = sorted(rules_by_code()) + ["RPR000", "RPR999"]
-    return analyze_source(
-        textwrap.dedent(source), rel_path, rules, known_codes=known
-    )
 
 
-def active_codes(findings):
-    return [finding.code for finding in findings if not finding.suppressed]
+def test_determinism_and_safety_gate():
+    found = {}
+    for root in ("src", "tests"):
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            rel_path = path.relative_to(REPO_ROOT).as_posix()
+            for line, rule in _gated(rel_path, path.read_text()):
+                found.setdefault((rel_path, rule), []).append(line)
+    wrong = _mismatches(found, ALLOWED)
+    assert not wrong, "\n".join(wrong)
+    assert all(why for _, why in ALLOWED.values())
 
 
-def suppressed_codes(findings):
-    return [finding.code for finding in findings if finding.suppressed]
+_KEY = ("src/repro/clock.py", "wall-clock-call")
 
 
-class TestUnorderedSetIteration:
-    def test_for_over_set_literal_fires(self):
-        findings = analyze("for item in {1, 2, 3}:\n    print(item)\n")
-        assert active_codes(findings) == ["RPR001"]
+@pytest.mark.parametrize(
+    "found, expected",
+    [
+        pytest.param({_KEY: [3, 9]}, [], id="exact-count-passes"),
+        pytest.param(
+            {_KEY: [3, 9, 14]},
+            ["src/repro/clock.py wall-clock-call: lines [3, 9, 14], allowed 2"],
+            id="new-site-fails",
+        ),
+        pytest.param(
+            {_KEY: [3]},
+            ["src/repro/clock.py wall-clock-call: lines [3], allowed 2"],
+            id="stale-count-fails",
+        ),
+        pytest.param(
+            {},
+            ["src/repro/clock.py wall-clock-call: lines [], allowed 2"],
+            id="entry-without-sites-fails",
+        ),
+        pytest.param(
+            {_KEY: [3, 9], ("src/repro/other.py", "wall-clock-call"): [5]},
+            ["src/repro/other.py wall-clock-call: lines [5], allowed 0"],
+            id="unlisted-file-fails",
+        ),
+    ],
+)
+def test_allow_list_is_exact(found, expected):
+    """An allowance covers a count of sites in one file for one rule: not a
+    line more, not a line less, and not another file."""
+    assert _mismatches(found, {_KEY: (2, "why")}) == expected
 
-    def test_for_over_inferred_set_name_fires(self):
-        source = """
+
+def test_unparsable_file_fails_the_checker():
+    with pytest.raises(SyntaxError):
+        check("def broken(:\n    pass\n")
+
+
+def _fires(rule, source, name):
+    return pytest.param(source, [rule], id=f"{rule}-{name}")
+
+
+def _clean(source, name):
+    return pytest.param(source, [], id=f"clean-{name}")
+
+
+_MATCH = pytest.mark.skipif(sys.version_info < (3, 10), reason="3.9 cannot parse a match statement")
+
+SNIPPETS = [
+    _fires("unordered-set-iteration", "for item in {1, 2, 3}:\n    print(item)\n", "for-over-set-literal"),
+    _fires(
+        "unordered-set-iteration",
+        """
         pending = set(["a", "b"])
         for item in pending:
             print(item)
+        """,
+        "for-over-inferred-set-name",
+    ),
+    _fires(
+        "unordered-set-iteration",
         """
-        assert active_codes(analyze(source)) == ["RPR001"]
-
-    def test_set_typed_parameter_fires(self):
-        source = """
         from typing import Set
 
         def assemble(keys: Set[str]):
             return [key for key in keys]
+        """,
+        "set-typed-parameter",
+    ),
+    _fires(
+        "unordered-set-iteration",
         """
-        assert active_codes(analyze(source)) == ["RPR001"]
-
-    def test_set_algebra_result_fires(self):
-        source = """
         alive = set(["a"])
         lost = set(["b"])
         for device in alive - lost:
             print(device)
+        """,
+        "set-algebra-result",
+    ),
+    _fires("unordered-set-iteration", "order = list({1, 2})\n", "list-materialisation"),
+    _fires(
+        "unordered-set-iteration",
+        "seen = set(['a'])\nfor key in seen.union(['b']):\n    print(key)\n",
+        "set-method-result",
+    ),
+    _fires(
+        "unordered-set-iteration",
         """
-        assert active_codes(analyze(source)) == ["RPR001"]
+        from typing import FrozenSet
 
-    def test_list_materialisation_fires(self):
-        assert active_codes(analyze("order = list({1, 2})\n")) == ["RPR001"]
+        members: FrozenSet[str] = load()
+        names = [member for member in members]
+        """,
+        "annotated-assignment",
+    ),
+    _clean(
+        """
+        def collect():
+            keys = set(["a"])
+            return sorted(keys)
 
-    def test_sorted_set_is_clean(self):
-        source = """
+        def emit(keys):
+            for key in keys:
+                print(key)
+        """,
+        "set-name-in-another-function",
+    ),
+    _clean(
+        """
         pending = set(["a", "b"])
         for item in sorted(pending):
             print(item)
+        """,
+        "sorted-set",
+    ),
+    _clean(
         """
-        assert active_codes(analyze(source)) == []
-
-    def test_reassigned_name_is_clean(self):
-        source = """
         items = set(["a"])
         items = ["a"]
         for item in items:
             print(item)
+        """,
+        "reassigned-name",
+    ),
+    _fires("wall-clock-call", "import time\n\ndef stamp():\n    return time.time()\n", "time-time"),
+    _fires("wall-clock-call", "import time as clock\n\nstarted = clock.perf_counter()\n", "aliased-import"),
+    _fires("wall-clock-call", "from datetime import datetime\n\nstamp = datetime.now()\n", "datetime-now"),
+    _fires("wall-clock-call", "import datetime as dt\n\nstamp = dt.datetime.now()\n", "aliased-module"),
+    _clean("def observe(env):\n    return env.now\n", "simulated-clock"),
+    _clean(
+        '"""Never call time.time() or os.listdir() here."""\n# hash(key) would vary per process\n',
+        "docstring-and-comment",
+    ),
+    pytest.param(
+        "import os, time\n\nstamp, names = time.time(), os.listdir('.')\n",
+        ["wall-clock-call", "unsorted-directory-listing"],
+        id="two-rules-one-line",
+    ),
+    _clean("import datetime\n\nday = datetime.date.fromisoformat('1994-06-15')\n", "date-parsing"),
+    _fires("unseeded-random-call", "import random\n\ndelay = random.random()\n", "module-level-random"),
+    _fires("unseeded-random-call", "from random import randint\n\nvalue = randint(1, 6)\n", "from-import"),
+    _clean("import random\n\nrng = random.Random(7)\nvalue = rng.random()\n", "seeded-instance"),
+    _fires(
+        "builtin-hash-in-placement",
+        "def owner(key, devices):\n    return devices[hash(key) % len(devices)]\n",
+        "placement",
+    ),
+    _fires("builtin-hash-in-placement", "bucket = hash('key')\n", "module-level"),
+    _clean("from repro.placement import hash\n\nbucket = hash('key')\n", "imported-hash"),
+    _clean(
         """
-        assert active_codes(analyze(source)) == []
-
-    def test_suppression_with_reason(self):
-        source = (
-            "counts = {k: 0 for k in set(['a'])}"
-            "  # repro: noqa[RPR001] reason=order never observed\n"
-        )
-        findings = analyze(source)
-        assert active_codes(findings) == []
-        assert suppressed_codes(findings) == ["RPR001"]
-        assert findings[0].suppression_reason == "order never observed"
-
-
-class TestWallClockCall:
-    def test_time_time_fires(self):
-        source = """
-        import time
-
-        def stamp():
-            return time.time()
-        """
-        assert active_codes(analyze(source)) == ["RPR002"]
-
-    def test_aliased_import_fires(self):
-        source = """
-        import time as clock
-
-        started = clock.perf_counter()
-        """
-        assert active_codes(analyze(source)) == ["RPR002"]
-
-    def test_datetime_now_fires(self):
-        source = """
-        from datetime import datetime
-
-        stamp = datetime.now()
-        """
-        assert active_codes(analyze(source)) == ["RPR002"]
-
-    def test_simulated_clock_is_clean(self):
-        source = """
-        def observe(env):
-            return env.now
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_date_parsing_is_clean(self):
-        source = """
-        import datetime
-
-        day = datetime.date.fromisoformat("1994-06-15")
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_bench_harness_is_scoped_out(self):
-        source = """
-        import time
-
-        started = time.perf_counter()
-        """
-        assert active_codes(analyze(source, rel_path="src/repro/bench/__init__.py")) == []
-
-    def test_suppressed(self):
-        source = (
-            "import time\n"
-            "started = time.time()  # repro: noqa[RPR002] reason=wall-clock budget\n"
-        )
-        findings = analyze(source)
-        assert active_codes(findings) == []
-        assert suppressed_codes(findings) == ["RPR002"]
-
-
-class TestUnseededRandomCall:
-    def test_module_level_random_fires(self):
-        source = """
-        import random
-
-        delay = random.random()
-        """
-        assert active_codes(analyze(source)) == ["RPR003"]
-
-    def test_from_import_fires(self):
-        source = """
-        from random import randint
-
-        value = randint(1, 6)
-        """
-        assert active_codes(analyze(source)) == ["RPR003"]
-
-    def test_seeded_instance_is_clean(self):
-        source = """
-        import random
-
-        rng = random.Random(7)
-        value = rng.random()
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_suppressed(self):
-        source = (
-            "import random\n"
-            "x = random.random()  # repro: noqa[RPR003] reason=jitter outside goldens\n"
-        )
-        assert active_codes(analyze(source)) == []
-
-
-class TestBuiltinHashInPlacement:
-    def test_hash_in_fleet_code_fires(self):
-        source = """
-        def owner(key, devices):
-            return devices[hash(key) % len(devices)]
-        """
-        assert active_codes(analyze(source, rel_path=FLEET_PATH)) == ["RPR004"]
-
-    def test_dunder_hash_is_exempt(self):
-        source = """
         class Key:
             def __hash__(self):
                 return hash((self.a, self.b))
+        """,
+        "dunder-hash",
+    ),
+    _fires("unsorted-directory-listing", "import os\n\nnames = os.listdir('.')\n", "listdir"),
+    _fires(
+        "unsorted-directory-listing",
+        "def scan(path):\n    return [entry for entry in path.iterdir()]\n",
+        "iterdir-method",
+    ),
+    _fires("unsorted-directory-listing", "from os import listdir as ls\n\nnames = ls('.')\n", "aliased-from-import"),
+    _clean("import os\n\nnames = sorted(os.listdir('.'))\n", "sorted-listing"),
+    _fires("float-time-equality", "ready = env.now == finish_time\n", "now-equality"),
+    _fires("float-time-equality", "same = job.deadline != other.deadline\n", "attribute-inequality"),
+    _clean("late = env.now > deadline\n", "time-ordering"),
+    _clean("matched = kind == 'transfer'\n", "string-comparison"),
+    _fires("mutable-default-argument", "def f(items=[]):\n    return items\n", "list-default"),
+    pytest.param(
+        "def f(mapping={}, *, members=set()):\n    return mapping, members\n",
+        ["mutable-default-argument"] * 2,
+        id="mutable-default-argument-dict-and-set-call",
+    ),
+    _fires("mutable-default-argument", "handler = lambda seen=[]: seen\n", "lambda-default"),
+    _clean("def f(items=None, pair=()):\n    return items, pair\n", "none-and-tuple-defaults"),
+    _fires("bare-or-broad-except", "try:\n    work()\nexcept:\n    pass\n", "bare-except"),
+    _fires("bare-or-broad-except", "try:\n    work()\nexcept BaseException:\n    pass\n", "base-exception"),
+    _clean("try:\n    work()\nexcept ValueError:\n    pass\n", "narrow-except"),
+    _fires("non-taxonomy-raise", "raise ValueError('bad knob')\n", "builtin-raise"),
+    _fires("non-taxonomy-raise", "raise TypeError\n", "bare-name-raise"),
+    _fires(
+        "non-taxonomy-raise",
+        "try:\n    work()\nexcept KeyError as error:\n    raise RuntimeError('lost') from error\n",
+        "raise-from",
+    ),
+    _clean(
+        "from repro.exceptions import ConfigurationError\n\nraise ConfigurationError('bad knob')\n",
+        "taxonomy-raise",
+    ),
+    _clean(
         """
-        assert active_codes(analyze(source, rel_path=FLEET_PATH)) == []
-
-    def test_engine_code_is_out_of_scope(self):
-        source = "bucket = hash('key')\n"
-        assert active_codes(analyze(source, rel_path="src/repro/engine/schema.py")) == []
-
-    def test_suppressed(self):
-        source = (
-            "bucket = hash('key')"
-            "  # repro: noqa[RPR004] reason=process-local bucketing only\n"
-        )
-        findings = analyze(source, rel_path=FLEET_PATH)
-        assert active_codes(findings) == []
-        assert suppressed_codes(findings) == ["RPR004"]
-
-
-class TestUnsortedDirectoryListing:
-    def test_listdir_fires(self):
-        source = """
-        import os
-
-        names = os.listdir(".")
-        """
-        assert active_codes(analyze(source)) == ["RPR005"]
-
-    def test_iterdir_method_fires(self):
-        source = """
-        def scan(path):
-            return [entry for entry in path.iterdir()]
-        """
-        assert active_codes(analyze(source)) == ["RPR005"]
-
-    def test_sorted_listing_is_clean(self):
-        source = """
-        import os
-
-        names = sorted(os.listdir("."))
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_suppressed(self):
-        source = (
-            "import os\n"
-            "names = os.listdir('.')  # repro: noqa[RPR005] reason=order folded by caller\n"
-        )
-        assert active_codes(analyze(source)) == []
-
-
-class TestFloatTimeEquality:
-    def test_now_equality_fires_as_warning(self):
-        findings = analyze("ready = env.now == finish_time\n")
-        assert active_codes(findings) == ["RPR101"]
-        assert findings[0].severity == "warning"
-
-    def test_ordering_is_clean(self):
-        assert active_codes(analyze("late = env.now > deadline\n")) == []
-
-    def test_string_comparison_is_clean(self):
-        assert active_codes(analyze("matched = kind == 'transfer'\n")) == []
-
-    def test_tests_are_scoped_out(self):
-        source = "assert report_time == 12.5\n"
-        assert active_codes(analyze(source, rel_path=TEST_PATH)) == []
-
-    def test_suppressed(self):
-        source = (
-            "exact = start_seconds == 0.0"
-            "  # repro: noqa[RPR101] reason=zero is exactly representable\n"
-        )
-        assert active_codes(analyze(source)) == []
-
-
-class TestMutableDefaultArgument:
-    def test_list_default_fires(self):
-        assert active_codes(analyze("def f(items=[]):\n    return items\n")) == [
-            "RPR102"
-        ]
-
-    def test_dict_and_set_call_defaults_fire(self):
-        source = """
-        def f(mapping={}, *, members=set()):
-            return mapping, members
-        """
-        assert active_codes(analyze(source)) == ["RPR102", "RPR102"]
-
-    def test_none_and_tuple_defaults_are_clean(self):
-        source = """
-        def f(items=None, pair=()):
-            return items, pair
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_suppressed(self):
-        source = (
-            "def f(items=[]):"
-            "  # repro: noqa[RPR102] reason=sentinel never mutated\n"
-            "    return items\n"
-        )
-        assert active_codes(analyze(source)) == []
-
-
-class TestBareOrBroadExcept:
-    def test_bare_except_fires(self):
-        source = """
-        try:
-            work()
-        except:
-            pass
-        """
-        assert active_codes(analyze(source)) == ["RPR103"]
-
-    def test_base_exception_fires(self):
-        source = """
-        try:
-            work()
-        except BaseException:
-            pass
-        """
-        assert active_codes(analyze(source)) == ["RPR103"]
-
-    def test_narrow_except_is_clean(self):
-        source = """
-        try:
-            work()
-        except ValueError:
-            pass
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_suppressed(self):
-        source = (
-            "try:\n"
-            "    work()\n"
-            "except BaseException:  # repro: noqa[RPR103] reason=must fail the event\n"
-            "    pass\n"
-        )
-        findings = analyze(source)
-        assert active_codes(findings) == []
-        assert suppressed_codes(findings) == ["RPR103"]
-
-
-class TestNonTaxonomyRaise:
-    def test_builtin_raise_fires(self):
-        source = "raise ValueError('bad knob')\n"
-        assert active_codes(analyze(source)) == ["RPR104"]
-
-    def test_bare_name_raise_fires(self):
-        source = "raise TypeError\n"
-        assert active_codes(analyze(source)) == ["RPR104"]
-
-    def test_taxonomy_raise_is_clean(self):
-        source = """
-        from repro.exceptions import ConfigurationError
-
-        raise ConfigurationError("bad knob")
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_reraise_and_not_implemented_are_clean(self):
-        source = """
         def abstract():
             raise NotImplementedError
 
@@ -383,220 +476,130 @@ class TestNonTaxonomyRaise:
                 abstract()
             except Exception:
                 raise
+        """,
+        "reraise-and-not-implemented",
+    ),
+    _fires("blocking-call-in-simulation", "import time\n\ndef wait():\n    time.sleep(1.0)\n", "time-sleep"),
+    _fires(
+        "blocking-call-in-simulation",
+        "def process(env):\n    payload = open('data.bin').read()\n    yield env.timeout(1.0)\n",
+        "open-inside-generator",
+    ),
+    _fires(
+        "blocking-call-in-simulation",
+        "import subprocess\n\nsubprocess.run(['true'])\n",
+        "subprocess-run",
+    ),
+    _clean("def load(path):\n    return open(path).read()\n", "open-outside-generator"),
+    _clean(
         """
-        assert active_codes(analyze(source)) == []
-
-    def test_tests_are_scoped_out(self):
-        assert active_codes(analyze("raise ValueError('x')\n", rel_path=TEST_PATH)) == []
-
-    def test_suppressed(self):
-        source = (
-            "raise RuntimeError('boom')"
-            "  # repro: noqa[RPR104] reason=interpreter-level guard\n"
-        )
-        assert active_codes(analyze(source)) == []
-
-
-class TestBlockingCallInSimulation:
-    def test_time_sleep_fires(self):
-        source = """
-        import time
-
-        def wait():
-            time.sleep(1.0)
-        """
-        assert active_codes(analyze(source)) == ["RPR105"]
-
-    def test_open_inside_generator_fires(self):
-        source = """
         def process(env):
-            payload = open("data.bin").read()
+            def load(path):
+                return open(path).read()
+
             yield env.timeout(1.0)
-        """
-        assert active_codes(analyze(source)) == ["RPR105"]
-
-    def test_open_outside_generator_is_clean(self):
-        source = """
-        def load(path):
-            return open(path).read()
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_env_timeout_is_clean(self):
-        source = """
-        def process(env):
-            yield env.timeout(1.0)
-        """
-        assert active_codes(analyze(source)) == []
-
-    def test_suppressed(self):
-        source = (
-            "import time\n"
-            "time.sleep(0.1)  # repro: noqa[RPR105] reason=rate-limit a live probe\n"
-        )
-        assert active_codes(analyze(source)) == []
-
-
-class TestSuppressionMachinery:
-    def test_noqa_without_codes_is_malformed(self):
-        findings = analyze("x = 1  # repro: noqa\n")
-        assert active_codes(findings) == ["RPR000"]
-
-    def test_noqa_without_reason_is_malformed(self):
-        findings = analyze("x = {1} | {2}  # repro: noqa[RPR001]\n")
-        assert "RPR000" in active_codes(findings)
-
-    def test_unknown_code_is_malformed(self):
-        findings = analyze("x = 1  # repro: noqa[RPR777] reason=nope\n")
-        assert active_codes(findings) == ["RPR000"]
-
-    def test_noqa_on_other_line_does_not_suppress(self):
-        source = (
-            "# repro: noqa[RPR002] reason=wrong line\n"
-            "import time\n"
-            "started = time.time()\n"
-        )
-        assert active_codes(analyze(source)) == ["RPR002"]
-
-    def test_multiple_codes_one_comment(self):
-        source = (
-            "import time\n"
-            "x = [t for t in {time.time()}]"
-            "  # repro: noqa[RPR001,RPR002] reason=fixture exercising both\n"
-        )
-        findings = analyze(source)
-        assert active_codes(findings) == []
-        assert sorted(suppressed_codes(findings)) == ["RPR001", "RPR002"]
-
-    def test_docstring_mentioning_noqa_is_ignored(self):
-        source = '"""Docs show `# repro: noqa[RPRnnn] reason=...` usage."""\n'
-        assert parse_suppressions(textwrap.dedent(source)) == []
-        assert analyze(source) == []
-
-    def test_syntax_error_reports_parse_error(self):
-        findings = analyze("def broken(:\n")
-        assert [finding.code for finding in findings] == ["RPR999"]
+        """,
+        "open-in-nested-def-of-generator",
+    ),
+    _clean("def process(env):\n    yield env.timeout(1.0)\n", "env-timeout"),
+    pytest.param(
+        "match command:\n    case 'go':\n        pass\n",
+        ["py39-floor"],
+        id="py39-floor-match",
+        marks=_MATCH,
+    ),
+    _fires("py39-floor", "pairs = zip(keys, values, strict=True)\n", "zip-strict"),
+    _fires("py39-floor", "import itertools\n\nsteps = itertools.pairwise(times)\n", "pairwise"),
+    _fires("py39-floor", "from itertools import pairwise\n", "pairwise-import"),
+    _fires(
+        "py39-floor",
+        "from dataclasses import dataclass\n\n@dataclass(slots=True)\nclass Row:\n    key: int\n",
+        "dataclass-slots",
+    ),
+    _fires(
+        "py39-floor",
+        "import dataclasses\n\n@dataclasses.dataclass(kw_only=True)\nclass Row:\n    key: int\n",
+        "dataclass-kw-only",
+    ),
+    _fires("py39-floor", "from typing import TypeAlias\n", "typing-import"),
+    _fires("py39-floor", "import typing\n\ndef clone(self) -> typing.Self:\n    pass\n", "typing-self"),
+    _clean(
+        "from dataclasses import dataclass\nfrom typing import Optional\n\n"
+        "@dataclass(frozen=True)\nclass Row:\n    key: Optional[int]\n\npairs = zip(keys, values)\n",
+        "py39-idioms",
+    ),
+]
 
 
-class TestConfigScoping:
-    def test_include_patterns_limit_activation(self):
-        config = AnalysisConfig({"RPR104": RuleScope(include=("src/repro/*",))})
-        assert config.rule_active("RPR104", "src/repro/sim/events.py")
-        assert not config.rule_active("RPR104", "tests/test_sim.py")
-
-    def test_exclude_patterns_carve_out(self):
-        config = AnalysisConfig({"RPR002": RuleScope(exclude=("src/repro/bench/*",))})
-        assert not config.rule_active("RPR002", "src/repro/bench/__init__.py")
-        assert config.rule_active("RPR002", "src/repro/sim/environment.py")
-
-    def test_unknown_rule_is_active_everywhere(self):
-        config = AnalysisConfig({})
-        assert config.rule_active("RPR001", "anything/at/all.py")
+@pytest.mark.parametrize("source, rules", SNIPPETS)
+def test_checker_snippets(source, rules):
+    assert [rule for _, rule in check(textwrap.dedent(source))] == rules
 
 
-class TestCliAndDocument:
-    def _write_tree(self, tmp_path, body):
-        module = tmp_path / "src" / "repro" / "demo" / "mod.py"
-        module.parent.mkdir(parents=True)
-        module.write_text(body)
-        return module
-
-    def test_json_document_schema(self, tmp_path, capsys):
-        self._write_tree(tmp_path, "import time\nstarted = time.time()\n")
-        output = tmp_path / "findings.json"
-        exit_code = main(
-            [
-                str(tmp_path / "src"),
-                "--rootdir",
-                str(tmp_path),
-                "--format",
-                "json",
-                "--output",
-                str(output),
-            ]
-        )
-        assert exit_code == 1
-        printed = json.loads(capsys.readouterr().out)
-        written = json.loads(output.read_text())
-        assert printed == written
-        assert printed["schema_version"] == DOCUMENT_SCHEMA_VERSION
-        assert printed["tool"] == "repro.analysis"
-        assert printed["files_scanned"] == 1
-        assert printed["counts"]["active"] == 1
-        assert printed["counts"]["errors"] == 1
-        assert {rule["code"] for rule in printed["rules"]} == {
-            rule.code for rule in ALL_RULES
-        }
-        (finding,) = printed["findings"]
-        assert finding["code"] == "RPR002"
-        assert finding["path"] == "src/repro/demo/mod.py"
-        assert finding["line"] == 2
-        assert finding["suppressed"] is False
-        assert set(finding) == {
-            "code",
-            "name",
-            "severity",
-            "path",
-            "line",
-            "col",
-            "message",
-            "suppressed",
-            "suppression_reason",
-        }
-
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        self._write_tree(tmp_path, "value = 1\n")
-        assert main([str(tmp_path / "src"), "--rootdir", str(tmp_path)]) == 0
-
-    def test_warning_fails_only_under_strict(self, tmp_path, capsys):
-        self._write_tree(tmp_path, "exact = env.now == finish_time\n")
-        args = [str(tmp_path / "src"), "--rootdir", str(tmp_path)]
-        assert main(args) == 0
-        assert main(args + ["--strict"]) == 1
-
-    def test_list_rules_names_every_code(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ALL_RULES:
-            assert rule.code in out
-            assert rule.name in out
-
-    def test_document_is_deterministic(self, tmp_path):
-        self._write_tree(
-            tmp_path, "import time\nstarted = time.time()\nimport random\nr = random.random()\n"
-        )
-        findings_a, files_a = analyze_paths([tmp_path / "src"], tmp_path)
-        findings_b, files_b = analyze_paths([tmp_path / "src"], tmp_path)
-        doc_a = build_document(findings_a, ["src"], files_a, strict=True)
-        doc_b = build_document(findings_b, ["src"], files_b, strict=True)
-        assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
-        assert [f["line"] for f in doc_a["findings"]] == sorted(
-            f["line"] for f in doc_a["findings"]
-        )
+@pytest.mark.parametrize(
+    "source", ["assert report_time == 12.5\n", "raise ValueError('x')\n"], ids=LIBRARY_ONLY
+)
+def test_library_only_rules_skip_the_tests(source):
+    assert _gated("src/repro/snippet.py", source)
+    assert not _gated("tests/snippet.py", source)
 
 
-class TestSelfClean:
-    def test_repo_is_clean_at_head(self, capsys):
-        exit_code = main(
-            [
-                str(REPO_ROOT / "src"),
-                str(REPO_ROOT / "tests"),
-                "--strict",
-                "--rootdir",
-                str(REPO_ROOT),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert exit_code == 0, f"analyzer found violations at HEAD:\n{out}"
+def test_type_ignores_only_shrink():
+    """Fix the type instead: ``src/repro`` carries 9 ``# type: ignore``s."""
+    ignores = [
+        f"{path.relative_to(REPO_ROOT)}:{token.start[0]}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if token.type == tokenize.COMMENT and "type: ignore" in token.string
+    ]
+    assert len(ignores) <= 9, "\n".join(ignores)
 
-    def test_deliberate_suppressions_carry_reasons(self):
-        findings, _files = analyze_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "tests"], REPO_ROOT
-        )
-        suppressed = [finding for finding in findings if finding.suppressed]
-        assert suppressed, "expected the documented deliberate suppressions"
-        for finding in suppressed:
-            assert finding.suppression_reason
+
+def _type_checking_names(module):
+    """The names ``module`` imports only for type checkers, bound by running
+    its ``if TYPE_CHECKING:`` blocks."""
+    namespace = {}
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), namespace)
+    return namespace
+
+
+def _public_callables(module):
+    """``(name, function)`` for each public function ``module`` defines and each
+    ``__init__`` and public method (properties too) of its classes."""
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value) and not name.startswith("_"):
+            yield name, value
+        elif inspect.isclass(value):
+            for attribute, member in vars(value).items():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member) and (attribute == "__init__" or not attribute.startswith("_")):
+                    yield f"{name}.{attribute}", member
+
+
+def test_type_hints_resolve_for_every_public_callable():
+    """What mypy is trusted for, checked at run time on each interpreter
+    tier-1 runs on: ``typing.get_type_hints`` resolves the annotations of
+    every public callable in ``repro.*``, a name imported only under
+    ``TYPE_CHECKING`` taken from that block."""
+    import repro
+
+    modules = ["repro"] + sorted(info.name for info in pkgutil.walk_packages(repro.__path__, "repro."))
+    checked, unresolved = 0, []
+    for name in modules:
+        module = importlib.import_module(name)
+        names = _type_checking_names(module)
+        for qualified, function in _public_callables(module):
+            checked += 1
+            try:
+                typing.get_type_hints(function, localns=names)
+            except Exception as error:
+                unresolved.append(f"{name}:{qualified}: {error!r}")
+    assert not unresolved, "\n".join(unresolved)
+    assert checked > 600
 
 
 def _unused_imports(path):
@@ -894,9 +897,9 @@ TEST_REFERENCES = {
 
 def _public_functions():
     """``(file, qualified name, name)`` of every public module-level function
-    and method defined under ``src/repro``, less the two kinds reached by
-    something other than their name: decorated module-level functions (the
-    ``@register`` scenario builders) and ``visit_*`` methods (AST dispatch)."""
+    and method defined under ``src/repro``, less decorated module-level
+    functions (the ``@register`` scenario builders), which are reached by
+    something other than their name."""
     package = REPO_ROOT / "src" / "repro"
     found = []
     for path in sorted(package.rglob("*.py")):
@@ -910,7 +913,7 @@ def _public_functions():
                     (filename, f"{node.name}.{method.name}", method.name)
                     for method in node.body
                     if isinstance(method, ast.FunctionDef)
-                    and not method.name.startswith(("_", "visit_"))
+                    and not method.name.startswith("_")
                 ]
     return found
 

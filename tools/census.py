@@ -87,7 +87,6 @@ PROGRAM: List[Tuple[str, List[str]]] = (
         ("repro", ["list"]),
         ("repro.bench", ["--smoke", "--check"]),
         ("repro.bench", ["--smoke", "--trace", "--output", "{tmp}/bench.json", "--check"]),
-        ("repro.analysis", ["src", "tests", "--strict"]),
     ]
 )
 
