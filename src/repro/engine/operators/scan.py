@@ -19,23 +19,19 @@ from repro.engine.relation import Relation, Segment
 def select_rows(segment: Segment, predicate: Optional[Predicate]) -> List[Row]:
     """The rows of ``segment`` passing ``predicate``, in segment order.
 
-    A predicate with a bulk ``selection`` filters the column arrays and
-    materialises only the matching rows; other shapes fall back to per-row
-    ``evaluate``.  Either way the result is kept on the segment
-    (``selected_by`` / ``selected_rows``), so the next call with the same
-    predicate object — another tenant of the same ``Query``, a re-fetch
-    after an eviction, the next repetition — costs one ``is`` check.  A
-    selection that raises is not kept.  Without a predicate the result *is*
-    the segment's cached row list.  In both cases the list and its row
-    dicts are shared: callers must not mutate them.
+    The predicate's bulk ``select`` filters the segment's row list, and the
+    result is kept on the segment (``selected_by`` / ``selected_rows``), so
+    the next call with the same predicate object — another tenant of the
+    same ``Query``, a re-fetch after an eviction, the next repetition —
+    costs one ``is`` check.  A selection that raises is not kept.  Without
+    a predicate the result *is* the segment's row list.  In both cases the
+    list and its row dicts are shared: callers must not mutate them.
     """
     if predicate is None:
         return segment.rows
     if segment.selected_by is predicate:
         return segment.selected_rows
     rows = segment.filtered_rows(predicate)
-    if rows is None:
-        rows = [row for row in segment.rows if predicate.evaluate(row)]
     segment.selected_rows = rows
     segment.selected_by = predicate
     return rows

@@ -1,23 +1,22 @@
-"""Expression and predicate trees evaluated over row dictionaries."""
+"""Expression and predicate trees evaluated over row dictionaries.
+
+A predicate has two evaluators.  :meth:`Predicate.select` filters a list of
+rows in bulk — one comprehension per node, operands read a column at a time
+through :meth:`Expression.values` — and is what every segment filter uses.
+:meth:`Predicate.evaluate` decides one row; it is the definition ``select``
+is tested against.  ``select`` accepts the rows ``evaluate`` accepts and
+raises wherever ``evaluate`` would raise on one of them: a sub-predicate
+only sees the rows the per-row short-circuit would have reached.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
 
 from repro.exceptions import ExecutionError, QueryError
 
 Row = Dict[str, object]
-
-#: Column-name → value-array view of a columnar segment.
-Columns = Mapping[str, Sequence[object]]
-
-
-def _column_values(columns: Columns, name: str) -> Sequence[object]:
-    """Look up one column array, matching the row-path missing-column error."""
-    try:
-        return columns[name]
-    except KeyError:
-        raise ExecutionError(f"row has no column {name!r}") from None
 
 
 class Expression:
@@ -26,6 +25,10 @@ class Expression:
     def evaluate(self, row: Row) -> object:
         """Return the expression's value for ``row``."""
         raise NotImplementedError
+
+    def values(self, rows: List[Row]) -> List[object]:
+        """The expression's value for each of ``rows``, in order."""
+        return [self.evaluate(row) for row in rows]
 
     def columns(self) -> FrozenSet[str]:
         """Names of all columns referenced by the expression."""
@@ -46,6 +49,12 @@ class ColumnRef(Expression):
         except KeyError:
             raise ExecutionError(f"row has no column {self.name!r}") from None
 
+    def values(self, rows: List[Row]) -> List[object]:
+        try:
+            return list(map(itemgetter(self.name), rows))
+        except KeyError:
+            raise ExecutionError(f"row has no column {self.name!r}") from None
+
     def columns(self) -> FrozenSet[str]:
         return frozenset({self.name})
 
@@ -61,6 +70,9 @@ class Literal(Expression):
 
     def evaluate(self, row: Row) -> object:
         return self.value
+
+    def values(self, rows: List[Row]) -> List[object]:
+        return [self.value] * len(rows)
 
     def columns(self) -> FrozenSet[str]:
         return frozenset()
@@ -109,21 +121,14 @@ class Predicate(Expression):
     def evaluate(self, row: Row) -> bool:  # type: ignore[override]
         raise NotImplementedError
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        """Bulk evaluation over column arrays: indices of accepted rows.
+    def select(self, rows: List[Row]) -> List[Row]:
+        """The rows of ``rows`` this predicate accepts, in order, in a fresh list.
 
-        ``indices`` restricts evaluation to those row positions (ascending);
-        ``None`` means all ``count`` rows.  Returns ``None`` when this
-        predicate shape has no bulk path — the caller must then fall back to
-        per-row :meth:`evaluate`.  Implementations reproduce the row path
-        exactly: same missing-column errors, same None-compares-false
-        behaviour, and sub-predicates are only evaluated for rows the row
-        path would have reached (so short-circuiting raises — or avoids
-        raising — identically).
+        Accepts exactly the rows :meth:`evaluate` accepts and raises where
+        it raises (missing columns, arithmetic errors); a ``None`` operand
+        compares false.
         """
-        return None
+        raise NotImplementedError
 
 
 _COMPARISON_OPS = {
@@ -156,50 +161,13 @@ class Comparison(Predicate):
             return False
         return bool(self._compare(left, right))
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        left, right = self.left, self.right
+    def select(self, rows: List[Row]) -> List[Row]:
         compare = self._compare
-        if type(left) is ColumnRef and type(right) is Literal:
-            if count == 0 or (indices is not None and not indices):
-                return []
-            values = _column_values(columns, left.name)
-            constant = right.value
-            if constant is None:
-                # A None literal rejects every row, but only after the column
-                # lookup — a missing column raises exactly as ``evaluate`` does.
-                return []
-            if indices is None:
-                return [
-                    i
-                    for i, value in enumerate(values)
-                    if value is not None and compare(value, constant)
-                ]
-            return [
-                i
-                for i in indices
-                if values[i] is not None and compare(values[i], constant)
-            ]
-        if type(left) is ColumnRef and type(right) is ColumnRef:
-            if count == 0 or (indices is not None and not indices):
-                return []
-            left_values = _column_values(columns, left.name)
-            right_values = _column_values(columns, right.name)
-            if indices is None:
-                return [
-                    i
-                    for i, (a, b) in enumerate(zip(left_values, right_values))
-                    if a is not None and b is not None and compare(a, b)
-                ]
-            return [
-                i
-                for i in indices
-                if left_values[i] is not None
-                and right_values[i] is not None
-                and compare(left_values[i], right_values[i])
-            ]
-        return None
+        return [
+            row
+            for row, a, b in zip(rows, self.left.values(rows), self.right.values(rows))
+            if a is not None and b is not None and compare(a, b)
+        ]
 
     def columns(self) -> FrozenSet[str]:
         return self.left.columns() | self.right.columns()
@@ -225,26 +193,17 @@ class Between(Predicate):
             return bool(self.low <= value <= self.high)  # type: ignore[operator]
         return bool(self.low <= value < self.high)  # type: ignore[operator]
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        if type(self.expr) is not ColumnRef:
-            return None
-        if count == 0 or (indices is not None and not indices):
-            return []
-        values = _column_values(columns, self.expr.name)
+    def select(self, rows: List[Row]) -> List[Row]:
         low, high = self.low, self.high
-        positions = range(count) if indices is None else indices
+        pairs = zip(rows, self.expr.values(rows))
         if self.inclusive:
             return [
-                i
-                for i in positions
-                if values[i] is not None and low <= values[i] <= high  # type: ignore[operator]
+                row for row, value in pairs
+                if value is not None and low <= value <= high  # type: ignore[operator]
             ]
         return [
-            i
-            for i in positions
-            if values[i] is not None and low <= values[i] < high  # type: ignore[operator]
+            row for row, value in pairs
+            if value is not None and low <= value < high  # type: ignore[operator]
         ]
 
     def columns(self) -> FrozenSet[str]:
@@ -256,25 +215,16 @@ class InList(Predicate):
 
     def __init__(self, expr: Expression, values: Iterable[object]) -> None:
         self.expr = expr
-        self.values = frozenset(values)
-        if not self.values:
+        self.members = frozenset(values)
+        if not self.members:
             raise QueryError("IN list must not be empty")
 
     def evaluate(self, row: Row) -> bool:
-        return self.expr.evaluate(row) in self.values
+        return self.expr.evaluate(row) in self.members
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        if type(self.expr) is not ColumnRef:
-            return None
-        if count == 0 or (indices is not None and not indices):
-            return []
-        values = _column_values(columns, self.expr.name)
-        members = self.values
-        if indices is None:
-            return [i for i, value in enumerate(values) if value in members]
-        return [i for i in indices if values[i] in members]
+    def select(self, rows: List[Row]) -> List[Row]:
+        members = self.members
+        return [row for row, value in zip(rows, self.expr.values(rows)) if value in members]
 
     def columns(self) -> FrozenSet[str]:
         return self.expr.columns()
@@ -294,20 +244,14 @@ class And(Predicate):
                 return False
         return True
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        # Each child only sees the rows that survived the previous children,
-        # mirroring the row path's short-circuit: a child that would raise is
-        # only reached when at least one row reaches it.
-        result = indices
+    def select(self, rows: List[Row]) -> List[Row]:
+        # Each child only sees the rows every previous child accepted, as
+        # the per-row short-circuit does.
         for predicate in self.predicates:
-            if result is not None and not result:
-                return result
-            result = predicate.selection(columns, count, result)
-            if result is None:
-                return None
-        return result if result is not None else list(range(count))
+            if not rows:
+                return []
+            rows = predicate.select(rows)
+        return rows
 
     def columns(self) -> FrozenSet[str]:
         result: FrozenSet[str] = frozenset()
@@ -330,25 +274,20 @@ class Or(Predicate):
                 return True
         return False
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        # Each child only sees rows every previous child rejected (the row
-        # path stops evaluating children once one accepts).
-        remaining = list(range(count)) if indices is None else list(indices)
-        accepted: List[int] = []
+    def select(self, rows: List[Row]) -> List[Row]:
+        # Each child only sees the rows every previous child rejected (the
+        # per-row path stops at the first child that accepts).  Rows are told
+        # apart by identity, so the result keeps the input's order.
+        accepted: Set[int] = set()
+        remaining = rows
         for predicate in self.predicates:
             if not remaining:
                 break
-            selected = predicate.selection(columns, count, remaining)
-            if selected is None:
-                return None
+            selected = {id(row) for row in predicate.select(remaining)}
             if selected:
-                accepted.extend(selected)
-                selected_set = set(selected)
-                remaining = [i for i in remaining if i not in selected_set]
-        accepted.sort()
-        return accepted
+                accepted |= selected
+                remaining = [row for row in remaining if id(row) not in selected]
+        return [row for row in rows if id(row) in accepted]
 
     def columns(self) -> FrozenSet[str]:
         result: FrozenSet[str] = frozenset()
@@ -366,15 +305,9 @@ class Not(Predicate):
     def evaluate(self, row: Row) -> bool:
         return not self.predicate.evaluate(row)
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        base = list(range(count)) if indices is None else indices
-        selected = self.predicate.selection(columns, count, base)
-        if selected is None:
-            return None
-        excluded = set(selected)
-        return [i for i in base if i not in excluded]
+    def select(self, rows: List[Row]) -> List[Row]:
+        excluded = {id(row) for row in self.predicate.select(rows)}
+        return [row for row in rows if id(row) not in excluded]
 
     def columns(self) -> FrozenSet[str]:
         return self.predicate.columns()
@@ -386,10 +319,8 @@ class TruePredicate(Predicate):
     def evaluate(self, row: Row) -> bool:
         return True
 
-    def selection(
-        self, columns: Columns, count: int, indices: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        return list(range(count)) if indices is None else list(indices)
+    def select(self, rows: List[Row]) -> List[Row]:
+        return list(rows)
 
     def columns(self) -> FrozenSet[str]:
         return frozenset()

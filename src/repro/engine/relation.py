@@ -1,15 +1,10 @@
 """Segmented relations.
 
 The paper stores each relation as a set of 1 GB *segments*, each of which is
-one object in the cold storage device.  Here a :class:`Segment` is a columnar
-slice of a relation — per-column value arrays with row dictionaries
-materialised lazily at result boundaries — and a :class:`Relation` is an
+one object in the cold storage device and is read by a row store
+(PostgreSQL).  Here a :class:`Segment` is that slice of a relation: the list
+of row dicts it was built from, ``segment.rows``.  A :class:`Relation` is an
 ordered list of segments plus a schema.
-
-``segment.rows`` yields the row dicts the segment was built from (same
-values, same key order); predicates with a bulk
-:meth:`~repro.engine.predicate.Predicate.selection` path filter a segment over
-its column arrays and only materialise the matching rows.
 
 A segment is one stored object that every tenant of a service reads, so it
 remembers its last selection — the predicate object and the rows it kept —
@@ -31,10 +26,9 @@ from repro.exceptions import SchemaError
 class Segment:
     """A horizontal slice of a relation stored as one CSD object.
 
-    Rows are shredded into per-column arrays at construction, so every row
-    must have the same keys in the same order (all generated catalogs do;
-    anything else raises :class:`SchemaError`).  ``rows`` materialises (and
-    caches) the row-dict view on first access.
+    ``rows`` is the segment's list of row dicts.  Every row must have the
+    same keys in the same order (all generated catalogs do; anything else
+    raises :class:`SchemaError`).
 
     ``selected_by`` / ``selected_rows`` are the segment's last selection,
     written only by :func:`~repro.engine.operators.scan.select_rows`: the
@@ -45,17 +39,7 @@ class Segment:
     hold a million empty lists).
     """
 
-    __slots__ = (
-        "table_name",
-        "index",
-        "segment_id",
-        "selected_by",
-        "selected_rows",
-        "_columns",
-        "_column_names",
-        "_num_rows",
-        "_rows",
-    )
+    __slots__ = ("table_name", "index", "segment_id", "rows", "selected_by", "selected_rows")
 
     selected_rows: List[Dict[str, object]]
 
@@ -68,72 +52,36 @@ class Segment:
         #: on every request/arrival, millions of times per large run.
         self.segment_id = f"{table_name}.{index}"
         self.selected_by: Optional[Predicate] = None
-        materialised = rows if isinstance(rows, list) else list(rows)
-        self._num_rows = len(materialised)
-        self._rows: Optional[List[Dict[str, object]]] = None
-        names: Tuple[str, ...] = tuple(materialised[0]) if materialised else ()
-        if not all(tuple(row) == names for row in materialised):
+        self.rows: List[Dict[str, object]] = rows if isinstance(rows, list) else list(rows)
+        names: Tuple[str, ...] = tuple(self.rows[0]) if self.rows else ()
+        if not all(tuple(row) == names for row in self.rows):
             # Located only on failure: the check above runs once per segment
             # build (per query on the pull-based path) and must stay cheap.
             offender = next(
-                position
-                for position, row in enumerate(materialised)
-                if tuple(row) != names
+                position for position, row in enumerate(self.rows) if tuple(row) != names
             )
             raise SchemaError(
                 f"segment {self.segment_id}: row {offender} has columns "
-                f"{tuple(materialised[offender])!r}, expected {names!r} "
+                f"{tuple(self.rows[offender])!r}, expected {names!r} "
                 "(every row of a segment must have the same keys in the same order)"
             )
-        self._column_names = names
-        self._columns: Dict[str, List[object]] = {
-            name: [row[name] for row in materialised] for name in names
-        }
 
     @property
     def num_rows(self) -> int:
         """Number of rows stored in the segment."""
-        return self._num_rows
+        return len(self.rows)
 
-    @property
-    def rows(self) -> List[Dict[str, object]]:
-        """Row-dict view of the segment (materialised once, then cached)."""
-        rows = self._rows
-        if rows is None:
-            names = self._column_names
-            if names:
-                rows = [dict(zip(names, values)) for values in zip(*self._columns.values())]
-            else:
-                rows = [{} for _ in range(self._num_rows)]
-            self._rows = rows
-        return rows
+    def filtered_rows(self, predicate: Predicate) -> List[Dict[str, object]]:
+        """Rows passing ``predicate`` (its bulk ``select`` over ``rows``).
 
-    def filtered_rows(self, predicate: Predicate) -> Optional[List[Dict[str, object]]]:
-        """Rows passing ``predicate``, evaluated over the column arrays.
-
-        Returns ``None`` when the predicate shape has no bulk ``selection``
-        implementation — the caller then falls back to per-row
-        ``predicate.evaluate``, which this path matches exactly, including
-        missing-column errors and None-compares-false semantics.  Only the
-        matching rows are ever materialised into dicts.  Every call filters
-        afresh; :func:`~repro.engine.operators.scan.select_rows` is the
-        caller that keeps the result.
+        Every call filters afresh;
+        :func:`~repro.engine.operators.scan.select_rows` is the caller that
+        keeps the result.
         """
-        if self._num_rows == 0:
-            return []
-        selection = predicate.selection(self._columns, self._num_rows)
-        if selection is None:
-            return None
-        if not selection:
-            return []
-        names = self._column_names
-        if not names:
-            return [{} for _ in selection]
-        cols = list(self._columns.values())
-        return [dict(zip(names, [col[i] for col in cols])) for i in selection]
+        return predicate.select(self.rows)
 
     def __len__(self) -> int:
-        return self._num_rows
+        return len(self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Segment {self.segment_id} rows={self.num_rows}>"

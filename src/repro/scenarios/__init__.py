@@ -9,11 +9,11 @@ suite:
 * :mod:`repro.scenarios.arrivals` — deterministic tenant arrival patterns.
 * :mod:`repro.scenarios.registry` — named, ready-made scenarios.
 * :mod:`repro.scenarios.runner` — :class:`ScenarioRunner` executing specs
-  through the :class:`~repro.service.service.StorageService` façade.
+  through the :class:`~repro.service.service.StorageService` façade, and
+  :func:`run_one` running a registered scenario for the command line.
 * :mod:`repro.scenarios.invariants` — cross-cutting checks every run must
   pass (conservation, bounded starvation, monotone clock, cache bounds).
 * :mod:`repro.scenarios.golden` — golden-metrics serialization and diffing.
-* :mod:`repro.scenarios.parallel` — deterministic multi-process execution.
 
 Fleet scenarios declare a :class:`~repro.fleet.spec.FleetSpec` on their spec
 and run against a sharded multi-device fleet (see :mod:`repro.fleet`).
@@ -22,8 +22,8 @@ Command line::
 
     python -m repro.scenarios --list
     python -m repro.scenarios --run bursty
-    python -m repro.scenarios --run-all --jobs 4
-    python -m repro.scenarios --check --jobs 4
+    python -m repro.scenarios --run-all
+    python -m repro.scenarios --check
     python -m repro.scenarios --regen-golden
 """
 
@@ -42,7 +42,6 @@ from repro.scenarios.golden import (
     unified_diff_summary,
     write_golden,
 )
-from repro.scenarios.parallel import ScenarioOutcome, run_scenarios
 from repro.scenarios.invariants import check_invariants, starvation_bound
 from repro.scenarios.registry import (
     get_scenario,
@@ -50,7 +49,7 @@ from repro.scenarios.registry import (
     scenario_names,
 )
 from repro.scenarios.report import ClientReport, ScenarioReport
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.runner import ScenarioOutcome, ScenarioRunner, run_one
 from repro.scenarios.spec import ScenarioSpec, TenantSpec, uniform_tenants
 
 __all__ = [
@@ -72,7 +71,7 @@ __all__ = [
     "golden_path",
     "load_golden",
     "register",
-    "run_scenarios",
+    "run_one",
     "scenario_names",
     "starvation_bound",
     "unified_diff_summary",

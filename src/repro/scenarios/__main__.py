@@ -4,8 +4,8 @@ Examples::
 
     python -m repro.scenarios --list
     python -m repro.scenarios --run bursty
-    python -m repro.scenarios --run-all --jobs 4
-    python -m repro.scenarios --check --jobs 4
+    python -m repro.scenarios --run-all
+    python -m repro.scenarios --check
     python -m repro.scenarios --regen-golden
     python -m repro.scenarios --regen-golden uniform mixed-fleet
 """
@@ -23,9 +23,8 @@ from repro.exceptions import ReproError
 from repro.fleet.spec import DeviceJoin, SetReplication
 from repro.harness.tables import format_table
 from repro.scenarios.golden import assert_dict_matches_golden, write_golden
-from repro.scenarios.parallel import ScenarioOutcome, run_scenarios
 from repro.scenarios.registry import get_scenario, scenario_names
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.runner import ScenarioOutcome, ScenarioRunner, run_one
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-all",
         action="store_true",
         help="run every scenario and print a per-scenario digest of its "
-        "report (byte-identical for any --jobs value)",
+        "report (byte-identical in every process)",
     )
     group.add_argument(
         "--check",
@@ -56,13 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         default=None,
         help="regenerate golden files (all scenarios when no names are given)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for --run-all / --check (default: 1, serial)",
     )
     parser.add_argument(
         "--golden-dir",
@@ -202,7 +194,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if arguments.run_all:
         failures = 0
-        for outcome in run_scenarios(scenario_names(), jobs=arguments.jobs):
+        for outcome in map(run_one, scenario_names()):
             if not outcome.ok:
                 failures += 1
                 _print_failure(outcome)
@@ -216,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if arguments.check:
         failures = 0
         total_wall = 0.0
-        for outcome in run_scenarios(scenario_names(), jobs=arguments.jobs):
+        for outcome in map(run_one, scenario_names()):
             # Keep checking the remaining scenarios whatever one of them
             # raises (invariant violation, golden drift, ...),
             # so CI shows the full per-scenario picture, not the first error.

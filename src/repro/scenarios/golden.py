@@ -3,8 +3,9 @@
 Every registered scenario has a committed golden file under
 ``tests/golden/<name>.json`` holding the canonical report of a blessed run.
 The pytest layer re-runs each scenario and diffs the live report against the
-golden with numeric tolerances, turning the whole paper reproduction into a
-regression-tested scenario suite.
+golden exactly — the simulator is deterministic and its reports regenerate
+byte for byte on every supported Python — turning the whole paper
+reproduction into a regression-tested scenario suite.
 
 Regenerate goldens after an intentional behaviour change with::
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import difflib
 import json
-import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -26,12 +26,6 @@ from repro.scenarios.report import ScenarioReport
 
 #: Most unified-diff lines included in a mismatch error before truncation.
 MAX_DIFF_LINES = 60
-
-#: Relative tolerance for float comparisons.  The simulator is exactly
-#: deterministic, so this only absorbs float-formatting differences across
-#: Python versions, not real drift.
-DEFAULT_RTOL = 1e-6
-DEFAULT_ATOL = 1e-9
 
 
 def default_golden_dir() -> Path:
@@ -66,21 +60,12 @@ def load_golden(name: str, golden_dir: Optional[Path] = None) -> Dict[str, Any]:
 def diff_values(live: Any, golden: Any, path: str = "$") -> List[str]:
     """Recursively diff two report trees; return human-readable mismatches.
 
-    Numbers are compared with relative/absolute tolerance, everything else
-    exactly.  The returned strings name the JSON path of each divergence so a
-    regression points straight at the metric that moved.
+    Every value is compared with ``==``, numbers included: a float one ulp
+    off is drift.  The returned strings name the JSON path of each divergence
+    so a regression points straight at the metric that moved.
     """
     mismatches: List[str] = []
-    numeric = (int, float)
-    if isinstance(live, bool) or isinstance(golden, bool):
-        if live != golden:
-            mismatches.append(f"{path}: live={live!r} golden={golden!r}")
-    elif isinstance(live, numeric) and isinstance(golden, numeric):
-        if not math.isclose(
-            float(live), float(golden), rel_tol=DEFAULT_RTOL, abs_tol=DEFAULT_ATOL
-        ):
-            mismatches.append(f"{path}: live={live!r} golden={golden!r}")
-    elif isinstance(live, dict) and isinstance(golden, dict):
+    if isinstance(live, dict) and isinstance(golden, dict):
         for key in sorted(set(live) | set(golden)):
             if key not in live:
                 mismatches.append(f"{path}.{key}: missing from live report")
@@ -127,8 +112,8 @@ def assert_dict_matches_golden(
     """Raise :class:`GoldenMismatchError` if the report dict ``live`` of
     scenario ``name`` diverges from its golden.
 
-    Takes the dict, not a live :class:`ScenarioReport`: the parallel runner
-    ships reports across process boundaries as JSON.
+    Takes the dict, not a live :class:`ScenarioReport`: ``--check`` holds
+    each run's report as the JSON it prints a digest of.
     """
     golden = load_golden(name, golden_dir)
     mismatches = diff_values(live, golden)

@@ -7,13 +7,16 @@ arrival pattern, runs a
 :class:`~repro.service.service.StorageService` to completion, validates the
 run with the invariant checker and condenses the measurements into a
 canonical :class:`~repro.scenarios.report.ScenarioReport`.
+:func:`run_one` runs a registered scenario by name for the command line,
+capturing its error instead of raising it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+import time
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig, ClusterResult
@@ -37,9 +40,10 @@ from repro.csd.scheduler import (
 )
 from repro.engine.catalog import Catalog
 from repro.engine.query import Query
-from repro.exceptions import ScenarioError
+from repro.exceptions import ReproError, ScenarioError
 from repro.fleet.report import report_sections
 from repro.scenarios.invariants import check_invariants
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.report import ClientReport, ScenarioReport
 from repro.scenarios.spec import KNOWN_WORKLOADS, ScenarioSpec, split_query_ref
 from repro.service.service import StorageService
@@ -279,3 +283,46 @@ class ScenarioRunner:
             "peak_occupancy": float(peak),
             "hit_rate": hits / lookups if lookups else 0.0,
         }
+
+
+@dataclass(frozen=True)
+class ScenarioOutcome:
+    """Result of running one scenario: its report JSON or an error.
+
+    ``wall_seconds`` is real elapsed time, not simulated time; it is
+    reported by ``--check`` for timing visibility but never diffed (wall
+    time is machine-dependent, unlike every serialized metric).
+    """
+
+    name: str
+    report_json: Optional[str]
+    error: Optional[str]
+    simulated_time: Optional[float]
+    wall_seconds: Optional[float] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def run_one(name: str) -> ScenarioOutcome:
+    """Run the registered scenario ``name``; a :class:`ReproError` becomes
+    the outcome's ``error``, so a caller running many goes on to the next."""
+    started = time.perf_counter()
+    try:
+        report = ScenarioRunner().run(get_scenario(name))
+    except ReproError as error:
+        return ScenarioOutcome(
+            name=name,
+            report_json=None,
+            error=str(error),
+            simulated_time=None,
+            wall_seconds=time.perf_counter() - started,
+        )
+    return ScenarioOutcome(
+        name=name,
+        report_json=report.to_json(),
+        error=None,
+        simulated_time=report.total_simulated_time,
+        wall_seconds=time.perf_counter() - started,
+    )

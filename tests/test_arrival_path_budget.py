@@ -56,8 +56,9 @@ from repro.workloads import tpch
 #: frames / 96 subplans), with one per relation 23.69 (2 274), with the
 #: arrival returning its ``OperatorStats`` rather than an outcome record
 #: 22.02 (2 114), with each re-fetched object's selection kept on the
-#: segment and no ``prepare_segment`` frame 21.38 (2 052); the ceiling is
-#: that plus one, so one more frame per probe, or two per arrival, trips it.
+#: segment and no ``prepare_segment`` frame 21.38 (2 052), with a segment
+#: being its row list (no ``rows`` property frame) 20.89 (2 005); the
+#: ceiling stays 21.38 plus one.
 FRAMES_PER_SUBPLAN_CEILING = 22.4
 #: Frames per *followed* arrival — one that takes a shared MJoin run's logged
 #: step — over the same scenario: ``RunCursor.arrive`` and

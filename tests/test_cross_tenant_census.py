@@ -6,7 +6,8 @@ each query reference once) and its predicates, and the work done over an
 immutable ``Segment`` with them is the same for every reader.  Two such units
 are counted over one service run, exactly, so the counts gate in tier-1:
 
-* ``Segment.filtered_rows``, a bulk selection: at most once per (segment,
+* ``Segment.filtered_rows``, the one place a segment is filtered (the
+  predicate's bulk ``select`` over its row list): at most once per (segment,
   predicate object) — the segment keeps its last selection;
 * ``SharedPullJoin.end``, the pull-based local join over every fetched
   segment: once per distinct pull-based ``Query`` — every later execution

@@ -150,11 +150,11 @@ def test_not_is_involution(value, modulus):
 
 
 # --------------------------------------------------------------------------- #
-# Bulk ``selection`` against the generic ``evaluate`` reference
+# Bulk ``select`` against the generic ``evaluate`` reference
 # --------------------------------------------------------------------------- #
-def _columns(rows):
-    """The column arrays a segment of ``rows`` filters over."""
-    return {name: [row[name] for row in rows] for name in (rows[0] if rows else ())}
+def _accepted(predicate, rows):
+    """The rows ``evaluate`` accepts: the definition ``select`` is held to."""
+    return [row for row in rows if predicate.evaluate(row)]
 
 
 class TestBulkSelection:
@@ -163,27 +163,51 @@ class TestBulkSelection:
     def test_none_literal_rejects_every_row_on_both_paths(self):
         predicate = Comparison("=", col("a"), lit(None))
         assert [predicate.evaluate(row) for row in self.ROWS] == [False, False, False]
-        assert predicate.selection(_columns(self.ROWS), len(self.ROWS)) == []
+        assert predicate.select(self.ROWS) == []
 
     def test_none_literal_missing_column_raises_on_both_paths(self):
         predicate = Comparison("=", col("missing"), lit(None))
         with pytest.raises(ExecutionError, match="missing"):
             predicate.evaluate(self.ROWS[0])
         with pytest.raises(ExecutionError, match="missing"):
-            predicate.selection(_columns(self.ROWS), len(self.ROWS))
+            predicate.select(self.ROWS)
 
     def test_empty_input_never_looks_the_column_up(self):
         # No row reaches the predicate, so the row path would not raise either.
         for constant in (None, 1):
             predicate = Comparison("=", col("missing"), lit(constant))
-            assert predicate.selection({}, 0) == []
-            assert predicate.selection(_columns(self.ROWS), len(self.ROWS), []) == []
+            assert predicate.select([]) == []
+            assert And(eq("a", 0), predicate).select(self.ROWS) == []
 
-    def test_shapes_without_a_bulk_path_return_none(self):
+    def test_arithmetic_operands_select_what_evaluate_accepts(self):
+        rows = [{"a": value} for value in (1, 5, 2, None, 0)]
         arithmetic = Comparison(">", Arithmetic("+", col("a"), lit(1)), lit(2))
-        columns = _columns([{"a": 1}, {"a": 5}])
-        assert arithmetic.selection(columns, 2) is None
-        assert And(eq("a", 5), arithmetic).selection(columns, 2) is None
+        nonzero = [row for row in rows if row["a"] is not None]
+        predicates = [
+            arithmetic,
+            And(eq("a", 5), arithmetic),
+            Or(arithmetic, eq("a", 0)),
+            Not(arithmetic),
+            Comparison("<", Arithmetic("*", col("a"), col("a")), Arithmetic("-", lit(9), col("a"))),
+        ]
+        for predicate in predicates:
+            assert predicate.select(nonzero) == _accepted(predicate, nonzero), predicate
+        # A None operand of ``+`` raises on both paths, and only rows the
+        # per-row short-circuit reaches are evaluated.
+        with pytest.raises(TypeError):
+            _accepted(arithmetic, rows)
+        with pytest.raises(TypeError):
+            arithmetic.select(rows)
+        guarded = And(Comparison("!=", col("a"), lit(None)), arithmetic)
+        assert guarded.select(rows) == _accepted(guarded, rows)
+
+    def test_a_row_object_listed_twice_is_selected_twice(self):
+        # ``Or`` and ``Not`` tell rows apart by identity; a repeated object
+        # is the same row twice, accepted or rejected both times.
+        first, second = {"a": 1}, {"a": 5}
+        rows = [first, second, first, second]
+        for predicate in (Or(eq("a", 1), eq("a", 7)), Not(eq("a", 1)), Or(Not(eq("a", 5)))):
+            assert predicate.select(rows) == _accepted(predicate, rows), predicate
 
     @given(
         values=st.lists(
@@ -198,20 +222,23 @@ class TestBulkSelection:
     )
     def test_selection_matches_evaluate(self, values, constant):
         rows = [{"x": x, "y": y} for x, y in values]
-        columns = _columns(rows)
         predicates = [
             Comparison("<", col("x"), lit(constant)),
             Comparison(">=", col("x"), col("y")),
+            Comparison("=", lit(constant), col("y")),
             Between(col("x"), constant, constant + 3),
             Between(col("y"), constant - 2, constant, inclusive=True),
             InList(col("x"), [constant, None]),
             TruePredicate(),
         ]
         predicates += [
-            And(predicates[0], predicates[3]),
-            Or(predicates[1], predicates[2]),
-            Not(Or(predicates[4], predicates[0])),
+            And(predicates[0], predicates[4]),
+            Or(predicates[1], predicates[3]),
+            Not(Or(predicates[5], predicates[0])),
         ]
+        stored = {id(row) for row in rows}
         for predicate in predicates:
-            expected = [i for i, row in enumerate(rows) if predicate.evaluate(row)]
-            assert predicate.selection(columns, len(rows)) == expected
+            selected = predicate.select(rows)
+            assert selected == _accepted(predicate, rows)
+            # A fresh list of the input rows themselves, never copies.
+            assert selected is not rows and all(id(row) in stored for row in selected)

@@ -1,4 +1,4 @@
-"""Parallel scenario execution and report schema/diff UX."""
+"""Running scenarios by name, the report schema and the golden-diff UX."""
 
 from __future__ import annotations
 
@@ -18,44 +18,23 @@ from repro.scenarios import (
     assert_dict_matches_golden,
     get_scenario,
     load_golden,
-    run_scenarios,
+    run_one,
     scenario_names,
     unified_diff_summary,
 )
 from repro.scenarios.report import SCHEMA_VERSION
 
-#: A cheap but diverse subset for the byte-identity comparison (the full
-#: registry is exercised serially by the golden tests and in CI by --jobs).
-SUBSET = ["uniform", "bursty", "fleet-uniform", "fleet-device-loss", "multi-workload-mix"]
-
-
-def _reports_by_name(outcomes):
-    return {o.name: o.report_json for o in outcomes if o.report_json is not None}
-
-
-class TestParallelExecution:
-    def test_parallel_reports_are_byte_identical_to_serial(self):
-        serial = _reports_by_name(run_scenarios(SUBSET, jobs=1))
-        parallel = _reports_by_name(run_scenarios(SUBSET, jobs=3))
-        assert serial.keys() == parallel.keys() == set(SUBSET)
-        for name in SUBSET:
-            assert serial[name] == parallel[name], f"{name} diverged across processes"
-
-    def test_outcomes_preserve_requested_order(self):
-        outcomes = run_scenarios(SUBSET, jobs=2)
-        assert [outcome.name for outcome in outcomes] == SUBSET
-
-    def test_parallel_outcomes_match_committed_goldens(self):
-        for outcome in run_scenarios(["uniform", "fleet-uniform"], jobs=2):
-            assert outcome.ok
-            assert_dict_matches_golden(outcome.name, json.loads(outcome.report_json))
+class TestRunOne:
+    def test_outcomes_match_committed_goldens(self):
+        for name in ("uniform", "fleet-uniform"):
+            outcome = run_one(name)
+            assert outcome.ok and outcome.name == name
+            assert_dict_matches_golden(name, json.loads(outcome.report_json))
 
     def test_scenario_errors_are_captured_not_raised(self):
-        outcomes = run_scenarios(["uniform", "no-such-scenario"], jobs=2)
-        by_name = {outcome.name: outcome for outcome in outcomes}
-        assert by_name["uniform"].ok
-        assert not by_name["no-such-scenario"].ok
-        assert "unknown scenario" in by_name["no-such-scenario"].error
+        outcome = run_one("no-such-scenario")
+        assert not outcome.ok and outcome.report_json is None
+        assert "unknown scenario" in outcome.error
 
 
 class TestReportSchema:
@@ -126,7 +105,7 @@ class TestSecondInterpreter:
             pytest.skip("no second Python interpreter on this machine")
         root = Path(__file__).resolve().parent.parent
         check = subprocess.run(
-            [interpreter, "-m", "repro.scenarios", "--check", "--jobs", "2"],
+            [interpreter, "-m", "repro.scenarios", "--check"],
             cwd=root,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True,

@@ -6,11 +6,11 @@ subplan tracker's oracle test is in ``test_core_arrival_properties.py``):
 * bulk arc-sweep ``place()`` returns byte-identical placements to the
   brute-force per-key ring walk in ``placement_oracle.py`` for any roster,
   replication factor, vnode count and key population;
-* bulk ``selection`` over a segment's column arrays keeps exactly the rows
-  the generic per-row ``evaluate`` keeps, for every filter of every
-  registered TPC-H / SSB / MR-bench / NREF query.
+* the bulk ``select`` over a segment's row list keeps exactly the rows the
+  generic per-row ``evaluate`` keeps, in order and without copying them, for
+  every filter of every registered TPC-H / SSB / MR-bench / NREF query.
 
-Segments have one (columnar) layout; ragged rows are rejected up front.
+A segment is its row list; ragged rows are rejected up front.
 """
 
 import pytest
@@ -75,10 +75,11 @@ class TestBulkPlacementEquivalence:
 # --------------------------------------------------------------------- #
 # Bulk selection == per-row evaluate, for every registered filter
 # --------------------------------------------------------------------- #
-class TestColumnarRowEquality:
-    """``Segment.filtered_rows`` (bulk ``selection`` over the column arrays)
-    against the generic per-row ``evaluate`` reference: same rows, same
-    order, for every filter of every registered query on every segment."""
+class TestBulkSelectionMatchesEvaluate:
+    """``Segment.filtered_rows`` (the predicate's bulk ``select`` over the row
+    list) against the generic per-row ``evaluate`` reference: same rows, same
+    order, for every filter of every registered query on every segment, and
+    every row it returns is one of ``segment.rows`` itself, not a copy."""
 
     def _assert_filters_match(self, workload):
         catalog = workload.build_catalog("tiny", seed=7)
@@ -91,7 +92,10 @@ class TestColumnarRowEquality:
                     continue
                 for segment in catalog.relation(table).segments:
                     expected = [row for row in segment.rows if predicate.evaluate(row)]
-                    assert segment.filtered_rows(predicate) == expected, (
+                    selected = segment.filtered_rows(predicate)
+                    assert selected == expected, (name, segment.segment_id)
+                    stored = {id(row) for row in segment.rows}
+                    assert all(id(row) in stored for row in selected), (
                         name,
                         segment.segment_id,
                     )
@@ -112,8 +116,8 @@ class TestColumnarRowEquality:
 
 
 class TestRaggedRowsRejected:
-    """A segment has one layout: rows that do not share the first row's keys
-    (or their order) are a schema error, not a second storage format."""
+    """A segment's rows share one key order: rows that do not share the first
+    row's keys (or their order) are a schema error."""
 
     def test_missing_key_names_segment_and_first_offending_row(self):
         rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"a": 5}, {"b": 6}]

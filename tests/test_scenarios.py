@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 from functools import partial
@@ -193,11 +194,16 @@ class TestGoldenDiff:
         mismatches = diff_values(live, golden)
         assert any("device_switches" in mismatch for mismatch in mismatches)
 
-    def test_diff_tolerates_float_noise(self):
+    def test_a_float_one_ulp_off_is_drift(self):
+        """Goldens regenerate byte for byte, so numbers compare exactly."""
         golden = load_golden("uniform")
         live = json.loads(json.dumps(golden))
-        live["cluster"]["mean_time"] *= 1.0 + 1e-9
         assert diff_values(live, golden) == []
+        mean_time = golden["cluster"]["mean_time"]
+        live["cluster"]["mean_time"] = math.nextafter(mean_time, math.inf)
+        assert diff_values(live, golden) == [
+            f"$.cluster.mean_time: live={live['cluster']['mean_time']!r} golden={mean_time!r}"
+        ]
 
     def test_missing_golden_raises_with_regen_hint(self):
         spec = ScenarioSpec(

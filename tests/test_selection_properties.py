@@ -4,10 +4,9 @@
 selection (``Segment.selected_by`` / ``selected_rows``).  The oracle here is
 the definition of a selection — ``[row for row in segment.rows if
 predicate.evaluate(row)]`` — recomputed on every call, over predicates drawn
-from the ``engine/predicate.py`` algebra (with and without a bulk
-``selection`` path) on segments with NULLs: whatever was asked before, every
-answer equals it, and a selection that raises is raised again and never
-kept.
+from the ``engine/predicate.py`` algebra (arithmetic operands included) on
+segments with NULLs: whatever was asked before, every answer equals it, and
+a selection that raises is raised again and never kept.
 
 The second half checks the other side of sharing: the selected rows are one
 list per segment that every executor reads, so after Skipper, the pull-based
@@ -59,8 +58,8 @@ def _missing_column():
     return Comparison("=", ColumnRef("z"), Literal(0))
 
 
-def _no_bulk_path(op, column, value):
-    """``column op (value + 0)``: an arithmetic operand has no bulk path."""
+def _arithmetic(op, column, value):
+    """``column op (value + 0)``: an operand read per row through ``evaluate``."""
     return Comparison(op, ColumnRef(column), Arithmetic("+", Literal(value), Literal(0)))
 
 
@@ -91,7 +90,7 @@ _LEAVES = st.one_of(
         _COLUMNS,
         st.lists(_VALUES, min_size=1, max_size=3),
     ),
-    st.builds(_no_bulk_path, _OPERATORS, _COLUMNS, st.integers(-2, 2)),
+    st.builds(_arithmetic, _OPERATORS, _COLUMNS, st.integers(-2, 2)),
     st.builds(TruePredicate),
     st.builds(_missing_column),
 )
@@ -179,10 +178,9 @@ class TestKeptSelectionOracle:
             assert segment.selected_by is predicate
 
     @given(pairs=st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=8))
-    def test_a_shape_with_no_bulk_path_is_kept_too(self, pairs):
+    def test_an_arithmetic_operand_is_kept_too(self, pairs):
         segment = _segment(pairs)
-        predicate = Or(_no_bulk_path(">", "a", 0), Comparison("=", ColumnRef("b"), Literal(1)))
-        assert segment.filtered_rows(predicate) is None
+        predicate = Or(_arithmetic(">", "a", 0), Comparison("=", ColumnRef("b"), Literal(1)))
         _check_call(segment, predicate)
         rows = segment.selected_rows
         assert select_rows(segment, predicate) is rows
@@ -190,7 +188,7 @@ class TestKeptSelectionOracle:
     @given(
         pairs=st.lists(st.tuples(_VALUES, _VALUES), max_size=8),
         before=_PREDICATES,
-        wrap=st.sampled_from(("bare", "and", "not", "no-bulk")),
+        wrap=st.sampled_from(("bare", "and", "not", "arithmetic")),
     )
     @example(pairs=[], before=TruePredicate(), wrap="bare")
     def test_a_missing_column_raises_every_time_and_is_never_kept(self, pairs, before, wrap):
@@ -202,7 +200,7 @@ class TestKeptSelectionOracle:
             "bare": _missing_column(),
             "and": And(TruePredicate(), _missing_column()),
             "not": Not(_missing_column()),
-            "no-bulk": And(_no_bulk_path("=", "a", 0), _missing_column(), TruePredicate()),
+            "arithmetic": And(_arithmetic("=", "a", 0), _missing_column(), TruePredicate()),
         }[wrap]
         for _ in range(3):
             with pytest.raises(ExecutionError, match="no column 'z'"):

@@ -1,8 +1,8 @@
 """Static gates over the source tree, run as plain tests.
 
 The first part is one AST checker for the hazards that would bend the
-byte-equality regression net (goldens, serial == ``--jobs N``, the ledger
-pins) or let an error escape the ``ReproError`` taxonomy, with a snippet
+byte-equality regression net (goldens, ``--run-all`` in two processes, the
+ledger pins) or let an error escape the ``ReproError`` taxonomy, with a snippet
 table per rule and one gate over ``src`` and ``tests`` whose only
 exemptions are the :data:`ALLOWED` sites.  The rest are structural gates:
 unused imports, layering, one mechanism per job, the reach of the public
@@ -227,7 +227,7 @@ ALLOWED = {
         4,
         "the macro-benchmark harness exists to measure wall seconds",
     ),
-    ("src/repro/scenarios/parallel.py", "wall-clock-call"): (
+    ("src/repro/scenarios/runner.py", "wall-clock-call"): (
         3,
         "the per-scenario wall seconds --check prints; no report reads them",
     ),
@@ -734,6 +734,39 @@ def test_one_sharing_mechanism_for_both_executors():
     assert not assigned & {"local_joins", "mjoin_runs"}, assigned & {"local_joins", "mjoin_runs"}
 
 
+def test_one_segment_layout_and_one_filter():
+    """A segment is its row list and a predicate filters it one way: no
+    column copy (``_columns``, ``Columns``, ``_column_values``), no
+    index-based ``selection`` with its ``indices`` parameter, and neither the
+    scenario process pool nor the golden diff's float tolerances is back."""
+    names = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+    deleted = {
+        "_columns",
+        "_column_names",
+        "Columns",
+        "_column_values",
+        "selection",
+        "indices",
+        "ProcessPoolExecutor",
+        "run_scenarios",
+        "DEFAULT_RTOL",
+        "DEFAULT_ATOL",
+    }
+    assert not names & deleted, sorted(names & deleted)
+
+
 def test_one_batch_representation_on_the_arrival_path():
     """A runnable batch stays the product it is (``core/subplan.py``'s
     ``Batch``) from the tracker to the retire: the cache, the batch join and
@@ -1177,8 +1210,7 @@ def test_test_only_code_stays_deleted():
         "repro.scenarios.golden:unified_diff_summary": "max_lines",
         "repro.scenarios.golden:assert_dict_matches_golden": "rtol atol",
         "repro.scenarios.golden:diff_values": "rtol atol",
-        "repro.scenarios.parallel:run_scenarios": "trace",
-        "repro.scenarios.parallel:run_one": "trace",
+        "repro.scenarios.runner:run_one": "trace",
         "repro.harness.runner:_render_value": "indent",
     }
     for qualified, names in parameters.items():
@@ -1187,7 +1219,7 @@ def test_test_only_code_stays_deleted():
         assert not present & set(names.split()), (qualified, present & set(names.split()))
     outcome_fields = {
         node.target.id
-        for node in definitions["repro.scenarios.parallel:ScenarioOutcome"].body
+        for node in definitions["repro.scenarios.runner:ScenarioOutcome"].body
         if isinstance(node, ast.AnnAssign)
     }
     assert "trace_json" not in outcome_fields

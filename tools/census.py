@@ -18,9 +18,8 @@ also exempts error paths: a ``raise``, and a straight-line statement whose
 only job is to reach one (the statements before it in the same block,
 the ``except`` line of a handler that only re-raises).
 
-Only the traced processes are seen: code that runs solely in a subprocess
-(the ``--jobs 4`` workers, the second-interpreter check) counts as never
-run.  A module neither process imports has every executable line counted.
+Only the two traced processes are seen.  A module neither process imports
+has every executable line counted.
 
 Usage (stdlib plus tier-1's own ``pytest``, from the repository root)::
 
@@ -53,8 +52,8 @@ Table = Dict[str, Tuple[List[Line], List[Line]]]
 #: ``{tmp}`` is replaced by a scratch directory.
 _SCENARIOS = (
     ["--list"],
-    ["--run-all", "--jobs", "1"],
-    ["--check", "--jobs", "1"],
+    ["--run-all"],
+    ["--check"],
     ["--run", "fleet-throttled-rebalance", "--trace", "{tmp}/fleet.json"],
     ["--run", "uniform", "--trace", "{tmp}/uniform.json"],
 )
@@ -346,7 +345,6 @@ def report(tests: Table, program: Table, functions: Dict[str, List[str]]) -> str
         f"tests-only lines: {total} (exempt: {exempt} in __repr__ bodies, TYPE_CHECKING "
         "imports, raise NotImplementedError and error paths)"
     )
-    out.append("code run only in subprocesses (--jobs 4 workers, second interpreter) is not seen")
     return "\n".join(out)
 
 
