@@ -1,14 +1,9 @@
 """Canonical experiment-description and batch-measurement types.
 
-Historically a ``Cluster`` class here wired together everything one
-experiment needs and ran it to completion.  That responsibility lives in the
-service façade (:class:`repro.service.service.StorageService`); the
-deprecated ``Cluster.run()`` shim has been retired — construct a
-``StorageService(config, catalog=...)`` and call ``run()`` instead.
-
-:class:`ClusterConfig` and :class:`ClusterResult` remain the canonical
-experiment-description and batch-measurement types — the façade itself uses
-them.
+:class:`ClusterConfig` describes one multi-client experiment and
+:class:`ClusterResult` holds its measurements; the service façade
+(:class:`repro.service.service.StorageService`) runs the one and returns the
+other — ``StorageService(config, catalog=...).run()``.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.csd.device import BusyInterval
@@ -267,11 +269,13 @@ def max_stretch(values: Iterable[float]) -> float:
 
 
 def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean (0.0 for an empty collection)."""
+    """Arithmetic mean (0.0 for an empty collection), summed in order."""
     values = list(values)
     if not values:
         return 0.0
-    return sum(values) / len(values)
+    # Not ``sum()``: it is compensated on CPython >= 3.12, and the report
+    # must not depend on the interpreter.
+    return reduce(add, values, 0.0) / len(values)
 
 
 def percentile(values: Iterable[float], fraction: float) -> float:

@@ -44,6 +44,8 @@ from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.fleet.placement import normalize_weights
 from repro.fleet.router import FleetRouter
 from repro.fleet.spec import (
+    IMBALANCE_THRESHOLD,
+    MIN_WEIGHT_DELTA,
     DeviceFailure,
     DeviceJoin,
     DeviceLeave,
@@ -211,12 +213,10 @@ class FleetController:
         window_start = 0.0
         while True:
             yield self.env.timeout(policy.interval_seconds)
-            self._rebalance_tick(policy, window_start, self.env.now)
+            self._rebalance_tick(window_start, self.env.now)
             window_start = self.env.now
 
-    def _rebalance_tick(
-        self, policy: RebalancePolicy, window_start: float, now: float
-    ) -> None:
+    def _rebalance_tick(self, window_start: float, now: float) -> None:
         """One controller decision over the busy window just ended.
 
         Imbalance is measured as the coefficient of variation of per-device
@@ -239,7 +239,7 @@ class FleetController:
             "triggered": False,
             "outcome": "below-threshold",
         }
-        if imbalance > policy.imbalance_threshold:
+        if imbalance > IMBALANCE_THRESHOLD:
             if any(
                 member.ewma.count == 0 or member.ewma.value <= 0
                 for member in serving
@@ -257,7 +257,7 @@ class FleetController:
                     abs(target[member.device_id] - member.weight) for member in serving
                 )
                 entry["max_weight_delta"] = delta
-                if delta < policy.min_weight_delta:
+                if delta < MIN_WEIGHT_DELTA:
                     entry["outcome"] = "weights-stable"
                 else:
                     self._raw_weights = raw

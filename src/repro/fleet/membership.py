@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.csd.device import ColdStorageDevice, DeviceConfig
 from repro.exceptions import ConfigurationError, FleetError
-from repro.fleet.spec import DeviceJoin, DeviceProfile, FleetSpec, device_name
+from repro.fleet.spec import EWMA_ALPHA, DeviceJoin, DeviceProfile, FleetSpec, device_name
 from repro.obs import Ewma
 
 
@@ -173,20 +173,20 @@ class FleetMembership:
         self.members: List[FleetMember] = []
         self.by_id: Dict[str, FleetMember] = {}
         for index in range(spec.devices):
-            profile = self._profile_by_index.get(index)
-            config = resolve_device_config(
-                base_config,
-                switch_seconds=profile.switch_seconds if profile else None,
-                transfer_seconds=profile.transfer_seconds if profile else None,
-            )
-            self._add_member(index, config, joined_at=0.0)
+            self._add_member(index, joined_at=0.0)
 
-    def _add_member(self, index: int, config: DeviceConfig, joined_at: float) -> FleetMember:
+    def _add_member(self, index: int, joined_at: float) -> FleetMember:
+        """Add device ``index``, configured by its profile if it has one."""
+        profile = self._profile_by_index.get(index)
         member = FleetMember(
             device_id=device_name(index),
             index=index,
-            config=config,
-            ewma=Ewma(self.spec.ewma_alpha),
+            config=resolve_device_config(
+                self.base_config,
+                switch_seconds=profile.switch_seconds if profile else None,
+                transfer_seconds=profile.transfer_seconds if profile else None,
+            ),
+            ewma=Ewma(EWMA_ALPHA),
             joined_at=joined_at,
         )
         self.members.append(member)
@@ -242,30 +242,13 @@ class FleetMembership:
         )
         return record
 
-    def _join_config(self, event: DeviceJoin) -> DeviceConfig:
-        """Resolve a joiner's config: its own overrides win over its profile."""
-        profile = self._profile_by_index.get(event.device)
-        return resolve_device_config(
-            self.base_config,
-            switch_seconds=(
-                event.switch_seconds
-                if event.switch_seconds is not None
-                else (profile.switch_seconds if profile else None)
-            ),
-            transfer_seconds=(
-                event.transfer_seconds
-                if event.transfer_seconds is not None
-                else (profile.transfer_seconds if profile else None)
-            ),
-        )
-
     def join(self, event: DeviceJoin, at_seconds: float) -> FleetMember:
         """Add the joining device to the roster and open a new epoch."""
         device_id = device_name(event.device)
         if device_id in self.by_id:
             raise FleetError(f"device {device_id!r} is already a fleet member")
         epoch = self._advance("join", device_id, at_seconds)
-        member = self._add_member(event.device, self._join_config(event), at_seconds)
+        member = self._add_member(event.device, at_seconds)
         self.epoch_log.append(
             replace(epoch, devices_after=len(self.serving_ids()))
         )

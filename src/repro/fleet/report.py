@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.metrics import imbalance_coefficient, jain_fairness, mean, percentile
+from repro.fleet.spec import EWMA_ALPHA, IMBALANCE_THRESHOLD, MIGRATION_BURST, MIN_WEIGHT_DELTA
 
 if TYPE_CHECKING:
     from repro.fleet.controller import FleetController
@@ -105,22 +106,22 @@ def replication_metrics(controller: FleetController) -> Dict[str, object]:
                 for interval in member.device.busy_intervals
                 if interval.kind == "migration"
             ]
-            if len(migration_intervals) <= throttle.burst:
+            if len(migration_intervals) <= MIGRATION_BURST:
                 continue
             # Sustained rate between token consumptions (job starts).
-            # The first `burst` jobs ride pre-accrued tokens and are
+            # The first MIGRATION_BURST jobs ride pre-accrued tokens and are
             # spaced only by transfer time, so they are excluded from
             # the numerator: the figure is never above the configured
             # cap, which auditors compare it against.
             window = migration_intervals[-1].start - migration_intervals[0].start
             observed[member.device_id] = (
-                (len(migration_intervals) - throttle.burst) / window
+                (len(migration_intervals) - MIGRATION_BURST) / window
                 if window > 0
                 else 0.0
             )
         throttle_metrics = {
             "objects_per_second": throttle.objects_per_second,
-            "burst": throttle.burst,
+            "burst": MIGRATION_BURST,
             "deferrals": router.device_stats.migration_deferrals,
             "observed_objects_per_second": observed,
         }
@@ -191,8 +192,8 @@ def routing_metrics(controller: FleetController) -> Dict[str, object]:
     if policy is not None:
         rebalancer = {
             "interval_seconds": policy.interval_seconds,
-            "imbalance_threshold": policy.imbalance_threshold,
-            "min_weight_delta": policy.min_weight_delta,
+            "imbalance_threshold": IMBALANCE_THRESHOLD,
+            "min_weight_delta": MIN_WEIGHT_DELTA,
             "ticks": len(controller.rebalance_log),
             "reweight_epochs": sum(
                 1 for entry in controller.rebalance_log if entry["triggered"]
@@ -202,7 +203,7 @@ def routing_metrics(controller: FleetController) -> Dict[str, object]:
     return {
         "replica_policy": router.spec.replica_policy,
         "weighting": router.spec.weighting,
-        "ewma_alpha": router.spec.ewma_alpha,
+        "ewma_alpha": EWMA_ALPHA,
         "replica_choices": {
             "primary": router.stats.choice_primary,
             "diverted": router.stats.choice_diverted,

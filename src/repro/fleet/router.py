@@ -56,7 +56,7 @@ from repro.csd.scheduler import IOScheduler
 from repro.exceptions import FleetError, StorageError
 from repro.fleet.membership import FleetMember, FleetMembership
 from repro.fleet.placement import ConsistentHashPlacement
-from repro.fleet.spec import FleetSpec
+from repro.fleet.spec import MIGRATION_BURST, FleetSpec
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Environment, Event
 
@@ -147,9 +147,7 @@ class FleetRouter:
         self.key_order: List[str] = [
             key for keys in self.client_objects.values() for key in keys
         ]
-        self.policy = ConsistentHashPlacement(
-            fleet_spec.replication, virtual_nodes=fleet_spec.virtual_nodes
-        )
+        self.policy = ConsistentHashPlacement(fleet_spec.replication)
         if fleet_spec.weighting == "profile":
             # Static speed factors size the epoch-0 ring; each member's
             # weight is the number the ring holds for it.
@@ -211,7 +209,7 @@ class FleetRouter:
         throttle = self.spec.throttle
         if throttle is None:
             return None
-        return MigrationTokenBucket(throttle.objects_per_second, throttle.burst)
+        return MigrationTokenBucket(throttle.objects_per_second, MIGRATION_BURST)
 
     def build_device(
         self, member: FleetMember, subset: Mapping[str, Sequence[str]]

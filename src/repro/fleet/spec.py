@@ -11,8 +11,8 @@ Beyond the static shape (size, replication) a fleet can be
 *elastic*: ``events`` lists membership changes — :class:`DeviceJoin`,
 :class:`DeviceLeave` and :class:`SetReplication` — that fire at fixed
 simulated times and advance the fleet's placement epoch, and ``profiles``
-makes the fleet *heterogeneous* by overriding individual devices'
-switch/transfer latencies.
+makes the fleet *heterogeneous* by overriding individual devices' — initial
+or joining — switch/transfer latencies.
 
 Replication is a *lifecycle*, not a frozen placement parameter:
 :class:`SetReplication` raises or lowers R mid-run (re-replicating or
@@ -29,7 +29,7 @@ the ``__post_init__`` methods here hold only the rules that span fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Any, Dict, Iterable, List, Literal, Optional, Tuple, Union, get_args
+from typing import Annotated, Any, Iterable, List, Literal, Optional, Tuple, Union, get_args
 
 from repro.exceptions import ScenarioError
 from repro.fleet.placement import DEFAULT_VIRTUAL_NODES, ConsistentHashPlacement
@@ -47,8 +47,17 @@ KNOWN_REPLICA_POLICIES = get_args(ReplicaPolicy)
 Weighting = Literal["uniform", "profile"]
 KNOWN_WEIGHTINGS = get_args(Weighting)
 
-#: Default smoothing factor for the router's per-device latency EWMA.
-DEFAULT_EWMA_ALPHA = 0.3
+#: Smoothing factor of the per-device latency EWMA feeding the
+#: ``ewma-latency`` policy and the rebalancer.
+EWMA_ALPHA = 0.3
+#: Migration tokens a throttled device can bank: one, so every migration
+#: job after the first waits for its token.
+MIGRATION_BURST = 1
+#: Busy-time imbalance coefficient past which the rebalancer reweights.
+IMBALANCE_THRESHOLD = 0.2
+#: Minimum max-abs change in any normalised weight for a rebalancer tick to
+#: open a reweight epoch; damps oscillation between near-identical placements.
+MIN_WEIGHT_DELTA = 0.05
 
 
 def device_name(index: int) -> str:
@@ -84,16 +93,15 @@ class DeviceJoin(Spec, error=ScenarioError):
     The join advances the membership epoch: placement is recomputed over the
     enlarged fleet and only the keys whose replica set changed are migrated
     onto the joiner (consistent hashing keeps that to ~R·K/(N+1) of K keys).
-    ``switch_seconds`` / ``transfer_seconds`` optionally give the joiner its
-    own device profile (e.g. a faster generation of hardware).
+    A :class:`DeviceProfile` for the joiner's index gives it its own latencies
+    (e.g. a faster generation of hardware), as it does an initial device.
     """
 
     kind = "join"
+    REPORTED = {"switch_seconds": None, "transfer_seconds": None}
 
     device: NonNegativeInt
     at_seconds: Seconds
-    switch_seconds: Optional[Seconds] = None
-    transfer_seconds: Optional[Seconds] = None
 
 
 @dataclass(frozen=True)
@@ -157,15 +165,16 @@ class MigrationThrottle(Spec, error=ScenarioError):
     """Token-bucket rate limit on rebalance I/O, per device.
 
     Each device accrues ``objects_per_second`` migration tokens (up to
-    ``burst``); a migration read/write consumes one.  With no tokens left,
-    pending foreground queries are served first and the deferral is counted;
-    an otherwise idle device simply waits for the bucket to refill.  Without
-    a throttle, migration work runs at strict priority over queries (the
-    pre-throttle behaviour).
+    :data:`MIGRATION_BURST`); a migration read/write consumes one.  With no
+    tokens left, pending foreground queries are served first and the
+    deferral is counted; an otherwise idle device simply waits for the
+    bucket to refill.  Without a throttle, migration work runs at strict
+    priority over queries.
     """
 
+    REPORTED = {"burst": MIGRATION_BURST}
+
     objects_per_second: Annotated[float, Time(positive=True)]
-    burst: PositiveInt = 1
 
 
 @dataclass(frozen=True)
@@ -175,19 +184,20 @@ class RebalancePolicy(Spec, error=ScenarioError):
 
     Every ``interval_seconds`` of simulated time the controller computes the
     imbalance coefficient of per-device busy time over the elapsed window.
-    When it exceeds ``imbalance_threshold`` — and every serving device has
-    at least one latency sample — the controller derives fresh capacity
+    When it exceeds :data:`IMBALANCE_THRESHOLD` — and every serving device
+    has at least one latency sample — the controller derives fresh capacity
     weights from the inverse of each device's latency EWMA, and (unless the
-    weights moved less than ``min_weight_delta`` from the current ones)
+    weights moved less than :data:`MIN_WEIGHT_DELTA` from the current ones)
     opens a ``reweight`` epoch whose migration plan executes through the
     normal throttled-migration machinery.
     """
 
+    REPORTED = {
+        "imbalance_threshold": IMBALANCE_THRESHOLD,
+        "min_weight_delta": MIN_WEIGHT_DELTA,
+    }
+
     interval_seconds: PositiveSeconds
-    imbalance_threshold: Annotated[float, Time()] = 0.2
-    #: Minimum max-abs change in any normalised weight for a tick to emit a
-    #: reweight epoch; damps oscillation between near-identical placements.
-    min_weight_delta: Annotated[float, Time()] = 0.05
 
 
 #: One ``FleetSpec.events`` entry (device failures go in ``failures``).
@@ -198,10 +208,16 @@ FleetEvent = Union[DeviceJoin, DeviceLeave, SetReplication]
 class FleetSpec(Spec, error=ScenarioError):
     """Sharded multi-device fleet: size, replication, routing, elasticity."""
 
+    #: The one placement there is, its ring size and the EWMA smoothing.
+    REPORTED = {
+        "placement": ConsistentHashPlacement.name,
+        "virtual_nodes": DEFAULT_VIRTUAL_NODES,
+        "ewma_alpha": EWMA_ALPHA,
+    }
+
     devices: PositiveInt = 2
     replication: PositiveInt = 1
     replica_policy: ReplicaPolicy = "primary-first"
-    virtual_nodes: PositiveInt = DEFAULT_VIRTUAL_NODES
     failures: Tuple[DeviceFailure, ...] = ()
     #: Membership changes (joins / graceful leaves / replication-factor
     #: changes) fired at simulated times.
@@ -219,9 +235,6 @@ class FleetSpec(Spec, error=ScenarioError):
     #: ``uniform`` (hash-uniform key shares, the classic ring) or
     #: ``profile`` (vnode count ∝ the device's transfer-speed factor).
     weighting: Weighting = "uniform"
-    #: Smoothing factor of the per-device latency EWMA feeding the
-    #: ``ewma-latency`` policy and the rebalancer (0 < alpha <= 1).
-    ewma_alpha: Annotated[float, Time(positive=True)] = DEFAULT_EWMA_ALPHA
     #: Feedback-driven reweighting controller; ``None`` disables it.
     rebalance: Optional[RebalancePolicy] = None
 
@@ -232,8 +245,6 @@ class FleetSpec(Spec, error=ScenarioError):
                 f"replication must be between 1 and the fleet size "
                 f"({self.devices}), got {self.replication}"
             )
-        if self.ewma_alpha > 1:
-            raise ScenarioError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}")
         self._validate_failures()
         self._validate_events()
         self._validate_timeline()
@@ -375,12 +386,4 @@ class FleetSpec(Spec, error=ScenarioError):
     @property
     def heterogeneous(self) -> bool:
         """Whether any device deviates from the scenario-wide config."""
-        return bool(self.profiles) or any(
-            event.switch_seconds is not None or event.transfer_seconds is not None
-            for event in self.joins
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        # The one placement there is; the key stays until the next
-        # report-schema bump so every golden is byte-identical.
-        return {**super().to_dict(), "placement": ConsistentHashPlacement.name}
+        return bool(self.profiles)

@@ -519,11 +519,7 @@ def fleet_adaptive_rebalance() -> ScenarioSpec:
             replication=2,
             replica_policy="ewma-latency",
             profiles=_MIXED_SPEED_PROFILES,
-            rebalance=RebalancePolicy(
-                interval_seconds=150.0,
-                imbalance_threshold=0.2,
-                min_weight_delta=0.05,
-            ),
+            rebalance=RebalancePolicy(interval_seconds=150.0),
         ),
         seed=42,
     )

@@ -149,7 +149,6 @@ def build_cluster_config(spec: ScenarioSpec) -> ClusterConfig:
             mode=tenant.mode,
             repetitions=tenant.repetitions,
             cache_capacity=tenant.cache_capacity,
-            enable_pruning=tenant.enable_pruning,
             start_delay=delay,
         )
         for tenant, delay in zip(spec.tenants, delays)

@@ -63,14 +63,19 @@ def split_query_ref(reference: str) -> Tuple[str, str]:
 
 @dataclass(frozen=True)
 class TenantSpec(Spec, error=ScenarioError):
-    """One tenant in a scenario: identity, queries and executor knobs."""
+    """One tenant in a scenario: identity, queries and executor knobs.
+
+    Pruning is always on; the paper's ablation without it runs through the
+    harness's :class:`~repro.cluster.client.ClientSpec`.
+    """
+
+    REPORTED = {"enable_pruning": True}
 
     tenant_id: str
     queries: Tuple[str, ...]
     mode: Mode = MODE_SKIPPER
     repetitions: PositiveInt = 1
     cache_capacity: PositiveInt = 30
-    enable_pruning: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -95,6 +100,9 @@ class TenantSpec(Spec, error=ScenarioError):
 class ScenarioSpec(Spec, error=ScenarioError):
     """A fully declarative multi-tenant experiment."""
 
+    #: Transfers are always serialised on a device.
+    REPORTED = {"concurrent_transfers": False}
+
     name: str
     description: str
     tenants: Tuple[TenantSpec, ...]
@@ -118,7 +126,7 @@ class ScenarioSpec(Spec, error=ScenarioError):
     fleet: Optional[FleetSpec] = None
     #: When set, queries pass through the service façade's admission
     #: controller (in-flight caps, bounded queue, typed rejections).  ``None``
-    #: disables admission and reproduces the legacy batch behaviour exactly.
+    #: disables admission: every query runs as soon as its session reaches it.
     admission: Optional[AdmissionConfig] = None
     #: When true, the service records an end-to-end trace of the run
     #: (admission → routing → device → operators) exportable with
@@ -163,8 +171,6 @@ class ScenarioSpec(Spec, error=ScenarioError):
         of untraced runs are byte-identical to the pre-tracing schema.
         """
         document = super().to_dict()
-        # Transfers are always serialized; the key keeps the report schema.
-        document["concurrent_transfers"] = False
         if not self.trace:
             del document["trace"]
         return document

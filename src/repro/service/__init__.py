@@ -27,10 +27,9 @@ Quickstart::
     service.run()
     print(handle.result().execution_time)
 
-The legacy batch entry point (``repro.cluster.Cluster``) has been retired;
-the experiment harness (:mod:`repro.harness`, the layer above this one) runs
-through the façade.  For convenience the façade also re-exports the workload
-generators.
+The experiment harness (:mod:`repro.harness`, the layer above this one)
+runs through the façade.  For convenience the façade also re-exports the
+workload generators.
 """
 
 from repro.cluster.client import ClientSpec

@@ -11,7 +11,7 @@ and past the queue they are shed.
 The controller is deterministic: grants happen in strict FIFO order over the
 waiting queue (skipping entries whose tenant cap is still exhausted), and all
 bookkeeping uses the simulated clock.  A service with no controller attached
-behaves exactly like the pre-façade batch harness.
+runs every query as soon as its session reaches it.
 """
 
 from __future__ import annotations

@@ -29,12 +29,11 @@ STATUS_REJECTED = "rejected"  #: refused by admission control
 class QueryHandle:
     """Tracks one submitted query from admission to completion."""
 
-    def __init__(self, query: Query, tenant_id: str, submitted_at: Optional[float]) -> None:
+    def __init__(self, query: Query, tenant_id: str, submitted_at: float) -> None:
         self.query = query
         self.tenant_id = tenant_id
         self.status = STATUS_PENDING
-        #: When the query entered the service (``None`` until a deferred
-        #: ``submit(..., at=...)`` actually arrives).
+        #: When the query entered the service.
         self.submitted_at = submitted_at
         #: When admission control queued the query (``None`` if it never waited).
         self.queued_at: Optional[float] = None
@@ -70,7 +69,7 @@ class QueryHandle:
     @property
     def total_seconds(self) -> float:
         """End-to-end time in the service: submit to terminal (0.0 until then)."""
-        if self.submitted_at is None or self.finished_at is None:
+        if self.finished_at is None:
             return 0.0
         return self.finished_at - self.submitted_at
 
@@ -107,15 +106,6 @@ class QueryHandle:
                 f"query {self.query.name!r} of tenant {self.tenant_id!r}: "
                 f"non-monotonic timestamp {now} < {floor} entering {target}"
             )
-
-    def _mark_submitted(self, now: float) -> None:
-        if self.submitted_at is not None:
-            raise ServiceError(
-                f"query {self.query.name!r} of tenant {self.tenant_id!r} was "
-                "already submitted"
-            )
-        self._check_transition(STATUS_PENDING, (STATUS_PENDING,), now, None)
-        self.submitted_at = now
 
     def _mark_queued(self, now: float) -> None:
         self._check_transition(STATUS_QUEUED, (STATUS_PENDING,), now, self.submitted_at)

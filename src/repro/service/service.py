@@ -14,10 +14,8 @@ queries are submitted::
     result = service.run()          # drives the simulation to completion
     print(handle.result().execution_time)
 
-The façade replaced the legacy batch harness (``Cluster.run()``), whose
-deprecated shims have since been retired.  With no admission controller
-configured, a batch run through the façade is event-for-event identical to
-the legacy harness, which the golden-metrics suite pins.
+Queries are submitted before :meth:`StorageService.run`; admission control
+comes from the scenario spec's ``admission`` field.
 """
 
 from __future__ import annotations
@@ -51,8 +49,9 @@ class StorageService:
     :class:`~repro.scenarios.spec.ScenarioSpec` (the catalog, layout,
     scheduler, arrival delays and admission knobs are materialised from it)
     or a :class:`~repro.cluster.cluster.ClusterConfig` plus an explicit
-    ``catalog``.  ``scheduler_factory`` is called once per device (once for
-    the single CSD) and overrides the spec's scheduler.
+    ``catalog`` (and no admission control).  ``scheduler_factory`` is called
+    once per device (once for the single CSD) and overrides the spec's
+    scheduler.
     """
 
     def __init__(
@@ -61,9 +60,9 @@ class StorageService:
         *,
         catalog: Optional[Catalog] = None,
         scheduler_factory: Optional[Callable[[], IOScheduler]] = None,
-        admission: Optional[AdmissionConfig] = None,
         trace: Optional[bool] = None,
     ) -> None:
+        admission: Optional[AdmissionConfig] = None
         if isinstance(spec_or_config, ClusterConfig):
             if catalog is None:
                 raise ConfigurationError(
@@ -93,8 +92,7 @@ class StorageService:
                 # Every device of a fleet gets its own scheduler instance, so
                 # the scheduler is resolved as a factory.
                 scheduler_factory = lambda: build_scheduler(spec)  # noqa: E731
-            if admission is None:
-                admission = spec.admission
+            admission = spec.admission
             if trace is None:
                 trace = spec.trace
 
@@ -227,9 +225,8 @@ class StorageService:
     def submit_workload(self) -> Dict[str, List[QueryHandle]]:
         """Open a session per configured client and submit its whole workload.
 
-        This is the batch shape of the legacy harness: every tenant's
-        ``repetitions x queries`` are queued up front and the sessions are
-        closed, so :meth:`run` drives everything to completion.
+        Every tenant's ``repetitions x queries`` are queued up front and the
+        sessions are closed, so :meth:`run` drives everything to completion.
         """
         handles: Dict[str, List[QueryHandle]] = {}
         for spec in self.config.client_specs:
@@ -248,8 +245,8 @@ class StorageService:
         """Drive the simulation until every submitted query has resolved.
 
         With no sessions opened yet, the configured batch workload is
-        submitted first (legacy ``Cluster.run()`` semantics).  All sessions
-        are closed before running; a service runs exactly once.
+        submitted first.  All sessions are closed before running; a service
+        runs exactly once.
         """
         if self._ran:
             raise ServiceError("the service has already run")

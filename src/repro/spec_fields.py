@@ -7,7 +7,9 @@ annotations alone :func:`validate` checks every field after construction
 and :func:`to_dict` serialises the spec, so adding a field is one annotated
 line.  A malformed field raises the class's typed error as
 ``Class.field must be <expected>, got <value>``; a hint with no rule raises
-when the class is first built, so no field goes unchecked.
+when the class is first built, so no field goes unchecked.  A setting the
+program only ever sets one way is a constant, not a field; a class whose
+reports still carry it names it in ``REPORTED``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import (
     ClassVar,
     Dict,
     Literal,
+    Mapping,
     Optional,
     Tuple,
     Type,
@@ -131,13 +134,15 @@ def validate(spec: Spec) -> None:
 
 def to_dict(spec: Spec) -> Dict[str, object]:
     """The fields in declaration order, after the class's ``kind`` if it has
-    one; tuples become lists and nested specs dicts."""
+    one and before its ``REPORTED`` keys; tuples become lists and nested
+    specs dicts."""
     document: Dict[str, object] = {}
     kind = getattr(spec, "kind", None)
     if kind is not None:
         document["kind"] = kind
     for item in fields(spec):
         document[item.name] = _plain(getattr(spec, item.name))
+    document.update(spec.REPORTED)
     return document
 
 
@@ -157,6 +162,9 @@ class Spec:
     span fields."""
 
     error: ClassVar[Type[ConfigurationError]] = ConfigurationError
+    #: Fixed keys :func:`to_dict` emits after the fields: constants that
+    #: were settings once, kept until the next report-schema bump.
+    REPORTED: ClassVar[Mapping[str, object]] = {}
     #: Set by ``@dataclass`` on each subclass; declared so that a type
     #: checker takes a spec for the dataclass instance it is.
     __dataclass_fields__: ClassVar[Dict[str, Any]]

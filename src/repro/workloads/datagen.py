@@ -4,10 +4,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from repro.engine.types import date_to_ordinal
 from repro.exceptions import ConfigurationError
+
+T = TypeVar("T")
+
+
+def lookup(registry: Mapping[str, T], name: str, what: str) -> T:
+    """``registry[name]``, or a :class:`ConfigurationError` naming ``what``
+    was unknown (e.g. ``"TPC-H scale"``) and the names there are."""
+    try:
+        return registry[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown {what} {name!r}; expected one of {sorted(registry)}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType, date_to_ordinal
-from repro.exceptions import ConfigurationError
-from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile
+from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile, lookup
 
 #: Number of distinct source IPs (keeps the join-task output a small report).
 _SOURCE_IP_CARDINALITY = 40
@@ -65,25 +64,15 @@ SCALES: Dict[str, ScaleProfile] = {
 }
 
 
-def resolve_scale(scale: Union[str, ScaleProfile]) -> ScaleProfile:
-    """Look up a named scale profile or pass an explicit one through."""
-    if isinstance(scale, ScaleProfile):
-        return scale
-    try:
-        return SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown MR-bench scale {scale!r}; expected one of {sorted(SCALES)}"
-        ) from None
-
-
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 11,
     catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate the rankings/uservisits dataset, optionally into an existing catalog."""
-    profile = resolve_scale(scale)
+    profile = (
+        scale if isinstance(scale, ScaleProfile) else lookup(SCALES, scale, "MR-bench scale")
+    )
     generator = DataGenerator(seed)
     schemas = _schemas()
     catalog = catalog if catalog is not None else Catalog()
@@ -160,9 +149,4 @@ QUERIES = {"join_task": join_task, "aggregation_task": aggregation_task}
 
 def query(name: str) -> Query:
     """Build the analytics-benchmark query registered under ``name``."""
-    try:
-        return QUERIES[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown MR-bench query {name!r}; expected one of {sorted(QUERIES)}"
-        ) from None
+    return lookup(QUERIES, name, "MR-bench query")()

@@ -17,8 +17,7 @@ from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType
-from repro.exceptions import ConfigurationError
-from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile
+from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile, lookup
 
 TAXONOMY_DOMAINS = ["Bacteria", "Archaea", "Eukaryota", "Viruses"]
 ANNOTATION_KEYWORDS = ["kinase", "transferase", "hydrolase", "ligase", "receptor", "membrane"]
@@ -96,25 +95,15 @@ SCALES: Dict[str, ScaleProfile] = {
 }
 
 
-def resolve_scale(scale: Union[str, ScaleProfile]) -> ScaleProfile:
-    """Look up a named scale profile or pass an explicit one through."""
-    if isinstance(scale, ScaleProfile):
-        return scale
-    try:
-        return SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown NREF scale {scale!r}; expected one of {sorted(SCALES)}"
-        ) from None
-
-
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 23,
     catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate the protein reference database, optionally into an existing catalog."""
-    profile = resolve_scale(scale)
+    profile = (
+        scale if isinstance(scale, ScaleProfile) else lookup(SCALES, scale, "NREF scale")
+    )
     generator = DataGenerator(seed)
     schemas = _schemas()
     catalog = catalog if catalog is not None else Catalog()
@@ -222,9 +211,4 @@ QUERIES = {"sequence_count": sequence_count, "long_protein_report": long_protein
 
 def query(name: str) -> Query:
     """Build the NREF query registered under ``name``."""
-    try:
-        return QUERIES[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown NREF query {name!r}; expected one of {sorted(QUERIES)}"
-        ) from None
+    return lookup(QUERIES, name, "NREF query")()

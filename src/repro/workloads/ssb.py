@@ -26,8 +26,7 @@ from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType
-from repro.exceptions import ConfigurationError
-from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile
+from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile, lookup
 
 SSB_REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 SSB_YEARS = list(range(1992, 1999))
@@ -124,25 +123,15 @@ SCALES: Dict[str, ScaleProfile] = {
 }
 
 
-def resolve_scale(scale: Union[str, ScaleProfile]) -> ScaleProfile:
-    """Look up a named SSB scale profile or pass an explicit one through."""
-    if isinstance(scale, ScaleProfile):
-        return scale
-    try:
-        return SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown SSB scale {scale!r}; expected one of {sorted(SCALES)}"
-        ) from None
-
-
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 7,
     catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate the SSB-like dataset, optionally into an existing catalog."""
-    profile = resolve_scale(scale)
+    profile = (
+        scale if isinstance(scale, ScaleProfile) else lookup(SCALES, scale, "SSB scale")
+    )
     generator = DataGenerator(seed)
     schemas = _schemas()
     catalog = catalog if catalog is not None else Catalog()
@@ -287,9 +276,4 @@ QUERIES = {"q1_1": q1_1, "q2_1": q2_1, "q3_1": q3_1}
 
 def query(name: str) -> Query:
     """Build the SSB query registered under ``name`` (e.g. ``"q1_1"``)."""
-    try:
-        return QUERIES[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown SSB query {name!r}; expected one of {sorted(QUERIES)}"
-        ) from None
+    return lookup(QUERIES, name, "SSB query")()

@@ -31,8 +31,7 @@ from repro.engine.predicate import (
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType, date_to_ordinal
-from repro.exceptions import ConfigurationError
-from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile
+from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile, lookup
 
 # --------------------------------------------------------------------------- #
 # Schema
@@ -234,18 +233,6 @@ SCALES: Dict[str, ScaleProfile] = {
 _LOCAL_SUPPLIER_PROBABILITY = 0.35
 
 
-def resolve_scale(scale: Union[str, ScaleProfile]) -> ScaleProfile:
-    """Look up a named scale profile or pass an explicit one through."""
-    if isinstance(scale, ScaleProfile):
-        return scale
-    try:
-        return SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown TPC-H scale {scale!r}; expected one of {sorted(SCALES)}"
-        ) from None
-
-
 # --------------------------------------------------------------------------- #
 # Data generation
 # --------------------------------------------------------------------------- #
@@ -255,7 +242,9 @@ def build_catalog(
     catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate a TPC-H-like database, optionally into an existing catalog."""
-    profile = resolve_scale(scale)
+    profile = (
+        scale if isinstance(scale, ScaleProfile) else lookup(SCALES, scale, "TPC-H scale")
+    )
     generator = DataGenerator(seed)
     schemas = _schemas()
     catalog = catalog if catalog is not None else Catalog()
@@ -541,9 +530,4 @@ QUERIES = {
 
 def query(name: str) -> Query:
     """Build the TPC-H query registered under ``name`` (e.g. ``"q12"``)."""
-    try:
-        return QUERIES[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown TPC-H query {name!r}; expected one of {sorted(QUERIES)}"
-        ) from None
+    return lookup(QUERIES, name, "TPC-H query")()

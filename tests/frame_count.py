@@ -1,0 +1,62 @@
+"""Count the Python frames a piece of code enters: the deterministic cost of
+a path.
+
+``sys.setprofile`` sees one ``call`` event per Python frame entered,
+generator resumes included, and on one interpreter the count repeats
+exactly, so a budget test can gate on it where a wall-clock number cannot.
+The collector is held off while counting: ``gc.callbacks`` hooks (the test
+runner installs one) are Python frames too, two per collection, and when
+collections fall depends on what ran before.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+from types import CodeType, FrameType
+from typing import Callable, Optional, Tuple, TypeVar
+
+T = TypeVar("T")
+
+
+def count_frames(
+    body: Callable[[], T],
+    *,
+    within: Optional[CodeType] = None,
+    skip: Optional[CodeType] = None,
+    on_call: Optional[Callable[[FrameType], None]] = None,
+) -> Tuple[T, int]:
+    """``(body(), frames it entered)``.
+
+    ``within`` counts only the frames of calls to that code object and of
+    everything they enter; ``skip`` leaves exactly those out.  ``on_call``
+    sees every counted frame.
+    """
+    assert within is None or skip is None, "count within one code object or skip one"
+    marked = within if within is not None else skip
+    frames = 0
+    depth = 0  # open frames of ``marked`` calls and what they entered
+
+    def profile(frame: FrameType, event: str, _arg: object) -> None:
+        nonlocal frames, depth
+        if event == "call":
+            if depth or frame.f_code is marked:
+                depth += 1
+            if (depth > 0) is (within is not None):
+                frames += 1
+                if on_call is not None:
+                    on_call(frame)
+        elif event == "return" and depth:
+            depth -= 1
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = body()
+    finally:
+        sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
+    return result, frames

@@ -16,9 +16,9 @@ re-issue cycles run.  Every batch of that feed is all pending, so the probe
 count is also taken over a shuffled feed, where 22 of the 58 batches have
 holes.
 
-When the frame count trips: ``sys.setprofile`` the feed and diff the
-per-function counts against the parent commit (``frames_by_function`` below
-prints them).  What the budget was cut from: one ``min`` key lambda per cached
+When the frame count trips: diff the per-function counts against the parent
+commit (``frames_by_function`` below tallies them through the shared
+``frame_count.count_frames``).  What the budget was cut from: one ``min`` key lambda per cached
 object per eviction, a ``_probe`` and a ``hash_table`` frame per probe, three
 ``Counter`` passes per arrival, one probe per cached segment of every position,
 an outcome dataclass and its default-factory stats per arrival.
@@ -33,13 +33,13 @@ in ``tests/test_cross_tenant_census.py``.
 
 from __future__ import annotations
 
-import gc
 import random
-import sys
 from collections import Counter
+from types import FrameType
 from typing import Callable, List, Optional, Tuple
 
 import pytest
+from frame_count import count_frames
 
 from repro.core import njoin
 from repro.core.cache import MaxProgressEviction, ObjectCache
@@ -69,29 +69,20 @@ FRAMES_PER_FOLLOWED_ARRIVAL_CEILING = 3.2
 _COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>")
 
 
-def _profiled(on_call: Callable[[str, str], None], body: Callable[[], None]) -> None:
-    """Run ``body``, reporting every Python frame it enters."""
+def _tally(frames: Counter) -> Callable[[FrameType], None]:
+    """An ``on_call`` that counts frames per (file, function), comprehensions
+    left out."""
 
-    def profile(frame, event, _arg):
-        if event == "call":
-            on_call(frame.f_code.co_filename, frame.f_code.co_name)
+    def count(frame: FrameType) -> None:
+        code = frame.f_code
+        if code.co_name not in _COMPREHENSIONS:
+            frames[code.co_filename.rsplit("repro/", 1)[-1], code.co_name] += 1
 
-    # The collector is held off while counting: ``gc.callbacks`` hooks are
-    # Python frames too, and when collections fall depends on what ran before.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        body()
-    finally:
-        sys.setprofile(previous)
-        if was_enabled:
-            gc.enable()
+    return count
 
 
 def _feed(
-    on_call: Callable[[str, str], None], shuffle_seed: Optional[int] = None
+    on_call: Optional[Callable[[FrameType], None]] = None, shuffle_seed: Optional[int] = None
 ) -> MJoinStateManager:
     """Run the scenario, reporting every Python frame entered by the feed."""
     catalog = tpch.build_catalog("small", seed=42)
@@ -111,7 +102,7 @@ def _feed(
                 manager.on_arrival(segment_id, segments[segment_id])
             requests = manager.next_cycle_requests()
 
-    _profiled(on_call, feed)
+    count_frames(feed, on_call=on_call)
     assert not manager.tracker.has_pending()
     return manager
 
@@ -119,12 +110,7 @@ def _feed(
 def frames_by_function() -> Tuple[Counter, MJoinStateManager]:
     """(frames entered per (file, function), the finished state manager)."""
     frames: Counter = Counter()
-
-    def count(filename: str, name: str) -> None:
-        if name not in _COMPREHENSIONS:
-            frames[filename.rsplit("repro/", 1)[-1], name] += 1
-
-    manager = _feed(count)
+    manager = _feed(_tally(frames))
     return frames, manager
 
 
@@ -166,12 +152,7 @@ def test_a_followed_arrival_takes_the_logged_step():
     first = len(delivered)
     follower = RunCursor(run)
     frames: Counter = Counter()
-
-    def count(filename: str, name: str) -> None:
-        if name not in _COMPREHENSIONS:
-            frames[filename.rsplit("repro/", 1)[-1], name] += 1
-
-    _profiled(count, lambda: walk(follower))
+    count_frames(lambda: walk(follower), on_call=_tally(frames))
     assert len(delivered) == 2 * first == 112
     assert follower.private is None and follower.position == len(run.steps)
     per_arrival = sum(frames.values()) / first
@@ -212,7 +193,7 @@ def test_one_probe_per_level_and_none_with_nothing_pending(
 
     monkeypatch.setattr(njoin, "probe_hash_table", counted_probe)
     monkeypatch.setattr(njoin.NAryJoin, "execute_batch", checked_execute)
-    manager = _feed(lambda _filename, _name: None, shuffle_seed)
+    manager = _feed(shuffle_seed=shuffle_seed)
     assert sum(pending for _, pending, _ in checked) == manager.tracker.num_executed == 96
     assert sum(pending < total for _, pending, total in checked) == batches_with_holes
     assert sum(probed for probed, _, _ in checked) > 0

@@ -17,9 +17,9 @@ upgrade — one epoch of each kind the controller plans.
 
 from __future__ import annotations
 
-import gc
-import sys
 from typing import Tuple
+
+from frame_count import count_frames
 
 from repro.fleet.controller import FleetController
 from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, FleetSpec, SetReplication
@@ -34,11 +34,12 @@ SEGMENTS = 150
 #: shape-memoised plans measured 19.29 on this scenario (636 keys moved,
 #: CPython 3.11): a residency call per candidate destination, a dataclass
 #: ``__init__`` per move and per trim, a ``submit_migration`` + ``put`` per
-#: job.  This one measures 5.10 — two ``MigrationJob`` constructors, one
+#: job.  That one measured 5.10 — two ``MigrationJob`` constructors, one
 #: key split and ~0.8 ``add_object`` per moved key, the rest per shape or
-#: per device; one more frame per moved key trips the ceiling.  When it
-#: trips: count ``frame.f_code.co_name`` inside ``_rebalance`` on both
-#: commits and diff them.
+#: per device — and the count now reads 5.12 (3 257 frames; 4.63 on CPython
+#: 3.12–3.13); one more frame per moved key trips the ceiling.  When it
+#: trips: pass ``on_call`` to ``count_frames`` to tally
+#: ``frame.f_code.co_name`` on both commits and diff them.
 FRAMES_PER_MOVED_KEY_CEILING = 6.0
 
 
@@ -70,31 +71,7 @@ def _service() -> StorageService:
 def frames_per_moved_key() -> Tuple[float, int, Tuple[str, ...]]:
     """(frames entered inside ``_rebalance`` / keys moved, keys moved, plan kinds)."""
     service = _service()
-    rebalance = FleetController._rebalance.__code__
-    frames = 0
-    depth = 0
-
-    def count(frame, event: str, _arg: object) -> None:
-        nonlocal frames, depth
-        if event == "call":
-            if depth or frame.f_code is rebalance:
-                depth += 1
-                frames += 1
-        elif event == "return" and depth:
-            depth -= 1
-
-    # The collector is held off while counting: ``gc.callbacks`` hooks are
-    # Python frames too, and when collections fall depends on what ran first.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        service.run()
-    finally:
-        sys.setprofile(previous)
-        if was_enabled:
-            gc.enable()
+    _result, frames = count_frames(service.run, within=FleetController._rebalance.__code__)
     plans = service.controller.migration_plans
     moved = sum(plan.keys_moved for plan in plans)
     return frames / moved, moved, tuple(plan.kind for plan in plans)

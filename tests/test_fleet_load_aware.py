@@ -87,11 +87,6 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError):
             FleetSpec(devices=3, weighting="guess")
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
-    def test_ewma_alpha_out_of_range_rejected(self, alpha):
-        with pytest.raises(ScenarioError):
-            FleetSpec(devices=3, ewma_alpha=alpha)
-
     @pytest.mark.parametrize("interval", [0.0, -5.0, float("inf")])
     def test_rebalance_interval_must_be_positive_and_finite(self, interval):
         with pytest.raises(ScenarioError):

@@ -99,19 +99,27 @@ class TestMembershipModel:
             membership.leave("csd9", 7.0)
 
     def test_profiles_resolve_into_per_device_configs(self):
+        """Initial devices and joiners take their config the one way: from
+        the profile of their index, else the base config."""
         base = DeviceConfig(group_switch_seconds=10.0, transfer_seconds_per_object=9.6)
         spec = FleetSpec(
             devices=2,
             replication=1,
-            events=(DeviceJoin(2, 30.0, transfer_seconds=4.8),),
-            profiles=(DeviceProfile(device=1, switch_seconds=40.0),),
+            events=(DeviceJoin(2, 30.0), DeviceJoin(3, 40.0)),
+            profiles=(
+                DeviceProfile(device=1, switch_seconds=40.0),
+                DeviceProfile(device=2, transfer_seconds=4.8),
+            ),
         )
+        assert spec.heterogeneous
         membership = FleetMembership(spec, base)
         assert membership.member("csd0").config == base
         assert membership.member("csd1").config.group_switch_seconds == 40.0
         assert membership.member("csd1").config.transfer_seconds_per_object == 9.6
-        joined = membership.join(DeviceJoin(2, 30.0, transfer_seconds=4.8), 30.0)
+        joined = membership.join(DeviceJoin(2, 30.0), 30.0)
         assert joined.config.transfer_seconds_per_object == 4.8
+        assert joined.config.group_switch_seconds == 10.0
+        assert membership.join(DeviceJoin(3, 40.0), 40.0).config is base
 
     @given(
         intervals=st.lists(
@@ -263,7 +271,6 @@ class TestSpecValidation:
             lambda: MigrationThrottle(objects_per_second="2"),
             lambda: FleetSpec(devices=True),
             lambda: DeviceProfile(device=1.0, switch_seconds=2.0),
-            lambda: DeviceJoin(device=3, at_seconds=5.0, transfer_seconds=[1.0]),
             lambda: SetReplication(replication=2.0, at_seconds=1.0),
             lambda: RebalancePolicy(interval_seconds="60"),
         ],
@@ -276,7 +283,6 @@ class TestSpecValidation:
             "throttle-rate-str",
             "devices-bool",
             "profile-device-float",
-            "join-transfer-list",
             "replication-float",
             "rebalance-interval-str",
         ],
@@ -291,11 +297,18 @@ class TestSpecValidation:
         spec = FleetSpec(
             devices=3,
             replication=2,
-            events=(DeviceJoin(3, 10.0, transfer_seconds=4.8), DeviceLeave(0, 20.0)),
+            events=(DeviceJoin(3, 10.0), DeviceLeave(0, 20.0)),
             profiles=(DeviceProfile(device=1, switch_seconds=40.0),),
         )
         description = spec.to_dict()
-        assert description["events"][0]["kind"] == "join"
+        # A join reports no latencies of its own: a profile gives them.
+        assert description["events"][0] == {
+            "kind": "join",
+            "device": 3,
+            "at_seconds": 10.0,
+            "switch_seconds": None,
+            "transfer_seconds": None,
+        }
         assert description["events"][1]["kind"] == "leave"
         assert description["profiles"] == [
             {"device": 1, "switch_seconds": 40.0, "transfer_seconds": None}
@@ -495,21 +508,19 @@ class TestMultiEpochSequences:
 
 
 class TestSessionsSurviveMembershipChanges:
-    def test_deferred_submits_straddle_a_join(self):
+    def test_back_to_back_queries_straddle_a_join(self):
         spec = get_scenario("fleet-elastic-join")
+        join_at = spec.fleet.events[0].at_seconds
         service = StorageService(spec)
         session = service.open_session("tenant0")
-        before = session.submit(tpch.q12())
-        after = session.submit(tpch.q12(), at=200.0)  # well past the join
-        session.close()
+        handles = [session.submit(tpch.q12()) for _ in range(4)]
         service.run()
-        assert before.done and after.done
+        assert all(handle.done for handle in handles)
         assert service.fleet_epoch() == 1
-        assert after.started_at >= 200.0
-        # The session never reconnected: same session object served both
-        # queries across the epoch boundary.
-        assert session.results[0].execution_time > 0
-        assert session.results[1].execution_time > 0
+        assert handles[0].finished_at < join_at < handles[-1].started_at
+        # The session never reconnected: same session object served every
+        # query across the epoch boundary.
+        assert all(result.execution_time > 0 for result in session.results)
 
 
 class TestLayoutExtension:

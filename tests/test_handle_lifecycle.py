@@ -71,12 +71,6 @@ class TestTransitions:
         with pytest.raises(AdmissionError):
             handle.result()
 
-    def test_double_submit_rejected(self):
-        handle = QueryHandle(tpch.q12(), "tenant0", submitted_at=None)
-        handle._mark_submitted(1.0)
-        with pytest.raises(ServiceError):
-            handle._mark_submitted(2.0)
-
     def test_finish_requires_running(self):
         handle = make_handle()
         with pytest.raises(ServiceError):

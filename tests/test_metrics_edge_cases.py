@@ -336,6 +336,21 @@ class TestStretchMetrics:
     def test_mean_of_empty_is_zero(self):
         assert mean([]) == 0.0
 
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1e16, 1.0, -1e16], 0.0),
+            ([1e16, -1e16, 1.0], 1.0 / 3),
+            ([0.1] * 10, 0.9999999999999999 / 10),
+            ([1.0, 1e100, 1.0, -1e100], 0.0),
+        ],
+        ids=["absorbed-one", "one-after-cancel", "tenth-times-ten", "two-absorbed"],
+    )
+    def test_mean_sums_left_to_right(self, values, expected):
+        """Not a compensated sum (``sum()`` on CPython >= 3.12, ``math.fsum``):
+        the report's means are the same on every interpreter."""
+        assert mean(values) == expected
+
 
 class TestPercentile:
     def test_single_value(self):

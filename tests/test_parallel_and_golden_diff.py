@@ -114,3 +114,32 @@ class TestSecondInterpreter:
         )
         assert check.returncode == 0, check.stdout + check.stderr
         assert f"checked {len(scenario_names())} scenarios" in check.stdout
+
+    def test_ledger_pins_hold_under_another_cpython(self):
+        """The ledger pins a run's simulated means, not only its report, and
+        a mean that ``sum()`` takes is compensated on CPython 3.12 and later:
+        ``vanilla-pull``'s moved by one ulp before ``mean`` folded left to
+        right.  The quick run checks every pin of its seed."""
+        interpreter = _second_interpreter()
+        if interpreter is None:
+            pytest.skip("no second Python interpreter on this machine")
+        root = Path(__file__).resolve().parent.parent
+        run = subprocess.run(
+            [
+                interpreter,
+                str(root / "ledger" / "run.py"),
+                "--workload",
+                "vanilla-pull",
+                "--quick",
+                "--seconds",
+                "0",
+                "--trace",
+                "0",
+            ],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr

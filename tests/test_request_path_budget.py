@@ -20,15 +20,16 @@ at a time, so the scheduler decides and the device switches once per object.
 from __future__ import annotations
 
 import gc
-import sys
 from typing import Dict, Tuple
 
 import pytest
+from frame_count import count_frames
 
 from repro.core.client_proxy import ClientProxy
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.service import StorageService
+from repro.vanilla.executor import SharedPullJoin
 from repro.workloads import tpch
 from repro.workloads.datagen import ScaleProfile, TableProfile
 
@@ -40,10 +41,11 @@ SEGMENTS = 150
 #: comprehensions), that one 77.7 (75.0); with the counters plain attributes
 #: bumped in place (no ``record_served`` / ``Histogram.observe`` frame) it is
 #: 73.9 on 3.11, and with the two tenants sharing one Q6 — the second one's
-#: deliveries answered from each segment's kept selection — 60.7.  Three
-#: more frames per object trip the ceiling.
-#: When it trips: ``sys.setprofile`` the run and diff the per-function counts
-#: against the parent commit — the new frames are a layer someone added.
+#: deliveries answered from each segment's kept selection — 60.7; it reads
+#: 62.92 now.  Three more frames per object trip the ceiling.
+#: When it trips: tally the run's frames per function through
+#: ``count_frames``'s ``on_call`` and diff them against the parent commit —
+#: the new frames are a layer someone added.
 FRAMES_PER_OBJECT_CEILING = 64.0
 #: GC-tracked objects one in-flight GET may keep alive: the request, its
 #: completion event and that event's callback list (the commit before had 7:
@@ -72,36 +74,9 @@ def _service() -> StorageService:
     return StorageService(spec, catalog=tpch.build_catalog(profile, 7))
 
 
-def _run_profiled(service: StorageService, hook):
-    """``service.run()`` with ``hook`` as the profile function.
-
-    The collector is held off while counting: ``gc.callbacks`` hooks (the
-    test runner installs one) are Python frames too, two per collection,
-    and when collections fall depends on what ran before this test.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        return service.run()
-    finally:
-        sys.setprofile(previous)
-        if was_enabled:
-            gc.enable()
-
-
 def frames_per_delivered_object() -> Tuple[float, int]:
     """(Python frames entered during ``service.run()`` / objects delivered, objects)."""
-    service = _service()
-    frames = 0
-
-    def count(_frame: object, event: str, _arg: object) -> None:
-        nonlocal frames
-        if event == "call":
-            frames += 1
-
-    result = _run_profiled(service, count)
+    result, frames = count_frames(_service().run)
     return frames / result.device_objects_served, result.device_objects_served
 
 
@@ -181,27 +156,16 @@ def frames_per_pulled_object(scale: str) -> Tuple[float, int, int, int]:
         scale=scale,
         seed=7,
     )
-    service = StorageService(spec)
-    frames = 0
-    inside_join = 0
     generators: Dict[object, None] = {}  # frames held so no id is ever reused
 
-    def count(frame, event: str, _arg: object) -> None:
-        nonlocal frames, inside_join
-        if event == "call":
-            code = frame.f_code
-            if inside_join or (
-                code.co_name == "end" and code.co_filename.endswith("vanilla/executor.py")
-            ):
-                inside_join += 1
-                return
-            frames += 1
-            if code.co_flags & 0x20 and code.co_filename.endswith(PULL_PATH_MODULES):
-                generators[frame] = None
-        elif event == "return" and inside_join:
-            inside_join -= 1
+    def note_generator(frame) -> None:
+        code = frame.f_code
+        if code.co_flags & 0x20 and code.co_filename.endswith(PULL_PATH_MODULES):
+            generators[frame] = None
 
-    result = _run_profiled(service, count)
+    result, frames = count_frames(
+        StorageService(spec).run, skip=SharedPullJoin.end.__code__, on_call=note_generator
+    )
     queries = sum(len(results) for results in result.results_by_client.values())
     objects = result.device_objects_served
     return frames / objects, len(generators), objects, queries

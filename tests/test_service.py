@@ -23,7 +23,7 @@ from repro.exceptions import (
     SessionClosedError,
 )
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.service import (
     STATUS_FINISHED,
     STATUS_PENDING,
@@ -152,21 +152,6 @@ class TestSessionLifecycle:
         with pytest.raises(ServiceError, match="unknown tenant"):
             service.open_session("intruder")
 
-    def test_deferred_submit_runs_at_requested_time(self, tiny_tpch_catalog):
-        service = StorageService(make_config(1), catalog=tiny_tpch_catalog)
-        session = service.open_session("tenant0")
-        handle = session.submit(tpch.q12(), at=25.0)
-        service.run()
-        assert handle.submitted_at == pytest.approx(25.0)
-        assert handle.started_at >= 25.0
-        assert handle.status == STATUS_FINISHED
-
-    def test_deferred_submit_rejects_past_time(self, tiny_tpch_catalog):
-        service = StorageService(make_config(1), catalog=tiny_tpch_catalog)
-        session = service.open_session("tenant0")
-        with pytest.raises(ConfigurationError, match="not in the past"):
-            session.submit(tpch.q12(), at=-1.0)
-
     def test_service_runs_only_once(self, tiny_tpch_catalog):
         service = StorageService(make_config(1), catalog=tiny_tpch_catalog)
         service.run()
@@ -214,12 +199,23 @@ class TestSessionLifecycle:
             ClientSpec(client_id="tenant0", queries=[tpch.q12()], **knobs)
 
 
+def admitted_spec(num_clients, admission):
+    """``make_config``'s tenants and device as a scenario, behind ``admission``."""
+    return ScenarioSpec(
+        name="admission",
+        description="q12 tenants, one per group, behind an admission controller.",
+        tenants=uniform_tenants(num_clients, "tpch:q12", cache_capacity=10),
+        layout_param=(1,),
+        switch_seconds=10.0,
+        transfer_seconds=1.0,
+        admission=admission,
+    )
+
+
 class TestAdmissionControl:
     def test_zero_capacity_rejects_everything(self, tiny_tpch_catalog):
         service = StorageService(
-            make_config(2),
-            catalog=tiny_tpch_catalog,
-            admission=AdmissionConfig(max_in_flight=0),
+            admitted_spec(2, AdmissionConfig(max_in_flight=0)), catalog=tiny_tpch_catalog
         )
         handles = service.submit_workload()
         result = service.run()
@@ -235,9 +231,8 @@ class TestAdmissionControl:
 
     def test_bounded_queue_admits_queues_and_rejects(self, tiny_tpch_catalog):
         service = StorageService(
-            make_config(3),
+            admitted_spec(3, AdmissionConfig(max_in_flight=1, max_queue_depth=1)),
             catalog=tiny_tpch_catalog,
-            admission=AdmissionConfig(max_in_flight=1, max_queue_depth=1),
         )
         handles = service.submit_workload()
         service.run()

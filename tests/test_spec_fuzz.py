@@ -56,7 +56,7 @@ BASES = {
         PoissonArrival(10.0),
         FleetSpec(devices=3, replication=2),
         DeviceFailure(0, 5.0),
-        DeviceJoin(3, 5.0, switch_seconds=1.0),
+        DeviceJoin(3, 5.0),
         DeviceLeave(0, 5.0),
         SetReplication(2, 5.0),
         DeviceProfile(0, switch_seconds=1.0),

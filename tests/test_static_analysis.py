@@ -237,9 +237,9 @@ ALLOWED = {
         "instead of hanging the run",
     ),
     ("tests/test_parallel_and_golden_diff.py", "blocking-call-in-simulation"): (
-        2,
+        3,
         "asks another interpreter for its version and runs the golden check "
-        "in it, outside any simulation",
+        "and a quick ledger run in it, outside any simulation",
     ),
 }
 
@@ -869,8 +869,6 @@ PRIVATE_ACCESS_ALLOW_LIST = {
         "handle._mark_queued",
         "handle._mark_rejected",
         "handle._mark_running",
-        "handle._mark_submitted",
-        "handle._mark_submitted",
     ],
     "sim/environment.py": ["batch[0]._dispatch"] * 2 + ["event._dispatch"] * 2,
     "sim/events.py": ["env._schedule_event"] + ["self.env._schedule_event"] * 3,
@@ -896,7 +894,7 @@ def test_private_attribute_accesses_only_shrink():
             assert access in allowed, f"{name}: new private reach-in {access}"
             allowed.remove(access)
     total = sum(len(accesses) for accesses in PRIVATE_ACCESS_ALLOW_LIST.values())
-    assert total == 19
+    assert total == 17
     # Nothing outside ``sim/`` touches kernel internals or a stats slot.
     for name, accesses in PRIVATE_ACCESS_ALLOW_LIST.items():
         if not name.startswith("sim/"):
@@ -1153,8 +1151,9 @@ def _definitions():
 def test_test_only_code_stays_deleted():
     """What only the tests ran is gone (``tools/census.py``'s program
     section finds it): the kernel's ``step``/``peek`` twin, the operators no
-    plan builds, introspection only tests read, and 14 parameters no program
-    caller sets.  ``Environment.run`` waits for an event or for nothing."""
+    plan builds, introspection only tests read, 16 parameters no program
+    caller sets, the deferred submit's machinery and the per-workload
+    lookups.  ``Environment.run`` waits for an event or for nothing."""
     definitions = _definitions()
     by_name = {}
     for qualified in definitions:
@@ -1193,6 +1192,11 @@ def test_test_only_code_stays_deleted():
         "FleetMembership.heterogeneous",
         "StorageService.membership",
         "TieringCostModel.cost_per_gb",
+        "QueryHandle._mark_submitted",
+        "Session._deliver_at",
+        "Session._notify",
+        "FleetMembership._join_config",
+        "resolve_scale",
     ]
     back = {name: by_name[name] for name in deleted if name in by_name}
     assert not back, back
@@ -1212,6 +1216,8 @@ def test_test_only_code_stays_deleted():
         "repro.scenarios.golden:diff_values": "rtol atol",
         "repro.scenarios.runner:run_one": "trace",
         "repro.harness.runner:_render_value": "indent",
+        "repro.service.session:Session.submit": "at",
+        "repro.service.service:StorageService.__init__": "admission",
     }
     for qualified, names in parameters.items():
         arguments = definitions[qualified].args

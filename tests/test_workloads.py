@@ -151,3 +151,26 @@ class TestOtherWorkloads:
                 module.build_catalog("sf9000")
             with pytest.raises(ConfigurationError):
                 module.query("does_not_exist")
+
+
+@pytest.mark.parametrize(
+    "module, label",
+    [(tpch, "TPC-H"), (ssb, "SSB"), (mrbench, "MR-bench"), (nref, "NREF")],
+    ids=["tpch", "ssb", "mrbench", "nref"],
+)
+class TestLookupMessages:
+    """Every workload names what was unknown and what there is, in one wording."""
+
+    def test_unknown_scale_names_the_scales(self, module, label):
+        with pytest.raises(ConfigurationError) as raised:
+            module.build_catalog("sf9000")
+        assert str(raised.value) == (
+            f"unknown {label} scale 'sf9000'; expected one of {sorted(module.SCALES)}"
+        )
+
+    def test_unknown_query_names_the_queries(self, module, label):
+        with pytest.raises(ConfigurationError) as raised:
+            module.query("q99")
+        assert str(raised.value) == (
+            f"unknown {label} query 'q99'; expected one of {sorted(module.QUERIES)}"
+        )
