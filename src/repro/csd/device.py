@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 from collections import deque
 
 from repro.csd.disk_group import DiskGroupLayout
-from repro.csd.object_store import ObjectStore, split_object_key
+from repro.csd.object_store import ObjectStore
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import StorageError
@@ -75,14 +75,12 @@ class MigrationTokenBucket:
         self.tokens = float(burst)
         self.last_refill = 0.0
 
-    def _refill(self, now: float) -> None:
+    def try_consume(self, now: float) -> bool:
+        """Take one token if available; ``False`` means the I/O must wait."""
+        # Refill first, inline: the device asks once per migration job.
         if now > self.last_refill:
             self.tokens = min(self.burst, self.tokens + (now - self.last_refill) * self.rate)
             self.last_refill = now
-
-    def try_consume(self, now: float) -> bool:
-        """Take one token if available; ``False`` means the I/O must wait."""
-        self._refill(now)
         if self.tokens >= 1.0 - self.EPSILON:
             self.tokens = max(0.0, self.tokens - 1.0)
             return True
@@ -90,7 +88,9 @@ class MigrationTokenBucket:
 
     def seconds_until_token(self, now: float) -> float:
         """Simulated time until the next token accrues (0 when one is ready)."""
-        self._refill(now)
+        if now > self.last_refill:
+            self.tokens = min(self.burst, self.tokens + (now - self.last_refill) * self.rate)
+            self.last_refill = now
         if self.tokens >= 1.0 - self.EPSILON:
             return 0.0
         return (1.0 - self.tokens) / self.rate
@@ -323,7 +323,8 @@ class ColdStorageDevice:
         queued = inbox.queued
         scheduler = self.scheduler
         while True:
-            self._drain_inbox()
+            if queued:  # ``_drain_inbox`` without its frame: once per job or GET
+                self._register(inbox.drain())
             if self._admin_jobs:
                 throttle = self.migration_throttle
                 if throttle is None or throttle.try_consume(env.now):
@@ -412,19 +413,18 @@ class ColdStorageDevice:
         # MigrationJobs (a later epoch's burst), which are not query traffic.
         # (The live queue is walked in place: a snapshot per job would copy
         # the whole burst once per job.)
-        interfered = (
-            interfered
-            or self.scheduler.has_pending()
-            or any(isinstance(item, GetRequest) for item in self.inbox.queued)
-        )
+        if not interfered:
+            queued = self.inbox.queued
+            interfered = self.scheduler.has_pending() or (
+                len(queued) > 0 and any(isinstance(item, GetRequest) for item in queued)
+            )
         key = job.object_key
         group = self.layout.group_if_placed(key)
-        tenant, _segment = split_object_key(key)
-        query_id = f"{job.reason}:{job.direction}:epoch{job.epoch}"
+        tenant = key.partition("/")[0]
         self.busy_intervals.append(
             _tuple_new(
                 BusyInterval,
-                (start, end, "migration", -1 if group is None else group, tenant, query_id, key),
+                (start, end, "migration", -1 if group is None else group, tenant, job.label, key),
             )
         )
         stats = self.stats

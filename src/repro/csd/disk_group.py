@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, KeysView, Mapping, Optional
+from typing import Callable, Dict, KeysView, Mapping, Optional, Sequence
 
 from repro.exceptions import LayoutError
 
@@ -12,7 +12,7 @@ class DiskGroupLayout:
 
     The CSD middleware in the paper keeps exactly this metadata: which group
     each stored object lives on.  Group identifiers are small integers.  The
-    mapping is append-only: rebalancing may :meth:`add_object` keys migrated
+    mapping is append-only: rebalancing may :meth:`add_objects` keys migrated
     onto the device mid-run, but an object is never re-homed or removed.
     """
 
@@ -23,42 +23,57 @@ class DiskGroupLayout:
             if group < 0:
                 raise LayoutError(f"object {key!r} assigned to negative group {group}")
         self._assignment: Dict[str, int] = dict(assignment)
-        #: Largest group identifier in use; :meth:`add_object` keeps it current.
+        #: Largest group identifier in use; :meth:`add_objects` keeps it current.
         self.max_group_id = max(self._assignment.values())
         #: Lowest group per tenant prefix; built by the first
         #: :meth:`tenant_group_map` call (most layouts never need it) and
-        #: kept current by :meth:`add_object` from then on.
+        #: kept current by :meth:`add_objects` from then on.
         self._lowest_by_tenant: Optional[Dict[str, int]] = None
+        #: ``group_if_placed(object_key)``: the group holding the key, or
+        #: ``None`` if it is not placed.  The mapping's own ``get``, so the
+        #: lookup the device runs for every GET and migration job enters
+        #: no Python frame.
+        self.group_if_placed: Callable[[str], Optional[int]] = self._assignment.get
 
     @property
     def num_groups(self) -> int:
         """Number of distinct disk groups used by the layout."""
         return len(set(self._assignment.values()))
 
-    def add_object(self, object_key: str, group_id: int) -> None:
-        """Place a new object into ``group_id`` (used by fleet rebalancing).
+    def add_objects(self, object_keys: Sequence[str], group_ids: Sequence[int]) -> None:
+        """Place new objects, ``object_keys[i]`` into ``group_ids[i]`` (used
+        by fleet rebalancing) — all or nothing.
 
         Existing objects cannot be re-homed; migrating a key onto a device
-        that already holds it is a layout bug upstream.
+        that already holds it is a layout bug upstream.  Every key is
+        checked before anything changes: one already placed, one listed
+        twice or a negative group rejects the whole call.
         """
-        if group_id < 0:
-            raise LayoutError(f"object {object_key!r} assigned to negative group {group_id}")
-        if object_key in self._assignment:
-            raise LayoutError(f"object {object_key!r} is already placed by this layout")
-        self._assignment[object_key] = group_id
-        if group_id > self.max_group_id:
-            self.max_group_id = group_id
+        assignment = self._assignment
+        seen = set()
+        for object_key, group_id in zip(object_keys, group_ids):
+            if group_id < 0:
+                raise LayoutError(f"object {object_key!r} assigned to negative group {group_id}")
+            if object_key in assignment:
+                raise LayoutError(f"object {object_key!r} is already placed by this layout")
+            if object_key in seen:
+                raise LayoutError(f"object {object_key!r} is listed twice in one extension")
+            seen.add(object_key)
+        assignment.update(zip(object_keys, group_ids))
+        if group_ids:
+            self.max_group_id = max(self.max_group_id, max(group_ids))
         lowest = self._lowest_by_tenant
         if lowest is not None:
-            tenant, separator, _rest = object_key.partition("/")
-            if separator and group_id < lowest.get(tenant, group_id + 1):
-                lowest[tenant] = group_id
+            for object_key, group_id in zip(object_keys, group_ids):
+                tenant, separator, _rest = object_key.partition("/")
+                if separator and group_id < lowest.get(tenant, group_id + 1):
+                    lowest[tenant] = group_id
 
     def tenant_group_map(self) -> Dict[str, int]:
         """Lowest group id per tenant prefix (keys without one are skipped).
 
         The first call scans the layout once; from then on
-        :meth:`add_object` keeps the map current, so rebalancing a device
+        :meth:`add_objects` keeps the map current, so rebalancing a device
         epoch after epoch never rescans it.  Returns a fresh dict.
         """
         lowest = self._lowest_by_tenant
@@ -81,14 +96,6 @@ class DiskGroupLayout:
             return self._assignment[object_key]
         except KeyError:
             raise LayoutError(f"object {object_key!r} is not placed by this layout") from None
-
-    def group_if_placed(self, object_key: str) -> Optional[int]:
-        """Group holding ``object_key``, or ``None`` if it is not placed.
-
-        One dict probe doing the work of ``has_object`` + ``group_of`` —
-        the device submit path runs this for every incoming request.
-        """
-        return self._assignment.get(object_key)
 
     def has_object(self, object_key: str) -> bool:
         """Whether the layout places ``object_key``."""

@@ -12,11 +12,10 @@ Every policy turns a mapping ``client -> [object keys]`` into a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.csd.disk_group import DiskGroupLayout
-from repro.csd.object_store import split_object_key
-from repro.exceptions import LayoutError
+from repro.exceptions import LayoutError, StorageError
 
 ClientObjects = Mapping[str, Sequence[str]]
 
@@ -154,13 +153,14 @@ class SkewedLayout(LayoutPolicy):
         return DiskGroupLayout(assignment)
 
 
-def extend_layout_with_keys(layout: DiskGroupLayout, keys: Iterable[str]) -> List[int]:
+def extend_layout_with_keys(layout: DiskGroupLayout, keys: Sequence[str]) -> List[int]:
     """Home migrated ``keys`` on a device's existing layout (in given order).
 
     The rule every layout shares under rebalancing: a key joins the lowest
     disk group already holding its tenant's objects on this device; a tenant
     new to the device opens a fresh group (keys of the same tenant within
-    one call stay together).  Returns the group chosen for each key.
+    one call stay together).  Returns the group chosen for each key.  All or
+    nothing: a malformed key, or one the layout rejects, leaves it as it was.
     """
     groups: List[int] = []
     # The layout keeps its tenant map current once asked for it, so only a
@@ -169,12 +169,14 @@ def extend_layout_with_keys(layout: DiskGroupLayout, keys: Iterable[str]) -> Lis
     group_by_tenant = layout.tenant_group_map()
     next_fresh = layout.max_group_id + 1
     for key in keys:
-        tenant, _segment = split_object_key(key)
+        tenant, separator, segment = key.partition("/")
+        if not separator or not tenant or not segment:
+            raise StorageError(f"malformed object key: {key!r}")
         group = group_by_tenant.get(tenant)
         if group is None:
             group = next_fresh
             group_by_tenant[tenant] = group
             next_fresh += 1
-        layout.add_object(key, group)
         groups.append(group)
+    layout.add_objects(keys, groups)
     return groups

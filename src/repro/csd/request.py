@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -22,65 +22,66 @@ if TYPE_CHECKING:  # pragma: no cover
 _request_counter = itertools.count()
 _FLOAT_MAX = sys.float_info.max
 
+#: Why a copy happens: a membership rebalance (join/leave), read-repair after
+#: a fail-stop loss, write-path re-replication (R raised), or a
+#: feedback-driven placement reweight.
+MIGRATION_REASONS = ("rebalance", "repair", "replicate", "reweight")
 
-class MigrationJob:
+
+class MigrationJob(NamedTuple):
     """One unit of rebalancing I/O: read or write of a migrating object.
 
     Jobs are injected through the device inbox like GET requests but bypass
     the query scheduler: the device performs them with priority over
     foreground work (the window during which foreground requests were held
-    up is reported as migration interference).
+    up is reported as migration interference).  Everything but the key is
+    shared by a batch and validated once, by :func:`migration_fields`; a
+    job is ``tuple.__new__(MigrationJob, (object_key, *fields))``.
     """
 
-    __slots__ = ("object_key", "direction", "seconds", "epoch", "reason", "notify")
+    object_key: str
+    seconds: float
+    #: The busy-log label, ``"{reason}:{direction}:epoch{epoch}"``.
+    label: str
+    #: Called by the device as ``notify(job, start, end, interfered)``.
+    notify: Optional[MigrationNotify]
 
-    #: Why the copy happens: a membership rebalance (join/leave), read-repair
-    #: after a fail-stop loss, write-path re-replication (R raised), or a
-    #: feedback-driven placement reweight.
-    KNOWN_REASONS = ("rebalance", "repair", "replicate", "reweight")
 
-    def __init__(
-        self,
-        object_key: str,
-        direction: str,
-        seconds: float,
-        epoch: int,
-        reason: str = "rebalance",
-        notify: Optional[Callable[[MigrationJob, float, float, bool], None]] = None,
-    ) -> None:
-        if direction not in ("read", "write"):
-            raise ConfigurationError(
-                f"migration direction must be read/write, got {direction!r}"
-            )
-        if reason not in self.KNOWN_REASONS:
-            raise ConfigurationError(
-                f"migration reason must be one of {self.KNOWN_REASONS}, got {reason!r}"
-            )
-        # ``is_time(seconds)`` and ``is_count(epoch, minimum=0)`` inlined: a
-        # rebalance builds one job per replica read or write it charges.
-        if isinstance(seconds, bool) or not (
-            isinstance(seconds, (int, float)) and 0 <= seconds <= _FLOAT_MAX
-        ):
-            raise ConfigurationError(
-                f"migration seconds must be finite and non-negative, got {seconds!r}"
-            )
-        if isinstance(epoch, bool) or not (isinstance(epoch, int) and epoch >= 0):
-            raise ConfigurationError(
-                f"migration epoch must be an int of at least 0, got {epoch!r}"
-            )
-        self.object_key = object_key
-        self.direction = direction
-        self.seconds = seconds
-        self.epoch = epoch
-        self.reason = reason
-        #: Called by the device as ``notify(job, start, end, interfered)``.
-        self.notify = notify
+MigrationNotify = Callable[[MigrationJob, float, float, bool], None]
+#: The fields a batch of :class:`MigrationJob` shares: seconds, label, notify.
+MigrationFields = Tuple[float, str, Optional[MigrationNotify]]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<MigrationJob {self.reason} {self.direction} {self.object_key} "
-            f"epoch={self.epoch} seconds={self.seconds}>"
+
+def migration_fields(
+    direction: str,
+    seconds: float,
+    epoch: int,
+    reason: str = "rebalance",
+    notify: Optional[MigrationNotify] = None,
+) -> MigrationFields:
+    """Validate one batch of jobs and return what its jobs share.
+
+    A rebalance charges one job per replica read or write; the direction,
+    seconds, epoch and reason are the same for a device's reads (or writes)
+    of one epoch, so they are checked here once, and the label is formatted
+    once.
+    """
+    if direction not in ("read", "write"):
+        raise ConfigurationError(f"migration direction must be read/write, got {direction!r}")
+    if reason not in MIGRATION_REASONS:
+        raise ConfigurationError(
+            f"migration reason must be one of {MIGRATION_REASONS}, got {reason!r}"
         )
+    # ``is_time(seconds)`` and ``is_count(epoch, minimum=0)``, inlined.
+    if isinstance(seconds, bool) or not (
+        isinstance(seconds, (int, float)) and 0 <= seconds <= _FLOAT_MAX
+    ):
+        raise ConfigurationError(
+            f"migration seconds must be finite and non-negative, got {seconds!r}"
+        )
+    if isinstance(epoch, bool) or not (isinstance(epoch, int) and epoch >= 0):
+        raise ConfigurationError(f"migration epoch must be an int of at least 0, got {epoch!r}")
+    return seconds, f"{reason}:{direction}:epoch{epoch}", notify
 
 
 class GetRequest:

@@ -37,8 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.metrics import imbalance_coefficient
 from repro.csd.layout import extend_layout_with_keys
-from repro.csd.object_store import split_object_key
-from repro.csd.request import MigrationJob
+from repro.csd.request import MigrationFields, MigrationJob, migration_fields
 from repro.exceptions import FleetError
 from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.fleet.placement import normalize_weights
@@ -54,6 +53,11 @@ from repro.fleet.spec import (
     device_name,
 )
 
+#: ``_tuple_new(MigrationJob, (key, *fields))`` is ``MigrationJob(key,
+#: *fields)`` without the Python frame of the generated ``__new__``: a
+#: rebalance builds one job per replica read and write.
+_tuple_new = tuple.__new__
+
 
 class FleetController:
     """Moves a router's fleet from one placement epoch to the next."""
@@ -64,9 +68,10 @@ class FleetController:
         self.spec = router.spec
         self.membership = router.membership
         self._policy = router.policy
-        #: key -> position in the canonical ordering; lets plan execution
-        #: sort a plan's gained keys in O(M log M) instead of rescanning
-        #: every client's full key list per gaining device.
+        #: key -> position in the canonical ordering; puts an epoch's M
+        #: changed keys in canonical order in O(M log M), and with them
+        #: every destination's gained keys, instead of rescanning every
+        #: client's full key list.
         self._key_rank: Dict[str, int] = {
             key: rank for rank, key in enumerate(router.key_order)
         }
@@ -427,12 +432,16 @@ class FleetController:
         Each destination's layout is extended once, with its gained keys in
         canonical order, destinations in roster order.  Then every move is a
         read job at its source and a write job at its destination: each
-        device's jobs are built into one list (its transfer time read once)
-        and handed over in one :meth:`~repro.csd.device.ColdStorageDevice.submit_migrations`
-        call.  Devices get their batches in the order they first appear in
-        the move list — the order in which one ``put`` per job used to wake
+        device's jobs are built into one list (its job fields validated
+        once per direction) and handed over in one
+        :meth:`~repro.csd.device.ColdStorageDevice.submit_migrations` call.
+        Devices get their batches in the order they first appear in the
+        move list — the order in which one ``put`` per job used to wake
         their idle loops — so the events dispatched are the same.
         """
+        # ``plan.moves`` follow the plan's ``changed_keys``, which are in
+        # canonical key order, so each destination's keys arrive in client
+        # order already — the order initial layouts are built in.
         gained: Dict[str, List[str]] = {}
         for move in plan.moves:
             gained.setdefault(move.dest, []).append(move.object_key)
@@ -441,44 +450,45 @@ class FleetController:
             keys = gained.get(member.device_id)
             if not keys:
                 continue
-            # Keys in client order, mirroring how initial layouts are built
-            # (the precomputed rank map keeps this O(M log M) per device
-            # instead of a scan over every client's full key list).
-            ordered = sorted(keys, key=self._key_rank.__getitem__)
             if member.device is None:
                 # A member with no device held nothing before, so its gained
                 # keys are exactly its subset of the (already updated)
                 # current placement: group them by owning client — the key's
-                # ``tenant/`` prefix (``ordered`` is canonical, client-major,
+                # ``tenant/`` prefix (``keys`` are canonical, client-major,
                 # so clients land in first-seen order with keys in client
                 # order, matching what a full placement scan would build).
                 subset: Dict[str, List[str]] = {}
-                for key in ordered:
-                    subset.setdefault(split_object_key(key)[0], []).append(key)
+                for key in keys:
+                    subset.setdefault(key.partition("/")[0], []).append(key)
                 member.device = self.router.build_device(member, subset)
             else:
-                extend_layout_with_keys(member.device.layout, ordered)
-            member.object_keys = member.object_keys + tuple(ordered)
+                extend_layout_with_keys(member.device.layout, keys)
+            member.object_keys = member.object_keys + tuple(keys)
 
         def _account(job: MigrationJob, start: float, end: float, _interfered: bool,
                      plan: MigrationPlan = plan) -> None:
             plan.migration_seconds += end - start
 
-        seconds = {
-            member.device_id: member.device.config.transfer_seconds_per_object
-            for member in self.membership.members
-            if member.device is not None
-        }
-        epoch = plan.epoch
+        reads: Dict[str, MigrationFields] = {}
+        writes: Dict[str, MigrationFields] = {}
+        for member in self.membership.members:
+            if member.device is not None:
+                seconds = member.device.config.transfer_seconds_per_object
+                reads[member.device_id] = migration_fields(
+                    "read", seconds, plan.epoch, reason, _account
+                )
+                writes[member.device_id] = migration_fields(
+                    "write", seconds, plan.epoch, reason, _account
+                )
         batches: Dict[str, List[MigrationJob]] = {}
         for object_key, source, dest in plan.moves:
             # A source without a device performs no read.
-            if source in seconds:
+            if source in reads:
                 batches.setdefault(source, []).append(
-                    MigrationJob(object_key, "read", seconds[source], epoch, reason, _account)
+                    _tuple_new(MigrationJob, (object_key, *reads[source]))
                 )
             batches.setdefault(dest, []).append(
-                MigrationJob(object_key, "write", seconds[dest], epoch, reason, _account)
+                _tuple_new(MigrationJob, (object_key, *writes[dest]))
             )
         members = self.membership.by_id
         for device_id, jobs in batches.items():

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, PlacementError
@@ -91,6 +92,10 @@ class ConsistentHashPlacement:
         #: Mean-normalised capacity weights; empty = uniform (every device
         #: contributes exactly ``virtual_nodes`` points).
         self._weights: Dict[str, float] = {}
+        #: (device, vnode count) -> the device's ring point hashes, kept for
+        #: the policy's lifetime: a new roster's ring sorts these instead of
+        #: re-hashing every device's ``"<device>#<vnode>"`` labels.
+        self._point_cache: Dict[Tuple[str, int], List[int]] = {}
         self._ring_cache: Dict[
             Tuple[Tuple[str, ...], Tuple[int, ...]], Tuple[List[int], List[str]]
         ] = {}
@@ -171,16 +176,18 @@ class ConsistentHashPlacement:
         cached = self._ring_cache.get(cache_key)
         if cached is not None:
             return cached
-        labels: List[str] = []
-        devices: List[str] = []
+        points: List[Tuple[int, str]] = []
         for device_id, count in zip(device_ids, counts):
             if count < 1:
                 raise PlacementError(
                     f"device {device_id!r} needs at least one vnode, got {count}"
                 )
-            labels += [f"{device_id}#{vnode}" for vnode in range(count)]
-            devices.extend([device_id] * count)
-        points = list(zip(self.bulk_key_hashes(labels), devices))
+            device_hashes = self._point_cache.get((device_id, count))
+            if device_hashes is None:
+                device_hashes = self._point_cache[device_id, count] = self.bulk_key_hashes(
+                    [f"{device_id}#{vnode}" for vnode in range(count)]
+                )
+            points += zip(device_hashes, repeat(device_id))
         # Ties between devices at the same ring point are broken by device id
         # so the ring is independent of the listing order of the fleet.
         points.sort()

@@ -8,6 +8,12 @@ batch list *is* the sequence order within a timestamp — but same-time
 bursts (the common case in a discrete-event storage simulation: a device
 completing a transfer wakes the waiter, the scheduler, and the metrics
 hooks at one instant) cost one heap operation instead of one per event.
+
+The instant being dispatched keeps its list in the side table, with no heap
+entry, until the clock moves on: an event scheduled *at* that instant (a
+zero delay, a wake-up, a process finishing) is appended to the list being
+walked and dispatched after everything already in it, which is its place in
+``(time, sequence)`` order, without touching the heap.
 """
 
 from __future__ import annotations
@@ -39,15 +45,17 @@ class Environment:
     def __init__(self) -> None:
         #: Current simulated time (advanced by the dispatch loop only).
         self.now = 0.0
-        # Heap of distinct pending timestamps; one entry per bucket.
+        # Heap of distinct pending timestamps later than ``now``; one entry
+        # per bucket.
         self._times: List[float] = []
+        # The current instant's events, in scheduling order; registered
+        # under ``now`` in ``_buckets`` until the clock advances, so events
+        # scheduled at ``now`` join it.
+        self._batch: List[Event] = []
         # Timestamp -> events scheduled at it, in scheduling order.
-        self._buckets: Dict[float, List[Event]] = {}
-        # Bucket currently being dispatched.  Once a bucket is activated it
-        # is removed from ``_buckets``, so events scheduled *during* its
-        # dispatch (at the same timestamp) open a fresh bucket that is
-        # dispatched right after it — preserving global scheduling order.
-        self._batch: Optional[List[Event]] = None
+        self._buckets: Dict[float, List[Event]] = {self.now: self._batch}
+        # Next event of ``_batch`` to dispatch: a ``run`` that stops in the
+        # middle of an instant resumes here.
         self._batch_index = 0
         #: Number of events delivered (dispatched) so far.
         self.dispatched = 0
@@ -101,32 +109,44 @@ class Environment:
         ``env.run(env.timeout(5))`` advances the clock to 5.0, not 0.0.
         """
         # The innermost loop of every simulation run: one heap pop per
-        # distinct timestamp, one list walk per event at it.
+        # distinct timestamp, one list walk per event at it, and each
+        # event's dispatch inline — mark it, take its callbacks, call them.
         target = until
         times = self._times
         buckets = self._buckets
-        while target is None or not target.dispatched:
-            batch = self._batch
-            if batch is not None and self._batch_index < len(batch):
-                event = batch[self._batch_index]
-                self._batch_index += 1
-                self.dispatched += 1
-                event._dispatch()
-                continue
-            if not times:
-                self._batch = None
-                if target is None:
-                    return None
-                raise SimulationError(
-                    f"simulation ran out of events before {target.name!r} fired"
-                )
-            time = heapq.heappop(times)
-            self.now = time
-            batch = buckets.pop(time)
+        batch = self._batch
+        index = self._batch_index
+        try:
+            while target is None or not target.dispatched:
+                if index < len(batch):
+                    event = batch[index]
+                    index += 1
+                    self.dispatched += 1
+                    event.dispatched = True
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for callback in callbacks:
+                        callback(event)
+                    continue
+                if not times:
+                    # Out of events: keep the instant's list registered, but
+                    # not the events it delivered.
+                    batch.clear()
+                    index = 0
+                    if target is None:
+                        return None
+                    raise SimulationError(
+                        f"simulation ran out of events before {target.name!r} fired"
+                    )
+                # The instant is over: nothing can be scheduled at it again.
+                del buckets[self.now]
+                time = heapq.heappop(times)
+                self.now = time
+                batch = buckets[time]
+                index = 0
+        finally:
             self._batch = batch
-            self._batch_index = 1
-            self.dispatched += 1
-            batch[0]._dispatch()
+            self._batch_index = index
         if target.exception is not None:
             raise target.exception
         return target.value

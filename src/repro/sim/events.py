@@ -75,12 +75,6 @@ class Event:
         if self.dispatched:
             self.env._schedule_event(self)
 
-    def _dispatch(self) -> None:
-        self.dispatched = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name!r} {state} at t={self.env.now:.3f}>"

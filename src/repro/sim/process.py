@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.exceptions import SimulationError
 from repro.sim.events import Event
@@ -21,7 +21,7 @@ class Process(Event):
     other processes simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_resume_callback")
+    __slots__ = ("_generator", "_send", "_resume_callback")
 
     def __init__(self, env: Environment, generator: ProcessGenerator, name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -30,9 +30,10 @@ class Process(Event):
             )
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        # The bound method is created once: it is registered as a callback
-        # on every event the generator yields, once per dispatched event.
+        # Both bound methods are created once: ``_resume`` is registered as
+        # a callback on every event the generator yields, and ``send`` runs
+        # once per dispatched event.
+        self._send = generator.send
         self._resume_callback = self._resume
         # Kick the process off at the current simulated time.
         bootstrap = Event(env, name="bootstrap")
@@ -41,12 +42,11 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
-        self._waiting_on = None
         try:
             if event.exception is not None:
                 target = self._generator.throw(event.exception)
             else:
-                target = self._generator.send(event.value)
+                target = self._send(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -64,7 +64,6 @@ class Process(Event):
             return
         # Equivalent to ``target.add_callback`` with the call overhead
         # shaved off — this runs once per dispatched event.
-        self._waiting_on = target
         target.callbacks.append(self._resume_callback)
         if target.dispatched:
             self.env._schedule_event(target)

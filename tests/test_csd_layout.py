@@ -35,9 +35,9 @@ class TestDiskGroupLayout:
         assert layout.group_if_placed("b") == 0 and layout.group_if_placed("z") is None
         assert len(layout.placed_keys) == 3
         assert sorted(layout.placed_keys) == ["a", "b", "c"]
-        layout.add_object("d", 4)
+        layout.add_objects(["d"], [4])
         assert (layout.num_groups, layout.max_group_id) == (3, 4)
-        layout.add_object("e", 2)
+        layout.add_objects(["e"], [2])
         assert (layout.num_groups, layout.max_group_id) == (4, 4)
 
     def test_errors(self):

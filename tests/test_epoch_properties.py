@@ -9,20 +9,33 @@ held here to the per-key definition it replaced:
   over placements with R = 1–3 on either side, dead devices, a leaver that
   is a key's last holder and destinations that still hold a key;
 * ``DiskGroupLayout.tenant_group_map`` against a scan of the layout, before
-  and after its first call, across ``add_object`` sequences;
-* ``FleetController.under_replicated_count`` against a per-key count.
+  and after its first call, across ``add_objects`` sequences;
+* ``FleetController.under_replicated_count`` against a per-key count;
+* the ring a long-lived policy builds from its cached per-device points
+  against :func:`placement_oracle.brute_force_place` on a fresh policy,
+  across joins, leaves and reweights;
+* each destination's gained keys, in every plan of two churn runs, against
+  canonical key order — what lets plan execution skip sorting them.
 """
 
 from __future__ import annotations
 
+import runpy
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Container, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from hypothesis import example, given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from placement_oracle import brute_force_place
+from test_epoch_budget import _service as epoch_budget_service
 
 from repro.csd.disk_group import DiskGroupLayout
 from repro.fleet.controller import FleetController
 from repro.fleet.migration import KeyMove, KeyTrim, plan_migration
+from repro.fleet.placement import ConsistentHashPlacement
+from repro.service import StorageService
+from repro.workloads import tpch
 
 DEVICES = tuple(f"csd{index}" for index in range(6))
 
@@ -194,7 +207,7 @@ def test_tenant_group_map_is_a_scan_of_the_layout(initial, additions, first_call
         if step == first_call:
             assert layout.tenant_group_map() == _lowest_by_scan(layout)
         if not layout.has_object(key):
-            layout.add_object(key, group)
+            layout.add_objects([key], [group])
         if step >= first_call:
             assert layout.tenant_group_map() == _lowest_by_scan(layout)
     snapshot = layout.tenant_group_map()
@@ -232,3 +245,83 @@ def test_under_replicated_count_is_a_per_key_count(shapes, picks, serving, repli
         if sum(1 for device in replicas if device in serving) < target
     )
     assert controller.under_replicated_count(placement) == per_key
+
+
+_WEIGHT = st.floats(min_value=0.25, max_value=4.0, allow_nan=False, allow_infinity=False)
+#: Membership changes a placement policy lives through: a join with the
+#: joiner's speed factor, a leave by roster position, a reweight to fresh
+#: weights (by device number).
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("join"), _WEIGHT),
+        st.tuples(st.just("leave"), st.integers(0, 7)),
+        st.tuples(st.just("reweight"), st.lists(_WEIGHT, min_size=8, max_size=8)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60)
+@given(
+    weighting=st.sampled_from(["uniform", "profile"]),
+    steps=_STEPS,
+    replication=st.integers(1, 2),
+)
+def test_the_ring_from_cached_points_places_as_a_fresh_brute_force(
+    weighting, steps, replication
+):
+    """One policy for the whole run, as the controller keeps it: every
+    roster's ring is sorted from per-``(device, count)`` points hashed at
+    an earlier epoch, and must place each key where a fresh policy's
+    brute-force walk over freshly hashed points does."""
+    policy = ConsistentHashPlacement(replication=replication, virtual_nodes=16)
+    population = [f"t{index % 3}/lineitem.{index}" for index in range(120)]
+    roster = ["csd0", "csd1", "csd2"]
+    # ``profile`` weighs each device by its static speed factor from the
+    # start; a uniform fleet is weighted only once a reweight happens.
+    speed = {"csd0": 1.0, "csd1": 0.5, "csd2": 2.0}
+    weighted = weighting == "profile"
+    for kind, argument in [("start", None)] + steps:
+        if kind == "join":
+            device = f"csd{len(speed)}"
+            speed[device] = argument
+            roster.append(device)
+        elif kind == "leave" and len(roster) > replication:
+            del roster[argument % len(roster)]
+        elif kind == "reweight":
+            speed = {device: argument[int(device[3:]) % 8] for device in speed}
+            weighted = True
+        weights = {device: speed[device] for device in roster} if weighted else None
+        policy.set_weights(weights)
+        fresh = ConsistentHashPlacement(replication=replication, virtual_nodes=16)
+        fresh.set_weights(weights)
+        assert policy.place(population, roster) == brute_force_place(fresh, population, roster)
+
+
+def _fleet_churn_quick() -> StorageService:
+    """The ledger's ``fleet-churn`` at ``--quick`` size, seed 42."""
+    ledger = Path(__file__).resolve().parent.parent / "ledger"
+    workloads = runpy.run_path(str(ledger / "workloads.py"))
+    profile, spec = workloads["WORKLOADS"]["fleet-churn"](43, True)
+    return StorageService(spec, catalog=tpch.build_catalog(profile, 42))
+
+
+@pytest.mark.parametrize(
+    "build", [epoch_budget_service, _fleet_churn_quick], ids=["epoch-budget", "fleet-churn"]
+)
+def test_each_destinations_gained_keys_come_in_canonical_order(build):
+    """``plan.moves`` follow the rank-sorted changed keys, so a
+    destination's keys, in move order, ascend in canonical rank: the order
+    its layout is extended in with no sort of its own."""
+    service = build()
+    service.run()
+    rank = {key: position for position, key in enumerate(service.fleet.key_order)}
+    plans = service.controller.migration_plans
+    assert len(plans) >= 4 and all(plan.moves for plan in plans)
+    for plan in plans:
+        gained: Dict[str, List[int]] = {}
+        for move in plan.moves:
+            gained.setdefault(move.dest, []).append(rank[move.object_key])
+        for dest, ranks in gained.items():
+            assert ranks == sorted(ranks), (plan.epoch, plan.kind, dest)

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from repro.csd.device import BusyInterval, DeviceConfig
 from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.layout import ClientsPerGroupLayout, extend_layout_with_keys
-from repro.exceptions import FleetError, LayoutError, ScenarioError
+from repro.exceptions import FleetError, LayoutError, ScenarioError, StorageError
 from repro.fleet.membership import FleetMember, FleetMembership, resolve_device_config
 from repro.fleet.migration import plan_migration
 from repro.fleet.spec import (
@@ -542,8 +542,39 @@ class TestLayoutExtension:
 
     def test_layout_is_append_only(self):
         layout = DiskGroupLayout({"a/t.0": 0})
-        layout.add_object("a/t.1", 0)
+        layout.add_objects(["a/t.1"], [0])
         with pytest.raises(LayoutError, match="already placed"):
-            layout.add_object("a/t.1", 1)
+            layout.add_objects(["a/t.1"], [1])
         with pytest.raises(LayoutError, match="negative"):
-            layout.add_object("a/t.2", -1)
+            layout.add_objects(["a/t.2"], [-1])
+        with pytest.raises(LayoutError, match="listed twice"):
+            layout.add_objects(["a/t.2", "a/t.2"], [0, 0])
+
+    @pytest.mark.parametrize(
+        "keys, pattern",
+        [
+            (["b/t.1", "b/t.2", "a/t.0"], "'a/t.0' is already placed"),
+            (["b/t.1", "c/t.0", "b/t.1"], "'b/t.1' is listed twice"),
+        ],
+        ids=["already-placed", "duplicated"],
+    )
+    def test_a_rejected_extension_changes_nothing(self, keys, pattern):
+        """All or nothing: the keys before the offending one are not placed,
+        and neither ``max_group_id`` nor the tenant map moves."""
+        layout = DiskGroupLayout({"a/t.0": 0})
+        tenants = layout.tenant_group_map()
+        with pytest.raises(LayoutError, match=pattern):
+            extend_layout_with_keys(layout, keys)
+        assert list(layout.placed_keys) == ["a/t.0"]
+        assert layout.max_group_id == 0
+        assert layout.tenant_group_map() == tenants == {"a": 0}
+
+    def test_a_negative_group_or_malformed_key_changes_nothing(self):
+        layout = DiskGroupLayout({"a/t.0": 0})
+        layout.tenant_group_map()
+        with pytest.raises(LayoutError, match="negative group -1"):
+            layout.add_objects(["b/t.0", "c/t.0"], [3, -1])
+        with pytest.raises(StorageError, match="malformed object key"):
+            extend_layout_with_keys(layout, ["b/t.0", "bare"])
+        assert list(layout.placed_keys) == ["a/t.0"]
+        assert (layout.max_group_id, layout.tenant_group_map()) == (0, {"a": 0})

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -70,76 +72,116 @@ class TestGoldenDiffUX:
         assert_dict_matches_golden(report.scenario, report.to_dict())
 
 
-def _second_interpreter() -> Optional[str]:
-    """A CPython of another minor version than the one running the tests
-    that starts here (a version manager's shim may exist and run nothing)."""
+#: The oldest CPython the program supports (the checker's ``py39-floor``).
+FLOOR = (3, 9)
+
+
+def _other_interpreters() -> Tuple[List[str], List[str]]:
+    """``(every CPython found here of another version than the one running
+    the tests and at least FLOOR, those found below FLOOR)``.
+
+    Found means on ``PATH`` as ``python3.N``, or a ``python3.N`` under a
+    pyenv version or a conda install in the home directory.  Each is named
+    by the executable it really runs, once: a symlink or a version
+    manager's shim to one already found does not count again, nor does a
+    shim that runs nothing.
+    """
+    home = Path.home()
     candidates = [shutil.which(f"python3.{minor}") for minor in range(9, 16)]
-    candidates.append("/root/miniconda/bin/python3.13")
+    for pattern in (".pyenv/versions/*/bin", "miniconda*/bin", "anaconda*/bin"):
+        candidates += [str(path) for directory in sorted(home.glob(pattern))
+                       for path in sorted(directory.glob("python3.*"))]
+    probe_code = "import os, sys; print(*sys.version_info[:2], os.path.realpath(sys.executable))"
+    supported: List[str] = []
+    below: List[str] = []
+    seen = {os.path.realpath(sys.executable)}
     for candidate in candidates:
-        if candidate is None or not os.path.exists(candidate):
+        if candidate is None or not re.search(r"python3\.\d+$", candidate):
             continue
         try:
             probe = subprocess.run(
-                [candidate, "-c", "import sys; print(*sys.version_info[:2])"],
-                capture_output=True,
-                text=True,
-                timeout=30,
+                [candidate, "-c", probe_code], capture_output=True, text=True, timeout=30
             )
         except OSError:
             continue
-        if probe.returncode == 0 and probe.stdout.split() != [
-            str(sys.version_info[0]),
-            str(sys.version_info[1]),
-        ]:
-            return candidate
-    return None
+        if probe.returncode != 0:
+            continue
+        major, minor, executable = probe.stdout.split(maxsplit=2)
+        executable = executable.strip()
+        if executable in seen or [major, minor] == [str(part) for part in sys.version_info[:2]]:
+            continue
+        seen.add(executable)
+        (supported if (int(major), int(minor)) >= FLOOR else below).append(executable)
+    return supported, below
+
+
+def _interpreters_to_check() -> List[str]:
+    """The supported other interpreters; the ones below the floor are named
+    in a warning, and the test skips if there is none."""
+    supported, below = _other_interpreters()
+    if below:
+        floor = ".".join(map(str, FLOOR))
+        warnings.warn(f"below the {floor} floor, not checked: {', '.join(below)}", stacklevel=2)
+    if not supported:
+        pytest.skip("no other supported Python interpreter on this machine")
+    return supported
+
+
+def _child_options() -> Dict[str, Any]:
+    """``Popen`` options for a check run from the repository root on ``src``."""
+    root = Path(__file__).resolve().parent.parent
+    return {
+        "cwd": root,
+        "env": {**os.environ, "PYTHONPATH": str(root / "src")},
+        "stdout": subprocess.PIPE,
+        "stderr": subprocess.PIPE,
+        "text": True,
+    }
+
+
+def _assert_every_run_passed(runs: Dict[str, "subprocess.Popen[str]"], expected: str) -> None:
+    """Wait for each interpreter's run; fail naming every one that did not
+    exit 0 with ``expected`` in its output.  A run still going when this
+    returns or raises (a timeout) is killed."""
+    failed = []
+    try:
+        for interpreter, run in runs.items():
+            stdout, stderr = run.communicate(timeout=600)
+            if run.returncode != 0 or expected not in stdout:
+                failed.append(f"{interpreter}:\n{stdout[-2000:]}{stderr[-2000:]}")
+    finally:
+        for run in runs.values():
+            if run.poll() is None:
+                run.kill()
+                run.communicate()
+    assert not failed, "failed under:\n" + "\n".join(failed)
 
 
 class TestSecondInterpreter:
+    """Each check runs under every other supported CPython at once (they
+    are independent processes) and names each interpreter it failed on."""
+
     def test_goldens_hold_under_another_cpython(self):
         """The goldens are byte-exact, float digests included, so they hold
         only if nothing on the way leans on one CPython's dict, sort or
         hashing behaviour; the standard library is all the check needs."""
-        interpreter = _second_interpreter()
-        if interpreter is None:
-            pytest.skip("no second Python interpreter on this machine")
-        root = Path(__file__).resolve().parent.parent
-        check = subprocess.run(
-            [interpreter, "-m", "repro.scenarios", "--check"],
-            cwd=root,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
-        assert check.returncode == 0, check.stdout + check.stderr
-        assert f"checked {len(scenario_names())} scenarios" in check.stdout
+        runs = {
+            interpreter: subprocess.Popen(
+                [interpreter, "-m", "repro.scenarios", "--check"], **_child_options()
+            )
+            for interpreter in _interpreters_to_check()
+        }
+        _assert_every_run_passed(runs, f"checked {len(scenario_names())} scenarios")
 
     def test_ledger_pins_hold_under_another_cpython(self):
         """The ledger pins a run's simulated means, not only its report, and
         a mean that ``sum()`` takes is compensated on CPython 3.12 and later:
         ``vanilla-pull``'s moved by one ulp before ``mean`` folded left to
         right.  The quick run checks every pin of its seed."""
-        interpreter = _second_interpreter()
-        if interpreter is None:
-            pytest.skip("no second Python interpreter on this machine")
-        root = Path(__file__).resolve().parent.parent
-        run = subprocess.run(
-            [
-                interpreter,
-                str(root / "ledger" / "run.py"),
-                "--workload",
-                "vanilla-pull",
-                "--quick",
-                "--seconds",
-                "0",
-                "--trace",
-                "0",
-            ],
-            cwd=root,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
-        assert run.returncode == 0, run.stdout + run.stderr
+        ledger = str(Path(__file__).resolve().parent.parent / "ledger" / "run.py")
+        quick = ["--workload", "vanilla-pull", "--quick", "--seconds", "0", "--trace", "0"]
+        runs = {
+            interpreter: subprocess.Popen([interpreter, ledger, *quick], **_child_options())
+            for interpreter in _interpreters_to_check()
+        }
+        _assert_every_run_passed(runs, '"correct": true')

@@ -366,7 +366,7 @@ class TestMigrationThrottle:
         from repro.csd.device import ColdStorageDevice
         from repro.csd.disk_group import DiskGroupLayout
         from repro.csd.object_store import ObjectStore
-        from repro.csd.request import GetRequest, MigrationJob
+        from repro.csd.request import GetRequest, MigrationJob, migration_fields
         from repro.csd.scheduler import RankBasedScheduler
         from repro.sim import Environment
 
@@ -381,7 +381,8 @@ class TestMigrationThrottle:
             DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=1.0),
             migration_throttle=MigrationTokenBucket(0.1, burst=1),
         )
-        device.submit_migrations([MigrationJob(key, "read", 1.0, epoch=1) for _ in range(3)])
+        fields = migration_fields("read", 1.0, epoch=1)
+        device.submit_migrations([MigrationJob(key, *fields) for _ in range(3)])
 
         def client(env):
             yield env.timeout(4.0)  # mid token interval; the device is idle-waiting

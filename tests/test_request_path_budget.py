@@ -41,12 +41,15 @@ SEGMENTS = 150
 #: comprehensions), that one 77.7 (75.0); with the counters plain attributes
 #: bumped in place (no ``record_served`` / ``Histogram.observe`` frame) it is
 #: 73.9 on 3.11, and with the two tenants sharing one Q6 — the second one's
-#: deliveries answered from each segment's kept selection — 60.7; it reads
-#: 62.92 now.  Three more frames per object trip the ceiling.
+#: deliveries answered from each segment's kept selection — 60.7; it read
+#: 62.92 before the kernel dispatched inline, the layout's group lookup
+#: became its mapping's ``get`` and the device loop drained its inbox
+#: without a call, and reads 57.55 now (56.59 on 3.12–3.13).  Three more
+#: frames per object trip the ceiling.
 #: When it trips: tally the run's frames per function through
 #: ``count_frames``'s ``on_call`` and diff them against the parent commit —
 #: the new frames are a layer someone added.
-FRAMES_PER_OBJECT_CEILING = 64.0
+FRAMES_PER_OBJECT_CEILING = 60.0
 #: GC-tracked objects one in-flight GET may keep alive: the request, its
 #: completion event and that event's callback list (the commit before had 7:
 #: plus a closure, its two cells and the cells' tuple).
@@ -130,13 +133,15 @@ PULL_TENANTS = 3
 #: Frames per pulled object outside ``SharedPullJoin.end`` (the join is the
 #: engine's, not the path's).  The commit before the flat pull path measured
 #: 144.2 at ``tiny`` (30 objects) and 124.7 at ``small`` (63), that one 112.2
-#: and 92.7, plain-attribute counters 109.3 and 90.3 (CPython 3.11); ten more
-#: frames per object trip the ceilings.  When one trips:
+#: and 92.7, plain-attribute counters 109.3 and 90.3 (CPython 3.11), the
+#: commit before the kernel dispatched inline 87.7 and 78.1, that one 79.2
+#: and 69.9 (CPython 3.9–3.11); ten more frames per object trip the
+#: ceilings.  When one trips:
 #: run ``frames_per_pulled_object`` on both commits with a per-``co_name``
 #: ``Counter`` in the hook and diff them — on this path a new frame per object
 #: is a helper between ``QueryRun.pull_each`` and the device loop, or a
 #: scheduler decision that went back to building lists and keys.
-PULL_FRAMES_CEILING = {"tiny": 119.0, "small": 103.0}
+PULL_FRAMES_CEILING = {"tiny": 89.0, "small": 79.0}
 #: The two modules whose per-object generators this path lost.
 PULL_PATH_MODULES = ("csd/device.py", "core/execution.py")
 

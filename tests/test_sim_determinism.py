@@ -6,7 +6,11 @@ is that dispatch order is *exactly* the classic ``(time, sequence)`` order of
 the per-event heap.  This module pins that contract with hypothesis: random
 interleavings of timeouts, store put/get races, and composite events must
 produce byte-identical event traces on the batched core and on a legacy
-reference scheduler (a verbatim copy of the pre-batching implementation).
+reference scheduler (the pre-batching implementation, dispatching on its
+own).  The batched core keeps the instant it is dispatching off the heap and
+appends events scheduled at that instant to the list it is walking, so the
+cases below also stop a run in the middle of an instant and resume it, and
+re-deliver events already dispatched at the current instant.
 """
 
 from __future__ import annotations
@@ -25,14 +29,16 @@ from repro.sim.process import Process
 class LegacyEnvironment:
     """The pre-batching scheduler: one ``(time, seq, event)`` heap entry per event.
 
-    Kept verbatim as the ordering reference.  It shares the Event / Process /
-    Store classes with the real environment — only the queue differs.
+    Kept as the ordering reference.  It shares the Event / Process / Store
+    classes with the real environment — only the queue, and the dispatch the
+    real one does inline in ``run``, are its own.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
+        self.dispatched = 0
 
     @property
     def now(self) -> float:
@@ -64,7 +70,12 @@ class LegacyEnvironment:
             raise SimulationError("no scheduled events to step through")
         time, _seq, event = heapq.heappop(self._queue)
         self._now = time
-        event._dispatch()
+        self.dispatched += 1
+        # The dispatch ``Environment.run`` does inline, done here on its own.
+        event.dispatched = True
+        callbacks, event.callbacks = event.callbacks, []
+        for callback in callbacks:
+            callback(event)
 
     def run(self) -> None:
         while self._queue:
@@ -81,17 +92,26 @@ OP = st.one_of(
     st.tuples(st.just("get"), st.integers(0, 1)),
     st.tuples(st.just("all_of"), st.lists(DELAYS, min_size=1, max_size=3)),
     st.tuples(st.just("any_of"), st.lists(DELAYS, min_size=1, max_size=3)),
+    # A callback added to the event the actor last waited for — dispatched
+    # at this very instant — which delivers it once more.
+    st.tuples(st.just("late")),
 )
 
 PROGRAM = st.lists(st.lists(OP, max_size=6), min_size=1, max_size=4)
 
 
-def run_program(env: Any, scripts: List[List[tuple]]) -> List[tuple]:
+def run_program(
+    env: Any, scripts: List[List[tuple]], stops: Tuple[float, ...] = (), interrupted: bool = False
+) -> List[tuple]:
     """Drive ``scripts`` on ``env`` and return the dispatch-ordered trace.
 
     Every event an actor waits on gets a recording callback *before* the
     process registers its own resume callback, so the trace captures the
-    exact delivery order the scheduler chose.
+    exact delivery order the scheduler chose.  ``stops`` are delays of
+    timeouts created before the actors start; ``interrupted`` runs the
+    environment until each has dispatched in turn, then to the end.  A stop
+    sits in the middle of its instant whenever other events share it, so
+    the next ``run`` resumes that instant where the last one left it.
     """
     trace: List[tuple] = []
     stores = [Store(env, name=f"s{i}") for i in range(2)]
@@ -102,7 +122,12 @@ def run_program(env: Any, scripts: List[List[tuple]]) -> List[tuple]:
 
         return _callback
 
+    stop_events = [env.timeout(delay) for delay in stops]
+    for index, stop in enumerate(stop_events):
+        stop.add_callback(record(f"stop{index}"))
+
     def actor(env, pid: int, script: List[tuple]):
+        waited = None
         for index, op in enumerate(script):
             label = f"p{pid}.{index}.{op[0]}"
             if op[0] == "timeout":
@@ -110,6 +135,10 @@ def run_program(env: Any, scripts: List[List[tuple]]) -> List[tuple]:
             elif op[0] == "put":
                 stores[op[1]].put(op[2])
                 trace.append((env.now, label, True, repr(op[2])))
+                continue
+            elif op[0] == "late":
+                if waited is not None:
+                    waited.add_callback(record(label))
                 continue
             elif op[0] == "get":
                 waited = stores[op[1]].get()
@@ -124,6 +153,10 @@ def run_program(env: Any, scripts: List[List[tuple]]) -> List[tuple]:
     for pid, script in enumerate(scripts):
         process = env.process(actor(env, pid, script), name=f"proc{pid}")
         process.add_callback(record(f"p{pid}.done"))
+    if interrupted:
+        for stop in sorted(stop_events, key=lambda event: event.delay):
+            env.run(stop)
+            assert stop.dispatched and env.now == stop.delay
     env.run()
     return trace
 
@@ -131,15 +164,54 @@ def run_program(env: Any, scripts: List[List[tuple]]) -> List[tuple]:
 @settings(max_examples=200, deadline=None)
 @given(scripts=PROGRAM)
 def test_batched_dispatch_order_matches_legacy_heap(scripts):
-    assert run_program(Environment(), scripts) == run_program(
-        LegacyEnvironment(), scripts
-    )
+    env, legacy = Environment(), LegacyEnvironment()
+    assert run_program(env, scripts) == run_program(legacy, scripts)
+    assert env.dispatched == legacy.dispatched
 
 
 @settings(max_examples=50, deadline=None)
 @given(scripts=PROGRAM)
 def test_batched_dispatch_is_self_deterministic(scripts):
     assert run_program(Environment(), scripts) == run_program(Environment(), scripts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripts=PROGRAM, stops=st.lists(DELAYS, min_size=1, max_size=3).map(tuple))
+def test_a_run_stopped_mid_instant_resumes_in_order(scripts, stops):
+    """``run(until=...)`` returning in the middle of an instant and the next
+    ``run()`` resuming it deliver what one uninterrupted run does, and what
+    the legacy heap does; so does the count of deliveries."""
+    stopped, whole, legacy = Environment(), Environment(), LegacyEnvironment()
+    trace = run_program(stopped, scripts, stops, interrupted=True)
+    assert trace == run_program(whole, scripts, stops)
+    assert trace == run_program(legacy, scripts, stops)
+    assert stopped.dispatched == whole.dispatched == legacy.dispatched
+
+
+def test_a_stop_leaves_the_rest_of_its_instant_for_the_next_run():
+    env = Environment()
+    order: List[str] = []
+    stop = env.timeout(1.0)
+    for label in ("a", "b"):
+        env.timeout(1.0).add_callback(lambda _event, label=label: order.append(label))
+    env.run(stop)
+    assert (env.now, order) == (1.0, [])
+    # Scheduled between the runs, at the instant still being dispatched.
+    env.timeout(0.0).add_callback(lambda _event: order.append("c"))
+    env.run()
+    assert (env.now, order, env.dispatched) == (1.0, ["a", "b", "c"], 4)
+
+
+def test_a_late_callback_on_an_event_dispatched_this_instant_runs_this_instant():
+    env = Environment()
+    order: List[str] = []
+    first = env.timeout(1.0)
+    first.add_callback(lambda event: event.add_callback(lambda _e: order.append("late")))
+    env.timeout(1.0).add_callback(lambda _event: order.append("sibling"))
+    env.timeout(2.0).add_callback(lambda _event: order.append("later"))
+    env.run()
+    assert order == ["sibling", "late", "later"]
+    assert env.dispatched == 4
 
 
 def test_events_scheduled_during_a_batch_dispatch_after_it():

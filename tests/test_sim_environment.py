@@ -1,9 +1,12 @@
 """Unit tests for the simulation environment (clock, scheduling, run modes)."""
 
+from typing import Tuple
+
 import pytest
+from frame_count import count_frames
 
 from repro.exceptions import SimulationError
-from repro.sim import Environment
+from repro.sim import Environment, Store
 
 
 def test_clock_starts_at_zero():
@@ -201,3 +204,47 @@ def test_simulation_is_deterministic():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+#: Python frames entered per dispatched event while ``run`` delivers the
+#: ledger probe's storm (``sim.probe_ns_per_event``): four producer/consumer
+#: pairs, a timeout and a ``Store`` hand-off per item, 500 items.  Each event
+#: costs its ``__init__`` or ``succeed``, a ``_schedule_event``, a generator
+#: resume and the ``Process._resume`` callback around it, plus a ``put`` or a
+#: ``get``: 6.94 while every delivery called ``Event._dispatch``, 5.94 with
+#: the dispatch inline in ``Environment.run`` (CPython 3.9–3.13).  One more
+#: frame per event trips the ceiling.
+FRAMES_PER_STORM_EVENT_CEILING = 6.0
+
+
+def frames_per_storm_event(pairs: int = 4, items: int = 500) -> Tuple[float, int]:
+    """(frames entered inside ``run`` / events it dispatched, events)."""
+    env = Environment()
+
+    def producer(env, store):
+        for item in range(items // pairs):
+            yield env.timeout(1.0)
+            store.put(item)
+
+    def consumer(env, store):
+        for _ in range(items // pairs):
+            yield store.get()
+
+    consumers = []
+    for _ in range(pairs):
+        store = Store(env)
+        env.process(producer(env, store))
+        consumers.append(env.process(consumer(env, store)))
+    everyone = env.all_of(consumers)
+    _value, frames = count_frames(lambda: env.run(everyone))
+    return frames / env.dispatched, env.dispatched
+
+
+def test_frames_per_storm_event_stay_under_the_ceiling():
+    frames, events = frames_per_storm_event()
+    assert events == 1017
+    assert frames <= FRAMES_PER_STORM_EVENT_CEILING, (
+        f"{frames:.2f} Python frames per dispatched event, ceiling "
+        f"{FRAMES_PER_STORM_EVENT_CEILING}: the kernel added a call per event"
+    )
+    assert frames_per_storm_event() == (frames, events)  # the count repeats exactly

@@ -14,7 +14,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.csd.device import ColdStorageDevice, DeviceConfig
 from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.object_store import ObjectStore
-from repro.csd.request import MigrationJob
+from repro.csd.request import MigrationJob, migration_fields
 from repro.csd.scheduler import RankBasedScheduler
 from repro.exceptions import ConfigurationError, ScenarioError
 from repro.scenarios import ScenarioSpec, TenantSpec, uniform_tenants
@@ -56,7 +56,7 @@ class TestMigrationJobValidation:
         -1 and NaN were booked as zero-second migrations, and inf and an int
         no float can hold were accepted."""
         with pytest.raises(ConfigurationError, match=f"migration {pattern}"):
-            MigrationJob("a/t.0", "read", seconds, epoch=epoch)
+            migration_fields("read", seconds, epoch=epoch)
 
     @pytest.mark.parametrize(
         "direction, reason, pattern",
@@ -68,18 +68,18 @@ class TestMigrationJobValidation:
     )
     def test_bad_direction_or_reason_rejected(self, direction, reason, pattern):
         with pytest.raises(ConfigurationError, match=pattern):
-            MigrationJob("a/t.0", direction, 1.0, epoch=1, reason=reason)
+            migration_fields(direction, 1.0, epoch=1, reason=reason)
 
     def test_a_valid_job_is_booked_on_a_bare_device(self):
         env = Environment()
         store = ObjectStore()
         key = store.put_segment("a", "t.0", object())
         device = ColdStorageDevice(env, store, DiskGroupLayout({key: 0}), RankBasedScheduler())
-        device.submit_migrations([MigrationJob(key, "write", 2, epoch=0)])
+        device.submit_migrations([MigrationJob(key, *migration_fields("write", 2, epoch=0))])
         env.run()
         assert device.stats.migration_seconds == 2.0
-        assert [(i.kind, i.start, i.end) for i in device.busy_intervals] == [
-            ("migration", 0.0, 2.0)
+        assert [(i.kind, i.start, i.end, i.query_id) for i in device.busy_intervals] == [
+            ("migration", 0.0, 2.0, "rebalance:write:epoch0")
         ]
 
 
