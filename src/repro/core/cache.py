@@ -124,9 +124,6 @@ class ObjectCache:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def __contains__(self, segment_id: object) -> bool:
-        return isinstance(segment_id, str) and segment_id in self._contents
-
     @property
     def is_full(self) -> bool:
         """Whether adding another object requires an eviction."""

@@ -11,16 +11,18 @@ each arrival costs) and both return a :class:`QueryResult`.
 
 By construction ``execution_time == processing_time + waiting_time``: a run
 advances simulated time only by charging CPU seconds (processing) and by
-waiting on the backend (blocked).  The two per-object loops do both in one
-generator per burst — :meth:`QueryRun.consume` takes arrivals as they come,
-:meth:`QueryRun.pull_each` blocks on one GET at a time — and
-:meth:`QueryRun.charge` is the verb for the charges that are not per object.
+waiting on the backend (blocked).  The two per-object loops do both —
+:meth:`QueryRun.consume` is a whole Skipper execution, request cycle after
+request cycle, taking arrivals as they come; :meth:`QueryRun.pull_each`
+blocks on one GET at a time — and :meth:`QueryRun.charge` is the verb for
+the charges that are not per object.
 What both compute from the deliveries is shared too: a :class:`SharedRun`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any, Callable, Dict, Generator, Generic, Hashable, Iterable, List, Literal, Optional,
     Sequence, Tuple, Type, TypeVar, cast,
@@ -137,32 +139,49 @@ class QueryRun:
             self._record(name, "compute", start, **attrs)
 
     def consume(
-        self, count: int, on_arrival: Callable[[str, Segment], float]
-    ) -> Generator[Event, Any, None]:
-        """Take the next ``count`` deliveries, whatever order they come in.
+        self,
+        requests: Sequence[str],
+        overhead: Callable[[int], float],
+        cursor: RunCursor[Any, Any],
+        end_cycle: Callable[[], Sequence[str]],
+        result: Callable[[], QueryResult],
+    ) -> Generator[Event, Any, QueryResult]:
+        """The CSD-driven loop: request, take the deliveries in whatever
+        order they come, re-request; then the result.
 
-        Each wait on the backend counts as blocked (a ``wait`` span when it
-        took time), the delivery is handed to ``on_arrival(segment_id,
-        payload)`` and the CPU seconds that returns are charged against it (a
-        ``compute`` span) — one generator for the whole burst.
+        Per request cycle: issue ``requests``, charge ``overhead(len(requests))``
+        (a ``request-overhead`` span), then take as many deliveries.  Each wait
+        on the backend counts as blocked (a ``wait`` span when it took time),
+        the delivery is handed to ``cursor.arrive(segment_id, payload)`` —
+        looked up per delivery: a cursor that forks rebinds it — and the CPU
+        seconds that returns are charged against it (a ``compute`` span).
+        ``end_cycle()`` then gives the next cycle's requests, none once the
+        query is done, and the generator returns ``result()``.  One generator
+        for the whole execution: a delivery resumes it and its caller only.
         """
         env = self.env
         next_arrival = self.proxy.arrivals.get
         blocked = self.blocked
-        for _ in range(count):
-            wait_start = env.now
-            segment_id, payload = yield next_arrival()
-            now = env.now
-            if now > wait_start:
-                blocked.append((wait_start, now))
-                if self.span is not None:
-                    self._record("wait", "wait", wait_start, object_key=segment_id)
-            seconds = on_arrival(segment_id, payload)
-            if seconds > 0:
-                self.processing_time += seconds
-                yield Timeout(env, seconds)
-                if self.span is not None:
-                    self._record("compute", "compute", now, object_key=segment_id)
+        while requests:
+            count = len(requests)
+            self.request(requests)
+            yield from self.charge(overhead(count), "request-overhead", requests=count)
+            for _ in range(count):
+                wait_start = env.now
+                segment_id, payload = yield next_arrival()
+                now = env.now
+                if now > wait_start:
+                    blocked.append((wait_start, now))
+                    if self.span is not None:
+                        self._record("wait", "wait", wait_start, object_key=segment_id)
+                seconds = cursor.arrive(segment_id, payload)
+                if seconds > 0:
+                    self.processing_time += seconds
+                    yield Timeout(env, seconds)
+                    if self.span is not None:
+                        self._record("compute", "compute", now, object_key=segment_id)
+            requests = end_cycle()
+        return result()
 
     def pull_each(
         self,
@@ -332,6 +351,10 @@ class RunCursor(Generic[S, E]):
         #: Steps taken on the shared run (frozen once forked).
         self.position = 0
         self.private: Optional[S] = None
+        #: ``arrive(segment_id, payload)``: feed one delivery; the CPU seconds
+        #: it cost.  Once forked, the run's own ``arrive`` bound to the
+        #: private state: a forked execution's deliveries enter no cursor frame.
+        self.arrive: Callable[[str, Segment], float] = self._follow
 
     @property
     def state(self) -> S:
@@ -340,22 +363,29 @@ class RunCursor(Generic[S, E]):
         assert state is not None, "a cursor on the shared run is never past a step that raised"
         return state
 
-    def arrive(self, segment_id: str, payload: Segment) -> float:
-        """Feed one delivery; the CPU seconds it cost."""
+    def _follow(self, segment_id: str, payload: Segment) -> float:
+        """:attr:`arrive` before the fork: the logged seconds, or a fork."""
         if self.private is None:
             seconds: Optional[float] = self.run.step(self.position, segment_id, payload)
             if seconds is not None:
                 self.position += 1
                 return seconds
-            self.private = self.run.fork(self.position)
-        return self.run.arrive(self.private, segment_id, payload)
+            self._fork()
+        return self.arrive(segment_id, payload)
 
     def end(self) -> E:
         """What the state yields once this round of deliveries is in."""
-        if self.private is None:
+        private = self.private
+        if private is None:
             outcome: Optional[E] = self.run.step(self.position, None, None)
             if outcome is not None:
                 self.position += 1
                 return outcome
-            self.private = self.run.fork(self.position)
-        return self.run.end(self.private)
+            private = self._fork()
+        return self.run.end(private)
+
+    def _fork(self) -> S:
+        """Go private at the current position; the private state."""
+        self.private = private = self.run.fork(self.position)
+        self.arrive = partial(self.run.arrive, private)
+        return private

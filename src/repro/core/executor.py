@@ -24,6 +24,7 @@ from repro.core.mjoin import MJoinStateManager
 from repro.csd.backend import StorageBackend
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
+from repro.engine.planner import QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Segment
 from repro.exceptions import CacheError
@@ -53,8 +54,11 @@ class SharedMJoin(SharedRun[MJoinStateManager, Tuple[int, List[str]]]):
         self.eviction_policy = eviction_policy
         self.enable_pruning = enable_pruning
         self.cost_model = cost_model
+        #: The first manager's plan, which every fork reuses.
+        self.plan: Optional[QueryPlan] = None
         super().__init__()
         assert self.state is not None
+        self.plan = self.state.plan
         self.initial_requests = self.state.initial_requests()
 
     def new_state(self) -> MJoinStateManager:
@@ -65,10 +69,17 @@ class SharedMJoin(SharedRun[MJoinStateManager, Tuple[int, List[str]]]):
             self.catalog,
             ObjectCache(self.cache_capacity, policy=self.eviction_policy),
             enable_pruning=self.enable_pruning,
+            plan=self.plan,
         )
 
     def arrive(self, state: MJoinStateManager, segment_id: str, payload: Segment) -> float:
-        return self.cost_model.cpu_time(state.on_arrival(segment_id, payload))
+        work = state.on_arrival(segment_id, payload)
+        cost_model = self.cost_model
+        if work.tuples_built or work.tuples_probed or work.tuples_output:
+            return cost_model.cpu_time(work)
+        # The scan alone: ``cpu_time(work)`` without its frame.  Its three
+        # zero terms add exactly nothing to a finite non-negative charge.
+        return cost_model.scan_seconds_per_tuple * work.tuples_scanned * cost_model.tuple_scale
 
     def end(self, state: MJoinStateManager) -> Tuple[int, List[str]]:
         return state.subplans_handled, state.next_cycle_requests()
@@ -119,7 +130,10 @@ class SkipperExecutor:
 
         Use as ``result = yield from executor.execute(query)`` inside another
         process, or wrap with ``env.process(executor.execute(query))`` and
-        read the process value after ``env.run()``.
+        read the process value after ``env.run()``.  The generator is the
+        run's own request-cycle loop (:meth:`QueryRun.consume`) with this
+        executor's cycle end and result plugged in: a delivery resumes no
+        generator of the executor's.
         """
         shared = SharedMJoin.shared(
             self.shared_runs,
@@ -132,21 +146,11 @@ class SkipperExecutor:
         )
         cursor = RunCursor(shared)
         run = QueryRun(self.proxy, query, MODE_SKIPPER, self.tracer, self.trace_parent)
-        cost_model = self.cost_model
-
         handled_after_last_cycle = 0
         stalled_cycles = 0
 
-        requests = shared.initial_requests
-        while requests:
-            run.request(requests)
-            yield from run.charge(
-                cost_model.request_overhead(len(requests)),
-                "request-overhead",
-                requests=len(requests),
-            )
-            yield from run.consume(len(requests), cursor.arrive)
-
+        def end_cycle() -> List[str]:
+            nonlocal handled_after_last_cycle, stalled_cycles
             handled, requests = cursor.end()
             if handled == handled_after_last_cycle:
                 stalled_cycles += 1
@@ -161,8 +165,18 @@ class SkipperExecutor:
                     f"{self.cache_capacity} objects; use a larger cache or the "
                     "maximal-progress policy"
                 )
+            return requests
 
-        state = cursor.state
+        return run.consume(
+            shared.initial_requests,
+            self.cost_model.request_overhead,
+            cursor,
+            end_cycle,
+            lambda: self._result(run, cursor.state),
+        )
+
+    def _result(self, run: QueryRun, state: MJoinStateManager) -> QueryResult:
+        """Close ``run`` on the manager's answer and counters."""
         cache = state.cache
         stats = replace(state.stats)
         if run.tracer is not None:

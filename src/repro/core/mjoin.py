@@ -22,7 +22,7 @@ prepared segment holds are that shared selection, read and never mutated.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.cache import ObjectCache
 from repro.core.njoin import NAryJoin, PreparedSegment
@@ -34,7 +34,13 @@ from repro.engine.operators.scan import select_rows
 from repro.engine.planner import Planner, QueryPlan
 from repro.engine.query import Query
 from repro.engine.relation import Segment
-from repro.exceptions import CacheError
+from repro.exceptions import CacheError, QueryError
+
+
+#: ``_new(OperatorStats)`` is an ``OperatorStats`` without the frame of its
+#: generated ``__init__``: an arrival that costs its scan alone — nine in ten
+#: of a selective single-table query — fills in the four counters itself.
+_new = object.__new__
 
 
 class MJoinStateManager:
@@ -46,18 +52,27 @@ class MJoinStateManager:
         catalog: Catalog,
         cache: ObjectCache,
         enable_pruning: bool = True,
+        plan: Optional[QueryPlan] = None,
     ) -> None:
         self.query = query
         self.catalog = catalog
         self.cache = cache
         self.enable_pruning = enable_pruning
-        self.plan: QueryPlan = Planner(catalog).plan(query)
+        #: ``plan`` when given — managers of one shared run share their first
+        #: one's — else planned here.
+        self.plan: QueryPlan = Planner(catalog).plan(query) if plan is None else plan
         if cache.capacity < len(query.tables):
             raise CacheError(
                 f"cache capacity {cache.capacity} is smaller than the number of joined "
                 f"relations ({len(query.tables)}); no subplan could ever run"
             )
         self.tracker = SubplanTracker(query, catalog, table_order=self.plan.join_order)
+        # The lookups every arrival makes, bound once: the tracker's pending
+        # count of a segment (``None`` for a segment of no table of the
+        # query), the live cached ids and the query's filter of a table.
+        self._pending_count_of = self.tracker.pending_count_of
+        self._cached = cache.ids_view()
+        self._filter_for = query.filters.get
         self.njoin = NAryJoin(query, self.plan)
         #: The symmetric hash join's state: by name, for every table after the
         #: plan's first, one hash table over the *cached* segments of that
@@ -104,29 +119,44 @@ class MJoinStateManager:
     def on_arrival(self, segment_id: str, segment: Segment) -> OperatorStats:
         """Process one object pushed by the CSD; returns the work it took.
 
-        A segment of no table of the query raises :class:`QueryError`.
+        An object that stays — pending, not cached yet and not pruned as
+        empty — is joined by :meth:`_take`.  Any other costs its scan alone,
+        answered here with no call but the filter and the prune: a duplicate
+        delivery, an object whose every subplan was executed or pruned while
+        it was in flight, or one that filters to nothing.  A segment of no
+        table of the query raises :class:`QueryError`.
         """
-        stats = OperatorStats(tuples_scanned=segment.num_rows)
-        if segment_id in self.cache or not self.tracker.object_in_pending(segment_id):
-            # Either a duplicate delivery or every subplan involving the
-            # object has already been executed/pruned while it was in flight.
-            self.stats.merge(stats)
-            return stats
-
-        # The selection the pull-based scans make, and shared with them: a
-        # segment keeps its last one, so every tenant of this ``Query`` (and
-        # every re-fetch) after the first gets the same row list back.
-        rows = select_rows(segment, self.query.filter_for(segment.table_name))
-        num_rows = len(rows)
-        if self.enable_pruning and num_rows == 0:
+        scanned = len(segment.rows)
+        pending = self._pending_count_of(segment_id)
+        if pending and segment_id not in self._cached:
+            # The selection the pull-based scans make, and shared with them: a
+            # segment keeps its last one, so every tenant of this ``Query``
+            # (and every re-fetch) after the first gets the same row list back.
+            selected = select_rows(segment, self._filter_for(segment.table_name))
+            if selected or not self.enable_pruning:
+                return self._take(segment_id, segment, selected, scanned)
             self.tracker.prune_object(segment_id)
-            self.stats.merge(stats)
-            return stats
+        elif pending is None:
+            raise QueryError(
+                f"segment {segment_id!r} belongs to no table of query {self.query.name!r}"
+            )
+        self.stats.tuples_scanned += scanned
+        work = _new(OperatorStats)
+        work.tuples_scanned = scanned
+        work.tuples_built = work.tuples_probed = work.tuples_output = 0
+        return work
 
+    def _take(
+        self, segment_id: str, segment: Segment, selected: List[Row], scanned: int
+    ) -> OperatorStats:
+        """Cache an object that stays, evicting if the cache is full, and run
+        the subplans it completes; the work of its arrival."""
+        num_rows = len(selected)
+        stats = OperatorStats(tuples_scanned=scanned)
         # Not before the object is known to stay: nine in ten objects of a
-        # selective single-table query are pruned above.
+        # selective single-table query are pruned by ``on_arrival``.
         prepared = PreparedSegment(
-            segment_id, segment.table_name, rows, self.tracker.offset_of(segment_id)
+            segment_id, segment.table_name, selected, self.tracker.offset_of(segment_id)
         )
         if self.cache.is_full:
             victim = self.cache.evict(segment_id, self.tracker).payload

@@ -27,7 +27,9 @@ import itertools
 import math
 from collections import Counter
 from operator import add, not_
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.engine.catalog import Catalog
 from repro.engine.query import Query
@@ -160,6 +162,11 @@ class SubplanTracker:
             for segments in self._segments
             for segment_id in segments
         }
+        #: ``pending_count_of(segment_id)``: the number of pending subplans
+        #: holding the segment, ``None`` for a segment of no table of the
+        #: query — the mapping's own ``get``, so an arrival asks without a
+        #: Python frame.
+        self.pending_count_of: Callable[[str], Optional[int]] = self._pending_count.get
         self._num_executed = 0
         self._num_pruned = 0
         #: ``(new_object, cached, batch)`` of the last :meth:`executable_counts`
@@ -197,14 +204,6 @@ class SubplanTracker:
         one call per eviction, not one per cached object."""
         count = self._pending_count.get
         return {segment_id: count(segment_id, 0) for segment_id in segment_ids}
-
-    def object_in_pending(self, segment_id: str) -> bool:
-        """Whether ``segment_id`` is needed by at least one pending subplan;
-        a segment of no table of the query raises :class:`QueryError`."""
-        if self._pending_count.get(segment_id):
-            return True
-        self._locate(segment_id)
-        return False
 
     def objects_needed(self) -> Set[str]:
         """Objects required by at least one pending subplan."""

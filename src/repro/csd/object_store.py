@@ -8,7 +8,7 @@ the object name).  Payloads are arbitrary Python objects — in practice
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.exceptions import StorageError
 
@@ -28,11 +28,26 @@ def split_object_key(object_key: str) -> tuple[str, str]:
     return tenant, segment_id
 
 
+class _Objects(Dict[str, object]):
+    """Key -> payload; looking up a key that is not stored raises
+    :class:`StorageError`."""
+
+    def __missing__(self, object_key: str) -> object:
+        raise StorageError(f"object not found: {object_key!r}")
+
+
 class ObjectStore:
     """In-memory blob store with per-tenant namespaces."""
 
     def __init__(self) -> None:
-        self._objects: Dict[str, object] = {}
+        self._objects = _Objects()
+        #: ``get(object_key)``: the payload stored under the key (a
+        #: :class:`StorageError` if there is none), and ``exists(object_key)``:
+        #: whether there is one.  The mapping's own lookups, so the device's
+        #: check of every GET and its read of every payload enter no Python
+        #: frame.
+        self.get: Callable[[str], object] = self._objects.__getitem__
+        self.exists: Callable[[str], bool] = self._objects.__contains__
 
     def put(self, object_key: str, payload: object) -> None:
         """Store ``payload`` under ``object_key`` (overwrites are rejected)."""
@@ -46,14 +61,3 @@ class ObjectStore:
         key = make_object_key(tenant, segment_id)
         self.put(key, payload)
         return key
-
-    def get(self, object_key: str) -> object:
-        """Return the payload stored under ``object_key``."""
-        try:
-            return self._objects[object_key]
-        except KeyError:
-            raise StorageError(f"object not found: {object_key!r}") from None
-
-    def exists(self, object_key: str) -> bool:
-        """Whether an object is stored under ``object_key``."""
-        return object_key in self._objects

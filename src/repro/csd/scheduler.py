@@ -154,7 +154,20 @@ class IOScheduler:
             self._dirty.discard(group_id)
         request = self._queues[group_id].popleft()
         del pending[request.request_id]
-        self._note_removed(request, group_id)
+        # ``_note_removed`` inline: this runs once per served object.
+        query_id = request.query_id
+        group_queries = self._group_queries[group_id]
+        remaining = group_queries[query_id] - 1
+        if remaining:
+            group_queries[query_id] = remaining
+        else:
+            del group_queries[query_id]
+        query_pending = self._query_pending
+        total = query_pending[query_id] - 1
+        if total:
+            query_pending[query_id] = total
+        else:
+            del query_pending[query_id]
         return request
 
     def notify_switch(self, new_group: int) -> None:

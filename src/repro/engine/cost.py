@@ -19,6 +19,7 @@ the paper's ballpark:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.engine.operators.base import OperatorStats
@@ -60,8 +61,10 @@ class CostModel:
             "request_overhead_seconds",
             "tuple_scale",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+            # Finite too: a scan-only charge leaves ``cpu_time``'s zero terms
+            # out, and ``inf * 0`` would have made them NaN.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and non-negative")
 
     # ------------------------------------------------------------------ #
     # Individual cost components

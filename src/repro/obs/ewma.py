@@ -27,7 +27,7 @@ class Ewma:
     to "last sample wins", small values smooth aggressively.
     """
 
-    __slots__ = ("alpha", "count", "_value")
+    __slots__ = ("alpha", "count", "average")
 
     def __init__(self, alpha: float) -> None:
         if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
@@ -36,7 +36,11 @@ class Ewma:
             raise ConfigurationError(f"EWMA alpha must be in (0, 1], got {alpha!r}")
         self.alpha = float(alpha)
         self.count = 0
-        self._value = 0.0
+        #: The running average as stored: 0.0 before the first sample, so
+        #: read it through :attr:`value` or :meth:`value_or`.  The fleet
+        #: router folds its later samples in here itself, as
+        #: :meth:`observe` does.
+        self.average = 0.0
 
     def observe(self, sample: float) -> float:
         """Fold one sample in; returns the updated average."""
@@ -45,11 +49,11 @@ class Ewma:
                 f"EWMA samples must be finite, got {sample!r}"
             )
         if self.count == 0:
-            self._value = float(sample)
+            self.average = float(sample)
         else:
-            self._value += self.alpha * (sample - self._value)
+            self.average += self.alpha * (sample - self.average)
         self.count += 1
-        return self._value
+        return self.average
 
     @property
     def value(self) -> float:
@@ -59,12 +63,12 @@ class Ewma:
                 "EWMA has zero observed samples; use value_or() for an "
                 "explicit cold-start default"
             )
-        return self._value
+        return self.average
 
     def value_or(self, default: float) -> float:
         """The current average, or ``default`` with zero samples."""
-        return self._value if self.count else default
+        return self.average if self.count else default
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shown = self._value if self.count else None
+        shown = self.average if self.count else None
         return f"<Ewma alpha={self.alpha} count={self.count} value={shown}>"

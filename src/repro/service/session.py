@@ -104,56 +104,58 @@ class Session:
         return VanillaExecutor(**connection)
 
     def _run(self):
+        """The session's one generator: its start delay, then each query in
+        turn — admission, executor, result — inline, so a delivery into an
+        execution resumes this frame and the run's own, no third."""
+        env = self.env
         if self.spec.start_delay > 0:
-            yield self.env.timeout(self.spec.start_delay)
+            yield env.timeout(self.spec.start_delay)
+        tracer = self.service.tracer
+        admission = self.service.admission
         # Every submission precedes the run (it closes the session first).
         while self._pending:
-            yield from self._execute(self._pending.popleft())
-
-    def _execute(self, handle: QueryHandle):
-        tracer = self.service.tracer
-        root = None
-        if tracer is not None:
-            root = tracer.start_span(
-                f"query:{handle.query.name}",
-                kind="query",
-                track=self.tenant_id,
-                tenant=self.tenant_id,
-                query=handle.query.name,
-            )
-        admission = self.service.admission
-        if admission is not None:
-            ticket = admission.request(self.tenant_id)
-            if ticket.rejected:
-                handle._mark_rejected(ticket.error, self.env.now)
-                if root is not None:
-                    root.attrs["status"] = "rejected"
-                    tracer.add_event(root, "admission.rejected")
-                    tracer.end_span(root)
-                return
-            if ticket.queued:
-                handle._mark_queued(self.env.now)
-                if root is not None:
-                    tracer.add_event(root, "admission.queued")
-            yield ticket.event
-            if root is not None:
-                tracer.add_event(root, "admission.granted")
-        handle._mark_running(self.env.now)
-        executor = self._make_executor()
-        executor.tracer = tracer
-        executor.trace_parent = root
-        try:
-            result = yield from executor.execute(handle.query)
-        finally:
+            handle = self._pending.popleft()
+            root = None
+            if tracer is not None:
+                root = tracer.start_span(
+                    f"query:{handle.query.name}",
+                    kind="query",
+                    track=self.tenant_id,
+                    tenant=self.tenant_id,
+                    query=handle.query.name,
+                )
             if admission is not None:
-                admission.release(self.tenant_id)
-        handle._mark_finished(result, self.env.now)
-        if root is not None:
-            root.attrs["status"] = "finished"
-            root.attrs["queue_delay"] = handle.queue_delay
-            root.attrs["execution_time"] = result.execution_time
-            tracer.end_span(root)
-        self.results.append(result)
+                ticket = admission.request(self.tenant_id)
+                if ticket.rejected:
+                    handle._mark_rejected(ticket.error, env.now)
+                    if root is not None:
+                        root.attrs["status"] = "rejected"
+                        tracer.add_event(root, "admission.rejected")
+                        tracer.end_span(root)
+                    continue
+                if ticket.queued:
+                    handle._mark_queued(env.now)
+                    if root is not None:
+                        tracer.add_event(root, "admission.queued")
+                yield ticket.event
+                if root is not None:
+                    tracer.add_event(root, "admission.granted")
+            handle._mark_running(env.now)
+            executor = self._make_executor()
+            executor.tracer = tracer
+            executor.trace_parent = root
+            try:
+                result = yield from executor.execute(handle.query)
+            finally:
+                if admission is not None:
+                    admission.release(self.tenant_id)
+            handle._mark_finished(result, env.now)
+            if root is not None:
+                root.attrs["status"] = "finished"
+                root.attrs["queue_delay"] = handle.queue_delay
+                root.attrs["execution_time"] = result.execution_time
+                tracer.end_span(root)
+            self.results.append(result)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

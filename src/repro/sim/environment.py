@@ -14,6 +14,13 @@ entry, until the clock moves on: an event scheduled *at* that instant (a
 zero delay, a wake-up, a process finishing) is appended to the list being
 walked and dispatched after everything already in it, which is its place in
 ``(time, sequence)`` order, without touching the heap.
+
+Events enqueue themselves, with no call into the environment: the side table
+and the heap are the public :attr:`Environment.buckets` and
+:attr:`Environment.times`, ``Event.succeed`` appends to ``buckets[now]``
+(always registered) and a :class:`~repro.sim.events.Timeout` appends to its
+timestamp's list, or registers the list and pushes the timestamp when it is
+the first event at it.
 """
 
 from __future__ import annotations
@@ -45,17 +52,18 @@ class Environment:
     def __init__(self) -> None:
         #: Current simulated time (advanced by the dispatch loop only).
         self.now = 0.0
-        # Heap of distinct pending timestamps later than ``now``; one entry
-        # per bucket.
-        self._times: List[float] = []
-        # The current instant's events, in scheduling order; registered
-        # under ``now`` in ``_buckets`` until the clock advances, so events
-        # scheduled at ``now`` join it.
-        self._batch: List[Event] = []
-        # Timestamp -> events scheduled at it, in scheduling order.
-        self._buckets: Dict[float, List[Event]] = {self.now: self._batch}
-        # Next event of ``_batch`` to dispatch: a ``run`` that stops in the
-        # middle of an instant resumes here.
+        #: Heap of the distinct pending timestamps later than ``now``: one
+        #: entry per list in :attr:`buckets`.
+        self.times: List[float] = []
+        #: Timestamp -> the events scheduled at it, in scheduling order.  The
+        #: current instant's list stays registered under ``now`` until the
+        #: clock advances, so an event scheduled at ``now`` joins the list
+        #: being walked; it changes only by appending an event to a list, or
+        #: by registering a new list while pushing its timestamp on
+        #: :attr:`times`.
+        self.buckets: Dict[float, List[Event]] = {self.now: []}
+        # Next event of ``buckets[now]`` to dispatch: a ``run`` that stops in
+        # the middle of an instant resumes here.
         self._batch_index = 0
         #: Number of events delivered (dispatched) so far.
         self.dispatched = 0
@@ -84,20 +92,8 @@ class Environment:
         return AnyOf(self, events)
 
     # ------------------------------------------------------------------ #
-    # Scheduling / running
+    # Running
     # ------------------------------------------------------------------ #
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        """Enqueue ``event`` for dispatch ``delay`` units in the future."""
-        if not delay >= 0:  # also rejects NaN, which would corrupt the time heap
-            raise SimulationError(f"cannot schedule an event in the past (delay {delay})")
-        time = self.now + delay
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [event]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(event)
-
     def run(self, until: Optional[Event] = None) -> Any:
         """Run the simulation until no events remain or, given an
         :class:`Event`, until that event is *dispatched*; then return its
@@ -112,9 +108,9 @@ class Environment:
         # distinct timestamp, one list walk per event at it, and each
         # event's dispatch inline — mark it, take its callbacks, call them.
         target = until
-        times = self._times
-        buckets = self._buckets
-        batch = self._batch
+        times = self.times
+        buckets = self.buckets
+        batch = buckets[self.now]
         index = self._batch_index
         try:
             while target is None or not target.dispatched:
@@ -145,7 +141,6 @@ class Environment:
                 batch = buckets[time]
                 index = 0
         finally:
-            self._batch = batch
             self._batch_index = index
         if target.exception is not None:
             raise target.exception

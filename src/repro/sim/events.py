@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.exceptions import SimulationError
@@ -50,7 +51,9 @@ class Event:
             raise SimulationError(f"event {self.name!r} has already been triggered")
         self.triggered = True
         self.value = value
-        self.env._schedule_event(self)
+        # Enqueued at the current instant, whose list is always registered.
+        env = self.env
+        env.buckets[env.now].append(self)
         return self
 
     def fail(self, exception: BaseException) -> Event:
@@ -59,7 +62,8 @@ class Event:
             raise SimulationError(f"event {self.name!r} has already been triggered")
         self.triggered = True
         self.exception = exception
-        self.env._schedule_event(self)
+        env = self.env
+        env.buckets[env.now].append(self)
         return self
 
     def add_callback(self, callback: Callable[[Event], None]) -> None:
@@ -73,7 +77,8 @@ class Event:
         """
         self.callbacks.append(callback)
         if self.dispatched:
-            self.env._schedule_event(self)
+            env = self.env
+            env.buckets[env.now].append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
@@ -88,9 +93,10 @@ class Timeout(Event):
     def __init__(self, env: Environment, delay: float) -> None:
         if not delay >= 0:  # also rejects NaN, which would corrupt the time heap
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        # Fields are assigned directly rather than via ``Event.__init__``:
-        # timeouts are created millions of times per run and both the
-        # ``super()`` call and a per-instance f-string name are measurable.
+        # Fields are assigned directly rather than via ``Event.__init__``, and
+        # the timeout enqueues itself: timeouts are created millions of times
+        # per run, and the ``super()`` call, a per-instance f-string name and
+        # a call into the environment are each measurable.
         self.env = env
         self.name = "timeout"
         self.triggered = True
@@ -99,7 +105,14 @@ class Timeout(Event):
         self.exception = None
         self.callbacks = []
         self.delay = delay
-        env._schedule_event(self, delay=delay)
+        time = env.now + delay
+        buckets = env.buckets
+        bucket = buckets.get(time)
+        if bucket is None:
+            buckets[time] = [self]
+            heappush(env.times, time)
+        else:
+            bucket.append(self)
 
 
 class AllOf(Event):

@@ -66,7 +66,8 @@ class Process(Event):
         # shaved off — this runs once per dispatched event.
         target.callbacks.append(self._resume_callback)
         if target.dispatched:
-            self.env._schedule_event(target)
+            env = self.env
+            env.buckets[env.now].append(target)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.triggered else "running"

@@ -54,7 +54,7 @@ class SharedPullJoin(SharedRun[Dict[str, List[Segment]], JoinOutcome]):
 
     def arrive(self, fetched: Dict[str, List[Segment]], segment_id: str, payload: Segment) -> float:
         fetched[self.catalog.table_of_segment(segment_id)].append(payload)
-        return self.cost_model.scan_time(payload.num_rows)
+        return self.cost_model.scan_time(len(payload.rows))
 
     def end(self, fetched: Dict[str, List[Segment]]) -> JoinOutcome:
         # Scanned as delivered: ``Relation`` rejects an incomplete or foreign fetch.

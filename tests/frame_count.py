@@ -6,17 +6,26 @@ generator resumes included, and on one interpreter the count repeats
 exactly, so a budget test can gate on it where a wall-clock number cannot.
 The collector is held off while counting: ``gc.callbacks`` hooks (the test
 runner installs one) are Python frames too, two per collection, and when
-collections fall depends on what ran before.
+collections fall depends on what ran before.  ``count_frames_by_layer``
+buckets the same count by the ``src/repro/<layer>/`` package each frame's
+code lives in, so a budget can say which layer paid.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
 from types import CodeType, FrameType
 from typing import Callable, Optional, Tuple, TypeVar
 
+import repro
+
 T = TypeVar("T")
+#: ``src/repro``, as code objects name their files.
+PACKAGE = Path(repro.__file__).resolve().parent
 
 
 def count_frames(
@@ -60,3 +69,26 @@ def count_frames(
         if was_enabled:
             gc.enable()
     return result, frames
+
+
+@lru_cache(maxsize=None)
+def layer_of(filename: str) -> str:
+    """The ``src/repro/<layer>/`` package a code object's file is in:
+    ``repro`` for a module at the top of the package, ``other`` outside it
+    (the standard library, the tests)."""
+    path = Path(filename).resolve()
+    if PACKAGE not in path.parents:
+        return "other"
+    parts = path.relative_to(PACKAGE).parts
+    return parts[0] if len(parts) > 1 else "repro"
+
+
+def count_frames_by_layer(body: Callable[[], T]) -> Tuple[T, Counter]:
+    """``(body(), frames it entered per layer of :func:`layer_of`)``."""
+    by_layer: Counter = Counter()
+
+    def tally(frame: FrameType) -> None:
+        by_layer[layer_of(frame.f_code.co_filename)] += 1
+
+    result, _frames = count_frames(body, on_call=tally)
+    return result, by_layer

@@ -61,8 +61,9 @@ from repro.workloads import tpch
 #: ceiling stays 21.38 plus one.
 FRAMES_PER_SUBPLAN_CEILING = 22.4
 #: Frames per *followed* arrival — one that takes a shared MJoin run's logged
-#: step — over the same scenario: ``RunCursor.arrive`` and
-#: ``SharedRun.step``, plus two per cycle end and the walk's own two, 2.18
+#: step — over the same scenario: ``RunCursor.arrive`` (its ``_follow``
+#: until a fork) and ``SharedRun.step``, plus two per cycle end and the
+#: walk's own two, 2.18
 #: (122 frames / 56 arrivals); the ceiling is that plus one.  A follower that
 #: feeds a state manager again enters about 37 per arrival (2 052 / 56 above).
 FRAMES_PER_FOLLOWED_ARRIVAL_CEILING = 3.2

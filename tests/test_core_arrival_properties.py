@@ -16,6 +16,11 @@ Three equivalences the arrival path rests on:
 * a ``Batch`` — lists, ids and flags in product layout — is the set of
   segment tuples it stands for: its tallies are their occurrence counts and
   taking a segment out equals enumerating again without it.
+
+A fourth section holds the scan-only arrival — a duplicate, an object no
+pending subplan needs, one pruned as empty — to the arrival as it was
+written before it was answered inline: the same charge, bit for bit, and
+the same tracker, cache, aggregate and counters after it.
 """
 
 import copy
@@ -33,14 +38,19 @@ from repro.core.cache import (
     MaxProgressEviction,
     ObjectCache,
 )
+from repro.core.executor import SharedMJoin
 from repro.core.mjoin import MJoinStateManager
 from repro.core.subplan import Batch, SubplanTracker, enumerate_subplans
 from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
+from repro.engine.cost import CostModel
 from repro.engine.executor import canonical_rows
+from repro.engine.operators.base import OperatorStats
 from repro.engine.operators.hash_join import build_hash_table
+from repro.engine.operators.scan import select_rows
 from repro.engine.predicate import Comparison, col, lit
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.exceptions import QueryError
+from repro.workloads import tpch
 
 
 def _num_pending(tracker):
@@ -333,10 +343,8 @@ class TestTrackerMatchesOracle:
             segment_id = everything[pick % len(everything)]
             if action == "arrive":
                 # A first arrival, a duplicate or a re-issue after eviction.
-                if segment_id in cached or not tracker.object_in_pending(segment_id):
-                    assert tracker.object_in_pending(segment_id) == bool(
-                        oracle.pending_count(segment_id)
-                    )
+                if segment_id in cached or not tracker.pending_count_of(segment_id):
+                    assert tracker.pending_count_of(segment_id) == oracle.pending_count(segment_id)
                     continue
                 if len(cached) >= capacity:
                     # The eviction policy's question first, then the arrival's
@@ -503,3 +511,113 @@ class TestBatchIsItsCombinations:
             Batch([["t0.0", "t0.1"], ["t1.0"]], [0, 1, 2], b"\x01\x01\x01")
         with pytest.raises(QueryError):
             Batch([["t0.0", "t0.1"], ["t1.0"]], [0, 1], b"\x01")
+
+
+# --------------------------------------------------------------------- #
+# (d) A scan-only arrival == the arrival as it was written before
+# --------------------------------------------------------------------- #
+def _scan_only_as_before(manager, segment_id, segment):
+    """The arrival path before scan-only arrivals were answered inline, up
+    to the point where an object stays: a fresh ``OperatorStats`` merged
+    into the manager's, a cache membership test, the tracker's pending
+    count and the query's ``filter_for``.  ``None`` for an object that stays
+    (nothing changed then but the segment's kept selection)."""
+    stats = OperatorStats(tuples_scanned=segment.num_rows)
+    pending = manager.tracker.pending_counts([segment_id])[segment_id]
+    if segment_id in manager.cache.ids_view() or not pending:
+        manager.stats.merge(stats)
+        return stats
+    rows = select_rows(segment, manager.query.filter_for(segment.table_name))
+    if manager.enable_pruning and not rows:
+        manager.tracker.prune_object(segment_id)
+        manager.stats.merge(stats)
+        return stats
+    return None
+
+
+def _state(manager, everything):
+    """Everything an arrival may change, as comparable values."""
+    tracker, cache = manager.tracker, manager.cache
+    return (
+        tracker.num_executed,
+        tracker.num_pruned,
+        tracker.pending_counts(everything),
+        list(cache.ids_view()),
+        (cache.num_hits, cache.num_insertions, cache.num_evictions, cache.peak_occupancy),
+        canonical_rows(manager.aggregate.results()),
+        manager.stats,
+    )
+
+
+class TestScanOnlyArrival:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=chain_joins(),
+        spare_capacity=st.integers(min_value=0, max_value=2),
+        policy=st.sampled_from(_POLICIES),
+        enable_pruning=st.booleans(),
+        deliveries=st.lists(st.integers(min_value=0), max_size=40),
+    )
+    def test_it_leaves_what_the_arrival_before_left(
+        self, case, spare_capacity, policy, enable_pruning, deliveries
+    ):
+        """Deliveries drawn with repeats (duplicates, re-fetches, objects
+        whose subplans are all done), fed to two managers in lockstep: one
+        arrives as it does now, the other scan-only arrivals as before and
+        the rest as now."""
+        catalog, query, objects = case
+
+        def manager():
+            cache = ObjectCache(len(query.tables) + spare_capacity, policy=policy())
+            return MJoinStateManager(query, catalog, cache, enable_pruning=enable_pruning)
+
+        actual, reference = manager(), manager()
+        assert actual.plan.join_order == reference.plan.join_order
+        scan_only = 0
+        for pick in deliveries:
+            segment_id = objects[pick % len(objects)]
+            segment = catalog.resolve_segment_id(segment_id)
+            expected = _scan_only_as_before(reference, segment_id, segment)
+            scan_only += expected is not None
+            if expected is None:
+                expected = reference.on_arrival(segment_id, segment)
+            assert actual.on_arrival(segment_id, segment) == expected
+            assert _state(actual, objects) == _state(reference, objects)
+        if len(deliveries) > 2 * len(objects):
+            assert scan_only  # every object delivered again at least once
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rates=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        scale=st.floats(0.0, 1000.0),
+        rows=st.integers(min_value=0, max_value=10**7),
+    )
+    def test_its_charge_is_cpu_time_of_the_scan_bit_for_bit(self, rates, scale, rows):
+        """``SharedMJoin.arrive`` charges a scan-only arrival inline, leaving
+        ``cpu_time``'s three zero terms out; a finite non-negative charge is
+        the same float with them.  The duplicate delivered is a stand-in
+        whose rows only count."""
+        cost_model = CostModel(*rates, tuple_scale=scale)
+        run = SharedMJoin(tpch.q12(), _TINY, 10, None, True, cost_model)
+        state = run.state
+        orders = "orders.0"
+        kept = run.arrive(state, orders, _TINY.resolve_segment_id(orders))
+        assert kept == cost_model.cpu_time(state.stats)
+        duplicate = SimpleNamespace(table_name="orders", rows=range(rows))
+        scanned_before = state.stats.tuples_scanned
+        assert run.arrive(state, orders, duplicate) == cost_model.cpu_time(
+            OperatorStats(tuples_scanned=rows)
+        )
+        assert state.stats.tuples_scanned == scanned_before + rows
+
+    def test_a_segment_of_no_table_of_the_query_raises_every_time(self):
+        manager = MJoinStateManager(tpch.q12(), _TINY, ObjectCache(10))
+        foreign = _TINY.resolve_segment_id("customer.0")
+        for _delivery in ("first", "repeated"):
+            with pytest.raises(QueryError, match="belongs to no table of query"):
+                manager.on_arrival("customer.0", foreign)
+        assert manager.stats == OperatorStats()
+        assert not manager.cache.ids_view() and manager.tracker.num_pruned == 0
+
+
+_TINY = tpch.build_catalog("tiny", seed=42)

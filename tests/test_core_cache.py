@@ -27,7 +27,7 @@ class TestObjectCache:
     def test_add_and_get(self):
         cache = ObjectCache(2)
         cache.add("x.0", "payload")
-        assert "x.0" in cache
+        assert "x.0" in cache.ids_view()
         assert len(cache.ids_view()) == 1
         assert cache.get("x.0").payload == "payload"
         assert cache.peek("missing") is None
@@ -98,7 +98,7 @@ class TestObjectCache:
         # The removed entry comes back, payload and all.
         assert (victim.segment_id, victim.payload) == ("lineitem.0", 1)
         assert cache.num_evictions == 1
-        assert len(cache.ids_view()) == 1 and "lineitem.0" not in cache
+        assert len(cache.ids_view()) == 1 and "lineitem.0" not in cache.ids_view()
 
 
 class TestEvictionPolicies:

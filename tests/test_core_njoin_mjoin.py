@@ -627,7 +627,7 @@ class TestMJoinStateManager:
         manager = MJoinStateManager(query, tiny_tpch_catalog, cache)
         segment = tiny_tpch_catalog.resolve_segment_id("orders.0")
         first = manager.on_arrival("orders.0", segment)
-        assert "orders.0" in cache and first.tuples_built > 0
+        assert "orders.0" in cache.ids_view() and first.tuples_built > 0
         second = manager.on_arrival("orders.0", segment)
         # Scanned again, and nothing more: no second insertion, no build.
         assert second == OperatorStats(tuples_scanned=segment.num_rows)

@@ -115,7 +115,7 @@ class TestTrackerTransitions:
         assert _num_pending(q12_tracker) == before - len(pruned)
         assert q12_tracker.num_pruned == len(pruned)
         assert q12_tracker.pending_counts(["lineitem.0"]) == {"lineitem.0": 0}
-        assert not q12_tracker.object_in_pending("lineitem.0")
+        assert q12_tracker.pending_count_of("lineitem.0") == 0
         assert q12_tracker.prune_object("lineitem.0") == []
 
     def test_objects_needed_shrinks_as_subplans_finish(self, q12_tracker):
@@ -168,11 +168,12 @@ class TestTrackerRejectsWhatIsNotItsOwn:
             lambda: q12_tracker.prune_object("nope"),
             lambda: q12_tracker.runnable_batch({"orders.0"}, "customer.0"),
             lambda: q12_tracker.executable_counts({"orders.0"}, "customer.0"),
-            lambda: q12_tracker.object_in_pending("customer.0"),
-            lambda: q12_tracker.object_in_pending("nation.99"),
         ):
             with pytest.raises(QueryError, match="belongs to no table of query"):
                 call()
+        # An arrival tells a foreign object from an exhausted one by this.
+        assert q12_tracker.pending_count_of("customer.0") is None
+        assert q12_tracker.pending_count_of("nation.99") is None
         # Counting a foreign object has an answer: no pending subplan.
         assert q12_tracker.pending_counts(["customer.0"]) == {"customer.0": 0}
         # Foreign objects in the cache cover nothing and hide nothing.

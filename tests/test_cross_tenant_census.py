@@ -14,7 +14,9 @@ are counted over one service run, exactly, so the counts gate in tier-1:
   over the same segment objects follows the service's run and copies it;
 * ``MJoinStateManager.on_arrival``, Skipper's arrival path: once per step of
   one run per (``Query``, cache size, policy, pruning) — executions whose
-  deliveries match the run's log take its charges and requests instead.
+  deliveries match the run's log take its charges and requests instead;
+* ``Planner.plan``: once per shared run — an execution that forks builds
+  its private manager on the plan the run's first one made.
 
 When one trips: ``build_cluster_config`` resolves a query per tenant again,
 something on the arrival or scan path filters without ``select_rows``, or
@@ -24,13 +26,17 @@ an executor works on a state of its own where the service's run would do
 
 from __future__ import annotations
 
+import runpy
 from collections import Counter
+from pathlib import Path
 
 from repro.core.mjoin import MJoinStateManager
+from repro.engine.planner import Planner
 from repro.engine.relation import Segment
 from repro.scenarios.spec import ScenarioSpec, TenantSpec, uniform_tenants
 from repro.service import StorageService
 from repro.vanilla.executor import SharedPullJoin
+from repro.workloads import tpch
 
 REPETITIONS = 2
 
@@ -153,3 +159,26 @@ def test_matching_skipper_tenants_feed_one_state_manager(monkeypatch):
     assert arrivals == Counter(one_tenant) == Counter({12: 26, 7: 104})
     assert result.device_objects_served == 26 * 6 + 104 * 2
     assert len(service.shared_runs) == 2
+
+
+def test_forked_executions_reuse_their_runs_plan(monkeypatch):
+    """The ledger's ``keys-fanout`` at ``--quick`` size: eight Skipper Q6
+    tenants on a fleet follow one shared run, and each one after the first
+    forks at its first delivery (the devices deliver in another order).
+    The run plans once; every fork's manager used to plan again (8 plans)."""
+    plans: Counter = Counter()
+    real_plan = Planner.plan
+
+    def counted(planner, query):
+        plans[id(query)] += 1
+        return real_plan(planner, query)
+
+    monkeypatch.setattr(Planner, "plan", counted)
+    ledger = Path(__file__).resolve().parent.parent / "ledger" / "workloads.py"
+    profile, spec = runpy.run_path(str(ledger))["WORKLOADS"]["keys-fanout"](43, True)
+    service = StorageService(spec, catalog=tpch.build_catalog(profile, 42))
+    result = service.run()
+
+    executions = sum(len(results) for results in result.results_by_client.values())
+    assert executions == 8 and len(service.shared_runs) == 1
+    assert sum(plans.values()) == len(service.shared_runs)

@@ -160,6 +160,14 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             CostModel(scan_seconds_per_tuple=-1.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_infinite_or_nan_costs_rejected(self, value):
+        """A scan-only charge leaves ``cpu_time``'s zero terms out, which is
+        exact only when ``rate * 0`` is 0: an infinite rate makes it NaN."""
+        for name in ("build_seconds_per_tuple", "tuple_scale"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                CostModel(**{name: value})
+
     def test_processing_time_uses_stats(self, tiny_tpch_catalog):
         result = InMemoryExecutor(tiny_tpch_catalog).execute(tpch.q12())
         assert CostModel().cpu_time(result.stats) > 0.0

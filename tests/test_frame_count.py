@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 
 import pytest
-from frame_count import count_frames
+from frame_count import count_frames, count_frames_by_layer
+
+from repro.engine.cost import CostModel
 
 
 def leaf() -> int:
@@ -58,3 +60,17 @@ def test_the_collector_is_held_off_and_given_back():
     with pytest.raises(ZeroDivisionError):
         count_frames(lambda: 1 / 0)
     assert gc.isenabled()
+
+
+def test_frames_are_bucketed_by_the_package_layer_they_run_in():
+    # ``run`` and ``body``'s five frames are the tests' own, and so is the
+    # dataclass ``__init__``, generated from a string; ``__post_init__`` and
+    # ``scan_time`` are ``engine``'s.
+    def run() -> int:
+        model = CostModel()
+        return body() + int(model.scan_time(0))
+
+    result, layers = count_frames_by_layer(run)
+    assert result == 3
+    assert layers == {"other": 7, "engine": 2}
+    assert count_frames(run)[1] == sum(layers.values())

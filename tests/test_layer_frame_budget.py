@@ -1,0 +1,113 @@
+"""Deterministic cost per layer: Python frames per delivered object, by the
+``src/repro/<layer>/`` package that entered them, for the four ledger
+workloads at ``--quick`` size and seed 42.
+
+The ledger's per-layer shares are wall-clock readings of one traced
+repetition; a frame count repeats exactly on one interpreter, so a layer
+that grows a call per object shows here as a count, in the layer that grew
+it.  The workloads are built by the ledger's own ``workloads.py``, loaded
+from its source (nothing is written beside it), and fed the catalog the
+ledger's seed-42 run generates.
+
+Each ceiling is the count read on CPython 3.11 plus half a frame, rounded
+up to a tenth: one more frame per delivered object in any layer trips it.
+CPython 3.9–3.10 read the same counts and 3.12–3.13 read fewer (inlined
+comprehensions).  ``other`` is code outside the package (the standard
+library, generated dataclass methods), read in a fresh process: warm
+``abc`` caches make it lower.  ``repro`` would be a module at the top of
+the package.  When one trips, tally the layer's frames per function
+(``frame_count.count_frames``'s ``on_call``) on both commits and diff them.
+"""
+
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+import pytest
+from frame_count import count_frames_by_layer
+
+from repro.service import StorageService
+from repro.workloads import tpch
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SEED = 42
+
+#: Workload -> layer -> frames per delivered object it may enter.
+CEILINGS = {
+    "skipper-shared-csd": {
+        "cluster": 0.8,
+        "core": 23.7,
+        "csd": 9.8,
+        "engine": 30.2,
+        "other": 2.1,
+        "service": 2.9,
+        "sim": 11.9,
+    },
+    "vanilla-pull": {
+        "cluster": 1.6,
+        "core": 8.0,
+        "csd": 16.6,
+        "engine": 13.8,
+        "other": 0.9,
+        "service": 3.8,
+        "sim": 17.8,
+        "vanilla": 3.9,
+    },
+    "keys-fanout": {
+        "cluster": 0.7,
+        "core": 8.4,
+        "csd": 7.9,
+        "engine": 3.8,
+        "fleet": 2.0,
+        "obs": 0.6,
+        "other": 0.8,
+        "scenarios": 0.5,
+        "service": 2.6,
+        "sim": 12.3,
+    },
+    "fleet-churn": {
+        "cluster": 1.0,
+        "core": 8.6,
+        "csd": 23.4,
+        "engine": 3.4,
+        "fleet": 10.7,
+        "obs": 0.6,
+        "other": 1.1,
+        "scenarios": 0.6,
+        "service": 2.7,
+        "sim": 17.6,
+    },
+}
+
+
+def frames_per_object_by_layer(workload: str):
+    """(layer -> frames entered during ``service.run()`` per delivered
+    object, objects delivered) for one ledger workload at ``--quick`` size."""
+    builders = runpy.run_path(str(REPO_ROOT / "ledger" / "workloads.py"))["WORKLOADS"]
+    # As the ledger does: the scenario is seeded one past the data.
+    profile, spec = builders[workload](SEED + 1, True)
+    service = StorageService(spec, catalog=tpch.build_catalog(profile, SEED))
+    result, layers = count_frames_by_layer(service.run)
+    objects = result.device_objects_served
+    return {layer: frames / objects for layer, frames in layers.items()}, objects
+
+
+@pytest.mark.parametrize("workload", sorted(CEILINGS))
+def test_frames_per_delivered_object_stay_under_each_layers_ceiling(workload):
+    per_object, objects = frames_per_object_by_layer(workload)
+    assert objects > 100
+    ceilings = CEILINGS[workload]
+    over = {
+        layer: f"{frames:.3f} > {ceilings.get(layer, 0.0)}"
+        for layer, frames in sorted(per_object.items())
+        if frames > ceilings.get(layer, 0.0)
+    }
+    assert not over, (
+        f"{workload}: frames per delivered object over the layer's ceiling: {over}"
+    )
+    # The package's layers repeat exactly; ``other`` enters fewer frames once
+    # ``abc``'s subclass caches are warm, so it depends on what ran before.
+    again, _objects = frames_per_object_by_layer(workload)
+    del again["other"], per_object["other"]
+    assert again == per_object

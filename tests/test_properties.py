@@ -100,11 +100,11 @@ class TestCacheInvariants:
         tracker = SubplanTracker(_Q12, _CATALOG)
         cache = ObjectCache(capacity, policy=policy)
         for segment_id in arrivals:
-            if segment_id in cache:
+            if segment_id in cache.ids_view():
                 continue
             if cache.is_full:
                 victim = cache.evict(segment_id, tracker)
-                assert victim.segment_id not in cache
+                assert victim.segment_id not in cache.ids_view()
             cache.add(segment_id, segment_id)
             assert len(cache.ids_view()) <= capacity
         assert cache.num_insertions == len({a for a in arrivals})

@@ -20,15 +20,19 @@ at a time, so the scheduler decides and the device switches once per object.
 from __future__ import annotations
 
 import gc
+import inspect
+from collections import Counter
 from typing import Dict, Tuple
 
 import pytest
 from frame_count import count_frames
 
 from repro.core.client_proxy import ClientProxy
+from repro.core.execution import QueryRun
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.service import StorageService
+from repro.sim import Process, Store
 from repro.vanilla.executor import SharedPullJoin
 from repro.workloads import tpch
 from repro.workloads.datagen import ScaleProfile, TableProfile
@@ -44,12 +48,20 @@ SEGMENTS = 150
 #: deliveries answered from each segment's kept selection — 60.7; it read
 #: 62.92 before the kernel dispatched inline, the layout's group lookup
 #: became its mapping's ``get`` and the device loop drained its inbox
-#: without a call, and reads 57.55 now (56.59 on 3.12–3.13).  Three more
-#: frames per object trip the ceiling.
+#: without a call, 57.55 (56.59 on 3.12–3.13) before a delivery crossed each
+#: layer once — events enqueued without a kernel call, two generator levels
+#: per tenant, a scan-only arrival answered inline, the store's lookups bound
+#: once — and reads 37.28 now (36.34 on 3.12–3.13).  Three more frames per
+#: object trip the ceiling.
 #: When it trips: tally the run's frames per function through
 #: ``count_frames``'s ``on_call`` and diff them against the parent commit —
 #: the new frames are a layer someone added.
-FRAMES_PER_OBJECT_CEILING = 60.0
+FRAMES_PER_OBJECT_CEILING = 40.2
+#: Generator frames a delivery resumes in the Skipper tenant it is handed
+#: to: the session's and the run's request-cycle loop.  It was 4 while the
+#: session ran each query in a generator of its own and the executor's
+#: cycle loop wrapped the run's arrival loop.
+GENERATORS_PER_DELIVERY_CEILING = 2
 #: GC-tracked objects one in-flight GET may keep alive: the request, its
 #: completion event and that event's callback list (the commit before had 7:
 #: plus a closure, its two cells and the cells' tuple).
@@ -83,6 +95,27 @@ def frames_per_delivered_object() -> Tuple[float, int]:
     return frames / result.device_objects_served, result.device_objects_served
 
 
+def generators_resumed_per_delivery() -> Counter:
+    """How many generator frames stood between the kernel's ``Process._resume``
+    and the tenant's request for each next delivery (``QueryRun.consume``
+    calling ``arrivals.get``), counted per request: the frames the delivery
+    resumes when it comes."""
+    depths: Counter = Counter()
+    get, consume, resume = Store.get.__code__, QueryRun.consume.__code__, Process._resume.__code__
+
+    def note_depth(frame) -> None:
+        if frame.f_code is get and frame.f_back.f_code is consume:
+            generators = 0
+            caller = frame.f_back
+            while caller.f_code is not resume:
+                generators += bool(caller.f_code.co_flags & inspect.CO_GENERATOR)
+                caller = caller.f_back
+            depths[generators] += 1
+
+    count_frames(_service().run, on_call=note_depth)
+    return depths
+
+
 def tracked_objects_left_by_one_call(requests: int) -> int:
     """GC-tracked objects one ``request_objects`` call of ``requests`` GETs adds."""
     service = _service()
@@ -113,6 +146,16 @@ def test_frame_count_repeats_exactly():
     assert frames_per_delivered_object() == frames_per_delivered_object()
 
 
+def test_a_delivery_resumes_two_generators_in_its_tenant():
+    depths = generators_resumed_per_delivery()
+    assert sum(depths.values()) == TENANTS * SEGMENTS
+    assert max(depths) <= GENERATORS_PER_DELIVERY_CEILING, (
+        f"deliveries resumed {dict(depths)} generator frames (depth: count), ceiling "
+        f"{GENERATORS_PER_DELIVERY_CEILING}: a generator level came back between the "
+        "session and the run's arrival loop"
+    )
+
+
 def test_an_in_flight_get_keeps_three_tracked_objects():
     added = tracked_objects_left_by_one_call(SEGMENTS)
     assert added <= TRACKED_PER_GET_CEILING * SEGMENTS + TRACKED_PER_CALL_ALLOWANCE, (
@@ -135,13 +178,14 @@ PULL_TENANTS = 3
 #: 144.2 at ``tiny`` (30 objects) and 124.7 at ``small`` (63), that one 112.2
 #: and 92.7, plain-attribute counters 109.3 and 90.3 (CPython 3.11), the
 #: commit before the kernel dispatched inline 87.7 and 78.1, that one 79.2
-#: and 69.9 (CPython 3.9–3.11); ten more frames per object trip the
-#: ceilings.  When one trips:
+#: and 69.9, and with events enqueued without a kernel call and the session
+#: one generator 66.3 and 57.3 (CPython 3.9–3.11; 65.1 and 56.7 on
+#: 3.12–3.13); ten more frames per object trip the ceilings.  When one trips:
 #: run ``frames_per_pulled_object`` on both commits with a per-``co_name``
 #: ``Counter`` in the hook and diff them — on this path a new frame per object
 #: is a helper between ``QueryRun.pull_each`` and the device loop, or a
 #: scheduler decision that went back to building lists and keys.
-PULL_FRAMES_CEILING = {"tiny": 89.0, "small": 79.0}
+PULL_FRAMES_CEILING = {"tiny": 76.3, "small": 67.2}
 #: The two modules whose per-object generators this path lost.
 PULL_PATH_MODULES = ("csd/device.py", "core/execution.py")
 

@@ -26,12 +26,41 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 
+class _HeapSlot:
+    """One timestamp of the legacy heap, as the shared event classes see a
+    bucket of the batched queue: each ``append`` pushes the event's own
+    ``(time, seq, event)`` entry."""
+
+    def __init__(self, env: LegacyEnvironment, time: float) -> None:
+        self.env = env
+        self.time = time
+
+    def append(self, event: Event) -> None:
+        self.env._sequence += 1
+        heapq.heappush(self.env._queue, (self.time, self.env._sequence, event))
+
+
+class _HeapSlots:
+    """``buckets`` for the shared event classes: every timestamp already has
+    a slot (``get`` never returns ``None``), so nothing is ever registered
+    and no timestamp is pushed on a ``times`` heap."""
+
+    def __init__(self, env: LegacyEnvironment) -> None:
+        self.env = env
+
+    def get(self, time: float) -> _HeapSlot:
+        return _HeapSlot(self.env, time)
+
+    __getitem__ = get
+
+
 class LegacyEnvironment:
     """The pre-batching scheduler: one ``(time, seq, event)`` heap entry per event.
 
     Kept as the ordering reference.  It shares the Event / Process / Store
     classes with the real environment — only the queue, and the dispatch the
-    real one does inline in ``run``, are its own.
+    real one does inline in ``run``, are its own.  The events enqueue
+    themselves into ``buckets``, which here pushes each onto the heap.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -39,6 +68,7 @@ class LegacyEnvironment:
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
         self.dispatched = 0
+        self.buckets = _HeapSlots(self)
 
     @property
     def now(self) -> float:
@@ -58,12 +88,6 @@ class LegacyEnvironment:
 
     def any_of(self, events: List[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError("cannot schedule an event in the past")
-        self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
 
     def step(self) -> None:
         if not self._queue:

@@ -209,12 +209,13 @@ def test_simulation_is_deterministic():
 #: Python frames entered per dispatched event while ``run`` delivers the
 #: ledger probe's storm (``sim.probe_ns_per_event``): four producer/consumer
 #: pairs, a timeout and a ``Store`` hand-off per item, 500 items.  Each event
-#: costs its ``__init__`` or ``succeed``, a ``_schedule_event``, a generator
-#: resume and the ``Process._resume`` callback around it, plus a ``put`` or a
-#: ``get``: 6.94 while every delivery called ``Event._dispatch``, 5.94 with
-#: the dispatch inline in ``Environment.run`` (CPython 3.9–3.13).  One more
-#: frame per event trips the ceiling.
-FRAMES_PER_STORM_EVENT_CEILING = 6.0
+#: costs its ``__init__`` or ``succeed``, a generator resume and the
+#: ``Process._resume`` callback around it, plus a ``put`` or a ``get``: 6.94
+#: while every delivery called ``Event._dispatch``, 5.94 with the dispatch
+#: inline in ``Environment.run``, 4.95 with events enqueuing themselves (no
+#: ``_schedule_event``; CPython 3.9–3.13).  One more frame per event trips
+#: the ceiling.
+FRAMES_PER_STORM_EVENT_CEILING = 5.9
 
 
 def frames_per_storm_event(pairs: int = 4, items: int = 500) -> Tuple[float, int]:
