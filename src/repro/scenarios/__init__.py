@@ -21,7 +21,7 @@ and run against a sharded multi-device fleet (see :mod:`repro.fleet`).
 Command line::
 
     python -m repro.scenarios --list
-    python -m repro.scenarios --run bursty
+    python -m repro.scenarios --run admission-burst
     python -m repro.scenarios --run-all
     python -m repro.scenarios --check
     python -m repro.scenarios --regen-golden

@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.scenarios --list
-    python -m repro.scenarios --run bursty
+    python -m repro.scenarios --run admission-burst
     python -m repro.scenarios --run-all
     python -m repro.scenarios --check
     python -m repro.scenarios --regen-golden
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from repro.exceptions import ReproError
 from repro.fleet.spec import DeviceJoin, SetReplication
 from repro.harness.tables import format_table
-from repro.scenarios.golden import assert_dict_matches_golden, write_golden
+from repro.scenarios.golden import assert_dict_matches_golden, orphan_goldens, write_golden
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runner import ScenarioOutcome, ScenarioRunner, run_one
 
@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--check",
         action="store_true",
-        help="run every scenario and diff it against its committed golden",
+        help="run every scenario and diff it against its committed golden; "
+        "a golden file that names no registered scenario fails too",
     )
     group.add_argument(
         "--regen-golden",
@@ -233,6 +234,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"ok   {outcome.name:28s} sim={outcome.simulated_time:10.3f}s  "
                     f"wall={outcome.wall_seconds:6.2f}s"
                 )
+        for path in orphan_goldens(scenario_names(), arguments.golden_dir):
+            failures += 1
+            print(
+                f"FAIL {path.stem}\ngolden file {path} names no registered scenario; "
+                "delete it with the scenario it pinned",
+                file=sys.stderr,
+            )
         print(f"checked {len(scenario_names())} scenarios in {total_wall:.2f}s wall time")
         return 1 if failures else 0
 

@@ -1,7 +1,9 @@
 """Golden-metrics harness.
 
 Every registered scenario has a committed golden file under
-``tests/golden/<name>.json`` holding the canonical report of a blessed run.
+``tests/golden/<name>.json`` holding the canonical report of a blessed run,
+and every golden file there names a registered scenario (``--check`` fails
+on an orphan).
 The pytest layer re-runs each scenario and diffs the live report against the
 golden exactly — the simulator is deterministic and its reports regenerate
 byte for byte on every supported Python — turning the whole paper
@@ -19,7 +21,7 @@ from __future__ import annotations
 import difflib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import GoldenMismatchError
 from repro.scenarios.report import ScenarioReport
@@ -54,7 +56,21 @@ def load_golden(name: str, golden_dir: Optional[Path] = None) -> Dict[str, Any]:
             f"no golden file for scenario {name!r} at {path}; run "
             f"'python -m repro.scenarios --regen-golden {name}' and commit it"
         )
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except ValueError as error:
+        raise GoldenMismatchError(
+            f"golden file {path} for scenario {name!r} is not valid JSON ({error}); "
+            f"run 'python -m repro.scenarios --regen-golden {name}' and commit it"
+        ) from None
+
+
+def orphan_goldens(names: Sequence[str], golden_dir: Optional[Path] = None) -> List[Path]:
+    """The golden files under ``golden_dir`` that name none of ``names``:
+    left behind by a scenario that is no longer registered."""
+    registered = set(names)
+    directory = golden_dir or default_golden_dir()
+    return [path for path in sorted(directory.glob("*.json")) if path.stem not in registered]
 
 
 def diff_values(live: Any, golden: Any, path: str = "$") -> List[str]:

@@ -1,14 +1,19 @@
 """The named-scenario registry.
 
 Each entry is a zero-argument builder returning a fresh
-:class:`~repro.scenarios.spec.ScenarioSpec`.  Scenarios cover workload
-shapes well beyond the paper's figures — bursty arrivals, skewed tenants,
-degraded devices, mixed fleets — and every one of them is pinned by a
-golden-metrics file under ``tests/golden/``.
+:class:`~repro.scenarios.spec.ScenarioSpec` (at the default seed, 42).
+Scenarios cover workload shapes well beyond the paper's figures — bursty
+arrivals, skewed layouts, degraded devices, mixed fleets — and every one of
+them is pinned by a golden-metrics file under ``tests/golden/``.
 
-To add a scenario: decorate a builder with :func:`register`, run
-``python -m repro.scenarios --regen-golden <name>`` and commit the new
-golden file together with the builder.
+Every scenario is the one witness of something no other scenario shows: a
+line or branch of ``src/repro``, an invariant, a setting only it gives a
+second value, or a claim a test makes about it by name
+(``tests/test_scenario_witnesses.py`` recomputes this).  To add a scenario:
+make sure it witnesses something no registered scenario does, decorate a
+builder with :func:`register`, run ``python -m repro.scenarios
+--regen-golden <name>`` and commit the new golden file together with the
+builder.
 """
 
 from __future__ import annotations
@@ -70,39 +75,6 @@ def uniform_fleet() -> ScenarioSpec:
         description="Four identical Skipper tenants starting together — the "
         "shape of the paper's headline figures.",
         tenants=uniform_tenants(4, "tpch:q12", cache_capacity=8),
-        seed=42,
-    )
-
-
-@register
-def bursty_arrivals() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="bursty",
-        description="Six Skipper tenants arriving in three bursts of two with "
-        "seeded jitter; stresses admission-order effects in the scheduler.",
-        tenants=uniform_tenants(6, "tpch:q12", cache_capacity=8),
-        arrival=BurstyArrival(burst_size=2, burst_gap_seconds=120.0, jitter_seconds=5.0),
-        seed=42,
-    )
-
-
-@register
-def hot_tenant_skew() -> ScenarioSpec:
-    hot = TenantSpec(
-        tenant_id="hot", queries=("tpch:q12",), repetitions=5, cache_capacity=8
-    )
-    cold = tuple(
-        TenantSpec(tenant_id=f"cold{index}", queries=("tpch:q12",), cache_capacity=8)
-        for index in range(3)
-    )
-    return ScenarioSpec(
-        name="hot-tenant-skew",
-        description="One tenant issues 5x the load of the other three while "
-        "sharing a disk group with one of them; fairness under skew.",
-        tenants=(hot,) + cold,
-        layout="skewed",
-        layout_param=(2, 1, 1),
-        seed=42,
     )
 
 
@@ -115,7 +87,6 @@ def straggler_device() -> ScenarioSpec:
         tenants=uniform_tenants(3, "tpch:q12", cache_capacity=8),
         switch_seconds=40.0,
         transfer_seconds=19.2,
-        seed=42,
     )
 
 
@@ -127,7 +98,6 @@ def cache_starved() -> ScenarioSpec:
         "cache of exactly one object per joined relation; exercises eviction "
         "and re-issue cycles.",
         tenants=uniform_tenants(2, "tpch:q5", cache_capacity=6),
-        seed=42,
     )
 
 
@@ -140,7 +110,6 @@ def mixed_fleet() -> ScenarioSpec:
         description="Two Skipper and two vanilla tenants share the CSD; the "
         "query-aware scheduler must cope with untagged pull-based traffic.",
         tenants=skippers + vanillas,
-        seed=42,
     )
 
 
@@ -153,7 +122,6 @@ def large_fanout() -> ScenarioSpec:
         tenants=uniform_tenants(8, "tpch:q12", cache_capacity=8),
         layout="round-robin",
         layout_param=(4,),
-        seed=42,
     )
 
 
@@ -171,7 +139,6 @@ def single_tenant_saturation() -> ScenarioSpec:
                 cache_capacity=8,
             ),
         ),
-        seed=42,
     )
 
 
@@ -188,32 +155,6 @@ def fairness_adversarial() -> ScenarioSpec:
         layout_param=(2, 2, 1),
         scheduler="rank-based",
         scheduler_param=1.0,
-        seed=42,
-    )
-
-
-@register
-def dataset_scaleout() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="dataset-scaleout",
-        description="Three Skipper tenants on the larger 'small' dataset "
-        "(3x the objects of 'tiny') with a proportionally larger cache.",
-        tenants=uniform_tenants(3, "tpch:q12", cache_capacity=16),
-        scale="small",
-        seed=42,
-    )
-
-
-@register
-def fleet_uniform() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="fleet-uniform",
-        description="Four Skipper tenants sharded over a four-device fleet "
-        "with consistent hashing and 2-way replication; the baseline "
-        "scale-out shape.",
-        tenants=uniform_tenants(4, "tpch:q12", cache_capacity=8),
-        fleet=FleetSpec(devices=4, replication=2),
-        seed=42,
     )
 
 
@@ -237,7 +178,6 @@ def fleet_hot_shard() -> ScenarioSpec:
             replication=2,
             replica_policy="primary-first",
         ),
-        seed=42,
     )
 
 
@@ -258,21 +198,6 @@ def fleet_device_loss() -> ScenarioSpec:
             # under-replicated (fleet-repair-after-loss pins the repair).
             repair=False,
         ),
-        seed=42,
-    )
-
-
-@register
-def fleet_scaleout() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="fleet-scaleout",
-        description="Six tenants at the paper's SF-50 scale sharded over "
-        "four devices with 2-way replication — the heavy end of the "
-        "regression net (also what makes --jobs visibly faster).",
-        tenants=uniform_tenants(6, "tpch:q12", repetitions=2, cache_capacity=16),
-        scale="sf50",
-        fleet=FleetSpec(devices=4, replication=2),
-        seed=42,
     )
 
 
@@ -286,7 +211,6 @@ def fleet_replicated_read() -> ScenarioSpec:
         tenants=uniform_tenants(6, "tpch:q12", repetitions=2, cache_capacity=16),
         scale="sf50",
         fleet=FleetSpec(devices=6, replication=3, replica_policy="least-loaded"),
-        seed=42,
     )
 
 
@@ -307,27 +231,6 @@ def fleet_loss_at_scale() -> ScenarioSpec:
             # Failover-only baseline at scale; repair is pinned separately.
             repair=False,
         ),
-        seed=42,
-    )
-
-
-@register
-def fleet_elastic_join() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="fleet-elastic-join",
-        description="A fourth device joins a loaded three-device fleet "
-        "mid-run: the placement epoch advances, only the keys whose replica "
-        "set changed migrate onto the joiner, and least-loaded routing "
-        "starts exploiting the extra capacity immediately (the tenants' "
-        "second round of queries lands on the enlarged fleet).",
-        tenants=uniform_tenants(4, "tpch:q12", cache_capacity=8, repetitions=2),
-        fleet=FleetSpec(
-            devices=3,
-            replication=2,
-            replica_policy="least-loaded",
-            events=(DeviceJoin(device=3, at_seconds=60.0),),
-        ),
-        seed=42,
     )
 
 
@@ -349,8 +252,16 @@ def fleet_elastic_drain() -> ScenarioSpec:
             replica_policy="least-loaded",
             events=(DeviceLeave(device=0, at_seconds=50.0),),
         ),
-        seed=42,
     )
+
+
+#: Mixed-speed device profiles of the heterogeneous fleets: one straggler
+#: at 2x transfer / 4x switch cost, one next-gen device at half the base
+#: transfer time.
+_MIXED_SPEED_PROFILES = (
+    DeviceProfile(device=1, switch_seconds=40.0, transfer_seconds=19.2),
+    DeviceProfile(device=2, switch_seconds=5.0, transfer_seconds=4.8),
+)
 
 
 @register
@@ -366,12 +277,8 @@ def fleet_heterogeneous() -> ScenarioSpec:
             devices=3,
             replication=2,
             replica_policy="least-loaded",
-            profiles=(
-                DeviceProfile(device=1, switch_seconds=40.0, transfer_seconds=19.2),
-                DeviceProfile(device=2, switch_seconds=5.0, transfer_seconds=4.8),
-            ),
+            profiles=_MIXED_SPEED_PROFILES,
         ),
-        seed=42,
     )
 
 
@@ -390,7 +297,6 @@ def fleet_rebalance_under_load() -> ScenarioSpec:
             replication=1,
             events=(DeviceJoin(device=3, at_seconds=100.0),),
         ),
-        seed=42,
     )
 
 
@@ -411,7 +317,6 @@ def fleet_replication_upgrade() -> ScenarioSpec:
             replica_policy="least-loaded",
             events=(SetReplication(replication=2, at_seconds=80.0),),
         ),
-        seed=42,
     )
 
 
@@ -430,7 +335,6 @@ def fleet_repair_after_loss() -> ScenarioSpec:
             replica_policy="least-loaded",
             failures=(DeviceFailure(device=0, at_seconds=40.0),),
         ),
-        seed=42,
     )
 
 
@@ -451,17 +355,7 @@ def fleet_throttled_rebalance() -> ScenarioSpec:
             events=(DeviceJoin(device=3, at_seconds=100.0),),
             throttle=MigrationThrottle(objects_per_second=0.1),
         ),
-        seed=42,
     )
-
-
-#: Mixed-speed device profiles shared by the load-aware scenario pair: one
-#: straggler at 2x transfer / 4x switch cost, one next-gen device at half
-#: the base transfer time (same shape as ``fleet-heterogeneous``).
-_MIXED_SPEED_PROFILES = (
-    DeviceProfile(device=1, switch_seconds=40.0, transfer_seconds=19.2),
-    DeviceProfile(device=2, switch_seconds=5.0, transfer_seconds=4.8),
-)
 
 
 @register
@@ -479,7 +373,6 @@ def fleet_load_aware_baseline() -> ScenarioSpec:
             replica_policy="least-loaded",
             profiles=_MIXED_SPEED_PROFILES,
         ),
-        seed=42,
     )
 
 
@@ -500,7 +393,6 @@ def fleet_load_aware() -> ScenarioSpec:
             weighting="profile",
             profiles=_MIXED_SPEED_PROFILES,
         ),
-        seed=42,
     )
 
 
@@ -521,7 +413,6 @@ def fleet_adaptive_rebalance() -> ScenarioSpec:
             profiles=_MIXED_SPEED_PROFILES,
             rebalance=RebalancePolicy(interval_seconds=150.0),
         ),
-        seed=42,
     )
 
 
@@ -536,7 +427,6 @@ def admission_burst() -> ScenarioSpec:
         tenants=uniform_tenants(9, "tpch:q12", cache_capacity=8),
         arrival=BurstyArrival(burst_size=3, burst_gap_seconds=30.0, jitter_seconds=2.0),
         admission=AdmissionConfig(max_in_flight=2, max_queue_depth=3),
-        seed=42,
     )
 
 
@@ -552,7 +442,6 @@ def session_fanout() -> ScenarioSpec:
         admission=AdmissionConfig(
             max_in_flight=3, max_in_flight_per_tenant=1, max_queue_depth=64
         ),
-        seed=42,
     )
 
 
@@ -574,5 +463,4 @@ def multi_workload_mix() -> ScenarioSpec:
             ),
         ),
         arrival=PoissonArrival(mean_gap_seconds=30.0),
-        seed=42,
     )

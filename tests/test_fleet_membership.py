@@ -57,7 +57,7 @@ def _window_scan(log, start, end):
 @pytest.fixture(scope="module")
 def elastic_reports():
     """Each elastic scenario run once for the whole module."""
-    names = ["fleet-elastic-join", "fleet-elastic-drain", "fleet-rebalance-under-load"]
+    names = ["fleet-elastic-drain", "fleet-rebalance-under-load"]
     return {name: RUNNER.run(get_scenario(name)) for name in names}
 
 
@@ -352,7 +352,7 @@ class TestRebalanceUnderLoad:
 
 class TestElasticJoin:
     def test_joiner_absorbs_keys_and_serves_traffic(self, elastic_reports):
-        report = elastic_reports["fleet-elastic-join"]
+        report = elastic_reports["fleet-rebalance-under-load"]
         joiner = report.fleet["per_device"]["csd3"]
         assert joiner["objects_placed"] > 0
         assert joiner["objects_served"] > 0
@@ -360,7 +360,7 @@ class TestElasticJoin:
         assert report.rebalance["bytes_migrated_total"] > 0
 
     def test_migration_interference_is_measured(self, elastic_reports):
-        report = elastic_reports["fleet-elastic-join"]
+        report = elastic_reports["fleet-rebalance-under-load"]
         assert report.rebalance["migration_seconds_total"] > 0
         # The join lands mid-burst, so some migration I/O necessarily ran
         # while foreground requests were waiting.
@@ -509,7 +509,7 @@ class TestMultiEpochSequences:
 
 class TestSessionsSurviveMembershipChanges:
     def test_back_to_back_queries_straddle_a_join(self):
-        spec = get_scenario("fleet-elastic-join")
+        spec = get_scenario("fleet-rebalance-under-load")
         join_at = spec.fleet.events[0].at_seconds
         service = StorageService(spec)
         session = service.open_session("tenant0")

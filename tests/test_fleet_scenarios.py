@@ -22,20 +22,20 @@ from repro.scenarios import (
 from repro.scenarios.report import ScenarioReport
 
 FAST_FLEET_SCENARIOS = [
-    "fleet-uniform",
     "fleet-hot-shard",
     "fleet-device-loss",
-    "fleet-elastic-join",
     "fleet-elastic-drain",
     "fleet-heterogeneous",
     "fleet-rebalance-under-load",
     "fleet-load-aware-baseline",
     "fleet-load-aware",
     "fleet-adaptive-rebalance",
+    "fleet-replication-upgrade",
+    "fleet-repair-after-loss",
+    "fleet-throttled-rebalance",
 ]
 
 SLOW_FLEET_SCENARIOS = [
-    "fleet-scaleout",
     "fleet-replicated-read",
     "fleet-loss-at-scale",
 ]
@@ -50,10 +50,12 @@ LOSS_PARAMS = [
 ]
 
 ELASTIC_SCENARIOS = [
-    "fleet-elastic-join",
     "fleet-elastic-drain",
     "fleet-rebalance-under-load",
     "fleet-adaptive-rebalance",
+    "fleet-replication-upgrade",
+    "fleet-repair-after-loss",
+    "fleet-throttled-rebalance",
 ]
 
 _RUNNER = ScenarioRunner()
@@ -73,6 +75,16 @@ class TestRegistry:
         for name in FAST_FLEET_SCENARIOS + SLOW_FLEET_SCENARIOS:
             assert name in names
             assert golden_path(name).exists()
+
+    def test_every_fleet_scenario_is_listed(self):
+        """The lists above are every registered fleet scenario, the SF-50 ones
+        slow, so a fleet scenario cannot escape the checks below."""
+        fleet = {name: get_scenario(name) for name in scenario_names()}
+        fleet = {name: spec for name, spec in fleet.items() if spec.fleet is not None}
+        assert sorted(FAST_FLEET_SCENARIOS + SLOW_FLEET_SCENARIOS) == sorted(fleet)
+        assert sorted(SLOW_FLEET_SCENARIOS) == sorted(
+            name for name, spec in fleet.items() if spec.scale == "sf50"
+        )
 
     @pytest.mark.parametrize("name", FLEET_PARAMS)
     def test_fleet_scenarios_match_goldens(self, name):
@@ -98,9 +110,9 @@ class TestInvariants:
 
 class TestReports:
     def test_fleet_section_present_only_for_fleet_scenarios(self):
-        fleet_report = report_for("fleet-uniform")
+        fleet_report = report_for("fleet-hot-shard")
         assert fleet_report.fleet is not None
-        assert fleet_report.fleet["devices"] == 4
+        assert fleet_report.fleet["devices"] == 3
         assert fleet_report.rebalance is not None
         assert fleet_report.rebalance["epoch"] == 0
         single_report = report_for("uniform")

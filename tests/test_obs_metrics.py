@@ -14,7 +14,7 @@ from repro.csd.device import ColdStorageDevice, DeviceStats
 from repro.exceptions import ConfigurationError
 from repro.fleet.router import FleetRouterStats
 from repro.obs import MetricsRegistry
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.report import canonical
 from repro.service import StorageService
 
@@ -129,7 +129,7 @@ class TestComponentStatsCompatibility:
         assert stats.objects_per_client == {"tenant0": 1}
 
     def test_router_stats_registers_metrics(self):
-        service = StorageService(get_scenario("fleet-uniform"))
+        service = StorageService(get_scenario("fleet-hot-shard"))
         stats = service.fleet.stats
         stats.requests_routed += 4
         stats.failed_over += 1
@@ -206,9 +206,17 @@ def _catalogued_attributes(service):
     return expected
 
 
-@pytest.mark.parametrize(
-    "scenario", ["admission-burst", "fleet-device-loss", "fleet-elastic-join"]
-)
+def _scenario_params(fleet_only=False):
+    """Registered scenarios (fleet ones only if asked), SF-50-scale ones slow."""
+    specs = [get_scenario(name) for name in scenario_names()]
+    return [
+        pytest.param(spec.name, marks=pytest.mark.slow) if spec.scale == "sf50" else spec.name
+        for spec in specs
+        if spec.fleet is not None or not fleet_only
+    ]
+
+
+@pytest.mark.parametrize("scenario", _scenario_params())
 def test_snapshot_equals_the_attributes_it_catalogues(scenario):
     service = StorageService(get_scenario(scenario))
     result = service.run()
@@ -239,7 +247,7 @@ def test_snapshot_equals_the_attributes_it_catalogues(scenario):
     )
 
 
-@pytest.mark.parametrize("scenario", ["fleet-device-loss", "fleet-throttled-rebalance"])
+@pytest.mark.parametrize("scenario", _scenario_params(fleet_only=True))
 def test_fleet_device_stats_is_the_field_wise_sum_over_devices(scenario):
     service = StorageService(get_scenario(scenario))
     service.run()

@@ -28,7 +28,7 @@ from repro.scenarios.report import SCHEMA_VERSION
 
 class TestRunOne:
     def test_outcomes_match_committed_goldens(self):
-        for name in ("uniform", "fleet-uniform"):
+        for name in ("uniform", "fleet-hot-shard"):
             outcome = run_one(name)
             assert outcome.ok and outcome.name == name
             assert_dict_matches_golden(name, json.loads(outcome.report_json))

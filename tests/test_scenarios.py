@@ -43,7 +43,7 @@ from repro.scenarios import (
     scenario_names,
     uniform_tenants,
 )
-from repro.scenarios.golden import diff_values
+from repro.scenarios.golden import diff_values, orphan_goldens
 from repro.scenarios.invariants import (
     check_cache_bounds,
     check_conservation,
@@ -95,19 +95,36 @@ class TestRegistry:
         assert len(scenario_names()) >= 10
 
     def test_required_scenario_families_present(self):
-        names = set(scenario_names())
-        assert {
-            "uniform",
-            "bursty",
-            "hot-tenant-skew",
-            "straggler-device",
-            "cache-starved",
-            "mixed-fleet",
-            "large-fanout",
-            "single-tenant-saturation",
-            "fairness-adversarial",
-            "dataset-scaleout",
-        } <= names
+        """Each family is a shape, not a name: which scenario shows it is the
+        witness table's business (tests/test_scenario_witnesses.py)."""
+        specs = [get_scenario(name) for name in scenario_names()]
+        default = ScenarioSpec(name="default", **RESOLUTION_BASE)
+        families = {
+            "simultaneous single-device": lambda spec: spec.fleet is None
+            and spec.arrival.kind == "simultaneous",
+            "bursty arrivals": lambda spec: spec.arrival.kind == "bursty",
+            "staggered arrivals": lambda spec: spec.arrival.kind == "uniform",
+            "poisson arrivals": lambda spec: spec.arrival.kind == "poisson",
+            "skewed layout": lambda spec: spec.layout == "skewed",
+            "round-robin layout": lambda spec: spec.layout == "round-robin",
+            "degraded device": lambda spec: (spec.switch_seconds, spec.transfer_seconds)
+            != (default.switch_seconds, default.transfer_seconds),
+            "starved cache": lambda spec: any(
+                tenant.cache_capacity == 6 and tenant.queries == ("tpch:q5",)
+                for tenant in spec.tenants
+            ),
+            "skipper beside vanilla": lambda spec: {tenant.mode for tenant in spec.tenants}
+            == {"skipper", "vanilla"},
+            "one tenant, many queries": lambda spec: len(spec.tenants) == 1
+            and len(spec.tenants[0].queries) > 1,
+            "beyond tiny": lambda spec: spec.scale != "tiny",
+            "fleet": lambda spec: spec.fleet is not None,
+            "admission control": lambda spec: spec.admission is not None,
+        }
+        missing = [
+            family for family, shows in families.items() if not any(map(shows, specs))
+        ]
+        assert missing == []
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ScenarioError):
@@ -214,6 +231,17 @@ class TestGoldenDiff:
         report = RUNNER.run(spec)
         with pytest.raises(GoldenMismatchError, match="regen-golden"):
             assert_dict_matches_golden(report.scenario, report.to_dict())
+
+    def test_every_golden_names_a_registered_scenario(self):
+        """A scenario deleted from the registry takes its golden with it."""
+        assert orphan_goldens(scenario_names()) == []
+
+    def test_malformed_golden_raises_a_typed_error_naming_the_file(self, tmp_path):
+        broken = tmp_path / "uniform.json"
+        broken.write_text('{"cluster": ')
+        with pytest.raises(GoldenMismatchError, match="not valid JSON") as excinfo:
+            load_golden("uniform", tmp_path)
+        assert str(broken) in str(excinfo.value)
 
     def test_structural_divergence_reported(self):
         golden = load_golden("uniform")
@@ -630,7 +658,7 @@ class TestCommandLine:
 
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "29 registered scenarios" in out
+        assert f"{len(scenario_names())} registered scenarios" in out
         rows = [line.split("|")[0].strip() for line in out.splitlines() if "|" in line]
         assert rows[1:] == scenario_names()
 
@@ -644,7 +672,7 @@ class TestCommandLine:
         """The whole-registry modes, driven in-process over two small scenarios."""
         from repro.scenarios import __main__ as cli
 
-        names = ["fleet-uniform", "uniform"]
+        names = ["fleet-hot-shard", "uniform"]
         monkeypatch.setattr(cli, "scenario_names", lambda: names)
         golden_dir = str(tmp_path)
 
@@ -665,10 +693,39 @@ class TestCommandLine:
         tampered.write_text(json.dumps(document))
         assert cli.main(["--check", "--golden-dir", golden_dir]) == 1
         captured = capsys.readouterr()
-        assert "FAIL uniform" in captured.err and "FAIL fleet-uniform" not in captured.err
+        assert "FAIL uniform" in captured.err and "FAIL fleet-hot-shard" not in captured.err
         assert "cluster.objects_served" in captured.err
 
         assert cli.main(["--run-all"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[1] for line in lines] == names
         assert all(line.startswith("ok") and re.search(r"sha256=[0-9a-f]{64}$", line) for line in lines)
+
+    def test_check_fails_on_orphan_and_malformed_goldens_and_goes_on(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.scenarios import __main__ as cli
+
+        names = ["fleet-hot-shard", "uniform"]
+        monkeypatch.setattr(cli, "scenario_names", lambda: names)
+        for name in names:
+            (tmp_path / f"{name}.json").write_text(golden_path(name).read_text())
+        orphan = tmp_path / "zz-orphan.json"
+        orphan.write_text(golden_path("uniform").read_text())
+        assert cli.main(["--check", "--golden-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        ok = [line.split()[1] for line in captured.out.splitlines() if line.startswith("ok")]
+        assert ok == names
+        assert f"FAIL zz-orphan\ngolden file {orphan} names no registered scenario" in captured.err
+
+        orphan.unlink()
+        broken = tmp_path / "fleet-hot-shard.json"
+        broken.write_text('{"broken')
+        assert cli.main(["--check", "--golden-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"FAIL fleet-hot-shard\ngolden file {broken}" in captured.err
+        assert "not valid JSON" in captured.err and "Traceback" not in captured.err
+        # The malformed golden is the first scenario's; the next one is still checked.
+        ok = [line.split()[1] for line in captured.out.splitlines() if line.startswith("ok")]
+        assert ok == ["uniform"]
+        assert "checked 2 scenarios" in captured.out

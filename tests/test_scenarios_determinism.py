@@ -24,19 +24,19 @@ from repro.scenarios import (
 RUNNER = ScenarioRunner()
 
 #: Scenarios whose arrival patterns consume randomness (seed-sensitive).
-RANDOMISED = ["bursty", "multi-workload-mix"]
+RANDOMISED = ["admission-burst", "multi-workload-mix"]
 
 
 class TestSameSeedIsByteIdentical:
-    @pytest.mark.parametrize("name", ["uniform", "bursty", "multi-workload-mix"])
+    @pytest.mark.parametrize("name", ["uniform", "admission-burst", "multi-workload-mix"])
     def test_two_runs_serialize_identically(self, name):
         first = RUNNER.run(get_scenario(name)).to_json()
         second = RUNNER.run(get_scenario(name)).to_json()
         assert first == second
 
     def test_fresh_runner_instances_agree(self):
-        first = ScenarioRunner().run(get_scenario("hot-tenant-skew")).to_json()
-        second = ScenarioRunner().run(get_scenario("hot-tenant-skew")).to_json()
+        first = ScenarioRunner().run(get_scenario("fairness-adversarial")).to_json()
+        second = ScenarioRunner().run(get_scenario("fairness-adversarial")).to_json()
         assert first == second
 
 
@@ -71,7 +71,7 @@ class TestDifferentSeedsDiverge:
         assert lineorder_rows(ssb_only) == lineorder_rows(with_mrbench_first)
 
     def test_seed_is_recorded_in_the_report(self):
-        spec = get_scenario("bursty")
+        spec = get_scenario("admission-burst")
         report = RUNNER.run(spec)
         assert report.seed == spec.seed
         assert report.spec["seed"] == spec.seed

@@ -344,14 +344,14 @@ class TestDrainPending:
         assert result.total_get_requests() > 0
 
     def test_drain_pending_on_idle_fleet(self):
-        service = StorageService(get_scenario("fleet-uniform"))
+        service = StorageService(get_scenario("fleet-hot-shard"))
         assert service.drain_pending() == []
 
     def test_fleet_drain_takes_the_requests_off_outstanding(self):
         """Regression: the admin drain emptied every device queue but left
         the router's ``outstanding`` counters untouched, so the load-aware
         policies read phantom queues for the rest of the run."""
-        service = StorageService(get_scenario("fleet-uniform"))
+        service = StorageService(get_scenario("fleet-load-aware-baseline"))
         fleet = service.fleet
         service.submit_workload()
         service.env.run(service.env.timeout(50.0))

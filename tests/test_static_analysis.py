@@ -241,6 +241,11 @@ ALLOWED = {
         "asks another interpreter for its version and runs the golden check "
         "and a quick ledger run in it, outside any simulation",
     ),
+    ("tests/test_scenario_witnesses.py", "blocking-call-in-simulation"): (
+        1,
+        "runs each scenario in a fresh interpreter under sys.monitoring, "
+        "outside any simulation",
+    ),
 }
 
 
