@@ -142,22 +142,12 @@ class ObjectCache:
         """Cached entries (deterministic order by segment id)."""
         return [self._contents[key] for key in sorted(self._contents)]
 
-    def get(self, segment_id: str) -> CachedObject:
-        """Return (and touch) the cached entry for ``segment_id``."""
-        try:
-            entry = self._contents[segment_id]
-        except KeyError:
-            raise CacheError(f"object {segment_id!r} is not cached") from None
-        entry.last_used = self._clock
-        self._clock += 1
-        self.num_hits += 1
-        return entry
-
     def get_batch(self, batch: Batch) -> Dict[str, Any]:
         """Payloads, by segment id, of every object in a pending combination.
 
-        Accounts for the whole batch at once exactly what one :meth:`get`
-        per segment of each pending combination, in order, would: as many
+        Accounts for the whole batch at once exactly what one access per
+        segment of each pending combination, in order, would (the tests'
+        ``reference_get``): as many
         hits and clock ticks as there are segment occurrences, and each
         entry's ``last_used`` is the tick of its last occurrence.  A
         non-cached segment in any of them raises before anything is changed.
@@ -170,7 +160,7 @@ class ObjectCache:
             # Back from the end, one pending combination per run of ``stride``
             # that has any, until every segment was met or none is left: its
             # rank among the pending times the ticks each takes, from the
-            # position's first tick, is the tick a ``get`` would have left.
+            # position's first tick, is the tick one access each would have left.
             stride //= len(segments) or 1
             unseen = len(segments)
             end = len(flags)

@@ -63,6 +63,7 @@ class ClientProxy:
         on_complete = self._on_complete
         requests = []
         for segment_id in segment_ids:
+            # ``make_object_key`` inline (its check is the one above, once).
             object_key = f"{client_id}/{segment_id}"
             completion = Event(env, object_key)
             completion.callbacks.append(on_complete)

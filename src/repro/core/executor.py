@@ -21,7 +21,6 @@ from repro.core.execution import (
     MODE_SKIPPER, QueryResult, QueryRun, RunCursor, SharedRun, SharedRuns,
 )
 from repro.core.mjoin import MJoinStateManager
-from repro.csd.backend import StorageBackend
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
 from repro.engine.planner import QueryPlan
@@ -101,26 +100,24 @@ class SkipperExecutor:
         env: Environment,
         client_id: str,
         catalog: Catalog,
-        device: StorageBackend,
+        proxy: ClientProxy,
+        cost_model: CostModel,
+        shared_runs: SharedRuns,
         cache_capacity: int,
         eviction_policy: Optional[EvictionPolicy] = None,
-        cost_model: Optional[CostModel] = None,
         enable_pruning: bool = True,
-        proxy: Optional[ClientProxy] = None,
-        shared_runs: Optional[SharedRuns] = None,
     ) -> None:
         self.env = env
         self.client_id = client_id
         self.catalog = catalog
-        self.device = device
+        self.proxy = proxy
+        self.cost_model = cost_model
+        #: The runs so far, shared by every executor of a service.
+        self.shared_runs = shared_runs
         self.cache_capacity = cache_capacity
         #: As supplied: ``None`` stands for a fresh :class:`MaxProgressEviction`.
         self.eviction_policy = eviction_policy
-        self.cost_model = cost_model or CostModel()
         self.enable_pruning = enable_pruning
-        self.proxy = proxy or ClientProxy(env, device, client_id)
-        #: The runs so far, shared by every executor of a service.
-        self.shared_runs: SharedRuns = {} if shared_runs is None else shared_runs
         #: Installed by the session when the service traces (``None`` otherwise).
         self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None
@@ -129,8 +126,8 @@ class SkipperExecutor:
         """Simulation-process generator executing ``query`` to completion.
 
         Use as ``result = yield from executor.execute(query)`` inside another
-        process, or wrap with ``env.process(executor.execute(query))`` and
-        read the process value after ``env.run()``.  The generator is the
+        process, or wrap it as ``process = env.process(executor.execute(query))``
+        and take ``env.run(process)``.  The generator is the
         run's own request-cycle loop (:meth:`QueryRun.consume`) with this
         executor's cycle end and result plugged in: a delivery resumes no
         generator of the executor's.

@@ -66,7 +66,7 @@ class MJoinStateManager:
                 f"cache capacity {cache.capacity} is smaller than the number of joined "
                 f"relations ({len(query.tables)}); no subplan could ever run"
             )
-        self.tracker = SubplanTracker(query, catalog, table_order=self.plan.join_order)
+        self.tracker = SubplanTracker(query, catalog, self.plan.join_order)
         # The lookups every arrival makes, bound once: the tracker's pending
         # count of a segment (``None`` for a segment of no table of the
         # query), the live cached ids and the query's filter of a table.

@@ -123,10 +123,10 @@ class SubplanTracker:
     with, so every per-object operation on it is O(1).
     """
 
-    def __init__(self, query: Query, catalog: Catalog, table_order: Optional[Sequence[str]] = None) -> None:
+    def __init__(self, query: Query, catalog: Catalog, table_order: Sequence[str]) -> None:
         self.query = query
         self.catalog = catalog
-        self.table_order: Tuple[str, ...] = tuple(table_order or query.tables)
+        self.table_order: Tuple[str, ...] = tuple(table_order)
         if set(self.table_order) != set(query.tables):
             raise QueryError("table_order must be a permutation of the query's tables")
 

@@ -51,17 +51,23 @@ class DeviceConfig(Spec):
     transfer_seconds_per_object: Seconds = 9.6
 
 
+#: Migration tokens a throttled device can bank: one, so every migration
+#: job after the first waits for its token.
+MIGRATION_BURST = 1
+
+
 class MigrationTokenBucket:
     """Token bucket pacing one device's migration I/O (objects per second).
 
-    Tokens accrue continuously on the simulated clock up to ``burst``; each
-    migration read/write consumes one.  All arithmetic is plain float math on
-    simulated timestamps, so throttled runs stay exactly deterministic.  The
-    rate and burst are a :class:`~repro.fleet.spec.MigrationThrottle`'s,
-    whose declared fields already hold them to positive values.
+    Tokens accrue continuously on the simulated clock up to
+    :data:`MIGRATION_BURST`; each migration read/write consumes one.  All
+    arithmetic is plain float math on simulated timestamps, so throttled runs
+    stay exactly deterministic.  The rate is a
+    :class:`~repro.fleet.spec.MigrationThrottle`'s, whose declared field
+    already holds it positive.
     """
 
-    __slots__ = ("rate", "burst", "tokens", "last_refill")
+    __slots__ = ("rate", "tokens", "last_refill")
 
     #: Slack absorbing float drift: after sleeping exactly
     #: ``seconds_until_token()``, the refill may land at 1 - 1e-16 tokens
@@ -69,17 +75,16 @@ class MigrationTokenBucket:
     #: femtosecond intervals forever.
     EPSILON = 1e-9
 
-    def __init__(self, objects_per_second: float, burst: int = 1) -> None:
+    def __init__(self, objects_per_second: float) -> None:
         self.rate = objects_per_second
-        self.burst = float(burst)
-        self.tokens = float(burst)
+        self.tokens = float(MIGRATION_BURST)
         self.last_refill = 0.0
 
     def try_consume(self, now: float) -> bool:
         """Take one token if available; ``False`` means the I/O must wait."""
         # Refill first, inline: the device asks once per migration job.
         if now > self.last_refill:
-            self.tokens = min(self.burst, self.tokens + (now - self.last_refill) * self.rate)
+            self.tokens = min(MIGRATION_BURST, self.tokens + (now - self.last_refill) * self.rate)
             self.last_refill = now
         if self.tokens >= 1.0 - self.EPSILON:
             self.tokens = max(0.0, self.tokens - 1.0)
@@ -89,7 +94,7 @@ class MigrationTokenBucket:
     def seconds_until_token(self, now: float) -> float:
         """Simulated time until the next token accrues (0 when one is ready)."""
         if now > self.last_refill:
-            self.tokens = min(self.burst, self.tokens + (now - self.last_refill) * self.rate)
+            self.tokens = min(MIGRATION_BURST, self.tokens + (now - self.last_refill) * self.rate)
             self.last_refill = now
         if self.tokens >= 1.0 - self.EPSILON:
             return 0.0
@@ -168,17 +173,17 @@ class ColdStorageDevice:
         object_store: ObjectStore,
         layout: DiskGroupLayout,
         scheduler: IOScheduler,
-        config: Optional[DeviceConfig] = None,
+        config: DeviceConfig,
+        metrics: MetricsRegistry,
         migration_throttle: Optional[MigrationTokenBucket] = None,
         name: str = "csd0",
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
         self.object_store = object_store
         self.layout = layout
         self.scheduler = scheduler
-        self.config = config or DeviceConfig()
+        self.config = config
         #: Identity used for metric names and trace tracks.
         self.name = name
         #: Tracer for inbox-entry events; ``None`` when tracing is off.
@@ -194,11 +199,8 @@ class ColdStorageDevice:
         #: (which is also start order: one at a time).
         self.busy_intervals: List[BusyInterval] = []
         self.stats = DeviceStats()
-        if metrics is not None:
-            metrics.publish(f"device.{name}", self.stats, DeviceStats.COUNTERS)
-            metrics.publish(
-                f"device.{name}.scheduler", scheduler, ("num_switches", "max_waiting_seen")
-            )
+        metrics.publish(f"device.{name}", self.stats, DeviceStats.COUNTERS)
+        metrics.publish(f"device.{name}.scheduler", scheduler, ("num_switches", "max_waiting_seen"))
         self.process = env.process(self._run(), name="cold-storage-device")
 
     # ------------------------------------------------------------------ #
@@ -420,6 +422,7 @@ class ColdStorageDevice:
             )
         key = job.object_key
         group = self.layout.group_if_placed(key)
+        # ``split_object_key(key)[0]`` inline: the store holds no other keys.
         tenant = key.partition("/")[0]
         self.busy_intervals.append(
             _tuple_new(
@@ -433,8 +436,7 @@ class ColdStorageDevice:
         stats.migration_seconds += seconds
         if interfered:
             stats.migration_interference_seconds += seconds
-        if job.notify is not None:
-            job.notify(job, start, end, interfered)
+        job.notify(job, start, end, interfered)
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
         client_id = request.client_id

@@ -64,6 +64,8 @@ class DiskGroupLayout:
             self.max_group_id = max(self.max_group_id, max(group_ids))
         lowest = self._lowest_by_tenant
         if lowest is not None:
+            # The tenant as ``split_object_key`` splits it, inline: this runs
+            # per moved key, which the epoch frame budget gates.
             for object_key, group_id in zip(object_keys, group_ids):
                 tenant, separator, _rest = object_key.partition("/")
                 if separator and group_id < lowest.get(tenant, group_id + 1):

@@ -44,20 +44,20 @@ class MigrationJob(NamedTuple):
     #: The busy-log label, ``"{reason}:{direction}:epoch{epoch}"``.
     label: str
     #: Called by the device as ``notify(job, start, end, interfered)``.
-    notify: Optional[MigrationNotify]
+    notify: MigrationNotify
 
 
 MigrationNotify = Callable[[MigrationJob, float, float, bool], None]
 #: The fields a batch of :class:`MigrationJob` shares: seconds, label, notify.
-MigrationFields = Tuple[float, str, Optional[MigrationNotify]]
+MigrationFields = Tuple[float, str, MigrationNotify]
 
 
 def migration_fields(
     direction: str,
     seconds: float,
     epoch: int,
-    reason: str = "rebalance",
-    notify: Optional[MigrationNotify] = None,
+    reason: str,
+    notify: MigrationNotify,
 ) -> MigrationFields:
     """Validate one batch of jobs and return what its jobs share.
 
@@ -124,15 +124,15 @@ class GetRequest:
 
     @property
     def table_name(self) -> str:
-        """Table encoded in the object key (``tenant/table.index`` or ``table.index``)."""
-        _tenant, _, local = self.object_key.rpartition("/")
+        """Table encoded in the object key (``tenant/table.index``)."""
+        _tenant, _, local = self.object_key.partition("/")
         table, _, _index = local.rpartition(".")
         return table
 
     @property
     def segment_index(self) -> int:
         """Segment index encoded in the object key."""
-        _tenant, _, local = self.object_key.rpartition("/")
+        _tenant, _, local = self.object_key.partition("/")
         _table, _, index = local.rpartition(".")
         return int(index)
 

@@ -21,8 +21,8 @@ Implemented policies:
 
 A pull-based client has one GET outstanding, so for it a decision and a
 switch happen per object: both are one pass over the per-group query index
-(no sorted list, key tuple or set copy), with :meth:`RankBasedScheduler.rank`
-the readable definition ``tests/scheduler_oracle.py`` holds the pass to.
+(no sorted list, key tuple or set copy), held to the readable definition in
+``tests/scheduler_oracle.py``.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ class _ArrivalIndexedScheduler(IOScheduler):
     ties to break).
     """
 
-    def __init__(self, ordering: Optional[IntraGroupOrdering] = None) -> None:
-        super().__init__(ordering=ordering or ArrivalOrdering())
+    def __init__(self) -> None:
+        super().__init__(ordering=ArrivalOrdering())
         self._arrival_heap = []
 
     def _oldest_group(self) -> int:
@@ -386,19 +386,10 @@ class RankBasedScheduler(IOScheduler):
             raise SchedulingError("fairness constant K must be finite and non-negative")
         self.fairness_constant = fairness_constant
 
-    def rank(self, group_id: int) -> float:
-        """Current rank of ``group_id``."""
-        counts = self._group_queries.get(group_id)
-        if not counts:
-            return 0.0
-        waiting = self._waiting
-        waiting_sum = sum(waiting.get(query_id, 0) for query_id in counts)
-        return len(counts) + self.fairness_constant * waiting_sum
-
     def choose_next_group(self, current_group: Optional[int]) -> int:
         """The pending group maximising ``(rank, N_g, -group)``, in one pass:
-        :meth:`rank`'s arithmetic inline (integer waiting sum, one product,
-        one sum), so the floats compared are the floats ``rank`` returns."""
+        a rank is an integer waiting sum, one product and one sum, the
+        arithmetic of ``tests/scheduler_oracle.py``'s ``rank``."""
         waiting = self._waiting
         fairness = self.fairness_constant
         best_group: Optional[int] = None

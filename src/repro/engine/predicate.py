@@ -1,12 +1,13 @@
 """Expression and predicate trees evaluated over row dictionaries.
 
-A predicate has two evaluators.  :meth:`Predicate.select` filters a list of
-rows in bulk — one comprehension per node, operands read a column at a time
-through :meth:`Expression.values` — and is what every segment filter uses.
-:meth:`Predicate.evaluate` decides one row; it is the definition ``select``
-is tested against.  ``select`` accepts the rows ``evaluate`` accepts and
-raises wherever ``evaluate`` would raise on one of them: a sub-predicate
-only sees the rows the per-row short-circuit would have reached.
+A predicate has one evaluator, :meth:`Predicate.select`: it filters a list
+of rows in bulk — one comprehension per node, operands read a column at a
+time through :meth:`Expression.values` — and is what every segment filter
+uses.  The per-row definition it is tested against is
+``tests/predicate_oracle.py``'s ``evaluate``: ``select`` accepts the rows
+that accepts and raises wherever it would raise on one of them, so a
+sub-predicate only sees the rows the per-row short-circuit would have
+reached.
 """
 
 from __future__ import annotations
@@ -118,15 +119,12 @@ class Arithmetic(Expression):
 class Predicate(Expression):
     """Base class for boolean expressions."""
 
-    def evaluate(self, row: Row) -> bool:  # type: ignore[override]
-        raise NotImplementedError
-
     def select(self, rows: List[Row]) -> List[Row]:
         """The rows of ``rows`` this predicate accepts, in order, in a fresh list.
 
-        Accepts exactly the rows :meth:`evaluate` accepts and raises where
-        it raises (missing columns, arithmetic errors); a ``None`` operand
-        compares false.
+        Accepts exactly the rows the per-row reference accepts and raises
+        where it raises (missing columns, arithmetic errors); a ``None``
+        operand compares false.
         """
         raise NotImplementedError
 
@@ -154,13 +152,6 @@ class Comparison(Predicate):
         self.right = right
         self._compare = _COMPARISON_OPS[op]
 
-    def evaluate(self, row: Row) -> bool:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return False
-        return bool(self._compare(left, right))
-
     def select(self, rows: List[Row]) -> List[Row]:
         compare = self._compare
         return [
@@ -184,14 +175,6 @@ class Between(Predicate):
         self.low = low
         self.high = high
         self.inclusive = inclusive
-
-    def evaluate(self, row: Row) -> bool:
-        value = self.expr.evaluate(row)
-        if value is None:
-            return False
-        if self.inclusive:
-            return bool(self.low <= value <= self.high)  # type: ignore[operator]
-        return bool(self.low <= value < self.high)  # type: ignore[operator]
 
     def select(self, rows: List[Row]) -> List[Row]:
         low, high = self.low, self.high
@@ -219,9 +202,6 @@ class InList(Predicate):
         if not self.members:
             raise QueryError("IN list must not be empty")
 
-    def evaluate(self, row: Row) -> bool:
-        return self.expr.evaluate(row) in self.members
-
     def select(self, rows: List[Row]) -> List[Row]:
         members = self.members
         return [row for row, value in zip(rows, self.expr.values(rows)) if value in members]
@@ -237,12 +217,6 @@ class And(Predicate):
         if not predicates:
             raise QueryError("And requires at least one predicate")
         self.predicates: Sequence[Predicate] = tuple(predicates)
-
-    def evaluate(self, row: Row) -> bool:
-        for predicate in self.predicates:
-            if not predicate.evaluate(row):
-                return False
-        return True
 
     def select(self, rows: List[Row]) -> List[Row]:
         # Each child only sees the rows every previous child accepted, as
@@ -267,12 +241,6 @@ class Or(Predicate):
         if not predicates:
             raise QueryError("Or requires at least one predicate")
         self.predicates: Sequence[Predicate] = tuple(predicates)
-
-    def evaluate(self, row: Row) -> bool:
-        for predicate in self.predicates:
-            if predicate.evaluate(row):
-                return True
-        return False
 
     def select(self, rows: List[Row]) -> List[Row]:
         # Each child only sees the rows every previous child rejected (the
@@ -302,28 +270,12 @@ class Not(Predicate):
     def __init__(self, predicate: Predicate) -> None:
         self.predicate = predicate
 
-    def evaluate(self, row: Row) -> bool:
-        return not self.predicate.evaluate(row)
-
     def select(self, rows: List[Row]) -> List[Row]:
         excluded = {id(row) for row in self.predicate.select(rows)}
         return [row for row in rows if id(row) not in excluded]
 
     def columns(self) -> FrozenSet[str]:
         return self.predicate.columns()
-
-
-class TruePredicate(Predicate):
-    """Predicate that accepts every row (useful as a neutral filter)."""
-
-    def evaluate(self, row: Row) -> bool:
-        return True
-
-    def select(self, rows: List[Row]) -> List[Row]:
-        return list(rows)
-
-    def columns(self) -> FrozenSet[str]:
-        return frozenset()
 
 
 # --------------------------------------------------------------------------- #
@@ -352,12 +304,3 @@ def between(column: str, low: object, high: object) -> Between:
 def in_list(column: str, values: Iterable[object]) -> InList:
     """``column IN (values…)``."""
     return InList(ColumnRef(column), values)
-
-
-def conjunction(predicates: List[Predicate]) -> Predicate:
-    """AND a list of predicates together, tolerating empty lists."""
-    if not predicates:
-        return TruePredicate()
-    if len(predicates) == 1:
-        return predicates[0]
-    return And(*predicates)

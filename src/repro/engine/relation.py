@@ -110,7 +110,6 @@ class Relation:
         schema: TableSchema,
         rows: Sequence[Dict[str, object]],
         rows_per_segment: int,
-        validate: bool = False,
     ) -> Relation:
         """Split ``rows`` into segments of at most ``rows_per_segment`` rows.
 
@@ -119,9 +118,6 @@ class Relation:
         """
         if rows_per_segment <= 0:
             raise SchemaError("rows_per_segment must be positive")
-        if validate:
-            for row in rows:
-                schema.validate_row(row)
         segments: List[Segment] = []
         for start in range(0, len(rows), rows_per_segment):
             segments.append(Segment(schema.name, len(segments), rows[start : start + rows_per_segment]))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.engine.types import DataType
 from repro.exceptions import SchemaError
@@ -47,16 +47,6 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         """Whether the schema defines a column called ``name``."""
         return name in self._by_name
-
-    def validate_row(self, row: Mapping[str, object]) -> None:
-        """Check that ``row`` provides a valid value for every column."""
-        for column in self.columns:
-            if column.name not in row:
-                raise SchemaError(f"row for {self.name!r} is missing column {column.name!r}")
-            column.dtype.validate(row[column.name])
-        extra = set(row) - set(self._by_name)
-        if extra:
-            raise SchemaError(f"row for {self.name!r} has unknown columns: {sorted(extra)}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name}:{c.dtype.value}" for c in self.columns)

@@ -43,7 +43,7 @@ from repro.fleet.migration import (
     plan_migration,
 )
 from repro.fleet.placement import (
-    DEFAULT_VIRTUAL_NODES,
+    VIRTUAL_NODES,
     ConsistentHashPlacement,
     stable_hash,
 )
@@ -61,7 +61,7 @@ from repro.fleet.spec import (
 )
 
 __all__ = [
-    "DEFAULT_VIRTUAL_NODES",
+    "VIRTUAL_NODES",
     "KNOWN_REPLICA_POLICIES",
     "MIGRATION_OBJECT_BYTES",
     "ConsistentHashPlacement",

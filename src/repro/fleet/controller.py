@@ -81,7 +81,7 @@ class FleetController:
         #: Raw (un-normalised) capacity weights the weighted ring is built
         #: from: static speed factors under ``weighting="profile"``, observed
         #: 1/EWMA-latency rates once the feedback rebalancer triggers.
-        #: Empty = uniform ring (every device gets ``virtual_nodes`` vnodes).
+        #: Empty = uniform ring (every device gets ``VIRTUAL_NODES`` vnodes).
         self._raw_weights: Dict[str, float] = {}
         if self.spec.weighting == "profile":
             self._raw_weights = {
@@ -459,14 +459,14 @@ class FleetController:
                 # order, matching what a full placement scan would build).
                 subset: Dict[str, List[str]] = {}
                 for key in keys:
+                    # ``split_object_key(key)[0]`` inline: per moved key.
                     subset.setdefault(key.partition("/")[0], []).append(key)
                 member.device = self.router.build_device(member, subset)
             else:
                 extend_layout_with_keys(member.device.layout, keys)
             member.object_keys = member.object_keys + tuple(keys)
 
-        def _account(job: MigrationJob, start: float, end: float, _interfered: bool,
-                     plan: MigrationPlan = plan) -> None:
+        def _account(job: MigrationJob, start: float, end: float, _interfered: bool) -> None:
             plan.migration_seconds += end - start
 
         reads: Dict[str, MigrationFields] = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 #: Nominal object size used to report migration volume in bytes.  Objects in
 #: the paper's setup are ~1 GB Swift blobs; the simulator does not model
@@ -154,12 +154,12 @@ def plan_migration(
     device_id: str,
     old_placement: Mapping[str, Sequence[str]],
     new_placement: Mapping[str, Sequence[str]],
-    alive: Optional[Mapping[str, bool]] = None,
+    alive: Mapping[str, bool],
+    resident: Mapping[str, Container[str]],
+    changed_keys: Sequence[str],
     devices_before: int = 0,
     devices_after: int = 0,
     replication: int = 1,
-    resident: Optional[Mapping[str, Container[str]]] = None,
-    changed_keys: Optional[Sequence[str]] = None,
 ) -> MigrationPlan:
     """Diff two placements into the minimal set of replica copies.
 
@@ -167,8 +167,9 @@ def plan_migration(
     streams the key from a surviving old replica (the first live one; when
     none is live, the departing ``device_id`` itself if it held the key —
     a leaver legitimately performs its decommissioning reads — and only
-    then the primary, whatever its state).  Keys whose replica set is
-    unchanged never appear — the "minimal plan" property the hypothesis
+    then the primary, whatever its state).  ``alive`` maps a device id to
+    its health; a device missing from it is alive.  Keys whose replica set
+    is unchanged never appear — the "minimal plan" property the hypothesis
     suite checks.  ``resident`` maps a device id to the keys the device
     still physically holds (its layout's placed keys): a copy whose
     destination already holds the object from an earlier epoch is skipped
@@ -181,11 +182,10 @@ def plan_migration(
     :class:`KeyTrim` entries: pure placement bookkeeping, no I/O, each
     carrying the size of the key's surviving replica set.
 
-    ``changed_keys``, when provided, must be exactly the keys whose replica
-    set differs between the two placements, in ``old_placement`` iteration
-    order; the diff then skips the (typically vast) unchanged majority.
-    Keys with identical replica sets contribute neither moves nor trims, so
-    the resulting plan is identical to a full scan.
+    ``changed_keys`` must be exactly the keys whose replica set differs
+    between the two placements, in ``old_placement`` iteration order: the
+    diff never visits the (typically vast) unchanged majority, which would
+    contribute neither moves nor trims.
 
     Each distinct ``(old, new)`` replica-tuple pair is resolved once (see
     the module docstring); moves and trims come out in key order, a key's
@@ -196,7 +196,7 @@ def plan_migration(
     append_move = moves.append
     append_trim = trims.append
     shapes: Dict[Tuple[Sequence[str], Sequence[str]], _Shape] = {}
-    for object_key in old_placement if changed_keys is None else changed_keys:
+    for object_key in changed_keys:
         old_replicas = old_placement[object_key]
         new_replicas = new_placement[object_key]
         pair = (old_replicas, new_replicas)
@@ -235,25 +235,25 @@ _Shape = Tuple[Tuple[str, ...], int, Tuple[Tuple[str, Container[str]], ...], str
 def _shape(
     old_replicas: Sequence[str],
     new_replicas: Sequence[str],
-    alive: Optional[Mapping[str, bool]],
+    alive: Mapping[str, bool],
     device_id: str,
-    resident: Optional[Mapping[str, Container[str]]],
+    resident: Mapping[str, Container[str]],
 ) -> _Shape:
     """Resolve one replica-tuple pair for :func:`plan_migration`."""
     dropped = tuple([device for device in old_replicas if device not in new_replicas])
     survivors = len(
-        [device for device in new_replicas if alive is None or alive.get(device, True)]
+        [device for device in new_replicas if alive.get(device, True)]
     )
     candidates = tuple(
         [
-            (device, () if resident is None else resident.get(device, ()))
+            (device, resident.get(device, ()))
             for device in new_replicas
             if device not in old_replicas
         ]
     )
     if not candidates:
         return dropped, survivors, candidates, ""
-    live = [device for device in old_replicas if alive is None or alive.get(device, True)]
+    live = [device for device in old_replicas if alive.get(device, True)]
     if live:
         source = live[0]
     else:

@@ -26,7 +26,7 @@ from repro.exceptions import ConfigurationError, PlacementError
 
 #: Vnodes per device on the consistent-hash ring.  More vnodes smooth the
 #: per-device share of the key space at the cost of a larger ring.
-DEFAULT_VIRTUAL_NODES = 64
+VIRTUAL_NODES = 64
 
 
 def normalize_weights(weights: Mapping[str, float]) -> Dict[str, float]:
@@ -72,7 +72,7 @@ class ConsistentHashPlacement:
     """Consistent hashing with (optionally weighted) virtual nodes and R-way
     replication.
 
-    Each device contributes ``virtual_nodes`` points on a 64-bit ring — or,
+    Each device contributes :data:`VIRTUAL_NODES` points on a 64-bit ring — or,
     once :meth:`set_weights` installs capacity weights, a vnode count
     proportional to its weight — and a key is owned by the first R *distinct*
     devices found walking clockwise from the key's hash.  Adding one device
@@ -82,15 +82,12 @@ class ConsistentHashPlacement:
 
     name = "consistent-hash"
 
-    def __init__(self, replication: int = 1, virtual_nodes: int = DEFAULT_VIRTUAL_NODES) -> None:
+    def __init__(self, replication: int = 1) -> None:
         if replication < 1:
             raise PlacementError(f"replication must be >= 1, got {replication}")
         self.replication = replication
-        if virtual_nodes < 1:
-            raise PlacementError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
-        self.virtual_nodes = virtual_nodes
         #: Mean-normalised capacity weights; empty = uniform (every device
-        #: contributes exactly ``virtual_nodes`` points).
+        #: contributes exactly :data:`VIRTUAL_NODES` points).
         self._weights: Dict[str, float] = {}
         #: (device, vnode count) -> the device's ring point hashes, kept for
         #: the policy's lifetime: a new roster's ring sorts these instead of
@@ -129,14 +126,14 @@ class ConsistentHashPlacement:
         """Per-device ring point counts under the installed weights.
 
         A device of normalised weight *w* contributes
-        ``max(1, round(virtual_nodes * w))`` points, so weight 1.0 yields
-        exactly ``virtual_nodes`` — an all-equal-weights ring is
+        ``max(1, round(VIRTUAL_NODES * w))`` points, so weight 1.0 yields
+        exactly :data:`VIRTUAL_NODES` — an all-equal-weights ring is
         byte-identical to the unweighted one.
         """
         if not self._weights:
-            return (self.virtual_nodes,) * len(device_ids)
+            return (VIRTUAL_NODES,) * len(device_ids)
         return tuple(
-            max(1, round(self.virtual_nodes * self._weights.get(device_id, 1.0)))
+            max(1, round(VIRTUAL_NODES * self._weights.get(device_id, 1.0)))
             for device_id in device_ids
         )
 
@@ -289,7 +286,7 @@ class ConsistentHashPlacement:
         is O(changed ranges + ring size) instead of a full re-placement of
         every key — weighted or not.  ``old_vnode_counts`` /
         ``new_vnode_counts`` identify each epoch's (possibly weighted) ring;
-        ``None`` means the uniform ring (``virtual_nodes`` points per
+        ``None`` means the uniform ring (:data:`VIRTUAL_NODES` points per
         device), *not* the currently installed weights — callers diffing a
         reweight pass both explicitly.  ``key_hashes`` is the hash column
         of ``sorted_key_hashes``; a caller diffing the same population epoch
@@ -307,9 +304,9 @@ class ConsistentHashPlacement:
                 f"{len(new_device_ids)}"
             )
         if old_vnode_counts is None:
-            old_vnode_counts = (self.virtual_nodes,) * len(old_device_ids)
+            old_vnode_counts = (VIRTUAL_NODES,) * len(old_device_ids)
         if new_vnode_counts is None:
-            new_vnode_counts = (self.virtual_nodes,) * len(new_device_ids)
+            new_vnode_counts = (VIRTUAL_NODES,) * len(new_device_ids)
         old_hashes, old_arcs = self._segments(
             old_device_ids, old_replication, old_vnode_counts
         )

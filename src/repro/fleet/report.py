@@ -249,10 +249,18 @@ def fleet_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[str,
     }
     # Per-tenant spread: how evenly each tenant's objects were served
     # across the devices holding at least one replica of its data.  Each
-    # member's tenant set is derived once, not once per tenant.
-    placed_per_device = [
-        {key.partition("/")[0] for key in member.object_keys} for member in router.members
-    ]
+    # member's tenant set is derived once, not once per tenant, from the
+    # router's keys per client: no key is parsed.
+    placed_per_device = []
+    for member in router.members:
+        placed = set(member.object_keys)
+        placed_per_device.append(
+            {
+                client
+                for client, keys in router.client_objects.items()
+                if not placed.isdisjoint(keys)
+            }
+        )
     tenant_spread = {
         tenant: jain_fairness(
             [

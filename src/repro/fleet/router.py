@@ -57,7 +57,7 @@ from repro.csd.scheduler import IOScheduler
 from repro.exceptions import FleetError, StorageError
 from repro.fleet.membership import FleetMember, FleetMembership
 from repro.fleet.placement import ConsistentHashPlacement
-from repro.fleet.spec import MIGRATION_BURST, FleetSpec
+from repro.fleet.spec import FleetSpec
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Environment, Event
 
@@ -113,25 +113,22 @@ class FleetRouter:
         fleet_spec: FleetSpec,
         layout_policy: LayoutPolicy,
         scheduler_factory: SchedulerFactory,
-        device_config: Optional[DeviceConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        device_config: DeviceConfig,
+        metrics: MetricsRegistry,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
         self.object_store = object_store
         self.spec = fleet_spec
-        #: Catalogue the router and its devices publish into (``None`` = none).
+        #: Catalogue the router and its devices publish into.
         self._metrics = metrics
         self.tracer = tracer
         self.stats = FleetRouterStats()
-        if metrics is not None:
-            metrics.publish("router", self.stats, FleetRouterStats.__slots__)
+        metrics.publish("router", self.stats, FleetRouterStats.__slots__)
         self.layout_policy = layout_policy
         self.scheduler_factory = scheduler_factory
         #: Epoch-versioned roster: who is in the fleet, with which config.
-        self.membership = FleetMembership(
-            fleet_spec, device_config or DeviceConfig()
-        )
+        self.membership = FleetMembership(fleet_spec, device_config)
         #: The membership's roster itself (one list, one member per device).
         self.members: List[FleetMember] = self.membership.members
         #: Routed, not yet completed requests by their completion event —
@@ -210,7 +207,7 @@ class FleetRouter:
         throttle = self.spec.throttle
         if throttle is None:
             return None
-        return MigrationTokenBucket(throttle.objects_per_second, MIGRATION_BURST)
+        return MigrationTokenBucket(throttle.objects_per_second)
 
     def build_device(
         self, member: FleetMember, subset: Mapping[str, Sequence[str]]
@@ -385,18 +382,14 @@ class FleetRouter:
     # ------------------------------------------------------------------ #
     # Draining (failover, hand-off, the service's admin hatch)
     # ------------------------------------------------------------------ #
-    def drain_pending(self, member: Optional[FleetMember] = None) -> List[GetRequest]:
+    def drain_pending(self, member: FleetMember) -> List[GetRequest]:
         """Pull every queued, not-yet-served GET back out of ``member``'s
-        device — of every device when ``member`` is ``None`` — and take it
-        off ``outstanding``, so the load-aware policies never read a queue
-        that is no longer there.  The transfer in flight (if any) completes
-        normally.  The requests stay routed (callback registered, owner
-        set): hand them back to :meth:`submit_many` to serve them.
+        device and take it off ``outstanding``, so the load-aware policies
+        never read a queue that is no longer there.  The transfer in flight
+        (if any) completes normally.  The requests stay routed (callback
+        registered, owner set): hand them back to :meth:`submit_many` to
+        serve them.
         """
-        if member is None:
-            return [
-                request for each in self.members for request in self.drain_pending(each)
-            ]
         if member.device is None:
             return []
         drained = member.device.drain_pending()

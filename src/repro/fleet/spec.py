@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Annotated, Any, Iterable, List, Literal, Optional, Tuple, Union, get_args
 
+from repro.csd.device import MIGRATION_BURST
 from repro.exceptions import ScenarioError
-from repro.fleet.placement import DEFAULT_VIRTUAL_NODES, ConsistentHashPlacement
+from repro.fleet.placement import VIRTUAL_NODES, ConsistentHashPlacement
 from repro.spec_fields import NonNegativeInt, PositiveInt, PositiveSeconds, Seconds, Spec, Time
 
 #: Replica-choice policy names resolvable by the router.  ``least-loaded``
@@ -50,9 +51,6 @@ KNOWN_WEIGHTINGS = get_args(Weighting)
 #: Smoothing factor of the per-device latency EWMA feeding the
 #: ``ewma-latency`` policy and the rebalancer.
 EWMA_ALPHA = 0.3
-#: Migration tokens a throttled device can bank: one, so every migration
-#: job after the first waits for its token.
-MIGRATION_BURST = 1
 #: Busy-time imbalance coefficient past which the rebalancer reweights.
 IMBALANCE_THRESHOLD = 0.2
 #: Minimum max-abs change in any normalised weight for a rebalancer tick to
@@ -211,7 +209,7 @@ class FleetSpec(Spec, error=ScenarioError):
     #: The one placement there is, its ring size and the EWMA smoothing.
     REPORTED = {
         "placement": ConsistentHashPlacement.name,
-        "virtual_nodes": DEFAULT_VIRTUAL_NODES,
+        "virtual_nodes": VIRTUAL_NODES,
         "ewma_alpha": EWMA_ALPHA,
     }
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import typing
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
@@ -70,17 +71,39 @@ def run_experiment(name: str, **overrides: Any):
             f"unknown experiment {name!r}; available: {', '.join(list_experiments())}"
         ) from None
     parameters = inspect.signature(function).parameters
+    hints = typing.get_type_hints(function)
     for key, value in overrides.items():
         if key not in parameters:
             raise ConfigurationError(
                 f"experiment {name!r} has no option {key!r}; it accepts: "
                 f"{', '.join(parameters) or '(none)'}"
             )
-        # `-o client_counts=3` parses to a scalar; a sequence option takes it
-        # as a sequence of one.
-        if isinstance(parameters[key].default, tuple) and not isinstance(value, (tuple, list)):
-            overrides[key] = (value,)
+        kind = hints[key]
+        items = [value]
+        if typing.get_origin(kind) is not None:
+            # A sequence option: `-o client_counts=3` parses to a scalar and
+            # is taken as a sequence of one.
+            (kind,) = typing.get_args(kind)
+            if not isinstance(value, (tuple, list)):
+                value = overrides[key] = (value,)
+            items = list(value)
+        for item in items:
+            if not _is_a(item, kind):
+                raise ConfigurationError(
+                    f"experiment {name!r} option {key!r} takes {kind.__name__} values, "
+                    f"got {item!r}"
+                )
     return function(**overrides)
+
+
+def _is_a(value: Any, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` option value: an int is a float, and
+    a bool is none (no option is a flag)."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def render_result(name: str, result: Any) -> str:

@@ -42,8 +42,8 @@ class Span:
         kind: str,
         track: str,
         start: float,
-        parent_id: Optional[int] = None,
-        attrs: Optional[Dict[str, Any]] = None,
+        parent_id: Optional[int],
+        attrs: Dict[str, Any],
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -53,7 +53,7 @@ class Span:
         self.start = start
         #: ``None`` until the span is ended (exported as ``start`` if never).
         self.end: Optional[float] = None
-        self.attrs: Dict[str, Any] = attrs or {}
+        self.attrs = attrs
         #: ``(at, name, attrs)`` in recording order.
         self.events: List[Tuple[float, str, Dict[str, Any]]] = []
 
@@ -126,7 +126,7 @@ class Tracer:
         track: str,
         start: float,
         end: float,
-        parent: Optional[Span] = None,
+        parent: Span,
         **attrs: Any,
     ) -> Span:
         """Create an already-completed span (both timestamps known)."""

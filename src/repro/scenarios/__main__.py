@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.fleet.spec import DeviceJoin, SetReplication
 from repro.harness.tables import format_table
 from repro.scenarios.golden import assert_dict_matches_golden, orphan_goldens, write_golden
@@ -186,7 +186,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if arguments.run is not None:
         if arguments.trace is not None:
             report, trace_json = runner.run_traced(get_scenario(arguments.run))
-            arguments.trace.write_text(trace_json)
+            try:
+                arguments.trace.write_text(trace_json)
+            except OSError as error:
+                raise ConfigurationError(
+                    f"cannot write trace file {arguments.trace}: {error}"
+                ) from error
             print(f"wrote {arguments.trace}", file=sys.stderr)
         else:
             report = runner.run(get_scenario(arguments.run))

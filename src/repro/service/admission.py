@@ -92,11 +92,11 @@ class AdmissionController:
         self,
         env: Environment,
         config: AdmissionConfig,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry,
     ) -> None:
         self.env = env
         self.config = config
-        #: Catalogue the counters are published into (``None`` = none).
+        #: Catalogue the counters are published into.
         self.metrics = metrics
         #: Queries currently executing under this controller, and the most
         #: that ever were; the deepest the admission queue ever got.
@@ -110,10 +110,9 @@ class AdmissionController:
         #: The tenants' ``queue_delay`` lists in first-grant order — the
         #: flattening order the report's aggregate percentiles depend on.
         self._delayed: List[List[float]] = []
-        if metrics is not None:
-            metrics.publish(
-                "admission", self, ("in_flight", "peak_in_flight", "waiting", "peak_queue_depth")
-            )
+        metrics.publish(
+            "admission", self, ("in_flight", "peak_in_flight", "waiting", "peak_queue_depth")
+        )
 
     # ------------------------------------------------------------------ #
     # Slot accounting
@@ -122,10 +121,9 @@ class AdmissionController:
         counters = self._counters.get(tenant_id)
         if counters is None:
             counters = self._counters[tenant_id] = _TenantCounters()
-            if self.metrics is not None:
-                self.metrics.publish(
-                    f"admission.tenant.{tenant_id}", counters, _TenantCounters.__slots__
-                )
+            self.metrics.publish(
+                f"admission.tenant.{tenant_id}", counters, _TenantCounters.__slots__
+            )
         return counters
 
     def _has_capacity(self, tenant_id: str) -> bool:

@@ -29,7 +29,6 @@ from repro.cluster.metrics import ExecutionBreakdown, attribute_waiting_batch
 from repro.core.execution import SharedRuns
 from repro.csd.device import ColdStorageDevice
 from repro.csd.object_store import ObjectStore
-from repro.csd.request import GetRequest
 from repro.csd.scheduler import IOScheduler, RankBasedScheduler
 from repro.engine.catalog import Catalog
 from repro.exceptions import ConfigurationError, ServiceError
@@ -164,7 +163,7 @@ class StorageService:
         self.backend = backend
         #: Admission controller, or ``None`` when admission is disabled.
         self.admission: Optional[AdmissionController] = (
-            AdmissionController(self.env, admission, metrics=self.metrics)
+            AdmissionController(self.env, admission, self.metrics)
             if admission is not None
             else None
         )
@@ -326,10 +325,3 @@ class StorageService:
             return self.fleet.device_stats
         return self.device.stats
 
-    def drain_pending(self) -> List[GetRequest]:
-        """Pull every not-yet-served GET out of the backend (admin escape hatch).
-
-        On an idle backend this is a no-op returning ``[]``.  The requests
-        stay live: ``backend.submit_many(drained)`` puts them back in line.
-        """
-        return self.backend.drain_pending()

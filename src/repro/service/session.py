@@ -89,9 +89,8 @@ class Session:
             env=self.env,
             client_id=self.tenant_id,
             catalog=self.service.catalog,
-            device=self.service.backend,
-            cost_model=self.service.cost_model,
             proxy=self.proxy,
+            cost_model=self.service.cost_model,
             shared_runs=self.service.shared_runs,
         )
         if self.spec.mode == MODE_SKIPPER:

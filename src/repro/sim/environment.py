@@ -26,7 +26,7 @@ the first event at it.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.exceptions import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -45,8 +45,7 @@ class Environment:
             return "done"
 
         proc = env.process(worker(env))
-        env.run()
-        assert env.now == 5.0 and proc.value == "done"
+        assert env.run(proc) == "done" and env.now == 5.0
     """
 
     def __init__(self) -> None:
@@ -94,10 +93,10 @@ class Environment:
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
-    def run(self, until: Optional[Event] = None) -> Any:
-        """Run the simulation until no events remain or, given an
-        :class:`Event`, until that event is *dispatched*; then return its
-        value (or raise the exception it failed with).
+    def run(self, until: Event) -> Any:
+        """Run the simulation until ``until`` is *dispatched*; then return its
+        value (or raise the exception it failed with).  Running out of
+        events first is a :class:`SimulationError`.
 
         Waiting for dispatch rather than for ``triggered`` matters: a
         :class:`Timeout` is triggered the moment it is created (its value
@@ -113,7 +112,7 @@ class Environment:
         batch = buckets[self.now]
         index = self._batch_index
         try:
-            while target is None or not target.dispatched:
+            while not target.dispatched:
                 if index < len(batch):
                     event = batch[index]
                     index += 1
@@ -129,8 +128,6 @@ class Environment:
                     # not the events it delivered.
                     batch.clear()
                     index = 0
-                    if target is None:
-                        return None
                     raise SimulationError(
                         f"simulation ran out of events before {target.name!r} fired"
                     )

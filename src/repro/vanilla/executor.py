@@ -19,7 +19,6 @@ from repro.core.client_proxy import ClientProxy
 from repro.core.execution import (
     MODE_VANILLA, QueryResult, QueryRun, RunCursor, SharedRun, SharedRuns,
 )
-from repro.csd.backend import StorageBackend
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
 from repro.engine.operators.base import Operator, OperatorStats, Row
@@ -82,19 +81,17 @@ class VanillaExecutor:
         env: Environment,
         client_id: str,
         catalog: Catalog,
-        device: StorageBackend,
-        cost_model: Optional[CostModel] = None,
-        proxy: Optional[ClientProxy] = None,
-        shared_runs: Optional[SharedRuns] = None,
+        proxy: ClientProxy,
+        cost_model: CostModel,
+        shared_runs: SharedRuns,
     ) -> None:
         self.env = env
         self.client_id = client_id
         self.catalog = catalog
-        self.device = device
-        self.cost_model = cost_model or CostModel()
-        self.proxy = proxy or ClientProxy(env, device, client_id)
+        self.proxy = proxy
+        self.cost_model = cost_model
         #: The runs so far, shared by every executor of a service.
-        self.shared_runs: SharedRuns = {} if shared_runs is None else shared_runs
+        self.shared_runs = shared_runs
         #: Installed by the session when the service traces (``None`` otherwise).
         self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None

@@ -85,7 +85,7 @@ class DataGenerator:
         """Weighted choice from ``values``."""
         return self._random.choices(values, weights=weights, k=1)[0]
 
-    def boolean(self, probability_true: float = 0.5) -> bool:
+    def boolean(self, probability_true: float) -> bool:
         """Bernoulli draw."""
         return self._random.random() < probability_true
 

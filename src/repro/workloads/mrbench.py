@@ -9,7 +9,7 @@ a visit-date range, reporting revenue and page-rank statistics per source IP.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.engine.catalog import Catalog
 from repro.engine.predicate import between, col
@@ -67,15 +67,15 @@ SCALES: Dict[str, ScaleProfile] = {
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 11,
-    catalog: Optional[Catalog] = None,
+    *,
+    catalog: Catalog,
 ) -> Catalog:
-    """Generate the rankings/uservisits dataset, optionally into an existing catalog."""
+    """Generate the rankings/uservisits dataset into ``catalog`` (which is returned)."""
     profile = (
         scale if isinstance(scale, ScaleProfile) else lookup(SCALES, scale, "MR-bench scale")
     )
     generator = DataGenerator(seed)
     schemas = _schemas()
-    catalog = catalog if catalog is not None else Catalog()
 
     rankings_profile = profile.profile("rankings")
     rankings_rows = [

@@ -9,10 +9,10 @@ join.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.engine.catalog import Catalog
-from repro.engine.predicate import Comparison, Literal, col, conjunction, in_list
+from repro.engine.predicate import And, Comparison, Literal, col, in_list
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, TableSchema
@@ -98,15 +98,15 @@ SCALES: Dict[str, ScaleProfile] = {
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 23,
-    catalog: Optional[Catalog] = None,
+    *,
+    catalog: Catalog,
 ) -> Catalog:
-    """Generate the protein reference database, optionally into an existing catalog."""
+    """Generate the protein reference database into ``catalog`` (which is returned)."""
     profile = (
         scale if isinstance(scale, ScaleProfile) else lookup(SCALES, scale, "NREF scale")
     )
     generator = DataGenerator(seed)
     schemas = _schemas()
-    catalog = catalog if catalog is not None else Catalog()
 
     organism_rows = [
         {
@@ -173,11 +173,9 @@ def sequence_count() -> Query:
         ],
         filters={
             "organism": in_list("org_domain", ["Bacteria", "Archaea"]),
-            "annotation": conjunction(
-                [
-                    in_list("ann_keyword", ["kinase", "transferase", "hydrolase"]),
-                    Comparison(">=", col("ann_confidence"), Literal(0.2)),
-                ]
+            "annotation": And(
+                in_list("ann_keyword", ["kinase", "transferase", "hydrolase"]),
+                Comparison(">=", col("ann_confidence"), Literal(0.2)),
             ),
             "sequence": Comparison(">=", col("seq_length"), Literal(100)),
         },

@@ -9,17 +9,17 @@ the workload can coexist with the TPC-H tables inside a single catalog.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.engine.catalog import Catalog
 from repro.engine.predicate import (
+    And,
     Arithmetic,
     Between,
     Comparison,
     Literal,
     between,
     col,
-    conjunction,
     eq,
 )
 from repro.engine.query import AggregateSpec, JoinCondition, Query
@@ -126,15 +126,15 @@ SCALES: Dict[str, ScaleProfile] = {
 def build_catalog(
     scale: Union[str, ScaleProfile] = "small",
     seed: int = 7,
-    catalog: Optional[Catalog] = None,
+    *,
+    catalog: Catalog,
 ) -> Catalog:
-    """Generate the SSB-like dataset, optionally into an existing catalog."""
+    """Generate the SSB-like dataset into ``catalog`` (which is returned)."""
     profile = (
         scale if isinstance(scale, ScaleProfile) else lookup(SCALES, scale, "SSB scale")
     )
     generator = DataGenerator(seed)
     schemas = _schemas()
-    catalog = catalog if catalog is not None else Catalog()
 
     dates_rows = [
         {
@@ -215,11 +215,9 @@ def q1_1() -> Query:
         joins=[JoinCondition("lineorder", "lo_orderdatekey", "dates", "d_datekey")],
         filters={
             "dates": eq("d_year", 1993),
-            "lineorder": conjunction(
-                [
-                    Between(col("lo_discount"), 0.01, 0.06, inclusive=True),
-                    Comparison("<", col("lo_quantity"), Literal(25)),
-                ]
+            "lineorder": And(
+                Between(col("lo_discount"), 0.01, 0.06, inclusive=True),
+                Comparison("<", col("lo_quantity"), Literal(25)),
             ),
         },
         group_by=[],

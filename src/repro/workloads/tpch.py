@@ -17,13 +17,13 @@ from typing import Dict, List, Optional, Union
 
 from repro.engine.catalog import Catalog
 from repro.engine.predicate import (
+    And,
     Arithmetic,
     Between,
     Comparison,
     Literal,
     between,
     col,
-    conjunction,
     eq,
     in_list,
     lit,
@@ -465,16 +465,14 @@ def q6() -> Query:
         name="tpch_q6",
         tables=["lineitem"],
         filters={
-            "lineitem": conjunction(
-                [
-                    between(
-                        "l_shipdate",
-                        date_to_ordinal("1994-01-01"),
-                        date_to_ordinal("1996-01-01"),
-                    ),
-                    Between(col("l_discount"), 0.02, 0.09, inclusive=True),
-                    Comparison("<", col("l_quantity"), Literal(24)),
-                ]
+            "lineitem": And(
+                between(
+                    "l_shipdate",
+                    date_to_ordinal("1994-01-01"),
+                    date_to_ordinal("1996-01-01"),
+                ),
+                Between(col("l_discount"), 0.02, 0.09, inclusive=True),
+                Comparison("<", col("l_quantity"), Literal(24)),
             )
         },
         group_by=[],
@@ -496,17 +494,15 @@ def q12() -> Query:
         tables=["orders", "lineitem"],
         joins=[JoinCondition("lineitem", "l_orderkey", "orders", "o_orderkey")],
         filters={
-            "lineitem": conjunction(
-                [
-                    in_list("l_shipmode", ["MAIL", "SHIP"]),
-                    Comparison("<", col("l_commitdate"), col("l_receiptdate")),
-                    Comparison("<", col("l_shipdate"), col("l_commitdate")),
-                    between(
-                        "l_receiptdate",
-                        date_to_ordinal("1993-01-01"),
-                        date_to_ordinal("1997-01-01"),
-                    ),
-                ]
+            "lineitem": And(
+                in_list("l_shipmode", ["MAIL", "SHIP"]),
+                Comparison("<", col("l_commitdate"), col("l_receiptdate")),
+                Comparison("<", col("l_shipdate"), col("l_commitdate")),
+                between(
+                    "l_receiptdate",
+                    date_to_ordinal("1993-01-01"),
+                    date_to_ordinal("1997-01-01"),
+                ),
             )
         },
         group_by=["l_shipmode"],

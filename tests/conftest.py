@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.core import SkipperExecutor, njoin
+from repro.core import ClientProxy, SkipperExecutor, njoin
 from repro.csd import (
     AllInOneLayout,
     ColdStorageDevice,
@@ -13,9 +13,19 @@ from repro.csd import (
     ObjectStore,
     RankBasedScheduler,
 )
-from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
+from repro.engine import (
+    Catalog,
+    Column,
+    CostModel,
+    DataType,
+    InMemoryExecutor,
+    Relation,
+    TableSchema,
+)
 from repro.engine.operators import hash_join
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
+from repro.vanilla import VanillaExecutor
 from repro.workloads import tpch
 
 # Two hypothesis profiles.  ``gate`` (the default) makes the tier-1 run a
@@ -94,12 +104,24 @@ class SingleTenantRig:
             self.layout,
             scheduler or RankBasedScheduler(),
             device_config or DeviceConfig(group_switch_seconds=5.0, transfer_seconds_per_object=1.0),
+            MetricsRegistry(),
         )
 
-    def run_skipper(self, query, cache_capacity=8, **kwargs):
-        executor = SkipperExecutor(
-            self.env, "tenant", self.catalog, self.device, cache_capacity=cache_capacity, **kwargs
+    def skipper(self, cache_capacity=8, client_id="tenant", shared_runs=None, **kwargs):
+        """A Skipper executor on the rig's device, with its own proxy and runs."""
+        proxy = ClientProxy(self.env, self.device, client_id)
+        runs = {} if shared_runs is None else shared_runs
+        return SkipperExecutor(
+            self.env, client_id, self.catalog, proxy, CostModel(), runs, cache_capacity, **kwargs
         )
+
+    def vanilla(self, client_id="tenant"):
+        """A pull-based executor on the rig's device, with its own proxy and runs."""
+        proxy = ClientProxy(self.env, self.device, client_id)
+        return VanillaExecutor(self.env, client_id, self.catalog, proxy, CostModel(), {})
+
+    def run_skipper(self, query, cache_capacity=8, **kwargs):
+        executor = self.skipper(cache_capacity, **kwargs)
         process = self.env.process(executor.execute(query))
         self.env.run(until=process)
         return process.value

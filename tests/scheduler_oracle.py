@@ -19,6 +19,17 @@ from typing import Dict, List, Optional, Set
 from repro.exceptions import SchedulingError
 
 
+def rank_of(scheduler, group_id: int) -> float:
+    """``R(g) = N_g + K * sum(W_q)`` of a ``RankBasedScheduler``, read
+    through its ``queries_on_group`` and ``waiting_time`` views."""
+    queries = scheduler.queries_on_group(group_id)
+    if not queries:
+        return 0.0
+    return len(queries) + scheduler.fairness_constant * sum(
+        scheduler.waiting_time(query) for query in queries
+    )
+
+
 class SchedulerOracle:
     """``fairness_constant=None`` is max-queries; a number is rank-based with that K."""
 

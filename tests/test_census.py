@@ -100,8 +100,77 @@ def test_program_table_lists_what_only_the_tests_run(tmp_path):
     ]
     assert [lineno for lineno, _text in exempt] == [14, 16, 17, 20, 21, 27]
     assert functions == {"repro.synthetic": ["Thing.check", "dead"]}
-    text = census.report(census.tests_table({path: tests}, src), table, functions)
+    parameters = [("repro.synthetic.Thing.run(flag)", "None")]
+    text = census.report(census.tests_table({path: tests}, src), table, functions, parameters)
     assert "repro.synthetic: 4\n" in text
     assert "functions only tier-1 enters: 2\n  repro.synthetic.Thing.check\n" in text
     assert "tests-only lines: 4 (exempt: 6 " in text
     assert "never-run lines: 0 (exempt: 2 " in text
+    assert text.endswith("  repro.synthetic.Thing.run(flag): None\none-way parameters: 1")
+
+
+
+def test_unentered_functions_are_those_the_program_never_enters(tmp_path):
+    """Whatever the tests do: ``Thing.run``'s body is entered, ``dead`` is
+    not, and ``__repr__`` is exempt."""
+    src, path = _package(tmp_path)
+    program = {2, 4, 8, 9, 12, 13, 15, 18, 19, 23, 30}
+    assert census.unentered_functions({path: program}, src) == [
+        "repro.synthetic.Thing.check",
+        "repro.synthetic.dead",
+    ]
+    assert census.unentered_functions({path: program | {24, 31}}, src) == []
+
+
+DEFAULTS = '''\
+def plain(a, b):
+    return a
+
+
+@staticmethod
+def decorated(a, b=1, *, c, d=None):
+    def inner(e=2):
+        return e
+    return inner
+
+
+class Knobs:
+    def __init__(self, rate, burst=1):
+        self.pick = lambda x, y=0: x
+'''
+
+
+def test_defaulted_parameters_are_keyed_by_the_code_objects_first_line():
+    """A decorated function's code starts at its decorator; keyword-only
+    defaults count, a keyword-only parameter without one does not."""
+    assert census.defaulted_parameters(DEFAULTS) == {
+        5: ("decorated", ("b", "d")),
+        7: ("decorated.inner", ("e",)),
+        13: ("Knobs.__init__", ("burst",)),
+        14: ("Knobs.__init__.<lambda>", ("y",)),
+    }
+
+
+def test_a_way_is_a_plain_value_or_a_type():
+    assert [census.way(value) for value in (None, 1, 1.0, True, "x", (1, "a"))] == [
+        "None", "1", "1.0", "True", "'x'", "(1, 'a')"
+    ]
+    assert [census.way(value) for value in ([1], {}, (object(),), census.way)] == [
+        "list", "dict", "tuple", "function"
+    ]
+
+
+def test_one_way_parameters_are_those_taken_at_most_one_way(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    path = package / "knobs.py"
+    path.write_text(DEFAULTS, encoding="utf-8")
+    ways = {
+        (str(path), 5, "b"): {"1", "2"},
+        (str(path), 5, "d"): {"None"},
+        (str(path), 13, "burst"): {"1"},
+    }
+    assert census.one_way_parameters(ways, tmp_path / "src") == [
+        ("repro.knobs.decorated(d)", "None"),
+        ("repro.knobs.Knobs.__init__(burst)", "1"),
+    ]

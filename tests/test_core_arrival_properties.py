@@ -30,6 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_core_cache import reference_get
 
 from repro.core.cache import (
     FIFOEviction,
@@ -169,12 +170,12 @@ class TestBatchWalkEquivalence:
         batches = []
 
         def checked_get_batch(batch):
-            # What one ``get`` per segment of each combination would leave.
+            # What one access per segment of each combination would leave.
             combinations = batch.combinations()
             twin = copy.deepcopy(cache)
             for combination in combinations:
                 for segment_id in combination:
-                    twin.get(segment_id)
+                    reference_get(twin, segment_id)
             payloads = real_get_batch(batch)
             assert set(payloads) == set(itertools.chain.from_iterable(combinations))
             assert cache.num_hits == twin.num_hits
@@ -182,8 +183,8 @@ class TestBatchWalkEquivalence:
                 entry.segment_id: entry.last_used for entry in twin.objects()
             }
             # The next tick handed out must agree too.
-            cache.get(combinations[0][0])
-            twin.get(combinations[0][0])
+            reference_get(cache, combinations[0][0])
+            reference_get(twin, combinations[0][0])
             assert cache.peek(combinations[0][0]).last_used == (
                 twin.peek(combinations[0][0]).last_used
             )
@@ -319,7 +320,7 @@ class TestTrackerMatchesOracle:
     def test_any_interleaving(self, widths, capacity, actions):
         lists = _SegmentLists(widths)
         query = SimpleNamespace(name="model", tables=tuple(lists.tables))
-        tracker = SubplanTracker(query, lists)
+        tracker = SubplanTracker(query, lists, query.tables)
         oracle = _OracleTracker(lists.tables)
         everything = [segment_id for ids in lists.tables.values() for segment_id in ids]
         cached = {}  # insertion-ordered, like the object cache's contents
@@ -391,7 +392,7 @@ class TestTrackerMatchesOracle:
                 raise AssertionError("a single-table arrival iterated the cache")
 
         lists = _SegmentLists([5])
-        tracker = SubplanTracker(SimpleNamespace(name="one", tables=("t0",)), lists)
+        tracker = SubplanTracker(SimpleNamespace(name="one", tables=("t0",)), lists, ("t0",))
         cached = Unwalkable({"t0.0", "t0.1"})
         batch = tracker.runnable_batch(cached, "t0.3")
         assert _as_pairs(batch) == [(3, ("t0.3",))]
@@ -488,11 +489,11 @@ class TestBatchIsItsCombinations:
             for segment_id in segments:
                 cache.add(segment_id, segment_id.upper())
         for _ in range(clock if lists[0] else 0):
-            cache.get(lists[0][0])
+            reference_get(cache, lists[0][0])
         twin = copy.deepcopy(cache)
         for combination in batch.combinations():
             for segment_id in combination:
-                twin.get(segment_id)
+                reference_get(twin, segment_id)
         payloads = cache.get_batch(batch)
         assert payloads == {
             segment_id: segment_id.upper()

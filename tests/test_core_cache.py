@@ -14,9 +14,22 @@ from repro.exceptions import CacheError
 from repro.workloads import tpch
 
 
+def reference_get(cache, segment_id):
+    """One access to a cached object, the way ``get_batch`` must account
+    each occurrence: the entry's ``last_used`` takes the next clock tick and
+    the hit is counted."""
+    entry = cache.peek(segment_id)
+    if entry is None:
+        raise CacheError(f"object {segment_id!r} is not cached")
+    entry.last_used = cache._clock
+    cache._clock += 1
+    cache.num_hits += 1
+    return entry
+
+
 @pytest.fixture()
 def tracker(tiny_tpch_catalog):
-    return SubplanTracker(tpch.q12(), tiny_tpch_catalog)
+    return SubplanTracker(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables)
 
 
 class TestObjectCache:
@@ -29,7 +42,7 @@ class TestObjectCache:
         cache.add("x.0", "payload")
         assert "x.0" in cache.ids_view()
         assert len(cache.ids_view()) == 1
-        assert cache.get("x.0").payload == "payload"
+        assert reference_get(cache, "x.0").payload == "payload"
         assert cache.peek("missing") is None
         assert cache.num_insertions == 1
         assert cache.num_hits == 1
@@ -47,9 +60,9 @@ class TestObjectCache:
         with pytest.raises(CacheError):
             cache.add("x.1", 2)
 
-    def test_get_missing_raises(self):
-        with pytest.raises(CacheError):
-            ObjectCache(1).get("nope")
+    def test_get_batch_of_a_missing_object_raises(self):
+        with pytest.raises(CacheError, match="'nope' is not cached"):
+            ObjectCache(1).get_batch(Batch([["nope"]], [0], b"\x01"))
 
     def test_get_batch_accounts_like_one_get_per_occurrence(self):
         cache = ObjectCache(3)
@@ -60,7 +73,7 @@ class TestObjectCache:
         assert cache.num_hits == 4
         # Three insertions took ticks 0-2; the four hits took 3-6.
         assert [cache.peek(s).last_used for s in ("a.0", "b.0", "b.1")] == [5, 4, 6]
-        assert cache.get("b.0").last_used == 7
+        assert reference_get(cache, "b.0").last_used == 7
 
     def test_get_batch_touches_nothing_for_a_hole(self):
         cache = ObjectCache(4)
@@ -84,7 +97,7 @@ class TestObjectCache:
             cache.get_batch(Batch([["a.0"], ["b.0", "b.1"]], [0, 1], b"\x01\x01"))
         assert cache.num_hits == 0
         assert [cache.peek(s).last_used for s in ("a.0", "b.0")] == [0, 1]
-        assert cache.get("a.0").last_used == 2
+        assert reference_get(cache, "a.0").last_used == 2
 
     def test_evict_empty_cache_raises(self, tracker):
         with pytest.raises(CacheError):
@@ -106,15 +119,15 @@ class TestEvictionPolicies:
         cache = ObjectCache(3, policy=FIFOEviction())
         for segment_id in ("orders.0", "lineitem.0", "lineitem.1"):
             cache.add(segment_id, segment_id)
-        cache.get("orders.0")  # touching must not matter for FIFO
+        reference_get(cache, "orders.0")  # touching must not matter for FIFO
         assert cache.evict("lineitem.2", tracker).segment_id == "orders.0"
 
     def test_lru_evicts_least_recently_used(self, tracker):
         cache = ObjectCache(3, policy=LRUEviction())
         for segment_id in ("orders.0", "lineitem.0", "lineitem.1"):
             cache.add(segment_id, segment_id)
-        cache.get("orders.0")
-        cache.get("lineitem.1")
+        reference_get(cache, "orders.0")
+        reference_get(cache, "lineitem.1")
         assert cache.evict("lineitem.2", tracker).segment_id == "lineitem.0"
 
     def test_max_pending_evicts_least_popular_object(self, tracker, tiny_tpch_catalog):
@@ -157,7 +170,7 @@ class TestEvictionPolicies:
             group_by=[],
             aggregates=[AggregateSpec("count", None, "cnt")],
         )
-        tracker = SubplanTracker(query, catalog)
+        tracker = SubplanTracker(query, catalog, query.tables)
         for combination in [("a.0", "b.0", "c.1"), ("a.1", "b.0", "c.1")]:
             subplan_id = sum(map(tracker.offset_of, combination))
             tracker.mark_batch_executed(

@@ -23,7 +23,7 @@ from repro.core.cache import (
 from repro.core.mjoin import MJoinStateManager
 from repro.core.njoin import NAryJoin, PreparedSegment
 from repro.core.subplan import Batch
-from repro.engine import Column, DataType, InMemoryExecutor, Planner, Relation, TableSchema
+from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Planner, Relation, TableSchema
 from repro.engine.executor import canonical_rows
 from repro.engine.operators import HashJoin, SequentialScan
 from repro.engine.operators.base import OperatorStats
@@ -527,7 +527,7 @@ class TestWitnesses:
         ],
     )
     def test_mjoin_witnesses_equal_the_pull_based_trees(self, workload, name, scale, materialised):
-        catalog = workload.build_catalog(scale, seed=42)
+        catalog = workload.build_catalog(scale, seed=42, catalog=Catalog())
         query = workload.query(name)
         InMemoryExecutor(catalog).execute(query)
         expected = _witnesses(materialised)

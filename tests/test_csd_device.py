@@ -1,6 +1,7 @@
 """Integration tests for the simulated Cold Storage Device."""
 
 import pytest
+from drain import drain
 
 from repro.csd import (
     AllInOneLayout,
@@ -14,6 +15,7 @@ from repro.csd import (
 from repro.csd.device import BusyInterval
 from repro.csd.request import GetRequest
 from repro.exceptions import ConfigurationError, StorageError
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
 
@@ -32,6 +34,7 @@ def _setup(num_clients=2, objects_per_client=4, layout_policy=None, scheduler=No
         layout,
         scheduler or RankBasedScheduler(),
         config or DeviceConfig(group_switch_seconds=10.0, transfer_seconds_per_object=1.0),
+        MetricsRegistry(),
     )
     return env, device, client_objects
 
@@ -69,7 +72,7 @@ class TestBatchedAccess:
         env, device, objects = _setup(num_clients=1)
         finish = {}
         _batch_client(env, device, "c0", objects["c0"], finish)
-        env.run()
+        drain(env)
         assert device.stats.group_switches == 1
         assert device.stats.objects_served == 4
         assert finish["c0"] == pytest.approx(10 + 4 * 1.0)
@@ -79,7 +82,7 @@ class TestBatchedAccess:
         finish = {}
         for client, keys in objects.items():
             _batch_client(env, device, client, keys, finish)
-        env.run()
+        drain(env)
         assert device.stats.group_switches == 3
         # Clients are served group by group: finish times are staggered.
         times = sorted(finish.values())
@@ -97,7 +100,7 @@ class TestBatchedAccess:
             results["payload"] = payload
 
         env.process(process(env))
-        env.run()
+        drain(env)
         assert results["payload"] == "payload-c0-2"
 
 
@@ -109,7 +112,7 @@ class TestPullBasedAccess:
         finish = {}
         for client, keys in objects.items():
             _serial_client(env, device, client, keys, finish)
-        env.run()
+        drain(env)
         assert device.stats.group_switches >= 2 * 4 - 1
         assert max(finish.values()) >= 4 * 2 * 10.0
 
@@ -117,7 +120,7 @@ class TestPullBasedAccess:
         env, device, objects = _setup(num_clients=1, scheduler=ObjectFCFSScheduler())
         finish = {}
         _serial_client(env, device, "c0", objects["c0"], finish, think_time=0.5)
-        env.run()
+        drain(env)
         assert device.stats.group_switches == 1
 
 
@@ -131,7 +134,7 @@ class TestDeviceConfigurations:
         finish = {}
         for client, keys in objects.items():
             _batch_client(env, device, client, keys, finish)
-        env.run()
+        drain(env)
         # A single group and no switch latency: total time = serialized transfers.
         assert max(finish.values()) == pytest.approx(8.0)
 
@@ -140,7 +143,7 @@ class TestDeviceConfigurations:
         finish = {}
         for client, keys in objects.items():
             _batch_client(env, device, client, keys, finish)
-        env.run()
+        drain(env)
         kinds = {interval.kind for interval in device.busy_intervals}
         assert kinds == {"switch", "transfer"}
         switch_time = sum(i.end - i.start for i in device.busy_intervals if i.kind == "switch")
@@ -166,7 +169,7 @@ class TestDeviceConfigurations:
 
         env, device, objects = _setup(num_clients=1)
         _batch_client(env, device, "c0", objects["c0"], {})
-        env.run()
+        drain(env)
         log = device.busy_intervals
         assert type(log) is list
         assert all(type(interval) is BusyInterval for interval in log)

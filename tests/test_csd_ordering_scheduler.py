@@ -1,13 +1,14 @@
 """Unit tests for intra-group orderings and the I/O schedulers."""
 
 import pytest
+from scheduler_oracle import rank_of
 
 from repro.csd.ordering import (
     ArrivalOrdering,
     SemanticRoundRobinOrdering,
     TableMajorOrdering,
 )
-from repro.csd import AllInOneLayout, ColdStorageDevice, ObjectStore
+from repro.csd import AllInOneLayout, ColdStorageDevice, DeviceConfig, ObjectStore
 from repro.csd.request import GetRequest
 from repro.csd.scheduler import (
     MaxQueriesScheduler,
@@ -17,6 +18,7 @@ from repro.csd.scheduler import (
     SlackFCFSScheduler,
 )
 from repro.exceptions import SchedulingError
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
 
@@ -167,8 +169,8 @@ class TestRankBased:
         # accumulated enough waiting time to outrank it (1 + 3 > 2 + 0).
         scheduler.notify_switch(1)
         scheduler.notify_switch(1)
-        assert scheduler.rank(0) == pytest.approx(3.0)
-        assert scheduler.rank(1) == pytest.approx(2.0)
+        assert rank_of(scheduler, 0) == pytest.approx(3.0)
+        assert rank_of(scheduler, 1) == pytest.approx(2.0)
         assert scheduler.choose_next_group(1) == 0
 
     def test_zero_fairness_constant_degenerates_to_max_queries(self, env):
@@ -230,7 +232,9 @@ class TestEmptyPoolIsATypedError:
     def test_emptied_through_drain_pending(self, env, policy):
         store = ObjectStore()
         keys = {"c0": [store.put_segment("c0", f"a.{index}", index) for index in range(3)]}
-        device = ColdStorageDevice(env, store, AllInOneLayout().build(keys), policy())
+        device = ColdStorageDevice(
+            env, store, AllInOneLayout().build(keys), policy(), DeviceConfig(), MetricsRegistry()
+        )
         device.submit_many([_request(env, key) for key in keys["c0"]])
         assert len(device.drain_pending()) == 3
         assert not device.scheduler.has_pending()

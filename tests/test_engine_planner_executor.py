@@ -5,8 +5,9 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
+from predicate_oracle import evaluate
 
-from repro.engine import CostModel, InMemoryExecutor, Planner
+from repro.engine import Catalog, CostModel, InMemoryExecutor, Planner
 from repro.exceptions import ConfigurationError, QueryError
 from repro.engine.executor import canonical_rows
 from repro.engine.operators.base import OperatorStats
@@ -38,7 +39,7 @@ _PINNED_STATS = [
 
 @lru_cache(maxsize=None)
 def _catalog(workload, scale):
-    return workload.build_catalog(scale, seed=42)
+    return workload.build_catalog(scale, seed=42, catalog=Catalog())
 
 
 class TestPlanner:
@@ -133,7 +134,7 @@ class TestInMemoryExecutor:
         predicate = query.filter_for("lineitem")
         expected = {}
         for row in lineitem:
-            if predicate.evaluate(row) and row["l_orderkey"] in orders:
+            if evaluate(predicate, row) and row["l_orderkey"] in orders:
                 expected[row["l_shipmode"]] = expected.get(row["l_shipmode"], 0) + 1
         observed = {row["l_shipmode"]: row["line_count"] for row in result.rows}
         assert observed == expected

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from predicate_oracle import evaluate
 
 from repro.engine.predicate import (
     And,
@@ -11,10 +12,8 @@ from repro.engine.predicate import (
     InList,
     Not,
     Or,
-    TruePredicate,
     between,
     col,
-    conjunction,
     eq,
     in_list,
     lit,
@@ -57,40 +56,40 @@ class TestExpressions:
 
 class TestPredicates:
     def test_comparisons(self):
-        assert Comparison("=", col("a"), lit(5)).evaluate(ROW)
-        assert Comparison("!=", col("a"), lit(4)).evaluate(ROW)
-        assert Comparison("<", col("b"), lit(3)).evaluate(ROW)
-        assert not Comparison(">", col("b"), lit(3)).evaluate(ROW)
-        assert Comparison(">=", col("a"), col("b")).evaluate(ROW)
+        assert evaluate(Comparison("=", col("a"), lit(5)), ROW)
+        assert evaluate(Comparison("!=", col("a"), lit(4)), ROW)
+        assert evaluate(Comparison("<", col("b"), lit(3)), ROW)
+        assert not evaluate(Comparison(">", col("b"), lit(3)), ROW)
+        assert evaluate(Comparison(">=", col("a"), col("b")), ROW)
 
     def test_null_comparisons_are_false(self):
-        assert not Comparison("=", col("d"), lit(None)).evaluate(ROW)
-        assert not Comparison("<", col("d"), lit(10)).evaluate(ROW)
+        assert not evaluate(Comparison("=", col("d"), lit(None)), ROW)
+        assert not evaluate(Comparison("<", col("d"), lit(10)), ROW)
 
     def test_invalid_comparison_operator(self):
         with pytest.raises(QueryError):
             Comparison("~", col("a"), lit(1))
 
     def test_between_half_open_and_inclusive(self):
-        assert Between(col("a"), 5, 6).evaluate(ROW)
-        assert not Between(col("a"), 4, 5).evaluate(ROW)
-        assert Between(col("a"), 4, 5, inclusive=True).evaluate(ROW)
-        assert between("a", 0, 10).evaluate(ROW)
+        assert evaluate(Between(col("a"), 5, 6), ROW)
+        assert not evaluate(Between(col("a"), 4, 5), ROW)
+        assert evaluate(Between(col("a"), 4, 5, inclusive=True), ROW)
+        assert evaluate(between("a", 0, 10), ROW)
 
     def test_in_list(self):
-        assert InList(col("c"), ["hello", "world"]).evaluate(ROW)
-        assert not in_list("c", ["nope"]).evaluate(ROW)
+        assert evaluate(InList(col("c"), ["hello", "world"]), ROW)
+        assert not evaluate(in_list("c", ["nope"]), ROW)
         with pytest.raises(QueryError):
             InList(col("c"), [])
 
     def test_boolean_connectives(self):
         true = eq("a", 5)
         false = eq("a", 6)
-        assert And(true, true).evaluate(ROW)
-        assert not And(true, false).evaluate(ROW)
-        assert Or(false, true).evaluate(ROW)
-        assert not Or(false, false).evaluate(ROW)
-        assert Not(false).evaluate(ROW)
+        assert evaluate(And(true, true), ROW)
+        assert not evaluate(And(true, false), ROW)
+        assert evaluate(Or(false, true), ROW)
+        assert not evaluate(Or(false, false), ROW)
+        assert evaluate(Not(false), ROW)
         assert And(true, false).columns() == frozenset({"a"})
 
     def test_connectives_require_operands(self):
@@ -99,27 +98,18 @@ class TestPredicates:
         with pytest.raises(QueryError):
             Or()
 
-    def test_conjunction_helper(self):
-        assert isinstance(conjunction([]), TruePredicate)
-        single = eq("a", 5)
-        assert conjunction([single]) is single
-        combined = conjunction([eq("a", 5), Comparison("<", col("b"), lit(10))])
-        assert combined.evaluate(ROW)
-
     def test_shorthand_helpers(self):
-        assert eq("a", 5).evaluate(ROW)
-        assert between("b", 2, 3).evaluate(ROW)
-        assert in_list("c", ["hello"]).evaluate(ROW)
-        assert TruePredicate().evaluate({}) is True
-        assert TruePredicate().columns() == frozenset()
+        assert evaluate(eq("a", 5), ROW)
+        assert evaluate(between("b", 2, 3), ROW)
+        assert evaluate(in_list("c", ["hello"]), ROW)
 
 
 @given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=-1000, max_value=1000))
 def test_comparison_matches_python_semantics(left, right):
     row = {"x": left}
-    assert Comparison("<", col("x"), lit(right)).evaluate(row) == (left < right)
-    assert Comparison(">=", col("x"), lit(right)).evaluate(row) == (left >= right)
-    assert Comparison("=", col("x"), lit(right)).evaluate(row) == (left == right)
+    assert evaluate(Comparison("<", col("x"), lit(right)), row) == (left < right)
+    assert evaluate(Comparison(">=", col("x"), lit(right)), row) == (left >= right)
+    assert evaluate(Comparison("=", col("x"), lit(right)), row) == (left == right)
 
 
 @given(
@@ -130,31 +120,31 @@ def test_comparison_matches_python_semantics(left, right):
 def test_between_matches_python_range_check(value, low, span):
     high = low + abs(span)
     row = {"x": value}
-    assert Between(col("x"), low, high).evaluate(row) == (low <= value < high)
-    assert Between(col("x"), low, high, inclusive=True).evaluate(row) == (low <= value <= high)
+    assert evaluate(Between(col("x"), low, high), row) == (low <= value < high)
+    assert evaluate(Between(col("x"), low, high, inclusive=True), row) == (low <= value <= high)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=6))
 def test_and_or_match_python_all_any(flags):
     predicates = [eq("flag", True) if flag else eq("flag", False) for flag in flags]
     row = {"flag": True}
-    assert And(*predicates).evaluate(row) == all(flag for flag in flags)
-    assert Or(*predicates).evaluate(row) == any(flag for flag in flags)
+    assert evaluate(And(*predicates), row) == all(flag for flag in flags)
+    assert evaluate(Or(*predicates), row) == any(flag for flag in flags)
 
 
 @given(st.integers(), st.integers(min_value=1, max_value=50))
 def test_not_is_involution(value, modulus):
     predicate = eq("x", value % modulus)
     row = {"x": value % modulus}
-    assert Not(Not(predicate)).evaluate(row) == predicate.evaluate(row)
+    assert evaluate(Not(Not(predicate)), row) == evaluate(predicate, row)
 
 
 # --------------------------------------------------------------------------- #
-# Bulk ``select`` against the generic ``evaluate`` reference
+# Bulk ``select`` against the per-row ``evaluate`` reference
 # --------------------------------------------------------------------------- #
 def _accepted(predicate, rows):
-    """The rows ``evaluate`` accepts: the definition ``select`` is held to."""
-    return [row for row in rows if predicate.evaluate(row)]
+    """The rows the per-row reference accepts: the definition ``select`` is held to."""
+    return [row for row in rows if evaluate(predicate, row)]
 
 
 class TestBulkSelection:
@@ -162,13 +152,13 @@ class TestBulkSelection:
 
     def test_none_literal_rejects_every_row_on_both_paths(self):
         predicate = Comparison("=", col("a"), lit(None))
-        assert [predicate.evaluate(row) for row in self.ROWS] == [False, False, False]
+        assert [evaluate(predicate, row) for row in self.ROWS] == [False, False, False]
         assert predicate.select(self.ROWS) == []
 
     def test_none_literal_missing_column_raises_on_both_paths(self):
         predicate = Comparison("=", col("missing"), lit(None))
         with pytest.raises(ExecutionError, match="missing"):
-            predicate.evaluate(self.ROWS[0])
+            evaluate(predicate, self.ROWS[0])
         with pytest.raises(ExecutionError, match="missing"):
             predicate.select(self.ROWS)
 
@@ -229,7 +219,6 @@ class TestBulkSelection:
             Between(col("x"), constant, constant + 3),
             Between(col("y"), constant - 2, constant, inclusive=True),
             InList(col("x"), [constant, None]),
-            TruePredicate(),
         ]
         predicates += [
             And(predicates[0], predicates[4]),

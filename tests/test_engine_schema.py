@@ -38,15 +38,6 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             Column("bad name", DataType.INTEGER)
 
-    def test_validate_row(self, schema):
-        schema.validate_row({"a": 1, "b": "x", "c": 2.0})
-        with pytest.raises(SchemaError):
-            schema.validate_row({"a": 1, "b": "x"})  # missing column
-        with pytest.raises(SchemaError):
-            schema.validate_row({"a": 1, "b": "x", "c": 2.0, "d": 3})  # extra column
-        with pytest.raises(SchemaError):
-            schema.validate_row({"a": "oops", "b": "x", "c": 2.0})  # wrong type
-
 
 class TestRelation:
     def test_from_rows_splits_into_segments(self, schema):
@@ -71,10 +62,6 @@ class TestRelation:
         relation = Relation.from_rows(schema, [{"a": 1, "b": "x", "c": 0.0}], rows_per_segment=1)
         with pytest.raises(SchemaError):
             relation.segment(5)
-
-    def test_validation_flag_checks_rows(self, schema):
-        with pytest.raises(SchemaError):
-            Relation.from_rows(schema, [{"a": "bad", "b": "x", "c": 0.0}], 2, validate=True)
 
     def test_mismatched_segments_rejected(self, schema):
         with pytest.raises(SchemaError):

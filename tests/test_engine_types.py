@@ -1,41 +1,11 @@
-"""Unit tests for data types and date helpers."""
+"""Unit tests for the date helpers."""
 
 import datetime
 
 import pytest
 
-from repro.engine import DataType, date_to_ordinal
+from repro.engine import date_to_ordinal
 from repro.exceptions import SchemaError
-
-
-@pytest.mark.parametrize(
-    "dtype, good, bad",
-    [
-        (DataType.INTEGER, 7, "seven"),
-        (DataType.FLOAT, 3.25, "pi"),
-        (DataType.STRING, "abc", 42),
-        (DataType.DATE, 730000, "2001-01-01"),
-        (DataType.BOOLEAN, True, 1),
-    ],
-)
-def test_validate_accepts_good_and_rejects_bad(dtype, good, bad):
-    dtype.validate(good)
-    with pytest.raises(SchemaError):
-        dtype.validate(bad)
-
-
-def test_integer_rejects_bool():
-    with pytest.raises(SchemaError):
-        DataType.INTEGER.validate(True)
-
-
-def test_float_accepts_int():
-    DataType.FLOAT.validate(10)
-
-
-def test_none_is_always_valid():
-    for dtype in DataType:
-        dtype.validate(None)
 
 
 def test_date_roundtrip():

@@ -23,7 +23,7 @@ from __future__ import annotations
 import runpy
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Container, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Mapping, Sequence, Tuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,18 +44,15 @@ def reference_plan(
     device_id: str,
     old_placement: Mapping[str, Sequence[str]],
     new_placement: Mapping[str, Sequence[str]],
-    alive: Optional[Mapping[str, bool]],
-    resident: Optional[Mapping[str, Container[str]]],
-    changed_keys: Optional[Sequence[str]],
+    alive: Mapping[str, bool],
+    resident: Mapping[str, Container[str]],
+    changed_keys: Sequence[str],
 ) -> Tuple[List[KeyMove], List[KeyTrim]]:
     """The per-key planner: every key's trims, candidates and source afresh."""
     moves: List[KeyMove] = []
     trims: List[KeyTrim] = []
-    if changed_keys is None:
-        items = list(old_placement.items())
-    else:
-        items = [(key, old_placement[key]) for key in changed_keys]
-    for object_key, old_replicas in items:
+    for object_key in changed_keys:
+        old_replicas = old_placement[object_key]
         new_replicas = new_placement[object_key]
         for device in old_replicas:
             if device not in new_replicas:
@@ -66,7 +63,7 @@ def reference_plan(
                         survivors=sum(
                             1
                             for survivor in new_replicas
-                            if alive is None or alive.get(survivor, True)
+                            if alive.get(survivor, True)
                         ),
                     )
                 )
@@ -74,12 +71,12 @@ def reference_plan(
             device
             for device in new_replicas
             if device not in old_replicas
-            and not (resident is not None and object_key in resident.get(device, ()))
+            and object_key not in resident.get(device, ())
         ]
         if not gained:
             continue
         source = next(
-            (device for device in old_replicas if alive is None or alive.get(device, True)),
+            (device for device in old_replicas if alive.get(device, True)),
             device_id if device_id in old_replicas else old_replicas[0],
         )
         for dest in gained:
@@ -98,7 +95,8 @@ def _replica_sets(replication: int):
 
 @st.composite
 def epochs(draw):
-    """(device_id, old, new, alive, resident, changed_keys or None)."""
+    """(device_id, old, new, alive, resident, changed_keys); an empty
+    ``alive`` has every device alive, an empty ``resident`` none holding a key."""
     old_replication = draw(st.integers(1, 3))
     new_replication = draw(st.integers(1, 3))
     old_shapes = draw(_replica_sets(old_replication))
@@ -110,14 +108,13 @@ def epochs(draw):
         old[key] = draw(st.sampled_from(old_shapes))
         keep = old_replication == new_replication and draw(st.booleans())
         new[key] = old[key] if keep else draw(st.sampled_from(new_shapes))
-    alive = draw(st.none() | st.fixed_dictionaries({device: st.booleans() for device in DEVICES}))
+    alive = draw(st.just({}) | st.fixed_dictionaries({device: st.booleans() for device in DEVICES}))
     device_id = draw(st.sampled_from(DEVICES + ("fleet",)))
     resident = draw(
-        st.none()
-        | st.dictionaries(st.sampled_from(DEVICES), st.sets(st.sampled_from(keys)), max_size=4)
+        st.dictionaries(st.sampled_from(DEVICES), st.sets(st.sampled_from(keys)), max_size=4)
     )
     changed = [key for key in keys if old[key] != new[key]]
-    return device_id, old, new, alive, resident, draw(st.none() | st.just(changed))
+    return device_id, old, new, alive, resident, changed
 
 
 #: The leaver ``csd0`` is the last holder: ``csd1`` failed earlier.
@@ -126,8 +123,8 @@ LEAVER_IS_LAST_HOLDER = (
     {"a/t.0": ("csd1", "csd0"), "a/t.1": ("csd1", "csd0")},
     {"a/t.0": ("csd2", "csd3"), "a/t.1": ("csd2", "csd3")},
     {"csd0": False, "csd1": False, "csd2": True, "csd3": True},
-    None,
-    None,
+    {},
+    ["a/t.0", "a/t.1"],
 )
 #: R 1 -> 3 where ``csd2`` still holds ``a/t.1`` from an earlier epoch.
 READOPTION_ON_R_UP = (
@@ -138,7 +135,7 @@ READOPTION_ON_R_UP = (
         "a/t.1": ("csd0", "csd2", "csd1"),
         "b/t.0": ("csd1", "csd0", "csd2"),
     },
-    None,
+    {},
     {"csd2": {"a/t.1"}, "csd0": {"a/t.0", "a/t.1"}},
     ["a/t.0", "a/t.1", "b/t.0"],
 )
@@ -156,9 +153,9 @@ def test_plan_equals_the_per_key_loop(epoch):
         device_id,
         old,
         new,
-        alive=alive,
-        resident=resident,
-        changed_keys=changed,
+        alive,
+        resident,
+        changed,
     )
     moves, trims = reference_plan(device_id, old, new, alive, resident, changed)
     assert plan.moves == moves
@@ -168,13 +165,13 @@ def test_plan_equals_the_per_key_loop(epoch):
 
 
 def test_the_named_cases_plan_what_they_say():
-    device_id, old, new, alive, _resident, _changed = LEAVER_IS_LAST_HOLDER
-    leave = plan_migration(1, 0.0, "leave", device_id, old, new, alive=alive)
+    device_id, old, new, alive, resident, changed = LEAVER_IS_LAST_HOLDER
+    leave = plan_migration(1, 0.0, "leave", device_id, old, new, alive, resident, changed)
     assert {move.source for move in leave.moves} == {"csd0"}
     assert [trim.survivors for trim in leave.trims] == [2] * 4
     device_id, old, new, alive, resident, changed = READOPTION_ON_R_UP
     upgrade = plan_migration(
-        1, 0.0, "set-replication", device_id, old, new, resident=resident, changed_keys=changed
+        1, 0.0, "set-replication", device_id, old, new, alive, resident, changed
     )
     assert ("a/t.1", "csd0", "csd2") not in upgrade.moves
     assert ("a/t.0", "csd0", "csd2") in upgrade.moves
@@ -275,7 +272,7 @@ def test_the_ring_from_cached_points_places_as_a_fresh_brute_force(
     roster's ring is sorted from per-``(device, count)`` points hashed at
     an earlier epoch, and must place each key where a fresh policy's
     brute-force walk over freshly hashed points does."""
-    policy = ConsistentHashPlacement(replication=replication, virtual_nodes=16)
+    policy = ConsistentHashPlacement(replication=replication)
     population = [f"t{index % 3}/lineitem.{index}" for index in range(120)]
     roster = ["csd0", "csd1", "csd2"]
     # ``profile`` weighs each device by its static speed factor from the
@@ -294,7 +291,7 @@ def test_the_ring_from_cached_points_places_as_a_fresh_brute_force(
             weighted = True
         weights = {device: speed[device] for device in roster} if weighted else None
         policy.set_weights(weights)
-        fresh = ConsistentHashPlacement(replication=replication, virtual_nodes=16)
+        fresh = ConsistentHashPlacement(replication=replication)
         fresh.set_weights(weights)
         assert policy.place(population, roster) == brute_force_place(fresh, population, roster)
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core import ClientProxy
 from repro.core.cache import LRUEviction, ObjectCache
 from repro.core.execution import RunCursor
 from repro.core.mjoin import MJoinStateManager
@@ -20,6 +21,7 @@ from repro.engine import CostModel, InMemoryExecutor
 from repro.engine.executor import canonical_rows
 from repro.engine.relation import Segment
 from repro.exceptions import QueryError, SchemaError
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 from repro.vanilla import VanillaExecutor
 from repro.vanilla.executor import SharedPullJoin
@@ -91,8 +93,10 @@ class TestVanillaExecutorOnCSD:
             layout,
             scheduler or ObjectFCFSScheduler(),
             config or DeviceConfig(group_switch_seconds=5.0, transfer_seconds_per_object=1.0),
+            MetricsRegistry(),
         )
-        return env, VanillaExecutor(env, "tenant", catalog, device, cost_model=CostModel()), device
+        proxy = ClientProxy(env, device, "tenant")
+        return env, VanillaExecutor(env, "tenant", catalog, proxy, CostModel(), {}), device
 
     def _run_vanilla(self, catalog, query, scheduler=None, config=None):
         env, executor, device = self._vanilla_executor(catalog, query, scheduler, config)
@@ -303,9 +307,7 @@ class TestLimitIsOneAnswer:
             )
 
         vanilla_rig = make_rig(catalog, query.tables, scheduler=ObjectFCFSScheduler())
-        vanilla = VanillaExecutor(
-            vanilla_rig.env, "tenant", catalog, vanilla_rig.device, cost_model=CostModel()
-        )
+        vanilla = vanilla_rig.vanilla()
         process = vanilla_rig.env.process(vanilla.execute(query))
         vanilla_rig.env.run(until=process)
         same_answer(process.value.rows)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from placement_oracle import brute_force_place
 
 from repro.exceptions import ConfigurationError, ScenarioError
-from repro.fleet.placement import ConsistentHashPlacement, normalize_weights
+from repro.fleet.placement import VIRTUAL_NODES, ConsistentHashPlacement, normalize_weights
 from repro.fleet.spec import FleetSpec, RebalancePolicy
 from repro.obs import Ewma
 from repro.scenarios import ScenarioRunner, get_scenario
@@ -105,7 +105,7 @@ class TestWeightedRingProperties:
     def test_primary_share_tracks_vnode_share(self, weights):
         """Each device's primary-key share stays close to its share of the
         ring's vnodes (which is the weight share, post-rounding)."""
-        policy = ConsistentHashPlacement(replication=1, virtual_nodes=64)
+        policy = ConsistentHashPlacement(replication=1)
         roster = [f"csd{index}" for index in range(len(weights))]
         policy.set_weights(dict(zip(roster, weights)))
         counts = policy.vnode_counts(roster)
@@ -134,11 +134,11 @@ class TestWeightedRingProperties:
     ):
         roster = [f"csd{index}" for index in range(devices)]
         population = keys(300)
-        unweighted = ConsistentHashPlacement(replication=1, virtual_nodes=32)
+        unweighted = ConsistentHashPlacement(replication=1)
         baseline = unweighted.place(population, roster)
-        weighted = ConsistentHashPlacement(replication=1, virtual_nodes=32)
+        weighted = ConsistentHashPlacement(replication=1)
         weighted.set_weights({device_id: weight for device_id in roster})
-        assert weighted.vnode_counts(roster) == (32,) * devices
+        assert weighted.vnode_counts(roster) == (VIRTUAL_NODES,) * devices
         assert weighted.place(population, roster) == baseline
 
     @settings(
@@ -155,9 +155,7 @@ class TestWeightedRingProperties:
         replication=st.integers(min_value=1, max_value=2),
     )
     def test_bulk_weighted_place_matches_per_key_lookup(self, weights, replication):
-        policy = ConsistentHashPlacement(
-            replication=replication, virtual_nodes=48
-        )
+        policy = ConsistentHashPlacement(replication=replication)
         roster = [f"csd{index}" for index in range(len(weights))]
         policy.set_weights(dict(zip(roster, weights)))
         population = keys(400)

@@ -152,7 +152,7 @@ class TestRelocationProperty:
         uses a generous multiple of the ideal share; the point is the
         asymptotic behaviour.
         """
-        policy = ConsistentHashPlacement(1, virtual_nodes=128)
+        policy = ConsistentHashPlacement(1)
         before = policy.place(keys, device_ids(devices))
         after = policy.place(keys, device_ids(devices + 1))
         moved = sum(1 for key in keys if before[key] != after[key])
@@ -236,5 +236,3 @@ class TestValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(PlacementError):
             ConsistentHashPlacement(0)
-        with pytest.raises(PlacementError):
-            ConsistentHashPlacement(1, virtual_nodes=0)

@@ -6,10 +6,12 @@ rather than absolute numbers.
 """
 
 import math
+import typing
 
 import pytest
 
-from repro.harness import experiments, format_table
+from repro.exceptions import ConfigurationError
+from repro.harness import experiments, format_table, runner
 
 
 class TestTables:
@@ -184,3 +186,24 @@ class TestAblations:
             result["pruning-on"]["get_requests"] <= result["pruning-off"]["get_requests"]
         )
         assert result["pruning-on"]["avg_time"] <= result["pruning-off"]["avg_time"]
+
+
+def _options():
+    """``(experiment, option, kind)`` for every option of every experiment."""
+    for name, (function, _description) in sorted(runner.EXPERIMENTS.items()):
+        for option, kind in typing.get_type_hints(function).items():
+            if option != "return":
+                yield name, option, typing.get_args(kind)[0] if typing.get_args(kind) else kind
+
+
+@pytest.mark.parametrize(
+    "name, option, kind", list(_options()), ids=lambda value: getattr(value, "__name__", value)
+)
+def test_an_option_of_the_wrong_type_is_a_configuration_error(name, option, kind):
+    """The CLI parses ``-o key=value`` by its look (``abc`` a string, ``1.5``
+    a float, ``true`` a bool); the experiment's declared type decides, before
+    anything runs: a bool is no number, a float no int, a number no string."""
+    wrong = {int: [True, 1.5, "abc"], float: [True, "abc"], str: [1, 2.5]}[kind]
+    for value in wrong:
+        with pytest.raises(ConfigurationError, match=f"option {option!r} takes {kind.__name__}"):
+            runner.run_experiment(name, **{option: value})

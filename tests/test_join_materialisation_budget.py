@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Planner
+from repro.engine import Catalog, Planner
 from repro.engine.operators import HashJoin
 from repro.workloads import ssb, tpch
 
@@ -40,7 +40,7 @@ def test_every_multi_table_query_is_gated():
 
 @pytest.mark.parametrize("workload, name", JOIN_QUERIES)
 def test_pull_based_chain_builds_one_dict_per_row_of_the_top_join(workload, name, materialised):
-    catalog = workload.build_catalog("small", seed=42)
+    catalog = workload.build_catalog("small", seed=42, catalog=Catalog())
     planner = Planner(catalog)
     root = planner.build_operator_tree(planner.plan(workload.query(name)))
     root.rows()

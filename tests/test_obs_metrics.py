@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.csd.device import ColdStorageDevice, DeviceStats
+from repro.csd.device import ColdStorageDevice, DeviceConfig, DeviceStats
 from repro.exceptions import ConfigurationError
 from repro.fleet.router import FleetRouterStats
 from repro.obs import MetricsRegistry
@@ -104,8 +104,9 @@ class TestComponentStatsCompatibility:
             service.object_store,
             service.layout,
             service.scheduler,
+            DeviceConfig(),
+            registry,
             name="csd7",
-            metrics=registry,
         )
         stats = device.stats
         stats.objects_served += 1
@@ -142,15 +143,6 @@ class TestComponentStatsCompatibility:
         # The names follow the attributes; the pre-catalogue spellings are gone.
         router_names = [name for name in service.metrics.names() if name.startswith("router.")]
         assert router_names == sorted(f"router.{field}" for field in FleetRouterStats.__slots__)
-
-    def test_unregistered_device_is_simply_not_catalogued(self):
-        service = StorageService(get_scenario("uniform"))
-        before = len(service.metrics)
-        device = ColdStorageDevice(
-            service.env, service.object_store, service.layout, service.scheduler, name="spare"
-        )
-        device.stats.objects_served += 1
-        assert len(service.metrics) == before
 
     def test_service_registry_is_populated_by_a_run(self):
         service = StorageService(get_scenario("admission-burst"))

@@ -29,7 +29,7 @@ from repro.engine.query import AggregateSpec
 from repro.exceptions import SchedulingError
 from repro.sim import Environment
 from repro.workloads import tpch
-from scheduler_oracle import SchedulerOracle
+from scheduler_oracle import SchedulerOracle, rank_of
 
 # A single module-level catalog keeps data generation out of the hypothesis
 # hot loop (the catalog is never mutated by the tests).
@@ -97,7 +97,7 @@ class TestCacheInvariants:
         ),
     )
     def test_cache_never_exceeds_capacity_and_victims_are_cached(self, capacity, arrivals, policy):
-        tracker = SubplanTracker(_Q12, _CATALOG)
+        tracker = SubplanTracker(_Q12, _CATALOG, _Q12.tables)
         cache = ObjectCache(capacity, policy=policy)
         for segment_id in arrivals:
             if segment_id in cache.ids_view():
@@ -154,13 +154,13 @@ class TestSchedulerInvariants:
         for group in switches:
             scheduler.notify_switch(group)
         for group in scheduler.pending_groups():
-            assert scheduler.rank(group) >= len(scheduler.queries_on_group(group))
+            assert rank_of(scheduler, group) >= len(scheduler.queries_on_group(group))
         for query_id in scheduler.pending_queries():
             assert scheduler.waiting_time(query_id) >= 0
         chosen = scheduler.choose_next_group(None)
         assert chosen in scheduler.pending_groups()
-        best_rank = max(scheduler.rank(group) for group in scheduler.pending_groups())
-        assert scheduler.rank(chosen) == pytest.approx(best_rank)
+        best_rank = max(rank_of(scheduler, group) for group in scheduler.pending_groups())
+        assert rank_of(scheduler, chosen) == pytest.approx(best_rank)
 
     @pytest.mark.parametrize("fairness_constant", [None, 0, 0.5, 1, 3])  # None: max-queries
     @settings(max_examples=60, deadline=None)
@@ -254,7 +254,7 @@ class TestSchedulerInvariants:
                     scheduler._pending.get(group)
                 )
                 if fairness_constant is not None:
-                    assert scheduler.rank(group) == oracle.rank(group)
+                    assert rank_of(scheduler, group) == oracle.rank(group)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -16,8 +16,9 @@ A segment is its row list; ragged rows are rejected up front.
 import pytest
 from hypothesis import given, settings, strategies as st
 from placement_oracle import brute_force_place
+from predicate_oracle import evaluate
 
-from repro.engine import Column, DataType, Relation, TableSchema
+from repro.engine import Catalog, Column, DataType, Relation, TableSchema
 from repro.engine.relation import Segment
 from repro.exceptions import SchemaError
 from repro.fleet.placement import ConsistentHashPlacement
@@ -44,14 +45,11 @@ class TestBulkPlacementEquivalence:
     @given(
         num_devices=st.integers(min_value=1, max_value=12),
         replication=st.integers(min_value=1, max_value=4),
-        vnodes=st.integers(min_value=1, max_value=64),
         keys=_KEYS,
     )
-    def test_place_matches_replicas_for(self, num_devices, replication, vnodes, keys):
+    def test_place_matches_replicas_for(self, num_devices, replication, keys):
         devices = [f"dev-{i}" for i in range(num_devices)]
-        placement = ConsistentHashPlacement(
-            replication=min(replication, num_devices), virtual_nodes=vnodes
-        )
+        placement = ConsistentHashPlacement(replication=min(replication, num_devices))
         placed = placement.place(keys, devices)
         assert placed == brute_force_place(placement, keys, devices)
         # Downstream consumers rely on insertion order following key order.
@@ -60,12 +58,11 @@ class TestBulkPlacementEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(
         num_devices=st.integers(min_value=1, max_value=8),
-        vnodes=st.integers(min_value=1, max_value=32),
         keys=_KEYS,
     )
-    def test_presorted_hashes_path_matches(self, num_devices, vnodes, keys):
+    def test_presorted_hashes_path_matches(self, num_devices, keys):
         devices = [f"dev-{i}" for i in range(num_devices)]
-        placement = ConsistentHashPlacement(replication=1, virtual_nodes=vnodes)
+        placement = ConsistentHashPlacement(replication=1)
         presorted = sorted(zip(placement.bulk_key_hashes(keys), keys))
         assert placement.place(
             keys, devices, sorted_key_hashes=presorted
@@ -82,7 +79,7 @@ class TestBulkSelectionMatchesEvaluate:
     every row it returns is one of ``segment.rows`` itself, not a copy."""
 
     def _assert_filters_match(self, workload):
-        catalog = workload.build_catalog("tiny", seed=7)
+        catalog = workload.build_catalog("tiny", seed=7, catalog=Catalog())
         checked = 0
         for name in sorted(workload.QUERIES):
             query = workload.query(name)
@@ -91,7 +88,7 @@ class TestBulkSelectionMatchesEvaluate:
                 if predicate is None:
                     continue
                 for segment in catalog.relation(table).segments:
-                    expected = [row for row in segment.rows if predicate.evaluate(row)]
+                    expected = [row for row in segment.rows if evaluate(predicate, row)]
                     selected = segment.filtered_rows(predicate)
                     assert selected == expected, (name, segment.segment_id)
                     stored = {id(row) for row in segment.rows}

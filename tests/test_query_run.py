@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ClientProxy, QueryRun, SkipperExecutor
+from repro.core import ClientProxy, QueryRun
 from repro.core.execution import MODE_SKIPPER, MODE_VANILLA
 from repro.csd import DeviceConfig
 from repro.engine.operators.base import OperatorStats
@@ -18,7 +18,6 @@ from repro.exceptions import ExecutionError
 from repro.obs import Tracer
 from repro.scenarios import get_scenario, scenario_names
 from repro.service import StorageService
-from repro.vanilla import VanillaExecutor
 from repro.workloads import tpch
 
 QUERY = tpch.q12()
@@ -193,7 +192,7 @@ class TestExecutorSpans:
     """Span names, kinds and attribute names are the ones traces always had."""
 
     def test_skipper(self, rig):
-        executor = SkipperExecutor(rig.env, "tenant", rig.catalog, rig.device, cache_capacity=3)
+        executor = rig.skipper(3)
         executor.tracer = tracer = Tracer(rig.env)
         result = _drive(rig, executor.execute(QUERY))
         assert result.mode == "skipper" and result.num_cycles > 1
@@ -206,7 +205,7 @@ class TestExecutorSpans:
         assert [span.name for span in tracer.spans if span.kind == "operator"] == ["operators"]
 
     def test_vanilla(self, rig):
-        executor = VanillaExecutor(rig.env, "tenant", rig.catalog, rig.device)
+        executor = rig.vanilla()
         executor.tracer = tracer = Tracer(rig.env)
         result = _drive(rig, executor.execute(QUERY))
         assert result.mode == "vanilla"

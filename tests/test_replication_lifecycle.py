@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from test_service import drain_fleet
 
 from repro.csd.device import MigrationTokenBucket
 from repro.exceptions import FleetError, ScenarioError
@@ -25,6 +26,7 @@ from repro.fleet.spec import (
     SetReplication,
 )
 from repro.csd.device import DeviceConfig
+from repro.obs import MetricsRegistry
 from repro.scenarios.golden import load_golden
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner
@@ -379,9 +381,10 @@ class TestMigrationThrottle:
             DiskGroupLayout({key: 0}),
             RankBasedScheduler(),
             DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=1.0),
-            migration_throttle=MigrationTokenBucket(0.1, burst=1),
+            MetricsRegistry(),
+            migration_throttle=MigrationTokenBucket(0.1),
         )
-        fields = migration_fields("read", 1.0, epoch=1)
+        fields = migration_fields("read", 1.0, 1, "rebalance", lambda *_: None)
         device.submit_migrations([MigrationJob(key, *fields) for _ in range(3)])
 
         def client(env):
@@ -405,8 +408,8 @@ class TestMigrationThrottle:
         assert device.stats.migration_deferrals >= 1
 
     def test_token_bucket_paces_deterministically(self):
-        bucket = MigrationTokenBucket(0.5, burst=2)
-        assert bucket.try_consume(0.0) and bucket.try_consume(0.0)
+        bucket = MigrationTokenBucket(0.5)
+        assert bucket.try_consume(0.0)
         assert not bucket.try_consume(0.0)
         wait = bucket.seconds_until_token(0.0)
         assert wait == pytest.approx(2.0)
@@ -414,8 +417,9 @@ class TestMigrationThrottle:
         # drift must not leave the bucket at 1 - 1e-16 forever.
         assert bucket.try_consume(0.0 + wait)
         assert bucket.seconds_until_token(0.0 + wait) > 0
-        # Accrual is capped at the burst size.
+        # Accrual is capped at the burst size, one token.
         assert bucket.seconds_until_token(1e9) == 0.0
+        assert bucket.try_consume(1e9) and not bucket.try_consume(1e9)
 
     def test_stranded_migration_io_is_reported_not_hidden(self):
         """A throttle paced far slower than the workload leaves migration
@@ -564,7 +568,7 @@ class TestReplicationChurnProperty:
             # GET out of the fleet and hand the lot straight back.
             service.submit_workload()
             service.env.run(service.env.timeout(drain_at))
-            service.backend.submit_many(service.drain_pending())
+            service.backend.submit_many(drain_fleet(service.fleet))
         result = service.run()
         fleet_router = service.fleet
         # Live-replica counts per key match the placement the current epoch

@@ -4,6 +4,7 @@ import runpy
 import sys
 
 import pytest
+from drain import drain
 
 from repro.core.client_proxy import ClientProxy
 from repro.csd import (
@@ -17,6 +18,7 @@ from repro.csd import (
 from repro.csd.request import GetRequest
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.harness import runner
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
 
@@ -63,7 +65,9 @@ class TestSlackFCFSScheduler:
                 ]
                 client_objects[client] = keys
             layout = ClientsPerGroupLayout(1).build(client_objects)
-            device = ColdStorageDevice(env, store, layout, scheduler, DeviceConfig(10.0, 1.0))
+            device = ColdStorageDevice(
+                env, store, layout, scheduler, DeviceConfig(10.0, 1.0), MetricsRegistry()
+            )
 
             def driver(env):
                 # Submit the two tenants' requests interleaved: c0.0, c1.0,
@@ -76,7 +80,7 @@ class TestSlackFCFSScheduler:
                 yield env.all_of([request.completion for request in requests])
 
             env.process(driver(env))
-            env.run()
+            drain(env)
             return device.stats.group_switches
 
         strict_switches = run(ObjectFCFSScheduler())
@@ -94,7 +98,9 @@ class TestClientProxy:
             for segment in catalog.relation("orders").segments
         ]
         layout = ClientsPerGroupLayout(1).build({"tenant": keys})
-        return ColdStorageDevice(env, store, layout, SlackFCFSScheduler(), DeviceConfig(1.0, 1.0))
+        return ColdStorageDevice(
+            env, store, layout, SlackFCFSScheduler(), DeviceConfig(1.0, 1.0), MetricsRegistry()
+        )
 
     def test_query_ids_are_unique_and_tagged(self, tiny_tpch_catalog):
         env = Environment()
@@ -119,7 +125,7 @@ class TestClientProxy:
                 received.append((segment_id, payload.segment_id))
 
         env.process(consumer(env))
-        env.run()
+        drain(env)
         assert sorted(segment_id for segment_id, _ in received) == sorted(segment_ids)
         assert all(segment_id == payload_id for segment_id, payload_id in received)
         # Everything delivered was consumed: the proxy retains no request.

@@ -29,7 +29,12 @@ from repro.csd.scheduler import (
     RankBasedScheduler,
     SlackFCFSScheduler,
 )
-from repro.exceptions import GoldenMismatchError, InvariantViolation, ScenarioError
+from repro.exceptions import (
+    ConfigurationError,
+    GoldenMismatchError,
+    InvariantViolation,
+    ScenarioError,
+)
 from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, FleetSpec, SetReplication
 from repro.scenarios import (
     ScenarioRunner,
@@ -652,6 +657,17 @@ class TestCommandLine:
         assert captured.err == "error: --trace requires --run\n"
         assert captured.out == ""
         assert not target.exists()
+
+    def test_an_unwritable_trace_path_is_a_usage_error(self, tmp_path, capsys):
+        """A trace path in a missing directory used to end in a
+        ``FileNotFoundError`` traceback; it is an ``error: …``, exit 2, as an
+        unreadable one is for ``repro.trace``."""
+        from repro.scenarios.__main__ import main
+
+        target = tmp_path / "missing" / "trace.json"
+        with pytest.raises(ConfigurationError, match=f"cannot write trace file {target}: "):
+            main(["--run", "uniform", "--trace", str(target)])
+        assert capsys.readouterr().out == ""
 
     def test_list_prints_one_row_per_scenario(self, capsys):
         from repro.scenarios.__main__ import main

@@ -36,9 +36,9 @@ MAX_QUERIES = 8
 
 
 def make_request(query: int, group: int) -> GetRequest:
-    """A well-formed request (object keys must parse as ``table.index``)."""
+    """A well-formed request (object keys parse as ``tenant/table.index``)."""
     return GetRequest(
-        object_key=f"grp{group}.{next(_key_counter)}",
+        object_key=f"client{query}/grp{group}.{next(_key_counter)}",
         client_id=f"client{query}",
         query_id=f"query{query}",
         completion=None,

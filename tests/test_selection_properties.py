@@ -3,7 +3,8 @@
 ``select_rows`` answers a repeated predicate object from the segment's last
 selection (``Segment.selected_by`` / ``selected_rows``).  The oracle here is
 the definition of a selection — ``[row for row in segment.rows if
-predicate.evaluate(row)]`` — recomputed on every call, over predicates drawn
+evaluate(predicate, row)]``, ``tests/predicate_oracle.py``'s per-row
+reference — recomputed on every call, over predicates drawn
 from the ``engine/predicate.py`` algebra (arithmetic operands included) on
 segments with NULLs: whatever was asked before, every answer equals it, and
 a selection that raises is raised again and never kept.
@@ -18,6 +19,7 @@ from copy import deepcopy
 
 import pytest
 from hypothesis import example, given, strategies as st
+from predicate_oracle import evaluate
 
 from repro.core import mjoin
 from repro.engine import InMemoryExecutor
@@ -33,7 +35,6 @@ from repro.engine.predicate import (
     Literal,
     Not,
     Or,
-    TruePredicate,
 )
 from repro.engine.relation import Segment
 from repro.exceptions import ExecutionError
@@ -51,6 +52,11 @@ def _segment(pairs):
 
 
 _SEGMENTS = st.lists(st.tuples(_VALUES, _VALUES), max_size=8).map(_segment)
+
+
+def _always():
+    """A leaf that accepts every row and reads no column."""
+    return Comparison("=", Literal(0), Literal(0))
 
 
 def _missing_column():
@@ -91,7 +97,7 @@ _LEAVES = st.one_of(
         st.lists(_VALUES, min_size=1, max_size=3),
     ),
     st.builds(_arithmetic, _OPERATORS, _COLUMNS, st.integers(-2, 2)),
-    st.builds(TruePredicate),
+    st.builds(_always),
     st.builds(_missing_column),
 )
 
@@ -109,7 +115,7 @@ _PREDICATES = st.recursive(
 def _fresh(segment, predicate):
     """The definition of a selection, or the exception it raises."""
     try:
-        return [row for row in segment.rows if predicate.evaluate(row)]
+        return [row for row in segment.rows if evaluate(predicate, row)]
     except ExecutionError as error:
         return error
 
@@ -190,7 +196,7 @@ class TestKeptSelectionOracle:
         before=_PREDICATES,
         wrap=st.sampled_from(("bare", "and", "not", "arithmetic")),
     )
-    @example(pairs=[], before=TruePredicate(), wrap="bare")
+    @example(pairs=[], before=_always(), wrap="bare")
     def test_a_missing_column_raises_every_time_and_is_never_kept(self, pairs, before, wrap):
         # The first row reaches every leaf of every wrapping below.
         segment = _segment([(0, None)] + pairs)
@@ -198,9 +204,9 @@ class TestKeptSelectionOracle:
         kept_by = segment.selected_by
         missing = {
             "bare": _missing_column(),
-            "and": And(TruePredicate(), _missing_column()),
+            "and": And(_always(), _missing_column()),
             "not": Not(_missing_column()),
-            "arithmetic": And(_arithmetic("=", "a", 0), _missing_column(), TruePredicate()),
+            "arithmetic": And(_arithmetic("=", "a", 0), _missing_column(), _always()),
         }[wrap]
         for _ in range(3):
             with pytest.raises(ExecutionError, match="no column 'z'"):

@@ -22,6 +22,7 @@ from repro.exceptions import (
     ServiceError,
     SessionClosedError,
 )
+from repro.obs import MetricsRegistry
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.service import (
@@ -252,7 +253,9 @@ class TestAdmissionControl:
 
     def test_per_tenant_cap_on_controller(self):
         env = Environment()
-        controller = AdmissionController(env, AdmissionConfig(max_in_flight_per_tenant=1))
+        controller = AdmissionController(
+            env, AdmissionConfig(max_in_flight_per_tenant=1), MetricsRegistry()
+        )
         first = controller.request("a")
         second = controller.request("a")
         other = controller.request("b")
@@ -265,7 +268,9 @@ class TestAdmissionControl:
         assert controller.waiting == 0
 
     def test_release_without_grant_rejected_globally(self):
-        controller = AdmissionController(Environment(), AdmissionConfig(max_in_flight=2))
+        controller = AdmissionController(
+            Environment(), AdmissionConfig(max_in_flight=2), MetricsRegistry()
+        )
         with pytest.raises(ConfigurationError, match="without a matching grant"):
             controller.release("a")
 
@@ -275,7 +280,7 @@ class TestAdmissionControl:
         global counter positive — silently inflating the culprit tenant's
         capacity under a per-tenant cap."""
         controller = AdmissionController(
-            Environment(), AdmissionConfig(max_in_flight_per_tenant=1)
+            Environment(), AdmissionConfig(max_in_flight_per_tenant=1), MetricsRegistry()
         )
         controller.request("a")
         controller.request("c")  # keeps the global counter positive throughout
@@ -293,7 +298,7 @@ class TestAdmissionControl:
         recorded no queue delay, and their 0.0 means used to drag
         fairness_jain down as if they had been favoured."""
         env = Environment()
-        controller = AdmissionController(env, AdmissionConfig(max_in_flight=1))
+        controller = AdmissionController(env, AdmissionConfig(max_in_flight=1), MetricsRegistry())
         controller.request("instant")  # admitted, never queues
         waiting = controller.request("patient")  # queues behind it
         assert waiting.queued
@@ -307,7 +312,7 @@ class TestAdmissionControl:
 
     def test_fairness_is_one_when_nobody_queued(self):
         env = Environment()
-        controller = AdmissionController(env, AdmissionConfig(max_in_flight=8))
+        controller = AdmissionController(env, AdmissionConfig(max_in_flight=8), MetricsRegistry())
         controller.request("a")
         controller.request("b")
         assert controller.summary()["fairness_jain"] == 1.0
@@ -332,20 +337,25 @@ class TestAdmissionControl:
             )
 
 
+def drain_fleet(fleet):
+    """Every queued GET of every member of ``fleet``, drained member by member."""
+    return [request for member in fleet.members for request in fleet.drain_pending(member)]
+
+
 class TestDrainPending:
     def test_drain_pending_on_idle_device(self, tiny_tpch_catalog):
         service = StorageService(make_config(1), catalog=tiny_tpch_catalog)
         # Nothing submitted yet: the device is idle and draining is a no-op.
-        assert service.drain_pending() == []
+        assert service.device.drain_pending() == []
         assert not service.device.scheduler.has_pending()
         result = service.run()
         # After a completed run everything was served; still nothing to drain.
-        assert service.drain_pending() == []
+        assert service.device.drain_pending() == []
         assert result.total_get_requests() > 0
 
     def test_drain_pending_on_idle_fleet(self):
         service = StorageService(get_scenario("fleet-hot-shard"))
-        assert service.drain_pending() == []
+        assert drain_fleet(service.fleet) == []
 
     def test_fleet_drain_takes_the_requests_off_outstanding(self):
         """Regression: the admin drain emptied every device queue but left
@@ -356,7 +366,7 @@ class TestDrainPending:
         service.submit_workload()
         service.env.run(service.env.timeout(50.0))
         before = sum(member.outstanding for member in fleet.members)
-        drained = service.drain_pending()
+        drained = drain_fleet(fleet)
         assert drained and fleet.pending_total() == 0
         assert sum(member.outstanding for member in fleet.members) == before - len(drained)
         completed = []

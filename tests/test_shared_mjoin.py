@@ -24,7 +24,7 @@ from test_core_arrival_properties import _POLICIES, chain_joins
 
 from repro.core.cache import MaxProgressEviction, ObjectCache
 from repro.core.execution import RunCursor
-from repro.core.executor import SharedMJoin, SkipperExecutor
+from repro.core.executor import SharedMJoin
 from repro.core.mjoin import MJoinStateManager
 from repro.engine.cost import CostModel
 from repro.engine.executor import InMemoryExecutor, canonical_rows
@@ -405,9 +405,7 @@ class TestErrorsStayPerExecution:
         rig = make_rig(_TINY, _Q5.tables)
         runs = {}
         for tenant in ("tenant", "tenant"):
-            executor = SkipperExecutor(
-                rig.env, tenant, _TINY, rig.device, cache_capacity=3, shared_runs=runs
-            )
+            executor = rig.skipper(3, tenant, shared_runs=runs)
             with pytest.raises(CacheError, match="smaller than the number of joined"):
                 next(executor.execute(_Q5))
         assert runs == {}

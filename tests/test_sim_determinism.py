@@ -19,6 +19,7 @@ import heapq
 from typing import Any, List, Tuple
 
 from hypothesis import given, settings, strategies as st
+from drain import drain
 
 from repro.exceptions import SimulationError
 from repro.sim import Environment, Store
@@ -181,7 +182,10 @@ def run_program(
         for stop in sorted(stop_events, key=lambda event: event.delay):
             env.run(stop)
             assert stop.dispatched and env.now == stop.delay
-    env.run()
+    if isinstance(env, LegacyEnvironment):
+        env.run()
+    else:
+        drain(env)
     return trace
 
 
@@ -222,7 +226,7 @@ def test_a_stop_leaves_the_rest_of_its_instant_for_the_next_run():
     assert (env.now, order) == (1.0, [])
     # Scheduled between the runs, at the instant still being dispatched.
     env.timeout(0.0).add_callback(lambda _event: order.append("c"))
-    env.run()
+    drain(env)
     assert (env.now, order, env.dispatched) == (1.0, ["a", "b", "c"], 4)
 
 
@@ -233,7 +237,7 @@ def test_a_late_callback_on_an_event_dispatched_this_instant_runs_this_instant()
     first.add_callback(lambda event: event.add_callback(lambda _e: order.append("late")))
     env.timeout(1.0).add_callback(lambda _event: order.append("sibling"))
     env.timeout(2.0).add_callback(lambda _event: order.append("later"))
-    env.run()
+    drain(env)
     assert order == ["sibling", "late", "later"]
     assert env.dispatched == 4
 
@@ -255,5 +259,5 @@ def test_events_scheduled_during_a_batch_dispatch_after_it():
 
     env.process(chain(env))
     env.process(sibling(env))
-    env.run()
+    drain(env)
     assert order == ["first", "second", "zero-delay"]

@@ -3,6 +3,7 @@
 from typing import Tuple
 
 import pytest
+from drain import drain
 from frame_count import count_frames
 
 from repro.exceptions import SimulationError
@@ -25,7 +26,7 @@ def test_run_until_time_stops_clock_at_deadline():
     env.run(env.timeout(4.0))
     assert env.now == 4.0
     assert fired == []
-    env.run()
+    drain(env)
     assert fired == [10.0]
 
 
@@ -91,7 +92,7 @@ class TestRunUntilWaitsForDispatch:
     def test_run_until_already_dispatched_event_returns_immediately(self):
         env = Environment()
         timeout = env.timeout(1.0)
-        env.run()
+        drain(env)
         assert env.now == pytest.approx(1.0)
         assert env.run(until=timeout) is None
         assert env.now == pytest.approx(1.0)
@@ -111,13 +112,13 @@ def test_dispatched_counter_counts_deliveries():
         yield env.timeout(1.0)
 
     env.process(proc(env))
-    env.run()
+    drain(env)
     # bootstrap + two timeouts + the process completion event itself
     assert env.dispatched == 4
 
 
 def test_every_run_mode_dispatches_in_the_same_order():
-    """``run()`` and ``run(event)`` are one dispatch order."""
+    """Running to the end and running to an event are one dispatch order."""
 
     def trace(drive):
         env = Environment()
@@ -135,7 +136,7 @@ def test_every_run_mode_dispatches_in_the_same_order():
         drive(env, processes)
         return log, env.dispatched, env.now
 
-    until_empty = trace(lambda env, _processes: env.run())
+    until_empty = trace(lambda env, _processes: drain(env))
     assert trace(lambda env, processes: env.run(env.all_of(processes)))[0] == until_empty[0]
 
 
@@ -147,9 +148,9 @@ def test_run_until_event_that_never_fires_raises_after_the_last_event():
     assert env.now == 1.0
 
 
-def test_run_without_events_returns_at_once():
+def test_run_without_events_stops_at_once():
     env = Environment()
-    assert env.run() is None
+    drain(env)
     assert env.now == 0.0
     assert env.dispatched == 0
 
@@ -164,7 +165,7 @@ def test_same_time_events_fire_in_scheduling_order():
 
     for label in ("a", "b", "c"):
         env.process(proc(env, label))
-    env.run()
+    drain(env)
     assert order == ["a", "b", "c"]
 
 
@@ -175,7 +176,7 @@ def test_yielding_non_event_fails_the_process():
         yield 42
 
     process = env.process(bad(env))
-    env.run()
+    drain(env)
     assert isinstance(process.exception, SimulationError)
 
 
@@ -200,7 +201,7 @@ def test_simulation_is_deterministic():
         env.process(worker(env, "x", 2))
         env.process(worker(env, "y", 2))
         env.process(worker(env, "z", 3))
-        env.run()
+        drain(env)
         return trace
 
     assert build_and_run() == build_and_run()

@@ -1,6 +1,7 @@
 """Unit tests for the simulation primitives (events, timeouts, stores)."""
 
 import pytest
+from drain import drain
 
 from repro.exceptions import SimulationError
 from repro.sim import Environment, Store
@@ -37,7 +38,7 @@ def test_timeout_rejects_nan_delay():
     env.timeout(2.0)
     with pytest.raises(SimulationError, match="nan"):
         env.timeout(float("nan"))
-    env.run()
+    drain(env)
     assert (env.now, env.dispatched) == (2.0, 1)
 
 
@@ -55,7 +56,7 @@ def test_event_state_is_plain_attributes():
     seen = []
     event.callbacks.append(seen.append)
     event.succeed(7)
-    env.run()
+    drain(env)
     assert (event.triggered, event.dispatched, event.value) == (True, True, 7)
     assert seen == [event] and event.callbacks == []
     for owner, name in ((Environment, "now"), (type(event), "value"), (type(event), "triggered")):
@@ -71,7 +72,7 @@ def test_timeout_advances_clock():
         return env.now
 
     proc = env.process(process(env))
-    env.run()
+    drain(env)
     assert env.now == pytest.approx(3.5)
     assert proc.value == pytest.approx(3.5)
 
@@ -91,7 +92,7 @@ def test_process_waits_on_event_and_receives_value():
 
     env.process(waiter(env))
     env.process(opener(env))
-    env.run()
+    drain(env)
     assert observed == [(2.0, "open")]
 
 
@@ -108,7 +109,7 @@ def test_event_failure_propagates_into_process():
 
     waiter_proc = env.process(waiter(env))
     env.process(failer(env))
-    env.run()
+    drain(env)
     assert isinstance(waiter_proc.exception, ValueError)
 
 
@@ -124,7 +125,7 @@ def test_process_waiting_on_process_gets_return_value():
         return result
 
     outer_proc = env.process(outer(env))
-    env.run()
+    drain(env)
     assert outer_proc.value == "inner-result"
 
 
@@ -145,7 +146,7 @@ def test_all_of_waits_for_every_event():
         return values
 
     waiter_proc = env.process(waiter(env))
-    env.run()
+    drain(env)
     assert waiter_proc.value == ["a", "b", "c"]
     assert env.now == pytest.approx(3.0)
 
@@ -165,7 +166,7 @@ def test_any_of_fires_on_first_event():
         return (env.now, value)
 
     waiter_proc = env.process(waiter(env))
-    env.run()
+    drain(env)
     assert waiter_proc.value == (1.0, "fast")
 
 
@@ -181,7 +182,7 @@ def test_any_of_waits_for_timeout_children():
         return (env.now, fast.dispatched)
 
     waiter_proc = env.process(waiter(env))
-    env.run()
+    drain(env)
     assert waiter_proc.value == (2.0, True)
 
 
@@ -193,7 +194,7 @@ def test_all_of_waits_for_timeout_children():
         return (env.now, values)
 
     waiter_proc = env.process(waiter(env))
-    env.run()
+    drain(env)
     assert waiter_proc.value == (3.0, [None, None])
 
 
@@ -220,7 +221,7 @@ def test_any_of_races_timeout_against_store_get():
 
     env.process(consumer(env))
     env.process(producer(env))
-    env.run()
+    drain(env)
     # The arrival won the race: the consumer woke at t=4 with the item, well
     # before the t=10 refill.
     assert log == [("item", 4.0, "mid-wait")]
@@ -256,7 +257,7 @@ def test_store_fifo_ordering():
 
     env.process(consumer(env))
     env.process(producer(env))
-    env.run()
+    drain(env)
     assert received == [0, 1, 2]
 
 
@@ -282,7 +283,7 @@ def test_store_get_before_put_resolves_on_put():
 
     env.process(consumer(env))
     store.put("ready")
-    env.run()
+    drain(env)
     assert results == [(0.0, "ready")]
 
 
@@ -294,7 +295,7 @@ def test_all_of_nothing_succeeds_with_an_empty_list():
         return (env.now, values)
 
     waiter_proc = env.process(waiter(env))
-    env.run()
+    drain(env)
     assert waiter_proc.value == (0.0, [])
 
 
@@ -316,7 +317,7 @@ def test_any_of_fails_with_the_exception_of_a_failed_child():
 
     waiter_proc = env.process(waiter(env))
     env.timeout(1.0).add_callback(lambda _event: broken.fail(error))
-    env.run()
+    drain(env)
     assert waiter_proc.value == (1.0, error)
 
 
@@ -326,7 +327,7 @@ def test_yielding_a_dispatched_event_resumes_through_the_queue():
     spot: what else is queued for that instant keeps its turn."""
     env = Environment()
     done = env.event().succeed("payload")
-    env.run()
+    drain(env)
     assert env.dispatched == 1  # ``done`` went out with nobody waiting
     order = []
 
@@ -337,5 +338,5 @@ def test_yielding_a_dispatched_event_resumes_through_the_queue():
 
     env.process(late_waiter(env))
     env.event().succeed().add_callback(lambda _event: order.append("queued first"))
-    env.run()
+    drain(env)
     assert order == ["yielding", "queued first", ("resumed", "payload")]

@@ -1154,8 +1154,10 @@ def test_test_only_code_stays_deleted():
     """What only the tests ran is gone (``tools/census.py``'s program
     section finds it): the kernel's ``step``/``peek`` twin, the operators no
     plan builds, introspection only tests read, 16 parameters no program
-    caller sets, the deferred submit's machinery and the per-workload
-    lookups.  ``Environment.run`` waits for an event or for nothing."""
+    caller sets, the deferred submit's machinery, the per-workload lookups,
+    and the row validators, per-row predicate evaluators, drain-all hatches
+    and knobs the program takes one way (the census's parameter section).
+    ``Environment.run`` waits for an event."""
     definitions = _definitions()
     by_name = {}
     for qualified in definitions:
@@ -1211,6 +1213,26 @@ def test_test_only_code_stays_deleted():
         "SubplanTracker.object_in_pending",
         "ObjectCache.__contains__",
         "Session._execute",
+        # Only tier-1 entered them: the row validators, the per-row
+        # predicate evaluators (tests/predicate_oracle.py has the
+        # reference), a neutral predicate nothing builds, the readable rank
+        # (tests/scheduler_oracle.py), a single ``get`` (the cache tests'
+        # reference) and the service's drain-all hatch.
+        "TableSchema.validate_row",
+        "DataType.validate",
+        "DataType.python_types",
+        "Predicate.evaluate",
+        "Comparison.evaluate",
+        "Between.evaluate",
+        "InList.evaluate",
+        "And.evaluate",
+        "Or.evaluate",
+        "Not.evaluate",
+        "TruePredicate",
+        "conjunction",
+        "RankBasedScheduler.rank",
+        "ObjectCache.get",
+        "StorageService.drain_pending",
     ]
     back = {name: by_name[name] for name in deleted if name in by_name}
     assert not back, back
@@ -1232,6 +1254,12 @@ def test_test_only_code_stays_deleted():
         "repro.harness.runner:_render_value": "indent",
         "repro.service.session:Session.submit": "at",
         "repro.service.service:StorageService.__init__": "admission",
+        "repro.engine.relation:Relation.from_rows": "validate",
+        "repro.csd.device:MigrationTokenBucket.__init__": "burst",
+        "repro.csd.scheduler:_ArrivalIndexedScheduler.__init__": "ordering",
+        "repro.fleet.placement:ConsistentHashPlacement.__init__": "virtual_nodes",
+        "repro.core.executor:SkipperExecutor.__init__": "device",
+        "repro.vanilla.executor:VanillaExecutor.__init__": "device",
     }
     for qualified, names in parameters.items():
         arguments = definitions[qualified].args
@@ -1245,4 +1273,5 @@ def test_test_only_code_stays_deleted():
     assert "trace_json" not in outcome_fields
     run = definitions["repro.sim.environment:Environment.run"].args
     assert [arg.arg for arg in run.args] == ["self", "until"]
-    assert ast.unparse(run.args[1].annotation) == "Optional[Event]"
+    assert ast.unparse(run.args[1].annotation) == "Event"
+    assert not run.defaults

@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from drain import drain
 
 from repro.csd import ClientsPerGroupLayout, DeviceConfig, ObjectStore, SlackFCFSScheduler
 from repro.csd.request import GetRequest
@@ -28,6 +29,7 @@ from repro.exceptions import FleetError, StorageError
 from repro.fleet.controller import FleetController
 from repro.fleet.router import FleetRouter
 from repro.fleet.spec import KNOWN_REPLICA_POLICIES, DeviceFailure, DeviceLeave, FleetSpec
+from repro.obs import MetricsRegistry
 from repro.sim import Environment, Event, Store
 
 CLIENTS = ("t0", "t1", "t2")
@@ -59,6 +61,7 @@ def build_router(fleet_spec: FleetSpec, missing: Sequence[str] = ()) -> FleetRou
         layout_policy=ClientsPerGroupLayout(1),
         scheduler_factory=lambda: SlackFCFSScheduler(2),
         device_config=DeviceConfig(group_switch_seconds=3.0, transfer_seconds_per_object=1.0),
+        metrics=MetricsRegistry(),
     )
 
 
@@ -89,7 +92,7 @@ def _store_outcome(getters: int, items: Sequence[int], batched: bool) -> tuple:
         for item in items:
             store.put(item)
     queued_before_run = list(store.queued)
-    env.run()
+    drain(env)
     return queued_before_run, fired, len(store._getters), env.dispatched
 
 
@@ -190,7 +193,7 @@ def test_submit_many_is_submit_once_per_request(
     def drive(batched: bool) -> list:
         router = build_router(spec)
         if warm:
-            router.env.run()  # every device now blocks on its inbox getter
+            drain(router.env)  # every device now blocks on its inbox getter
         for member in router.members:
             member.alive = member.index not in dead
             member.outstanding = loads[member.index]
@@ -212,7 +215,7 @@ def test_submit_many_is_submit_once_per_request(
         # completions can drain ``outstanding`` to zero.
         for member in router.members:
             member.outstanding -= loads[member.index]
-        router.env.run()
+        drain(router.env)
         history.append(_after_run(router))
         history.append(completions)
         return history
@@ -230,10 +233,10 @@ def test_empty_batch_is_a_no_op():
     assert router.stats.requests_routed == 0 and not router._in_flight
     assert all(len(member.device.inbox.queued) == 0 for member in router.members)
     before = router.env.dispatched
-    router.env.run()
+    drain(router.env)
     # Only the device bootstraps ran: an empty batch scheduled nothing.
     twin = build_router(FleetSpec(devices=3, replication=2))
-    twin.env.run()
+    drain(twin.env)
     assert router.env.dispatched - before == twin.env.dispatched
 
 
@@ -284,7 +287,7 @@ def test_rejected_batch_leaves_every_counter_untouched(policy):
     assert _counters(router) == before
     # The good requests of the rejected batch are still submittable.
     router.submit_many([requests[0], requests[1], requests[3]])
-    router.env.run()
+    drain(router.env)
     assert router.stats.requests_routed == 3
     assert [member.outstanding for member in router.members] == [0, 0, 0]
 
@@ -334,7 +337,7 @@ def test_completed_request_and_completion_die_without_the_collector():
         del requests
         # In flight, the fleet owns them.
         assert all(request() is not None and done() is not None for request, done in probes)
-        router.env.run()
+        drain(router.env)
         assert len(payloads) == 6
         assert [(request(), done()) for request, done in probes] == [(None, None)] * 6
         assert not router._in_flight
@@ -370,7 +373,7 @@ def test_drained_requests_are_delivered_exactly_once(spec, counter):
     delivered: List[tuple] = []
     requests = build_requests(router, ALL_KEYS, delivered)
     router.submit_many(requests)
-    router.env.run()
+    drain(router.env)
     controller.raise_admin_failure()
     moved = getattr(router.stats, counter)
     assert moved > 0

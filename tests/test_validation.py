@@ -8,6 +8,7 @@ contract that they are rejected at construction time instead.
 from __future__ import annotations
 
 import pytest
+from drain import drain
 
 from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
@@ -17,6 +18,7 @@ from repro.csd.object_store import ObjectStore
 from repro.csd.request import MigrationJob, migration_fields
 from repro.csd.scheduler import RankBasedScheduler
 from repro.exceptions import ConfigurationError, ScenarioError
+from repro.obs import MetricsRegistry
 from repro.scenarios import ScenarioSpec, TenantSpec, uniform_tenants
 from repro.sim import Environment
 from repro.workloads import tpch
@@ -28,6 +30,10 @@ class TestDeviceConfigValidation:
     def test_zero_latencies_allowed_for_ideal_device(self):
         config = DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=0.0)
         assert config.group_switch_seconds == 0.0
+
+
+def _ignore(_job, _start, _end, _interfered):
+    """A migration batch's ``notify`` that books nothing."""
 
 
 class TestMigrationJobValidation:
@@ -56,7 +62,7 @@ class TestMigrationJobValidation:
         -1 and NaN were booked as zero-second migrations, and inf and an int
         no float can hold were accepted."""
         with pytest.raises(ConfigurationError, match=f"migration {pattern}"):
-            migration_fields("read", seconds, epoch=epoch)
+            migration_fields("read", seconds, epoch, "rebalance", _ignore)
 
     @pytest.mark.parametrize(
         "direction, reason, pattern",
@@ -68,19 +74,24 @@ class TestMigrationJobValidation:
     )
     def test_bad_direction_or_reason_rejected(self, direction, reason, pattern):
         with pytest.raises(ConfigurationError, match=pattern):
-            migration_fields(direction, 1.0, epoch=1, reason=reason)
+            migration_fields(direction, 1.0, 1, reason, _ignore)
 
     def test_a_valid_job_is_booked_on_a_bare_device(self):
         env = Environment()
         store = ObjectStore()
         key = store.put_segment("a", "t.0", object())
-        device = ColdStorageDevice(env, store, DiskGroupLayout({key: 0}), RankBasedScheduler())
-        device.submit_migrations([MigrationJob(key, *migration_fields("write", 2, epoch=0))])
-        env.run()
+        device = ColdStorageDevice(
+            env, store, DiskGroupLayout({key: 0}), RankBasedScheduler(), DeviceConfig(), MetricsRegistry()
+        )
+        notified = []
+        fields = migration_fields("write", 2, 0, "rebalance", lambda *call: notified.append(call))
+        device.submit_migrations([MigrationJob(key, *fields)])
+        drain(env)
         assert device.stats.migration_seconds == 2.0
         assert [(i.kind, i.start, i.end, i.query_id) for i in device.busy_intervals] == [
             ("migration", 0.0, 2.0, "rebalance:write:epoch0")
         ]
+        assert [call[1:] for call in notified] == [(0.0, 2.0, False)]
 
 
 class TestClientSpecValidation:

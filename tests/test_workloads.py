@@ -105,31 +105,31 @@ class TestTpch:
 
 class TestOtherWorkloads:
     def test_ssb_queries_run(self):
-        catalog = ssb.build_catalog("tiny", seed=2)
+        catalog = ssb.build_catalog("tiny", seed=2, catalog=Catalog())
         executor = InMemoryExecutor(catalog)
         for name in ssb.QUERIES:
             result = executor.execute(ssb.query(name))
             assert result.rows
 
     def test_mrbench_join_task_aggregates_by_source_ip(self):
-        catalog = mrbench.build_catalog("tiny", seed=2)
+        catalog = mrbench.build_catalog("tiny", seed=2, catalog=Catalog())
         result = InMemoryExecutor(catalog).execute(mrbench.join_task())
         assert result.rows
         assert all("total_revenue" in row and "avg_pagerank" in row for row in result.rows)
 
     def test_mrbench_aggregation_task(self):
-        catalog = mrbench.build_catalog("tiny", seed=2)
+        catalog = mrbench.build_catalog("tiny", seed=2, catalog=Catalog())
         result = InMemoryExecutor(catalog).execute(mrbench.aggregation_task())
         assert result.rows
 
     def test_nref_counting_join(self):
-        catalog = nref.build_catalog("tiny", seed=2)
+        catalog = nref.build_catalog("tiny", seed=2, catalog=Catalog())
         result = InMemoryExecutor(catalog).execute(nref.sequence_count())
         assert result.rows
         assert all(row["matching_sequences"] > 0 for row in result.rows)
 
     def test_nref_secondary_query(self):
-        catalog = nref.build_catalog("tiny", seed=2)
+        catalog = nref.build_catalog("tiny", seed=2, catalog=Catalog())
         result = InMemoryExecutor(catalog).execute(nref.long_protein_report())
         assert result.rows
 
@@ -148,7 +148,7 @@ class TestOtherWorkloads:
     def test_unknown_scales_rejected(self):
         for module in (ssb, mrbench, nref):
             with pytest.raises(ConfigurationError):
-                module.build_catalog("sf9000")
+                module.build_catalog("sf9000", catalog=Catalog())
             with pytest.raises(ConfigurationError):
                 module.query("does_not_exist")
 
@@ -163,7 +163,7 @@ class TestLookupMessages:
 
     def test_unknown_scale_names_the_scales(self, module, label):
         with pytest.raises(ConfigurationError) as raised:
-            module.build_catalog("sf9000")
+            module.build_catalog("sf9000", catalog=Catalog())
         assert str(raised.value) == (
             f"unknown {label} scale 'sf9000'; expected one of {sorted(module.SCALES)}"
         )

@@ -11,6 +11,10 @@ hit, so tracing costs little):
   and the paper's figures run.  Printed per module is every line tier-1
   runs and the program never does, the functions only tier-1 enters, then
   the total: code that exists for its tests alone.
+* **parameters** — from the same program run, every defaulted parameter of
+  a ``src/repro`` function the program enters that it takes at most one way
+  (:func:`way`: a plain value by its ``repr``, anything else by its type):
+  a knob only tests turn, or a fallback only tests take.
 
 Both sections exempt ``__repr__`` bodies, imports under ``if
 TYPE_CHECKING:`` and ``raise NotImplementedError``.  The program section
@@ -18,7 +22,9 @@ also exempts error paths: a ``raise``, and a straight-line statement whose
 only job is to reach one (the statements before it in the same block,
 the ``except`` line of a handler that only re-raises).
 
-Only the two traced processes are seen.  A module neither process imports
+The parameters are read at ``PY_START`` from the entered frame's locals;
+a function stops being watched once each of its defaulted parameters has
+been seen two ways.  Only the two traced processes are seen.  A module neither process imports
 has every executable line counted.
 
 Usage (stdlib plus tier-1's own ``pytest``, from the repository root)::
@@ -46,6 +52,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 Line = Tuple[int, str]
+#: ``(file, first line of the code object, parameter)`` -> the ways it was taken.
+Ways = Dict[Tuple[str, int, str], Set[str]]
 #: Per module name: (counted lines, exempt lines).
 Table = Dict[str, Tuple[List[Line], List[Line]]]
 
@@ -56,6 +64,8 @@ _SCENARIOS = (
     ["--check"],
     ["--run", "fleet-throttled-rebalance", "--trace", "{tmp}/fleet.json"],
     ["--run", "uniform", "--trace", "{tmp}/uniform.json"],
+    ["--run", "admission-burst", "--trace", "{tmp}/admission.json"],
+    ["--run", "mixed-fleet", "--trace", "{tmp}/mixed.json"],
 )
 _EXAMPLES = (
     ["quickstart.py"],
@@ -76,6 +86,7 @@ PROGRAM: List[Tuple[str, List[str]]] = (
         for name in ("fleet", "uniform")
         for option in (["--top", "5"], ["--chrome", f"{{tmp}}/{name}-chrome.json"])
     ]
+    + [("repro.trace", [f"{{tmp}}/{name}.json", "--top", "5"]) for name in ("admission", "mixed")]
     + [(f"examples/{argv[0]}", argv[1:]) for argv in _EXAMPLES]
     + [
         ("ledger/run.py", ["--workload", name, "--quick", "--seconds", "0", "--trace", mode])
@@ -83,6 +94,7 @@ PROGRAM: List[Tuple[str, List[str]]] = (
         for mode in ("0", "1")
     ]
     + [
+        ("repro.scenarios", ["--regen-golden", "uniform", "--golden-dir", "{tmp}/golden"]),
         ("repro", ["list"]),
         ("repro.bench", ["--smoke", "--check"]),
         ("repro.bench", ["--smoke", "--trace", "--output", "{tmp}/bench.json", "--check"]),
@@ -109,27 +121,59 @@ def _experiments() -> List[Tuple[str, List[str]]]:
 # --------------------------------------------------------------------------- #
 # Tracing (runs in a child interpreter)
 # --------------------------------------------------------------------------- #
-def _traced(run: Callable[[], List[str]], prefix: str) -> Tuple[Set[Tuple[str, int]], List[str]]:
+def _traced(
+    run: Callable[[], List[str]], prefix: str, watched: Dict[Tuple[str, int], Tuple[str, ...]]
+) -> Tuple[Set[Tuple[str, int]], List[str], Ways]:
     """``(file, line)`` of every line under ``prefix`` that ``run`` reaches,
-    and the notes ``run`` returns."""
+    the notes ``run`` returns, and the ways each ``watched`` parameter was
+    taken (``watched`` maps a code object's ``(file, first line)`` to its
+    defaulted parameters)."""
     monitoring = sys.monitoring  # type: ignore[attr-defined]
     tool = monitoring.COVERAGE_ID
     hits: Set[Tuple[str, int]] = set()
+    ways: Ways = {}
 
     def on_line(code, line):
         if code.co_filename.startswith(prefix):
             hits.add((code.co_filename, line))
         return monitoring.DISABLE
 
+    def on_start(code, _offset):
+        where = (code.co_filename, code.co_firstlineno)
+        parameters = watched.get(where)
+        if parameters is None:
+            return monitoring.DISABLE
+        arguments = sys._getframe(1).f_locals
+        settled = True
+        for name in parameters:
+            seen = ways.setdefault((*where, name), set())
+            if len(seen) < 2:
+                seen.add(way(arguments[name]))
+                settled = settled and len(seen) >= 2
+        return monitoring.DISABLE if settled else None
+
     monitoring.use_tool_id(tool, "census")
     monitoring.register_callback(tool, monitoring.events.LINE, on_line)
-    monitoring.set_events(tool, monitoring.events.LINE)
+    monitoring.register_callback(tool, monitoring.events.PY_START, on_start)
+    monitoring.set_events(tool, monitoring.events.LINE | monitoring.events.PY_START)
     try:
         notes = run()
     finally:
         monitoring.set_events(tool, 0)
         monitoring.free_tool_id(tool)
-    return hits, notes
+    return hits, notes, ways
+
+
+def way(value: object) -> str:
+    """How a parameter was taken: a plain value (``None``, a number, a
+    string, a tuple of them) by its ``repr``, anything else by its type."""
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return repr(value)
+    if isinstance(value, tuple) and all(
+        item is None or isinstance(item, (bool, int, float, str)) for item in value
+    ):
+        return repr(value)
+    return type(value).__qualname__
 
 
 def _run_tests() -> List[str]:
@@ -180,14 +224,25 @@ def _run_entry_point(target: str, argv: Sequence[str]) -> int:
 def _child(half: str, output: str) -> None:
     os.chdir(REPO_ROOT)
     sys.path.insert(0, str(SRC))
+    watched: Dict[Tuple[str, int], Tuple[str, ...]] = {}
+    if half == "program":
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for line, (_name, parameters) in defaulted_parameters(path.read_text()).items():
+                watched[str(path), line] = parameters
     run = _run_tests if half == "tests" else _run_program
-    hits, notes = _traced(run, str(SRC / "repro"))
-    Path(output).write_text(json.dumps({"hits": sorted(hits), "notes": notes}))
+    hits, notes, ways = _traced(run, str(SRC / "repro"), watched)
+    document = {
+        "hits": sorted(hits),
+        "notes": notes,
+        "ways": [[*key, sorted(seen)] for key, seen in sorted(ways.items())],
+    }
+    Path(output).write_text(json.dumps(document))
 
 
-def trace_half(half: str) -> Tuple[Dict[str, Set[int]], List[str]]:
+def trace_half(half: str) -> Tuple[Dict[str, Set[int]], List[str], Ways]:
     """Lines of each ``src/repro`` file that ``half`` (``"tests"`` or
-    ``"program"``) runs, traced in a fresh interpreter, and its notes."""
+    ``"program"``) runs, traced in a fresh interpreter, its notes, and (for
+    the program) the ways it took each defaulted parameter."""
     with tempfile.TemporaryDirectory(prefix="census-") as directory:
         output = str(Path(directory) / f"{half}.json")
         child = multiprocessing.get_context("spawn").Process(target=_child, args=(half, output))
@@ -199,7 +254,8 @@ def trace_half(half: str) -> Tuple[Dict[str, Set[int]], List[str]]:
     hits: Dict[str, Set[int]] = {}
     for filename, line in document["hits"]:
         hits.setdefault(filename, set()).add(line)
-    return hits, document["notes"]
+    ways = {(filename, line, name): set(seen) for filename, line, name, seen in document["ways"]}
+    return hits, document["notes"], ways
 
 
 # --------------------------------------------------------------------------- #
@@ -304,6 +360,23 @@ def program_table(
     return table, functions
 
 
+def unentered_functions(program: Dict[str, Set[int]], src: Path = SRC) -> List[str]:
+    """``module.function`` of every function of ``src/repro`` the program
+    never enters (no body line run), less those whose whole body is exempt
+    as in :func:`program_table`."""
+    found = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        exempt = exempt_lines(source) | error_path_lines(source)
+        ran = program.get(str(path), set())
+        found += [
+            f"{module_name(path, src)}.{qualname}"
+            for qualname, body in _function_bodies(ast.parse(source))
+            if not body & ran and not body <= exempt
+        ]
+    return found
+
+
 def _function_bodies(tree: ast.AST, prefix: str = "") -> Iterable[Tuple[str, Set[int]]]:
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -311,6 +384,54 @@ def _function_bodies(tree: ast.AST, prefix: str = "") -> Iterable[Tuple[str, Set
             if not isinstance(node, ast.ClassDef):
                 yield qualname, set(range(node.body[0].lineno, (node.end_lineno or 0) + 1))
             yield from _function_bodies(node, f"{qualname}.")
+
+
+def defaulted_parameters(source: str) -> Dict[int, Tuple[str, Tuple[str, ...]]]:
+    """Per function of ``source`` with a defaulted parameter, keyed by its
+    code object's first line (its first decorator's, if any): its qualified
+    name and the parameters that have a default."""
+    found: Dict[int, Tuple[str, Tuple[str, ...]]] = {}
+
+    def visit(tree: ast.AST, prefix: str) -> None:
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(node, 'name', '<lambda>')}"
+                arguments = node.args
+                positional = [*arguments.posonlyargs, *arguments.args]
+                defaulted = [arg.arg for arg in positional[len(positional) - len(arguments.defaults):]]
+                defaulted += [
+                    arg.arg
+                    for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+                    if default is not None
+                ]
+                if defaulted:
+                    decorators = getattr(node, "decorator_list", [])
+                    first = decorators[0].lineno if decorators else node.lineno
+                    found[first] = (name, tuple(defaulted))
+                visit(node, f"{name}.")
+            elif isinstance(node, ast.ClassDef):
+                visit(node, f"{prefix}{node.name}.")
+            else:
+                visit(node, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def one_way_parameters(ways: Ways, src: Path = SRC) -> List[Tuple[str, str]]:
+    """``(module.function(parameter), the one way)`` of every defaulted
+    parameter the program took at most one way, in file and line order."""
+    names: Dict[str, Dict[int, Tuple[str, Tuple[str, ...]]]] = {}
+    found = []
+    for (filename, line, parameter), seen in sorted(ways.items()):
+        if len(seen) > 1:
+            continue
+        if filename not in names:
+            names[filename] = defaulted_parameters(Path(filename).read_text(encoding="utf-8"))
+        function = names[filename][line][0]
+        module = module_name(Path(filename), src)
+        found.append((f"{module}.{function}({parameter})", "".join(seen)))
+    return found
 
 
 def _lines(table: Table) -> Tuple[List[str], int, int]:
@@ -325,8 +446,14 @@ def _lines(table: Table) -> Tuple[List[str], int, int]:
     return out, total, exempt_total
 
 
-def report(tests: Table, program: Table, functions: Dict[str, List[str]]) -> str:
-    """Both sections as text: per module the lines, then the totals."""
+def report(
+    tests: Table,
+    program: Table,
+    functions: Dict[str, List[str]],
+    parameters: Sequence[Tuple[str, str]],
+) -> str:
+    """The three sections as text: per module the lines, then the totals;
+    then the one-way parameters."""
     out = ["== tests: lines of src/repro tier-1 never runs =="]
     lines, total, exempt = _lines(tests)
     out += lines
@@ -345,6 +472,10 @@ def report(tests: Table, program: Table, functions: Dict[str, List[str]]) -> str
         f"tests-only lines: {total} (exempt: {exempt} in __repr__ bodies, TYPE_CHECKING "
         "imports, raise NotImplementedError and error paths)"
     )
+    out.append("")
+    out.append("== parameters the program sets one way ==")
+    out.extend(f"  {name}: {taken}" for name, taken in parameters)
+    out.append(f"one-way parameters: {len(parameters)}")
     return "\n".join(out)
 
 
@@ -352,12 +483,12 @@ def main() -> int:
     if sys.version_info < (3, 12):
         print("error: the census needs sys.monitoring (Python 3.12+)", file=sys.stderr)
         return 2
-    tests, tests_notes = trace_half("tests")
-    program, program_notes = trace_half("program")
+    tests, tests_notes, _ = trace_half("tests")
+    program, program_notes, ways = trace_half("program")
     for note in tests_notes + program_notes:
         print(note)
     table, functions = program_table(tests, program)
-    print(report(tests_table(tests), table, functions))
+    print(report(tests_table(tests), table, functions, one_way_parameters(ways)))
     return 0
 
 
