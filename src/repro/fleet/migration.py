@@ -157,9 +157,9 @@ def plan_migration(
     alive: Mapping[str, bool],
     resident: Mapping[str, Container[str]],
     changed_keys: Sequence[str],
-    devices_before: int = 0,
-    devices_after: int = 0,
-    replication: int = 1,
+    devices_before: int,
+    devices_after: int,
+    replication: int,
 ) -> MigrationPlan:
     """Diff two placements into the minimal set of replica copies.
 

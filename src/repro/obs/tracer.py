@@ -126,7 +126,7 @@ class Tracer:
         track: str,
         start: float,
         end: float,
-        parent: Span,
+        parent: Optional[Span],
         **attrs: Any,
     ) -> Span:
         """Create an already-completed span (both timestamps known)."""

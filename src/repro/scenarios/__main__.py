@@ -22,7 +22,9 @@ from typing import Optional, Sequence
 from repro.exceptions import ConfigurationError, ReproError
 from repro.fleet.spec import DeviceJoin, SetReplication
 from repro.harness.tables import format_table
-from repro.scenarios.golden import assert_dict_matches_golden, orphan_goldens, write_golden
+from repro.scenarios.golden import (
+    assert_dict_matches_golden, default_golden_dir, orphan_goldens, write_golden,
+)
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runner import ScenarioOutcome, ScenarioRunner, run_one
 
@@ -60,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--golden-dir",
         type=Path,
-        default=None,
+        default=default_golden_dir(),
         help="override the golden directory (default: tests/golden)",
     )
     parser.add_argument(

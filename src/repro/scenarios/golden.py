@@ -21,7 +21,7 @@ from __future__ import annotations
 import difflib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.exceptions import GoldenMismatchError
 from repro.scenarios.report import ScenarioReport
@@ -35,12 +35,12 @@ def default_golden_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "tests" / "golden"
 
 
-def golden_path(name: str, golden_dir: Optional[Path] = None) -> Path:
+def golden_path(name: str, golden_dir: Path) -> Path:
     """Path of the golden file for scenario ``name``."""
-    return (golden_dir or default_golden_dir()) / f"{name}.json"
+    return golden_dir / f"{name}.json"
 
 
-def write_golden(report: ScenarioReport, golden_dir: Optional[Path] = None) -> Path:
+def write_golden(report: ScenarioReport, golden_dir: Path) -> Path:
     """Serialize ``report`` as the golden file for its scenario."""
     path = golden_path(report.scenario, golden_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -48,7 +48,7 @@ def write_golden(report: ScenarioReport, golden_dir: Optional[Path] = None) -> P
     return path
 
 
-def load_golden(name: str, golden_dir: Optional[Path] = None) -> Dict[str, Any]:
+def load_golden(name: str, golden_dir: Path) -> Dict[str, Any]:
     """Load the committed golden metrics for scenario ``name``."""
     path = golden_path(name, golden_dir)
     if not path.exists():
@@ -65,12 +65,11 @@ def load_golden(name: str, golden_dir: Optional[Path] = None) -> Dict[str, Any]:
         ) from None
 
 
-def orphan_goldens(names: Sequence[str], golden_dir: Optional[Path] = None) -> List[Path]:
+def orphan_goldens(names: Sequence[str], golden_dir: Path) -> List[Path]:
     """The golden files under ``golden_dir`` that name none of ``names``:
     left behind by a scenario that is no longer registered."""
     registered = set(names)
-    directory = golden_dir or default_golden_dir()
-    return [path for path in sorted(directory.glob("*.json")) if path.stem not in registered]
+    return [path for path in sorted(golden_dir.glob("*.json")) if path.stem not in registered]
 
 
 def diff_values(live: Any, golden: Any, path: str = "$") -> List[str]:
@@ -123,7 +122,7 @@ def unified_diff_summary(live: Dict[str, Any], golden: Dict[str, Any], name: str
 
 
 def assert_dict_matches_golden(
-    name: str, live: Dict[str, Any], golden_dir: Optional[Path] = None
+    name: str, live: Dict[str, Any], golden_dir: Path
 ) -> None:
     """Raise :class:`GoldenMismatchError` if the report dict ``live`` of
     scenario ``name`` diverges from its golden.

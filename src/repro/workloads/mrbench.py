@@ -65,8 +65,8 @@ SCALES: Dict[str, ScaleProfile] = {
 
 
 def build_catalog(
-    scale: Union[str, ScaleProfile] = "small",
-    seed: int = 11,
+    scale: Union[str, ScaleProfile],
+    seed: int,
     *,
     catalog: Catalog,
 ) -> Catalog:

@@ -96,8 +96,8 @@ SCALES: Dict[str, ScaleProfile] = {
 
 
 def build_catalog(
-    scale: Union[str, ScaleProfile] = "small",
-    seed: int = 23,
+    scale: Union[str, ScaleProfile],
+    seed: int,
     *,
     catalog: Catalog,
 ) -> Catalog:

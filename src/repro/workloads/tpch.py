@@ -237,8 +237,8 @@ _LOCAL_SUPPLIER_PROBABILITY = 0.35
 # Data generation
 # --------------------------------------------------------------------------- #
 def build_catalog(
-    scale: Union[str, ScaleProfile] = "small",
-    seed: int = 42,
+    scale: Union[str, ScaleProfile],
+    seed: int,
     catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """Generate a TPC-H-like database, optionally into an existing catalog."""

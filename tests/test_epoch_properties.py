@@ -156,6 +156,9 @@ def test_plan_equals_the_per_key_loop(epoch):
         alive,
         resident,
         changed,
+        devices_before=len(DEVICES),
+        devices_after=len(DEVICES),
+        replication=len(next(iter(new.values()))),
     )
     moves, trims = reference_plan(device_id, old, new, alive, resident, changed)
     assert plan.moves == moves
@@ -166,12 +169,16 @@ def test_plan_equals_the_per_key_loop(epoch):
 
 def test_the_named_cases_plan_what_they_say():
     device_id, old, new, alive, resident, changed = LEAVER_IS_LAST_HOLDER
-    leave = plan_migration(1, 0.0, "leave", device_id, old, new, alive, resident, changed)
+    leave = plan_migration(
+        1, 0.0, "leave", device_id, old, new, alive, resident, changed,
+        devices_before=4, devices_after=3, replication=2,
+    )
     assert {move.source for move in leave.moves} == {"csd0"}
     assert [trim.survivors for trim in leave.trims] == [2] * 4
     device_id, old, new, alive, resident, changed = READOPTION_ON_R_UP
     upgrade = plan_migration(
-        1, 0.0, "set-replication", device_id, old, new, alive, resident, changed
+        1, 0.0, "set-replication", device_id, old, new, alive, resident, changed,
+        devices_before=3, devices_after=3, replication=3,
     )
     assert ("a/t.1", "csd0", "csd2") not in upgrade.moves
     assert ("a/t.0", "csd0", "csd2") in upgrade.moves

@@ -167,7 +167,8 @@ class TestMigrationPlanner:
         old = {"a/t.0": ("csd0",), "a/t.1": ("csd1",), "a/t.2": ("csd0",)}
         new = {"a/t.0": ("csd0",), "a/t.1": ("csd2",), "a/t.2": ("csd0",)}
         plan = plan_migration(
-            1, 10.0, "join", "csd2", old, new, {}, {}, ["a/t.1"], devices_before=2, devices_after=3
+            1, 10.0, "join", "csd2", old, new, {}, {}, ["a/t.1"],
+            devices_before=2, devices_after=3, replication=1,
         )
         assert plan.keys_moved == 1
         assert plan.objects_migrated == 1
@@ -179,12 +180,16 @@ class TestMigrationPlanner:
         old = {"a/t.0": ("csd0", "csd1")}
         new = {"a/t.0": ("csd1", "csd2")}
         plan = plan_migration(
-            1, 0.0, "leave", "csd0", old, new, {"csd0": False, "csd1": True}, {}, ["a/t.0"]
+            1, 0.0, "leave", "csd0", old, new, {"csd0": False, "csd1": True}, {}, ["a/t.0"],
+            devices_before=3, devices_after=2, replication=2,
         )
         assert plan.moves[0].source == "csd1"
 
     def test_migration_bound_caps_at_full_reshuffle(self):
-        plan = plan_migration(1, 0.0, "join", "csd2", {}, {}, {}, {}, [], replication=3)
+        plan = plan_migration(
+            1, 0.0, "join", "csd2", {}, {}, {}, {}, [],
+            devices_before=2, devices_after=3, replication=3,
+        )
         plan.total_keys = 10
         plan.devices_before = 2
         plan.devices_after = 3
@@ -197,7 +202,10 @@ class TestMigrationPlanner:
         """A join moves ~R·K/N keys; raising R or reweighting moves them all:
         8 devices, R = 1, K = 100 bound a join by ceil(2·1·100/8) = 25 and
         the two full sweeps by K."""
-        plan = plan_migration(1, 0.0, kind, "csd8", {}, {}, {}, {}, [], replication=1)
+        plan = plan_migration(
+            1, 0.0, kind, "csd8", {}, {}, {}, {}, [],
+            devices_before=8, devices_after=9 if kind == "join" else 8, replication=1,
+        )
         plan.total_keys = 100
         plan.devices_before = 8
         plan.devices_after = 9 if kind == "join" else 8

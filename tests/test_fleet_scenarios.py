@@ -19,7 +19,10 @@ from repro.scenarios import (
     golden_path,
     scenario_names,
 )
+from repro.scenarios.golden import default_golden_dir
 from repro.scenarios.report import ScenarioReport
+
+GOLDEN_DIR = default_golden_dir()
 
 FAST_FLEET_SCENARIOS = [
     "fleet-hot-shard",
@@ -74,7 +77,7 @@ class TestRegistry:
         names = set(scenario_names())
         for name in FAST_FLEET_SCENARIOS + SLOW_FLEET_SCENARIOS:
             assert name in names
-            assert golden_path(name).exists()
+            assert golden_path(name, GOLDEN_DIR).exists()
 
     def test_every_fleet_scenario_is_listed(self):
         """The lists above are every registered fleet scenario, the SF-50 ones
@@ -88,7 +91,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", FLEET_PARAMS)
     def test_fleet_scenarios_match_goldens(self, name):
-        assert_dict_matches_golden(name, report_for(name).to_dict())
+        assert_dict_matches_golden(name, report_for(name).to_dict(), GOLDEN_DIR)
 
 
 class TestInvariants:

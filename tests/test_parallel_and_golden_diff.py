@@ -24,14 +24,18 @@ from repro.scenarios import (
     scenario_names,
     unified_diff_summary,
 )
+from repro.scenarios.golden import default_golden_dir
 from repro.scenarios.report import SCHEMA_VERSION
+
+GOLDEN_DIR = default_golden_dir()
+
 
 class TestRunOne:
     def test_outcomes_match_committed_goldens(self):
         for name in ("uniform", "fleet-hot-shard"):
             outcome = run_one(name)
             assert outcome.ok and outcome.name == name
-            assert_dict_matches_golden(name, json.loads(outcome.report_json))
+            assert_dict_matches_golden(name, json.loads(outcome.report_json), GOLDEN_DIR)
 
     def test_scenario_errors_are_captured_not_raised(self):
         outcome = run_one("no-such-scenario")
@@ -46,7 +50,7 @@ class TestReportSchema:
 
     def test_committed_goldens_carry_schema_version(self):
         for name in scenario_names():
-            assert load_golden(name)["schema_version"] == SCHEMA_VERSION
+            assert load_golden(name, GOLDEN_DIR)["schema_version"] == SCHEMA_VERSION
 
 
 class TestGoldenDiffUX:
@@ -55,7 +59,7 @@ class TestGoldenDiffUX:
         live = report.to_dict()
         live["cluster"]["device_switches"] += 1
         with pytest.raises(GoldenMismatchError) as excinfo:
-            assert_dict_matches_golden("uniform", live)
+            assert_dict_matches_golden("uniform", live, GOLDEN_DIR)
         message = str(excinfo.value)
         assert "--- golden/uniform.json" in message
         assert "+++ live/uniform.json" in message
@@ -69,7 +73,7 @@ class TestGoldenDiffUX:
 
     def test_matching_report_raises_nothing(self):
         report = ScenarioRunner().run(get_scenario("uniform"))
-        assert_dict_matches_golden(report.scenario, report.to_dict())
+        assert_dict_matches_golden(report.scenario, report.to_dict(), GOLDEN_DIR)
 
 
 #: The oldest CPython the program supports (the checker's ``py39-floor``).

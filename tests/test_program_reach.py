@@ -84,19 +84,23 @@ KEPT: Dict[str, str] = {
 
 #: The modules whose every function and parameter is command-line surface.
 _CLI_MODULES = ("repro.bench.", "repro.harness.experiments.")
-#: Parameters the command line sets: golden directory, seeds and scales.
+#: The other entry-point modules, where a parameter named for an option the
+#: command line sets (``argv``, ``--golden-dir``, a seed, a scale) is that
+#: option.  The same name in library code is judged like any other.
+_ENTRY_MODULES = ("repro.__main__.", "repro.scenarios.__main__.", "repro.trace.")
 _CLI_PARAMETERS = ("(argv)", "(golden_dir)", "(seed)", "scale)")
 
 
 def cli_surface(name: str) -> bool:
     """Whether the census name ``name`` is command-line surface: a ``main``,
     ``repro/bench/``, an experiment of ``harness/experiments.py`` or one of
-    its options, ``--golden-dir``, a seed or a scale."""
+    its options, or an entry-point module's ``argv``, golden directory, seed
+    or scale."""
     function = name.split("(")[0]
     return (
         name.startswith(_CLI_MODULES)
         or function.endswith(".main")
-        or name.endswith(_CLI_PARAMETERS)
+        or (name.startswith(_ENTRY_MODULES) and name.endswith(_CLI_PARAMETERS))
     )
 
 

@@ -27,13 +27,14 @@ from repro.fleet.spec import (
 )
 from repro.csd.device import DeviceConfig
 from repro.obs import MetricsRegistry
-from repro.scenarios.golden import load_golden
+from repro.scenarios.golden import default_golden_dir, load_golden
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.service import StorageService
 
 RUNNER = ScenarioRunner()
+GOLDEN_DIR = default_golden_dir()
 
 
 @pytest.fixture(scope="module")
@@ -336,8 +337,8 @@ class TestMigrationThrottle:
     def test_throttled_rebalance_interferes_strictly_less(self):
         """The headline pin: same join, strictly lower foreground
         interference with the token bucket than at strict priority."""
-        throttled = load_golden("fleet-throttled-rebalance")
-        unthrottled = load_golden("fleet-rebalance-under-load")
+        throttled = load_golden("fleet-throttled-rebalance", GOLDEN_DIR)
+        unthrottled = load_golden("fleet-rebalance-under-load", GOLDEN_DIR)
         assert (
             0
             < throttled["rebalance"]["interference_seconds_total"]
@@ -358,7 +359,7 @@ class TestMigrationThrottle:
             # Sustained token-to-token rate: never above the configured cap
             # (fence-post corrected, so auditors can compare directly).
             assert 0 < rate <= throttle["objects_per_second"] + 1e-9
-        unthrottled = load_golden("fleet-rebalance-under-load")
+        unthrottled = load_golden("fleet-rebalance-under-load", GOLDEN_DIR)
         assert unthrottled["replication"]["throttle"] is None
 
     def test_foreground_arriving_mid_wait_is_served_before_migration(self):
@@ -443,7 +444,7 @@ class TestMigrationThrottle:
         plan = report.rebalance["plans"][0]
         assert report.rebalance["migration_seconds_total"] < plan["objects_migrated"] * 2 * 9.6
         # The headline throttled scenario is paced to finish everything.
-        throttled = load_golden("fleet-throttled-rebalance")
+        throttled = load_golden("fleet-throttled-rebalance", GOLDEN_DIR)
         assert throttled["replication"]["unfinished_migration_jobs"] == 0
 
     def test_dead_device_drops_queued_migration_io(self):

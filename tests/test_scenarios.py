@@ -48,7 +48,7 @@ from repro.scenarios import (
     scenario_names,
     uniform_tenants,
 )
-from repro.scenarios.golden import diff_values, orphan_goldens
+from repro.scenarios.golden import default_golden_dir, diff_values, orphan_goldens
 from repro.scenarios.invariants import (
     check_cache_bounds,
     check_conservation,
@@ -66,6 +66,7 @@ from repro.service import StorageService
 from repro.workloads import tpch
 
 RUNNER = ScenarioRunner()
+GOLDEN_DIR = default_golden_dir()
 #: The policy class each spec name resolves to.
 LAYOUT_CLASSES = {
     "all-in-one": AllInOneLayout,
@@ -147,11 +148,11 @@ class TestRunner:
     def test_scenario_matches_committed_golden(self, name):
         """The regression net: live runs must match the committed goldens."""
         report = RUNNER.run(get_scenario(name))
-        assert_dict_matches_golden(report.scenario, report.to_dict())
+        assert_dict_matches_golden(report.scenario, report.to_dict(), GOLDEN_DIR)
 
     @pytest.mark.parametrize("name", [*scenario_names()])
     def test_every_scenario_has_a_committed_golden(self, name):
-        assert golden_path(name).exists()
+        assert golden_path(name, GOLDEN_DIR).exists()
 
     def test_reports_validate_core_invariants(self):
         report = RUNNER.run(get_scenario("uniform"))
@@ -210,7 +211,7 @@ class TestRunner:
 class TestGoldenDiff:
     def test_diff_reports_numeric_drift(self):
         report = RUNNER.run(get_scenario("uniform"))
-        golden = load_golden("uniform")
+        golden = load_golden("uniform", GOLDEN_DIR)
         live = report.to_dict()
         live["cluster"]["device_switches"] += 1
         mismatches = diff_values(live, golden)
@@ -218,7 +219,7 @@ class TestGoldenDiff:
 
     def test_a_float_one_ulp_off_is_drift(self):
         """Goldens regenerate byte for byte, so numbers compare exactly."""
-        golden = load_golden("uniform")
+        golden = load_golden("uniform", GOLDEN_DIR)
         live = json.loads(json.dumps(golden))
         assert diff_values(live, golden) == []
         mean_time = golden["cluster"]["mean_time"]
@@ -235,11 +236,11 @@ class TestGoldenDiff:
         )
         report = RUNNER.run(spec)
         with pytest.raises(GoldenMismatchError, match="regen-golden"):
-            assert_dict_matches_golden(report.scenario, report.to_dict())
+            assert_dict_matches_golden(report.scenario, report.to_dict(), GOLDEN_DIR)
 
     def test_every_golden_names_a_registered_scenario(self):
         """A scenario deleted from the registry takes its golden with it."""
-        assert orphan_goldens(scenario_names()) == []
+        assert orphan_goldens(scenario_names(), GOLDEN_DIR) == []
 
     def test_malformed_golden_raises_a_typed_error_naming_the_file(self, tmp_path):
         broken = tmp_path / "uniform.json"
@@ -249,7 +250,7 @@ class TestGoldenDiff:
         assert str(broken) in str(excinfo.value)
 
     def test_structural_divergence_reported(self):
-        golden = load_golden("uniform")
+        golden = load_golden("uniform", GOLDEN_DIR)
         live = json.loads(json.dumps(golden))
         del live["clients"]["tenant0"]
         live["clients"]["intruder"] = {"mode": "skipper"}
@@ -633,7 +634,7 @@ class TestSpecSerialization:
         """Compared as JSON text, not with ``==``, under which ``1 == 1.0 ==
         True`` would hide a serialisation that changed a value's type."""
         spec = get_scenario(name)
-        golden = load_golden(name)
+        golden = load_golden(name, GOLDEN_DIR)
         assert json.dumps(spec.to_dict(), sort_keys=True) == json.dumps(
             golden["spec"], sort_keys=True
         )
@@ -682,7 +683,7 @@ class TestCommandLine:
         from repro.scenarios.__main__ import main
 
         assert main(["--run", "uniform"]) == 0
-        assert capsys.readouterr().out == golden_path("uniform").read_text()
+        assert capsys.readouterr().out == golden_path("uniform", GOLDEN_DIR).read_text()
 
     def test_regen_check_and_run_all_over_two_scenarios(self, tmp_path, capsys, monkeypatch):
         """The whole-registry modes, driven in-process over two small scenarios."""
@@ -695,7 +696,7 @@ class TestCommandLine:
         assert cli.main(["--regen-golden", "--golden-dir", golden_dir]) == 0
         assert [path.name for path in sorted(tmp_path.iterdir())] == [f"{n}.json" for n in names]
         for name in names:
-            assert (tmp_path / f"{name}.json").read_text() == golden_path(name).read_text()
+            assert (tmp_path / f"{name}.json").read_text() == golden_path(name, GOLDEN_DIR).read_text()
         capsys.readouterr()
 
         assert cli.main(["--check", "--golden-dir", golden_dir]) == 0
@@ -725,9 +726,9 @@ class TestCommandLine:
         names = ["fleet-hot-shard", "uniform"]
         monkeypatch.setattr(cli, "scenario_names", lambda: names)
         for name in names:
-            (tmp_path / f"{name}.json").write_text(golden_path(name).read_text())
+            (tmp_path / f"{name}.json").write_text(golden_path(name, GOLDEN_DIR).read_text())
         orphan = tmp_path / "zz-orphan.json"
-        orphan.write_text(golden_path("uniform").read_text())
+        orphan.write_text(golden_path("uniform", GOLDEN_DIR).read_text())
         assert cli.main(["--check", "--golden-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         ok = [line.split()[1] for line in captured.out.splitlines() if line.startswith("ok")]

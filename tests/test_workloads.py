@@ -98,7 +98,7 @@ class TestTpch:
 
     def test_unknown_scale_and_query_rejected(self):
         with pytest.raises(ConfigurationError):
-            tpch.build_catalog("sf9000")
+            tpch.build_catalog("sf9000", 42)
         with pytest.raises(ConfigurationError):
             tpch.query("q99")
 
@@ -148,7 +148,7 @@ class TestOtherWorkloads:
     def test_unknown_scales_rejected(self):
         for module in (ssb, mrbench, nref):
             with pytest.raises(ConfigurationError):
-                module.build_catalog("sf9000", catalog=Catalog())
+                module.build_catalog("sf9000", 42, catalog=Catalog())
             with pytest.raises(ConfigurationError):
                 module.query("does_not_exist")
 
@@ -163,7 +163,7 @@ class TestLookupMessages:
 
     def test_unknown_scale_names_the_scales(self, module, label):
         with pytest.raises(ConfigurationError) as raised:
-            module.build_catalog("sf9000", catalog=Catalog())
+            module.build_catalog("sf9000", 42, catalog=Catalog())
         assert str(raised.value) == (
             f"unknown {label} scale 'sf9000'; expected one of {sorted(module.SCALES)}"
         )
