@@ -40,6 +40,11 @@ class ClientProxy:
         self._query_counter = itertools.count()
         #: Length of the ``tenant/`` prefix of this client's object keys.
         self._prefix_length = len(client_id) + 1
+        #: The store's segment columns and this client's keys by column: a
+        #: GET carries the store's own key string, not a copy per request.
+        store = device.object_store
+        self._key_columns = store.key_columns
+        self._keys = store.key_row(client_id)
 
     def new_query_id(self, query_name: str) -> str:
         """Mint a query identifier used to tag all requests of one query."""
@@ -53,18 +58,19 @@ class ClientProxy:
         that is the whole point of CSD-driven execution.
         """
         # The whole burst (a million objects at the largest scales) goes to
-        # the backend as one batch; the key prefix is validated once here,
-        # matching ``make_object_key`` exactly, and every completion shares
-        # one callback instead of a closure per request.
+        # the backend as one batch, and every completion shares one
+        # callback instead of a closure per request.
         client_id = self.client_id
-        if not client_id or "/" in client_id:
-            raise StorageError(f"invalid tenant name: {client_id!r}")
+        column_of = self._key_columns.get
+        keys = self._keys
         env = self.env
         on_complete = self._on_complete
         requests = []
         for segment_id in segment_ids:
-            # ``make_object_key`` inline (its check is the one above, once).
-            object_key = f"{client_id}/{segment_id}"
+            column = column_of(segment_id)
+            object_key = None if column is None else keys[column]
+            if object_key is None:
+                raise StorageError(f"request for unknown object '{client_id}/{segment_id}'")
             completion = Event(env, object_key)
             completion.callbacks.append(on_complete)
             requests.append(GetRequest(object_key, client_id, query_id, completion))

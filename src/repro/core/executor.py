@@ -21,6 +21,7 @@ from repro.core.execution import (
     MODE_SKIPPER, QueryResult, QueryRun, RunCursor, SharedRun, SharedRuns,
 )
 from repro.core.mjoin import MJoinStateManager
+from repro.core.subplan import SubplanLayout
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostModel
 from repro.engine.planner import QueryPlan
@@ -53,11 +54,13 @@ class SharedMJoin(SharedRun[MJoinStateManager, Tuple[int, List[str]]]):
         self.eviction_policy = eviction_policy
         self.enable_pruning = enable_pruning
         self.cost_model = cost_model
-        #: The first manager's plan, which every fork reuses.
+        #: The first manager's plan and subplan layout, which every fork reuses.
         self.plan: Optional[QueryPlan] = None
+        self.layout: Optional[SubplanLayout] = None
         super().__init__()
         assert self.state is not None
         self.plan = self.state.plan
+        self.layout = self.state.tracker.layout
         self.initial_requests = self.state.initial_requests()
 
     def new_state(self) -> MJoinStateManager:
@@ -69,6 +72,7 @@ class SharedMJoin(SharedRun[MJoinStateManager, Tuple[int, List[str]]]):
             ObjectCache(self.cache_capacity, policy=self.eviction_policy),
             enable_pruning=self.enable_pruning,
             plan=self.plan,
+            layout=self.layout,
         )
 
     def arrive(self, state: MJoinStateManager, segment_id: str, payload: Segment) -> float:

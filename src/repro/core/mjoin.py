@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro.core.cache import ObjectCache
 from repro.core.njoin import NAryJoin, PreparedSegment
-from repro.core.subplan import SubplanTracker
+from repro.core.subplan import SubplanLayout, SubplanTracker
 from repro.engine.catalog import Catalog
 from repro.engine.operators.aggregate import AggregateState
 from repro.engine.operators.base import OperatorStats, Row
@@ -53,20 +53,23 @@ class MJoinStateManager:
         cache: ObjectCache,
         enable_pruning: bool = True,
         plan: Optional[QueryPlan] = None,
+        layout: Optional[SubplanLayout] = None,
     ) -> None:
         self.query = query
         self.catalog = catalog
         self.cache = cache
         self.enable_pruning = enable_pruning
-        #: ``plan`` when given — managers of one shared run share their first
-        #: one's — else planned here.
+        #: ``plan`` and ``layout`` when given — managers of one shared run
+        #: share their first one's — else planned and laid out here.
         self.plan: QueryPlan = Planner(catalog).plan(query) if plan is None else plan
         if cache.capacity < len(query.tables):
             raise CacheError(
                 f"cache capacity {cache.capacity} is smaller than the number of joined "
                 f"relations ({len(query.tables)}); no subplan could ever run"
             )
-        self.tracker = SubplanTracker(query, catalog, self.plan.join_order)
+        if layout is None:
+            layout = SubplanLayout(query, catalog, self.plan.join_order)
+        self.tracker = SubplanTracker(layout)
         # The lookups every arrival makes, bound once: the tracker's pending
         # count of a segment (``None`` for a segment of no table of the
         # query), the live cached ids and the query's filter of a table.

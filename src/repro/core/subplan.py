@@ -110,6 +110,53 @@ class Batch:
         return batch
 
 
+class SubplanLayout:
+    """What a :class:`SubplanTracker` knows before any arrival: the subplan
+    space of one query over one catalog in one table order.
+
+    Nothing here changes once built, so every tracker of one shared run —
+    its first execution's and every fork's — holds the same layout and
+    builds only its own pending state.
+    """
+
+    __slots__ = ("query", "catalog", "table_order", "segments", "total", "position", "offset",
+                 "initial_counts")
+
+    def __init__(self, query: Query, catalog: Catalog, table_order: Sequence[str]) -> None:
+        self.query = query
+        self.catalog = catalog
+        self.table_order: Tuple[str, ...] = tuple(table_order)
+        if set(self.table_order) != set(query.tables):
+            raise QueryError("table_order must be a permutation of the query's tables")
+        #: Per table position: its segment ids, in catalog (index) order.
+        self.segments: List[List[str]] = [
+            list(catalog.segment_ids(table)) for table in self.table_order
+        ]
+        total = 1
+        for segments in self.segments:
+            total *= len(segments)
+        self.total = total
+        #: Per segment id: its table's position and its own contribution to
+        #: a subplan id (``index * stride``, the stride being the product of
+        #: the widths after its table) — two flat int dicts rather than one
+        #: dict of tuples, so the cycle collector never has to visit them.
+        self.position: Dict[str, int] = {}
+        self.offset: Dict[str, int] = {}
+        stride = total
+        for position, segments in enumerate(self.segments):
+            stride = stride // len(segments) if segments else 0
+            self.position.update(dict.fromkeys(segments, position))
+            offsets = [index * stride for index in range(len(segments))]
+            self.offset.update(zip(segments, offsets))
+        #: object (segment id) -> number of subplans containing it, which a
+        #: tracker copies as its pending counts.
+        self.initial_counts: Dict[str, int] = {
+            segment_id: total // len(segments)
+            for segments in self.segments
+            for segment_id in segments
+        }
+
+
 class SubplanTracker:
     """Tracks the execution state of every subplan of one query.
 
@@ -120,48 +167,26 @@ class SubplanTracker:
     (subplan, segment) pair — one pending flag per id and one pending count
     per object — and any sub-product is handed out as a :class:`Batch`,
     ascending by id.  A single-table query has no other tables to multiply
-    with, so every per-object operation on it is O(1).
+    with, so every per-object operation on it is O(1).  The space itself is
+    the shared :class:`SubplanLayout`; a tracker owns only the pending state.
     """
 
-    def __init__(self, query: Query, catalog: Catalog, table_order: Sequence[str]) -> None:
-        self.query = query
-        self.catalog = catalog
-        self.table_order: Tuple[str, ...] = tuple(table_order)
-        if set(self.table_order) != set(query.tables):
-            raise QueryError("table_order must be a permutation of the query's tables")
-
-        #: Per table position: its segment ids, in catalog (index) order.
-        self._segments: List[List[str]] = [
-            list(catalog.segment_ids(table)) for table in self.table_order
-        ]
-        total = 1
-        for segments in self._segments:
-            total *= len(segments)
-        self._total = total
-        #: Per segment id: its table's position and its own contribution to
-        #: a subplan id (``index * stride``, the stride being the product of
-        #: the widths after its table) — two flat int dicts rather than one
-        #: dict of tuples, so the cycle collector never has to visit them.
-        self._position: Dict[str, int] = {}
-        self._offset: Dict[str, int] = {}
-        stride = total
-        for position, segments in enumerate(self._segments):
-            stride = stride // len(segments) if segments else 0
-            self._position.update(dict.fromkeys(segments, position))
-            offsets = [index * stride for index in range(len(segments))]
-            self._offset.update(zip(segments, offsets))
+    def __init__(self, layout: SubplanLayout) -> None:
+        self.layout = layout
+        self.query = layout.query
+        self.table_order = layout.table_order
+        self._segments = layout.segments
+        self._total = total = layout.total
+        self._position = layout.position
+        self._offset = layout.offset
         #: What a segment id adds to the id of every subplan it takes part in
         #: (one segment per table: the offsets add up to the subplan id); a
         #: ``KeyError`` for a segment of no table of the query.
-        self.offset_of = self._offset.__getitem__
+        self.offset_of = layout.offset.__getitem__
         #: One flag per subplan id: 1 while pending, 0 once executed or pruned.
         self._pending = bytearray(b"\x01") * total
         #: object (segment id) -> number of *pending* subplans containing it.
-        self._pending_count: Dict[str, int] = {
-            segment_id: total // len(segments)
-            for segments in self._segments
-            for segment_id in segments
-        }
+        self._pending_count: Dict[str, int] = dict(layout.initial_counts)
         #: ``pending_count_of(segment_id)``: the number of pending subplans
         #: holding the segment, ``None`` for a segment of no table of the
         #: query — the mapping's own ``get``, so an arrival asks without a

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.csd.object_store import ObjectStore
     from repro.csd.request import GetRequest
     from repro.sim import Environment
 
@@ -27,6 +28,8 @@ class StorageBackend(Protocol):
     """Anything able to accept tagged GET requests and complete them."""
 
     env: Environment
+    #: The store the backend serves from; clients request its keys.
+    object_store: ObjectStore
 
     def submit_many(self, requests: Sequence[GetRequest]) -> None:
         """Accept ``requests`` in order, all or nothing (an invalid request

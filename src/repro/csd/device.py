@@ -198,6 +198,8 @@ class ColdStorageDevice:
         #: Every switch, transfer and migration I/O, in completion order
         #: (which is also start order: one at a time).
         self.busy_intervals: List[BusyInterval] = []
+        #: Tenant name -> the one copy of it the migration log holds.
+        self._tenant_names: Dict[str, str] = {}
         self.stats = DeviceStats()
         metrics.publish(f"device.{name}", self.stats, DeviceStats.COUNTERS)
         metrics.publish(f"device.{name}.scheduler", scheduler, ("num_switches", "max_waiting_seen"))
@@ -422,8 +424,11 @@ class ColdStorageDevice:
             )
         key = job.object_key
         group = self.layout.group_if_placed(key)
-        # ``split_object_key(key)[0]`` inline: the store holds no other keys.
+        # The key's ``tenant/`` prefix (the store holds no other keys), as
+        # the first job of the tenant spelled it: the log keeps one string
+        # per tenant, not one per job.
         tenant = key.partition("/")[0]
+        tenant = self._tenant_names.setdefault(tenant, tenant)
         self.busy_intervals.append(
             _tuple_new(
                 BusyInterval,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, KeysView, Mapping, Optional, Sequence
+from typing import Callable, Dict, KeysView, Optional, Sequence
 
 from repro.exceptions import LayoutError
 
@@ -16,13 +16,15 @@ class DiskGroupLayout:
     onto the device mid-run, but an object is never re-homed or removed.
     """
 
-    def __init__(self, assignment: Mapping[str, int]) -> None:
+    def __init__(self, assignment: Dict[str, int]) -> None:
+        """Take ``assignment`` over as the layout's own mapping: every caller
+        builds it fresh for the layout, so it is not copied."""
         if not assignment:
             raise LayoutError("layout must place at least one object")
         for key, group in assignment.items():
             if group < 0:
                 raise LayoutError(f"object {key!r} assigned to negative group {group}")
-        self._assignment: Dict[str, int] = dict(assignment)
+        self._assignment = assignment
         #: Largest group identifier in use; :meth:`add_objects` keeps it current.
         self.max_group_id = max(self._assignment.values())
         #: Lowest group per tenant prefix; built by the first
@@ -64,7 +66,7 @@ class DiskGroupLayout:
             self.max_group_id = max(self.max_group_id, max(group_ids))
         lowest = self._lowest_by_tenant
         if lowest is not None:
-            # The tenant as ``split_object_key`` splits it, inline: this runs
+            # The tenant is the key's ``tenant/`` prefix, inline: this runs
             # per moved key, which the epoch frame budget gates.
             for object_key, group_id in zip(object_keys, group_ids):
                 tenant, separator, _rest = object_key.partition("/")

@@ -169,8 +169,8 @@ def extend_layout_with_keys(layout: DiskGroupLayout, keys: Sequence[str]) -> Lis
     group_by_tenant = layout.tenant_group_map()
     next_fresh = layout.max_group_id + 1
     for key in keys:
-        # ``split_object_key(key)`` inline: this runs per moved key, which
-        # the epoch frame budget gates.
+        # The key split into tenant and segment id, inline: this runs per
+        # moved key, which the epoch frame budget gates.
         tenant, separator, segment = key.partition("/")
         if not separator or not tenant or not segment:
             raise StorageError(f"malformed object key: {key!r}")

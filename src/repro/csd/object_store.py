@@ -8,24 +8,10 @@ the object name).  Payloads are arbitrary Python objects — in practice
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from itertools import count
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import StorageError
-
-
-def make_object_key(tenant: str, segment_id: str) -> str:
-    """Build the store key for ``segment_id`` owned by ``tenant``."""
-    if not tenant or "/" in tenant:
-        raise StorageError(f"invalid tenant name: {tenant!r}")
-    return f"{tenant}/{segment_id}"
-
-
-def split_object_key(object_key: str) -> tuple[str, str]:
-    """Split a store key into ``(tenant, segment_id)``."""
-    tenant, sep, segment_id = object_key.partition("/")
-    if not sep or not tenant or not segment_id:
-        raise StorageError(f"malformed object key: {object_key!r}")
-    return tenant, segment_id
 
 
 class _Objects(Dict[str, object]):
@@ -37,7 +23,14 @@ class _Objects(Dict[str, object]):
 
 
 class ObjectStore:
-    """In-memory blob store with per-tenant namespaces."""
+    """In-memory blob store with per-tenant namespaces.
+
+    Besides the objects it keeps every tenant's keys by segment id, so a
+    client requests an object under the store's own key string instead of
+    building a copy per GET: :attr:`key_columns` numbers each segment id once,
+    for all tenants, and a tenant's :meth:`key_row` holds its key at each
+    column (``None`` where it stores no such segment).
+    """
 
     def __init__(self) -> None:
         self._objects = _Objects()
@@ -48,16 +41,51 @@ class ObjectStore:
         #: frame.
         self.get: Callable[[str], object] = self._objects.__getitem__
         self.exists: Callable[[str], bool] = self._objects.__contains__
+        #: Segment id -> its column in every tenant's key row.
+        self.key_columns: Dict[str, int] = {}
+        #: Tenant -> its keys by column; every row is as wide as ``key_columns``.
+        self._rows: Dict[str, List[Optional[str]]] = {}
 
-    def put(self, object_key: str, payload: object) -> None:
-        """Store ``payload`` under ``object_key`` (overwrites are rejected)."""
-        split_object_key(object_key)
-        if object_key in self._objects:
-            raise StorageError(f"object {object_key!r} already exists")
-        self._objects[object_key] = payload
+    def put_segments(
+        self, tenant: str, segment_ids: Sequence[str], payloads: Sequence[object]
+    ) -> List[str]:
+        """Store ``payloads[i]`` for ``tenant`` under ``tenant/segment_ids[i]``
+        and return the keys, in order — all or nothing.
 
-    def put_segment(self, tenant: str, segment_id: str, payload: object) -> str:
-        """Store ``payload`` for ``tenant`` and return the generated key."""
-        key = make_object_key(tenant, segment_id)
-        self.put(key, payload)
-        return key
+        The tenant name is checked once for the whole call.  An invalid
+        tenant name (empty, or holding ``/``), an empty segment id, or a key
+        already stored or listed twice rejects the call before anything is
+        stored: objects are never overwritten.
+        """
+        if not tenant or "/" in tenant:
+            raise StorageError(f"invalid tenant name: {tenant!r}")
+        prefix = f"{tenant}/"
+        keys = [prefix + segment_id for segment_id in segment_ids]
+        loaded = dict(zip(keys, payloads))
+        objects = self._objects
+        if not all(segment_ids) or len(loaded) < len(keys) or not objects.keys().isdisjoint(loaded):
+            seen = set()
+            for segment_id, object_key in zip(segment_ids, keys):
+                if not segment_id:
+                    raise StorageError(f"malformed object key: {object_key!r}")
+                if object_key in objects or object_key in seen:
+                    raise StorageError(f"object {object_key!r} already exists")
+                seen.add(object_key)
+        objects.update(loaded)
+        columns = self.key_columns
+        fresh = [segment_id for segment_id in segment_ids if segment_id not in columns]
+        columns.update(zip(fresh, count(len(columns))))
+        row = self.key_row(tenant)
+        for other in self._rows.values():
+            other.extend([None] * (len(columns) - len(other)))
+        for column, object_key in zip(map(columns.__getitem__, segment_ids), keys):
+            row[column] = object_key
+        return keys
+
+    def key_row(self, tenant: str) -> List[Optional[str]]:
+        """``tenant``'s stored keys by column of :attr:`key_columns`: the live row,
+        which later loads widen and fill in place."""
+        row = self._rows.get(tenant)
+        if row is None:
+            row = self._rows[tenant] = [None] * len(self.key_columns)
+        return row

@@ -154,6 +154,12 @@ class IOScheduler:
             self._dirty.discard(group_id)
         request = self._queues[group_id].popleft()
         del pending[request.request_id]
+        if not pending:
+            # Drained: give back what a burst grew.  An emptied dict keeps its
+            # table and a deque its spare blocks; the next request on the
+            # group marks it dirty, which rebuilds the queue.
+            pending.clear()
+            del self._queues[group_id]
         # ``_note_removed`` inline: this runs once per served object.
         query_id = request.query_id
         group_queries = self._group_queries[group_id]

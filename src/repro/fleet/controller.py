@@ -68,13 +68,6 @@ class FleetController:
         self.spec = router.spec
         self.membership = router.membership
         self._policy = router.policy
-        #: key -> position in the canonical ordering; puts an epoch's M
-        #: changed keys in canonical order in O(M log M), and with them
-        #: every destination's gained keys, instead of rescanning every
-        #: client's full key list.
-        self._key_rank: Dict[str, int] = {
-            key: rank for rank, key in enumerate(router.key_order)
-        }
         #: The hash column of ``router.sorted_key_hashes`` that every epoch
         #: diff walks; built by the first epoch change, not at set-up.
         self._key_hashes: Optional[List[int]] = None
@@ -391,8 +384,11 @@ class FleetController:
             + self.under_replicated_count(changed)
         )
         # The plan must see changed keys in canonical key order (what a
-        # full placement scan iterates), not hash order.
-        changed_keys = sorted(changed, key=self._key_rank.__getitem__)
+        # full placement scan iterates), not hash order.  The placement
+        # dict is in that order (built in it, updated in place), so a
+        # filter over the copy just made gives it without a per-key rank
+        # index: one more O(K) pass beside the copy.
+        changed_keys = [key for key in new_placement if key in changed]
         members = self.membership.members
         alive = {member.device_id: member.alive for member in members}
         plan = plan_migration(
@@ -459,12 +455,11 @@ class FleetController:
                 # order, matching what a full placement scan would build).
                 subset: Dict[str, List[str]] = {}
                 for key in keys:
-                    # ``split_object_key(key)[0]`` inline: per moved key.
+                    # The key's ``tenant/`` prefix, inline: per moved key.
                     subset.setdefault(key.partition("/")[0], []).append(key)
                 member.device = self.router.build_device(member, subset)
             else:
                 extend_layout_with_keys(member.device.layout, keys)
-            member.object_keys = member.object_keys + tuple(keys)
 
         def _account(job: MigrationJob, start: float, end: float, _interfered: bool) -> None:
             plan.migration_seconds += end - start

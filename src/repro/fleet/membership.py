@@ -48,7 +48,6 @@ class FleetMember:
     #: ``None`` while the placement puts no objects on this device (it then
     #: spins idle but still appears in fleet metrics).
     device: Optional[ColdStorageDevice] = None
-    object_keys: Tuple[str, ...] = ()
     #: Requests routed to this device (including later failed-over ones).
     requests_routed: int = 0
     #: Routed but not yet completed (drives the least-loaded policy).

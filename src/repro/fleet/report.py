@@ -178,14 +178,18 @@ def routing_metrics(controller: FleetController) -> Dict[str, object]:
                 member.latency_sum / completed if completed else None
             ),
         }
-    samples = router.stats.request_latency
+    # Unboxed once from the router's array; sorted once (``percentile``'s
+    # own sort of a sorted list is one pass).  The mean folds the samples
+    # in completion order, as they were taken.
+    samples = router.stats.request_latency.tolist()
+    ordered = sorted(samples)
     request_latency: Dict[str, object] = {
         "count": len(samples),
         "mean": mean(samples),
-        "p50": percentile(samples, 0.50) if samples else 0.0,
-        "p95": percentile(samples, 0.95) if samples else 0.0,
-        "p99": percentile(samples, 0.99) if samples else 0.0,
-        "max": max(samples) if samples else 0.0,
+        "p50": percentile(ordered, 0.50) if ordered else 0.0,
+        "p95": percentile(ordered, 0.95) if ordered else 0.0,
+        "p99": percentile(ordered, 0.99) if ordered else 0.0,
+        "max": ordered[-1] if ordered else 0.0,
     }
     policy = router.spec.rebalance
     rebalancer: Optional[Dict[str, object]] = None
@@ -224,7 +228,7 @@ def fleet_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[str,
         per_device[member.device_id] = {
             "alive": member.alive,
             "failed_at": member.failed_at,
-            "objects_placed": len(member.object_keys),
+            "objects_placed": len(member.device.layout.placed_keys) if member.device else 0,
             "objects_served": member.objects_served(),
             "group_switches": (
                 member.device.stats.group_switches if member.device else 0
@@ -250,10 +254,10 @@ def fleet_metrics(router: FleetRouter, total_simulated_time: float) -> Dict[str,
     # Per-tenant spread: how evenly each tenant's objects were served
     # across the devices holding at least one replica of its data.  Each
     # member's tenant set is derived once, not once per tenant, from the
-    # router's keys per client: no key is parsed.
+    # router's keys per client against its layout: no key is parsed.
     placed_per_device = []
     for member in router.members:
-        placed = set(member.object_keys)
+        placed = member.device.layout.placed_keys if member.device else frozenset()
         placed_per_device.append(
             {
                 client

@@ -84,6 +84,10 @@ class FleetRouterStats:
     )
 
     def __init__(self) -> None:
+        # Deferred import: ``array`` is an extension module whose load shows
+        # in the RSS of every service, and only a fleet needs it.
+        from array import array
+
         self.requests_routed = 0
         self.failed_over = 0
         #: Requests handed off from a gracefully leaving device's queue.
@@ -98,8 +102,9 @@ class FleetRouterStats:
         self.choice_diverted = 0
         #: Fleet-wide routed→completed latencies (simulated seconds), in
         #: completion order; they back the p50/p95/p99 figures in the
-        #: routing report section.
-        self.request_latency: List[float] = []
+        #: routing report section.  The same floats as a list would hold,
+        #: eight bytes each instead of a float object apiece.
+        self.request_latency = array("d")
 
 
 class FleetRouter:
@@ -136,15 +141,12 @@ class FleetRouter:
         #: closure per request or a completion → request reference cycle.
         self._in_flight: Dict[Event, GetRequest] = {}
 
-        # Preserve each client's object order; placement recomputes and
-        # per-device subsets all derive from this one ordering.
-        self.client_objects: Dict[str, List[str]] = {
-            client: list(keys) for client, keys in client_objects.items()
-        }
-        #: The canonical (client-major) key order.
-        self.key_order: List[str] = [
-            key for keys in self.client_objects.values() for key in keys
-        ]
+        #: Each client's keys in its object order, as the caller built them
+        #: (not copied); placement recomputes and per-device subsets all
+        #: derive from this one ordering.
+        self.client_objects = client_objects
+        # The canonical (client-major) key order.
+        key_order = [key for keys in client_objects.values() for key in keys]
         self.policy = ConsistentHashPlacement(fleet_spec.replication)
         if fleet_spec.weighting == "profile":
             # Static speed factors size the epoch-0 ring; each member's
@@ -163,11 +165,11 @@ class FleetRouter:
         #: this sorted list and every epoch change walks changed ring arcs
         #: instead of re-placing all keys.
         self.sorted_key_hashes: List[Tuple[int, str]] = sorted(
-            zip(self.policy.bulk_key_hashes(self.key_order), self.key_order)
+            zip(self.policy.bulk_key_hashes(key_order), key_order)
         )
         #: object key -> replica device ids, primary first (current epoch).
         self.placement: Dict[str, Tuple[str, ...]] = self.policy.place(
-            self.key_order,
+            key_order,
             list(fleet_spec.device_ids),
             sorted_key_hashes=self.sorted_key_hashes,
         )
@@ -177,7 +179,6 @@ class FleetRouter:
             subset = subsets.get(member.device_id)
             if subset:
                 member.device = self.build_device(member, subset)
-                member.object_keys = tuple(key for keys in subset.values() for key in keys)
 
     # ------------------------------------------------------------------ #
     # Construction helpers

@@ -1,7 +1,7 @@
 """The metrics catalogue: names over counters that live where they are bumped.
 
 A counter in this code base is a plain attribute — an ``int``, a ``float``
-or a list of samples — on the component that maintains it
+or a list or ``array`` of samples — on the component that maintains it
 (``device.stats.objects_served += 1``).  Nothing on a hot path knows about
 this module.  A component that wants its numbers exported *publishes* them
 once, at construction: ``metrics.publish("device.csd0", stats, ("objects_served",
@@ -28,8 +28,8 @@ from repro.exceptions import ConfigurationError
 
 
 def _render(value: Any) -> Any:
-    """A number as itself; a sample list as its count / sum / min / max."""
-    if isinstance(value, list):
+    """A number as itself; a sample list or array as its count / sum / min / max."""
+    if not isinstance(value, (int, float)):
         return {
             "count": len(value),
             "sum": sum(value),

@@ -113,14 +113,14 @@ class StorageService:
 
         client_objects: Dict[str, List[str]] = {}
         for spec_ in config.client_specs:
-            keys: List[str] = []
-            for table in self._tables_used_by(spec_):
-                relation = catalog.relation(table)
-                keys.extend(
-                    self.object_store.put_segment(spec_.client_id, segment.segment_id, segment)
-                    for segment in relation.segments
-                )
-            client_objects[spec_.client_id] = keys
+            segments = [
+                segment
+                for table in self._tables_used_by(spec_)
+                for segment in catalog.relation(table).segments
+            ]
+            client_objects[spec_.client_id] = self.object_store.put_segments(
+                spec_.client_id, [segment.segment_id for segment in segments], segments
+            )
 
         factory = scheduler_factory or RankBasedScheduler
         if config.fleet_spec is not None:

@@ -90,12 +90,10 @@ class SingleTenantRig:
         self.catalog = catalog
         self.env = Environment()
         self.store = ObjectStore()
-        keys = []
-        for table in tables:
-            keys.extend(
-                self.store.put_segment("tenant", segment.segment_id, segment)
-                for segment in catalog.relation(table).segments
-            )
+        segments = [segment for table in tables for segment in catalog.relation(table).segments]
+        keys = self.store.put_segments(
+            "tenant", [segment.segment_id for segment in segments], segments
+        )
         layout_policy = layout or AllInOneLayout()
         self.layout = layout_policy.build({"tenant": keys})
         self.device = ColdStorageDevice(

@@ -41,7 +41,7 @@ from repro.core.cache import (
 )
 from repro.core.executor import SharedMJoin
 from repro.core.mjoin import MJoinStateManager
-from repro.core.subplan import Batch, SubplanTracker, enumerate_subplans
+from repro.core.subplan import Batch, SubplanLayout, SubplanTracker, enumerate_subplans
 from repro.engine import Catalog, Column, DataType, InMemoryExecutor, Relation, TableSchema
 from repro.engine.cost import CostModel
 from repro.engine.executor import canonical_rows
@@ -298,7 +298,7 @@ def _pending_pairs(tracker, everything):
     the first table, the pending combinations of the batch it would complete
     with every object cached — a question that changes no tracker state."""
     pairs = []
-    for segment_id in tracker.catalog.segment_ids(tracker.table_order[0]):
+    for segment_id in tracker.layout.catalog.segment_ids(tracker.table_order[0]):
         pairs += _as_pairs(tracker.runnable_batch(everything, segment_id))
     return pairs
 
@@ -320,7 +320,7 @@ class TestTrackerMatchesOracle:
     def test_any_interleaving(self, widths, capacity, actions):
         lists = _SegmentLists(widths)
         query = SimpleNamespace(name="model", tables=tuple(lists.tables))
-        tracker = SubplanTracker(query, lists, query.tables)
+        tracker = SubplanTracker(SubplanLayout(query, lists, query.tables))
         oracle = _OracleTracker(lists.tables)
         everything = [segment_id for ids in lists.tables.values() for segment_id in ids]
         cached = {}  # insertion-ordered, like the object cache's contents
@@ -392,7 +392,8 @@ class TestTrackerMatchesOracle:
                 raise AssertionError("a single-table arrival iterated the cache")
 
         lists = _SegmentLists([5])
-        tracker = SubplanTracker(SimpleNamespace(name="one", tables=("t0",)), lists, ("t0",))
+        query = SimpleNamespace(name="one", tables=("t0",))
+        tracker = SubplanTracker(SubplanLayout(query, lists, ("t0",)))
         cached = Unwalkable({"t0.0", "t0.1"})
         batch = tracker.runnable_batch(cached, "t0.3")
         assert _as_pairs(batch) == [(3, ("t0.3",))]

@@ -9,7 +9,7 @@ from repro.core.cache import (
     MaxProgressEviction,
     ObjectCache,
 )
-from repro.core.subplan import Batch, SubplanTracker
+from repro.core.subplan import Batch, SubplanLayout, SubplanTracker
 from repro.exceptions import CacheError
 from repro.workloads import tpch
 
@@ -29,7 +29,7 @@ def reference_get(cache, segment_id):
 
 @pytest.fixture()
 def tracker(tiny_tpch_catalog):
-    return SubplanTracker(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables)
+    return SubplanTracker(SubplanLayout(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables))
 
 
 class TestObjectCache:
@@ -170,7 +170,7 @@ class TestEvictionPolicies:
             group_by=[],
             aggregates=[AggregateSpec("count", None, "cnt")],
         )
-        tracker = SubplanTracker(query, catalog, query.tables)
+        tracker = SubplanTracker(SubplanLayout(query, catalog, query.tables))
         for combination in [("a.0", "b.0", "c.1"), ("a.1", "b.0", "c.1")]:
             subplan_id = sum(map(tracker.offset_of, combination))
             tracker.mark_batch_executed(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cache import ObjectCache
 from repro.core.mjoin import MJoinStateManager
-from repro.core.subplan import Batch, SubplanTracker, enumerate_subplans
+from repro.core.subplan import Batch, SubplanLayout, SubplanTracker, enumerate_subplans
 from repro.engine.operators.base import OperatorStats
 from repro.exceptions import QueryError
 from repro.workloads import tpch
@@ -19,7 +19,7 @@ def _num_pending(tracker):
 
 @pytest.fixture()
 def q12_tracker(tiny_tpch_catalog):
-    return SubplanTracker(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables)
+    return SubplanTracker(SubplanLayout(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables))
 
 
 @pytest.fixture()
@@ -41,7 +41,7 @@ def pending_pairs(tracker, objects):
     the first table, the pending combinations of the batch it would complete
     with every object cached — a question that changes no tracker state."""
     pairs = []
-    for segment_id in tracker.catalog.segment_ids(tracker.table_order[0]):
+    for segment_id in tracker.layout.catalog.segment_ids(tracker.table_order[0]):
         batch = tracker.runnable_batch(objects, segment_id)
         pairs += zip(compress(batch.ids, batch.flags), batch.combinations())
     return pairs
@@ -66,7 +66,7 @@ class TestEnumeration:
         assert _num_pending(q12_tracker) == expected
 
     def test_q5_subplans_product(self, tiny_tpch_catalog):
-        tracker = SubplanTracker(tpch.q5(), tiny_tpch_catalog, tpch.q5().tables)
+        tracker = SubplanTracker(SubplanLayout(tpch.q5(), tiny_tpch_catalog, tpch.q5().tables))
         expected = 1
         for table in tpch.q5().tables:
             expected *= tiny_tpch_catalog.num_segments(table)
@@ -74,7 +74,7 @@ class TestEnumeration:
 
     def test_table_order_must_cover_query(self, tiny_tpch_catalog):
         with pytest.raises(QueryError):
-            SubplanTracker(tpch.q12(), tiny_tpch_catalog, ["orders"])
+            SubplanTracker(SubplanLayout(tpch.q12(), tiny_tpch_catalog, ["orders"]))
 
 
 class TestTrackerTransitions:
@@ -124,7 +124,7 @@ class TestTrackerTransitions:
         assert "lineitem.0" not in q12_tracker.objects_needed()
 
     def test_has_pending_goes_false_when_everything_handled(self, tiny_tpch_catalog):
-        tracker = SubplanTracker(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables)
+        tracker = SubplanTracker(SubplanLayout(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables))
         for segment_id in tiny_tpch_catalog.segment_ids("lineitem"):
             tracker.prune_object(segment_id)
         assert not tracker.has_pending()
@@ -269,7 +269,7 @@ class TestRunnableComputation:
             group_by=[],
             aggregates=[AggregateSpec("count", None, "cnt")],
         )
-        tracker = SubplanTracker(query, catalog, ["a", "b", "c"])
+        tracker = SubplanTracker(SubplanLayout(query, catalog, ["a", "b", "c"]))
         # Map the paper's names onto segment ids: X.1 -> x.0, X.2/X.3 -> x.1.
         for combination in [("a.0", "b.0", "c.1"), ("a.1", "b.0", "c.1")]:
             execute(tracker, combination)

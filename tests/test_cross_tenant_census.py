@@ -15,8 +15,9 @@ are counted over one service run, exactly, so the counts gate in tier-1:
 * ``MJoinStateManager.on_arrival``, Skipper's arrival path: once per step of
   one run per (``Query``, cache size, policy, pruning) — executions whose
   deliveries match the run's log take its charges and requests instead;
-* ``Planner.plan``: once per shared run — an execution that forks builds
-  its private manager on the plan the run's first one made.
+* ``Planner.plan`` and the tracker's ``SubplanLayout``: once per shared run
+  — an execution that forks builds its private manager on the plan and
+  the subplan layout the run's first one made.
 
 When one trips: ``build_cluster_config`` resolves a query per tenant again,
 something on the arrival or scan path filters without ``select_rows``, or
@@ -31,6 +32,7 @@ from collections import Counter
 from pathlib import Path
 
 from repro.core.mjoin import MJoinStateManager
+from repro.core.subplan import SubplanLayout, SubplanTracker
 from repro.engine.planner import Planner
 from repro.engine.relation import Segment
 from repro.scenarios.spec import ScenarioSpec, TenantSpec, uniform_tenants
@@ -161,11 +163,21 @@ def test_matching_skipper_tenants_feed_one_state_manager(monkeypatch):
     assert len(service.shared_runs) == 2
 
 
-def test_forked_executions_reuse_their_runs_plan(monkeypatch):
-    """The ledger's ``keys-fanout`` at ``--quick`` size: eight Skipper Q6
+def _keys_fanout_quick():
+    """The ledger's ``keys-fanout`` at ``--quick`` size, run: eight Skipper Q6
     tenants on a fleet follow one shared run, and each one after the first
-    forks at its first delivery (the devices deliver in another order).
-    The run plans once; every fork's manager used to plan again (8 plans)."""
+    forks at its first delivery (the devices deliver in another order)."""
+    ledger = Path(__file__).resolve().parent.parent / "ledger" / "workloads.py"
+    profile, spec = runpy.run_path(str(ledger))["WORKLOADS"]["keys-fanout"](43, True)
+    service = StorageService(spec, catalog=tpch.build_catalog(profile, 42))
+    result = service.run()
+    executions = sum(len(results) for results in result.results_by_client.values())
+    assert executions == 8 and len(service.shared_runs) == 1
+    return service
+
+
+def test_forked_executions_reuse_their_runs_plan(monkeypatch):
+    """The run plans once; every fork's manager used to plan again (8 plans)."""
     plans: Counter = Counter()
     real_plan = Planner.plan
 
@@ -174,11 +186,30 @@ def test_forked_executions_reuse_their_runs_plan(monkeypatch):
         return real_plan(planner, query)
 
     monkeypatch.setattr(Planner, "plan", counted)
-    ledger = Path(__file__).resolve().parent.parent / "ledger" / "workloads.py"
-    profile, spec = runpy.run_path(str(ledger))["WORKLOADS"]["keys-fanout"](43, True)
-    service = StorageService(spec, catalog=tpch.build_catalog(profile, 42))
-    result = service.run()
-
-    executions = sum(len(results) for results in result.results_by_client.values())
-    assert executions == 8 and len(service.shared_runs) == 1
+    service = _keys_fanout_quick()
     assert sum(plans.values()) == len(service.shared_runs)
+
+
+def test_forked_executions_reuse_their_runs_subplan_layout(monkeypatch):
+    """The run lays its subplan space out once, and every fork's tracker
+    holds that layout with pending state of its own; every fork used to
+    build the tables again (8 layouts for 8 trackers)."""
+    layouts = []
+    trackers = []
+    real_layout, real_tracker = SubplanLayout.__init__, SubplanTracker.__init__
+
+    def counted_layout(layout, *args):
+        layouts.append(layout)
+        real_layout(layout, *args)
+
+    def counted_tracker(tracker, layout):
+        trackers.append(tracker)
+        real_tracker(tracker, layout)
+
+    monkeypatch.setattr(SubplanLayout, "__init__", counted_layout)
+    monkeypatch.setattr(SubplanTracker, "__init__", counted_tracker)
+    service = _keys_fanout_quick()
+    assert len(layouts) == len(service.shared_runs)
+    assert len(trackers) == 8
+    assert all(tracker.layout is layouts[0] for tracker in trackers)
+    assert len({id(tracker._pending) for tracker in trackers}) == 8

@@ -25,8 +25,11 @@ def _setup(num_clients=2, objects_per_client=4, layout_policy=None, scheduler=No
     client_objects = {}
     for c in range(num_clients):
         client = f"c{c}"
-        keys = [store.put_segment(client, f"t.{i}", f"payload-{client}-{i}") for i in range(objects_per_client)]
-        client_objects[client] = keys
+        client_objects[client] = store.put_segments(
+            client,
+            [f"t.{i}" for i in range(objects_per_client)],
+            [f"payload-{client}-{i}" for i in range(objects_per_client)],
+        )
     layout = (layout_policy or ClientsPerGroupLayout(1)).build(client_objects)
     device = ColdStorageDevice(
         env,

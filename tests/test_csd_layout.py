@@ -40,6 +40,16 @@ class TestDiskGroupLayout:
         layout.add_objects(["e"], [2])
         assert (layout.num_groups, layout.max_group_id) == (4, 4)
 
+    def test_the_layout_takes_its_assignment_over(self):
+        """Every policy builds the mapping fresh for the layout, so the layout
+        keeps that dict rather than a copy: one per-key table per device.
+        (A copy changes neither the live nor the peak bytes the bytes gate
+        reads — the caller's dict is freed — only set-up time.)"""
+        assignment = {"a": 0, "b": 1}
+        layout = DiskGroupLayout(assignment)
+        layout.add_objects(["c"], [1])
+        assert assignment == {"a": 0, "b": 1, "c": 1}
+
     def test_errors(self):
         with pytest.raises(LayoutError):
             DiskGroupLayout({})

@@ -231,7 +231,7 @@ class TestEmptyPoolIsATypedError:
 
     def test_emptied_through_drain_pending(self, env, policy):
         store = ObjectStore()
-        keys = {"c0": [store.put_segment("c0", f"a.{index}", index) for index in range(3)]}
+        keys = {"c0": store.put_segments("c0", [f"a.{index}" for index in range(3)], range(3))}
         device = ColdStorageDevice(
             env, store, AllInOneLayout().build(keys), policy(), DeviceConfig(), MetricsRegistry()
         )

@@ -80,12 +80,10 @@ class TestVanillaExecutorOnCSD:
     def _vanilla_executor(self, catalog, query, scheduler=None, config=None):
         env = Environment()
         store = ObjectStore()
-        keys = []
-        for table in query.tables:
-            keys.extend(
-                store.put_segment("tenant", segment.segment_id, segment)
-                for segment in catalog.relation(table).segments
-            )
+        segments = [
+            segment for table in query.tables for segment in catalog.relation(table).segments
+        ]
+        keys = store.put_segments("tenant", [segment.segment_id for segment in segments], segments)
         layout = ClientsPerGroupLayout(1).build({"tenant": keys})
         device = ColdStorageDevice(
             env,

@@ -7,6 +7,7 @@ after a run, the snapshot *is* the attributes — name by name.
 """
 
 import json
+from array import array
 
 import pytest
 
@@ -216,7 +217,7 @@ def test_snapshot_equals_the_attributes_it_catalogues(scenario):
     expected = _catalogued_attributes(service)
     assert list(snapshot) == sorted(expected) == service.metrics.names()
     for name, value in expected.items():
-        if isinstance(value, list):
+        if isinstance(value, (list, array)):
             value = {
                 "count": len(value),
                 "sum": sum(value),

@@ -16,7 +16,7 @@ from repro.core.cache import (
     ObjectCache,
 )
 from repro.core.mjoin import MJoinStateManager
-from repro.core.subplan import SubplanTracker
+from repro.core.subplan import SubplanLayout, SubplanTracker
 from repro.csd.layout import ClientsPerGroupLayout, IncrementalLayout
 from repro.csd.ordering import SemanticRoundRobinOrdering
 from repro.csd.request import GetRequest
@@ -97,7 +97,7 @@ class TestCacheInvariants:
         ),
     )
     def test_cache_never_exceeds_capacity_and_victims_are_cached(self, capacity, arrivals, policy):
-        tracker = SubplanTracker(_Q12, _CATALOG, _Q12.tables)
+        tracker = SubplanTracker(SubplanLayout(_Q12, _CATALOG, _Q12.tables))
         cache = ObjectCache(capacity, policy=policy)
         for segment_id in arrivals:
             if segment_id in cache.ids_view():

@@ -375,7 +375,7 @@ class TestMigrationThrottle:
 
         env = Environment()
         store = ObjectStore()
-        key = store.put_segment("a", "t.0", object())
+        (key,) = store.put_segments("a", ["t.0"], [object()])
         device = ColdStorageDevice(
             env,
             store,

@@ -16,7 +16,7 @@ from repro.csd import (
     SlackFCFSScheduler,
 )
 from repro.csd.request import GetRequest
-from repro.exceptions import ConfigurationError, SchedulingError
+from repro.exceptions import ConfigurationError, SchedulingError, StorageError
 from repro.harness import runner
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
@@ -58,12 +58,11 @@ class TestSlackFCFSScheduler:
             env = Environment()
             store = ObjectStore()
             client_objects = {}
+            segments = tiny_tpch_catalog.relation("lineitem").segments
             for client in ("c0", "c1"):
-                keys = [
-                    store.put_segment(client, segment.segment_id, segment)
-                    for segment in tiny_tpch_catalog.relation("lineitem").segments
-                ]
-                client_objects[client] = keys
+                client_objects[client] = store.put_segments(
+                    client, [segment.segment_id for segment in segments], segments
+                )
             layout = ClientsPerGroupLayout(1).build(client_objects)
             device = ColdStorageDevice(
                 env, store, layout, scheduler, DeviceConfig(10.0, 1.0), MetricsRegistry()
@@ -93,10 +92,8 @@ class TestSlackFCFSScheduler:
 class TestClientProxy:
     def _device(self, catalog, env):
         store = ObjectStore()
-        keys = [
-            store.put_segment("tenant", segment.segment_id, segment)
-            for segment in catalog.relation("orders").segments
-        ]
+        segments = catalog.relation("orders").segments
+        keys = store.put_segments("tenant", [segment.segment_id for segment in segments], segments)
         layout = ClientsPerGroupLayout(1).build({"tenant": keys})
         return ColdStorageDevice(
             env, store, layout, SlackFCFSScheduler(), DeviceConfig(1.0, 1.0), MetricsRegistry()
@@ -130,6 +127,36 @@ class TestClientProxy:
         assert all(segment_id == payload_id for segment_id, payload_id in received)
         # Everything delivered was consumed: the proxy retains no request.
         assert not proxy.arrivals.queued
+
+    def test_requests_carry_the_stores_own_keys(self, tiny_tpch_catalog):
+        """A GET, and the busy-log record it leaves, holds the key string the
+        store made at load time: no second copy per request."""
+        env = Environment()
+        device = self._device(tiny_tpch_catalog, env)
+        proxy = ClientProxy(env, device, "tenant")
+        submitted = []
+        device.submit_many = submitted.extend
+        proxy.request_objects(tiny_tpch_catalog.segment_ids("orders"), "tenant:scan:0")
+        stored = {key: key for key in device.layout.placed_keys}
+        assert submitted and all(
+            request.object_key is stored[request.object_key] for request in submitted
+        )
+
+    def test_a_segment_the_tenant_did_not_store_is_rejected_before_any_get(
+        self, tiny_tpch_catalog
+    ):
+        env = Environment()
+        device = self._device(tiny_tpch_catalog, env)
+        # Another tenant's segment widens the store's index, not this row.
+        lineitem = tiny_tpch_catalog.relation("lineitem").segments[:1]
+        device.object_store.put_segments("other", [lineitem[0].segment_id], lineitem)
+        submitted = []
+        device.submit_many = submitted.extend
+        proxy = ClientProxy(env, device, "tenant")
+        for unknown in (lineitem[0].segment_id, "nation.99"):
+            with pytest.raises(StorageError, match=f"unknown object 'tenant/{unknown}'"):
+                proxy.request_objects(["orders.0", unknown], "tenant:scan:0")
+        assert not submitted
 
 
 class TestRunner:

@@ -50,9 +50,11 @@ def build_router(fleet_spec: FleetSpec, missing: Sequence[str] = ()) -> FleetRou
     """A bare fleet over 24 one-byte objects (the ``missing`` ones placed but
     never stored): no service, no clients."""
     store = ObjectStore()
-    for key in ALL_KEYS:
-        if key not in missing:
-            store.put(key, key.upper())
+    for client, keys in _client_objects().items():
+        stored = [key for key in keys if key not in missing]
+        store.put_segments(
+            client, [key.partition("/")[2] for key in stored], [key.upper() for key in stored]
+        )
     return FleetRouter(
         env=Environment(),
         object_store=store,
@@ -300,7 +302,7 @@ def test_device_rejects_a_batch_before_anything_moves():
     with pytest.raises(StorageError):
         device.submit_many([good, bad])
     assert len(device.inbox.queued) == 0
-    router.object_store.put("t0/elsewhere.9", b"stored but placed on no disk group")
+    router.object_store.put_segments("t0", ["elsewhere.9"], [b"stored but placed on no disk group"])
     with pytest.raises(StorageError, match="not placed on any disk group"):
         device.submit_many([good, bad])
     assert len(device.inbox.queued) == 0

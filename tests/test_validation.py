@@ -79,7 +79,7 @@ class TestMigrationJobValidation:
     def test_a_valid_job_is_booked_on_a_bare_device(self):
         env = Environment()
         store = ObjectStore()
-        key = store.put_segment("a", "t.0", object())
+        (key,) = store.put_segments("a", ["t.0"], [object()])
         device = ColdStorageDevice(
             env, store, DiskGroupLayout({key: 0}), RankBasedScheduler(), DeviceConfig(), MetricsRegistry()
         )
