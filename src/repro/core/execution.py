@@ -329,6 +329,13 @@ class SharedRun(Generic[S, E]):
         steps.append((segment_id, payload, outcome))
         return outcome
 
+    def release(self) -> None:
+        """Drop the log and the shared state once no execution can step or
+        fork again (the simulation is over); the outcomes each execution
+        took are its own."""
+        self.steps = []
+        self.state = None
+
     def fork(self, position: int) -> S:
         """A private state after the first ``position`` logged steps."""
         state = self.new_state()

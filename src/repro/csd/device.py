@@ -324,10 +324,12 @@ class ColdStorageDevice:
     def _run(self):
         env = self.env
         inbox = self.inbox
-        queued = inbox.queued
         scheduler = self.scheduler
         while True:
-            if queued:  # ``_drain_inbox`` without its frame: once per job or GET
+            # ``_drain_inbox`` without its frame: once per job or GET.  The
+            # queue is read through the inbox, not held: the loop outlives
+            # the run, and ``Store.release`` replaces an emptied queue.
+            if inbox.queued:
                 self._register(inbox.drain())
             if self._admin_jobs:
                 throttle = self.migration_throttle
@@ -399,7 +401,7 @@ class ColdStorageDevice:
                 # (nor, through its completion, the payload).
                 request = None
                 quota -= 1
-                if queued:
+                if inbox.queued:
                     self._drain_inbox()
 
     def _finish_migration(

@@ -54,9 +54,10 @@ class Segment:
         self.selected_by: Optional[Predicate] = None
         self.rows: List[Dict[str, object]] = rows if isinstance(rows, list) else list(rows)
         names: Tuple[str, ...] = tuple(self.rows[0]) if self.rows else ()
-        if not all(tuple(row) == names for row in self.rows):
+        if not all(map(names.__eq__, map(tuple, self.rows))):
             # Located only on failure: the check above runs once per segment
-            # build (per query on the pull-based path) and must stay cheap.
+            # build (per query on the pull-based path) and must stay cheap —
+            # built-ins only, no generator frame per row.
             offender = next(
                 position for position, row in enumerate(self.rows) if tuple(row) != names
             )

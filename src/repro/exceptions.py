@@ -98,6 +98,11 @@ def is_count(value: object, minimum: int = 1) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
+class EmptyRangeError(ConfigurationError, ValueError):
+    """Raised for a data-generator column over an empty or inverted range,
+    or an empty sequence; a ``ValueError`` too, as ``randint`` raises."""
+
+
 class ScenarioError(ConfigurationError):
     """Raised for unknown or malformed scenario specifications."""
 

@@ -344,8 +344,8 @@ class FleetController:
     def _rebalance(self, kind: str, device_id: str, reason: str = "rebalance") -> None:
         """Advance placement to the new epoch and execute the minimal plan."""
         epoch_record = self.membership.epoch_log[-1]
-        old_placement = self.router.placement
-        under_replicated_before = self.under_replicated_count(old_placement)
+        placement = self.router.placement
+        under_replicated_before = self.under_replicated_count(placement)
         # The effective factor adapts to the roster: a repair pass after a
         # loss can only restore min(R, serving) replicas per key.
         replication = self.effective_replication
@@ -375,20 +375,21 @@ class FleetController:
             new_vnode_counts=new_vnode_counts,
             key_hashes=key_hashes,
         )
-        new_placement = dict(old_placement)
-        new_placement.update(changed)
+        # What the epoch needs of the old placement is taken before the
+        # router's dict is updated in place: the changed keys' old replicas.
         # Only changed keys can change health: no second full scan.
+        old_replicas = {key: placement[key] for key in changed}
         under_replicated_after = (
             under_replicated_before
-            - self.under_replicated_count({key: old_placement[key] for key in changed})
+            - self.under_replicated_count(old_replicas)
             + self.under_replicated_count(changed)
         )
-        # The plan must see changed keys in canonical key order (what a
-        # full placement scan iterates), not hash order.  The placement
-        # dict is in that order (built in it, updated in place), so a
-        # filter over the copy just made gives it without a per-key rank
-        # index: one more O(K) pass beside the copy.
-        changed_keys = [key for key in new_placement if key in changed]
+        # Updating existing keys in place keeps the dict's canonical key
+        # order (what a full placement scan iterates), which the plan must
+        # see the changed keys in, not hash order: a filter over it gives
+        # that order without a per-key rank index.
+        placement.update(changed)
+        changed_keys = [key for key in placement if key in changed]
         members = self.membership.members
         alive = {member.device_id: member.alive for member in members}
         plan = plan_migration(
@@ -396,8 +397,8 @@ class FleetController:
             at_seconds=self.env.now,
             kind=kind,
             device_id=device_id,
-            old_placement=old_placement,
-            new_placement=new_placement,
+            old_replicas=old_replicas,
+            new_placement=placement,
             alive=alive,
             devices_before=epoch_record.devices_before,
             devices_after=epoch_record.devices_after,
@@ -412,7 +413,6 @@ class FleetController:
             },
             changed_keys=changed_keys,
         )
-        self.router.placement = new_placement
         self.placement_replication = replication
         self.placement_roster = tuple(serving)
         self.placement_vnode_counts = new_vnode_counts

@@ -152,7 +152,7 @@ def plan_migration(
     at_seconds: float,
     kind: str,
     device_id: str,
-    old_placement: Mapping[str, Sequence[str]],
+    old_replicas: Mapping[str, Sequence[str]],
     new_placement: Mapping[str, Sequence[str]],
     alive: Mapping[str, bool],
     resident: Mapping[str, Container[str]],
@@ -182,9 +182,12 @@ def plan_migration(
     :class:`KeyTrim` entries: pure placement bookkeeping, no I/O, each
     carrying the size of the key's surviving replica set.
 
+    ``old_replicas`` maps each changed key to its replica tuple before the
+    epoch (a whole old placement serves too); ``new_placement`` is the whole
+    placement after it, every key of the fleet (``total_keys``).
     ``changed_keys`` must be exactly the keys whose replica set differs
-    between the two placements, in ``old_placement`` iteration order: the
-    diff never visits the (typically vast) unchanged majority, which would
+    between the two epochs, in ``new_placement`` iteration order: the diff
+    never visits the (typically vast) unchanged majority, which would
     contribute neither moves nor trims.
 
     Each distinct ``(old, new)`` replica-tuple pair is resolved once (see
@@ -197,14 +200,12 @@ def plan_migration(
     append_trim = trims.append
     shapes: Dict[Tuple[Sequence[str], Sequence[str]], _Shape] = {}
     for object_key in changed_keys:
-        old_replicas = old_placement[object_key]
-        new_replicas = new_placement[object_key]
-        pair = (old_replicas, new_replicas)
+        old = old_replicas[object_key]
+        new = new_placement[object_key]
+        pair = (old, new)
         shape = shapes.get(pair)
         if shape is None:
-            shape = shapes[pair] = _shape(
-                old_replicas, new_replicas, alive, device_id, resident
-            )
+            shape = shapes[pair] = _shape(old, new, alive, device_id, resident)
         dropped, survivors, candidates, source = shape
         for device in dropped:
             append_trim(_tuple_new(KeyTrim, (object_key, device, survivors)))
@@ -218,7 +219,7 @@ def plan_migration(
         device_id=device_id,
         moves=moves,
         trims=trims,
-        total_keys=len(old_placement),
+        total_keys=len(new_placement),
         devices_before=devices_before,
         devices_after=devices_after,
         replication=replication,

@@ -265,6 +265,14 @@ class StorageService:
             raise
         if self.controller is not None:
             self.controller.raise_admin_failure()
+        # Nothing steps or forks a shared run, or gets from a store, once the
+        # kernel is done: let go of what only they could still read.
+        for shared in self.shared_runs.values():
+            shared.release()
+        for device in self.devices:
+            device.inbox.release()
+        for session in self._sessions:
+            session.proxy.arrivals.release()
 
         # A tenant may have held several sessions over the service's lifetime
         # (close, then reopen); its measurements are concatenated in session

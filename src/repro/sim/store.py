@@ -72,6 +72,13 @@ class Store:
         queued.clear()
         return items
 
+    def release(self) -> None:
+        """Give back the memory an emptied queue keeps for reuse (a deque
+        holds on to freed blocks), once nothing will put or get again.
+        Whatever is still queued stays."""
+        if not self.queued:
+            self.queued = deque()
+
     def cancel(self, event: Event) -> None:
         """Withdraw a pending ``get`` event.
 

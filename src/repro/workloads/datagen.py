@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TypeVar
+from itertools import accumulate
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from repro.engine.types import date_to_ordinal
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, EmptyRangeError
 
 T = TypeVar("T")
 
@@ -60,39 +62,105 @@ class ScaleProfile:
 
 
 class DataGenerator:
-    """Seeded random helper producing repeatable synthetic rows."""
+    """Seeded source of per-column *drawers*.
 
-    def __init__(self, seed: int = 42) -> None:
-        self.seed = seed
-        self._random = random.Random(seed)
+    A drawer is a zero-argument callable built once per column, with its
+    range width, bit length or accumulated weights worked out up front; each
+    call is one draw.  It makes exactly the calls CPython's ``randint`` /
+    ``choice`` / ``uniform`` / ``choices`` / ``random`` make on a
+    ``random.Random(seed)``, in the same order, so a column draws the values
+    those methods would — in one Python frame instead of three or four.
+    Building a drawer draws nothing: values depend only on the order in
+    which drawers are *called*.
+    """
 
-    # ------------------------------------------------------------------ #
-    # Primitive draws
-    # ------------------------------------------------------------------ #
-    def integer(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]``."""
-        return self._random.randint(low, high)
+    def __init__(self, seed: int) -> None:
+        source = random.Random(seed)
+        self._getrandbits = source.getrandbits
+        self._random = source.random
 
-    def decimal(self, low: float, high: float) -> float:
-        """Uniform float in ``[low, high)`` rounded to two decimals."""
-        return round(self._random.uniform(low, high), 2)
+    def integers(self, low: int, high: int) -> Callable[[], int]:
+        """Uniform integers in ``[low, high]``: ``randint(low, high)``.
 
-    def choice(self, values: Sequence):
-        """Uniform choice from ``values``."""
-        return self._random.choice(values)
+        ``randint`` is ``randrange(low, high + 1)``, which draws
+        ``getrandbits(width.bit_length())`` until the value is below the
+        width; the width's bit length may exceed 32.
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise EmptyRangeError(f"empty range for integers({low}, {high})")
+        bits = width.bit_length()
+        getrandbits = self._getrandbits
 
-    def weighted_choice(self, values: Sequence, weights: Sequence[float]):
-        """Weighted choice from ``values``."""
-        return self._random.choices(values, weights=weights, k=1)[0]
+        def draw() -> int:
+            value = getrandbits(bits)
+            while value >= width:
+                value = getrandbits(bits)
+            return low + value
 
-    def boolean(self, probability_true: float) -> bool:
-        """Bernoulli draw."""
-        return self._random.random() < probability_true
+        return draw
 
-    def date_ordinal(self, start: str, end: str) -> int:
-        """Uniform date (as ordinal) between two ISO dates, inclusive."""
+    def dates(self, start: str, end: str) -> Callable[[], int]:
+        """Uniform dates (as ordinals) between two ISO dates, inclusive."""
         low = date_to_ordinal(start)
         high = date_to_ordinal(end)
         if high < low:
-            raise ConfigurationError(f"date range is inverted: {start} .. {end}")
-        return self._random.randint(low, high)
+            raise EmptyRangeError(f"date range is inverted: {start} .. {end}")
+        return self.integers(low, high)
+
+    def decimals(self, low: float, high: float) -> Callable[[], float]:
+        """Uniform floats in ``[low, high)`` rounded to two decimals:
+        ``round(uniform(low, high), 2)``."""
+        width = high - low
+        draw_unit = self._random
+
+        def draw() -> float:
+            return round(low + width * draw_unit(), 2)
+
+        return draw
+
+    def choices(self, values: Sequence[T]) -> Callable[[], T]:
+        """Uniform picks from ``values``: ``choice(values)``."""
+        if not values:
+            raise EmptyRangeError("cannot choose from an empty sequence")
+        count = len(values)
+        bits = count.bit_length()
+        getrandbits = self._getrandbits
+
+        def draw() -> T:
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+            return values[index]
+
+        return draw
+
+    def weighted_choices(
+        self, values: Sequence[T], weights: Sequence[float]
+    ) -> Callable[[], T]:
+        """Weighted picks from ``values``: ``choices(values, weights, k=1)[0]``,
+        one ``random()`` bisected into the accumulated weights."""
+        cumulative = list(accumulate(weights))
+        if len(cumulative) != len(values):
+            raise ConfigurationError(
+                f"{len(weights)} weights for a population of {len(values)}"
+            )
+        total = cumulative[-1] + 0.0
+        if total <= 0.0:
+            raise ConfigurationError(f"weights must total more than zero, got {total}")
+        last = len(values) - 1
+        draw_unit = self._random
+
+        def draw() -> T:
+            return values[bisect(cumulative, draw_unit() * total, 0, last)]
+
+        return draw
+
+    def booleans(self, probability_true: float) -> Callable[[], bool]:
+        """Bernoulli draws: ``random() < probability_true``."""
+        draw_unit = self._random
+
+        def draw() -> bool:
+            return draw_unit() < probability_true
+
+        return draw

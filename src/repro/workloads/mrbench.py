@@ -78,24 +78,31 @@ def build_catalog(
     schemas = _schemas()
 
     rankings_profile = profile.profile("rankings")
+    page_rank = generator.integers(0, 100)
+    page_duration = generator.integers(1, 300)
     rankings_rows = [
         {
             "pr_pageid": index,
             "pr_pageurl": f"url#{index}",
-            "pr_pagerank": generator.integer(0, 100),
-            "pr_avgduration": generator.integer(1, 300),
+            "pr_pagerank": page_rank(),
+            "pr_avgduration": page_duration(),
         }
         for index in range(rankings_profile.total_rows)
     ]
 
     uservisits_profile = profile.profile("uservisits")
+    visit_source = generator.integers(0, _SOURCE_IP_CARDINALITY - 1)
+    visit_page = generator.integers(0, len(rankings_rows) - 1)
+    visit_date = generator.dates("1999-01-01", "2001-12-31")
+    visit_revenue = generator.decimals(0.0, 100.0)
+    visit_agent = generator.choices(["firefox", "chrome", "safari", "opera"])
     uservisits_rows = [
         {
-            "uv_sourceip": f"ip#{generator.integer(0, _SOURCE_IP_CARDINALITY - 1)}",
-            "uv_pageid": generator.integer(0, len(rankings_rows) - 1),
-            "uv_visitdate": generator.date_ordinal("1999-01-01", "2001-12-31"),
-            "uv_adrevenue": generator.decimal(0.0, 100.0),
-            "uv_useragent": generator.choice(["firefox", "chrome", "safari", "opera"]),
+            "uv_sourceip": f"ip#{visit_source()}",
+            "uv_pageid": visit_page(),
+            "uv_visitdate": visit_date(),
+            "uv_adrevenue": visit_revenue(),
+            "uv_useragent": visit_agent(),
         }
         for index in range(uservisits_profile.total_rows)
     ]

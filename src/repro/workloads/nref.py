@@ -108,38 +108,46 @@ def build_catalog(
     generator = DataGenerator(seed)
     schemas = _schemas()
 
+    organism_domain = generator.weighted_choices(TAXONOMY_DOMAINS, [0.5, 0.1, 0.3, 0.1])
     organism_rows = [
         {
             "org_id": index,
             "org_name": f"Organism#{index}",
-            "org_domain": generator.weighted_choice(TAXONOMY_DOMAINS, [0.5, 0.1, 0.3, 0.1]),
+            "org_domain": organism_domain(),
         }
         for index in range(profile.profile("organism").total_rows)
     ]
+    protein_organism = generator.integers(0, len(organism_rows) - 1)
+    protein_length = generator.integers(50, 3000)
     protein_rows = [
         {
             "prot_id": index,
             "prot_name": f"Protein#{index}",
-            "prot_org_id": generator.integer(0, len(organism_rows) - 1),
-            "prot_length": generator.integer(50, 3000),
+            "prot_org_id": protein_organism(),
+            "prot_length": protein_length(),
         }
         for index in range(profile.profile("protein").total_rows)
     ]
+    sequence_length = generator.integers(50, 3000)
+    sequence_gc = generator.decimals(0.2, 0.8)
     sequence_rows = [
         {
             "seq_id": index,
             "seq_prot_id": index % len(protein_rows),
-            "seq_length": generator.integer(50, 3000),
-            "seq_gc_content": generator.decimal(0.2, 0.8),
+            "seq_length": sequence_length(),
+            "seq_gc_content": sequence_gc(),
         }
         for index in range(profile.profile("sequence").total_rows)
     ]
+    annotation_protein = generator.integers(0, len(protein_rows) - 1)
+    annotation_keyword = generator.choices(ANNOTATION_KEYWORDS)
+    annotation_confidence = generator.decimals(0.0, 1.0)
     annotation_rows = [
         {
             "ann_id": index,
-            "ann_prot_id": generator.integer(0, len(protein_rows) - 1),
-            "ann_keyword": generator.choice(ANNOTATION_KEYWORDS),
-            "ann_confidence": generator.decimal(0.0, 1.0),
+            "ann_prot_id": annotation_protein(),
+            "ann_keyword": annotation_keyword(),
+            "ann_confidence": annotation_confidence(),
         }
         for index in range(profile.profile("annotation").total_rows)
     ]

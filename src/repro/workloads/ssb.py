@@ -145,21 +145,24 @@ def build_catalog(
         }
         for index in range(profile.profile("dates").total_rows)
     ]
+    region = generator.choices(SSB_REGIONS)
+    nation = generator.integers(0, 24)
+    city = generator.integers(0, 9)
     customer_rows = [
         {
             "sc_custkey": index,
-            "sc_region": generator.choice(SSB_REGIONS),
-            "sc_nation": f"NATION#{generator.integer(0, 24)}",
-            "sc_city": f"CITY#{generator.integer(0, 9)}",
+            "sc_region": region(),
+            "sc_nation": f"NATION#{nation()}",
+            "sc_city": f"CITY#{city()}",
         }
         for index in range(profile.profile("ssb_customer").total_rows)
     ]
     supplier_rows = [
         {
             "ss_suppkey": index,
-            "ss_region": generator.choice(SSB_REGIONS),
-            "ss_nation": f"NATION#{generator.integer(0, 24)}",
-            "ss_city": f"CITY#{generator.integer(0, 9)}",
+            "ss_region": region(),
+            "ss_nation": f"NATION#{nation()}",
+            "ss_city": f"CITY#{city()}",
         }
         for index in range(profile.profile("ssb_supplier").total_rows)
     ]
@@ -172,23 +175,31 @@ def build_catalog(
         }
         for index in range(profile.profile("ssb_part").total_rows)
     ]
+    line_quantity = generator.integers(1, 50)
+    line_price = generator.decimals(900.0, 50000.0)
+    line_discount = generator.decimals(0.0, 0.10)
+    line_customer = generator.integers(0, len(customer_rows) - 1)
+    line_part = generator.integers(0, len(part_rows) - 1)
+    line_supplier = generator.integers(0, len(supplier_rows) - 1)
+    line_date = generator.integers(0, len(dates_rows) - 1)
+    line_cost = generator.decimals(100.0, 1000.0)
     lineorder_rows = []
     for index in range(profile.profile("lineorder").total_rows):
-        quantity = generator.integer(1, 50)
-        price = generator.decimal(900.0, 50000.0)
-        discount = generator.decimal(0.0, 0.10)
+        quantity = line_quantity()
+        price = line_price()
+        discount = line_discount()
         lineorder_rows.append(
             {
                 "lo_orderkey": index // 4,
-                "lo_custkey": generator.integer(0, len(customer_rows) - 1),
-                "lo_partkey": generator.integer(0, len(part_rows) - 1),
-                "lo_suppkey": generator.integer(0, len(supplier_rows) - 1),
-                "lo_orderdatekey": generator.integer(0, len(dates_rows) - 1),
+                "lo_custkey": line_customer(),
+                "lo_partkey": line_part(),
+                "lo_suppkey": line_supplier(),
+                "lo_orderdatekey": line_date(),
                 "lo_quantity": quantity,
                 "lo_extendedprice": price,
                 "lo_discount": discount,
                 "lo_revenue": round(price * (1 - discount), 2),
-                "lo_supplycost": generator.decimal(100.0, 1000.0),
+                "lo_supplycost": line_cost(),
             }
         )
 

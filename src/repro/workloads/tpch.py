@@ -264,12 +264,14 @@ def build_catalog(
     num_nations = len(nation_rows)
 
     supplier_profile = profile.profile("supplier")
+    supplier_nation = generator.integers(0, num_nations - 1)
+    supplier_balance = generator.decimals(-999.0, 9999.0)
     supplier_rows = [
         {
             "s_suppkey": index,
             "s_name": f"Supplier#{index}",
-            "s_nationkey": generator.integer(0, num_nations - 1),
-            "s_acctbal": generator.decimal(-999.0, 9999.0),
+            "s_nationkey": supplier_nation(),
+            "s_acctbal": supplier_balance(),
         }
         for index in range(supplier_profile.total_rows)
     ]
@@ -278,83 +280,111 @@ def build_catalog(
         suppliers_by_nation.setdefault(row["s_nationkey"], []).append(row["s_suppkey"])
 
     customer_profile = profile.profile("customer")
+    customer_nation = generator.integers(0, num_nations - 1)
+    customer_segment = generator.choices(MARKET_SEGMENTS)
+    customer_balance = generator.decimals(-999.0, 9999.0)
     customer_rows = [
         {
             "c_custkey": index,
             "c_name": f"Customer#{index}",
-            "c_nationkey": generator.integer(0, num_nations - 1),
-            "c_mktsegment": generator.choice(MARKET_SEGMENTS),
-            "c_acctbal": generator.decimal(-999.0, 9999.0),
+            "c_nationkey": customer_nation(),
+            "c_mktsegment": customer_segment(),
+            "c_acctbal": customer_balance(),
         }
         for index in range(customer_profile.total_rows)
     ]
 
     part_profile = profile.profile("part")
+    part_type = generator.choices(["ECONOMY", "STANDARD", "PROMO", "LARGE", "SMALL"])
+    part_price = generator.decimals(900.0, 2000.0)
     part_rows = [
         {
             "p_partkey": index,
             "p_name": f"Part#{index}",
             "p_brand": f"Brand#{index % 5}",
-            "p_type": generator.choice(["ECONOMY", "STANDARD", "PROMO", "LARGE", "SMALL"]),
-            "p_retailprice": generator.decimal(900.0, 2000.0),
+            "p_type": part_type(),
+            "p_retailprice": part_price(),
         }
         for index in range(part_profile.total_rows)
     ]
 
     partsupp_profile = profile.profile("partsupp")
+    partsupp_quantity = generator.integers(1, 9999)
+    partsupp_cost = generator.decimals(1.0, 1000.0)
     partsupp_rows = [
         {
             "ps_partkey": index % len(part_rows),
             "ps_suppkey": (index * 7 + 3) % len(supplier_rows),
-            "ps_availqty": generator.integer(1, 9999),
-            "ps_supplycost": generator.decimal(1.0, 1000.0),
+            "ps_availqty": partsupp_quantity(),
+            "ps_supplycost": partsupp_cost(),
         }
         for index in range(partsupp_profile.total_rows)
     ]
 
     orders_profile = profile.profile("orders")
-    orders_rows = []
-    for index in range(orders_profile.total_rows):
-        orders_rows.append(
-            {
-                "o_orderkey": index,
-                "o_custkey": generator.integer(0, len(customer_rows) - 1),
-                "o_orderdate": generator.date_ordinal("1992-01-01", "1998-08-02"),
-                "o_orderpriority": generator.choice(ORDER_PRIORITIES),
-                "o_shippriority": 0,
-                "o_totalprice": generator.decimal(1000.0, 400000.0),
-            }
-        )
+    order_customer = generator.integers(0, len(customer_rows) - 1)
+    order_date = generator.dates("1992-01-01", "1998-08-02")
+    order_priority = generator.choices(ORDER_PRIORITIES)
+    order_price = generator.decimals(1000.0, 400000.0)
+    orders_rows = [
+        {
+            "o_orderkey": index,
+            "o_custkey": order_customer(),
+            "o_orderdate": order_date(),
+            "o_orderpriority": order_priority(),
+            "o_shippriority": 0,
+            "o_totalprice": order_price(),
+        }
+        for index in range(orders_profile.total_rows)
+    ]
 
+    # A line item draws whether its supplier is local only when its
+    # customer's nation has suppliers; the pick among them is per nation.
+    is_local = generator.booleans(_LOCAL_SUPPLIER_PROBABILITY)
+    local_supplier = {
+        nation: generator.choices(keys) for nation, keys in suppliers_by_nation.items()
+    }
+    any_supplier = generator.integers(0, len(supplier_rows) - 1)
+    ship_delay = generator.integers(1, 120)
+    commit_delay = generator.integers(30, 120)
+    receipt_delay = generator.integers(1, 30)
+    line_price = generator.decimals(900.0, 100000.0)
+    line_part = generator.integers(0, len(part_rows) - 1)
+    line_quantity = generator.integers(1, 50)
+    line_discount = generator.decimals(0.0, 0.10)
+    line_tax = generator.decimals(0.0, 0.08)
+    line_flag = generator.choices(RETURN_FLAGS)
+    line_status = generator.choices(LINE_STATUSES)
+    line_mode = generator.choices(SHIP_MODES)
     lineitem_profile = profile.profile("lineitem")
     lineitem_rows = []
     for index in range(lineitem_profile.total_rows):
         order = orders_rows[index % len(orders_rows)]
         customer = customer_rows[order["o_custkey"]]
-        local_suppliers = suppliers_by_nation.get(customer["c_nationkey"], [])
-        if local_suppliers and generator.boolean(_LOCAL_SUPPLIER_PROBABILITY):
-            suppkey = generator.choice(local_suppliers)
+        pick_local = local_supplier.get(customer["c_nationkey"])
+        if pick_local is not None and is_local():
+            suppkey = pick_local()
         else:
-            suppkey = generator.integer(0, len(supplier_rows) - 1)
-        ship_date = order["o_orderdate"] + generator.integer(1, 120)
-        commit_date = order["o_orderdate"] + generator.integer(30, 120)
-        receipt_date = ship_date + generator.integer(1, 30)
-        extended_price = generator.decimal(900.0, 100000.0)
+            suppkey = any_supplier()
+        ship_date = order["o_orderdate"] + ship_delay()
+        commit_date = order["o_orderdate"] + commit_delay()
+        receipt_date = ship_date + receipt_delay()
+        extended_price = line_price()
         lineitem_rows.append(
             {
                 "l_orderkey": order["o_orderkey"],
-                "l_partkey": generator.integer(0, len(part_rows) - 1),
+                "l_partkey": line_part(),
                 "l_suppkey": suppkey,
-                "l_quantity": generator.integer(1, 50),
+                "l_quantity": line_quantity(),
                 "l_extendedprice": extended_price,
-                "l_discount": generator.decimal(0.0, 0.10),
-                "l_tax": generator.decimal(0.0, 0.08),
-                "l_returnflag": generator.choice(RETURN_FLAGS),
-                "l_linestatus": generator.choice(LINE_STATUSES),
+                "l_discount": line_discount(),
+                "l_tax": line_tax(),
+                "l_returnflag": line_flag(),
+                "l_linestatus": line_status(),
                 "l_shipdate": ship_date,
                 "l_commitdate": commit_date,
                 "l_receiptdate": receipt_date,
-                "l_shipmode": generator.choice(SHIP_MODES),
+                "l_shipmode": line_mode(),
             }
         )
 

@@ -43,34 +43,34 @@ SEED = 42
 #: after the run and the report, peak bytes per stored object during them).
 CEILINGS = {
     (3, 9): {
-        "skipper-shared-csd": (1929, 2811),
-        "vanilla-pull": (796, 3699),
-        "keys-fanout": (980, 1272),
-        "fleet-churn": (1993, 2236),
+        "skipper-shared-csd": (691, 2811),
+        "vanilla-pull": (732, 3699),
+        "keys-fanout": (951, 1254),
+        "fleet-churn": (1970, 2236),
     },
     (3, 10): {
-        "skipper-shared-csd": (1930, 2908),
-        "vanilla-pull": (804, 3757),
-        "keys-fanout": (980, 1270),
-        "fleet-churn": (1992, 2232),
+        "skipper-shared-csd": (692, 2908),
+        "vanilla-pull": (739, 3757),
+        "keys-fanout": (950, 1252),
+        "fleet-churn": (1970, 2231),
     },
     (3, 11): {
-        "skipper-shared-csd": (1961, 2902),
-        "vanilla-pull": (805, 3447),
-        "keys-fanout": (930, 1215),
-        "fleet-churn": (1931, 2160),
+        "skipper-shared-csd": (723, 2902),
+        "vanilla-pull": (737, 3447),
+        "keys-fanout": (888, 1202),
+        "fleet-churn": (1887, 2160),
     },
     (3, 12): {
-        "skipper-shared-csd": (1941, 2878),
-        "vanilla-pull": (792, 3434),
-        "keys-fanout": (918, 1204),
-        "fleet-churn": (1915, 2143),
+        "skipper-shared-csd": (709, 2878),
+        "vanilla-pull": (725, 3434),
+        "keys-fanout": (876, 1190),
+        "fleet-churn": (1871, 2143),
     },
     (3, 13): {
-        "skipper-shared-csd": (1952, 2888),
-        "vanilla-pull": (798, 3441),
-        "keys-fanout": (919, 1205),
-        "fleet-churn": (1917, 2146),
+        "skipper-shared-csd": (717, 2888),
+        "vanilla-pull": (730, 3441),
+        "keys-fanout": (877, 1191),
+        "fleet-churn": (1873, 2146),
     },
 }
 WORKLOADS = ("skipper-shared-csd", "vanilla-pull", "keys-fanout", "fleet-churn")

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 import pytest
+from test_catalog_digests import FAST_PINS
 
 from repro.exceptions import GoldenMismatchError
 from repro.scenarios import (
@@ -143,10 +144,14 @@ def _child_options() -> Dict[str, Any]:
     }
 
 
-def _assert_every_run_passed(runs: Dict[str, "subprocess.Popen[str]"], expected: str) -> None:
-    """Wait for each interpreter's run; fail naming every one that did not
-    exit 0 with ``expected`` in its output.  A run still going when this
-    returns or raises (a timeout) is killed."""
+def _assert_passes_everywhere(arguments: List[str], expected: str) -> None:
+    """Run ``arguments`` under every interpreter to check at once; fail
+    naming every one that did not exit 0 with ``expected`` in its output.
+    A run still going when this returns or raises (a timeout) is killed."""
+    runs = {
+        interpreter: subprocess.Popen([interpreter, *arguments], **_child_options())
+        for interpreter in _interpreters_to_check()
+    }
     failed = []
     try:
         for interpreter, run in runs.items():
@@ -169,13 +174,19 @@ class TestSecondInterpreter:
         """The goldens are byte-exact, float digests included, so they hold
         only if nothing on the way leans on one CPython's dict, sort or
         hashing behaviour; the standard library is all the check needs."""
-        runs = {
-            interpreter: subprocess.Popen(
-                [interpreter, "-m", "repro.scenarios", "--check"], **_child_options()
-            )
-            for interpreter in _interpreters_to_check()
-        }
-        _assert_every_run_passed(runs, f"checked {len(scenario_names())} scenarios")
+        _assert_passes_everywhere(
+            ["-m", "repro.scenarios", "--check"], f"checked {len(scenario_names())} scenarios"
+        )
+
+    def test_catalog_digests_hold_under_another_cpython(self):
+        """Every catalog is drawn from the standard library's ``random``
+        through the generator's drawers, which repeat ``randint`` / ``choice``
+        / ``uniform`` / ``choices`` call for call; a version whose ``random``
+        draws otherwise changes a digest here before any golden."""
+        script = str(Path(__file__).resolve().parent / "catalog_digest.py")
+        _assert_passes_everywhere(
+            [script, json.dumps(FAST_PINS)], f"{len(FAST_PINS)} catalogs hold"
+        )
 
     def test_ledger_pins_hold_under_another_cpython(self):
         """The ledger pins a run's simulated means, not only its report, and
@@ -184,8 +195,4 @@ class TestSecondInterpreter:
         right.  The quick run checks every pin of its seed."""
         ledger = str(Path(__file__).resolve().parent.parent / "ledger" / "run.py")
         quick = ["--workload", "vanilla-pull", "--quick", "--seconds", "0", "--trace", "0"]
-        runs = {
-            interpreter: subprocess.Popen([interpreter, ledger, *quick], **_child_options())
-            for interpreter in _interpreters_to_check()
-        }
-        _assert_every_run_passed(runs, '"correct": true')
+        _assert_passes_everywhere([ledger, *quick], '"correct": true')

@@ -132,6 +132,18 @@ class TestSessionLifecycle:
             handle.finished_at - handle.started_at
         )
 
+    @pytest.mark.parametrize("mode", ["skipper", "vanilla"])
+    def test_a_finished_run_keeps_no_step_log(self, tiny_tpch_catalog, mode):
+        """Once the kernel is done nothing steps or forks a shared run, so
+        each run drops its log and shared state; the runs themselves stay."""
+        service = StorageService(make_config(2, mode=mode), catalog=tiny_tpch_catalog)
+        result = service.run()
+        assert all(results for results in result.results_by_client.values())
+        assert service.shared_runs
+        for shared in service.shared_runs.values():
+            assert shared.steps == [] and shared.state is None
+        assert not service.device.inbox.queued
+
     def test_submit_after_close_rejected(self, tiny_tpch_catalog):
         service = StorageService(make_config(1), catalog=tiny_tpch_catalog)
         session = service.open_session("tenant0")

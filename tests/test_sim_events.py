@@ -272,6 +272,20 @@ def test_store_drain_returns_everything_queued_oldest_first():
     assert store.drain() == [] and not store.queued
 
 
+def test_store_release_replaces_only_an_emptied_queue():
+    env = Environment()
+    store = Store(env)
+    store.put_many(range(1000))
+    store.drain()
+    emptied = store.queued
+    store.release()
+    assert store.queued is not emptied and not store.queued
+    store.put("kept")
+    kept = store.queued
+    store.release()
+    assert store.queued is kept and list(kept) == ["kept"]
+
+
 def test_store_get_before_put_resolves_on_put():
     env = Environment()
     store = Store(env)

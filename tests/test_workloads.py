@@ -1,8 +1,16 @@
 """Tests for the synthetic workloads (TPC-H, SSB, MR-bench, NREF)."""
 
+import random
+import runpy
+from datetime import date
+from pathlib import Path
+
 import pytest
+from frame_count import count_frames
+from hypothesis import given, strategies as st
 
 from repro.engine import Catalog, InMemoryExecutor
+from repro.engine.types import date_to_ordinal
 from repro.exceptions import ConfigurationError
 from repro.workloads import mrbench, nref, ssb, tpch
 from repro.workloads.datagen import DataGenerator, ScaleProfile, TableProfile
@@ -12,22 +20,114 @@ def _rows(catalog, table):
     return [row for segment in catalog.relation(table).segments for row in segment.rows]
 
 
+#: Range widths: one value, 2**k and 2**k ± 1 (past 32 bits too, where one
+#: ``getrandbits`` call covers several 32-bit words), and empty or inverted.
+WIDTHS = st.one_of(
+    st.just(1),
+    st.integers(1, 70).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])),
+    st.integers(2**32 + 1, 2**70),
+    st.integers(-3, 0),
+)
+ISO_DATES = st.dates(date(1900, 1, 1), date(2100, 12, 31)).map(date.isoformat)
+FINITE = st.floats(-1e9, 1e9, allow_nan=False)
+
+
+@st.composite
+def columns(draw):
+    """``(drawer name, its arguments)`` for one column."""
+    kind = draw(
+        st.sampled_from(
+            ["integers", "dates", "decimals", "choices", "weighted_choices", "booleans"]
+        )
+    )
+    if kind == "integers":
+        low = draw(st.integers(-(2**40), 2**40))
+        return kind, (low, low + draw(WIDTHS) - 1)
+    if kind == "dates":
+        return kind, (draw(ISO_DATES), draw(ISO_DATES))
+    if kind == "decimals":
+        return kind, (draw(FINITE), draw(FINITE))
+    if kind == "choices":
+        return kind, (draw(st.lists(st.integers(), min_size=1, max_size=9)),)
+    if kind == "weighted_choices":
+        values = draw(st.lists(st.integers(), min_size=1, max_size=9))
+        weights = st.floats(0.01, 100.0)
+        return kind, (values, draw(st.lists(weights, min_size=len(values), max_size=len(values))))
+    return kind, (draw(st.floats(0.0, 1.0)),)
+
+
+def standard_draw(source: random.Random, kind: str, arguments: tuple):
+    """What one draw of a ``kind`` column is on the standard library's
+    ``random.Random``: the per-call methods the drawers replaced."""
+    if kind == "integers":
+        return source.randint(*arguments)
+    if kind == "dates":
+        start, end = arguments
+        low, high = date_to_ordinal(start), date_to_ordinal(end)
+        if high < low:
+            raise ConfigurationError(f"date range is inverted: {start} .. {end}")
+        return source.randint(low, high)
+    if kind == "decimals":
+        return round(source.uniform(*arguments), 2)
+    if kind == "choices":
+        return source.choice(*arguments)
+    if kind == "weighted_choices":
+        values, weights = arguments
+        return source.choices(values, weights=weights, k=1)[0]
+    (probability_true,) = arguments
+    return source.random() < probability_true
+
+
 class TestDataGenerator:
     def test_determinism(self):
-        first = DataGenerator(seed=7)
-        second = DataGenerator(seed=7)
-        assert [first.integer(0, 100) for _ in range(20)] == [
-            second.integer(0, 100) for _ in range(20)
-        ]
+        first = DataGenerator(seed=7).integers(0, 100)
+        second = DataGenerator(seed=7).integers(0, 100)
+        assert [first() for _ in range(20)] == [second() for _ in range(20)]
 
     def test_date_ordinal_range(self):
-        generator = DataGenerator()
-        from repro.engine.types import date_to_ordinal
-
-        value = generator.date_ordinal("1994-01-01", "1994-12-31")
+        generator = DataGenerator(seed=7)
+        value = generator.dates("1994-01-01", "1994-12-31")()
         assert date_to_ordinal("1994-01-01") <= value <= date_to_ordinal("1994-12-31")
         with pytest.raises(ConfigurationError):
-            generator.date_ordinal("1995-01-01", "1994-01-01")
+            generator.dates("1995-01-01", "1994-01-01")
+
+    def test_a_column_over_nothing_is_a_configuration_error(self):
+        generator = DataGenerator(seed=7)
+        for build in (
+            lambda: generator.integers(3, 2),
+            lambda: generator.choices([]),
+            lambda: generator.weighted_choices(["a", "b"], [1.0]),
+            lambda: generator.weighted_choices(["a"], [0.0]),
+        ):
+            with pytest.raises(ConfigurationError):
+                build()
+
+    @given(
+        seed=st.integers(0, 2**64),
+        specs=st.lists(columns(), min_size=1, max_size=6),
+        order=st.lists(st.integers(0, 5), max_size=60),
+    )
+    def test_drawers_are_the_standard_librarys_draws(self, seed, specs, order):
+        """Drawers called in any interleaving return what the per-call
+        ``random.Random`` methods return in that order.  A range those
+        methods reject is rejected when its drawer is built, with an error
+        of the type they raised (``ValueError``, or ``ConfigurationError``
+        for dates) that is also the library's ``ConfigurationError``."""
+        generator = DataGenerator(seed)
+        source = random.Random(seed)
+        drawers = {}
+        for position, (kind, arguments) in enumerate(specs):
+            try:
+                drawers[position] = getattr(generator, kind)(*arguments)
+            except ConfigurationError as error:
+                with pytest.raises((ValueError, ConfigurationError)) as rejected:
+                    standard_draw(source, kind, arguments)
+                assert isinstance(error, rejected.type)
+        for position in order:
+            if position in drawers:
+                kind, arguments = specs[position]
+                assert drawers[position]() == standard_draw(source, kind, arguments)
+        assert generator.integers(0, 2**40)() == source.randint(0, 2**40)
 
     def test_table_profile_validation(self):
         with pytest.raises(ConfigurationError):
@@ -42,6 +142,32 @@ class TestDataGenerator:
         assert profile.profile("t").num_segments == 2
         with pytest.raises(ConfigurationError):
             profile.profile("unknown")
+
+
+#: Python frames per generated row ``tpch.build_catalog`` may enter, by
+#: profile: the CPython 3.11 count plus half a frame, rounded up to a tenth
+#: (3.12+ read fewer).  A draw is one drawer frame; the per-call methods
+#: entered three or four (33.9 and 34.6 frames per row).  A ceiling may only
+#: be tightened; when one trips, tally ``count_frames``'s ``on_call`` by
+#: ``co_name``.
+CATALOG_FRAME_CEILINGS = {"sf100": 11.2, "keys-fanout": 11.2}
+
+
+def _catalog_profile(name: str) -> ScaleProfile:
+    """``sf100``, or the profile the ledger's full-size workload generates."""
+    if name in tpch.SCALES:
+        return tpch.SCALES[name]
+    ledger = Path(__file__).resolve().parent.parent / "ledger" / "workloads.py"
+    profile, _spec = runpy.run_path(str(ledger))["WORKLOADS"][name](43, False)
+    return profile
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_FRAME_CEILINGS))
+def test_catalog_frames_per_row_stay_under_the_ceiling(name):
+    profile = _catalog_profile(name)
+    _catalog, frames = count_frames(lambda: tpch.build_catalog(profile, 42))
+    per_row = frames / sum(table.total_rows for table in profile.tables.values())
+    assert per_row <= CATALOG_FRAME_CEILINGS[name], f"{name}: {per_row:.2f} frames per row"
 
 
 class TestTpch:
