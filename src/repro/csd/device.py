@@ -60,7 +60,9 @@ class MigrationTokenBucket:
     """Token bucket pacing one device's migration I/O (objects per second).
 
     Tokens accrue continuously on the simulated clock up to
-    :data:`MIGRATION_BURST`; each migration read/write consumes one.  All
+    :data:`MIGRATION_BURST`; each migration read/write consumes one (the
+    device refills and takes inline, once per job: see
+    :meth:`ColdStorageDevice._run`).  All
     arithmetic is plain float math on simulated timestamps, so throttled runs
     stay exactly deterministic.  The rate is a
     :class:`~repro.fleet.spec.MigrationThrottle`'s, whose declared field
@@ -79,17 +81,6 @@ class MigrationTokenBucket:
         self.rate = objects_per_second
         self.tokens = float(MIGRATION_BURST)
         self.last_refill = 0.0
-
-    def try_consume(self, now: float) -> bool:
-        """Take one token if available; ``False`` means the I/O must wait."""
-        # Refill first, inline: the device asks once per migration job.
-        if now > self.last_refill:
-            self.tokens = min(MIGRATION_BURST, self.tokens + (now - self.last_refill) * self.rate)
-            self.last_refill = now
-        if self.tokens >= 1.0 - self.EPSILON:
-            self.tokens = max(0.0, self.tokens - 1.0)
-            return True
-        return False
 
     def seconds_until_token(self, now: float) -> float:
         """Simulated time until the next token accrues (0 when one is ready)."""
@@ -325,6 +316,11 @@ class ColdStorageDevice:
         env = self.env
         inbox = self.inbox
         scheduler = self.scheduler
+        has_pending = scheduler.has_pending
+        stats = self.stats
+        tenant_names = self._tenant_names
+        # The fewest tokens that count as one (float drift absorbed).
+        token_ready = 1.0 - MigrationTokenBucket.EPSILON
         while True:
             # ``_drain_inbox`` without its frame: once per job or GET.  The
             # queue is read through the inbox, not held: the loop outlives
@@ -333,16 +329,72 @@ class ColdStorageDevice:
                 self._register(inbox.drain())
             if self._admin_jobs:
                 throttle = self.migration_throttle
-                if throttle is None or throttle.try_consume(env.now):
-                    # One rebalancing read/write: one timeout, no per-job generator.
+                ready = throttle is None
+                if not ready:
+                    # Refill, then take a token if one is there: the
+                    # bucket's arithmetic, inline, once per migration job.
+                    # (``min(MIGRATION_BURST, tokens)`` and ``max(0.0, tokens
+                    # - 1.0)`` as comparisons: the same values, no calls.)
+                    now = env.now
+                    if now > throttle.last_refill:
+                        tokens = throttle.tokens + (now - throttle.last_refill) * throttle.rate
+                        throttle.tokens = tokens if tokens < MIGRATION_BURST else MIGRATION_BURST
+                        throttle.last_refill = now
+                    if throttle.tokens >= token_ready:
+                        tokens = throttle.tokens - 1.0
+                        throttle.tokens = tokens if tokens > 0.0 else 0.0
+                        ready = True
+                if ready:
+                    # One rebalancing read/write: one timeout, no per-job
+                    # generator, and booked inline, no per-job call.
                     job = self._admin_jobs.popleft()
-                    interfered = scheduler.has_pending()
+                    interfered = has_pending()
                     start = env.now
                     if job.seconds > 0:
                         yield Timeout(env, job.seconds)
-                    self._finish_migration(job, start, env.now, interfered)
+                    end = env.now
+                    # The job *interfered* when foreground work waited at
+                    # the device at any point while it ran — the seconds the
+                    # rebalance stole from query traffic: sampled before and
+                    # after the I/O, since requests arriving mid-job sit in
+                    # the inbox.  Only *foreground* arrivals count: the inbox
+                    # may also hold a later epoch's MigrationJobs (walked in
+                    # place, not copied per job).
+                    if not interfered:
+                        queued = inbox.queued
+                        interfered = has_pending() or (
+                            len(queued) > 0
+                            and any(isinstance(item, GetRequest) for item in queued)
+                        )
+                    key = job.object_key
+                    group = self.layout.group_if_placed(key)
+                    # The key's ``tenant/`` prefix (the store holds no other
+                    # keys), as the first job of the tenant spelled it: the
+                    # log keeps one string per tenant, not one per job.
+                    tenant = key.partition("/")[0]
+                    tenant = tenant_names.setdefault(tenant, tenant)
+                    self.busy_intervals.append(
+                        _tuple_new(
+                            BusyInterval,
+                            (
+                                start,
+                                end,
+                                "migration",
+                                -1 if group is None else group,
+                                tenant,
+                                job.label,
+                                key,
+                            ),
+                        )
+                    )
+                    seconds = end - start
+                    stats.migration_jobs += 1
+                    stats.migration_seconds += seconds
+                    if interfered:
+                        stats.migration_interference_seconds += seconds
+                    job.notify(job, start, end, interfered)
                     continue
-                if not scheduler.has_pending():
+                if not has_pending():
                     # Idle apart from throttled migration work: wait for the
                     # bucket to refill OR for a foreground arrival, whichever
                     # comes first — a query arriving mid-wait wakes the
@@ -361,8 +413,8 @@ class ColdStorageDevice:
                 # No tokens and queries are waiting: defer the migration I/O
                 # and serve foreground work first — the interleaving a
                 # strict-priority rebalance denies.
-                self.stats.migration_deferrals += 1
-            if not scheduler.has_pending():
+                stats.migration_deferrals += 1
+            if not has_pending():
                 request = yield inbox.get()
                 self._register((request,))
                 continue
@@ -380,7 +432,7 @@ class ColdStorageDevice:
                     _tuple_new(BusyInterval, (start, env.now, "switch", group, None, None, None))
                 )
                 self.current_group = group
-                self.stats.group_switches += 1
+                stats.group_switches += 1
                 scheduler.notify_switch(group)
                 self._drain_inbox()
 
@@ -403,47 +455,6 @@ class ColdStorageDevice:
                 quota -= 1
                 if inbox.queued:
                     self._drain_inbox()
-
-    def _finish_migration(
-        self, job: MigrationJob, start: float, end: float, interfered: bool
-    ) -> None:
-        """Book one rebalancing read/write that ran over ``[start, end]``.
-
-        The job counts as *interfering* when foreground work waited at the
-        device at any point while the migration I/O ran — the seconds the
-        rebalance stole from query traffic.  Sampled before (``interfered``)
-        *and* after the I/O: requests arriving mid-job sit in the inbox (the
-        device is busy migrating) and must count too.
-        """
-        # Only *foreground* arrivals count: the inbox may also hold further
-        # MigrationJobs (a later epoch's burst), which are not query traffic.
-        # (The live queue is walked in place: a snapshot per job would copy
-        # the whole burst once per job.)
-        if not interfered:
-            queued = self.inbox.queued
-            interfered = self.scheduler.has_pending() or (
-                len(queued) > 0 and any(isinstance(item, GetRequest) for item in queued)
-            )
-        key = job.object_key
-        group = self.layout.group_if_placed(key)
-        # The key's ``tenant/`` prefix (the store holds no other keys), as
-        # the first job of the tenant spelled it: the log keeps one string
-        # per tenant, not one per job.
-        tenant = key.partition("/")[0]
-        tenant = self._tenant_names.setdefault(tenant, tenant)
-        self.busy_intervals.append(
-            _tuple_new(
-                BusyInterval,
-                (start, end, "migration", -1 if group is None else group, tenant, job.label, key),
-            )
-        )
-        stats = self.stats
-        seconds = end - start
-        stats.migration_jobs += 1
-        stats.migration_seconds += seconds
-        if interfered:
-            stats.migration_interference_seconds += seconds
-        job.notify(job, start, end, interfered)
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
         client_id = request.client_id

@@ -16,9 +16,12 @@ class DiskGroupLayout:
     onto the device mid-run, but an object is never re-homed or removed.
     """
 
-    def __init__(self, assignment: Dict[str, int]) -> None:
-        """Take ``assignment`` over as the layout's own mapping: every caller
-        builds it fresh for the layout, so it is not copied."""
+    def __init__(self, assignment: Dict[str, int], lowest_by_tenant: Dict[str, int]) -> None:
+        """Take ``assignment`` over as the layout's own mapping, and
+        ``lowest_by_tenant`` as its lowest group per tenant prefix (keys
+        without one have no tenant).  Every caller builds both fresh for
+        the layout, the second as it lays each tenant's objects out, so
+        neither is copied or rescanned."""
         if not assignment:
             raise LayoutError("layout must place at least one object")
         for key, group in assignment.items():
@@ -27,10 +30,8 @@ class DiskGroupLayout:
         self._assignment = assignment
         #: Largest group identifier in use; :meth:`add_objects` keeps it current.
         self.max_group_id = max(self._assignment.values())
-        #: Lowest group per tenant prefix; built by the first
-        #: :meth:`tenant_group_map` call (most layouts never need it) and
-        #: kept current by :meth:`add_objects` from then on.
-        self._lowest_by_tenant: Optional[Dict[str, int]] = None
+        #: Lowest group per tenant prefix; :meth:`add_objects` keeps it current.
+        self._lowest_by_tenant = lowest_by_tenant
         #: ``group_if_placed(object_key)``: the group holding the key, or
         #: ``None`` if it is not placed.  The mapping's own ``get``, so the
         #: lookup the device runs for every GET and migration job enters
@@ -52,42 +53,41 @@ class DiskGroupLayout:
         twice or a negative group rejects the whole call.
         """
         assignment = self._assignment
-        seen = set()
-        for object_key, group_id in zip(object_keys, group_ids):
-            if group_id < 0:
-                raise LayoutError(f"object {object_key!r} assigned to negative group {group_id}")
-            if object_key in assignment:
-                raise LayoutError(f"object {object_key!r} is already placed by this layout")
-            if object_key in seen:
-                raise LayoutError(f"object {object_key!r} is listed twice in one extension")
-            seen.add(object_key)
-        assignment.update(zip(object_keys, group_ids))
+        added = dict(zip(object_keys, group_ids))
+        # All or nothing, checked in C; the keys are walked only to name
+        # the first offender.
+        if (
+            len(added) < len(object_keys)
+            or not assignment.keys().isdisjoint(added)
+            or (group_ids and min(group_ids) < 0)
+        ):
+            seen = set()
+            for object_key, group_id in zip(object_keys, group_ids):
+                if group_id < 0:
+                    raise LayoutError(
+                        f"object {object_key!r} assigned to negative group {group_id}"
+                    )
+                if object_key in assignment:
+                    raise LayoutError(f"object {object_key!r} is already placed by this layout")
+                if object_key in seen:
+                    raise LayoutError(f"object {object_key!r} is listed twice in one extension")
+                seen.add(object_key)
+        assignment.update(added)
         if group_ids:
             self.max_group_id = max(self.max_group_id, max(group_ids))
         lowest = self._lowest_by_tenant
-        if lowest is not None:
-            # The tenant is the key's ``tenant/`` prefix, inline: this runs
-            # per moved key, which the epoch frame budget gates.
-            for object_key, group_id in zip(object_keys, group_ids):
-                tenant, separator, _rest = object_key.partition("/")
-                if separator and group_id < lowest.get(tenant, group_id + 1):
-                    lowest[tenant] = group_id
+        # The tenant is the key's ``tenant/`` prefix, inline: this runs per
+        # moved key, which the epoch frame budget gates.
+        for object_key, group_id in zip(object_keys, group_ids):
+            tenant, separator, _rest = object_key.partition("/")
+            if separator and group_id < lowest.get(tenant, group_id + 1):
+                lowest[tenant] = group_id
 
     def tenant_group_map(self) -> Dict[str, int]:
-        """Lowest group id per tenant prefix (keys without one are skipped).
-
-        The first call scans the layout once; from then on
-        :meth:`add_objects` keeps the map current, so rebalancing a device
-        epoch after epoch never rescans it.  Returns a fresh dict.
-        """
-        lowest = self._lowest_by_tenant
-        if lowest is None:
-            lowest = self._lowest_by_tenant = {}
-            for key, group in self._assignment.items():
-                tenant, separator, _rest = key.partition("/")
-                if separator and group < lowest.get(tenant, group + 1):
-                    lowest[tenant] = group
-        return dict(lowest)
+        """Lowest group id per tenant prefix (keys without one are skipped),
+        as a fresh dict: built with the layout and kept current by
+        :meth:`add_objects`, so it never rescans the layout."""
+        return dict(self._lowest_by_tenant)
 
     @property
     def placed_keys(self) -> KeysView[str]:

@@ -7,12 +7,15 @@ sensitivity study (Section 5.2.3), the skewed layout of its fairness
 experiment (Section 5.2.5) and a round-robin stripe used for ablations.
 
 Every policy turns a mapping ``client -> [object keys]`` into a
-:class:`~repro.csd.disk_group.DiskGroupLayout`.
+:class:`~repro.csd.disk_group.DiskGroupLayout`.  A client's keys are named
+``client/…`` (the object store's ``tenant/segment``), so the lowest group a
+policy gives each client is the layout's lowest group per tenant, known
+per client without reading a key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.csd.disk_group import DiskGroupLayout
 from repro.exceptions import LayoutError, StorageError
@@ -48,7 +51,7 @@ class AllInOneLayout(LayoutPolicy):
         assignment = {
             key: 0 for objects in client_objects.values() for key in objects
         }
-        return DiskGroupLayout(assignment)
+        return DiskGroupLayout(assignment, dict.fromkeys(client_objects, 0))
 
 
 class ClientsPerGroupLayout(LayoutPolicy):
@@ -67,11 +70,12 @@ class ClientsPerGroupLayout(LayoutPolicy):
     def build(self, client_objects: ClientObjects) -> DiskGroupLayout:
         self._validate(client_objects)
         assignment: Dict[str, int] = {}
+        lowest: Dict[str, int] = {}
         for position, (client, objects) in enumerate(client_objects.items()):
-            group = position // self.clients_per_group
+            group = lowest[client] = position // self.clients_per_group
             for key in objects:
                 assignment[key] = group
-        return DiskGroupLayout(assignment)
+        return DiskGroupLayout(assignment, lowest)
 
 
 class IncrementalLayout(LayoutPolicy):
@@ -89,6 +93,7 @@ class IncrementalLayout(LayoutPolicy):
         clients = list(client_objects)
         num_groups = len(clients)
         assignment: Dict[str, int] = {}
+        lowest: Dict[str, int] = {}
         for position, client in enumerate(clients):
             objects = list(client_objects[client])
             half = (len(objects) + 1) // 2
@@ -97,7 +102,8 @@ class IncrementalLayout(LayoutPolicy):
                 assignment[key] = position
             for key in second_half:
                 assignment[key] = (position + 1) % num_groups
-        return DiskGroupLayout(assignment)
+            lowest[client] = min(position, (position + 1) % num_groups) if second_half else position
+        return DiskGroupLayout(assignment, lowest)
 
 
 class RoundRobinObjectLayout(LayoutPolicy):
@@ -119,7 +125,8 @@ class RoundRobinObjectLayout(LayoutPolicy):
         for objects in client_objects.values():
             for index, key in enumerate(objects):
                 assignment[key] = index % self.num_groups
-        return DiskGroupLayout(assignment)
+        # Every client's first object lands on group 0.
+        return DiskGroupLayout(assignment, dict.fromkeys(client_objects, 0))
 
 
 class SkewedLayout(LayoutPolicy):
@@ -144,13 +151,15 @@ class SkewedLayout(LayoutPolicy):
                 f"{len(clients)} clients"
             )
         assignment: Dict[str, int] = {}
+        lowest: Dict[str, int] = {}
         cursor = 0
         for group, count in enumerate(self.clients_per_group):
             for client in clients[cursor : cursor + count]:
+                lowest[client] = group
                 for key in client_objects[client]:
                     assignment[key] = group
             cursor += count
-        return DiskGroupLayout(assignment)
+        return DiskGroupLayout(assignment, lowest)
 
 
 def extend_layout_with_keys(layout: DiskGroupLayout, keys: Sequence[str]) -> List[int]:
@@ -162,23 +171,29 @@ def extend_layout_with_keys(layout: DiskGroupLayout, keys: Sequence[str]) -> Lis
     one call stay together).  Returns the group chosen for each key.  All or
     nothing: a malformed key, or one the layout rejects, leaves it as it was.
     """
-    groups: List[int] = []
-    # The layout keeps its tenant map current once asked for it, so only a
-    # device's first extension scans its K keys: later rebalances of M keys
-    # cost O(M + tenants), not O(M + K).
+    # The layout keeps its tenant map current, so an extension of M keys
+    # costs O(M + tenants), never a scan of the layout's own keys.
     group_by_tenant = layout.tenant_group_map()
     next_fresh = layout.max_group_id + 1
+    groups: List[int] = []
+    append = groups.append
+    tenant_of_run: Optional[str] = None
+    group = next_fresh
     for key in keys:
         # The key split into tenant and segment id, inline: this runs per
         # moved key, which the epoch frame budget gates.
         tenant, separator, segment = key.partition("/")
         if not separator or not tenant or not segment:
             raise StorageError(f"malformed object key: {key!r}")
-        group = group_by_tenant.get(tenant)
-        if group is None:
-            group = next_fresh
-            group_by_tenant[tenant] = group
-            next_fresh += 1
-        groups.append(group)
+        if tenant != tenant_of_run:
+            # A new run of one tenant's keys (a client-major key list is
+            # one run per tenant): its group is looked up once.
+            tenant_of_run = tenant
+            found = group_by_tenant.get(tenant)
+            if found is None:
+                found = group_by_tenant[tenant] = next_fresh
+                next_fresh += 1
+            group = found
+        append(group)
     layout.add_objects(keys, groups)
     return groups

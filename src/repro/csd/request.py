@@ -122,20 +122,6 @@ class GetRequest:
         #: EWMA behind adaptive routing.
         self.routed_at: Optional[float] = None
 
-    @property
-    def table_name(self) -> str:
-        """Table encoded in the object key (``tenant/table.index``)."""
-        _tenant, _, local = self.object_key.partition("/")
-        table, _, _index = local.rpartition(".")
-        return table
-
-    @property
-    def segment_index(self) -> int:
-        """Segment index encoded in the object key."""
-        _tenant, _, local = self.object_key.partition("/")
-        _table, _, index = local.rpartition(".")
-        return int(index)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<GetRequest #{self.request_id} {self.object_key} "

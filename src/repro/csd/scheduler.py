@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from heapq import heappop, heappush
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.csd.ordering import ArrivalOrdering, IntraGroupOrdering, SemanticRoundRobinOrdering
 from repro.csd.request import GetRequest
@@ -58,6 +58,10 @@ class IOScheduler:
         self._group_queries: Dict[int, Dict[str, int]] = defaultdict(dict)
         #: query id -> total pending requests across all groups.
         self._query_pending: Dict[str, int] = {}
+        #: ``has_pending()``: the number of queries with a request waiting,
+        #: true when any request is.  The index's own ``__len__``, so the
+        #: check the device makes per migration job enters no Python frame.
+        self.has_pending: Callable[[], int] = self._query_pending.__len__
         #: Number of group switches since each query was last serviced.
         self._waiting: Dict[str, int] = {}
         #: Request id of the first request ever seen per query (arrival order).
@@ -107,10 +111,6 @@ class IOScheduler:
             self._query_pending[query_id] = total
         else:
             del self._query_pending[query_id]
-
-    def has_pending(self) -> bool:
-        """Whether any request is waiting to be served."""
-        return bool(self._query_pending)
 
     def pending_groups(self) -> List[int]:
         """Groups that currently have pending requests (sorted)."""

@@ -33,11 +33,13 @@ of every member's life-cycle state:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, compress, filterfalse, repeat
+from operator import attrgetter, itemgetter, lt
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.metrics import imbalance_coefficient
 from repro.csd.layout import extend_layout_with_keys
-from repro.csd.request import MigrationFields, MigrationJob, migration_fields
+from repro.csd.request import MigrationJob, MigrationNotify, migration_fields
 from repro.exceptions import FleetError
 from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.fleet.placement import normalize_weights
@@ -57,6 +59,9 @@ from repro.fleet.spec import (
 #: *fields)`` without the Python frame of the generated ``__new__``: a
 #: rebalance builds one job per replica read and write.
 _tuple_new = tuple.__new__
+#: A move's source and destination; a member's device id.
+_source_and_dest = itemgetter(1, 2)
+_device_id = attrgetter("device_id")
 
 
 class FleetController:
@@ -71,6 +76,8 @@ class FleetController:
         #: The hash column of ``router.sorted_key_hashes`` that every epoch
         #: diff walks; built by the first epoch change, not at set-up.
         self._key_hashes: Optional[List[int]] = None
+        #: See :attr:`replica_census`; built by its first read.
+        self._census: Optional[Counter] = None
         #: Raw (un-normalised) capacity weights the weighted ring is built
         #: from: static speed factors under ``weighting="profile"``, observed
         #: 1/EWMA-latency rates once the feedback rebalancer triggers.
@@ -276,21 +283,43 @@ class FleetController:
         """Replicas per key the current roster can actually sustain."""
         return min(self.membership.replication, len(self.membership.serving_ids()))
 
-    def under_replicated_count(self, placement: Mapping[str, Sequence[str]]) -> int:
-        """Keys with fewer live replicas than the current target.
+    @property
+    def replica_census(self) -> Counter:
+        """Keys per replica tuple of the current placement.
 
-        Counted once per distinct replica tuple, not per key: placement
-        values are the ring's shared per-arc tuples, so there are at most
-        ring-size of them.  A key's replicas are distinct devices, so the
-        live ones are the intersection with the serving roster.
+        Built by the first read, in one pass over the placement (set-up
+        pays nothing for it); from then on each epoch updates it from its
+        changed keys' old and new tuples, so it never rescans the keys.
+        """
+        census = self._census
+        if census is None:
+            census = self._census = Counter(self.router.placement.values())
+        return census
+
+    def release(self) -> None:
+        """Drop the census once the run is over: no epoch opens any more,
+        and an after-the-run reader counts the placement itself."""
+        self._census = None
+
+    def under_replicated_count(self, census: Mapping[Tuple[str, ...], int]) -> int:
+        """Keys with fewer live replicas than the current target, in a
+        census of keys per replica tuple (:attr:`replica_census`).
+
+        Counted once per distinct replica tuple, not per key.  A key's
+        replicas are distinct devices, so the live ones are the
+        intersection with the serving roster.
         """
         target = self.effective_replication
-        alive = set(self.membership.serving_ids())
-        return sum(
-            keys
-            for replicas, keys in Counter(placement.values()).items()
-            if len(alive.intersection(replicas)) < target
-        )
+        serving = set(self.membership.serving_ids())
+        # Tuples of fewer than ``target`` devices, in C; then the few that
+        # hold a device no longer serving (left or failed) and so have
+        # fewer live replicas than devices, one by one.
+        under = sum(compress(census.values(), map(lt, map(len, census), repeat(target))))
+        gone = set(map(_device_id, self.membership.members)).difference(serving)
+        for replicas in filterfalse(gone.isdisjoint, census):
+            if len(replicas) >= target > len(serving.intersection(replicas)):
+                under += census[replicas]
+        return under
 
     def _record_replication_health(
         self, kind: str, at_open: Optional[int] = None, after: Optional[int] = None
@@ -304,7 +333,7 @@ class FleetController:
         caller that already counted ``after`` passes it in.
         """
         if after is None:
-            after = self.under_replicated_count(self.router.placement)
+            after = self.under_replicated_count(self.replica_census)
         self.replication_log.append(
             {
                 "epoch": self.membership.epoch,
@@ -345,7 +374,8 @@ class FleetController:
         """Advance placement to the new epoch and execute the minimal plan."""
         epoch_record = self.membership.epoch_log[-1]
         placement = self.router.placement
-        under_replicated_before = self.under_replicated_count(placement)
+        census = self.replica_census
+        under_replicated_before = self.under_replicated_count(census)
         # The effective factor adapts to the roster: a repair pass after a
         # loss can only restore min(R, serving) replicas per key.
         replication = self.effective_replication
@@ -377,19 +407,23 @@ class FleetController:
         )
         # What the epoch needs of the old placement is taken before the
         # router's dict is updated in place: the changed keys' old replicas.
-        # Only changed keys can change health: no second full scan.
         old_replicas = {key: placement[key] for key in changed}
-        under_replicated_after = (
-            under_replicated_before
-            - self.under_replicated_count(old_replicas)
-            + self.under_replicated_count(changed)
-        )
         # Updating existing keys in place keeps the dict's canonical key
         # order (what a full placement scan iterates), which the plan must
         # see the changed keys in, not hash order: a filter over it gives
         # that order without a per-key rank index.
         placement.update(changed)
-        changed_keys = [key for key in placement if key in changed]
+        # Only changed keys can change health: the census moves their
+        # counts from the old tuples to the new, and is counted once more.
+        for replicas, keys in Counter(old_replicas.values()).items():
+            left = census[replicas] - keys
+            if left:
+                census[replicas] = left
+            else:
+                census.pop(replicas)
+        census.update(changed.values())
+        under_replicated_after = self.under_replicated_count(census)
+        changed_keys = list(filter(changed.__contains__, placement))
         members = self.membership.members
         alive = {member.device_id: member.alive for member in members}
         plan = plan_migration(
@@ -438,12 +472,15 @@ class FleetController:
         # ``plan.moves`` follow the plan's ``changed_keys``, which are in
         # canonical key order, so each destination's keys arrive in client
         # order already — the order initial layouts are built in.
-        gained: Dict[str, List[str]] = {}
-        for move in plan.moves:
-            gained.setdefault(move.dest, []).append(move.object_key)
+        moves = plan.moves
+        members = self.membership.members
+        gained: Dict[str, List[str]] = {member.device_id: [] for member in members}
+        gain = {device_id: keys.append for device_id, keys in gained.items()}
+        for object_key, _source, dest in moves:
+            gain[dest](object_key)
         # Destinations in roster order: deterministic layout/group assignment.
-        for member in self.membership.members:
-            keys = gained.get(member.device_id)
+        for member in members:
+            keys = gained[member.device_id]
             if not keys:
                 continue
             if member.device is None:
@@ -454,9 +491,14 @@ class FleetController:
                 # so clients land in first-seen order with keys in client
                 # order, matching what a full placement scan would build).
                 subset: Dict[str, List[str]] = {}
+                tenant_of_run: Optional[str] = None
                 for key in keys:
                     # The key's ``tenant/`` prefix, inline: per moved key.
-                    subset.setdefault(key.partition("/")[0], []).append(key)
+                    tenant = key.partition("/")[0]
+                    if tenant != tenant_of_run:
+                        tenant_of_run = tenant
+                        add_to_tenant = subset.setdefault(tenant, []).append
+                    add_to_tenant(key)
                 member.device = self.router.build_device(member, subset)
             else:
                 extend_layout_with_keys(member.device.layout, keys)
@@ -464,27 +506,34 @@ class FleetController:
         def _account(job: MigrationJob, start: float, end: float, _interfered: bool) -> None:
             plan.migration_seconds += end - start
 
-        reads: Dict[str, MigrationFields] = {}
-        writes: Dict[str, MigrationFields] = {}
-        for member in self.membership.members:
+        # Per device with a device: its batch, and per direction the job
+        # fields (validated once) with the batch's bound ``append``.
+        batches: Dict[str, List[MigrationJob]] = {}
+        reads: Dict[str, Tuple[float, str, MigrationNotify, Callable[[MigrationJob], None]]] = {}
+        writes: Dict[str, Tuple[float, str, MigrationNotify, Callable[[MigrationJob], None]]] = {}
+        for member in members:
             if member.device is not None:
                 seconds = member.device.config.transfer_seconds_per_object
-                reads[member.device_id] = migration_fields(
-                    "read", seconds, plan.epoch, reason, _account
+                append = batches.setdefault(member.device_id, []).append
+                reads[member.device_id] = (
+                    *migration_fields("read", seconds, plan.epoch, reason, _account),
+                    append,
                 )
-                writes[member.device_id] = migration_fields(
-                    "write", seconds, plan.epoch, reason, _account
+                writes[member.device_id] = (
+                    *migration_fields("write", seconds, plan.epoch, reason, _account),
+                    append,
                 )
-        batches: Dict[str, List[MigrationJob]] = {}
-        for object_key, source, dest in plan.moves:
+        for object_key, source, dest in moves:
             # A source without a device performs no read.
-            if source in reads:
-                batches.setdefault(source, []).append(
-                    _tuple_new(MigrationJob, (object_key, *reads[source]))
-                )
-            batches.setdefault(dest, []).append(
-                _tuple_new(MigrationJob, (object_key, *writes[dest]))
-            )
-        members = self.membership.by_id
-        for device_id, jobs in batches.items():
-            members[device_id].device.submit_migrations(jobs)
+            read = reads.get(source)
+            if read is not None:
+                seconds, label, notify, append = read
+                append(_tuple_new(MigrationJob, (object_key, seconds, label, notify)))
+            seconds, label, notify, append = writes[dest]
+            append(_tuple_new(MigrationJob, (object_key, seconds, label, notify)))
+        # Devices in the order they first appear in the moves, reads first.
+        by_id = self.membership.by_id
+        for device_id in dict.fromkeys(chain.from_iterable(map(_source_and_dest, moves))):
+            jobs = batches.get(device_id)
+            if jobs:
+                by_id[device_id].device.submit_migrations(jobs)

@@ -20,12 +20,18 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.csd.device import ColdStorageDevice, DeviceConfig
 from repro.exceptions import ConfigurationError, FleetError
 from repro.fleet.spec import EWMA_ALPHA, DeviceJoin, DeviceProfile, FleetSpec, device_name
 from repro.obs import Ewma
+
+#: A member's device id and life-cycle flag, read in C by ``serving_ids``.
+_device_id = attrgetter("device_id")
+_alive = attrgetter("alive")
 
 
 @dataclass
@@ -203,7 +209,8 @@ class FleetMembership:
 
     def serving_ids(self) -> Tuple[str, ...]:
         """Live placement targets (joined, not left, not failed), in order."""
-        return tuple(member.device_id for member in self.members if member.alive)
+        members = self.members
+        return tuple(compress(map(_device_id, members), map(_alive, members)))
 
     def profile_weight(self, member: FleetMember) -> float:
         """Static capacity weight of a device: its speed-up over the base

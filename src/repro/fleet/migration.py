@@ -240,21 +240,26 @@ def _shape(
     device_id: str,
     resident: Mapping[str, Container[str]],
 ) -> _Shape:
-    """Resolve one replica-tuple pair for :func:`plan_migration`."""
-    dropped = tuple([device for device in old_replicas if device not in new_replicas])
-    survivors = len(
-        [device for device in new_replicas if alive.get(device, True)]
-    )
-    candidates = tuple(
-        [
-            (device, resident.get(device, ()))
-            for device in new_replicas
-            if device not in old_replicas
-        ]
-    )
+    """Resolve one replica-tuple pair for :func:`plan_migration`.
+
+    Plain loops over at most R devices: no comprehension frame per shape.
+    """
+    dropped: List[str] = []
+    live: List[str] = []
+    for device in old_replicas:
+        if device not in new_replicas:
+            dropped.append(device)
+        if alive.get(device, True):
+            live.append(device)
+    survivors = 0
+    candidates: List[Tuple[str, Container[str]]] = []
+    for device in new_replicas:
+        if alive.get(device, True):
+            survivors += 1
+        if device not in old_replicas:
+            candidates.append((device, resident.get(device, ())))
     if not candidates:
-        return dropped, survivors, candidates, ""
-    live = [device for device in old_replicas if alive.get(device, True)]
+        return tuple(dropped), survivors, (), ""
     if live:
         source = live[0]
     else:
@@ -263,4 +268,4 @@ def _shape(
         # physically holds the data; a *failed* device must never perform
         # I/O again.
         source = device_id if device_id in old_replicas else old_replicas[0]
-    return dropped, survivors, candidates, source
+    return tuple(dropped), survivors, tuple(candidates), source

@@ -335,17 +335,17 @@ class ConsistentHashPlacement:
             # replica tuples; a key hashing exactly onto a boundary belongs
             # to the *next* arc (bisect_right semantics), so the run ends
             # strictly before the boundary.
-            boundaries = []
             if old_pos < old_size:
-                boundaries.append(old_hashes[old_pos])
-            if new_pos < new_size:
-                boundaries.append(new_hashes[new_pos])
-            if boundaries:
-                limit = bisect_left(key_hashes, min(boundaries), index)
+                boundary = old_hashes[old_pos]
+                if new_pos < new_size and new_hashes[new_pos] < boundary:
+                    boundary = new_hashes[new_pos]
+                limit = bisect_left(key_hashes, boundary, index)
+            elif new_pos < new_size:
+                limit = bisect_left(key_hashes, new_hashes[new_pos], index)
             else:
                 limit = total
             if old_replicas != new_replicas:
-                for position in range(index, limit):
-                    changed[sorted_key_hashes[position][1]] = new_replicas
+                for _key_hash, key in sorted_key_hashes[index:limit]:
+                    changed[key] = new_replicas
             index = limit
         return changed

@@ -10,6 +10,7 @@ assembled here, each figure derived from the one place that recorded it.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.metrics import imbalance_coefficient, jain_fairness, mean, percentile
@@ -136,7 +137,9 @@ def replication_metrics(controller: FleetController) -> Dict[str, object]:
             if record.kind == "set-replication"
         ],
         "per_epoch": list(controller.replication_log),
-        "under_replicated_keys": controller.under_replicated_count(router.placement),
+        "under_replicated_keys": controller.under_replicated_count(
+            Counter(router.placement.values())
+        ),
         "repair_objects": sum(plan.objects_migrated for plan in repair_plans),
         "repair_seconds": sum(plan.migration_seconds for plan in repair_plans),
         "replicate_objects": sum(plan.objects_migrated for plan in replicate_plans),

@@ -257,11 +257,14 @@ class StorageService:
         try:
             self.env.run(self.env.all_of([session.process for session in self._sessions]))
         except Exception:
-            # A crashed fleet failure/membership process starves the sessions
-            # and surfaces as an unrelated "ran out of events" error; prefer
-            # re-raising the root cause.
+            # A crashed fleet failure/membership process, or a crashed
+            # device loop, starves the sessions and surfaces as an unrelated
+            # "ran out of events" error; prefer re-raising the root cause.
             if self.controller is not None:
                 self.controller.raise_admin_failure()
+            for device in self.devices:
+                if device.process.exception is not None:
+                    raise device.process.exception
             raise
         if self.controller is not None:
             self.controller.raise_admin_failure()
@@ -269,6 +272,8 @@ class StorageService:
         # kernel is done: let go of what only they could still read.
         for shared in self.shared_runs.values():
             shared.release()
+        if self.controller is not None:
+            self.controller.release()
         for device in self.devices:
             device.inbox.release()
         for session in self._sessions:

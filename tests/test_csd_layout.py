@@ -27,7 +27,7 @@ def _groups_of(layout, keys):
 
 class TestDiskGroupLayout:
     def test_basic_queries(self):
-        layout = DiskGroupLayout({"a": 0, "b": 0, "c": 1})
+        layout = DiskGroupLayout({"a": 0, "b": 0, "c": 1}, {})
         assert layout.num_groups == 2
         assert layout.max_group_id == 1
         assert layout.group_of("c") == 1
@@ -46,16 +46,16 @@ class TestDiskGroupLayout:
         (A copy changes neither the live nor the peak bytes the bytes gate
         reads — the caller's dict is freed — only set-up time.)"""
         assignment = {"a": 0, "b": 1}
-        layout = DiskGroupLayout(assignment)
+        layout = DiskGroupLayout(assignment, {})
         layout.add_objects(["c"], [1])
         assert assignment == {"a": 0, "b": 1, "c": 1}
 
     def test_errors(self):
         with pytest.raises(LayoutError):
-            DiskGroupLayout({})
+            DiskGroupLayout({}, {})
         with pytest.raises(LayoutError):
-            DiskGroupLayout({"a": -1})
-        layout = DiskGroupLayout({"a": 0})
+            DiskGroupLayout({"a": -1}, {})
+        layout = DiskGroupLayout({"a": 0}, {})
         with pytest.raises(LayoutError):
             layout.group_of("missing")
 

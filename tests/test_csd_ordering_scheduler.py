@@ -1,6 +1,11 @@
 """Unit tests for intra-group orderings and the I/O schedulers."""
 
+import random
+
 import pytest
+from frame_count import count_frames
+from hypothesis import given, strategies as st
+from ordering_oracle import semantic_round_robin, table_name
 from scheduler_oracle import rank_of
 
 from repro.csd.ordering import (
@@ -17,7 +22,7 @@ from repro.csd.scheduler import (
     RankBasedScheduler,
     SlackFCFSScheduler,
 )
-from repro.exceptions import SchedulingError
+from repro.exceptions import SchedulingError, StorageError
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
@@ -43,12 +48,12 @@ class TestOrderings:
 
     def test_table_major_groups_by_table(self, env):
         ordered = TableMajorOrdering().order(self._requests(env))
-        tables = [request.table_name for request in ordered]
+        tables = [table_name(request) for request in ordered]
         assert tables == sorted(tables)
 
     def test_semantic_round_robin_interleaves_tables(self, env):
         ordered = SemanticRoundRobinOrdering().order(self._requests(env))
-        tables = [request.table_name for request in ordered]
+        tables = [table_name(request) for request in ordered]
         # First pass should touch each distinct table once before repeating.
         distinct = len(set(tables))
         assert len(set(tables[:distinct])) == distinct
@@ -69,6 +74,100 @@ class TestOrderings:
         for ordering in (ArrivalOrdering(), TableMajorOrdering(), SemanticRoundRobinOrdering()):
             ordered = ordering.order(requests)
             assert sorted(r.request_id for r in ordered) == sorted(r.request_id for r in requests)
+
+
+@st.composite
+def request_pools(draw):
+    """A group's pending pool: 1-4 queries over 1-6 tables (tenant prefixes
+    shared across tables and queries), duplicate segment indices allowed,
+    request ids a shuffled permutation and the pool in shuffled order."""
+    queries = draw(st.integers(min_value=1, max_value=4))
+    tables = draw(st.integers(min_value=1, max_value=6))
+    draws = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=queries - 1),
+                st.integers(min_value=0, max_value=tables - 1),
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=2),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    shuffle = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    request_ids = list(range(len(draws)))
+    shuffle.shuffle(request_ids)
+    pool = []
+    for (query, table, segment, tenant), request_id in zip(draws, request_ids):
+        request = GetRequest(f"c{tenant}/t{table}.{segment}", f"c{tenant}", f"q{query}", None)
+        request.request_id = request_id
+        pool.append(request)
+    shuffle.shuffle(pool)
+    return pool
+
+
+class TestOrderingOracles:
+    """The orderings parse each key once and sort once; the references are
+    the orderings as first written (``tests/ordering_oracle.py``) and the
+    table-major sort key over the same parse."""
+
+    @given(pool=request_pools())
+    def test_semantic_round_robin_is_the_reference(self, pool):
+        assert SemanticRoundRobinOrdering().order(pool) == semantic_round_robin(pool)
+
+    @given(pool=request_pools())
+    def test_table_major_is_the_sort_by_query_table_segment_and_id(self, pool):
+        expected = sorted(
+            pool,
+            key=lambda request: (
+                request.query_id,
+                table_name(request),
+                int(request.object_key.rpartition(".")[2]),
+                request.request_id,
+            ),
+        )
+        assert TableMajorOrdering().order(pool) == expected
+
+    @pytest.mark.parametrize("ordering", [SemanticRoundRobinOrdering(), TableMajorOrdering()])
+    def test_a_malformed_segment_index_is_a_typed_error(self, env, ordering):
+        store = ObjectStore()
+        keys = store.put_segments("a", ["x", "t.y"], [0, 1])
+        for key in keys:
+            pool = [_request(env, key), _request(env, "a/t.0")]
+            with pytest.raises(StorageError, match=f"malformed object key: '{key}'"):
+                ordering.order(pool)
+
+
+#: Frames entered inside ``SemanticRoundRobinOrdering.order`` per ordered
+#: request, on one query's pool of one table (31 requests, the shape a
+#: Skipper tenant's group queue has on ``fleet-churn``) and of six tables
+#: (120 requests).  The ordering as first written entered two key parses
+#: and two sort-key lambdas per request (4.16 and 4.04 on CPython 3.11); one
+#: decorated sort enters none: 0.06 and 0.03 (the call, the parse, one
+#: interleave per query and one across them).  Ceilings are those readings
+#: plus half a frame: one more frame per request trips them.
+FRAMES_PER_ORDERED_REQUEST_CEILINGS = {1: 0.6, 6: 0.6}
+
+
+@pytest.mark.parametrize("tables", sorted(FRAMES_PER_ORDERED_REQUEST_CEILINGS))
+def test_frames_per_ordered_request_stay_under_the_ceiling(env, tables):
+    size = 31 if tables == 1 else 120
+    pool = [
+        _request(env, f"c0/t{index % tables}.{index // tables}", query="c0:q6:0")
+        for index in range(size)
+    ]
+    random.Random(tables).shuffle(pool)
+    ordering = SemanticRoundRobinOrdering()
+    ordered, frames = count_frames(
+        lambda: ordering.order(pool), within=SemanticRoundRobinOrdering.order.__code__
+    )
+    assert ordered == semantic_round_robin(pool)
+    ceiling = FRAMES_PER_ORDERED_REQUEST_CEILINGS[tables]
+    assert frames / size <= ceiling, (
+        f"{frames / size:.2f} frames per ordered request on a {tables}-table pool, "
+        f"ceiling {ceiling}: the ordering went back to per-request calls"
+    )
 
 
 class TestSchedulerBookkeeping:

@@ -22,13 +22,19 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import pytest
 from frame_count import count_frames
 
-from repro.csd.device import ColdStorageDevice
+from repro.csd import AllInOneLayout, ColdStorageDevice, DeviceConfig, ObjectStore
+from repro.csd.device import MigrationTokenBucket
+from repro.csd.request import MigrationJob, migration_fields
+from repro.csd.scheduler import RankBasedScheduler
 from repro.fleet.controller import FleetController
 from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, FleetSpec, SetReplication
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
+from repro.obs import MetricsRegistry
 from repro.service import StorageService
+from repro.sim import Environment
 from repro.workloads import tpch
 from repro.workloads.datagen import ScaleProfile, TableProfile
 
@@ -42,19 +48,16 @@ SEGMENTS = 150
 #: key split and ~0.8 ``add_object`` per moved key, the rest per shape or
 #: per device.  With jobs built by ``tuple.__new__`` from fields validated
 #: once per device, one bulk layout append per destination and no
-#: per-destination sort it reads 1.37 (870 frames; 0.92 on CPython
-#: 3.12–3.13), all of it per shape or per device; one more frame per moved
-#: key trips the ceiling.  When it trips: pass ``on_call`` to
-#: ``count_frames`` to tally ``frame.f_code.co_name`` on both commits and
-#: diff them.
-FRAMES_PER_MOVED_KEY_CEILING = 2.0
-#: Frames entered inside ``ColdStorageDevice._finish_migration`` per
-#: migration job the scenario's devices perform (1 207): 4.11 before the
-#: job carried its label and the device stopped splitting its key and
-#: calling the layout per job, 2.06 now (CPython 3.9–3.13) — the call
-#: itself and the plan's ``notify``, plus a ``has_pending`` when nothing
-#: interfered yet; one more frame per job trips the ceiling.
-FRAMES_PER_MIGRATION_JOB_CEILING = 2.5
+#: per-destination sort it read 1.37 (870 frames; 0.92 on CPython
+#: 3.12–3.13), all of it per shape or per device.  With replication health
+#: read from a census of replica tuples, each shape, the serving roster and
+#: the health count resolved in C and each layout's tenant map built with
+#: it, 0.62 (396 frames; 0.60 on CPython 3.9–3.10, 0.56 on 3.12–3.13): the
+#: ceiling is the 3.11 reading plus half a frame, so one more frame per
+#: moved key trips it.  When it trips: pass
+#: ``on_call`` to ``count_frames`` to tally ``frame.f_code.co_name`` on
+#: both commits and diff them.
+FRAMES_PER_MOVED_KEY_CEILING = 1.2
 
 
 def _service() -> StorageService:
@@ -105,21 +108,53 @@ def test_frame_count_repeats_exactly():
     assert frames_per_moved_key() == frames_per_moved_key()
 
 
-def frames_per_migration_job() -> Tuple[float, int]:
-    """(frames entered inside ``_finish_migration`` / jobs performed, jobs)."""
-    service = _service()
-    _result, frames = count_frames(
-        service.run, within=ColdStorageDevice._finish_migration.__code__
-    )
-    jobs = sum(device.stats.migration_jobs for device in service.devices)
-    return frames / jobs, jobs
+#: Migration jobs the bare device books per measurement.
+BARE_JOBS = 200
+#: Frames entered while a bare device (one ``RankBasedScheduler``, no GET)
+#: books :data:`BARE_JOBS` write jobs of 0.1 s each, per job: the kernel's
+#: dispatch, the job's timeout and the plan's ``notify`` — throttled at two
+#: tokens a second, also the bucket's wait (its refill timeout, an inbox
+#: getter, the race between them and ``seconds_until_token``).  7.06 and
+#: 27.96 while the device called ``MigrationTokenBucket.try_consume``,
+#: ``IOScheduler.has_pending`` and ``_finish_migration`` per job; 4.05 and
+#: 21.96 with the take, the check and the booking inline (CPython
+#: 3.9–3.13).  Ceilings are those readings plus half a frame: one more
+#: frame per job trips them.
+FRAMES_PER_BOOKED_JOB_CEILINGS = {"unthrottled": 4.6, "throttled": 22.5}
 
 
-def test_frames_per_migration_job_stay_under_the_ceiling():
-    frames, jobs = frames_per_migration_job()
-    assert jobs == 1207
-    assert frames <= FRAMES_PER_MIGRATION_JOB_CEILING, (
-        f"{frames:.2f} Python frames per migration job inside _finish_migration, "
-        f"ceiling {FRAMES_PER_MIGRATION_JOB_CEILING}: the device went back to per-job calls"
+def frames_per_booked_job(throttled: bool) -> float:
+    """Frames the bare device's run enters per migration job it books."""
+    env = Environment()
+    store = ObjectStore()
+    keys = store.put_segments("a", [f"t.{index}" for index in range(BARE_JOBS)], [None] * BARE_JOBS)
+    device = ColdStorageDevice(
+        env,
+        store,
+        AllInOneLayout().build({"a": keys}),
+        RankBasedScheduler(),
+        DeviceConfig(),
+        MetricsRegistry(),
+        migration_throttle=MigrationTokenBucket(2.0) if throttled else None,
     )
-    assert frames_per_migration_job() == (frames, jobs)  # the count repeats exactly
+    booked = []
+
+    def notify(job, start, end, interfered):
+        booked.append(end - start)
+
+    fields = migration_fields("write", 0.1, 0, "rebalance", notify)
+    device.submit_migrations([MigrationJob(key, *fields) for key in keys])
+    _result, frames = count_frames(lambda: env.run(env.timeout(10.0 * BARE_JOBS)))
+    assert len(booked) == device.stats.migration_jobs == BARE_JOBS
+    return frames / BARE_JOBS
+
+
+@pytest.mark.parametrize("throttle", sorted(FRAMES_PER_BOOKED_JOB_CEILINGS))
+def test_frames_per_booked_migration_job_stay_under_the_ceiling(throttle):
+    frames = frames_per_booked_job(throttle == "throttled")
+    ceiling = FRAMES_PER_BOOKED_JOB_CEILINGS[throttle]
+    assert frames <= ceiling, (
+        f"{frames:.2f} Python frames per booked migration job ({throttle}), ceiling "
+        f"{ceiling}: the device went back to per-job calls"
+    )
+    assert frames_per_booked_job(throttle == "throttled") == frames  # repeats exactly

@@ -8,9 +8,11 @@ held here to the per-key definition it replaced:
 * :func:`plan_migration` against :func:`reference_plan`, the per-key loop,
   over placements with R = 1–3 on either side, dead devices, a leaver that
   is a key's last holder and destinations that still hold a key;
-* ``DiskGroupLayout.tenant_group_map`` against a scan of the layout, before
-  and after its first call, across ``add_objects`` sequences;
-* ``FleetController.under_replicated_count`` against a per-key count;
+* ``DiskGroupLayout.tenant_group_map`` against a scan of the layout, as
+  every layout policy builds it and across ``add_objects`` sequences;
+* ``FleetController.under_replicated_count`` over a replica-tuple census
+  against a per-key count, and the census a churn run keeps against a
+  count of its placement after every epoch;
 * the ring a long-lived policy builds from its cached per-device points
   against :func:`placement_oracle.brute_force_place` on a fresh policy,
   across joins, leaves and reweights;
@@ -21,19 +23,31 @@ held here to the per-key definition it replaced:
 from __future__ import annotations
 
 import runpy
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Container, Dict, List, Mapping, Sequence, Tuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from placement_oracle import brute_force_place
 from test_epoch_budget import _service as epoch_budget_service
 
 from repro.csd.disk_group import DiskGroupLayout
+from repro.csd.layout import (
+    AllInOneLayout,
+    ClientsPerGroupLayout,
+    IncrementalLayout,
+    RoundRobinObjectLayout,
+    SkewedLayout,
+)
 from repro.fleet.controller import FleetController
 from repro.fleet.migration import KeyMove, KeyTrim, plan_migration
 from repro.fleet.placement import ConsistentHashPlacement
+from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, SetReplication
+from repro.exceptions import ScenarioError
+from repro.scenarios.registry import get_scenario
 from repro.service import StorageService
 from repro.workloads import tpch
 
@@ -185,14 +199,17 @@ def test_the_named_cases_plan_what_they_say():
     assert upgrade.trims == []
 
 
-def _lowest_by_scan(layout: DiskGroupLayout) -> Dict[str, int]:
+def _lowest_by_scan(assignment: Mapping[str, int]) -> Dict[str, int]:
     lowest: Dict[str, int] = {}
-    for key in layout.placed_keys:
-        group = layout.group_of(key)
+    for key, group in assignment.items():
         tenant, separator, _rest = key.partition("/")
         if separator:
             lowest[tenant] = min(group, lowest.get(tenant, group))
     return lowest
+
+
+def _scan(layout: DiskGroupLayout) -> Dict[str, int]:
+    return _lowest_by_scan({key: layout.group_of(key) for key in layout.placed_keys})
 
 
 _OBJECT_KEYS = st.sampled_from(
@@ -203,28 +220,51 @@ _OBJECT_KEYS = st.sampled_from(
 @given(
     initial=st.dictionaries(_OBJECT_KEYS, st.integers(0, 5), min_size=1),
     additions=st.lists(st.tuples(_OBJECT_KEYS, st.integers(0, 7)), max_size=20),
-    first_call=st.integers(0, 20),
 )
-def test_tenant_group_map_is_a_scan_of_the_layout(initial, additions, first_call):
-    layout = DiskGroupLayout(initial)
-    for step, (key, group) in enumerate(additions):
-        if step == first_call:
-            assert layout.tenant_group_map() == _lowest_by_scan(layout)
+def test_tenant_group_map_is_a_scan_of_the_layout(initial, additions):
+    layout = DiskGroupLayout(initial, _lowest_by_scan(initial))
+    for key, group in additions:
         if not layout.has_object(key):
             layout.add_objects([key], [group])
-        if step >= first_call:
-            assert layout.tenant_group_map() == _lowest_by_scan(layout)
+        assert layout.tenant_group_map() == _scan(layout)
     snapshot = layout.tenant_group_map()
-    assert snapshot == _lowest_by_scan(layout)
+    assert snapshot == _scan(layout)
     snapshot["intruder"] = -1  # a fresh dict: the layout's own map is untouched
     assert "intruder" not in layout.tenant_group_map()
 
 
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    width=st.integers(1, 3),
+)
+def test_every_policy_builds_the_tenant_map_a_scan_finds(sizes, width):
+    """Policies give each layout its lowest group per client, which is the
+    lowest group per tenant because a client's keys are ``client/…``."""
+    clients = {
+        f"c{client}": [f"c{client}/t.{index}" for index in range(size)]
+        for client, size in enumerate(sizes)
+    }
+    policies = [
+        AllInOneLayout(),
+        ClientsPerGroupLayout(width),
+        IncrementalLayout(),
+        RoundRobinObjectLayout(width),
+        SkewedLayout([1] * len(sizes)),
+        SkewedLayout([len(sizes)]),
+    ]
+    for policy in policies:
+        layout = policy.build(clients)
+        assert layout.tenant_group_map() == _scan(layout), type(policy).__name__
+
+
 def _controller(serving: Sequence[str], replication: int) -> FleetController:
-    """A controller shell: ``under_replicated_count`` reads only the membership."""
+    """A controller shell: ``under_replicated_count`` reads only the membership
+    (every device of :data:`DEVICES` a member, ``serving`` the live ones)."""
     controller = FleetController.__new__(FleetController)
     controller.membership = SimpleNamespace(
-        replication=replication, serving_ids=lambda: tuple(serving)
+        replication=replication,
+        serving_ids=lambda: tuple(serving),
+        members=[SimpleNamespace(device_id=device) for device in DEVICES],
     )
     return controller
 
@@ -248,7 +288,60 @@ def test_under_replicated_count_is_a_per_key_count(shapes, picks, serving, repli
         for replicas in placement.values()
         if sum(1 for device in replicas if device in serving) < target
     )
-    assert controller.under_replicated_count(placement) == per_key
+    assert controller.under_replicated_count(Counter(placement.values())) == per_key
+
+
+
+#: Membership events a hypothesis timeline may add to the feedback-rebalanced
+#: ``fleet-adaptive-rebalance`` fleet (3 devices, R = 2, reweight epochs).
+_TIMELINE_EVENTS = st.lists(
+    st.one_of(
+        st.builds(DeviceJoin, st.just(3), st.floats(20.0, 900.0)),
+        st.builds(DeviceLeave, st.integers(0, 2), st.floats(20.0, 900.0)),
+        st.builds(SetReplication, st.sampled_from([1, 3]), st.floats(20.0, 900.0)),
+    ),
+    max_size=3,
+    unique_by=lambda event: type(event),
+)
+
+
+@settings(max_examples=15)
+@given(
+    events=_TIMELINE_EVENTS,
+    failure=st.none() | st.builds(DeviceFailure, st.integers(0, 2), st.floats(20.0, 900.0)),
+    repair=st.booleans(),
+)
+@example(events=[], failure=None, repair=True)
+def test_the_census_is_a_count_of_the_placement_after_every_epoch(events, failure, repair):
+    """Joins, leaves, fail-stops with and without repair, R changes and
+    reweights: after every epoch the census the controller keeps from its
+    changed keys is the count of the whole placement."""
+    base = get_scenario("fleet-adaptive-rebalance")
+    try:
+        fleet = replace(
+            base.fleet,
+            events=tuple(sorted(events, key=lambda event: event.at_seconds)),
+            failures=() if failure is None else (failure,),
+            repair=repair,
+        )
+    except ScenarioError:
+        assume(False)
+    counted = []
+    record = FleetController._record_replication_health
+
+    def checked(controller, kind, *args, **kwargs):
+        census = dict(controller.replica_census)
+        assert census == dict(Counter(controller.router.placement.values())), kind
+        counted.append(kind)
+        return record(controller, kind, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FleetController, "_record_replication_health", checked)
+        service = StorageService(replace(base, fleet=fleet))
+        service.run()
+    if not events and failure is None:
+        assert "reweight" in counted  # the base timeline's own epochs
+    assert len(counted) == len(service.controller.replication_log)
 
 
 _WEIGHT = st.floats(min_value=0.25, max_value=4.0, allow_nan=False, allow_infinity=False)

@@ -549,7 +549,7 @@ class TestLayoutExtension:
         assert layout.tenant_group_map()["c"] == 2
 
     def test_layout_is_append_only(self):
-        layout = DiskGroupLayout({"a/t.0": 0})
+        layout = DiskGroupLayout({"a/t.0": 0}, {"a": 0})
         layout.add_objects(["a/t.1"], [0])
         with pytest.raises(LayoutError, match="already placed"):
             layout.add_objects(["a/t.1"], [1])
@@ -569,7 +569,7 @@ class TestLayoutExtension:
     def test_a_rejected_extension_changes_nothing(self, keys, pattern):
         """All or nothing: the keys before the offending one are not placed,
         and neither ``max_group_id`` nor the tenant map moves."""
-        layout = DiskGroupLayout({"a/t.0": 0})
+        layout = DiskGroupLayout({"a/t.0": 0}, {"a": 0})
         tenants = layout.tenant_group_map()
         with pytest.raises(LayoutError, match=pattern):
             extend_layout_with_keys(layout, keys)
@@ -578,7 +578,7 @@ class TestLayoutExtension:
         assert layout.tenant_group_map() == tenants == {"a": 0}
 
     def test_a_negative_group_or_malformed_key_changes_nothing(self):
-        layout = DiskGroupLayout({"a/t.0": 0})
+        layout = DiskGroupLayout({"a/t.0": 0}, {"a": 0})
         layout.tenant_group_map()
         with pytest.raises(LayoutError, match="negative group -1"):
             layout.add_objects(["b/t.0", "c/t.0"], [3, -1])

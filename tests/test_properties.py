@@ -241,7 +241,7 @@ class TestSchedulerInvariants:
                     while oracle.queries_on_group(group):
                         serve_one(group)
 
-            assert scheduler.has_pending() == oracle.has_pending()
+            assert bool(scheduler.has_pending()) == oracle.has_pending()
             assert scheduler.pending_groups() == oracle.pending_groups()
             assert scheduler.pending_queries() == oracle.pending_queries()
             assert scheduler.num_switches == oracle.num_switches

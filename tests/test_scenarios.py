@@ -620,7 +620,8 @@ class TestInvariantChecker:
         device = service.fleet.membership.by_id[replicas[0]].device
         layout = device.layout
         device.layout = DiskGroupLayout(
-            {other: layout.group_of(other) for other in layout.placed_keys if other != key}
+            {other: layout.group_of(other) for other in layout.placed_keys if other != key},
+            layout.tenant_group_map(),
         )
         with pytest.raises(
             InvariantViolation, match=f"replica of {key!r} on {replicas[0]!r} is not physically"

@@ -12,8 +12,10 @@ import pytest
 
 import repro.exceptions as exceptions_module
 from repro.cluster import ClientSpec, ClusterConfig
+from repro.csd import AllInOneLayout, ColdStorageDevice, ObjectStore, RankBasedScheduler
 from repro.csd.device import DeviceConfig
 from repro.csd.layout import ClientsPerGroupLayout
+from repro.csd.request import GetRequest
 from repro.exceptions import (
     AdmissionError,
     ConfigurationError,
@@ -21,6 +23,7 @@ from repro.exceptions import (
     ScenarioError,
     ServiceError,
     SessionClosedError,
+    StorageError,
 )
 from repro.obs import MetricsRegistry
 from repro.scenarios.registry import get_scenario
@@ -409,3 +412,40 @@ class TestErrorTaxonomy:
         assert issubclass(SessionClosedError, ServiceError)
         assert issubclass(ServiceError, ReproError)
         assert issubclass(ScenarioError, ConfigurationError)
+
+
+@pytest.mark.parametrize("scenario", ["uniform", "fleet-device-loss"])
+def test_a_crashed_device_loop_raises_its_own_error(monkeypatch, scenario):
+    """A device process that dies leaves the sessions waiting forever; the
+    run raises what the device died of, not the kernel's "ran out of
+    events" that follows."""
+
+    def broken(self, current_group):
+        raise KeyError("injected into choose_next_group")
+
+    monkeypatch.setattr(RankBasedScheduler, "choose_next_group", broken)
+    service = StorageService(get_scenario(scenario))
+    with pytest.raises(KeyError, match="injected into choose_next_group"):
+        service.run()
+
+
+def test_a_malformed_segment_index_is_a_typed_storage_error():
+    """Keys whose segment index is not an integer are stored; two GETs on
+    one group make the device order them, and the key parse names the key
+    in a ``StorageError`` instead of ``int()``'s ``ValueError``."""
+    env = Environment()
+    store = ObjectStore()
+    keys = store.put_segments("a", ["x", "t.y"], [object(), object()])
+    device = ColdStorageDevice(
+        env,
+        store,
+        AllInOneLayout().build({"a": keys}),
+        RankBasedScheduler(),
+        DeviceConfig(),
+        MetricsRegistry(),
+    )
+    device.submit_many([GetRequest(key, "a", "a:q:0", env.event()) for key in keys])
+    env.run(env.timeout(100.0))
+    error = device.process.exception
+    assert isinstance(error, StorageError)
+    assert str(error) == "malformed object key: 'a/x'"

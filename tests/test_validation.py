@@ -81,7 +81,7 @@ class TestMigrationJobValidation:
         store = ObjectStore()
         (key,) = store.put_segments("a", ["t.0"], [object()])
         device = ColdStorageDevice(
-            env, store, DiskGroupLayout({key: 0}), RankBasedScheduler(), DeviceConfig(), MetricsRegistry()
+            env, store, DiskGroupLayout({key: 0}, {"a": 0}), RankBasedScheduler(), DeviceConfig(), MetricsRegistry()
         )
         notified = []
         fields = migration_fields("write", 2, 0, "rebalance", lambda *call: notified.append(call))

@@ -1,0 +1,116 @@
+"""Sampling profile of one ledger workload's run + report.
+
+cProfile (the ledger's ``--trace 1``) pays a hook per call, so it inflates
+call-heavy code several times over and its per-layer readings spread
+widely between runs.  This sampler costs nothing between samples: an
+``ITIMER_PROF`` timer interrupts the process every :data:`INTERVAL`
+seconds of CPU time and the handler records the interrupted Python stack.
+Only ``service.run()``, the report and its JSON are sampled, as the
+ledger's ``wall_s`` times them; the catalog and the service are built with
+the timer off.  The workload comes from ``ledger/workloads.py``, read (not
+imported, so nothing is written beside it) and seeded as the ledger seeds
+it: the data from 42, the scenario from 43.
+
+A sample's *self* entry is the innermost frame (time in C code it called
+counts to it); its *inclusive* entries are every frame on the stack, each
+once.  Layers are the ``src/repro/<layer>/`` packages; ``repro`` is a
+module at the package's top, ``other`` anything outside it.
+
+Usage (stdlib only, POSIX, from the repository root)::
+
+    python tools/sample_profile.py fleet-churn [--quick] [--repetitions N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import runpy
+import signal
+import sys
+from collections import Counter
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.scenarios.runner import ScenarioRunner  # noqa: E402
+from repro.service import StorageService  # noqa: E402
+from repro.workloads import tpch  # noqa: E402
+
+#: CPU seconds between two samples.
+INTERVAL = 0.0005
+SEED = 42
+#: Functions printed by self share, then (``src/repro`` only) by inclusive share.
+TOP = 25
+PACKAGE = str(REPO_ROOT / "src" / "repro") + "/"
+
+
+def layer_of(filename: str) -> str:
+    """The ``src/repro/<layer>/`` package ``filename`` is in."""
+    if not filename.startswith(PACKAGE):
+        return "other"
+    parts = filename[len(PACKAGE):].split("/")
+    return parts[0] if len(parts) > 1 else "repro"
+
+
+def function_of(code) -> str:
+    """``layer:qualified name`` of a code object (3.9-3.10 lack ``co_qualname``)."""
+    return f"{layer_of(code.co_filename)}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", help="a ledger workload, e.g. fleet-churn")
+    parser.add_argument("--quick", action="store_true", help="the ledger's test size")
+    parser.add_argument("--repetitions", type=int, default=25, help="sampled runs (25)")
+    args = parser.parse_args()
+    workloads = runpy.run_path(str(REPO_ROOT / "ledger" / "workloads.py"))["WORKLOADS"]
+    profile, spec = workloads[args.workload](SEED + 1, args.quick)
+    runner = ScenarioRunner(check=False)
+    self_functions: Counter = Counter()
+    inclusive_functions: Counter = Counter()
+    self_layers: Counter = Counter()
+    inclusive_layers: Counter = Counter()
+
+    def sample(_signum, frame) -> None:
+        self_functions[function_of(frame.f_code)] += 1
+        self_layers[layer_of(frame.f_code.co_filename)] += 1
+        functions, layers = set(), set()
+        while frame is not None:
+            functions.add(function_of(frame.f_code))
+            layers.add(layer_of(frame.f_code.co_filename))
+            frame = frame.f_back
+        inclusive_functions.update(functions)
+        inclusive_layers.update(layers)
+
+    signal.signal(signal.SIGPROF, sample)
+    for _ in range(args.repetitions):
+        service = StorageService(spec, catalog=tpch.build_catalog(profile, SEED))
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL)
+        result = service.run()
+        runner._build_report(spec, service, result, []).to_json()
+        signal.setitimer(signal.ITIMER_PROF, 0)
+    signal.signal(signal.SIGPROF, signal.SIG_DFL)
+    total = sum(self_functions.values())
+    if not total:
+        sys.exit("no samples: the runs were shorter than one interval")
+    print(f"{args.workload}{' --quick' if args.quick else ''}: {total} samples "
+          f"at {INTERVAL * 1e3:g} ms over {args.repetitions} run + report")
+    print(f"\n{'layer':<12} {'self %':>7} {'incl %':>7}")
+    for layer, count in self_layers.most_common():
+        print(f"{layer:<12} {100 * count / total:7.1f} {100 * inclusive_layers[layer] / total:7.1f}")
+    for layer in sorted(set(inclusive_layers) - set(self_layers)):
+        print(f"{layer:<12} {0.0:7.1f} {100 * inclusive_layers[layer] / total:7.1f}")
+    by_inclusive = [
+        (function, count) for function, count in inclusive_functions.most_common()
+        if not function.startswith("other:")
+    ]
+    for title, ranked in (("self", self_functions.most_common(TOP)), ("inclusive", by_inclusive[:TOP])):
+        print(f"\n{'self %':>7} {'incl %':>7}  function (top {TOP} by {title})")
+        for function, _count in ranked:
+            print(f"{100 * self_functions[function] / total:7.1f} "
+                  f"{100 * inclusive_functions[function] / total:7.1f}  {function}")
+
+
+if __name__ == "__main__":
+    main()
