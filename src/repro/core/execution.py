@@ -34,7 +34,7 @@ from repro.engine.query import Query
 from repro.engine.relation import Segment
 from repro.exceptions import ExecutionError
 from repro.obs import Span, Tracer
-from repro.sim import Event, Timeout
+from repro.sim import Waitable
 
 #: Execution modes a client can run in.
 MODE_SKIPPER = "skipper"
@@ -128,13 +128,13 @@ class QueryRun:
 
     def charge(
         self, seconds: float, name: str = "compute", **attrs: Any
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Waitable, Any, None]:
         """Spend ``seconds`` of client CPU (no event and no span for 0 s)."""
         if seconds <= 0:
             return
         self.processing_time += seconds
         start = self.env.now
-        yield Timeout(self.env, seconds)
+        yield seconds
         if self.span is not None:
             self._record(name, "compute", start, **attrs)
 
@@ -145,7 +145,7 @@ class QueryRun:
         cursor: RunCursor[Any, Any],
         end_cycle: Callable[[], Sequence[str]],
         result: Callable[[], QueryResult],
-    ) -> Generator[Event, Any, QueryResult]:
+    ) -> Generator[Waitable, Any, QueryResult]:
         """The CSD-driven loop: request, take the deliveries in whatever
         order they come, re-request; then the result.
 
@@ -160,7 +160,7 @@ class QueryRun:
         for the whole execution: a delivery resumes it and its caller only.
         """
         env = self.env
-        next_arrival = self.proxy.arrivals.get
+        arrivals = self.proxy.arrivals
         blocked = self.blocked
         while requests:
             count = len(requests)
@@ -168,7 +168,7 @@ class QueryRun:
             yield from self.charge(overhead(count), "request-overhead", requests=count)
             for _ in range(count):
                 wait_start = env.now
-                segment_id, payload = yield next_arrival()
+                segment_id, payload = yield arrivals
                 now = env.now
                 if now > wait_start:
                     blocked.append((wait_start, now))
@@ -177,7 +177,7 @@ class QueryRun:
                 seconds = cursor.arrive(segment_id, payload)
                 if seconds > 0:
                     self.processing_time += seconds
-                    yield Timeout(env, seconds)
+                    yield seconds
                     if self.span is not None:
                         self._record("compute", "compute", now, object_key=segment_id)
             requests = end_cycle()
@@ -188,7 +188,7 @@ class QueryRun:
         segment_ids: Iterable[str],
         overhead_seconds: float,
         on_arrival: Callable[[str, Segment], float],
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Waitable, Any, None]:
         """Fetch ``segment_ids`` one blocking GET at a time, in order.
 
         The pull-based mirror of :meth:`consume`: per id, charge the request
@@ -198,19 +198,19 @@ class QueryRun:
         """
         env = self.env
         request_objects = self.proxy.request_objects
-        next_arrival = self.proxy.arrivals.get
+        arrivals = self.proxy.arrivals
         blocked = self.blocked
         for segment_id in segment_ids:
             if overhead_seconds > 0:
                 self.processing_time += overhead_seconds
                 start = env.now
-                yield Timeout(env, overhead_seconds)
+                yield overhead_seconds
                 if self.span is not None:
                     self._record("request-overhead", "compute", start, requests=1)
             request_objects((segment_id,), self.query_id)
             self.num_requests += 1
             wait_start = env.now
-            arrived_id, payload = yield next_arrival()
+            arrived_id, payload = yield arrivals
             now = env.now
             if now > wait_start:
                 blocked.append((wait_start, now))
@@ -223,7 +223,7 @@ class QueryRun:
             seconds = on_arrival(segment_id, payload)
             if seconds > 0:
                 self.processing_time += seconds
-                yield Timeout(env, seconds)
+                yield seconds
                 if self.span is not None:
                     self._record("compute", "compute", now, object_key=segment_id)
 

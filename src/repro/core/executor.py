@@ -29,7 +29,7 @@ from repro.engine.query import Query
 from repro.engine.relation import Segment
 from repro.exceptions import CacheError
 from repro.obs import Span, Tracer
-from repro.sim import Environment, Event
+from repro.sim import Environment, Waitable
 
 
 class SharedMJoin(SharedRun[MJoinStateManager, Tuple[int, List[str]]]):
@@ -126,7 +126,7 @@ class SkipperExecutor:
         self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None
 
-    def execute(self, query: Query) -> Generator[Event, Any, QueryResult]:
+    def execute(self, query: Query) -> Generator[Waitable, Any, QueryResult]:
         """Simulation-process generator executing ``query`` to completion.
 
         Use as ``result = yield from executor.execute(query)`` inside another

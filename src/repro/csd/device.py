@@ -6,7 +6,8 @@ disk group of each object, asks the configured I/O scheduler which group to
 load, charges the group-switch latency when the loaded group changes, and
 then streams objects back to clients one at a time, charging a per-object
 transfer time.  Switches, serialized transfers and migration jobs are each one
-timeout inside that process's loop — no sub-generator per switch, object or job.
+plain delay inside that process's loop (``yield seconds``: no event, no
+sub-generator per switch, object or job).
 
 For every unit of busy time the device appends one :class:`BusyInterval`
 (switch, transfer or migration I/O) to its ``busy_intervals`` list — the one
@@ -31,9 +32,9 @@ from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.object_store import ObjectStore
 from repro.csd.request import GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
-from repro.exceptions import StorageError
+from repro.exceptions import SimulationError, StorageError
 from repro.obs import MetricsRegistry, Tracer
-from repro.sim import Environment, Store, Timeout
+from repro.sim import Environment, Store
 from repro.spec_fields import Seconds, Spec
 
 
@@ -345,13 +346,13 @@ class ColdStorageDevice:
                         throttle.tokens = tokens if tokens > 0.0 else 0.0
                         ready = True
                 if ready:
-                    # One rebalancing read/write: one timeout, no per-job
+                    # One rebalancing read/write: one delay, no per-job
                     # generator, and booked inline, no per-job call.
                     job = self._admin_jobs.popleft()
                     interfered = has_pending()
                     start = env.now
                     if job.seconds > 0:
-                        yield Timeout(env, job.seconds)
+                        yield job.seconds
                     end = env.now
                     # The job *interfered* when foreground work waited at
                     # the device at any point while it ran — the seconds the
@@ -415,7 +416,7 @@ class ColdStorageDevice:
                 # strict-priority rebalance denies.
                 stats.migration_deferrals += 1
             if not has_pending():
-                request = yield inbox.get()
+                request = yield inbox
                 self._register((request,))
                 continue
 
@@ -427,7 +428,7 @@ class ColdStorageDevice:
             if group != self.current_group:
                 start = env.now
                 if self.config.group_switch_seconds > 0:
-                    yield Timeout(env, self.config.group_switch_seconds)
+                    yield self.config.group_switch_seconds
                 self.busy_intervals.append(
                     _tuple_new(BusyInterval, (start, env.now, "switch", group, None, None, None))
                 )
@@ -443,11 +444,11 @@ class ColdStorageDevice:
                 request = next_request(group)
                 if request is None:
                     break
-                # Serialized middleware, served inline: one timeout and one
+                # Serialized middleware, served inline: one delay and one
                 # completion per object, no per-object generator.
                 start = env.now
                 if transfer_seconds > 0:
-                    yield Timeout(env, transfer_seconds)
+                    yield transfer_seconds
                 self._complete(request, group, start, env.now)
                 # An idle device must not pin the last request it served
                 # (nor, through its completion, the payload).
@@ -469,4 +470,11 @@ class ColdStorageDevice:
         per_client = stats.objects_per_client
         per_client[client_id] = per_client.get(client_id, 0) + 1
         payload = self.object_store.get(request.object_key)
-        request.completion.succeed(payload)
+        # ``completion.succeed(payload)`` inline: once per served object.
+        completion = request.completion
+        if completion.triggered:
+            raise SimulationError(f"event {completion.name!r} has already been triggered")
+        completion.triggered = True
+        completion.value = payload
+        env = self.env
+        env.buckets[env.now].append(completion)

@@ -8,10 +8,16 @@ the object name).  Payloads are arbitrary Python objects — in practice
 
 from __future__ import annotations
 
+import re
 from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import StorageError
+
+
+#: Segment ids of the form ``table.<index>``, each ended by a newline: the
+#: keys whose index the device's group-queue sort can parse.
+_SEGMENT_IDS = re.compile(r"(?:.+\.[0-9]+\n)*")
 
 
 class _Objects(Dict[str, object]):
@@ -53,9 +59,9 @@ class ObjectStore:
         and return the keys, in order — all or nothing.
 
         The tenant name is checked once for the whole call.  An invalid
-        tenant name (empty, or holding ``/``), an empty segment id, or a key
-        already stored or listed twice rejects the call before anything is
-        stored: objects are never overwritten.
+        tenant name (empty, or holding ``/``), a segment id that is not
+        ``table.<int>``, or a key already stored or listed twice rejects the
+        call before anything is stored: objects are never overwritten.
         """
         if not tenant or "/" in tenant:
             raise StorageError(f"invalid tenant name: {tenant!r}")
@@ -71,9 +77,17 @@ class ObjectStore:
                 if object_key in objects or object_key in seen:
                     raise StorageError(f"object {object_key!r} already exists")
                 seen.add(object_key)
-        objects.update(loaded)
         columns = self.key_columns
         fresh = [segment_id for segment_id in segment_ids if segment_id not in columns]
+        # A device's group-queue sort parses every key's segment index: a
+        # segment id is checked once, by the first tenant that stores it,
+        # and the new ones in one match.
+        if fresh and not _SEGMENT_IDS.fullmatch("\n".join(fresh) + "\n"):
+            malformed = next(
+                segment_id for segment_id in fresh if not _SEGMENT_IDS.fullmatch(segment_id + "\n")
+            )
+            raise StorageError(f"malformed object key: {prefix + malformed!r}")
+        objects.update(loaded)
         columns.update(zip(fresh, count(len(columns))))
         row = self.key_row(tenant)
         for other in self._rows.values():

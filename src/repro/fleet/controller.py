@@ -107,6 +107,9 @@ class FleetController:
         #: (imbalance observed, whether a reweight fired, and why not).
         self.rebalance_log: List[Dict[str, object]] = []
 
+        #: Failure/membership processes still to open their epoch: once none
+        #: is left and no periodic rebalancer runs, the census goes.
+        self._epochs_to_open = len(self.spec.failures) + len(self.spec.events)
         #: Failure/membership processes; their exceptions would otherwise be
         #: recorded on the process event with no waiter and silently lost,
         #: so the service re-raises them after (or instead of) a stuck run.
@@ -146,7 +149,7 @@ class FleetController:
     # ------------------------------------------------------------------ #
     def _fail_device(self, failure: DeviceFailure):
         if failure.at_seconds > 0:
-            yield self.env.timeout(failure.at_seconds)
+            yield failure.at_seconds
         member = self.membership.fail(device_name(failure.device), self.env.now)
         # Fail-stop at a request boundary: the transfer in flight (if any)
         # completes normally, everything still queued fails over — and any
@@ -165,13 +168,14 @@ class FleetController:
         else:
             self._record_replication_health("failure")
         self.router.submit_many(drained)
+        self._epoch_opened()
 
     # ------------------------------------------------------------------ #
     # Membership events (joins / graceful leaves → epoch + migration)
     # ------------------------------------------------------------------ #
     def _membership_event(self, event):
         if event.at_seconds > 0:
-            yield self.env.timeout(event.at_seconds)
+            yield event.at_seconds
         if isinstance(event, DeviceJoin):
             self._apply_join(event)
         elif isinstance(event, DeviceLeave):
@@ -180,6 +184,15 @@ class FleetController:
             self._apply_set_replication(event)
         else:  # pragma: no cover - spec validation rejects other types
             raise FleetError(f"unknown membership event {event!r}")
+        self._epoch_opened()
+
+    def _epoch_opened(self) -> None:
+        """Count one failure/membership epoch done; after the last, unless a
+        periodic rebalancer can still open one, drop the census (see
+        :meth:`release`)."""
+        self._epochs_to_open -= 1
+        if not self._epochs_to_open and self.spec.rebalance is None:
+            self._census = None
 
     def _apply_join(self, event: DeviceJoin) -> None:
         member = self.membership.join(event, self.env.now)
@@ -212,12 +225,12 @@ class FleetController:
         """Periodic imbalance check; runs for the life of the simulation.
 
         The process never terminates on its own — ``run(until=...)`` simply
-        stops dispatching its timeouts once the target event fires, so ticks
+        stops dispatching its wake-ups once the target event fires, so ticks
         scheduled past the end of the workload never happen.
         """
         window_start = 0.0
         while True:
-            yield self.env.timeout(policy.interval_seconds)
+            yield policy.interval_seconds
             self._rebalance_tick(window_start, self.env.now)
             window_start = self.env.now
 
@@ -298,7 +311,9 @@ class FleetController:
 
     def release(self) -> None:
         """Drop the census once the run is over: no epoch opens any more,
-        and an after-the-run reader counts the placement itself."""
+        and an after-the-run reader counts the placement itself.  A fleet
+        whose epochs are all declared drops it sooner, when the last one has
+        opened."""
         self._census = None
 
     def under_replicated_count(self, census: Mapping[Tuple[str, ...], int]) -> int:

@@ -108,7 +108,7 @@ class Session:
         execution resumes this frame and the run's own, no third."""
         env = self.env
         if self.spec.start_delay > 0:
-            yield env.timeout(self.spec.start_delay)
+            yield self.spec.start_delay
         tracer = self.service.tracer
         admission = self.service.admission
         # Every submission precedes the run (it closes the session first).

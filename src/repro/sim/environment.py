@@ -20,7 +20,8 @@ and the heap are the public :attr:`Environment.buckets` and
 :attr:`Environment.times`, ``Event.succeed`` appends to ``buckets[now]``
 (always registered) and a :class:`~repro.sim.events.Timeout` appends to its
 timestamp's list, or registers the list and pushes the timestamp when it is
-the first event at it.
+the first event at it.  A process's wake-up for a plain delay or a store
+wait enqueues itself the same way.
 """
 
 from __future__ import annotations
@@ -39,13 +40,21 @@ class Environment:
     Typical use::
 
         env = Environment()
+        inbox = Store(env)
 
         def worker(env):
-            yield env.timeout(5.0)
-            return "done"
+            yield 5.0  # a delay
+            item = yield inbox  # the store's next item
+            return item
 
         proc = env.process(worker(env))
+        inbox.put("done")
         assert env.run(proc) == "done" and env.now == 5.0
+
+    A process waits on a number (a delay) or a store without an event of its
+    own (see :class:`~repro.sim.process.Process`); :meth:`timeout`,
+    ``Store.get``, :meth:`all_of` and :meth:`any_of` build the events that
+    races, composites and ``run(until)`` need.
     """
 
     def __init__(self) -> None:

@@ -86,7 +86,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically ``delay`` time units in the future."""
+    """An event that fires automatically ``delay`` time units in the future.
+
+    For a delay that must be an event: a child of ``any_of`` / ``all_of``,
+    or what ``env.run(until=…)`` stops at.  A process that only waits yields
+    the number instead, which costs no event (see
+    :class:`~repro.sim.process.Process`).
+    """
 
     __slots__ = ("delay",)
 
@@ -94,9 +100,9 @@ class Timeout(Event):
         if not delay >= 0:  # also rejects NaN, which would corrupt the time heap
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         # Fields are assigned directly rather than via ``Event.__init__``, and
-        # the timeout enqueues itself: timeouts are created millions of times
-        # per run, and the ``super()`` call, a per-instance f-string name and
-        # a call into the environment are each measurable.
+        # the timeout enqueues itself: the ``super()`` call, a per-instance
+        # f-string name and a call into the environment are each measurable
+        # on a storm of timeouts.
         self.env = env
         self.name = "timeout"
         self.triggered = True

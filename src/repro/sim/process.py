@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Generator, Union
 
 from repro.exceptions import SimulationError
 from repro.sim.events import Event
+from repro.sim.store import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
-ProcessGenerator = Generator[Event, Any, Any]
+#: What a process may yield: a delay (an ``int`` or a ``float``, never a
+#: ``bool``), a :class:`Store` to take its next item from, or an event.
+Waitable = Union[Event, Store, float]
+ProcessGenerator = Generator[Waitable, Any, Any]
 
 
 class Process(Event):
@@ -19,9 +24,28 @@ class Process(Event):
     A process is itself an :class:`Event`: it fires (with the generator's
     return value) when the generator finishes, so processes can wait for
     other processes simply by yielding them.
+
+    The generator waits by yielding:
+
+    * a number — ``yield 2.5`` resumes it (with ``None``) 2.5 time units
+      later, exactly as ``yield env.timeout(2.5)`` would;
+    * a :class:`Store` — ``item = yield store`` resumes it with the store's
+      next item, exactly as ``item = yield store.get()`` would;
+    * any :class:`Event` — a :class:`~repro.sim.events.Timeout`, a getter,
+      another process, an ``all_of`` / ``any_of`` composite — resuming it
+      with the event's value, or throwing the event's exception into it.
+
+    A number or a store needs no event of its own: the process books its one
+    wake-up event, reused for every such wait, in the bucket slot the
+    equivalent timeout or getter would have taken, so dispatch order and the
+    kernel's event count are the same either way.  What two wake-up sources
+    race for (``any_of``), what a caller runs the kernel until, and what
+    several processes wait on stay events.  A negative or NaN delay is the
+    ``SimulationError`` a :class:`~repro.sim.events.Timeout` raises, thrown
+    into the generator at its ``yield``.
     """
 
-    __slots__ = ("_generator", "_send", "_resume_callback")
+    __slots__ = ("_generator", "_send", "_resume_callback", "_wake", "_wake_callbacks")
 
     def __init__(self, env: Environment, generator: ProcessGenerator, name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -35,15 +59,27 @@ class Process(Event):
         # once per dispatched event.
         self._send = generator.send
         self._resume_callback = self._resume
+        # The wake-up a delay or a store wait books, and the callback list
+        # it carries each time (the kernel swaps in an empty one when it
+        # delivers it; nothing else ever sees the wake-up to append to it).
+        self._wake_callbacks = [self._resume_callback]
+        wake = self._wake = Event(env, name=self.name)
         # Kick the process off at the current simulated time.
-        bootstrap = Event(env, name="bootstrap")
-        bootstrap.callbacks.append(self._resume_callback)
-        bootstrap.succeed(None)
+        wake.triggered = True
+        wake.callbacks = self._wake_callbacks
+        env.buckets[env.now].append(wake)
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the value (or exception) of ``event``."""
+        """Advance the generator with the value (or exception) of ``event``,
+        then book what it waits on next."""
+        wake = self._wake
         try:
-            if event.exception is not None:
+            if event is wake:
+                # The wake-up must not pin the item it delivered.
+                value = wake.value
+                wake.value = None
+                target = self._send(value)
+            elif event.exception is not None:
                 target = self._generator.throw(event.exception)
             else:
                 target = self._send(event.value)
@@ -54,20 +90,62 @@ class Process(Event):
             self.fail(exc)
             return
 
-        if not isinstance(target, Event):
-            self._generator.close()
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes may only yield Event objects"
-                )
-            )
+        kind = type(target)
+        if kind is float or kind is int:
+            if target >= 0:  # also false for NaN, which would corrupt the time heap
+                # ``Timeout(env, target)`` without the event: the same slot.
+                wake.triggered = True
+                wake.dispatched = False
+                wake.callbacks = self._wake_callbacks
+                env = self.env
+                time = env.now + target
+                buckets = env.buckets
+                bucket = buckets.get(time)
+                if bucket is None:
+                    buckets[time] = [wake]
+                    heappush(env.times, time)
+                else:
+                    bucket.append(wake)
+                return
+        elif kind is Store:
+            # ``target.get()`` without the event: due now if an item is
+            # queued, else the newest of the store's waiting getters.
+            wake.dispatched = False
+            wake.callbacks = self._wake_callbacks
+            queued = target.queued
+            if queued:
+                wake.triggered = True
+                wake.value = queued.popleft()
+                env = self.env
+                env.buckets[env.now].append(wake)
+            else:
+                wake.triggered = False
+                target.getters.append(wake)
             return
-        # Equivalent to ``target.add_callback`` with the call overhead
-        # shaved off — this runs once per dispatched event.
-        target.callbacks.append(self._resume_callback)
-        if target.dispatched:
-            env = self.env
-            env.buckets[env.now].append(target)
+        elif isinstance(target, Event):
+            # Equivalent to ``target.add_callback`` with the call overhead
+            # shaved off.
+            target.callbacks.append(self._resume_callback)
+            if target.dispatched:
+                env = self.env
+                env.buckets[env.now].append(target)
+            return
+        if kind is float or kind is int:
+            # A negative or NaN delay: ``Timeout``'s error, thrown into the
+            # generator at its ``yield`` (which may catch it and wait on
+            # something else).  Delivered at once, not through the queue: no
+            # event is counted, as none is when ``Timeout`` raises.
+            refusal = Event(self.env, name="refused delay")
+            refusal.exception = SimulationError(f"timeout delay must be >= 0, got {target}")
+            self._resume(refusal)
+            return
+        self._generator.close()
+        self.fail(
+            SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes may only yield "
+                "a delay (int or float), a Store or an Event"
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.triggered else "running"

@@ -6,6 +6,7 @@ import contextlib
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Iterable, List
 
+from repro.exceptions import SimulationError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -13,12 +14,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Store:
-    """Unbounded FIFO of items with event-based ``get``.
+    """Unbounded FIFO of items a process waits on.
 
     ``put`` never blocks (capacity is unbounded, matching an HTTP request
-    queue).  ``get`` returns an :class:`Event` that fires with the next item;
-    if an item is already available the event fires immediately (still via
-    the event queue, preserving deterministic ordering).
+    queue).  A process takes the next item with ``item = yield store``:
+    if an item is already available it is resumed with it at once (still via
+    the event queue, preserving deterministic ordering), else when the next
+    ``put`` hands it over.  ``get`` returns an :class:`Event` that does the
+    same, for a wait that must be an event — one raced against another
+    wake-up source with ``any_of``, say.
     """
 
     def __init__(self, env: Environment, name: str = "store") -> None:
@@ -28,13 +32,23 @@ class Store:
         #: length, iteration — no snapshot to pay for); it changes only
         #: through the methods below.
         self.queued: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: The events waiting for an item, oldest first: ``get`` events and
+        #: the wake-ups of processes that yielded the store.  Only an empty
+        #: store has any.
+        self.getters: Deque[Event] = deque()
 
     def put(self, item: Any) -> None:
         """Enqueue ``item``, waking the oldest waiting getter if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
+        getters = self.getters
+        if getters:
+            # ``getter.succeed(item)`` inline: one hand-off per request.
+            getter = getters.popleft()
+            if getter.triggered:
+                raise SimulationError(f"event {getter.name!r} has already been triggered")
+            getter.triggered = True
+            getter.value = item
+            env = self.env
+            env.buckets[env.now].append(getter)
         else:
             self.queued.append(item)
 
@@ -44,11 +58,19 @@ class Store:
         Waiting getters are woken oldest first, one item each, and whatever
         is left over joins the queue in a single extend.
         """
-        getters = self._getters
+        getters = self.getters
         if getters:
+            env = self.env
+            due = env.buckets[env.now]
             remaining = iter(items)
             for item in remaining:
-                getters.popleft().succeed(item)
+                # ``put``'s inline ``succeed``.
+                getter = getters.popleft()
+                if getter.triggered:
+                    raise SimulationError(f"event {getter.name!r} has already been triggered")
+                getter.triggered = True
+                getter.value = item
+                due.append(getter)
                 if not getters:
                     break
             items = remaining
@@ -62,7 +84,7 @@ class Store:
         if self.queued:
             event.succeed(self.queued.popleft())
         else:
-            self._getters.append(event)
+            self.getters.append(event)
         return event
 
     def drain(self) -> List[Any]:
@@ -89,4 +111,4 @@ class Store:
         getter of this store) is a no-op — the caller owns its value.
         """
         with contextlib.suppress(ValueError):
-            self._getters.remove(event)
+            self.getters.remove(event)

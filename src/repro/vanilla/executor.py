@@ -26,7 +26,7 @@ from repro.engine.planner import Planner
 from repro.engine.query import Query
 from repro.engine.relation import Relation, Segment
 from repro.obs import Span, Tracer
-from repro.sim import Environment, Event
+from repro.sim import Environment, Waitable
 
 _BY_INDEX = attrgetter("index")
 #: What a pull-based run ends with: the rows, their counters and the tree.
@@ -96,7 +96,7 @@ class VanillaExecutor:
         self.tracer: Optional[Tracer] = None
         self.trace_parent: Optional[Span] = None
 
-    def execute(self, query: Query) -> Generator[Event, Any, QueryResult]:
+    def execute(self, query: Query) -> Generator[Waitable, Any, QueryResult]:
         """Simulation-process generator executing ``query`` to completion."""
         shared = SharedPullJoin.shared(self.shared_runs, query, self.catalog, self.cost_model)
         cursor = RunCursor(shared)

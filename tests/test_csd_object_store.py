@@ -22,6 +22,9 @@ def test_key_roundtrip():
         ("", ["x.0"], "invalid tenant name"),
         ("a/b", ["x.0"], "invalid tenant name"),
         ("a", ["x.0", ""], "malformed object key: 'a/'"),
+        ("a", ["x.0", "x"], "malformed object key: 'a/x'"),
+        ("a", ["x.0", "x.y"], "malformed object key: 'a/x.y'"),
+        ("a", ["x.0", ".1"], "malformed object key: 'a/.1'"),
         ("a", ["x.0", "x.0"], "'a/x.0' already exists"),
     ],
 )

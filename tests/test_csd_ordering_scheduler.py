@@ -131,9 +131,13 @@ class TestOrderingOracles:
 
     @pytest.mark.parametrize("ordering", [SemanticRoundRobinOrdering(), TableMajorOrdering()])
     def test_a_malformed_segment_index_is_a_typed_error(self, env, ordering):
+        """A store refuses such keys (``put_segments``); a request built
+        without one still gets the typed error from the sort."""
         store = ObjectStore()
-        keys = store.put_segments("a", ["x", "t.y"], [0, 1])
-        for key in keys:
+        for segment_id in ("x", "t.y"):
+            with pytest.raises(StorageError, match=f"malformed object key: 'a/{segment_id}'"):
+                store.put_segments("a", [segment_id], [0])
+        for key in ("a/x", "a/t.y"):
             pool = [_request(env, key), _request(env, "a/t.0")]
             with pytest.raises(StorageError, match=f"malformed object key: '{key}'"):
                 ordering.order(pool)

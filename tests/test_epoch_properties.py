@@ -48,6 +48,8 @@ from repro.fleet.placement import ConsistentHashPlacement
 from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, SetReplication
 from repro.exceptions import ScenarioError
 from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec
 from repro.service import StorageService
 from repro.workloads import tpch
 
@@ -396,12 +398,46 @@ def test_the_ring_from_cached_points_places_as_a_fresh_brute_force(
         assert policy.place(population, roster) == brute_force_place(fresh, population, roster)
 
 
-def _fleet_churn_quick() -> StorageService:
-    """The ledger's ``fleet-churn`` at ``--quick`` size, seed 42."""
+def _ledger_quick(workload: str) -> Tuple[ScenarioSpec, StorageService]:
+    """A ledger workload at ``--quick`` size, seed 42: its spec and service."""
     ledger = Path(__file__).resolve().parent.parent / "ledger"
     workloads = runpy.run_path(str(ledger / "workloads.py"))
-    profile, spec = workloads["WORKLOADS"]["fleet-churn"](43, True)
-    return StorageService(spec, catalog=tpch.build_catalog(profile, 42))
+    profile, spec = workloads["WORKLOADS"][workload](43, True)
+    return spec, StorageService(spec, catalog=tpch.build_catalog(profile, 42))
+
+
+def _fleet_churn_quick() -> StorageService:
+    """The ledger's ``fleet-churn`` at ``--quick`` size, seed 42."""
+    return _ledger_quick("fleet-churn")[1]
+
+
+def test_the_census_goes_when_the_last_declared_epoch_has_opened():
+    """``keys-fanout``'s join is its one epoch and no periodic rebalancer
+    runs, so the controller drops its census right after the join, not at
+    the end of the run; the report is the one a census kept to the end
+    gives."""
+
+    def report(keep: bool) -> Tuple[str, list]:
+        seen = []
+        opened = FleetController._epoch_opened
+
+        def observed(controller):
+            if not keep:
+                opened(controller)
+            seen.append((controller.env.now, controller._census))
+
+        spec, service = _ledger_quick("keys-fanout")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FleetController, "_epoch_opened", observed)
+            result = service.run()
+        assert result.total_simulated_time > seen[0][0]
+        return ScenarioRunner(check=False)._build_report(spec, service, result, []).to_json(), seen
+
+    dropped, seen = report(keep=False)
+    assert seen == [(30.0, None)]
+    kept, seen = report(keep=True)
+    assert len(seen) == 1 and seen[0][1]  # the census the join left
+    assert dropped == kept
 
 
 @pytest.mark.parametrize(

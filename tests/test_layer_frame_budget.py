@@ -14,7 +14,10 @@ up to a tenth: one more frame per delivered object in any layer trips it.
 The ``csd`` and ``fleet`` ceilings were re-read when the group-queue sort,
 the migration booking and the epoch change stopped calling per request,
 per job and per key (``fleet-churn`` ``csd`` 22.82 → 10.13, ``fleet``
-10.14 → 6.51).
+10.14 → 6.51), and the ``sim`` ceilings when a process stopped building
+an event per delay and per store wait (``vanilla-pull`` 17.27 → 9.21,
+``keys-fanout`` 11.75 → 5.45, ``fleet-churn`` 17.12 → 8.30,
+``skipper-shared-csd`` 11.39 → 5.30).
 CPython 3.9–3.10 read the same counts and 3.12–3.13 read fewer (inlined
 comprehensions).  ``other`` is code outside the package (the standard
 library, generated dataclass methods), read in a fresh process: warm
@@ -46,7 +49,7 @@ CEILINGS = {
         "engine": 30.2,
         "other": 2.1,
         "service": 2.9,
-        "sim": 11.9,
+        "sim": 5.8,
     },
     "vanilla-pull": {
         "cluster": 1.6,
@@ -55,7 +58,7 @@ CEILINGS = {
         "engine": 13.8,
         "other": 0.9,
         "service": 3.8,
-        "sim": 17.8,
+        "sim": 9.8,
         "vanilla": 3.9,
     },
     "keys-fanout": {
@@ -68,7 +71,7 @@ CEILINGS = {
         "other": 0.8,
         "scenarios": 0.5,
         "service": 2.6,
-        "sim": 12.3,
+        "sim": 6.0,
     },
     "fleet-churn": {
         "cluster": 1.0,
@@ -80,7 +83,7 @@ CEILINGS = {
         "other": 1.1,
         "scenarios": 0.6,
         "service": 2.7,
-        "sim": 17.6,
+        "sim": 8.9,
     },
 }
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import inspect
+import sys
 from collections import Counter
 from typing import Dict, Tuple
 
@@ -51,7 +52,8 @@ SEGMENTS = 150
 #: without a call, 57.55 (56.59 on 3.12–3.13) before a delivery crossed each
 #: layer once — events enqueued without a kernel call, two generator levels
 #: per tenant, a scan-only arrival answered inline, the store's lookups bound
-#: once — and reads 37.28 now (36.34 on 3.12–3.13).  Three more frames per
+#: once — 37.01 (36.34 on 3.12–3.13) before a delay and a store wait
+#: stopped building an event, and reads 30.90 now (CPython 3.11).  Three more frames per
 #: object trip the ceiling.
 #: When it trips: tally the run's frames per function through
 #: ``count_frames``'s ``on_call`` and diff them against the parent commit —
@@ -97,22 +99,28 @@ def frames_per_delivered_object() -> Tuple[float, int]:
 
 def generators_resumed_per_delivery() -> Counter:
     """How many generator frames stood between the kernel's ``Process._resume``
-    and the tenant's request for each next delivery (``QueryRun.consume``
-    calling ``arrivals.get``), counted per request: the frames the delivery
-    resumes when it comes."""
+    and the tenant's wait for each next delivery (``QueryRun.consume``
+    yielding the proxy's arrivals store), counted per wait: the frames the
+    delivery resumes when it comes."""
     depths: Counter = Counter()
-    get, consume, resume = Store.get.__code__, QueryRun.consume.__code__, Process._resume.__code__
+    consume, resume = QueryRun.consume.__code__, Process._resume.__code__
 
-    def note_depth(frame) -> None:
-        if frame.f_code is get and frame.f_back.f_code is consume:
+    def note_depth(frame, event, arg) -> None:
+        # A generator's yield is a ``return`` event carrying the yielded value.
+        if event == "return" and frame.f_code is consume and type(arg) is Store:
             generators = 0
-            caller = frame.f_back
+            caller = frame
             while caller.f_code is not resume:
                 generators += bool(caller.f_code.co_flags & inspect.CO_GENERATOR)
                 caller = caller.f_back
             depths[generators] += 1
 
-    count_frames(_service().run, on_call=note_depth)
+    service = _service()
+    sys.setprofile(note_depth)
+    try:
+        service.run()
+    finally:
+        sys.setprofile(None)
     return depths
 
 
@@ -180,7 +188,8 @@ PULL_TENANTS = 3
 #: commit before the kernel dispatched inline 87.7 and 78.1, that one 79.2
 #: and 69.9, and with events enqueued without a kernel call and the session
 #: one generator 66.3 and 57.3 (CPython 3.9–3.11; 65.1 and 56.7 on
-#: 3.12–3.13); ten more frames per object trip the ceilings.  When one trips:
+#: 3.12–3.13); with no event per delay or store wait 57.2 and 48.2 (CPython
+#: 3.11); ten more frames per object trip the ceilings.  When one trips:
 #: run ``frames_per_pulled_object`` on both commits with a per-``co_name``
 #: ``Counter`` in the hook and diff them — on this path a new frame per object
 #: is a helper between ``QueryRun.pull_each`` and the device loop, or a

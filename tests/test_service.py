@@ -12,10 +12,9 @@ import pytest
 
 import repro.exceptions as exceptions_module
 from repro.cluster import ClientSpec, ClusterConfig
-from repro.csd import AllInOneLayout, ColdStorageDevice, ObjectStore, RankBasedScheduler
+from repro.csd import ObjectStore, RankBasedScheduler
 from repro.csd.device import DeviceConfig
 from repro.csd.layout import ClientsPerGroupLayout
-from repro.csd.request import GetRequest
 from repro.exceptions import (
     AdmissionError,
     ConfigurationError,
@@ -430,22 +429,11 @@ def test_a_crashed_device_loop_raises_its_own_error(monkeypatch, scenario):
 
 
 def test_a_malformed_segment_index_is_a_typed_storage_error():
-    """Keys whose segment index is not an integer are stored; two GETs on
-    one group make the device order them, and the key parse names the key
-    in a ``StorageError`` instead of ``int()``'s ``ValueError``."""
-    env = Environment()
+    """Keys whose segment index is not an integer are refused when stored,
+    before any device has to order them, with a ``StorageError`` naming the
+    first bad key; the call stores nothing."""
     store = ObjectStore()
-    keys = store.put_segments("a", ["x", "t.y"], [object(), object()])
-    device = ColdStorageDevice(
-        env,
-        store,
-        AllInOneLayout().build({"a": keys}),
-        RankBasedScheduler(),
-        DeviceConfig(),
-        MetricsRegistry(),
-    )
-    device.submit_many([GetRequest(key, "a", "a:q:0", env.event()) for key in keys])
-    env.run(env.timeout(100.0))
-    error = device.process.exception
-    assert isinstance(error, StorageError)
-    assert str(error) == "malformed object key: 'a/x'"
+    with pytest.raises(StorageError) as raised:
+        store.put_segments("a", ["t.0", "x", "t.y"], [object(), object(), object()])
+    assert str(raised.value) == "malformed object key: 'a/x'"
+    assert not store.exists("a/t.0") and not store.key_columns

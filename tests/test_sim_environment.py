@@ -169,15 +169,19 @@ def test_same_time_events_fire_in_scheduling_order():
     assert order == ["a", "b", "c"]
 
 
-def test_yielding_non_event_fails_the_process():
+@pytest.mark.parametrize("target", ["42", None, True], ids=["str", "none", "bool"])
+def test_yielding_non_event_fails_the_process(target):
+    """A number is a delay and a store a store wait; anything else — a bool
+    included, though it is an int — cannot be waited on."""
     env = Environment()
 
     def bad(env):
-        yield 42
+        yield target
 
     process = env.process(bad(env))
     drain(env)
     assert isinstance(process.exception, SimulationError)
+    assert "may only yield" in str(process.exception)
 
 
 def test_run_until_event_that_never_fires_raises():
@@ -214,23 +218,33 @@ def test_simulation_is_deterministic():
 #: ``Process._resume`` callback around it, plus a ``put`` or a ``get``: 6.94
 #: while every delivery called ``Event._dispatch``, 5.94 with the dispatch
 #: inline in ``Environment.run``, 4.95 with events enqueuing themselves (no
-#: ``_schedule_event``; CPython 3.9–3.13).  One more frame per event trips
-#: the ceiling.
+#: ``_schedule_event``; CPython 3.9–3.13), 4.46 with ``put`` handing the item
+#: to the getter inline (no ``succeed`` frame).  One more frame per event
+#: trips the ceiling.
 FRAMES_PER_STORM_EVENT_CEILING = 5.9
+#: The same storm with the waits spelled as the program spells them: the
+#: producer yields ``1.0`` and the consumer the store.  No event is built per
+#: wait, so an event costs a generator resume and ``Process._resume``, plus
+#: a ``put`` per item: 2.49 on CPython 3.9–3.13, ceiling half a frame above.
+FRAMES_PER_PLAIN_WAIT_STORM_EVENT_CEILING = 3.0
 
 
-def frames_per_storm_event(pairs: int = 4, items: int = 500) -> Tuple[float, int]:
-    """(frames entered inside ``run`` / events it dispatched, events)."""
+def frames_per_storm_event(
+    pairs: int = 4, items: int = 500, events: bool = True
+) -> Tuple[float, int]:
+    """(frames entered inside ``run`` / events it dispatched, events), the
+    waits spelled as events (``env.timeout``, ``store.get()``) or, with
+    ``events=False``, as a number and the store itself."""
     env = Environment()
 
     def producer(env, store):
         for item in range(items // pairs):
-            yield env.timeout(1.0)
+            yield env.timeout(1.0) if events else 1.0
             store.put(item)
 
     def consumer(env, store):
         for _ in range(items // pairs):
-            yield store.get()
+            yield store.get() if events else store
 
     consumers = []
     for _ in range(pairs):
@@ -250,3 +264,15 @@ def test_frames_per_storm_event_stay_under_the_ceiling():
         f"{FRAMES_PER_STORM_EVENT_CEILING}: the kernel added a call per event"
     )
     assert frames_per_storm_event() == (frames, events)  # the count repeats exactly
+
+
+def test_frames_per_plain_wait_storm_event_stay_under_the_ceiling():
+    frames, events = frames_per_storm_event(events=False)
+    # The same events in the same slots: a wake-up per wait, not an event.
+    assert events == frames_per_storm_event()[1] == 1017
+    assert frames <= FRAMES_PER_PLAIN_WAIT_STORM_EVENT_CEILING, (
+        f"{frames:.2f} Python frames per dispatched event, ceiling "
+        f"{FRAMES_PER_PLAIN_WAIT_STORM_EVENT_CEILING}: a delay or a store wait "
+        "entered a call again"
+    )
+    assert frames_per_storm_event(events=False) == (frames, events)

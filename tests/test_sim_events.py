@@ -1,7 +1,12 @@
 """Unit tests for the simulation primitives (events, timeouts, stores)."""
 
+import gc
+import weakref
+
 import pytest
 from drain import drain
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.sim import Environment, Store
@@ -354,3 +359,180 @@ def test_yielding_a_dispatched_event_resumes_through_the_queue():
     env.event().succeed().add_callback(lambda _event: order.append("queued first"))
     drain(env)
     assert order == ["yielding", "queued first", ("resumed", "payload")]
+
+
+# --------------------------------------------------------------------------- #
+# Waits without an event: a number is a delay, a store its next item
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("delay", [3, 3.5], ids=["int", "float"])
+def test_a_number_is_a_delay_that_resumes_with_none(delay):
+    env = Environment()
+    seen = []
+
+    def process(env):
+        seen.append((yield delay))
+        seen.append(env.now)
+        seen.append((yield 0))
+        return env.now
+
+    proc = env.process(process(env))
+    drain(env)
+    assert seen == [None, delay, None] and proc.value == delay
+    # The bootstrap and two wake-ups, then the process finishing: one event
+    # each, as with ``env.timeout``.
+    assert env.dispatched == 4
+
+
+@pytest.mark.parametrize("delay", [-1, -0.5, float("nan")], ids=["int", "float", "nan"])
+def test_a_bad_delay_is_thrown_into_the_process_as_a_timeout_raises_it(delay):
+    """Yielding a negative or NaN delay raises ``Timeout``'s error at the
+    ``yield``; a process that catches it carries on exactly as one that
+    caught it from ``env.timeout(delay)``."""
+
+    def run(spell):
+        env = Environment()
+
+        def process(env):
+            try:
+                yield spell(env, delay)
+            except SimulationError as error:
+                caught = str(error)
+            yield spell(env, 2.0)
+            return caught, env.now
+
+        proc = env.process(process(env))
+        drain(env)
+        return proc.value, env.dispatched
+
+    (message, now), dispatched = run(lambda env, seconds: seconds)
+    assert run(lambda env, seconds: env.timeout(seconds)) == ((message, now), dispatched)
+    with pytest.raises(SimulationError) as raised:
+        Environment().timeout(delay)
+    assert message == str(raised.value) and now == 2.0
+
+
+def test_an_uncaught_bad_delay_fails_the_process():
+    env = Environment()
+
+    def process(env):
+        yield -1
+
+    proc = env.process(process(env))
+    drain(env)
+    assert str(proc.exception) == "timeout delay must be >= 0, got -1"
+
+
+def test_a_store_wait_takes_a_queued_item_at_once():
+    env = Environment()
+    store = Store(env)
+    store.put("first")
+    store.put("second")
+    seen = []
+
+    def consumer(env):
+        yield 1.0
+        seen.append(((yield store), env.now))
+        seen.append(((yield store), env.now))
+
+    env.process(consumer(env))
+    drain(env)
+    assert seen == [("first", 1.0), ("second", 1.0)] and not store.queued
+    assert not store.getters
+
+
+def test_a_store_wait_without_an_item_resumes_on_the_next_put():
+    env = Environment()
+    store = Store(env)
+    seen = []
+
+    def consumer(env):
+        seen.append(((yield store), env.now))
+
+    def producer(env):
+        yield 4
+        store.put_many(["x", "y"])
+
+    env.process(consumer(env))
+    env.process(producer(env))
+    drain(env)
+    assert seen == [("x", 4.0)] and list(store.queued) == ["y"]
+
+
+def test_a_waiting_process_does_not_pin_the_item_it_was_handed():
+    """A process waiting on an empty store, after taking an item and
+    dropping it, keeps nothing of it alive: its wake-up is cleared on resume."""
+
+    class Item:
+        pass
+
+    env = Environment()
+    store = Store(env)
+    store.put(Item())
+    taken = []
+
+    def consumer(env):
+        item = yield store
+        taken.append(weakref.ref(item))
+        del item
+        yield store  # waits for good: the store stays empty
+
+    env.process(consumer(env))
+    drain(env)
+    gc.collect()
+    assert len(store.getters) == 1 and taken[0]() is None
+
+
+def test_a_store_put_to_a_triggered_getter_is_an_error():
+    env = Environment()
+    store = Store(env)
+    getter = store.get()
+    getter.succeed("elsewhere")
+    with pytest.raises(SimulationError, match="already been triggered"):
+        store.put("x")
+    getter = store.get()
+    getter.succeed("elsewhere")
+    with pytest.raises(SimulationError, match="already been triggered"):
+        store.put_many(["x"])
+
+
+#: One step of a process: a delay, a put of a labelled item into a store, or
+#: a wait for a store's next item.
+_STEP = st.one_of(
+    st.tuples(st.just("delay"), st.sampled_from([0, 1, 2, 0.5, 1.5, 2.25])),
+    st.tuples(st.just("put"), st.integers(0, 1)),
+    st.tuples(st.just("get"), st.integers(0, 1)),
+)
+
+
+def _trace(programs, events):
+    """Run ``programs`` (one list of steps per process) over two stores,
+    waiting through events (``env.timeout``, ``store.get()``) or without
+    (a number, the store); the ``(now, label)`` trace and the dispatch count."""
+    env = Environment()
+    stores = [Store(env, name=f"store{index}") for index in range(2)]
+    trace = []
+
+    def process(number, steps):
+        for position, (kind, argument) in enumerate(steps):
+            label = f"p{number}.{position}"
+            if kind == "delay":
+                yield env.timeout(argument) if events else argument
+                trace.append((env.now, label))
+            elif kind == "put":
+                stores[argument].put(label)
+            else:
+                store = stores[argument]
+                item = yield store.get() if events else store
+                trace.append((env.now, f"{label}<-{item}"))
+
+    for number, steps in enumerate(programs):
+        env.process(process(number, steps))
+    drain(env)
+    return trace, env.dispatched
+
+
+@given(st.lists(st.lists(_STEP, max_size=8), min_size=1, max_size=5))
+def test_waits_without_events_follow_the_event_waits_exactly(programs):
+    """Random producer/consumer programs: a number for ``env.timeout`` and a
+    store for ``store.get()`` give the same trace and the same event count."""
+    assert _trace(programs, events=False) == _trace(programs, events=True)

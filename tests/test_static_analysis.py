@@ -191,6 +191,17 @@ def check(source):
                 )
             ):
                 found.append((node.lineno, "float-time-equality"))
+        elif isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
+            waited = node.value
+            name = dotted(waited.func) or ""
+            if name.split(".")[-1] == "Timeout" or (
+                isinstance(waited.func, ast.Attribute)
+                and (
+                    waited.func.attr == "timeout"
+                    or (waited.func.attr == "get" and not waited.args and not waited.keywords)
+                )
+            ):
+                found.append((node.lineno, "event-per-plain-wait"))
         elif isinstance(node, ast.ExceptHandler):
             if node.type is None or (isinstance(node.type, ast.Name) and node.type.id == "BaseException"):
                 found.append((node.lineno, "bare-or-broad-except"))
@@ -216,9 +227,10 @@ def check(source):
     return found
 
 
-#: Rules that bind library code only: the tests assert exact golden floats
-#: and raise builtin exceptions in fixtures on purpose.
-LIBRARY_ONLY = ("float-time-equality", "non-taxonomy-raise")
+#: Rules that bind library code only: the tests assert exact golden floats,
+#: raise builtin exceptions in fixtures and wait through ``env.timeout`` /
+#: ``store.get()`` (the public event API) on purpose.
+LIBRARY_ONLY = ("float-time-equality", "non-taxonomy-raise", "event-per-plain-wait")
 
 #: The sites the gate lets stand, ``(file, rule) -> (sites, why)``.  A new
 #: site, or an entry whose count no longer matches, fails the gate.
@@ -487,7 +499,7 @@ SNIPPETS = [
     _fires("blocking-call-in-simulation", "import time\n\ndef wait():\n    time.sleep(1.0)\n", "time-sleep"),
     _fires(
         "blocking-call-in-simulation",
-        "def process(env):\n    payload = open('data.bin').read()\n    yield env.timeout(1.0)\n",
+        "def process(env):\n    payload = open('data.bin').read()\n    yield 1.0\n",
         "open-inside-generator",
     ),
     _fires(
@@ -502,11 +514,30 @@ SNIPPETS = [
             def load(path):
                 return open(path).read()
 
-            yield env.timeout(1.0)
+            yield 1.0
         """,
         "open-in-nested-def-of-generator",
     ),
-    _clean("def process(env):\n    yield env.timeout(1.0)\n", "env-timeout"),
+    _fires("event-per-plain-wait", "def process(env):\n    yield env.timeout(1.0)\n", "env-timeout"),
+    _fires(
+        "event-per-plain-wait",
+        "from repro.sim import Timeout\n\ndef process(env):\n    yield Timeout(env, 1.0)\n",
+        "timeout-class",
+    ),
+    _fires(
+        "event-per-plain-wait",
+        "def process(store):\n    item = yield store.get()\n    return item\n",
+        "store-get",
+    ),
+    _clean(
+        "def process(env, store):\n    yield 1.0\n    item = yield store\n    return item\n",
+        "plain-delay-and-store-wait",
+    ),
+    _clean(
+        "def process(env, store):\n    arrival = store.get()\n"
+        "    yield env.any_of([env.timeout(1.0), arrival])\n    yield cache.get(arrival.value)\n",
+        "race-and-keyed-get",
+    ),
     pytest.param(
         "match command:\n    case 'go':\n        pass\n",
         ["py39-floor"],
@@ -542,7 +573,13 @@ def test_checker_snippets(source, rules):
 
 
 @pytest.mark.parametrize(
-    "source", ["assert report_time == 12.5\n", "raise ValueError('x')\n"], ids=LIBRARY_ONLY
+    "source",
+    [
+        "assert report_time == 12.5\n",
+        "raise ValueError('x')\n",
+        "def process(env):\n    yield env.timeout(1.0)\n",
+    ],
+    ids=LIBRARY_ONLY,
 )
 def test_library_only_rules_skip_the_tests(source):
     assert _gated("src/repro/snippet.py", source)

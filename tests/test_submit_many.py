@@ -95,7 +95,7 @@ def _store_outcome(getters: int, items: Sequence[int], batched: bool) -> tuple:
             store.put(item)
     queued_before_run = list(store.queued)
     drain(env)
-    return queued_before_run, fired, len(store._getters), env.dispatched
+    return queued_before_run, fired, len(store.getters), env.dispatched
 
 
 @given(getters=st.integers(0, 4), items=st.lists(st.integers(), max_size=6))

@@ -16,18 +16,27 @@ counts to it); its *inclusive* entries are every frame on the stack, each
 once.  Layers are the ``src/repro/<layer>/`` packages; ``repro`` is a
 module at the package's top, ``other`` anything outside it.
 
+``--frames`` counts instead of sampling: the Python frames each
+``service.run()`` enters (one ``sys.setprofile`` call event per frame,
+generator resumes included, the collector held off), per delivered object,
+by layer and for the top functions — the count
+``tests/test_layer_frame_budget.py`` gates, bucketed as
+``tests/frame_count.py`` buckets it.  It repeats exactly on one interpreter.
+
 Usage (stdlib only, POSIX, from the repository root)::
 
-    python tools/sample_profile.py fleet-churn [--quick] [--repetitions N]
+    python tools/sample_profile.py fleet-churn [--quick] [--repetitions N] [--frames]
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import runpy
 import signal
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,14 +51,16 @@ INTERVAL = 0.0005
 SEED = 42
 #: Functions printed by self share, then (``src/repro`` only) by inclusive share.
 TOP = 25
-PACKAGE = str(REPO_ROOT / "src" / "repro") + "/"
+PACKAGE = REPO_ROOT / "src" / "repro"
 
 
+@lru_cache(maxsize=None)
 def layer_of(filename: str) -> str:
     """The ``src/repro/<layer>/`` package ``filename`` is in."""
-    if not filename.startswith(PACKAGE):
+    path = Path(filename).resolve()
+    if PACKAGE not in path.parents:
         return "other"
-    parts = filename[len(PACKAGE):].split("/")
+    parts = path.relative_to(PACKAGE).parts
     return parts[0] if len(parts) > 1 else "repro"
 
 
@@ -58,14 +69,56 @@ def function_of(code) -> str:
     return f"{layer_of(code.co_filename)}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
+def count_frames(workload: str, profile, spec, repetitions: int) -> None:
+    """Print the frames ``service.run()`` enters per delivered object, by
+    layer and for the top :data:`TOP` functions, over ``repetitions`` runs."""
+    by_code: Counter = Counter()
+
+    def tally(frame, event: str, _arg) -> None:
+        if event == "call":
+            by_code[frame.f_code] += 1
+
+    objects = 0
+    for _ in range(repetitions):
+        service = StorageService(spec, catalog=tpch.build_catalog(profile, SEED))
+        gc.disable()
+        sys.setprofile(tally)
+        try:
+            result = service.run()
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        objects += result.device_objects_served
+    layers: Counter = Counter()
+    functions: Counter = Counter()
+    for code, frames in by_code.items():
+        layers[layer_of(code.co_filename)] += frames
+        functions[function_of(code)] += frames
+    print(f"{workload}: {sum(layers.values()) / objects:.2f} frames per delivered object "
+          f"over {repetitions} service.run() ({objects} objects)")
+    print(f"\n{'layer':<12} {'frames':>7}")
+    for layer, frames in sorted(layers.items()):
+        print(f"{layer:<12} {frames / objects:7.2f}")
+    print(f"\n{'frames':>7}  function (top {TOP})")
+    for function, frames in functions.most_common(TOP):
+        print(f"{frames / objects:7.2f}  {function}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", help="a ledger workload, e.g. fleet-churn")
     parser.add_argument("--quick", action="store_true", help="the ledger's test size")
     parser.add_argument("--repetitions", type=int, default=25, help="sampled runs (25)")
+    parser.add_argument(
+        "--frames", action="store_true", help="count frames per delivered object instead"
+    )
     args = parser.parse_args()
     workloads = runpy.run_path(str(REPO_ROOT / "ledger" / "workloads.py"))["WORKLOADS"]
     profile, spec = workloads[args.workload](SEED + 1, args.quick)
+    if args.frames:
+        name = f"{args.workload}{' --quick' if args.quick else ''}"
+        count_frames(name, profile, spec, args.repetitions)
+        return
     runner = ScenarioRunner(check=False)
     self_functions: Counter = Counter()
     inclusive_functions: Counter = Counter()
