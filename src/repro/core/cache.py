@@ -21,21 +21,72 @@ Policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, KeysView, List, Optional
+from itertools import repeat
+from typing import Any, Dict, KeysView, List, Optional, Tuple
 
 from repro.core.subplan import Batch, SubplanTracker
 from repro.exceptions import CacheError
 
 
-@dataclass
-class CachedObject:
-    """A cached segment plus the bookkeeping the policies rely on."""
+#: What an entry a batch read touched keeps until its tick is read: the
+#: batch's lists and flags and the clock before the read.
+Access = Tuple[List[List[str]], bytes, int]
 
-    segment_id: str
-    payload: object
-    inserted_at: int
-    last_used: int
+
+def _settle(entries: List[CachedObject]) -> None:
+    """Give each of ``entries``, which hold one and the same :data:`Access`,
+    the tick it leaves for their last access, and drop the access.
+
+    One access per segment of each pending combination, position by
+    position from the read's first tick on, leaves a segment's last one at
+    its last pending combination's rank among the pending times the width,
+    plus its position.
+    """
+    lists, flags, first_tick = entries[0].last_access
+    for entry in entries:
+        segment_id = entry.segment_id
+        stride = len(flags)
+        for position, segments in enumerate(lists):
+            stride //= len(segments)
+            if segment_id in segments:
+                break
+        # Back from the end, one run of ``stride`` per period, to the run
+        # that holds a pending combination.
+        period = stride * len(segments)
+        last = -1
+        for start in range(len(flags) - period + segments.index(segment_id) * stride, -1, -period):
+            last = flags.rfind(1, start, start + stride)
+            if last >= 0:
+                break
+        entry.tick = first_tick + position + flags.count(1, 0, last) * len(lists)
+        entry.last_access = None
+
+
+class CachedObject:
+    """A cached segment plus the bookkeeping the policies rely on.
+
+    ``last_used`` is the clock tick of the last access.  An entry that
+    :meth:`ObjectCache.get_batch` touched keeps the batch's :data:`Access`
+    instead and derives the tick the first time it is read: only
+    :class:`LRUEviction` and the tests read it.
+    """
+
+    __slots__ = ("segment_id", "payload", "inserted_at", "tick", "last_access")
+
+    def __init__(self, segment_id: str, payload: object, inserted_at: int, last_used: int) -> None:
+        self.segment_id = segment_id
+        self.payload = payload
+        self.inserted_at = inserted_at
+        #: The last access's tick, unless ``last_access`` is still set.
+        self.tick = last_used
+        #: The batch read of the last access while its tick is still to derive.
+        self.last_access: Optional[Access] = None
+
+    @property
+    def last_used(self) -> int:
+        if self.last_access is not None:
+            _settle([self])
+        return self.tick
 
 
 class EvictionPolicy:
@@ -59,13 +110,18 @@ class MaxProgressEviction(EvictionPolicy):
     name = "max-progress"
 
     def choose_victim(self, cache: ObjectCache, new_object: str, tracker: SubplanTracker) -> str:
-        # Both count dicts are keyed in ``cached_ids`` order.  The rank ends
-        # with the (unique) segment id, so ``min`` over any iteration order
-        # returns the same victim a pre-sorted scan would.
+        # One pass over the cached ids: (executable, pending, id).  The rank
+        # ends with the (unique) segment id, so ``min`` over any iteration
+        # order returns the same victim a pre-sorted scan would.
         cached_ids = cache.ids_view()
-        executable = tracker.executable_counts(cached_ids, new_object)
-        pending = tracker.pending_counts(cached_ids)
-        return min(zip(executable.values(), pending.values(), cached_ids))[-1]
+        executable = tracker.executable_tallies(cached_ids, new_object).get
+        return min(
+            zip(
+                map(executable, cached_ids, repeat(0)),
+                map(tracker.pending_count_of, cached_ids, repeat(0)),
+                cached_ids,
+            )
+        )[-1]
 
 
 class MaxPendingSubplansEviction(EvictionPolicy):
@@ -75,7 +131,7 @@ class MaxPendingSubplansEviction(EvictionPolicy):
 
     def choose_victim(self, cache: ObjectCache, new_object: str, tracker: SubplanTracker) -> str:
         cached_ids = cache.ids_view()
-        return min(zip(tracker.pending_counts(cached_ids).values(), cached_ids))[-1]
+        return min(zip(map(tracker.pending_count_of, cached_ids, repeat(0)), cached_ids))[-1]
 
 
 class LRUEviction(EvictionPolicy):
@@ -147,39 +203,31 @@ class ObjectCache:
 
         Accounts for the whole batch at once exactly what one access per
         segment of each pending combination, in order, would (the tests'
-        ``reference_get``): as many
-        hits and clock ticks as there are segment occurrences, and each
-        entry's ``last_used`` is the tick of its last occurrence.  A
-        non-cached segment in any of them raises before anything is changed.
+        ``reference_get``): as many hits and clock ticks as there are segment
+        occurrences, and each entry's ``last_used`` is the tick of its last
+        occurrence, derived from the batch's lists and flags when it is read.
+        A non-cached segment in any of them raises before anything is changed.
         """
-        flags = batch.flags
-        width = len(batch.lists)
-        last_tick: Dict[str, int] = {}
-        stride = len(flags)
-        for tick, segments in enumerate(batch.lists, self._clock):
-            # Back from the end, one pending combination per run of ``stride``
-            # that has any, until every segment was met or none is left: its
-            # rank among the pending times the ticks each takes, from the
-            # position's first tick, is the tick one access each would have left.
-            stride //= len(segments) or 1
-            unseen = len(segments)
-            end = len(flags)
-            while unseen and (last := flags.rfind(1, 0, end)) >= 0:
-                segment_id = segments[last // stride % len(segments)]
-                if segment_id not in last_tick:
-                    last_tick[segment_id] = tick + flags.count(1, 0, last) * width
-                    unseen -= 1
-                end = last - last % stride
         contents = self._contents
-        for segment_id in last_tick:
-            if segment_id not in contents:
+        tallies = batch.tallies()
+        for segment_id, tally in tallies.items():
+            if tally and segment_id not in contents:
                 raise CacheError(f"object {segment_id!r} is not cached")
+        # Not the batch itself: its ids and tallies need not outlive the
+        # arrival.  An entry still holding the previous read's access takes
+        # its tick now, so one access at most is kept alive.
+        access = (batch.lists, batch.flags, self._clock)
         payloads: Dict[str, Any] = {}
-        for segment_id, tick in last_tick.items():
-            entry = contents[segment_id]
-            entry.last_used = tick
-            payloads[segment_id] = entry.payload
-        occurrences = width * batch.num_pending
+        stale = []
+        for segment_id, entry in contents.items():
+            if tallies.get(segment_id):
+                entry.last_access = access
+                payloads[segment_id] = entry.payload
+            elif entry.last_access is not None:
+                stale.append(entry)
+        if stale:
+            _settle(stale)
+        occurrences = len(batch.lists) * batch.num_pending
         self._clock += occurrences
         self.num_hits += occurrences
         return payloads
@@ -196,7 +244,7 @@ class ObjectCache:
         """Insert ``payload`` under ``segment_id`` (caller must ensure space)."""
         if segment_id in self._contents:
             raise CacheError(f"object {segment_id!r} is already cached")
-        if self.is_full:
+        if len(self._contents) >= self.capacity:
             raise CacheError("cache is full; evict before adding")
         tick = self._clock
         self._clock += 1

@@ -161,13 +161,15 @@ class MJoinStateManager:
         prepared = PreparedSegment(
             segment_id, segment.table_name, selected, self.tracker.offset_of(segment_id)
         )
+        victim_id = None
         if self.cache.is_full:
-            victim = self.cache.evict(segment_id, self.tracker).payload
+            evicted = self.cache.evict(segment_id, self.tracker)
+            victim, victim_id = evicted.payload, evicted.segment_id
             relation_table = self.relation_tables.get(victim.table_name)
             if relation_table is not None:
                 self.njoin.unmerge(relation_table, victim)
 
-        batch = self.tracker.runnable_batch(self.cache.ids_view(), segment_id)
+        batch = self.tracker.runnable_batch(self._cached, segment_id, victim_id)
         self.cache.add(segment_id, prepared)
         stats.tuples_built += num_rows
 

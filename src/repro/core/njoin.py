@@ -21,6 +21,7 @@ them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress, repeat
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -232,12 +233,20 @@ class NAryJoin:
             current = probe_hash_table(table, current, slot_keys)
         if not current:
             return []
-        # The ids are ascending, so the collected lists come in id order.
-        collected: Dict[int, List[TaggedRow]] = {
-            subplan_id: [] for subplan_id in compress(batch.ids, batch.flags)
-        }
+        # Grouped by combination in the order they came out; a group is
+        # kept when its combination is pending, in id order.
+        grouped: Dict[int, List[TaggedRow]] = {}
         for joined in current:
-            rows = collected.get(sum(joined[1::2]))
-            if rows is not None:
+            subplan_id = sum(joined[1::2])
+            rows = grouped.get(subplan_id)
+            if rows is None:
+                grouped[subplan_id] = [joined[::2]]
+            else:
                 rows.append(joined[::2])
-        return [materialise_rows(rows) for rows in collected.values() if rows]
+        ids, flags = batch.ids, batch.flags
+        results = []
+        for subplan_id in sorted(grouped):
+            index = bisect_left(ids, subplan_id)
+            if index < len(ids) and ids[index] == subplan_id and flags[index]:
+                results.append(materialise_rows(grouped[subplan_id]))
+        return results

@@ -25,11 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from operator import add, not_
-from typing import (
-    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from operator import add, itemgetter
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.query import Query
@@ -69,20 +66,46 @@ class Batch:
         return list(itertools.compress(itertools.product(*self.lists), self.flags))
 
     def tallies(self) -> Dict[str, int]:
-        """Per segment of ``lists``, the pending combinations holding it: its
-        ``total // len(its list)`` combinations of the product minus the holes
-        among them — only holes are enumerated, so a batch with nothing
-        executed yet counts nothing."""
+        """Per segment of ``lists``, the pending combinations holding it.
+
+        A segment of position ``p`` holds one run of *stride* combinations
+        per *period* (``stride`` times the length of ``p``'s list), so its
+        count is the ones among those runs: ``bytes.count`` over each run,
+        or over each of the ``stride`` slices that step by the period,
+        whichever is fewer.  A segment alone at its position is in every
+        pending combination."""
         if self._tallies is None:
-            total = len(self.flags)
+            flags = self.flags
+            total = len(flags)
+            num_pending = self.num_pending
             tallies = self._tallies = {}
+            stride = total
             for segments in self.lists:
-                for segment_id in segments:
-                    tallies[segment_id] = total // len(segments)
-            if self.num_pending < total:
-                holes = itertools.compress(itertools.product(*self.lists), map(not_, self.flags))
-                for segment_id, missing in Counter(itertools.chain.from_iterable(holes)).items():
-                    tallies[segment_id] -= missing
+                width = len(segments)
+                if width == 1:
+                    tallies[segments[0]] = num_pending
+                    continue
+                if num_pending == total:
+                    for segment_id in segments:
+                        tallies[segment_id] = total // width
+                    continue
+                stride //= width
+                period = stride * width
+                begin = 0
+                if stride <= total // period:
+                    for segment_id in segments:
+                        count = 0
+                        for start in range(begin, begin + stride):
+                            count += flags[start::period].count(1)
+                        tallies[segment_id] = count
+                        begin += stride
+                else:
+                    for segment_id in segments:
+                        count = 0
+                        for start in range(begin, total, period):
+                            count += flags.count(1, start, start + stride)
+                        tallies[segment_id] = count
+                        begin += stride
         return self._tallies
 
     def without(self, position: int, segment_id: str) -> Batch:
@@ -194,10 +217,15 @@ class SubplanTracker:
         self.pending_count_of: Callable[[str], Optional[int]] = self._pending_count.get
         self._num_executed = 0
         self._num_pruned = 0
-        #: ``(new_object, cached, batch)`` of the last :meth:`executable_counts`
-        #: call: the arrival that follows the eviction takes the victim out of
-        #: that batch instead of enumerating again.  Any transition clears it.
-        self._enumerated: Optional[Tuple[str, FrozenSet[str], Batch]] = None
+        #: ``(new_object, number cached, batch)`` of the last
+        #: :meth:`executable_tallies` call: the arrival that follows the
+        #: eviction takes the victim out of that batch instead of enumerating
+        #: again.  The next :meth:`runnable_batch` and any transition clear it.
+        self._enumerated: Optional[Tuple[str, int, Batch]] = None
+        #: The batch the last :meth:`runnable_batch` returned, until the next
+        #: transition: its flags were read from :attr:`_pending` as it is, so
+        #: :meth:`mark_batch_executed` takes it without checking them again.
+        self._minted: Optional[Batch] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -224,65 +252,66 @@ class SubplanTracker:
     # ------------------------------------------------------------------ #
     # Object-centric queries used by the cache policies
     # ------------------------------------------------------------------ #
-    def pending_counts(self, segment_ids: Iterable[str]) -> Dict[str, int]:
-        """Pending-subplan count for each of ``segment_ids``, in their order:
-        one call per eviction, not one per cached object."""
-        count = self._pending_count.get
-        return {segment_id: count(segment_id, 0) for segment_id in segment_ids}
-
     def objects_needed(self) -> Set[str]:
         """Objects required by at least one pending subplan."""
         return {segment_id for segment_id, count in self._pending_count.items() if count}
 
-    def runnable_batch(self, cached: AbstractSet[str], new_object: str) -> Batch:
+    def runnable_batch(
+        self, cached: AbstractSet[str], new_object: str, evicted: Optional[str] = None
+    ) -> Batch:
         """The pending subplans covered by ``cached ∪ {new_object}``, as a
         :class:`Batch`: the product of the *cached* segments of every other
         table with ``new_object`` alone at its own position, the pending ones
         among them being the answer.  Runnable subplans are executed as soon
         as they become runnable, so any still-pending subplan the cache covers
-        must involve the newly arrived object.  Reads tracker state only."""
+        must involve the newly arrived object.  Reads tracker state only.
+
+        ``evicted`` names the one object taken out of the cache since
+        :meth:`executable_tallies` was asked about this arrival: the batch it
+        enumerated, without that object, is the answer."""
+        enumerated, self._enumerated = self._enumerated, None
         if not self._pending_count.get(new_object):
             self._locate(new_object)
-            return Batch([[] for _ in self._segments], [], b"")
-        if len(self._segments) == 1:
+            batch = Batch([[] for _ in self._segments], [], b"")
+        elif len(self._segments) == 1:
             # No other table to combine with: the segment is the subplan.
-            return Batch([[new_object]], [self._offset[new_object]], b"\x01")
-        enumerated = self._enumerated
-        if (
-            enumerated is not None
+            batch = Batch([[new_object]], [self._offset[new_object]], b"\x01")
+        elif (
+            evicted is not None
+            and enumerated is not None
             and enumerated[0] == new_object
-            and enumerated[1].issuperset(cached)
+            and enumerated[1] == len(cached) + 1
         ):
-            # Same arrival, same tracker state, a cache that only lost
-            # objects (the eviction victim) since.
+            # Same arrival, same tracker state, a cache that lost the victim.
             batch = enumerated[2]
-            for gone in enumerated[1].difference(cached, (new_object,)):
-                position = self._position.get(gone)
-                if position is not None:
-                    batch = batch.without(position, gone)
-            return batch
-        return self._subplans_of(new_object, cached)
+            position = self._position.get(evicted)
+            if position is not None:
+                batch = batch.without(position, evicted)
+        else:
+            batch = self._subplans_of(new_object, cached)
+        self._minted = batch
+        return batch
 
-    def executable_counts(self, cached: AbstractSet[str], new_object: str) -> Dict[str, int]:
-        """For every cached object, the number of pending subplans that would
-        be executable (given ``cached ∪ {new_object}``) in which it takes part.
+    def executable_tallies(self, cached: AbstractSet[str], new_object: str) -> Dict[str, int]:
+        """The tallies of the batch ``new_object`` would complete with
+        ``cached``: for each cached object of another table, the number of
+        pending subplans that would be executable (given ``cached ∪
+        {new_object}``) in which it takes part.  A cached object the
+        mapping leaves out takes part in none; it is empty when
+        ``new_object`` completes nothing.
 
         This is exactly the quantity the paper's *maximal progress* eviction
-        policy minimises when choosing a victim.  Keyed in ``cached``'s
-        iteration order.
+        policy minimises when choosing a victim.  The batch is kept for the
+        :meth:`runnable_batch` call of the same arrival.
         """
-        counts = dict.fromkeys(cached, 0)
         if len(self._segments) == 1 or not self._pending_count.get(new_object):
             # Objects of one table never share a subplan, and one with nothing
             # pending completes none: nothing to count or to remember.
             self._locate(new_object)
-            return counts
+            return {}
         batch = self._subplans_of(new_object, cached)
-        self._enumerated = (new_object, frozenset(cached), batch)
-        for segment_id, tally in batch.tallies().items():
-            if segment_id in counts:
-                counts[segment_id] = tally
-        return counts
+        self._enumerated = (new_object, len(cached), batch)
+        return batch.tallies()
 
     def _locate(self, segment_id: str) -> int:
         """Table position of a segment of this query."""
@@ -322,6 +351,9 @@ class SubplanTracker:
         for segments in lists:
             if len(segments) != 1:
                 ids = list(itertools.starmap(add, itertools.product(ids, map(offset_of, segments))))
+        if len(ids) > 1:
+            return Batch(lists, ids, bytes(itemgetter(*ids)(self._pending)))
+        # ``itemgetter`` of one id returns a bare int, and of none cannot be built.
         return Batch(lists, ids, bytes(map(self._pending.__getitem__, ids)))
 
     # ------------------------------------------------------------------ #
@@ -331,15 +363,18 @@ class SubplanTracker:
         """Move the pending subplans of a batch — one :meth:`runnable_batch`
         returned — to the executed state.  A batch that is stale (one of its
         subplans is no longer pending) or not this query's raises
-        :class:`QueryError` before anything is changed."""
-        if batch.ids and not 0 <= min(batch.ids) <= max(batch.ids) < self._total:
-            raise QueryError(f"a subplan id is outside the query's {self._total} subplans")
-        ids = itertools.compress(batch.ids, batch.flags)
-        for subplan_id in itertools.filterfalse(self._pending.__getitem__, ids):
-            raise QueryError(f"subplan #{subplan_id} is not pending")
-        if not batch.tallies().keys() <= self._pending_count.keys():
-            for segment_id in batch.tallies():
-                self._locate(segment_id)
+        :class:`QueryError` before anything is changed.  The batch the last
+        :meth:`runnable_batch` returned is neither, unless a transition came
+        between: its flags were read from the pending flags as they still are."""
+        if batch is not self._minted:
+            if batch.ids and not 0 <= min(batch.ids) <= max(batch.ids) < self._total:
+                raise QueryError(f"a subplan id is outside the query's {self._total} subplans")
+            ids = itertools.compress(batch.ids, batch.flags)
+            for subplan_id in itertools.filterfalse(self._pending.__getitem__, ids):
+                raise QueryError(f"subplan #{subplan_id} is not pending")
+            if not batch.tallies().keys() <= self._pending_count.keys():
+                for segment_id in batch.tallies():
+                    self._locate(segment_id)
         self._retire(batch)
         self._num_executed += batch.num_pending
 
@@ -362,7 +397,7 @@ class SubplanTracker:
             self._pending[subplan_id] = 0
             self._pending_count[segment_id] = 0
             self._num_pruned += 1
-            self._enumerated = None
+            self._enumerated = self._minted = None
             return [subplan_id]
         batch = self._subplans_of(segment_id)
         self._retire(batch)
@@ -378,7 +413,7 @@ class SubplanTracker:
         pending_count = self._pending_count
         for segment_id, occurrences in batch.tallies().items():
             pending_count[segment_id] -= occurrences
-        self._enumerated = None
+        self._enumerated = self._minted = None
 
 
 def enumerate_subplans(

@@ -84,9 +84,11 @@ class Process(Event):
             else:
                 target = self._send(event.value)
         except StopIteration as stop:
+            self._release()
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._release()
             self.fail(exc)
             return
 
@@ -140,12 +142,20 @@ class Process(Event):
             self._resume(refusal)
             return
         self._generator.close()
+        self._release()
         self.fail(
             SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may only yield "
                 "a delay (int or float), a Store or an Event"
             )
         )
+
+    def _release(self) -> None:
+        """Drop what only a running generator needs: a finished process
+        keeps its value (or exception) and its waiters, not its wake-up, the
+        wake-up's callback list, the generator or the bound methods."""
+        self._generator = self._send = self._resume_callback = None
+        self._wake = self._wake_callbacks = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.triggered else "running"

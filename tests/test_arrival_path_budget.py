@@ -57,8 +57,9 @@ from repro.workloads import tpch
 #: arrival returning its ``OperatorStats`` rather than an outcome record
 #: 22.02 (2 114), with each re-fetched object's selection kept on the
 #: segment and no ``prepare_segment`` frame 21.38 (2 052), with a segment
-#: being its row list (no ``rows`` property frame) 20.89 (2 005); the
-#: ceiling stays 21.38 plus one.
+#: being its row list (no ``rows`` property frame) 20.89 (2 005), 19.14
+#: (1 837) before an arrival derived its counts, ticks and checks once and
+#: 17.20 (1 651) after; the ceiling stays 21.38 plus one.
 FRAMES_PER_SUBPLAN_CEILING = 22.4
 #: Frames per *followed* arrival — one that takes a shared MJoin run's logged
 #: step — over the same scenario: ``RunCursor.arrive`` (its ``_follow``

@@ -20,7 +20,10 @@ Three equivalences the arrival path rests on:
 A fourth section holds the scan-only arrival — a duplicate, an object no
 pending subplan needs, one pruned as empty — to the arrival as it was
 written before it was answered inline: the same charge, bit for bit, and
-the same tracker, cache, aggregate and counters after it.
+the same tracker, cache, aggregate and counters after it.  A fifth holds
+the one-pass eviction policies and the derived recency ticks to the
+readable definitions in ``tests/mjoin_oracle.py``: the same victims, rows,
+hits and ticks on TPC-H Q3 / Q5 and SSB Q2.1 in any arrival order.
 """
 
 import copy
@@ -30,7 +33,14 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_core_cache import reference_get
+from mjoin_oracle import (
+    ReadableMaxPending,
+    ReadableMaxProgress,
+    ReferenceCache,
+    executable_counts,
+    pending_counts,
+    reference_get,
+)
 
 from repro.core.cache import (
     FIFOEviction,
@@ -51,7 +61,7 @@ from repro.engine.operators.scan import select_rows
 from repro.engine.predicate import Comparison, col, lit
 from repro.engine.query import AggregateSpec, JoinCondition, Query
 from repro.exceptions import QueryError
-from repro.workloads import tpch
+from repro.workloads import ssb, tpch
 
 
 def _num_pending(tracker):
@@ -332,7 +342,7 @@ class TestTrackerMatchesOracle:
             assert tracker.num_pruned == oracle.state.count("pruned")
             assert tracker.has_pending() == ("pending" in oracle.state)
             assert tracker.objects_needed() == oracle.objects_needed()
-            assert tracker.pending_counts(everything) == {
+            assert pending_counts(tracker, everything) == {
                 segment_id: oracle.pending_count(segment_id) for segment_id in everything
             }
             assert _pending_pairs(tracker, everything) == oracle._pending()
@@ -347,16 +357,20 @@ class TestTrackerMatchesOracle:
                 if segment_id in cached or not tracker.pending_count_of(segment_id):
                     assert tracker.pending_count_of(segment_id) == oracle.pending_count(segment_id)
                     continue
+                victim = None
                 if len(cached) >= capacity:
                     # The eviction policy's question first, then the arrival's
-                    # — the second is answered from the first's enumeration.
+                    # — the second, told the victim, is answered from the
+                    # first's enumeration.
                     view = cached.keys()
-                    counts = tracker.executable_counts(view, segment_id)
+                    counts = executable_counts(tracker, view, segment_id)
                     assert counts == oracle.executable_counts(view, segment_id)
-                    # The eviction policies zip the values with the view.
-                    assert list(counts) == list(tracker.pending_counts(view)) == list(view)
-                    del cached[list(cached)[other % len(cached)]]
-                runnable = tracker.runnable_batch(cached.keys(), segment_id)
+                    assert list(counts) == list(pending_counts(tracker, view)) == list(view)
+                    tallies = tracker.executable_tallies(view, segment_id)
+                    assert {s: tallies.get(s, 0) for s in view} == counts
+                    victim = list(cached)[other % len(cached)]
+                    del cached[victim]
+                runnable = tracker.runnable_batch(cached.keys(), segment_id, victim)
                 expected = oracle.runnable(cached, segment_id)
                 assert _as_pairs(runnable) == expected
                 _assert_product_layout(runnable, oracle)
@@ -409,12 +423,15 @@ class TestTrackerMatchesOracle:
 @st.composite
 def batches(draw):
     """Lists of zero to four segments at one to four positions, arbitrary
-    distinct ids and a flag string: all pending, hole-heavy or anything."""
+    distinct ids and a flag string: all pending, all holes, hole-heavy or
+    anything."""
     widths = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4))
     lists = [[f"t{position}.{index}" for index in range(width)] for position, width in enumerate(widths)]
     total = len(list(itertools.product(*lists)))
     ids = draw(st.permutations(range(100, 100 + total)))
-    flag = draw(st.sampled_from([st.just(1), st.sampled_from([0, 0, 0, 1]), st.integers(0, 1)]))
+    flag = draw(
+        st.sampled_from([st.just(1), st.just(0), st.sampled_from([0, 0, 0, 1]), st.integers(0, 1)])
+    )
     flags = bytes(draw(st.lists(flag, min_size=total, max_size=total)))
     return lists, list(ids), flags
 
@@ -485,7 +502,8 @@ class TestBatchIsItsCombinations:
     def test_cache_accounting_of_any_batch_equals_one_get_per_occurrence(self, case, clock):
         lists, ids, flags = case
         batch = Batch(lists, ids, flags)
-        cache = ObjectCache(16)
+        # Room for every segment and the ``next`` object added at the end.
+        cache = ObjectCache(sum(map(len, lists)) + 1)
         for segments in lists:
             for segment_id in segments:
                 cache.add(segment_id, segment_id.upper())
@@ -525,7 +543,7 @@ def _scan_only_as_before(manager, segment_id, segment):
     count and the query's ``filter_for``.  ``None`` for an object that stays
     (nothing changed then but the segment's kept selection)."""
     stats = OperatorStats(tuples_scanned=segment.num_rows)
-    pending = manager.tracker.pending_counts([segment_id])[segment_id]
+    pending = pending_counts(manager.tracker, [segment_id])[segment_id]
     if segment_id in manager.cache.ids_view() or not pending:
         manager.stats.merge(stats)
         return stats
@@ -543,7 +561,7 @@ def _state(manager, everything):
     return (
         tracker.num_executed,
         tracker.num_pruned,
-        tracker.pending_counts(everything),
+        pending_counts(tracker, everything),
         list(cache.ids_view()),
         (cache.num_hits, cache.num_insertions, cache.num_evictions, cache.peak_occupancy),
         canonical_rows(manager.aggregate.results()),
@@ -620,6 +638,91 @@ class TestScanOnlyArrival:
                 manager.on_arrival("customer.0", foreign)
         assert manager.stats == OperatorStats()
         assert not manager.cache.ids_view() and manager.tracker.num_pruned == 0
+
+
+# --------------------------------------------------------------------- #
+# (e) One-pass victims == the readable definitions
+# --------------------------------------------------------------------- #
+#: Each policy, and what its victims are held to: the readable definition
+#: of its question (``tests/mjoin_oracle.py``), or for the recency and
+#: insertion baselines the same policy over stored, not derived, ticks.
+_READABLE = {
+    MaxProgressEviction: ReadableMaxProgress,
+    MaxPendingSubplansEviction: ReadableMaxPending,
+    LRUEviction: LRUEviction,
+    FIFOEviction: FIFOEviction,
+}
+_TINY_SSB = ssb.build_catalog("tiny", seed=42, catalog=Catalog())
+
+
+def _recorded(policy, victims):
+    """``policy`` with every victim it chooses appended to ``victims``."""
+    choose = policy.choose_victim
+
+    def choose_victim(cache, new_object, tracker):
+        victims.append(choose(cache, new_object, tracker))
+        return victims[-1]
+
+    policy.choose_victim = choose_victim
+    return policy
+
+
+class TestOnePassVictimsEqualTheReadableDefinitions:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(["tpch q3", "tpch q5", "ssb q2_1"]),
+        policy=st.sampled_from(_POLICIES),
+        spare_capacity=st.integers(min_value=0, max_value=4),
+        enable_pruning=st.booleans(),
+        data=st.data(),
+    )
+    def test_same_victims_rows_hits_and_ticks(
+        self, case, policy, spare_capacity, enable_pruning, data
+    ):
+        """Two managers fed one arrival order, cycle after cycle: one with the
+        object cache and its policy, the other with the reference cache and
+        the readable policy.  Every arrival's work, every victim, the result
+        rows, the hit and eviction counts and every tick agree."""
+        workload, name = case.split()
+        catalog = _TINY if workload == "tpch" else _TINY_SSB
+        query = (tpch if workload == "tpch" else ssb).query(name)
+        capacity = len(query.tables) + spare_capacity
+        victims, readable_victims = [], []
+        actual = MJoinStateManager(
+            query,
+            catalog,
+            ObjectCache(capacity, policy=_recorded(policy(), victims)),
+            enable_pruning=enable_pruning,
+        )
+        readable = MJoinStateManager(
+            query,
+            catalog,
+            ReferenceCache(capacity, policy=_recorded(_READABLE[policy](), readable_victims)),
+            enable_pruning=enable_pruning,
+        )
+        requests = data.draw(st.permutations(actual.initial_requests()))
+        for _ in range(10):  # LRU/FIFO may thrash at small capacities
+            if not requests:
+                break
+            for segment_id in requests:
+                segment = catalog.resolve_segment_id(segment_id)
+                assert actual.on_arrival(segment_id, segment) == readable.on_arrival(
+                    segment_id, segment
+                )
+                assert victims == readable_victims
+            requests = actual.next_cycle_requests()
+            assert requests == readable.next_cycle_requests()
+            requests = data.draw(st.permutations(requests))
+        assert actual.results() == readable.results()
+        for counter in ("num_hits", "num_evictions", "num_insertions", "_clock"):
+            assert getattr(actual.cache, counter) == getattr(readable.cache, counter), counter
+        assert [(e.segment_id, e.last_used) for e in actual.cache.objects()] == [
+            (e.segment_id, e.last_used) for e in readable.cache.objects()
+        ]
+        assert (actual.tracker.num_executed, actual.tracker.num_pruned) == (
+            readable.tracker.num_executed,
+            readable.tracker.num_pruned,
+        )
 
 
 _TINY = tpch.build_catalog("tiny", seed=42)

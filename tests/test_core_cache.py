@@ -1,6 +1,7 @@
 """Unit tests for the object cache and its eviction policies."""
 
 import pytest
+from mjoin_oracle import reference_get
 
 from repro.core.cache import (
     FIFOEviction,
@@ -12,19 +13,6 @@ from repro.core.cache import (
 from repro.core.subplan import Batch, SubplanLayout, SubplanTracker
 from repro.exceptions import CacheError
 from repro.workloads import tpch
-
-
-def reference_get(cache, segment_id):
-    """One access to a cached object, the way ``get_batch`` must account
-    each occurrence: the entry's ``last_used`` takes the next clock tick and
-    the hit is counted."""
-    entry = cache.peek(segment_id)
-    if entry is None:
-        raise CacheError(f"object {segment_id!r} is not cached")
-    entry.last_used = cache._clock
-    cache._clock += 1
-    cache.num_hits += 1
-    return entry
 
 
 @pytest.fixture()

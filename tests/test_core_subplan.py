@@ -3,6 +3,7 @@
 from itertools import compress
 
 import pytest
+from mjoin_oracle import executable_counts, pending_counts
 
 from repro.core.cache import ObjectCache
 from repro.core.mjoin import MJoinStateManager
@@ -88,20 +89,20 @@ class TestTrackerTransitions:
         before = (
             _num_pending(q12_tracker),
             q12_tracker.num_executed,
-            q12_tracker.pending_counts(q12_objects),
+            pending_counts(q12_tracker, q12_objects),
         )
         with pytest.raises(QueryError, match=f"#{batch.ids[0]} is not pending"):
             q12_tracker.mark_batch_executed(batch)
         assert (
             _num_pending(q12_tracker),
             q12_tracker.num_executed,
-            q12_tracker.pending_counts(q12_objects),
+            pending_counts(q12_tracker, q12_objects),
         ) == before
 
     def test_pending_count_for_object(self, tiny_tpch_catalog, q12_tracker):
         lineitem_segments = tiny_tpch_catalog.num_segments("lineitem")
         orders_segments = tiny_tpch_catalog.num_segments("orders")
-        assert q12_tracker.pending_counts(["orders.0", "lineitem.0", "unknown.0"]) == {
+        assert pending_counts(q12_tracker, ["orders.0", "lineitem.0", "unknown.0"]) == {
             "orders.0": lineitem_segments,
             "lineitem.0": orders_segments,
             "unknown.0": 0,
@@ -114,7 +115,7 @@ class TestTrackerTransitions:
         assert pruned == sorted(pruned)
         assert _num_pending(q12_tracker) == before - len(pruned)
         assert q12_tracker.num_pruned == len(pruned)
-        assert q12_tracker.pending_counts(["lineitem.0"]) == {"lineitem.0": 0}
+        assert pending_counts(q12_tracker, ["lineitem.0"]) == {"lineitem.0": 0}
         assert q12_tracker.pending_count_of("lineitem.0") == 0
         assert q12_tracker.prune_object("lineitem.0") == []
 
@@ -167,7 +168,8 @@ class TestTrackerRejectsWhatIsNotItsOwn:
             lambda: q12_tracker.prune_object("customer.0"),
             lambda: q12_tracker.prune_object("nope"),
             lambda: q12_tracker.runnable_batch({"orders.0"}, "customer.0"),
-            lambda: q12_tracker.executable_counts({"orders.0"}, "customer.0"),
+            lambda: executable_counts(q12_tracker, {"orders.0"}, "customer.0"),
+            lambda: q12_tracker.executable_tallies({"orders.0"}, "customer.0"),
         ):
             with pytest.raises(QueryError, match="belongs to no table of query"):
                 call()
@@ -175,7 +177,7 @@ class TestTrackerRejectsWhatIsNotItsOwn:
         assert q12_tracker.pending_count_of("customer.0") is None
         assert q12_tracker.pending_count_of("nation.99") is None
         # Counting a foreign object has an answer: no pending subplan.
-        assert q12_tracker.pending_counts(["customer.0"]) == {"customer.0": 0}
+        assert pending_counts(q12_tracker, ["customer.0"]) == {"customer.0": 0}
         # Foreign objects in the cache cover nothing and hide nothing.
         batch = q12_tracker.runnable_batch({"customer.0", "orders.0"}, "lineitem.0")
         assert batch.combinations() == [("orders.0", "lineitem.0")]
@@ -195,13 +197,13 @@ class TestTrackerRejectsWhatIsNotItsOwn:
         first, second = ("orders.0", "lineitem.0"), ("orders.0", "lineitem.1")
         first_id = execute(q12_tracker, first)
         second_id = sum(map(q12_tracker.offset_of, second))
-        before = q12_tracker.pending_counts(q12_objects)
+        before = pending_counts(q12_tracker, q12_objects)
         lists = [["orders.0"], ["lineitem.0", "lineitem.1"]]
         stale = Batch(lists, [first_id, second_id], b"\x01\x01")
         with pytest.raises(QueryError, match=f"#{first_id} is not pending"):
             q12_tracker.mark_batch_executed(stale)
         assert q12_tracker.runnable_batch({"orders.0"}, "lineitem.1").num_pending == 1
-        assert q12_tracker.pending_counts(q12_objects) == before
+        assert pending_counts(q12_tracker, q12_objects) == before
         assert q12_tracker.num_executed == 1
         # The same batch with the executed subplan flagged as the hole it is.
         q12_tracker.mark_batch_executed(Batch(lists, stale.ids, b"\x00\x01"))
@@ -209,11 +211,11 @@ class TestTrackerRejectsWhatIsNotItsOwn:
         assert q12_tracker.num_executed == 2
 
     def test_batch_holding_a_foreign_segment_changes_nothing(self, q12_tracker, q12_objects):
-        before = q12_tracker.pending_counts(q12_objects)
+        before = pending_counts(q12_tracker, q12_objects)
         with pytest.raises(QueryError, match="'customer.0' belongs to no table"):
             q12_tracker.mark_batch_executed(Batch([["customer.0"], ["lineitem.0"]], [0], b"\x01"))
         assert _num_pending(q12_tracker) == q12_tracker.total_subplans
-        assert q12_tracker.pending_counts(q12_objects) == before
+        assert pending_counts(q12_tracker, q12_objects) == before
 
     @pytest.mark.parametrize(
         "lists, ids, flags",
@@ -226,6 +228,71 @@ class TestTrackerRejectsWhatIsNotItsOwn:
     def test_a_batch_is_one_id_and_one_flag_per_combination(self, lists, ids, flags):
         with pytest.raises(QueryError, match="a batch of . combinations got . ids and . flags"):
             Batch(lists, ids, flags)
+
+
+class TestMintedBatchesAreTrustedUntilATransition:
+    """``mark_batch_executed`` skips the pending check only for the batch the
+    last ``runnable_batch`` returned, and only until the next transition."""
+
+    def _state(self, tracker, objects):
+        return (
+            _num_pending(tracker),
+            tracker.num_executed,
+            tracker.num_pruned,
+            pending_counts(tracker, objects),
+        )
+
+    def test_a_batch_minted_before_a_retire_raises(self, q12_tracker, q12_objects):
+        stale = q12_tracker.runnable_batch({"orders.0", "orders.1"}, "lineitem.0")
+        assert stale.num_pending == 2
+        q12_tracker.mark_batch_executed(q12_tracker.runnable_batch({"orders.0"}, "lineitem.0"))
+        before = self._state(q12_tracker, q12_objects)
+        with pytest.raises(QueryError, match=f"#{stale.ids[0]} is not pending"):
+            q12_tracker.mark_batch_executed(stale)
+        assert self._state(q12_tracker, q12_objects) == before
+
+    def test_a_retired_batch_marked_again_raises(self, q12_tracker, q12_objects):
+        batch = q12_tracker.runnable_batch({"orders.0", "orders.1"}, "lineitem.2")
+        q12_tracker.mark_batch_executed(batch)
+        before = self._state(q12_tracker, q12_objects)
+        with pytest.raises(QueryError, match="is not pending"):
+            q12_tracker.mark_batch_executed(batch)
+        assert self._state(q12_tracker, q12_objects) == before
+
+    def test_a_batch_minted_before_a_prune_raises(self, q12_tracker, q12_objects):
+        stale = q12_tracker.runnable_batch({"orders.0", "orders.1"}, "lineitem.1")
+        q12_tracker.prune_object("orders.1")
+        before = self._state(q12_tracker, q12_objects)
+        with pytest.raises(QueryError, match=f"#{stale.ids[1]} is not pending"):
+            q12_tracker.mark_batch_executed(stale)
+        assert self._state(q12_tracker, q12_objects) == before
+
+    def test_a_single_table_batch_minted_before_a_prune_raises(self, tiny_tpch_catalog):
+        tracker = SubplanTracker(SubplanLayout(tpch.q6(), tiny_tpch_catalog, tpch.q6().tables))
+        segment_id = tiny_tpch_catalog.segment_ids("lineitem")[1]
+        stale = tracker.runnable_batch(set(), segment_id)
+        assert tracker.prune_object(segment_id) == [1]
+        with pytest.raises(QueryError, match="#1 is not pending"):
+            tracker.mark_batch_executed(stale)
+        assert (tracker.num_executed, tracker.num_pruned) == (0, 1)
+
+    def test_a_hand_built_copy_is_checked(self, q12_tracker, q12_objects):
+        minted = q12_tracker.runnable_batch({"orders.0", "orders.1"}, "lineitem.3")
+        copy = Batch(minted.lists, minted.ids, minted.flags)
+        q12_tracker.mark_batch_executed(copy)  # a valid copy passes the check
+        before = self._state(q12_tracker, q12_objects)
+        with pytest.raises(QueryError, match="is not pending"):
+            q12_tracker.mark_batch_executed(minted)
+        with pytest.raises(QueryError, match="is not pending"):
+            q12_tracker.mark_batch_executed(Batch(minted.lists, minted.ids, minted.flags))
+        assert self._state(q12_tracker, q12_objects) == before
+
+    def test_an_earlier_batch_of_the_same_state_is_checked_and_passes(self, q12_tracker):
+        first = q12_tracker.runnable_batch({"orders.0"}, "lineitem.0")
+        second = q12_tracker.runnable_batch({"orders.1"}, "lineitem.1")
+        q12_tracker.mark_batch_executed(first)
+        q12_tracker.mark_batch_executed(second)
+        assert q12_tracker.num_executed == 2
 
 
 class TestRunnableComputation:
@@ -274,8 +341,11 @@ class TestRunnableComputation:
         for combination in [("a.0", "b.0", "c.1"), ("a.1", "b.0", "c.1")]:
             execute(tracker, combination)
         cache = {"a.0", "b.0", "a.1", "c.1"}
-        counts = tracker.executable_counts(cache, "c.0")
+        counts = executable_counts(tracker, cache, "c.0")
         assert counts["a.0"] == 1
         assert counts["a.1"] == 1
         assert counts["b.0"] == 2
         assert counts["c.1"] == 0
+        # The one-pass policy reads the same numbers off the batch's tallies.
+        tallies = tracker.executable_tallies(cache, "c.0")
+        assert {segment_id: tallies.get(segment_id, 0) for segment_id in sorted(cache)} == counts

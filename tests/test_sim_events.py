@@ -482,6 +482,36 @@ def test_a_waiting_process_does_not_pin_the_item_it_was_handed():
     assert len(store.getters) == 1 and taken[0]() is None
 
 
+@pytest.mark.parametrize("ending", ["return", "raise", "bad yield"])
+def test_a_finished_process_holds_no_wake_up(ending):
+    """However it ends, a finished process lets go of its wake-up, the
+    wake-up's callback list and its generator; it keeps only its outcome."""
+    env = Environment()
+
+    def body(env):
+        yield 1.0
+        if ending == "raise":
+            raise ValueError("boom")
+        if ending == "bad yield":
+            yield "42"
+        return "done"
+
+    generator = body(env)
+    process = env.process(generator)
+    wake, callbacks = process._wake, process._wake_callbacks
+    generator = weakref.ref(generator)
+    drain(env)
+    gc.collect()
+    held = gc.get_referents(process)
+    assert not any(kept is wake or kept is callbacks for kept in held)
+    assert generator() is None
+    assert process._send is None and process._resume_callback is None
+    if ending == "return":
+        assert process.value == "done"
+    else:
+        assert isinstance(process.exception, (ValueError, SimulationError))
+
+
 def test_a_store_put_to_a_triggered_getter_is_an_error():
     env = Environment()
     store = Store(env)

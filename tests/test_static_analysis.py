@@ -813,8 +813,10 @@ def test_one_batch_representation_on_the_arrival_path():
     """A runnable batch stays the product it is (``core/subplan.py``'s
     ``Batch``) from the tracker to the retire: the cache, the batch join and
     the state manager never flatten it into segment tuples to chain or count
-    them, the one count of segment occurrences is ``Batch.tallies``, and the
-    ``(ids, combinations)`` pair it replaced has no alias left."""
+    them, ``Batch.tallies`` counts segment occurrences over the pending
+    flags without enumerating a combination (no ``Counter`` anywhere in
+    ``core/subplan.py``), and the ``(ids, combinations)`` pair it replaced
+    has no alias left."""
     core = REPO_ROOT / "src" / "repro" / "core"
     for name in ("cache.py", "njoin.py", "mjoin.py"):
         for node in ast.walk(ast.parse((core / name).read_text())):
@@ -835,7 +837,7 @@ def test_one_batch_representation_on_the_arrival_path():
         and isinstance(node.func, (ast.Name, ast.Attribute))
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Counter"
     ]
-    assert [owner for owner, _ in counter_calls] == ["Batch"], counter_calls
+    assert [owner for owner, _ in counter_calls] == [], counter_calls
     pair = ast.dump(ast.parse("Tuple[List[int], List[Tuple[str, ...]]]", mode="eval").body)
     for path in sorted(core.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
