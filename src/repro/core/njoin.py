@@ -86,8 +86,6 @@ class NAryJoin:
     """Joins one prepared segment per relation following a left-deep order."""
 
     def __init__(self, query: Query, plan: QueryPlan) -> None:
-        self.query = query
-        self.plan = plan
         if plan.steps and {step.table for step in plan.steps} != set(query.tables):
             raise ExecutionError("plan does not cover the query's tables")
         if not all(step.conditions for step in plan.steps[1:]):
@@ -138,8 +136,6 @@ class NAryJoin:
         stats = stats if stats is not None else OperatorStats()
         current: List[TaggedRow] = list(zip(segments[0].rows, repeat(segments[0].offset)))
         for depth in range(1, len(segments)):
-            if not current:
-                return []
             # Every probe row increments the counter exactly once.
             stats.tuples_probed += len(current)
             slot_keys, build_columns = self._step_keys[depth - 1]
@@ -231,8 +227,6 @@ class NAryJoin:
             else:
                 table = tables[self._step_tables[depth]]
             current = probe_hash_table(table, current, slot_keys)
-        if not current:
-            return []
         # Grouped by combination in the order they came out; a group is
         # kept when its combination is pending, in id order.
         grouped: Dict[int, List[TaggedRow]] = {}

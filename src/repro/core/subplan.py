@@ -282,11 +282,9 @@ class SubplanTracker:
             and enumerated[0] == new_object
             and enumerated[1] == len(cached) + 1
         ):
-            # Same arrival, same tracker state, a cache that lost the victim.
-            batch = enumerated[2]
-            position = self._position.get(evicted)
-            if position is not None:
-                batch = batch.without(position, evicted)
+            # Same arrival, same tracker state, a cache that lost the victim
+            # (cached, so a segment of this query).
+            batch = enumerated[2].without(self._position[evicted], evicted)
         else:
             batch = self._subplans_of(new_object, cached)
         self._minted = batch
@@ -372,9 +370,8 @@ class SubplanTracker:
             ids = itertools.compress(batch.ids, batch.flags)
             for subplan_id in itertools.filterfalse(self._pending.__getitem__, ids):
                 raise QueryError(f"subplan #{subplan_id} is not pending")
-            if not batch.tallies().keys() <= self._pending_count.keys():
-                for segment_id in batch.tallies():
-                    self._locate(segment_id)
+            for segment_id in batch.tallies():
+                self._locate(segment_id)
         self._retire(batch)
         self._num_executed += batch.num_pending
 

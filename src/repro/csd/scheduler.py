@@ -39,9 +39,6 @@ from repro.exceptions import SchedulingError
 class IOScheduler:
     """Base class holding the pending-request pool and fairness counters."""
 
-    #: Human-readable policy name (used in experiment reports).
-    name = "base"
-
     def __init__(self, ordering: Optional[IntraGroupOrdering] = None) -> None:
         self.ordering = ordering or SemanticRoundRobinOrdering()
         #: Pending pool per group, keyed by the globally unique request id.
@@ -124,10 +121,7 @@ class IOScheduler:
 
     def queries_on_group(self, group_id: int) -> Set[str]:
         """Distinct query identifiers with pending data on ``group_id``."""
-        counts = self._group_queries.get(group_id)
-        if not counts:
-            return set()
-        return set(counts)
+        return set(self._group_queries.get(group_id, ()))
 
     def pending_queries(self) -> Set[str]:
         """Distinct query identifiers with any pending request."""
@@ -257,8 +251,6 @@ class ObjectFCFSScheduler(_ArrivalIndexedScheduler):
     object.
     """
 
-    name = "object-fcfs"
-
     def service_quota(self, group_id: int) -> int:
         return 1
 
@@ -279,8 +271,6 @@ class SlackFCFSScheduler(_ArrivalIndexedScheduler):
     degenerates to strict object FCFS; a large slack approaches group-at-a-
     time service without any query awareness.
     """
-
-    name = "slack-fcfs"
 
     def __init__(self, slack: int = 8) -> None:
         super().__init__()
@@ -305,8 +295,6 @@ class QueryFCFSScheduler(IOScheduler):
     performs more switches than the query-aware policies.
     """
 
-    name = "query-fcfs"
-
     def service_quota(self, group_id: int) -> int:
         return 1
 
@@ -318,19 +306,14 @@ class QueryFCFSScheduler(IOScheduler):
         return min(pending, key=lambda query_id: self._query_arrival.get(query_id, 0))
 
     def choose_next_group(self, current_group: Optional[int]) -> int:
+        """The group of the oldest query's oldest pending request."""
         query = self._oldest_query()
-        best_group: Optional[int] = None
-        best_request_id: Optional[int] = None
-        for group, requests in self._pending.items():
-            for request in requests.values():
-                if request.query_id != query:
-                    continue
-                if best_request_id is None or request.request_id < best_request_id:
-                    best_request_id = request.request_id
-                    best_group = group
-        if best_group is None:  # pragma: no cover - defensive
-            raise SchedulingError("oldest query has no pending requests")
-        return best_group
+        return min(
+            (request.request_id, group)
+            for group, requests in self._pending.items()
+            for request in requests.values()
+            if request.query_id == query
+        )[1]
 
     def next_request(self, group_id: int) -> Optional[GetRequest]:
         """Serve only requests belonging to the oldest pending query."""
@@ -347,7 +330,6 @@ class QueryFCFSScheduler(IOScheduler):
         request = ordered[0]
         del pending[request.request_id]
         self._note_removed(request, group_id)
-        self._dirty.add(group_id)
         return request
 
 
@@ -358,8 +340,6 @@ class MaxQueriesScheduler(IOScheduler):
     scheduling (within 2% of optimal for minimising switches) but it can
     starve queries on unpopular groups.
     """
-
-    name = "max-queries"
 
     def choose_next_group(self, current_group: Optional[int]) -> int:
         best_group: Optional[int] = None
@@ -383,8 +363,6 @@ class RankBasedScheduler(IOScheduler):
     more than the accumulated waiting time.
     """
 
-    name = "rank-based"
-
     def __init__(self, fairness_constant: float = 1.0,
                  ordering: Optional[IntraGroupOrdering] = None) -> None:
         super().__init__(ordering=ordering)
@@ -400,7 +378,6 @@ class RankBasedScheduler(IOScheduler):
         fairness = self.fairness_constant
         best_group: Optional[int] = None
         best_rank = 0.0  # a group with pending data ranks at least N_g >= 1
-        best_queries = 0
         for group, counts in self._group_queries.items():
             if not counts:
                 continue

@@ -78,7 +78,6 @@ class MigrationPlan:
     #: Simulated seconds of migration I/O actually charged (filled in by the
     #: controller as source reads and destination writes execute).
     migration_seconds: float = 0.0
-    _moved_keys: Tuple[str, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         self._moved_keys = tuple(dict.fromkeys(map(_object_key, self.moves)))
@@ -229,7 +228,7 @@ def plan_migration(
 #: What one ``(old, new)`` replica-tuple pair decides for every key it
 #: covers: the dropped devices, the live survivor count, the candidate
 #: destinations (each with the keys it already holds) and the read source
-#: (``""`` when there is no candidate).
+#: (read only when there is a candidate).
 _Shape = Tuple[Tuple[str, ...], int, Tuple[Tuple[str, Container[str]], ...], str]
 
 
@@ -258,8 +257,6 @@ def _shape(
             survivors += 1
         if device not in old_replicas:
             candidates.append((device, resident.get(device, ())))
-    if not candidates:
-        return tuple(dropped), survivors, (), ""
     if live:
         source = live[0]
     else:

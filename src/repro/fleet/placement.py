@@ -130,8 +130,6 @@ class ConsistentHashPlacement:
         exactly :data:`VIRTUAL_NODES` — an all-equal-weights ring is
         byte-identical to the unweighted one.
         """
-        if not self._weights:
-            return (VIRTUAL_NODES,) * len(device_ids)
         return tuple(
             max(1, round(VIRTUAL_NODES * self._weights.get(device_id, 1.0)))
             for device_id in device_ids
@@ -159,11 +157,8 @@ class ConsistentHashPlacement:
         return [from_bytes(sha256(key.encode()).digest()[:8], "big") for key in object_keys]
 
     def _ring(
-        self, device_ids: Sequence[str], vnode_counts: Optional[Sequence[int]] = None
+        self, device_ids: Sequence[str], counts: Tuple[int, ...]
     ) -> Tuple[List[int], List[str]]:
-        counts = (
-            tuple(vnode_counts) if vnode_counts is not None else self.vnode_counts(device_ids)
-        )
         if len(counts) != len(device_ids):
             raise PlacementError(
                 f"vnode_counts has {len(counts)} entries for "

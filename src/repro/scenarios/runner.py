@@ -23,21 +23,12 @@ from repro.cluster.cluster import ClusterConfig, ClusterResult
 from repro.cluster.metrics import jain_fairness, mean, percentile
 from repro.csd.device import DeviceConfig
 from repro.csd.layout import (
-    AllInOneLayout,
     ClientsPerGroupLayout,
-    IncrementalLayout,
     LayoutPolicy,
     RoundRobinObjectLayout,
     SkewedLayout,
 )
-from repro.csd.scheduler import (
-    IOScheduler,
-    MaxQueriesScheduler,
-    ObjectFCFSScheduler,
-    QueryFCFSScheduler,
-    RankBasedScheduler,
-    SlackFCFSScheduler,
-)
+from repro.csd.scheduler import IOScheduler, RankBasedScheduler, SlackFCFSScheduler
 from repro.engine.catalog import Catalog
 from repro.engine.query import Query
 from repro.exceptions import ReproError, ScenarioError
@@ -58,10 +49,6 @@ def build_layout(spec: ScenarioSpec) -> LayoutPolicy:
     """Resolve the spec's layout name + parameter into a policy object
     (the spec admits only :data:`~repro.scenarios.spec.KNOWN_LAYOUTS`)."""
     param = spec.layout_param
-    if spec.layout == "all-in-one":
-        return AllInOneLayout()
-    if spec.layout == "incremental":
-        return IncrementalLayout()
     if spec.layout == "tenant-colocated":
         # One group per tenant in each device's layout over its placement
         # subset; migrated keys join it (``extend_layout_with_keys``).
@@ -88,12 +75,6 @@ def build_scheduler(spec: ScenarioSpec) -> IOScheduler:
     """Resolve the spec's scheduler name + parameter into a policy object
     (the spec admits only :data:`~repro.scenarios.spec.KNOWN_SCHEDULERS`)."""
     param = spec.scheduler_param
-    if spec.scheduler == "object-fcfs":
-        return ObjectFCFSScheduler()
-    if spec.scheduler == "query-fcfs":
-        return QueryFCFSScheduler()
-    if spec.scheduler == "max-queries":
-        return MaxQueriesScheduler()
     if spec.scheduler == "slack-fcfs":
         return SlackFCFSScheduler(int(param)) if param is not None else SlackFCFSScheduler()
     # The last known name: "rank-based".

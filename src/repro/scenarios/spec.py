@@ -26,9 +26,7 @@ KNOWN_WORKLOADS = ("tpch", "ssb", "mrbench", "nref")
 
 #: Layout policy names resolvable by the runner.
 Layout = Literal[
-    "all-in-one",
     "clients-per-group",
-    "incremental",
     "round-robin",
     "skewed",
     "tenant-colocated",
@@ -37,10 +35,7 @@ KNOWN_LAYOUTS = get_args(Layout)
 
 #: Scheduler policy names resolvable by the runner.
 Scheduler = Literal[
-    "object-fcfs",
     "slack-fcfs",
-    "query-fcfs",
-    "max-queries",
     "rank-based",
 ]
 KNOWN_SCHEDULERS = get_args(Scheduler)
@@ -112,7 +107,7 @@ class ScenarioSpec(Spec, error=ScenarioError):
     layout: Layout = "clients-per-group"
     #: Meaning depends on the layout: clients per group ("clients-per-group"),
     #: number of groups ("round-robin"), or the per-group client counts
-    #: ("skewed").  Ignored by "all-in-one" and "incremental".
+    #: ("skewed").
     layout_param: Optional[Tuple[PositiveInt, ...]] = None
     scheduler: Scheduler = "rank-based"
     #: Fairness constant K of the rank-based policy / slack of slack-FCFS.

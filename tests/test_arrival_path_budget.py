@@ -27,13 +27,17 @@ table where the relation's would do, or went on after a level left no row.
 A third count covers the executions that share a run: frames per arrival a
 follower takes from the shared MJoin run's log.  When it trips, a follower
 feeds a state manager (or re-computes a charge) where the log has the step.
-Counts per service rather than per subplan — selections, local joins — are
-in ``tests/test_cross_tenant_census.py``.
+The ``bytes.count`` calls a batch's tallies cost are the fourth: a segment
+alone at its position (the arriving one always is) is counted without one,
+and a batch an eviction took a holes-only segment out of keeps the others'
+counts.  Counts per service rather than per subplan — selections, local
+joins — are in ``tests/test_cross_tenant_census.py``.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from types import FrameType
 from typing import Callable, List, Optional, Tuple
@@ -46,7 +50,7 @@ from repro.core.cache import MaxProgressEviction, ObjectCache
 from repro.core.execution import RunCursor
 from repro.core.executor import SharedMJoin
 from repro.core.mjoin import MJoinStateManager
-from repro.core.subplan import Batch
+from repro.core.subplan import Batch, SubplanLayout, SubplanTracker
 from repro.engine.cost import CostModel
 from repro.workloads import tpch
 
@@ -59,8 +63,11 @@ from repro.workloads import tpch
 #: segment and no ``prepare_segment`` frame 21.38 (2 052), with a segment
 #: being its row list (no ``rows`` property frame) 20.89 (2 005), 19.14
 #: (1 837) before an arrival derived its counts, ticks and checks once and
-#: 17.20 (1 651) after; the ceiling stays 21.38 plus one.
-FRAMES_PER_SUBPLAN_CEILING = 22.4
+#: 17.20 (1 651) after, on every CPython 3.9–3.13.  The ceiling is that reading
+#: plus 0.3: an arrival that enumerates its batch again instead of taking the
+#: victim out of the one its eviction counted (17.58), or a retire that checks
+#: the batch ``runnable_batch`` just minted (17.56), trips it.
+FRAMES_PER_SUBPLAN_CEILING = 17.5
 #: Frames per *followed* arrival — one that takes a shared MJoin run's logged
 #: step — over the same scenario: ``RunCursor.arrive`` (its ``_follow``
 #: until a fork) and ``SharedRun.step``, plus two per cycle end and the
@@ -184,7 +191,7 @@ def test_one_probe_per_level_and_none_with_nothing_pending(
         nothing_pending = Batch(batch.lists, batch.ids, bytes(len(batch.ids)))
         assert real_execute(self, nothing_pending, prepared, tables) == [] and not probes
         results = real_execute(self, batch, prepared, tables)
-        assert len(probes) <= len(self.plan.steps) - 1
+        assert len(probes) <= len(batch.lists) - 1
         # ``prepared`` holds the segments of pending combinations only.
         first = sum(len(prepared[s].rows) for s in batch.lists[0] if s in prepared)
         rows_out = [first] + [rows for _, rows in probes]
@@ -200,3 +207,73 @@ def test_one_probe_per_level_and_none_with_nothing_pending(
     assert sum(pending < total for _, pending, total in checked) == batches_with_holes
     assert sum(probed for probed, _, _ in checked) > 0
 
+
+def test_a_batch_counts_its_tallies_once():
+    """The eviction's count and the retire read one batch's tallies: the
+    second read is the memo, not a second pass over the flags."""
+    catalog = tpch.build_catalog("small", seed=42)
+    query = tpch.q5()
+    tracker = SubplanTracker(SubplanLayout(query, catalog, query.tables))
+    cached = {segment for table in query.tables for segment in catalog.segment_ids(table)}
+    batch = tracker.runnable_batch(cached - {"region.0"}, "region.0")
+    assert batch.num_pending and batch.tallies() is batch.tallies()
+
+
+def count_calls(body: Callable[[], object]) -> int:
+    """The ``bytes.count`` calls ``body`` makes."""
+    calls = 0
+
+    def profile(_frame: FrameType, event: str, arg: object) -> None:
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__name__", None) == "count":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        body()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_a_segment_alone_at_its_position_costs_no_count():
+    """Its tally is the batch's pending count: only the two segments of the
+    second position are counted, one ``bytes.count`` each."""
+    batch = Batch([["a"], ["b", "c"]], [0, 1], b"\x01\x00")
+    assert count_calls(batch.tallies) == 2
+    assert batch.tallies() == {"a": 1, "b": 1, "c": 0}
+
+
+def test_a_batch_without_a_holes_only_segment_keeps_the_counts():
+    """Taking out a segment none of whose combinations is pending leaves every
+    other count as it was: the new batch is not counted again."""
+    batch = Batch([["a"], ["b", "c", "d"]], [0, 1, 2], b"\x01\x00\x00")
+    assert batch.tallies()["d"] == 0
+    smaller = batch.without(1, "d")
+    assert count_calls(smaller.tallies) == 0
+    fresh = Batch(smaller.lists, smaller.ids, smaller.flags)
+    assert smaller.tallies() == fresh.tallies() == {"a": 1, "b": 1, "c": 0}
+
+
+#: Frames a single-table query's tracker enters per object: the call itself
+#: and, asked to count an eviction, the segment lookup.  A million-key
+#: single-table query asks for every object, so the batch machinery (an
+#: enumeration, a ``Batch`` and its tallies: three more frames) stays out.
+SINGLE_TABLE_FRAMES = {"executable_tallies": 2, "prune_object": 1}
+
+
+@pytest.mark.parametrize("call", sorted(SINGLE_TABLE_FRAMES))
+def test_a_single_table_query_skips_the_batch_machinery(call):
+    catalog = tpch.build_catalog("tiny", seed=42)
+    query = tpch.q6()
+    tracker = SubplanTracker(SubplanLayout(query, catalog, query.tables))
+    first, second = catalog.segment_ids("lineitem")[:2]
+    if call == "executable_tallies":
+        answer, frames = count_frames(lambda: tracker.executable_tallies({first}, second))
+        assert answer == {}
+    else:
+        answer, frames = count_frames(lambda: tracker.prune_object(second))
+        assert answer == [tracker.offset_of(second)] and tracker.num_pruned == 1
+    # The lambda is one frame of its own.
+    assert frames - 1 <= SINGLE_TABLE_FRAMES[call]

@@ -28,10 +28,13 @@ from __future__ import annotations
 import runpy
 import sys
 from pathlib import Path
+from typing import Callable, List
 
 import pytest
 from byte_count import count_bytes_by_layer
 
+from repro.core.njoin import PreparedSegment
+from repro.core.subplan import Batch, SubplanLayout
 from repro.scenarios.runner import ScenarioRunner
 from repro.service import StorageService
 from repro.workloads import tpch
@@ -112,6 +115,45 @@ def test_bytes_per_stored_object_stay_under_the_ceilings(workload):
     assert peak <= peak_ceiling, (
         f"{workload}: {peak:.0f} B peak per stored object > {peak_ceiling}; live by layer: "
         f"{layers}"
+    )
+
+
+#: Per-object records of the kernels, built 1 000 times each: bytes per
+#: instance, the instance and what its ``__init__`` allocates.  They keep
+#: their attributes in ``__slots__``; without them an instance carries a
+#: ``__dict__`` (CPython 3.11+: inline values) and trips the ceiling.
+#: Readings with / without slots: ``PreparedSegment`` 136 / 216 (3.9–3.10),
+#: 136 / 178 (3.11–3.13); ``Batch`` 72 / 152, 72 / 114; ``SubplanLayout`` of
+#: TPC-H Q6 at ``tiny`` 968 / 1 064, 824 / 874.
+#: Name -> (ceiling on CPython 3.9–3.10, on 3.11 and later).
+SLOTTED_CEILINGS = {"PreparedSegment": (160, 160), "Batch": (96, 96), "SubplanLayout": (1000, 850)}
+
+
+def _slotted(name: str) -> Callable[[int], object]:
+    ids = [f"t.{index}" for index in range(1000)]
+    if name == "PreparedSegment":
+        return lambda index: PreparedSegment(ids[index], "t", ids)
+    if name == "Batch":
+        lists, subplan_ids = [["t.0"]], [0]
+        return lambda index: Batch(lists, subplan_ids, b"\x01")
+    catalog, query = tpch.build_catalog("tiny", SEED), tpch.q6()
+    return lambda index: SubplanLayout(query, catalog, query.tables)
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED_CEILINGS))
+def test_a_slotted_record_costs_its_slots(name):
+    make = _slotted(name)
+    kept: List[object] = [make(0)] * 1000
+
+    def build() -> None:
+        for index in range(len(kept)):
+            kept[index] = make(index)
+
+    _, live, _peak = count_bytes_by_layer(build)
+    per_instance = sum(live.values()) / len(kept)
+    ceiling = SLOTTED_CEILINGS[name][sys.version_info[:2] >= (3, 11)]
+    assert per_instance <= ceiling, (
+        f"{name}: {per_instance:.0f} B per instance > {ceiling}: did it lose its __slots__?"
     )
 
 

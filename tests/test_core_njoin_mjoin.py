@@ -139,6 +139,18 @@ class TestNAryJoin:
         with pytest.raises(ExecutionError, match="one segment per plan step"):
             njoin.execute_ordered([])
 
+    def test_a_batch_of_the_wrong_depth_is_rejected(self, tiny_tpch_catalog):
+        query = tpch.q12()
+        njoin = NAryJoin(query, Planner(tiny_tpch_catalog).plan(query))
+        with pytest.raises(ExecutionError, match="expected 2 segment lists, got 1"):
+            njoin.execute_batch(Batch([["lineitem.0"]], [0], b"\x01"), {}, {})
+
+    def test_a_plan_that_misses_a_table_is_rejected(self, tiny_tpch_catalog):
+        query = tpch.q12()
+        plan = Planner(tiny_tpch_catalog).plan(query)
+        with pytest.raises(ExecutionError, match="does not cover the query's tables"):
+            NAryJoin(query, QueryPlan(query, plan.steps[:1]))
+
 
 def _pair_njoin(build_keys, probe_keys):
     """An ``NAryJoin`` streaming table ``p`` against a hash table on ``b``."""

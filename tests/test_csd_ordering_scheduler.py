@@ -16,6 +16,7 @@ from repro.csd.ordering import (
 from repro.csd import AllInOneLayout, ColdStorageDevice, DeviceConfig, ObjectStore
 from repro.csd.request import GetRequest
 from repro.csd.scheduler import (
+    IOScheduler,
     MaxQueriesScheduler,
     ObjectFCFSScheduler,
     QueryFCFSScheduler,
@@ -208,6 +209,43 @@ class TestSchedulerBookkeeping:
         assert scheduler.waiting_time("q1") == 0
         assert scheduler.num_switches == 3
 
+    def test_a_group_is_served_in_the_order_its_queue_was_given(self, env):
+        """Ordered once, when the group's first request is served: ordering
+        what is left again after each request would serve ``a.1`` second."""
+        scheduler = RankBasedScheduler()
+        for key in ("c0/a.0", "c0/a.1", "c0/b.0"):
+            scheduler.add_request(_request(env, key, query="q0"), group_id=0)
+        served = [scheduler.next_request(0).object_key for _ in range(3)]
+        assert served == ["c0/a.0", "c0/b.0", "c0/a.1"]
+
+    def test_a_request_added_to_a_group_being_served_is_ordered_in(self, env):
+        scheduler = RankBasedScheduler(ordering=TableMajorOrdering())
+        for key in ("c0/b.0", "c0/b.1"):
+            scheduler.add_request(_request(env, key, query="q0"), group_id=0)
+        assert scheduler.next_request(0).object_key == "c0/b.0"
+        scheduler.add_request(_request(env, "c0/a.0", query="q0"), group_id=0)
+        assert [scheduler.next_request(0).object_key for _ in range(2)] == ["c0/a.0", "c0/b.1"]
+
+    @pytest.mark.parametrize("policy", [QueryFCFSScheduler, RankBasedScheduler])
+    def test_the_query_indexes_follow_the_pool(self, env, policy):
+        scheduler = policy()
+        pool = {}
+        for index, (query, group) in enumerate([(0, 1), (1, 1), (0, 1), (1, 0), (0, 0)]):
+            request = _request(env, f"c{query}/a.{index}", f"c{query}", f"q{query}")
+            scheduler.add_request(request, group)
+            pool[request.request_id] = (request.query_id, group)
+        while pool:
+            group = scheduler.choose_next_group(None)
+            del pool[scheduler.next_request(group).request_id]
+            assert scheduler.pending_queries() == {query for query, _ in pool.values()}
+            for group in (0, 1):
+                expected = {query for query, at in pool.values() if at == group}
+                assert scheduler.queries_on_group(group) == expected
+
+    def test_the_base_class_leaves_the_decision_to_a_policy(self):
+        with pytest.raises(NotImplementedError):
+            IOScheduler().choose_next_group(None)
+
 
 class TestObjectFCFS:
     def test_chooses_group_of_oldest_request(self, env):
@@ -248,6 +286,29 @@ class TestQueryFCFS:
         # The remaining request belongs to q1; q0 is done so q1 becomes oldest.
         request = scheduler.next_request(0)
         assert request.query_id == "q1"
+
+    def test_queries_are_served_in_the_order_their_first_requests_came(self, env):
+        scheduler = QueryFCFSScheduler()
+        for query in (3, 0, 5, 1, 4, 2):
+            scheduler.add_request(_request(env, f"c{query}/a.0", f"c{query}", f"q{query}"), query)
+        served = []
+        while scheduler.has_pending():
+            group = scheduler.choose_next_group(None)
+            served.append(scheduler.next_request(group).query_id)
+        assert served == ["q3", "q0", "q5", "q1", "q4", "q2"]
+
+    def test_the_oldest_query_is_served_from_the_group_of_its_oldest_request(self, env):
+        scheduler = QueryFCFSScheduler()
+        for index, group in enumerate((2, 0, 1)):
+            scheduler.add_request(_request(env, f"c0/a.{index}", query="q0"), group)
+        assert scheduler.choose_next_group(None) == 2
+
+    def test_a_group_without_the_oldest_query_serves_nothing(self, env):
+        scheduler = QueryFCFSScheduler()
+        scheduler.add_request(_request(env, "c0/a.0", "c0", "q0"), group_id=0)
+        scheduler.add_request(_request(env, "c1/a.0", "c1", "q1"), group_id=1)
+        assert scheduler.next_request(1) is None
+        assert scheduler.pending_count(1) == 1
 
 
 class TestMaxQueries:
@@ -299,7 +360,7 @@ POLICIES = [
 ]
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.name)
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.__name__)
 class TestEmptyPoolIsATypedError:
     """``choose_next_group`` with nothing pending is a ``SchedulingError`` for
     every policy — never ``max()``'s ``ValueError``, never a group — whether

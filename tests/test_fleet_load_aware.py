@@ -122,6 +122,15 @@ class TestWeightedRingProperties:
             # share would sit at 1/len(roster)).
             assert abs(observed - expected) < 0.10
 
+    @pytest.mark.parametrize("reset", [None, {}])
+    def test_no_weights_reset_the_ring_to_uniform(self, reset):
+        roster = ["csd0", "csd1", "csd2"]
+        policy = ConsistentHashPlacement(replication=1)
+        policy.set_weights({"csd0": 1.0, "csd1": 3.0})
+        assert policy.vnode_counts(roster) != (VIRTUAL_NODES,) * 3
+        policy.set_weights(reset)
+        assert policy.weights == {} and policy.vnode_counts(roster) == (VIRTUAL_NODES,) * 3
+
     @settings(max_examples=15, deadline=None)
     @given(
         weight=st.floats(

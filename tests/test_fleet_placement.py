@@ -9,12 +9,14 @@ The three properties the fleet layer leans on:
 
 from __future__ import annotations
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import PlacementError
-from repro.fleet.placement import ConsistentHashPlacement, stable_hash
+from repro.fleet.placement import VIRTUAL_NODES, ConsistentHashPlacement, stable_hash
 
 #: Unique printable object keys.
 keys_strategy = st.lists(
@@ -32,6 +34,20 @@ replication_strategy = st.integers(min_value=1, max_value=3)
 
 def device_ids(count: int):
     return [f"csd{index}" for index in range(count)]
+
+
+def uniform_diff(policy, pairs, old_devices, new_devices, old_replication, new_replication):
+    """``diff_keys`` between two unweighted rings."""
+    return policy.diff_keys(
+        pairs,
+        old_devices,
+        new_devices,
+        old_replication,
+        new_replication,
+        (VIRTUAL_NODES,) * len(old_devices),
+        (VIRTUAL_NODES,) * len(new_devices),
+        [key_hash for key_hash, _key in pairs],
+    )
 
 
 class TestReplicationProperty:
@@ -190,7 +206,8 @@ class TestDiffKeysEquivalence:
         after = policy.place(keys, device_ids(new_devices))
         expected = {key: after[key] for key in keys if after[key] != before[key]}
         sorted_key_hashes = sorted((stable_hash(key), key) for key in keys)
-        changed = policy.diff_keys(
+        changed = uniform_diff(
+            policy,
             sorted_key_hashes,
             device_ids(old_devices),
             device_ids(new_devices),
@@ -207,26 +224,89 @@ class TestDiffKeysEquivalence:
         before = policy.place(keys, roster)
         after = policy.place(keys, remaining)
         sorted_key_hashes = sorted((stable_hash(key), key) for key in keys)
-        changed = policy.diff_keys(sorted_key_hashes, roster, remaining, 2, 2)
+        changed = uniform_diff(policy, sorted_key_hashes, roster, remaining, 2, 2)
         assert changed == {key: after[key] for key in keys if after[key] != before[key]}
         assert 0 < len(changed) < len(keys)
+
+    @pytest.mark.parametrize(
+        "old_counts, new_counts, replication",
+        [
+            ((64, 64, 64), (64, 64, 900), 2),
+            ((64, 64, 900), (64, 64, 64), 2),
+            ((64, 64, 64), (900, 900, 64), 1),
+        ],
+    )
+    def test_diff_covers_keys_past_the_last_ring_point(self, old_counts, new_counts, replication):
+        """Heavy devices' many ring points past the other ring's last one:
+        keys there wrap to the first arc of one ring and not of the other,
+        and a few hash past both rings' last points."""
+        policy = ConsistentHashPlacement(replication)
+        roster = device_ids(3)
+        keys = [f"k{index}" for index in range(20000)]
+        pairs = sorted((stable_hash(key), key) for key in keys)
+        hashes = [key_hash for key_hash, _key in pairs]
+
+        def owners(counts):
+            ring, arcs = policy._segments(roster, replication, counts)
+            arc_of = [bisect.bisect_right(ring, key_hash) % len(ring) for key_hash in hashes]
+            return {key: arcs[arc] for (_hash, key), arc in zip(pairs, arc_of)}
+
+        lasts = sorted(max(policy._ring(roster, counts)[0]) for counts in (old_counts, new_counts))
+        assert sum(lasts[0] < key_hash < lasts[1] for key_hash in hashes) > 20
+        assert any(key_hash > lasts[1] for key_hash in hashes)
+        before, after = owners(old_counts), owners(new_counts)
+        changed = policy.diff_keys(
+            pairs, roster, roster, replication, replication, old_counts, new_counts, hashes
+        )
+        assert changed == {key: after[key] for key in keys if after[key] != before[key]}
+
+    def test_diff_without_counts_walks_the_unweighted_rings(self):
+        """``None`` vnode counts mean the uniform rings, whatever weights the
+        policy has installed; the key-hash column is derived when left out."""
+        policy = ConsistentHashPlacement(2)
+        roster = device_ids(4)
+        pairs = sorted((stable_hash(key), key) for key in (f"k{index}" for index in range(500)))
+        policy.set_weights({"csd0": 3.0, "csd1": 1.0})
+        expected = uniform_diff(policy, pairs, roster[:3], roster, 2, 2)
+        assert expected and policy.diff_keys(pairs, roster[:3], roster, 2, 2) == expected
 
     def test_diff_validates_new_roster(self):
         policy = ConsistentHashPlacement(1)
         pairs = sorted((stable_hash(key), key) for key in ["a", "b"])
-        with pytest.raises(PlacementError):
-            policy.diff_keys(pairs, device_ids(2), [], 1, 1)
-        with pytest.raises(PlacementError):
-            policy.diff_keys(pairs, device_ids(2), ["csd0", "csd0"], 1, 1)
-        with pytest.raises(PlacementError):
-            policy.diff_keys(pairs, device_ids(2), device_ids(2), 1, 3)
+        with pytest.raises(PlacementError, match="at least one device"):
+            uniform_diff(policy, pairs, device_ids(2), [], 1, 1)
+        with pytest.raises(PlacementError, match="unique"):
+            uniform_diff(policy, pairs, device_ids(2), ["csd0", "csd0"], 1, 1)
+        with pytest.raises(PlacementError, match="exceeds fleet size"):
+            uniform_diff(policy, pairs, device_ids(2), device_ids(2), 1, 3)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [((VIRTUAL_NODES,), "1 entries for 2 devices"), ((1, 0), "at least one vnode")],
+    )
+    def test_diff_validates_the_vnode_counts(self, counts, message):
+        policy = ConsistentHashPlacement(1)
+        pairs = [(stable_hash("a"), "a")]
+        with pytest.raises(PlacementError, match=message):
+            policy.diff_keys(
+                pairs, device_ids(2), device_ids(2), 1, 1, counts, counts, [pairs[0][0]]
+            )
+
+    def test_rings_and_arcs_are_built_once_per_roster(self):
+        """Every epoch asks for the rings before and after it: each (roster,
+        vnode counts) ring and each (roster, counts, R) arc walk is built
+        once and kept for the policy's lifetime."""
+        policy = ConsistentHashPlacement(2)
+        roster, counts = device_ids(4), (VIRTUAL_NODES,) * 4
+        assert policy._ring(roster, counts)[0] is policy._ring(roster, counts)[0]
+        assert policy._segments(roster, 2, counts) is policy._segments(roster, 2, counts)
 
 
 class TestValidation:
     def test_empty_inputs_rejected(self):
-        with pytest.raises(PlacementError):
+        with pytest.raises(PlacementError, match="at least one object key"):
             ConsistentHashPlacement(1).place([], device_ids(2))
-        with pytest.raises(PlacementError):
+        with pytest.raises(PlacementError, match="at least one device"):
             ConsistentHashPlacement(1).place(["a"], [])
 
     def test_duplicate_devices_rejected(self):

@@ -14,21 +14,9 @@ from repro.cluster.client import ClientSpec
 from repro.cluster.cluster import ClusterConfig
 from repro.csd.device import BusyInterval
 from repro.csd.disk_group import DiskGroupLayout
-from repro.csd.layout import (
-    AllInOneLayout,
-    ClientsPerGroupLayout,
-    IncrementalLayout,
-    RoundRobinObjectLayout,
-    SkewedLayout,
-)
+from repro.csd.layout import ClientsPerGroupLayout, RoundRobinObjectLayout, SkewedLayout
 from repro.csd.request import GetRequest
-from repro.csd.scheduler import (
-    MaxQueriesScheduler,
-    ObjectFCFSScheduler,
-    QueryFCFSScheduler,
-    RankBasedScheduler,
-    SlackFCFSScheduler,
-)
+from repro.csd.scheduler import RankBasedScheduler, SlackFCFSScheduler
 from repro.exceptions import (
     ConfigurationError,
     GoldenMismatchError,
@@ -69,17 +57,12 @@ RUNNER = ScenarioRunner()
 GOLDEN_DIR = default_golden_dir()
 #: The policy class each spec name resolves to.
 LAYOUT_CLASSES = {
-    "all-in-one": AllInOneLayout,
-    "incremental": IncrementalLayout,
     "tenant-colocated": ClientsPerGroupLayout,
     "clients-per-group": ClientsPerGroupLayout,
     "round-robin": RoundRobinObjectLayout,
     "skewed": SkewedLayout,
 }
 SCHEDULER_CLASSES = {
-    "object-fcfs": ObjectFCFSScheduler,
-    "query-fcfs": QueryFCFSScheduler,
-    "max-queries": MaxQueriesScheduler,
     "slack-fcfs": SlackFCFSScheduler,
     "rank-based": RankBasedScheduler,
 }
@@ -205,7 +188,6 @@ class TestRunner:
         assert set(SCHEDULER_CLASSES) == set(KNOWN_SCHEDULERS)
         policy = build_scheduler(ScenarioSpec(name="scheduler", scheduler=name, **RESOLUTION_BASE))
         assert type(policy) is SCHEDULER_CLASSES[name]
-        assert policy.name == name
 
 
 class TestGoldenDiff:

@@ -248,6 +248,14 @@ ALLOWED = {
         "a crashing process must fail its event so waiters see the error "
         "instead of hanging the run",
     ),
+    ("tests/mutation_probe.py", "blocking-call-in-simulation"): (
+        1,
+        "runs each mutant in a child interpreter, outside any simulation",
+    ),
+    ("tests/mutation_probe.py", "wall-clock-call"): (
+        2,
+        "times the unmutated run, which sets the mutants' wall timeout",
+    ),
     ("tests/test_parallel_and_golden_diff.py", "blocking-call-in-simulation"): (
         2,
         "asks another interpreter for its version and runs the golden check, "
