@@ -20,11 +20,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.csd.device import BusyInterval
 from repro.exceptions import ConfigurationError
+
+#: An interval's start, as a sort key with no Python frame per interval.
+_START = itemgetter(0)
 
 
 @dataclass
@@ -207,7 +210,7 @@ def sweep_blocked(
         for query, merged in enumerate(merged_per_query)
         for start, end in merged
     ]
-    tagged.sort(key=lambda item: item[0])
+    tagged.sort(key=_START)
 
     count = len(merged_per_query)
     totals = [0.0] * count

@@ -13,9 +13,9 @@ By construction ``execution_time == processing_time + waiting_time``: a run
 advances simulated time only by charging CPU seconds (processing) and by
 waiting on the backend (blocked).  The two per-object loops do both —
 :meth:`QueryRun.consume` is a whole Skipper execution, request cycle after
-request cycle, taking arrivals as they come; :meth:`QueryRun.pull_each`
-blocks on one GET at a time — and :meth:`QueryRun.charge` is the verb for
-the charges that are not per object.
+request cycle, taking arrivals as they come; :meth:`QueryRun.pull_each` is
+a whole pull-based one, blocking on one GET at a time — and
+:meth:`QueryRun.charge` is the verb for the charges that are not per object.
 What both compute from the deliveries is shared too: a :class:`SharedRun`.
 """
 
@@ -188,13 +188,18 @@ class QueryRun:
         segment_ids: Iterable[str],
         overhead_seconds: float,
         on_arrival: Callable[[str, Segment], float],
-    ) -> Generator[Waitable, Any, None]:
-        """Fetch ``segment_ids`` one blocking GET at a time, in order.
+        end: Callable[[], Generator[Waitable, Any, QueryResult]],
+    ) -> Generator[Waitable, Any, QueryResult]:
+        """Fetch ``segment_ids`` one blocking GET at a time, in order; then
+        the result.
 
         The pull-based mirror of :meth:`consume`: per id, charge the request
         overhead (a ``request-overhead`` span), issue the one GET, wait for
         it, hand it to ``on_arrival`` and charge what that returns.  Any other
         object arriving in its place is an :class:`~repro.exceptions.ExecutionError`.
+        The generator then returns what ``end()`` — the run's last step,
+        itself a generator — returns.  One generator for every object: a
+        delivery resumes it and its caller only.
         """
         env = self.env
         request_objects = self.proxy.request_objects
@@ -226,6 +231,7 @@ class QueryRun:
                 yield seconds
                 if self.span is not None:
                     self._record("compute", "compute", now, object_key=segment_id)
+        return (yield from end())
 
     def finish(self, rows: List[Row], stats: OperatorStats, **mjoin_counters: int) -> QueryResult:
         """Close the run at the current simulated time and build its result."""

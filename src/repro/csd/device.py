@@ -215,7 +215,7 @@ class ColdStorageDevice:
         A request is valid when its object exists and this device's layout
         places it.  The group is resolved here once: the same lookup
         validates placement, and the layout is append-only, so it cannot
-        change before ``_drain_inbox`` registers the request.
+        change before the device registers the request.
         """
         exists = self.object_store.exists
         group_if_placed = self.layout.group_if_placed
@@ -323,9 +323,10 @@ class ColdStorageDevice:
         # The fewest tokens that count as one (float drift absorbed).
         token_ready = 1.0 - MigrationTokenBucket.EPSILON
         while True:
-            # ``_drain_inbox`` without its frame: once per job or GET.  The
-            # queue is read through the inbox, not held: the loop outlives
-            # the run, and ``Store.release`` replaces an emptied queue.
+            # ``_drain_inbox`` without its frame, here and after each switch
+            # and transfer: once per job or GET.  The queue is read through
+            # the inbox, not held: the loop outlives the run, and
+            # ``Store.release`` replaces an emptied queue.
             if inbox.queued:
                 self._register(inbox.drain())
             if self._admin_jobs:
@@ -435,7 +436,8 @@ class ColdStorageDevice:
                 self.current_group = group
                 stats.group_switches += 1
                 scheduler.notify_switch(group)
-                self._drain_inbox()
+                if inbox.queued:
+                    self._register(inbox.drain())
 
             quota = scheduler.service_quota(group)
             next_request = scheduler.next_request
@@ -455,7 +457,7 @@ class ColdStorageDevice:
                 request = None
                 quota -= 1
                 if inbox.queued:
-                    self._drain_inbox()
+                    self._register(inbox.drain())
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
         client_id = request.client_id

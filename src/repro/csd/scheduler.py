@@ -113,11 +113,9 @@ class IOScheduler:
         """Groups that currently have pending requests (sorted)."""
         return sorted(group for group, requests in self._pending.items() if requests)
 
-    def pending_count(self, group_id: Optional[int] = None) -> int:
-        """Number of pending requests, optionally restricted to one group."""
-        if group_id is None:
-            return sum(len(requests) for requests in self._pending.values())
-        return len(self._pending.get(group_id, ()))
+    def pending_count(self) -> int:
+        """Number of pending requests."""
+        return sum(len(requests) for requests in self._pending.values())
 
     def queries_on_group(self, group_id: int) -> Set[str]:
         """Distinct query identifiers with pending data on ``group_id``."""
@@ -139,21 +137,21 @@ class IOScheduler:
         pending = self._pending.get(group_id)
         if not pending:
             return None
-        if group_id in self._dirty or not self._queues.get(group_id):
-            requests = list(pending.values())
-            # A list of one is its own ordering (a pull-based client's every GET).
-            if len(requests) > 1:
-                requests = self.ordering.order(requests)
-            self._queues[group_id] = deque(requests)
-            self._dirty.discard(group_id)
-        request = self._queues[group_id].popleft()
-        del pending[request.request_id]
-        if not pending:
-            # Drained: give back what a burst grew.  An emptied dict keeps its
-            # table and a deque its spare blocks; the next request on the
-            # group marks it dirty, which rebuilds the queue.
+        if len(pending) == 1:
+            # One request is its own ordering (a pull-based client's every
+            # GET), served without building a queue.  The group is drained:
+            # give back what a burst grew.  An emptied dict keeps its table
+            # and a deque its spare blocks; with no queue left, the next
+            # requests on the group rebuild one, dirty or not.
+            request = pending.popitem()[1]
             pending.clear()
-            del self._queues[group_id]
+            self._queues.pop(group_id, None)
+        else:
+            if group_id in self._dirty or not self._queues.get(group_id):
+                self._queues[group_id] = deque(self.ordering.order(list(pending.values())))
+                self._dirty.discard(group_id)
+            request = self._queues[group_id].popleft()
+            del pending[request.request_id]
         # ``_note_removed`` inline: this runs once per served object.
         query_id = request.query_id
         group_queries = self._group_queries[group_id]
@@ -205,7 +203,8 @@ class IOScheduler:
         starving other tenants).  The FCFS policies re-decide after every
         object.
         """
-        return max(1, self.pending_count(group_id))
+        pending = self._pending.get(group_id)
+        return len(pending) if pending else 1
 
 
 class _ArrivalIndexedScheduler(IOScheduler):

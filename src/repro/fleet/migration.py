@@ -80,12 +80,13 @@ class MigrationPlan:
     migration_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        self._moved_keys = tuple(dict.fromkeys(map(_object_key, self.moves)))
+        # The count, not the keys: the controller keeps every epoch's plan.
+        self._keys_moved = len(set(map(_object_key, self.moves)))
 
     @property
     def keys_moved(self) -> int:
         """Distinct keys whose replica set changed (the minimality metric)."""
-        return len(self._moved_keys)
+        return self._keys_moved
 
     @property
     def objects_migrated(self) -> int:

@@ -21,7 +21,9 @@ and the heap are the public :attr:`Environment.buckets` and
 (always registered) and a :class:`~repro.sim.events.Timeout` appends to its
 timestamp's list, or registers the list and pushes the timestamp when it is
 the first event at it.  A process's wake-up for a plain delay or a store
-wait enqueues itself the same way.
+wait enqueues itself the same way, and ``run`` hands it straight back to its
+process (a :class:`~repro.sim.process.Wake` is the one type it checks for):
+no callback list is taken, swapped or re-armed for it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, Dict, List
 
 from repro.exceptions import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process, ProcessGenerator
+from repro.sim.process import Process, ProcessGenerator, Wake
 
 
 class Environment:
@@ -73,7 +75,8 @@ class Environment:
         # Next event of ``buckets[now]`` to dispatch: a ``run`` that stops in
         # the middle of an instant resumes here.
         self._batch_index = 0
-        #: Number of events delivered (dispatched) so far.
+        #: Number of events delivered (dispatched) so far; ``run`` counts in
+        #: a local and writes the count back when it returns.
         self.dispatched = 0
 
     # ------------------------------------------------------------------ #
@@ -114,18 +117,24 @@ class Environment:
         """
         # The innermost loop of every simulation run: one heap pop per
         # distinct timestamp, one list walk per event at it, and each
-        # event's dispatch inline — mark it, take its callbacks, call them.
+        # event's dispatch inline — a process's wake-up handed straight to
+        # its process; any other event marked, its callbacks taken and called.
         target = until
         times = self.times
         buckets = self.buckets
         batch = buckets[self.now]
         index = self._batch_index
+        dispatched = self.dispatched
+        wake_type = Wake
         try:
             while not target.dispatched:
                 if index < len(batch):
                     event = batch[index]
                     index += 1
-                    self.dispatched += 1
+                    dispatched += 1
+                    if type(event) is wake_type:
+                        event.resume(event)
+                        continue
                     event.dispatched = True
                     callbacks = event.callbacks
                     event.callbacks = []
@@ -148,6 +157,7 @@ class Environment:
                 index = 0
         finally:
             self._batch_index = index
+            self.dispatched = dispatched
         if target.exception is not None:
             raise target.exception
         return target.value

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Generator, Union
+from typing import TYPE_CHECKING, Any, Callable, Generator, Union
 
 from repro.exceptions import SimulationError
 from repro.sim.events import Event
@@ -16,6 +16,21 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``bool``), a :class:`Store` to take its next item from, or an event.
 Waitable = Union[Event, Store, float]
 ProcessGenerator = Generator[Waitable, Any, Any]
+
+
+class Wake(Event):
+    """A process's one reusable wake-up, for its delays and store waits.
+
+    The kernel checks for this type and hands the wake-up straight to
+    :attr:`resume` (its process's ``_resume``): a wake-up is never marked
+    dispatched and has no callback list to swap, so the process re-books it
+    without re-arming it.  It is ``triggered`` except while it sits among a
+    store's getters, waiting for a ``put`` to hand it an item.
+    """
+
+    __slots__ = ("resume",)
+
+    resume: Callable[[Event], None]
 
 
 class Process(Event):
@@ -36,16 +51,18 @@ class Process(Event):
       with the event's value, or throwing the event's exception into it.
 
     A number or a store needs no event of its own: the process books its one
-    wake-up event, reused for every such wait, in the bucket slot the
+    :class:`Wake`, reused for every such wait, in the bucket slot the
     equivalent timeout or getter would have taken, so dispatch order and the
-    kernel's event count are the same either way.  What two wake-up sources
-    race for (``any_of``), what a caller runs the kernel until, and what
-    several processes wait on stay events.  A negative or NaN delay is the
-    ``SimulationError`` a :class:`~repro.sim.events.Timeout` raises, thrown
-    into the generator at its ``yield``.
+    kernel's event count are the same either way; the kernel hands the
+    wake-up straight back to the process, with no callback to run.  What
+    two wake-up sources race for (``any_of``), what a caller runs the kernel
+    until, and what several processes wait on stay events.  A negative or
+    NaN delay is the ``SimulationError`` a
+    :class:`~repro.sim.events.Timeout` raises, thrown into the generator at
+    its ``yield``.
     """
 
-    __slots__ = ("_generator", "_send", "_resume_callback", "_wake", "_wake_callbacks")
+    __slots__ = ("_generator", "_send", "_resume_callback", "_wake")
 
     def __init__(self, env: Environment, generator: ProcessGenerator, name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -55,18 +72,15 @@ class Process(Event):
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         # Both bound methods are created once: ``_resume`` is registered as
-        # a callback on every event the generator yields, and ``send`` runs
-        # once per dispatched event.
+        # a callback on every event the generator yields and is what the
+        # kernel hands the wake-up to, and ``send`` runs once per resume.
         self._send = generator.send
         self._resume_callback = self._resume
-        # The wake-up a delay or a store wait books, and the callback list
-        # it carries each time (the kernel swaps in an empty one when it
-        # delivers it; nothing else ever sees the wake-up to append to it).
-        self._wake_callbacks = [self._resume_callback]
-        wake = self._wake = Event(env, name=self.name)
+        # The wake-up a delay or a store wait books.
+        wake = self._wake = Wake(env, name=self.name)
+        wake.resume = self._resume_callback
         # Kick the process off at the current simulated time.
         wake.triggered = True
-        wake.callbacks = self._wake_callbacks
         env.buckets[env.now].append(wake)
 
     def _resume(self, event: Event) -> None:
@@ -96,9 +110,7 @@ class Process(Event):
         if kind is float or kind is int:
             if target >= 0:  # also false for NaN, which would corrupt the time heap
                 # ``Timeout(env, target)`` without the event: the same slot.
-                wake.triggered = True
-                wake.dispatched = False
-                wake.callbacks = self._wake_callbacks
+                # The wake-up is triggered already (it is not among getters).
                 env = self.env
                 time = env.now + target
                 buckets = env.buckets
@@ -111,12 +123,10 @@ class Process(Event):
                 return
         elif kind is Store:
             # ``target.get()`` without the event: due now if an item is
-            # queued, else the newest of the store's waiting getters.
-            wake.dispatched = False
-            wake.callbacks = self._wake_callbacks
+            # queued, else the newest of the store's waiting getters (which
+            # ``put`` triggers when it hands the wake-up an item).
             queued = target.queued
             if queued:
-                wake.triggered = True
                 wake.value = queued.popleft()
                 env = self.env
                 env.buckets[env.now].append(wake)
@@ -153,9 +163,9 @@ class Process(Event):
     def _release(self) -> None:
         """Drop what only a running generator needs: a finished process
         keeps its value (or exception) and its waiters, not its wake-up, the
-        wake-up's callback list, the generator or the bound methods."""
+        generator or the bound methods."""
         self._generator = self._send = self._resume_callback = None
-        self._wake = self._wake_callbacks = None
+        self._wake = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.triggered else "running"

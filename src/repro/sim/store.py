@@ -33,8 +33,8 @@ class Store:
         #: through the methods below.
         self.queued: Deque[Any] = deque()
         #: The events waiting for an item, oldest first: ``get`` events and
-        #: the wake-ups of processes that yielded the store.  Only an empty
-        #: store has any.
+        #: the wake-ups of processes that yielded the store (untriggered
+        #: until a ``put`` hands them an item).  Only an empty store has any.
         self.getters: Deque[Event] = deque()
 
     def put(self, item: Any) -> None:

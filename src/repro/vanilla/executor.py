@@ -1,8 +1,9 @@
 """Pull-based query execution over the CSD (vanilla PostgreSQL model).
 
 The executor owns the strategy (the plan's access order, the scan cost, the
-local join); the per-object loop — overhead, one blocking GET, wait, scan
-charge — is :meth:`~repro.core.execution.QueryRun.pull_each`.  The fetched
+local join and its charge); the per-object loop — overhead, one blocking
+GET, wait, scan charge — is :meth:`~repro.core.execution.QueryRun.pull_each`,
+which ends with the executor's join step.  The fetched
 segments and the join over them are a :class:`SharedPullJoin`'s state and
 end, so executions whose fetch is the same segment objects share one
 (:class:`~repro.core.execution.SharedRun`); each result gets its own copy of
@@ -97,25 +98,35 @@ class VanillaExecutor:
         self.trace_parent: Optional[Span] = None
 
     def execute(self, query: Query) -> Generator[Waitable, Any, QueryResult]:
-        """Simulation-process generator executing ``query`` to completion."""
+        """Simulation-process generator executing ``query`` to completion.
+
+        The generator is the run's own pull loop (:meth:`QueryRun.pull_each`)
+        with this executor's join step plugged in as its end: a delivery
+        resumes no generator of the executor's.
+        """
         shared = SharedPullJoin.shared(self.shared_runs, query, self.catalog, self.cost_model)
         cursor = RunCursor(shared)
         run = QueryRun(self.proxy, query, MODE_VANILLA, self.tracer, self.trace_parent)
         cost_model = self.cost_model
-        yield from run.pull_each(shared.access_order, cost_model.request_overhead(1), cursor.arrive)
 
-        rows, stats, root = cursor.end()
-        # Scans were charged segment by segment as data arrived, so only the
-        # build/probe/output components of the final plan are charged here.
-        yield from run.charge(
-            cost_model.build_time(stats.tuples_built)
-            + cost_model.probe_time(stats.tuples_probed)
-            + cost_model.output_time(stats.tuples_output),
-            phase="join-aggregate",
+        def join() -> Generator[Waitable, Any, QueryResult]:
+            rows, stats, root = cursor.end()
+            # Scans were charged segment by segment as data arrived, so only
+            # the build/probe/output components of the final plan are
+            # charged here.
+            yield from run.charge(
+                cost_model.build_time(stats.tuples_built)
+                + cost_model.probe_time(stats.tuples_probed)
+                + cost_model.output_time(stats.tuples_output),
+                phase="join-aggregate",
+            )
+            if run.tracer is not None:
+                self._record_operator_spans(run.tracer, root, run.span, self.env.now)
+            return run.finish(list(map(dict, rows)), replace(stats))
+
+        return run.pull_each(
+            shared.access_order, cost_model.request_overhead(1), cursor.arrive, join
         )
-        if run.tracer is not None:
-            self._record_operator_spans(run.tracer, root, run.span, self.env.now)
-        return run.finish(list(map(dict, rows)), replace(stats))
 
     def _record_operator_spans(
         self, tracer: Tracer, operator: Operator, parent: Optional[Span], at: float

@@ -184,7 +184,7 @@ class TestSchedulerBookkeeping:
         assert scheduler.has_pending()
         assert scheduler.pending_groups() == [0, 1]
         assert scheduler.pending_count() == 2
-        assert scheduler.pending_count(0) == 1
+        assert scheduler.queries_on_group(0) == {"q0"}
         assert scheduler.queries_on_group(1) == {"q1"}
         assert scheduler.pending_queries() == {"q0", "q1"}
 
@@ -193,7 +193,7 @@ class TestSchedulerBookkeeping:
         scheduler.add_request(_request(env, "c0/a.0", query="q0"), group_id=0)
         request = scheduler.next_request(0)
         assert request.object_key == "c0/a.0"
-        assert scheduler.pending_count(0) == 0
+        assert scheduler.pending_count() == 0 and not scheduler.queries_on_group(0)
         assert scheduler.next_request(0) is None
 
     def test_notify_switch_updates_waiting_times(self, env):
@@ -308,7 +308,7 @@ class TestQueryFCFS:
         scheduler.add_request(_request(env, "c0/a.0", "c0", "q0"), group_id=0)
         scheduler.add_request(_request(env, "c1/a.0", "c1", "q1"), group_id=1)
         assert scheduler.next_request(1) is None
-        assert scheduler.pending_count(1) == 1
+        assert scheduler.pending_count() == 2 and scheduler.queries_on_group(1) == {"q1"}
 
 
 class TestMaxQueries:

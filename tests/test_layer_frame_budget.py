@@ -17,9 +17,13 @@ per job and per key (``fleet-churn`` ``csd`` 22.82 → 10.13, ``fleet``
 10.14 → 6.51), and the ``sim`` ceilings when a process stopped building
 an event per delay and per store wait (``vanilla-pull`` 17.27 → 9.21,
 ``keys-fanout`` 11.75 → 5.45, ``fleet-churn`` 17.12 → 8.30,
-``skipper-shared-csd`` 11.39 → 5.30), and ``skipper-shared-csd``'s
+``skipper-shared-csd`` 11.39 → 5.30), ``skipper-shared-csd``'s
 ``core`` ceiling when an MJoin arrival stopped deriving its counts, ticks
-and checks twice (23.16 → 21.81).
+and checks twice (23.16 → 21.81), and ``vanilla-pull``'s ``vanilla``,
+``csd`` and ``cluster`` ceilings when ``QueryRun.pull_each`` became the
+pull-based tenant's only generator, the device's per-object decision lost
+three calls and the blocked-interval sort its key lambda (3.32 → 0.33,
+15.02 → 13.02, 1.07 → 0.07).
 CPython 3.9–3.10 read the same counts and 3.12–3.13 read fewer (inlined
 comprehensions).  ``other`` is code outside the package (the standard
 library, generated dataclass methods), read in a fresh process: warm
@@ -54,14 +58,14 @@ CEILINGS = {
         "sim": 5.8,
     },
     "vanilla-pull": {
-        "cluster": 1.6,
+        "cluster": 0.6,
         "core": 8.0,
-        "csd": 15.6,
+        "csd": 13.6,
         "engine": 13.8,
         "other": 0.9,
         "service": 3.8,
         "sim": 9.8,
-        "vanilla": 3.9,
+        "vanilla": 0.9,
     },
     "keys-fanout": {
         "cluster": 0.7,

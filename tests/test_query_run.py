@@ -61,6 +61,13 @@ def _hand_to(handed, seconds_per_row):
     return on_arrival
 
 
+def _end():
+    """A ``pull_each`` end step that charges nothing and ends the run with
+    ``"ended"``."""
+    yield from ()
+    return "ended"
+
+
 def _one_verb_at_a_time(run, segment_ids, overhead_seconds, on_arrival):
     """The pull loop as the executor wrote it before ``pull_each``: charge,
     request, wait on the proxy, charge — three generators per object."""
@@ -116,7 +123,7 @@ class TestQueryRun:
         run, tracer = _traced_run(rig)
         segment_id = tiny_tpch_catalog.segment_ids("orders")[0]
         handed = []
-        _drive(rig, run.pull_each([segment_id], 0.0, _hand_to(handed, 0.0)))
+        assert _drive(rig, run.pull_each([segment_id], 0.0, _hand_to(handed, 0.0), _end)) == "ended"
         assert handed == [(segment_id, segment_id)]
         assert rig.env.now == 0.0 and run.num_requests == 1
         assert run.blocked == [] and run.processing_time == 0.0
@@ -125,7 +132,7 @@ class TestQueryRun:
     def test_pull_records_the_blocked_interval_and_a_wait_span(self, rig, tiny_tpch_catalog):
         run, tracer = _traced_run(rig)
         segment_id = tiny_tpch_catalog.segment_ids("orders")[0]
-        _drive(rig, run.pull_each([segment_id], 0.0, _hand_to([], 0.0)))
+        _drive(rig, run.pull_each([segment_id], 0.0, _hand_to([], 0.0), _end))
         assert run.blocked == [(0.0, rig.env.now)] and rig.env.now > 0
         span = tracer.spans[-1]
         assert (span.name, span.kind, span.attrs) == ("wait", "wait", {"object_key": segment_id})
@@ -154,7 +161,7 @@ class TestQueryRun:
                 "handed": handed,
             }
 
-        fused = observe(QueryRun.pull_each)
+        fused = observe(lambda run, *args: run.pull_each(*args, _end))
         assert fused == observe(_one_verb_at_a_time)
         assert fused["num_requests"] == len(segment_ids) == len(fused["blocked"])
         names = [span["name"] for span in fused["spans"]]
@@ -168,7 +175,7 @@ class TestQueryRun:
         first, second = tiny_tpch_catalog.segment_ids("orders")[:2]
         run.proxy.arrivals.put((second, tiny_tpch_catalog.resolve_segment_id(second)))
         with pytest.raises(ExecutionError, match=f"expected '{first}' but received '{second}'"):
-            _drive(rig, run.pull_each([first], 0.0, _hand_to([], 0.0)))
+            _drive(rig, run.pull_each([first], 0.0, _hand_to([], 0.0), _end))
 
     def test_finish_closes_the_execute_span_and_fills_the_result(self, rig):
         run, tracer = _traced_run(rig, MODE_VANILLA)

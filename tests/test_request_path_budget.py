@@ -23,7 +23,7 @@ import gc
 import inspect
 import sys
 from collections import Counter
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import pytest
 from frame_count import count_frames
@@ -33,7 +33,7 @@ from repro.core.execution import QueryRun
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.spec import ScenarioSpec, uniform_tenants
 from repro.service import StorageService
-from repro.sim import Process, Store
+from repro.sim import Environment, Process, Store
 from repro.vanilla.executor import SharedPullJoin
 from repro.workloads import tpch
 from repro.workloads.datagen import ScaleProfile, TableProfile
@@ -59,11 +59,17 @@ SEGMENTS = 150
 #: ``count_frames``'s ``on_call`` and diff them against the parent commit —
 #: the new frames are a layer someone added.
 FRAMES_PER_OBJECT_CEILING = 40.2
-#: Generator frames a delivery resumes in the Skipper tenant it is handed
-#: to: the session's and the run's request-cycle loop.  It was 4 while the
-#: session ran each query in a generator of its own and the executor's
-#: cycle loop wrapped the run's arrival loop.
+#: Generator frames a delivery resumes in the tenant it is handed to: the
+#: session's and the run's per-object loop (``QueryRun.consume`` for a
+#: Skipper tenant, ``QueryRun.pull_each`` for a pull-based one).  It was 4
+#: for Skipper while the session ran each query in a generator of its own
+#: and the executor's cycle loop wrapped the run's arrival loop, and 3 for a
+#: pull-based tenant while its executor's generator wrapped ``pull_each``.
 GENERATORS_PER_DELIVERY_CEILING = 2
+#: Where a walk up from the tenant's wait stops: the kernel's entries into a
+#: process — ``Process._resume``, which the kernel hands a wake-up to and
+#: which an event's callback is, and ``Environment.run`` itself.
+KERNEL_ENTRIES = (Process._resume.__code__, Environment.run.__code__)
 #: GC-tracked objects one in-flight GET may keep alive: the request, its
 #: completion event and that event's callback list (the commit before had 7:
 #: plus a closure, its two cells and the cells' tuple).
@@ -97,31 +103,32 @@ def frames_per_delivered_object() -> Tuple[float, int]:
     return frames / result.device_objects_served, result.device_objects_served
 
 
-def generators_resumed_per_delivery() -> Counter:
-    """How many generator frames stood between the kernel's ``Process._resume``
-    and the tenant's wait for each next delivery (``QueryRun.consume``
-    yielding the proxy's arrivals store), counted per wait: the frames the
-    delivery resumes when it comes."""
+def generators_resumed_per_delivery(
+    service: StorageService, loop: Callable[..., object]
+) -> Tuple[Counter, int]:
+    """``(depths, objects delivered)``: per wait of ``loop`` on the proxy's
+    arrivals store, the generator frames between the kernel's entry into the
+    process (:data:`KERNEL_ENTRIES`) and that wait, counted by depth — the
+    frames the delivery resumes when it comes."""
     depths: Counter = Counter()
-    consume, resume = QueryRun.consume.__code__, Process._resume.__code__
+    code = loop.__code__
 
     def note_depth(frame, event, arg) -> None:
         # A generator's yield is a ``return`` event carrying the yielded value.
-        if event == "return" and frame.f_code is consume and type(arg) is Store:
+        if event == "return" and frame.f_code is code and type(arg) is Store:
             generators = 0
             caller = frame
-            while caller.f_code is not resume:
+            while caller.f_code not in KERNEL_ENTRIES:
                 generators += bool(caller.f_code.co_flags & inspect.CO_GENERATOR)
                 caller = caller.f_back
             depths[generators] += 1
 
-    service = _service()
     sys.setprofile(note_depth)
     try:
-        service.run()
+        result = service.run()
     finally:
         sys.setprofile(None)
-    return depths
+    return depths, result.device_objects_served
 
 
 def tracked_objects_left_by_one_call(requests: int) -> int:
@@ -155,7 +162,7 @@ def test_frame_count_repeats_exactly():
 
 
 def test_a_delivery_resumes_two_generators_in_its_tenant():
-    depths = generators_resumed_per_delivery()
+    depths, _delivered = generators_resumed_per_delivery(_service(), QueryRun.consume)
     assert sum(depths.values()) == TENANTS * SEGMENTS
     assert max(depths) <= GENERATORS_PER_DELIVERY_CEILING, (
         f"deliveries resumed {dict(depths)} generator frames (depth: count), ceiling "
@@ -199,6 +206,17 @@ PULL_FRAMES_CEILING = {"tiny": 76.3, "small": 67.2}
 PULL_PATH_MODULES = ("csd/device.py", "core/execution.py")
 
 
+def _pull_service(scale: str) -> StorageService:
+    spec = ScenarioSpec(
+        name="pull-path-budget",
+        description="Vanilla Q5 tenants, one group each, on one rank-based CSD.",
+        tenants=uniform_tenants(PULL_TENANTS, "tpch:q5", mode="vanilla"),
+        scale=scale,
+        seed=7,
+    )
+    return StorageService(spec)
+
+
 def frames_per_pulled_object(scale: str) -> Tuple[float, int, int, int]:
     """(frames per pulled object, generators started on the path, objects, queries).
 
@@ -207,13 +225,6 @@ def frames_per_pulled_object(scale: str) -> Tuple[float, int, int, int]:
     it calls; generators are the distinct generator frames of
     :data:`PULL_PATH_MODULES` that were ever started.
     """
-    spec = ScenarioSpec(
-        name="pull-path-budget",
-        description="Vanilla Q5 tenants, one group each, on one rank-based CSD.",
-        tenants=uniform_tenants(PULL_TENANTS, "tpch:q5", mode="vanilla"),
-        scale=scale,
-        seed=7,
-    )
     generators: Dict[object, None] = {}  # frames held so no id is ever reused
 
     def note_generator(frame) -> None:
@@ -222,7 +233,7 @@ def frames_per_pulled_object(scale: str) -> Tuple[float, int, int, int]:
             generators[frame] = None
 
     result, frames = count_frames(
-        StorageService(spec).run, skip=SharedPullJoin.end.__code__, on_call=note_generator
+        _pull_service(scale).run, skip=SharedPullJoin.end.__code__, on_call=note_generator
     )
     queries = sum(len(results) for results in result.results_by_client.values())
     objects = result.device_objects_served
@@ -248,3 +259,15 @@ def test_no_generator_is_created_per_pulled_object():
     for scale in ("tiny", "small"):
         _frames, generators, _objects, queries = frames_per_pulled_object(scale)
         assert generators == 1 + 2 * queries, f"{generators} path generators at {scale!r}"
+
+
+def test_a_pulled_delivery_resumes_two_generators_in_its_tenant():
+    """The pull-based twin of the Skipper gate above: ``pull_each`` is the
+    tenant's only generator under the session."""
+    depths, delivered = generators_resumed_per_delivery(_pull_service("tiny"), QueryRun.pull_each)
+    assert sum(depths.values()) == delivered > 4 * PULL_TENANTS
+    assert max(depths) <= GENERATORS_PER_DELIVERY_CEILING, (
+        f"pulled deliveries resumed {dict(depths)} generator frames (depth: count), "
+        f"ceiling {GENERATORS_PER_DELIVERY_CEILING}: a generator level came back between "
+        "the session and the run's pull loop"
+    )

@@ -7,10 +7,14 @@ the per-event heap.  This module pins that contract with hypothesis: random
 interleavings of timeouts, store put/get races, and composite events must
 produce byte-identical event traces on the batched core and on a legacy
 reference scheduler (the pre-batching implementation, dispatching on its
-own).  The batched core keeps the instant it is dispatching off the heap and
-appends events scheduled at that instant to the list it is walking, so the
-cases below also stop a run in the middle of an instant and resume it, and
-re-deliver events already dispatched at the current instant.
+own).  The scripts also wait without an event — a plain delay (``yield d``)
+and a store's next item (``yield store``) — which the kernel hands straight
+to the process as its wake-up; those waits are recorded when the yield
+returns, so the order of the wake-ups is compared too.  The batched core
+keeps the instant it is dispatching off the heap and appends events
+scheduled at that instant to the list it is walking, so the cases below
+also stop a run in the middle of an instant and resume it, and re-deliver
+events already dispatched at the current instant.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from drain import drain
 from repro.exceptions import SimulationError
 from repro.sim import Environment, Store
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.process import Process, Wake
 
 
 class _HeapSlot:
@@ -60,8 +64,10 @@ class LegacyEnvironment:
 
     Kept as the ordering reference.  It shares the Event / Process / Store
     classes with the real environment — only the queue, and the dispatch the
-    real one does inline in ``run``, are its own.  The events enqueue
-    themselves into ``buckets``, which here pushes each onto the heap.
+    real one does inline in ``run`` (a process's wake-up handed straight to
+    its process, any other event's callbacks called), are its own.  The
+    events enqueue themselves into ``buckets``, which here pushes each onto
+    the heap.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -97,6 +103,9 @@ class LegacyEnvironment:
         self._now = time
         self.dispatched += 1
         # The dispatch ``Environment.run`` does inline, done here on its own.
+        if type(event) is Wake:
+            event.resume(event)
+            return
         event.dispatched = True
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
@@ -117,8 +126,12 @@ OP = st.one_of(
     st.tuples(st.just("get"), st.integers(0, 1)),
     st.tuples(st.just("all_of"), st.lists(DELAYS, min_size=1, max_size=3)),
     st.tuples(st.just("any_of"), st.lists(DELAYS, min_size=1, max_size=3)),
+    # Waits without an event: the process's wake-up.
+    st.tuples(st.just("delay"), DELAYS),
+    st.tuples(st.just("wait"), st.integers(0, 1)),
     # A callback added to the event the actor last waited for — dispatched
-    # at this very instant — which delivers it once more.
+    # at this very instant, or earlier if a wait without an event came
+    # between — which delivers it once more.
     st.tuples(st.just("late")),
 )
 
@@ -164,6 +177,14 @@ def run_program(
             elif op[0] == "late":
                 if waited is not None:
                     waited.add_callback(record(label))
+                continue
+            elif op[0] == "delay":
+                yield op[1]
+                trace.append((env.now, label, True, "None"))
+                continue
+            elif op[0] == "wait":
+                item = yield stores[op[1]]
+                trace.append((env.now, label, True, repr(item)))
                 continue
             elif op[0] == "get":
                 waited = stores[op[1]].get()

@@ -484,8 +484,9 @@ def test_a_waiting_process_does_not_pin_the_item_it_was_handed():
 
 @pytest.mark.parametrize("ending", ["return", "raise", "bad yield"])
 def test_a_finished_process_holds_no_wake_up(ending):
-    """However it ends, a finished process lets go of its wake-up, the
-    wake-up's callback list and its generator; it keeps only its outcome."""
+    """However it ends, a finished process lets go of its wake-up, what the
+    kernel hands the wake-up to (the process's ``_resume``) and its
+    generator; it keeps only its outcome."""
     env = Environment()
 
     def body(env):
@@ -498,12 +499,13 @@ def test_a_finished_process_holds_no_wake_up(ending):
 
     generator = body(env)
     process = env.process(generator)
-    wake, callbacks = process._wake, process._wake_callbacks
+    wake = process._wake
+    resume = wake.resume
     generator = weakref.ref(generator)
     drain(env)
     gc.collect()
     held = gc.get_referents(process)
-    assert not any(kept is wake or kept is callbacks for kept in held)
+    assert not any(kept is wake or kept is resume for kept in held)
     assert generator() is None
     assert process._send is None and process._resume_callback is None
     if ending == "return":

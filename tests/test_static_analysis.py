@@ -866,7 +866,9 @@ def test_device_loop_has_no_per_item_generator():
     scheduler decisions build no lambda, generator expression or set copy;
     and the pull-based executor drives a query from two ``QueryRun``
     generators (``pull_each``, then ``charge`` for the join), not three per
-    segment."""
+    segment: ``execute`` is no generator of its own but returns
+    ``pull_each``, so ``pull_each`` is the tenant's only generator under its
+    session while objects are pulled."""
     src = REPO_ROOT / "src" / "repro"
     device = ast.parse((src / "csd" / "device.py").read_text())
     (owner,) = [
@@ -902,7 +904,10 @@ def test_device_loop_has_no_per_item_generator():
         and isinstance(node.value.func.value, ast.Name)
         and node.value.func.value.id == "run"
     ]
-    assert sorted(run_generators) == ["charge", "pull_each"]
+    assert run_generators == ["charge"]
+    returned = _method(executor, "VanillaExecutor", "execute").body[-1]
+    assert isinstance(returned, ast.Return) and isinstance(returned.value, ast.Call)
+    assert ast.unparse(returned.value.func) == "run.pull_each"
 
 
 #: Every ``x._private`` access under ``src/repro`` whose ``x`` is not

@@ -27,7 +27,10 @@ module at the package's top, ``other`` anything outside it.
 generator resumes included, the collector held off), per delivered object,
 by layer and for the top functions — the count
 ``tests/test_layer_frame_budget.py`` gates, bucketed as
-``tests/frame_count.py`` buckets it.  It repeats exactly on one interpreter.
+``tests/frame_count.py`` buckets it — and beside it the kernel's events per
+delivered object (``env.dispatched``), so a change that claims to save work
+per event shows that it left the event count alone.  Both repeat exactly on
+one interpreter.
 
 Usage (stdlib only, POSIX, from the repository root)::
 
@@ -78,14 +81,15 @@ def function_of(code) -> str:
 
 def count_frames(workload: str, profile, spec, repetitions: int) -> None:
     """Print the frames ``service.run()`` enters per delivered object, by
-    layer and for the top :data:`TOP` functions, over ``repetitions`` runs."""
+    layer and for the top :data:`TOP` functions, and the events it
+    dispatches per delivered object, over ``repetitions`` runs."""
     by_code: Counter = Counter()
 
     def tally(frame, event: str, _arg) -> None:
         if event == "call":
             by_code[frame.f_code] += 1
 
-    objects = 0
+    objects = events = 0
     for _ in range(repetitions):
         service = StorageService(spec, catalog=tpch.build_catalog(profile, SEED))
         gc.disable()
@@ -96,13 +100,15 @@ def count_frames(workload: str, profile, spec, repetitions: int) -> None:
             sys.setprofile(None)
             gc.enable()
         objects += result.device_objects_served
+        events += service.env.dispatched
     layers: Counter = Counter()
     functions: Counter = Counter()
     for code, frames in by_code.items():
         layers[layer_of(code.co_filename)] += frames
         functions[function_of(code)] += frames
-    print(f"{workload}: {sum(layers.values()) / objects:.2f} frames per delivered object "
-          f"over {repetitions} service.run() ({objects} objects)")
+    print(f"{workload}: {sum(layers.values()) / objects:.2f} frames and "
+          f"{events / objects:.2f} events per delivered object "
+          f"over {repetitions} service.run() ({objects} objects, {events} events)")
     print(f"\n{'layer':<12} {'frames':>7}")
     for layer, frames in sorted(layers.items()):
         print(f"{layer:<12} {frames / objects:7.2f}")
