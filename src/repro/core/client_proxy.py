@@ -5,7 +5,8 @@ hands it the list of objects it needs, the proxy issues tagged HTTP GET
 requests against Swift and notifies MJoin as objects arrive.  Here the proxy
 translates segment ids into namespaced object keys, tags every request with a
 query identifier (so the CSD scheduler can be query-aware) and funnels
-completions into a FIFO the executor consumes in arrival order.  Like the
+served requests into a FIFO the executor consumes in arrival order: a served
+GET is its own completion, handed to the proxy's one delivery handler.  Like the
 paper's daemon there is one proxy per database instance: a session owns one
 for its whole connection, so the query ids it mints (``tenant:query:0, 1,
 2, …``) are unique across everything the tenant runs.
@@ -25,7 +26,6 @@ from repro.csd.backend import StorageBackend
 from repro.csd.request import GetRequest
 from repro.exceptions import StorageError
 from repro.sim import Environment, Store
-from repro.sim.events import Event
 
 
 class ClientProxy:
@@ -53,31 +53,27 @@ class ClientProxy:
     def request_objects(self, segment_ids: Sequence[str], query_id: str) -> None:
         """Issue one GET per segment id, tagged with ``query_id``.
 
-        Completions are pushed into :attr:`arrivals` in the order the device
-        delivers them, which is generally different from the request order —
-        that is the whole point of CSD-driven execution.
+        Served requests are pushed into :attr:`arrivals` in the order the
+        device serves them, which is generally different from the request
+        order — that is the whole point of CSD-driven execution.
         """
         # The whole burst (a million objects at the largest scales) goes to
-        # the backend as one batch, and every completion shares one
-        # callback instead of a closure per request.
+        # the backend as one batch, and every request shares one delivery
+        # handler instead of a closure per request.
         client_id = self.client_id
         column_of = self._key_columns.get
         keys = self._keys
-        env = self.env
-        on_complete = self._on_complete
+        deliver = self._deliver
         requests = []
         for segment_id in segment_ids:
             column = column_of(segment_id)
             object_key = None if column is None else keys[column]
             if object_key is None:
                 raise StorageError(f"request for unknown object '{client_id}/{segment_id}'")
-            completion = Event(env, object_key)
-            completion.callbacks.append(on_complete)
-            requests.append(GetRequest(object_key, client_id, query_id, completion))
+            requests.append(GetRequest(object_key, client_id, query_id, deliver))
         self.device.submit_many(requests)
 
-    def _on_complete(self, event: Event) -> None:
-        """Deliver a completed GET: the segment id is the key minus the
-        ``tenant/`` prefix (one shared callback instead of a closure per
-        request)."""
-        self.arrivals.put((event.name[self._prefix_length :], event.value))
+    def _deliver(self, request: GetRequest) -> None:
+        """Queue a served GET's payload under its segment id: the request's
+        key minus the ``tenant/`` prefix."""
+        self.arrivals.put((request.object_key[self._prefix_length :], request.value))

@@ -10,7 +10,7 @@ concrete device class.
 ``submit_many`` is the verb: Skipper's proxy hands the backend every GET of
 a query up front (paper §4), so a batch is what crosses this boundary, in
 one call, and what a backend routes, validates and enqueues as a unit — a
-single GET is a batch of one.
+single GET is a batch of one, and a served one is its own completion.
 """
 
 from __future__ import annotations
@@ -33,6 +33,5 @@ class StorageBackend(Protocol):
 
     def submit_many(self, requests: Sequence[GetRequest]) -> None:
         """Accept ``requests`` in order, all or nothing (an invalid request
-        raises before anything moves); each ``completion`` event fires with
-        its payload."""
+        raises before anything moves); each is delivered once served."""
         ...

@@ -30,7 +30,7 @@ from collections import deque
 
 from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.object_store import ObjectStore
-from repro.csd.request import GetRequest, MigrationJob
+from repro.csd.request import UNSERVED, GetRequest, MigrationJob
 from repro.csd.scheduler import IOScheduler
 from repro.exceptions import SimulationError, StorageError
 from repro.obs import MetricsRegistry, Tracer
@@ -201,7 +201,7 @@ class ColdStorageDevice:
     # Client-facing API
     # ------------------------------------------------------------------ #
     def submit_many(self, requests: Sequence[GetRequest]) -> None:
-        """Accept a batch of GETs in order; each ``completion`` fires with its payload.
+        """Accept a batch of GETs in order; each is delivered once served.
 
         All or nothing: the whole batch is validated before anything is
         enqueued, so a :class:`StorageError` leaves the inbox as it was.
@@ -453,13 +453,15 @@ class ColdStorageDevice:
                     yield transfer_seconds
                 self._complete(request, group, start, env.now)
                 # An idle device must not pin the last request it served
-                # (nor, through its completion, the payload).
+                # (nor, through it, the payload).
                 request = None
                 quota -= 1
                 if inbox.queued:
                     self._register(inbox.drain())
 
     def _complete(self, request: GetRequest, group: int, start: float, end: float) -> None:
+        if request.value is not UNSERVED:
+            raise SimulationError(f"GET {request.object_key!r} was served twice")
         client_id = request.client_id
         self.busy_intervals.append(
             _tuple_new(
@@ -471,12 +473,7 @@ class ColdStorageDevice:
         stats.objects_served += 1
         per_client = stats.objects_per_client
         per_client[client_id] = per_client.get(client_id, 0) + 1
-        payload = self.object_store.get(request.object_key)
-        # ``completion.succeed(payload)`` inline: once per served object.
-        completion = request.completion
-        if completion.triggered:
-            raise SimulationError(f"event {completion.name!r} has already been triggered")
-        completion.triggered = True
-        completion.value = payload
+        # The request is its own completion, scheduled at this instant.
+        request.value = self.object_store.get(request.object_key)
         env = self.env
-        env.buckets[env.now].append(completion)
+        env.buckets[env.now].append(request)

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.events import Event
-
 _request_counter = itertools.count()
 _FLOAT_MAX = sys.float_info.max
+
+#: ``GetRequest.value`` until the request is served (a payload may be ``None``).
+UNSERVED = object()
 
 #: Why a copy happens: a membership rebalance (join/leave), read-repair after
 #: a fail-stop loss, write-path re-replication (R raised), or a
@@ -85,14 +85,18 @@ def migration_fields(
 
 
 class GetRequest:
-    """A single object GET issued by a database client."""
+    """A single object GET issued by a database client, and its completion:
+    the device puts the payload in :attr:`value` and schedules the request,
+    and the kernel hands it to :attr:`resume`."""
 
     __slots__ = (
         "request_id",
         "object_key",
         "client_id",
         "query_id",
-        "completion",
+        "deliver",
+        "resume",
+        "value",
         "disk_group",
         "owner",
         "routed_at",
@@ -103,13 +107,16 @@ class GetRequest:
         object_key: str,
         client_id: str,
         query_id: str,
-        completion: Event,
+        deliver: Callable[[GetRequest], None],
     ) -> None:
         self.request_id = next(_request_counter)
         self.object_key = object_key
         self.client_id = client_id
         self.query_id = query_id
-        self.completion = completion
+        #: The client's handler, called as ``deliver(request)``; ``resume`` is
+        #: it, or in a fleet the router's accounting, which calls it first.
+        self.deliver = self.resume = deliver
+        self.value: object = UNSERVED
         #: Disk group resolved at submit time, and the group the request is
         #: served from (device-internal; the layout is append-only, so a
         #: placed key's group never changes).

@@ -59,7 +59,7 @@ from repro.fleet.membership import FleetMember, FleetMembership
 from repro.fleet.placement import ConsistentHashPlacement
 from repro.fleet.spec import FleetSpec
 from repro.obs import MetricsRegistry, Tracer
-from repro.sim import Environment, Event
+from repro.sim import Environment
 
 SchedulerFactory = Callable[[], IOScheduler]
 
@@ -136,10 +136,6 @@ class FleetRouter:
         self.membership = FleetMembership(fleet_spec, device_config)
         #: The membership's roster itself (one list, one member per device).
         self.members: List[FleetMember] = self.membership.members
-        #: Routed, not yet completed requests by their completion event —
-        #: how the one shared completion handler finds its request without a
-        #: closure per request or a completion → request reference cycle.
-        self._in_flight: Dict[Event, GetRequest] = {}
 
         #: Each client's keys in its object order, as the caller built them
         #: (not copied); placement recomputes and per-device subsets all
@@ -274,19 +270,16 @@ class FleetRouter:
                 members[device_id].outstanding -= len(batch)
             raise
         now = self.env.now
-        in_flight = self._in_flight
         on_complete = self._on_complete
         for member, batch in routed:
             member.requests_routed += len(batch)
             for request in batch:
                 request.routed_at = now
-                # One callback per request, however often it is re-routed;
-                # ``request.owner`` points at whichever member is actually
-                # serving it now.
-                if request.owner is None:
-                    completion = request.completion
-                    in_flight[completion] = request
-                    completion.callbacks.append(on_complete)
+                # The served request comes back to the router's accounting
+                # (which delivers it to the client first), however often it
+                # is re-routed; ``request.owner`` points at whichever member
+                # is actually serving it now.
+                request.resume = on_complete
                 request.owner = member
         stats = self.stats
         stats.requests_routed += len(requests)
@@ -314,43 +307,33 @@ class FleetRouter:
                 request.query_id, request.object_key, device_id, epoch, policy, depth[device_id]
             )
 
-    def _on_complete(self, completion: Event) -> None:
-        """Account one completed GET (the one handler every routed request's
-        completion shares; the request is looked up from the completion)."""
-        in_flight = self._in_flight
-        request = in_flight.pop(completion)
-        if not in_flight:
-            # Drained: give back the table a burst grew (a dict never shrinks
-            # on its own, and an up-front batch sizes it for a whole query).
-            in_flight.clear()
+    def _on_complete(self, request: GetRequest) -> None:
+        """Deliver one served GET to its client, then account it (the one
+        handler every routed request shares)."""
+        request.deliver(request)
         member = request.owner
         request.owner = None
-        if not isinstance(member, FleetMember):  # pragma: no cover - defensive
-            raise FleetError(
-                f"request #{request.request_id} completed without a routed owner"
-            )
         member.outstanding -= 1
         if member.outstanding < 0:
             raise FleetError(
                 f"device {member.device_id!r} completed more requests "
                 "than were routed to it (outstanding went negative)"
             )
-        if request.routed_at is not None:
-            # Routed→completed latency on the *final* owner (failover
-            # re-stamps routed_at, so a re-routed request charges only
-            # its last leg — the one this device actually served).
-            latency = self.env.now - request.routed_at
-            ewma = member.ewma
-            if ewma.count and isfinite(latency):
-                # ``Ewma.observe`` after the first sample, folded in place:
-                # the same arithmetic, without its frame per completion.
-                ewma.average += ewma.alpha * (latency - ewma.average)
-                ewma.count += 1
-            else:
-                # The first sample, or a non-finite one ``observe`` rejects.
-                ewma.observe(latency)
-            member.latency_sum += latency
-            self.stats.request_latency.append(latency)
+        # Routed→completed latency on the *final* owner (failover re-stamps
+        # ``routed_at``, so a re-routed request charges only its last leg —
+        # the one this device actually served).
+        latency = self.env.now - request.routed_at
+        ewma = member.ewma
+        if ewma.count and isfinite(latency):
+            # ``Ewma.observe`` after the first sample, folded in place: the
+            # same arithmetic, without its frame per completion.
+            ewma.average += ewma.alpha * (latency - ewma.average)
+            ewma.count += 1
+        else:
+            # The first sample, or a non-finite one ``observe`` rejects.
+            ewma.observe(latency)
+        member.latency_sum += latency
+        self.stats.request_latency.append(latency)
 
     def _choose_replica(self, replicas: Sequence[str], object_key: str) -> FleetMember:
         """The live member of ``replicas`` the replica policy picks right now."""
@@ -387,9 +370,8 @@ class FleetRouter:
         """Pull every queued, not-yet-served GET back out of ``member``'s
         device and take it off ``outstanding``, so the load-aware policies
         never read a queue that is no longer there.  The transfer in flight
-        (if any) completes normally.  The requests stay routed (callback
-        registered, owner set): hand them back to :meth:`submit_many` to
-        serve them.
+        (if any) completes normally.  The requests stay routed (handler and
+        owner set): hand them back to :meth:`submit_many` to serve them.
         """
         if member.device is None:
             return []

@@ -12,8 +12,10 @@ The kernel is intentionally small and SimPy-like:
   number (a delay: ``yield 2.5``), a :class:`~repro.sim.store.Store` (its
   next item: ``item = yield store``) or an event.  A delay or a store wait
   costs no event object: each process reuses one wake-up
-  (:class:`~repro.sim.process.Wake`) for them, which the kernel hands
-  straight back to the process, with no callback list to run.
+  (:class:`~repro.sim.process.Wake`, not an event) for them.
+* The kernel dispatches by one rule: an item that carries a handler
+  (``resume``: a wake-up, a served GET) is handed to it; an event has its
+  callbacks run.
 * :class:`~repro.sim.events.Event` is a one-shot event that processes can
   wait on and that callers can *succeed* with a value.
 * :class:`~repro.sim.events.Timeout` is a delay as an event, for what needs

@@ -20,10 +20,10 @@ and the heap are the public :attr:`Environment.buckets` and
 :attr:`Environment.times`, ``Event.succeed`` appends to ``buckets[now]``
 (always registered) and a :class:`~repro.sim.events.Timeout` appends to its
 timestamp's list, or registers the list and pushes the timestamp when it is
-the first event at it.  A process's wake-up for a plain delay or a store
-wait enqueues itself the same way, and ``run`` hands it straight back to its
-process (a :class:`~repro.sim.process.Wake` is the one type it checks for):
-no callback list is taken, swapped or re-armed for it.
+the first event at it.  A process's wake-up (:class:`~repro.sim.process.Wake`)
+and a served :class:`~repro.csd.request.GetRequest` enqueue themselves the
+same way; they carry a handler (``resume``), and ``run``'s one rule is to
+hand such an item to it and to run an event's callbacks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Any, Dict, List
 
 from repro.exceptions import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process, ProcessGenerator, Wake
+from repro.sim.process import Process, ProcessGenerator
 
 
 class Environment:
@@ -65,17 +65,17 @@ class Environment:
         #: Heap of the distinct pending timestamps later than ``now``: one
         #: entry per list in :attr:`buckets`.
         self.times: List[float] = []
-        #: Timestamp -> the events scheduled at it, in scheduling order.  The
+        #: Timestamp -> the items scheduled at it, in scheduling order.  The
         #: current instant's list stays registered under ``now`` until the
-        #: clock advances, so an event scheduled at ``now`` joins the list
-        #: being walked; it changes only by appending an event to a list, or
+        #: clock advances, so an item scheduled at ``now`` joins the list
+        #: being walked; it changes only by appending an item to a list, or
         #: by registering a new list while pushing its timestamp on
         #: :attr:`times`.
-        self.buckets: Dict[float, List[Event]] = {self.now: []}
+        self.buckets: Dict[float, List[Any]] = {self.now: []}
         # Next event of ``buckets[now]`` to dispatch: a ``run`` that stops in
         # the middle of an instant resumes here.
         self._batch_index = 0
-        #: Number of events delivered (dispatched) so far; ``run`` counts in
+        #: Number of items delivered (dispatched) so far; ``run`` counts in
         #: a local and writes the count back when it returns.
         self.dispatched = 0
 
@@ -116,24 +116,24 @@ class Environment:
         ``env.run(env.timeout(5))`` advances the clock to 5.0, not 0.0.
         """
         # The innermost loop of every simulation run: one heap pop per
-        # distinct timestamp, one list walk per event at it, and each
-        # event's dispatch inline — a process's wake-up handed straight to
-        # its process; any other event marked, its callbacks taken and called.
+        # distinct timestamp, one list walk per item at it, and each item's
+        # dispatch inline — an item with a handler handed to it; an event
+        # marked, its callbacks taken and called.
         target = until
         times = self.times
         buckets = self.buckets
         batch = buckets[self.now]
         index = self._batch_index
         dispatched = self.dispatched
-        wake_type = Wake
         try:
             while not target.dispatched:
                 if index < len(batch):
                     event = batch[index]
                     index += 1
                     dispatched += 1
-                    if type(event) is wake_type:
-                        event.resume(event)
+                    resume = event.resume
+                    if resume is not None:
+                        resume(event)
                         continue
                     event.dispatched = True
                     callbacks = event.callbacks

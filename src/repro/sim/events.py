@@ -30,6 +30,10 @@ class Event:
         "callbacks",
     )
 
+    #: No handler: the kernel runs an event's callbacks (it hands a wake-up
+    #: or a served GET, whose ``resume`` is set, to that instead).
+    resume: Optional[Callable[[Any], None]] = None
+
     def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
         self.name = name

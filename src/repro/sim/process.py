@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Union
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
 
 from repro.exceptions import SimulationError
 from repro.sim.events import Event
@@ -18,19 +18,26 @@ Waitable = Union[Event, Store, float]
 ProcessGenerator = Generator[Waitable, Any, Any]
 
 
-class Wake(Event):
+class Wake:
     """A process's one reusable wake-up, for its delays and store waits.
 
-    The kernel checks for this type and hands the wake-up straight to
-    :attr:`resume` (its process's ``_resume``): a wake-up is never marked
-    dispatched and has no callback list to swap, so the process re-books it
-    without re-arming it.  It is ``triggered`` except while it sits among a
-    store's getters, waiting for a ``put`` to hand it an item.
+    Not an event: the kernel hands it straight to :attr:`resume` (its
+    process's ``_resume``), and the process re-books it as it is.  Only a
+    store reads ``triggered``: the process clears it as the wake-up joins
+    the store's getters, and the ``put`` that hands it an item in
+    :attr:`value` sets it.
     """
 
-    __slots__ = ("resume",)
+    __slots__ = ("name", "triggered", "value", "resume")
 
-    resume: Callable[[Event], None]
+    triggered: bool
+    #: Never set: a refused delay is thrown in through an event.
+    exception: Optional[BaseException] = None
+
+    def __init__(self, name: str, resume: Callable[[Wake], None]) -> None:
+        self.name = name
+        self.value: Any = None
+        self.resume = resume
 
 
 class Process(Event):
@@ -76,14 +83,12 @@ class Process(Event):
         # kernel hands the wake-up to, and ``send`` runs once per resume.
         self._send = generator.send
         self._resume_callback = self._resume
-        # The wake-up a delay or a store wait books.
-        wake = self._wake = Wake(env, name=self.name)
-        wake.resume = self._resume_callback
-        # Kick the process off at the current simulated time.
-        wake.triggered = True
+        # The wake-up a delay or a store wait books; it kicks the process
+        # off at the current simulated time.
+        wake = self._wake = Wake(self.name, self._resume_callback)
         env.buckets[env.now].append(wake)
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Union[Event, Wake]) -> None:
         """Advance the generator with the value (or exception) of ``event``,
         then book what it waits on next."""
         wake = self._wake
@@ -166,7 +171,3 @@ class Process(Event):
         generator or the bound methods."""
         self._generator = self._send = self._resume_callback = None
         self._wake = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "finished" if self.triggered else "running"
-        return f"<Process {self.name!r} {state}>"

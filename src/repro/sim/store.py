@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import contextlib
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Iterable, List
+from typing import TYPE_CHECKING, Any, Deque, Iterable, List, Union
 
 from repro.exceptions import SimulationError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
+    from repro.sim.process import Wake
 
 
 class Store:
@@ -35,7 +36,7 @@ class Store:
         #: The events waiting for an item, oldest first: ``get`` events and
         #: the wake-ups of processes that yielded the store (untriggered
         #: until a ``put`` hands them an item).  Only an empty store has any.
-        self.getters: Deque[Event] = deque()
+        self.getters: Deque[Union[Event, Wake]] = deque()
 
     def put(self, item: Any) -> None:
         """Enqueue ``item``, waking the oldest waiting getter if any."""

@@ -68,6 +68,14 @@ KERNELS: Dict[str, Tuple[str, ...]] = {
         "test_fleet_membership", "test_replication_lifecycle", "test_epoch_budget",
         "test_bytes_budget", "test_epoch_properties",
     ),
+    "sim/environment.py": (
+        "test_sim_events", "test_sim_environment", "test_request_path_budget",
+        "test_layer_frame_budget", "test_epoch_budget", "test_sim_determinism",
+    ),
+    "sim/process.py": (
+        "test_sim_events", "test_sim_environment", "test_request_path_budget",
+        "test_layer_frame_budget", "test_epoch_budget", "test_sim_determinism",
+    ),
 }
 
 _NEGATED = {

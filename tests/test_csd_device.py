@@ -14,9 +14,9 @@ from repro.csd import (
 )
 from repro.csd.device import BusyInterval
 from repro.csd.request import GetRequest
-from repro.exceptions import ConfigurationError, StorageError
+from repro.exceptions import ConfigurationError, SimulationError, StorageError
 from repro.obs import MetricsRegistry
-from repro.sim import Environment
+from repro.sim import Environment, Store
 
 
 def _setup(num_clients=2, objects_per_client=4, layout_policy=None, scheduler=None, config=None):
@@ -42,17 +42,21 @@ def _setup(num_clients=2, objects_per_client=4, layout_policy=None, scheduler=No
     return env, device, client_objects
 
 
-def _get(device, key, client, query_id):
-    """Submit one GET (a batch of one) and return it."""
-    request = GetRequest(key, client, query_id, device.env.event(name=key))
+def _get(device, key, client, query_id, served=None):
+    """Submit one GET (a batch of one) whose delivery puts the served request
+    into the ``served`` store, and return it."""
+    request = GetRequest(key, client, query_id, (served or Store(device.env)).put)
     device.submit_many((request,))
     return request
 
 
 def _batch_client(env, device, client, keys, finish_times):
     def process(env):
-        requests = [_get(device, key, client, f"{client}:q:0") for key in keys]
-        yield env.all_of([request.completion for request in requests])
+        served = Store(env)
+        for key in keys:
+            _get(device, key, client, f"{client}:q:0", served)
+        for _key in keys:
+            yield served
         finish_times[client] = env.now
 
     return env.process(process(env))
@@ -60,11 +64,12 @@ def _batch_client(env, device, client, keys, finish_times):
 
 def _serial_client(env, device, client, keys, finish_times, think_time=0.0):
     def process(env):
+        served = Store(env)
         for key in keys:
-            request = _get(device, key, client, f"{client}:q:0")
-            yield request.completion
+            _get(device, key, client, f"{client}:q:0", served)
+            yield served
             if think_time:
-                yield env.timeout(think_time)
+                yield think_time
         finish_times[client] = env.now
 
     return env.process(process(env))
@@ -98,13 +103,27 @@ class TestBatchedAccess:
         results = {}
 
         def process(env):
-            request = _get(device, objects["c0"][2], "c0", "q")
-            payload = yield request.completion
-            results["payload"] = payload
+            served = Store(env)
+            request = _get(device, objects["c0"][2], "c0", "q", served)
+            assert (yield served) is request
+            results["payload"] = request.value
 
         env.process(process(env))
         drain(env)
         assert results["payload"] == "payload-c0-2"
+
+    def test_a_get_served_twice_is_refused_by_its_key(self):
+        env, device, objects = _setup(num_clients=1)
+        served = Store(env)
+        request = _get(device, objects["c0"][1], "c0", "q", served)
+        drain(env)
+        assert list(served.queued) == [request] and request.value == "payload-c0-1"
+        device.submit_many((request,))
+        drain(env)
+        error = device.process.exception
+        assert isinstance(error, SimulationError)
+        assert str(error) == "GET 'c0/t.1' was served twice"
+        assert list(served.queued) == [request] and device.stats.objects_served == 1
 
 
 class TestPullBasedAccess:

@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 from test_catalog_digests import FAST_PINS
+from timeline_digest import PINS as TIMELINE_PINS
 
 from repro.exceptions import GoldenMismatchError
 from repro.scenarios import (
@@ -187,6 +188,12 @@ class TestSecondInterpreter:
         _assert_passes_everywhere(
             [script, json.dumps(FAST_PINS)], f"{len(FAST_PINS)} catalogs hold"
         )
+
+    def test_timeline_digests_hold_under_another_cpython(self):
+        """Every instant of every pinned run, not only the totals the
+        goldens and the ledger pins hold (``tests/timeline_digest.py``)."""
+        script = str(Path(__file__).resolve().parent / "timeline_digest.py")
+        _assert_passes_everywhere([script], f"{len(TIMELINE_PINS)} timelines hold")
 
     def test_ledger_pins_hold_under_another_cpython(self):
         """The ledger pins a run's simulated means, not only its report, and

@@ -371,7 +371,7 @@ class TestMigrationThrottle:
         from repro.csd.object_store import ObjectStore
         from repro.csd.request import GetRequest, MigrationJob, migration_fields
         from repro.csd.scheduler import RankBasedScheduler
-        from repro.sim import Environment
+        from repro.sim import Environment, Store
 
         env = Environment()
         store = ObjectStore()
@@ -390,9 +390,9 @@ class TestMigrationThrottle:
 
         def client(env):
             yield env.timeout(4.0)  # mid token interval; the device is idle-waiting
-            request = GetRequest(key, "a", "q1", env.event())
-            device.submit_many((request,))
-            yield request.completion
+            served = Store(env)
+            device.submit_many((GetRequest(key, "a", "q1", served.put),))
+            yield served
 
         env.process(client(env))
         env.run(env.timeout(60.0))

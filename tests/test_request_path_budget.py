@@ -53,12 +53,13 @@ SEGMENTS = 150
 #: layer once — events enqueued without a kernel call, two generator levels
 #: per tenant, a scan-only arrival answered inline, the store's lookups bound
 #: once — 37.01 (36.34 on 3.12–3.13) before a delay and a store wait
-#: stopped building an event, and reads 30.90 now (CPython 3.11).  Three more frames per
-#: object trip the ceiling.
+#: stopped building an event, 30.46 before a served GET became its own
+#: completion (no ``Event.__init__`` per request), and reads 29.46 now
+#: (CPython 3.11).  Three more frames per object trip the ceiling.
 #: When it trips: tally the run's frames per function through
 #: ``count_frames``'s ``on_call`` and diff them against the parent commit —
 #: the new frames are a layer someone added.
-FRAMES_PER_OBJECT_CEILING = 40.2
+FRAMES_PER_OBJECT_CEILING = 32.5
 #: Generator frames a delivery resumes in the tenant it is handed to: the
 #: session's and the run's per-object loop (``QueryRun.consume`` for a
 #: Skipper tenant, ``QueryRun.pull_each`` for a pull-based one).  It was 4
@@ -67,15 +68,16 @@ FRAMES_PER_OBJECT_CEILING = 40.2
 #: pull-based tenant while its executor's generator wrapped ``pull_each``.
 GENERATORS_PER_DELIVERY_CEILING = 2
 #: Where a walk up from the tenant's wait stops: the kernel's entries into a
-#: process — ``Process._resume``, which the kernel hands a wake-up to and
-#: which an event's callback is, and ``Environment.run`` itself.
+#: process — ``Process._resume``, the handler of its wake-up and the callback
+#: it registers on an event, and ``Environment.run`` itself.
 KERNEL_ENTRIES = (Process._resume.__code__, Environment.run.__code__)
-#: GC-tracked objects one in-flight GET may keep alive: the request, its
-#: completion event and that event's callback list (the commit before had 7:
-#: plus a closure, its two cells and the cells' tuple).
-TRACKED_PER_GET_CEILING = 3
+#: GC-tracked objects one in-flight GET may keep alive: the request, which is
+#: its own completion (3 while it carried a completion event and that
+#: event's callback list; 7 before that, with a closure, its two cells and
+#: the cells' tuple).
+TRACKED_PER_GET_CEILING = 1
 #: Tracked objects one ``request_objects`` *call* may leave behind whatever
-#: its size (bound methods held by the callback lists, a resized dict).
+#: its size (the delivery handler's bound method, a resized dict).
 TRACKED_PER_CALL_ALLOWANCE = 8
 
 
@@ -171,7 +173,7 @@ def test_a_delivery_resumes_two_generators_in_its_tenant():
     )
 
 
-def test_an_in_flight_get_keeps_three_tracked_objects():
+def test_an_in_flight_get_keeps_one_tracked_object():
     added = tracked_objects_left_by_one_call(SEGMENTS)
     assert added <= TRACKED_PER_GET_CEILING * SEGMENTS + TRACKED_PER_CALL_ALLOWANCE, (
         f"{added / SEGMENTS:.2f} GC-tracked objects per in-flight GET, "
@@ -196,12 +198,13 @@ PULL_TENANTS = 3
 #: and 69.9, and with events enqueued without a kernel call and the session
 #: one generator 66.3 and 57.3 (CPython 3.9–3.11; 65.1 and 56.7 on
 #: 3.12–3.13); with no event per delay or store wait 57.2 and 48.2 (CPython
-#: 3.11); ten more frames per object trip the ceilings.  When one trips:
+#: 3.11), with one call per wait 51.5 and 42.3, and with no event per GET
+#: 50.5 and 41.3; ten more frames per object trip the ceilings.  When one trips:
 #: run ``frames_per_pulled_object`` on both commits with a per-``co_name``
 #: ``Counter`` in the hook and diff them — on this path a new frame per object
 #: is a helper between ``QueryRun.pull_each`` and the device loop, or a
 #: scheduler decision that went back to building lists and keys.
-PULL_FRAMES_CEILING = {"tiny": 76.3, "small": 67.2}
+PULL_FRAMES_CEILING = {"tiny": 60.5, "small": 51.4}
 #: The two modules whose per-object generators this path lost.
 PULL_PATH_MODULES = ("csd/device.py", "core/execution.py")
 

@@ -19,7 +19,7 @@ from repro.csd.request import GetRequest
 from repro.exceptions import ConfigurationError, SchedulingError, StorageError
 from repro.harness import runner
 from repro.obs import MetricsRegistry
-from repro.sim import Environment
+from repro.sim import Environment, Store
 
 
 class TestSlackFCFSScheduler:
@@ -71,12 +71,14 @@ class TestSlackFCFSScheduler:
             def driver(env):
                 # Submit the two tenants' requests interleaved: c0.0, c1.0,
                 # c0.1, c1.1, ... so strict FCFS must ping-pong between groups.
+                served = Store(env)
                 requests = []
                 for first, second in zip(client_objects["c0"], client_objects["c1"]):
-                    requests.append(GetRequest(first, "c0", "c0:q", env.event()))
-                    requests.append(GetRequest(second, "c1", "c1:q", env.event()))
+                    requests.append(GetRequest(first, "c0", "c0:q", served.put))
+                    requests.append(GetRequest(second, "c1", "c1:q", served.put))
                 device.submit_many(requests)
-                yield env.all_of([request.completion for request in requests])
+                for _request in requests:
+                    yield served
 
             env.process(driver(env))
             drain(env)

@@ -41,7 +41,7 @@ def make_request(query: int, group: int) -> GetRequest:
         object_key=f"client{query}/grp{group}.{next(_key_counter)}",
         client_id=f"client{query}",
         query_id=f"query{query}",
-        completion=None,
+        deliver=None,
     )
 
 

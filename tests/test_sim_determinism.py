@@ -28,7 +28,7 @@ from drain import drain
 from repro.exceptions import SimulationError
 from repro.sim import Environment, Store
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process, Wake
+from repro.sim.process import Process
 
 
 class _HeapSlot:
@@ -64,8 +64,9 @@ class LegacyEnvironment:
 
     Kept as the ordering reference.  It shares the Event / Process / Store
     classes with the real environment — only the queue, and the dispatch the
-    real one does inline in ``run`` (a process's wake-up handed straight to
-    its process, any other event's callbacks called), are its own.  The
+    real one does inline in ``run`` (an item that carries a handler — a
+    process's wake-up — handed to it, an event's callbacks called), are its
+    own.  The
     events enqueue themselves into ``buckets``, which here pushes each onto
     the heap.
     """
@@ -102,8 +103,9 @@ class LegacyEnvironment:
         time, _seq, event = heapq.heappop(self._queue)
         self._now = time
         self.dispatched += 1
-        # The dispatch ``Environment.run`` does inline, done here on its own.
-        if type(event) is Wake:
+        # The dispatch ``Environment.run`` does inline, done here on its own:
+        # an item with a handler is handed to it, an event runs its callbacks.
+        if event.resume is not None:
             event.resume(event)
             return
         event.dispatched = True

@@ -148,6 +148,31 @@ def test_run_until_event_that_never_fires_raises_after_the_last_event():
     assert env.now == 1.0
 
 
+def test_a_run_after_running_out_delivers_nothing_twice():
+    """Running out of events keeps the last instant's list registered but
+    empties it, so the next run does not walk what it delivered again."""
+    env = Environment()
+    steps = []
+
+    def waiter():
+        yield 1.0
+        steps.append(env.now)
+
+    env.process(waiter())
+    drain(env)
+    assert steps == [1.0] and env.dispatched == 3
+    env.run(env.timeout(2.0))
+    assert steps == [1.0] and env.now == 3.0 and env.dispatched == 4
+
+
+def test_the_queue_keeps_no_past_instant():
+    env = Environment()
+    for delay in (1.0, 2.0, 3.0):
+        env.timeout(delay)
+    env.run(env.timeout(2.5))
+    assert sorted(env.buckets) == [2.5, 3.0] and env.times == [3.0]
+
+
 def test_run_without_events_stops_at_once():
     env = Environment()
     drain(env)

@@ -568,3 +568,62 @@ def test_waits_without_events_follow_the_event_waits_exactly(programs):
     """Random producer/consumer programs: a number for ``env.timeout`` and a
     store for ``store.get()`` give the same trace and the same event count."""
     assert _trace(programs, events=False) == _trace(programs, events=True)
+
+
+def test_a_put_to_a_triggered_wake_up_names_its_process():
+    """A process's wake-up is a store getter like a ``get`` event: handed a
+    second item, the store refuses and names the process."""
+    env = Environment()
+    store = Store(env)
+
+    def consumer(env):
+        yield store
+
+    env.process(consumer(env), name="consumer")
+    env.run(env.timeout(0))
+    (wake,) = store.getters
+    assert wake.triggered is False
+    wake.triggered = True  # as a second hand-off would find it
+    with pytest.raises(SimulationError, match="event 'consumer' has already been triggered"):
+        store.put("x")
+
+
+def test_a_process_is_a_generator_named_after_its_function():
+    env = Environment()
+
+    def worker(env):
+        yield 1.0
+
+    assert env.process(worker(env)).name == "worker"
+    assert env.process(worker(env), name="named").name == "named"
+    with pytest.raises(SimulationError, match="Process requires a generator"):
+        env.process(worker)
+
+
+def test_a_bad_yield_closes_the_generator_however_it_is_held():
+    """The process closes the generator it gives up on, so its ``finally``
+    runs then, not whenever the last reference goes."""
+    env = Environment()
+    closed = []
+
+    def body(env):
+        try:
+            yield "not a waitable"
+        finally:
+            closed.append(env.now)
+
+    generator = body(env)
+    process = env.process(generator)
+    drain(env)
+    assert closed == [0.0] and isinstance(process.exception, SimulationError)
+    assert generator.gi_frame is None
+
+
+def test_a_process_and_its_wake_up_are_slotted():
+    env = Environment()
+
+    def body(env):
+        yield 1.0
+
+    process = env.process(body(env))
+    assert not hasattr(process, "__dict__") and not hasattr(process._wake, "__dict__")

@@ -8,7 +8,7 @@
   for every replica policy, R in {1, 2, 3}, dead primaries, batches spanning
   one to all devices, the empty batch.
 * A rejected batch leaves router, member and device counters untouched.
-* A completed request and its completion die on reference counts alone.
+* A served request dies on reference counts alone.
 * Failover and hand-off re-submit the drained queue as one batch and still
   deliver every request exactly once.
 """
@@ -30,7 +30,7 @@ from repro.fleet.controller import FleetController
 from repro.fleet.router import FleetRouter
 from repro.fleet.spec import KNOWN_REPLICA_POLICIES, DeviceFailure, DeviceLeave, FleetSpec
 from repro.obs import MetricsRegistry
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Store
 
 CLIENTS = ("t0", "t1", "t2")
 KEYS_PER_CLIENT = 8
@@ -68,15 +68,12 @@ def build_router(fleet_spec: FleetSpec, missing: Sequence[str] = ()) -> FleetRou
 
 
 def build_requests(router: FleetRouter, keys: Sequence[str], log: List[tuple]) -> List[GetRequest]:
-    """One request per key; every completion appends to ``log`` when it fires."""
-    requests = []
-    for key in keys:
-        completion = router.env.event(name=key)
-        completion.add_callback(
-            lambda event, key=key: log.append((router.env.now, key, event.value))
-        )
-        requests.append(GetRequest(key, key.partition("/")[0], f"{key[:2]}:q:0", completion))
-    return requests
+    """One request per key; each delivery appends ``(now, key, payload)`` to ``log``."""
+
+    def deliver(request: GetRequest) -> None:
+        log.append((router.env.now, request.object_key, request.value))
+
+    return [GetRequest(key, key.partition("/")[0], f"{key[:2]}:q:0", deliver) for key in keys]
 
 
 # --------------------------------------------------------------------------- #
@@ -142,7 +139,6 @@ def _fleet_snapshot(router: FleetRouter, requests: Sequence[GetRequest]) -> dict
             router.stats.requests_routed,
             router.stats.choice_primary,
             router.stats.choice_diverted,
-            len(router._in_flight),
         ),
     }
 
@@ -166,7 +162,6 @@ def _after_run(router: FleetRouter) -> dict:
             for member in router.members
             if member.device is not None
         ],
-        "in_flight": len(router._in_flight),
     }
 
 
@@ -226,13 +221,13 @@ def test_submit_many_is_submit_once_per_request(
     assert batched == sequential
     delivered = batched[-1]
     assert len(delivered) == sum(len(batch) for batch in batches)
-    assert batched[-2]["in_flight"] == 0
+    assert all(device[1] == 0 for device in batched[-2]["devices"])
 
 
 def test_empty_batch_is_a_no_op():
     router = build_router(FleetSpec(devices=3, replication=2))
     router.submit_many([])
-    assert router.stats.requests_routed == 0 and not router._in_flight
+    assert router.stats.requests_routed == 0
     assert all(len(member.device.inbox.queued) == 0 for member in router.members)
     before = router.env.dispatched
     drain(router.env)
@@ -262,7 +257,6 @@ def _counters(router: FleetRouter) -> tuple:
         router.stats.requests_routed,
         router.stats.choice_primary,
         router.stats.choice_diverted,
-        len(router._in_flight),
         [(member.outstanding, member.requests_routed) for member in router.members],
         [len(member.device.inbox.queued) for member in router.members],
         [member.device.stats.requests_received for member in router.members],
@@ -281,7 +275,7 @@ def test_rejected_batch_leaves_every_counter_untouched(policy):
         router.submit_many(requests)
     assert _counters(router) == before
     assert all(request.owner is None and request.routed_at is None for request in requests)
-    assert all(not request.completion.callbacks[1:] for request in requests)
+    assert all(request.resume is request.deliver for request in requests)
     with pytest.raises(StorageError):
         router.submit_many([requests[2]])
     with pytest.raises(FleetError, match="not placed on any device"):
@@ -315,11 +309,7 @@ class _WeakRequest(GetRequest):
     """``GetRequest`` is slotted; a subclass adds the ``__weakref__`` slot."""
 
 
-class _WeakEvent(Event):
-    """Likewise for the completion."""
-
-
-def test_completed_request_and_completion_die_without_the_collector():
+def test_served_request_dies_without_the_collector():
     router = build_router(FleetSpec(devices=2, replication=2, replica_policy="least-loaded"))
     payloads = []
     gc.collect()
@@ -329,20 +319,20 @@ def test_completed_request_and_completion_die_without_the_collector():
         probes = []
         requests = []
         for key in ALL_KEYS[:6]:
-            completion = _WeakEvent(router.env, key)
-            completion.add_callback(lambda event: payloads.append(event.value))
-            request = _WeakRequest(key, "t0", "t0:q:0", completion)
-            probes.append((weakref.ref(request), weakref.ref(completion)))
+            request = _WeakRequest(
+                key, "t0", "t0:q:0", lambda request: payloads.append(request.value)
+            )
+            probes.append(weakref.ref(request))
             requests.append(request)
-            del request, completion
+            del request
         router.submit_many(requests)
         del requests
         # In flight, the fleet owns them.
-        assert all(request() is not None and done() is not None for request, done in probes)
+        assert all(request() is not None for request in probes)
         drain(router.env)
-        assert len(payloads) == 6
-        assert [(request(), done()) for request, done in probes] == [(None, None)] * 6
-        assert not router._in_flight
+        assert sorted(payloads) == sorted(key.upper() for key in ALL_KEYS[:6])
+        assert [request() for request in probes] == [None] * 6
+        assert [member.outstanding for member in router.members] == [0, 0]
     finally:
         if was_enabled:
             gc.enable()
@@ -384,7 +374,7 @@ def test_drained_requests_are_delivered_exactly_once(spec, counter):
     assert router.stats.requests_routed == len(ALL_KEYS) + moved
     assert sum(member.device.stats.objects_served for member in router.members) == len(ALL_KEYS)
     assert [member.outstanding for member in router.members] == [0, 0, 0]
-    assert not router._in_flight and router.pending_total() == 0
+    assert router.pending_total() == 0
     gone = router.members[0 if counter == "failed_over" else 1]
     assert all(request.owner is None for request in requests)
     assert gone.device.scheduler.pending_count() == 0

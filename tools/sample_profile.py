@@ -20,7 +20,8 @@ it: the data from 42, the scenario from 43.
 A sample's *self* entry is the innermost frame (time in C code it called
 counts to it); its *inclusive* entries are every frame on the stack, each
 once.  Layers are the ``src/repro/<layer>/`` packages; ``repro`` is a
-module at the package's top, ``other`` anything outside it.
+module at the package's top, ``other`` anything outside it — the frame
+gates' own ``layer_of``, imported from ``tests/frame_count.py``.
 
 ``--frames`` counts instead of sampling: the Python frames each
 ``service.run()`` enters (one ``sys.setprofile`` call event per frame,
@@ -46,12 +47,13 @@ import signal
 import sys
 import time
 from collections import Counter
-from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
 
+# The frame gates' own layer buckets: what this prints is what they count.
+from frame_count import layer_of  # noqa: E402
 from repro.scenarios.runner import ScenarioRunner  # noqa: E402
 from repro.service import StorageService  # noqa: E402
 from repro.workloads import tpch  # noqa: E402
@@ -61,17 +63,6 @@ INTERVAL = 0.0005
 SEED = 42
 #: Functions printed by self share, then (``src/repro`` only) by inclusive share.
 TOP = 25
-PACKAGE = REPO_ROOT / "src" / "repro"
-
-
-@lru_cache(maxsize=None)
-def layer_of(filename: str) -> str:
-    """The ``src/repro/<layer>/`` package ``filename`` is in."""
-    path = Path(filename).resolve()
-    if PACKAGE not in path.parents:
-        return "other"
-    parts = path.relative_to(PACKAGE).parts
-    return parts[0] if len(parts) > 1 else "repro"
 
 
 def function_of(code) -> str:
