@@ -53,7 +53,6 @@ def _settle(entries: List[CachedObject]) -> None:
         # Back from the end, one run of ``stride`` per period, to the run
         # that holds a pending combination.
         period = stride * len(segments)
-        last = -1
         for start in range(len(flags) - period + segments.index(segment_id) * stride, -1, -period):
             last = flags.rfind(1, start, start + stride)
             if last >= 0:
@@ -90,9 +89,10 @@ class CachedObject:
 
 
 class EvictionPolicy:
-    """Strategy interface for choosing an eviction victim."""
+    """Strategy interface for choosing an eviction victim; ``name`` is the
+    label a subclass is reported under."""
 
-    name = "base"
+    name: str
 
     def choose_victim(
         self,

@@ -39,7 +39,8 @@ from repro.exceptions import CacheError, QueryError
 
 #: ``_new(OperatorStats)`` is an ``OperatorStats`` without the frame of its
 #: generated ``__init__``: an arrival that costs its scan alone — nine in ten
-#: of a selective single-table query — fills in the four counters itself.
+#: of a selective single-table query — sets its scan counter; the other three
+#: read the dataclass's zero defaults, which are class attributes.
 _new = object.__new__
 
 
@@ -107,8 +108,6 @@ class MJoinStateManager:
         them in no pending subplan.
         """
         self.cycles_completed += 1
-        if not self.tracker.has_pending():
-            return []
         return sorted(self.tracker.objects_needed().difference(self.cache.ids_view()))
 
     @property
@@ -146,7 +145,6 @@ class MJoinStateManager:
         self.stats.tuples_scanned += scanned
         work = _new(OperatorStats)
         work.tuples_scanned = scanned
-        work.tuples_built = work.tuples_probed = work.tuples_output = 0
         return work
 
     def _take(
@@ -209,8 +207,7 @@ class MJoinStateManager:
     def results(self) -> List[Row]:
         """Final query answer accumulated across all executed subplans."""
         rows = self.aggregate.results()
-        if self.query.order_by:
-            rows.sort(key=lambda row: tuple(row[column] for column in self.query.order_by))
-        if self.query.limit is not None:
-            rows = rows[: self.query.limit]
-        return rows
+        # With no ``order_by`` every key is ``()``: the stable sort keeps the
+        # order.  With no limit, the slice keeps every row.
+        rows.sort(key=lambda row: tuple(row[column] for column in self.query.order_by))
+        return rows[: self.query.limit]

@@ -61,36 +61,27 @@ class MigrationTokenBucket:
     """Token bucket pacing one device's migration I/O (objects per second).
 
     Tokens accrue continuously on the simulated clock up to
-    :data:`MIGRATION_BURST`; each migration read/write consumes one (the
-    device refills and takes inline, once per job: see
-    :meth:`ColdStorageDevice._run`).  All
-    arithmetic is plain float math on simulated timestamps, so throttled runs
-    stay exactly deterministic.  The rate is a
-    :class:`~repro.fleet.spec.MigrationThrottle`'s, whose declared field
-    already holds it positive.
+    :data:`MIGRATION_BURST`; each migration read/write consumes one.  The
+    device does all the arithmetic inline, once per job: it refills, takes
+    a token if one is there, and otherwise waits ``(1.0 - tokens) / rate``
+    (see :meth:`ColdStorageDevice._run`).  All of it is plain float math on
+    simulated timestamps, so throttled runs stay exactly deterministic.  The
+    rate is a :class:`~repro.fleet.spec.MigrationThrottle`'s, whose declared
+    field already holds it positive and finite.
     """
 
     __slots__ = ("rate", "tokens", "last_refill")
 
-    #: Slack absorbing float drift: after sleeping exactly
-    #: ``seconds_until_token()``, the refill may land at 1 - 1e-16 tokens
-    #: instead of 1.0; without the epsilon the device would re-sleep
-    #: femtosecond intervals forever.
+    #: Slack absorbing float drift: after waiting exactly ``(1.0 - tokens) /
+    #: rate``, the refill may land at 1 - 1e-16 tokens instead of 1.0;
+    #: without the epsilon the device would re-sleep femtosecond intervals
+    #: forever.
     EPSILON = 1e-9
 
     def __init__(self, objects_per_second: float) -> None:
         self.rate = objects_per_second
         self.tokens = float(MIGRATION_BURST)
         self.last_refill = 0.0
-
-    def seconds_until_token(self, now: float) -> float:
-        """Simulated time until the next token accrues (0 when one is ready)."""
-        if now > self.last_refill:
-            self.tokens = min(MIGRATION_BURST, self.tokens + (now - self.last_refill) * self.rate)
-            self.last_refill = now
-        if self.tokens >= 1.0 - self.EPSILON:
-            return 0.0
-        return (1.0 - self.tokens) / self.rate
 
 
 class BusyInterval(NamedTuple):
@@ -310,8 +301,7 @@ class ColdStorageDevice:
     def _drain_inbox(self) -> None:
         """Register everything queued in the inbox (a query's whole up-front
         batch lands here at once), in arrival order."""
-        if self.inbox.queued:
-            self._register(self.inbox.drain())
+        self._register(self.inbox.drain())
 
     def _run(self):
         env = self.env
@@ -335,16 +325,16 @@ class ColdStorageDevice:
                 if not ready:
                     # Refill, then take a token if one is there: the
                     # bucket's arithmetic, inline, once per migration job.
-                    # (``min(MIGRATION_BURST, tokens)`` and ``max(0.0, tokens
-                    # - 1.0)`` as comparisons: the same values, no calls.)
+                    # (``min(MIGRATION_BURST, tokens)`` as a comparison: the
+                    # same value, no call.  A second refill at one instant
+                    # adds ``0.0 * rate``: exact.  The burst is one token, so
+                    # taking it leaves ``max(0.0, tokens - 1.0)``: none.)
                     now = env.now
-                    if now > throttle.last_refill:
-                        tokens = throttle.tokens + (now - throttle.last_refill) * throttle.rate
-                        throttle.tokens = tokens if tokens < MIGRATION_BURST else MIGRATION_BURST
-                        throttle.last_refill = now
+                    tokens = throttle.tokens + (now - throttle.last_refill) * throttle.rate
+                    throttle.tokens = tokens if tokens < MIGRATION_BURST else MIGRATION_BURST
+                    throttle.last_refill = now
                     if throttle.tokens >= token_ready:
-                        tokens = throttle.tokens - 1.0
-                        throttle.tokens = tokens if tokens > 0.0 else 0.0
+                        throttle.tokens = 0.0
                         ready = True
                 if ready:
                     # One rebalancing read/write: one delay, no per-job
@@ -402,7 +392,8 @@ class ColdStorageDevice:
                     # comes first — a query arriving mid-wait wakes the
                     # device and (the bucket still being empty) is served
                     # before the migration, as the throttle contract says.
-                    refill = env.timeout(throttle.seconds_until_token(env.now))
+                    # The bucket was refilled at this instant just above.
+                    refill = env.timeout((1.0 - throttle.tokens) / throttle.rate)
                     arrival = inbox.get()
                     yield env.any_of([refill, arrival])
                     if arrival.triggered:

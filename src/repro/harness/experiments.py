@@ -600,10 +600,13 @@ def ablation_eviction_policies(
     catalog = tpch.build_catalog(scale, seed=seed)
     query = tpch.q5()
     policies = {
-        "max-progress": MaxProgressEviction(),
-        "max-pending-subplans": MaxPendingSubplansEviction(),
-        "lru": LRUEviction(),
-        "fifo": FIFOEviction(),
+        policy.name: policy
+        for policy in (
+            MaxProgressEviction(),
+            MaxPendingSubplansEviction(),
+            LRUEviction(),
+            FIFOEviction(),
+        )
     }
     output: Dict[str, Dict[str, float]] = {}
     for label, policy in policies.items():

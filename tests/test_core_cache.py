@@ -4,6 +4,8 @@ import pytest
 from mjoin_oracle import reference_get
 
 from repro.core.cache import (
+    CachedObject,
+    EvictionPolicy,
     FIFOEviction,
     LRUEviction,
     MaxPendingSubplansEviction,
@@ -86,6 +88,31 @@ class TestObjectCache:
         assert cache.num_hits == 0
         assert [cache.peek(s).last_used for s in ("a.0", "b.0")] == [0, 1]
         assert reference_get(cache, "a.0").last_used == 2
+
+    def test_a_batch_read_keeps_one_access_alive(self):
+        cache = ObjectCache(4)
+        for segment_id in ("a.0", "a.1", "b.0", "b.1"):
+            cache.add(segment_id, segment_id.upper())
+        cache.get_batch(Batch([["a.0", "a.1"], ["b.0", "b.1"]], [0, 1, 2, 3], b"\x00\x01\x01\x00"))
+        cache.get_batch(Batch([["a.0", "a.1"], ["b.0", "b.1"]], [0, 1, 2, 3], b"\x00\x00\x01\x00"))
+        # The entries the second read left out took their ticks from the
+        # first; only the second read's access is still held.
+        entries = [cache.peek(s) for s in ("a.0", "b.1", "a.1", "b.0")]
+        assert [entry.last_access is None for entry in entries] == [True, True, False, False]
+        assert [entry.last_used for entry in entries] == [4, 5, 8, 9]
+
+    def test_peak_occupancy_is_the_most_ever_cached(self, tracker):
+        cache = ObjectCache(3, policy=FIFOEviction())
+        cache.add("lineitem.0", 1)
+        cache.add("lineitem.1", 2)
+        cache.evict("lineitem.2", tracker)
+        cache.add("lineitem.2", 3)
+        assert cache.peak_occupancy == 2
+        cache.add("lineitem.3", 4)
+        assert cache.peak_occupancy == 3
+
+    def test_an_entry_is_slotted(self):
+        assert not hasattr(CachedObject("a.0", None, 0, 0), "__dict__")
 
     def test_evict_empty_cache_raises(self, tracker):
         with pytest.raises(CacheError):
@@ -181,3 +208,31 @@ class TestEvictionPolicies:
             cache.add("lineitem.0", 1)
             victim = cache.evict("lineitem.1", tracker)
             assert victim.segment_id in {"orders.0", "lineitem.0"}
+
+    def test_a_policy_that_picks_a_non_cached_victim_is_refused(self, tracker):
+        class Stranger(FIFOEviction):
+            def choose_victim(self, cache, new_object, tracker):
+                return "orders.9"
+
+        cache = ObjectCache(1, policy=Stranger())
+        cache.add("orders.0", 1)
+        with pytest.raises(CacheError, match="policy 'fifo' chose a non-cached victim 'orders.9'"):
+            cache.evict("orders.1", tracker)
+        assert list(cache.ids_view()) == ["orders.0"] and cache.num_evictions == 0
+
+    def test_the_base_policy_chooses_nothing(self, tracker):
+        with pytest.raises(NotImplementedError):
+            EvictionPolicy().choose_victim(ObjectCache(1), "orders.0", tracker)
+
+    def test_each_policy_has_its_own_name(self):
+        # The labels the eviction ablation reports its rows under.
+        names = [
+            policy.name
+            for policy in (
+                MaxProgressEviction(),
+                MaxPendingSubplansEviction(),
+                LRUEviction(),
+                FIFOEviction(),
+            )
+        ]
+        assert names == ["max-progress", "max-pending-subplans", "lru", "fifo"]

@@ -633,6 +633,32 @@ class TestMJoinStateManager:
         assert manager.cycles_completed == 1
         assert manager.cache.num_evictions == 0
 
+    def test_results_are_ordered_then_cut_to_the_limit(self, tiny_tpch_catalog):
+        import dataclasses
+
+        full = _run_state_manager(tiny_tpch_catalog, tpch.q5(), cache_capacity=100).results()
+        # The aggregate holds NATION#7 first: the order is the sort's.
+        assert [row["n_name"] for row in full] == ["NATION#17", "NATION#7"]
+        limited = dataclasses.replace(tpch.q5(), limit=1)
+        assert _run_state_manager(tiny_tpch_catalog, limited, cache_capacity=100).results() == full[:1]
+
+    def test_an_arrival_probes_each_other_relation_once_per_row(self, tiny_tpch_catalog):
+        query = tpch.q5()
+        manager = MJoinStateManager(query, tiny_tpch_catalog, ObjectCache(100))
+        works = [
+            manager.on_arrival(segment_id, tiny_tpch_catalog.resolve_segment_id(segment_id))
+            for segment_id in manager.initial_requests()
+        ]
+        ran = [work for work in works if work.tuples_output]
+        assert ran and all(work.tuples_probed == work.tuples_built * 5 for work in ran)
+
+    def test_subplans_handled_counts_executed_and_pruned(self, tiny_tpch_catalog):
+        manager = _run_state_manager(tiny_tpch_catalog, tpch.q12(), cache_capacity=2)
+        tracker = manager.tracker
+        assert tracker.num_executed and tracker.num_pruned
+        assert manager.subplans_handled == tracker.num_executed + tracker.num_pruned
+        assert manager.next_cycle_requests() == []
+
     def test_duplicate_arrival_is_ignored(self, tiny_tpch_catalog):
         query = tpch.q12()
         cache = ObjectCache(10)

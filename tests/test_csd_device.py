@@ -12,10 +12,10 @@ from repro.csd import (
     ObjectFCFSScheduler,
     RankBasedScheduler,
 )
-from repro.csd.device import BusyInterval
-from repro.csd.request import GetRequest
+from repro.csd.device import BusyInterval, DeviceStats, MigrationTokenBucket
+from repro.csd.request import GetRequest, MigrationJob, migration_fields
 from repro.exceptions import ConfigurationError, SimulationError, StorageError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Environment, Store
 
 
@@ -215,3 +215,135 @@ class TestDeviceConfigurations:
             DeviceConfig(group_switch_seconds=float("nan"))
         with pytest.raises(ConfigurationError):
             DeviceConfig(transfer_seconds_per_object=float("inf"))
+
+
+class TestFailStop:
+    def test_a_drain_mid_service_set_ends_the_set_and_decides_again(self):
+        """``drain_pending`` while the device serves a service set: the object
+        in transfer completes, the rest of the set is gone, and the device
+        decides again — it serves a later GET as soon as it arrives."""
+        env, device, objects = _setup(
+            num_clients=1,
+            config=DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=1.0),
+        )
+        first, second, third, fourth = objects["c0"]
+        requests = [_get(device, key, "c0", "q0") for key in (first, second, third)]
+        drained = []
+
+        def fail_and_resubmit(env):
+            yield 0.5
+            drained.extend(device.drain_pending())
+            yield 2.5
+            _get(device, fourth, "c0", "q1")
+
+        env.process(fail_and_resubmit(env))
+        env.run(env.timeout(10.0))
+        assert drained == requests[1:]
+        transfers = [
+            (interval.start, interval.end, interval.object_key)
+            for interval in device.busy_intervals
+            if interval.kind == "transfer"
+        ]
+        assert transfers == [(0.0, 1.0, first), (3.0, 4.0, fourth)]
+        assert device.stats.objects_served == 2
+
+
+class TestMigrationQueues:
+    def test_unfinished_migration_jobs_count_both_queues(self):
+        """Accepted migration I/O is counted whether the device has filed it
+        (its admin queue) or it still sits in the inbox beside GETs."""
+        _env, device, objects = _setup(num_clients=1)
+        key = objects["c0"][0]
+        fields = migration_fields("read", 1.0, 1, "rebalance", lambda *_: None)
+        device.submit_migrations([MigrationJob(key, *fields) for _ in range(2)])
+        assert device.drain_pending() == []  # files the inbox: both jobs set aside
+        device.submit_migrations([MigrationJob(key, *fields)])
+        _get(device, key, "c0", "q0")
+        assert len(device.inbox.queued) == 2
+        assert device.pending_migration_jobs() == 3
+        assert len(device.drain_migration_jobs()) == 3
+        assert device.pending_migration_jobs() == 0
+        assert len(device.inbox.queued) == 0
+
+    def test_a_job_waits_on_migration_work_alone_without_interfering(self):
+        """Only foreground GETs in the inbox make a job *interfere*: a later
+        epoch's migration job queued behind it does not."""
+        env, device, objects = _setup(num_clients=1)
+        key = objects["c0"][0]
+        booked = []
+        fields = migration_fields(
+            "read", 1.0, 1, "rebalance", lambda job, start, end, interfered: booked.append(interfered)
+        )
+
+        def more_work(env):
+            yield 0.5
+            device.submit_migrations([MigrationJob(key, *fields)])
+
+        device.submit_migrations([MigrationJob(key, *fields)])
+        env.process(more_work(env))
+        env.run(env.timeout(5.0))
+        assert booked == [False, False]
+        assert device.stats.migration_interference_seconds == 0.0
+
+
+class TestPublishedState:
+    def test_counters_and_scheduler_are_published_under_the_device_name(self):
+        env, device, objects = _setup(num_clients=1)
+        registry = MetricsRegistry()
+        named = ColdStorageDevice(
+            env, device.object_store, device.layout, RankBasedScheduler(), DeviceConfig(),
+            registry, name="csd7",
+        )
+        _get(named, objects["c0"][0], "c0", "q0")
+        env.run(env.timeout(100.0))
+        assert registry.get("device.csd7.objects_served") == 1
+        assert registry.get("device.csd7.requests_received") == 1
+        assert registry.get("device.csd7.scheduler.num_switches") == 1
+
+    def test_a_traced_device_records_each_get_entering_its_inbox(self):
+        env, device, objects = _setup(num_clients=1)
+        tracer = Tracer(env)
+        traced = ColdStorageDevice(
+            env, device.object_store, device.layout, RankBasedScheduler(), DeviceConfig(),
+            MetricsRegistry(), name="csd3", tracer=tracer,
+        )
+        first, second = objects["c0"][:2]
+        traced.submit_many(
+            [GetRequest(key, "c0", "q0", Store(env).put) for key in (first, second)]
+        )
+        assert tracer.io_submissions == [(0.0, "q0", first, "csd3"), (0.0, "q0", second, "csd3")]
+
+    def test_the_bucket_and_the_counters_are_slotted(self):
+        assert not hasattr(MigrationTokenBucket(1.0), "__dict__")
+        assert not hasattr(DeviceStats(), "__dict__")
+
+
+class TestNoIdleWork:
+    def test_zero_second_work_takes_no_kernel_event(self):
+        """A zero-latency switch, transfer or migration job is no delay at
+        all: the device books it without yielding to the kernel."""
+        env, device, objects = _setup(
+            num_clients=2,
+            config=DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=0.0),
+        )
+        fields = migration_fields("read", 0.0, 1, "rebalance", lambda *_: None)
+        device.submit_migrations([MigrationJob(objects["c0"][0], *fields) for _ in range(3)])
+        served = Store(env)
+        for client in ("c0", "c1"):
+            for key in objects[client]:
+                _get(device, key, client, f"{client}:q", served)
+        env.run(env.timeout(1.0))
+        assert device.stats.objects_served == 8 and device.stats.migration_jobs == 3
+        # The device's start, its eight deliveries and the timeout: no more.
+        assert env.dispatched == 10
+
+    def test_a_switch_with_an_empty_inbox_registers_nothing(self):
+        env, device, objects = _setup(num_clients=2)
+        sizes = []
+        register = device._register
+        device._register = lambda items: (sizes.append(len(items)), register(items))
+        finish_times = {}
+        _serial_client(env, device, "c0", objects["c0"], finish_times)
+        _serial_client(env, device, "c1", objects["c1"], finish_times)
+        drain(env)
+        assert device.stats.group_switches > 2 and 0 not in sizes

@@ -4,13 +4,15 @@ Two checks over both documents:
 
 * every ``src/``, ``tests/``, ``tools/``, ``ledger/`` and ``examples/`` path
   they name is in the tree (a glob or a ``<placeholder>`` is not a path);
-* every ``python -m repro…`` command they name parses with that CLI's own
-  parser — a renamed or removed flag fails here, not in a reader's shell.
+* every ``python -m repro…`` and ``python tools/….py`` command they name
+  parses with that CLI's own parser — a renamed or removed flag fails here,
+  not in a reader's shell.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import re
 import shlex
@@ -26,15 +28,28 @@ from repro.trace import build_parser as trace_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTS = ("README.md", ".claude/skills/verify/SKILL.md")
-#: ``python -m <module>`` -> the parser that module's ``main`` runs.
+
+
+def _tool_parser(name: str):
+    """``tools/<name>.py``'s ``build_parser`` (the tools are scripts, not a package)."""
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_parser
+
+
+#: ``python -m <module>`` or ``python tools/<name>.py`` -> the parser its
+#: ``main`` runs.
 PARSERS = {
     "repro": experiments_parser,
     "repro.scenarios": scenarios_parser,
     "repro.bench": bench_parser,
     "repro.trace": trace_parser,
+    "tools/census.py": _tool_parser("census"),
+    "tools/sample_profile.py": _tool_parser("sample_profile"),
 }
 _PATH = re.compile(r"(?<![\w./-])((?:src|tests|tools|ledger|examples)/[\w./*<>-]*[\w*>])")
-_COMMAND = re.compile(r"python[\d.]* -m (repro[\w.]*)([^\n`#|;&]*)")
+_COMMAND = re.compile(r"python[\d.]* (?:-m (repro[\w.]*)|(tools/\w+\.py))([^\n`#|;&]*)")
 
 
 def _text(document: str) -> str:
@@ -48,17 +63,17 @@ def named_paths(document: str) -> List[str]:
 
 
 def named_commands(document: str) -> List[Tuple[str, List[str]]]:
-    """``(module, arguments)`` of each ``python -m repro…`` command in
-    ``document``, up to the end of its line or code span, a comment, a pipe
+    """``(module or tool, arguments)`` of each ``python -m repro…`` or
+    ``python tools/….py`` command in ``document``, up to the end of its line or code span, a comment, a pipe
     or a redirection.  Prose wraps inline commands, so a code span's line
     breaks are joined first."""
     text = re.sub(r"`[^`]*`", lambda span: span.group(0).replace("\n", " "), _text(document))
     commands = []
-    for module, rest in _COMMAND.findall(text):
+    for module, tool, rest in _COMMAND.findall(text):
         arguments = shlex.split(rest)
         if ">" in arguments:
             arguments = arguments[: arguments.index(">")]
-        commands.append((module, arguments))
+        commands.append((module or tool, arguments))
     return commands
 
 
@@ -85,12 +100,14 @@ def test_every_named_path_exists(document):
 def test_every_named_cli_command_parses(document):
     commands = named_commands(document)
     assert {module for module, _arguments in commands} <= set(PARSERS)
+    assert {"tools/census.py", "tools/sample_profile.py"} <= {module for module, _ in commands}
     rejected: Dict[str, str] = {}
     for module, arguments in commands:
-        # A bare ``python -m repro.trace`` names the CLI; there are no flags to check.
-        error = _parse_error(module, arguments) if arguments else ""
+        # A bare ``python -m repro.trace`` names the CLI; there are no flags to
+        # check.  ``tools/census.py`` takes none, so it is parsed bare too.
+        error = _parse_error(module, arguments) if arguments or module.startswith("tools/") else ""
         if error:
-            rejected[f"python -m {module} {shlex.join(arguments)}"] = error
+            rejected[f"{module} {shlex.join(arguments)}"] = error
     assert len(commands) > 5 and rejected == {}, f"{document}: {rejected}"
 
 
@@ -104,5 +121,9 @@ def test_the_checks_see_a_wrong_path_and_a_wrong_flag():
         "repro.scenarios", ["--check", "--checks"]
     )
     assert _COMMAND.findall("`python -m repro.bench --smoke --check` (under a second)") == [
-        ("repro.bench", " --smoke --check")
+        ("repro.bench", "", " --smoke --check")
     ]
+    assert _COMMAND.findall("`python3.12 tools/sample_profile.py fleet-churn --quick`") == [
+        ("", "tools/sample_profile.py", " fleet-churn --quick")
+    ]
+    assert "required: workload" in _parse_error("tools/sample_profile.py", [])

@@ -114,13 +114,14 @@ BARE_JOBS = 200
 #: books :data:`BARE_JOBS` write jobs of 0.1 s each, per job: the kernel's
 #: dispatch, the job's timeout and the plan's ``notify`` — throttled at two
 #: tokens a second, also the bucket's wait (its refill timeout, an inbox
-#: getter, the race between them and ``seconds_until_token``).  7.06 and
-#: 27.96 while the device called ``MigrationTokenBucket.try_consume``,
-#: ``IOScheduler.has_pending`` and ``_finish_migration`` per job; 4.05 and
-#: 21.96 with the take, the check and the booking inline (CPython
-#: 3.9–3.13).  Ceilings are those readings plus half a frame: one more
-#: frame per job trips them.
-FRAMES_PER_BOOKED_JOB_CEILINGS = {"unthrottled": 4.6, "throttled": 22.5}
+#: getter and the race between them).  7.06 and 27.96 while the device
+#: called ``MigrationTokenBucket.try_consume``, ``IOScheduler.has_pending``
+#: and ``_finish_migration`` per job; 4.05 and 21.96 with the take, the
+#: check and the booking inline (CPython 3.9–3.13); 3.04 and 20.95 after
+#: the kernel's wake-up rewrite; 3.04 and 19.96 with the wait computed
+#: inline, not by ``seconds_until_token``.  The throttled ceiling went one
+#: frame down with its reading.
+FRAMES_PER_BOOKED_JOB_CEILINGS = {"unthrottled": 4.6, "throttled": 21.5}
 
 
 def frames_per_booked_job(throttled: bool) -> float:

@@ -1,26 +1,24 @@
-"""The mutation probe (``tests/mutation_probe.py``) and its ``slow`` gate.
+"""The mutation probe (``tests/mutation_probe.py``) and its ``slow`` gates.
 
 The self-test runs the probe on a fixed snippet against a planted weak
-check: it must list the expected mutants, let exactly the one the check
-cannot see survive, and report the mutant that loops forever as killed by
-the timeout.  The ``slow`` gate probes ``engine/operators/hash_join.py``
-against its own tests and fails on a survivor :data:`HASH_JOIN_SURVIVORS`
-does not classify, or on an entry there that no longer survives; an entry
-that timed out is reported as a timing flip, not as a kill.
+check: it must list the expected mutants, select for each the one test that
+executes its line, let survive exactly the one the check cannot see and the
+two no test executes, and report the mutant that loops forever as a timeout.
+Each ``slow`` gate probes one kernel against its own tests and fails on a
+survivor :data:`SURVIVORS` does not classify, or on an entry there that no
+longer survives; an entry that timed out is reported as a timing flip, not as
+a kill.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Dict
 
 import pytest
-from mutation_probe import KERNELS, mutants, probe, run_tests_command
+from mutation_probe import Mutant, cover, mutants, probe, probe_kernel
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-SNIPPET = '''\
+SNIPPET = """\
 def halve(n):
     steps = 0
     while n > 1:
@@ -35,17 +33,25 @@ def clamp(value, low, high):
 
 def either(a, b):
     return a or b
-'''
 
-#: Weak on purpose: ``either(1, 1)`` cannot tell ``or`` from ``and``.
-CHECK = '''\
-import os, sys
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+def unused(n):
+    return n + 1
+"""
+
+#: Weak on purpose: ``either(1, 1)`` cannot tell ``or`` from ``and``, and no
+#: test calls ``unused``.
+CHECK = """\
 from snippet import clamp, either, halve
-assert halve(8) == 3
-assert (clamp(5, 0, 10), clamp(-1, 0, 10), clamp(11, 0, 10)) == (5, 0, 10)
-assert either(1, 1) == 1
-'''
+
+def test_halve():
+    assert halve(8) == 3
+
+def test_clamp():
+    assert (clamp(5, 0, 10), clamp(-1, 0, 10), clamp(11, 0, 10)) == (5, 0, 10)
+
+def test_either():
+    assert either(1, 1) == 1
+"""
 
 EXPECTED = [
     (2, "halve: pass `steps = 0`"),
@@ -63,29 +69,67 @@ EXPECTED = [
     (11, "clamp: pass `return min(value, high)`"),
     (14, "either: pass `return a or b`"),
     (14, "either: or -> and `a or b`"),
+    (17, "unused: pass `return n + 1`"),
+    (17, "unused: + -> - `n + 1`"),
 ]
 
-#: hash_join survivors of its own tests and gates -> class and reason (the
-#: classes: (a) no effect anywhere, (b) only a golden or a pin sees it,
-#: (c) only frames or bytes, (d) safety code, (e) equivalent mutant).
-HASH_JOIN_SURVIVORS: Dict[str, str] = {
-    "materialise_rows: if True `if len(merged) != sum(map(len, joined)):`": (
-        "(e) the per-column check finds nothing when no column overlaps: the "
-        "guard only skips it"
-    ),
+#: Kernel -> its survivors of its own tests and gates -> class and reason.
+#: The classes: (a) no effect anywhere, (b) only a golden or a pin sees it,
+#: (c) only frames or bytes, (d) safety code, (e) equivalent mutant.
+SURVIVORS: Dict[str, Dict[str, str]] = {
+    "engine/operators/hash_join.py": {
+        "materialise_rows: if True `if len(merged) != sum(map(len, joined)):`": (
+            "(e) the per-column check finds nothing when no column overlaps: the "
+            "guard only skips it"
+        ),
+    },
+    "sim/store.py": {
+        ": if False `if TYPE_CHECKING:`": (
+            "(e) the imports under it name types for annotations alone, and "
+            "annotations are not evaluated"
+        ),
+    },
+    "core/cache.py": {
+        "_settle: - -> + `len(flags) - period`": (
+            "(e) the walk starts two periods past the end of the flags, where "
+            "`rfind` finds nothing, and reaches the same runs from there"
+        ),
+        "EvictionPolicy: pass `name: str`": (
+            "(e) an annotation binds nothing at run time; every policy sets its name"
+        ),
+    },
+    "core/mjoin.py": {},
+    "csd/device.py": {},
 }
+
+
+def test_a_mutant_runs_the_tests_that_execute_its_line(tmp_path):
+    (tmp_path / "snippet.py").write_text(SNIPPET)
+    (tmp_path / "test_check.py").write_text(CHECK)
+    found = mutants(SNIPPET)
+    coverage = cover("snippet", SNIPPET, [str(tmp_path / "test_check.py")])
+    names = {mutant.key: [test_id.rpartition("::")[2] for test_id in coverage.select(mutant)]
+             for mutant in found}
+    assert names == {
+        key: {"halve": ["test_halve"], "clamp": ["test_clamp"], "either": ["test_either"],
+              "unused": []}[key.partition(":")[0]]
+        for _line, key in EXPECTED
+    }
+    # A class-body or module-level line runs the whole list.
+    assert coverage.select(Mutant(1, "", "pass", 1, False)) is None
 
 
 def test_the_probe_lists_kills_and_times_out_as_expected(tmp_path):
     (tmp_path / "snippet.py").write_text(SNIPPET)
-    (tmp_path / "check.py").write_text(CHECK)
+    (tmp_path / "test_check.py").write_text(CHECK)
     assert [(mutant.line, mutant.key) for mutant in mutants(SNIPPET)] == EXPECTED
-    # The looping mutant, fourth in line, holds one of the two workers for its
-    # 1.5 s; the other worker starts an interpreter for each of the rest.
-    results = probe("snippet", SNIPPET, [str(tmp_path / "check.py")], 1.5, 2)
+    # The looping mutant, fourth in line, holds one of the two workers until
+    # its timeout (from ``test_halve``'s clean seconds); the other worker
+    # starts an interpreter for each of the rest.
+    results = probe("snippet", SNIPPET, [str(tmp_path / "test_check.py")], 2)
     outcomes = {mutant.key: outcome for mutant, outcome in results}
     assert [key for key, outcome in outcomes.items() if outcome == "survived"] == [
-        "either: or -> and `a or b`"
+        "either: or -> and `a or b`", "unused: pass `return n + 1`", "unused: + -> - `n + 1`"
     ]
     assert [key for key, outcome in outcomes.items() if outcome == "timeout"] == [
         "halve: pass `n //= 2`"
@@ -93,15 +137,12 @@ def test_the_probe_lists_kills_and_times_out_as_expected(tmp_path):
 
 
 @pytest.mark.slow
-def test_every_hash_join_survivor_is_classified():
-    kernel = "engine/operators/hash_join.py"
-    source = (REPO_ROOT / "src" / "repro" / kernel).read_text()
-    tests = [str(REPO_ROOT / "tests" / f"{name}.py") for name in KERNELS[kernel]]
-    command = run_tests_command(tests)
-    results = probe("repro.engine.operators.hash_join", source, command, None, os.cpu_count() or 1)
-    outcomes = {mutant.key: outcome for mutant, outcome in results}
+@pytest.mark.parametrize("kernel", sorted(SURVIVORS))
+def test_every_survivor_is_classified(kernel):
+    outcomes = {mutant.key: outcome for mutant, outcome in probe_kernel(kernel, os.cpu_count() or 1)}
+    classified = SURVIVORS[kernel]
     survivors = {key for key, outcome in outcomes.items() if outcome == "survived"}
-    assert sorted(survivors - set(HASH_JOIN_SURVIVORS)) == [], "unclassified survivors"
-    timed_out = {key for key in HASH_JOIN_SURVIVORS if outcomes.get(key) == "timeout"}
+    assert sorted(survivors - set(classified)) == [], "unclassified survivors"
+    timed_out = {key for key in classified if outcomes.get(key) == "timeout"}
     assert sorted(timed_out) == [], "classified survivors that timed out: a timing flip"
-    assert sorted(set(HASH_JOIN_SURVIVORS) - survivors) == [], "entries that no longer survive"
+    assert sorted(set(classified) - survivors) == [], "entries that no longer survive"

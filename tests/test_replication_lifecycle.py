@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_service import drain_fleet
 
-from repro.csd.device import MIGRATION_BURST, MigrationTokenBucket
+from repro.csd.device import MigrationTokenBucket
 from repro.exceptions import FleetError, ScenarioError
 from repro.fleet.membership import FleetMembership
 from repro.fleet.spec import (
@@ -408,31 +408,47 @@ class TestMigrationThrottle:
         assert transfers[0].start == 4.0 and transfers[0].end == 5.0
         assert device.stats.migration_deferrals >= 1
 
-    @staticmethod
-    def take_token(bucket: MigrationTokenBucket, now: float) -> bool:
-        """The refill and take ``ColdStorageDevice._run`` makes inline per
-        migration job: ``False`` means the I/O must wait."""
-        if now > bucket.last_refill:
-            bucket.tokens = min(MIGRATION_BURST, bucket.tokens + (now - bucket.last_refill) * bucket.rate)
-            bucket.last_refill = now
-        if bucket.tokens >= 1.0 - bucket.EPSILON:
-            bucket.tokens = max(0.0, bucket.tokens - 1.0)
-            return True
-        return False
-
     def test_token_bucket_paces_deterministically(self):
-        bucket = MigrationTokenBucket(0.5)
-        assert self.take_token(bucket, 0.0)
-        assert not self.take_token(bucket, 0.0)
-        wait = bucket.seconds_until_token(0.0)
-        assert wait == pytest.approx(2.0)
-        # After exactly the advertised wait a token is available — float
-        # drift must not leave the bucket at 1 - 1e-16 forever.
-        assert self.take_token(bucket, 0.0 + wait)
-        assert bucket.seconds_until_token(0.0 + wait) > 0
-        # Accrual is capped at the burst size, one token.
-        assert bucket.seconds_until_token(1e9) == 0.0
-        assert self.take_token(bucket, 1e9) and not self.take_token(bucket, 1e9)
+        """A device throttled at 49 tokens a second books zero-second jobs
+        one token apart: after exactly the wait it computed, a token is
+        ready — at 49 a second the refill lands at 1 - 1e-16 tokens, and
+        without the epsilon the device would re-sleep femtoseconds forever —
+        and an idle stretch banks one token, not more."""
+        from repro.csd.device import ColdStorageDevice, DeviceConfig
+        from repro.csd.disk_group import DiskGroupLayout
+        from repro.csd.object_store import ObjectStore
+        from repro.csd.request import MigrationJob, migration_fields
+        from repro.csd.scheduler import RankBasedScheduler
+        from repro.sim import Environment
+
+        assert (1.0 / 49.0) * 49.0 < 1.0
+        env = Environment()
+        store = ObjectStore()
+        (key,) = store.put_segments("a", ["t.0"], [object()])
+        device = ColdStorageDevice(
+            env,
+            store,
+            DiskGroupLayout({key: 0}, {"a": 0}),
+            RankBasedScheduler(),
+            DeviceConfig(group_switch_seconds=0.0, transfer_seconds_per_object=1.0),
+            MetricsRegistry(),
+            migration_throttle=MigrationTokenBucket(49.0),
+        )
+        fields = migration_fields("read", 0.0, 1, "rebalance", lambda *_: None)
+        device.submit_migrations([MigrationJob(key, *fields) for _ in range(3)])
+
+        def later(env):
+            yield env.timeout(1000.0)
+            device.submit_migrations([MigrationJob(key, *fields) for _ in range(2)])
+
+        env.process(later(env))
+        env.run(env.timeout(2000.0))
+        starts = [interval.start for interval in device.busy_intervals]
+        assert len(starts) == 5 and starts[0] == 0.0 and starts[3] == 1000.0
+        gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
+        assert gaps[0] == 1.0 / 49.0
+        assert gaps[1] == pytest.approx(1.0 / 49.0) and gaps[3] == pytest.approx(1.0 / 49.0)
+        assert device.pending_migration_jobs() == 0
 
     def test_stranded_migration_io_is_reported_not_hidden(self):
         """A throttle paced far slower than the workload leaves migration

@@ -232,6 +232,18 @@ def test_any_of_races_timeout_against_store_get():
     assert log == [("item", 4.0, "mid-wait")]
 
 
+def test_a_batch_put_marks_the_getter_it_hands_an_item():
+    """``put_many`` hands items to waiting getters as ``put`` does: a raced
+    ``get`` reads ``triggered`` to tell an arrival from a refill."""
+    env = Environment()
+    store = Store(env, name="inbox")
+    first, second = store.get(), store.get()
+    store.put_many(["x", "y", "z"])
+    assert (first.triggered, first.value) == (True, "x")
+    assert (second.triggered, second.value) == (True, "y")
+    assert list(store.queued) == ["z"] and not store.getters
+
+
 def test_store_cancel_withdraws_pending_getter():
     env = Environment()
     store = Store(env, name="inbox")

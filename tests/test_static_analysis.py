@@ -1259,6 +1259,7 @@ def test_test_only_code_stays_deleted():
         "Event._dispatch",
         "DiskGroupLayout.add_object",
         "MigrationTokenBucket._refill",
+        "MigrationTokenBucket.seconds_until_token",
         # Events enqueue themselves, a scan-only arrival asks the tracker's
         # bound ``pending_count_of`` and a session runs its queries inline.
         "Environment._schedule_event",

@@ -34,6 +34,7 @@ Usage (stdlib plus tier-1's own ``pytest``, from the repository root)::
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -479,7 +480,12 @@ def report(
     return "\n".join(out)
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+
+
 def main() -> int:
+    build_parser().parse_args()
     if sys.version_info < (3, 12):
         print("error: the census needs sys.monitoring (Python 3.12+)", file=sys.stderr)
         return 2

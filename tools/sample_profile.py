@@ -108,7 +108,7 @@ def count_frames(workload: str, profile, spec, repetitions: int) -> None:
         print(f"{frames / objects:7.2f}  {function}")
 
 
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", help="a ledger workload, e.g. fleet-churn")
     parser.add_argument("--quick", action="store_true", help="the ledger's test size")
@@ -116,7 +116,11 @@ def main() -> None:
     parser.add_argument(
         "--frames", action="store_true", help="count frames per delivered object instead"
     )
-    args = parser.parse_args()
+    return parser
+
+
+def main() -> None:
+    args = build_parser().parse_args()
     workloads = runpy.run_path(str(REPO_ROOT / "ledger" / "workloads.py"))["WORKLOADS"]
     profile, spec = workloads[args.workload](SEED + 1, args.quick)
     if args.frames:
