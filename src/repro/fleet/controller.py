@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.cluster.metrics import imbalance_coefficient
 from repro.csd.layout import extend_layout_with_keys
 from repro.csd.request import MigrationJob, MigrationNotify, migration_fields
-from repro.exceptions import FleetError
 from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.fleet.placement import normalize_weights
 from repro.fleet.router import FleetRouter
@@ -182,8 +181,6 @@ class FleetController:
             self._apply_leave(event)
         elif isinstance(event, SetReplication):
             self._apply_set_replication(event)
-        else:  # pragma: no cover - spec validation rejects other types
-            raise FleetError(f"unknown membership event {event!r}")
         self._epoch_opened()
 
     def _epoch_opened(self) -> None:
@@ -337,18 +334,16 @@ class FleetController:
         return under
 
     def _record_replication_health(
-        self, kind: str, at_open: Optional[int] = None, after: Optional[int] = None
+        self, kind: str, at_open: Optional[int] = None
     ) -> None:
         """Append one per-epoch replication-health sample.
 
         ``under_replicated_at_open`` is the count the instant the epoch
         opened — for a failure, the degradation the loss itself caused;
         ``under_replicated_after_plan`` is what remained once the epoch's
-        plan ran (unchanged when no plan ran, e.g. repair disabled).  A
-        caller that already counted ``after`` passes it in.
+        plan ran (unchanged when no plan ran, e.g. repair disabled).
         """
-        if after is None:
-            after = self.under_replicated_count(self.replica_census)
+        after = self.under_replicated_count(self.replica_census)
         self.replication_log.append(
             {
                 "epoch": self.membership.epoch,
@@ -370,10 +365,8 @@ class FleetController:
         a join or leave re-centres everyone's weight around mean 1.0 — the
         property that keeps an all-equal fleet byte-identical to an
         unweighted one.  Every member's ``weight`` is then the number the
-        ring holds for it.  A no-op on uniform fleets.
+        ring holds for it.
         """
-        if not self._raw_weights:
-            return
         self._policy.set_weights(
             {
                 device_id: self._raw_weights[device_id]
@@ -395,7 +388,6 @@ class FleetController:
         # loss can only restore min(R, serving) replicas per key.
         replication = self.effective_replication
         old_replication = self.placement_replication
-        self._policy.replication = replication
         serving = list(self.membership.serving_ids())
         # The old ring's vnode counts are snapshotted; re-normalising the
         # weights over the new roster (and any reweight that led here)
@@ -437,7 +429,6 @@ class FleetController:
             else:
                 census.pop(replicas)
         census.update(changed.values())
-        under_replicated_after = self.under_replicated_count(census)
         changed_keys = list(filter(changed.__contains__, placement))
         members = self.membership.members
         alive = {member.device_id: member.alive for member in members}
@@ -468,7 +459,7 @@ class FleetController:
         self._execute_plan(plan, reason=reason)
         self.migration_plans.append(plan)
         self._record_replication_health(
-            kind, at_open=under_replicated_before, after=under_replicated_after
+            kind, at_open=under_replicated_before
         )
 
     def _execute_plan(self, plan: MigrationPlan, reason: str = "rebalance") -> None:
@@ -539,16 +530,11 @@ class FleetController:
                     append,
                 )
         for object_key, source, dest in moves:
-            # A source without a device performs no read.
-            read = reads.get(source)
-            if read is not None:
-                seconds, label, notify, append = read
-                append(_tuple_new(MigrationJob, (object_key, seconds, label, notify)))
+            seconds, label, notify, append = reads[source]
+            append(_tuple_new(MigrationJob, (object_key, seconds, label, notify)))
             seconds, label, notify, append = writes[dest]
             append(_tuple_new(MigrationJob, (object_key, seconds, label, notify)))
         # Devices in the order they first appear in the moves, reads first.
         by_id = self.membership.by_id
         for device_id in dict.fromkeys(chain.from_iterable(map(_source_and_dest, moves))):
-            jobs = batches.get(device_id)
-            if jobs:
-                by_id[device_id].device.submit_migrations(jobs)
+            by_id[device_id].device.submit_migrations(batches[device_id])

@@ -22,8 +22,12 @@ in a class body or at module level, or on a line that runs outside every
 test (at import, say), runs the whole list; a mutant on a line no test
 executes survives with no child.
 
-A child has a wall timeout — 4 × its selection's clean seconds + 5 s, the
-coverage run's seconds scaled to the untraced run — and an address-space ``rlimit`` (:data:`MEMORY_LIMIT`).  A
+A child has a wall limit per test — 4 × the test's clean seconds (its own and
+its module- or session-scoped fixtures') + 5 s, the coverage run's seconds
+scaled to the untraced run — armed inside the child as the test starts, so a
+mutant that loops ends at the first test that hangs.  The whole child has
+4 × its selection's clean seconds + 5 s as a backstop (a hang at import or
+in collection), and an address-space ``rlimit`` (:data:`MEMORY_LIMIT`).  A
 mutant is ``killed`` when pytest fails (a runaway included), ``timeout`` when
 it hangs, and *survives* when pytest exits 0.  The unmutated module must pass
 first, run the way the mutants are: unparsed from its syntax tree, every
@@ -100,9 +104,10 @@ KERNELS: Dict[str, Tuple[str, ...]] = {
         "test_bytes_budget", "test_epoch_properties",
     ),
     "fleet/controller.py": (
-        "test_fleet_membership", "test_epoch_budget", "test_epoch_properties",
-        "test_fleet_layering", "test_replication_lifecycle", "test_submit_many",
-        "test_fleet_router", "test_fleet_scenarios", "test_bytes_budget",
+        "test_fleet_controller", "test_fleet_membership", "test_epoch_budget",
+        "test_epoch_properties", "test_fleet_layering", "test_replication_lifecycle",
+        "test_submit_many", "test_fleet_router", "test_fleet_load_aware",
+        "test_fleet_scenarios", "test_bytes_budget",
     ),
     "sim/environment.py": (
         "test_sim_events", "test_sim_environment", "test_request_path_budget",
@@ -130,17 +135,20 @@ MEMORY_LIMIT = 1 << 30
 #: Every child's pytest options: stop at the first failure, write no cache.
 PYTEST_OPTIONS = ("-x", "-q", "-p", "no:cacheprovider")
 
-# A child: cap the address space, read the source from stdin and import it
-# under the module's name and file, then run pytest on the rest of argv.
+# A child: cap the address space, read the source and the per-test limits
+# from stdin and import the source under the module's name and file, then run
+# pytest on the rest of argv.
 _CHILD = """
 import time
 started = time.perf_counter()
-import importlib.abc, importlib.machinery, importlib.util, resource, sys
+import importlib.abc, importlib.machinery, importlib.util, json, resource, sys
 import pytest
 limit = int(sys.argv[2])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-name, source, args = sys.argv[1], sys.stdin.read(), sys.argv[3:]
+name, (source, limits), args = sys.argv[1], json.load(sys.stdin), sys.argv[3:]
 filename = None
+def test_id(item):
+    return str(item.path) + item.nodeid[item.nodeid.find("::"):]
 class Mutated(importlib.abc.MetaPathFinder, importlib.abc.Loader):
     def find_spec(self, fullname, path, target=None):
         if fullname == name:
@@ -153,7 +161,18 @@ class Mutated(importlib.abc.MetaPathFinder, importlib.abc.Loader):
 sys.meta_path.insert(0, Mutated())
 """
 
-_RUN = _CHILD + "sys.exit(pytest.main(args))\n"
+# A test's limit runs from its set-up to its teardown; SIGALRM's default
+# action ends the child, also inside a C call.
+_RUN = _CHILD + """
+import signal
+class Limit:
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_protocol(self, item, nextitem):
+        signal.setitimer(signal.ITIMER_REAL, limits.get(test_id(item), 0.0))
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+sys.exit(pytest.main(args, [Limit()]))
+"""
 
 # The coverage child: ``args[0]`` is the JSON file it writes.  ``sinks[-1]``
 # collects the module's lines: outside every test at the bottom, then the
@@ -191,8 +210,7 @@ class Recorder:
         seconds = time.perf_counter() - started - (setting_up[0] - fixture_seconds)
         uses = [defs[-1].baseid + "::" + name
                 for name, defs in item._fixtureinfo.name2fixturedefs.items()]
-        test_id = str(item.path) + item.nodeid[item.nodeid.find("::"):]
-        tests.append((test_id, seconds, sorted(sinks.pop()), uses))
+        tests.append((test_id(item), seconds, sorted(sinks.pop()), uses))
 sys.settrace(trace)
 code = pytest.main(args, [Recorder()])
 sys.settrace(None)
@@ -278,18 +296,23 @@ def mutate(source: str, index: int) -> str:
     return ast.unparse(ast.fix_missing_locations(_Sites(index).visit(ast.parse(source))))
 
 
-def run(script: str, module: str, source: str, args: Sequence[str], timeout: float) -> str:
+def run(script: str, module: str, source: str, args: Sequence[str], timeout: float,
+        limits: Dict[str, float]) -> str:
     """``"survived"``, ``"killed"`` or ``"timeout"``: the child ``script`` run
-    on ``args`` with ``module`` imported from ``source``."""
+    on ``args`` with ``module`` imported from ``source``, each test id of
+    ``limits`` (in :data:`_RUN`) within its seconds and the child within
+    ``timeout``."""
     child = subprocess.Popen(
         [sys.executable, "-c", script, module, str(MEMORY_LIMIT), *args],
         stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)
     try:
-        child.communicate(source.encode(), timeout=timeout)
+        child.communicate(json.dumps([source, limits]).encode(), timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.wait()
+        return "timeout"
+    if child.returncode == -signal.SIGALRM:
         return "timeout"
     return "survived" if child.returncode == 0 else "killed"
 
@@ -336,7 +359,7 @@ def cover(module: str, source: str, tests: Sequence[str]) -> Coverage:
     """Run ``tests`` once with ``module`` imported from ``source`` and traced."""
     with tempfile.TemporaryDirectory() as directory:
         output = os.path.join(directory, "coverage.json")
-        if run(_COVER, module, source, [output, *PYTEST_OPTIONS, *tests], 1800.0) != "survived":
+        if run(_COVER, module, source, [output, *PYTEST_OPTIONS, *tests], 1800.0, {}) != "survived":
             raise RuntimeError(f"the unmutated {module} fails {' '.join(tests)}")
         with open(output) as stream:
             return Coverage(json.load(stream))
@@ -345,16 +368,20 @@ def cover(module: str, source: str, tests: Sequence[str]) -> Coverage:
 def probe(module: str, source: str, tests: Sequence[str], jobs: int) -> List[Tuple[Mutant, str]]:
     """Each mutant of ``source`` with its outcome on the pytest files ``tests``.
 
-    A mutant's timeout is 4 × its selection's clean seconds + 5 s; the clean
-    run — ``source`` unparsed from its tree, as every mutant is, on every
-    test id — gets ten minutes."""
+    A mutant's tests each get 4 × their clean seconds + 5 s, and its child
+    4 × its selection's; the clean run — ``source`` unparsed from its tree,
+    as every mutant is, on every test id — gets ten minutes."""
     coverage = cover(module, source, tests)
     started = time.perf_counter()
     everything = [*PYTEST_OPTIONS, *coverage.tests]
-    if run(_RUN, module, ast.unparse(ast.parse(source)), everything, 600.0) != "survived":
+    if run(_RUN, module, ast.unparse(ast.parse(source)), everything, 600.0, {}) != "survived":
         raise RuntimeError(f"the unmutated {module}, unparsed, fails {' '.join(tests)}")
     # The coverage run's seconds, scaled to an untraced run.
     scale = (time.perf_counter() - started) / coverage.seconds
+    limits = {
+        test_id: 4 * scale * (seconds + sum(coverage.fixture_seconds[key] for key in used)) + 5.0
+        for test_id, (seconds, used) in coverage.tests.items()
+    }
     found = mutants(source)
 
     def outcome(index: int) -> str:
@@ -363,7 +390,7 @@ def probe(module: str, source: str, tests: Sequence[str], jobs: int) -> List[Tup
             return "survived"
         limit = 4 * scale * coverage.clean_seconds(selection) + 5.0
         args = [*PYTEST_OPTIONS, *(tests if selection is None else selection)]
-        return run(_RUN, module, mutate(source, index), args, limit)
+        return run(_RUN, module, mutate(source, index), args, limit, limits)
 
     with ThreadPoolExecutor(max(1, min(jobs, os.cpu_count() or 1))) as pool:
         return list(zip(found, pool.map(outcome, range(len(found)))))

@@ -3,7 +3,8 @@
 The self-test runs the probe on a fixed snippet against a planted weak
 check: it must list the expected mutants, select for each the one test that
 executes its line, let survive exactly the one the check cannot see and the
-two no test executes, and report the mutant that loops forever as a timeout.
+two no test executes, and report the mutant that loops forever as a timeout
+— at the first test that hangs, not at its whole selection's limit.
 Each ``slow`` gate probes one kernel against its own tests and fails on a
 survivor :data:`SURVIVORS` does not classify, or on an entry there that no
 longer survives; an entry that timed out is reported as a timing flip, not as
@@ -13,10 +14,14 @@ a kill.
 from __future__ import annotations
 
 import os
+import time
 from typing import Dict
 
+import mutation_probe
 import pytest
-from mutation_probe import Mutant, cover, mutants, probe, probe_kernel
+from mutation_probe import (
+    KERNELS, REPO_ROOT, Mutant, cover, mutants, probe, probe_kernel, run,
+)
 
 SNIPPET = """\
 def halve(n):
@@ -73,6 +78,31 @@ EXPECTED = [
     (17, "unused: + -> - `n + 1`"),
 ]
 
+#: A loop the first of three tests runs; the two after it sleep, so the
+#: selection's limit is seconds longer than the first test's.
+HANG_SNIPPET = """\
+def halve(n):
+    while n > 1:
+        n //= 2
+    return n
+"""
+
+HANG_CHECK = """\
+import time
+from snippet import halve
+
+def test_first():
+    assert halve(8) == 1
+
+def test_second():
+    time.sleep(0.5)
+    assert halve(4) == 1
+
+def test_third():
+    time.sleep(0.5)
+    assert halve(2) == 1
+"""
+
 #: Kernel -> its survivors of its own tests and gates -> class and reason.
 #: The classes: (a) no effect anywhere, (b) only a golden or a pin sees it,
 #: (c) only frames or bytes, (d) safety code, (e) equivalent mutant.
@@ -100,7 +130,81 @@ SURVIVORS: Dict[str, Dict[str, str]] = {
     },
     "core/mjoin.py": {},
     "csd/device.py": {},
+    "core/njoin.py": {},
+    "core/subplan.py": {
+        "Batch.tallies: if True `if stride <= total // period:`": (
+            "(e) the two tally loops count the same flags: one by stride, "
+            "one by period; the test picks the cheaper"
+        ),
+        "Batch.tallies: if False `if stride <= total // period:`": (
+            "(e) the two tally loops count the same flags: one by stride, "
+            "one by period; the test picks the cheaper"
+        ),
+        "Batch.tallies: not LtE `stride <= total // period`": (
+            "(e) the two tally loops count the same flags: one by stride, "
+            "one by period; the test picks the cheaper"
+        ),
+        "SubplanTracker._subplans_of: pass `if len(ids) > 1:`": (
+            "(e) the one-id path builds the same flags byte by byte; the "
+            "guard only picks `itemgetter` where it returns a tuple"
+        ),
+        "SubplanTracker._subplans_of: if False `if len(ids) > 1:`": (
+            "(e) the one-id path builds the same flags byte by byte; the "
+            "guard only picks `itemgetter` where it returns a tuple"
+        ),
+        "SubplanTracker._subplans_of: pass `return Batch(lists, ids, bytes(itemgetter(*ids)(self._pendin`": (
+            "(e) falling through to the one-id path builds the same flags "
+            "byte by byte"
+        ),
+    },
+    "csd/scheduler.py": {},
+    "fleet/placement.py": {
+        "ConsistentHashPlacement.place: if True `if sorted_key_hashes is None:`": (
+            "(e) the router passes the same keys sorted the same way; sorting "
+            "them again yields the same list"
+        ),
+        "ConsistentHashPlacement.diff_keys: if True `if key_hashes is None:`": (
+            "(e) the controller passes the hash column of the same list; "
+            "deriving it again yields the same column"
+        ),
+    },
+    "fleet/migration.py": {},
+    "sim/environment.py": {},
+    "sim/process.py": {
+        ": if False `if TYPE_CHECKING:`": (
+            "(e) the imports under it name types for annotations alone, and "
+            "annotations are not evaluated"
+        ),
+        "Wake: pass `triggered: bool`": (
+            "(e) an annotation binds nothing at run time; `triggered` is a slot"
+        ),
+        "Wake: pass `exception: Optional[BaseException] = None`": (
+            "(e) read by the type checker alone: `Process._resume` hands a "
+            "wake-up its value in its first branch and never reads its "
+            "`exception`"
+        ),
+    },
+    "fleet/controller.py": {
+        "FleetController._membership_event: if True `if isinstance(event, SetReplication):`": (
+            "(e) spec validation admits a join, a leave or a SetReplication "
+            "alone, so the last test is true whenever it runs"
+        ),
+        "FleetController._execute_plan: if True `if tenant != tenant_of_run:`": (
+            "(e) looking the tenant's list up again for every key appends to "
+            "the same list"
+        ),
+        "FleetController._execute_plan: pass `tenant_of_run = tenant`": (
+            "(e) looking the tenant's list up again for every key appends to "
+            "the same list"
+        ),
+    },
 }
+
+
+def test_every_kernel_has_a_gate_and_a_ci_job():
+    assert sorted(SURVIVORS) == sorted(KERNELS)
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert [kernel for kernel in sorted(KERNELS) if f"- kernel: {kernel}\n" not in workflow] == []
 
 
 def test_a_mutant_runs_the_tests_that_execute_its_line(tmp_path):
@@ -124,8 +228,8 @@ def test_the_probe_lists_kills_and_times_out_as_expected(tmp_path):
     (tmp_path / "test_check.py").write_text(CHECK)
     assert [(mutant.line, mutant.key) for mutant in mutants(SNIPPET)] == EXPECTED
     # The looping mutant, fourth in line, holds one of the two workers until
-    # its timeout (from ``test_halve``'s clean seconds); the other worker
-    # starts an interpreter for each of the rest.
+    # ``test_halve``'s limit; the other worker starts an interpreter for each
+    # of the rest.
     results = probe("snippet", SNIPPET, [str(tmp_path / "test_check.py")], 2)
     outcomes = {mutant.key: outcome for mutant, outcome in results}
     assert [key for key, outcome in outcomes.items() if outcome == "survived"] == [
@@ -134,6 +238,28 @@ def test_the_probe_lists_kills_and_times_out_as_expected(tmp_path):
     assert [key for key, outcome in outcomes.items() if outcome == "timeout"] == [
         "halve: pass `n //= 2`"
     ]
+
+
+def test_a_hang_ends_at_the_first_test_that_hangs(tmp_path, monkeypatch):
+    (tmp_path / "snippet.py").write_text(HANG_SNIPPET)
+    (tmp_path / "test_check.py").write_text(HANG_CHECK)
+    timed_out = []
+
+    def timed(script, module, source, args, timeout, *rest):
+        started = time.perf_counter()
+        outcome = run(script, module, source, args, timeout, *rest)
+        if outcome == "timeout":
+            timed_out.append((time.perf_counter() - started, timeout))
+        return outcome
+
+    monkeypatch.setattr(mutation_probe, "run", timed)
+    results = probe("snippet", HANG_SNIPPET, [str(tmp_path / "test_check.py")], 2)
+    assert [mutant.key for mutant, outcome in results if outcome != "killed"] == [
+        "halve: pass `n //= 2`"
+    ]
+    # It hangs in ``test_first``; its selection also holds the two sleepers.
+    [(seconds, selection_limit)] = timed_out
+    assert seconds < selection_limit - 2.0
 
 
 @pytest.mark.slow

@@ -256,6 +256,10 @@ ALLOWED = {
         2,
         "times the unmutated run, which sets the mutants' wall timeout",
     ),
+    ("tests/test_mutation_probe.py", "wall-clock-call"): (
+        2,
+        "times a hanging mutant's child against its whole selection's limit",
+    ),
     ("tests/test_parallel_and_golden_diff.py", "blocking-call-in-simulation"): (
         2,
         "asks another interpreter for its version and runs the golden check, "
