@@ -186,7 +186,7 @@ class ColdStorageDevice:
         self.stats = DeviceStats()
         metrics.publish(f"device.{name}", self.stats, DeviceStats.COUNTERS)
         metrics.publish(f"device.{name}.scheduler", scheduler, ("num_switches", "max_waiting_seen"))
-        self.process = env.process(self._run(), name="cold-storage-device")
+        env.process(self._run(), name="cold-storage-device")
 
     # ------------------------------------------------------------------ #
     # Client-facing API

@@ -109,38 +109,21 @@ class FleetController:
         #: Failure/membership processes still to open their epoch: once none
         #: is left and no periodic rebalancer runs, the census goes.
         self._epochs_to_open = len(self.spec.failures) + len(self.spec.events)
-        #: Failure/membership processes; their exceptions would otherwise be
-        #: recorded on the process event with no waiter and silently lost,
-        #: so the service re-raises them after (or instead of) a stuck run.
-        self.admin_processes = []
+        # Nothing waits on these processes: one that crashes ends the run
+        # with its error, raised by the kernel at the crash.
         for failure in self.spec.failures:
-            self.admin_processes.append(
-                self.env.process(
-                    self._fail_device(failure), name=f"fleet-failure:{failure.device}"
-                )
-            )
+            self.env.process(self._fail_device(failure), name=f"fleet-failure:{failure.device}")
         for event in self.spec.events:
             if isinstance(event, SetReplication):
                 name = f"fleet-set-replication:{event.replication}"
             else:
                 kind = "join" if isinstance(event, DeviceJoin) else "leave"
                 name = f"fleet-{kind}:{event.device}"
-            self.admin_processes.append(
-                self.env.process(self._membership_event(event), name=name)
-            )
+            self.env.process(self._membership_event(event), name=name)
         if self.spec.rebalance is not None:
-            self.admin_processes.append(
-                self.env.process(
-                    self._rebalance_controller(self.spec.rebalance),
-                    name="fleet-rebalancer",
-                )
+            self.env.process(
+                self._rebalance_controller(self.spec.rebalance), name="fleet-rebalancer"
             )
-
-    def raise_admin_failure(self) -> None:
-        """Re-raise the first exception a failure/membership process died of."""
-        for process in self.admin_processes:
-            if process.exception is not None:
-                raise process.exception
 
     # ------------------------------------------------------------------ #
     # Failure handling (fail-stop: epoch advances; with ``repair`` the lost
@@ -223,7 +206,11 @@ class FleetController:
 
         The process never terminates on its own — ``run(until=...)`` simply
         stops dispatching its wake-ups once the target event fires, so ticks
-        scheduled past the end of the workload never happen.
+        scheduled past the end of the workload never happen.  The ticks keep
+        the queue from running dry, so a starved run never ends in "ran out
+        of events"; a crashed process (this one, a device loop, a failure or
+        membership process) ends it, as the kernel raises a failure nobody
+        waits for.
         """
         window_start = 0.0
         while True:

@@ -12,9 +12,10 @@ behaviour of both systems:
 * the rank-based scheduler's fairness constant must satisfy ``K ≤ 1/s`` to
   favour efficiency and ``K = 1`` to maximise fairness — Section 4.4.
 
-This module implements these formulas so that the simulator can be
+This module implements the first three so that the simulator can be
 validated against them (see ``tests/test_analysis.py`` and
-``tests/figures/test_analysis_validation.py``).
+``tests/figures/test_analysis_validation.py``); the fourth is a rule for
+choosing ``K``, not a prediction to compare a run with.
 """
 
 from __future__ import annotations
@@ -123,19 +124,6 @@ def mjoin_expected_requests(
     total_objects = num_relations * segments_per_relation
     refetch_per_cycle = max(0, total_objects - cache_objects)
     return total_objects + (cycles - 1) * refetch_per_cycle
-
-
-def rank_fairness_bound(arrival_gap_switches: int) -> float:
-    """Section 4.4: the fairness constant must satisfy ``K ≤ 1 / s``.
-
-    ``s`` is the number of group switches between the arrivals of two query
-    sets; ``K = 1`` (the paper's choice, obtained for ``s = 1``) maximises
-    fairness while still preferring longer queues whenever they differ by
-    more than the accumulated waiting time.
-    """
-    if arrival_gap_switches < 1:
-        raise ConfigurationError("the arrival gap must be at least one switch")
-    return 1.0 / arrival_gap_switches
 
 
 @dataclass

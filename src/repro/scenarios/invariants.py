@@ -180,8 +180,8 @@ def check_no_starvation(cluster: ClusterLike, result: ClusterResult) -> bool:
 def check_monotone_clock(cluster: ClusterLike, result: ClusterResult) -> None:
     """Busy intervals and query timestamps respect the simulated clock.
 
-    Every device's own interval list must be monotone (a fleet's merged
-    stream is sorted by construction, so checking it would be vacuous).
+    Every device's own interval list must be monotone, each checked on its
+    own: busy logs are never merged across devices.
     """
     for device in cluster.devices:
         label = device.name

@@ -254,20 +254,9 @@ class StorageService:
         self._ran = True
         for session in self._sessions:
             session.close()
-        try:
-            self.env.run(self.env.all_of([session.process for session in self._sessions]))
-        except Exception:
-            # A crashed fleet failure/membership process, or a crashed
-            # device loop, starves the sessions and surfaces as an unrelated
-            # "ran out of events" error; prefer re-raising the root cause.
-            if self.controller is not None:
-                self.controller.raise_admin_failure()
-            for device in self.devices:
-                if device.process.exception is not None:
-                    raise device.process.exception
-            raise
-        if self.controller is not None:
-            self.controller.raise_admin_failure()
+        # A crashed device loop or fleet failure/membership/rebalancer
+        # process has no waiter: the kernel raises its error at the crash.
+        self.env.run(self.env.all_of([session.process for session in self._sessions]))
         # Nothing steps or forks a shared run, or gets from a store, once the
         # kernel is done: let go of what only they could still read.
         for shared in self.shared_runs.values():

@@ -15,7 +15,9 @@ The kernel is intentionally small and SimPy-like:
   (:class:`~repro.sim.process.Wake`, not an event) for them.
 * The kernel dispatches by one rule: an item that carries a handler
   (``resume``: a wake-up, a served GET) is handed to it; an event has its
-  callbacks run.
+  callbacks run.  A failed event with no callback — a process that crashed
+  with nothing waiting on it — raises its exception from ``Environment.run``
+  at that instant, as in SimPy: a failure nobody waits for ends the run.
 * :class:`~repro.sim.events.Event` is a one-shot event that processes can
   wait on and that callers can *succeed* with a value.
 * :class:`~repro.sim.events.Timeout` is a delay as an event, for what needs

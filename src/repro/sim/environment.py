@@ -23,7 +23,8 @@ timestamp's list, or registers the list and pushes the timestamp when it is
 the first event at it.  A process's wake-up (:class:`~repro.sim.process.Wake`)
 and a served :class:`~repro.csd.request.GetRequest` enqueue themselves the
 same way; they carry a handler (``resume``), and ``run``'s one rule is to
-hand such an item to it and to run an event's callbacks.
+hand such an item to it and to run an event's callbacks — or, for a failed
+event with no callback, to raise its exception.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ class Environment:
         value (or raise the exception it failed with).  Running out of
         events first is a :class:`SimulationError`.
 
+        A failed event that nothing waits on (it has no callback when it is
+        dispatched) raises its exception here, at that instant, as SimPy
+        does: a process that crashes with no waiter — a device loop, a
+        fleet's failure or rebalancer process — ends the run with its own
+        error, not with a later "ran out of events" or never.
+
         Waiting for dispatch rather than for ``triggered`` matters: a
         :class:`Timeout` is triggered the moment it is created (its value
         is already known) but only dispatches when the clock reaches it, so
@@ -118,7 +125,8 @@ class Environment:
         # The innermost loop of every simulation run: one heap pop per
         # distinct timestamp, one list walk per item at it, and each item's
         # dispatch inline — an item with a handler handed to it; an event
-        # marked, its callbacks taken and called.
+        # marked, its callbacks taken and called (or, failed with none, its
+        # exception raised).
         target = until
         times = self.times
         buckets = self.buckets
@@ -137,6 +145,9 @@ class Environment:
                         continue
                     event.dispatched = True
                     callbacks = event.callbacks
+                    if not callbacks and event.exception is not None:
+                        # A failure nobody waits for ends the run, now.
+                        raise event.exception
                     event.callbacks = []
                     for callback in callbacks:
                         callback(event)

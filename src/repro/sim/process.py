@@ -45,7 +45,10 @@ class Process(Event):
 
     A process is itself an :class:`Event`: it fires (with the generator's
     return value) when the generator finishes, so processes can wait for
-    other processes simply by yielding them.
+    other processes simply by yielding them.  A generator that raises fails
+    the process with that exception: a waiter gets it thrown in; with no
+    waiter, :meth:`Environment.run <repro.sim.environment.Environment.run>`
+    raises it as the failure is dispatched.
 
     The generator waits by yielding:
 

@@ -9,7 +9,6 @@ from repro.model import (
     AnalyticalModel,
     mjoin_expected_cycles,
     mjoin_expected_requests,
-    rank_fairness_bound,
     skipper_average_execution_time,
     skipper_waiting_time,
     vanilla_execution_time,
@@ -51,12 +50,6 @@ class TestFormulas:
         small = mjoin_expected_requests(3, 9, 6)
         large = mjoin_expected_requests(3, 9, 18)
         assert small > large >= 3 * 9
-
-    def test_rank_fairness_bound(self):
-        assert rank_fairness_bound(1) == 1.0
-        assert rank_fairness_bound(4) == pytest.approx(0.25)
-        with pytest.raises(ConfigurationError):
-            rank_fairness_bound(0)
 
     @given(
         switch=st.floats(min_value=0.0, max_value=60.0, allow_nan=False),

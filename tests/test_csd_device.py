@@ -119,10 +119,9 @@ class TestBatchedAccess:
         drain(env)
         assert list(served.queued) == [request] and request.value == "payload-c0-1"
         device.submit_many((request,))
-        drain(env)
-        error = device.process.exception
-        assert isinstance(error, SimulationError)
-        assert str(error) == "GET 'c0/t.1' was served twice"
+        with pytest.raises(SimulationError) as caught:
+            drain(env)
+        assert str(caught.value) == "GET 'c0/t.1' was served twice"
         assert list(served.queued) == [request] and device.stats.objects_served == 1
 
 

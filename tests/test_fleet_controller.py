@@ -83,7 +83,6 @@ def test_the_ring_weights_follow_the_profiles_across_a_join_only_when_profiled(w
     router = build_router(spec, objects(12))
     controller = FleetController(router)
     drain(router.env)
-    controller.raise_admin_failure()
     membership = router.membership
     expected = {}
     if weighting == "profile":
@@ -112,7 +111,6 @@ def test_a_device_that_holds_nothing_fails_and_is_repaired_around_without_a_devi
     controller = FleetController(router)
     submit(router, ["t0/obj.0"])
     drain(router.env)
-    controller.raise_admin_failure()
     dead = router.members[empty[0]]
     assert not dead.alive and dead.device is None
     [plan] = controller.migration_plans
@@ -163,7 +161,6 @@ def test_the_census_and_the_hash_column_live_while_an_epoch_can_open():
     key_hashes = controller._key_hashes
     assert key_hashes == [key_hash for key_hash, _key in router.sorted_key_hashes]
     drain(env)
-    controller.raise_admin_failure()
     assert controller._key_hashes is key_hashes
     # The last declared epoch has opened and no rebalancer runs.
     assert controller._census is None
@@ -179,7 +176,6 @@ def test_a_periodic_rebalancer_keeps_the_census_until_the_run_is_released():
     router = build_router(spec, objects(12))
     controller = FleetController(router)
     router.env.run(router.env.timeout(10.0))
-    controller.raise_admin_failure()
     assert controller._census is not None
     controller.release()
     assert controller._census is None
@@ -191,7 +187,6 @@ def test_a_membership_event_at_zero_seconds_waits_for_no_kernel_event():
         router = build_router(spec, objects(12))
         controller = FleetController(router)
         drain(router.env)
-        controller.raise_admin_failure()
         return router.env.dispatched
 
     # The later join waits on one timeout; everything else is the same.

@@ -18,6 +18,7 @@ from repro.csd.device import BusyInterval, DeviceConfig
 from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.layout import ClientsPerGroupLayout, extend_layout_with_keys
 from repro.exceptions import FleetError, LayoutError, ScenarioError, StorageError
+from repro.fleet.controller import FleetController
 from repro.fleet.membership import FleetMember, FleetMembership, resolve_device_config
 from repro.fleet.migration import plan_migration
 from repro.fleet.spec import (
@@ -509,10 +510,44 @@ class TestMultiEpochSequences:
             raise RuntimeError("injected membership crash")
 
         service.controller._apply_join = explode
-        # Without propagation this starves the sessions and dies with an
-        # unrelated "ran out of events" SimulationError.
+        # The join process has no waiter: its crash ends the run at once.
         with pytest.raises(RuntimeError, match="injected membership crash"):
             service.run()
+        assert service.env.now == 20.0
+
+    def test_a_repair_crash_that_starves_the_sessions_under_a_rebalancer_raises(
+        self, monkeypatch
+    ):
+        """The failure process drains the dead device's queue, then dies in
+        its repair epoch before it re-submits the drained requests: the
+        sessions wait for good, and the rebalancer's ticks keep the queue
+        from ever running dry.  The crash itself ends the run."""
+        spec = ScenarioSpec(
+            name="crashing-repair",
+            description="x",
+            tenants=uniform_tenants(2, "tpch:q12", cache_capacity=8),
+            fleet=FleetSpec(
+                devices=3,
+                replication=2,
+                repair=True,
+                failures=(DeviceFailure(0, 20.0),),
+                rebalance=RebalancePolicy(interval_seconds=30.0),
+            ),
+            seed=42,
+        )
+        rebalance = FleetController._rebalance
+
+        def explode(self, kind, device_id, reason="rebalance"):
+            if kind == "repair":
+                raise RuntimeError("injected repair crash")
+            rebalance(self, kind, device_id, reason)
+
+        monkeypatch.setattr(FleetController, "_rebalance", explode)
+        service = StorageService(spec)
+        with pytest.raises(RuntimeError, match="injected repair crash"):
+            service.run()
+        assert service.env.now == 20.0
+        assert service.fleet.stats.failed_over > 0
 
 
 class TestSessionsSurviveMembershipChanges:

@@ -417,11 +417,12 @@ class TestErrorTaxonomy:
         assert issubclass(ScenarioError, ConfigurationError)
 
 
-@pytest.mark.parametrize("scenario", ["uniform", "fleet-device-loss"])
+@pytest.mark.parametrize("scenario", ["uniform", "fleet-device-loss", "fleet-adaptive-rebalance"])
 def test_a_crashed_device_loop_raises_its_own_error(monkeypatch, scenario):
     """A device process that dies leaves the sessions waiting forever; the
-    run raises what the device died of, not the kernel's "ran out of
-    events" that follows."""
+    run raises what the device died of the instant it dies — not the
+    kernel's "ran out of events" that follows, and not never, as under a
+    rebalancer whose ticks keep the queue from running dry."""
 
     def broken(self, current_group):
         raise KeyError("injected into choose_next_group")
@@ -430,6 +431,7 @@ def test_a_crashed_device_loop_raises_its_own_error(monkeypatch, scenario):
     service = StorageService(get_scenario(scenario))
     with pytest.raises(KeyError, match="injected into choose_next_group"):
         service.run()
+    assert service.env.now == 0.0
 
 
 def test_a_malformed_segment_index_is_a_typed_storage_error():

@@ -148,6 +148,68 @@ def test_run_until_event_that_never_fires_raises_after_the_last_event():
     assert env.now == 1.0
 
 
+def test_a_failure_nobody_waits_for_ends_the_run_at_once():
+    """A process that fails with nothing waiting on it ends ``run`` with its
+    own error at the instant it fails, though another process would tick
+    forever; a failure with a waiter reaches the waiter instead."""
+    env = Environment()
+    caught = []
+
+    def ticker(env):
+        while True:
+            yield 1.0
+
+    def crash(env):
+        yield 1.0
+        raise ValueError("crashed at 1")
+
+    def waiter(env, child):
+        try:
+            yield child
+        except ValueError as error:
+            caught.append((env.now, str(error)))
+
+    def waited_on(env):
+        yield 0.5
+        raise ValueError("crashed at 0.5")
+
+    env.process(ticker(env))
+    env.process(waiter(env, env.process(waited_on(env))))
+    failed = env.process(crash(env))
+    with pytest.raises(ValueError, match="crashed at 1") as raised:
+        env.run(env.event("never"))
+    assert raised.value is failed.exception and env.now == 1.0
+    assert caught == [(0.5, "crashed at 0.5")]
+
+
+def test_a_failed_target_raises_from_run_whether_or_not_it_has_a_waiter():
+    """``run(until)`` raises what its target failed with: a target with a
+    waiter (which still gets the error) and a target that had already been
+    dispatched, as well as one nothing else waits on."""
+    env = Environment()
+    caught = []
+
+    def crash(env):
+        yield 1.0
+        raise ValueError("target crashed")
+
+    def waiter(env, child):
+        try:
+            yield child
+        except ValueError as error:
+            caught.append(str(error))
+
+    target = env.process(crash(env))
+    env.process(waiter(env, target))
+    with pytest.raises(ValueError, match="target crashed"):
+        env.run(target)
+    assert env.now == 1.0 and target.dispatched
+    with pytest.raises(ValueError, match="target crashed"):
+        env.run(target)
+    drain(env)
+    assert caught == ["target crashed"]
+
+
 def test_a_run_after_running_out_delivers_nothing_twice():
     """Running out of events keeps the last instant's list registered but
     empties it, so the next run does not walk what it delivered again."""
@@ -204,9 +266,9 @@ def test_yielding_non_event_fails_the_process(target):
         yield target
 
     process = env.process(bad(env))
-    drain(env)
-    assert isinstance(process.exception, SimulationError)
-    assert "may only yield" in str(process.exception)
+    with pytest.raises(SimulationError, match="may only yield") as raised:
+        drain(env)
+    assert raised.value is process.exception
 
 
 def test_run_until_event_that_never_fires_raises():

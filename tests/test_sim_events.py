@@ -114,8 +114,11 @@ def test_event_failure_propagates_into_process():
 
     waiter_proc = env.process(waiter(env))
     env.process(failer(env))
-    drain(env)
-    assert isinstance(waiter_proc.exception, ValueError)
+    # The gate's failure reaches its waiter; the waiter, which nobody waits
+    # on, ends the run with it.
+    with pytest.raises(ValueError, match="boom") as raised:
+        drain(env)
+    assert raised.value is waiter_proc.exception and env.now == 1.0
 
 
 def test_process_waiting_on_process_gets_return_value():
@@ -430,8 +433,10 @@ def test_an_uncaught_bad_delay_fails_the_process():
         yield -1
 
     proc = env.process(process(env))
-    drain(env)
-    assert str(proc.exception) == "timeout delay must be >= 0, got -1"
+    with pytest.raises(SimulationError) as raised:
+        drain(env)
+    assert raised.value is proc.exception
+    assert str(raised.value) == "timeout delay must be >= 0, got -1"
 
 
 def test_a_store_wait_takes_a_queued_item_at_once():
@@ -514,7 +519,12 @@ def test_a_finished_process_holds_no_wake_up(ending):
     wake = process._wake
     resume = wake.resume
     generator = weakref.ref(generator)
-    drain(env)
+    if ending == "return":
+        drain(env)
+    else:
+        with pytest.raises((ValueError, SimulationError)) as raised:
+            drain(env)
+        assert raised.value is process.exception
     gc.collect()
     held = gc.get_referents(process)
     assert not any(kept is wake or kept is resume for kept in held)
@@ -522,8 +532,6 @@ def test_a_finished_process_holds_no_wake_up(ending):
     assert process._send is None and process._resume_callback is None
     if ending == "return":
         assert process.value == "done"
-    else:
-        assert isinstance(process.exception, (ValueError, SimulationError))
 
 
 def test_a_store_put_to_a_triggered_getter_is_an_error():
@@ -626,8 +634,9 @@ def test_a_bad_yield_closes_the_generator_however_it_is_held():
 
     generator = body(env)
     process = env.process(generator)
-    drain(env)
-    assert closed == [0.0] and isinstance(process.exception, SimulationError)
+    with pytest.raises(SimulationError) as raised:
+        drain(env)
+    assert closed == [0.0] and raised.value is process.exception
     assert generator.gi_frame is None
 
 

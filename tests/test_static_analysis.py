@@ -972,7 +972,6 @@ TEST_REFERENCES = {
     "ObjectCache.peek": "reads an entry without a tick, to check get_batch's accounting",
     "QueryResult.waiting_time": "documented result field (README, Simulated service)",
     "mjoin_expected_requests": "the paper's closed form for MJoin's request count",
-    "rank_fairness_bound": "the paper's closed form for the rank-based scheduler's bound",
     "AnalyticalModel.speedup": "the paper's analytical speedup, checked against runs",
     "AnalyticalModel.latency_sensitivity": "the paper's latency sensitivity, checked against runs",
     "IOScheduler.queries_on_group": "the view tests/scheduler_oracle.py is compared through",
@@ -1045,7 +1044,7 @@ def test_surface_is_reached_from_the_program():
     # Every allow-listed function still exists: a deleted one leaves the list.
     defined = {qualified for _, qualified, _ in _public_functions()}
     assert set(TEST_REFERENCES) <= defined
-    assert len(TEST_REFERENCES) <= 14
+    assert len(TEST_REFERENCES) <= 13
     assert all(reason for reason in TEST_REFERENCES.values())
 
 

@@ -24,11 +24,10 @@ module at the package's top, ``other`` anything outside it — the frame
 gates' own ``layer_of``, imported from ``tests/frame_count.py``.
 
 ``--frames`` counts instead of sampling: the Python frames each
-``service.run()`` enters (one ``sys.setprofile`` call event per frame,
-generator resumes included, the collector held off), per delivered object,
-by layer and for the top functions — the count
-``tests/test_layer_frame_budget.py`` gates, bucketed as
-``tests/frame_count.py`` buckets it — and beside it the kernel's events per
+``service.run()`` enters, per delivered object, by layer and for the top
+functions — counted by ``tests/frame_count.py``'s ``count_frames``, so it is
+the count ``tests/test_layer_frame_budget.py`` gates, bucketed as that file
+buckets it — and beside it the kernel's events per
 delivered object (``env.dispatched``), so a change that claims to save work
 per event shows that it left the event count alone.  Both repeat exactly on
 one interpreter.
@@ -41,7 +40,6 @@ Usage (stdlib only, POSIX, from the repository root)::
 from __future__ import annotations
 
 import argparse
-import gc
 import runpy
 import signal
 import sys
@@ -52,8 +50,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
 
-# The frame gates' own layer buckets: what this prints is what they count.
-from frame_count import layer_of  # noqa: E402
+# The frame gates' own counter and layer buckets: what this prints is what
+# they count.
+from frame_count import count_frames, layer_of  # noqa: E402
 from repro.scenarios.runner import ScenarioRunner  # noqa: E402
 from repro.service import StorageService  # noqa: E402
 from repro.workloads import tpch  # noqa: E402
@@ -70,26 +69,19 @@ def function_of(code) -> str:
     return f"{layer_of(code.co_filename)}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def count_frames(workload: str, profile, spec, repetitions: int) -> None:
+def print_frames(workload: str, profile, spec, repetitions: int) -> None:
     """Print the frames ``service.run()`` enters per delivered object, by
     layer and for the top :data:`TOP` functions, and the events it
     dispatches per delivered object, over ``repetitions`` runs."""
     by_code: Counter = Counter()
 
-    def tally(frame, event: str, _arg) -> None:
-        if event == "call":
-            by_code[frame.f_code] += 1
+    def tally(frame) -> None:
+        by_code[frame.f_code] += 1
 
     objects = events = 0
     for _ in range(repetitions):
         service = StorageService(spec, catalog=tpch.build_catalog(profile, SEED))
-        gc.disable()
-        sys.setprofile(tally)
-        try:
-            result = service.run()
-        finally:
-            sys.setprofile(None)
-            gc.enable()
+        result, _frames = count_frames(service.run, on_call=tally)
         objects += result.device_objects_served
         events += service.env.dispatched
     layers: Counter = Counter()
@@ -125,7 +117,7 @@ def main() -> None:
     profile, spec = workloads[args.workload](SEED + 1, args.quick)
     if args.frames:
         name = f"{args.workload}{' --quick' if args.quick else ''}"
-        count_frames(name, profile, spec, args.repetitions)
+        print_frames(name, profile, spec, args.repetitions)
         return
     runner = ScenarioRunner(check=False)
     self_functions: Counter = Counter()
