@@ -245,10 +245,6 @@ class SubplanTracker:
         """Number of subplans discarded by empty-object pruning."""
         return self._num_pruned
 
-    def has_pending(self) -> bool:
-        """Whether any subplan is still pending."""
-        return self._num_executed + self._num_pruned < self._total
-
     # ------------------------------------------------------------------ #
     # Object-centric queries used by the cache policies
     # ------------------------------------------------------------------ #

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.cluster.metrics import imbalance_coefficient
 from repro.csd.layout import extend_layout_with_keys
 from repro.csd.request import MigrationJob, MigrationNotify, migration_fields
+from repro.exceptions import SimulationError
 from repro.fleet.migration import MigrationPlan, plan_migration
 from repro.fleet.placement import normalize_weights
 from repro.fleet.router import FleetRouter
@@ -53,6 +54,7 @@ from repro.fleet.spec import (
     SetReplication,
     device_name,
 )
+from repro.sim.events import Event
 
 #: ``_tuple_new(MigrationJob, (key, *fields))`` is ``MigrationJob(key,
 #: *fields)`` without the Python frame of the generated ``__new__``: a
@@ -120,8 +122,12 @@ class FleetController:
                 kind = "join" if isinstance(event, DeviceJoin) else "leave"
                 name = f"fleet-{kind}:{event.device}"
             self.env.process(self._membership_event(event), name=name)
+        #: The session processes the run waits for, handed over by the
+        #: service as it runs: a rebalancer tick left alone names the
+        #: unfinished ones.
+        self.sessions: Sequence[Event] = ()
         if self.spec.rebalance is not None:
-            self.env.process(
+            self._rebalancer = self.env.process(
                 self._rebalance_controller(self.spec.rebalance), name="fleet-rebalancer"
             )
 
@@ -207,16 +213,24 @@ class FleetController:
         The process never terminates on its own — ``run(until=...)`` simply
         stops dispatching its wake-ups once the target event fires, so ticks
         scheduled past the end of the workload never happen.  The ticks keep
-        the queue from running dry, so a starved run never ends in "ran out
-        of events"; a crashed process (this one, a device loop, a failure or
-        membership process) ends it, as the kernel raises a failure nobody
-        waits for.
+        the queue from running dry, so a starved run would never end in "ran
+        out of events": a tick that wakes to nothing else scheduled raises a
+        :class:`SimulationError` naming the sessions that can never finish.
+        (A crashed process ends the run itself, as the kernel raises a
+        failure nobody waits for.)
         """
+        env = self.env
         window_start = 0.0
         while True:
             yield policy.interval_seconds
-            self._rebalance_tick(window_start, self.env.now)
-            window_start = self.env.now
+            if env.only(self._rebalancer.wake):
+                raise SimulationError(
+                    f"nothing but the fleet rebalancer is left to run at t = {env.now}; "
+                    "the sessions that can never finish: "
+                    f"{[session.name for session in self.sessions if not session.triggered]}"
+                )
+            self._rebalance_tick(window_start, env.now)
+            window_start = env.now
 
     def _rebalance_tick(self, window_start: float, now: float) -> None:
         """One controller decision over the busy window just ended.

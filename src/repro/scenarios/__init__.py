@@ -39,7 +39,6 @@ from repro.scenarios.golden import (
     diff_values,
     golden_path,
     load_golden,
-    unified_diff_summary,
     write_golden,
 )
 from repro.scenarios.invariants import check_invariants, starvation_bound
@@ -74,7 +73,6 @@ __all__ = [
     "run_one",
     "scenario_names",
     "starvation_bound",
-    "unified_diff_summary",
     "uniform_tenants",
     "write_golden",
 ]

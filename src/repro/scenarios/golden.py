@@ -18,16 +18,12 @@ and commit the diff together with the change that caused it.
 
 from __future__ import annotations
 
-import difflib
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
 from repro.exceptions import GoldenMismatchError
 from repro.scenarios.report import ScenarioReport
-
-#: Most unified-diff lines included in a mismatch error before truncation.
-MAX_DIFF_LINES = 60
 
 
 def default_golden_dir() -> Path:
@@ -98,29 +94,6 @@ def diff_values(live: Any, golden: Any, path: str = "$") -> List[str]:
     return mismatches
 
 
-def unified_diff_summary(live: Dict[str, Any], golden: Dict[str, Any], name: str) -> str:
-    """Canonical-JSON unified diff between a live report and its golden.
-
-    Both sides are re-serialized with the canonical formatting, so the diff
-    shows exactly the lines that would change in the committed file.
-    """
-    golden_lines = json.dumps(golden, sort_keys=True, indent=2).splitlines(keepends=True)
-    live_lines = json.dumps(live, sort_keys=True, indent=2).splitlines(keepends=True)
-    diff = list(
-        difflib.unified_diff(
-            golden_lines,
-            live_lines,
-            fromfile=f"golden/{name}.json",
-            tofile=f"live/{name}.json",
-            lineterm="\n",
-        )
-    )
-    if len(diff) > MAX_DIFF_LINES:
-        omitted = len(diff) - MAX_DIFF_LINES
-        diff = diff[:MAX_DIFF_LINES] + [f"... ({omitted} more diff line(s) omitted)\n"]
-    return "".join(diff).rstrip("\n")
-
-
 def assert_dict_matches_golden(
     name: str, live: Dict[str, Any], golden_dir: Path
 ) -> None:
@@ -134,11 +107,9 @@ def assert_dict_matches_golden(
     mismatches = diff_values(live, golden)
     if mismatches:
         details = "\n  ".join(mismatches[:20])
-        diff_text = unified_diff_summary(live, golden, name)
         raise GoldenMismatchError(
             f"scenario {name!r} diverged from its golden metrics "
             f"({len(mismatches)} mismatch(es)):\n  {details}\n"
-            f"Unified diff (golden -> live):\n{diff_text}\n"
             "If the change is intentional, regenerate with "
             f"'python -m repro.scenarios --regen-golden {name}'"
         )

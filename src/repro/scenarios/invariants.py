@@ -2,16 +2,18 @@
 
 The scenario engine is a regression net for the whole reproduction, so every
 run — regardless of which scenario — is validated against properties that
-must hold for *any* configuration:
+must hold for *any* configuration.  Each property has one owner:
 
-* **Conservation** — every GET issued by a client is served exactly once:
-  the devices' served-object counters, their per-client counters, their
-  transfer busy-intervals and the clients' request counters all agree, the
-  received (and, on a fleet, routed) counters exceed them by exactly the
-  failed-over plus handed-off requests, no scheduler is left with pending
-  work and every transfer was served from the group its device's layout
-  names.  One body over ``service.devices`` — one entry for the paper's
-  single CSD — so the fleet has no second copy of the check.
+* **Conservation** (:func:`check_conservation`, every run) — every GET is
+  served exactly once and nothing is lost or left in flight: the devices'
+  served-object counters, their per-client counters, their transfer
+  busy-intervals and the clients' request counters all agree, the received
+  (and, on a fleet, routed) counters exceed them by exactly the failed-over
+  plus handed-off requests, no device's scheduler is left with pending work,
+  no fleet member ends with an outstanding request, and every transfer was
+  served from the group its device's layout names.  One body over
+  ``service.devices`` — one entry for the paper's single CSD, every member
+  ever given a device on a fleet — so no fleet check repeats it.
 * **Bounded starvation** — under the rank-based policy with fairness
   constant K > 0, no query's waiting counter (group switches since it was
   last serviced) ever exceeds a bound derived from the group/query counts;
@@ -22,21 +24,21 @@ must hold for *any* configuration:
 * **Cache bounds** — no Skipper client's cache ever held more objects than
   its configured capacity.
 * **Fleet placement** (fleet runs) — every object is placed on exactly R
-  distinct devices and every serving device actually holds a replica.
-* **Fleet failover** (fleet runs with failures) — dead devices start no work
-  after their failure instant and no request is left queued anywhere: with
-  R >= 2, zero objects are lost.
+  distinct devices, each of which holds it in its layout.
+* **Membership lifetimes** (:func:`check_member_lifetimes`, fleet runs;
+  recorded as ``fleet-failover`` and ``fleet-rebalance`` where a device
+  failed or membership changed) — a device works only while it is a member:
+  none before joining, none after failing, and only migration reads after
+  leaving.
 * **Fleet rebalance** (fleet runs with membership events) — epochs advance
   strictly monotonically, every migration plan stays within the
   bounded-migration envelope (≈2·R·K/N keys, far below a naive full
-  reshuffle; an R change may legitimately sweep all K keys), departed
-  devices perform only migration reads after leaving, joiners perform no
-  work before joining, and zero objects are lost across the rebalance.
+  reshuffle; an R change may legitimately sweep all K keys) and every
+  migrated key lands in its destination's layout.
 * **Replication repair** (fleet runs that repaired, re-replicated or
   trimmed) — after a read-repair pass or a ``SetReplication`` change every
-  surviving key returns to ``min(R, serving)`` live replicas, trims never
-  drop a key's last replica, and no device's outstanding counter ends
-  non-zero.
+  surviving key returns to ``min(R, serving)`` live replicas, and trims
+  never drop a key's last replica.
 
 A violated invariant raises :class:`~repro.exceptions.InvariantViolation`;
 the list of checks that ran is recorded in the scenario report so golden
@@ -53,11 +55,6 @@ from repro.core.execution import MODE_SKIPPER
 from repro.csd.scheduler import RankBasedScheduler
 from repro.exceptions import InvariantViolation
 from repro.service.service import StorageService
-
-#: The invariant checks only touch the service's backend surface: the
-#: ``devices`` roster and ``device_stats()`` for the checks every run gets,
-#: ``fleet`` + ``controller`` for the fleet-only ones.
-ClusterLike = StorageService
 
 
 def starvation_bound(num_groups: int, num_queries: int, fairness_constant: float) -> int:
@@ -83,7 +80,7 @@ def _issued_requests(result: ClusterResult) -> int:
     )
 
 
-def check_conservation(cluster: ClusterLike, result: ClusterResult) -> None:
+def check_conservation(cluster: StorageService, result: ClusterResult) -> None:
     """Objects-served conservation across device(s), scheduler(s) and clients.
 
     Must hold across all devices combined.  Failed-over and handed-off
@@ -114,6 +111,12 @@ def check_conservation(cluster: ClusterLike, result: ClusterResult) -> None:
         router = cluster.fleet.stats
         rerouted = router.failed_over + router.handed_off
         routed = router.requests_routed
+        for member in cluster.fleet.members:
+            if member.outstanding != 0:
+                raise InvariantViolation(
+                    f"device {member.device_id!r} ended the run with "
+                    f"{member.outstanding} outstanding request(s)"
+                )
     else:
         rerouted = 0
         routed = issued
@@ -145,7 +148,7 @@ def check_conservation(cluster: ClusterLike, result: ClusterResult) -> None:
                 )
 
 
-def check_no_starvation(cluster: ClusterLike, result: ClusterResult) -> bool:
+def check_no_starvation(cluster: StorageService, result: ClusterResult) -> bool:
     """Bounded waiting under the rank-based policy (skipped otherwise).
 
     Each device schedules independently; the bound is checked per device
@@ -177,7 +180,7 @@ def check_no_starvation(cluster: ClusterLike, result: ClusterResult) -> bool:
     return checked_any
 
 
-def check_monotone_clock(cluster: ClusterLike, result: ClusterResult) -> None:
+def check_monotone_clock(cluster: StorageService, result: ClusterResult) -> None:
     """Busy intervals and query timestamps respect the simulated clock.
 
     Every device's own interval list must be monotone, each checked on its
@@ -241,7 +244,7 @@ def check_cache_bounds(result: ClusterResult) -> bool:
     return saw_skipper
 
 
-def check_fleet_placement(cluster: ClusterLike) -> None:
+def check_fleet_placement(cluster: StorageService) -> None:
     """Every object sits on exactly R distinct devices that truly hold it.
 
     R here is the replication factor the current placement was computed at:
@@ -271,31 +274,37 @@ def check_fleet_placement(cluster: ClusterLike) -> None:
                 )
 
 
-def check_fleet_failover(cluster: ClusterLike) -> bool:
-    """Dead devices stop at their failure instant and nothing is lost."""
-    fleet = cluster.fleet
-    failed = [member for member in fleet.members if member.failed_at is not None]
-    if not failed:
-        return False
-    for member in failed:
-        if member.device is None:
-            continue
-        for interval in member.device.busy_intervals:
-            if interval.start > member.failed_at:
+def check_member_lifetimes(cluster: StorageService) -> None:
+    """A device works only while it is a member: no work starts before it
+    joined or after it failed, and after it left only the migration reads
+    of the keys it still holds."""
+    members = cluster.fleet.membership.by_id
+    for device in cluster.devices:
+        member = members[device.name]
+        for interval in device.busy_intervals:
+            if interval.start < member.joined_at:
+                raise InvariantViolation(
+                    f"device {member.device_id!r} performed work at "
+                    f"{interval.start}, before joining at {member.joined_at}"
+                )
+            if member.failed_at is not None and interval.start > member.failed_at:
                 raise InvariantViolation(
                     f"dead device {member.device_id!r} started work at "
                     f"{interval.start}, after failing at {member.failed_at}"
                 )
-    lost = fleet.pending_total()
-    if lost:
-        raise InvariantViolation(
-            f"{lost} request(s) left queued in the fleet after the run "
-            "(lost objects on failover)"
-        )
-    return True
+            if (
+                member.left_at is not None
+                and interval.start > member.left_at
+                and interval.kind != "migration"
+            ):
+                raise InvariantViolation(
+                    f"departed device {member.device_id!r} performed "
+                    f"{interval.kind} work at {interval.start}, after "
+                    f"leaving at {member.left_at}"
+                )
 
 
-def check_fleet_rebalance(cluster: ClusterLike) -> bool:
+def check_fleet_rebalance(cluster: StorageService) -> bool:
     """Elastic-membership invariants (skipped for static fleets).
 
     * **Epoch monotonicity** — the epoch log advances by exactly one per
@@ -307,9 +316,6 @@ def check_fleet_rebalance(cluster: ClusterLike) -> bool:
       full reshuffle of all K keys.
     * **Migrated data lands** — every migrated key is present in its
       destination device's (append-only) layout.
-    * **Graceful exits** — a departed device performs only migration reads
-      after leaving; a joiner performs no work before joining.
-    * **Zero lost objects** — nothing is left queued anywhere post-run.
     """
     fleet = cluster.fleet
     membership = fleet.membership
@@ -356,48 +362,21 @@ def check_fleet_rebalance(cluster: ClusterLike) -> bool:
                     f"epoch {plan.epoch}: migrated key {move.object_key!r} "
                     f"never landed in destination {move.dest!r}'s layout"
                 )
-    for member in fleet.members:
-        if member.device is None:
-            continue
-        if member.left_at is not None:
-            for interval in member.device.busy_intervals:
-                if interval.start > member.left_at and interval.kind != "migration":
-                    raise InvariantViolation(
-                        f"departed device {member.device_id!r} performed "
-                        f"{interval.kind} work at {interval.start}, after "
-                        f"leaving at {member.left_at}"
-                    )
-        if member.joined_at > 0:
-            for interval in member.device.busy_intervals:
-                if interval.start < member.joined_at:
-                    raise InvariantViolation(
-                        f"device {member.device_id!r} performed work at "
-                        f"{interval.start}, before joining at {member.joined_at}"
-                    )
-    lost = fleet.pending_total()
-    if lost:
-        raise InvariantViolation(
-            f"{lost} request(s) left queued in the fleet after the run "
-            "(lost objects across the rebalance)"
-        )
     return True
 
 
-def check_replication_repair(cluster: ClusterLike) -> bool:
+def check_replication_repair(cluster: StorageService) -> bool:
     """Replication-lifecycle invariants (skipped when nothing rebalanced).
 
     * **Full replication restored** — after a read-repair pass or a
       ``SetReplication`` change, every surviving key holds exactly
-      ``min(R, serving devices)`` *live* replicas, each physically present
-      in its device's layout: repair actually heals the loss, R-up actually
-      replicates, and R-down never over-trims.
+      ``min(R, serving devices)`` *live* replicas (each in its device's
+      layout, as :func:`check_fleet_placement` checks): repair actually
+      heals the loss, R-up actually replicates, and R-down never over-trims.
     * **Trims keep a live replica** — no plan's trim ever left a key with
       zero *live* replicas (each :class:`~repro.fleet.migration.KeyTrim`
       records the live survivor count at plan time, so a placement diffed
       against a stale roster of dead devices would be caught here).
-    * **Outstanding counters stay sane** — no device ends the run with a
-      negative or non-zero outstanding count (the router raises mid-run if
-      one ever goes negative).
     """
     fleet = cluster.fleet
     plans = cluster.controller.migration_plans
@@ -425,14 +404,8 @@ def check_replication_repair(cluster: ClusterLike) -> bool:
                 f"trim of {trim.object_key!r} off {trim.device!r} dropped "
                 "the key's last replica"
             )
-    members_by_id = fleet.membership.by_id
-    for member in fleet.members:
-        if member.outstanding != 0:
-            raise InvariantViolation(
-                f"device {member.device_id!r} ended the run with "
-                f"{member.outstanding} outstanding request(s)"
-            )
     if healed:
+        members_by_id = fleet.membership.by_id
         target = cluster.controller.effective_replication
         for object_key, replicas in fleet.placement.items():
             live = [
@@ -445,19 +418,10 @@ def check_replication_repair(cluster: ClusterLike) -> bool:
                     f"object {object_key!r} holds {len(live)} live replica(s) "
                     f"after repair/replication changes, expected {target}"
                 )
-            for device_id in live:
-                member = members_by_id[device_id]
-                if member.device is None or not member.device.layout.has_object(
-                    object_key
-                ):
-                    raise InvariantViolation(
-                        f"live replica of {object_key!r} on {device_id!r} is "
-                        "not physically present in the device's layout"
-                    )
     return True
 
 
-def check_invariants(cluster: ClusterLike, result: ClusterResult) -> List[str]:
+def check_invariants(cluster: StorageService, result: ClusterResult) -> List[str]:
     """Run every applicable invariant; return the names of those checked."""
     checked = ["conservation", "monotone-clock"]
     check_conservation(cluster, result)
@@ -466,10 +430,12 @@ def check_invariants(cluster: ClusterLike, result: ClusterResult) -> List[str]:
         checked.append("no-starvation")
     if check_cache_bounds(result):
         checked.append("cache-bounds")
-    if cluster.fleet is not None:
+    fleet = cluster.fleet
+    if fleet is not None:
         check_fleet_placement(cluster)
+        check_member_lifetimes(cluster)
         checked.append("fleet-placement")
-        if check_fleet_failover(cluster):
+        if any(member.failed_at is not None for member in fleet.members):
             checked.append("fleet-failover")
         if check_fleet_rebalance(cluster):
             checked.append("fleet-rebalance")

@@ -256,7 +256,10 @@ class StorageService:
             session.close()
         # A crashed device loop or fleet failure/membership/rebalancer
         # process has no waiter: the kernel raises its error at the crash.
-        self.env.run(self.env.all_of([session.process for session in self._sessions]))
+        sessions = [session.process for session in self._sessions]
+        if self.controller is not None:
+            self.controller.sessions = sessions
+        self.env.run(self.env.all_of(sessions))
         # Nothing steps or forks a shared run, or gets from a store, once the
         # kernel is done: let go of what only they could still read.
         for shared in self.shared_runs.values():

@@ -103,6 +103,13 @@ class Environment:
         """Event that fires when any of ``events`` has fired."""
         return AnyOf(self, events)
 
+    def only(self, item: Any) -> bool:
+        """Whether ``item``, being dispatched, is all that is scheduled:
+        nothing after it at this instant and no later instant.  A process
+        that runs for ever asks it of its wake-up as it wakes; if so, nothing
+        it does not do itself can happen again."""
+        return not self.times and self.buckets[self.now][-1] is item
+
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #

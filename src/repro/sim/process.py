@@ -72,7 +72,7 @@ class Process(Event):
     its ``yield``.
     """
 
-    __slots__ = ("_generator", "_send", "_resume_callback", "_wake")
+    __slots__ = ("_generator", "_send", "_resume_callback", "wake")
 
     def __init__(self, env: Environment, generator: ProcessGenerator, name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -86,15 +86,16 @@ class Process(Event):
         # kernel hands the wake-up to, and ``send`` runs once per resume.
         self._send = generator.send
         self._resume_callback = self._resume
-        # The wake-up a delay or a store wait books; it kicks the process
-        # off at the current simulated time.
-        wake = self._wake = Wake(self.name, self._resume_callback)
+        #: The wake-up a delay or a store wait books (``None`` once the
+        #: process has finished); it kicks the process off at the current
+        #: simulated time.
+        wake = self.wake = Wake(self.name, self._resume_callback)
         env.buckets[env.now].append(wake)
 
     def _resume(self, event: Union[Event, Wake]) -> None:
         """Advance the generator with the value (or exception) of ``event``,
         then book what it waits on next."""
-        wake = self._wake
+        wake = self.wake
         try:
             if event is wake:
                 # The wake-up must not pin the item it delivered.
@@ -173,4 +174,4 @@ class Process(Event):
         keeps its value (or exception) and its waiters, not its wake-up, the
         generator or the bound methods."""
         self._generator = self._send = self._resume_callback = None
-        self._wake = None
+        self.wake = None

@@ -32,6 +32,11 @@ def reference_get(cache, segment_id):
     return entry
 
 
+def tracker_has_pending(tracker):
+    """Whether any of the tracker's subplans is neither executed nor pruned."""
+    return tracker.num_executed + tracker.num_pruned < tracker.total_subplans
+
+
 def pending_counts(tracker, segment_ids):
     """Pending-subplan count for each of ``segment_ids``, in their order;
     0 for a segment of no table of the query."""

@@ -109,6 +109,10 @@ KERNELS: Dict[str, Tuple[str, ...]] = {
         "test_submit_many", "test_fleet_router", "test_fleet_load_aware",
         "test_fleet_scenarios", "test_bytes_budget",
     ),
+    "scenarios/invariants.py": (
+        "test_scenarios", "test_fleet_membership", "test_fleet_scenarios",
+        "test_replication_lifecycle", "test_scheduler_properties",
+    ),
     "sim/environment.py": (
         "test_sim_events", "test_sim_environment", "test_request_path_budget",
         "test_layer_frame_budget", "test_epoch_budget", "test_sim_determinism",

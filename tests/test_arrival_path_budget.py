@@ -44,6 +44,7 @@ from typing import Callable, List, Optional, Tuple
 
 import pytest
 from frame_count import count_frames
+from mjoin_oracle import tracker_has_pending
 
 from repro.core import njoin
 from repro.core.cache import MaxProgressEviction, ObjectCache
@@ -112,7 +113,7 @@ def _feed(
             requests = manager.next_cycle_requests()
 
     count_frames(feed, on_call=on_call)
-    assert not manager.tracker.has_pending()
+    assert not tracker_has_pending(manager.tracker)
     return manager
 
 

@@ -40,6 +40,7 @@ from mjoin_oracle import (
     executable_counts,
     pending_counts,
     reference_get,
+    tracker_has_pending,
 )
 
 from repro.core.cache import (
@@ -222,7 +223,7 @@ class TestBatchWalkEquivalence:
                 manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
                 _assert_relation_tables_hold_the_cached_segments(manager)
             requests = manager.next_cycle_requests()
-        if not manager.tracker.has_pending():
+        if not tracker_has_pending(manager.tracker):
             assert manager.tracker.num_executed == sum(batches)
             assert canonical_rows(manager.results()) == canonical_rows(
                 InMemoryExecutor(catalog).execute(query).rows
@@ -340,7 +341,7 @@ class TestTrackerMatchesOracle:
             assert _num_pending(tracker) == oracle.state.count("pending")
             assert tracker.num_executed == oracle.state.count("executed")
             assert tracker.num_pruned == oracle.state.count("pruned")
-            assert tracker.has_pending() == ("pending" in oracle.state)
+            assert tracker_has_pending(tracker) == ("pending" in oracle.state)
             assert tracker.objects_needed() == oracle.objects_needed()
             assert pending_counts(tracker, everything) == {
                 segment_id: oracle.pending_count(segment_id) for segment_id in everything

@@ -3,7 +3,7 @@
 from itertools import compress
 
 import pytest
-from mjoin_oracle import executable_counts, pending_counts
+from mjoin_oracle import executable_counts, pending_counts, tracker_has_pending
 
 from repro.core.cache import ObjectCache
 from repro.core.mjoin import MJoinStateManager
@@ -128,7 +128,7 @@ class TestTrackerTransitions:
         tracker = SubplanTracker(SubplanLayout(tpch.q12(), tiny_tpch_catalog, tpch.q12().tables))
         for segment_id in tiny_tpch_catalog.segment_ids("lineitem"):
             tracker.prune_object(segment_id)
-        assert not tracker.has_pending()
+        assert not tracker_has_pending(tracker)
         assert _num_pending(tracker) == 0
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from mjoin_oracle import tracker_has_pending
 
 from repro.core import ClientProxy
 from repro.core.cache import LRUEviction, ObjectCache
@@ -284,7 +285,7 @@ class TestLimitIsOneAnswer:
             for segment_id in requests:
                 manager.on_arrival(segment_id, catalog.resolve_segment_id(segment_id))
             requests = manager.next_cycle_requests()
-        assert not manager.tracker.has_pending() and manager.cache.num_evictions > 0
+        assert not tracker_has_pending(manager.tracker) and manager.cache.num_evictions > 0
         return manager.results()
 
     @pytest.mark.parametrize("order_by", [["n_name"], ["revenue", "n_name"]])

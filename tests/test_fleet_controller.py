@@ -22,6 +22,7 @@ from drain import drain
 
 from repro.csd import ClientsPerGroupLayout, DeviceConfig, ObjectStore, SlackFCFSScheduler
 from repro.csd.request import GetRequest
+from repro.exceptions import SimulationError
 from repro.fleet.controller import FleetController
 from repro.fleet.placement import normalize_weights
 from repro.fleet.router import FleetRouter
@@ -143,6 +144,20 @@ def test_the_rebalance_tick_names_why_it_does_not_reweight():
     assert [entry["triggered"] for entry in log] == [False, False, True]
     assert log[1]["max_weight_delta"] < MIN_WEIGHT_DELTA <= log[2]["max_weight_delta"]
     assert [plan.kind for plan in controller.migration_plans] == ["reweight"]
+
+
+def test_a_rebalancer_tick_left_alone_ends_the_run():
+    """Without sessions to name (no service ran it), the tick still ends a
+    run that nothing else can move, at its first instant alone."""
+    spec = FleetSpec(devices=2, rebalance=RebalancePolicy(interval_seconds=1000.0))
+    router = build_router(spec, objects(6))
+    FleetController(router)
+    submit(router, ["t0/obj.0"])
+    env = router.env
+    with pytest.raises(
+        SimulationError, match=r"left to run at t = 1000.0; .* never finish: \[\]$"
+    ):
+        env.run(env.event())
 
 
 def test_the_census_and_the_hash_column_live_while_an_epoch_can_open():

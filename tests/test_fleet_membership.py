@@ -17,10 +17,13 @@ from hypothesis import given, strategies as st
 from repro.csd.device import BusyInterval, DeviceConfig
 from repro.csd.disk_group import DiskGroupLayout
 from repro.csd.layout import ClientsPerGroupLayout, extend_layout_with_keys
-from repro.exceptions import FleetError, LayoutError, ScenarioError, StorageError
+from repro.exceptions import (
+    FleetError, LayoutError, ScenarioError, SimulationError, StorageError,
+)
 from repro.fleet.controller import FleetController
 from repro.fleet.membership import FleetMember, FleetMembership, resolve_device_config
 from repro.fleet.migration import plan_migration
+from repro.fleet.router import FleetRouter
 from repro.fleet.spec import (
     DeviceFailure,
     DeviceJoin,
@@ -548,6 +551,42 @@ class TestMultiEpochSequences:
             service.run()
         assert service.env.now == 20.0
         assert service.fleet.stats.failed_over > 0
+
+    def test_a_request_lost_without_an_error_under_a_rebalancer_raises(self, monkeypatch):
+        """The failure drains the dead device's queue and drops what it
+        drained, with no exception: the sessions wait for good, and a tick
+        that wakes to nothing else scheduled ends the run, naming them."""
+        spec = ScenarioSpec(
+            name="lossy-drain",
+            description="x",
+            tenants=uniform_tenants(2, "tpch:q12", cache_capacity=8),
+            fleet=FleetSpec(
+                devices=3,
+                replication=2,
+                repair=True,
+                failures=(DeviceFailure(0, 20.0),),
+                rebalance=RebalancePolicy(interval_seconds=30.0),
+            ),
+            seed=42,
+        )
+        drain_pending = FleetRouter.drain_pending
+
+        def drop(self, member):
+            drain_pending(self, member)
+            return []
+
+        monkeypatch.setattr(FleetRouter, "drain_pending", drop)
+        service = StorageService(spec)
+        with pytest.raises(
+            SimulationError,
+            match=r"nothing but the fleet rebalancer is left to run at t = 150.0; "
+            r"the sessions that can never finish: \['session:tenant1'\]$",
+        ):
+            service.run()
+        # The fifth tick, not hundreds of millions of simulated seconds on.
+        assert service.env.now == 150.0
+        # tenant0 lost nothing: it finished, so it is not named.
+        assert [session.process.triggered for session in service.sessions] == [True, False]
 
 
 class TestSessionsSurviveMembershipChanges:

@@ -169,6 +169,7 @@ SURVIVORS: Dict[str, Dict[str, str]] = {
         ),
     },
     "fleet/migration.py": {},
+    "scenarios/invariants.py": {},
     "sim/environment.py": {},
     "sim/process.py": {
         ": if False `if TYPE_CHECKING:`": (

@@ -75,7 +75,6 @@ KEPT: Dict[str, str] = {
     "repro.obs.metrics.MetricsRegistry.names": "the registry's read side; the telemetry item",
     "repro.obs.metrics.MetricsRegistry.__len__": "the registry's read side; the telemetry item",
     "repro.obs.metrics.MetricsRegistry.to_dict": "the registry's read side; the telemetry item",
-    "repro.scenarios.golden.unified_diff_summary": "the golden-mismatch path of --check",
     "repro.scenarios.__main__._print_failure": "the golden-mismatch path of --check",
     "repro.service.session.Session.closed": (
         "open_session's re-open check reads it when a tenant opens a second session"

@@ -23,6 +23,7 @@ from repro.exceptions import (
     InvariantViolation,
     ScenarioError,
 )
+from repro.fleet.router import FleetRouter
 from repro.fleet.spec import DeviceFailure, DeviceJoin, DeviceLeave, FleetSpec, SetReplication
 from repro.scenarios import (
     ScenarioRunner,
@@ -40,15 +41,15 @@ from repro.scenarios.golden import default_golden_dir, diff_values, orphan_golde
 from repro.scenarios.invariants import (
     check_cache_bounds,
     check_conservation,
-    check_fleet_failover,
     check_fleet_placement,
     check_fleet_rebalance,
+    check_member_lifetimes,
     check_monotone_clock,
     check_no_starvation,
     check_replication_repair,
     starvation_bound,
 )
-from repro.scenarios.runner import build_layout, build_scheduler
+from repro.scenarios.runner import build_layout, build_scheduler, run_one
 from repro.scenarios.spec import KNOWN_LAYOUTS, KNOWN_SCHEDULERS
 from repro.service import StorageService
 from repro.workloads import tpch
@@ -161,6 +162,46 @@ class TestRunner:
         assert "cache-bounds" not in report.invariants_checked
         assert report.cache["hits"] == 0.0
 
+    @pytest.mark.parametrize(
+        "scheduler, param", [("slack-fcfs", None), ("rank-based", 0.0)], ids=["fcfs", "k0"]
+    )
+    def test_no_fairness_guarantee_skips_the_starvation_invariant(self, scheduler, param):
+        spec = ScenarioSpec(
+            name="efficiency-first",
+            description="no fairness constant",
+            tenants=uniform_tenants(2, "tpch:q12", cache_capacity=8),
+            scheduler=scheduler,
+            scheduler_param=param,
+        )
+        report = RUNNER.run(spec)
+        assert report.invariants_checked == ["conservation", "monotone-clock", "cache-bounds"]
+
+    @pytest.mark.parametrize(
+        "plant, pattern",
+        [
+            ("drain-keeps-outstanding", r"'csd0' ended the run with [1-9]\d* outstanding"),
+            ("request-left-queued", "still has pending requests after the run"),
+        ],
+    )
+    def test_a_planted_loss_fails_a_registered_fleet_run(self, monkeypatch, plant, pattern):
+        if plant == "drain-keeps-outstanding":
+            # The dead device's drained requests are served elsewhere, but
+            # stay counted against it.
+            monkeypatch.setattr(
+                FleetRouter, "drain_pending", lambda router, member: member.device.drain_pending()
+            )
+        else:
+            run = StorageService.run
+
+            def run_then_strand(service):
+                result = run(service)
+                _strand_a_request(service)
+                return result
+
+            monkeypatch.setattr(StorageService, "run", run_then_strand)
+        outcome = run_one("fleet-device-loss")
+        assert outcome.report_json is None and re.search(pattern, outcome.error), outcome.error
+
     def test_layout_and_scheduler_resolution_errors(self):
         base = dict(
             description="x", tenants=uniform_tenants(2, "tpch:q12", cache_capacity=8)
@@ -269,6 +310,14 @@ def _first_transfer(service):
     )
 
 
+def _strand_a_request(service):
+    """Queue a GET for the first transferred object on its device, as if it
+    had been lost after the run."""
+    device, _index, interval = _first_transfer(service)
+    stranded = GetRequest(interval.object_key, interval.client_id, "stranded", service.env.event())
+    device.scheduler.add_request(stranded, interval.group_id)
+
+
 #: One checker body for both back ends: every perturbation must make it fire
 #: on the paper's single CSD and on a sharded, replicated fleet alike.
 BACKENDS = pytest.mark.parametrize(
@@ -302,7 +351,7 @@ def _violations(service, result):
             partial(check, service)
             for check in (
                 check_fleet_placement,
-                check_fleet_failover,
+                check_member_lifetimes,
                 check_fleet_rebalance,
                 check_replication_repair,
             )
@@ -317,9 +366,12 @@ def _violations(service, result):
 
 
 def _assert_only_violation(service, result, pattern):
-    """Exactly one check fires, and with the violation ``pattern`` names."""
+    """Exactly one check fires, with the violation ``pattern`` names, and
+    :func:`check_invariants` runs it."""
     fired = _violations(service, result)
     assert len(fired) == 1 and re.search(pattern, fired[0]), fired
+    with pytest.raises(InvariantViolation, match=pattern):
+        check_invariants(service, result)
 
 
 class TestInvariantChecker:
@@ -347,13 +399,8 @@ class TestInvariantChecker:
     @BACKENDS
     def test_conservation_detects_a_request_left_queued(self, fleet):
         service, result = _run_service(fleet)
-        device, _index, interval = _first_transfer(service)
-        stranded = GetRequest(
-            interval.object_key, interval.client_id, "stranded", service.env.event()
-        )
-        device.scheduler.add_request(stranded, interval.group_id)
-        with pytest.raises(InvariantViolation, match="still has pending requests"):
-            check_conservation(service, result)
+        _strand_a_request(service)
+        _assert_only_violation(service, result, "still has pending requests")
 
     def test_conservation_detects_a_request_routed_twice(self):
         service, result = _run_service(FleetSpec(devices=3, replication=2))
@@ -480,14 +527,9 @@ class TestInvariantChecker:
 
     def test_fleet_failover_detects_a_request_left_queued(self):
         service, result = _run_service(LOSS)
-        assert check_fleet_failover(service)
-        device, _index, interval = _first_transfer(service)
-        stranded = GetRequest(
-            interval.object_key, interval.client_id, "stranded", service.env.event()
-        )
-        device.scheduler.add_request(stranded, interval.group_id)
-        with pytest.raises(InvariantViolation, match=r"1 request\(s\) left queued in the fleet"):
-            check_fleet_failover(service)
+        assert "fleet-failover" in check_invariants(service, result)
+        _strand_a_request(service)
+        _assert_only_violation(service, result, "'csd0' still has pending requests")
 
     def test_fleet_rebalance_detects_an_epoch_out_of_order(self):
         service, result = _run_service(ELASTIC, repetitions=2)
@@ -561,14 +603,9 @@ class TestInvariantChecker:
 
     def test_fleet_rebalance_detects_a_request_left_queued(self):
         service, result = _run_service(ELASTIC, repetitions=2)
-        assert check_fleet_rebalance(service)
-        device, _index, interval = _first_transfer(service)
-        stranded = GetRequest(
-            interval.object_key, interval.client_id, "stranded", service.env.event()
-        )
-        device.scheduler.add_request(stranded, interval.group_id)
-        with pytest.raises(InvariantViolation, match=r"1 request\(s\) .*across the rebalance"):
-            check_fleet_rebalance(service)
+        assert "fleet-rebalance" in check_invariants(service, result)
+        _strand_a_request(service)
+        _assert_only_violation(service, result, "'csd0' still has pending requests")
 
     def test_replication_repair_detects_a_trim_of_the_last_replica(self):
         service, result = _run_service(REPLICATED, repetitions=2)
@@ -580,6 +617,27 @@ class TestInvariantChecker:
         _assert_only_violation(
             service, result, f"trim of {trim.object_key!r} off {trim.device!r} dropped"
         )
+
+    def test_replication_repair_holds_an_unrepaired_loss_to_its_trims_alone(self):
+        """A join's trims, then a loss with repair off: the keys the dead
+        device held stay at one live replica, and only the trims are checked."""
+        spec = FleetSpec(
+            devices=4,
+            replication=2,
+            repair=False,
+            events=(DeviceJoin(4, 20.0),),
+            failures=(DeviceFailure(0, 60.0),),
+        )
+        service, result = _run_service(spec, repetitions=2)
+        assert service.controller.migration_plans[0].trims
+        members = service.fleet.membership.by_id
+        degraded = [
+            key
+            for key, replicas in service.fleet.placement.items()
+            if sum(members[device_id].alive for device_id in replicas) < 2
+        ]
+        assert len(degraded) == 4
+        assert "replication-repair" in check_invariants(service, result)
 
     @pytest.mark.parametrize("outstanding", [1, -1])
     def test_replication_repair_detects_a_nonzero_outstanding_count(self, outstanding):
@@ -597,18 +655,23 @@ class TestInvariantChecker:
 
     def test_replication_repair_detects_a_live_replica_missing_from_its_layout(self):
         service, result = _run_service(REPLICATED, repetitions=2)
-        assert check_replication_repair(service)
-        key, replicas = next(iter(service.fleet.placement.items()))
-        device = service.fleet.membership.by_id[replicas[0]].device
+        assert "replication-repair" in check_invariants(service, result)
+        # A replica its device never served, so the transfers still match
+        # the layout.
+        key, device = next(
+            (key, device)
+            for key, replicas in service.fleet.placement.items()
+            for device in (service.fleet.membership.by_id[name].device for name in replicas)
+            if all(interval.object_key != key for interval in device.busy_intervals)
+        )
         layout = device.layout
         device.layout = DiskGroupLayout(
             {other: layout.group_of(other) for other in layout.placed_keys if other != key},
             layout.tenant_group_map(),
         )
-        with pytest.raises(
-            InvariantViolation, match=f"replica of {key!r} on {replicas[0]!r} is not physically"
-        ):
-            check_replication_repair(service)
+        _assert_only_violation(
+            service, result, f"{device.name!r} does not hold a replica of {key!r}"
+        )
 
 
 class TestSpecSerialization:

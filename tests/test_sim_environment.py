@@ -363,3 +363,24 @@ def test_frames_per_plain_wait_storm_event_stay_under_the_ceiling():
         "entered a call again"
     )
     assert frames_per_storm_event(events=False) == (frames, events)
+
+
+def test_only_sees_the_instant_as_well_as_the_later_ones():
+    """At t = 2 no later instant is queued, but the other process's end is
+    still due at that instant, after the ticker's wake-up; at t = 3 the
+    wake-up is all that is left."""
+    env = Environment()
+    seen = []
+
+    def ticker():
+        while len(seen) < 3:
+            yield 1.0
+            seen.append((env.now, env.only(process.wake)))
+
+    def other():
+        yield 2.0
+
+    env.process(other())
+    process = env.process(ticker())
+    env.run(process)
+    assert seen == [(1.0, False), (2.0, False), (3.0, True)]

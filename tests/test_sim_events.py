@@ -516,7 +516,7 @@ def test_a_finished_process_holds_no_wake_up(ending):
 
     generator = body(env)
     process = env.process(generator)
-    wake = process._wake
+    wake = process.wake
     resume = wake.resume
     generator = weakref.ref(generator)
     if ending == "return":
@@ -647,4 +647,4 @@ def test_a_process_and_its_wake_up_are_slotted():
         yield 1.0
 
     process = env.process(body(env))
-    assert not hasattr(process, "__dict__") and not hasattr(process._wake, "__dict__")
+    assert not hasattr(process, "__dict__") and not hasattr(process.wake, "__dict__")

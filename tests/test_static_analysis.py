@@ -1289,6 +1289,11 @@ def test_test_only_code_stays_deleted():
         "RankBasedScheduler.rank",
         "ObjectCache.get",
         "StorageService.drain_pending",
+        # A golden mismatch is read through ``diff_values``' paths alone, and
+        # whether a tracker has a subplan left is a test-side reading
+        # (``tests/mjoin_oracle.py``'s ``tracker_has_pending``).
+        "unified_diff_summary",
+        "SubplanTracker.has_pending",
         # Per-call draws, replaced by the per-column drawers built once
         # (``integers``, ``decimals``, ``choices``, ``weighted_choices``,
         # ``booleans``, ``dates``): no twin stays beside them.
@@ -1311,7 +1316,6 @@ def test_test_only_code_stays_deleted():
         "repro.cluster.cluster:ClusterResult.execution_times": "client_id",
         "repro.obs.tracer:Tracer.add_event": "at",
         "repro.tiering.cost_model:TieringCostModel.figure3_rows": "price_points",
-        "repro.scenarios.golden:unified_diff_summary": "max_lines",
         "repro.scenarios.golden:assert_dict_matches_golden": "rtol atol",
         "repro.scenarios.golden:diff_values": "rtol atol",
         "repro.scenarios.runner:run_one": "trace",
